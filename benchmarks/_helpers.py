@@ -47,13 +47,53 @@ import time
 # Baselines re-measured 2026-08 (10k-txn steady state, worst of repeated
 # runs; see test_bench_scheduler.py / test_bench_checker.py for the exact
 # workloads):
+#
+# Re-checked 2026-09 after the per-message hot-path speedup (heap entries
+# compared in C, memoised dispatch names, compiled wire sizers, one keyed
+# message counter, indexed baseline certification).  On the quiet
+# container the same workloads now measure 5,500-5,800 txns/s and
+# 60-62k events/s (was 4,200-4,400 / 46-48k at the parent commit: 1.3x,
+# under the 1.5x re-baselining threshold) and 4,400 checked txns/s (was
+# 3,300-3,500).  Baselines encode the slow day, so the three runs that
+# count were taken with both cores of the container kept busy by spinning
+# processes: 3,143 txns/s, 33,931 events/s, 2,373 checked txns/s.  The
+# first two sit just above the recorded baselines and the third just
+# below its own, so all three stand as recorded.
 BASELINE_ENGINE_TXNS_PER_SEC = 3_000.0  # check_mode="off"
 BASELINE_ENGINE_EVENTS_PER_SEC = 32_000.0
 BASELINE_CHECKED_TXNS_PER_SEC = 2_600.0  # online checker on (worst model)
+# The 2PC-over-Paxos stack had no floor, and it is the one whose host cost
+# was quadratic in the run length (every prepare scanned every committed
+# payload on every replica).  5,000 transactions, check_mode="off": 3,700
+# txns/s quiet, 1,932 worst of three with both cores busy; the scan-based
+# state machine measures 790 on the quiet container and misses the floor.
+BASELINE_BASELINE_STACK_TXNS_PER_SEC = 1_900.0
 
 ENGINE_TXNS_FLOOR = BASELINE_ENGINE_TXNS_PER_SEC / 2
 ENGINE_EVENTS_FLOOR = BASELINE_ENGINE_EVENTS_PER_SEC / 2
 CHECKED_TXNS_FLOOR = BASELINE_CHECKED_TXNS_PER_SEC / 2
+BASELINE_STACK_TXNS_FLOOR = BASELINE_BASELINE_STACK_TXNS_PER_SEC / 2
+
+# Speedup-ratio guards compare a feature's wall-clock throughput with the
+# same workload run without it (interleaved rounds, one process).  A ratio
+# of interleaved runs moves far less with machine load than a rate does, so
+# these floors do not take the 2x headroom above: each sits about 10% under
+# the worst ratio the guard measured on the quiet container, as the 2.0x
+# and 3.0x they replace did (6-13% under 2.3x and 3.2x).
+#
+# Both features win by sending fewer messages, so their host-time ratios
+# shrink whenever a message gets cheaper, with nothing having got slower:
+# the 2026-09 hot-path speedup took unbatched 4,450 -> 7,700 txns/s against
+# batched(32) 10,400 -> 12,400 (2.3x -> 1.53-1.67x over fourteen runs) and
+# all-certified 5,650 -> 9,000 against snapshot reads 18,000 -> 25,000
+# (best paired round 3.2x -> 2.71-3.01x over nine runs).  The old
+# thresholds fail on that change, which is why they were lowered.  With
+# both cores of the container kept busy by spinning processes five runs
+# measured 1.41-1.61x and 2.77-3.16x.  What batching and the read path save
+# in messages and events is asserted exactly, per seed, by the
+# deterministic halves of the same two benchmarks.
+BATCHING_SPEEDUP_FLOOR = 1.4
+SNAPSHOT_READ_SPEEDUP_FLOOR = 2.4
 
 # Overhead-ratio ceiling for the client-session layer: design target 10%,
 # measured 8-17% depending on machine load (a ratio of two ~1s runs is

@@ -12,10 +12,12 @@ Two layers of protection:
 
 * **Wall-clock**: on a saturated cross-shard workload driven directly
   through the cluster (no store execution diluting the measurement),
-  batched certification must sustain >= 2x the unbatched steady-state
-  txns/s, with the online checker enabled on both sides.  Measured ~2.3x
-  on the development container (interleaved best-of runs with the
-  collector paused keep the ratio stable against noisy neighbours).
+  batched certification must sustain >= 1.4x the unbatched steady-state
+  txns/s, with the online checker enabled on both sides.  Measured
+  1.53-1.63x on the development container (interleaved best-of runs with
+  the collector paused keep the ratio stable against noisy neighbours); it
+  was ~2.3x, guarded at 2x, before the per-message path got 1.6x cheaper —
+  see ``BATCHING_SPEEDUP_FLOOR`` in ``_helpers.py``.
 
 Both guards emit their measurements as ``BENCH_batching.json`` for the CI
 artifact trail.
@@ -30,7 +32,7 @@ from repro.core.serializability import TransactionPayload
 from repro.scenarios import BatchSpec, ScenarioRunner, ScenarioSpec, WorkloadSpec
 from repro.spec.incremental import IncrementalTCSChecker
 
-from _helpers import write_bench_artifact
+from _helpers import BATCHING_SPEEDUP_FLOOR, write_bench_artifact
 
 
 TXNS = 3_000
@@ -151,7 +153,7 @@ def test_batched_throughput_guard(benchmark):
     print(
         f"\nbatching guard: unbatched {off_tps:,.0f} txns/s, "
         f"batched(size={BATCH_SIZE}) {on_tps:,.0f} txns/s -> {speedup:.2f}x "
-        f"(target >= 2x, online checker on)"
+        f"(floor {BATCHING_SPEEDUP_FLOOR:.2f}x, online checker on)"
     )
     _artifact["wall_clock"] = {
         "txns": TXNS,
@@ -160,6 +162,7 @@ def test_batched_throughput_guard(benchmark):
         "unbatched_txns_per_sec": off_tps,
         "batched_txns_per_sec": on_tps,
         "speedup": speedup,
+        "floor_speedup": BATCHING_SPEEDUP_FLOOR,
     }
     write_bench_artifact("batching", _artifact)
-    assert speedup >= 2.0
+    assert speedup >= BATCHING_SPEEDUP_FLOOR

@@ -12,8 +12,11 @@ Three layers, all emitted into ``BENCH_reads.json``:
   regression fails regardless of machine speed.
 
 * **Wall-clock**: on the same workload, the snapshot-read configuration
-  must sustain >= 3x the txns/s of the all-certified configuration
-  (best paired round measured ~3.5-3.9x on the development container).
+  must sustain >= 2.4x the txns/s of the all-certified configuration
+  (best paired round measures 2.7-3.0x on the development container; it
+  was 3.2x, guarded at 3x, before the per-message path, which the
+  all-certified side is bound by, got 1.5x cheaper —
+  ``SNAPSHOT_READ_SPEEDUP_FLOOR``).
   Each configuration is first validated once with the online checker
   attached — the timed rounds then run unchecked so the guard measures
   the protocol, not the checker.
@@ -23,9 +26,9 @@ Three layers, all emitted into ``BENCH_reads.json``:
   messages, fast-path serves.  The message savings must appear from the
   first non-zero read ratio and grow monotonically with the read mix.
 
-Per the re-baselining rule in ``benchmarks/_helpers.py``: floors sit ~25%
-under the measured dev-container ratios (ratios of interleaved runs on the
-same machine are far less noise-sensitive than absolute txns/s).
+The floors and how they were measured are in ``benchmarks/_helpers.py``
+(ratios of interleaved runs on the same machine are far less
+noise-sensitive than absolute txns/s).
 """
 
 import gc
@@ -39,7 +42,7 @@ from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.spec import ReadSpec
 from repro.spec.incremental import IncrementalTCSChecker
 
-from _helpers import write_bench_artifact
+from _helpers import SNAPSHOT_READ_SPEEDUP_FLOOR, write_bench_artifact
 
 TXNS = 4_000
 WAVE = 128
@@ -163,7 +166,7 @@ def test_read_path_throughput_guard(benchmark):
     print(
         f"\nreads guard: all-certified {certified_tps:,.0f} txns/s, "
         f"snapshot-read {snapshot_tps:,.0f} txns/s -> {speedup:.2f}x "
-        f"(target >= 3x at {READ_RATIO:.0%} reads; "
+        f"(floor {SNAPSHOT_READ_SPEEDUP_FLOOR:.2f}x at {READ_RATIO:.0%} reads; "
         f"round ratios {', '.join(f'{r:.2f}' for r in ratios)})"
     )
     _artifact["wall_clock"] = {
@@ -175,9 +178,10 @@ def test_read_path_throughput_guard(benchmark):
         "snapshot_txns_per_sec": snapshot_tps,
         "speedup": speedup,
         "round_speedups": ratios,
+        "floor_speedup": SNAPSHOT_READ_SPEEDUP_FLOOR,
     }
     write_bench_artifact("reads", _artifact)
-    assert speedup >= 3.0
+    assert speedup >= SNAPSHOT_READ_SPEEDUP_FLOOR
 
 
 def test_read_ratio_crossover_curve(benchmark):

@@ -19,6 +19,7 @@ import time
 from repro.scenarios import ScenarioRunner, ScenarioSpec, WorkloadSpec
 
 from _helpers import (
+    BASELINE_STACK_TXNS_FLOOR,
     ENGINE_EVENTS_FLOOR,
     ENGINE_TXNS_FLOOR,
     write_bench_artifact,
@@ -26,15 +27,17 @@ from _helpers import (
 
 
 TXNS = 10_000
+BASELINE_STACK_TXNS = 5_000
 
 
-def _spec() -> ScenarioSpec:
+def _spec(protocol: str = "message-passing", txns: int = TXNS, replicas: int = 2) -> ScenarioSpec:
     return ScenarioSpec(
         name="scheduler-guard-steady-state",
-        protocol="message-passing",
+        protocol=protocol,
         num_shards=4,
+        replicas_per_shard=replicas,
         seed=0,
-        workload=WorkloadSpec(kind="uniform", txns=TXNS, batch=50, num_keys=2000),
+        workload=WorkloadSpec(kind="uniform", txns=txns, batch=50, num_keys=2000),
         # This guard times the engine, not the checker (the online checker
         # has its own floor in test_bench_checker.py).  Contradiction
         # detection stays on.
@@ -73,3 +76,34 @@ def test_scheduler_throughput_guard(benchmark):
     )
     assert txns_per_sec >= ENGINE_TXNS_FLOOR
     assert events_per_sec >= ENGINE_EVENTS_FLOOR
+
+
+def test_baseline_stack_throughput_guard(benchmark):
+    """The same steady state on 2PC over Paxos (2f+1 replicas): the stack
+    with the most messages per commit, and the one whose certification was
+    quadratic in the run length until the state machine got a vote index."""
+
+    def run():
+        runner = ScenarioRunner(_spec("2pc-paxos", BASELINE_STACK_TXNS, replicas=3))
+        start = time.perf_counter()
+        result = runner.run()
+        return result, time.perf_counter() - start
+
+    result, wall = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert result.passed
+    assert result.txns_submitted == BASELINE_STACK_TXNS
+    txns_per_sec = BASELINE_STACK_TXNS / wall
+    print(
+        f"\nbaseline-stack guard: {BASELINE_STACK_TXNS} txns in {wall:.2f}s -> "
+        f"{txns_per_sec:,.0f} txns/sec (floor: {BASELINE_STACK_TXNS_FLOOR:,.0f})"
+    )
+    write_bench_artifact(
+        "baseline_stack",
+        {
+            "txns": BASELINE_STACK_TXNS,
+            "wall_seconds": wall,
+            "txns_per_sec": txns_per_sec,
+            "floor_txns_per_sec": BASELINE_STACK_TXNS_FLOOR,
+        },
+    )
+    assert txns_per_sec >= BASELINE_STACK_TXNS_FLOOR

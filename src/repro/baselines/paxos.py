@@ -108,6 +108,7 @@ class PaxosReplica(Process):
         if initial_leader not in group:
             raise ValueError("initial leader must belong to the group")
         self.group = tuple(group)
+        self._peers = tuple(member for member in self.group if member != pid)
         self.state_machine = state_machine
         self.leader_hint = initial_leader
 
@@ -146,8 +147,7 @@ class PaxosReplica(Process):
         return len(self.group) // 2 + 1
 
     def _broadcast(self, message: Any) -> None:
-        for member in self.group:
-            self.send(member, message)
+        self.send_all(self.group, message)
 
     # ------------------------------------------------------------------
     # failure detection (passive: heartbeats + suspicion accounting only)
@@ -155,12 +155,11 @@ class PaxosReplica(Process):
     def emit_heartbeats(self) -> None:
         if self.detector is None:
             return
-        peers = [p for p in self.group if p != self.pid]
-        if peers:
+        if self._peers:
             # The group name doubles as the shard id; the baseline has no
             # epochs, so heartbeats carry 0.
             shard = self.pid.rsplit("/", 1)[0]
-            self.send_all(peers, Heartbeat(shard=shard, epoch=0), weak=True)
+            self.send_all(self._peers, Heartbeat(shard=shard, epoch=0), weak=True)
 
     def tick_detector(self) -> None:
         if self.detector is not None:
@@ -268,9 +267,7 @@ class PaxosReplica(Process):
             return
         value = self._proposals[msg.slot]
         self._learn(msg.slot, value)
-        for member in self.group:
-            if member != self.pid:
-                self.send(member, Chosen(slot=msg.slot, value=value))
+        self.send_all(self._peers, Chosen(slot=msg.slot, value=value))
 
     def on_chosen(self, msg: Chosen, sender: str) -> None:
         self._learn(msg.slot, msg.value)

@@ -85,6 +85,13 @@ class CertificationStateMachine(StateMachine):
         self.scheme = scheme
         self.committed_payloads: List[Any] = []
         self.prepared: Dict[TxnId, Tuple[Any, Decision]] = {}
+        # Per-object conflict state mirroring ``committed_payloads`` and the
+        # commit-voted entries of ``prepared``, so a vote costs O(|payload|)
+        # instead of a scan over every committed payload.  Replicas apply
+        # the same command sequence, so every replica's index is identical
+        # by construction.  None when the scheme offers no index: votes
+        # then fall back to the scan (as in ``LeaderVoteCache``).
+        self._index = scheme.make_vote_index(shard)
         self.decisions: Dict[TxnId, Decision] = {}
         # Closed-timestamp watermark, kept for parity with the snapshot-read
         # replicas so protocol comparisons stay apples-to-apples; the applied
@@ -110,25 +117,43 @@ class CertificationStateMachine(StateMachine):
             return self.prepared[command.txn][1]
         if command.txn in self.decisions:
             return self.decisions[command.txn]
+        payload = command.payload
+        index = self._index
+        if index is None:
+            vote = self._scan_vote(payload)
+        else:
+            vote = index.vote(payload)
+            if vote is Decision.COMMIT:
+                index.add_prepared(payload)
+        self.prepared[command.txn] = (payload, vote)
+        return vote
+
+    def _scan_vote(self, payload: Any) -> Decision:
+        """The vote from a full scan, for schemes without a vote index."""
         prepared_payloads = [
-            payload
-            for payload, vote in self.prepared.values()
+            prepared
+            for prepared, vote in self.prepared.values()
             if vote is Decision.COMMIT
         ]
-        vote = self.scheme.vote(
-            self.shard, self.committed_payloads, prepared_payloads, command.payload
+        return self.scheme.vote(
+            self.shard, self.committed_payloads, prepared_payloads, payload
         )
-        self.prepared[command.txn] = (command.payload, vote)
-        return vote
 
     def _apply_decide(self, command: DecideCommand) -> Decision:
         if command.txn in self.decisions:
             return self.decisions[command.txn]
         self.decisions[command.txn] = command.decision
         entry = self.prepared.pop(command.txn, None)
-        if command.decision is Decision.COMMIT and entry is not None:
-            payload = entry[0]
+        if entry is None:
+            return command.decision
+        payload, vote = entry
+        index = self._index
+        if index is not None and vote is Decision.COMMIT:
+            index.remove_prepared(payload)
+        if command.decision is Decision.COMMIT:
             self.committed_payloads.append(payload)
+            if index is not None:
+                index.add_committed(payload)
             written = getattr(payload, "written_objects", None)
             if written:
                 if self.applied_store is not None:

@@ -24,31 +24,33 @@ from typing import Any, Callable, Optional
 _COMPACT_MIN_CANCELLED = 64
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class Event:
     """A scheduled callback.
 
-    Events are ordered by ``(time, seq)``; ``seq`` is a monotonically
+    Events fire in ``(time, seq)`` order; ``seq`` is a monotonically
     increasing counter so that ties in virtual time are broken by
-    scheduling order.
+    scheduling order.  The heap holds ``(time, seq, event)`` entries, so
+    ``heapq`` orders them by comparing the two leading keys in C and never
+    compares events themselves (``seq`` is unique per heap).
     """
 
     time: float
-    seq: int
-    fn: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    scheduler: Optional["Scheduler"] = field(compare=False, default=None, repr=False)
+    seq: Any
+    fn: Callable[..., Any]
+    args: tuple = ()
+    cancelled: bool = False
+    scheduler: Optional["Scheduler"] = field(default=None, repr=False)
     # How much the event counts towards `events_fired`.  Always 1 in the
     # serial engine; the grouped engine splits multicast delivery batches
     # per destination group and zero-weights the fragments after the first,
     # so event counts stay byte-identical to a serial run.
-    weight: int = field(compare=False, default=1)
+    weight: int = 1
     # Weak events never keep the simulation alive: `run`/`run_until` stop
     # once only weak events remain queued.  Background periodic activity
     # (heartbeat ticks) is scheduled weak so a recurring timer cannot turn
     # run-to-quiescence into an infinite loop.
-    weak: bool = field(compare=False, default=False)
+    weak: bool = False
 
     def cancel(self) -> None:
         """Prevent the event from firing when its time comes."""
@@ -67,7 +69,7 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple] = []  # (time, seq, event) heap entries
         self._seq = 0
         self._now = 0.0
         self._live = 0  # queued events that are not cancelled
@@ -89,8 +91,16 @@ class Scheduler:
         """Schedule ``fn(*args)`` to run at absolute virtual time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
-        event = Event(time=time, seq=self._allocate_seq(), fn=fn, args=args, scheduler=self)
-        heapq.heappush(self._queue, event)
+        # Creation order breaks ties: the serial engine's ``(time, seq)``
+        # fire order is the reference the grouped (parallel-DES) engine
+        # reproduces — there, the ``seq`` slot carries a nested *order tag*
+        # encoding the same creation order (see
+        # :mod:`repro.runtime.parallel`), and entries are built by the
+        # engine rather than from this counter.
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, fn, args, False, self)
+        heapq.heappush(self._queue, (time, seq, event))
         self._live += 1
         return event
 
@@ -118,19 +128,6 @@ class Scheduler:
         self._live_weak += 1
         return event
 
-    def _allocate_seq(self) -> int:
-        """The tie-breaking sequence number for the next scheduled event.
-
-        Creation order: the serial engine's ``(time, seq)`` fire order is
-        the reference the grouped (parallel-DES) engine reproduces — there,
-        the ``seq`` slot carries a nested *order tag* encoding the same
-        creation order (see :mod:`repro.runtime.parallel`), and events are
-        built by the engine rather than through this counter.
-        """
-        seq = self._seq
-        self._seq += 1
-        return seq
-
     def _note_cancelled(self, event: Event) -> None:
         """Called by :meth:`Event.cancel`; keeps the live counts exact and
         compacts the heap once cancelled entries dominate it."""
@@ -142,7 +139,7 @@ class Scheduler:
             self._compact()
 
     def _compact(self) -> None:
-        self._queue = [event for event in self._queue if not event.cancelled]
+        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
 
     @property
@@ -162,8 +159,9 @@ class Scheduler:
 
     def step(self) -> bool:
         """Fire the next live event.  Returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            event = heapq.heappop(queue)[2]
             if event.cancelled:
                 continue
             self._live -= 1
@@ -192,11 +190,12 @@ class Scheduler:
 
     def _next_live(self) -> Optional[Event]:
         """The next event that will fire, discarding cancelled heap heads."""
-        while self._queue:
-            event = self._queue[0]
+        queue = self._queue
+        while queue:
+            event = queue[0][2]
             if not event.cancelled:
                 return event
-            heapq.heappop(self._queue)
+            heapq.heappop(queue)
         return None
 
     def run(
@@ -210,7 +209,7 @@ class Scheduler:
         """
         fired = 0
         while True:
-            if self._live_weak and self.strong_pending == 0:
+            if self._live_weak and self._live == self._live_weak:
                 # Only weak (background) events remain: the simulation is
                 # quiescent.  Leave them queued — they resume if strong
                 # work returns.
@@ -265,7 +264,7 @@ class Scheduler:
         fired = 0
         while not predicate():
             for _ in range(check_interval):
-                if self._live_weak and self.strong_pending == 0:
+                if self._live_weak and self._live == self._live_weak:
                     # Quiescent modulo background (weak) events.
                     return predicate()
                 if max_time is not None:

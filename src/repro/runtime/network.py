@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterable, Mapping, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.runtime.events import Scheduler
@@ -250,42 +250,95 @@ class LinkSpec:
         return self.bandwidth > 0
 
 
-@dataclass
 class MessageStats:
-    """Message accounting used by the leader-load and cost experiments."""
+    """Message accounting used by the leader-load and cost experiments.
 
-    sent_by_process: Counter = field(default_factory=Counter)
-    received_by_process: Counter = field(default_factory=Counter)
-    sent_by_type: Counter = field(default_factory=Counter)
-    sent_by_process_and_type: Counter = field(default_factory=Counter)
-    received_by_process_and_type: Counter = field(default_factory=Counter)
-    dropped: int = 0
-    total_sent: int = 0
-    total_delivered: int = 0
-    # Bytes accounting: populated only when a LinkSpec sizes messages
-    # (``size`` is None on the pure-delay path, keeping it cost-free).
-    bytes_sent: float = 0.0
-    bytes_by_type: Counter = field(default_factory=Counter)
+    The send and delivery paths each update one counter keyed by
+    ``(process, message class)``; every other view (totals, per process,
+    per type name) is derived from those two when it is read, which is
+    once per run rather than once per message.  The views are therefore
+    read-only snapshots: each read builds a fresh ``Counter`` (or number),
+    so mutating a returned ``Counter`` changes nothing here and the totals
+    cannot be assigned; only ``dropped`` and ``bytes_sent`` are plain
+    attributes.
+    """
 
-    def record_send(self, src: str, message: Any, size: Optional[float] = None) -> None:
-        name = type(message).__name__
-        self.total_sent += 1
-        self.sent_by_process[src] += 1
-        self.sent_by_type[name] += 1
-        self.sent_by_process_and_type[(src, name)] += 1
+    def __init__(self) -> None:
+        self._sent: Dict[Tuple[str, type], int] = {}
+        self._received: Dict[Tuple[str, type], int] = {}
+        self.dropped = 0
+        # Bytes accounting: populated only when a LinkSpec sizes messages
+        # (``size`` is None on the pure-delay path, keeping it cost-free).
+        # Sizes are whole numbers of bytes, so the sums are exact whatever
+        # the order or grouping of the additions.
+        self.bytes_sent = 0.0
+        self._bytes: Dict[type, float] = {}
+
+    def record_send(
+        self, src: str, message: Any, size: Optional[float] = None, count: int = 1
+    ) -> None:
+        """Account for ``count`` sends of ``message`` by ``src`` (a
+        multicast records all its destinations at once)."""
+        key = (src, type(message))
+        sent = self._sent
+        sent[key] = sent.get(key, 0) + count
         if size is not None:
+            size *= count
             self.bytes_sent += size
-            self.bytes_by_type[name] += size
+            self._bytes[key[1]] = self._bytes.get(key[1], 0.0) + size
 
     def record_delivery(self, dst: str, message: Any) -> None:
-        name = type(message).__name__
-        self.total_delivered += 1
-        self.received_by_process[dst] += 1
-        self.received_by_process_and_type[(dst, name)] += 1
+        key = (dst, type(message))
+        received = self._received
+        received[key] = received.get(key, 0) + 1
+
+    @staticmethod
+    def _view(counts: Mapping[Any, Any], label) -> Counter:
+        view: Counter = Counter()
+        for key, count in counts.items():
+            view[label(key)] += count
+        return view
+
+    @property
+    def total_sent(self) -> int:
+        return sum(self._sent.values())
+
+    @property
+    def total_delivered(self) -> int:
+        return sum(self._received.values())
+
+    @property
+    def sent_by_process(self) -> Counter:
+        return self._view(self._sent, lambda key: key[0])
+
+    @property
+    def received_by_process(self) -> Counter:
+        return self._view(self._received, lambda key: key[0])
+
+    @property
+    def sent_by_type(self) -> Counter:
+        return self._view(self._sent, lambda key: key[1].__name__)
+
+    @property
+    def sent_by_process_and_type(self) -> Counter:
+        return self._view(self._sent, lambda key: (key[0], key[1].__name__))
+
+    @property
+    def received_by_process_and_type(self) -> Counter:
+        return self._view(self._received, lambda key: (key[0], key[1].__name__))
+
+    @property
+    def bytes_by_type(self) -> Counter:
+        return self._view(self._bytes, lambda cls: cls.__name__)
 
     def handled_by(self, pid: str) -> int:
         """Total messages sent plus received by process ``pid``."""
-        return self.sent_by_process[pid] + self.received_by_process[pid]
+        return sum(
+            count
+            for counts in (self._sent, self._received)
+            for (process, _), count in counts.items()
+            if process == pid
+        )
 
 
 class Network:
@@ -310,8 +363,6 @@ class Network:
         self.rng = random.Random(seed)
         self.processes: Dict[str, "Process"] = {}
         self.stats = MessageStats()
-        self.trace: list[Tuple[float, str, str, Any]] = []
-        self.trace_enabled = False
         self.link = link
         self._link_enabled = link is not None and link.enabled
         # Link-queue accounting (populated only with an enabled LinkSpec):
@@ -352,10 +403,10 @@ class Network:
 
         A :class:`LinkSpec` does not tighten this bound: queue wait and
         serialization time are *added on top of* the propagation delay in
-        :meth:`_enqueue`, so every delivery still lands at or beyond
+        :meth:`_delivery_time`, so every delivery still lands at or beyond
         ``now + min_delay`` — the propagation minimum stays a valid
-        lookahead lower bound (asserted by the grouped scheduler in debug
-        runs)."""
+        lookahead lower bound (the grouped scheduler raises
+        :class:`~repro.runtime.parallel.LookaheadViolation` otherwise)."""
         bound = math.inf
         pids = list(self.processes)
         for src in pids:
@@ -426,59 +477,64 @@ class Network:
     # ------------------------------------------------------------------
     # message transport
     # ------------------------------------------------------------------
-    def _enqueue(self, src: str, dst: str, message: Any) -> Optional[float]:
-        """Account for one send and compute its delivery time.
+    def _delivery_time(
+        self, now: float, src: str, dst: str, message: Any, size: Optional[float]
+    ) -> Optional[float]:
+        """The delivery time of one message sent at ``now``, advancing the
+        channel's FIFO clock.
 
         Returns None when the message is dropped (unknown destination or
-        blocked channel); the caller is responsible for scheduling the
-        delivery event(s).
+        blocked channel); the caller accounts for the send and schedules
+        the delivery event(s).  ``size`` is None on the pure-delay path.
         """
-        # Messages are only sized under an enabled LinkSpec: the pure-delay
-        # path never consults wire_size, so foreign message types (tests,
-        # ad-hoc probes) stay legal there and the default schedule is
-        # byte-for-byte what it was before the bandwidth model existed.
-        size = wire_size(message) if self._link_enabled else None
-        self.stats.record_send(src, message, size=size)
-        if dst not in self.processes:
-            self.stats.dropped += 1
-            return None
-        if (src, dst) in self._blocked:
+        channel = (src, dst)
+        if dst not in self.processes or (self._blocked and channel in self._blocked):
             self.stats.dropped += 1
             return None
         delay = self.latency.delay(src, dst, message, self.rng)
-        delay += self._extra_delay.get((src, dst), 0.0)
-        arrival = self.scheduler.now + delay
+        if self._extra_delay:
+            delay += self._extra_delay.get(channel, 0.0)
+        arrival = now + delay
         # FIFO: never deliver earlier than the previous message on the same
         # channel.  Ties in delivery time are broken by scheduling order,
         # which is send order, so FIFO is preserved.
-        last = self._channel_clock.get((src, dst), 0.0)
+        last = self._channel_clock.get(channel, 0.0)
+        start = arrival if arrival > last else last
         if size is None:
-            deliver_at = max(arrival, last)
+            deliver_at = start
         else:
-            # Queueing model: serialization starts once the message has
-            # propagated *and* the channel has finished the previous
-            # message; the channel is then busy for overhead + bytes/bw.
-            link = self.link
-            start = arrival if arrival > last else last
-            serialization = link.overhead + size / link.bandwidth
-            deliver_at = start + serialization
-            self.queue_wait_samples.append(start - arrival)
-            self._link_serializations.append(serialization)
-            # Queue depth at this send: in-flight messages on the channel
-            # (deliver_at still in the future) plus this one.  Channel
-            # clocks are monotone, so the deque stays sorted and pruning
-            # from the left is exact.
-            pending = self._link_pending.get((src, dst))
-            if pending is None:
-                pending = self._link_pending[(src, dst)] = deque()
-            now = self.scheduler.now
-            while pending and pending[0] <= now:
-                pending.popleft()
-            pending.append(deliver_at)
-            if len(pending) > self.link_max_depth:
-                self.link_max_depth = len(pending)
-        self._channel_clock[(src, dst)] = deliver_at
+            deliver_at = self._serialize(channel, now, arrival, start, size)
+        self._channel_clock[channel] = deliver_at
         return deliver_at
+
+    def _serialize(
+        self, channel: Tuple[str, str], now: float, arrival: float, start: float, size: float
+    ) -> float:
+        """Queueing model: serialization starts once the message has
+        propagated *and* the channel has finished the previous message
+        (``start``); the channel is then busy for overhead + bytes/bw."""
+        link = self.link
+        serialization = link.overhead + size / link.bandwidth
+        deliver_at = start + serialization
+        self.queue_wait_samples.append(start - arrival)
+        self._link_serializations.append(serialization)
+        # Queue depth at this send: in-flight messages on the channel
+        # (deliver_at still in the future) plus this one.  Channel
+        # clocks are monotone, so the deque stays sorted and pruning
+        # from the left is exact.
+        pending = self._link_pending.get(channel)
+        if pending is None:
+            pending = self._link_pending[channel] = deque()
+        while pending and pending[0] <= now:
+            pending.popleft()
+        pending.append(deliver_at)
+        if len(pending) > self.link_max_depth:
+            self.link_max_depth = len(pending)
+        return deliver_at
+
+    def _is_crashed_source(self, src: str) -> bool:
+        sender = self.processes.get(src)
+        return sender is not None and sender.crashed
 
     def send(self, src: str, dst: str, message: Any, weak: bool = False) -> None:
         """Send ``message`` from ``src`` to ``dst`` over the FIFO channel.
@@ -489,18 +545,25 @@ class Network:
         heartbeat interval would leave one delivery permanently in flight
         and run-to-quiescence would never terminate.
         """
-        if src in self.processes and self.processes[src].crashed:
+        if self._is_crashed_source(src):
             return
-        deliver_at = self._enqueue(src, dst, message)
+        # Messages are only sized under an enabled LinkSpec: the pure-delay
+        # path never consults wire_size, so foreign message types (tests,
+        # ad-hoc probes) stay legal there and the default schedule is
+        # byte-for-byte what it was before the bandwidth model existed.
+        size = wire_size(message) if self._link_enabled else None
+        self.stats.record_send(src, message, size)
+        scheduler = self.scheduler
+        deliver_at = self._delivery_time(scheduler.now, src, dst, message, size)
         if deliver_at is None:
             return
         if self._group_of is None:
             if weak:
-                self.scheduler.schedule_weak_at(deliver_at, self._deliver, src, dst, message)
+                scheduler.schedule_weak_at(deliver_at, self._deliver, src, dst, message)
             else:
-                self.scheduler.schedule_at(deliver_at, self._deliver, src, dst, message)
+                scheduler.schedule_at(deliver_at, self._deliver, src, dst, message)
         else:
-            self.scheduler.schedule_delivery(
+            scheduler.schedule_delivery(
                 deliver_at, self._group_of[dst], self._deliver, src, dst, message,
                 weak=weak,
             )
@@ -512,70 +575,67 @@ class Network:
         single scheduler event instead of one heap entry each, which cuts
         heap churn substantially for fan-out-heavy protocols (with the
         deterministic unit-latency model, almost every fan-out batches).
+        The message is sized once, not once per destination.
 
         The observable delivery order is identical to calling :meth:`send`
         in a loop: within one ``send_many`` call no other event can be
         scheduled between the individual sends, so deliveries sharing a
         timestamp would have fired back-to-back in send order anyway.
         """
-        if src in self.processes and self.processes[src].crashed:
-            return
-        if self._group_of is not None:
-            self._send_many_grouped(src, dsts, message, weak)
-            return
-        batches: Dict[float, list] = {}
-        for dst in dsts:
-            deliver_at = self._enqueue(src, dst, message)
-            if deliver_at is None:
-                continue
-            group = batches.get(deliver_at)
-            if group is None:
-                group = batches[deliver_at] = []
-                # dict preserves insertion order; schedule one event per
-                # distinct delivery time, carrying the (mutable) group so
-                # destinations found later in this call still join it.
-                if weak:
-                    self.scheduler.schedule_weak_at(
-                        deliver_at, self._deliver_batch, src, group, message
-                    )
-                else:
-                    self.scheduler.schedule_at(
-                        deliver_at, self._deliver_batch, src, group, message
-                    )
-            group.append(dst)
+        if not self._is_crashed_source(src):
+            self.send_many_from_live(src, dsts, message, weak)
 
-    def _send_many_grouped(
+    def send_many_from_live(
         self, src: str, dsts: Iterable[str], message: Any, weak: bool = False
     ) -> None:
-        """Multicast under the grouped engine.
+        """:meth:`send_many` without the crashed-source check, for a caller
+        that has just made it (:meth:`Process.send_all`).
 
-        Batches split per (delivery time, destination group) so each
-        fragment can be routed to its group's scheduler independently.  The
-        serial engine fires exactly one event per distinct delivery time, so
-        only the first fragment of each time carries event weight; the rest
-        are zero-weight, keeping ``events_fired`` byte-identical.  Delivery
-        order is unaffected: the fragments of one delivery time receive
-        consecutive order tags (they are effects of the same creating
-        event), so they fire back-to-back in send order, and within a
-        fragment the destination list keeps send order.
+        Under the grouped engine batches split per (delivery time,
+        destination group) so each fragment can be routed to its group's
+        scheduler independently.  The serial engine fires exactly one event
+        per distinct delivery time, so only the first fragment of each time
+        carries event weight; the rest are zero-weight, keeping
+        ``events_fired`` byte-identical.  Delivery order is unaffected: the
+        fragments of one delivery time receive consecutive order tags (they
+        are effects of the same creating event), so they fire back-to-back
+        in send order, and within a fragment the destination list keeps
+        send order.
         """
-        batches: Dict[Tuple[float, int], list] = {}
-        seen_times: Set[float] = set()
+        if self._is_crashed_source(src):
+            return
+        size = wire_size(message) if self._link_enabled else None
+        scheduler = self.scheduler
+        now = scheduler.now
+        group_of = self._group_of
+        # Keyed by delivery time (serial) or (delivery time, group); dicts
+        # preserve insertion order and each event carries its (mutable)
+        # destination list, so destinations found later in this call still
+        # join the event scheduled for their key.
+        batches: Dict[Any, list] = {}
+        count = 0
         for dst in dsts:
-            deliver_at = self._enqueue(src, dst, message)
+            count += 1
+            deliver_at = self._delivery_time(now, src, dst, message, size)
             if deliver_at is None:
                 continue
-            key = (deliver_at, self._group_of[dst])
-            group = batches.get(key)
-            if group is None:
-                group = batches[key] = []
-                weight = 1 if deliver_at not in seen_times else 0
-                seen_times.add(deliver_at)
-                self.scheduler.schedule_delivery(
-                    deliver_at, key[1], self._deliver_batch, src, group, message,
-                    weight=weight, weak=weak,
-                )
-            group.append(dst)
+            key = deliver_at if group_of is None else (deliver_at, group_of[dst])
+            batch = batches.get(key)
+            if batch is None:
+                if group_of is None:
+                    batch = batches[key] = []
+                    schedule = scheduler.schedule_weak_at if weak else scheduler.schedule_at
+                    schedule(deliver_at, self._deliver_batch, src, batch, message)
+                else:
+                    first_of_its_time = all(other[0] != deliver_at for other in batches)
+                    batch = batches[key] = []
+                    scheduler.schedule_delivery(
+                        deliver_at, key[1], self._deliver_batch, src, batch, message,
+                        weight=1 if first_of_its_time else 0, weak=weak,
+                    )
+            batch.append(dst)
+        if count:
+            self.stats.record_send(src, message, size, count)
 
     def _deliver_batch(self, src: str, dsts: list, message: Any) -> None:
         for dst in dsts:
@@ -583,13 +643,12 @@ class Network:
 
     def _deliver(self, src: str, dst: str, message: Any) -> None:
         process = self.processes.get(dst)
-        if process is None or process.crashed:
-            self.stats.dropped += 1
-            return
-        if (src, dst) in self._blocked:
+        if (
+            process is None
+            or process.crashed
+            or (self._blocked and (src, dst) in self._blocked)
+        ):
             self.stats.dropped += 1
             return
         self.stats.record_delivery(dst, message)
-        if self.trace_enabled:
-            self.trace.append((self.scheduler.now, src, dst, message))
         process.deliver(message, src)

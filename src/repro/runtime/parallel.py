@@ -181,6 +181,13 @@ def partition_contiguous(items: Sequence[Any], groups: int) -> Dict[Any, int]:
     }
 
 
+class LookaheadViolation(RuntimeError):
+    """A cross-group delivery landed inside the current lookahead window:
+    the engine's assumption (every cross-group delay is at least the
+    lookahead) does not hold, and the run can no longer replay the serial
+    order."""
+
+
 class _GroupScheduler(Scheduler):
     """One group's private event heap inside a :class:`GroupedScheduler`.
 
@@ -195,8 +202,9 @@ class _GroupScheduler(Scheduler):
         self._index = index
 
     def step(self) -> bool:
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            event = heapq.heappop(queue)[2]
             if event.cancelled:
                 continue
             self._live -= 1
@@ -315,7 +323,12 @@ class GroupedScheduler:
 
     @property
     def _weak_pending(self) -> int:
-        return self.pending - self.strong_pending
+        # Checked before every event by `run`/`run_until`: one pass over
+        # the groups' own counters, not `pending - strong_pending`.
+        weak = self._control._live_weak
+        for group in self._groups:
+            weak += group._live_weak
+        return weak
 
     @property
     def idle(self) -> bool:
@@ -408,15 +421,15 @@ class GroupedScheduler:
         destination group cannot have advanced past them.  ``weak`` marks
         background traffic (heartbeats) that must not keep the run alive.
         """
-        if __debug__ and self._executing is not None and self._window is not None:
+        if self._executing is not None and self._window is not None:
             sender = self._executing[0]
-            if sender != CONTROL_GROUP and sender != group:
+            if sender != CONTROL_GROUP and sender != group and time < self._window[1]:
                 # The conservative-parallel correctness invariant: a delivery
                 # crossing group boundaries may never land inside the current
                 # window, or the destination group could already have fired
                 # past it.  Queueing and serialization delays only ever ADD
                 # to propagation, so an enabled LinkSpec cannot break this.
-                assert time >= self._window[1], (
+                raise LookaheadViolation(
                     f"cross-group delivery at t={time} lands before the "
                     f"lookahead bound t={self._window[1]} "
                     f"(window start {self._window[0]}, sender group {sender}, "
@@ -433,11 +446,9 @@ class GroupedScheduler:
         weight: int,
         weak: bool = False,
     ) -> Event:
-        event = Event(
-            time=time, seq=self._next_tag(), fn=fn, args=args,
-            scheduler=target, weight=weight, weak=weak,
-        )
-        heapq.heappush(target._queue, event)
+        tag = self._next_tag()
+        event = Event(time, tag, fn, args, False, target, weight, weak)
+        heapq.heappush(target._queue, (time, tag, event))
         target._live += 1
         if weak:
             target._live_weak += 1

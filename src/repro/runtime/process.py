@@ -9,6 +9,7 @@ clauses of the paper's pseudocode.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
@@ -21,13 +22,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _CAMEL_RE = re.compile(r"(?<!^)(?=[A-Z])")
 
 
+@functools.cache
+def _handler_name_of(message_type: type) -> str:
+    """``on_<snake_case>`` for a message class, derived once per class.
+
+    Only the *name* is memoised; :meth:`Process.handle` still looks the
+    method up on the receiving instance at every dispatch, so a handler
+    overridden in a subclass or patched onto one instance is honoured.
+    """
+    return "on_" + _CAMEL_RE.sub("_", message_type.__name__).lower()
+
+
 def handler_name(message: Any) -> str:
     """Map a message class name to its handler method name.
 
     ``PrepareAck`` -> ``on_prepare_ack``; ``PROBE`` style names are not used,
     message classes are CamelCase dataclasses.
     """
-    return "on_" + _CAMEL_RE.sub("_", type(message).__name__).lower()
+    return _handler_name_of(type(message))
 
 
 class Process:
@@ -72,10 +84,8 @@ class Process:
         ``weak`` marks background traffic (heartbeats) whose deliveries must
         not keep the simulation alive; see :meth:`Network.send`.
         """
-        if self.crashed:
-            return
         assert self.network is not None
-        self.network.send(self.pid, dst, message, weak=weak)
+        self.network.send(self.pid, dst, message, weak)
 
     def send_all(self, dsts: Iterable[str], message: Any, weak: bool = False) -> None:
         """Send the same message to every destination (excluding none).
@@ -84,10 +94,8 @@ class Process:
         event (see :meth:`Network.send_many`), so prefer this over a manual
         send loop for fan-outs.
         """
-        if self.crashed:
-            return
         assert self.network is not None
-        self.network.send_many(self.pid, dsts, message, weak=weak)
+        self.network.send_many(self.pid, dsts, message, weak)
 
     def set_timer(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule a local callback; it is suppressed if the process crashed."""
@@ -113,7 +121,7 @@ class Process:
 
     def handle(self, message: Any, sender: str) -> None:
         """Dispatch a message to its ``on_<type>`` handler."""
-        method = getattr(self, handler_name(message), None)
+        method = getattr(self, _handler_name_of(type(message)), None)
         if method is None:
             raise NotImplementedError(
                 f"{type(self).__name__}({self.pid}) has no handler for "

@@ -27,8 +27,9 @@ import the runtime).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from enum import Enum
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional
 
 # Fixed per-message envelope: type tag, source/destination addressing and
 # framing.  Charged once per top-level message and once per nested
@@ -39,41 +40,88 @@ HEADER_BYTES = 20.0
 # prefixes).  Strings and byte strings cost their length instead.
 SCALAR_BYTES = 8.0
 
+# Immutable payloads are re-sized inside every message that carries them
+# (CertifyRequest -> Prepare -> Accept -> RdmaWrite x replicas, all within
+# a few delays), so their sizes are memoised — in a bounded LRU, because a
+# run creates payloads without end while only the in-flight ones recur.
+_PAYLOAD_MEMO_ENTRIES = 1024
+
 _SIZERS: Dict[type, Callable[[Any], float]] = {}
+# Field sizers by *exact* value type, compiled on first sight of the type
+# (see :func:`_compile_field_sizer`): one dict lookup per field instead of
+# an ``isinstance`` ladder.
+_FIELD_SIZERS: Dict[type, Callable[[Any], float]] = {}
 _REGISTERED = False
 
 
 def _field_size(value: Any) -> float:
     """Recursive size of one payload field (no header)."""
-    if value is None:
-        return 0.0
-    if isinstance(value, Enum):
-        return SCALAR_BYTES
-    if isinstance(value, bool) or isinstance(value, (int, float)):
-        return SCALAR_BYTES
-    if isinstance(value, (str, bytes)):
+    cls = type(value)
+    if cls is str:  # the commonest field by far (ids, keys): skip the dispatch
         return float(len(value))
-    if isinstance(value, dict):
-        return SCALAR_BYTES + sum(
-            _field_size(k) + _field_size(v) for k, v in value.items()
-        )
-    if isinstance(value, (tuple, list, set, frozenset)):
-        return SCALAR_BYTES + sum(_field_size(item) for item in value)
-    if dataclasses.is_dataclass(value):
-        return SCALAR_BYTES + sum(
-            _field_size(getattr(value, f.name)) for f in dataclasses.fields(value)
-        )
+    sizer = _FIELD_SIZERS.get(cls)
+    if sizer is None:
+        sizer = _FIELD_SIZERS[cls] = _compile_field_sizer(cls)
+    return sizer(value)
+
+
+def _size_nothing(value: Any) -> float:
+    return 0.0
+
+
+def _size_scalar(value: Any) -> float:
+    return SCALAR_BYTES
+
+
+def _size_length(value: Any) -> float:
+    return float(len(value))
+
+
+def _size_mapping(value: Any) -> float:
+    return SCALAR_BYTES + sum(
+        [_field_size(k) + _field_size(v) for k, v in value.items()]
+    )
+
+
+def _size_sequence(value: Any) -> float:
+    return SCALAR_BYTES + sum(map(_field_size, value))
+
+
+def _size_object(value: Any) -> float:
     if hasattr(value, "__dict__"):
-        return SCALAR_BYTES + sum(_field_size(v) for v in vars(value).values())
+        return SCALAR_BYTES + sum(map(_field_size, vars(value).values()))
     # Opaque sentinel objects (e.g. BOTTOM) cost one scalar.
     return SCALAR_BYTES
 
 
-def _flat_sizer(message: Any) -> float:
-    """Header plus the recursive size of every dataclass field."""
-    return HEADER_BYTES + sum(
-        _field_size(getattr(message, f.name)) for f in dataclasses.fields(message)
-    )
+def _dataclass_fields_sizer(cls: type, base: float) -> Callable[[Any], float]:
+    """``base`` plus the recursive size of every dataclass field of
+    ``cls``, with the field names read once."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+
+    def sizer(value: Any) -> float:
+        return base + sum([_field_size(getattr(value, name)) for name in names])
+
+    return sizer
+
+
+def _compile_field_sizer(cls: type) -> Callable[[Any], float]:
+    """The sizer for field values of exactly type ``cls``: the first
+    matching rule, in this order (an ``Enum`` with a ``str`` or ``int``
+    mixin is a scalar, a named tuple is a sequence)."""
+    if cls is type(None):
+        return _size_nothing
+    if issubclass(cls, (Enum, bool, int, float)):
+        return _size_scalar
+    if issubclass(cls, (str, bytes)):
+        return _size_length
+    if issubclass(cls, dict):
+        return _size_mapping
+    if issubclass(cls, (tuple, list, set, frozenset)):
+        return _size_sequence
+    if dataclasses.is_dataclass(cls):
+        return _dataclass_fields_sizer(cls, SCALAR_BYTES)
+    return _size_object
 
 
 def _batch_sizer(attr: str) -> Callable[[Any], float]:
@@ -83,15 +131,17 @@ def _batch_sizer(attr: str) -> Callable[[Any], float]:
 
     def sizer(message: Any) -> float:
         payloads = sum(
-            wire_size(part) - HEADER_BYTES for part in getattr(message, attr)
+            [wire_size(part) - HEADER_BYTES for part in getattr(message, attr)]
         )
         return HEADER_BYTES + payloads
 
     return sizer
 
 
-def _register(cls: type, sizer: Callable[[Any], float] = _flat_sizer) -> None:
-    _SIZERS[cls] = sizer
+def _register(cls: type, sizer: Optional[Callable[[Any], float]] = None) -> None:
+    """Register a message class; by default it costs a header plus the
+    recursive size of every dataclass field."""
+    _SIZERS[cls] = sizer or _dataclass_fields_sizer(cls, HEADER_BYTES)
 
 
 def _ensure_registered() -> None:
@@ -102,9 +152,17 @@ def _ensure_registered() -> None:
     _REGISTERED = True
 
     from repro.core import messages as core
+    from repro.core.serializability import TransactionPayload
     from repro.rdma import messages as rdma
     from repro.baselines import paxos, twopc
     from repro.runtime import rdma as rdma_runtime
+
+    # Equal payloads have equal sizes (equality is field equality and the
+    # size is a function of the field values), so the memo may key on the
+    # payload itself.
+    _FIELD_SIZERS[TransactionPayload] = functools.lru_cache(_PAYLOAD_MEMO_ENTRIES)(
+        _dataclass_fields_sizer(TransactionPayload, SCALAR_BYTES)
+    )
 
     # --- core message-passing protocol ---------------------------------
     for cls in (

@@ -1,11 +1,21 @@
 """Tests for the 2PC-over-Paxos baseline cluster."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.cluster import BaselineCluster
+from repro.baselines.twopc import (
+    CertificationStateMachine,
+    CommandBatch,
+    DecideCommand,
+    PrepareCommand,
+)
+from repro.core.serializability import KeyHashSharding, SerializabilityScheme
 from repro.core.types import Decision
 
 from helpers import payload, rw_payload, shard_key
+from test_properties import SER, SHARDS, SI, payloads
 
 
 @pytest.fixture
@@ -83,3 +93,125 @@ def test_abort_rate_metric(cluster):
     cluster.certify(rw_payload("x", version=0, tiebreak="a"))
     cluster.certify(rw_payload("x", version=0, tiebreak="b"))
     assert cluster.abort_rate() == pytest.approx(0.5)
+
+
+# ----------------------------------------------------------------------
+# indexed certification state machine vs. the scan it replaced
+# ----------------------------------------------------------------------
+
+class _ScanMachine:
+    """Reference: the state machine as it was before the vote index — every
+    prepare rebuilds the prepared list and calls the scan-based
+    ``scheme.vote`` over every committed payload."""
+
+    def __init__(self, shard, scheme):
+        self.shard, self.scheme = shard, scheme
+        self.committed, self.prepared, self.decisions = [], {}, {}
+
+    def apply(self, command):
+        if isinstance(command, CommandBatch):
+            return tuple(self.apply(each) for each in command.commands)
+        if isinstance(command, PrepareCommand):
+            if command.txn in self.prepared:
+                return self.prepared[command.txn][1]
+            if command.txn in self.decisions:
+                return self.decisions[command.txn]
+            prepared = [p for p, vote in self.prepared.values() if vote is Decision.COMMIT]
+            vote = self.scheme.vote(self.shard, self.committed, prepared, command.payload)
+            self.prepared[command.txn] = (command.payload, vote)
+            return vote
+        if command.txn in self.decisions:
+            return self.decisions[command.txn]
+        self.decisions[command.txn] = command.decision
+        entry = self.prepared.pop(command.txn, None)
+        if command.decision is Decision.COMMIT and entry is not None:
+            self.committed.append(entry[0])
+        return command.decision
+
+
+class _NoIndexScheme(SerializabilityScheme):
+    def make_vote_index(self, shard):
+        return None
+
+
+class _ScanForbiddenScheme(SerializabilityScheme):
+    def shard_certify_committed(self, shard, committed, payload):
+        raise AssertionError("the O(committed) scan ran although an index exists")
+
+
+@st.composite
+def command_sequences(draw):
+    """Prepare/decide commands over a few transactions, in any order, with
+    duplicates, aborts, decides that precede (or lack) their prepare, and
+    some of the sequence wrapped into a CommandBatch."""
+    population = draw(st.lists(payloads(), min_size=1, max_size=6))
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(population) - 1),
+                st.sampled_from(["prepare", "prepare", Decision.COMMIT, Decision.ABORT]),
+            ),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    batch_from = draw(st.integers(0, len(steps)))
+    return population, steps, batch_from
+
+
+def _commands(scheme, shard, population, steps):
+    for index, kind in steps:
+        txn = f"t{index}"
+        if kind == "prepare":
+            # What a coordinator sends: the payload projected on the shard.
+            yield PrepareCommand(txn=txn, payload=scheme.project(population[index], shard))
+        else:
+            yield DecideCommand(txn=txn, decision=kind)
+
+
+@pytest.mark.parametrize("scheme", [SER, SI], ids=["serializability", "snapshot-isolation"])
+@given(sequence=command_sequences())
+@settings(max_examples=150, deadline=None)
+def test_indexed_state_machine_votes_like_the_scan(scheme, sequence):
+    population, steps, batch_from = sequence
+    for shard in SHARDS:
+        indexed = CertificationStateMachine(shard, scheme)
+        assert indexed._index is not None
+        reference = _ScanMachine(shard, scheme)
+        commands = list(_commands(scheme, shard, population, steps))
+        sequence = commands[:batch_from]
+        if commands[batch_from:]:
+            sequence.append(CommandBatch(commands=tuple(commands[batch_from:])))
+        for command in sequence:
+            assert indexed.apply(command) == reference.apply(command)
+        assert indexed.committed_payloads == reference.committed
+        assert indexed.prepared == reference.prepared
+        assert indexed.decisions == reference.decisions
+
+
+@given(sequence=command_sequences())
+@settings(max_examples=60, deadline=None)
+def test_state_machine_without_a_vote_index_falls_back_to_the_scan(sequence):
+    population, steps, _ = sequence
+    scheme = _NoIndexScheme(KeyHashSharding(SHARDS))
+    machine = CertificationStateMachine("shard-0", scheme)
+    assert machine._index is None
+    reference = _ScanMachine("shard-0", SER)
+    for command in _commands(SER, "shard-0", population, steps):
+        assert machine.apply(command) == reference.apply(command)
+
+
+def test_indexed_prepare_never_scans_the_committed_payloads():
+    """The quadratic path cannot come back unnoticed: with an index, a
+    prepare must not reach ``shard_certify_committed`` at all."""
+    scheme = _ScanForbiddenScheme(KeyHashSharding(SHARDS))
+    machine = CertificationStateMachine("shard-0", scheme)
+    keys = [shard_key(scheme, "shard-0", hint=f"k{i}") for i in range(3)]
+    for i, key in enumerate(keys):
+        txn = f"t{i}"
+        assert machine.apply(PrepareCommand(txn, rw_payload(key, tiebreak=txn))) is Decision.COMMIT
+        machine.apply(DecideCommand(txn, Decision.COMMIT))
+    stale = PrepareCommand("stale", rw_payload(keys[0], version=0, tiebreak="s"))
+    assert machine.apply(stale) is Decision.ABORT
+    with pytest.raises(AssertionError, match="scan ran"):
+        _ScanMachine("shard-0", scheme).apply(stale)

@@ -1,0 +1,110 @@
+"""Golden history digests: behaviour pinned across commits, not only engines.
+
+``tests/golden_digests.json`` maps a case key to the ``History.digest()``,
+message count and virtual duration a run produced on the commit the file
+was generated from.  The engine batteries (``test_parallel.py``) compare
+engines *within* a commit; this file compares every later commit with that
+one, so a refactor or hot-path optimisation that moves a single history
+event, message or delivery time fails here by name.
+
+Case keys are ``scenario|protocol|engine``:
+
+* every library scenario as declared, on the serial engine;
+* every scenario of the serial-equivalence battery on ``parallel-shards``
+  with the battery's group counts;
+* every library scenario re-run on the other protocol stacks it validates
+  on (``rdma``, ``2pc-paxos`` with 2f+1 replicas) — the library itself has
+  one baseline scenario, too few to guard a change to the Paxos fan-out.
+
+Regenerate (only for a deliberate behaviour change, and say so in
+CHANGES.md)::
+
+    PYTHONPATH=src python tests/test_golden_digests.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from typing import Dict, Iterator, Optional
+
+import pytest
+
+from repro.scenarios import ExecSpec, ScenarioError, ScenarioRunner, ScenarioSpec, get_scenario
+from repro.scenarios.library import SCENARIOS
+
+# The (scenario, groups) pairs of the serial-equivalence battery.
+from test_parallel import EQUIVALENCE_CASES as GROUPED_CASES
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
+
+OTHER_STACKS = ("message-passing", "rdma", "2pc-paxos")
+
+
+def _spec_for(key: str) -> Optional[ScenarioSpec]:
+    """The spec a case key names, or None when it does not validate."""
+    name, protocol, engine = key.split("|")
+    spec = get_scenario(name)
+    overrides = {}
+    if protocol != spec.protocol:
+        overrides["protocol"] = protocol
+        if protocol == "2pc-paxos" and spec.replicas_per_shard % 2 == 0:
+            overrides["replicas_per_shard"] = spec.replicas_per_shard + 1
+    if engine != "serial":
+        overrides["execution"] = ExecSpec(mode="parallel-shards", groups=int(engine.split(":")[1]))
+    try:
+        return spec.with_overrides(**overrides)
+    except ScenarioError:
+        return None
+
+
+def _case_keys() -> Iterator[str]:
+    for name in SCENARIOS:
+        yield f"{name}|{get_scenario(name).protocol}|serial"
+    for name, groups in GROUPED_CASES:
+        yield f"{name}|{get_scenario(name).protocol}|parallel-shards:{groups}"
+    for name in SCENARIOS:
+        declared = get_scenario(name).protocol
+        if declared not in OTHER_STACKS:
+            continue  # ablation stacks are pinned as declared only
+        for protocol in OTHER_STACKS:
+            key = f"{name}|{protocol}|serial"
+            if protocol != declared and _spec_for(key) is not None:
+                yield key
+
+
+def _observe(key: str) -> Dict[str, object]:
+    spec = _spec_for(key)
+    assert spec is not None, f"golden case {key!r} no longer validates"
+    result = ScenarioRunner(spec).run()
+    return {
+        "digest": result.history_digest,
+        "messages_sent": result.messages_sent,
+        "duration": result.duration,
+    }
+
+
+def _load() -> Dict[str, Dict[str, object]]:
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)
+
+
+GOLDEN = _load() if os.path.exists(GOLDEN_PATH) else {}
+
+
+def test_golden_file_covers_every_case():
+    assert GOLDEN, f"{GOLDEN_PATH} is missing"
+    assert sorted(GOLDEN) == sorted(_case_keys())
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_history_matches_golden(key):
+    assert _observe(key) == GOLDEN[key]
+
+
+if __name__ == "__main__":
+    golden = {key: _observe(key) for key in _case_keys()}
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(golden, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {len(golden)} cases to {GOLDEN_PATH}")

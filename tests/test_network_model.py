@@ -21,18 +21,21 @@ Four layers:
 import dataclasses
 import json
 from dataclasses import replace
+from enum import Enum
+from typing import NamedTuple
 
 import pytest
 
 from repro.baselines import paxos, twopc
 from repro.client import CoordinatorRouter, StaticRouter
 from repro.core import messages as core_messages
+from repro.core.serializability import TransactionPayload
 from repro.rdma import messages as rdma_messages
 from repro.runtime import rdma as rdma_runtime
 from repro.runtime.events import Scheduler
 from repro.runtime.network import LinkSpec, Network, UnitLatency
 from repro.runtime.process import Process
-from repro.runtime.wire import HEADER_BYTES, is_registered, wire_size
+from repro.runtime.wire import HEADER_BYTES, SCALAR_BYTES, is_registered, wire_size
 from repro.scenarios import (
     DEFAULT_BANDWIDTH_GRID,
     ExecSpec,
@@ -120,6 +123,199 @@ def test_wire_size_rejects_unregistered_types():
         pass
 
     assert not is_registered(SneakyPrepare)
+
+
+# ----------------------------------------------------------------------
+# the compiled sizers against the recursive definition they replaced
+# ----------------------------------------------------------------------
+
+_BATCH_PARTS = {
+    core_messages.CertifyRequestBatch: "requests",
+    core_messages.TxnDecisionBatch: "decisions",
+    core_messages.CertifyBatch: "prepares",
+    core_messages.VoteBatch: "acks",
+    core_messages.AcceptBatch: "accepts",
+    core_messages.AcceptAckBatch: "acks",
+    core_messages.DecisionBatch: "decisions",
+    rdma_messages.AcceptBatch: "accepts",
+    rdma_messages.DecisionBatch: "decisions",
+    twopc.CommandBatch: "commands",
+}
+
+
+def _oracle_field_size(value):
+    """``wire._field_size`` as first written: an ``isinstance`` ladder and
+    ``dataclasses.fields`` per value.  Test-only reference."""
+    if value is None:
+        return 0.0
+    if isinstance(value, Enum):
+        return SCALAR_BYTES
+    if isinstance(value, bool) or isinstance(value, (int, float)):
+        return SCALAR_BYTES
+    if isinstance(value, (str, bytes)):
+        return float(len(value))
+    if isinstance(value, dict):
+        return SCALAR_BYTES + sum(
+            _oracle_field_size(k) + _oracle_field_size(v) for k, v in value.items()
+        )
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return SCALAR_BYTES + sum(_oracle_field_size(item) for item in value)
+    if dataclasses.is_dataclass(value):
+        return SCALAR_BYTES + sum(
+            _oracle_field_size(getattr(value, f.name)) for f in dataclasses.fields(value)
+        )
+    if hasattr(value, "__dict__"):
+        return SCALAR_BYTES + sum(_oracle_field_size(v) for v in vars(value).values())
+    return SCALAR_BYTES
+
+
+def _oracle_wire_size(message):
+    cls = type(message)
+    if cls in _BATCH_PARTS:
+        return HEADER_BYTES + sum(
+            _oracle_wire_size(part) - HEADER_BYTES
+            for part in getattr(message, _BATCH_PARTS[cls])
+        )
+    if cls is rdma_runtime.RdmaWrite:
+        return HEADER_BYTES + SCALAR_BYTES + _oracle_wire_size(message.payload)
+    return HEADER_BYTES + sum(
+        _oracle_field_size(getattr(message, f.name)) for f in dataclasses.fields(message)
+    )
+
+
+class _Color(Enum):
+    RED = "red"
+
+
+class _Label(str, Enum):  # an Enum first, a string second: one scalar
+    LONG = "a-long-label"
+
+
+class _Point(NamedTuple):  # a tuple, not an object with attributes
+    x: int
+    y: float
+
+
+class _Bag:
+    def __init__(self):
+        self.items = [1, "two", 3.0]
+        self.flag = True
+
+
+class _Opaque:
+    __slots__ = ()
+
+
+_TXN_PAYLOAD = TransactionPayload.make(
+    reads=[("key-1", (3, "c0")), ("key-22", (0, ""))], writes=[("key-1", 17)], tiebreak="c1"
+)
+
+# One value per rule of the sizing ladder (and the corner cases between
+# rules); every field of every message class is filled from this pool.
+_FIELD_VALUES = (
+    None, _Color.RED, _Label.LONG, True, 7, 2.5, "shard-0/r1", b"\x00\x01\x02",
+    {"k": (1, "v"), 2: None}, ("t1", 4, (5, "x")), ["a", "bc"], {"s"}, frozenset({("o", 1)}),
+    _Point(1, 2.0), _TXN_PAYLOAD, _Bag(), _Opaque(), (), {},
+)
+
+
+def _filled(cls, offset):
+    names = [f.name for f in dataclasses.fields(cls)]
+    return cls(**{
+        name: _FIELD_VALUES[(offset + index) % len(_FIELD_VALUES)]
+        for index, name in enumerate(names)
+    })
+
+
+def _sample_messages(cls):
+    """Instances of ``cls`` whose fields, between them, take every value of
+    the pool; batches and RDMA frames carry sampled messages instead."""
+    flat = [
+        c for module in MESSAGE_MODULES for c in _message_classes(module)
+        if c not in _BATCH_PARTS and c is not rdma_runtime.RdmaWrite
+    ]
+    if cls in _BATCH_PARTS:
+        parts = tuple(_filled(c, i) for i, c in enumerate(flat))
+        return [cls(**{_BATCH_PARTS[cls]: parts}), cls(**{_BATCH_PARTS[cls]: ()})]
+    if cls is rdma_runtime.RdmaWrite:
+        nested = core_messages.AcceptBatch(accepts=tuple(_filled(c, 3) for c in flat[:4]))
+        return [cls(write_id=9, payload=inner) for inner in (_filled(flat[0], 0), nested)]
+    return [_filled(cls, offset) for offset in range(len(_FIELD_VALUES))]
+
+
+@pytest.mark.parametrize("module", MESSAGE_MODULES, ids=lambda m: m.__name__)
+def test_wire_size_equals_the_recursive_definition_bit_for_bit(module):
+    for cls in _message_classes(module):
+        for message in _sample_messages(cls):
+            assert wire_size(message) == _oracle_wire_size(message), message
+            # Memoised payload sizes must not drift on a second sizing.
+            assert wire_size(message) == _oracle_wire_size(message), message
+
+
+@pytest.mark.parametrize("name", ["bandwidth-knee", "saturated-link"])
+@pytest.mark.parametrize("protocol", ["message-passing", "rdma", "2pc-paxos"])
+def test_every_message_sized_in_a_run_matches_the_recursive_definition(
+    monkeypatch, name, protocol
+):
+    """Real traffic on all three stacks under an enabled link: every size the
+    network charges equals the reference (payload memo included: the same
+    payloads recur inside CertifyRequest, Prepare, Accept, RdmaWrite)."""
+    import repro.runtime.network as network_module
+
+    sized = []
+
+    def checked(message):
+        size = wire_size(message)
+        assert size == _oracle_wire_size(message), message
+        sized.append(type(message))
+        return size
+
+    monkeypatch.setattr(network_module, "wire_size", checked)
+    spec = _small(name, txns=60)
+    overrides = {"protocol": protocol}
+    if protocol == "2pc-paxos" and spec.replicas_per_shard % 2 == 0:
+        overrides["replicas_per_shard"] = spec.replicas_per_shard + 1
+    assert ScenarioRunner(spec.with_overrides(**overrides)).run().safety_ok
+    assert len(set(sized)) >= 4
+
+
+def test_send_many_sizes_the_message_once(monkeypatch):
+    import repro.runtime.network as network_module
+
+    calls = []
+
+    def counting(message):
+        calls.append(message)
+        return wire_size(message)
+
+    monkeypatch.setattr(network_module, "wire_size", counting)
+    link = LinkSpec(bandwidth=50.0, overhead=0.25)
+    message = core_messages.Prepare(txn="t1", payload=_TXN_PAYLOAD)
+
+    def deliveries(multicast):
+        scheduler = Scheduler()
+        network = Network(scheduler, latency=UnitLatency(), seed=0, link=link)
+        sinks = [_Sink(pid) for pid in "abcd"]
+        for sink in sinks:
+            network.register(sink)
+        if multicast:
+            network.send_many("a", ["b", "c", "d", "nobody"], message)
+        else:
+            for dst in ["b", "c", "d", "nobody"]:
+                network.send("a", dst, message)
+        scheduler.run()
+        stats = network.stats
+        return (
+            [sink.deliveries for sink in sinks],
+            (stats.total_sent, stats.dropped, stats.bytes_sent, dict(stats.bytes_by_type)),
+            network.queue_wait_samples,
+        )
+
+    multicast = deliveries(multicast=True)
+    assert len(calls) == 1
+    assert multicast == deliveries(multicast=False)
+    assert len(calls) == 1 + 4
+    assert multicast[1][:3] == (4, 1, 4 * wire_size(message))
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +545,8 @@ def test_saturated_link_scenario_reports_real_queueing():
 def test_saturated_link_grouped_engine_matches_serial_exactly():
     """The lookahead-audit regression: a saturated slow link under
     --parallel-shards must replay the serial schedule byte for byte (and
-    the debug assertion in GroupedScheduler.schedule_delivery is active
-    throughout, because pytest runs without -O)."""
+    the lookahead check in GroupedScheduler.schedule_delivery never
+    raises LookaheadViolation)."""
     serial = ScenarioRunner(_small("saturated-link")).run()
     grouped = ScenarioRunner(
         _small(

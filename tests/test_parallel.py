@@ -14,14 +14,16 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.runtime.network import LognormalLatency, Network, UnitLatency
+from repro.runtime.process import Process
 from repro.runtime.parallel import (
     GroupedScheduler,
+    LookaheadViolation,
     ParallelExecutor,
     WorkerError,
     derive_seed,
@@ -268,6 +270,71 @@ def test_cluster_exposes_positive_lookahead_when_grouped():
     cluster = Cluster(num_shards=4, groups=2)
     assert isinstance(cluster.scheduler, GroupedScheduler)
     assert cluster.scheduler.lookahead > 0.0
+
+
+# ----------------------------------------------------------------------
+# Tier B: the lookahead check is a real error, with or without -O
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Hop:
+    ttl: int
+
+
+class _Relay(Process):
+    def __init__(self, pid, peer):
+        super().__init__(pid)
+        self.peer = peer
+
+    def on_hop(self, msg, sender):
+        if msg.ttl:
+            self.send(self.peer, Hop(msg.ttl - 1))
+
+
+def _send_inside_the_lookahead_window():
+    """Two processes in different groups on a link that became faster than
+    the bound the engine derived at install time: the relayed message lands
+    inside the window its sender is executing in."""
+    scheduler = GroupedScheduler(2)
+    network = Network(scheduler, latency=UnitLatency(1.0), seed=0)
+    network.register(_Relay("a", peer="b"))
+    network.register(_Relay("b", peer="a"))
+    scheduler.install(network, {"a": 0, "b": 1})
+    network.latency = UnitLatency(0.25)
+    network.send("b", "a", Hop(ttl=2))
+    scheduler.run()
+
+
+def test_cross_group_delivery_inside_the_window_raises():
+    with pytest.raises(LookaheadViolation, match="lands before the lookahead bound"):
+        _send_inside_the_lookahead_window()
+
+
+def test_lookahead_violation_survives_python_O():
+    """``python -O`` strips asserts; the engine's correctness invariant must
+    not go with them."""
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    script = (
+        "from repro.runtime.parallel import LookaheadViolation\n"
+        "from test_parallel import _send_inside_the_lookahead_window\n"
+        "assert False, 'asserts are stripped under -O'\n"
+        "try:\n"
+        "    _send_inside_the_lookahead_window()\n"
+        "except LookaheadViolation as error:\n"
+        "    print('raised:', error)\n"
+    )
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src_dir, tests_dir, env.get("PYTHONPATH")))
+    )
+    completed = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "raised: cross-group delivery at t=0.5 lands before" in completed.stdout
 
 
 # ----------------------------------------------------------------------

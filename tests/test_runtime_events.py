@@ -3,6 +3,9 @@
 import pytest
 
 from repro.runtime.events import Scheduler
+from repro.runtime.network import Network, UnitLatency
+from repro.runtime.parallel import GroupedScheduler
+from repro.runtime.process import Process
 
 
 def test_schedule_and_run_fires_in_time_order():
@@ -198,3 +201,85 @@ def test_run_advances_now_to_max_time_when_queue_empty():
     scheduler = Scheduler()
     scheduler.run(max_time=42.0)
     assert scheduler.now == 42.0
+
+
+# ----------------------------------------------------------------------
+# the (time, seq, event) heap entry, on both engines
+# ----------------------------------------------------------------------
+
+def _grouped_engine():
+    engine = GroupedScheduler(2)
+    network = Network(engine, latency=UnitLatency(), seed=0)
+    network.register(Process("a"))
+    network.register(Process("b"))
+    engine.install(network, {"a": 0, "b": 1})
+    return engine
+
+
+@pytest.fixture(params=[Scheduler, _grouped_engine], ids=["serial", "grouped"])
+def engine(request):
+    return request.param()
+
+
+def _heap(engine):
+    """The heap driver-context events land in."""
+    return engine._queue if isinstance(engine, Scheduler) else engine._control._queue
+
+
+def test_heap_entries_are_ordered_by_their_keys_not_by_the_event(engine):
+    event = engine.schedule(2.0, lambda: None)
+    [(time, seq, queued)] = _heap(engine)
+    assert (time, seq) == (2.0, event.seq) and queued is event
+    # Events define no ordering: heapq decides on (time, seq) alone, in C.
+    with pytest.raises(TypeError):
+        event < event
+
+
+def test_same_time_events_fire_in_scheduling_order_on_both_engines(engine):
+    fired = []
+    for name in ["first", "second", "third"]:
+        engine.schedule(1.0, fired.append, name)
+    engine.schedule(0.5, fired.append, "earlier")
+    engine.run()
+    assert fired == ["earlier", "first", "second", "third"]
+    assert engine.events_fired == 4
+
+
+def test_cancel_and_compaction_on_both_engines(engine):
+    keeper_fired = []
+    engine.schedule(1000.0, keeper_fired.append, True)
+    events = [engine.schedule(float(i + 1), lambda: None) for i in range(500)]
+    for event in events:
+        event.cancel()
+        event.cancel()  # idempotent
+    assert len(_heap(engine)) < 100
+    assert engine.pending == 1
+    engine.run()
+    assert keeper_fired == [True]
+    assert engine.pending == 0 and engine.idle
+
+
+def test_peek_time_skips_cancelled_heads_on_both_engines(engine):
+    first = engine.schedule(1.0, lambda: None)
+    engine.schedule(3.0, lambda: None)
+    assert engine.peek_time() == 1.0
+    first.cancel()
+    assert engine.peek_time() == 3.0
+    assert engine.step()
+    assert engine.peek_time() is None
+    assert not engine.step()
+
+
+def test_weak_events_do_not_keep_either_engine_alive(engine):
+    fired = []
+
+    def tick():
+        fired.append(engine.now)
+        engine.schedule_weak(2.0, tick)
+
+    engine.schedule_weak(2.0, tick)
+    assert engine.run() == 0  # only weak work: immediately quiescent
+    engine.schedule(5.0, lambda: None)
+    engine.run()
+    assert fired == [2.0, 4.0]
+    assert engine.pending == 1 and engine.strong_pending == 0

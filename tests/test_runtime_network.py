@@ -47,6 +47,46 @@ def test_handler_name_derivation():
     assert handler_name(Pong(1)) == "on_pong"
 
 
+def test_unknown_message_raises_even_after_earlier_dispatches():
+    scheduler, network, a, b = build()
+    a.send("b", Ping(1))
+    scheduler.run()
+
+    @dataclass(frozen=True)
+    class Mystery:
+        pass
+
+    for _ in range(2):  # the memoised handler *name* must not hide the miss
+        with pytest.raises(NotImplementedError, match="Echo.b. has no handler for Mystery"):
+            b.handle(Mystery(), "a")
+
+
+def test_handler_patched_onto_an_instance_is_honoured_after_a_first_dispatch():
+    """Dispatch memoises the handler name per message class, never the bound
+    method: a later per-instance patch (or subclass override) still wins."""
+    scheduler, network, a, b = build()
+    a.send("b", Ping(1))
+    scheduler.run()
+    assert [value for value, _, _ in b.received] == [1]
+
+    patched = []
+    b.on_ping = lambda msg, sender: patched.append(msg.value)
+    a.send("b", Ping(2))
+    scheduler.run()
+    assert patched == [2]
+    assert [value for value, _, _ in b.received] == [1]
+
+    class LoudEcho(Echo):
+        def on_ping(self, msg, sender):
+            self.received.append(("loud", msg.value))
+
+    c = LoudEcho("c")
+    network.register(c)
+    a.send("c", Ping(3))
+    scheduler.run()
+    assert c.received == [("loud", 3)]
+
+
 def test_message_round_trip_takes_two_delays():
     scheduler, network, a, b = build()
     a.send("b", Ping(7))
@@ -146,8 +186,13 @@ def test_stats_count_sends_and_deliveries_by_type_and_process():
     assert stats.sent_by_type["Pong"] == 1
     assert stats.received_by_process["b"] == 1
     assert stats.handled_by("a") == 2
+    assert stats.handled_by("a") == stats.sent_by_process["a"] + stats.received_by_process["a"]
+    assert stats.handled_by("nobody") == 0
     assert stats.total_sent == 2
     assert stats.total_delivered == 2
+    # The views are snapshots: changing one changes nothing in the stats.
+    stats.sent_by_process["a"] += 5
+    assert stats.sent_by_process["a"] == 1
 
 
 def test_unhandled_message_type_raises():
@@ -183,17 +228,6 @@ def test_uniform_latency_validation():
         UniformLatency(2.0, 1.0)
     with pytest.raises(ValueError):
         UniformLatency(-1.0, 1.0)
-
-
-def test_trace_records_deliveries_when_enabled():
-    scheduler, network, a, b = build()
-    network.trace_enabled = True
-    a.send("b", Ping(1))
-    scheduler.run()
-    assert len(network.trace) == 2
-    time, src, dst, message = network.trace[0]
-    assert (src, dst) == ("a", "b")
-    assert isinstance(message, Ping)
 
 
 def test_failure_injector_timed_crash():
