@@ -112,8 +112,8 @@ class BaselineCluster:
                 directory=self.directory,
                 shard_leaders=shard_leaders,
                 batch=self.batch,
+                pipeline=self.pipeline,
             )
-            coordinator.pipeline_commits = self.pipeline
             self.network.register(coordinator)
             self.coordinators.append(coordinator)
 

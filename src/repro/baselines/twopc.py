@@ -19,8 +19,9 @@ carry the full replication fan-out for every transaction.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.baselines.paxos import RsmCommand, RsmResponse, StateMachine
 from repro.core.batching import BatchPolicy, MessageBatcher
@@ -190,6 +191,7 @@ class TwoPCCoordinator(Process):
         directory: TransactionDirectory,
         shard_leaders: Dict[ShardId, str],
         batch: Optional[BatchPolicy] = None,
+        pipeline: bool = True,
     ) -> None:
         super().__init__(pid)
         self.scheme = scheme
@@ -203,9 +205,9 @@ class TwoPCCoordinator(Process):
         # Vote pipelining toggle (parity with CoordinatorMixin): False is
         # the stop-and-wait measurement baseline — prepares for a new
         # transaction are held until the in-flight one is durable everywhere.
-        self.pipeline_commits = getattr(self, "pipeline_commits", True)
+        self.pipeline_commits = pipeline
         self._unpersisted: Set[TxnId] = set()
-        self._held_certifies: List[Tuple[TxnId, Any]] = []
+        self._held_certifies: Deque[Tuple[TxnId, Any]] = deque()
         self._held_txns: Set[TxnId] = set()
         # Protocol-level batching: commands to the same Paxos leader
         # accumulate and replicate as one CommandBatch value.
@@ -293,7 +295,7 @@ class TwoPCCoordinator(Process):
 
     def _drain_held_certifies(self) -> None:
         while self._held_certifies and not self._unpersisted:
-            txn, payload = self._held_certifies.pop(0)
+            txn, payload = self._held_certifies.popleft()
             self._held_txns.discard(txn)
             entry = self.transactions.get(txn)
             if entry is None or entry.decision is not None:

@@ -400,10 +400,6 @@ class ClientSession:
     def inflight(self) -> int:
         return len(self._inflight)
 
-    def attempts_of(self, txn: TxnId) -> int:
-        state = self._inflight.get(txn)
-        return state.attempts if state is not None else 0
-
 
 class Client(Process):
     """A TCS client."""

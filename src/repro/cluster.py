@@ -322,8 +322,8 @@ class Cluster:
                     batch=self.batch,
                     read=self.read,
                     detector=self.detector,
+                    pipeline=self.pipeline,
                 )
-                replica.pipeline_commits = self.pipeline
                 self.network.register(replica)
                 self.replicas[pid] = replica
                 self.replicas_by_shard[shard].append(replica)
@@ -383,9 +383,6 @@ class Cluster:
     # ------------------------------------------------------------------
     def replica(self, pid: str):
         return self.replicas[pid]
-
-    def live_replicas(self, shard: ShardId) -> List[Any]:
-        return [r for r in self.replicas_by_shard[shard] if not r.crashed]
 
     def current_configuration(self, shard: ShardId):
         if self.protocol_spec.global_config:

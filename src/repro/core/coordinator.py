@@ -1,20 +1,25 @@
 """Transaction-coordinator duties of a replica (Figure 1, lines 1-3, 18-29, 70-73).
 
 Any replica process can act as the coordinator of a transaction: it sends
-``PREPARE`` to the leaders of the relevant shards, relays each leader's vote
-to the shard's followers in ``ACCEPT`` messages, collects ``ACCEPT_ACK``
-confirmation from every follower, computes the final decision with ``⊓`` and
-distributes it.  A replica that is left holding a prepared transaction whose
+``PREPARE`` to the leaders of the relevant shards, persists each leader's
+vote at the shard's followers, computes the final decision with ``⊓`` once
+every shard's vote is persisted, reports it to the client and persists it at
+the shards.  A replica that is left holding a prepared transaction whose
 coordinator seems to have failed can take over with ``retry`` (line 70).
 
-The logic lives in :class:`CoordinatorMixin`, mixed into
-:class:`repro.core.replica.ShardReplica`.
+:class:`CoordinatorMixin` is that pipeline, once, for every protocol stack.
+What the paper's RDMA protocol (Figure 7) changes is only how a vote and a
+decision are *persisted* and which epoch a shard is in; those are the
+overridable methods at the end of the class, whose bodies here are the
+message-passing protocol's (``ACCEPT`` / ``ACCEPT_ACK`` round, per-shard
+epochs).  :mod:`repro.rdma.replica` overrides them with one-sided writes.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, Deque, Dict, Hashable, Optional, Set, Tuple
 
 from repro.core.batching import BatchPolicy, MessageBatcher
 from repro.core.messages import (
@@ -47,8 +52,8 @@ class CoordinatorEntry:
     votes: Dict[ShardId, Decision] = field(default_factory=dict)
     slots: Dict[ShardId, int] = field(default_factory=dict)
     vote_epochs: Dict[ShardId, int] = field(default_factory=dict)
-    # follower acks received, keyed by (shard, epoch)
-    acks: Dict[tuple, Set[str]] = field(default_factory=dict)
+    # Followers known to hold the vote, keyed by ``_ack_key(shard, epoch)``.
+    acks: Dict[Hashable, Set[str]] = field(default_factory=dict)
     decided: bool = False
     decision: Optional[Decision] = None
     decided_at: Optional[float] = None
@@ -59,58 +64,28 @@ class CoordinatorEntry:
     dispatched_at: Optional[float] = None
 
 
-def deduplicate_certify_request(replica, msg: CertifyRequest, sender: str) -> bool:
-    """Shared duplicate-``CERTIFY`` handling for every coordinator-capable
-    replica (message-passing and RDMA variants alike).
-
-    Client sessions re-submit on timeout, so a request may be a duplicate:
-    a decided transaction is re-answered from the decision cache (the
-    coordinator entry, or the replica's own certification order) rather
-    than re-certified — duplicates must never produce a second, possibly
-    different, decision.  Returns True when the request was answered here;
-    False when the caller should (re-)certify — an in-flight duplicate is
-    counted but re-driven, which is idempotent at the leaders (they
-    re-answer the stored vote for a known transaction).
-    """
-    entry = replica._coordinated.get(msg.txn)
-    if entry is not None and entry.decided:
-        replica.duplicate_certify_requests += 1
-        replica.send(sender, TxnDecision(txn=msg.txn, decision=entry.decision))
-        return True
-    slot = replica.slot_of.get(msg.txn)
-    if entry is None and slot is not None and slot in replica.dec_arr:
-        # Not coordinated here, but this replica's shard has already
-        # persisted the decision: answer from the local decision cache.
-        replica.duplicate_certify_requests += 1
-        replica.send(sender, TxnDecision(txn=msg.txn, decision=replica.dec_arr[slot]))
-        return True
-    if entry is not None:
-        replica.duplicate_certify_requests += 1
-    return False
-
-
 class CoordinatorMixin:
-    """Coordinator-side message handlers; mixed into ``ShardReplica``."""
+    """The commit pipeline of a coordinator-capable replica."""
 
-    def _init_coordinator(self) -> None:
+    def _init_coordinator(self, policy: BatchPolicy, pipeline: bool) -> None:
         self._coordinated: Dict[TxnId, CoordinatorEntry] = {}
         # Duplicate CERTIFY requests deduplicated (client-session retries).
         self.duplicate_certify_requests = 0
         # Vote pipelining (the protocol's normal mode): PREPARE certification
-        # of the next transaction overlaps ACCEPT persistence of the ones
+        # of the next transaction overlaps vote persistence of the ones
         # still in flight.  pipeline_commits=False is the stop-and-wait
         # measurement baseline: PREPAREs for a new transaction are held until
         # every previously dispatched one is fully persisted and decided.
         # It models a failure-free run (held dispatches are only re-driven
         # by decisions, not by fault recovery).
-        self.pipeline_commits = getattr(self, "pipeline_commits", True)
+        self.pipeline_commits = pipeline
         self._unpersisted: Set[TxnId] = set()
-        self._held_certifies: list = []
+        self._held_certifies: Deque[Tuple[TxnId, Any]] = deque()
         self._held_txns: Set[TxnId] = set()
         # Protocol-level batching (repro.core.batching): with an enabled
-        # policy the PREPARE fan-out, the ACCEPT relay and the DECISION
-        # broadcast each accumulate into per-destination batches.
-        policy: BatchPolicy = getattr(self, "batch_policy", None) or BatchPolicy()
+        # policy the PREPARE fan-out, the vote persistence, the DECISION
+        # broadcast and the client replies each accumulate into
+        # per-destination batches.
         self._batching = policy.enabled
         self.batchers: list = []
         if self._batching:
@@ -120,12 +95,8 @@ class CoordinatorMixin:
                 wrap=lambda items: CertifyBatch(prepares=items),
                 on_flush=self._note_prepares_flushed,
             )
-            self._accept_batcher = MessageBatcher(
-                self, policy, wrap=lambda items: AcceptBatch(accepts=items)
-            )
-            self._decision_batcher = MessageBatcher(
-                self, policy, wrap=lambda items: DecisionBatch(decisions=items)
-            )
+            self._accept_batcher = self._make_accept_batcher(policy)
+            self._decision_batcher = self._make_decision_batcher(policy)
             self._reply_batcher = MessageBatcher(
                 self, policy, wrap=lambda items: TxnDecisionBatch(decisions=items)
             )
@@ -145,7 +116,7 @@ class CoordinatorMixin:
                 entry.dispatched_at = self.now
 
     # ------------------------------------------------------------------
-    # public API (Figure 1, lines 1-3 and 70-73)
+    # public API (Figure 1, lines 1-3 and 70-73; Figure 7, lines 74-76)
     # ------------------------------------------------------------------
     def certify(self, txn: TxnId, payload: Any) -> CoordinatorEntry:
         """``certify(t, l)``: act as coordinator for transaction ``txn``."""
@@ -162,7 +133,7 @@ class CoordinatorMixin:
             and txn not in self._unpersisted
             and txn not in self._held_txns
         ):
-            # Stop-and-wait: another transaction's ACCEPT persistence is in
+            # Stop-and-wait: another transaction's vote persistence is in
             # flight, so hold this one's PREPAREs until it decides.
             self._held_txns.add(txn)
             self._held_certifies.append((txn, payload))
@@ -198,7 +169,7 @@ class CoordinatorMixin:
     def _drain_held_certifies(self) -> None:
         """Dispatch held transactions once the pipeline gate is clear."""
         while self._held_certifies and not self._unpersisted:
-            txn, payload = self._held_certifies.pop(0)
+            txn, payload = self._held_certifies.popleft()
             self._held_txns.discard(txn)
             entry = self._coordinated.get(txn)
             if entry is None or entry.decided:
@@ -220,10 +191,30 @@ class CoordinatorMixin:
     # message handlers
     # ------------------------------------------------------------------
     def on_certify_request(self, msg: CertifyRequest, sender: str) -> None:
-        """A client picked this replica as the transaction's coordinator;
-        duplicates are answered by :func:`deduplicate_certify_request`."""
-        if deduplicate_certify_request(self, msg, sender):
-            return
+        """A client picked this replica as the transaction's coordinator.
+
+        Client sessions re-submit on timeout, so the request may be a
+        duplicate: a decided transaction is re-answered from the decision
+        cache (the coordinator entry, or the replica's own certification
+        order) rather than re-certified — duplicates must never produce a
+        second, possibly different, decision.  An in-flight duplicate is
+        counted but re-driven, which is idempotent at the leaders (they
+        re-answer the stored vote for a known transaction).
+        """
+        entry = self._coordinated.get(msg.txn)
+        if entry is not None:
+            self.duplicate_certify_requests += 1
+            if entry.decided:
+                self.send(sender, TxnDecision(txn=msg.txn, decision=entry.decision))
+                return
+        else:
+            slot = self.slot_of.get(msg.txn)
+            if slot is not None and slot in self.dec_arr:
+                # Not coordinated here, but this replica's shard has already
+                # persisted the decision: answer from the local decision cache.
+                self.duplicate_certify_requests += 1
+                self.send(sender, TxnDecision(txn=msg.txn, decision=self.dec_arr[slot]))
+                return
         self.certify(msg.txn, msg.payload)
 
     def on_certify_request_batch(self, msg: CertifyRequestBatch, sender: str) -> None:
@@ -235,74 +226,33 @@ class CoordinatorMixin:
             self.on_certify_request(request, sender)
 
     def on_prepare_ack(self, msg: PrepareAck, sender: str) -> None:
-        """Relay the leader's vote to the shard's followers (lines 18-20)."""
+        """Persist the leader's vote at the shard's followers (Figure 1,
+        lines 18-20; Figure 7, lines 91-93)."""
         entry = self._coordinated.get(msg.txn)
         if entry is None:
             return
-        if self.epoch.get(msg.shard) != msg.epoch:
-            # Precondition epoch[s] = e (line 19).  A newer epoch may simply
-            # not have reached us yet; stash and retry once it does.
-            if msg.epoch > self.epoch.get(msg.shard, 0):
-                self._stash_message(msg, sender)
+        if self.epoch_of(msg.shard) != msg.epoch:
+            self._on_stale_prepare_ack(msg, sender)
             return
         entry.votes[msg.shard] = msg.vote
         entry.slots[msg.shard] = msg.slot
         entry.vote_epochs[msg.shard] = msg.epoch
-        followers = [p for p in self.members[msg.shard] if p != self.leader[msg.shard]]
-        accept = Accept(
-            epoch=msg.epoch,
-            slot=msg.slot,
-            txn=msg.txn,
-            payload=msg.payload,
-            vote=msg.vote,
-        )
-        if self._batching:
-            self._accept_batcher.add_all(followers, accept)
-        else:
-            self.send_all(followers, accept)
+        self._persist_vote(entry, msg)
         # A shard with no followers (f = 0) is fully persisted by the
         # leader's own vote, so the decision check must run here too.
         self._maybe_decide(entry)
 
     def on_vote_batch(self, msg: VoteBatch, sender: str) -> None:
         """A leader's aggregated vote vector: each element is a complete
-        ``PREPARE_ACK``, processed in batch order.  The resulting ACCEPT
-        relays re-batch per follower (adaptive policies coalesce them
+        ``PREPARE_ACK``, processed in batch order.  The resulting vote
+        persistence re-batches per follower (adaptive policies coalesce it
         within the instant)."""
         for ack in msg.acks:
             self.on_prepare_ack(ack, sender)
 
-    def on_accept_ack_batch(self, msg: AcceptAckBatch, sender: str) -> None:
-        for ack in msg.acks:
-            self.on_accept_ack(ack, sender)
-
-    def on_accept_ack(self, msg: AcceptAck, sender: str) -> None:
-        """Count follower confirmations; decide once every shard is persisted
-        (lines 26-29)."""
-        entry = self._coordinated.get(msg.txn)
-        if entry is None:
-            return
-        entry.acks.setdefault((msg.shard, msg.epoch), set()).add(sender)
-        entry.votes.setdefault(msg.shard, msg.vote)
-        entry.slots.setdefault(msg.shard, msg.slot)
-        entry.vote_epochs.setdefault(msg.shard, msg.epoch)
-        self._maybe_decide(entry)
-
     # ------------------------------------------------------------------
     # decision
     # ------------------------------------------------------------------
-    def _shard_persisted(self, entry: CoordinatorEntry, shard: ShardId) -> bool:
-        """True when every follower of ``shard`` (in the coordinator's current
-        view of its configuration) has acknowledged the ACCEPT for this txn."""
-        epoch = self.epoch.get(shard)
-        if epoch is None:
-            return False
-        if entry.vote_epochs.get(shard) != epoch or shard not in entry.votes:
-            return False
-        followers = {p for p in self.members[shard] if p != self.leader[shard]}
-        acked = entry.acks.get((shard, epoch), set())
-        return followers <= acked
-
     def _maybe_decide(self, entry: CoordinatorEntry) -> None:
         if entry.decided:
             return
@@ -323,13 +273,81 @@ class CoordinatorMixin:
         # ... and persist the decision at every relevant shard (lines 28-29).
         # Sorted for hash-seed-independent send order (see `certify`).
         for shard in sorted(entry.shards):
-            message = SlotDecision(
-                epoch=self.epoch[shard], slot=entry.slots[shard], decision=decision
-            )
-            if self._batching:
-                self._decision_batcher.add_all(self.members[shard], message)
-            else:
-                self.send_all(self.members[shard], message)
+            self._persist_decision(shard, entry.slots[shard], decision)
         if not self.pipeline_commits:
             self._unpersisted.discard(entry.txn)
             self._drain_held_certifies()
+
+    # ------------------------------------------------------------------
+    # what a protocol stack supplies; the bodies are Figure 1's
+    # ------------------------------------------------------------------
+    def epoch_of(self, shard: ShardId) -> Optional[int]:
+        """The epoch this process believes ``shard`` is in (``epoch[s]``)."""
+        return self.epoch.get(shard)
+
+    def _ack_key(self, shard: ShardId, epoch: int) -> Hashable:
+        """What a follower's confirmation counts towards in ``entry.acks``:
+        the vote of ``shard`` in ``epoch``."""
+        return (shard, epoch)
+
+    def _on_stale_prepare_ack(self, msg: PrepareAck, sender: str) -> None:
+        """Precondition ``epoch[s] = e`` failed (line 19).  A newer epoch may
+        simply not have reached us yet; stash and retry once it does."""
+        if msg.epoch > self.epoch.get(msg.shard, 0):
+            self._stash_message(msg, sender)
+
+    def _make_accept_batcher(self, policy: BatchPolicy) -> MessageBatcher:
+        return MessageBatcher(self, policy, wrap=lambda items: AcceptBatch(accepts=items))
+
+    def _make_decision_batcher(self, policy: BatchPolicy) -> MessageBatcher:
+        return MessageBatcher(self, policy, wrap=lambda items: DecisionBatch(decisions=items))
+
+    def _persist_vote(self, entry: CoordinatorEntry, msg: PrepareAck) -> None:
+        """Relay the vote to the shard's followers in ``ACCEPT`` messages
+        (lines 18-20); they confirm with ``ACCEPT_ACK``."""
+        followers = [p for p in self.members[msg.shard] if p != self.leader[msg.shard]]
+        accept = Accept(
+            epoch=msg.epoch,
+            slot=msg.slot,
+            txn=msg.txn,
+            payload=msg.payload,
+            vote=msg.vote,
+        )
+        if self._batching:
+            self._accept_batcher.add_all(followers, accept)
+        else:
+            self.send_all(followers, accept)
+
+    def on_accept_ack_batch(self, msg: AcceptAckBatch, sender: str) -> None:
+        for ack in msg.acks:
+            self.on_accept_ack(ack, sender)
+
+    def on_accept_ack(self, msg: AcceptAck, sender: str) -> None:
+        """Count follower confirmations; decide once every shard is persisted
+        (lines 26-29)."""
+        entry = self._coordinated.get(msg.txn)
+        if entry is None:
+            return
+        entry.acks.setdefault((msg.shard, msg.epoch), set()).add(sender)
+        entry.votes.setdefault(msg.shard, msg.vote)
+        entry.slots.setdefault(msg.shard, msg.slot)
+        entry.vote_epochs.setdefault(msg.shard, msg.epoch)
+        self._maybe_decide(entry)
+
+    def _shard_persisted(self, entry: CoordinatorEntry, shard: ShardId) -> bool:
+        """True when every follower of ``shard`` — in the coordinator's
+        current, possibly stale, view of its configuration — has confirmed
+        the vote this entry records for the shard's current epoch."""
+        epoch = self.epoch.get(shard)
+        if epoch is None or entry.vote_epochs.get(shard) != epoch or shard not in entry.votes:
+            return False
+        followers = {p for p in self.members[shard] if p != self.leader[shard]}
+        return followers <= entry.acks.get((shard, epoch), set())
+
+    def _persist_decision(self, shard: ShardId, slot: int, decision: Decision) -> None:
+        """Send ``DECISION`` to every member of the shard (lines 28-29)."""
+        message = SlotDecision(epoch=self.epoch[shard], slot=slot, decision=decision)
+        if self._batching:
+            self._decision_batcher.add_all(self.members[shard], message)
+        else:
+            self.send_all(self.members[shard], message)

@@ -1,7 +1,7 @@
 """Shard replica process: the complete Figure 1 protocol.
 
 A :class:`ShardReplica` is a process ``pi`` belonging to a shard ``s0``.  It
-plays three roles, each implemented by a dedicated module and mixed in here:
+plays three roles:
 
 * *certification participant* (this module): leader-side ``PREPARE``
   handling and vote computation, follower-side ``ACCEPT`` handling, and
@@ -10,6 +10,13 @@ plays three roles, each implemented by a dedicated module and mixed in here:
   18-20, 26-29 and 70-73;
 * *reconfiguration participant and initiator* (:mod:`repro.core.reconfig`)
   — lines 33-69.
+
+:class:`ReplicaBase` holds what the RDMA protocol of Figures 7-8 keeps
+unchanged — the coordinator, the leader's certification, failure detection
+and the snapshot-read path — and :class:`repro.rdma.replica.RdmaShardReplica`
+extends it too.  What is Figure 1 only stays in :class:`ShardReplica`: the
+per-shard epochs, the epoch-checked ``ACCEPT`` / ``DECISION`` handlers, the
+stash of early messages and per-shard reconfiguration.
 """
 
 from __future__ import annotations
@@ -55,8 +62,11 @@ from repro.core.types import (
 from repro.runtime.process import Process
 
 
-class ShardReplica(CoordinatorMixin, ReconfigMixin, Process):
-    """A replica process of one shard, implementing the Figure 1 protocol."""
+class ReplicaBase(CoordinatorMixin, Process):
+    """A replica of one shard: coordinator, certifying leader, failure
+    detector and snapshot reads.  Subclasses add ``epoch`` and ``my_epoch``,
+    the follower side of vote and decision persistence, and reconfiguration.
+    """
 
     def __init__(
         self,
@@ -70,6 +80,7 @@ class ShardReplica(CoordinatorMixin, ReconfigMixin, Process):
         batch: Optional[BatchPolicy] = None,
         read: Optional[ReadPolicy] = None,
         detector: Optional[DetectorPolicy] = None,
+        pipeline: bool = True,
     ) -> None:
         super().__init__(pid)
         self.shard = shard
@@ -89,10 +100,7 @@ class ShardReplica(CoordinatorMixin, ReconfigMixin, Process):
             else None
         )
 
-        # Configuration knowledge (Figure 1 preliminaries): epoch, members and
-        # leader of every shard; the entry for our own shard is the
-        # configuration we currently participate in.
-        self.epoch: Dict[ShardId, int] = {}
+        # Members and leader of every shard, as far as this process knows.
         self.members: Dict[ShardId, Tuple[ProcessId, ...]] = {}
         self.leader: Dict[ShardId, ProcessId] = {}
 
@@ -109,10 +117,6 @@ class ShardReplica(CoordinatorMixin, ReconfigMixin, Process):
         self.phase_arr: Dict[int, Phase] = {}
         self.slot_of: Dict[TxnId, int] = {}
 
-        # Messages whose precondition mentions an epoch we have not reached
-        # yet; re-dispatched whenever configuration knowledge advances.
-        self._stash: List[Tuple[Any, str]] = []
-
         # Observers notified when a slot reaches the decided phase (used by
         # the store layer and by metrics).
         self.decision_listeners: List[Callable[[int, Optional[TxnId], Decision], None]] = []
@@ -128,51 +132,11 @@ class ShardReplica(CoordinatorMixin, ReconfigMixin, Process):
         )
         self._lease_seq = 0
 
-        self._init_coordinator()
-        self._init_reconfig()
-
-    # ------------------------------------------------------------------
-    # bootstrap
-    # ------------------------------------------------------------------
-    def bootstrap(
-        self,
-        configurations: Dict[ShardId, Configuration],
-        initialized: bool = True,
-    ) -> None:
-        """Install the initial configuration knowledge.
-
-        Members of the initial configuration of their shard start
-        ``initialized`` (the initial configuration is active by assumption);
-        spare processes start uninitialized and outside any configuration.
-        """
-        for shard, config in configurations.items():
-            self.epoch[shard] = config.epoch
-            self.members[shard] = config.members
-            self.leader[shard] = config.leader
-        own = configurations.get(self.shard)
-        if own is not None and self.pid in own.members:
-            self.initialized = initialized
-            self.new_epoch = own.epoch
-            self.status = Status.LEADER if own.leader == self.pid else Status.FOLLOWER
-            if self.read_engine is not None:
-                self.read_engine.note_epoch(own.epoch)
-            self._watch_co_members()
-        else:
-            # A fresh spare: it knows the current configurations (and can
-            # therefore act as a transaction coordinator), but it is not a
-            # member of any of them, holds no shard state and counts as
-            # uninitialised until it receives a NEW_STATE transfer.
-            self.initialized = False
-            self.new_epoch = 0
-            self.status = Status.FOLLOWER
+        self._init_coordinator(self.batch_policy, pipeline)
 
     # ------------------------------------------------------------------
     # convenience accessors
     # ------------------------------------------------------------------
-    @property
-    def my_epoch(self) -> int:
-        return self.epoch[self.shard]
-
     @property
     def is_leader(self) -> bool:
         return self.status is Status.LEADER
@@ -181,28 +145,6 @@ class ShardReplica(CoordinatorMixin, ReconfigMixin, Process):
         """The transactions in this replica's certification order (with holes
         omitted), in slot order."""
         return [self.txn_arr[k] for k in sorted(self.txn_arr)]
-
-    def slot_state(self, slot: int) -> Dict[str, Any]:
-        return {
-            "txn": self.txn_arr.get(slot),
-            "payload": self.payload_arr.get(slot),
-            "vote": self.vote_arr.get(slot),
-            "dec": self.dec_arr.get(slot),
-            "phase": self.phase_arr.get(slot, Phase.START),
-        }
-
-    # ------------------------------------------------------------------
-    # stashing of early messages
-    # ------------------------------------------------------------------
-    def _stash_message(self, message: Any, sender: str) -> None:
-        self._stash.append((message, sender))
-
-    def _unstash(self) -> None:
-        if not self._stash:
-            return
-        stashed, self._stash = self._stash, []
-        for message, sender in stashed:
-            self.handle(message, sender)
 
     # ------------------------------------------------------------------
     # leader: PREPARE (lines 4-17)
@@ -262,69 +204,6 @@ class ShardReplica(CoordinatorMixin, ReconfigMixin, Process):
             return
         acks = tuple(self._certify_prepare(prepare) for prepare in msg.prepares)
         self.send(sender, VoteBatch(acks=acks))
-
-    # ------------------------------------------------------------------
-    # follower: ACCEPT (lines 21-25)
-    # ------------------------------------------------------------------
-    def _apply_accept(self, msg: Accept, sender: str) -> Optional[AcceptAck]:
-        """Persist one ACCEPT; returns the ack to send, or None when the
-        message was stashed for a future epoch or rejected."""
-        if msg.epoch > self.my_epoch:
-            self._stash_message(msg, sender)
-            return None
-        if self.status is not Status.FOLLOWER or self.my_epoch != msg.epoch:
-            return None
-        if self.phase_arr.get(msg.slot, Phase.START) is Phase.START:
-            self.txn_arr[msg.slot] = msg.txn
-            self.payload_arr[msg.slot] = msg.payload
-            self.vote_arr[msg.slot] = msg.vote
-            self.phase_arr[msg.slot] = Phase.PREPARED
-            self.slot_of[msg.txn] = msg.slot
-            self._votes.invalidate()
-            if self.read_engine is not None:
-                self.read_engine.note_prepared(msg.slot)
-        return AcceptAck(
-            shard=self.shard,
-            epoch=msg.epoch,
-            slot=msg.slot,
-            txn=msg.txn,
-            vote=msg.vote,
-        )
-
-    def on_accept(self, msg: Accept, sender: str) -> None:
-        ack = self._apply_accept(msg, sender)
-        if ack is not None:
-            self.send(sender, ack)
-
-    def on_accept_batch(self, msg: AcceptBatch, sender: str) -> None:
-        """Persist a batch of ACCEPTs and confirm them with one aggregated
-        ack (stashed/rejected elements are simply absent from the reply —
-        the unstash path re-answers them individually later)."""
-        acks = []
-        for accept in msg.accepts:
-            ack = self._apply_accept(accept, sender)
-            if ack is not None:
-                acks.append(ack)
-        if acks:
-            self.send(sender, AcceptAckBatch(acks=tuple(acks)))
-
-    # ------------------------------------------------------------------
-    # everyone: DECISION (lines 30-32)
-    # ------------------------------------------------------------------
-    def on_slot_decision(self, msg: SlotDecision, sender: str) -> None:
-        if self.status is Status.RECONFIGURING or self.my_epoch < msg.epoch:
-            self._stash_message(msg, sender)
-            return
-        self.dec_arr[msg.slot] = msg.decision
-        self.phase_arr[msg.slot] = Phase.DECIDED
-        self._votes.note_decided(msg.slot)
-        txn = self.txn_arr.get(msg.slot)
-        for listener in self.decision_listeners:
-            listener(msg.slot, txn, msg.decision)
-
-    def on_decision_batch(self, msg: DecisionBatch, sender: str) -> None:
-        for decision in msg.decisions:
-            self.on_slot_decision(decision, sender)
 
     # ------------------------------------------------------------------
     # heartbeat failure detection (repro.core.failuredetector)
@@ -400,6 +279,135 @@ class ShardReplica(CoordinatorMixin, ReconfigMixin, Process):
             self.send(sender, ReadReply(txn=msg.txn, ok=False, reason=status))
         if self.read_engine.lease_wants_renewal(self.now):
             self.request_read_lease()
+
+
+class ShardReplica(ReconfigMixin, ReplicaBase):
+    """A replica process of one shard, implementing the Figure 1 protocol."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # Epoch of every shard (Figure 1 preliminaries); the entry for our
+        # own shard is the configuration we currently participate in.
+        self.epoch: Dict[ShardId, int] = {}
+        # Messages whose precondition mentions an epoch we have not reached
+        # yet; re-dispatched whenever configuration knowledge advances.
+        self._stash: List[Tuple[Any, str]] = []
+        self._init_reconfig()
+
+    # ------------------------------------------------------------------
+    # bootstrap
+    # ------------------------------------------------------------------
+    def bootstrap(
+        self,
+        configurations: Dict[ShardId, Configuration],
+        initialized: bool = True,
+    ) -> None:
+        """Install the initial configuration knowledge.
+
+        Members of the initial configuration of their shard start
+        ``initialized`` (the initial configuration is active by assumption);
+        spare processes start uninitialized and outside any configuration.
+        """
+        for shard, config in configurations.items():
+            self.epoch[shard] = config.epoch
+            self.members[shard] = config.members
+            self.leader[shard] = config.leader
+        own = configurations.get(self.shard)
+        if own is not None and self.pid in own.members:
+            self.initialized = initialized
+            self.new_epoch = own.epoch
+            self.status = Status.LEADER if own.leader == self.pid else Status.FOLLOWER
+            if self.read_engine is not None:
+                self.read_engine.note_epoch(own.epoch)
+            self._watch_co_members()
+        else:
+            # A fresh spare: it knows the current configurations (and can
+            # therefore act as a transaction coordinator), but it is not a
+            # member of any of them, holds no shard state and counts as
+            # uninitialised until it receives a NEW_STATE transfer.
+            self.initialized = False
+            self.new_epoch = 0
+            self.status = Status.FOLLOWER
+
+    @property
+    def my_epoch(self) -> int:
+        return self.epoch[self.shard]
+
+    # ------------------------------------------------------------------
+    # stashing of early messages
+    # ------------------------------------------------------------------
+    def _stash_message(self, message: Any, sender: str) -> None:
+        self._stash.append((message, sender))
+
+    def _unstash(self) -> None:
+        if not self._stash:
+            return
+        stashed, self._stash = self._stash, []
+        for message, sender in stashed:
+            self.handle(message, sender)
+
+    # ------------------------------------------------------------------
+    # follower: ACCEPT (lines 21-25)
+    # ------------------------------------------------------------------
+    def _apply_accept(self, msg: Accept, sender: str) -> Optional[AcceptAck]:
+        """Persist one ACCEPT; returns the ack to send, or None when the
+        message was stashed for a future epoch or rejected."""
+        if msg.epoch > self.my_epoch:
+            self._stash_message(msg, sender)
+            return None
+        if self.status is not Status.FOLLOWER or self.my_epoch != msg.epoch:
+            return None
+        if self.phase_arr.get(msg.slot, Phase.START) is Phase.START:
+            self.txn_arr[msg.slot] = msg.txn
+            self.payload_arr[msg.slot] = msg.payload
+            self.vote_arr[msg.slot] = msg.vote
+            self.phase_arr[msg.slot] = Phase.PREPARED
+            self.slot_of[msg.txn] = msg.slot
+            self._votes.invalidate()
+            if self.read_engine is not None:
+                self.read_engine.note_prepared(msg.slot)
+        return AcceptAck(
+            shard=self.shard,
+            epoch=msg.epoch,
+            slot=msg.slot,
+            txn=msg.txn,
+            vote=msg.vote,
+        )
+
+    def on_accept(self, msg: Accept, sender: str) -> None:
+        ack = self._apply_accept(msg, sender)
+        if ack is not None:
+            self.send(sender, ack)
+
+    def on_accept_batch(self, msg: AcceptBatch, sender: str) -> None:
+        """Persist a batch of ACCEPTs and confirm them with one aggregated
+        ack (stashed/rejected elements are simply absent from the reply —
+        the unstash path re-answers them individually later)."""
+        acks = []
+        for accept in msg.accepts:
+            ack = self._apply_accept(accept, sender)
+            if ack is not None:
+                acks.append(ack)
+        if acks:
+            self.send(sender, AcceptAckBatch(acks=tuple(acks)))
+
+    # ------------------------------------------------------------------
+    # everyone: DECISION (lines 30-32)
+    # ------------------------------------------------------------------
+    def on_slot_decision(self, msg: SlotDecision, sender: str) -> None:
+        if self.status is Status.RECONFIGURING or self.my_epoch < msg.epoch:
+            self._stash_message(msg, sender)
+            return
+        self.dec_arr[msg.slot] = msg.decision
+        self.phase_arr[msg.slot] = Phase.DECIDED
+        self._votes.note_decided(msg.slot)
+        txn = self.txn_arr.get(msg.slot)
+        for listener in self.decision_listeners:
+            listener(msg.slot, txn, msg.decision)
+
+    def on_decision_batch(self, msg: DecisionBatch, sender: str) -> None:
+        for decision in msg.decisions:
+            self.on_slot_decision(decision, sender)
 
     def _on_configuration_installed(self) -> None:
         """A NEW_STATE transfer replaced the slot arrays wholesale: rebuild

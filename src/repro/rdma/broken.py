@@ -9,105 +9,40 @@ externalised for the same transaction (Figure 4a).  The fixed protocol
 (:class:`repro.rdma.replica.RdmaShardReplica`) prevents this by
 reconfiguring globally and closing RDMA connections during probing.
 
-:class:`BrokenRdmaShardReplica` reproduces the naive combination: it keeps
-the per-shard reconfiguration of the message-passing protocol but persists
-votes with RDMA writes that the receiver never rejects, and never closes
-connections.  The safety-ablation benchmark and the corresponding tests
-drive the exact schedule of Figure 4a against it and show that the TCS
-checker detects the violation — and that the same schedule is harmless for
-both correct protocols.
+:class:`BrokenRdmaShardReplica` reproduces the naive combination, and is
+nothing but that combination: the per-shard reconfiguration of the
+message-passing protocol (:class:`repro.core.replica.ShardReplica`, whole)
+with votes persisted by the RDMA transport of the fixed protocol
+(:class:`repro.rdma.replica.RdmaVotePersistence`) — writes the receiver
+never rejects — over connections that are never closed.  The coordinator's
+``_shard_persisted`` check is Figure 1's, unchanged: it trusts a possibly
+stale view of the shard's configuration, which is safe there only because
+followers reject a stale ``ACCEPT`` (line 22).  The safety-ablation
+benchmark and the corresponding tests drive the exact schedule of Figure 4a
+against it and show that the TCS checker detects the violation — and that
+the same schedule is harmless for both correct protocols.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Any, Iterable
 
-from repro.core.coordinator import CoordinatorEntry
-from repro.core.messages import PrepareAck
 from repro.core.replica import ShardReplica
-from repro.core.types import Decision, Phase, ProcessId, ShardId, Status, TxnId
-from repro.rdma.messages import Accept as RdmaAccept
+from repro.core.types import ProcessId
+from repro.rdma.replica import RdmaVotePersistence
 from repro.runtime.rdma import RdmaManager
 
 
-class BrokenRdmaShardReplica(ShardReplica):
+class BrokenRdmaShardReplica(RdmaVotePersistence, ShardReplica):
     """Figure 1 reconfiguration + RDMA vote persistence = unsafe."""
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         RdmaManager.install(self)
-        # In the naive variant every process keeps RDMA access open to every
-        # other process forever — exactly the omission that breaks safety.
 
-    def open_to_all(self, pids) -> None:
+    def open_to_all(self, pids: Iterable[ProcessId]) -> None:
+        """Every process keeps RDMA access open to every other process
+        forever — exactly the omission that breaks safety."""
         for pid in pids:
             if pid != self.pid:
                 self.rdma.open(pid)
-
-    # ------------------------------------------------------------------
-    # coordinator: persist votes with unchecked RDMA writes
-    # ------------------------------------------------------------------
-    def on_prepare_ack(self, msg: PrepareAck, sender: str) -> None:
-        entry = self._coordinated.get(msg.txn)
-        if entry is None:
-            return
-        if self.epoch.get(msg.shard) != msg.epoch:
-            if msg.epoch > self.epoch.get(msg.shard, 0):
-                self._stash_message(msg, sender)
-            return
-        entry.votes[msg.shard] = msg.vote
-        entry.slots[msg.shard] = msg.slot
-        entry.vote_epochs[msg.shard] = msg.epoch
-        followers = [p for p in self.members[msg.shard] if p != self.leader[msg.shard]]
-        accept = RdmaAccept(slot=msg.slot, txn=msg.txn, payload=msg.payload, vote=msg.vote)
-        for follower in followers:
-            if follower == self.pid:
-                self.on_accept(accept, self.pid)
-                entry.acks.setdefault((msg.shard, msg.epoch), set()).add(self.pid)
-                continue
-            self.rdma.send(
-                follower,
-                accept,
-                on_ack=lambda _message, dst, shard=msg.shard, txn=msg.txn, epoch=msg.epoch: (
-                    self._on_rdma_accept_acked(txn, shard, epoch, dst)
-                ),
-            )
-        self._maybe_decide(entry)
-
-    def _on_rdma_accept_acked(
-        self, txn: TxnId, shard: ShardId, epoch: int, follower: ProcessId
-    ) -> None:
-        entry = self._coordinated.get(txn)
-        if entry is None:
-            return
-        entry.acks.setdefault((shard, epoch), set()).add(follower)
-        self._maybe_decide(entry)
-
-    def _shard_persisted(self, entry: CoordinatorEntry, shard: ShardId) -> bool:
-        # The naive coordinator trusts its possibly-stale view of the shard's
-        # configuration: it only requires NIC acks from the followers it
-        # believes exist, at the epoch it believes is current.
-        epoch = self.epoch.get(shard)
-        if epoch is None or entry.vote_epochs.get(shard) != epoch or shard not in entry.votes:
-            return False
-        followers = {p for p in self.members[shard] if p != self.leader[shard]}
-        return followers <= entry.acks.get((shard, epoch), set())
-
-    # ------------------------------------------------------------------
-    # members: RDMA-delivered ACCEPT cannot be rejected
-    # ------------------------------------------------------------------
-    def on_accept(self, msg, sender: str) -> None:  # type: ignore[override]
-        if isinstance(msg, RdmaAccept):
-            # No epoch or status precondition: the write already landed in
-            # our memory.  This is the unsafe difference from Figure 1's
-            # line 22 check.
-            self.txn_arr[msg.slot] = msg.txn
-            self.payload_arr[msg.slot] = msg.payload
-            self.vote_arr[msg.slot] = msg.vote
-            if self.phase_arr.get(msg.slot) is not Phase.DECIDED:
-                self.phase_arr[msg.slot] = Phase.PREPARED
-            self.slot_of[msg.txn] = msg.slot
-            # The write bypassed every leader-side check; resync the index.
-            self._votes.invalidate()
-            return
-        super().on_accept(msg, sender)

@@ -1,6 +1,9 @@
 """The RDMA-based shard replica (Figures 7 and 8).
 
-Differences from the message-passing protocol of Figure 1:
+The coordinator, the certifying leader, failure detection and snapshot reads
+are the message-passing protocol's, inherited from
+:class:`repro.core.replica.ReplicaBase`; this module holds only the
+differences from Figure 1:
 
 * ``ACCEPT`` and ``DECISION`` are persisted at shard members with one-sided
   RDMA writes; the coordinator acts on NIC-level acknowledgements
@@ -26,42 +29,23 @@ line 155 makes the extra connection requests harmless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Set, Tuple
 
 from repro.core.batching import BatchPolicy, MessageBatcher
-from repro.core.certification import CertificationScheme
-from repro.core.directory import TransactionDirectory
+from repro.core.coordinator import CoordinatorEntry
 from repro.core.messages import (
-    CertifyBatch,
-    CertifyRequest,
-    CertifyRequestBatch,
     CsCompareAndSwap,
     CsGet,
     CsGetLast,
-    CsLeaseGrant,
-    CsLeaseRequest,
     CsReply,
     CsViewChange,
-    Heartbeat,
-    Prepare,
     PrepareAck,
     Probe,
     ProbeAck,
-    ReadReply,
-    ReadRequest,
-    SuspicionReport,
-    TxnDecision,
-    TxnDecisionBatch,
-    VoteBatch,
 )
-from repro.core.coordinator import deduplicate_certify_request
-from repro.core.failuredetector import DetectorPolicy, FailureDetector
-from repro.core.reads import ReadPolicy, ReplicaReadEngine
-from repro.core.reconfig import MembershipPolicy, SparePool
-from repro.core.votecache import LeaderVoteCache
+from repro.core.reconfig import SparePool
+from repro.core.replica import ReplicaBase
 from repro.core.types import (
-    BOTTOM,
     Decision,
     GlobalConfiguration,
     Phase,
@@ -82,31 +66,10 @@ from repro.rdma.messages import (
     NewState,
     SlotDecision,
 )
-from repro.runtime.process import Process
 from repro.runtime.rdma import RdmaManager
 
 
 GLOBAL_SHARD = "*"
-
-
-@dataclass
-class RdmaCoordinatorEntry:
-    """Coordinator book-keeping for one transaction (RDMA variant)."""
-
-    txn: TxnId
-    payload: Any
-    shards: frozenset
-    started_at: float
-    votes: Dict[ShardId, Decision] = field(default_factory=dict)
-    slots: Dict[ShardId, int] = field(default_factory=dict)
-    vote_epochs: Dict[ShardId, int] = field(default_factory=dict)
-    rdma_acks: Dict[ShardId, Set[ProcessId]] = field(default_factory=dict)
-    decided: bool = False
-    decision: Optional[Decision] = None
-    decided_at: Optional[float] = None
-    # Set when the batching layer flushed the transaction's last PREPARE
-    # (equals started_at unbatched); see CoordinatorEntry.dispatched_at.
-    dispatched_at: Optional[float] = None
 
 
 class RecStatus:
@@ -117,60 +80,113 @@ class RecStatus:
     INSTALLING = "installing"
 
 
-class RdmaShardReplica(Process):
+class RdmaVotePersistence:
+    """Vote persistence by one-sided RDMA writes (Figure 7, lines 91-100):
+    the transport the coordinator of :mod:`repro.core.coordinator` runs over
+    in place of the ``ACCEPT`` / ``ACCEPT_ACK`` round.
+
+    The coordinator writes the vote into each follower's memory and counts
+    the NIC's ``ack-rdma``; the follower's CPU is not asked, so the write
+    cannot be rejected — there is no epoch or status precondition on the
+    receiving side.  Mixed into a replica that has an ``RdmaManager``.
+    """
+
+    def _make_accept_batcher(self, policy: BatchPolicy) -> MessageBatcher:
+        # What each pending ACCEPT's ack will count towards, per follower,
+        # recorded when the accept is enqueued (as the unbatched path binds
+        # it in the per-send closure): resolving it from the membership view
+        # at flush time would mis-attribute acks if a reconfiguration lands
+        # while a batch is pending.
+        self._accept_keys: Dict[ProcessId, List[Hashable]] = {}
+        return MessageBatcher(
+            self,
+            policy,
+            wrap=lambda items: AcceptBatch(accepts=items),
+            send=self._send_accept_batch,
+        )
+
+    def _persist_vote(self, entry: CoordinatorEntry, msg: PrepareAck) -> None:
+        key = self._ack_key(msg.shard, msg.epoch)
+        accept = Accept(slot=msg.slot, txn=msg.txn, payload=msg.payload, vote=msg.vote)
+        leader = self.leader[msg.shard]
+        for follower in self.members[msg.shard]:
+            if follower == leader:
+                continue
+            if follower == self.pid:
+                # A coordinator that is itself a follower of the shard writes
+                # to its own memory directly (no NIC round-trip needed).
+                self.on_accept(accept, self.pid)
+                entry.acks.setdefault(key, set()).add(self.pid)
+            elif self._batching:
+                self._accept_keys.setdefault(follower, []).append(key)
+                self._accept_batcher.add(follower, accept)
+            else:
+                self.rdma.send(
+                    follower,
+                    accept,
+                    on_ack=lambda _message, dst, key=key, txn=msg.txn: self._on_accept_acked(
+                        txn, key, dst
+                    ),
+                )
+
+    def _send_accept_batch(self, dst: ProcessId, message: AcceptBatch) -> None:
+        """Persist a whole ACCEPT batch at ``dst`` with one one-sided write;
+        the single NIC ack confirms every transaction it carries."""
+        keys = self._accept_keys.pop(dst)
+        self.rdma.send(
+            dst,
+            message,
+            on_ack=lambda batch, follower: self._on_accept_batch_acked(batch, keys, follower),
+        )
+
+    def _on_accept_batch_acked(
+        self, batch: AcceptBatch, keys: List[Hashable], follower: ProcessId
+    ) -> None:
+        for accept, key in zip(batch.accepts, keys):
+            self._on_accept_acked(accept.txn, key, follower)
+
+    def _on_accept_acked(self, txn: TxnId, key: Hashable, follower: ProcessId) -> None:
+        """ack-rdma received for an ACCEPT written to ``follower`` (line 96)."""
+        entry = self._coordinated.get(txn)
+        if entry is None:
+            return
+        entry.acks.setdefault(key, set()).add(follower)
+        self._maybe_decide(entry)
+
+    # ------------------------------------------------------------------
+    # followers: RDMA-delivered ACCEPT (lines 94-95)
+    # ------------------------------------------------------------------
+    def on_accept(self, msg: Accept, sender: str) -> None:
+        self.txn_arr[msg.slot] = msg.txn
+        self.payload_arr[msg.slot] = msg.payload
+        self.vote_arr[msg.slot] = msg.vote
+        if self.phase_arr.get(msg.slot) is not Phase.DECIDED:
+            self.phase_arr[msg.slot] = Phase.PREPARED
+        self.slot_of[msg.txn] = msg.slot
+        # One-sided writes land in the arrays behind the vote index's back.
+        self._votes.invalidate()
+        if self.read_engine is not None:
+            self.read_engine.note_prepared(msg.slot)
+
+    def on_accept_batch(self, msg: AcceptBatch, sender: str) -> None:
+        """A batched one-sided ACCEPT write landed in our memory."""
+        for accept in msg.accepts:
+            self.on_accept(accept, sender)
+
+
+class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
     """A replica of one shard running the RDMA-based protocol."""
 
-    def __init__(
-        self,
-        pid: ProcessId,
-        shard: ShardId,
-        scheme: CertificationScheme,
-        directory: TransactionDirectory,
-        config_service: ProcessId,
-        spares: Optional[SparePool] = None,
-        membership_policy: Optional[MembershipPolicy] = None,
-        batch: Optional[BatchPolicy] = None,
-        read: Optional[ReadPolicy] = None,
-        detector: Optional[DetectorPolicy] = None,
-    ) -> None:
-        super().__init__(pid)
-        self.shard = shard
-        self.batch_policy = batch or BatchPolicy()
-        self.read_policy = read or ReadPolicy()
-        self.detector_policy = detector or DetectorPolicy()
-        self.detector: Optional[FailureDetector] = (
-            FailureDetector(self.detector_policy, pid)
-            if self.detector_policy.enabled
-            else None
-        )
-        self.unsolicited_reconfigurations = 0
-        self.scheme = scheme
-        self.directory = directory
-        self.config_service = config_service
-        self.spares = spares if spares is not None else SparePool()
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        RdmaManager.install(self)
+        # Single system-wide epoch (Section 5).
+        self.epoch = 0
         # Global reconfiguration recomputes the membership of *every* shard,
         # so replacements must come from per-shard spare pools; the cluster
         # harness fills this map in.  Shards without an entry fall back to
         # the replica's own pool.
         self.spare_pools: Dict[ShardId, SparePool] = {}
-        self.membership_policy = membership_policy or MembershipPolicy()
-        RdmaManager.install(self)
-
-        # Single system-wide epoch (Section 5).
-        self.epoch = 0
-        self.members: Dict[ShardId, Tuple[ProcessId, ...]] = {}
-        self.leader: Dict[ShardId, ProcessId] = {}
-        self.status: Status = Status.FOLLOWER
-        self.new_epoch = 0
-        self.initialized = False
-
-        self.next = 0
-        self.txn_arr: Dict[int, TxnId] = {}
-        self.payload_arr: Dict[int, Any] = {}
-        self.vote_arr: Dict[int, Decision] = {}
-        self.dec_arr: Dict[int, Decision] = {}
-        self.phase_arr: Dict[int, Phase] = {}
-        self.slot_of: Dict[TxnId, int] = {}
 
         # Reconfiguration state (Figure 8 preliminaries).
         self.rec_status = RecStatus.READY
@@ -186,67 +202,9 @@ class RdmaShardReplica(Process):
         self.suspected: Set[ProcessId] = set()
         self.reconfigurations_initiated = 0
         self.reconfigurations_introduced = 0
-
-        self._coordinated: Dict[TxnId, RdmaCoordinatorEntry] = {}
-        self.duplicate_certify_requests = 0
-        # Vote pipelining toggle (see CoordinatorMixin._init_coordinator):
-        # False is the stop-and-wait measurement baseline.
-        self.pipeline_commits = getattr(self, "pipeline_commits", True)
-        self._unpersisted: Set[TxnId] = set()
-        self._held_certifies: List[Tuple[TxnId, Any]] = []
-        self._held_txns: Set[TxnId] = set()
-        # Protocol-level batching: the PREPARE fan-out travels as regular
-        # messages; ACCEPT and DECISION batches are persisted with a single
-        # one-sided RDMA write per destination.
-        self._batching = self.batch_policy.enabled
-        self.batchers: List[MessageBatcher] = []
-        # Shard attribution for pending ACCEPT batches, recorded at enqueue
-        # time (the unbatched path binds msg.shard in its per-send ack
-        # closure; resolving from self.members at flush time instead would
-        # mis-attribute acks if a reconfiguration lands while a batch is
-        # pending).
-        self._accept_shards: Dict[ProcessId, ShardId] = {}
-        if self._batching:
-            self._prepare_batcher = MessageBatcher(
-                self,
-                self.batch_policy,
-                wrap=lambda items: CertifyBatch(prepares=items),
-                on_flush=self._note_prepares_flushed,
-            )
-            self._accept_batcher = MessageBatcher(
-                self,
-                self.batch_policy,
-                wrap=lambda items: AcceptBatch(accepts=items),
-                send=self._send_accept_batch,
-            )
-            self._decision_batcher = MessageBatcher(
-                self,
-                self.batch_policy,
-                wrap=lambda items: DecisionBatch(decisions=items),
-                send=lambda dst, message: self.rdma.send(dst, message),
-            )
-            self._reply_batcher = MessageBatcher(
-                self,
-                self.batch_policy,
-                wrap=lambda items: TxnDecisionBatch(decisions=items),
-            )
-            self.batchers = [
-                self._prepare_batcher,
-                self._accept_batcher,
-                self._decision_batcher,
-                self._reply_batcher,
-            ]
+        self.unsolicited_reconfigurations = 0
         self._cs_request_id = 0
         self._cs_callbacks: Dict[int, Callable[[CsReply], None]] = {}
-        self.decision_listeners: List[Callable[[int, Optional[TxnId], Decision], None]] = []
-        self._votes = LeaderVoteCache(self)
-
-        # Snapshot-read fast path (inert under the default certified-only
-        # policy); see repro.core.reads.
-        self.read_engine: Optional[ReplicaReadEngine] = (
-            ReplicaReadEngine(self, self.read_policy) if self.read_policy.enabled else None
-        )
-        self._lease_seq = 0
 
     # ------------------------------------------------------------------
     # bootstrap
@@ -279,14 +237,8 @@ class RdmaShardReplica(Process):
     # helpers
     # ------------------------------------------------------------------
     @property
-    def is_leader(self) -> bool:
-        return self.status is Status.LEADER
-
-    def certification_order(self) -> List[TxnId]:
-        return [self.txn_arr[k] for k in sorted(self.txn_arr)]
-
-    def coordinated(self, txn: TxnId) -> Optional[RdmaCoordinatorEntry]:
-        return self._coordinated.get(txn)
+    def my_epoch(self) -> int:
+        return self.epoch
 
     def _all_members(self) -> List[ProcessId]:
         seen: List[ProcessId] = []
@@ -308,259 +260,50 @@ class RdmaShardReplica(Process):
             callback(msg)
 
     # ------------------------------------------------------------------
-    # coordinator: certify / retry (Figure 7, lines 74-76 and 167-170)
+    # coordinator: what Figure 7 changes in the pipeline of
+    # repro.core.coordinator (votes persist through RdmaVotePersistence)
     # ------------------------------------------------------------------
-    def certify(self, txn: TxnId, payload: Any) -> RdmaCoordinatorEntry:
-        shards = self.directory.shards_of(txn)
-        entry = self._coordinated.get(txn)
-        if entry is None:
-            entry = RdmaCoordinatorEntry(
-                txn=txn, payload=payload, shards=frozenset(shards), started_at=self.now
-            )
-            self._coordinated[txn] = entry
-        if (
-            not self.pipeline_commits
-            and self._unpersisted
-            and txn not in self._unpersisted
-            and txn not in self._held_txns
-        ):
-            # Stop-and-wait: hold PREPAREs until the in-flight transactions
-            # are fully persisted (see CoordinatorMixin.certify).
-            self._held_txns.add(txn)
-            self._held_certifies.append((txn, payload))
-            return entry
-        self._dispatch_prepares(entry, payload)
-        return entry
+    def epoch_of(self, shard: ShardId) -> int:
+        return self.epoch
 
-    def _dispatch_prepares(self, entry: RdmaCoordinatorEntry, payload: Any) -> None:
-        txn = entry.txn
-        shards = entry.shards
-        if not self.pipeline_commits and shards:
-            self._unpersisted.add(txn)
-        # Sorted for hash-seed-independent send order (random latency
-        # models draw one delay per send, so iteration order matters; under
-        # batching it also fixes batch composition).
-        for shard in sorted(shards):
-            projected = (
-                BOTTOM if payload is BOTTOM else self.scheme.project(payload, shard)
-            )
-            prepare = Prepare(txn=txn, payload=projected)
-            if self._batching:
-                self._prepare_batcher.add(self.leader[shard], prepare)
-            else:
-                entry.dispatched_at = self.now
-                self.send(self.leader[shard], prepare)
-        if not shards:
-            self._maybe_decide(entry)
+    def _ack_key(self, shard: ShardId, epoch: int) -> Hashable:
+        """NIC acks count towards the shard, whatever the epoch."""
+        return shard
 
-    def _drain_held_certifies(self) -> None:
-        while self._held_certifies and not self._unpersisted:
-            txn, payload = self._held_certifies.pop(0)
-            self._held_txns.discard(txn)
-            entry = self._coordinated.get(txn)
-            if entry is None or entry.decided:
-                continue
-            self._dispatch_prepares(entry, payload)
-
-    def _note_prepares_flushed(self, dst: str, prepares: tuple) -> None:
-        for prepare in prepares:
-            entry = self._coordinated.get(prepare.txn)
-            if entry is not None:
-                entry.dispatched_at = self.now
-
-    def retry(self, slot: int) -> Optional[RdmaCoordinatorEntry]:
-        if self.phase_arr.get(slot) is not Phase.PREPARED:
-            return None
-        return self.certify(self.txn_arr[slot], BOTTOM)
-
-    def on_certify_request(self, msg: CertifyRequest, sender: str) -> None:
-        if deduplicate_certify_request(self, msg, sender):
-            return
-        self.certify(msg.txn, msg.payload)
-
-    def on_certify_request_batch(self, msg: CertifyRequestBatch, sender: str) -> None:
-        for request in msg.requests:
-            self.on_certify_request(request, sender)
-
-    # ------------------------------------------------------------------
-    # leader: PREPARE (lines 77-90)
-    # ------------------------------------------------------------------
-    def _certify_prepare(self, msg: Prepare) -> PrepareAck:
-        """Place one PREPARE in the certification order (or find it there)
-        and return the vote; shared by the single and batched paths."""
-        existing_slot = self.slot_of.get(msg.txn)
-        if existing_slot is not None:
-            return PrepareAck(
-                epoch=self.epoch,
-                shard=self.shard,
-                slot=existing_slot,
-                txn=msg.txn,
-                payload=self.payload_arr[existing_slot],
-                vote=self.vote_arr[existing_slot],
-            )
-        self.next += 1
-        slot = self.next
-        self.txn_arr[slot] = msg.txn
-        self.phase_arr[slot] = Phase.PREPARED
-        self.slot_of[msg.txn] = slot
-        if msg.payload is not BOTTOM:
-            self.vote_arr[slot] = self._votes.vote(slot, msg.payload)
-            self.payload_arr[slot] = msg.payload
-            self._votes.note_prepared(slot)
-            if self.read_engine is not None:
-                self.read_engine.note_prepared(slot)
-        else:
-            self.vote_arr[slot] = Decision.ABORT
-            self.payload_arr[slot] = self.scheme.empty_payload()
-        return PrepareAck(
-            epoch=self.epoch,
-            shard=self.shard,
-            slot=slot,
-            txn=msg.txn,
-            payload=self.payload_arr[slot],
-            vote=self.vote_arr[slot],
-        )
-
-    def on_prepare(self, msg: Prepare, sender: str) -> None:
-        if self.status is not Status.LEADER:
-            return
-        self.send(sender, self._certify_prepare(msg))
-
-    def on_certify_batch(self, msg: CertifyBatch, sender: str) -> None:
-        """Certify a whole batch in one pass and answer with one aggregated
-        vote vector (intra-batch conflict ordering follows batch order; see
-        the message-passing variant)."""
-        if self.status is not Status.LEADER:
-            return
-        acks = tuple(self._certify_prepare(prepare) for prepare in msg.prepares)
-        self.send(sender, VoteBatch(acks=acks))
-
-    # ------------------------------------------------------------------
-    # coordinator: persist votes with RDMA (lines 91-93, 96-100)
-    # ------------------------------------------------------------------
-    def on_prepare_ack(self, msg: PrepareAck, sender: str) -> None:
-        if msg.epoch != self.epoch:
-            # Precondition e = epoch (line 92): stale or too-new votes are
-            # ignored; coordinator recovery handles the transaction later.
-            return
-        entry = self._coordinated.get(msg.txn)
-        if entry is None:
-            return
-        entry.votes[msg.shard] = msg.vote
-        entry.slots[msg.shard] = msg.slot
-        entry.vote_epochs[msg.shard] = msg.epoch
-        followers = [p for p in self.members[msg.shard] if p != self.leader[msg.shard]]
-        accept = Accept(slot=msg.slot, txn=msg.txn, payload=msg.payload, vote=msg.vote)
-        for follower in followers:
-            if follower == self.pid:
-                # A coordinator that is itself a follower of the shard writes
-                # to its own memory directly (no NIC round-trip needed).
-                self.on_accept(accept, self.pid)
-                entry.rdma_acks.setdefault(msg.shard, set()).add(self.pid)
-                continue
-            if self._batching:
-                self._accept_shards[follower] = msg.shard
-                self._accept_batcher.add(follower, accept)
-                continue
-            self.rdma.send(
-                follower,
-                accept,
-                on_ack=lambda _message, dst, shard=msg.shard, txn=msg.txn: self._on_accept_acked(
-                    txn, shard, dst
-                ),
-            )
-        self._maybe_decide(entry)
-
-    def on_vote_batch(self, msg: VoteBatch, sender: str) -> None:
-        for ack in msg.acks:
-            self.on_prepare_ack(ack, sender)
-
-    def _send_accept_batch(self, dst: ProcessId, message: AcceptBatch) -> None:
-        """Persist a whole ACCEPT batch at ``dst`` with one one-sided write;
-        the single NIC ack confirms every transaction it carries.  A
-        follower only ever receives accepts of its own shard; the shard was
-        recorded when the accepts were enqueued."""
-        shard = self._accept_shards[dst]
-        self.rdma.send(
-            dst,
-            message,
-            on_ack=lambda batch, follower, shard=shard: self._on_accept_batch_acked(
-                batch, shard, follower
-            ),
-        )
-
-    def _on_accept_batch_acked(
-        self, batch: AcceptBatch, shard: ShardId, follower: ProcessId
-    ) -> None:
-        for accept in batch.accepts:
-            self._on_accept_acked(accept.txn, shard, follower)
-
-    def _on_accept_acked(self, txn: TxnId, shard: ShardId, follower: ProcessId) -> None:
-        """ack-rdma received for an ACCEPT written to ``follower`` (line 96)."""
-        entry = self._coordinated.get(txn)
-        if entry is None:
-            return
-        entry.rdma_acks.setdefault(shard, set()).add(follower)
-        self._maybe_decide(entry)
-
-    def _shard_persisted(self, entry: RdmaCoordinatorEntry, shard: ShardId) -> bool:
+    def _shard_persisted(self, entry: CoordinatorEntry, shard: ShardId) -> bool:
         if entry.vote_epochs.get(shard) != self.epoch or shard not in entry.votes:
             return False
         followers = {p for p in self.members[shard] if p != self.leader[shard]}
-        return followers <= entry.rdma_acks.get(shard, set())
+        return followers <= entry.acks.get(shard, set())
 
-    def _maybe_decide(self, entry: RdmaCoordinatorEntry) -> None:
-        if entry.decided:
-            return
-        if not all(self._shard_persisted(entry, shard) for shard in entry.shards):
-            return
-        decision = Decision.meet_all(entry.votes[s] for s in entry.shards)
-        entry.decided = True
-        entry.decision = decision
-        entry.decided_at = self.now
-        if self.directory.known(entry.txn):
-            client = self.directory.client_of(entry.txn)
-            reply = TxnDecision(entry.txn, decision)
-            if self._batching:
-                self._reply_batcher.add(client, reply)
+    def _on_stale_prepare_ack(self, msg: PrepareAck, sender: str) -> None:
+        """Precondition ``e = epoch`` failed (line 92): stale or too-new
+        votes are ignored; coordinator recovery handles the transaction."""
+
+    def _make_decision_batcher(self, policy: BatchPolicy) -> MessageBatcher:
+        return MessageBatcher(
+            self,
+            policy,
+            wrap=lambda items: DecisionBatch(decisions=items),
+            send=lambda dst, message: self.rdma.send(dst, message),
+        )
+
+    def _persist_decision(self, shard: ShardId, slot: int, decision: Decision) -> None:
+        """Write ``DECISION`` into every member's memory (lines 101-102)."""
+        message = SlotDecision(slot=slot, decision=decision)
+        for member in self.members[shard]:
+            if member == self.pid:
+                # A coordinator that is itself a member persists the
+                # decision locally without a network round-trip.
+                self._apply_decision(slot, decision)
+            elif self._batching:
+                self._decision_batcher.add(member, message)
             else:
-                self.send(client, reply)
-        # Sorted for hash-seed-independent send order (see `certify`).
-        for shard in sorted(entry.shards):
-            message = SlotDecision(slot=entry.slots[shard], decision=decision)
-            for member in self.members[shard]:
-                if member == self.pid:
-                    # A coordinator that is itself a member persists the
-                    # decision locally without a network round-trip.
-                    self._apply_decision(message.slot, decision)
-                elif self._batching:
-                    self._decision_batcher.add(member, message)
-                else:
-                    self.rdma.send(member, message)
-        if not self.pipeline_commits:
-            self._unpersisted.discard(entry.txn)
-            self._drain_held_certifies()
+                self.rdma.send(member, message)
 
     # ------------------------------------------------------------------
-    # members: RDMA-delivered ACCEPT and DECISION (lines 94-95, 101-102)
+    # members: RDMA-delivered DECISION (lines 101-102)
     # ------------------------------------------------------------------
-    def on_accept(self, msg: Accept, sender: str) -> None:
-        self.txn_arr[msg.slot] = msg.txn
-        self.payload_arr[msg.slot] = msg.payload
-        self.vote_arr[msg.slot] = msg.vote
-        if self.phase_arr.get(msg.slot) is not Phase.DECIDED:
-            self.phase_arr[msg.slot] = Phase.PREPARED
-        self.slot_of[msg.txn] = msg.slot
-        # One-sided writes land in the arrays behind the vote index's back.
-        self._votes.invalidate()
-        if self.read_engine is not None:
-            self.read_engine.note_prepared(msg.slot)
-
-    def on_accept_batch(self, msg: AcceptBatch, sender: str) -> None:
-        """A batched one-sided ACCEPT write landed in our memory."""
-        for accept in msg.accepts:
-            self.on_accept(accept, sender)
-
     def on_slot_decision(self, msg: SlotDecision, sender: str) -> None:
         self._apply_decision(msg.slot, msg.decision)
 
@@ -577,35 +320,10 @@ class RdmaShardReplica(Process):
             listener(slot, txn, decision)
 
     # ------------------------------------------------------------------
-    # failure detection (heartbeats among co-members; repro.core.failuredetector)
+    # reconfiguration (Figure 8)
     # ------------------------------------------------------------------
-    def _watch_co_members(self) -> None:
-        if self.detector is None:
-            return
-        own = self.members.get(self.shard, ())
-        peers = own if self.pid in own else ()
-        now = self.now if self.network is not None else 0.0
-        self.detector.watch(peers, now)
-
-    def emit_heartbeats(self) -> None:
-        if self.detector is None or not self.initialized:
-            return
-        peers = [p for p in self.members.get(self.shard, ()) if p != self.pid]
-        if peers:
-            self.send_all(peers, Heartbeat(shard=self.shard, epoch=self.epoch), weak=True)
-
-    def tick_detector(self) -> None:
-        if self.detector is None or not self.initialized:
-            return
-        for suspect in self.detector.tick(self.now):
-            self.send(
-                self.config_service,
-                SuspicionReport(shard=self.shard, epoch=self.epoch, suspect=suspect),
-            )
-
-    def on_heartbeat(self, msg: Heartbeat, sender: str) -> None:
-        if self.detector is not None:
-            self.detector.record(sender, self.now)
+    def suspect(self, pid: ProcessId) -> None:
+        self.suspected.add(pid)
 
     def on_cs_view_change(self, msg: CsViewChange, sender: str) -> None:
         """Unsolicited failover: the service confirmed suspicions and asks
@@ -618,48 +336,6 @@ class RdmaShardReplica(Process):
             self.suspect(pid)
         if self.reconfigure():
             self.unsolicited_reconfigurations += 1
-
-    # ------------------------------------------------------------------
-    # snapshot-read fast path (certification-bypassing; repro.core.reads)
-    # ------------------------------------------------------------------
-    def request_read_lease(self) -> None:
-        """Ask the configuration service for (or to renew) this leader's
-        read lease; see the message-passing variant."""
-        if self.read_engine is None or self.read_engine.lease_pending:
-            return
-        self.read_engine.lease_pending = True
-        self._lease_seq += 1
-        self.send(
-            self.config_service,
-            CsLeaseRequest(
-                shard=self.shard,
-                duration=self.read_policy.lease,
-                request_id=self._lease_seq,
-                epoch=self.epoch,
-            ),
-        )
-
-    def on_cs_lease_grant(self, msg: CsLeaseGrant, sender: str) -> None:
-        if self.read_engine is not None:
-            self.read_engine.note_lease(msg.expires_at, msg.ok, msg.epoch)
-
-    def on_read_request(self, msg: ReadRequest, sender: str) -> None:
-        if self.read_engine is None or self.status is not Status.LEADER:
-            self.send(sender, ReadReply(txn=msg.txn, ok=False, reason="not-leader"))
-            return
-        status, reads = self.read_engine.serve(msg.objects, self.now)
-        if status == "ok":
-            self.send(sender, ReadReply(txn=msg.txn, ok=True, reads=tuple(reads)))
-        else:
-            self.send(sender, ReadReply(txn=msg.txn, ok=False, reason=status))
-        if self.read_engine.lease_wants_renewal(self.now):
-            self.request_read_lease()
-
-    # ------------------------------------------------------------------
-    # reconfiguration (Figure 8)
-    # ------------------------------------------------------------------
-    def suspect(self, pid: ProcessId) -> None:
-        self.suspected.add(pid)
 
     def reconfigure(self) -> bool:
         """Initiate a global reconfiguration (lines 103-110)."""

@@ -370,8 +370,8 @@ def test_rdma_accept_batch_ack_keeps_enqueue_time_shard():
     cluster.run()
     entry = coordinator.coordinated(txn)
     assert entry is not None
-    assert None not in entry.rdma_acks
-    assert follower in entry.rdma_acks.get("shard-0", set())
+    assert None not in entry.acks
+    assert follower in entry.acks.get("shard-0", set())
     assert cluster.history.decision_of(txn) is not None
 
 

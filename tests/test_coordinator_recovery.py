@@ -1,4 +1,8 @@
-"""Tests for coordinator recovery (Figure 1, lines 70-73 and 6-7, 14-16)."""
+"""Tests for coordinator recovery (Figure 1, lines 70-73 and 6-7, 14-16;
+Figure 7, lines 167-170 and 77-90).
+
+The recovery path belongs to the commit pipeline both stacks share
+(``repro.core.coordinator``), so every case runs on both."""
 
 import pytest
 
@@ -8,9 +12,9 @@ from repro.core.types import BOTTOM, Decision, Phase
 from helpers import payload, rw_payload, shard_key
 
 
-@pytest.fixture
-def cluster():
-    return Cluster(num_shards=2, replicas_per_shard=2, seed=31)
+@pytest.fixture(params=["message-passing", "rdma"])
+def cluster(request):
+    return Cluster(num_shards=2, replicas_per_shard=2, seed=31, protocol=request.param)
 
 
 def _prepare_without_deciding(cluster, key, coordinator, block_decisions=True):
@@ -21,7 +25,7 @@ def _prepare_without_deciding(cluster, key, coordinator, block_decisions=True):
     follower = cluster.followers_of(shard)[0]
     if block_decisions:
         # Cut the coordinator off from the follower so it can never gather
-        # the ACCEPT_ACKs and hence never decides.
+        # the ACCEPT_ACKs (or NIC acks) and hence never decides.
         cluster.network.block(follower, coordinator)
     txn = cluster.submit(rw_payload(key, tiebreak="orphan"), coordinator=coordinator)
     cluster.run()

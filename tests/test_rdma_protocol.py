@@ -3,7 +3,11 @@
 import pytest
 
 from repro.cluster import Cluster
+from repro.core.reconfig import ReconfigMixin
+from repro.core.replica import ShardReplica
 from repro.core.types import Decision, Status
+from repro.rdma.broken import BrokenRdmaShardReplica
+from repro.rdma.replica import RdmaShardReplica
 
 from helpers import payload, rw_payload, shard_key
 
@@ -111,3 +115,61 @@ def test_rdma_history_correct_under_concurrent_conflicts(cluster):
     assert len(commits) == 1 + 5
     result, violations = cluster.check()
     assert result.ok and violations == []
+
+
+# ----------------------------------------------------------------------
+# structure: one commit pipeline and participant, two persistence transports
+# ----------------------------------------------------------------------
+
+SHARED_WITH_MESSAGE_PASSING = (
+    # coordinator (repro.core.coordinator)
+    "_init_coordinator",
+    "certify",
+    "_dispatch_prepares",
+    "_drain_held_certifies",
+    "_note_prepares_flushed",
+    "retry",
+    "coordinated",
+    "on_certify_request",
+    "on_certify_request_batch",
+    "on_prepare_ack",
+    "on_vote_batch",
+    "_maybe_decide",
+    # certifying leader, detector and read glue (repro.core.replica)
+    "_certify_prepare",
+    "on_prepare",
+    "on_certify_batch",
+    "_watch_co_members",
+    "emit_heartbeats",
+    "tick_detector",
+    "on_heartbeat",
+    "request_read_lease",
+    "on_cs_lease_grant",
+    "on_read_request",
+    "is_leader",
+    "certification_order",
+)
+
+
+@pytest.mark.parametrize("name", SHARED_WITH_MESSAGE_PASSING)
+def test_rdma_stack_reuses_the_figure_1_pipeline(name):
+    """The RDMA protocol is the message-passing one with the persistence
+    transport and the epoch view swapped: everything else must be the same
+    function object, so the copies cannot come back."""
+    assert getattr(RdmaShardReplica, name) is getattr(ShardReplica, name)
+
+
+def test_rdma_stack_inherits_nothing_that_is_figure_1_only():
+    """Per-shard reconfiguration, the epoch-checked ACCEPT and the stash of
+    early messages under RDMA writes are the Figure 4a bug."""
+    assert ReconfigMixin not in RdmaShardReplica.__mro__
+    for name in ("_apply_accept", "_stash_message", "_unstash"):
+        assert not hasattr(RdmaShardReplica, name)
+    assert not hasattr(Cluster(protocol="rdma").replica("shard-0/r0"), "_stash")
+
+
+def test_ablation_is_figure_1_plus_the_rdma_vote_transport():
+    for name in ("_persist_vote", "_send_accept_batch", "_on_accept_acked", "on_accept"):
+        assert getattr(BrokenRdmaShardReplica, name) is getattr(RdmaShardReplica, name)
+    for name in ("_shard_persisted", "_persist_decision", "_ack_key", "reconfigure", "on_new_state"):
+        assert getattr(BrokenRdmaShardReplica, name) is getattr(ShardReplica, name)
