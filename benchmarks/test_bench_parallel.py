@@ -23,7 +23,7 @@ import os
 import time
 
 from repro.analysis.metrics import SpeedupReport
-from repro.scenarios import ScenarioSpec, WorkloadSpec, run_latency_sweep
+from repro.scenarios import LATENCY, ScenarioSpec, WorkloadSpec, run_axis_sweep
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ExecSpec
 
@@ -51,10 +51,10 @@ def _spec() -> ScenarioSpec:
 def test_sweep_jobs_speedup_guard(benchmark):
     def run_pair():
         start = time.perf_counter()
-        serial = run_latency_sweep(_spec(), jobs=1)
+        serial = run_axis_sweep(_spec(), LATENCY, jobs=1)
         serial_wall = time.perf_counter() - start
         start = time.perf_counter()
-        parallel = run_latency_sweep(_spec(), jobs=JOBS)
+        parallel = run_axis_sweep(_spec(), LATENCY, jobs=JOBS)
         parallel_wall = time.perf_counter() - start
         return serial, serial_wall, parallel, parallel_wall
 

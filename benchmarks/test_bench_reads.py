@@ -38,7 +38,7 @@ import time
 from repro.cluster import Cluster
 from repro.core.reads import ReadPolicy
 from repro.core.serializability import TransactionPayload, VERSION_ZERO
-from repro.scenarios import ScenarioRunner, get_scenario
+from repro.scenarios import READ_RATIO as READ_RATIO_AXIS, get_scenario, run_axis_sweep
 from repro.scenarios.spec import ReadSpec
 from repro.spec.incremental import IncrementalTCSChecker
 
@@ -187,31 +187,27 @@ def test_read_path_throughput_guard(benchmark):
 def test_read_ratio_crossover_curve(benchmark):
     """Where the fast path starts paying: certified vs snapshot across the
     read-ratio grid on the stock read-heavy topology."""
-    from dataclasses import replace
-
     base = get_scenario("read-heavy-steady-state")
-    ratios = (0.0, 0.25, 0.5, 0.75, 0.9)
 
     def run_grid():
-        curve = []
-        for ratio in ratios:
-            point = {}
-            for label, read in (("certified", ReadSpec()), ("snapshot", ReadSpec(mode="snapshot"))):
-                spec = base.with_overrides(
-                    workload=replace(base.workload, read_ratio=ratio), read=read
-                )
-                result = ScenarioRunner(spec).run()
+        sweeps = {
+            label: run_axis_sweep(base, READ_RATIO_AXIS, read=read)
+            for label, read in (("certified", ReadSpec()), ("snapshot", ReadSpec(mode="snapshot")))
+        }
+        for label, sweep in sweeps.items():
+            for ratio, result in sweep.points:
                 assert result.passed, (label, ratio, result.check_reason)
-                point[label] = result
-            curve.append((ratio, point))
-        return curve
+        return sweeps
 
-    curve = benchmark.pedantic(run_grid, rounds=1, iterations=1)
+    sweeps = benchmark.pedantic(run_grid, rounds=1, iterations=1)
     rows = []
     previous_saving = 0.0
     crossover = None
-    for ratio, point in curve:
-        certified, fast = point["certified"], point["snapshot"]
+    # Both sweeps ran the same sorted grid, so their points pair up.
+    for (label, certified), (_, fast) in zip(
+        sweeps["certified"].points, sweeps["snapshot"].points
+    ):
+        ratio = float(label)
         saving = certified.messages_sent / fast.messages_sent
         if crossover is None and saving > 1.0:
             crossover = ratio

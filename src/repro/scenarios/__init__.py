@@ -19,11 +19,11 @@ from repro.scenarios.runner import (
     ScenarioResult,
     ScenarioRunner,
     run_scenario,
-    run_sweep,
 )
 from repro.scenarios.executor import (
     run_repetitions,
     run_scenarios,
+    run_sweep,
 )
 from repro.scenarios.spec import (
     CHECK_MODES,
@@ -43,30 +43,29 @@ from repro.scenarios.spec import (
     WorkloadSpec,
 )
 from repro.scenarios.sweep import (
-    DEFAULT_BANDWIDTH_GRID,
-    DEFAULT_BATCH_GRID,
-    DEFAULT_GRID,
-    BandwidthSweepResult,
-    BatchSweepResult,
-    LatencySweepResult,
+    AXES,
+    BANDWIDTH,
+    BATCH,
+    DETECTOR,
+    LATENCY,
+    READ_RATIO,
+    SweepAxis,
+    SweepResult,
     parse_bandwidth,
-    parse_bandwidth_grid,
     parse_batch,
-    parse_batch_grid,
-    parse_grid,
-    run_bandwidth_sweep,
-    run_batch_sweep,
-    run_latency_sweep,
-    sort_bandwidth_grid,
-    sort_batch_grid,
-    sort_latency_grid,
+    parse_detector,
+    parse_read_ratio,
+    run_axis_sweep,
 )
 
 __all__ = [
+    "AXES",
+    "BANDWIDTH",
+    "BATCH",
     "CHECK_MODES",
-    "DEFAULT_BANDWIDTH_GRID",
-    "DEFAULT_BATCH_GRID",
-    "DEFAULT_GRID",
+    "DETECTOR",
+    "LATENCY",
+    "READ_RATIO",
     "SCENARIOS",
     "get_scenario",
     "register_scenario",
@@ -77,34 +76,27 @@ __all__ = [
     "run_scenarios",
     "run_repetitions",
     "run_sweep",
-    "run_bandwidth_sweep",
-    "run_batch_sweep",
-    "run_latency_sweep",
+    "run_axis_sweep",
     "compile_latency_model",
     "parse_latency",
     "parse_bandwidth",
-    "parse_bandwidth_grid",
     "parse_batch",
-    "parse_batch_grid",
-    "parse_grid",
-    "sort_bandwidth_grid",
-    "sort_batch_grid",
-    "sort_latency_grid",
+    "parse_detector",
+    "parse_read_ratio",
     "EXEC_MODES",
     "FAULT_ACTIONS",
     "LATENCY_MODELS",
     "PROTOCOL_BASELINE",
     "WORKLOAD_KINDS",
-    "BandwidthSweepResult",
     "BatchSpec",
-    "BatchSweepResult",
     "ExecSpec",
     "FaultStep",
     "LatencySpec",
-    "LatencySweepResult",
     "NetworkSpec",
     "RetrySpec",
     "ScenarioError",
     "ScenarioSpec",
+    "SweepAxis",
+    "SweepResult",
     "WorkloadSpec",
 ]

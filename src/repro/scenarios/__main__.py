@@ -36,6 +36,8 @@ stock off/1x3/2x3/2x6/4x3 grid); with ``--bandwidth`` it sweeps the link
 model (bytes per delay, optional per-message overhead and commit-path
 toggles) and prints throughput, latency, bytes on the wire and FIFO queue
 stats per point (``--bandwidth default`` expands to off/8000/2000/500).
+The grid flags are mutually exclusive and generated, one per axis, from
+:data:`repro.scenarios.sweep.AXES`.
 
 Two independent parallelism knobs (see ``repro.runtime.parallel``):
 ``--jobs N`` fans whole runs — the scenarios listed on ``run``, the grid
@@ -54,24 +56,11 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.scenarios.executor import run_scenarios
+from repro.scenarios.executor import run_scenarios, run_sweep
 from repro.scenarios.latency import parse_latency
 from repro.scenarios.library import SCENARIOS, get_scenario, scenario_names
-from repro.scenarios.runner import run_sweep
 from repro.scenarios.spec import CHECK_MODES, ExecSpec, ScenarioError, ScenarioSpec
-from repro.scenarios.sweep import (
-    parse_bandwidth_grid,
-    parse_batch,
-    parse_batch_grid,
-    parse_detector_grid,
-    parse_grid,
-    parse_read_ratio_grid,
-    run_bandwidth_sweep,
-    run_batch_sweep,
-    run_detector_sweep,
-    run_latency_sweep,
-    run_read_ratio_sweep,
-)
+from repro.scenarios.sweep import AXES, parse_batch, run_axis_sweep
 
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
@@ -134,94 +123,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _apply_overrides(get_scenario(args.name), args)
     protocols = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
-    grids_requested = sum(
-        bool(g)
-        for g in (
-            args.latency,
-            args.batch,
-            args.read_ratio,
-            args.detector,
-            args.bandwidth,
-        )
-    )
-    if grids_requested > 1:
+    if not protocols:
+        raise ScenarioError("--protocols needs at least one protocol")
+    requested = [
+        (axis, points)
+        for axis in AXES
+        if (points := getattr(args, axis.name.replace("-", "_")))
+    ]
+    if len(requested) > 1:
+        flags = [f"--{axis.name}" for axis in AXES]
         raise ScenarioError(
-            "--latency, --batch, --read-ratio, --detector and --bandwidth "
-            "sweeps are mutually exclusive"
+            f"{', '.join(flags[:-1])} and {flags[-1]} sweeps are mutually exclusive"
         )
-    if args.bandwidth:
-        grid = parse_bandwidth_grid(args.bandwidth)
-        sweeps = {
-            protocol: run_bandwidth_sweep(spec, grid, jobs=args.jobs, protocol=protocol)
+    if requested:
+        axis, points = requested[0]
+        grid = axis.parse(points)
+        outcomes = {
+            protocol: run_axis_sweep(spec, axis, grid, jobs=args.jobs, protocol=protocol)
             for protocol in protocols
         }
-        if args.json:
-            print(json.dumps({p: s.as_dict() for p, s in sweeps.items()}, indent=2))
-        else:
-            for sweep in sweeps.values():
-                print(sweep.render())
-                print()
-        return 0 if all(sweep.passed for sweep in sweeps.values()) else 1
-    if args.detector:
-        grid = parse_detector_grid(args.detector)
-        sweeps = {
-            protocol: run_detector_sweep(spec, grid, jobs=args.jobs, protocol=protocol)
-            for protocol in protocols
-        }
-        if args.json:
-            print(json.dumps({p: s.as_dict() for p, s in sweeps.items()}, indent=2))
-        else:
-            for sweep in sweeps.values():
-                print(sweep.render())
-                print()
-        return 0 if all(sweep.passed for sweep in sweeps.values()) else 1
-    if args.read_ratio:
-        grid = parse_read_ratio_grid(args.read_ratio)
-        sweeps = {
-            protocol: run_read_ratio_sweep(spec, grid, jobs=args.jobs, protocol=protocol)
-            for protocol in protocols
-        }
-        if args.json:
-            print(json.dumps({p: s.as_dict() for p, s in sweeps.items()}, indent=2))
-        else:
-            for sweep in sweeps.values():
-                print(sweep.render())
-                print()
-        return 0 if all(sweep.passed for sweep in sweeps.values()) else 1
-    if args.batch:
-        grid = parse_batch_grid(args.batch)
-        sweeps = {
-            protocol: run_batch_sweep(spec, grid, jobs=args.jobs, protocol=protocol)
-            for protocol in protocols
-        }
-        if args.json:
-            print(json.dumps({p: s.as_dict() for p, s in sweeps.items()}, indent=2))
-        else:
-            for sweep in sweeps.values():
-                print(sweep.render())
-                print()
-        return 0 if all(sweep.passed for sweep in sweeps.values()) else 1
-    if args.latency:
-        grid = parse_grid(args.latency)
-        sweeps = {
-            protocol: run_latency_sweep(spec, grid, jobs=args.jobs, protocol=protocol)
-            for protocol in protocols
-        }
-        if args.json:
-            print(json.dumps({p: s.as_dict() for p, s in sweeps.items()}, indent=2))
-        else:
-            for sweep in sweeps.values():
-                print(sweep.render())
-                print()
-        return 0 if all(sweep.passed for sweep in sweeps.values()) else 1
-    results = run_sweep(spec, protocols, jobs=args.jobs)
-    if args.json:
-        print(json.dumps({p: r.as_dict() for p, r in results.items()}, indent=2))
     else:
-        for result in results.values():
-            print(result.render())
+        outcomes = run_sweep(spec, protocols, jobs=args.jobs)
+    # A SweepResult per protocol, or (no grid flag) a ScenarioResult per
+    # protocol: both offer as_dict / render / passed.
+    if args.json:
+        print(json.dumps({p: o.as_dict() for p, o in outcomes.items()}, indent=2))
+    else:
+        for outcome in outcomes.values():
+            print(outcome.render())
             print()
-    return 0 if all(result.passed for result in results.values()) else 1
+    return 0 if all(outcome.passed for outcome in outcomes.values()) else 1
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -303,55 +234,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="message-passing,rdma",
         help="comma-separated protocol list (default: message-passing,rdma)",
     )
-    sweep_parser.add_argument(
-        "--latency",
-        action="append",
-        default=[],
-        metavar="MODEL[:k=v,...]",
-        help="latency grid point (repeatable; 'default' expands to the stock "
-        "grid); with this flag the sweep runs each protocol across the grid",
-    )
-    sweep_parser.add_argument(
-        "--batch",
-        action="append",
-        default=[],
-        metavar="SIZE[:k=v,...]",
-        help="batch grid point (repeatable; 'off', a size cap like '32', or "
-        "'16:linger=2'; 'default' expands to off/4/8/16/32); with this flag "
-        "the sweep runs each protocol across the batching grid",
-    )
-    sweep_parser.add_argument(
-        "--read-ratio",
-        action="append",
-        default=[],
-        metavar="RATIO",
-        help="read-ratio grid point in [0, 1] (repeatable; 'default' expands "
-        "to 0/0.25/0.5/0.75/0.9); with this flag the sweep runs each protocol "
-        "across the read-mix grid (enable the fast path with a snapshot-read "
-        "scenario such as read-heavy-steady-state)",
-    )
-    sweep_parser.add_argument(
-        "--detector",
-        action="append",
-        default=[],
-        metavar="INTERVAL[:k=v,...]",
-        help="detector grid point (repeatable; 'off', a heartbeat interval "
-        "like '2', or '2:threshold=6' / '2:mode=phi,phi=6' / "
-        "'1:confirmations=2'; 'default' expands to the stock "
-        "interval x threshold grid); with this flag the sweep runs each "
-        "protocol across the failure-detector grid",
-    )
-    sweep_parser.add_argument(
-        "--bandwidth",
-        action="append",
-        default=[],
-        metavar="BANDWIDTH[:k=v,...]",
-        help="bandwidth grid point (repeatable; 'off', a link capacity in "
-        "bytes per delay like '2000', or '2000:overhead=0.1' / "
-        "'500:pipeline=false' / '2000:sticky=true'; 'default' expands to "
-        "off/8000/2000/500); with this flag the sweep runs each protocol "
-        "across the link-model grid",
-    )
+    for axis in AXES:
+        sweep_parser.add_argument(
+            f"--{axis.name}",
+            action="append",
+            default=[],
+            metavar=axis.metavar,
+            help=axis.help,
+        )
     _add_common(sweep_parser)
 
     args = parser.parse_args(argv)

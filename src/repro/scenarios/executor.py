@@ -17,31 +17,20 @@ Entry points::
 
     run_scenarios(specs, jobs=4)          # scenario packs
     run_repetitions(spec, 8, jobs=4)      # seed-derived repetitions
-    run_latency_points(spec, grid, jobs)  # latency sweep fan-out
-    run_batch_points(spec, grid, jobs)    # batch sweep fan-out
-    run_detector_points(spec, grid, jobs)  # detector sweep fan-out
-    run_bandwidth_points(spec, grid, jobs)  # bandwidth sweep fan-out
-    run_read_ratio_points(spec, ratios, jobs)  # read-ratio sweep fan-out
-    run_protocols(spec, protocols, jobs)  # protocol comparison fan-out
+    run_sweep(spec, protocols, jobs=4)    # protocol comparison fan-out
 
-The sweep drivers in :mod:`repro.scenarios.sweep` and the CLI's ``--jobs``
-flag delegate here.
+The axis sweep driver (:func:`repro.scenarios.sweep.run_axis_sweep`, one
+``run_scenarios`` call per grid) and the CLI's ``--jobs`` flag delegate
+here.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.runtime.parallel import ParallelExecutor, derive_seed
 from repro.scenarios.runner import ScenarioResult, ScenarioRunner
-from repro.scenarios.spec import (
-    BatchSpec,
-    DetectorSpec,
-    LatencySpec,
-    NetworkSpec,
-    ScenarioSpec,
-)
+from repro.scenarios.spec import ScenarioSpec
 
 
 def _run_spec(spec: ScenarioSpec) -> ScenarioResult:
@@ -75,60 +64,11 @@ def run_repetitions(
     return run_scenarios(specs, jobs=jobs)
 
 
-def run_latency_points(
-    spec: ScenarioSpec, grid: Sequence[LatencySpec], jobs: int = 1
-) -> List[Tuple[str, ScenarioResult]]:
-    """One run per latency point, labelled, in grid order."""
-    specs = [spec.with_overrides(latency=point) for point in grid]
-    results = run_scenarios(specs, jobs=jobs)
-    return [(point.describe(), result) for point, result in zip(grid, results)]
-
-
-def run_batch_points(
-    spec: ScenarioSpec, grid: Sequence[BatchSpec], jobs: int = 1
-) -> List[Tuple[str, ScenarioResult]]:
-    """One run per batch-policy point, labelled, in grid order."""
-    specs = [spec.with_overrides(batch=point) for point in grid]
-    results = run_scenarios(specs, jobs=jobs)
-    return [(point.describe(), result) for point, result in zip(grid, results)]
-
-
-def run_detector_points(
-    spec: ScenarioSpec, grid: Sequence[DetectorSpec], jobs: int = 1
-) -> List[Tuple[str, ScenarioResult]]:
-    """One run per detector-policy point, labelled, in grid order."""
-    specs = [spec.with_overrides(detector=point) for point in grid]
-    results = run_scenarios(specs, jobs=jobs)
-    return [(point.describe(), result) for point, result in zip(grid, results)]
-
-
-def run_bandwidth_points(
-    spec: ScenarioSpec, grid: Sequence[NetworkSpec], jobs: int = 1
-) -> List[Tuple[str, ScenarioResult]]:
-    """One run per bandwidth point, labelled, in grid order."""
-    specs = [spec.with_overrides(network=point) for point in grid]
-    results = run_scenarios(specs, jobs=jobs)
-    return [(point.describe(), result) for point, result in zip(grid, results)]
-
-
-def run_read_ratio_points(
-    spec: ScenarioSpec, ratios: Sequence[float], jobs: int = 1
-) -> List[Tuple[str, ScenarioResult]]:
-    """One run per read-ratio point, labelled, in grid order.  Each point
-    rewrites only ``workload.read_ratio``; protocol, read policy, latency
-    model, seed and fault schedule stay fixed."""
-    specs = [
-        spec.with_overrides(workload=replace(spec.workload, read_ratio=ratio))
-        for ratio in ratios
-    ]
-    results = run_scenarios(specs, jobs=jobs)
-    return [(f"{ratio:g}", result) for ratio, result in zip(ratios, results)]
-
-
-def run_protocols(
+def run_sweep(
     spec: ScenarioSpec, protocols: Sequence[str], jobs: int = 1
 ) -> Dict[str, ScenarioResult]:
-    """The same scenario under several protocols (same seed/workload)."""
+    """Run the same scenario under several protocols (same seed/workload);
+    with ``jobs > 1`` the protocols fan out over a process pool."""
     specs = [spec.with_overrides(protocol=protocol) for protocol in protocols]
     results = run_scenarios(specs, jobs=jobs)
     return dict(zip(protocols, results))

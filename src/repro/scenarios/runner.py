@@ -721,12 +721,3 @@ def run_scenario(spec: ScenarioSpec, **overrides) -> ScenarioResult:
         spec = spec.with_overrides(**overrides)
     return ScenarioRunner(spec).run()
 
-
-def run_sweep(
-    spec: ScenarioSpec, protocols: Tuple[str, ...], jobs: int = 1
-) -> Dict[str, ScenarioResult]:
-    """Run the same scenario under several protocols (same seed/workload);
-    with ``jobs > 1`` the protocols fan out over a process pool."""
-    from repro.scenarios.executor import run_protocols  # late: avoid cycle
-
-    return run_protocols(spec, protocols, jobs=jobs)

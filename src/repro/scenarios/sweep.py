@@ -1,27 +1,32 @@
-"""Sweep drivers: one scenario across a grid of latency or batching points.
+"""Sweep driver: one scenario across a grid of points along one axis.
 
 A *sweep* runs the same :class:`~repro.scenarios.spec.ScenarioSpec` (same
 workload, faults and seed) once per grid point and collects the results
-into a curve:
+into a curve.  What varies is described by a :class:`SweepAxis` — a value,
+not a subclass: how a point is parsed, ordered, labelled and applied to
+the spec, and which curve fields and table columns the result shows.  One
+:func:`run_axis_sweep` and one :class:`SweepResult` serve every axis.
 
-* a **latency sweep** varies the :class:`LatencySpec`; because the
-  per-phase breakdown (submit -> certify -> decide) rides along on every
+The stock axes, in :data:`AXES` order:
+
+* :data:`LATENCY` varies the :class:`LatencySpec`; because the per-phase
+  breakdown (submit -> certify -> decide) rides along on every
   :class:`~repro.scenarios.runner.ScenarioResult`, the curve separates
   protocol cost (the certify -> decide phase, measured in critical-path
   message delays) from network cost (the request/response phases, which
   scale directly with the link-delay distribution);
-* a **batch sweep** varies the :class:`BatchSpec`, rendering batch size
+* :data:`BATCH` varies the :class:`BatchSpec`, rendering batch size
   against throughput, latency, messages sent and the observed mean batch
   size — the knob-tuning view for the protocol-level batching pipeline;
-* a **read-ratio sweep** varies ``workload.read_ratio``, rendering the
-  read mix against throughput, latency and fast-path hit counts — the
+* :data:`READ_RATIO` varies ``workload.read_ratio``, rendering the read
+  mix against throughput, latency and fast-path hit counts — the
   evaluation view for the snapshot-read fast path (run it once with
   ``read.mode='snapshot'`` and once without for the crossover);
-* a **detector sweep** varies the :class:`DetectorSpec` (heartbeat
-  interval x suspicion threshold), rendering each policy against
-  suspicions, false positives, pushed failovers and time-to-recovery —
-  the tuning view for the failure detector's speed/accuracy tradeoff;
-* a **bandwidth sweep** varies the :class:`NetworkSpec` (link capacity,
+* :data:`DETECTOR` varies the :class:`DetectorSpec` (heartbeat interval x
+  suspicion threshold), rendering each policy against suspicions, false
+  positives, pushed failovers and time-to-recovery — the tuning view for
+  the failure detector's speed/accuracy tradeoff;
+* :data:`BANDWIDTH` varies the :class:`NetworkSpec` (link capacity,
   per-message overhead, commit-path toggles), rendering each link model
   against throughput, latency, bytes on the wire and FIFO queueing — the
   evaluation view for the bandwidth-aware network layer (batches stop
@@ -31,19 +36,23 @@ Used by ``python -m repro.scenarios sweep <scenario> --latency ... /
 --batch ... / --read-ratio ... / --detector ... / --bandwidth ...`` and
 importable directly::
 
-    from repro.scenarios.sweep import DEFAULT_GRID, run_latency_sweep
-    curve = run_latency_sweep(get_scenario("steady-state"))
+    from repro.scenarios.sweep import LATENCY, run_axis_sweep
+    curve = run_axis_sweep(get_scenario("steady-state"), LATENCY)
     print(curve.render())
+
+A further axis needs no hook: build a :class:`SweepAxis` and pass it in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import format_table
+from repro.scenarios.executor import run_scenarios
 from repro.scenarios.latency import parse_latency
-from repro.scenarios.runner import ScenarioResult, ScenarioRunner
+from repro.scenarios.runner import ScenarioResult
 from repro.scenarios.spec import (
     LATENCY_MODELS,
     BatchSpec,
@@ -55,54 +64,145 @@ from repro.scenarios.spec import (
 )
 
 
-# The stock grid: the paper's unit model, bounded jitter around one delay,
-# a heavy tail, and a memoryless network — same mean (one delay) for the
-# three random models, so differences come from distribution shape alone.
-# Listed in canonical grid order (see sort_latency_grid).
-DEFAULT_GRID: Tuple[LatencySpec, ...] = (
-    LatencySpec(model="unit"),
-    LatencySpec(model="uniform", low=0.5, high=1.5),
-    LatencySpec(model="lognormal", mean=1.0, sigma=0.8),
-    LatencySpec(model="exponential", mean=1.0),
-)
+# ----------------------------------------------------------------------
+# the vocabulary axes pick their curve fields and table columns from
+# ----------------------------------------------------------------------
+
+def _latency(result: ScenarioResult, stat: str) -> Optional[float]:
+    """A point with no client-observed decisions reports null latencies
+    (a 0.0 would read as the best point on the curve)."""
+    return getattr(result.latency, stat) if result.latency else None
 
 
-def sort_latency_grid(grid: Sequence[LatencySpec]) -> Tuple[LatencySpec, ...]:
-    """Canonical grid order: model rank (the :data:`LATENCY_MODELS` listing
-    order), then the point's canonical parameter label.  Sweeps sort their
-    grid on entry so the output row order — and therefore every derived
-    artifact (curves, JSON, diffs) — depends only on the *set* of points
-    requested, not on the order flags appeared on the command line."""
-    return tuple(
-        sorted(grid, key=lambda p: (LATENCY_MODELS.index(p.model), p.describe()))
-    )
+def _mean_ttr(result: ScenarioResult) -> Optional[float]:
+    """Mean crash -> next-install time; null when no crash/install pair was
+    observed (e.g. a detector-off point that never reconfigured)."""
+    times = result.recovery_times
+    return sum(times) / len(times) if times else None
 
 
-def sort_batch_grid(grid: Sequence[BatchSpec]) -> Tuple[BatchSpec, ...]:
-    """Canonical batch-grid order: by (size, linger, adaptive) — the
-    unbatched baseline first, then growing size caps."""
-    return tuple(sorted(grid, key=lambda p: (p.size, p.linger, p.adaptive)))
+def _opt(value: Optional[float], spec: str) -> str:
+    return format(value, spec) if value is not None else "-"
 
 
-def parse_grid(texts: Iterable[str]) -> Tuple[LatencySpec, ...]:
-    """Parse CLI latency points; the single word ``default`` expands to
-    :data:`DEFAULT_GRID`."""
-    grid: List[LatencySpec] = []
-    for text in texts:
-        if text.strip() == "default":
-            grid.extend(DEFAULT_GRID)
-        else:
-            grid.append(parse_latency(text))
-    return tuple(grid)
+def _phase(name: str) -> Callable[[ScenarioResult], str]:
+    def cell(result: ScenarioResult) -> str:
+        summary = getattr(result.phases, name) if result.phases else None
+        return f"{summary.mean:.2f}" if summary is not None else "-"
+
+    return cell
+
+
+# Curve fields are ScenarioResult attribute names, except these derived ones.
+CURVE_DERIVED: Dict[str, Callable[[ScenarioResult], Any]] = {
+    "mean_latency": lambda r: _latency(r, "mean"),
+    "p99_latency": lambda r: _latency(r, "p99"),
+    "mean_ttr": _mean_ttr,
+}
+
+# Every axis's curve starts with these.
+_BASE_CURVE: Tuple[str, ...] = ("throughput", "mean_latency", "p99_latency")
+
+# Table columns by header text: header -> cell(result).
+COLUMNS: Dict[str, Callable[[ScenarioResult], Any]] = {
+    "committed": attrgetter("committed"),
+    "abort": lambda r: f"{r.abort_rate:.3f}",
+    "tput/1k": lambda r: f"{r.throughput:.1f}",
+    "lat mean": lambda r: _opt(_latency(r, "mean"), ".2f"),
+    "lat p99": lambda r: _opt(_latency(r, "p99"), ".2f"),
+    "submit>cert": _phase("submit_to_certify"),
+    "cert>decide": _phase("certify_to_decide"),
+    "decide>client": _phase("decide_to_client"),
+    "queue wait": _phase("queue_wait"),
+    "messages": attrgetter("messages_sent"),
+    "batches": attrgetter("batches"),
+    "mean size": lambda r: f"{r.mean_batch_size:.2f}" if r.batches else "-",
+    "fast reads": attrgetter("reads_served"),
+    "fallbacks": attrgetter("read_fallbacks"),
+    "suspicions": attrgetter("suspicions"),
+    "false": attrgetter("false_suspicions"),
+    "view chg": attrgetter("view_changes"),
+    "pushed": attrgetter("pushed_failovers"),
+    "mean TTR": lambda r: _opt(_mean_ttr(r), ".1f"),
+    "orphaned": attrgetter("orphaned"),
+    "bytes": lambda r: f"{r.bytes_sent:.0f}" if r.bytes_sent else "-",
+    "q wait": lambda r: f"{r.link_queue_wait_mean:.2f}",
+    "q max": lambda r: f"{r.link_queue_wait_max:.2f}",
+    "depth": attrgetter("link_max_depth"),
+}
+
+
+# ----------------------------------------------------------------------
+# the axis, the result and the runner
+# ----------------------------------------------------------------------
+
+def _describe(point: Any) -> str:
+    return point.describe()
+
+
+@dataclass(frozen=True)
+class SweepAxis:
+    """One thing a sweep can vary, as data.
+
+    ``name`` is the CLI flag (``--name``) and the word in the table title;
+    ``label_key`` names the point in the JSON curve; ``header`` heads the
+    table's first column.  ``parse_point`` turns one CLI word into a point,
+    ``sort_key`` gives the canonical grid order, ``apply`` rewrites the spec
+    for a point and ``label`` names the point in the output.  ``curve``
+    lists the JSON curve fields after the label (ScenarioResult attribute
+    names or :data:`CURVE_DERIVED` keys) and ``columns`` the table columns
+    after the label (:data:`COLUMNS` headers).
+
+    ``json_label`` casts the label for JSON (``float`` for a numeric axis).
+    ``context`` maps the spec to a ``(tag, value)`` pair that is held fixed
+    across the grid yet needed to read the curve: it is shown as
+    ``tag=value`` in the title and stored as ``<tag>_model`` in the dict,
+    the key :class:`ScenarioResult` uses for the same value.
+    """
+
+    name: str
+    label_key: str
+    header: str
+    stock: Tuple[Any, ...]
+    parse_point: Callable[[str], Any]
+    sort_key: Callable[[Any], Any]
+    apply: Callable[[ScenarioSpec, Any], ScenarioSpec]
+    curve: Tuple[str, ...]
+    columns: Tuple[str, ...]
+    label: Callable[[Any], str] = _describe
+    json_label: Callable[[str], Any] = str
+    context: Optional[Callable[[ScenarioSpec], Tuple[str, str]]] = None
+    metavar: str = "POINT"
+    help: str = ""
+
+    def parse(self, texts: Iterable[str]) -> Tuple[Any, ...]:
+        """Parse CLI points; the single word ``default`` expands to the
+        stock grid."""
+        grid: List[Any] = []
+        for text in texts:
+            if text.strip() == "default":
+                grid.extend(self.stock)
+            else:
+                grid.append(self.parse_point(text))
+        return tuple(grid)
+
+    def sort(self, grid: Iterable[Any]) -> Tuple[Any, ...]:
+        """Canonical grid order, duplicates dropped.  Sweeps sort their grid
+        on entry so the output row order — and therefore every derived
+        artifact (curves, JSON, diffs) — depends only on the *set* of points
+        requested, not on the order flags appeared on the command line."""
+        return tuple(sorted(dict.fromkeys(grid), key=self.sort_key))
 
 
 @dataclass
-class LatencySweepResult:
-    """One scenario's results across a latency grid, in grid order."""
+class SweepResult:
+    """One scenario's results across one axis's grid, in grid order."""
 
+    axis: SweepAxis
     scenario: str
     protocol: str
     seed: int
+    context: Optional[Tuple[str, str]] = None
     points: List[Tuple[str, ScenarioResult]] = field(default_factory=list)
 
     @property
@@ -116,839 +216,363 @@ class LatencySweepResult:
         raise KeyError(f"no sweep point labelled {label!r}")
 
     def curve(self) -> List[Dict[str, Any]]:
-        """The latency-vs-throughput curve: one row per grid point.  A point
-        with no client-observed decisions reports null latencies (a 0.0
-        would read as the best point on the curve)."""
+        """The axis-vs-metrics curve: one row per grid point."""
         rows = []
         for label, result in self.points:
-            rows.append(
-                {
-                    "latency_model": label,
-                    "throughput": result.throughput,
-                    "mean_latency": result.latency.mean if result.latency else None,
-                    "p99_latency": result.latency.p99 if result.latency else None,
-                }
-            )
+            row = {self.axis.label_key: self.axis.json_label(label)}
+            for name in self.axis.curve:
+                row[name] = CURVE_DERIVED.get(name, attrgetter(name))(result)
+            rows.append(row)
         return rows
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
+        data: Dict[str, Any] = {
             "scenario": self.scenario,
             "protocol": self.protocol,
             "seed": self.seed,
-            "passed": self.passed,
-            "curve": self.curve(),
-            "points": [
-                {"latency_model": label, "result": result.as_dict()}
-                for label, result in self.points
-            ],
         }
+        if self.context:
+            tag, value = self.context
+            data[f"{tag}_model"] = value
+        data["passed"] = self.passed
+        data["curve"] = self.curve()
+        data["points"] = [
+            {self.axis.label_key: self.axis.json_label(label), "result": result.as_dict()}
+            for label, result in self.points
+        ]
+        return data
 
     def render(self) -> str:
-        headers = [
-            "latency model",
-            "committed",
-            "abort",
-            "tput/1k",
-            "lat mean",
-            "lat p99",
-            "submit>cert",
-            "cert>decide",
-            "decide>client",
+        rows = [
+            [label] + [COLUMNS[header](result) for header in self.axis.columns]
+            for label, result in self.points
         ]
-        def _mean(summary) -> str:
-            return f"{summary.mean:.2f}" if summary is not None else "-"
-
-        rows = []
-        for label, result in self.points:
-            phases = result.phases
-            rows.append(
-                [
-                    label,
-                    result.committed,
-                    f"{result.abort_rate:.3f}",
-                    f"{result.throughput:.1f}",
-                    f"{result.latency.mean:.2f}" if result.latency else "-",
-                    f"{result.latency.p99:.2f}" if result.latency else "-",
-                    _mean(phases.submit_to_certify) if phases else "-",
-                    _mean(phases.certify_to_decide) if phases else "-",
-                    _mean(phases.decide_to_client) if phases else "-",
-                ]
-            )
-        body = format_table(headers, rows)
+        body = format_table([self.axis.header, *self.axis.columns], rows)
+        context = "{}={}, ".format(*self.context) if self.context else ""
         verdict = "all safe" if self.passed else "FAILED"
         return (
-            f"=== latency sweep: {self.scenario} ({self.protocol}, seed {self.seed}) "
-            f"— {verdict} ===\n{body}"
+            f"=== {self.axis.name} sweep: {self.scenario} ({self.protocol}, "
+            f"{context}seed {self.seed}) — {verdict} ===\n{body}"
         )
 
 
-def run_latency_sweep(
+def run_axis_sweep(
     spec: ScenarioSpec,
-    grid: Sequence[LatencySpec] = DEFAULT_GRID,
+    axis: SweepAxis,
+    grid: Optional[Sequence[Any]] = None,
     jobs: int = 1,
     **overrides: Any,
-) -> LatencySweepResult:
-    """Run ``spec`` once per latency point (optionally overriding spec
-    fields first); every point reuses the spec's seed, workload and faults,
-    so the curve isolates the effect of the delay distribution.
+) -> SweepResult:
+    """Run ``spec`` once per point of ``grid`` (the axis's stock grid when
+    omitted), optionally overriding spec fields first.  Every point reuses
+    the spec's seed, workload, faults and every model the axis does not
+    rewrite, so the curve isolates the effect of the axis.
 
-    The grid is sorted canonically (:func:`sort_latency_grid`), and with
+    The grid is sorted canonically (:meth:`SweepAxis.sort`), and with
     ``jobs > 1`` the points fan out over a process pool — the sweep result
     is byte-identical for any ``jobs`` value.
     """
     if overrides:
         spec = spec.with_overrides(**overrides)
-    from repro.scenarios.executor import run_latency_points
-
-    sweep = LatencySweepResult(
-        scenario=spec.name, protocol=spec.protocol, seed=spec.seed
+    points = axis.sort(axis.stock if grid is None else grid)
+    results = run_scenarios([axis.apply(spec, point) for point in points], jobs=jobs)
+    return SweepResult(
+        axis=axis,
+        scenario=spec.name,
+        protocol=spec.protocol,
+        seed=spec.seed,
+        context=axis.context(spec) if axis.context else None,
+        points=[(axis.label(point), result) for point, result in zip(points, results)],
     )
-    sweep.points.extend(run_latency_points(spec, sort_latency_grid(grid), jobs=jobs))
-    return sweep
 
 
 # ----------------------------------------------------------------------
-# batch sweeps
+# point parsers
 # ----------------------------------------------------------------------
 
-# The stock batch grid: the unbatched baseline plus doubling adaptive size
-# caps, so the curve shows where coalescing saturates for the workload.
-DEFAULT_BATCH_GRID: Tuple[BatchSpec, ...] = (
-    BatchSpec(),
-    BatchSpec(size=4),
-    BatchSpec(size=8),
-    BatchSpec(size=16),
-    BatchSpec(size=32),
-)
+def _parse_point(
+    text: str,
+    cls: type,
+    kind: str,
+    head: Tuple[str, str, Callable[[str], Any]],
+    keys: Dict[str, Tuple[str, Callable[[str], Any]]],
+    implied: Optional[Dict[str, Dict[str, Any]]] = None,
+) -> Any:
+    """Parse one ``off`` | ``HEAD[:k=v,...]`` CLI point into a validated
+    ``cls`` value.  ``head`` is ``(METAVAR, field, cast)``; ``keys`` maps a
+    CLI key to ``(field, cast)``, where the cast ``bool`` accepts exactly
+    ``true``/``false``; ``implied`` maps a CLI key to field defaults it
+    brings along unless the point sets those fields itself.
+
+    The latency grammar (:func:`repro.scenarios.latency.parse_latency`)
+    deliberately does not go through here: its head is a model name that
+    selects which keys are legal, not a value.
+    """
+    text = text.strip()
+    if text == "off":
+        return cls()
+    implied = implied or {}
+    head_text, _, params_text = text.partition(":")
+    metavar, head_field, head_cast = head
+    try:
+        fields: Dict[str, Any] = {head_field: head_cast(head_text)}
+    except ValueError:
+        raise ScenarioError(
+            f"invalid {kind} point {text!r}: expected 'off' or {metavar}[:k=v,...]"
+        ) from None
+    defaults: Dict[str, Any] = {}
+    for pair in filter(None, (p.strip() for p in params_text.split(","))):
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ScenarioError(f"invalid {kind} parameter {pair!r}: expected k=v")
+        if key not in keys:
+            names = list(keys)
+            raise ScenarioError(
+                f"unknown {kind} parameter {key!r}; "
+                f"expected {', '.join(names[:-1])} or {names[-1]}"
+            )
+        field_name, cast = keys[key]
+        if cast is bool:
+            if value not in ("true", "false"):
+                raise ScenarioError(f"{key} must be 'true' or 'false'")
+            fields[field_name] = value == "true"
+        else:
+            try:
+                fields[field_name] = cast(value)
+            except ValueError:
+                raise ScenarioError(f"invalid {key} value {value!r}") from None
+        defaults.update(implied.get(key, {}))
+    point = cls(**{**defaults, **fields})
+    point.validate()
+    return point
 
 
 def parse_batch(text: str) -> BatchSpec:
     """Parse one CLI batch point: ``off``, a size (``32``), or a size with
     ``k=v`` parameters (``32:linger=2`` — a linger implies a time-cap,
     i.e. non-adaptive, policy unless ``adaptive=true`` is forced)."""
-    text = text.strip()
-    if text == "off":
-        return BatchSpec()
-    head, _, params_text = text.partition(":")
-    try:
-        size = int(head)
-    except ValueError:
-        raise ScenarioError(
-            f"invalid batch point {text!r}: expected 'off' or SIZE[:k=v,...]"
-        ) from None
-    fields: Dict[str, Any] = {"size": size}
-    for pair in filter(None, (p.strip() for p in params_text.split(","))):
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise ScenarioError(f"invalid batch parameter {pair!r}: expected k=v")
-        if key == "linger":
-            try:
-                fields["linger"] = float(value)
-            except ValueError:
-                raise ScenarioError(f"invalid linger value {value!r}") from None
-            fields.setdefault("adaptive", False)
-        elif key == "adaptive":
-            if value not in ("true", "false"):
-                raise ScenarioError("adaptive must be 'true' or 'false'")
-            fields["adaptive"] = value == "true"
-        else:
-            raise ScenarioError(
-                f"unknown batch parameter {key!r}; expected linger or adaptive"
-            )
-    spec = BatchSpec(**fields)
-    spec.validate()
-    return spec
-
-
-def parse_batch_grid(texts: Iterable[str]) -> Tuple[BatchSpec, ...]:
-    """Parse CLI batch points; the single word ``default`` expands to
-    :data:`DEFAULT_BATCH_GRID`."""
-    grid: List[BatchSpec] = []
-    for text in texts:
-        if text.strip() == "default":
-            grid.extend(DEFAULT_BATCH_GRID)
-        else:
-            grid.append(parse_batch(text))
-    return tuple(grid)
-
-
-@dataclass
-class BatchSweepResult:
-    """One scenario's results across a batch-policy grid, in grid order."""
-
-    scenario: str
-    protocol: str
-    seed: int
-    points: List[Tuple[str, ScenarioResult]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(result.passed for _, result in self.points)
-
-    def result_for(self, label: str) -> ScenarioResult:
-        for point_label, result in self.points:
-            if point_label == label:
-                return result
-        raise KeyError(f"no sweep point labelled {label!r}")
-
-    def curve(self) -> List[Dict[str, Any]]:
-        """Batch size vs throughput/latency/messages: one row per point."""
-        rows = []
-        for label, result in self.points:
-            rows.append(
-                {
-                    "batch_model": label,
-                    "throughput": result.throughput,
-                    "mean_latency": result.latency.mean if result.latency else None,
-                    "p99_latency": result.latency.p99 if result.latency else None,
-                    "messages_sent": result.messages_sent,
-                    "mean_batch_size": result.mean_batch_size,
-                }
-            )
-        return rows
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "passed": self.passed,
-            "curve": self.curve(),
-            "points": [
-                {"batch_model": label, "result": result.as_dict()}
-                for label, result in self.points
-            ],
-        }
-
-    def render(self) -> str:
-        headers = [
-            "batch policy",
-            "committed",
-            "tput/1k",
-            "lat mean",
-            "lat p99",
-            "queue wait",
-            "messages",
-            "batches",
-            "mean size",
-        ]
-        rows = []
-        for label, result in self.points:
-            queue = result.phases.queue_wait if result.phases else None
-            rows.append(
-                [
-                    label,
-                    result.committed,
-                    f"{result.throughput:.1f}",
-                    f"{result.latency.mean:.2f}" if result.latency else "-",
-                    f"{result.latency.p99:.2f}" if result.latency else "-",
-                    f"{queue.mean:.2f}" if queue is not None else "-",
-                    result.messages_sent,
-                    result.batches,
-                    f"{result.mean_batch_size:.2f}" if result.batches else "-",
-                ]
-            )
-        body = format_table(headers, rows)
-        verdict = "all safe" if self.passed else "FAILED"
-        return (
-            f"=== batch sweep: {self.scenario} ({self.protocol}, seed {self.seed}) "
-            f"— {verdict} ===\n{body}"
-        )
-
-
-# ----------------------------------------------------------------------
-# read-ratio sweeps
-# ----------------------------------------------------------------------
-
-# The stock read-ratio grid: write-only through read-dominated, the YCSB
-# spread the snapshot-read fast path is evaluated on.
-DEFAULT_READ_RATIO_GRID: Tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 0.9)
-
-
-def parse_read_ratio_grid(texts: Iterable[str]) -> Tuple[float, ...]:
-    """Parse CLI read-ratio points; the single word ``default`` expands to
-    :data:`DEFAULT_READ_RATIO_GRID`."""
-    grid: List[float] = []
-    for text in texts:
-        text = text.strip()
-        if text == "default":
-            grid.extend(DEFAULT_READ_RATIO_GRID)
-            continue
-        try:
-            ratio = float(text)
-        except ValueError:
-            raise ScenarioError(
-                f"invalid read-ratio point {text!r}: expected a float in [0, 1]"
-            ) from None
-        if not 0.0 <= ratio <= 1.0:
-            raise ScenarioError(f"read-ratio point {ratio:g} must be within [0, 1]")
-        grid.append(ratio)
-    return tuple(grid)
-
-
-def sort_read_ratio_grid(grid: Sequence[float]) -> Tuple[float, ...]:
-    """Canonical read-ratio grid order: ascending, duplicates dropped."""
-    return tuple(sorted(set(grid)))
-
-
-@dataclass
-class ReadRatioSweepResult:
-    """One scenario's results across a read-ratio grid, in grid order."""
-
-    scenario: str
-    protocol: str
-    seed: int
-    read_model: str = "off"
-    points: List[Tuple[str, ScenarioResult]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(result.passed for _, result in self.points)
-
-    def result_for(self, label: str) -> ScenarioResult:
-        for point_label, result in self.points:
-            if point_label == label:
-                return result
-        raise KeyError(f"no sweep point labelled {label!r}")
-
-    def curve(self) -> List[Dict[str, Any]]:
-        """Read ratio vs throughput/latency/fast-path hit rate."""
-        rows = []
-        for label, result in self.points:
-            rows.append(
-                {
-                    "read_ratio": float(label),
-                    "throughput": result.throughput,
-                    "mean_latency": result.latency.mean if result.latency else None,
-                    "p99_latency": result.latency.p99 if result.latency else None,
-                    "reads_served": result.reads_served,
-                    "read_fallbacks": result.read_fallbacks,
-                    "messages_sent": result.messages_sent,
-                }
-            )
-        return rows
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "read_model": self.read_model,
-            "passed": self.passed,
-            "curve": self.curve(),
-            "points": [
-                {"read_ratio": float(label), "result": result.as_dict()}
-                for label, result in self.points
-            ],
-        }
-
-    def render(self) -> str:
-        headers = [
-            "read ratio",
-            "committed",
-            "abort",
-            "tput/1k",
-            "lat mean",
-            "lat p99",
-            "fast reads",
-            "fallbacks",
-            "messages",
-        ]
-        rows = []
-        for label, result in self.points:
-            rows.append(
-                [
-                    label,
-                    result.committed,
-                    f"{result.abort_rate:.3f}",
-                    f"{result.throughput:.1f}",
-                    f"{result.latency.mean:.2f}" if result.latency else "-",
-                    f"{result.latency.p99:.2f}" if result.latency else "-",
-                    result.reads_served,
-                    result.read_fallbacks,
-                    result.messages_sent,
-                ]
-            )
-        body = format_table(headers, rows)
-        verdict = "all safe" if self.passed else "FAILED"
-        return (
-            f"=== read-ratio sweep: {self.scenario} ({self.protocol}, "
-            f"read={self.read_model}, seed {self.seed}) — {verdict} ===\n{body}"
-        )
-
-
-def run_read_ratio_sweep(
-    spec: ScenarioSpec,
-    grid: Sequence[float] = DEFAULT_READ_RATIO_GRID,
-    jobs: int = 1,
-    **overrides: Any,
-) -> ReadRatioSweepResult:
-    """Run ``spec`` once per read-ratio point (optionally overriding spec
-    fields first); every point reuses the spec's seed, latency model, read
-    policy and faults, so the curve isolates the effect of the read mix —
-    and, when the spec enables ``read.mode='snapshot'``, of the fast path
-    serving it.
-
-    The grid is sorted canonically (:func:`sort_read_ratio_grid`), and with
-    ``jobs > 1`` the points fan out over a process pool — the sweep result
-    is byte-identical for any ``jobs`` value.
-    """
-    if overrides:
-        spec = spec.with_overrides(**overrides)
-    from repro.scenarios.executor import run_read_ratio_points
-
-    sweep = ReadRatioSweepResult(
-        scenario=spec.name,
-        protocol=spec.protocol,
-        seed=spec.seed,
-        read_model=spec.read.describe(),
+    return _parse_point(
+        text,
+        BatchSpec,
+        "batch",
+        ("SIZE", "size", int),
+        {"linger": ("linger", float), "adaptive": ("adaptive", bool)},
+        implied={"linger": {"adaptive": False}},
     )
-    sweep.points.extend(
-        run_read_ratio_points(spec, sort_read_ratio_grid(grid), jobs=jobs)
-    )
-    return sweep
-
-
-def run_batch_sweep(
-    spec: ScenarioSpec,
-    grid: Sequence[BatchSpec] = DEFAULT_BATCH_GRID,
-    jobs: int = 1,
-    **overrides: Any,
-) -> BatchSweepResult:
-    """Run ``spec`` once per batch point (optionally overriding spec fields
-    first); every point reuses the spec's seed, workload, latency model and
-    faults, so the curve isolates the effect of the batching policy.
-
-    The grid is sorted canonically (:func:`sort_batch_grid`), and with
-    ``jobs > 1`` the points fan out over a process pool — the sweep result
-    is byte-identical for any ``jobs`` value.
-    """
-    if overrides:
-        spec = spec.with_overrides(**overrides)
-    from repro.scenarios.executor import run_batch_points
-
-    sweep = BatchSweepResult(scenario=spec.name, protocol=spec.protocol, seed=spec.seed)
-    sweep.points.extend(run_batch_points(spec, sort_batch_grid(grid), jobs=jobs))
-    return sweep
-
-
-# ----------------------------------------------------------------------
-# detector sweeps
-# ----------------------------------------------------------------------
-
-# The stock detector grid: the timeout-driven baseline (detector off) plus
-# heartbeat interval x suspicion threshold combinations spanning aggressive
-# (fast detection, false-positive-prone) to conservative.
-DEFAULT_DETECTOR_GRID: Tuple[DetectorSpec, ...] = (
-    DetectorSpec(),
-    DetectorSpec(interval=1.0, threshold=3),
-    DetectorSpec(interval=2.0, threshold=3),
-    DetectorSpec(interval=2.0, threshold=6),
-    DetectorSpec(interval=4.0, threshold=3),
-)
 
 
 def parse_detector(text: str) -> DetectorSpec:
     """Parse one CLI detector point: ``off``, an interval (``2``), or an
     interval with ``k=v`` parameters
     (``2:threshold=6``, ``2:mode=phi,phi=6``, ``1:confirmations=2``)."""
-    text = text.strip()
-    if text == "off":
-        return DetectorSpec()
-    head, _, params_text = text.partition(":")
-    try:
-        interval = float(head)
-    except ValueError:
-        raise ScenarioError(
-            f"invalid detector point {text!r}: expected 'off' or INTERVAL[:k=v,...]"
-        ) from None
-    fields: Dict[str, Any] = {"interval": interval}
-    for pair in filter(None, (p.strip() for p in params_text.split(","))):
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise ScenarioError(f"invalid detector parameter {pair!r}: expected k=v")
-        if key == "threshold":
-            try:
-                fields["threshold"] = int(value)
-            except ValueError:
-                raise ScenarioError(f"invalid threshold value {value!r}") from None
-        elif key == "phi":
-            try:
-                fields["phi_threshold"] = float(value)
-            except ValueError:
-                raise ScenarioError(f"invalid phi value {value!r}") from None
-            fields.setdefault("mode", "phi")
-        elif key == "mode":
-            fields["mode"] = value
-        elif key == "confirmations":
-            try:
-                fields["confirmations"] = int(value)
-            except ValueError:
-                raise ScenarioError(f"invalid confirmations value {value!r}") from None
-        else:
-            raise ScenarioError(
-                f"unknown detector parameter {key!r}; "
-                "expected threshold, mode, phi or confirmations"
-            )
-    spec = DetectorSpec(**fields)
-    spec.validate()
-    return spec
-
-
-def parse_detector_grid(texts: Iterable[str]) -> Tuple[DetectorSpec, ...]:
-    """Parse CLI detector points; the single word ``default`` expands to
-    :data:`DEFAULT_DETECTOR_GRID`."""
-    grid: List[DetectorSpec] = []
-    for text in texts:
-        if text.strip() == "default":
-            grid.extend(DEFAULT_DETECTOR_GRID)
-        else:
-            grid.append(parse_detector(text))
-    return tuple(grid)
-
-
-def sort_detector_grid(grid: Sequence[DetectorSpec]) -> Tuple[DetectorSpec, ...]:
-    """Canonical detector-grid order: the off point (interval 0) first, then
-    by (interval, mode, threshold, phi_threshold, confirmations)."""
-    return tuple(
-        sorted(
-            grid,
-            key=lambda p: (
-                p.interval, p.mode, p.threshold, p.phi_threshold, p.confirmations
-            ),
-        )
+    return _parse_point(
+        text,
+        DetectorSpec,
+        "detector",
+        ("INTERVAL", "interval", float),
+        {
+            "threshold": ("threshold", int),
+            "mode": ("mode", str),
+            "phi": ("phi_threshold", float),
+            "confirmations": ("confirmations", int),
+        },
+        implied={"phi": {"mode": "phi"}},
     )
-
-
-@dataclass
-class DetectorSweepResult:
-    """One scenario's results across a detector-policy grid, in grid order."""
-
-    scenario: str
-    protocol: str
-    seed: int
-    points: List[Tuple[str, ScenarioResult]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(result.passed for _, result in self.points)
-
-    def result_for(self, label: str) -> ScenarioResult:
-        for point_label, result in self.points:
-            if point_label == label:
-                return result
-        raise KeyError(f"no sweep point labelled {label!r}")
-
-    def curve(self) -> List[Dict[str, Any]]:
-        """Detector policy vs recovery speed and detection quality: one row
-        per grid point.  ``mean_ttr`` is null when no crash/install pair was
-        observed (e.g. the off point never reconfigured)."""
-        rows = []
-        for label, result in self.points:
-            ttr = (
-                sum(result.recovery_times) / len(result.recovery_times)
-                if result.recovery_times
-                else None
-            )
-            rows.append(
-                {
-                    "detector_model": label,
-                    "throughput": result.throughput,
-                    "mean_latency": result.latency.mean if result.latency else None,
-                    "p99_latency": result.latency.p99 if result.latency else None,
-                    "suspicions": result.suspicions,
-                    "false_suspicions": result.false_suspicions,
-                    "view_changes": result.view_changes,
-                    "unsolicited_reconfigurations": result.unsolicited_reconfigurations,
-                    "pushed_failovers": result.pushed_failovers,
-                    "mean_ttr": ttr,
-                    "orphaned": result.orphaned,
-                }
-            )
-        return rows
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "passed": self.passed,
-            "curve": self.curve(),
-            "points": [
-                {"detector_model": label, "result": result.as_dict()}
-                for label, result in self.points
-            ],
-        }
-
-    def render(self) -> str:
-        headers = [
-            "detector",
-            "committed",
-            "tput/1k",
-            "lat mean",
-            "suspicions",
-            "false",
-            "view chg",
-            "pushed",
-            "mean TTR",
-            "orphaned",
-        ]
-        rows = []
-        for label, result in self.points:
-            ttr = (
-                sum(result.recovery_times) / len(result.recovery_times)
-                if result.recovery_times
-                else None
-            )
-            rows.append(
-                [
-                    label,
-                    result.committed,
-                    f"{result.throughput:.1f}",
-                    f"{result.latency.mean:.2f}" if result.latency else "-",
-                    result.suspicions,
-                    result.false_suspicions,
-                    result.view_changes,
-                    result.pushed_failovers,
-                    f"{ttr:.1f}" if ttr is not None else "-",
-                    result.orphaned,
-                ]
-            )
-        body = format_table(headers, rows)
-        verdict = "all safe" if self.passed else "FAILED"
-        return (
-            f"=== detector sweep: {self.scenario} ({self.protocol}, seed {self.seed}) "
-            f"— {verdict} ===\n{body}"
-        )
-
-
-def run_detector_sweep(
-    spec: ScenarioSpec,
-    grid: Sequence[DetectorSpec] = DEFAULT_DETECTOR_GRID,
-    jobs: int = 1,
-    **overrides: Any,
-) -> DetectorSweepResult:
-    """Run ``spec`` once per detector point (optionally overriding spec
-    fields first); every point reuses the spec's seed, workload, latency
-    model and fault schedule, so the curve isolates the heartbeat interval x
-    suspicion threshold tradeoff: aggressive policies recover faster (small
-    TTR, many pushed failovers) but flag slow peers falsely, conservative
-    ones approach the timeout-driven baseline.
-
-    The grid is sorted canonically (:func:`sort_detector_grid`), and with
-    ``jobs > 1`` the points fan out over a process pool — the sweep result
-    is byte-identical for any ``jobs`` value.
-    """
-    if overrides:
-        spec = spec.with_overrides(**overrides)
-    from repro.scenarios.executor import run_detector_points
-
-    sweep = DetectorSweepResult(
-        scenario=spec.name, protocol=spec.protocol, seed=spec.seed
-    )
-    sweep.points.extend(run_detector_points(spec, sort_detector_grid(grid), jobs=jobs))
-    return sweep
-
-
-# ----------------------------------------------------------------------
-# bandwidth sweeps
-# ----------------------------------------------------------------------
-
-# The stock bandwidth grid: the pure-delay baseline (links cost nothing)
-# plus shrinking link capacities, in bytes per message delay.  Typical
-# protocol messages weigh 50-300 bytes (see repro.runtime.wire), so 8000
-# is a mild tax, 2000 makes serialization visible and 500 saturates links
-# into real FIFO queues.
-DEFAULT_BANDWIDTH_GRID: Tuple[NetworkSpec, ...] = (
-    NetworkSpec(),
-    NetworkSpec(bandwidth=8000.0),
-    NetworkSpec(bandwidth=2000.0),
-    NetworkSpec(bandwidth=500.0),
-)
 
 
 def parse_bandwidth(text: str) -> NetworkSpec:
     """Parse one CLI bandwidth point: ``off``, a bandwidth in bytes per
     delay (``2000``), or a bandwidth with ``k=v`` parameters
     (``2000:overhead=0.1``, ``500:pipeline=false``, ``2000:sticky=true``)."""
+    return _parse_point(
+        text,
+        NetworkSpec,
+        "bandwidth",
+        ("BANDWIDTH", "bandwidth", float),
+        {
+            "overhead": ("overhead", float),
+            "pipeline": ("pipeline", bool),
+            "sticky": ("sticky", bool),
+        },
+    )
+
+
+def parse_read_ratio(text: str) -> float:
+    """Parse one CLI read-ratio point: a float in [0, 1]."""
     text = text.strip()
-    if text == "off":
-        return NetworkSpec()
-    head, _, params_text = text.partition(":")
     try:
-        bandwidth = float(head)
+        ratio = float(text)
     except ValueError:
         raise ScenarioError(
-            f"invalid bandwidth point {text!r}: expected 'off' or BANDWIDTH[:k=v,...]"
+            f"invalid read-ratio point {text!r}: expected a float in [0, 1]"
         ) from None
-    fields: Dict[str, Any] = {"bandwidth": bandwidth}
-    for pair in filter(None, (p.strip() for p in params_text.split(","))):
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise ScenarioError(f"invalid bandwidth parameter {pair!r}: expected k=v")
-        if key == "overhead":
-            try:
-                fields["overhead"] = float(value)
-            except ValueError:
-                raise ScenarioError(f"invalid overhead value {value!r}") from None
-        elif key == "pipeline":
-            if value not in ("true", "false"):
-                raise ScenarioError("pipeline must be 'true' or 'false'")
-            fields["pipeline"] = value == "true"
-        elif key == "sticky":
-            if value not in ("true", "false"):
-                raise ScenarioError("sticky must be 'true' or 'false'")
-            fields["sticky"] = value == "true"
-        else:
-            raise ScenarioError(
-                f"unknown bandwidth parameter {key!r}; "
-                "expected overhead, pipeline or sticky"
-            )
-    spec = NetworkSpec(**fields)
-    spec.validate()
-    return spec
+    if not 0.0 <= ratio <= 1.0:
+        raise ScenarioError(f"read-ratio point {ratio:g} must be within [0, 1]")
+    return ratio
 
 
-def parse_bandwidth_grid(texts: Iterable[str]) -> Tuple[NetworkSpec, ...]:
-    """Parse CLI bandwidth points; the single word ``default`` expands to
-    :data:`DEFAULT_BANDWIDTH_GRID`."""
-    grid: List[NetworkSpec] = []
-    for text in texts:
-        if text.strip() == "default":
-            grid.extend(DEFAULT_BANDWIDTH_GRID)
-        else:
-            grid.append(parse_bandwidth(text))
-    return tuple(grid)
+# ----------------------------------------------------------------------
+# the stock axes
+# ----------------------------------------------------------------------
 
+LATENCY = SweepAxis(
+    name="latency",
+    label_key="latency_model",
+    header="latency model",
+    # The paper's unit model, bounded jitter around one delay, a heavy tail,
+    # and a memoryless network — same mean (one delay) for the three random
+    # models, so differences come from distribution shape alone.
+    stock=(
+        LatencySpec(model="unit"),
+        LatencySpec(model="uniform", low=0.5, high=1.5),
+        LatencySpec(model="lognormal", mean=1.0, sigma=0.8),
+        LatencySpec(model="exponential", mean=1.0),
+    ),
+    parse_point=parse_latency,
+    # Model rank (the LATENCY_MODELS listing order), then the point's
+    # canonical parameter label.
+    sort_key=lambda p: (LATENCY_MODELS.index(p.model), p.describe()),
+    apply=lambda spec, point: spec.with_overrides(latency=point),
+    curve=_BASE_CURVE,
+    columns=(
+        "committed", "abort", "tput/1k", "lat mean", "lat p99",
+        "submit>cert", "cert>decide", "decide>client",
+    ),
+    metavar="MODEL[:k=v,...]",
+    help="latency grid point (repeatable; 'default' expands to the stock "
+    "grid); with this flag the sweep runs each protocol across the grid",
+)
 
-def sort_bandwidth_grid(grid: Sequence[NetworkSpec]) -> Tuple[NetworkSpec, ...]:
-    """Canonical bandwidth-grid order: the pure-delay off point first, then
-    descending bandwidth (wide to narrow pipes), commit-path toggles last."""
-    return tuple(
-        sorted(
-            grid,
-            key=lambda p: (
-                1 if p.enabled else 0,
-                -p.bandwidth,
-                p.overhead,
-                not p.pipeline,
-                p.sticky,
-            ),
-        )
-    )
+BATCH = SweepAxis(
+    name="batch",
+    label_key="batch_model",
+    header="batch policy",
+    # The unbatched baseline plus doubling adaptive size caps, so the curve
+    # shows where coalescing saturates for the workload.
+    stock=(
+        BatchSpec(),
+        BatchSpec(size=4),
+        BatchSpec(size=8),
+        BatchSpec(size=16),
+        BatchSpec(size=32),
+    ),
+    parse_point=parse_batch,
+    # The unbatched baseline first, then growing size caps.
+    sort_key=lambda p: (p.size, p.linger, p.adaptive),
+    apply=lambda spec, point: spec.with_overrides(batch=point),
+    curve=_BASE_CURVE + ("messages_sent", "mean_batch_size"),
+    columns=(
+        "committed", "tput/1k", "lat mean", "lat p99",
+        "queue wait", "messages", "batches", "mean size",
+    ),
+    metavar="SIZE[:k=v,...]",
+    help="batch grid point (repeatable; 'off', a size cap like '32', or "
+    "'16:linger=2'; 'default' expands to off/4/8/16/32); with this flag "
+    "the sweep runs each protocol across the batching grid",
+)
 
+READ_RATIO = SweepAxis(
+    name="read-ratio",
+    label_key="read_ratio",
+    header="read ratio",
+    # Write-only through read-dominated, the YCSB spread the snapshot-read
+    # fast path is evaluated on.
+    stock=(0.0, 0.25, 0.5, 0.75, 0.9),
+    parse_point=parse_read_ratio,
+    sort_key=float,
+    # Only workload.read_ratio is rewritten; protocol, read policy, latency
+    # model, seed and fault schedule stay fixed.
+    apply=lambda spec, ratio: spec.with_overrides(
+        workload=replace(spec.workload, read_ratio=ratio)
+    ),
+    label="{:g}".format,
+    json_label=float,
+    # The read policy decides whether the mix is served by the fast path.
+    context=lambda spec: ("read", spec.read.describe()),
+    curve=_BASE_CURVE + ("reads_served", "read_fallbacks", "messages_sent"),
+    columns=(
+        "committed", "abort", "tput/1k", "lat mean", "lat p99",
+        "fast reads", "fallbacks", "messages",
+    ),
+    metavar="RATIO",
+    help="read-ratio grid point in [0, 1] (repeatable; 'default' expands "
+    "to 0/0.25/0.5/0.75/0.9); with this flag the sweep runs each protocol "
+    "across the read-mix grid (enable the fast path with a snapshot-read "
+    "scenario such as read-heavy-steady-state)",
+)
 
-@dataclass
-class BandwidthSweepResult:
-    """One scenario's results across a bandwidth grid, in grid order."""
+DETECTOR = SweepAxis(
+    name="detector",
+    label_key="detector_model",
+    header="detector",
+    # The timeout-driven baseline (detector off) plus heartbeat interval x
+    # suspicion threshold combinations spanning aggressive (fast detection,
+    # false-positive-prone: small TTR, many pushed failovers) to
+    # conservative (approaching the timeout-driven baseline).
+    stock=(
+        DetectorSpec(),
+        DetectorSpec(interval=1.0, threshold=3),
+        DetectorSpec(interval=2.0, threshold=3),
+        DetectorSpec(interval=2.0, threshold=6),
+        DetectorSpec(interval=4.0, threshold=3),
+    ),
+    parse_point=parse_detector,
+    # The off point (interval 0) first.
+    sort_key=lambda p: (p.interval, p.mode, p.threshold, p.phi_threshold, p.confirmations),
+    apply=lambda spec, point: spec.with_overrides(detector=point),
+    curve=_BASE_CURVE + (
+        "suspicions", "false_suspicions", "view_changes",
+        "unsolicited_reconfigurations", "pushed_failovers", "mean_ttr", "orphaned",
+    ),
+    columns=(
+        "committed", "tput/1k", "lat mean", "suspicions", "false",
+        "view chg", "pushed", "mean TTR", "orphaned",
+    ),
+    metavar="INTERVAL[:k=v,...]",
+    help="detector grid point (repeatable; 'off', a heartbeat interval "
+    "like '2', or '2:threshold=6' / '2:mode=phi,phi=6' / "
+    "'1:confirmations=2'; 'default' expands to the stock "
+    "interval x threshold grid); with this flag the sweep runs each "
+    "protocol across the failure-detector grid",
+)
 
-    scenario: str
-    protocol: str
-    seed: int
-    points: List[Tuple[str, ScenarioResult]] = field(default_factory=list)
+BANDWIDTH = SweepAxis(
+    name="bandwidth",
+    label_key="network_model",
+    header="network",
+    # The pure-delay baseline (links cost nothing) plus shrinking link
+    # capacities, in bytes per message delay.  Typical protocol messages
+    # weigh 50-300 bytes (see repro.runtime.wire), so 8000 is a mild tax,
+    # 2000 makes serialization visible and 500 saturates links into real
+    # FIFO queues.
+    stock=(
+        NetworkSpec(),
+        NetworkSpec(bandwidth=8000.0),
+        NetworkSpec(bandwidth=2000.0),
+        NetworkSpec(bandwidth=500.0),
+    ),
+    parse_point=parse_bandwidth,
+    # The pure-delay off point first, then descending bandwidth (wide to
+    # narrow pipes), commit-path toggles last.
+    sort_key=lambda p: (
+        1 if p.enabled else 0, -p.bandwidth, p.overhead, not p.pipeline, p.sticky
+    ),
+    apply=lambda spec, point: spec.with_overrides(network=point),
+    curve=_BASE_CURVE + (
+        "bytes_sent", "link_queue_wait_mean", "link_queue_wait_max",
+        "link_busy_time", "link_max_depth", "messages_sent",
+    ),
+    columns=(
+        "committed", "tput/1k", "lat mean", "lat p99", "bytes",
+        "q wait", "q max", "depth", "messages",
+    ),
+    metavar="BANDWIDTH[:k=v,...]",
+    help="bandwidth grid point (repeatable; 'off', a link capacity in "
+    "bytes per delay like '2000', or '2000:overhead=0.1' / "
+    "'500:pipeline=false' / '2000:sticky=true'; 'default' expands to "
+    "off/8000/2000/500); with this flag the sweep runs each protocol "
+    "across the link-model grid",
+)
 
-    @property
-    def passed(self) -> bool:
-        return all(result.passed for _, result in self.points)
-
-    def result_for(self, label: str) -> ScenarioResult:
-        for point_label, result in self.points:
-            if point_label == label:
-                return result
-        raise KeyError(f"no sweep point labelled {label!r}")
-
-    def curve(self) -> List[Dict[str, Any]]:
-        """Link capacity vs throughput/latency/queueing: one row per point."""
-        rows = []
-        for label, result in self.points:
-            rows.append(
-                {
-                    "network_model": label,
-                    "throughput": result.throughput,
-                    "mean_latency": result.latency.mean if result.latency else None,
-                    "p99_latency": result.latency.p99 if result.latency else None,
-                    "bytes_sent": result.bytes_sent,
-                    "link_queue_wait_mean": result.link_queue_wait_mean,
-                    "link_queue_wait_max": result.link_queue_wait_max,
-                    "link_busy_time": result.link_busy_time,
-                    "link_max_depth": result.link_max_depth,
-                    "messages_sent": result.messages_sent,
-                }
-            )
-        return rows
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "passed": self.passed,
-            "curve": self.curve(),
-            "points": [
-                {"network_model": label, "result": result.as_dict()}
-                for label, result in self.points
-            ],
-        }
-
-    def render(self) -> str:
-        headers = [
-            "network",
-            "committed",
-            "tput/1k",
-            "lat mean",
-            "lat p99",
-            "bytes",
-            "q wait",
-            "q max",
-            "depth",
-            "messages",
-        ]
-        rows = []
-        for label, result in self.points:
-            rows.append(
-                [
-                    label,
-                    result.committed,
-                    f"{result.throughput:.1f}",
-                    f"{result.latency.mean:.2f}" if result.latency else "-",
-                    f"{result.latency.p99:.2f}" if result.latency else "-",
-                    f"{result.bytes_sent:.0f}" if result.bytes_sent else "-",
-                    f"{result.link_queue_wait_mean:.2f}",
-                    f"{result.link_queue_wait_max:.2f}",
-                    result.link_max_depth,
-                    result.messages_sent,
-                ]
-            )
-        body = format_table(headers, rows)
-        verdict = "all safe" if self.passed else "FAILED"
-        return (
-            f"=== bandwidth sweep: {self.scenario} ({self.protocol}, seed {self.seed}) "
-            f"— {verdict} ===\n{body}"
-        )
-
-
-def run_bandwidth_sweep(
-    spec: ScenarioSpec,
-    grid: Sequence[NetworkSpec] = DEFAULT_BANDWIDTH_GRID,
-    jobs: int = 1,
-    **overrides: Any,
-) -> BandwidthSweepResult:
-    """Run ``spec`` once per bandwidth point (optionally overriding spec
-    fields first); every point reuses the spec's seed, workload, latency
-    model and faults, so the curve isolates the effect of link capacity —
-    serialization time and FIFO queueing on top of propagation delay.
-
-    The grid is sorted canonically (:func:`sort_bandwidth_grid`), and with
-    ``jobs > 1`` the points fan out over a process pool — the sweep result
-    is byte-identical for any ``jobs`` value.
-    """
-    if overrides:
-        spec = spec.with_overrides(**overrides)
-    from repro.scenarios.executor import run_bandwidth_points
-
-    sweep = BandwidthSweepResult(
-        scenario=spec.name, protocol=spec.protocol, seed=spec.seed
-    )
-    sweep.points.extend(run_bandwidth_points(spec, sort_bandwidth_grid(grid), jobs=jobs))
-    return sweep
+# CLI order: the grid flags and their mutual-exclusion message list these.
+AXES: Tuple[SweepAxis, ...] = (LATENCY, BATCH, READ_RATIO, DETECTOR, BANDWIDTH)

@@ -23,14 +23,13 @@ from repro.runtime.events import FlushTimer, Scheduler
 from repro.runtime.network import Network
 from repro.runtime.process import Process
 from repro.scenarios import (
-    DEFAULT_BATCH_GRID,
+    BATCH,
     BatchSpec,
     ScenarioError,
     ScenarioRunner,
     get_scenario,
     parse_batch,
-    parse_batch_grid,
-    run_batch_sweep,
+    run_axis_sweep,
     run_scenario,
     scenario_names,
 )
@@ -459,8 +458,7 @@ def test_parse_batch_points():
     assert parse_batch("32") == BatchSpec(size=32)
     assert parse_batch("16:linger=2") == BatchSpec(size=16, linger=2.0, adaptive=False)
     assert parse_batch("8:adaptive=true") == BatchSpec(size=8, adaptive=True)
-    grid = parse_batch_grid(["default"])
-    assert grid == DEFAULT_BATCH_GRID
+    assert BATCH.parse(["default"]) == BATCH.stock
     for bad in ("eight", "8:linger=x", "8:foo=1", "8:adaptive=maybe", "8:linger"):
         with pytest.raises(ScenarioError):
             parse_batch(bad)
@@ -470,7 +468,7 @@ def test_batch_sweep_driver_and_determinism():
     base = get_scenario("steady-state")
     spec = base.with_overrides(workload=replace(base.workload, txns=40))
     grid = (BatchSpec(), BatchSpec(size=8), BatchSpec(size=8, linger=2.0, adaptive=False))
-    sweep = run_batch_sweep(spec, grid)
+    sweep = run_axis_sweep(spec, BATCH, grid)
     assert sweep.passed
     assert [label for label, _ in sweep.points] == [
         "off",
@@ -482,7 +480,7 @@ def test_batch_sweep_driver_and_determinism():
     assert sweep.result_for("size=8,adaptive").batches > 0
     with pytest.raises(KeyError):
         sweep.result_for("warp")
-    again = run_batch_sweep(spec, grid)
+    again = run_axis_sweep(spec, BATCH, grid)
     assert json.dumps(sweep.as_dict(), sort_keys=True) == json.dumps(
         again.as_dict(), sort_keys=True
     )

@@ -26,13 +26,7 @@ from repro.core.types import Decision
 from repro.runtime.events import Scheduler
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.spec import DetectorSpec, ExecSpec, ScenarioError
-from repro.scenarios.sweep import (
-    DEFAULT_DETECTOR_GRID,
-    parse_detector,
-    parse_detector_grid,
-    run_detector_sweep,
-    sort_detector_grid,
-)
+from repro.scenarios.sweep import DETECTOR, parse_detector, run_axis_sweep
 
 from helpers import rw_payload, shard_key
 
@@ -355,11 +349,11 @@ def test_parse_detector_points():
         parse_detector("2:bogus=1")
     with pytest.raises(ScenarioError):
         parse_detector("2:mode=psychic")
-    assert parse_detector_grid(["default"]) == DEFAULT_DETECTOR_GRID
+    assert DETECTOR.parse(["default"]) == DETECTOR.stock
 
 
-def test_sort_detector_grid_puts_the_off_point_first():
-    ordered = sort_detector_grid(tuple(reversed(DEFAULT_DETECTOR_GRID)))
+def test_detector_grid_sorts_the_off_point_first():
+    ordered = DETECTOR.sort(tuple(reversed(DETECTOR.stock)))
     assert ordered[0] == DetectorSpec()  # interval 0 sorts first
     assert [p.interval for p in ordered] == sorted(p.interval for p in ordered)
 
@@ -371,7 +365,7 @@ def test_detector_sweep_recovers_faster_with_aggressive_policies():
         DetectorSpec(interval=1.0, threshold=3),
         DetectorSpec(interval=4.0, threshold=3),
     )
-    sweep = run_detector_sweep(spec, grid, jobs=1)
+    sweep = run_axis_sweep(spec, DETECTOR, grid, jobs=1)
     assert sweep.passed
     curve = sweep.curve()
     off, fast, slow = curve
@@ -385,8 +379,8 @@ def test_detector_sweep_jobs_fanout_is_byte_identical():
     spec = get_scenario("detector-leader-crash")
     spec = replace(spec, workload=replace(spec.workload, txns=40))
     grid = (DetectorSpec(), DetectorSpec(interval=2.0, threshold=3))
-    serial = run_detector_sweep(spec, grid, jobs=1)
-    fanned = run_detector_sweep(spec, grid, jobs=2)
+    serial = run_axis_sweep(spec, DETECTOR, grid, jobs=1)
+    fanned = run_axis_sweep(spec, DETECTOR, grid, jobs=2)
     assert json.dumps(serial.as_dict(), sort_keys=True) == json.dumps(
         fanned.as_dict(), sort_keys=True
     )

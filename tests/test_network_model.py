@@ -37,16 +37,14 @@ from repro.runtime.network import LinkSpec, Network, UnitLatency
 from repro.runtime.process import Process
 from repro.runtime.wire import HEADER_BYTES, SCALAR_BYTES, is_registered, wire_size
 from repro.scenarios import (
-    DEFAULT_BANDWIDTH_GRID,
+    BANDWIDTH,
     ExecSpec,
     NetworkSpec,
     ScenarioError,
     ScenarioRunner,
     get_scenario,
     parse_bandwidth,
-    parse_bandwidth_grid,
-    run_bandwidth_sweep,
-    sort_bandwidth_grid,
+    run_axis_sweep,
 )
 
 
@@ -456,23 +454,23 @@ def test_parse_bandwidth_grammar():
         parse_bandwidth("fast")
     with pytest.raises(ScenarioError):
         parse_bandwidth("500:warp=9")
-    assert parse_bandwidth_grid(["default"]) == tuple(DEFAULT_BANDWIDTH_GRID)
+    assert BANDWIDTH.parse(["default"]) == BANDWIDTH.stock
 
 
-def test_sort_bandwidth_grid_puts_off_first_then_descending_bandwidth():
+def test_bandwidth_grid_sorts_off_first_then_descending_bandwidth():
     grid = (
         NetworkSpec(bandwidth=500.0),
         NetworkSpec(),
         NetworkSpec(bandwidth=8000.0),
         NetworkSpec(bandwidth=2000.0),
     )
-    assert [p.bandwidth for p in sort_bandwidth_grid(grid)] == [
+    assert [p.bandwidth for p in BANDWIDTH.sort(grid)] == [
         0.0, 8000.0, 2000.0, 500.0,
     ]
 
 
 def test_default_bandwidth_grid_is_canonical():
-    assert tuple(sort_bandwidth_grid(DEFAULT_BANDWIDTH_GRID)) == DEFAULT_BANDWIDTH_GRID
+    assert BANDWIDTH.sort(BANDWIDTH.stock) == BANDWIDTH.stock
 
 
 # ----------------------------------------------------------------------
@@ -578,11 +576,11 @@ def test_default_network_leaves_results_byte_identical():
 
 def test_bandwidth_sweep_runs_and_throughput_degrades():
     spec = _small("bandwidth-knee", txns=60)
-    sweep = run_bandwidth_sweep(spec)
+    sweep = run_axis_sweep(spec, BANDWIDTH)
     assert sweep.passed
     rows = sweep.curve()
     assert [row["network_model"] for row in rows] == [
-        p.describe() for p in DEFAULT_BANDWIDTH_GRID
+        p.describe() for p in BANDWIDTH.stock
     ]
     by_network = {row["network_model"]: row for row in rows}
     # A constrained link can only slow things down.

@@ -31,6 +31,9 @@ from repro.runtime.parallel import (
     resolve_jobs,
 )
 from repro.scenarios import (
+    AXES,
+    BATCH,
+    LATENCY,
     BatchSpec,
     ExecSpec,
     LatencySpec,
@@ -39,13 +42,10 @@ from repro.scenarios import (
     ScenarioSpec,
     WorkloadSpec,
     get_scenario,
-    run_latency_sweep,
+    run_axis_sweep,
     run_repetitions,
     run_scenarios,
-    sort_batch_grid,
-    sort_latency_grid,
 )
-from repro.scenarios.sweep import DEFAULT_BATCH_GRID, DEFAULT_GRID
 from repro.spec.history import History
 
 
@@ -155,11 +155,29 @@ def test_run_repetitions_seed_schedule_is_jobs_invariant(monkeypatch):
         run_repetitions(spec, 0)
 
 
-def test_latency_sweep_identical_across_jobs(monkeypatch):
+# Every sweep axis, from the one table the CLI reads: the scenario it is
+# swept on here and one CLI point its parser must reject.
+AXIS_CASES = {
+    "latency": ("steady-state", "warp"),
+    "batch": ("steady-state", "8:foo=1"),
+    "read-ratio": ("read-heavy-steady-state", "1.5"),
+    "detector": ("detector-leader-crash", "2:bogus=1"),
+    "bandwidth": ("bandwidth-knee", "500:warp=9"),
+}
+every_axis = pytest.mark.parametrize("axis", AXES, ids=lambda axis: axis.name)
+
+
+def _axis_spec(axis) -> ScenarioSpec:
+    return _small(AXIS_CASES[axis.name][0])
+
+
+@every_axis
+def test_sweep_identical_across_jobs(monkeypatch, axis):
     _pool_env(monkeypatch)
-    spec = _small("steady-state")
-    serial = run_latency_sweep(spec, jobs=1)
-    parallel = run_latency_sweep(spec, jobs=2)
+    spec = _axis_spec(axis)
+    serial = run_axis_sweep(spec, axis, jobs=1)
+    parallel = run_axis_sweep(spec, axis, jobs=2)
+    assert serial.passed
     assert json.dumps(serial.as_dict(), sort_keys=True) == json.dumps(
         parallel.as_dict(), sort_keys=True
     )
@@ -169,27 +187,59 @@ def test_latency_sweep_identical_across_jobs(monkeypatch):
 # canonical grid ordering
 # ----------------------------------------------------------------------
 
-def test_default_grids_are_already_canonical():
-    assert sort_latency_grid(DEFAULT_GRID) == DEFAULT_GRID
-    assert sort_batch_grid(DEFAULT_BATCH_GRID) == DEFAULT_BATCH_GRID
+@every_axis
+def test_default_grids_are_already_canonical(axis):
+    assert axis.sort(axis.stock) == axis.stock
 
 
-def test_sweep_output_independent_of_grid_input_order():
-    spec = _small("steady-state")
-    shuffled = (DEFAULT_GRID[2], DEFAULT_GRID[0], DEFAULT_GRID[3], DEFAULT_GRID[1])
-    assert json.dumps(run_latency_sweep(spec, shuffled).as_dict()) == json.dumps(
-        run_latency_sweep(spec, DEFAULT_GRID).as_dict()
+@every_axis
+def test_sort_drops_duplicate_points(axis):
+    """`--batch 4 --batch 4` is one point: the output depends only on the
+    *set* of points requested."""
+    assert axis.sort(axis.stock + axis.stock[::-1]) == axis.stock
+    doubled = run_axis_sweep(_axis_spec(axis), axis, (axis.stock[1],) * 2)
+    assert len(doubled.points) == 1
+
+
+@every_axis
+def test_sweep_output_independent_of_grid_input_order(axis):
+    spec = _axis_spec(axis)
+    shuffled = axis.stock[2:] + axis.stock[:2][::-1]
+    assert shuffled != axis.stock
+    assert json.dumps(run_axis_sweep(spec, axis, shuffled).as_dict()) == json.dumps(
+        run_axis_sweep(spec, axis, axis.stock).as_dict()
     )
 
 
-def test_sort_latency_grid_orders_by_model_rank_then_params():
+@every_axis
+def test_default_word_expands_to_the_stock_grid(axis):
+    assert axis.parse(["default"]) == axis.stock
+    assert axis.parse([]) == ()
+
+
+@every_axis
+def test_result_for_unknown_label_raises_key_error(axis):
+    point = axis.stock[0]
+    sweep = run_axis_sweep(_axis_spec(axis), axis, (point,))
+    assert sweep.result_for(axis.label(point)) is sweep.points[0][1]
+    with pytest.raises(KeyError):
+        sweep.result_for("no-such-point")
+
+
+@every_axis
+def test_bad_point_raises_scenario_error(axis):
+    with pytest.raises(ScenarioError):
+        axis.parse([AXIS_CASES[axis.name][1]])
+
+
+def test_latency_grid_sorts_by_model_rank_then_params():
     grid = (
         LatencySpec(model="exponential", mean=2.0),
         LatencySpec(model="unit"),
         LatencySpec(model="uniform", low=0.5, high=1.5),
         LatencySpec(model="exponential", mean=1.0),
     )
-    assert [p.describe() for p in sort_latency_grid(grid)] == [
+    assert [p.describe() for p in LATENCY.sort(grid)] == [
         "unit",
         "uniform(low=0.5,high=1.5)",
         "exponential(mean=1)",
@@ -197,15 +247,15 @@ def test_sort_latency_grid_orders_by_model_rank_then_params():
     ]
 
 
-def test_sort_batch_grid_orders_by_size_then_linger():
+def test_batch_grid_sorts_by_size_then_linger():
     grid = (
         BatchSpec(size=8, linger=2.0, adaptive=False),
         BatchSpec(),
         BatchSpec(size=8),
         BatchSpec(size=4),
     )
-    assert [p.size for p in sort_batch_grid(grid)] == [0, 4, 8, 8]
-    assert [p.linger for p in sort_batch_grid(grid)] == [0.0, 0.0, 0.0, 2.0]
+    assert [p.size for p in BATCH.sort(grid)] == [0, 4, 8, 8]
+    assert [p.linger for p in BATCH.sort(grid)] == [0.0, 0.0, 0.0, 2.0]
 
 
 # ----------------------------------------------------------------------

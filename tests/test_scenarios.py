@@ -9,7 +9,7 @@ from repro.cluster import Cluster, ProtocolSpec, protocol_names, protocol_spec, 
 from repro.core.serializability import TransactionPayload
 from repro.core.types import Decision
 from repro.scenarios import (
-    DEFAULT_GRID,
+    LATENCY,
     FaultStep,
     LatencySpec,
     RetrySpec,
@@ -18,7 +18,7 @@ from repro.scenarios import (
     ScenarioSpec,
     WorkloadSpec,
     get_scenario,
-    run_latency_sweep,
+    run_axis_sweep,
     run_scenario,
     scenario_names,
 )
@@ -292,10 +292,10 @@ def test_latency_sweep_runs_grid_in_order():
     spec = get_scenario("steady-state").with_overrides(
         workload=replace(get_scenario("steady-state").workload, txns=30)
     )
-    sweep = run_latency_sweep(spec)
+    sweep = run_axis_sweep(spec, LATENCY)
     assert sweep.passed
-    assert [label for label, _ in sweep.points] == [p.describe() for p in DEFAULT_GRID]
-    assert len(sweep.curve()) == len(DEFAULT_GRID) >= 3
+    assert [label for label, _ in sweep.points] == [p.describe() for p in LATENCY.stock]
+    assert len(sweep.curve()) == len(LATENCY.stock) >= 3
     # Every point ran the same workload; only the delay distribution varied.
     for _, result in sweep.points:
         assert result.txns_submitted == 30
@@ -316,8 +316,8 @@ def test_latency_sweep_is_deterministic():
         LatencySpec(model="exponential", mean=1.0),
         LatencySpec(model="lognormal", mean=1.5, sigma=0.8),
     )
-    first = run_latency_sweep(spec, grid)
-    second = run_latency_sweep(spec, grid)
+    first = run_axis_sweep(spec, LATENCY, grid)
+    second = run_axis_sweep(spec, LATENCY, grid)
     assert json.dumps(first.as_dict(), sort_keys=True) == json.dumps(
         second.as_dict(), sort_keys=True
     )
@@ -679,3 +679,12 @@ def test_cli_rejects_bad_latency_point(capsys):
     with pytest.raises(SystemExit) as excinfo:
         scenarios_main(["steady-state", "--latency", "warp:speed=9"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("protocols", ["", ","])
+@pytest.mark.parametrize("grid", [[], ["--batch", "4"]], ids=["protocol-sweep", "grid-sweep"])
+def test_cli_sweep_rejects_empty_protocol_list(capsys, protocols, grid):
+    with pytest.raises(SystemExit) as excinfo:
+        scenarios_main(["sweep", "steady-state", "--protocols", protocols, *grid])
+    assert excinfo.value.code == 2
+    assert "--protocols needs at least one protocol" in capsys.readouterr().err
