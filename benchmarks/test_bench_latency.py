@@ -51,7 +51,7 @@ def test_e1_latency_reconfigurable(benchmark, protocol):
 def test_e1_latency_baseline(benchmark):
     runner = benchmark.pedantic(lambda: _run("2pc-paxos"), rounds=3, iterations=1)
     durable = summarize(runner.cluster.durable_decision_latencies())
-    votes = summarize(runner.cluster.vote_latencies())
+    votes = summarize(runner.cluster.colocated_latencies())
     report = ExperimentReport(
         experiment="E1 — decision latency (2PC over Paxos baseline)",
         claim="vanilla Paxos-as-black-box needs 7 delays to learn a decision",

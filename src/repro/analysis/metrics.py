@@ -134,7 +134,7 @@ def collect_phase_samples(clients, entries: Mapping) -> Dict[str, List[float]]:
             samples["submit_to_certify"].append(
                 entry.started_at - client.submit_times[txn]
             )
-            dispatched = getattr(entry, "dispatched_at", None)
+            dispatched = entry.dispatched_at
             certify_start = entry.started_at
             if dispatched is not None:
                 samples["queue_wait"].append(dispatched - entry.started_at)
@@ -182,7 +182,7 @@ def collect_retry_stats(sessions, coordinators) -> RetryStats:
     deliveries counted by coordinator-capable processes.
 
     ``sessions`` expose ``retries`` / ``failovers`` / ``orphaned``;
-    ``coordinators`` is any iterable of processes that may carry a
+    ``coordinators`` is any iterable of processes carrying a
     ``duplicate_certify_requests`` counter — the shape both the
     reconfigurable cluster (every replica) and the 2PC-over-Paxos baseline
     (its dedicated coordinators) provide.
@@ -193,7 +193,7 @@ def collect_retry_stats(sessions, coordinators) -> RetryStats:
         pushed_failovers=sum(session.pushed_failovers for session in sessions),
         orphaned=sum(len(session.orphaned) for session in sessions),
         duplicate_requests=sum(
-            getattr(process, "duplicate_certify_requests", 0) for process in coordinators
+            process.duplicate_certify_requests for process in coordinators
         ),
     )
 
@@ -240,7 +240,7 @@ def collect_batch_stats(processes) -> BatchStats:
     messages = 0
     sizes: Dict[int, int] = {}
     for process in processes:
-        for batcher in getattr(process, "batchers", ()):
+        for batcher in process.batchers:
             batches += batcher.batches_sent
             messages += batcher.messages_batched
             for size, count in batcher.size_counts.items():
@@ -281,7 +281,7 @@ def collect_link_stats(network) -> Optional[LinkStats]:
     """Summarise a :class:`~repro.runtime.network.Network`'s link-queue
     accounting; None when no bandwidth model is installed (the pure-delay
     network keeps no byte or queue state at all)."""
-    link = getattr(network, "link", None)
+    link = network.link
     if link is None or not link.enabled:
         return None
     samples = network.queue_wait_samples

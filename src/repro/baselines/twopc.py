@@ -100,6 +100,11 @@ class CertificationStateMachine(StateMachine):
         self.applied_store = applied_store
         self.watermark: Version = VERSION_ZERO
 
+    def seed(self, initial: Dict[Any, Any]) -> None:
+        """Install initial (version-zero) values into the applied store."""
+        for obj, value in initial.items():
+            self.applied_store.seed(obj, value)
+
     def apply(self, command: Any) -> Any:
         if isinstance(command, PrepareCommand):
             return self._apply_prepare(command)

@@ -15,7 +15,10 @@ layer here closes that gap the way production distributed-KV clients do:
 * a :class:`CoordinatorRouter` is the client-side routing table — members
   and leaders per shard, updated from ``CONFIG_CHANGE`` pushes (clients
   subscribe to the configuration service) and from ``get_last`` re-reads
-  triggered by timeouts;
+  triggered by timeouts.  Its :meth:`~CoordinatorRouter.choose` is the one
+  rotation-or-sticky rule every submission path of a cluster goes through;
+  the 2PC-over-Paxos baseline uses the same class over a single
+  pseudo-shard holding its dedicated coordinators;
 * a :class:`ClientSession` owns one client's submissions: it picks the
   coordinator, arms a timeout per in-flight transaction, and on expiry
   re-submits — with exponential backoff, failing over to a coordinator it
@@ -174,44 +177,18 @@ class CoordinatorRouter:
         """
         candidates = self.candidates(involved)
         fresh = [pid for pid in candidates if pid not in exclude]
-        pool = fresh or candidates
+        return self.choose(tuple(sorted(involved)), fresh or candidates)
+
+    def choose(self, key: Tuple[ShardId, ...], pool: Sequence[str]) -> str:
+        """The cluster's one routing rule: the next of ``pool`` in rotation,
+        or under sticky affinity the coordinator pinned to ``key`` (the
+        sorted involved-shard set) for as long as it stays in the pool.
+
+        :meth:`pick` applies it to the client-side candidates; the clusters'
+        no-retry submission path applies it to its own pool, so both share
+        one rotation and one set of pins.
+        """
         if self.sticky:
-            key = tuple(sorted(involved))
-            pinned = self._pins.get(key)
-            if pinned is not None and pinned in pool:
-                return pinned
-            self._round_robin += 1
-            pinned = pool[self._round_robin % len(pool)]
-            self._pins[key] = pinned
-            return pinned
-        self._round_robin += 1
-        return pool[self._round_robin % len(pool)]
-
-
-class StaticRouter:
-    """Router over a fixed candidate list (the 2PC-over-Paxos baseline's
-    dedicated coordinator processes have no shard topology to exploit)."""
-
-    def __init__(self, pids: Sequence[str], sticky: bool = False) -> None:
-        if not pids:
-            raise ValueError("a router needs at least one candidate")
-        self.pids: List[str] = list(pids)
-        self.sticky = sticky
-        self._pins: Dict[Tuple[ShardId, ...], str] = {}
-        self._round_robin = 0
-        self.config_updates = 0
-
-    def note_config_change(self, *args: Any) -> None:  # pragma: no cover - no-op
-        pass
-
-    def add_listener(self, fn: Any) -> None:  # pragma: no cover - no-op
-        pass
-
-    def pick(self, involved: Sequence[ShardId], exclude: Sequence[str] = ()) -> str:
-        fresh = [pid for pid in self.pids if pid not in exclude]
-        pool = fresh or self.pids
-        if self.sticky:
-            key = tuple(sorted(involved))
             pinned = self._pins.get(key)
             if pinned is not None and pinned in pool:
                 return pinned
@@ -331,11 +308,9 @@ class ClientSession:
         # more often than once per such window (throttling by the base
         # timeout under-throttled every backed-off attempt).
         now = self.client.now
-        shards = tuple(getattr(self.router, "shards", ())) or state.involved
         if (
-            shards
-            and now - self._last_refresh_at >= self.policy.delay(state.attempts)
-            and self.client.refresh_configurations(shards)
+            now - self._last_refresh_at >= self.policy.delay(state.attempts)
+            and self.client.refresh_configurations(self.router.shards)
         ):
             self._last_refresh_at = now
             self.config_refreshes += 1

@@ -1,27 +1,39 @@
 """Cluster harness: one-call construction of a complete simulated system.
 
-``Cluster`` wires together every piece of the reproduction — scheduler,
-network, configuration service, shard replicas (message-passing, RDMA, or
-the deliberately broken RDMA ablation variant), spare replicas for
-reconfiguration, and clients — and exposes a small driver API used by the
-examples, the tests and the benchmark harness:
+:class:`ClusterBase` is the harness, written once for every transaction
+certification service in the repository.  It owns the engine (serial or
+parallel-DES) and the network, the transaction directory and the history,
+the policies (retry, batch, read, detector, link), the clients with their
+sessions and shared router, the parallel engine's process partition, the
+heartbeat pump, and the driver API used by the examples, the tests, the
+scenario runner and the benchmark harness:
 
-* :meth:`Cluster.submit` / :meth:`Cluster.run` / :meth:`Cluster.certify` —
-  drive transactions through the TCS;
-* :meth:`Cluster.crash`, :meth:`Cluster.crash_leader`,
-  :meth:`Cluster.crash_follower`, :meth:`Cluster.reconfigure` — fault
-  injection and recovery;
-* :meth:`Cluster.check` — validate the recorded history against the TCS
-  specification and the replica states against the Figure 3 invariants.
+* :meth:`~ClusterBase.submit` / :meth:`~ClusterBase.run` /
+  :meth:`~ClusterBase.run_until_decided` / :meth:`~ClusterBase.certify` /
+  :meth:`~ClusterBase.certify_many` — drive transactions through the TCS;
+* :meth:`~ClusterBase.check` — validate the recorded history against the
+  TCS specification and the replica states against the Figure 3 invariants;
+* the collectors (``client_latencies``, ``phase_samples``, ``retry_stats``,
+  ``batch_stats``, ``read_stats``, ``detector_stats``, ...), so every
+  protocol reports the same shapes.
 
-The vanilla 2PC-over-Paxos baseline offers the same driver API through
-:class:`repro.baselines.cluster.BaselineCluster`.
+A *binding* supplies only what differs between protocols (the hooks listed
+in :class:`ClusterBase`).  There are two:
+
+* :class:`Cluster` (here) — the paper's protocols: message passing, RDMA
+  and the deliberately broken RDMA ablation, f + 1 replicas per shard plus
+  spares and a configuration service.  It adds what reconfiguration needs:
+  :meth:`Cluster.crash`, :meth:`Cluster.crash_leader`,
+  :meth:`Cluster.crash_follower`, :meth:`Cluster.reconfigure`, and the
+  snapshot-read fast path (:meth:`Cluster.submit_read`);
+* :class:`repro.baselines.cluster.BaselineCluster` — vanilla 2PC over
+  Paxos groups of 2f + 1 replicas, driven by dedicated coordinators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import (
     BatchStats,
@@ -56,14 +68,368 @@ from repro.spec.history import History
 from repro.spec.invariants import InvariantViolation, check_invariants
 
 
-PROTOCOL_MESSAGE_PASSING = "message-passing"
-PROTOCOL_RDMA = "rdma"
-PROTOCOL_BROKEN_RDMA = "broken-rdma"
-
 _ISOLATION_SCHEMES = {
     "serializability": SerializabilityScheme,
     "snapshot-isolation": SnapshotIsolationScheme,
 }
+
+
+def _shard_ids(num_shards: int) -> List[ShardId]:
+    return [f"shard-{i}" for i in range(num_shards)]
+
+
+class ClusterBase:
+    """The harness every simulated deployment shares (see the module
+    docstring).  A binding subclasses it and supplies:
+
+    * ``_build_servers()`` — create and register every non-client process,
+      setting ``config_service`` where there is one (it stays None where
+      nothing reconfigures);
+    * ``_build_router()`` — the :class:`CoordinatorRouter` the sessions share;
+    * ``_server_shards()`` — pid -> shard of every process that belongs to a
+      shard (the parallel engine keeps those with their shard's group);
+    * ``_detector_processes()`` — the processes the heartbeat pump drives
+      (``detector``, ``emit_heartbeats``, ``tick_detector``), in build order;
+    * ``_coordinator_processes()`` — the processes that can coordinate
+      (``duplicate_certify_requests``, ``batchers``);
+    * ``coordinator_entries()`` — txn -> the coordinator's book-keeping entry
+      (``started_at`` / ``dispatched_at`` / ``decided_at``);
+    * ``_pick_coordinator(payload)`` — the coordinator of a submission made
+      without a retry policy;
+    * ``leader_of(shard)``;
+    * ``_read_engines()`` — the leader-local snapshot-read engines, and
+      ``_applied_stores()`` — ``(shard, store)`` for every applied store
+      :meth:`seed_read_stores` fills through ``store.seed(mapping)``;
+    * optionally ``_post_build()`` and ``_bootstrap()``, below;
+    * the two class constants.
+    """
+
+    #: Whether Figure 3's replica invariants can be checked against this
+    #: binding's replicas (it then has ``member_replicas_by_shard()``).
+    REPLICA_INVARIANTS: bool
+    #: Whether single-shard read-only transactions may bypass certification
+    #: through ``submit_read`` (the snapshot-read fast path).
+    SNAPSHOT_READS: bool
+    config_service: Any = None
+
+    def __init__(
+        self,
+        num_shards: int,
+        num_clients: int,
+        scheme: Optional[CertificationScheme] = None,
+        latency: Optional[LatencyModel] = None,
+        seed: int = 0,
+        retry: Optional[RetryPolicy] = None,
+        batch: Optional[BatchPolicy] = None,
+        groups: int = 0,
+        read: Optional[ReadPolicy] = None,
+        detector: Optional[DetectorPolicy] = None,
+        link: Optional[LinkSpec] = None,
+        pipeline: bool = True,
+        sticky: bool = False,
+    ) -> None:
+        if num_shards < 1 or num_clients < 1:
+            raise ValueError("num_shards and num_clients must be >= 1")
+        self.num_shards = num_shards
+        self.shards: List[ShardId] = _shard_ids(num_shards)
+        self.scheme = scheme or SerializabilityScheme(KeyHashSharding(self.shards))
+
+        # groups > 0 selects the conservative parallel-DES engine: shards
+        # partition into that many weakly-coupled groups, each with its own
+        # event heap, advanced window-by-window behind lookahead barriers
+        # (see repro.runtime.parallel).  Results are byte-identical to the
+        # serial engine for deterministic latency models.
+        self.exec_groups = groups
+        self.scheduler = GroupedScheduler(groups) if groups else Scheduler()
+        self.network = Network(
+            self.scheduler, latency=latency or UnitLatency(), seed=seed, link=link
+        )
+        self.directory = TransactionDirectory()
+        self.history = History()
+        # Commit-path knobs (see repro.scenarios.spec.NetworkSpec): vote
+        # pipelining is the protocol's normal mode; pipeline=False is the
+        # stop-and-wait measurement baseline.  sticky pins each involved-
+        # shard set to one coordinator to deepen its batches.
+        self.pipeline = pipeline
+        self.sticky = sticky
+        # RetryPolicy and BatchPolicy validate themselves on construction.
+        self.retry = retry or RetryPolicy()
+        self.batch = batch or BatchPolicy()
+        self.read = read or ReadPolicy()
+        self.read.validate()
+        self.detector = detector or DetectorPolicy()
+        self.detector.validate()
+
+        self._build_servers()
+        service = self.config_service
+        self.clients: List[Client] = []
+        for i in range(num_clients):
+            client = Client(
+                pid=f"client-{i}",
+                scheme=self.scheme,
+                directory=self.directory,
+                history=self.history,
+                config_service=service.pid if service is not None else None,
+                batch=self.batch,
+            )
+            self.network.register(client)
+            self.clients.append(client)
+        # One ClientSession per client, sharing the binding's router (one
+        # rotation, one set of sticky pins per cluster).
+        self.router = self._build_router()
+        self.sessions: List[ClientSession] = [
+            ClientSession(client, self.router, self.scheme, self.retry)
+            for client in self.clients
+        ]
+        self._post_build()
+        if groups:
+            self.scheduler.install(self.network, self._group_partition())
+        self._bootstrap()
+        # Heartbeat pump: one cluster-level weak recurring tick, armed
+        # exactly once here — a consistent creation point in both engines —
+        # and self-re-armed only from inside the tick thereafter.
+        self.pump = HeartbeatPump(self.scheduler, self._detector_processes, self.detector)
+        self.pump.start()
+
+    def _group_partition(self) -> Dict[str, int]:
+        """Process-to-group assignment for the parallel-DES engine.
+
+        Shards split into contiguous blocks (intra-shard traffic is the
+        dense part of the communication graph and stays intra-group);
+        server processes follow their shard.  Everything else lives in
+        group 0: clients are the only history writers, so keeping them in
+        one group preserves the serial append order of the history, and
+        configuration service and dedicated coordinators talk to every
+        shard anyway.
+        """
+        shard_group = partition_contiguous(self.shards, self.exec_groups)
+        group_of: Dict[str, int] = dict.fromkeys(self.network.processes, 0)
+        for pid, shard in self._server_shards().items():
+            group_of[pid] = shard_group[shard]
+        return group_of
+
+    # ------------------------------------------------------------------
+    # transaction driving
+    # ------------------------------------------------------------------
+    def submit(
+        self,
+        payload: Any,
+        client_index: int = 0,
+        coordinator: Optional[str] = None,
+        txn: Optional[TxnId] = None,
+    ) -> TxnId:
+        """Submit a transaction for certification; returns its identifier.
+
+        With a retry policy, submissions route through the client's session:
+        the session picks the coordinator from the client-side router (no
+        omniscient liveness peeking) and arms the timeout-driven
+        re-submission machinery.  Without one, the direct path asks the
+        binding for a coordinator and fires-and-forgets.
+        """
+        if self.retry.enabled:
+            return self.sessions[client_index].submit(
+                payload, coordinator=coordinator, txn=txn
+            )
+        coordinator = coordinator or self._pick_coordinator(payload)
+        return self.clients[client_index].submit(payload, coordinator=coordinator, txn=txn)
+
+    def run(self, max_time: Optional[float] = None, max_events: Optional[int] = None) -> int:
+        """Run the simulation until idle (or until the given budget)."""
+        return self.scheduler.run(max_time=max_time, max_events=max_events)
+
+    def run_until_decided(
+        self, txns: Optional[Sequence[TxnId]] = None, max_events: int = 1_000_000
+    ) -> bool:
+        """Run until every given (default: every submitted) transaction is decided.
+
+        Decision *watchers* subscribe to the history's completion callbacks,
+        so each fired event costs an O(1) counter check instead of a full
+        history rescan.
+        """
+        with self.history.watch(txns) as watcher:
+            if watcher.done:
+                return True
+            return self.scheduler.run_until(watcher.is_done, max_events=max_events)
+
+    def certify(
+        self,
+        payload: Any,
+        client_index: int = 0,
+        coordinator: Optional[str] = None,
+    ) -> Decision:
+        """Submit a transaction and run the simulation until it is decided."""
+        txn = self.submit(payload, client_index=client_index, coordinator=coordinator)
+        self._run_to_decisions([txn])
+        return self.history.decision_of(txn)
+
+    def certify_many(self, payloads: Sequence[Any], client_index: int = 0) -> Dict[TxnId, Decision]:
+        """Submit the transactions together and run until all are decided."""
+        txns = [self.submit(p, client_index=client_index) for p in payloads]
+        self._run_to_decisions(txns)
+        return {t: self.history.decision_of(t) for t in txns}
+
+    def _run_to_decisions(self, txns: Sequence[TxnId]) -> None:
+        if not self.run_until_decided(txns):
+            undecided = [t for t in txns if self.history.decision_of(t) is None]
+            raise RuntimeError(f"not decided: {', '.join(undecided)}")
+
+    def decision_of(self, txn: TxnId) -> Optional[Decision]:
+        return self.history.decision_of(txn)
+
+    def seed_read_stores(self, initial: Dict[str, Any]) -> None:
+        """Seed every applied store with the initial object values (each
+        keeps only its own shard's objects); no-op when the read policy is
+        disabled."""
+        if not self.read.enabled:
+            return
+        shard_of = self.scheme.sharding.shard_of
+        by_shard: Dict[ShardId, Dict[str, Any]] = {shard: {} for shard in self.shards}
+        for obj, value in initial.items():
+            by_shard[shard_of(obj)][obj] = value
+        for shard, store in self._applied_stores():
+            store.seed(by_shard[shard])
+
+    # ------------------------------------------------------------------
+    # validation and metrics
+    # ------------------------------------------------------------------
+    def check(self, include_invariants: bool = True) -> Tuple[CheckResult, List[InvariantViolation]]:
+        """Check the recorded history and (optionally, where the binding has
+        them) the replica invariants."""
+        result = TCSChecker(self.scheme).check(self.history)
+        violations: List[InvariantViolation] = []
+        if include_invariants and self.REPLICA_INVARIANTS:
+            violations = check_invariants(self.member_replicas_by_shard(), self.history)
+        return result, violations
+
+    def client_latencies(self) -> List[float]:
+        values: List[float] = []
+        for client in self.clients:
+            for txn in client.outcomes:
+                latency = client.latency_of(txn)
+                if latency is not None:
+                    values.append(latency)
+        return values
+
+    def abort_rate(self) -> float:
+        decided = self.history.decided()
+        if not decided:
+            return 0.0
+        aborts = sum(1 for d in decided.values() if d is Decision.ABORT)
+        return aborts / len(decided)
+
+    def phase_samples(self) -> Dict[str, List[float]]:
+        """Per-phase latency samples along the commit path.
+
+        For every transaction whose decision reached its client, splits the
+        client-observed latency into submit -> certify start (request
+        delivery), certify -> decide (the coordinator's certification
+        critical path) and decide -> client (decision delivery).  Keys match
+        :data:`repro.analysis.metrics.PHASES`.
+        """
+        return collect_phase_samples(self.clients, self.coordinator_entries())
+
+    def colocated_latencies(self) -> List[float]:
+        """Latency from the coordinator starting ``certify`` to it knowing
+        the decision: the paper's co-located-client 4-message-delay path,
+        and on the baseline 2PC start to votes combined (not yet durable)."""
+        return [
+            entry.decided_at - entry.started_at
+            for entry in self.coordinator_entries().values()
+            if entry.decided_at is not None
+        ]
+
+    def protocol_latencies(self) -> List[float]:
+        """Latency from the coordinator starting ``certify`` to the client
+        receiving the decision (the paper's 5-message-delay path)."""
+        values = []
+        entries = self.coordinator_entries()
+        for client in self.clients:
+            for txn, decide_time in client.decide_times.items():
+                entry = entries.get(txn)
+                if entry is not None:
+                    values.append(decide_time - entry.started_at)
+        return values
+
+    def retry_stats(self) -> RetryStats:
+        """Aggregate session retry/failover/orphan counters plus the
+        duplicate requests deduplicated by the coordinating processes."""
+        return collect_retry_stats(self.sessions, self._coordinator_processes())
+
+    def batch_stats(self) -> BatchStats:
+        """Aggregate batch counts and the batch-size distribution over every
+        batching process — coordinators and clients alike (empty when
+        batching is disabled)."""
+        return collect_batch_stats(list(self._coordinator_processes()) + self.clients)
+
+    def read_stats(self) -> Dict[str, Any]:
+        """Aggregate fast-path counters over clients and read engines (all
+        zero where the binding has no fast path)."""
+        stats: Dict[str, Any] = {
+            "reads_served": 0,
+            "read_fallbacks": 0,
+            "fallback_reasons": {},
+            "refused_lease": 0,
+            "refused_pending": 0,
+            "stale_serves": 0,
+        }
+        for client in self.clients:
+            stats["reads_served"] += client.reads_served
+            stats["read_fallbacks"] += client.read_fallbacks
+            for reason, count in client.read_fallback_reasons.items():
+                stats["fallback_reasons"][reason] = (
+                    stats["fallback_reasons"].get(reason, 0) + count
+                )
+        for engine in self._read_engines():
+            stats["refused_lease"] += engine.reads_refused_lease
+            stats["refused_pending"] += engine.reads_refused_pending
+            stats["stale_serves"] += engine.stale_serves
+        return stats
+
+    def detector_stats(self) -> Dict[str, Any]:
+        """Aggregate failure-detector counters over the detector-carrying
+        processes, the sessions and the configuration service (all zero
+        when the detector is off; the reconfiguration counters stay zero
+        where there is no configuration service to drive)."""
+        stats: Dict[str, Any] = {
+            "heartbeat_ticks": self.pump.ticks,
+            "suspicions": 0,
+            "false_suspicions": 0,
+            "suspicion_reports": 0,
+            "view_changes": 0,
+            "unsolicited_reconfigurations": 0,
+            "pushed_failovers": sum(s.pushed_failovers for s in self.sessions),
+        }
+        service = self.config_service
+        if service is not None:
+            stats["suspicion_reports"] = service.suspicion_reports
+            stats["view_changes"] = service.view_changes
+        for process in self._detector_processes():
+            if process.detector is not None:
+                stats["suspicions"] += process.detector.suspicions
+                stats["false_suspicions"] += process.detector.false_suspicions
+            if service is not None:
+                stats["unsolicited_reconfigurations"] += process.unsolicited_reconfigurations
+        return stats
+
+    @property
+    def message_stats(self):
+        return self.network.stats
+
+    # ------------------------------------------------------------------
+    # optional hooks (the required ones are listed in the class docstring)
+    # ------------------------------------------------------------------
+    def _post_build(self) -> None:
+        """Wiring that needs every process and session to exist; runs
+        before the parallel engine is installed."""
+
+    def _bootstrap(self) -> None:
+        """Start-up protocol traffic; runs after the parallel engine is
+        installed, so it is partitioned like every other message."""
+
+
+PROTOCOL_MESSAGE_PASSING = "message-passing"
+PROTOCOL_RDMA = "rdma"
+PROTOCOL_BROKEN_RDMA = "broken-rdma"
 
 
 @dataclass(frozen=True)
@@ -151,8 +517,11 @@ register_protocol(
 )
 
 
-class Cluster:
+class Cluster(ClusterBase):
     """A complete simulated deployment of one of the paper's protocols."""
+
+    REPLICA_INVARIANTS = True
+    SNAPSHOT_READS = True
 
     def __init__(
         self,
@@ -162,125 +531,47 @@ class Cluster:
         protocol: str = PROTOCOL_MESSAGE_PASSING,
         isolation: str = "serializability",
         scheme: Optional[CertificationScheme] = None,
-        latency: Optional[LatencyModel] = None,
-        seed: int = 0,
         spares_per_shard: int = 2,
         membership_policy: Optional[MembershipPolicy] = None,
-        retry: Optional[RetryPolicy] = None,
-        batch: Optional[BatchPolicy] = None,
-        groups: int = 0,
-        read: Optional[ReadPolicy] = None,
-        detector: Optional[DetectorPolicy] = None,
-        link: Optional[LinkSpec] = None,
-        pipeline: bool = True,
-        sticky: bool = False,
+        **harness: Any,
     ) -> None:
+        """``harness`` is what every binding takes, declared once on
+        :class:`ClusterBase`: ``latency``, ``seed``, ``retry``, ``batch``,
+        ``groups``, ``read``, ``detector``, ``link``, ``pipeline``, ``sticky``."""
         spec = protocol_spec(protocol)
-        if num_shards < 1 or replicas_per_shard < 1 or num_clients < 1:
-            raise ValueError("num_shards, replicas_per_shard and num_clients must be >= 1")
-        self.protocol = spec.name
-        self.protocol_spec = spec
-        self.num_shards = num_shards
-        self.replicas_per_shard = replicas_per_shard
-        self.shards: List[ShardId] = [f"shard-{i}" for i in range(num_shards)]
-
+        if replicas_per_shard < 1:
+            raise ValueError("replicas_per_shard must be >= 1")
         if scheme is None:
             if isolation not in _ISOLATION_SCHEMES:
                 raise ValueError(f"unknown isolation level {isolation!r}")
-            scheme = _ISOLATION_SCHEMES[isolation](KeyHashSharding(self.shards))
-        self.scheme = scheme
-
-        # groups > 0 selects the conservative parallel-DES engine: shards
-        # partition into that many weakly-coupled groups, each with its own
-        # event heap, advanced window-by-window behind lookahead barriers
-        # (see repro.runtime.parallel).  Results are byte-identical to the
-        # serial engine for deterministic latency models.
-        self.exec_groups = groups
-        self.scheduler = GroupedScheduler(groups) if groups else Scheduler()
-        self.network = Network(
-            self.scheduler, latency=latency or UnitLatency(), seed=seed, link=link
-        )
-        self.directory = TransactionDirectory()
-        self.history = History()
+            scheme = _ISOLATION_SCHEMES[isolation](KeyHashSharding(_shard_ids(num_shards)))
+        self.protocol = spec.name
+        self.protocol_spec = spec
+        self.replicas_per_shard = replicas_per_shard
+        self.spares_per_shard = spares_per_shard
         self.membership_policy = membership_policy or MembershipPolicy(
             target_size=replicas_per_shard
         )
-        # Commit-path knobs (see repro.scenarios.spec.NetworkSpec): vote
-        # pipelining is the protocol's normal mode; pipeline=False is the
-        # stop-and-wait measurement baseline.  sticky pins each involved-
-        # shard set to one coordinator to deepen its batches.
-        self.pipeline = pipeline
-        self.sticky = sticky
-        self._sticky_pins: Dict[Tuple[ShardId, ...], str] = {}
-
         self.replicas: Dict[str, Any] = {}
-        self.replicas_by_shard: Dict[ShardId, List[Any]] = {s: [] for s in self.shards}
+        self.replicas_by_shard: Dict[ShardId, List[Any]] = {}
         self.spare_pools: Dict[ShardId, SparePool] = {}
-        self.clients: List[Client] = []
-        self.retry = retry or RetryPolicy()
-        self.batch = batch or BatchPolicy()
-        self.read = read or ReadPolicy()
-        self.read.validate()
-        self.detector = detector or DetectorPolicy()
-        self.detector.validate()
-
-        self._build_config_service()
-        self._build_replicas(spares_per_shard)
-        self._build_clients(num_clients)
-        self._build_sessions()
-        self._round_robin = 0
         # Coordinator-candidate lists per involved-shard set, invalidated
         # by the configuration service's version counter (submission is the
         # driver's hottest path; rebuilding the list per transaction costs
         # more than the whole routing decision).
         self._candidate_cache: Dict[Tuple[ShardId, ...], List[str]] = {}
         self._candidate_cache_version = -1
-        if spec.post_build is not None:
-            spec.post_build(self)
-        if groups:
-            self.scheduler.install(self.network, self._group_partition())
-        if self.read.enabled:
-            # Bootstrap the shard leaders' read leases (after the parallel
-            # engine is installed, so the grant round-trip is partitioned
-            # like every other message).
-            self.request_read_leases()
-        # Heartbeat pump: one cluster-level weak recurring tick, armed
-        # exactly once here — a consistent creation point in both engines —
-        # and self-re-armed only from inside the tick thereafter.
-        self.pump = HeartbeatPump(
-            self.scheduler, lambda: self.replicas.values(), self.detector
-        )
-        self.pump.start()
+        super().__init__(num_shards, num_clients, scheme=scheme, **harness)
 
     # ------------------------------------------------------------------
-    # construction
+    # construction (the binding's hooks)
     # ------------------------------------------------------------------
-    def _group_partition(self) -> Dict[str, int]:
-        """Process-to-group assignment for the parallel-DES engine.
-
-        Shards split into contiguous blocks (intra-shard traffic is the
-        dense part of the communication graph and stays intra-group);
-        replicas and spares follow their shard.  Clients and the
-        configuration service all live in group 0: clients are the only
-        history writers, so keeping them in one group preserves the serial
-        append order of the history, and the configuration service talks to
-        every shard anyway.
-        """
-        shard_group = partition_contiguous(self.shards, self.exec_groups)
-        group_of: Dict[str, int] = {self.config_service.pid: 0}
-        for pid, replica in self.replicas.items():
-            group_of[pid] = shard_group[replica.shard]
-        for client in self.clients:
-            group_of[client.pid] = 0
-        return group_of
-
-    def _build_config_service(self) -> None:
-        self.config_service = self.protocol_spec.config_service_cls("config-service")
+    def _build_servers(self) -> None:
+        spec = self.protocol_spec
+        self.config_service = spec.config_service_cls("config-service")
         self.config_service.detector_confirmations = self.detector.confirmations
         self.network.register(self.config_service)
 
-    def _build_replicas(self, spares_per_shard: int) -> None:
-        replica_cls = self.protocol_spec.replica_cls
         members_by_shard: Dict[ShardId, Tuple[str, ...]] = {}
         for shard in self.shards:
             members_by_shard[shard] = tuple(
@@ -297,7 +588,7 @@ class Cluster:
         )
 
         # Install initial configurations in the configuration service.
-        if self.protocol_spec.global_config:
+        if spec.global_config:
             self.config_service.install_initial(global_config)
         else:
             for shard, config in initial_configs.items():
@@ -307,11 +598,12 @@ class Cluster:
         for shard in self.shards:
             pool = SparePool()
             self.spare_pools[shard] = pool
+            self.replicas_by_shard[shard] = []
             pids = list(members_by_shard[shard]) + [
-                f"{shard}/spare{i}" for i in range(spares_per_shard)
+                f"{shard}/spare{i}" for i in range(self.spares_per_shard)
             ]
             for pid in pids:
-                replica = replica_cls(
+                replica = spec.replica_cls(
                     pid=pid,
                     shard=shard,
                     scheme=self.scheme,
@@ -332,44 +624,27 @@ class Cluster:
 
         # Bootstrap configuration knowledge.
         for replica in self.replicas.values():
-            if self.protocol_spec.global_config:
+            if spec.global_config:
                 replica.spare_pools = self.spare_pools
                 replica.bootstrap(global_config)
             else:
                 replica.bootstrap(initial_configs)
 
         self.initial_configs = initial_configs
-        self.initial_global_config = global_config
 
-    def _build_clients(self, num_clients: int) -> None:
-        for i in range(num_clients):
-            client = Client(
-                pid=f"client-{i}",
-                scheme=self.scheme,
-                directory=self.directory,
-                history=self.history,
-                config_service=self.config_service.pid,
-                batch=self.batch,
-            )
-            self.network.register(client)
-            self.clients.append(client)
-
-    def _build_sessions(self) -> None:
-        """One :class:`ClientSession` per client, sharing a router seeded
-        from the bootstrap configurations.  With retry enabled the clients
-        also subscribe to ``CONFIG_CHANGE`` pushes, so the router tracks
-        reconfigurations the way a real TCS client library would."""
-        self.router = CoordinatorRouter(
+    def _build_router(self) -> CoordinatorRouter:
+        """Seeded from the bootstrap configurations; with retry enabled it
+        tracks reconfigurations through the subscription in ``_post_build``,
+        the way a real TCS client library would."""
+        return CoordinatorRouter(
             self.shards,
             members={s: c.members for s, c in self.initial_configs.items()},
             leaders={s: c.leader for s, c in self.initial_configs.items()},
             epochs={s: c.epoch for s, c in self.initial_configs.items()},
             sticky=self.sticky,
         )
-        self.sessions: List[ClientSession] = [
-            ClientSession(client, self.router, self.scheme, self.retry)
-            for client in self.clients
-        ]
+
+    def _post_build(self) -> None:
         for client in self.clients:
             client.global_config_service = self.protocol_spec.global_config
         if self.retry.enabled:
@@ -377,6 +652,26 @@ class Cluster:
             # client would deliver each CONFIG_CHANGE num_clients times for
             # the same note_config_change.
             self.config_service.subscribe(self.clients[0].pid)
+        if self.protocol_spec.post_build is not None:
+            self.protocol_spec.post_build(self)
+
+    def _bootstrap(self) -> None:
+        self.request_read_leases()
+
+    def _server_shards(self) -> Dict[str, ShardId]:
+        return {pid: replica.shard for pid, replica in self.replicas.items()}
+
+    def _detector_processes(self) -> Iterable[Any]:
+        return self.replicas.values()
+
+    _coordinator_processes = _detector_processes  # any replica can coordinate
+
+    def _read_engines(self) -> List[Any]:
+        engines = (replica.read_engine for replica in self.replicas.values())
+        return [engine for engine in engines if engine is not None]
+
+    def _applied_stores(self) -> List[Tuple[ShardId, Any]]:
+        return [(engine.replica.shard, engine) for engine in self._read_engines()]
 
     # ------------------------------------------------------------------
     # topology queries
@@ -413,7 +708,9 @@ class Cluster:
         involved in the transaction: we prefer members of uninvolved shards
         (this also keeps the latency accounting identical to the paper's
         5-delay analysis) and fall back to members of the involved shards
-        when every shard participates.
+        when every shard participates.  Unlike the router's own ``pick``,
+        this path is omniscient: it reads the configuration service's
+        current members and skips crashed ones.
         """
         involved = tuple(sorted(self.scheme.shards_of(payload))) or (self.shards[0],)
         if self._candidate_cache_version != self.config_service.version:
@@ -427,46 +724,7 @@ class Cluster:
                 candidates.extend(self.members_of(shard))
             self._candidate_cache[involved] = candidates
         live = [pid for pid in candidates if not self.replicas[pid].crashed]
-        candidates = live or candidates
-        if self.sticky:
-            # Sticky affinity: every transaction over the same involved-shard
-            # set returns to one coordinator, so its batchers fill deeper
-            # instead of each coordinator flushing near-empty batches.
-            pinned = self._sticky_pins.get(involved)
-            if pinned is not None and pinned in candidates:
-                return pinned
-            self._round_robin += 1
-            pinned = candidates[self._round_robin % len(candidates)]
-            self._sticky_pins[involved] = pinned
-            return pinned
-        self._round_robin += 1
-        return candidates[self._round_robin % len(candidates)]
-
-    def submit(
-        self,
-        payload: Any,
-        client_index: int = 0,
-        coordinator: Optional[str] = None,
-        txn: Optional[TxnId] = None,
-    ) -> TxnId:
-        """Submit a transaction for certification; returns its identifier.
-
-        Read-only transactions eligible for the snapshot-read fast path go
-        through :meth:`submit_read` instead.
-
-        With a retry policy, submissions route through the client's session:
-        the session picks the coordinator from the client-side router (no
-        omniscient liveness peeking) and arms the timeout-driven
-        re-submission machinery.  Without one, the legacy direct path picks
-        a live coordinator and fires-and-forgets.
-        """
-        if self.retry.enabled:
-            return self.sessions[client_index].submit(
-                payload, coordinator=coordinator, txn=txn
-            )
-        client = self.clients[client_index]
-        coordinator = coordinator or self._pick_coordinator(payload)
-        return client.submit(payload, coordinator=coordinator, txn=txn)
+        return self.router.choose(involved, live or candidates)
 
     # ------------------------------------------------------------------
     # snapshot-read fast path
@@ -479,25 +737,6 @@ class Cluster:
             leader = self.replicas.get(self.leader_of(shard))
             if leader is not None and not leader.crashed:
                 leader.request_read_lease()
-
-    def seed_read_stores(self, initial: Dict[str, Any]) -> None:
-        """Seed every replica's applied store with the initial object values
-        (each replica keeps only its own shard's objects); no-op when the
-        read policy is disabled."""
-        if not self.read.enabled:
-            return
-        sharding = self.scheme.sharding
-        for replica in self.replicas.values():
-            engine = getattr(replica, "read_engine", None)
-            if engine is None:
-                continue
-            engine.seed(
-                {
-                    obj: value
-                    for obj, value in initial.items()
-                    if sharding.shard_of(obj) == replica.shard
-                }
-            )
 
     def submit_read(
         self,
@@ -529,94 +768,6 @@ class Cluster:
             fallback_payload=fallback_payload,
             pick_fallback_coordinator=lambda: self._pick_coordinator(fallback_payload),
         )
-
-    def read_stats(self) -> Dict[str, Any]:
-        """Aggregate fast-path counters over clients and replica engines."""
-        stats: Dict[str, Any] = {
-            "reads_served": 0,
-            "read_fallbacks": 0,
-            "fallback_reasons": {},
-            "refused_lease": 0,
-            "refused_pending": 0,
-            "stale_serves": 0,
-        }
-        for client in self.clients:
-            stats["reads_served"] += client.reads_served
-            stats["read_fallbacks"] += client.read_fallbacks
-            for reason, count in client.read_fallback_reasons.items():
-                stats["fallback_reasons"][reason] = (
-                    stats["fallback_reasons"].get(reason, 0) + count
-                )
-        for replica in self.replicas.values():
-            engine = getattr(replica, "read_engine", None)
-            if engine is None:
-                continue
-            stats["refused_lease"] += engine.reads_refused_lease
-            stats["refused_pending"] += engine.reads_refused_pending
-            stats["stale_serves"] += engine.stale_serves
-        return stats
-
-    def detector_stats(self) -> Dict[str, Any]:
-        """Aggregate failure-detector counters over replicas, sessions and
-        the configuration service (all zero when the detector is off)."""
-        stats: Dict[str, Any] = {
-            "heartbeat_ticks": self.pump.ticks,
-            "suspicions": 0,
-            "false_suspicions": 0,
-            "suspicion_reports": getattr(self.config_service, "suspicion_reports", 0),
-            "view_changes": getattr(self.config_service, "view_changes", 0),
-            "unsolicited_reconfigurations": 0,
-            "pushed_failovers": 0,
-        }
-        for replica in self.replicas.values():
-            detector = getattr(replica, "detector", None)
-            if detector is not None:
-                stats["suspicions"] += detector.suspicions
-                stats["false_suspicions"] += detector.false_suspicions
-            stats["unsolicited_reconfigurations"] += getattr(
-                replica, "unsolicited_reconfigurations", 0
-            )
-        for session in self.sessions:
-            stats["pushed_failovers"] += session.pushed_failovers
-        return stats
-
-    def run(self, max_time: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run the simulation until idle (or until the given budget)."""
-        return self.scheduler.run(max_time=max_time, max_events=max_events)
-
-    def run_until_decided(
-        self, txns: Optional[Sequence[TxnId]] = None, max_events: int = 1_000_000
-    ) -> bool:
-        """Run until every given (default: every submitted) transaction is decided.
-
-        Decision *watchers* subscribe to the history's completion callbacks,
-        so each fired event costs an O(1) counter check instead of a full
-        history rescan.
-        """
-        with self.history.watch(txns) as watcher:
-            if watcher.done:
-                return True
-            return self.scheduler.run_until(watcher.is_done, max_events=max_events)
-
-    def certify(
-        self,
-        payload: Any,
-        client_index: int = 0,
-        coordinator: Optional[str] = None,
-    ) -> Decision:
-        """Submit a transaction and run the simulation until it is decided."""
-        txn = self.submit(payload, client_index=client_index, coordinator=coordinator)
-        if not self.run_until_decided([txn]):
-            raise RuntimeError(f"transaction {txn} was not decided")
-        return self.history.decision_of(txn)
-
-    def certify_many(self, payloads: Sequence[Any], client_index: int = 0) -> Dict[TxnId, Decision]:
-        txns = [self.submit(p, client_index=client_index) for p in payloads]
-        self.run_until_decided(txns)
-        return {t: self.history.decision_of(t) for t in txns}
-
-    def decision_of(self, txn: TxnId) -> Optional[Decision]:
-        return self.history.decision_of(txn)
 
     # ------------------------------------------------------------------
     # fault injection and reconfiguration
@@ -667,7 +818,7 @@ class Cluster:
         raise RuntimeError(f"no live process available to reconfigure shard {shard}")
 
     # ------------------------------------------------------------------
-    # validation and metrics
+    # replica views
     # ------------------------------------------------------------------
     def member_replicas_by_shard(self) -> Dict[ShardId, List[Any]]:
         """Replicas that are members of their shard's current configuration."""
@@ -677,82 +828,10 @@ class Cluster:
             result[shard] = [r for r in self.replicas_by_shard[shard] if r.pid in members]
         return result
 
-    def check(self, include_invariants: bool = True) -> Tuple[CheckResult, List[InvariantViolation]]:
-        """Check the recorded history and (optionally) the replica invariants."""
-        checker = TCSChecker(self.scheme)
-        result = checker.check(self.history)
-        violations: List[InvariantViolation] = []
-        if include_invariants:
-            violations = check_invariants(self.member_replicas_by_shard(), self.history)
-        return result, violations
-
-    def client_latencies(self) -> List[float]:
-        values: List[float] = []
-        for client in self.clients:
-            for txn in client.outcomes:
-                latency = client.latency_of(txn)
-                if latency is not None:
-                    values.append(latency)
-        return values
-
     def coordinator_entries(self) -> Dict[TxnId, Any]:
         entries: Dict[TxnId, Any] = {}
         for replica in self.replicas.values():
-            for txn, entry in getattr(replica, "_coordinated", {}).items():
+            for txn, entry in replica._coordinated.items():
                 if entry.decided and txn not in entries:
                     entries[txn] = entry
         return entries
-
-    def protocol_latencies(self) -> List[float]:
-        """Latency from the coordinator starting ``certify`` to the client
-        receiving the decision (the paper's 5-message-delay path)."""
-        values = []
-        entries = self.coordinator_entries()
-        for client in self.clients:
-            for txn, decide_time in client.decide_times.items():
-                entry = entries.get(txn)
-                if entry is not None:
-                    values.append(decide_time - entry.started_at)
-        return values
-
-    def phase_samples(self) -> Dict[str, List[float]]:
-        """Per-phase latency samples along the commit path.
-
-        For every transaction whose decision reached its client, splits the
-        client-observed latency into submit -> certify start (request
-        delivery), certify -> decide (the coordinator's certification
-        critical path) and decide -> client (decision delivery).  Keys match
-        :data:`repro.analysis.metrics.PHASES`.
-        """
-        return collect_phase_samples(self.clients, self.coordinator_entries())
-
-    def colocated_latencies(self) -> List[float]:
-        """Latency from the coordinator starting ``certify`` to it computing
-        the decision (the co-located-client 4-message-delay path)."""
-        return [
-            entry.decided_at - entry.started_at
-            for entry in self.coordinator_entries().values()
-            if entry.decided_at is not None
-        ]
-
-    def abort_rate(self) -> float:
-        decided = self.history.decided()
-        if not decided:
-            return 0.0
-        aborts = sum(1 for d in decided.values() if d is Decision.ABORT)
-        return aborts / len(decided)
-
-    def retry_stats(self) -> RetryStats:
-        """Aggregate session retry/failover/orphan counters plus the
-        duplicate requests deduplicated by the replicas."""
-        return collect_retry_stats(self.sessions, self.replicas.values())
-
-    def batch_stats(self) -> BatchStats:
-        """Aggregate batch counts and the batch-size distribution over every
-        batching process — replicas and clients alike (empty when batching
-        is disabled)."""
-        return collect_batch_stats(list(self.replicas.values()) + self.clients)
-
-    @property
-    def message_stats(self):
-        return self.network.stats

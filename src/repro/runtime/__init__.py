@@ -11,8 +11,7 @@ deterministic discrete-event simulation:
 * :mod:`repro.runtime.process` — the actor-style process model with
   crash-stop failures and timers;
 * :mod:`repro.runtime.rdma` — the one-sided RDMA communication primitive
-  (send-rdma / ack-rdma / deliver-rdma / open / close / flush);
-* :mod:`repro.runtime.failures` — declarative failure plans.
+  (send-rdma / ack-rdma / deliver-rdma / open / close / flush).
 """
 
 from repro.runtime.events import Scheduler, Event
@@ -25,7 +24,6 @@ from repro.runtime.network import (
 )
 from repro.runtime.process import Process
 from repro.runtime.rdma import RdmaManager, RdmaWrite, RdmaAck
-from repro.runtime.failures import CrashPlan, FailureInjector
 
 __all__ = [
     "Scheduler",
@@ -39,6 +37,4 @@ __all__ = [
     "RdmaManager",
     "RdmaWrite",
     "RdmaAck",
-    "CrashPlan",
-    "FailureInjector",
 ]

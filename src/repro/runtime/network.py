@@ -438,15 +438,9 @@ class Network:
         """Crash-stop the process: it stops sending and receiving forever."""
         self.processes[pid].crashed = True
 
-    def is_crashed(self, pid: str) -> bool:
-        return self.processes[pid].crashed
-
     def block(self, src: str, dst: str) -> None:
         """Drop all future messages on the directed channel ``src -> dst``."""
         self._blocked.add((src, dst))
-
-    def unblock(self, src: str, dst: str) -> None:
-        self._blocked.discard((src, dst))
 
     def partition(self, group_a: Iterable[str], group_b: Iterable[str]) -> None:
         """Block every channel between the two groups, in both directions."""

@@ -3,8 +3,10 @@
 ``ScenarioRunner`` is the single driving loop shared by the examples, the
 benchmark harness, the CLI and the tests.  It
 
-1. builds the cluster described by a :class:`ScenarioSpec` (any registered
-   protocol variant, or the 2PC-over-Paxos baseline);
+1. builds the cluster described by a :class:`ScenarioSpec` — either binding
+   of :class:`repro.cluster.ClusterBase`: any registered protocol variant,
+   or the 2PC-over-Paxos baseline (chosen in :meth:`ScenarioRunner.build`,
+   the only place that tells them apart);
 2. applies setup fault steps (``at <= 0``) and schedules the timed ones on
    the simulation clock, resolving role targets (``"leader:shard-0"``)
    against the live cluster at execution time;
@@ -42,6 +44,7 @@ from repro.core.types import Decision, Phase
 from repro.scenarios.latency import compile_latency_model
 from repro.scenarios.spec import (
     PROTOCOL_BASELINE,
+    SHARD_ROLES,
     FaultStep,
     ScenarioError,
     ScenarioSpec,
@@ -304,55 +307,40 @@ class ScenarioRunner:
         if self.cluster is not None:
             return self.cluster
         spec = self.spec
-        latency = compile_latency_model(spec.latency)
-        retry = spec.retry.compile()
-        batch = spec.batch.compile()
-        read = spec.read.compile()
-        detector = spec.detector.compile()
-        link = spec.network.compile()
-        # Tier-B engine selection: groups > 0 builds the cluster on the
-        # conservative parallel-DES scheduler (byte-identical results).
-        groups = spec.execution.groups if spec.execution.mode == "parallel-shards" else 0
+        # What every cluster takes, whatever the protocol.
+        shared = dict(
+            num_shards=spec.num_shards,
+            num_clients=spec.num_clients,
+            latency=compile_latency_model(spec.latency),
+            seed=spec.seed,
+            retry=spec.retry.compile(),
+            batch=spec.batch.compile(),
+            # Tier-B engine selection: groups > 0 builds the cluster on the
+            # conservative parallel-DES scheduler (byte-identical results).
+            groups=spec.execution.groups if spec.execution.mode == "parallel-shards" else 0,
+            read=spec.read.compile(),
+            detector=spec.detector.compile(),
+            link=spec.network.compile(),
+            pipeline=spec.network.pipeline,
+            sticky=spec.network.sticky,
+        )
         if spec.protocol == PROTOCOL_BASELINE:
             self.cluster = BaselineCluster(
-                num_shards=spec.num_shards,
-                failures_tolerated=(spec.replicas_per_shard - 1) // 2,
-                num_clients=spec.num_clients,
-                latency=latency,
-                seed=spec.seed,
-                retry=retry,
-                batch=batch,
-                groups=groups,
-                read=read,
-                detector=detector,
-                link=link,
-                pipeline=spec.network.pipeline,
-                sticky=spec.network.sticky,
+                failures_tolerated=(spec.replicas_per_shard - 1) // 2, **shared
             )
         else:
             self.cluster = Cluster(
-                num_shards=spec.num_shards,
                 replicas_per_shard=spec.replicas_per_shard,
-                num_clients=spec.num_clients,
                 protocol=spec.protocol,
                 isolation=spec.isolation,
-                latency=latency,
-                seed=spec.seed,
                 spares_per_shard=spec.spares_per_shard,
-                retry=retry,
-                batch=batch,
-                groups=groups,
-                read=read,
-                detector=detector,
-                link=link,
-                pipeline=spec.network.pipeline,
-                sticky=spec.network.sticky,
+                **shared,
             )
         if spec.check_mode == "online":
             self.checker = IncrementalTCSChecker(
                 self.cluster.scheme, self.cluster.history, gc=spec.check_gc
             )
-            if spec.check_invariants and spec.protocol != PROTOCOL_BASELINE:
+            if spec.check_invariants and self.cluster.REPLICA_INVARIANTS:
                 self.monitor = InvariantMonitor(self.cluster.history)
         for step in spec.fault_schedule:
             if step.at <= 0:
@@ -369,7 +357,7 @@ class ScenarioRunner:
         if role == "config-service":
             return cluster.config_service.pid
         kind, _, rest = role.partition(":")
-        if kind in ("leader", "follower", "member") and rest:
+        if kind in SHARD_ROLES and rest:
             shard, _, index_text = rest.partition(":")
             index = int(index_text) if index_text else 0
             if kind == "leader":
@@ -444,17 +432,17 @@ class ScenarioRunner:
     def _note_crash(self, pid: str, shard: Optional[str] = None) -> None:
         """Record a crash for time-to-recovery accounting."""
         if shard is None:
-            replica = getattr(self.cluster, "replicas", {}).get(pid)
-            shard = getattr(replica, "shard", None)
+            replica = self.cluster.replicas.get(pid)  # None: not a shard replica
+            shard = replica.shard if replica is not None else None
         self._crash_times.append((self.cluster.scheduler.now, shard))
 
     def _recovery_times(self) -> List[float]:
         """Crash-to-install delays: for every injected crash, the time until
         the configuration service installed the next configuration of the
-        crashed process's shard (empty when no recovery happened — or no
-        configuration service exists, as in the baseline)."""
-        service = getattr(self.cluster, "config_service", None)
-        log = getattr(service, "install_log", ())
+        crashed process's shard (empty when no recovery happened)."""
+        if not self._crash_times:
+            return []  # also every baseline run: it accepts no fault schedule
+        log = self.cluster.config_service.install_log
         times: List[float] = []
         for crashed_at, shard in self._crash_times:
             for installed_at, installed_shard, _epoch in log:
@@ -620,12 +608,8 @@ class ScenarioRunner:
         stats = cluster.message_stats
         retry_stats: RetryStats = cluster.retry_stats()
         batch_stats: BatchStats = cluster.batch_stats()
-        read_stats: Dict[str, Any] = (
-            cluster.read_stats() if hasattr(cluster, "read_stats") else {}
-        )
-        detector_stats: Dict[str, Any] = (
-            cluster.detector_stats() if hasattr(cluster, "detector_stats") else {}
-        )
+        read_stats: Dict[str, Any] = cluster.read_stats()
+        detector_stats: Dict[str, Any] = cluster.detector_stats()
         link_stats = collect_link_stats(cluster.network)
         return ScenarioResult(
             scenario=spec.name,
@@ -655,10 +639,10 @@ class ScenarioRunner:
             max_batch_size=batch_stats.max_size,
             batch_sizes=dict(batch_stats.sizes),
             read_model=spec.read.describe(),
-            reads_served=read_stats.get("reads_served", 0),
-            read_fallbacks=read_stats.get("read_fallbacks", 0),
-            read_fallback_reasons=dict(read_stats.get("fallback_reasons", {})),
-            read_stale_serves=read_stats.get("stale_serves", 0),
+            reads_served=read_stats["reads_served"],
+            read_fallbacks=read_stats["read_fallbacks"],
+            read_fallback_reasons=dict(read_stats["fallback_reasons"]),
+            read_stale_serves=read_stats["stale_serves"],
             network_model=spec.network.describe(),
             bytes_sent=link_stats.bytes_sent if link_stats else 0.0,
             link_queue_wait_mean=(
@@ -674,12 +658,10 @@ class ScenarioRunner:
             link_busy_time=link_stats.busy_time if link_stats else 0.0,
             link_max_depth=link_stats.max_depth if link_stats else 0,
             detector_model=spec.detector.describe(),
-            suspicions=detector_stats.get("suspicions", 0),
-            false_suspicions=detector_stats.get("false_suspicions", 0),
-            view_changes=detector_stats.get("view_changes", 0),
-            unsolicited_reconfigurations=detector_stats.get(
-                "unsolicited_reconfigurations", 0
-            ),
+            suspicions=detector_stats["suspicions"],
+            false_suspicions=detector_stats["false_suspicions"],
+            view_changes=detector_stats["view_changes"],
+            unsolicited_reconfigurations=detector_stats["unsolicited_reconfigurations"],
             pushed_failovers=retry_stats.pushed_failovers,
             recovery_times=self._recovery_times(),
             phases=phase_breakdown(cluster.phase_samples()),
@@ -703,15 +685,12 @@ class ScenarioRunner:
         if spec.check_mode == "online":
             check = self.checker.result()
             violations: List[Any] = []
-            if spec.protocol != PROTOCOL_BASELINE and spec.check_invariants:
+            if self.monitor is not None:
                 violations = check_invariants(
                     cluster.member_replicas_by_shard(), monitor=self.monitor
                 )
             return check.ok, check.reason, violations
-        if spec.protocol == PROTOCOL_BASELINE:
-            check, violations = cluster.check()
-        else:
-            check, violations = cluster.check(include_invariants=spec.check_invariants)
+        check, violations = cluster.check(include_invariants=spec.check_invariants)
         return check.ok, check.reason, violations
 
 

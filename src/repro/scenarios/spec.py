@@ -28,6 +28,9 @@ class ScenarioError(ValueError):
     """An invalid scenario description."""
 
 
+# Role kinds resolved against a shard's current configuration ("kind:shard").
+SHARD_ROLES = ("leader", "follower", "member")
+
 FAULT_ACTIONS = (
     "crash",  # crash the resolved target
     "crash-leader",  # crash the current leader of `shard`
@@ -716,6 +719,14 @@ class ScenarioSpec:
             if self.replicas_per_shard % 2 == 0:
                 raise ScenarioError(
                     "the 2pc-paxos baseline needs 2f+1 (odd) replicas per shard"
+                )
+            coordinator = self.workload.coordinator or ""
+            kind, _, rest = coordinator.partition(":")
+            if coordinator == "config-service" or (kind in SHARD_ROLES and rest):
+                raise ScenarioError(
+                    f"coordinator role {coordinator!r} names a process the 2pc-paxos "
+                    "baseline does not coordinate through; pin one of its dedicated "
+                    "coordinators by literal pid, e.g. 'coordinator-0'"
                 )
 
     def with_overrides(self, **overrides) -> "ScenarioSpec":

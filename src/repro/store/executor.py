@@ -95,11 +95,10 @@ class TransactionOutcome:
 
 
 class TransactionalStore:
-    """Couples a :class:`VersionedKVStore` with a TCS cluster.
-
-    Works with :class:`repro.cluster.Cluster` and
-    :class:`repro.baselines.cluster.BaselineCluster` alike, since both expose
-    ``submit`` / ``run_until_decided`` / ``decision_of``.
+    """Couples a :class:`VersionedKVStore` with a TCS cluster: any binding of
+    :class:`repro.cluster.ClusterBase`, whose driver API (``submit`` /
+    ``run_until_decided`` / ``decision_of``), read policy and
+    ``SNAPSHOT_READS`` constant are all it uses.
     """
 
     def __init__(
@@ -219,11 +218,9 @@ class TransactionalStore:
             context.read(obj)
         payload = context.payload()
         cluster = self.cluster
-        policy = getattr(cluster, "read", None)
         eligible = (
-            policy is not None
-            and policy.enabled
-            and hasattr(cluster, "submit_read")
+            cluster.SNAPSHOT_READS
+            and cluster.read.enabled
             and len({cluster.scheme.sharding.shard_of(obj) for obj in objects}) == 1
         )
         if eligible:

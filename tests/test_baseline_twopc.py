@@ -58,7 +58,7 @@ def test_latency_is_higher_than_reconfigurable_protocol(cluster):
     more for the coordinator to hear about it), versus 5/4 for the paper's
     protocol."""
     cluster.certify(rw_payload("x", tiebreak="a"))
-    assert cluster.vote_latencies() == [4.0]
+    assert cluster.colocated_latencies() == [4.0]
     assert cluster.durable_decision_latencies() == [8.0]
     assert min(cluster.durable_decision_latencies()) >= 7.0
 

@@ -5,7 +5,7 @@ duplicate-safe certification, and configuration-change awareness."""
 import pytest
 
 from repro.baselines.cluster import BaselineCluster
-from repro.client import ClientSession, CoordinatorRouter, RetryPolicy, StaticRouter
+from repro.client import ClientSession, CoordinatorRouter, RetryPolicy
 from repro.cluster import Cluster
 from repro.core.messages import CertifyRequest, TxnDecision
 from repro.core.types import Decision
@@ -73,12 +73,16 @@ def test_router_applies_config_changes_monotonically():
 
 
 def test_static_router_round_robins():
-    router = StaticRouter(["c0", "c1"])
+    """The baseline's dedicated coordinators are one pseudo-shard of the
+    same router class (there is no separate static router any more)."""
+    router = BaselineCluster(num_coordinators=2).router
+    assert isinstance(router, CoordinatorRouter)
+    c0, c1 = "coordinator-0", "coordinator-1"
     picks = {router.pick([]) for _ in range(4)}
-    assert picks == {"c0", "c1"}
-    assert router.pick([], exclude=("c0",)) == "c1"
+    assert picks == {c0, c1}
+    assert router.pick([], exclude=(c0,)) == c1
     with pytest.raises(ValueError):
-        StaticRouter([])
+        BaselineCluster(num_coordinators=0)
 
 
 # ----------------------------------------------------------------------

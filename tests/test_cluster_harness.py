@@ -1,0 +1,172 @@
+"""The cluster harness is one base with two bindings.
+
+``Cluster`` (the paper's protocols) and ``BaselineCluster`` (2PC over
+Paxos) subclass ``repro.cluster.ClusterBase``: these tests keep the two from
+drifting apart again — same validation, same driver API, same collector
+shapes, and literally the same function objects for everything the base
+owns.
+"""
+
+import inspect
+from collections.abc import Mapping
+from dataclasses import replace
+
+import pytest
+
+from repro.analysis.metrics import BatchStats, RetryStats
+from repro.baselines.cluster import BaselineCluster
+from repro.cluster import Cluster, ClusterBase
+from repro.core.reads import ReadPolicy
+from repro.core.types import Decision
+from repro.scenarios import ScenarioRunner, get_scenario
+
+from helpers import rw_payload, shard_key
+
+BINDINGS = [Cluster, BaselineCluster]
+
+
+# ----------------------------------------------------------------------
+# structure
+# ----------------------------------------------------------------------
+# What the base owns: the wiring, the driver API and every collector.
+OWNED_BY_THE_BASE = (
+    "_group_partition",
+    "submit",
+    "run",
+    "run_until_decided",
+    "certify",
+    "certify_many",
+    "decision_of",
+    "seed_read_stores",
+    "check",
+    "client_latencies",
+    "abort_rate",
+    "phase_samples",
+    "colocated_latencies",
+    "protocol_latencies",
+    "retry_stats",
+    "batch_stats",
+    "read_stats",
+    "detector_stats",
+    "message_stats",
+)
+
+
+@pytest.mark.parametrize("name", OWNED_BY_THE_BASE)
+def test_bindings_share_the_base_implementation(name):
+    """Same function object on both classes, so the copies cannot come back."""
+    assert getattr(Cluster, name) is getattr(BaselineCluster, name)
+    assert getattr(Cluster, name) is getattr(ClusterBase, name)
+
+
+def test_bindings_declare_what_the_runner_and_store_used_to_guess():
+    assert Cluster.REPLICA_INVARIANTS and Cluster.SNAPSHOT_READS
+    assert not BaselineCluster.REPLICA_INVARIANTS and not BaselineCluster.SNAPSHOT_READS
+    assert BaselineCluster().config_service is None
+    assert Cluster().config_service.pid == "config-service"
+
+
+def test_shared_constructor_parameters_are_declared_once_and_none_was_added():
+    """Both bindings forward ``**harness`` to the base; what that accepts is
+    exactly what the two constructors used to spell out separately."""
+    shared = set(inspect.signature(ClusterBase.__init__).parameters) - {"self"}
+    assert shared == {
+        "num_shards", "num_clients", "scheme", "latency", "seed", "retry", "batch",
+        "groups", "read", "detector", "link", "pipeline", "sticky",
+    }  # fmt: skip
+    with pytest.raises(TypeError, match="isolation"):
+        BaselineCluster(isolation="serializability")
+    with pytest.raises(TypeError, match="num_coordinators"):
+        Cluster(num_coordinators=2)
+
+
+# ----------------------------------------------------------------------
+# validation, once, for both bindings
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("binding", BINDINGS)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"num_shards": 0},
+        {"num_clients": 0},
+        {"read": ReadPolicy(mode="bogus")},
+        {"read": ReadPolicy(mode="snapshot", lease=-1)},
+    ],
+    ids=["no-shards", "no-clients", "read-mode", "read-lease"],
+)
+def test_bindings_validate_alike(binding, bad):
+    with pytest.raises(ValueError):
+        binding(**bad)
+
+
+# ----------------------------------------------------------------------
+# certify_many fails like certify
+# ----------------------------------------------------------------------
+def _stranded_payloads(cluster):
+    """Two payloads on shard-0, whose leader (or only coordinator) is down."""
+    keys = [shard_key(cluster.scheme, "shard-0", hint=hint) for hint in ("a", "b")]
+    return [rw_payload(key, tiebreak=key) for key in keys]
+
+
+@pytest.mark.parametrize("binding", BINDINGS)
+def test_certify_many_raises_and_names_the_undecided(binding):
+    cluster = binding(num_shards=2)
+    if binding is Cluster:
+        cluster.crash_leader("shard-0")
+    else:
+        cluster.network.crash("coordinator-0")
+    payloads = _stranded_payloads(cluster)
+    with pytest.raises(RuntimeError, match="client-0/t1") as raised:
+        cluster.certify_many(payloads[:1])
+    assert "not decided" in str(raised.value)
+    with pytest.raises(RuntimeError, match="not decided"):
+        cluster.certify(payloads[1])
+
+
+# ----------------------------------------------------------------------
+# parity of the driver API and the collectors across all four protocols
+# ----------------------------------------------------------------------
+PROTOCOLS = ("message-passing", "rdma", "broken-rdma", "2pc-paxos")
+
+
+def _built(protocol):
+    spec = get_scenario("steady-state")
+    spec = spec.with_overrides(
+        protocol=protocol,
+        replicas_per_shard=3,
+        workload=replace(spec.workload, txns=20),
+    )
+    runner = ScenarioRunner(spec)
+    result = runner.run()
+    assert result.committed + result.aborted == 20 and result.safety_ok
+    return runner.cluster
+
+
+@pytest.fixture(scope="module")
+def clusters():
+    return {protocol: _built(protocol) for protocol in PROTOCOLS}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_collectors_have_the_same_shape_on_every_protocol(clusters, protocol):
+    cluster, reference = clusters[protocol], clusters["message-passing"]
+    for collector in ("read_stats", "detector_stats"):
+        stats = getattr(cluster, collector)()
+        assert isinstance(stats, Mapping), collector
+        assert set(stats) == set(getattr(reference, collector)()), collector
+    assert type(cluster.retry_stats()) is RetryStats
+    assert type(cluster.batch_stats()) is BatchStats
+    assert set(cluster.phase_samples()) == set(reference.phase_samples())
+    assert len(cluster.colocated_latencies()) == 20
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_driver_api_takes_the_same_calls_on_every_protocol(clusters, protocol):
+    cluster = clusters[protocol]
+    for include_invariants in (True, False):
+        check, violations = cluster.check(include_invariants=include_invariants)
+        assert check.ok and violations == []
+    pinned = next(iter(cluster._coordinator_processes())).pid
+    decision = cluster.certify(rw_payload("pinned", tiebreak="p"), coordinator=pinned)
+    assert decision is Decision.COMMIT
+    assert list(cluster.clients[0].coordinator_of.values())[-1] == pinned

@@ -1,8 +1,9 @@
 """Golden history digests: behaviour pinned across commits, not only engines.
 
 ``tests/golden_digests.json`` maps a case key to the ``History.digest()``,
-message count and virtual duration a run produced on the commit the file
-was generated from.  The engine batteries (``test_parallel.py``) compare
+message count, virtual duration and the sha256 of the whole
+``ScenarioResult.as_dict()`` (so a collector that changed is seen too) a run
+produced on the commit the file was generated from.  The engine batteries (``test_parallel.py``) compare
 engines *within* a commit; this file compares every later commit with that
 one, so a refactor or hot-path optimisation that moves a single history
 event, message or delivery time fails here by name.
@@ -24,6 +25,7 @@ CHANGES.md)::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from typing import Dict, Iterator, Optional
@@ -81,6 +83,9 @@ def _observe(key: str) -> Dict[str, object]:
         "digest": result.history_digest,
         "messages_sent": result.messages_sent,
         "duration": result.duration,
+        "result_sha256": hashlib.sha256(
+            json.dumps(result.as_dict(), sort_keys=True).encode()
+        ).hexdigest(),
     }
 
 

@@ -27,7 +27,8 @@ from typing import NamedTuple
 import pytest
 
 from repro.baselines import paxos, twopc
-from repro.client import CoordinatorRouter, StaticRouter
+from repro.baselines.cluster import BaselineCluster
+from repro.client import CoordinatorRouter
 from repro.core import messages as core_messages
 from repro.core.serializability import TransactionPayload
 from repro.rdma import messages as rdma_messages
@@ -514,7 +515,7 @@ def test_sticky_router_repins_on_failover_and_config_change():
 
 
 def test_static_router_sticky_pins():
-    router = StaticRouter(["c0", "c1", "c2"], sticky=True)
+    router = BaselineCluster(num_coordinators=3, sticky=True).router
     first = router.pick(["shard-0"])
     assert all(router.pick(["shard-0"]) == first for _ in range(5))
     other = router.pick(["shard-1"])

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import pytest
 
 from repro.runtime.events import Scheduler
-from repro.runtime.failures import CrashPlan, FailureInjector
 from repro.runtime.network import Network, UniformLatency, UnitLatency
 from repro.runtime.process import Process, handler_name
 
@@ -230,29 +229,3 @@ def test_uniform_latency_validation():
         UniformLatency(-1.0, 1.0)
 
 
-def test_failure_injector_timed_crash():
-    scheduler, network, a, b = build()
-    injector = FailureInjector(network)
-    injector.arm(CrashPlan(pid="b", at_time=1.5))
-    a.send("b", Ping(1))  # delivered at 1.0, before the crash
-    scheduler.schedule(3.0, lambda: a.send("b", Ping(2)))  # after the crash
-    scheduler.run()
-    assert [v for v, _, _ in b.received] == [1]
-    assert injector.executed == ["b"]
-
-
-def test_failure_injector_conditional_crash():
-    scheduler, network, a, b = build()
-    injector = FailureInjector(network, poll_interval=0.25)
-    injector.arm(CrashPlan(pid="b", when=lambda: len(b.received) >= 1))
-    a.send("b", Ping(1))
-    scheduler.schedule(5.0, lambda: a.send("b", Ping(2)))
-    scheduler.run()
-    assert [v for v, _, _ in b.received] == [1]
-
-
-def test_crash_plan_requires_exactly_one_trigger():
-    with pytest.raises(ValueError):
-        CrashPlan(pid="a")
-    with pytest.raises(ValueError):
-        CrashPlan(pid="a", at_time=1.0, when=lambda: True)

@@ -60,6 +60,36 @@ def test_spec_rejects_baseline_with_faults():
         spec.validate()
 
 
+@pytest.mark.parametrize(
+    "role", ["leader:shard-0", "follower:shard-0", "member:shard-0:1", "config-service"]
+)
+def test_spec_rejects_role_pinned_coordinator_on_baseline(role):
+    """The baseline coordinates through dedicated processes: a shard role or
+    the configuration service used to end in NotImplementedError or
+    AttributeError deep inside the run."""
+    spec = ScenarioSpec(
+        name="x",
+        protocol="2pc-paxos",
+        replicas_per_shard=3,
+        workload=WorkloadSpec(kind="spanning", coordinator=role),
+    )
+    with pytest.raises(ScenarioError, match="'coordinator-0'"):
+        spec.validate()
+
+
+def test_baseline_runs_with_a_literal_pinned_coordinator():
+    spec = ScenarioSpec(
+        name="x",
+        protocol="2pc-paxos",
+        replicas_per_shard=3,
+        workload=WorkloadSpec(kind="spanning", txns=6, coordinator="coordinator-0"),
+    )
+    runner = ScenarioRunner(spec)
+    result = runner.run()
+    assert result.committed == 6 and result.safety_ok
+    assert set(runner.cluster.clients[0].coordinator_of.values()) == {"coordinator-0"}
+
+
 def test_spec_rejects_bad_workload():
     with pytest.raises(ScenarioError, match="writes_per_txn"):
         WorkloadSpec(kind="uniform", reads_per_txn=1, writes_per_txn=2).validate()
