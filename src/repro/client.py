@@ -61,7 +61,7 @@ from repro.core.messages import (
     TxnDecisionBatch,
 )
 from repro.core.serializability import SnapshotRead, TransactionPayload
-from repro.core.types import Decision, GlobalConfiguration, ShardId, TxnId
+from repro.core.types import Decision, ShardId, TxnId
 from repro.runtime.process import Process
 from repro.spec.history import History
 
@@ -569,20 +569,11 @@ class Client(Process):
         return True
 
     def on_cs_reply(self, msg: CsReply, sender: str) -> None:
-        shard = self._cs_pending.pop(msg.request_id, None)
-        if not msg.ok or msg.config is None or self.router is None:
+        asked = self._cs_pending.pop(msg.request_id, None)
+        if not msg.ok or msg.config is None or self.router is None or asked is None:
             return
-        config = msg.config
-        if isinstance(config, GlobalConfiguration):
-            # The RDMA protocol's service stores one system-wide record.
-            for each_shard in sorted(config.members):
-                self.router.note_config_change(
-                    each_shard,
-                    config.epoch,
-                    config.members[each_shard],
-                    config.leaders[each_shard],
-                )
-        elif shard is not None:
+        # One shard's record, or a system-wide one covering every shard.
+        for shard, config in sorted(msg.config.by_shard(asked).items()):
             self.router.note_config_change(
                 shard, config.epoch, config.members, config.leader
             )

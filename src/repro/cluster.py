@@ -43,7 +43,7 @@ from repro.analysis.metrics import (
     collect_retry_stats,
 )
 from repro.client import Client, ClientSession, CoordinatorRouter, RetryPolicy
-from repro.configservice.service import ConfigurationService, GlobalConfigurationService
+from repro.configservice.service import ConfigurationService
 from repro.core.batching import BatchPolicy
 from repro.core.certification import CertificationScheme
 from repro.core.directory import TransactionDirectory
@@ -57,7 +57,14 @@ from repro.core.serializability import (
     SnapshotIsolationScheme,
     TransactionPayload,
 )
-from repro.core.types import Configuration, Decision, GlobalConfiguration, ShardId, TxnId
+from repro.core.types import (
+    GLOBAL_SHARD,
+    Configuration,
+    Decision,
+    GlobalConfiguration,
+    ShardId,
+    TxnId,
+)
 from repro.rdma.broken import BrokenRdmaShardReplica
 from repro.rdma.replica import RdmaShardReplica
 from repro.runtime.events import Scheduler
@@ -440,10 +447,10 @@ class ProtocolSpec:
     of growing branches inside ``Cluster.__init__``:
 
     * ``replica_cls`` — the shard-replica process class;
-    * ``config_service_cls`` — the configuration-service process class;
     * ``global_config`` — True when the variant keeps a single system-wide
-      configuration and epoch (the RDMA protocol of Section 5) rather than
-      one configuration per shard;
+      configuration and epoch (the RDMA protocol of Section 5), stored in
+      the configuration service under ``"*"``, rather than one configuration
+      per shard;
     * ``post_build`` — optional hook ``post_build(cluster)`` run after all
       processes exist (the broken ablation uses it to leave RDMA access
       open between every pair of processes, which is exactly its bug).
@@ -451,7 +458,6 @@ class ProtocolSpec:
 
     name: str
     replica_cls: type
-    config_service_cls: type
     global_config: bool = False
     post_build: Optional[Callable[["Cluster"], None]] = None
     description: str = ""
@@ -493,7 +499,6 @@ register_protocol(
     ProtocolSpec(
         name=PROTOCOL_MESSAGE_PASSING,
         replica_cls=ShardReplica,
-        config_service_cls=ConfigurationService,
         description="Figure 1: asynchronous message passing, per-shard reconfiguration",
     )
 )
@@ -501,7 +506,6 @@ register_protocol(
     ProtocolSpec(
         name=PROTOCOL_RDMA,
         replica_cls=RdmaShardReplica,
-        config_service_cls=GlobalConfigurationService,
         global_config=True,
         description="Figures 7-8: RDMA data path, global reconfiguration",
     )
@@ -510,7 +514,6 @@ register_protocol(
     ProtocolSpec(
         name=PROTOCOL_BROKEN_RDMA,
         replica_cls=BrokenRdmaShardReplica,
-        config_service_cls=ConfigurationService,
         post_build=_open_rdma_everywhere,
         description="Figure 4a ablation: RDMA data path + per-shard reconfiguration (unsafe)",
     )
@@ -568,7 +571,7 @@ class Cluster(ClusterBase):
     # ------------------------------------------------------------------
     def _build_servers(self) -> None:
         spec = self.protocol_spec
-        self.config_service = spec.config_service_cls("config-service")
+        self.config_service = ConfigurationService("config-service")
         self.config_service.detector_confirmations = self.detector.confirmations
         self.network.register(self.config_service)
 
@@ -589,7 +592,7 @@ class Cluster(ClusterBase):
 
         # Install initial configurations in the configuration service.
         if spec.global_config:
-            self.config_service.install_initial(global_config)
+            self.config_service.install_initial(GLOBAL_SHARD, global_config)
         else:
             for shard, config in initial_configs.items():
                 self.config_service.install_initial(shard, config)
@@ -623,12 +626,10 @@ class Cluster(ClusterBase):
                     pool.add(pid)
 
         # Bootstrap configuration knowledge.
+        bootstrap_view = global_config if spec.global_config else initial_configs
         for replica in self.replicas.values():
-            if spec.global_config:
-                replica.spare_pools = self.spare_pools
-                replica.bootstrap(global_config)
-            else:
-                replica.bootstrap(initial_configs)
+            replica.spare_pools = self.spare_pools
+            replica.bootstrap(bootstrap_view)
 
         self.initial_configs = initial_configs
 
@@ -679,15 +680,8 @@ class Cluster(ClusterBase):
     def replica(self, pid: str):
         return self.replicas[pid]
 
-    def current_configuration(self, shard: ShardId):
-        if self.protocol_spec.global_config:
-            config = self.config_service.last_configuration()
-            return Configuration(
-                epoch=config.epoch,
-                members=config.members[shard],
-                leader=config.leaders[shard],
-            )
-        return self.config_service.last_configuration(shard)
+    def current_configuration(self, shard: ShardId) -> Configuration:
+        return self.config_service.shard_configuration(shard)
 
     def leader_of(self, shard: ShardId) -> str:
         return self.current_configuration(shard).leader
@@ -800,10 +794,7 @@ class Cluster(ClusterBase):
         replica = self.replicas[initiator_pid]
         for suspect in suspects:
             replica.suspect(suspect)
-        if self.protocol_spec.global_config:
-            started = replica.reconfigure()
-        else:
-            started = replica.reconfigure(shard)
+        started = replica.reconfigure(shard)
         if run:
             self.run()
         return started

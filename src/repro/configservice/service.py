@@ -1,26 +1,31 @@
 """Reliable single-process configuration service.
 
-Stores, per shard, the sequence of configurations ``⟨e, M, pl⟩`` and serves
-the three operations of the paper:
+Stores sequences of configurations by key and serves the three operations of
+the paper on them:
 
 * ``compare_and_swap(s, e, ⟨e', M, pl⟩)`` — succeeds iff the epoch of the
   last stored configuration of ``s`` is ``e`` and ``e' > e``;
 * ``get_last(s)`` — the last stored configuration of ``s``;
 * ``get(s, e)`` — the configuration of ``s`` at epoch ``e``.
 
-When a compare-and-swap succeeds the service pushes ``CONFIG_CHANGE``
-messages to the members of all *other* shards (Figure 1, line 67), so that
-coordinators learn about new configurations.
+The message-passing protocol keeps one sequence of :class:`Configuration`
+records ``⟨e, M, pl⟩`` per shard, keyed by the shard; the RDMA protocol
+(Section 5: "a single data structure with the system's sequence of
+configurations parameterized by shard") keeps one sequence of
+:class:`GlobalConfiguration` records under the key ``"*"``.  Whatever
+concerns a single shard — a read lease, a failure suspicion, who leads it —
+is answered from the shard's slice (``by_shard``) of the last record that
+configures it, so nothing below tells the two kinds of record apart.
 
-:class:`GlobalConfigurationService` is the whole-system variant used by the
-RDMA protocol (Section 5): it stores a single sequence of
-:class:`GlobalConfiguration` records and its operations take no shard
-argument.
+A successful compare-and-swap pushes ``CONFIG_CHANGE`` to the subscribers
+and to the members of the shards the new record does not configure (Figure
+1, line 67: all *other* shards; none for a global record, whose members
+learn it from ``CONFIG_PREPARE``), so that coordinators learn about it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import (
     ConfigChange,
@@ -33,15 +38,14 @@ from repro.core.messages import (
     CsViewChange,
     SuspicionReport,
 )
-from repro.core.types import Configuration, GlobalConfiguration, ProcessId, ShardId
+from repro.core.types import GLOBAL_SHARD, Configuration, ProcessId, ShardId
 from repro.runtime.process import Process
 
 
 class _SuspicionLedger:
     """Aggregates :class:`SuspicionReport` messages per (shard, epoch).
 
-    Shared by both configuration-service variants.  A suspicion becomes
-    *confirmed* once ``confirmations`` distinct observers reported it; the
+    A suspicion becomes *confirmed* once ``confirmations`` distinct observers reported it; the
     first confirmation of an epoch triggers exactly one view-change
     proposal (later reports against the same epoch are absorbed — the CAS
     path already serialises racing reconfigurations, this just avoids
@@ -73,12 +77,15 @@ class _SuspicionLedger:
 
 
 class ConfigurationService(Process):
-    """The per-shard configuration service of the message-passing protocol."""
+    """The configuration service of both reconfigurable protocols."""
 
     def __init__(self, pid: str = "config-service") -> None:
         super().__init__(pid)
-        self._configs: Dict[ShardId, Dict[int, Configuration]] = {}
+        # key -> epoch -> record, and the last epoch of every key.
+        self._configs: Dict[ShardId, Dict[int, Any]] = {}
         self._last: Dict[ShardId, int] = {}
+        # shard -> its slice of the last record that configures it.
+        self._by_shard: Dict[ShardId, Configuration] = {}
         self.cas_attempts = 0
         self.cas_successes = 0
         # Bumped whenever any stored configuration changes; lets callers
@@ -92,8 +99,8 @@ class ConfigurationService(Process):
         # Failure detection: how many distinct observers must report a
         # suspicion before the service proposes a view change (set by the
         # cluster from the detector policy), the report ledger, and the
-        # install log — (time, shard, epoch) per stored configuration —
-        # from which time-to-recovery is measured.
+        # install log — (time, shard, epoch) per shard of every stored
+        # record — from which time-to-recovery is measured.
         self.detector_confirmations = 1
         self._suspicions = _SuspicionLedger()
         self.suspicion_reports = 0
@@ -105,43 +112,50 @@ class ConfigurationService(Process):
         if pid not in self._subscribers:
             self._subscribers.append(pid)
 
-    def _log_install(self, shard: ShardId, epoch: int) -> None:
+    def _store(self, key: ShardId, config: Any) -> Dict[ShardId, Configuration]:
+        """Append ``config`` to the sequence under ``key``; returns the
+        per-shard slices it contributes."""
+        self._configs.setdefault(key, {})[config.epoch] = config
+        self._last[key] = config.epoch
+        self.version += 1
+        slices = config.by_shard(key)
+        self._by_shard.update(slices)
         # install_initial runs during cluster build, before the service is
         # attached to a network; those entries are at virtual time zero.
         now = self.now if self.network is not None else 0.0
-        self.install_log.append((now, shard, epoch))
+        for shard in sorted(slices):
+            self.install_log.append((now, shard, config.epoch))
+        return slices
 
     # ------------------------------------------------------------------
-    # direct (bootstrap) interface
+    # direct (bootstrap and harness) interface
     # ------------------------------------------------------------------
-    def install_initial(self, shard: ShardId, config: Configuration) -> None:
-        """Install the initial configuration of a shard at bootstrap time."""
-        self._configs.setdefault(shard, {})[config.epoch] = config
-        self._last[shard] = config.epoch
-        self.version += 1
-        self._log_install(shard, config.epoch)
+    def install_initial(self, key: ShardId, config: Any) -> None:
+        """Install the initial record of a sequence at bootstrap time."""
+        self._store(key, config)
 
-    def last_configuration(self, shard: ShardId) -> Optional[Configuration]:
-        epoch = self._last.get(shard)
+    def last_configuration(self, key: ShardId = GLOBAL_SHARD) -> Optional[Any]:
+        epoch = self._last.get(key)
         if epoch is None:
             return None
-        return self._configs[shard][epoch]
+        return self._configs[key][epoch]
 
-    def configuration_at(self, shard: ShardId, epoch: int) -> Optional[Configuration]:
-        return self._configs.get(shard, {}).get(epoch)
-
-    def shards(self):
-        return list(self._configs.keys())
+    def shard_configuration(self, shard: ShardId) -> Optional[Configuration]:
+        """The current configuration of one shard, whichever kind of record
+        holds it."""
+        return self._by_shard.get(shard)
 
     # ------------------------------------------------------------------
     # message handlers
     # ------------------------------------------------------------------
     def on_cs_get_last(self, msg: CsGetLast, sender: str) -> None:
-        config = self.last_configuration(msg.shard)
+        # A client refreshing one shard of a globally configured system is
+        # answered with the global record, which covers it.
+        config = self.last_configuration(msg.shard) or self.last_configuration()
         self.send(sender, CsReply(msg.request_id, ok=config is not None, config=config))
 
     def on_cs_get(self, msg: CsGet, sender: str) -> None:
-        config = self.configuration_at(msg.shard, msg.epoch)
+        config = self._configs.get(msg.shard, {}).get(msg.epoch)
         self.send(sender, CsReply(msg.request_id, ok=config is not None, config=config))
 
     def on_cs_compare_and_swap(self, msg: CsCompareAndSwap, sender: str) -> None:
@@ -151,12 +165,19 @@ class ConfigurationService(Process):
             self.send(sender, CsReply(msg.request_id, ok=False, config=None))
             return
         self.cas_successes += 1
-        self._configs.setdefault(msg.shard, {})[msg.config.epoch] = msg.config
-        self._last[msg.shard] = msg.config.epoch
-        self.version += 1
-        self._log_install(msg.shard, msg.config.epoch)
+        slices = self._store(msg.shard, msg.config)
         self.send(sender, CsReply(msg.request_id, ok=True, config=msg.config))
-        self._broadcast_config_change(msg.shard, msg.config)
+        for shard in sorted(slices):
+            config = slices[shard]
+            change = ConfigChange(
+                shard=shard, epoch=config.epoch, members=config.members, leader=config.leader
+            )
+            for other_shard, other_config in self._by_shard.items():
+                if other_shard not in slices:
+                    for member in other_config.members:
+                        self.send(member, change)
+            for subscriber in self._subscribers:
+                self.send(subscriber, change)
 
     def on_cs_lease_request(self, msg: CsLeaseRequest, sender: str) -> None:
         """Grant a read lease on ``msg.shard`` iff the requester is the
@@ -165,7 +186,7 @@ class ConfigurationService(Process):
         leaders outright; the grant is an absolute virtual-time expiry on
         the shared simulation clock, so an already-granted lease of a
         later-deposed leader simply runs out."""
-        config = self.last_configuration(msg.shard)
+        config = self._by_shard.get(msg.shard)
         ok = (
             config is not None
             and config.leader == sender
@@ -186,9 +207,10 @@ class ConfigurationService(Process):
     def on_suspicion_report(self, msg: SuspicionReport, sender: str) -> None:
         """Aggregate a failure-detector suspicion; once ``suspect`` has been
         reported by ``detector_confirmations`` distinct current members, ask
-        the first surviving member (configuration order) to propose a view
-        change through the ordinary CAS path."""
-        config = self.last_configuration(msg.shard)
+        the first surviving member of that shard (configuration order) to
+        propose a view change through the ordinary CAS path — a global one
+        where reconfiguration is global."""
+        config = self._by_shard.get(msg.shard)
         if config is None or config.epoch != msg.epoch:
             return  # stale view: the suspect's epoch is already history
         if sender not in config.members or msg.suspect not in config.members:
@@ -209,161 +231,3 @@ class ConfigurationService(Process):
             survivors[0],
             CsViewChange(shard=msg.shard, epoch=msg.epoch, suspects=tuple(confirmed)),
         )
-
-    def _broadcast_config_change(self, shard: ShardId, config: Configuration) -> None:
-        """Notify members of the other shards about the new configuration."""
-        change = ConfigChange(
-            shard=shard,
-            epoch=config.epoch,
-            members=config.members,
-            leader=config.leader,
-        )
-        for other_shard, last_epoch in self._last.items():
-            if other_shard == shard:
-                continue
-            other_config = self._configs[other_shard][last_epoch]
-            for member in other_config.members:
-                self.send(member, change)
-        for subscriber in self._subscribers:
-            self.send(subscriber, change)
-
-
-class GlobalConfigurationService(Process):
-    """Whole-system configuration service used by the RDMA protocol.
-
-    The interface mirrors :class:`ConfigurationService` but operations take
-    no shard argument: the service stores a single sequence of
-    :class:`GlobalConfiguration` values (Section 5: "the configuration
-    service keeps a single data structure with the system's sequence of
-    configurations parameterized by shard").
-    """
-
-    def __init__(self, pid: str = "global-config-service") -> None:
-        super().__init__(pid)
-        self._configs: Dict[int, GlobalConfiguration] = {}
-        self._last: Optional[int] = None
-        self.cas_attempts = 0
-        self.cas_successes = 0
-        # Cache-invalidation counter; see ConfigurationService.version.
-        self.version = 0
-        self._subscribers: List[str] = []
-        # Failure detection (see ConfigurationService): confirmations
-        # threshold, report ledger, and the per-shard install log.
-        self.detector_confirmations = 1
-        self._suspicions = _SuspicionLedger()
-        self.suspicion_reports = 0
-        self.view_changes = 0
-        self.install_log: List[Tuple[float, ShardId, int]] = []
-
-    def subscribe(self, pid: str) -> None:
-        """Push per-shard ``CONFIG_CHANGE`` digests of every new global
-        configuration to ``pid`` (client sessions; replicas learn about new
-        configurations through the RDMA protocol's own dissemination)."""
-        if pid not in self._subscribers:
-            self._subscribers.append(pid)
-
-    def _log_install(self, config: GlobalConfiguration) -> None:
-        now = self.now if self.network is not None else 0.0
-        for shard in sorted(config.members):
-            self.install_log.append((now, shard, config.epoch))
-
-    def install_initial(self, config: GlobalConfiguration) -> None:
-        self._configs[config.epoch] = config
-        self._last = config.epoch
-        self.version += 1
-        self._log_install(config)
-
-    def last_configuration(self) -> Optional[GlobalConfiguration]:
-        if self._last is None:
-            return None
-        return self._configs[self._last]
-
-    def configuration_at(self, epoch: int) -> Optional[GlobalConfiguration]:
-        return self._configs.get(epoch)
-
-    # Handlers reuse the CS message types; the ``shard`` field is ignored
-    # (callers pass the sentinel "*").
-    def on_cs_get_last(self, msg: CsGetLast, sender: str) -> None:
-        config = self.last_configuration()
-        self.send(
-            sender,
-            CsReply(msg.request_id, ok=config is not None, config=config),  # type: ignore[arg-type]
-        )
-
-    def on_cs_get(self, msg: CsGet, sender: str) -> None:
-        config = self.configuration_at(msg.epoch)
-        self.send(
-            sender,
-            CsReply(msg.request_id, ok=config is not None, config=config),  # type: ignore[arg-type]
-        )
-
-    def on_cs_lease_request(self, msg: CsLeaseRequest, sender: str) -> None:
-        """Per-shard read-lease grants against the last global configuration
-        (see :meth:`ConfigurationService.on_cs_lease_request`); the epoch
-        fence compares against the single system-wide epoch."""
-        config = self.last_configuration()
-        ok = (
-            config is not None
-            and config.leaders.get(msg.shard) == sender
-            and config.epoch == msg.epoch
-        )
-        expires_at = self.now + msg.duration if ok else float("-inf")
-        self.send(
-            sender,
-            CsLeaseGrant(
-                msg.shard,
-                ok=ok,
-                expires_at=expires_at,
-                request_id=msg.request_id,
-                epoch=msg.epoch,
-            ),
-        )
-
-    def on_suspicion_report(self, msg: SuspicionReport, sender: str) -> None:
-        """Aggregate suspicions against the single global epoch; a confirmed
-        suspicion asks a surviving member of the suspect's shard to start a
-        *global* reconfiguration (the RDMA protocol has no per-shard one)."""
-        config = self.last_configuration()
-        if config is None or config.epoch != msg.epoch:
-            return
-        members = config.members.get(msg.shard, ())
-        if sender not in members or msg.suspect not in members:
-            return
-        self.suspicion_reports += 1
-        self._suspicions.add(msg.shard, msg.epoch, msg.suspect, sender)
-        confirmed = self._suspicions.confirmed(
-            msg.shard, msg.epoch, self.detector_confirmations
-        )
-        if not confirmed or self._suspicions.acted(msg.shard, msg.epoch):
-            return
-        survivors = [p for p in members if p not in confirmed]
-        if not survivors:
-            return
-        self._suspicions.mark_acted(msg.shard, msg.epoch)
-        self.view_changes += 1
-        self.send(
-            survivors[0],
-            CsViewChange(shard=msg.shard, epoch=msg.epoch, suspects=tuple(confirmed)),
-        )
-
-    def on_cs_compare_and_swap(self, msg: CsCompareAndSwap, sender: str) -> None:
-        self.cas_attempts += 1
-        new_config: GlobalConfiguration = msg.config  # type: ignore[assignment]
-        if self._last != msg.expected_epoch or new_config.epoch <= msg.expected_epoch:
-            self.send(sender, CsReply(msg.request_id, ok=False, config=None))
-            return
-        self.cas_successes += 1
-        self._configs[new_config.epoch] = new_config
-        self._last = new_config.epoch
-        self.version += 1
-        self._log_install(new_config)
-        self.send(sender, CsReply(msg.request_id, ok=True, config=new_config))  # type: ignore[arg-type]
-        for shard in sorted(new_config.members):
-            change = ConfigChange(
-                shard=shard,
-                epoch=new_config.epoch,
-                members=new_config.members[shard],
-                leader=new_config.leaders[shard],
-            )
-            for subscriber in self._subscribers:
-                self.send(subscriber, change)

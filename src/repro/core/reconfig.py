@@ -1,6 +1,6 @@
-"""Per-shard reconfiguration (Figure 1, lines 33-69) and membership policy.
+"""Reconfiguration (Figure 1 lines 33-69, Figure 8) and membership policy.
 
-When a failure is suspected inside a shard, any process can reconfigure it:
+When a failure is suspected, any process can reconfigure:
 
 1. read the last configuration from the configuration service and *probe*
    its members, asking them to join a higher epoch (which makes them stop
@@ -11,17 +11,28 @@ When a failure is suspected inside a shard, any process can reconfigure it:
    (Invariant 2);
 3. compute the new membership (probe responders plus fresh spare
    processes), publish it with a compare-and-swap on the configuration
-   service, and tell the new leader, which transfers its state to the new
-   followers with ``NEW_STATE``.
+   service, and activate the new leader, which transfers its state to the
+   new followers with ``NEW_STATE``.
 
-The logic lives in :class:`ReconfigMixin`, mixed into
-:class:`repro.core.replica.ShardReplica`.
+The paper runs this pipeline at two scopes, and so does this module.
+:class:`Reconfigurer` holds the steps once, written for a *set* of shards
+probed under one configuration-service key; every replica inherits it
+through :class:`repro.core.replica.ReplicaBase`.
+
+* Figure 1 reconfigures one shard: one probe round under the shard's own
+  key, and a proposal that hands ``NEW_CONFIG`` to the new leader.  That
+  scope is :class:`ReconfigMixin`, mixed into
+  :class:`repro.core.replica.ShardReplica`.
+* Figure 8 reconfigures the whole system: one round per shard under the key
+  ``"*"``, and a proposal that disseminates ``CONFIG_PREPARE`` before it
+  activates every leader.  That scope is in
+  :class:`repro.rdma.replica.RdmaShardReplica`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.messages import (
     ConfigChange,
@@ -99,30 +110,55 @@ class MembershipPolicy:
         return tuple(members)
 
 
+class RecStatus:
+    """Values of the ``rec_status`` variable (Figure 8).  Figure 1 never
+    enters ``installing``: its proposal activates the leader in one message."""
+
+    READY = "ready"
+    PROBING = "probing"
+    INSTALLING = "installing"
+
+
 @dataclass
 class _ProbeRound:
-    """State of the probing loop of one reconfiguration attempt."""
+    """The probing loop of one shard within one reconfiguration attempt."""
 
     shard: ShardId
     recon_epoch: int
-    probed_epoch: int = 0
-    probed_members: Tuple[ProcessId, ...] = ()
+    probed_epoch: int
+    probed_members: Tuple[ProcessId, ...]
     responders: Set[ProcessId] = field(default_factory=set)
-    false_ack_from_current_round: bool = False
+    new_leader: Optional[ProcessId] = None
+    stepping_down: bool = False
 
 
-class ReconfigMixin:
-    """Reconfiguration-side handlers; mixed into ``ShardReplica``."""
+class Reconfigurer:
+    """The reconfiguration steps both scopes share.  A scope supplies
+    ``_reconfiguration_key``, ``_propose`` and the ``NEW_CONFIG`` /
+    ``NEW_STATE`` handlers (built on the two state-transfer helpers below),
+    and may override ``_on_probed``."""
 
     def _init_reconfig(self) -> None:
-        self.probing = False
-        self._probe_round: Optional[_ProbeRound] = None
+        self.rec_status = RecStatus.READY
+        self._probe_rounds: Dict[ShardId, _ProbeRound] = {}
+        # The rounds whose new leader is known, in the order they were found
+        # (which is the shard order of the configuration then proposed).
+        self._led_rounds: List[_ProbeRound] = []
         self.suspected: Set[ProcessId] = set()
+        # Replacements come from the pool of the shard being recomputed,
+        # whichever shard the reconfigurer belongs to; the cluster harness
+        # fills this map in.  Shards without an entry fall back to the
+        # replica's own pool.
+        self.spare_pools: Dict[ShardId, SparePool] = {}
         self._cs_request_id = 0
         self._cs_callbacks: Dict[int, Callable[[CsReply], None]] = {}
         self.reconfigurations_initiated = 0
         self.reconfigurations_introduced = 0
         self.unsolicited_reconfigurations = 0
+
+    @property
+    def probing(self) -> bool:
+        return self.rec_status is RecStatus.PROBING
 
     # ------------------------------------------------------------------
     # configuration-service RPC plumbing
@@ -139,34 +175,41 @@ class ReconfigMixin:
             callback(msg)
 
     # ------------------------------------------------------------------
-    # reconfigure(s): lines 33-39
+    # reconfigure: lines 33-39 / 103-110
     # ------------------------------------------------------------------
     def suspect(self, pid: ProcessId) -> None:
         """Record a failure suspicion (used by compute_membership)."""
         self.suspected.add(pid)
 
     def reconfigure(self, shard: Optional[ShardId] = None) -> bool:
-        """Initiate a reconfiguration of ``shard`` (default: own shard)."""
-        shard = shard or self.shard
-        if self.probing:
+        """Initiate a reconfiguration of ``shard`` (default: own shard) or,
+        where the scope is global, of every shard."""
+        if self.rec_status is not RecStatus.READY:
             return False
-        self.probing = True
+        self.rec_status = RecStatus.PROBING
         self.reconfigurations_initiated += 1
+        key = self._reconfiguration_key(shard)
 
         def on_last(reply: CsReply) -> None:
             if not reply.ok or reply.config is None:
-                self.probing = False
+                self.rec_status = RecStatus.READY
                 return
-            round_ = _ProbeRound(
-                shard=shard,
-                recon_epoch=reply.config.epoch + 1,
-                probed_epoch=reply.config.epoch,
-                probed_members=reply.config.members,
-            )
-            self._probe_round = round_
-            self.send_all(round_.probed_members, Probe(epoch=round_.recon_epoch))
+            recon_epoch = reply.config.epoch + 1
+            self._led_rounds = []
+            self._probe_rounds = {
+                each: _ProbeRound(
+                    shard=each,
+                    recon_epoch=recon_epoch,
+                    probed_epoch=config.epoch,
+                    probed_members=config.members,
+                )
+                for each, config in reply.config.by_shard(key).items()
+            }
+            rounds = self._probe_rounds.values()
+            targets = dict.fromkeys(p for r in rounds for p in r.probed_members)
+            self.send_all(targets, Probe(epoch=recon_epoch))
 
-        self._cs_call(lambda rid: CsGetLast(shard=shard, request_id=rid), on_last)
+        self._cs_call(lambda rid: CsGetLast(shard=key, request_id=rid), on_last)
         return True
 
     def on_cs_view_change(self, msg: CsViewChange, sender: str) -> None:
@@ -174,11 +217,11 @@ class ReconfigMixin:
         this process to drive the view change (unsolicited failover).
 
         Runs through the ordinary probe/CAS path above, so it races safely
-        with timeout-driven ``reconfigure`` calls: the ``probing`` guard
+        with timeout-driven ``reconfigure`` calls: the ``rec_status`` guard
         deduplicates concurrent attempts on this process, and the service's
         compare-and-swap lets exactly one attempt per epoch win.
         """
-        if msg.epoch < self.epoch.get(msg.shard, 0):
+        if msg.epoch < (self.epoch_of(msg.shard) or 0):
             return  # stale: a newer configuration is already installed
         for pid in msg.suspects:
             self.suspect(pid)
@@ -186,84 +229,152 @@ class ReconfigMixin:
             self.unsolicited_reconfigurations += 1
 
     # ------------------------------------------------------------------
-    # PROBE / PROBE_ACK: lines 40-55
+    # PROBE / PROBE_ACK: lines 40-55 / 111-130
     # ------------------------------------------------------------------
     def on_probe(self, msg: Probe, sender: str) -> None:
         if msg.epoch < self.new_epoch:
             return
         self.status = Status.RECONFIGURING
+        self._on_probed()
         self.new_epoch = msg.epoch
         self.send(sender, ProbeAck(initialized=self.initialized, epoch=msg.epoch, shard=self.shard))
 
+    def _on_probed(self) -> None:
+        """Hook: the RDMA scope closes its connections here."""
+
     def on_probe_ack(self, msg: ProbeAck, sender: str) -> None:
-        round_ = self._probe_round
+        round_ = self._probe_rounds.get(msg.shard)
         if (
-            not self.probing
+            self.rec_status is not RecStatus.PROBING
             or round_ is None
             or msg.epoch != round_.recon_epoch
-            or msg.shard != round_.shard
         ):
             return
         round_.responders.add(sender)
-        if msg.initialized:
-            self._finish_probing(round_, new_leader=sender)
-        else:
+        if not msg.initialized:
             self._step_down_probing(round_, sender)
+            return
+        if round_.new_leader is None:
+            round_.new_leader = sender
+            self._led_rounds.append(round_)
+        if len(self._led_rounds) == len(self._probe_rounds):
+            # Lines 45 / 117: an initialized process was found for every round.
+            self.rec_status = RecStatus.READY
+            self._propose(
+                round_.recon_epoch,
+                {r.shard: self._compute_membership(r) for r in self._led_rounds},
+                {r.shard: r.new_leader for r in self._led_rounds},
+            )
 
-    def _finish_probing(self, round_: _ProbeRound, new_leader: ProcessId) -> None:
-        """Line 45: an initialized process was found; install the new config."""
-        self.probing = False
-        members = self.membership_policy.compute(
+    def _compute_membership(self, round_: _ProbeRound) -> Tuple[ProcessId, ...]:
+        return self.membership_policy.compute(
             shard=round_.shard,
-            new_leader=new_leader,
+            new_leader=round_.new_leader,
             responders=round_.responders,
             suspected=self.suspected,
-            spares=self.spares,
+            spares=self.spare_pools.get(round_.shard, self.spares),
             previous_size=len(round_.probed_members),
-        )
-        config = Configuration(epoch=round_.recon_epoch, members=members, leader=new_leader)
-
-        def on_cas(reply: CsReply) -> None:
-            if reply.ok:
-                self.reconfigurations_introduced += 1
-                self.send(new_leader, NewConfig(epoch=round_.recon_epoch, members=members))
-
-        self._cs_call(
-            lambda rid: CsCompareAndSwap(
-                shard=round_.shard,
-                expected_epoch=round_.recon_epoch - 1,
-                config=config,
-                request_id=rid,
-            ),
-            on_cas,
         )
 
     def _step_down_probing(self, round_: _ProbeRound, sender: ProcessId) -> None:
-        """Lines 51-55: the probed epoch never became operational; probe the
-        preceding one."""
+        """Lines 51-55 / 125-130: the probed epoch of this round never became
+        operational; probe the preceding one."""
         if sender not in round_.probed_members:
             return
-        if round_.false_ack_from_current_round:
+        if round_.new_leader is not None or round_.stepping_down:
             return
-        round_.false_ack_from_current_round = True
+        round_.stepping_down = True
         previous_epoch = round_.probed_epoch - 1
         if previous_epoch < 1:
             # Nothing below the initial configuration: reconfiguration is stuck
             # (all shard data lost), matching the paper's liveness caveat.
-            self.probing = False
+            self.rec_status = RecStatus.READY
             return
+
+        key = self._reconfiguration_key(round_.shard)
 
         def on_get(reply: CsReply) -> None:
             if not reply.ok or reply.config is None or not self.probing:
                 return
             round_.probed_epoch = previous_epoch
-            round_.probed_members = reply.config.members
-            round_.false_ack_from_current_round = False
+            round_.probed_members = reply.config.by_shard(key)[round_.shard].members
+            round_.stepping_down = False
             self.send_all(round_.probed_members, Probe(epoch=round_.recon_epoch))
 
+        self._cs_call(lambda rid: CsGet(shard=key, epoch=previous_epoch, request_id=rid), on_get)
+
+    def _compare_and_swap(
+        self, key: ShardId, config: Any, on_installed: Callable[[], None]
+    ) -> None:
+        """Lines 49 / 121: publish ``config`` as the successor of the epoch
+        the attempt started from; only the winner of the race goes on."""
+
+        def on_cas(reply: CsReply) -> None:
+            if reply.ok:
+                self.reconfigurations_introduced += 1
+                on_installed()
+
         self._cs_call(
-            lambda rid: CsGet(shard=round_.shard, epoch=previous_epoch, request_id=rid),
-            on_get,
+            lambda rid: CsCompareAndSwap(
+                shard=key, expected_epoch=config.epoch - 1, config=config, request_id=rid
+            ),
+            on_cas,
+        )
+
+    # ------------------------------------------------------------------
+    # state transfer: the two halves of NEW_CONFIG / NEW_STATE
+    # ------------------------------------------------------------------
+    def _lead_own_slots(self) -> Dict[str, Dict[int, Any]]:
+        """Become leader over the slots this process holds and snapshot
+        them (the slot-array fields of a ``NEW_STATE``)."""
+        self.status = Status.LEADER
+        # Slots may have been filled by ACCEPTs while we were a follower;
+        # rebuild the vote index before voting in the new epoch.
+        self._votes.invalidate()
+        self.next = max((k for k, ph in self.phase_arr.items() if ph is not Phase.START), default=0)
+        return {
+            "txn": dict(self.txn_arr),
+            "payload": dict(self.payload_arr),
+            "vote": dict(self.vote_arr),
+            "dec": dict(self.dec_arr),
+            "phase": dict(self.phase_arr),
+        }
+
+    def _adopt_state(self, msg: Any) -> None:
+        """Become an initialized follower holding the leader's slots."""
+        self.initialized = True
+        self.status = Status.FOLLOWER
+        self.new_epoch = msg.epoch
+        self.txn_arr = dict(msg.txn)
+        self.payload_arr = dict(msg.payload)
+        self.vote_arr = dict(msg.vote)
+        self.dec_arr = dict(msg.dec)
+        self.phase_arr = dict(msg.phase)
+        self.slot_of = {txn: slot for slot, txn in self.txn_arr.items()}
+        self._votes.invalidate()
+        self.next = max((k for k, ph in self.phase_arr.items() if ph is not Phase.START), default=0)
+
+
+class ReconfigMixin(Reconfigurer):
+    """Figure 1's scope: one shard, one probe round, under the shard's own
+    configuration-service key; mixed into ``ShardReplica``."""
+
+    def _reconfiguration_key(self, shard: Optional[ShardId]) -> ShardId:
+        return shard or self.shard
+
+    def _propose(
+        self,
+        epoch: int,
+        members: Dict[ShardId, Tuple[ProcessId, ...]],
+        leaders: Dict[ShardId, ProcessId],
+    ) -> None:
+        """Lines 48-50: install the new configuration, then tell its leader."""
+        ((shard, new_members),) = members.items()
+        new_leader = leaders[shard]
+        self._compare_and_swap(
+            shard,
+            Configuration(epoch=epoch, members=new_members, leader=new_leader),
+            lambda: self.send(new_leader, NewConfig(epoch=epoch, members=new_members)),
         )
 
     # ------------------------------------------------------------------
@@ -274,23 +385,10 @@ class ReconfigMixin:
             # A newer probe has superseded this configuration; refusing to
             # lead it preserves Invariant 3.
             return
-        self.status = Status.LEADER
         self.epoch[self.shard] = msg.epoch
         self.members[self.shard] = tuple(msg.members)
         self.leader[self.shard] = self.pid
-        # Slots may have been filled by ACCEPTs while we were a follower;
-        # rebuild the vote index before voting in the new epoch.
-        self._votes.invalidate()
-        self.next = max((k for k, ph in self.phase_arr.items() if ph is not Phase.START), default=0)
-        state = NewState(
-            epoch=msg.epoch,
-            members=tuple(msg.members),
-            txn=dict(self.txn_arr),
-            payload=dict(self.payload_arr),
-            vote=dict(self.vote_arr),
-            dec=dict(self.dec_arr),
-            phase=dict(self.phase_arr),
-        )
+        state = NewState(epoch=msg.epoch, members=tuple(msg.members), **self._lead_own_slots())
         for member in msg.members:
             if member != self.pid:
                 self.send(member, state)
@@ -300,22 +398,10 @@ class ReconfigMixin:
     def on_new_state(self, msg: NewState, sender: str) -> None:
         if msg.epoch < self.new_epoch:
             return
-        self.initialized = True
-        self.status = Status.FOLLOWER
-        self.new_epoch = msg.epoch
+        self._adopt_state(msg)
         self.epoch[self.shard] = msg.epoch
         self.members[self.shard] = tuple(msg.members)
         self.leader[self.shard] = sender
-        self.txn_arr = dict(msg.txn)
-        self.payload_arr = dict(msg.payload)
-        self.vote_arr = dict(msg.vote)
-        self.dec_arr = dict(msg.dec)
-        self.phase_arr = dict(msg.phase)
-        self.slot_of = {txn: slot for slot, txn in self.txn_arr.items()}
-        self._votes.invalidate()
-        self.next = max(
-            (k for k, ph in self.phase_arr.items() if ph is not Phase.START), default=0
-        )
         self._on_configuration_installed()
         self._unstash()
 
@@ -328,6 +414,3 @@ class ReconfigMixin:
         self.members[msg.shard] = tuple(msg.members)
         self.leader[msg.shard] = msg.leader
         self._unstash()
-
-    def _on_configuration_installed(self) -> None:
-        """Hook for subclasses (the RDMA variant re-opens connections here)."""

@@ -12,11 +12,14 @@ plays three roles:
   — lines 33-69.
 
 :class:`ReplicaBase` holds what the RDMA protocol of Figures 7-8 keeps
-unchanged — the coordinator, the leader's certification, failure detection
-and the snapshot-read path — and :class:`repro.rdma.replica.RdmaShardReplica`
-extends it too.  What is Figure 1 only stays in :class:`ShardReplica`: the
-per-shard epochs, the epoch-checked ``ACCEPT`` / ``DECISION`` handlers, the
-stash of early messages and per-shard reconfiguration.
+unchanged — the coordinator, the leader's certification, failure detection,
+the snapshot-read path and the reconfiguration pipeline
+(:class:`repro.core.reconfig.Reconfigurer`) — and
+:class:`repro.rdma.replica.RdmaShardReplica` extends it too.  What is
+Figure 1 only stays in :class:`ShardReplica`: the per-shard epochs, the
+epoch-checked ``ACCEPT`` / ``DECISION`` handlers, the stash of early
+messages and the per-shard *scope* of reconfiguration
+(:class:`repro.core.reconfig.ReconfigMixin`).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from repro.core.messages import (
     VoteBatch,
 )
 from repro.core.reads import ReadPolicy, ReplicaReadEngine
-from repro.core.reconfig import MembershipPolicy, ReconfigMixin, SparePool
+from repro.core.reconfig import MembershipPolicy, ReconfigMixin, Reconfigurer, SparePool
 from repro.core.votecache import LeaderVoteCache
 from repro.core.types import (
     BOTTOM,
@@ -62,10 +65,11 @@ from repro.core.types import (
 from repro.runtime.process import Process
 
 
-class ReplicaBase(CoordinatorMixin, Process):
+class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
     """A replica of one shard: coordinator, certifying leader, failure
-    detector and snapshot reads.  Subclasses add ``epoch`` and ``my_epoch``,
-    the follower side of vote and decision persistence, and reconfiguration.
+    detector, snapshot reads and the reconfiguration steps every scope
+    shares.  Subclasses add ``epoch`` and ``my_epoch``, the follower side of
+    vote and decision persistence, and the scope of reconfiguration.
     """
 
     def __init__(
@@ -133,6 +137,7 @@ class ReplicaBase(CoordinatorMixin, Process):
         self._lease_seq = 0
 
         self._init_coordinator(self.batch_policy, pipeline)
+        self._init_reconfig()
 
     # ------------------------------------------------------------------
     # convenience accessors
@@ -243,6 +248,18 @@ class ReplicaBase(CoordinatorMixin, Process):
         if self.detector is not None:
             self.detector.record(sender, self.now)
 
+    def _on_configuration_installed(self) -> None:
+        """A state transfer made this process leader or replaced its slot
+        arrays wholesale: rebuild the applied store and pending-writer
+        counts from them.  The new leader still has no lease (leases are
+        granted per process), so reads refuse until the next grant — and the
+        lease epoch advances, so an in-flight grant from the previous epoch
+        is refused on arrival."""
+        if self.read_engine is not None:
+            self.read_engine.note_epoch(self.my_epoch)
+            self.read_engine.rebuild()
+        self._watch_co_members()
+
     # ------------------------------------------------------------------
     # snapshot-read fast path (certification-bypassing; repro.core.reads)
     # ------------------------------------------------------------------
@@ -292,7 +309,6 @@ class ShardReplica(ReconfigMixin, ReplicaBase):
         # Messages whose precondition mentions an epoch we have not reached
         # yet; re-dispatched whenever configuration knowledge advances.
         self._stash: List[Tuple[Any, str]] = []
-        self._init_reconfig()
 
     # ------------------------------------------------------------------
     # bootstrap
@@ -408,15 +424,3 @@ class ShardReplica(ReconfigMixin, ReplicaBase):
     def on_decision_batch(self, msg: DecisionBatch, sender: str) -> None:
         for decision in msg.decisions:
             self.on_slot_decision(decision, sender)
-
-    def _on_configuration_installed(self) -> None:
-        """A NEW_STATE transfer replaced the slot arrays wholesale: rebuild
-        the applied store and pending-writer counts from them.  The new
-        leader still has no lease (leases are granted per process), so reads
-        refuse until the next grant — and the lease epoch advances, so an
-        in-flight grant from the previous epoch is refused on arrival."""
-        super()._on_configuration_installed()
-        if self.read_engine is not None:
-            self.read_engine.note_epoch(self.my_epoch)
-            self.read_engine.rebuild()
-        self._watch_co_members()

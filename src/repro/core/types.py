@@ -18,6 +18,11 @@ TxnId = str
 ShardId = str
 ProcessId = str
 
+#: Configuration-service key of the one system-wide sequence of
+#: :class:`GlobalConfiguration` records (a :class:`Configuration` sequence is
+#: keyed by its shard).
+GLOBAL_SHARD = "*"
+
 
 class _Bottom:
     """The undefined payload value ``⊥`` used by coordinator recovery.
@@ -106,6 +111,10 @@ class Configuration:
     def followers(self) -> Tuple[ProcessId, ...]:
         return tuple(p for p in self.members if p != self.leader)
 
+    def by_shard(self, key: ShardId) -> Dict[ShardId, "Configuration"]:
+        """The shards this record configures when stored under ``key``."""
+        return {key: self}
+
 
 @dataclass(frozen=True)
 class GlobalConfiguration:
@@ -126,6 +135,13 @@ class GlobalConfiguration:
                 raise ValueError(
                     f"leader {leader!r} of shard {shard!r} is not among its members"
                 )
+
+    def by_shard(self, key: ShardId) -> Dict[ShardId, Configuration]:
+        """Every shard's slice of this record (``key`` is always ``"*"``)."""
+        return {
+            shard: Configuration(self.epoch, tuple(members), self.leaders[shard])
+            for shard, members in self.members.items()
+        }
 
     def all_processes(self) -> Tuple[ProcessId, ...]:
         seen = []

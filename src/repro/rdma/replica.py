@@ -1,7 +1,9 @@
 """The RDMA-based shard replica (Figures 7 and 8).
 
-The coordinator, the certifying leader, failure detection and snapshot reads
-are the message-passing protocol's, inherited from
+The coordinator, the certifying leader, failure detection, snapshot reads
+and the reconfiguration pipeline (configuration-service RPC, probing loop,
+step-down, membership, CAS, state transfer: :mod:`repro.core.reconfig`) are
+the message-passing protocol's, inherited from
 :class:`repro.core.replica.ReplicaBase`; this module holds only the
 differences from Figure 1:
 
@@ -11,12 +13,13 @@ differences from Figure 1:
   receivers cannot reject the writes (there is no epoch precondition on the
   follower side);
 * processes keep a single system-wide ``epoch`` instead of one per shard;
-* reconfiguration is *global*: the reconfigurer probes every shard, each
-  probed process closes its RDMA connections, the new configuration is
-  disseminated to all members (``CONFIG_PREPARE`` / ``CONFIG_PREPARE_ACK``)
-  before the new leaders are activated, new leaders ``flush`` their RDMA
-  buffers before sending ``NEW_STATE``, and connections are re-established
-  with ``CONNECT`` / ``CONNECT_ACK``.
+* reconfiguration is *global*: the probing loop runs one round per shard
+  under the configuration-service key ``"*"``, each probed process closes
+  its RDMA connections, the new configuration is disseminated to all
+  members (``CONFIG_PREPARE`` / ``CONFIG_PREPARE_ACK``) before the new
+  leaders are activated, new leaders ``flush`` their RDMA buffers before
+  sending ``NEW_STATE``, and connections are re-established with
+  ``CONNECT`` / ``CONNECT_ACK``.
 
 One deliberate, documented deviation from the pseudocode: on line 153 the
 paper has a follower send ``CONNECT`` only to the processes of *other*
@@ -29,23 +32,15 @@ line 155 makes the extra connection requests harmless.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.batching import BatchPolicy, MessageBatcher
 from repro.core.coordinator import CoordinatorEntry
-from repro.core.messages import (
-    CsCompareAndSwap,
-    CsGet,
-    CsGetLast,
-    CsReply,
-    CsViewChange,
-    PrepareAck,
-    Probe,
-    ProbeAck,
-)
-from repro.core.reconfig import SparePool
+from repro.core.messages import PrepareAck
+from repro.core.reconfig import RecStatus
 from repro.core.replica import ReplicaBase
 from repro.core.types import (
+    GLOBAL_SHARD,
     Decision,
     GlobalConfiguration,
     Phase,
@@ -67,17 +62,6 @@ from repro.rdma.messages import (
     SlotDecision,
 )
 from repro.runtime.rdma import RdmaManager
-
-
-GLOBAL_SHARD = "*"
-
-
-class RecStatus:
-    """Values of the ``rec_status`` variable (Figure 8)."""
-
-    READY = "ready"
-    PROBING = "probing"
-    INSTALLING = "installing"
 
 
 class RdmaVotePersistence:
@@ -182,29 +166,10 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         RdmaManager.install(self)
         # Single system-wide epoch (Section 5).
         self.epoch = 0
-        # Global reconfiguration recomputes the membership of *every* shard,
-        # so replacements must come from per-shard spare pools; the cluster
-        # harness fills this map in.  Shards without an entry fall back to
-        # the replica's own pool.
-        self.spare_pools: Dict[ShardId, SparePool] = {}
-
-        # Reconfiguration state (Figure 8 preliminaries).
-        self.rec_status = RecStatus.READY
-        self.recon_epoch = 0
-        self.probed_epoch: Dict[ShardId, int] = {}
-        self.probed_members: Dict[ShardId, Tuple[ProcessId, ...]] = {}
-        self._probe_responders: Dict[ShardId, Set[ProcessId]] = {}
-        self._probe_leaders: Dict[ShardId, ProcessId] = {}
-        self._probe_stepping: Dict[ShardId, bool] = {}
-        self.recon_members: Dict[ShardId, Tuple[ProcessId, ...]] = {}
-        self.recon_leaders: Dict[ShardId, ProcessId] = {}
+        # The configuration this process won the CAS for and is disseminating
+        # (``rec_status`` is ``installing``), and who acknowledged it so far.
+        self._installing: Optional[GlobalConfiguration] = None
         self._config_prepare_acks: Set[ProcessId] = set()
-        self.suspected: Set[ProcessId] = set()
-        self.reconfigurations_initiated = 0
-        self.reconfigurations_introduced = 0
-        self.unsolicited_reconfigurations = 0
-        self._cs_request_id = 0
-        self._cs_callbacks: Dict[int, Callable[[CsReply], None]] = {}
 
     # ------------------------------------------------------------------
     # bootstrap
@@ -239,25 +204,6 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
     @property
     def my_epoch(self) -> int:
         return self.epoch
-
-    def _all_members(self) -> List[ProcessId]:
-        seen: List[ProcessId] = []
-        for members in self.members.values():
-            for pid in members:
-                if pid not in seen:
-                    seen.append(pid)
-        return seen
-
-    def _cs_call(self, build_message, callback: Callable[[CsReply], None]) -> None:
-        self._cs_request_id += 1
-        request_id = self._cs_request_id
-        self._cs_callbacks[request_id] = callback
-        self.send(self.config_service, build_message(request_id))
-
-    def on_cs_reply(self, msg: CsReply, sender: str) -> None:
-        callback = self._cs_callbacks.pop(msg.request_id, None)
-        if callback is not None:
-            callback(msg)
 
     # ------------------------------------------------------------------
     # coordinator: what Figure 7 changes in the pipeline of
@@ -320,144 +266,36 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
             listener(slot, txn, decision)
 
     # ------------------------------------------------------------------
-    # reconfiguration (Figure 8)
+    # reconfiguration: what Figure 8 adds to the pipeline of
+    # repro.core.reconfig (one probe round per shard, under one key)
     # ------------------------------------------------------------------
-    def suspect(self, pid: ProcessId) -> None:
-        self.suspected.add(pid)
+    def _reconfiguration_key(self, shard: Optional[ShardId]) -> ShardId:
+        """Reconfiguration is global, whichever shard raised the suspicion."""
+        return GLOBAL_SHARD
 
-    def on_cs_view_change(self, msg: CsViewChange, sender: str) -> None:
-        """Unsolicited failover: the service confirmed suspicions and asks
-        this process to drive the (global) reconfiguration.  The
-        ``rec_status`` guard in :meth:`reconfigure` deduplicates races with
-        timeout-driven attempts; the CAS arbitrates across processes."""
-        if msg.epoch < self.epoch:
-            return
-        for pid in msg.suspects:
-            self.suspect(pid)
-        if self.reconfigure():
-            self.unsolicited_reconfigurations += 1
-
-    def reconfigure(self) -> bool:
-        """Initiate a global reconfiguration (lines 103-110)."""
-        if self.rec_status is not RecStatus.READY:
-            return False
-        self.rec_status = RecStatus.PROBING
-        self.reconfigurations_initiated += 1
-
-        def on_last(reply: CsReply) -> None:
-            if not reply.ok or reply.config is None:
-                self.rec_status = RecStatus.READY
-                return
-            config: GlobalConfiguration = reply.config  # type: ignore[assignment]
-            self.recon_epoch = config.epoch + 1
-            self._probe_responders = {shard: set() for shard in config.members}
-            self._probe_leaders = {}
-            self._probe_stepping = {shard: False for shard in config.members}
-            self.probed_epoch = {shard: config.epoch for shard in config.members}
-            self.probed_members = {s: tuple(m) for s, m in config.members.items()}
-            targets: List[ProcessId] = []
-            for members in self.probed_members.values():
-                for pid in members:
-                    if pid not in targets:
-                        targets.append(pid)
-            self.send_all(targets, Probe(epoch=self.recon_epoch))
-
-        self._cs_call(lambda rid: CsGetLast(shard=GLOBAL_SHARD, request_id=rid), on_last)
-        return True
-
-    def on_probe(self, msg: Probe, sender: str) -> None:
-        if msg.epoch < self.new_epoch:
-            return
-        self.status = Status.RECONFIGURING
+    def _on_probed(self) -> None:
         self.rdma.multiclose(self.rdma.connections)
-        self.new_epoch = msg.epoch
-        self.send(sender, ProbeAck(initialized=self.initialized, epoch=msg.epoch, shard=self.shard))
 
-    def on_probe_ack(self, msg: ProbeAck, sender: str) -> None:
-        if self.rec_status is not RecStatus.PROBING or msg.epoch != self.recon_epoch:
-            return
-        shard = msg.shard
-        self._probe_responders.setdefault(shard, set()).add(sender)
-        if msg.initialized:
-            self._probe_leaders.setdefault(shard, sender)
-            if all(s in self._probe_leaders for s in self.probed_members):
-                self._finish_probing()
-        else:
-            self._step_down_probing(shard, sender)
+    def _propose(
+        self,
+        epoch: int,
+        members: Dict[ShardId, Tuple[ProcessId, ...]],
+        leaders: Dict[ShardId, ProcessId],
+    ) -> None:
+        """Lines 120-124: install the new global configuration, then
+        disseminate it to every member before any leader is activated."""
+        config = GlobalConfiguration(epoch=epoch, members=members, leaders=leaders)
 
-    def _finish_probing(self) -> None:
-        """Lines 117-124: an initialized leader was found for every shard."""
-        self.rec_status = RecStatus.READY
-        members: Dict[ShardId, Tuple[ProcessId, ...]] = {}
-        leaders: Dict[ShardId, ProcessId] = {}
-        for shard, new_leader in self._probe_leaders.items():
-            leaders[shard] = new_leader
-            members[shard] = self.membership_policy.compute(
-                shard=shard,
-                new_leader=new_leader,
-                responders=self._probe_responders.get(shard, set()),
-                suspected=self.suspected,
-                spares=self.spare_pools.get(shard, self.spares),
-                previous_size=len(self.probed_members.get(shard, ())),
-            )
-        config = GlobalConfiguration(epoch=self.recon_epoch, members=members, leaders=leaders)
-
-        def on_cas(reply: CsReply) -> None:
-            if not reply.ok:
-                return
-            self.reconfigurations_introduced += 1
+        def on_installed() -> None:
             self.rec_status = RecStatus.INSTALLING
-            self.recon_members = members
-            self.recon_leaders = leaders
+            self._installing = config
             self._config_prepare_acks = set()
-            targets: List[ProcessId] = []
-            for shard_members in members.values():
-                for pid in shard_members:
-                    if pid not in targets:
-                        targets.append(pid)
             self.send_all(
-                targets,
-                ConfigPrepare(epoch=self.recon_epoch, members=members, leaders=leaders),
+                config.all_processes(),
+                ConfigPrepare(epoch=epoch, members=members, leaders=leaders),
             )
 
-        self._cs_call(
-            lambda rid: CsCompareAndSwap(
-                shard=GLOBAL_SHARD,
-                expected_epoch=self.recon_epoch - 1,
-                config=config,  # type: ignore[arg-type]
-                request_id=rid,
-            ),
-            on_cas,
-        )
-
-    def _step_down_probing(self, shard: ShardId, sender: ProcessId) -> None:
-        """Lines 125-130: the probed epoch of this shard never became
-        operational; probe its preceding configuration."""
-        if sender not in self.probed_members.get(shard, ()):
-            return
-        if shard in self._probe_leaders or self._probe_stepping.get(shard):
-            return
-        self._probe_stepping[shard] = True
-        previous_epoch = self.probed_epoch[shard] - 1
-        if previous_epoch < 1:
-            self.rec_status = RecStatus.READY
-            return
-
-        def on_get(reply: CsReply) -> None:
-            if self.rec_status is not RecStatus.PROBING:
-                return
-            if not reply.ok or reply.config is None:
-                return
-            config: GlobalConfiguration = reply.config  # type: ignore[assignment]
-            self.probed_epoch[shard] = previous_epoch
-            self.probed_members[shard] = tuple(config.members.get(shard, ()))
-            self._probe_stepping[shard] = False
-            self.send_all(self.probed_members[shard], Probe(epoch=self.recon_epoch))
-
-        self._cs_call(
-            lambda rid: CsGet(shard=GLOBAL_SHARD, epoch=previous_epoch, request_id=rid),
-            on_get,
-        )
+        self._compare_and_swap(GLOBAL_SHARD, config, on_installed)
 
     def on_config_prepare(self, msg: ConfigPrepare, sender: str) -> None:
         if msg.epoch < self.new_epoch:
@@ -468,16 +306,14 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         self.send(sender, ConfigPrepareAck(epoch=msg.epoch))
 
     def on_config_prepare_ack(self, msg: ConfigPrepareAck, sender: str) -> None:
-        if self.rec_status is not RecStatus.INSTALLING or msg.epoch != self.recon_epoch:
+        config = self._installing
+        if self.rec_status is not RecStatus.INSTALLING or msg.epoch != config.epoch:
             return
         self._config_prepare_acks.add(sender)
-        expected: Set[ProcessId] = set()
-        for shard_members in self.recon_members.values():
-            expected.update(shard_members)
-        if expected <= self._config_prepare_acks:
+        if set(config.all_processes()) <= self._config_prepare_acks:
             self.rec_status = RecStatus.READY
-            for shard, leader in self.recon_leaders.items():
-                self.send(leader, NewConfig(epoch=self.recon_epoch))
+            for leader in config.leaders.values():
+                self.send(leader, NewConfig(epoch=config.epoch))
 
     def on_new_config(self, msg: NewConfig, sender: str) -> None:
         if msg.epoch != self.new_epoch:
@@ -485,53 +321,25 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         # All writes already acknowledged by our NIC must be visible before
         # we snapshot our state for the followers (line 142).
         self.rdma.flush()
-        self.status = Status.LEADER
         self.epoch = msg.epoch
-        self._votes.invalidate()
-        self.next = max(
-            (k for k, ph in self.phase_arr.items() if ph is not Phase.START), default=0
-        )
-        if self.read_engine is not None:
-            self.read_engine.note_epoch(self.epoch)
-            self.read_engine.rebuild()
-        self._watch_co_members()
-        state = NewState(
-            epoch=self.epoch,
-            txn=dict(self.txn_arr),
-            payload=dict(self.payload_arr),
-            vote=dict(self.vote_arr),
-            dec=dict(self.dec_arr),
-            phase=dict(self.phase_arr),
-        )
+        state = NewState(epoch=self.epoch, **self._lead_own_slots())
+        self._on_configuration_installed()
         for member in self.members.get(self.shard, ()):
             if member != self.pid:
                 self.send(member, state)
-        for pid in self._all_members():
-            if pid != self.pid:
-                self.send(pid, Connect(epoch=self.epoch))
+        self._connect_to_all_members()
 
     def on_new_state(self, msg: NewState, sender: str) -> None:
         if msg.epoch < self.new_epoch:
             return
-        self.status = Status.FOLLOWER
         self.epoch = msg.epoch
-        self.new_epoch = msg.epoch
-        self.initialized = True
-        self.txn_arr = dict(msg.txn)
-        self.payload_arr = dict(msg.payload)
-        self.vote_arr = dict(msg.vote)
-        self.dec_arr = dict(msg.dec)
-        self.phase_arr = dict(msg.phase)
-        self.slot_of = {txn: slot for slot, txn in self.txn_arr.items()}
-        self._votes.invalidate()
-        self.next = max(
-            (k for k, ph in self.phase_arr.items() if ph is not Phase.START), default=0
-        )
-        if self.read_engine is not None:
-            self.read_engine.note_epoch(self.epoch)
-            self.read_engine.rebuild()
-        self._watch_co_members()
-        for pid in self._all_members():
+        self._adopt_state(msg)
+        self._on_configuration_installed()
+        self._connect_to_all_members()
+
+    def _connect_to_all_members(self) -> None:
+        """Lines 147 / 153 (see the module docstring for the deviation)."""
+        for pid in dict.fromkeys(p for members in self.members.values() for p in members):
             if pid != self.pid:
                 self.send(pid, Connect(epoch=self.epoch))
 

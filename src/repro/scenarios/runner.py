@@ -373,6 +373,8 @@ class ScenarioRunner:
             if not members:
                 raise ScenarioError(f"role {role!r}: shard {shard!r} has no members")
             return members[index % len(members)]
+        if role not in cluster.network.processes:
+            raise ScenarioError(f"role {role!r} names no process of this cluster")
         return role
 
     def _note_fault(self, text: str) -> None:

@@ -708,6 +708,7 @@ class ScenarioSpec:
                 )
         for step in self.faults:
             step.validate()
+        self._validate_names()
         if self.protocol == PROTOCOL_BASELINE:
             if self.faults:
                 raise ScenarioError(
@@ -728,6 +729,40 @@ class ScenarioSpec:
                     "baseline does not coordinate through; pin one of its dedicated "
                     "coordinators by literal pid, e.g. 'coordinator-0'"
                 )
+
+    def _validate_names(self) -> None:
+        """Reject a ``shard=`` or a ``kind:shard[:index]`` role that names a
+        shard this spec does not have, or an index that is not an integer
+        (literal pids are checked against the built cluster by the runner)."""
+        shards = tuple(f"shard-{i}" for i in range(self.num_shards))
+
+        def check_shard(shard: str, where: str) -> None:
+            if shard not in shards:
+                raise ScenarioError(
+                    f"{where}: unknown shard {shard!r} (the spec has "
+                    f"{shards[0]} .. {shards[-1]})"
+                )
+
+        def check_role(role: Optional[str], where: str) -> None:
+            kind, _, rest = (role or "").partition(":")
+            if kind not in SHARD_ROLES or not rest:
+                return
+            shard, _, index = rest.partition(":")
+            check_shard(shard, f"{where}: role {role!r}")
+            try:
+                int(index or 0)
+            except ValueError:
+                raise ScenarioError(
+                    f"{where}: role {role!r} needs an integer index, got {index!r}"
+                ) from None
+
+        for number, step in enumerate(self.faults):
+            where = f"fault step {number} ({step.action!r} at t={step.at:g})"
+            if step.shard is not None:
+                check_shard(step.shard, where)
+            for role in (step.target, step.src, step.dst, *step.suspects):
+                check_role(role, where)
+        check_role(self.workload.coordinator, "workload.coordinator")
 
     def with_overrides(self, **overrides) -> "ScenarioSpec":
         """A copy of the spec with the given fields replaced (re-validated)."""

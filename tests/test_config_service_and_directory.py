@@ -4,14 +4,18 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.configservice.service import ConfigurationService, GlobalConfigurationService
+from repro.configservice.service import ConfigurationService
 from repro.core.directory import TransactionDirectory
 from repro.core.messages import (
     ConfigChange,
     CsCompareAndSwap,
     CsGet,
     CsGetLast,
+    CsLeaseGrant,
+    CsLeaseRequest,
     CsReply,
+    CsViewChange,
+    SuspicionReport,
 )
 from repro.core.types import Configuration, GlobalConfiguration
 from repro.runtime.events import Scheduler
@@ -123,12 +127,12 @@ def test_successful_cas_broadcasts_config_change_to_other_shards():
 def test_global_configuration_service_cas_and_get():
     scheduler = Scheduler()
     network = Network(scheduler)
-    cs = GlobalConfigurationService()
+    cs = ConfigurationService()
     network.register(cs)
     requester = Recorder("requester")
     network.register(requester)
     initial = GlobalConfiguration(epoch=1, members={"s0": ("a",)}, leaders={"s0": "a"})
-    cs.install_initial(initial)
+    cs.install_initial("*", initial)
     new = GlobalConfiguration(epoch=2, members={"s0": ("b",)}, leaders={"s0": "b"})
     requester.send(cs.pid, CsCompareAndSwap(shard="*", expected_epoch=1, config=new, request_id=1))
     requester.send(cs.pid, CsGetLast(shard="*", request_id=2))
@@ -142,6 +146,121 @@ def test_global_configuration_service_cas_and_get():
     requester.send(cs.pid, CsCompareAndSwap(shard="*", expected_epoch=1, config=new, request_id=4))
     scheduler.run()
     assert not {r.request_id: r for r in replies_of(requester)}[4].ok
+
+
+def build_global_cs():
+    """A service holding one system-wide record under ``"*"``; every member
+    is a Recorder so what the service sends it can be inspected."""
+    scheduler = Scheduler()
+    network = Network(scheduler)
+    cs = ConfigurationService()
+    network.register(cs)
+    initial = GlobalConfiguration(
+        epoch=1,
+        members={"shard-1": ("x", "y"), "shard-0": ("a", "b", "c")},
+        leaders={"shard-1": "x", "shard-0": "a"},
+    )
+    cs.install_initial("*", initial)
+    procs = {pid: Recorder(pid) for pid in ("a", "b", "c", "x", "y", "outsider")}
+    for proc in procs.values():
+        network.register(proc)
+    return scheduler, cs, initial, procs
+
+
+def received(recorder, kind):
+    return [m for m, _ in recorder.messages if isinstance(m, kind)]
+
+
+@pytest.mark.parametrize(
+    "requester, shard, epoch, granted",
+    [
+        ("a", "shard-0", 1, True),  # leaders[shard] at the matching epoch
+        ("x", "shard-1", 1, True),
+        ("b", "shard-0", 1, False),  # a member, but not the leader
+        ("a", "shard-0", 0, False),  # stale epoch
+        ("a", "shard-1", 1, False),  # leader of another shard
+        ("a", "shard-9", 1, False),  # unknown shard
+    ],
+)
+def test_lease_against_a_global_record(requester, shard, epoch, granted):
+    scheduler, cs, _initial, procs = build_global_cs()
+    procs[requester].send(
+        cs.pid, CsLeaseRequest(shard=shard, duration=5.0, request_id=1, epoch=epoch)
+    )
+    scheduler.run()
+    (grant,) = received(procs[requester], CsLeaseGrant)
+    assert grant.ok is granted
+    assert grant.expires_at == (6.0 if granted else float("-inf"))
+
+
+def test_lease_refused_for_a_leader_deposed_by_a_newer_global_record():
+    scheduler, cs, _initial, procs = build_global_cs()
+    new = GlobalConfiguration(
+        epoch=2,
+        members={"shard-0": ("b", "c"), "shard-1": ("x", "y")},
+        leaders={"shard-0": "b", "shard-1": "x"},
+    )
+    procs["b"].send(cs.pid, CsCompareAndSwap(shard="*", expected_epoch=1, config=new, request_id=1))
+    scheduler.run()
+    for requester, epoch in (("a", 1), ("a", 2), ("b", 2)):
+        procs[requester].send(
+            cs.pid, CsLeaseRequest(shard="shard-0", duration=5.0, request_id=2, epoch=epoch)
+        )
+    scheduler.run()
+    assert [g.ok for g in received(procs["a"], CsLeaseGrant)] == [False, False]
+    assert [g.ok for g in received(procs["b"], CsLeaseGrant)] == [True]
+
+
+def test_suspicion_against_a_global_record_goes_to_that_shards_first_survivor():
+    scheduler, cs, _initial, procs = build_global_cs()
+    # A non-member's report, and a report about a non-member, are ignored.
+    procs["outsider"].send(cs.pid, SuspicionReport(shard="shard-0", epoch=1, suspect="a"))
+    procs["x"].send(cs.pid, SuspicionReport(shard="shard-0", epoch=1, suspect="a"))
+    procs["b"].send(cs.pid, SuspicionReport(shard="shard-0", epoch=1, suspect="x"))
+    procs["b"].send(cs.pid, SuspicionReport(shard="shard-0", epoch=0, suspect="a"))  # stale
+    scheduler.run()
+    assert cs.suspicion_reports == 0 and cs.view_changes == 0
+    # A confirmed one: shard-0's leader is suspected, so its first survivor
+    # (configuration order) drives the change — not shard-1's, which the
+    # record lists first.
+    procs["c"].send(cs.pid, SuspicionReport(shard="shard-0", epoch=1, suspect="a"))
+    scheduler.run()
+    assert cs.suspicion_reports == 1 and cs.view_changes == 1
+    (change,) = received(procs["b"], CsViewChange)
+    assert change == CsViewChange(shard="shard-0", epoch=1, suspects=("a",))
+    assert not any(received(procs[p], CsViewChange) for p in ("a", "c", "x", "y"))
+
+
+def test_install_log_gains_one_row_per_shard_of_a_global_record_in_sorted_order():
+    scheduler, cs, _initial, procs = build_global_cs()
+    assert cs.install_log == [(0.0, "shard-0", 1), (0.0, "shard-1", 1)]
+    new = GlobalConfiguration(
+        epoch=2,
+        members={"shard-1": ("x",), "shard-0": ("b", "c")},
+        leaders={"shard-1": "x", "shard-0": "b"},
+    )
+    cs.subscribe("outsider")
+    procs["b"].send(cs.pid, CsCompareAndSwap(shard="*", expected_epoch=1, config=new, request_id=1))
+    scheduler.run()
+    assert cs.install_log[2:] == [(1.0, "shard-0", 2), (1.0, "shard-1", 2)]
+    # Subscribers get one CONFIG_CHANGE per shard, in the same order; the
+    # members do not (they learn the record from CONFIG_PREPARE).
+    changes = received(procs["outsider"], ConfigChange)
+    assert [(c.shard, c.epoch, c.leader) for c in changes] == [
+        ("shard-0", 2, "b"),
+        ("shard-1", 2, "x"),
+    ]
+    assert not any(received(procs[p], ConfigChange) for p in ("a", "b", "c", "x", "y"))
+
+
+def test_client_get_last_of_one_shard_is_answered_with_the_global_record():
+    scheduler, cs, initial, procs = build_global_cs()
+    procs["outsider"].send(cs.pid, CsGetLast(shard="shard-0", request_id=7))
+    scheduler.run()
+    (reply,) = received(procs["outsider"], CsReply)
+    assert reply.ok and reply.config == initial
+    assert cs.shard_configuration("shard-1") == Configuration(1, ("x", "y"), "x")
+    assert cs.shard_configuration("shard-9") is None
 
 
 # ----------------------------------------------------------------------

@@ -148,6 +148,20 @@ SHARED_WITH_MESSAGE_PASSING = (
     "on_read_request",
     "is_leader",
     "certification_order",
+    "_on_configuration_installed",
+    # the reconfiguration steps both scopes run (repro.core.reconfig)
+    "_cs_call",
+    "on_cs_reply",
+    "suspect",
+    "reconfigure",
+    "on_cs_view_change",
+    "on_probe",
+    "on_probe_ack",
+    "_step_down_probing",
+    "_compute_membership",
+    "_compare_and_swap",
+    "_lead_own_slots",
+    "_adopt_state",
 )
 
 

@@ -1,4 +1,5 @@
-"""Integration tests for per-shard reconfiguration (Figure 1, lines 33-69)."""
+"""Integration tests for per-shard reconfiguration (Figure 1, lines 33-69);
+the probing-loop cases run against global reconfiguration (Figure 8) too."""
 
 import pytest
 
@@ -9,9 +10,18 @@ from repro.core.types import Decision, Status
 from helpers import payload, rw_payload, shard_key
 
 
+NARROW = dict(num_shards=2, replicas_per_shard=2, spares_per_shard=2, seed=21)
+WIDE = dict(num_shards=2, replicas_per_shard=3, spares_per_shard=3, seed=23)
+
+
 @pytest.fixture
 def cluster():
-    return Cluster(num_shards=2, replicas_per_shard=2, spares_per_shard=2, seed=21)
+    return Cluster(**NARROW)
+
+
+@pytest.fixture
+def wide_cluster():
+    return Cluster(**WIDE)
 
 
 def commit_some(cluster, count=3, prefix="k"):
@@ -125,13 +135,13 @@ def test_reconfiguration_requires_spares_or_survivors(cluster):
     assert cluster.certify(rw_payload("after", tiebreak="after")) is Decision.COMMIT
 
 
-def test_probing_traverses_past_non_operational_epoch():
+def test_probing_traverses_past_non_operational_epoch(wide_cluster):
     """If a reconfiguration attempt installs a configuration whose only live
     members are fresh (its new leader dies before transferring state), the
     next reconfiguration probes *past* it, down to an older epoch that still
     holds the data (Vertical-Paxos-style traversal; FaRM's single-epoch
     lookback would get stuck here)."""
-    cluster = Cluster(num_shards=2, replicas_per_shard=3, spares_per_shard=3, seed=23)
+    cluster = wide_cluster
     shard = "shard-0"
     r0, r1, r2 = cluster.members_of(shard)
     first = rw_payload("k0", version=0, tiebreak="first")
@@ -143,7 +153,7 @@ def test_probing_traverses_past_non_operational_epoch():
     cluster.reconfigure(shard, initiator=r0, suspects=[r1, r2], run=False)
 
     def kill_new_leader_once_epoch2_is_introduced() -> bool:
-        config = cluster.config_service.last_configuration(shard)
+        config = cluster.current_configuration(shard)
         if config is not None and config.epoch == 2:
             cluster.crash(config.leader)
             return True
@@ -151,7 +161,7 @@ def test_probing_traverses_past_non_operational_epoch():
 
     cluster.scheduler.run_until(kill_new_leader_once_epoch2_is_introduced, max_events=100_000)
     cluster.run()
-    epoch2 = cluster.config_service.last_configuration(shard)
+    epoch2 = cluster.current_configuration(shard)
     assert epoch2.epoch == 2
     # Epoch 2 never activated: its surviving members are uninitialised spares.
     for pid in epoch2.members:
@@ -341,5 +351,43 @@ def test_concurrent_probe_race_with_exhausted_pool(cluster):
     assert len(config.members) == 1  # shrank: no spares to top up with
     assert config.leader in config.members
     assert cluster.certify(rw_payload("small", tiebreak="small")) is Decision.COMMIT
+    result, violations = cluster.check()
+    assert result.ok and violations == []
+
+
+# ----------------------------------------------------------------------
+# Figure 8 runs the same probing loop, once per shard: step-down past a
+# non-operational epoch (lines 125-130) and the CAS race have the cases
+# Figure 1 has.  (The cases keep their message-passing names above; each
+# body runs a second time here on an RDMA cluster of the same shape.)
+# ----------------------------------------------------------------------
+PROBING_LOOP_CASES = [
+    (test_probing_traverses_past_non_operational_epoch, WIDE),
+    (test_concurrent_reconfigurations_race_to_one_winner, NARROW),
+    (test_suspicion_push_races_timeout_reconfigure_to_one_winner, NARROW),
+    (test_concurrent_probe_race_with_exhausted_pool, NARROW),
+]
+
+
+@pytest.mark.parametrize(
+    "case, shape", PROBING_LOOP_CASES, ids=[case.__name__ for case, _ in PROBING_LOOP_CASES]
+)
+def test_global_reconfiguration_passes_the_per_shard_case(case, shape):
+    case(Cluster(protocol="rdma", **shape))
+
+
+@pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
+def test_reconfigurer_from_another_shard_draws_spares_from_the_reconfigured_shard(protocol):
+    """Any process may reconfigure a shard (the paper's ``reconfigure(s)``);
+    the replacement must come from that shard's spare pool, not from the
+    reconfigurer's own — a shard-0 spare would join shard-1 believing it is
+    a shard-0 replica, and shard-1 would stop deciding."""
+    cluster = Cluster(num_shards=2, replicas_per_shard=2, protocol=protocol)
+    cluster.crash("shard-1/r1")
+    assert cluster.reconfigure("shard-1", initiator="shard-0/r0", suspects=["shard-1/r1"])
+    assert cluster.members_of("shard-1") == ("shard-1/r0", "shard-1/spare0")
+    assert len(cluster.spare_pools["shard-0"]) == 2  # untouched
+    key = shard_key(cluster.scheme, "shard-1")
+    assert cluster.certify(rw_payload(key, tiebreak="after")) is Decision.COMMIT
     result, violations = cluster.check()
     assert result.ok and violations == []

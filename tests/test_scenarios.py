@@ -241,6 +241,49 @@ def test_spec_rejects_block_channel_without_endpoints():
         FaultStep(at=1.0, action="block-channel", src="a").validate()
 
 
+@pytest.mark.parametrize(
+    "step, match",
+    [
+        (FaultStep(3, "crash-leader", shard="shard-9"), "fault step 0.*unknown shard 'shard-9'"),
+        (FaultStep(3, "crash", target="leader:shard-9"), "fault step 0.*unknown shard 'shard-9'"),
+        (FaultStep(3, "reconfigure", shard="shard-9"), "fault step 0.*unknown shard 'shard-9'"),
+        (FaultStep(3, "crash", target="follower:shard-0:x"), "fault step 0.*integer index"),
+        (FaultStep(3, "crash", target="nobody"), "'nobody' names no process"),
+        (FaultStep(3, "partition", target="nobody"), "'nobody' names no process"),
+        (
+            FaultStep(3, "block-channel", src="nobody", dst="leader:shard-0"),
+            "'nobody' names no process",
+        ),
+    ],
+)
+@pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
+def test_fault_schedule_naming_what_the_spec_lacks_fails_in_one_line(protocol, step, match):
+    """A shard or role index the spec cannot have is rejected by
+    ``validate()``; a literal pid the built cluster does not know by
+    ``resolve()`` — never an AttributeError / KeyError mid-run, and never a
+    fault reported as executed against nobody."""
+    spec = ScenarioSpec(
+        name="bad-names", protocol=protocol, workload=WorkloadSpec(txns=20), faults=(step,)
+    )
+    with pytest.raises(ScenarioError, match=match) as error:
+        run_scenario(spec)
+    assert "\n" not in str(error.value)
+
+
+def test_spec_rejects_unknown_shard_in_suspects_and_pinned_coordinator():
+    step = FaultStep(3, "reconfigure", shard="shard-0", suspects=("member:shard-7:0",))
+    with pytest.raises(ScenarioError, match="unknown shard 'shard-7'"):
+        ScenarioSpec(name="x", faults=(step,)).validate()
+    workload = WorkloadSpec(kind="spanning", coordinator="leader:shard-2")
+    with pytest.raises(ScenarioError, match="workload.coordinator.*unknown shard 'shard-2'"):
+        ScenarioSpec(name="x", workload=workload).validate()
+
+
+def test_every_library_scenario_still_validates():
+    for name in scenario_names():
+        get_scenario(name).validate()
+
+
 def test_scenario_pack_registered():
     names = set(scenario_names())
     assert {"follower-partition", "cascading-crashes",
@@ -605,9 +648,7 @@ def test_protocol_registry_knows_all_variants():
 
 def test_protocol_registry_rejects_duplicates_and_unknowns():
     with pytest.raises(ValueError, match="already registered"):
-        register_protocol(
-            ProtocolSpec(name="rdma", replica_cls=object, config_service_cls=object)
-        )
+        register_protocol(ProtocolSpec(name="rdma", replica_cls=object))
     with pytest.raises(ValueError, match="unknown protocol"):
         protocol_spec("smoke-signals")
     with pytest.raises(ValueError, match="unknown protocol"):
