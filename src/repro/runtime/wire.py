@@ -124,6 +124,42 @@ def _compile_field_sizer(cls: type) -> Callable[[Any], float]:
     return _size_object
 
 
+# The usual shapes of a payload's elements, as exact element types:
+# ``tuple(map(type, x)) == shape`` checks them and the length at once.
+_READ_SHAPE = (str, tuple)  # (object id, version)
+_VERSION_SHAPE = (int, str)  # (counter, tiebreak)
+
+
+def _size_transaction_payload(payload: Any) -> float:
+    """A ``TransactionPayload`` sized by arithmetic: what the field walk
+    (``_dataclass_fields_sizer``) returns for it, without the walk.  Reads
+    of the shape ``(str, (int, str))``, writes keyed by a ``str`` and an
+    ``(int, str)`` commit version are costed in place; anything else goes
+    through ``_field_size``.  Every term is an integer-valued float
+    (scalars and lengths), so the sum is exact in any order."""
+    # The payload and its two sets cost a scalar each.
+    size = 3 * SCALAR_BYTES
+    for element in payload.read_set:
+        if type(element) is tuple and tuple(map(type, element)) == _READ_SHAPE:
+            obj, version = element
+            if tuple(map(type, version)) == _VERSION_SHAPE:
+                # Two tuples and the counter, plus the two strings.
+                size += 3 * SCALAR_BYTES + len(obj) + len(version[1])
+                continue
+        size += _field_size(element)
+    for element in payload.write_set:
+        if type(element) is tuple and len(element) == 2 and type(element[0]) is str:
+            obj, value = element
+            size += SCALAR_BYTES + len(obj)
+            size += SCALAR_BYTES if type(value) is int else _field_size(value)
+        else:
+            size += _field_size(element)
+    version = payload.commit_version
+    if type(version) is tuple and tuple(map(type, version)) == _VERSION_SHAPE:
+        return size + 2 * SCALAR_BYTES + len(version[1])
+    return size + _field_size(version)
+
+
 def _batch_sizer(attr: str) -> Callable[[Any], float]:
     """Batch wrappers cost one header plus the *payload* bytes of every
     element — coalescing saves the per-element headers (and, on the link,
@@ -161,7 +197,7 @@ def _ensure_registered() -> None:
     # size is a function of the field values), so the memo may key on the
     # payload itself.
     _FIELD_SIZERS[TransactionPayload] = functools.lru_cache(_PAYLOAD_MEMO_ENTRIES)(
-        _dataclass_fields_sizer(TransactionPayload, SCALAR_BYTES)
+        _size_transaction_payload
     )
 
     # --- core message-passing protocol ---------------------------------

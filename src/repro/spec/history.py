@@ -17,30 +17,116 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 from repro.core.types import Decision, TxnId
 
 
-def _stable(value: Any) -> Any:
-    """A canonical, hash-seed-independent rendering of a payload value.
+# The fingerprint's text is ``repr`` of a canonical form of each payload:
+#
+# * ``set``/``frozenset`` iterate in ``PYTHONHASHSEED`` order, so they render
+#   as ``('set', [...])`` over the *sorted* texts of their elements, and a
+#   ``dict`` as ``('dict', [...])`` over its sorted ``(repr(key), text)``
+#   pairs (keys print through their own ``repr``: they are ids here);
+# * ``list`` and ``tuple`` (named tuples too) both render as a plain tuple:
+#   a payload means the same whether a client built it from a list or a
+#   tuple, and the digests pinned in ``tests/golden_*.json`` say so;
+# * a dataclass instance renders as ``('ClassName', (('field', text), ...))``
+#   in field order, so ``TransactionPayload``'s frozensets are reached;
+# * anything else is a leaf and renders through its own ``__repr__``, which
+#   must not print an address: a type that inherits ``object.__repr__`` is
+#   refused with ``TypeError`` when :meth:`History.digest` meets one, because
+#   two processes would otherwise disagree on the digest without a word.
+#
+# ``tests/test_history_digest.py`` keeps the recursive definition of this
+# form (build the canonical tuples, ``repr`` them) as a bit-for-bit oracle.
+# Here the text is emitted directly by a renderer compiled once per *exact*
+# value type, the idiom of ``runtime/wire.py``'s field sizers.
+class _Renderers(Dict[type, Callable[[Any], str]]):
+    """Renderers by exact value type, compiled on first sight of the type:
+    ``_RENDERERS[type(value)](value)`` is the canonical text of ``value``."""
 
-    Sets and frozensets iterate in ``PYTHONHASHSEED`` order, so they are
-    sorted by repr before hashing; containers and dataclasses (e.g.
-    ``TransactionPayload``, whose read/write sets are frozensets) recurse.
-    Everything else relies on its repr being deterministic (the leaves
-    here are txn ids, keys, versions and primitives — all are).
-    """
-    if isinstance(value, (set, frozenset)):
-        return ("set", sorted(repr(_stable(v)) for v in value))
-    if isinstance(value, dict):
-        return ("dict", sorted((repr(k), repr(_stable(v))) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_stable(v) for v in value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (
-            type(value).__name__,
-            tuple(
-                (field.name, _stable(getattr(value, field.name)))
-                for field in dataclasses.fields(value)
-            ),
+    def __missing__(self, cls: type) -> Callable[[Any], str]:
+        renderer = self[cls] = _compile_renderer(cls)
+        return renderer
+
+
+_RENDERERS = _Renderers()
+
+# The leaves whose tuples ``repr`` already renders canonically.
+_PLAIN_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
+def _is_plain(values: Iterable[Any]) -> bool:
+    """True when ``values`` holds only plain leaves and tuples of them, to
+    any depth: ``repr`` of such a tree *is* its canonical text."""
+    for value in values:
+        cls = type(value)
+        if cls not in _PLAIN_LEAVES and not (cls is tuple and _is_plain(value)):
+            return False
+    return True
+
+
+def _render_tuple(value: tuple) -> str:
+    return repr(value) if _is_plain(value) else _render_sequence(value)
+
+
+def _render_sequence(value: Iterable[Any]) -> str:
+    texts = [_RENDERERS[type(v)](v) for v in value]
+    if len(texts) == 1:
+        return f"({texts[0]},)"
+    return f"({', '.join(texts)})"
+
+
+def _render_set(value: Iterable[Any]) -> str:
+    if _is_plain(value):
+        texts = sorted(map(repr, value))
+    else:
+        texts = sorted([_RENDERERS[type(v)](v) for v in value])
+    return f"('set', {texts!r})"
+
+
+def _render_dict(value: Dict[Any, Any]) -> str:
+    pairs = sorted([(repr(k), _RENDERERS[type(v)](v)) for k, v in value.items()])
+    return f"('dict', {pairs!r})"
+
+
+def _dataclass_renderer(cls: type) -> Callable[[Any], str]:
+    """The template ``('Name', (('field', %s), ...))`` with the field names
+    read once, filled with the fields' texts."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    fields = ", ".join(f"({name!r}, %s)" for name in names)
+    if len(names) == 1:
+        fields += ","
+    template = f"({repr(cls.__name__).replace('%', '%%')}, ({fields}))"
+
+    def render(value: Any) -> str:
+        texts = []
+        for name in names:
+            field = getattr(value, name)
+            texts.append(_RENDERERS[type(field)](field))
+        return template % tuple(texts)
+
+    return render
+
+
+def _compile_renderer(cls: type) -> Callable[[Any], str]:
+    """The renderer for values of exactly type ``cls``: the first matching
+    rule, in this order (a named tuple is a sequence, an ``Enum`` is a leaf
+    even with a ``str`` or ``int`` mixin)."""
+    if issubclass(cls, (set, frozenset)):
+        return _render_set
+    if issubclass(cls, dict):
+        return _render_dict
+    if cls is tuple:
+        return _render_tuple
+    if issubclass(cls, (list, tuple)):
+        return _render_sequence
+    if dataclasses.is_dataclass(cls):
+        return _dataclass_renderer(cls)
+    if cls.__repr__ is object.__repr__:
+        raise TypeError(
+            f"cannot fingerprint a payload value of type "
+            f"{cls.__module__}.{cls.__qualname__}: it inherits object.__repr__, "
+            "which prints an address, so the history digest would differ "
+            "between processes; give the type a deterministic __repr__"
         )
-    return value
+    return repr
 
 
 @dataclass(frozen=True)
@@ -238,20 +324,22 @@ class History:
         the parallel execution modes are held to.  Stable across processes
         and ``PYTHONHASHSEED`` values (unordered payload containers are
         canonicalized first), so digests can be compared between a serial
-        parent and pool workers, or across machines.
+        parent and pool workers, or across machines.  Every call is a full
+        pass over ``events``: nothing is cached or folded in at record time,
+        so the time of a call measures the fingerprint (the benchmark times
+        one).
         """
         fingerprint = hashlib.sha256()
+        update = fingerprint.update
+        # One ``update`` per event: the text of a whole run is never held.
         for event in self.events:
-            fingerprint.update(
-                repr(
-                    (
-                        event.kind,
-                        event.txn,
-                        event.time,
-                        event.seq,
-                        _stable(event.payload),
-                        None if event.decision is None else event.decision.name,
-                    )
+            payload = event.payload
+            decision = event.decision
+            update(
+                (
+                    f"({event.kind!r}, {event.txn!r}, {event.time!r}, {event.seq!r}, "
+                    f"{_RENDERERS[type(payload)](payload)}, "
+                    f"{None if decision is None else decision.name!r})"
                 ).encode()
             )
         return fingerprint.hexdigest()

@@ -1,0 +1,376 @@
+"""The history fingerprint against its recursive definition.
+
+``History.digest()`` emits the canonical text of every event through
+renderers compiled per exact value type (``repro/spec/history.py``).  The
+definition it replaced — build a canonical tuple tree with ``_stable``,
+``repr`` it — lives on here as ``_oracle_digest`` (the twin of
+``_oracle_wire_size`` in ``test_network_model.py``), and the two must agree
+bit for bit: on generated payload values, on the history of every library
+scenario on every stack, and across ``PYTHONHASHSEED`` values (CI runs this
+file under two).  The work itself is gated by call counts under
+``cProfile``, which repeat exactly, never by seconds.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import dataclasses
+import hashlib
+import pstats
+from dataclasses import dataclass, replace
+from enum import Enum, IntEnum
+from typing import Any, NamedTuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.serializability import SnapshotRead, TransactionPayload
+from repro.core.types import BOTTOM, Decision
+from repro.runtime import wire
+from repro.scenarios import (
+    BatchSpec,
+    NetworkSpec,
+    ScenarioRunner,
+    ScenarioSpec,
+    WorkloadSpec,
+)
+from repro.scenarios.spec import ReadSpec
+from repro.spec.history import History
+
+from test_golden_digests import _case_keys, _spec_for
+
+
+# ----------------------------------------------------------------------
+# the oracle: the reflective definition, as src/ had it
+# ----------------------------------------------------------------------
+def _oracle_stable(value):
+    if isinstance(value, (set, frozenset)):
+        return ("set", sorted(repr(_oracle_stable(v)) for v in value))
+    if isinstance(value, dict):
+        return ("dict", sorted((repr(k), repr(_oracle_stable(v))) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(_oracle_stable(v) for v in value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return (
+            type(value).__name__,
+            tuple(
+                (field.name, _oracle_stable(getattr(value, field.name)))
+                for field in dataclasses.fields(value)
+            ),
+        )
+    return value
+
+
+def _oracle_digest(history):
+    fingerprint = hashlib.sha256()
+    for event in history.events:
+        fingerprint.update(
+            repr(
+                (
+                    event.kind,
+                    event.txn,
+                    event.time,
+                    event.seq,
+                    _oracle_stable(event.payload),
+                    None if event.decision is None else event.decision.name,
+                )
+            ).encode()
+        )
+    return fingerprint.hexdigest()
+
+
+def _history_of(payloads):
+    """Each payload once on a certify event and once on a decide event."""
+    history = History()
+    for index, payload in enumerate(payloads):
+        txn = f"t{index}"
+        history.record_certify(txn, payload, float(index))
+        decision = Decision.ABORT if index % 3 == 0 else Decision.COMMIT
+        history.record_decide(txn, decision, index + 0.5, payload=payload)
+    return history
+
+
+# ----------------------------------------------------------------------
+# (a) generated payload values
+# ----------------------------------------------------------------------
+class _Color(Enum):
+    RED = "red"
+    TWO = 2
+
+
+class _Label(str, Enum):  # a leaf, though also a str
+    LONG = "a-long-label"
+    QUOTED = "it's"
+
+
+class _Level(IntEnum):  # a leaf, though also an int
+    LOW = 1
+
+
+class _Point(NamedTuple):  # a sequence: renders as the plain tuple (x, y)
+    x: Any
+    y: Any
+
+
+class _Unit(NamedTuple):  # ... and as () when empty
+    pass
+
+
+@dataclass(frozen=True)
+class _Box:
+    content: Any
+    label: Any = None
+
+
+@dataclass(frozen=True)
+class _Single:  # one field: the trailing comma of a 1-tuple
+    only: Any
+
+
+@dataclass(frozen=True)
+class _Blank:  # no field: ('_Blank', ())
+    pass
+
+
+@dataclass
+class _Bag:  # not hashable: lives outside sets
+    items: Any
+
+
+_AWKWARD_TEXT = (
+    "", "it's", 'say "hi"', "'\"", "back\\slash", "tab\tnew\nline", "naïve-ключ-鍵-🔑", "%s %d %%",
+)  # fmt: skip
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((-0.0, 0.0, 1.0, float("nan"), float("inf"), float("-inf"))),
+    st.text(max_size=6),
+    st.sampled_from(_AWKWARD_TEXT),
+    st.sampled_from(list(_Color) + list(_Label) + list(_Level) + list(Decision)),
+    st.just(BOTTOM),
+)
+
+# Values that may sit inside a set or key a dict.
+_hashable = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple),  # 0- and 1-tuples included
+        st.frozensets(inner, max_size=3),
+        st.builds(_Point, inner, inner),
+        st.just(_Unit()),
+        st.builds(_Box, inner, inner),
+        st.builds(_Single, inner),
+        st.just(_Blank()),
+    ),
+    max_leaves=6,
+)
+
+_versions = st.one_of(
+    st.tuples(st.integers(0, 9), st.sampled_from(("", "c0", "c'1"))), _hashable
+)
+
+_transaction_payloads = st.builds(
+    TransactionPayload,
+    read_set=st.frozensets(st.tuples(st.text(max_size=4), _versions), max_size=3),
+    # Write values are whatever the client wrote, not only plain ones.
+    write_set=st.frozensets(st.tuples(st.text(max_size=4), _hashable), max_size=3),
+    commit_version=_versions,
+)
+
+_snapshot_reads = st.builds(SnapshotRead, st.lists(st.text(max_size=4), max_size=3).map(tuple))
+
+_values = st.recursive(
+    st.one_of(_hashable, _transaction_payloads, _snapshot_reads),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.sets(_hashable, max_size=3),
+        st.dictionaries(_hashable, inner, max_size=3),
+        st.builds(_Point, inner, inner),
+        st.builds(_Box, inner, inner),
+        st.builds(_Bag, inner),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_values, min_size=1, max_size=3))
+def test_digest_equals_the_recursive_definition_on_generated_payloads(payloads):
+    history = _history_of(payloads)
+    digest = history.digest()
+    assert digest == _oracle_digest(history)
+    # A pure pass over the events: the same answer on every call.
+    assert history.digest() == digest
+
+
+def test_digest_equals_the_recursive_definition_on_the_corner_cases():
+    """The cases the generator may not reach in a given run, by name."""
+    nan = float("nan")
+    payloads = [
+        (),
+        (1,),
+        [1],
+        [],
+        ((),),
+        (True, 1, 1.0, -0.0, nan, float("inf"), None),
+        (1, [2, (3, {4})]),  # a list inside an otherwise plain tuple
+        (_Level.LOW, _Label.LONG),  # enum leaves inside a tuple
+        _Point(1, (2, "x")),
+        _Unit(),
+        {"b": {1, 2}, "a": [_Color.RED], 3: None},
+        {_AWKWARD_TEXT, frozenset(_AWKWARD_TEXT)},
+        _Blank(),
+        _Single(_Single(())),
+        _Bag([_Box({"k": nan}, frozenset({(1, (2, (3,)))}))]),
+        type("Per%cent", (), {"__repr__": lambda self: "<%s>"})(),
+        dataclasses.make_dataclass("Per%cent", [("a", Any)])("%s"),
+        TransactionPayload,  # a dataclass *class* is a leaf
+        TransactionPayload(
+            read_set=frozenset({("k", (1, "c")), ("k2", _Point(0, "")), (2, None)}),
+            write_set=frozenset({("k", frozenset({("nested", (1, "c"))})), ("k2", _Color.TWO)}),
+            commit_version=[2, "c"],
+        ),
+        SnapshotRead(objects=("k1", "k2")),
+        BOTTOM,
+    ]
+    history = _history_of(payloads)
+    assert history.digest() == _oracle_digest(history)
+
+
+def test_digest_does_not_depend_on_the_hash_seed():
+    """Sets of strings iterate in ``PYTHONHASHSEED`` order; the digest of a
+    history full of them is pinned here as a literal, so running this file
+    under two seeds (as CI does) compares the two processes."""
+    keys = [f"key-{index}" for index in range(40)]
+    history = _history_of(
+        [
+            set(keys),
+            frozenset((key, (index, "c")) for index, key in enumerate(keys)),
+            {key: {key, key.upper()} for key in keys},
+            TransactionPayload.make(
+                reads=[(key, (0, "")) for key in keys],
+                writes=[(key, frozenset(keys[:5])) for key in keys[:9]],
+                tiebreak="c1",
+            ),
+        ]
+    )
+    assert history.digest() == _oracle_digest(history)
+    # Recorded on the parent commit, from the reflective definition.
+    assert history.digest() == "c77090461e6f5b8af40478a2cdcf08a9c93107f75fa370003bf07608eb9162a5"
+
+
+# ----------------------------------------------------------------------
+# (b) the histories real runs record, on all three stacks
+# ----------------------------------------------------------------------
+def _small(spec, txns=40):
+    return spec.with_overrides(workload=replace(spec.workload, txns=min(spec.workload.txns, txns)))
+
+
+@pytest.mark.parametrize("key", [key for key in _case_keys() if key.endswith("|serial")])
+def test_digest_equals_the_recursive_definition_on_every_library_scenario(key):
+    runner = ScenarioRunner(_small(_spec_for(key)))
+    result = runner.run()
+    history = runner.cluster.history
+    assert len(history) > 0
+    assert result.history_digest == history.digest() == _oracle_digest(history)
+
+
+@pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
+def test_snapshot_read_histories_carry_both_payload_kinds(protocol):
+    """Snapshot reads certify a ``SnapshotRead`` marker and attach the
+    versioned ``TransactionPayload`` to the decide event: both reach the
+    fingerprint (the 2PC baseline certifies its reads, so it records
+    neither)."""
+    spec = _small(_spec_for(f"read-heavy-steady-state|{protocol}|serial"), txns=80)
+    runner = ScenarioRunner(spec)
+    runner.run()
+    history = runner.cluster.history
+    kinds = {(event.kind, type(event.payload)) for event in history.events}
+    assert ("certify", SnapshotRead) in kinds and ("decide", TransactionPayload) in kinds
+    assert history.digest() == _oracle_digest(history)
+
+
+# ----------------------------------------------------------------------
+# leaves that print an address are refused
+# ----------------------------------------------------------------------
+class _NoRepr:
+    __slots__ = ()
+
+
+class _OwnRepr(_NoRepr):
+    def __repr__(self):
+        return "own"
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda leaf: leaf, lambda leaf: (1, leaf), lambda leaf: {"k": [leaf]}, _Box],
+    ids=["bare", "in-tuple", "in-dict", "in-dataclass"],
+)
+def test_a_leaf_that_inherits_object_repr_is_refused_by_name(wrap):
+    history = _history_of([wrap(_NoRepr())])
+    for _ in range(2):  # every call, not only the one that met the type first
+        with pytest.raises(TypeError, match=r"test_history_digest\._NoRepr.*object\.__repr__"):
+            history.digest()
+    accepted = _history_of([wrap(_OwnRepr())])
+    assert accepted.digest() == _oracle_digest(accepted)
+
+
+# ----------------------------------------------------------------------
+# the work is gated by counts (first rows of the calls/txn golden)
+# ----------------------------------------------------------------------
+def _calls(function, *args):
+    """All calls, Python and builtin, made inside ``function(*args)``."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    function(*args)
+    profiler.disable()
+    return pstats.Stats(profiler).total_calls
+
+
+# The three benchmark shapes (bench/tcs_workloads.py) that stress the
+# fingerprint and the payload sizer, at 1000 transactions.
+_SHAPES = {
+    "mp-steady": dict(workload=WorkloadSpec(txns=1000, batch=50, num_keys=2000)),
+    "read-mostly-lease": dict(
+        workload=WorkloadSpec(txns=1000, batch=50, num_keys=2000, read_ratio=0.9),
+        read=ReadSpec(mode="snapshot"),
+    ),
+    "rdma-batched-bw": dict(
+        protocol="rdma",
+        workload=WorkloadSpec(
+            kind="zipfian", txns=1000, batch=64, num_keys=20000, theta=0.7,
+            reads_per_txn=3, writes_per_txn=2,
+        ),
+        batch=BatchSpec(size=16),
+        network=NetworkSpec(bandwidth=1000, overhead=0.1),
+    ),
+}  # fmt: skip
+
+DIGEST_CALLS_PER_EVENT = 20  # the reflective walk made 81.5 / 64.4 / 111.5
+PAYLOAD_SIZING_CALLS = 30  # the field walk made 91
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_digest_call_count_per_event(shape):
+    spec = ScenarioSpec(name=shape, num_shards=4, replicas_per_shard=2, seed=1, **_SHAPES[shape])
+    runner = ScenarioRunner(spec)
+    assert runner.run().safety_ok
+    history = runner.cluster.history
+    assert len(history) == 2000
+    assert _calls(history.digest) / len(history) <= DIGEST_CALLS_PER_EVENT
+
+
+def test_sizing_a_fresh_payload_call_count():
+    wire.is_registered(TransactionPayload)  # builds the registry, off the count
+    fresh = TransactionPayload.make(
+        reads=[("key-1", (3, "c0")), ("key-22", (0, "")), ("key-3", (1, "c2"))],
+        writes=[("key-1", 17), ("key-3", 4)],
+        tiebreak="c1",
+    )
+    assert _calls(wire._field_size, fresh) <= PAYLOAD_SIZING_CALLS

@@ -209,13 +209,56 @@ _TXN_PAYLOAD = TransactionPayload.make(
     reads=[("key-1", (3, "c0")), ("key-22", (0, ""))], writes=[("key-1", 17)], tiebreak="c1"
 )
 
+# Payloads that leave the shapes ``wire._size_transaction_payload`` costs by
+# arithmetic — reads ``(str, (int, str))``, writes ``(str, int)``, an
+# ``(int, str)`` commit version — one way each; built directly, since
+# ``make`` would refuse some.
+_OFF_SHAPE_PAYLOADS = (
+    # object ids that are not exactly str
+    TransactionPayload(
+        read_set=frozenset({(7, (1, "c")), (_Label.LONG, (1, "c")), (b"key", (0, ""))}),
+        write_set=frozenset({(7, 1), (_Label.LONG, 2), (None, 3)}),
+        commit_version=(2, "c"),
+    ),
+    # write values that are not exactly int
+    TransactionPayload(
+        read_set=frozenset({("key-1", (3, "c0"))}),
+        write_set=frozenset({
+            ("a", "v17"), ("b", 2.5), ("c", None), ("d", True), ("e", ("t", 1)),
+            ("f", frozenset({1, "x"})), ("g", _Color.RED), ("h", _TXN_PAYLOAD),
+        }),
+        commit_version=(4, "c1"),
+    ),
+    # versions that are not exactly (int, str)
+    TransactionPayload(
+        read_set=frozenset({
+            ("a", (1,)), ("b", (1, "c", 2)), ("c", (True, "c")), ("d", ("c", 1)),
+            ("e", None), ("f", _Point(1, 2.0)), ("g", (1, _Label.LONG)), ("h", 5),
+        }),
+        commit_version=_Point(1, 2.0),
+    ),
+    # elements that are not pairs at all
+    TransactionPayload(
+        read_set=frozenset({("a",), ("b", (1, "c"), "x"), "cd", _Point("e", (1, "c")), 9}),
+        write_set=frozenset({("a",), ("b", 1, 2), "cd", _Point("e", 1), None}),
+        commit_version=None,
+    ),
+    TransactionPayload(commit_version=(1,)),
+    TransactionPayload(commit_version="c1"),
+    TransactionPayload(commit_version=(True, "c")),
+    # a tuple where the frozenset is declared
+    TransactionPayload(
+        read_set=(("a", (1, "c")), ("b", (0, ""))), write_set=(("a", 1),), commit_version=(2, "c")
+    ),
+)  # fmt: skip
+
 # One value per rule of the sizing ladder (and the corner cases between
 # rules); every field of every message class is filled from this pool.
 _FIELD_VALUES = (
     None, _Color.RED, _Label.LONG, True, 7, 2.5, "shard-0/r1", b"\x00\x01\x02",
     {"k": (1, "v"), 2: None}, ("t1", 4, (5, "x")), ["a", "bc"], {"s"}, frozenset({("o", 1)}),
     _Point(1, 2.0), _TXN_PAYLOAD, _Bag(), _Opaque(), (), {},
-)
+) + _OFF_SHAPE_PAYLOADS
 
 
 def _filled(cls, offset):
