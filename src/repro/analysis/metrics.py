@@ -5,13 +5,24 @@ The paper's quantitative claims are expressed in *message delays* and in
 the raw simulation output (virtual-time latencies and per-process message
 counters) into those units and format the comparison tables that
 EXPERIMENTS.md records.
+
+It is also where each optional subsystem (client sessions, batching,
+snapshot reads, link model, failure detector) declares what it reports, in
+one frozen stats type: :class:`RetryStats`, :class:`BatchStats`,
+:class:`ReadStats`, :class:`LinkStats`, :class:`DetectorStats`.  Its fields
+are what the cluster's collector counts; ``as_dict()`` is the subsystem's
+flat JSON vocabulary (the keys ``ScenarioResult.as_dict()``, sweep curves
+and the CLI use — a key appears in exactly one stats type); ``render()`` is
+its row of the plain-text report.  A new counter is a field plus a key in
+``as_dict()``: the scenario runner, the JSON and the sweeps pick it up from
+``repro.scenarios.runner.SECTIONS`` without being told its name.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -144,6 +155,10 @@ def collect_phase_samples(clients, entries: Mapping) -> Dict[str, List[float]]:
     return samples
 
 
+# ----------------------------------------------------------------------
+# per-subsystem stats (the contract is in the module docstring)
+# ----------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class RetryStats:
     """Client-session resilience counters for one run.
@@ -168,34 +183,21 @@ class RetryStats:
     duplicate_requests: int = 0
 
     def as_dict(self) -> Dict[str, int]:
+        # pushed_failovers is reported by DetectorStats, beside the view
+        # changes whose CONFIG_CHANGE pushes cause them.
         return {
             "retries": self.retries,
             "failovers": self.failovers,
-            "pushed_failovers": self.pushed_failovers,
             "orphaned": self.orphaned,
             "duplicate_requests": self.duplicate_requests,
         }
 
-
-def collect_retry_stats(sessions, coordinators) -> RetryStats:
-    """Aggregate retry counters from client sessions and the duplicate
-    deliveries counted by coordinator-capable processes.
-
-    ``sessions`` expose ``retries`` / ``failovers`` / ``orphaned``;
-    ``coordinators`` is any iterable of processes carrying a
-    ``duplicate_certify_requests`` counter — the shape both the
-    reconfigurable cluster (every replica) and the 2PC-over-Paxos baseline
-    (its dedicated coordinators) provide.
-    """
-    return RetryStats(
-        retries=sum(session.retries for session in sessions),
-        failovers=sum(session.failovers for session in sessions),
-        pushed_failovers=sum(session.pushed_failovers for session in sessions),
-        orphaned=sum(len(session.orphaned) for session in sessions),
-        duplicate_requests=sum(
-            process.duplicate_certify_requests for process in coordinators
-        ),
-    )
+    def render(self) -> Tuple[str, str]:
+        return (
+            "client retries",
+            f"{self.retries} retries / {self.failovers} failovers / "
+            f"{self.orphaned} orphaned / {self.duplicate_requests} dups deduped",
+        )
 
 
 @dataclass(frozen=True)
@@ -225,27 +227,18 @@ class BatchStats:
     def as_dict(self) -> Dict[str, object]:
         return {
             "batches": self.batches,
-            "messages": self.messages,
-            "mean_size": self.mean_size,
-            "max_size": self.max_size,
-            "sizes": {str(size): count for size, count in sorted(self.sizes.items())},
+            "batched_messages": self.messages,
+            "mean_batch_size": self.mean_size,
+            "max_batch_size": self.max_size,
+            "batch_sizes": {str(size): count for size, count in sorted(self.sizes.items())},
         }
 
-
-def collect_batch_stats(processes) -> BatchStats:
-    """Aggregate the counters of every :class:`~repro.core.batching.
-    MessageBatcher` exposed by ``processes`` (via their ``batchers`` list —
-    the shape all three coordinator variants provide)."""
-    batches = 0
-    messages = 0
-    sizes: Dict[int, int] = {}
-    for process in processes:
-        for batcher in process.batchers:
-            batches += batcher.batches_sent
-            messages += batcher.messages_batched
-            for size, count in batcher.size_counts.items():
-                sizes[size] = sizes.get(size, 0) + count
-    return BatchStats(batches=batches, messages=messages, sizes=sizes)
+    def render(self) -> Tuple[str, str]:
+        return (
+            "batching",
+            f"{self.batches} batches / {self.messages} messages / "
+            f"mean {self.mean_size:.2f} / max {self.max_size}",
+        )
 
 
 @dataclass(frozen=True)
@@ -268,13 +261,29 @@ class LinkStats:
     busy_time: float = 0.0
     max_depth: int = 0
 
+    @property
+    def _wait_mean_max(self) -> Tuple[float, float]:
+        """Mean and worst queue wait; zeros when nothing was ever sent."""
+        wait = self.queue_wait
+        return (wait.mean, wait.maximum) if wait else (0.0, 0.0)
+
     def as_dict(self) -> Dict[str, object]:
+        mean, worst = self._wait_mean_max
         return {
             "bytes_sent": self.bytes_sent,
-            "queue_wait": self.queue_wait.as_dict() if self.queue_wait else None,
-            "busy_time": self.busy_time,
-            "max_depth": self.max_depth,
+            "link_queue_wait_mean": mean,
+            "link_queue_wait_max": worst,
+            "link_busy_time": self.busy_time,
+            "link_max_depth": self.max_depth,
         }
+
+    def render(self) -> Tuple[str, str]:
+        mean, worst = self._wait_mean_max
+        return (
+            "link",
+            f"{self.bytes_sent:.0f} bytes / busy {self.busy_time:.1f} / "
+            f"queue wait mean {mean:.2f} max {worst:.2f} / depth {self.max_depth}",
+        )
 
 
 def collect_link_stats(network) -> Optional[LinkStats]:
@@ -291,6 +300,110 @@ def collect_link_stats(network) -> Optional[LinkStats]:
         busy_time=network.link_busy_time,
         max_depth=network.link_max_depth,
     )
+
+
+class _CounterMapping(Mapping):
+    """Lets a stats dataclass also answer ``stats[name]`` / ``.get(name)``
+    over its own fields — how ``read_stats()`` and ``detector_stats()``
+    were read while they returned literal dicts, and how the benchmark
+    adapter (``bench/``) still reads them."""
+
+    def __getitem__(self, name: str) -> object:
+        if name not in self.__dataclass_fields__:
+            raise KeyError(name)
+        return getattr(self, name)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.__dataclass_fields__)
+
+    def __len__(self) -> int:
+        return len(self.__dataclass_fields__)
+
+
+@dataclass(frozen=True)
+class ReadStats(_CounterMapping):
+    """Snapshot-read fast-path counters for one run (all zero where the
+    deployment has no fast path).
+
+    * ``reads_served`` — reads a leader answered from its applied store;
+    * ``read_fallbacks`` / ``fallback_reasons`` — fast-path reads that fell
+      back to certification, and why (``lease``, ``pending``, ...);
+    * ``refused_lease`` / ``refused_pending`` — the leaders' side of those
+      refusals (a refusal and the client's fallback are counted where each
+      happens; not reported in the JSON);
+    * ``stale_serves`` — broken-snapshot mode: reads served although the
+      lease had expired or a conflicting write was pending.
+    """
+
+    reads_served: int = 0
+    read_fallbacks: int = 0
+    fallback_reasons: Dict[str, int] = field(default_factory=dict)
+    refused_lease: int = 0
+    refused_pending: int = 0
+    stale_serves: int = 0
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            "reads_served": self.reads_served,
+            "read_fallbacks": self.read_fallbacks,
+            "read_fallback_reasons": dict(sorted(self.fallback_reasons.items())),
+            "read_stale_serves": self.stale_serves,
+        }
+
+    def render(self) -> Tuple[str, str]:
+        detail = f"{self.reads_served} served / {self.read_fallbacks} fallbacks"
+        if self.fallback_reasons:
+            reasons = ", ".join(
+                f"{reason}: {count}" for reason, count in sorted(self.fallback_reasons.items())
+            )
+            detail += f" ({reasons})"
+        if self.stale_serves:
+            detail += f" / {self.stale_serves} STALE"
+        return ("snapshot reads", detail)
+
+
+@dataclass(frozen=True)
+class DetectorStats(_CounterMapping):
+    """Failure-detector counters for one run (all zero when the detector is
+    off; the reconfiguration counters stay zero where there is no
+    configuration service to drive).
+
+    * ``heartbeat_ticks`` — pump ticks (not reported in the JSON);
+    * ``suspicions`` / ``false_suspicions`` — peers newly suspected by any
+      observer, and suspicions a later heartbeat refuted;
+    * ``suspicion_reports`` — reports the configuration service received
+      (not reported in the JSON);
+    * ``view_changes`` — ``CS_VIEW_CHANGE`` requests the service issued;
+    * ``unsolicited_reconfigurations`` — reconfigurations those started;
+    * ``pushed_failovers`` — session failovers driven by the resulting
+      ``CONFIG_CHANGE`` pushes rather than by a retry timeout.
+    """
+
+    heartbeat_ticks: int = 0
+    suspicions: int = 0
+    false_suspicions: int = 0
+    suspicion_reports: int = 0
+    view_changes: int = 0
+    unsolicited_reconfigurations: int = 0
+    pushed_failovers: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {
+            "suspicions": self.suspicions,
+            "false_suspicions": self.false_suspicions,
+            "view_changes": self.view_changes,
+            "unsolicited_reconfigurations": self.unsolicited_reconfigurations,
+            "pushed_failovers": self.pushed_failovers,
+        }
+
+    def render(self) -> Tuple[str, str]:
+        return (
+            "detector",
+            f"{self.suspicions} suspicions / {self.false_suspicions} false / "
+            f"{self.view_changes} view changes / "
+            f"{self.unsolicited_reconfigurations} unsolicited reconfigs / "
+            f"{self.pushed_failovers} pushed failovers",
+        )
 
 
 @dataclass(frozen=True)

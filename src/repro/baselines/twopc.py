@@ -90,8 +90,7 @@ class CertificationStateMachine(StateMachine):
         # commit-voted entries of ``prepared``, so a vote costs O(|payload|)
         # instead of a scan over every committed payload.  Replicas apply
         # the same command sequence, so every replica's index is identical
-        # by construction.  None when the scheme offers no index: votes
-        # then fall back to the scan (as in ``LeaderVoteCache``).
+        # by construction.
         self._index = scheme.make_vote_index(shard)
         self.decisions: Dict[TxnId, Decision] = {}
         # Closed-timestamp watermark, kept for parity with the snapshot-read
@@ -124,26 +123,11 @@ class CertificationStateMachine(StateMachine):
         if command.txn in self.decisions:
             return self.decisions[command.txn]
         payload = command.payload
-        index = self._index
-        if index is None:
-            vote = self._scan_vote(payload)
-        else:
-            vote = index.vote(payload)
-            if vote is Decision.COMMIT:
-                index.add_prepared(payload)
+        vote = self._index.vote(payload)
+        if vote is Decision.COMMIT:
+            self._index.add_prepared(payload)
         self.prepared[command.txn] = (payload, vote)
         return vote
-
-    def _scan_vote(self, payload: Any) -> Decision:
-        """The vote from a full scan, for schemes without a vote index."""
-        prepared_payloads = [
-            prepared
-            for prepared, vote in self.prepared.values()
-            if vote is Decision.COMMIT
-        ]
-        return self.scheme.vote(
-            self.shard, self.committed_payloads, prepared_payloads, payload
-        )
 
     def _apply_decide(self, command: DecideCommand) -> Decision:
         if command.txn in self.decisions:
@@ -153,13 +137,11 @@ class CertificationStateMachine(StateMachine):
         if entry is None:
             return command.decision
         payload, vote = entry
-        index = self._index
-        if index is not None and vote is Decision.COMMIT:
-            index.remove_prepared(payload)
+        if vote is Decision.COMMIT:
+            self._index.remove_prepared(payload)
         if command.decision is Decision.COMMIT:
             self.committed_payloads.append(payload)
-            if index is not None:
-                index.add_committed(payload)
+            self._index.add_committed(payload)
             written = getattr(payload, "written_objects", None)
             if written:
                 if self.applied_store is not None:

@@ -68,20 +68,28 @@ from repro.spec.history import History
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Client-side re-submission policy.
+    """Client-session re-submission policy — the value a scenario's
+    ``retry`` field holds and the cluster receives
+    (``repro.scenarios.RetrySpec`` is this class).
 
-    ``timeout`` is the virtual time (in message delays) a session waits for
-    a decision before re-submitting; 0 disables re-submission entirely (the
-    pre-session fire-and-forget behaviour).  Each further attempt multiplies
-    the wait by ``backoff``; after ``max_attempts`` total submissions the
-    transaction is abandoned and counted as orphaned.
+    With ``timeout > 0`` every client drives its transactions through a
+    session: a transaction still undecided ``timeout`` message delays after
+    submission is re-submitted — failing over to a coordinator not yet tried
+    and refreshing the client's configuration view from the configuration
+    service — with the wait multiplied by ``backoff`` per attempt, up to
+    ``max_attempts`` total submissions (then the transaction counts as
+    *orphaned*).  Re-submissions reuse the transaction id; coordinators
+    deduplicate and re-answer decided transactions from their decision
+    caches, so duplicates can never yield two different decisions.
+
+    ``timeout = 0`` (the default) keeps the paper's fire-and-forget client.
     """
 
     timeout: float = 0.0
     backoff: float = 2.0
     max_attempts: int = 4
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if self.timeout < 0:
             raise ValueError("retry timeout must be >= 0")
         if self.backoff < 1.0:
@@ -92,6 +100,15 @@ class RetryPolicy:
     @property
     def enabled(self) -> bool:
         return self.timeout > 0
+
+    def describe(self) -> str:
+        """A compact label for sweep tables and result dicts."""
+        if not self.enabled:
+            return "off"
+        return (
+            f"timeout={self.timeout:g},backoff={self.backoff:g},"
+            f"max_attempts={self.max_attempts}"
+        )
 
     def delay(self, attempt: int) -> float:
         """The timeout armed after submission ``attempt`` (1-based)."""

@@ -37,10 +37,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.analysis.metrics import (
     BatchStats,
+    DetectorStats,
+    ReadStats,
     RetryStats,
-    collect_batch_stats,
     collect_phase_samples,
-    collect_retry_stats,
 )
 from repro.client import Client, ClientSession, CoordinatorRouter, RetryPolicy
 from repro.configservice.service import ConfigurationService
@@ -159,13 +159,15 @@ class ClusterBase:
         # shard set to one coordinator to deepen its batches.
         self.pipeline = pipeline
         self.sticky = sticky
-        # RetryPolicy and BatchPolicy validate themselves on construction.
         self.retry = retry or RetryPolicy()
         self.batch = batch or BatchPolicy()
         self.read = read or ReadPolicy()
-        self.read.validate()
         self.detector = detector or DetectorPolicy()
-        self.detector.validate()
+        # The one place a policy is checked on its way into a deployment
+        # (scenario specs and the CLI call the same validate() earlier, to
+        # report the same message as a ScenarioError).
+        for policy in (self.retry, self.batch, self.read, self.detector):
+            policy.validate()
 
         self._build_servers()
         service = self.config_service
@@ -360,63 +362,70 @@ class ClusterBase:
     def retry_stats(self) -> RetryStats:
         """Aggregate session retry/failover/orphan counters plus the
         duplicate requests deduplicated by the coordinating processes."""
-        return collect_retry_stats(self.sessions, self._coordinator_processes())
+        sessions = self.sessions
+        return RetryStats(
+            retries=sum(session.retries for session in sessions),
+            failovers=sum(session.failovers for session in sessions),
+            pushed_failovers=sum(session.pushed_failovers for session in sessions),
+            orphaned=sum(len(session.orphaned) for session in sessions),
+            duplicate_requests=sum(
+                process.duplicate_certify_requests
+                for process in self._coordinator_processes()
+            ),
+        )
 
     def batch_stats(self) -> BatchStats:
         """Aggregate batch counts and the batch-size distribution over every
         batching process — coordinators and clients alike (empty when
         batching is disabled)."""
-        return collect_batch_stats(list(self._coordinator_processes()) + self.clients)
+        batches = messages = 0
+        sizes: Dict[int, int] = {}
+        for process in [*self._coordinator_processes(), *self.clients]:
+            for batcher in process.batchers:
+                batches += batcher.batches_sent
+                messages += batcher.messages_batched
+                for size, count in batcher.size_counts.items():
+                    sizes[size] = sizes.get(size, 0) + count
+        return BatchStats(batches=batches, messages=messages, sizes=sizes)
 
-    def read_stats(self) -> Dict[str, Any]:
+    def read_stats(self) -> ReadStats:
         """Aggregate fast-path counters over clients and read engines (all
         zero where the binding has no fast path)."""
-        stats: Dict[str, Any] = {
-            "reads_served": 0,
-            "read_fallbacks": 0,
-            "fallback_reasons": {},
-            "refused_lease": 0,
-            "refused_pending": 0,
-            "stale_serves": 0,
-        }
+        reasons: Dict[str, int] = {}
         for client in self.clients:
-            stats["reads_served"] += client.reads_served
-            stats["read_fallbacks"] += client.read_fallbacks
             for reason, count in client.read_fallback_reasons.items():
-                stats["fallback_reasons"][reason] = (
-                    stats["fallback_reasons"].get(reason, 0) + count
-                )
-        for engine in self._read_engines():
-            stats["refused_lease"] += engine.reads_refused_lease
-            stats["refused_pending"] += engine.reads_refused_pending
-            stats["stale_serves"] += engine.stale_serves
-        return stats
+                reasons[reason] = reasons.get(reason, 0) + count
+        engines = list(self._read_engines())
+        return ReadStats(
+            reads_served=sum(client.reads_served for client in self.clients),
+            read_fallbacks=sum(client.read_fallbacks for client in self.clients),
+            fallback_reasons=reasons,
+            refused_lease=sum(engine.reads_refused_lease for engine in engines),
+            refused_pending=sum(engine.reads_refused_pending for engine in engines),
+            stale_serves=sum(engine.stale_serves for engine in engines),
+        )
 
-    def detector_stats(self) -> Dict[str, Any]:
+    def detector_stats(self) -> DetectorStats:
         """Aggregate failure-detector counters over the detector-carrying
         processes, the sessions and the configuration service (all zero
         when the detector is off; the reconfiguration counters stay zero
         where there is no configuration service to drive)."""
-        stats: Dict[str, Any] = {
-            "heartbeat_ticks": self.pump.ticks,
-            "suspicions": 0,
-            "false_suspicions": 0,
-            "suspicion_reports": 0,
-            "view_changes": 0,
-            "unsolicited_reconfigurations": 0,
-            "pushed_failovers": sum(s.pushed_failovers for s in self.sessions),
-        }
         service = self.config_service
-        if service is not None:
-            stats["suspicion_reports"] = service.suspicion_reports
-            stats["view_changes"] = service.view_changes
-        for process in self._detector_processes():
-            if process.detector is not None:
-                stats["suspicions"] += process.detector.suspicions
-                stats["false_suspicions"] += process.detector.false_suspicions
-            if service is not None:
-                stats["unsolicited_reconfigurations"] += process.unsolicited_reconfigurations
-        return stats
+        processes = list(self._detector_processes())
+        detectors = [p.detector for p in processes if p.detector is not None]
+        return DetectorStats(
+            heartbeat_ticks=self.pump.ticks,
+            suspicions=sum(detector.suspicions for detector in detectors),
+            false_suspicions=sum(detector.false_suspicions for detector in detectors),
+            suspicion_reports=service.suspicion_reports if service is not None else 0,
+            view_changes=service.view_changes if service is not None else 0,
+            unsolicited_reconfigurations=(
+                sum(p.unsolicited_reconfigurations for p in processes)
+                if service is not None
+                else 0
+            ),
+            pushed_failovers=sum(s.pushed_failovers for s in self.sessions),
+        )
 
     @property
     def message_stats(self):

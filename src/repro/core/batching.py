@@ -40,21 +40,32 @@ from repro.runtime.events import FlushTimer
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """When the batching layer flushes an accumulating batch.
+    """When the batching layer flushes an accumulating batch — the value a
+    scenario's ``batch`` field holds and the cluster receives
+    (``repro.scenarios.BatchSpec`` is this class).
 
-    ``size`` is the per-destination batch cap; a size below 2 disables
-    batching entirely (the per-transaction message flow of the paper).
-    With ``adaptive=True`` batches flush at the end of the virtual instant
-    that opened them; with ``adaptive=False`` they wait ``linger`` time
-    units (which must then be positive — a size cap alone could leave a
-    partial batch stuck forever).
+    With ``size >= 2`` coordinators accumulate their per-destination
+    fan-out (PREPAREs to shard leaders, ACCEPT relays, DECISION broadcasts;
+    replicated commands for the 2PC baseline) and flush per-destination
+    batches: when a batch reaches ``size`` messages, when its first message
+    has lingered ``linger`` virtual-time units (``adaptive=False``; the
+    linger must then be positive — a size cap alone could leave a partial
+    batch stuck forever), or — the adaptive default — at the end of the
+    virtual instant that opened it, so messages produced at the same
+    instant coalesce at zero virtual latency.  Batch composition is
+    deterministic (arrival order, never hash order), and batching is
+    invisible to the TCS checker: batches carry the unbatched protocol
+    messages verbatim, in order.
+
+    ``size = 0`` (the default; any size below 2) keeps the paper's
+    one-message-per-transaction flow.
     """
 
     size: int = 0
     linger: float = 0.0
     adaptive: bool = True
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if self.size < 0:
             raise ValueError("batch size must be >= 0")
         if self.linger < 0:

@@ -104,89 +104,15 @@ class ConflictIndex(Generic[PayloadT]):
         """
         raise NotImplementedError
 
-    def retire(self, txn: TxnId, payload: PayloadT) -> bool:
+    def retire(self, txn: TxnId, payload: PayloadT) -> None:
         """Forget ``txn``'s per-object entries, keeping only a compact
         per-object horizon sufficient to still *flag* (not identify) future
         conflicts against retired history via :data:`RETIRED`.
 
         The caller supplies the payload it registered (so indexes need not
-        duplicate payload storage for runs that never retire).  Returns True
-        when the index dropped the transaction (memory freed, future
-        conflicts flagged with the sentinel); False when the index cannot
-        retire entries — the caller must then track retired transaction ids
-        itself.
+        duplicate payload storage for runs that never retire).
         """
-        return False
-
-
-class PairwiseConflictIndex(ConflictIndex[PayloadT]):
-    """Fallback :class:`ConflictIndex` for schemes without an incremental one.
-
-    Scans every registered payload per registration (O(n) per transaction,
-    matching the batch checker's total O(n^2) edge construction) so that any
-    :class:`CertificationScheme` works with the online checker unchanged.
-
-    Supports :meth:`retire`: retired entries are dropped (identity and all),
-    keeping only their distinct payloads as an anonymous retired set.  Only
-    the *successor* direction is checked against it — "the new payload must
-    precede retired history", which the checker turns into an immediate
-    violation via :data:`RETIRED` — because a retired *predecessor* is
-    consistent by construction and the checker ignores it.  Without scheme
-    knowledge the retired payloads cannot be compacted into per-object
-    horizons, so memory is bounded by the number of distinct retired
-    payloads (deduplicated when hashable) rather than O(1) per object; the
-    live scan, however, shrinks to the unretired entries.
-    """
-
-    def __init__(self, scheme: "CertificationScheme[PayloadT]") -> None:
-        self.scheme = scheme
-        self._entries: list = []
-        self._retired_payloads: list = []
-        self._retired_seen: set = set()
-
-    def register(self, txn, payload):
-        successors = [
-            other
-            for other, existing in self._entries
-            if self.scheme.global_certify([existing], payload) is Decision.ABORT
-        ]
-        predecessors = [
-            other
-            for other, existing in self._entries
-            if self.scheme.global_certify([payload], existing) is Decision.ABORT
-        ]
-        for existing in self._retired_payloads:
-            if self.scheme.global_certify([existing], payload) is Decision.ABORT:
-                # One flag suffices: any conflict ordering the new payload
-                # before retired history is already a violation.
-                successors.append(RETIRED)
-                break
-        self._entries.append((txn, payload))
-        return successors, predecessors
-
-    def retire(self, txn, payload):
-        for at, (other, existing) in enumerate(self._entries):
-            if other == txn:
-                retired = existing if payload is None else payload
-                del self._entries[at]
-                try:
-                    fresh = retired not in self._retired_seen
-                    if fresh:
-                        self._retired_seen.add(retired)
-                except TypeError:  # unhashable payload type: keep every copy
-                    fresh = True
-                if fresh:
-                    self._retired_payloads.append(retired)
-                return True
-        return False
-
-    @property
-    def live_entries(self) -> int:
-        return len(self._entries)
-
-    @property
-    def retired_payload_count(self) -> int:
-        return len(self._retired_payloads)
+        raise NotImplementedError
 
 
 class CertificationScheme(Generic[PayloadT]):
@@ -236,26 +162,18 @@ class CertificationScheme(Generic[PayloadT]):
         """The shard-local function ``g_s(L, l)`` (conflicts with prepared txns)."""
         raise NotImplementedError
 
-    def make_vote_index(self, shard: ShardId) -> "VoteIndex | None":
-        """An incremental :class:`VoteIndex` for this scheme, or None.
+    def make_vote_index(self, shard: ShardId) -> VoteIndex:
+        """A fresh incremental :class:`VoteIndex` for ``shard``: per-object
+        conflict state that lets a leader vote in O(|payload|) where a scan
+        of its certification order (:meth:`vote`, the definition the index
+        must equal) costs O(slots) per ``PREPARE``."""
+        raise NotImplementedError
 
-        Returning None makes shard leaders fall back to recomputing the
-        vote from a full scan of their certification order on every
-        ``PREPARE`` (O(slots) per transaction); schemes that can maintain
-        per-object conflict state incrementally should return an index so
-        voting costs O(|payload|) instead.
-        """
-        return None
-
-    def make_conflict_index(self) -> "ConflictIndex | None":
-        """An incremental :class:`ConflictIndex` for this scheme, or None.
-
-        Used by the online spec checker to discover linearization-graph
-        conflict edges without the all-pairs ``global_certify`` sweep.
-        Returning None makes the checker fall back to
-        :class:`PairwiseConflictIndex` (O(n) per committed transaction).
-        """
-        return None
+    def make_conflict_index(self) -> ConflictIndex:
+        """A fresh incremental :class:`ConflictIndex`, from which the online
+        spec checker learns linearization-graph conflict edges without the
+        all-pairs ``global_certify`` sweep (the definition it must equal)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # derived helpers

@@ -46,7 +46,19 @@ _PHI_SMOOTHING = 0.2
 
 @dataclass(frozen=True)
 class DetectorPolicy:
-    """Failure-detector knobs (declarative; shared by all three stacks).
+    """Heartbeat failure-detector policy, shared by all three stacks — the
+    value a scenario's ``detector`` field holds and the cluster receives
+    (``repro.scenarios.spec.DetectorSpec`` is this class).
+
+    With ``interval > 0`` every replica heartbeats its co-members once per
+    ``interval`` message delays and scores their silence — ``bounded`` mode
+    suspects after ``threshold`` whole missed windows, ``phi`` mode when the
+    silence over the smoothed inter-arrival mean reaches ``phi_threshold``.
+    Suspicions go to the configuration service, which aggregates them per
+    (shard, epoch, suspect) and — once ``confirmations`` distinct observers
+    agree — asks a surviving member to reconfigure through the ordinary CAS
+    path, then pushes ``CONFIG_CHANGE`` to subscribed clients so sessions
+    fail over before their retry timers fire.
 
     ``interval = 0`` (the default) disables the detector entirely — no
     heartbeats, no pump, no detector state — preserving the paper's

@@ -57,16 +57,22 @@ DEFAULT_LEASE = 500.0
 
 @dataclass(frozen=True)
 class ReadPolicy:
-    """How a cluster treats read-only transactions.
+    """How a cluster treats read-only transactions — the value a scenario's
+    ``read`` field holds and the cluster receives
+    (``repro.scenarios.spec.ReadSpec`` is this class).
 
     * ``certified`` — every read goes through certification (the default;
-      the read machinery stays completely inert, preserving byte-identical
+      no read machinery is instantiated, preserving byte-identical
       histories with pre-read-path builds);
-    * ``snapshot`` — single-shard read-only transactions route to the shard
-      leader's applied store under a read lease, falling back to the
-      certified path on refusal;
+    * ``snapshot`` — shard leaders hold configuration-service read leases
+      (``lease`` message delays long) and answer single-shard read-only
+      transactions directly from their applied MVCC stores — no
+      coordinator, no certification — behind a closed-timestamp watermark;
+      reads that hit an expired lease or a prepared-but-undecided
+      conflicting write fall back to the certified path;
     * ``broken-snapshot`` — the deliberately unsafe ablation: leaders serve
-      reads without checking lease validity or pending writers.
+      even when the lease has expired or conflicting writes are pending,
+      which the checker must flag as a serializability violation.
     """
 
     mode: str = "certified"

@@ -428,11 +428,6 @@ class _SerializabilityConflictIndex(ConflictIndex[TransactionPayload]):
         return successors, predecessors
 
     def retire(self, txn, payload):
-        if payload is None:
-            # Without the payload the entries cannot be removed; make the
-            # caller track the retired id instead of leaving stale entries
-            # that could be reported for a transaction no longer in the DAG.
-            return False
         for obj, version in payload.read_set:
             self._readers.remove(obj, version, txn)
         for obj, _ in payload.write_set:
@@ -440,7 +435,6 @@ class _SerializabilityConflictIndex(ConflictIndex[TransactionPayload]):
             horizon = self._retired_writes.get(obj)
             if horizon is None or payload.commit_version > horizon:
                 self._retired_writes[obj] = payload.commit_version
-        return True
 
 
 class _SnapshotIsolationConflictIndex(ConflictIndex[TransactionPayload]):
@@ -475,8 +469,6 @@ class _SnapshotIsolationConflictIndex(ConflictIndex[TransactionPayload]):
         return successors, predecessors
 
     def retire(self, txn, payload):
-        if payload is None:
-            return False
         for obj, _ in payload.write_set:
             self._writers.remove(obj, payload.commit_version, txn)
             version = payload.read_version(obj)
@@ -485,7 +477,6 @@ class _SnapshotIsolationConflictIndex(ConflictIndex[TransactionPayload]):
             horizon = self._retired_writes.get(obj)
             if horizon is None or payload.commit_version > horizon:
                 self._retired_writes[obj] = payload.commit_version
-        return True
 
 
 class SerializabilityScheme(_ReadWriteScheme):

@@ -16,10 +16,6 @@ replica's slot arrays:
   the arrays, leadership changes) simply *invalidates* the cache, which is
   rebuilt from the arrays on the next vote — correctness never depends on
   catching every mutation incrementally.
-
-When the scheme offers no index (``make_vote_index`` returns None) the
-cache transparently falls back to the historical full scan, so custom
-certification schemes keep working unchanged.
 """
 
 from __future__ import annotations
@@ -35,8 +31,9 @@ class LeaderVoteCache:
 
     def __init__(self, replica: Any) -> None:
         self._replica = replica
+        # None exactly while invalidated: the next vote rebuilds it, and
+        # incremental notes are skipped until then.
         self._index: Optional[VoteIndex] = None
-        self._dirty = True
         # Slots whose payload the index currently counts in each set; used
         # to keep incremental updates idempotent.
         self._prepared_slots: Set[int] = set()
@@ -47,19 +44,15 @@ class LeaderVoteCache:
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
         """Drop the index; it is rebuilt from the arrays on the next vote."""
-        self._dirty = True
         self._index = None
         self._prepared_slots.clear()
         self._committed_slots.clear()
 
     def _rebuild(self) -> None:
         replica = self._replica
-        self._dirty = False
         self._index = replica.scheme.make_vote_index(replica.shard)
         self._prepared_slots.clear()
         self._committed_slots.clear()
-        if self._index is None:
-            return
         for slot, payload in replica.payload_arr.items():
             phase = replica.phase_arr.get(slot)
             if (
@@ -84,30 +77,9 @@ class LeaderVoteCache:
         Must be called before the payload is stored in ``payload_arr`` (the
         new slot itself must not be certified against).
         """
-        if self._dirty:
-            self._rebuild()
         if self._index is None:
-            return self._scan_vote(slot, payload)
+            self._rebuild()
         return self._index.vote(payload)
-
-    def _scan_vote(self, slot: int, payload: Any) -> Decision:
-        """The original Figure 1 full scan, for schemes without an index."""
-        replica = self._replica
-        committed = [
-            replica.payload_arr[k]
-            for k in replica.payload_arr
-            if k < slot
-            and replica.phase_arr.get(k) is Phase.DECIDED
-            and replica.dec_arr.get(k) is Decision.COMMIT
-        ]
-        prepared = [
-            replica.payload_arr[k]
-            for k in replica.payload_arr
-            if k < slot
-            and replica.phase_arr.get(k) is Phase.PREPARED
-            and replica.vote_arr.get(k) is Decision.COMMIT
-        ]
-        return replica.scheme.vote(replica.shard, committed, prepared, payload)
 
     # ------------------------------------------------------------------
     # incremental maintenance
@@ -116,7 +88,7 @@ class LeaderVoteCache:
         """Record that ``slot`` now holds a prepared transaction (call after
         the replica stored its payload and vote)."""
         if self._index is None:
-            return
+            return  # invalidated: the next vote rebuilds from the arrays
         replica = self._replica
         if (
             slot not in self._prepared_slots
@@ -129,7 +101,7 @@ class LeaderVoteCache:
     def note_decided(self, slot: int) -> None:
         """Record that ``slot`` transitioned to the decided phase."""
         if self._index is None:
-            return
+            return  # invalidated: the next vote rebuilds from the arrays
         replica = self._replica
         payload = replica.payload_arr.get(slot)
         if slot in self._prepared_slots:

@@ -82,6 +82,8 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
         workload_overrides["txns"] = args.txns
     if args.think_time is not None:
         workload_overrides["think_time"] = args.think_time
+        if args.think_time == 0:
+            workload_overrides["sessions"] = 0  # batch-driven: no session driver to size
     if workload_overrides:
         overrides["workload"] = replace(spec.workload, **workload_overrides)
     if getattr(args, "parallel_shards", None):

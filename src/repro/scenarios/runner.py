@@ -15,7 +15,17 @@ benchmark harness, the CLI and the tests.  It
    watchers rather than polling the history;
 4. drains the simulation and distils a structured :class:`ScenarioResult`
    (throughput, latency, abort rate, message and event counts, safety
-   verdict).
+   verdict) plus one :class:`Section` per optional subsystem.
+
+The five optional subsystems travel spec -> cluster -> result along one
+table, :data:`SECTIONS`, whose rows are ``(name, title, collect)``:
+``spec.<name>`` is the policy the cluster is built with (for the network,
+the :class:`NetworkSpec` around the link model), ``collect(cluster)``
+returns the subsystem's stats type from :mod:`repro.analysis.metrics`, and
+``result.<name>`` stores label and stats as a :class:`Section` — the label
+under the JSON key ``<name>_model`` and, in the report, in the row headed
+``title``.  The stats type owns its JSON keys and its report row, so
+nothing here names a counter.
 
 Everything is deterministic in the spec's seed: two runs of the same spec
 produce identical results (modulo wall-clock time).
@@ -25,20 +35,20 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from operator import methodcaller
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.metrics import (
-    BatchStats,
     LatencySummary,
+    LinkStats,
     PhaseBreakdown,
-    RetryStats,
     collect_link_stats,
     format_table,
     phase_breakdown,
     summarize,
 )
 from repro.baselines.cluster import BaselineCluster
-from repro.cluster import Cluster
+from repro.cluster import Cluster, ClusterBase
 from repro.core.serializability import TransactionPayload
 from repro.core.types import Decision, Phase
 from repro.scenarios.latency import compile_latency_model
@@ -61,9 +71,39 @@ from repro.workload.generators import (
 )
 
 
+@dataclass(frozen=True)
+class Section:
+    """One optional subsystem's share of a result: the label of the policy
+    the run used (``policy.describe()``; ``"off"`` when disabled) and the
+    subsystem's stats (one of the types in :mod:`repro.analysis.metrics`)."""
+
+    model: str
+    stats: Any
+
+
+#: The optional subsystems in report order (see the module docstring).
+#: _collect, as_dict() and render() walk this table: a sixth subsystem is a
+#: row here, a stats type and the two fields the row names.
+SECTIONS: Tuple[Tuple[str, str, Callable[[ClusterBase], Any]], ...] = (
+    ("retry", "retry policy", methodcaller("retry_stats")),
+    ("batch", "batch policy", methodcaller("batch_stats")),
+    ("read", "read policy", methodcaller("read_stats")),
+    # The pure-delay network keeps no link state: report zeros.
+    ("network", "network model", lambda c: collect_link_stats(c.network) or LinkStats()),
+    ("detector", "failure detector", methodcaller("detector_stats")),
+)
+
+
 @dataclass
 class ScenarioResult:
-    """Structured outcome of one scenario run."""
+    """Structured outcome of one scenario run: the run-level measurements
+    as fields, plus one :class:`Section` per optional subsystem.
+
+    The subsystems' labels and counters are read by their flat JSON names —
+    ``result.retries``, ``result.mean_batch_size``, ``result.network_model``
+    — which resolve through the sections (see :meth:`__getattr__`), so
+    Python callers, sweep curves, the JSON and the CLI share one vocabulary.
+    """
 
     scenario: str
     protocol: str
@@ -83,42 +123,40 @@ class ScenarioResult:
     invariant_violations: int
     contradictions: int
     expect_safe: bool
+    retry: Section  # client sessions: re-submission and failover
+    batch: Section  # protocol-level batching
+    read: Section  # snapshot-read fast path
+    network: Section  # bandwidth/queueing link model
+    detector: Section  # heartbeat failure detector
     check_mode: str = "online"
     check_reason: str = ""  # why the checker failed ("" when it passed)
     latency_model: str = "unit"  # LatencySpec.describe() of the network model
-    retry_model: str = "off"  # RetrySpec.describe() of the session policy
-    batch_model: str = "off"  # BatchSpec.describe() of the batching policy
-    read_model: str = "off"  # ReadSpec.describe() of the snapshot-read policy
-    retries: int = 0  # client-session re-submissions
-    failovers: int = 0  # re-submissions that switched coordinator
-    orphaned: int = 0  # transactions abandoned after max_attempts
-    duplicate_requests: int = 0  # duplicate CERTIFYs deduplicated by coordinators
-    batches: int = 0  # batch messages flushed by the batching layer
-    batched_messages: int = 0  # protocol messages those batches carried
-    mean_batch_size: float = 0.0  # batched_messages / batches
-    max_batch_size: int = 0  # largest batch observed
-    batch_sizes: Dict[int, int] = field(default_factory=dict)  # size -> batch count
-    reads_served: int = 0  # snapshot reads answered on the fast path
-    read_fallbacks: int = 0  # fast-path reads that fell back to certification
-    read_fallback_reasons: Dict[str, int] = field(default_factory=dict)
-    read_stale_serves: int = 0  # broken-snapshot mode: reads served stale
-    network_model: str = "off"  # NetworkSpec.describe() of the link model
-    bytes_sent: float = 0.0  # wire bytes charged to the link (0 when off)
-    link_queue_wait_mean: float = 0.0  # mean FIFO queue wait per message
-    link_queue_wait_max: float = 0.0  # worst FIFO queue wait observed
-    link_busy_time: float = 0.0  # total serialization time across all links
-    link_max_depth: int = 0  # deepest per-link FIFO queue observed
-    detector_model: str = "off"  # DetectorSpec.describe() of the failure detector
-    suspicions: int = 0  # peers newly suspected by any observer
-    false_suspicions: int = 0  # suspicions refuted by a later heartbeat
-    view_changes: int = 0  # CS_VIEW_CHANGE requests issued by the service
-    unsolicited_reconfigurations: int = 0  # reconfigurations the detector started
-    pushed_failovers: int = 0  # session failovers driven by CONFIG_CHANGE pushes
     recovery_times: List[float] = field(default_factory=list)  # crash -> next install
     phases: Optional[PhaseBreakdown] = None  # submit/certify/decide split
     faults_executed: List[str] = field(default_factory=list)
     wall_seconds: float = 0.0
     history_digest: str = ""  # History.digest(): fingerprint of the event sequence
+
+    def _subsystems(self) -> Dict[str, Any]:
+        """Every section as its flat JSON keys: the label, then the counters.
+        Reads ``__dict__``, never ``self.<field>``: ``__getattr__`` lands
+        here for the blank instance that pickle (every ``--jobs`` result)
+        and copy probe for ``__setstate__`` before any field exists."""
+        flat: Dict[str, Any] = {}
+        for name, _title, _collect in SECTIONS:
+            section = self.__dict__.get(name)
+            if section is not None:
+                flat[f"{name}_model"] = section.model
+                flat.update(section.stats.as_dict())
+        return flat
+
+    def __getattr__(self, name: str) -> Any:
+        """Resolve a flat subsystem name (``retries``, ``batch_model``, ...)
+        through the sections; Python only calls this for non-fields."""
+        try:
+            return self._subsystems()[name]
+        except KeyError:
+            raise AttributeError(f"ScenarioResult has no attribute {name!r}") from None
 
     @property
     def safety_ok(self) -> bool:
@@ -149,34 +187,7 @@ class ScenarioResult:
             "messages_delivered": self.messages_delivered,
             "latency": self.latency.as_dict() if self.latency else None,
             "latency_model": self.latency_model,
-            "retry_model": self.retry_model,
-            "batch_model": self.batch_model,
-            "retries": self.retries,
-            "failovers": self.failovers,
-            "orphaned": self.orphaned,
-            "duplicate_requests": self.duplicate_requests,
-            "batches": self.batches,
-            "batched_messages": self.batched_messages,
-            "mean_batch_size": self.mean_batch_size,
-            "max_batch_size": self.max_batch_size,
-            "batch_sizes": {str(k): v for k, v in sorted(self.batch_sizes.items())},
-            "read_model": self.read_model,
-            "reads_served": self.reads_served,
-            "read_fallbacks": self.read_fallbacks,
-            "read_fallback_reasons": dict(sorted(self.read_fallback_reasons.items())),
-            "read_stale_serves": self.read_stale_serves,
-            "network_model": self.network_model,
-            "bytes_sent": self.bytes_sent,
-            "link_queue_wait_mean": self.link_queue_wait_mean,
-            "link_queue_wait_max": self.link_queue_wait_max,
-            "link_busy_time": self.link_busy_time,
-            "link_max_depth": self.link_max_depth,
-            "detector_model": self.detector_model,
-            "suspicions": self.suspicions,
-            "false_suspicions": self.false_suspicions,
-            "view_changes": self.view_changes,
-            "unsolicited_reconfigurations": self.unsolicited_reconfigurations,
-            "pushed_failovers": self.pushed_failovers,
+            **self._subsystems(),
             "recovery_times": list(self.recovery_times),
             "phases": self.phases.as_dict() if self.phases else None,
             "check_ok": self.check_ok,
@@ -204,51 +215,11 @@ class ScenarioResult:
         ]
         if self.latency_model != "unit":
             rows.append(("latency model", self.latency_model))
-        if self.retry_model != "off":
-            rows.append(("retry policy", self.retry_model))
-            rows.append(
-                ("client retries",
-                 f"{self.retries} retries / {self.failovers} failovers / "
-                 f"{self.orphaned} orphaned / {self.duplicate_requests} dups deduped"),
-            )
-        if self.batch_model != "off":
-            rows.append(("batch policy", self.batch_model))
-            rows.append(
-                ("batching",
-                 f"{self.batches} batches / {self.batched_messages} messages / "
-                 f"mean {self.mean_batch_size:.2f} / max {self.max_batch_size}"),
-            )
-        if self.read_model != "off":
-            rows.append(("read policy", self.read_model))
-            detail = (
-                f"{self.reads_served} served / {self.read_fallbacks} fallbacks"
-            )
-            if self.read_fallback_reasons:
-                reasons = ", ".join(
-                    f"{reason}: {count}"
-                    for reason, count in sorted(self.read_fallback_reasons.items())
-                )
-                detail += f" ({reasons})"
-            if self.read_stale_serves:
-                detail += f" / {self.read_stale_serves} STALE"
-            rows.append(("snapshot reads", detail))
-        if self.network_model != "off":
-            rows.append(("network model", self.network_model))
-            rows.append(
-                ("link",
-                 f"{self.bytes_sent:.0f} bytes / busy {self.link_busy_time:.1f} / "
-                 f"queue wait mean {self.link_queue_wait_mean:.2f} "
-                 f"max {self.link_queue_wait_max:.2f} / depth {self.link_max_depth}"),
-            )
-        if self.detector_model != "off":
-            rows.append(("failure detector", self.detector_model))
-            rows.append(
-                ("detector",
-                 f"{self.suspicions} suspicions / {self.false_suspicions} false / "
-                 f"{self.view_changes} view changes / "
-                 f"{self.unsolicited_reconfigurations} unsolicited reconfigs / "
-                 f"{self.pushed_failovers} pushed failovers"),
-            )
+        for name, title, _collect in SECTIONS:
+            section: Section = getattr(self, name)
+            if section.model != "off":
+                rows.append((title, section.model))
+                rows.append(section.stats.render())
         if self.recovery_times:
             ttr = ", ".join(f"{t:.1f}" for t in self.recovery_times)
             rows.append(("time to recovery", f"{ttr} delays (crash -> install)"))
@@ -313,13 +284,14 @@ class ScenarioRunner:
             num_clients=spec.num_clients,
             latency=compile_latency_model(spec.latency),
             seed=spec.seed,
-            retry=spec.retry.compile(),
-            batch=spec.batch.compile(),
+            # The spec's four policy fields are the values the cluster takes.
+            retry=spec.retry,
+            batch=spec.batch,
             # Tier-B engine selection: groups > 0 builds the cluster on the
             # conservative parallel-DES scheduler (byte-identical results).
             groups=spec.execution.groups if spec.execution.mode == "parallel-shards" else 0,
-            read=spec.read.compile(),
-            detector=spec.detector.compile(),
+            read=spec.read,
+            detector=spec.detector,
             link=spec.network.compile(),
             pipeline=spec.network.pipeline,
             sticky=spec.network.sticky,
@@ -608,11 +580,10 @@ class ScenarioRunner:
         latencies = cluster.client_latencies()
         check_ok, check_reason, violations = self._verdict()
         stats = cluster.message_stats
-        retry_stats: RetryStats = cluster.retry_stats()
-        batch_stats: BatchStats = cluster.batch_stats()
-        read_stats: Dict[str, Any] = cluster.read_stats()
-        detector_stats: Dict[str, Any] = cluster.detector_stats()
-        link_stats = collect_link_stats(cluster.network)
+        sections = {
+            name: Section(getattr(spec, name).describe(), collect(cluster))
+            for name, _title, collect in SECTIONS
+        }
         return ScenarioResult(
             scenario=spec.name,
             protocol=spec.protocol,
@@ -629,42 +600,6 @@ class ScenarioRunner:
             messages_delivered=stats.total_delivered,
             latency=summarize(latencies) if latencies else None,
             latency_model=spec.latency.describe(),
-            retry_model=spec.retry.describe(),
-            batch_model=spec.batch.describe(),
-            retries=retry_stats.retries,
-            failovers=retry_stats.failovers,
-            orphaned=retry_stats.orphaned,
-            duplicate_requests=retry_stats.duplicate_requests,
-            batches=batch_stats.batches,
-            batched_messages=batch_stats.messages,
-            mean_batch_size=batch_stats.mean_size,
-            max_batch_size=batch_stats.max_size,
-            batch_sizes=dict(batch_stats.sizes),
-            read_model=spec.read.describe(),
-            reads_served=read_stats["reads_served"],
-            read_fallbacks=read_stats["read_fallbacks"],
-            read_fallback_reasons=dict(read_stats["fallback_reasons"]),
-            read_stale_serves=read_stats["stale_serves"],
-            network_model=spec.network.describe(),
-            bytes_sent=link_stats.bytes_sent if link_stats else 0.0,
-            link_queue_wait_mean=(
-                link_stats.queue_wait.mean
-                if link_stats and link_stats.queue_wait
-                else 0.0
-            ),
-            link_queue_wait_max=(
-                link_stats.queue_wait.maximum
-                if link_stats and link_stats.queue_wait
-                else 0.0
-            ),
-            link_busy_time=link_stats.busy_time if link_stats else 0.0,
-            link_max_depth=link_stats.max_depth if link_stats else 0,
-            detector_model=spec.detector.describe(),
-            suspicions=detector_stats["suspicions"],
-            false_suspicions=detector_stats["false_suspicions"],
-            view_changes=detector_stats["view_changes"],
-            unsolicited_reconfigurations=detector_stats["unsolicited_reconfigurations"],
-            pushed_failovers=retry_stats.pushed_failovers,
             recovery_times=self._recovery_times(),
             phases=phase_breakdown(cluster.phase_samples()),
             check_ok=check_ok,
@@ -676,6 +611,7 @@ class ScenarioRunner:
             faults_executed=list(self.faults_executed),
             wall_seconds=wall,
             history_digest=history.digest(),
+            **sections,
         )
 
     def _verdict(self) -> Tuple[bool, str, List[Any]]:

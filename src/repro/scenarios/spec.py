@@ -7,6 +7,18 @@ frozen dataclasses, so a scenario is a value — it can be registered in the
 library, tweaked with :meth:`ScenarioSpec.with_overrides`, swept across
 protocols, or constructed ad hoc by a benchmark.
 
+Four of the five optional subsystems are described by the very policy value
+the cluster receives: ``retry`` is a :class:`repro.client.RetryPolicy`,
+``batch`` a :class:`repro.core.batching.BatchPolicy`, ``read`` a
+:class:`repro.core.reads.ReadPolicy` and ``detector`` a
+:class:`repro.core.failuredetector.DetectorPolicy`.  ``RetrySpec``,
+``BatchSpec``, ``ReadSpec`` and ``DetectorSpec`` are those classes under
+their spec-side names — one class, one ``validate()``, one ``describe()``.
+A policy raises plain ``ValueError``; :meth:`ScenarioSpec.validate` is
+where that becomes a :class:`ScenarioError`.  ``NetworkSpec`` and
+``LatencySpec`` are specs proper: the first bundles the link model with the
+two commit-path toggles, the second compiles to a latency model.
+
 Fault targets are *roles* resolved against the live cluster when the step
 executes (or at build time for setup steps), not hard-coded process ids:
 
@@ -22,6 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
+
+# The spec-side names of the four policy classes (see the module docstring).
+from repro.client import RetryPolicy as RetrySpec
+from repro.core.batching import BatchPolicy as BatchSpec
+from repro.core.failuredetector import DetectorPolicy as DetectorSpec
+from repro.core.reads import ReadPolicy as ReadSpec
 
 
 class ScenarioError(ValueError):
@@ -225,204 +243,6 @@ class LatencySpec:
 
 
 @dataclass(frozen=True)
-class BatchSpec:
-    """Protocol-level batching policy (declarative form of
-    :class:`repro.core.batching.BatchPolicy`).
-
-    With ``size >= 2`` coordinators accumulate their per-destination
-    fan-out (PREPAREs to shard leaders, ACCEPT relays, DECISION broadcasts;
-    replicated commands for the 2PC baseline) and flush per-destination
-    batches: when a batch reaches ``size`` messages, when its first message
-    has lingered ``linger`` virtual-time units (``adaptive=False``), or —
-    the adaptive default — at the end of the virtual instant that opened
-    it, so messages produced at the same instant coalesce at zero virtual
-    latency.  Batch composition is deterministic (arrival order, never hash
-    order), and batching is invisible to the TCS checker: batches carry the
-    unbatched protocol messages verbatim, in order.
-
-    ``size = 0`` (the default) keeps the paper's one-message-per-transaction
-    flow.
-    """
-
-    size: int = 0
-    linger: float = 0.0
-    adaptive: bool = True
-
-    def compile(self):
-        """The :class:`repro.core.batching.BatchPolicy` this spec describes
-        (the single home of the field bounds — validation delegates here)."""
-        from repro.core.batching import BatchPolicy  # late: keep spec modules light
-
-        return BatchPolicy(size=self.size, linger=self.linger, adaptive=self.adaptive)
-
-    def validate(self) -> None:
-        try:
-            self.compile()
-        except ValueError as error:
-            raise ScenarioError(str(error)) from None
-
-    @property
-    def enabled(self) -> bool:
-        return self.size >= 2
-
-    def describe(self) -> str:
-        return self.compile().describe()
-
-
-@dataclass(frozen=True)
-class RetrySpec:
-    """Client-session re-submission policy (declarative form of
-    :class:`repro.client.RetryPolicy`).
-
-    With ``timeout > 0`` every client drives its transactions through a
-    session: a transaction still undecided ``timeout`` message delays after
-    submission is re-submitted — failing over to a coordinator not yet tried
-    and refreshing the client's configuration view from the configuration
-    service — with the wait multiplied by ``backoff`` per attempt, up to
-    ``max_attempts`` total submissions (then the transaction counts as
-    *orphaned*).  Re-submissions reuse the transaction id; coordinators
-    deduplicate and re-answer decided transactions from their decision
-    caches, so duplicates can never yield two different decisions.
-
-    ``timeout = 0`` (the default) keeps the paper's fire-and-forget client.
-    """
-
-    timeout: float = 0.0
-    backoff: float = 2.0
-    max_attempts: int = 4
-
-    def compile(self):
-        """The :class:`repro.client.RetryPolicy` this spec describes (the
-        single home of the field bounds — validation delegates here)."""
-        from repro.client import RetryPolicy  # late: keep spec modules dependency-light
-
-        return RetryPolicy(
-            timeout=self.timeout,
-            backoff=self.backoff,
-            max_attempts=self.max_attempts,
-        )
-
-    def validate(self) -> None:
-        try:
-            self.compile()
-        except ValueError as error:
-            raise ScenarioError(str(error)) from None
-
-    @property
-    def enabled(self) -> bool:
-        return self.timeout > 0
-
-    def describe(self) -> str:
-        if not self.enabled:
-            return "off"
-        return (
-            f"timeout={self.timeout:g},backoff={self.backoff:g},"
-            f"max_attempts={self.max_attempts}"
-        )
-
-
-@dataclass(frozen=True)
-class ReadSpec:
-    """Snapshot-read fast-path policy (declarative form of
-    :class:`repro.core.reads.ReadPolicy`).
-
-    With ``mode="snapshot"`` shard leaders hold configuration-service read
-    leases and answer single-shard read-only transactions directly from
-    their applied MVCC stores — no coordinator, no certification — behind a
-    closed-timestamp watermark; reads that hit an expired lease or a
-    prepared-but-undecided conflicting write fall back to the certified
-    path.  ``mode="broken-snapshot"`` is the ablation: leaders serve even
-    when the lease has expired or conflicting writes are pending, which the
-    checker must flag as a serializability violation.
-
-    ``mode="certified"`` (the default) disables the fast path entirely:
-    read-only transactions certify like any other transaction, and no read
-    machinery is instantiated.
-    """
-
-    mode: str = "certified"
-    lease: float = 0.0  # lease duration in message delays; 0 = engine default
-
-    def compile(self):
-        """The :class:`repro.core.reads.ReadPolicy` this spec describes (the
-        single home of the field bounds — validation delegates here)."""
-        from repro.core.reads import DEFAULT_LEASE, ReadPolicy  # late: keep spec light
-
-        policy = ReadPolicy(mode=self.mode, lease=self.lease or DEFAULT_LEASE)
-        policy.validate()
-        return policy
-
-    def validate(self) -> None:
-        if self.lease < 0:
-            raise ScenarioError("read lease must be >= 0 (0 = default duration)")
-        try:
-            self.compile()
-        except ValueError as error:
-            raise ScenarioError(str(error)) from None
-
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "certified"
-
-    def describe(self) -> str:
-        return self.compile().describe()
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    """Heartbeat failure-detector policy (declarative form of
-    :class:`repro.core.failuredetector.DetectorPolicy`).
-
-    With ``interval > 0`` every replica heartbeats its co-members once per
-    ``interval`` message delays and scores their silence — ``bounded`` mode
-    suspects after ``threshold`` whole missed windows, ``phi`` mode when the
-    silence over the smoothed inter-arrival mean reaches ``phi_threshold``.
-    Suspicions go to the configuration service, which aggregates them per
-    (shard, epoch, suspect) and — once ``confirmations`` distinct observers
-    agree — asks a surviving member to reconfigure through the ordinary CAS
-    path, then pushes ``CONFIG_CHANGE`` to subscribed clients so sessions
-    fail over before their retry timers fire.
-
-    ``interval = 0`` (the default) disables the detector entirely,
-    preserving the paper's oracle-free, timeout-driven failover.
-    """
-
-    mode: str = "bounded"
-    interval: float = 0.0
-    threshold: int = 3
-    phi_threshold: float = 4.0
-    confirmations: int = 1
-
-    def compile(self):
-        """The :class:`repro.core.failuredetector.DetectorPolicy` this spec
-        describes (the single home of the field bounds)."""
-        from repro.core.failuredetector import DetectorPolicy  # late: keep spec light
-
-        policy = DetectorPolicy(
-            mode=self.mode,
-            interval=self.interval,
-            threshold=self.threshold,
-            phi_threshold=self.phi_threshold,
-            confirmations=self.confirmations,
-        )
-        policy.validate()
-        return policy
-
-    def validate(self) -> None:
-        try:
-            self.compile()
-        except ValueError as error:
-            raise ScenarioError(str(error)) from None
-
-    @property
-    def enabled(self) -> bool:
-        return self.interval > 0
-
-    def describe(self) -> str:
-        return self.compile().describe()
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
     """Bandwidth/queueing network model plus the commit-path optimizations
     it makes measurable (declarative form of
@@ -554,6 +374,11 @@ class WorkloadSpec:
             raise ScenarioError("think_time must be >= 0")
         if self.sessions < 0:
             raise ScenarioError("sessions must be >= 0")
+        if self.sessions and self.think_time <= 0:
+            raise ScenarioError(
+                "sessions only count under the closed-loop driver; "
+                "set think_time > 0 to start it"
+            )
         if self.kind == "spanning" and (self.think_time > 0 or self.sessions):
             raise ScenarioError(
                 "closed-loop think times drive the transactional store; "
@@ -600,7 +425,7 @@ class ExecSpec:
             )
         if self.jobs < 0:
             raise ScenarioError("jobs must be >= 0 (0 = one worker per core)")
-        if self.groups < 2:
+        if self.mode == "parallel-shards" and self.groups < 2:
             raise ScenarioError("parallel-shards needs at least two groups")
 
     def describe(self) -> str:
@@ -686,12 +511,21 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"unknown check_mode {self.check_mode!r}; expected one of {CHECK_MODES}"
             )
+        if self.check_gc and self.check_mode != "online":
+            raise ScenarioError(
+                "check_gc prunes the online checker's graph; it requires "
+                "check_mode='online'"
+            )
         self.workload.validate()
         self.latency.validate()
-        self.retry.validate()
-        self.batch.validate()
-        self.read.validate()
-        self.detector.validate()
+        try:
+            # The policies are runtime values and raise plain ValueErrors
+            # (ClusterBase validates them the same way); this is where a
+            # scenario turns them into its own error type.
+            for policy in (self.retry, self.batch, self.read, self.detector):
+                policy.validate()
+        except ValueError as error:
+            raise ScenarioError(str(error)) from None
         self.network.validate()
         self.execution.validate()
         if self.execution.mode == "parallel-shards":

@@ -93,7 +93,8 @@ def _phase(name: str) -> Callable[[ScenarioResult], str]:
     return cell
 
 
-# Curve fields are ScenarioResult attribute names, except these derived ones.
+# Curve fields are ScenarioResult attribute names (run-level fields or the
+# subsystems' flat JSON names), except these derived ones.
 CURVE_DERIVED: Dict[str, Callable[[ScenarioResult], Any]] = {
     "mean_latency": lambda r: _latency(r, "mean"),
     "p99_latency": lambda r: _latency(r, "p99"),
@@ -343,7 +344,10 @@ def _parse_point(
                 raise ScenarioError(f"invalid {key} value {value!r}") from None
         defaults.update(implied.get(key, {}))
     point = cls(**{**defaults, **fields})
-    point.validate()
+    try:
+        point.validate()  # a policy raises the plain ValueError clusters see
+    except ValueError as error:
+        raise ScenarioError(str(error)) from None
     return point
 
 

@@ -15,8 +15,8 @@ Three ideas make the update cheap:
   :class:`~repro.core.votecache.LeaderVoteCache` pattern) that reports, for
   a transaction entering the committed projection, exactly the conflict
   edges involving it, via version-range lookups instead of an all-pairs
-  ``global_certify`` sweep.  Schemes without an index transparently fall
-  back to the pairwise scan.
+  ``global_certify`` sweep (the pairwise scan survives as the oracle the
+  indexes are tested against, in ``tests/helpers.py``).
 
 * **A decided-frontier chain** — the real-time relation ``decide(a) ≺h
   certify(b)`` would contribute O(txns) edges per transaction if
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.certification import RETIRED, CertificationScheme, PairwiseConflictIndex
+from repro.core.certification import RETIRED, CertificationScheme
 from repro.core.types import Decision, TxnId
 from repro.spec.checker import CheckResult
 from repro.spec.history import History, HistorySubscription
@@ -188,7 +188,7 @@ class IncrementalTCSChecker:
         if gc_interval < 1:
             raise ValueError("gc_interval must be >= 1")
         self.scheme = scheme
-        self._conflicts = scheme.make_conflict_index() or PairwiseConflictIndex(scheme)
+        self._conflicts = scheme.make_conflict_index()
         self._dag = _OnlineDag()
         self._birth: Dict[TxnId, Optional[_Frontier]] = {}
         self._payloads: Dict[TxnId, Any] = {}
@@ -203,7 +203,6 @@ class IncrementalTCSChecker:
         # calls (populated only when gc is enabled, so non-GC runs do not
         # duplicate payload storage).
         self._gc_payloads: Dict[TxnId, Any] = {}
-        self._retired_fallback: Optional[Set[TxnId]] = None
         self.txns_pruned = 0
         self.frontiers_pruned = 0
         self.watermark = -1  # last collection's prune horizon (frontier index)
@@ -300,9 +299,8 @@ class IncrementalTCSChecker:
         if birth is not None and dag.add_edge(birth, txn) is not None:
             raise AssertionError("frontier edges cannot close a cycle")  # pragma: no cover
         successors, predecessors = self._conflicts.register(txn, payload)
-        retired = self._retired_fallback
         for other in predecessors:
-            if other is RETIRED or (retired is not None and other in retired):
+            if other is RETIRED:
                 # A retired transaction must precede this one — consistent by
                 # construction: retirement requires it decided before this
                 # transaction was certified.
@@ -311,7 +309,7 @@ class IncrementalTCSChecker:
             if cycle is not None:
                 return self._fail_cycle(cycle)
         for other in successors:
-            if other is RETIRED or (retired is not None and other in retired):
+            if other is RETIRED:
                 # This transaction must precede a retired one, yet every
                 # retired transaction decided before this one was certified:
                 # an immediate conflict/real-time cycle.
@@ -438,15 +436,7 @@ class IncrementalTCSChecker:
                 continue
             self.txns_pruned += 1
             self._decision_frontier.pop(node, None)
-            if not self._conflicts.retire(node, self._gc_payloads.pop(node, None)):
-                # Index without retirement support: remember retired ids so
-                # conflicts against them are still flagged.  Memory then
-                # grows with the retired id set — bounded memory needs a
-                # scheme conflict index (or the pairwise fallback, which
-                # drops entries and keeps distinct retired payloads).
-                if self._retired_fallback is None:
-                    self._retired_fallback = set()
-                self._retired_fallback.add(node)
+            self._conflicts.retire(node, self._gc_payloads.pop(node))
         dag.remove_nodes(pruned)
         return len(pruned)
 

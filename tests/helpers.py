@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
+from repro.core.certification import RETIRED, ConflictIndex, VoteIndex
 from repro.core.serializability import (
     SerializabilityScheme,
     TransactionPayload,
     Version,
 )
+from repro.core.types import Decision
 
 
 def payload(
@@ -42,3 +44,120 @@ def read_payload(key: str, version: int = 0) -> TransactionPayload:
 def shard_key(scheme: SerializabilityScheme, shard: str, hint: str = "key") -> str:
     """Find a key that the scheme maps to the given shard."""
     return scheme.sharding.key_for_shard(shard, hint=hint)
+
+
+# ----------------------------------------------------------------------
+# reference implementations of the two scheme indexes
+# ----------------------------------------------------------------------
+# Every CertificationScheme must supply a VoteIndex and a ConflictIndex; the
+# O(n) scans below are the definitions those indexes must equal.  They used
+# to live in ``src/`` as fallbacks for a scheme without an index; no shipped
+# scheme ever took them, so they live where they are used — as the oracles
+# ``reference_scheme`` plugs into the real leaders, state machines and
+# checker in place of the incremental indexes.
+
+class ScanVoteIndex(VoteIndex):
+    """Reference :class:`VoteIndex`: keeps the committed and the
+    prepared-to-commit payloads as plain lists and votes with
+    ``scheme.vote`` over them — Figure 1, line 12, evaluated literally."""
+
+    def __init__(self, scheme, shard) -> None:
+        self.scheme, self.shard = scheme, shard
+        self.committed: list = []
+        self.prepared: list = []
+
+    def add_committed(self, payload) -> None:
+        self.committed.append(payload)
+
+    def add_prepared(self, payload) -> None:
+        self.prepared.append(payload)
+
+    def remove_prepared(self, payload) -> None:
+        self.prepared.remove(payload)
+
+    def vote(self, payload) -> Decision:
+        return self.scheme.vote(self.shard, self.committed, self.prepared, payload)
+
+
+class PairwiseConflictIndex(ConflictIndex):
+    """Reference :class:`ConflictIndex`: scans every registered payload per
+    registration (O(n) per transaction, matching the batch checker's total
+    O(n^2) edge construction), for any :class:`CertificationScheme`.
+
+    Supports :meth:`retire`: retired entries are dropped (identity and all),
+    keeping only their distinct payloads as an anonymous retired set.  Only
+    the *successor* direction is checked against it — "the new payload must
+    precede retired history", which the checker turns into an immediate
+    violation via :data:`RETIRED` — because a retired *predecessor* is
+    consistent by construction and the checker ignores it.  Without scheme
+    knowledge the retired payloads cannot be compacted into per-object
+    horizons, so memory is bounded by the number of distinct retired
+    payloads (deduplicated when hashable) rather than O(1) per object; the
+    live scan, however, shrinks to the unretired entries.
+    """
+
+    def __init__(self, scheme) -> None:
+        self.scheme = scheme
+        self._entries: list = []
+        self._retired_payloads: list = []
+        self._retired_seen: set = set()
+
+    def register(self, txn, payload):
+        successors = [
+            other
+            for other, existing in self._entries
+            if self.scheme.global_certify([existing], payload) is Decision.ABORT
+        ]
+        predecessors = [
+            other
+            for other, existing in self._entries
+            if self.scheme.global_certify([payload], existing) is Decision.ABORT
+        ]
+        for existing in self._retired_payloads:
+            if self.scheme.global_certify([existing], payload) is Decision.ABORT:
+                # One flag suffices: any conflict ordering the new payload
+                # before retired history is already a violation.
+                successors.append(RETIRED)
+                break
+        self._entries.append((txn, payload))
+        return successors, predecessors
+
+    def retire(self, txn, payload):
+        """Returns whether ``txn`` was registered (``payload`` may be None:
+        it is then recovered from the entry)."""
+        for at, (other, existing) in enumerate(self._entries):
+            if other == txn:
+                retired = existing if payload is None else payload
+                del self._entries[at]
+                try:
+                    fresh = retired not in self._retired_seen
+                    if fresh:
+                        self._retired_seen.add(retired)
+                except TypeError:  # unhashable payload type: keep every copy
+                    fresh = True
+                if fresh:
+                    self._retired_payloads.append(retired)
+                return True
+        return False
+
+    @property
+    def live_entries(self) -> int:
+        return len(self._entries)
+
+    @property
+    def retired_payload_count(self) -> int:
+        return len(self._retired_payloads)
+
+
+def reference_scheme(scheme_cls, sharding):
+    """``scheme_cls`` with both incremental indexes replaced by the O(n)
+    references above: same certification functions, definitional indexes."""
+
+    class _Reference(scheme_cls):
+        def make_vote_index(self, shard):
+            return ScanVoteIndex(self, shard)
+
+        def make_conflict_index(self):
+            return PairwiseConflictIndex(self)
+
+    return _Reference(sharding)

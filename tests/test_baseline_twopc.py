@@ -14,7 +14,7 @@ from repro.baselines.twopc import (
 from repro.core.serializability import KeyHashSharding, SerializabilityScheme
 from repro.core.types import Decision
 
-from helpers import payload, rw_payload, shard_key
+from helpers import ScanVoteIndex, payload, reference_scheme, rw_payload, shard_key
 from test_properties import SER, SHARDS, SI, payloads
 
 
@@ -129,11 +129,6 @@ class _ScanMachine:
         return command.decision
 
 
-class _NoIndexScheme(SerializabilityScheme):
-    def make_vote_index(self, shard):
-        return None
-
-
 class _ScanForbiddenScheme(SerializabilityScheme):
     def shard_certify_committed(self, shard, committed, payload):
         raise AssertionError("the O(committed) scan ran although an index exists")
@@ -189,16 +184,37 @@ def test_indexed_state_machine_votes_like_the_scan(scheme, sequence):
         assert indexed.decisions == reference.decisions
 
 
+@pytest.mark.parametrize("scheme", [SER, SI], ids=["serializability", "snapshot-isolation"])
 @given(sequence=command_sequences())
 @settings(max_examples=60, deadline=None)
-def test_state_machine_without_a_vote_index_falls_back_to_the_scan(sequence):
+def test_state_machine_over_the_scan_index_votes_like_the_scan(scheme, sequence):
+    """The state machine tells its index about every prepare and decide:
+    handed the reference index (plain lists, ``scheme.vote`` per prepare) it
+    must vote exactly like the pre-index state machine."""
     population, steps, _ = sequence
-    scheme = _NoIndexScheme(KeyHashSharding(SHARDS))
-    machine = CertificationStateMachine("shard-0", scheme)
-    assert machine._index is None
-    reference = _ScanMachine("shard-0", SER)
-    for command in _commands(SER, "shard-0", population, steps):
+    machine = CertificationStateMachine(
+        "shard-0", reference_scheme(type(scheme), KeyHashSharding(SHARDS))
+    )
+    assert isinstance(machine._index, ScanVoteIndex)
+    reference = _ScanMachine("shard-0", scheme)
+    for command in _commands(scheme, "shard-0", population, steps):
         assert machine.apply(command) == reference.apply(command)
+    assert machine._index.committed == reference.committed
+
+
+def test_a_scheme_must_supply_both_indexes():
+    """No production path falls back to a scan: a scheme without a vote or
+    conflict index is rejected where it is first asked for one."""
+    from repro.core.certification import CertificationScheme
+    from repro.spec.incremental import IncrementalTCSChecker
+
+    class _Bare(CertificationScheme):
+        pass
+
+    with pytest.raises(NotImplementedError):
+        CertificationStateMachine("shard-0", _Bare())
+    with pytest.raises(NotImplementedError):
+        IncrementalTCSChecker(_Bare())
 
 
 def test_indexed_prepare_never_scans_the_committed_payloads():

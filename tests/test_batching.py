@@ -69,13 +69,13 @@ def test_policy_disabled_by_default():
 )
 def test_policy_rejects_invalid_combinations(kwargs):
     with pytest.raises(ValueError):
-        BatchPolicy(**kwargs)
+        BatchPolicy(**kwargs).validate()
 
 
 def test_batch_spec_validation_maps_to_scenario_error():
-    with pytest.raises(ScenarioError):
-        BatchSpec(size=8, linger=2.0, adaptive=True).validate()
     spec = get_scenario("steady-state")
+    with pytest.raises(ScenarioError):
+        spec.with_overrides(batch=BatchSpec(size=8, linger=2.0, adaptive=True))
     with pytest.raises(ScenarioError):
         spec.with_overrides(batch=BatchSpec(size=-3))
 

@@ -252,3 +252,49 @@ def test_si_weaker_than_serializability(scheme, si_scheme):
     for candidate in candidates:
         if scheme.global_certify([writer], candidate) is Decision.COMMIT:
             assert si_scheme.global_certify([writer], candidate) is Decision.COMMIT
+
+
+# ----------------------------------------------------------------------
+# the leaders' vote cache: incremental index vs the Figure 1 scan
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
+@pytest.mark.parametrize(
+    "scheme_cls", [SerializabilityScheme, SnapshotIsolationScheme],
+    ids=["serializability", "snapshot-isolation"],
+)
+def test_leaders_vote_over_the_index_as_over_the_scan(protocol, scheme_cls):
+    """``LeaderVoteCache`` drives whatever ``VoteIndex`` the scheme hands it.
+    Over the reference index (plain lists, ``scheme.vote`` per PREPARE — the
+    Figure 1 line 12 scan) every leader must cast the votes it casts over
+    the incremental index: same decisions, same history, also across the
+    rebuild a reconfiguration forces."""
+    from repro.cluster import Cluster
+
+    from helpers import reference_scheme
+
+    def drive(scheme):
+        cluster = Cluster(
+            num_shards=2, replicas_per_shard=2, protocol=protocol, scheme=scheme, seed=5
+        )
+        keys = [shard_key(scheme, shard, hint=f"hot{i}") for shard in cluster.shards for i in range(2)]
+        decisions = []
+        for wave in range(6):
+            if wave == 3:
+                cluster.crash_follower("shard-0")
+                cluster.reconfigure("shard-0")  # new epoch: the cache is rebuilt
+            payloads = [
+                # Half the wave reads a stale version of a hot key: conflicts
+                # with committed writers and with each other's prepares.
+                rw_payload(keys[(wave + i) % len(keys)], version=wave // 2 if i % 2 else 0,
+                           value=wave, tiebreak=f"w{wave}.{i}")
+                for i in range(6)
+            ]
+            decisions.extend(cluster.certify_many(payloads).values())
+        assert cluster.check()[0].ok
+        return decisions, cluster.history.digest()
+
+    sharding = KeyHashSharding(["shard-0", "shard-1"])
+    indexed = drive(scheme_cls(sharding))
+    scanned = drive(reference_scheme(scheme_cls, sharding))
+    assert indexed == scanned
+    assert {Decision.COMMIT, Decision.ABORT} <= set(indexed[0])

@@ -18,11 +18,11 @@ from helpers import rw_payload, shard_key
 # ----------------------------------------------------------------------
 def test_retry_policy_validation():
     with pytest.raises(ValueError, match="timeout"):
-        RetryPolicy(timeout=-1.0)
+        RetryPolicy(timeout=-1.0).validate()
     with pytest.raises(ValueError, match="backoff"):
-        RetryPolicy(timeout=1.0, backoff=0.0)
+        RetryPolicy(timeout=1.0, backoff=0.0).validate()
     with pytest.raises(ValueError, match="max_attempts"):
-        RetryPolicy(timeout=1.0, max_attempts=0)
+        RetryPolicy(timeout=1.0, max_attempts=0).validate()
     assert not RetryPolicy().enabled
     assert RetryPolicy(timeout=5.0).enabled
 

@@ -70,8 +70,14 @@ def test_a_sixth_axis_is_a_value_not_a_code_change():
         stock=(0.0, 2.0, 8.0),
         parse_point=float,
         sort_key=float,
+        # Think time 0 is the batch-driven driver, which has no sessions to
+        # size (a spec that sets them without a think time is rejected).
         apply=lambda spec, delays: spec.with_overrides(
-            workload=replace(spec.workload, think_time=delays)
+            workload=replace(
+                spec.workload,
+                think_time=delays,
+                sessions=spec.workload.sessions if delays else 0,
+            )
         ),
         label="{:g}".format,
         json_label=float,

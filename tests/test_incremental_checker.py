@@ -1,12 +1,13 @@
 """Tests for the online TCS checker: differential equivalence with the batch
 oracle on randomized histories, violation detection at the introducing event,
-the conflict-index fallback, and the incremental invariant monitor."""
+the scheme conflict indexes against their pairwise reference, and the
+incremental invariant monitor."""
 
 import random
 
 import pytest
 
-from repro.core.certification import PairwiseConflictIndex
+from repro.core.certification import RETIRED
 from repro.core.serializability import (
     KeyHashSharding,
     SerializabilityScheme,
@@ -19,7 +20,7 @@ from repro.spec.history import History
 from repro.spec.incremental import IncrementalTCSChecker
 from repro.spec.invariants import InvariantMonitor, check_invariants
 
-from helpers import payload
+from helpers import PairwiseConflictIndex, payload, reference_scheme
 
 
 SHARDS = ["shard-0", "shard-1"]
@@ -30,12 +31,11 @@ def scheme():
     return SerializabilityScheme(KeyHashSharding(SHARDS))
 
 
-class _NoIndexScheme(SerializabilityScheme):
-    """Serializability without an incremental conflict index (exercises the
-    pairwise fallback path of the online checker)."""
-
-    def make_conflict_index(self):
-        return None
+def _pairwise_scheme(sharding, scheme_cls=SerializabilityScheme):
+    """A scheme whose conflict index is the pairwise reference scan (the
+    online checker must reach the same verdicts over it as over the
+    incremental index)."""
+    return reference_scheme(scheme_cls, sharding)
 
 
 # ----------------------------------------------------------------------
@@ -90,9 +90,10 @@ def _random_history(scheme, seed: int, n: int = 20, keys: int = 4) -> History:
     [
         lambda: SerializabilityScheme(KeyHashSharding(SHARDS)),
         lambda: SnapshotIsolationScheme(KeyHashSharding(SHARDS)),
-        lambda: _NoIndexScheme(KeyHashSharding(SHARDS)),
+        lambda: _pairwise_scheme(KeyHashSharding(SHARDS)),
+        lambda: _pairwise_scheme(KeyHashSharding(SHARDS), SnapshotIsolationScheme),
     ],
-    ids=["serializability", "snapshot-isolation", "pairwise-fallback"],
+    ids=["serializability", "snapshot-isolation", "pairwise-reference", "pairwise-reference-si"],
 )
 def test_differential_batch_vs_incremental(scheme_factory):
     scheme = scheme_factory()
@@ -224,6 +225,66 @@ def test_pairwise_fallback_index_matches_scheme(scheme):
     successors, predecessors = index.register("tb", stale)
     # ta's payload aborts tb (overwrote x@0) and vice versa: mutual conflict.
     assert successors == ["ta"] and predecessors == ["ta"]
+
+
+def _random_payloads(seed: int, n: int = 40, keys: int = 4):
+    """Committed-looking payloads over a few hot keys: reads at the current
+    or a stale version, writes of a subset of the keys read."""
+    rng = random.Random(seed)
+    versions = {f"k{i}": (0, "") for i in range(keys)}
+    made = []
+    while len(made) < n:
+        chosen = rng.sample(list(versions), rng.randint(1, 3))
+        reads = [
+            (k, versions[k] if rng.random() < 0.6 else (max(0, versions[k][0] - 1), ""))
+            for k in chosen
+        ]
+        writes = [(k, len(made)) for k, _ in reads[: rng.randint(0, len(chosen))]]
+        try:
+            p = TransactionPayload.make(reads=reads, writes=writes, tiebreak=f"t{len(made)}")
+        except ValueError:
+            continue
+        made.append(p)
+        for key, _ in p.write_set:
+            versions[key] = max(versions[key], p.commit_version)
+    return made
+
+
+@pytest.mark.parametrize(
+    "scheme_cls", [SerializabilityScheme, SnapshotIsolationScheme],
+    ids=["serializability", "snapshot-isolation"],
+)
+def test_scheme_conflict_index_equals_the_pairwise_reference(scheme_cls):
+    """Both shipped conflict indexes report exactly the edges the pairwise
+    scan of ``global_certify`` defines — and, after retirements, flag a
+    successor conflict against retired history with RETIRED exactly when
+    the reference does (the direction the checker turns into a violation;
+    a RETIRED predecessor is ignored by the checker and not compared)."""
+    scheme = scheme_cls(KeyHashSharding(SHARDS))
+    flagged = edges = 0
+    for seed in range(25):
+        rng = random.Random(1000 + seed)
+        index, reference = scheme.make_conflict_index(), PairwiseConflictIndex(scheme)
+        live = []
+        for i, p in enumerate(_random_payloads(seed)):
+            txn = f"t{i}"
+            got_succ, got_pred = index.register(txn, p)
+            want_succ, want_pred = reference.register(txn, p)
+            where = f"seed {seed}, {txn}"
+            # Edge *sets*: an index may report a partner once per object.
+            assert set(got_succ) == set(want_succ), where
+            assert set(got_pred) - {RETIRED} == set(want_pred), where
+            flagged += RETIRED in want_succ
+            edges += len(want_succ) + len(want_pred)
+            live.append((txn, p))
+            if len(live) > 6 and rng.random() < 0.5:
+                # Retire the oldest live transaction from both, as collect()
+                # does (oldest first, always with the registered payload).
+                old_txn, old_payload = live.pop(0)
+                index.retire(old_txn, old_payload)
+                assert reference.retire(old_txn, old_payload)
+    # The random payloads genuinely exercised edges and the RETIRED flag.
+    assert edges > 0 and flagged > 0
 
 
 # ----------------------------------------------------------------------
@@ -432,14 +493,16 @@ def test_gc_flags_conflict_with_retired_history(scheme):
     [
         lambda: SerializabilityScheme(KeyHashSharding(SHARDS)),
         lambda: SnapshotIsolationScheme(KeyHashSharding(SHARDS)),
-        lambda: _NoIndexScheme(KeyHashSharding(SHARDS)),
+        lambda: _pairwise_scheme(KeyHashSharding(SHARDS)),
+        lambda: _pairwise_scheme(KeyHashSharding(SHARDS), SnapshotIsolationScheme),
     ],
-    ids=["serializability", "snapshot-isolation", "pairwise-fallback"],
+    ids=["serializability", "snapshot-isolation", "pairwise-reference", "pairwise-reference-si"],
 )
 def test_gc_differential_matches_unpruned_verdicts(scheme_factory):
     """Aggressive collection (every commit) must never change the verdict
     reached on the same history without collection — for the indexed schemes
-    and for the pairwise fallback (which tracks retired ids instead)."""
+    and for the pairwise reference (which keeps retired payloads instead of
+    per-object horizons)."""
     scheme = scheme_factory()
     verdicts = {True: 0, False: 0}
     for seed in range(40):
@@ -462,7 +525,7 @@ def test_pairwise_fallback_gc_drops_retired_entries():
     window instead of growing with history), the checker's retired-id set
     stays empty, and conflicts against retired history are still flagged
     via the RETIRED sentinel."""
-    scheme = _NoIndexScheme(KeyHashSharding(SHARDS))
+    scheme = _pairwise_scheme(KeyHashSharding(SHARDS))
     checker = IncrementalTCSChecker(scheme, gc=True, gc_interval=16)
     uncollected = IncrementalTCSChecker(scheme)
     for i in range(400):
@@ -483,9 +546,9 @@ def test_pairwise_fallback_gc_drops_retired_entries():
     assert uncollected._conflicts.live_entries == 400
     assert index.live_entries <= 400 - checker.txns_pruned
     assert index.retired_payload_count == checker.txns_pruned
-    # retire() returning True means the checker never falls back to
-    # tracking retired ids itself.
-    assert checker._retired_fallback is None
+    # The checker itself keeps nothing per retired transaction either: the
+    # payloads it held for retire() calls are released with the entries.
+    assert len(checker._gc_payloads) <= 400 - checker.txns_pruned
     # A late transaction ordered before retired history must still fail.
     stale = payload(reads=[("k0", (0, ""))], writes=[("k0", -1)], tiebreak="stale")
     checker.observe_certify("stale", stale)

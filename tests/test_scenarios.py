@@ -10,6 +10,8 @@ from repro.core.serializability import TransactionPayload
 from repro.core.types import Decision
 from repro.scenarios import (
     LATENCY,
+    BatchSpec,
+    ExecSpec,
     FaultStep,
     LatencySpec,
     RetrySpec,
@@ -23,6 +25,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.scenarios.__main__ import main as scenarios_main
+from repro.scenarios.spec import DetectorSpec, ReadSpec
 from repro.spec.history import History
 
 
@@ -106,6 +109,96 @@ def test_with_overrides_revalidates():
     assert spec.with_overrides(seed=9).seed == 9
     # The original is untouched (specs are frozen values).
     assert spec.seed != 9 or spec is not spec.with_overrides(seed=9)
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        # Set, validated, and then changed nothing: now one-line errors.
+        (dict(check_gc=True, check_mode="final"), "check_gc .* requires check_mode='online'"),
+        (dict(workload=WorkloadSpec(sessions=4)), "sessions only count .* think_time > 0"),
+        # The converse defect: `groups` was checked although the mode is serial.
+        (dict(execution=ExecSpec(mode="serial", groups=1)), None),
+    ],
+    ids=["check-gc-without-online", "sessions-without-think-time", "serial-ignores-groups"],
+)
+def test_options_that_change_nothing_are_rejected_and_unused_ones_are_not_checked(overrides, match):
+    spec = get_scenario("steady-state")
+    if match is None:
+        assert spec.with_overrides(**overrides).execution.groups == 1
+    else:
+        with pytest.raises(ScenarioError, match=match):
+            spec.with_overrides(**overrides)
+
+
+def test_the_stricter_rules_cost_no_existing_experiment():
+    """``groups`` is still checked where it is used, and every golden case
+    key still names a valid spec (the library itself is covered by
+    test_every_library_scenario_still_validates)."""
+    from test_golden_digests import GOLDEN, _spec_for
+
+    with pytest.raises(ScenarioError, match="at least two groups"):
+        ExecSpec(mode="parallel-shards", groups=1).validate()
+    assert GOLDEN and all(_spec_for(key) is not None for key in GOLDEN)
+
+
+# Every value the four subsystem policies reject, with the message text, and
+# the CLI word that reaches it where the subsystem has a sweep grammar.  The
+# policy classes are the spec fields themselves (BatchSpec is BatchPolicy,
+# ...), so one validate() per policy serves all three doors below.
+POLICY_REJECTIONS = [
+    ("batch", BatchSpec(size=-1), "batch size must be >= 0", "--batch=-1"),
+    ("batch", BatchSpec(size=8, linger=-1.0, adaptive=False),
+     "batch linger must be >= 0", "--batch=8:linger=-1"),
+    ("batch", BatchSpec(size=8, linger=2.0, adaptive=True),
+     "adaptive batching flushes at the end of the current instant; "
+     "set adaptive=False to use a linger time cap", "--batch=8:linger=2,adaptive=true"),
+    ("batch", BatchSpec(size=8, adaptive=False),
+     "non-adaptive batching requires a positive linger: a size cap "
+     "alone cannot flush a partial batch", "--batch=8:adaptive=false"),
+    ("retry", RetrySpec(timeout=-1.0), "retry timeout must be >= 0", None),
+    ("retry", RetrySpec(timeout=1.0, backoff=0.5), "retry backoff must be >= 1", None),
+    ("retry", RetrySpec(timeout=1.0, max_attempts=0), "retry max_attempts must be >= 1", None),
+    ("read", ReadSpec(mode="psychic"),
+     "unknown read mode 'psychic'; expected one of "
+     "('certified', 'snapshot', 'broken-snapshot')", None),
+    ("read", ReadSpec(mode="snapshot", lease=-1.0), "lease duration must be positive", None),
+    ("detector", DetectorSpec(mode="psychic", interval=1.0),
+     "unknown detector mode 'psychic'; expected one of ('bounded', 'phi')",
+     "--detector=1:mode=psychic"),
+    ("detector", DetectorSpec(interval=-1.0),
+     "heartbeat interval must be >= 0 (0 = detector off)", "--detector=-1"),
+    ("detector", DetectorSpec(interval=1.0, threshold=0),
+     "suspicion threshold must be >= 1 missed window", "--detector=1:threshold=0"),
+    ("detector", DetectorSpec(mode="phi", interval=1.0, phi_threshold=0.0),
+     "phi threshold must be positive", "--detector=1:phi=0"),
+    ("detector", DetectorSpec(interval=1.0, confirmations=0),
+     "confirmations must be >= 1", "--detector=1:confirmations=0"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, policy, message, cli_word", POLICY_REJECTIONS,
+    ids=[f"{field}-{index}" for index, (field, *_rest) in enumerate(POLICY_REJECTIONS)],
+)
+def test_every_policy_rejection_reads_the_same_through_all_three_doors(
+    field, policy, message, cli_word, capsys
+):
+    # Door 1: a scenario spec turns it into its own error type.
+    with pytest.raises(ScenarioError) as spec_error:
+        ScenarioSpec(name="x", **{field: policy}).validate()
+    assert str(spec_error.value) == message
+    # Door 2: a cluster built directly raises the policy's plain ValueError.
+    with pytest.raises(ValueError) as cluster_error:
+        Cluster(num_shards=1, replicas_per_shard=2, **{field: policy})
+    assert str(cluster_error.value) == message
+    assert not isinstance(cluster_error.value, ScenarioError)
+    # Door 3: the CLI exits 2 with one `error:` line and no traceback.
+    if cli_word is not None:
+        with pytest.raises(SystemExit) as exit_info:
+            scenarios_main(["sweep", "steady-state", cli_word])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_fault_schedule_orders_by_time_then_declaration():
