@@ -19,20 +19,15 @@ carry the full replication fan-out for every transaction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.baselines.paxos import RsmCommand, RsmResponse, StateMachine
 from repro.core.batching import BatchPolicy, MessageBatcher
 from repro.core.certification import CertificationScheme
+from repro.core.coordinator import AdmissionGate
 from repro.core.directory import TransactionDirectory
-from repro.core.messages import (
-    CertifyRequest,
-    CertifyRequestBatch,
-    TxnDecision,
-    TxnDecisionBatch,
-)
+from repro.core.messages import CertifyRequest, TxnDecision
 from repro.core.serializability import VERSION_ZERO, Version
 from repro.core.types import Decision, ShardId, TxnId
 from repro.runtime.process import Process
@@ -163,8 +158,8 @@ class _BaselineTxn:
     decided_at: Optional[float] = None
     durable_shards: Set[ShardId] = field(default_factory=set)
     durable_at: Optional[float] = None
-    # When the last prepare command left the coordinator (equals started_at
-    # unbatched); the queue_wait phase of the latency breakdown.
+    # When the last prepare command left the coordinator; started_at ->
+    # dispatched_at is the queue_wait phase of the latency breakdown.
     dispatched_at: Optional[float] = None
 
 
@@ -186,34 +181,24 @@ class TwoPCCoordinator(Process):
         self.shard_leaders = dict(shard_leaders)
         self.transactions: Dict[TxnId, _BaselineTxn] = {}
         self._next_request = 0
-        # One descriptor triple per single command, a list of them per batch.
-        self._requests: Dict[int, Any] = {}
+        # The (txn, shard, kind) descriptors of the commands a request
+        # replicated, in command order; and those of the commands handed to
+        # the outbox and not yet replicated, per Paxos leader.
+        self._requests: Dict[int, List[Tuple[TxnId, ShardId, str]]] = {}
+        self._unsent: Dict[str, List[Tuple[TxnId, ShardId, str]]] = {}
         self.duplicate_certify_requests = 0
-        # Vote pipelining toggle (parity with CoordinatorMixin): False is
-        # the stop-and-wait measurement baseline — prepares for a new
-        # transaction are held until the in-flight one is durable everywhere.
-        self.pipeline_commits = pipeline
-        self._unpersisted: Set[TxnId] = set()
-        self._held_certifies: Deque[Tuple[TxnId, Any]] = deque()
-        self._held_txns: Set[TxnId] = set()
-        # Protocol-level batching: commands to the same Paxos leader
-        # accumulate and replicate as one CommandBatch value.
+        # The commit path's two toggles (repro.core.coordinator), shared:
+        # stop-and-wait holds prepares for a new transaction until the
+        # in-flight one is durable everywhere, and under an enabled batch
+        # policy commands to the same Paxos leader accumulate and replicate
+        # as one CommandBatch value.
+        self.gate = AdmissionGate(pipeline)
         self.batch_policy = batch or BatchPolicy()
-        self._batching = self.batch_policy.enabled
-        self.batchers: List[MessageBatcher] = []
-        if self._batching:
-            self._command_batcher = MessageBatcher(
-                self,
-                self.batch_policy,
-                wrap=self._wrap_commands,
-                on_flush=self._note_commands_flushed,
-            )
-            self._reply_batcher = MessageBatcher(
-                self,
-                self.batch_policy,
-                wrap=lambda items: TxnDecisionBatch(decisions=items),
-            )
-            self.batchers = [self._command_batcher, self._reply_batcher]
+        self._command_batcher = MessageBatcher(
+            self, self.batch_policy, wrap=CommandBatch, send=self._replicate
+        )
+        self._reply_batcher = MessageBatcher(self, self.batch_policy)
+        self.batchers = [self._command_batcher, self._reply_batcher]
 
     # ------------------------------------------------------------------
     # client entry point
@@ -233,41 +218,21 @@ class TwoPCCoordinator(Process):
             return
         self.certify(msg.txn, msg.payload)
 
-    def on_certify_request_batch(self, msg: CertifyRequestBatch, sender: str) -> None:
-        for request in msg.requests:
-            self.on_certify_request(request, sender)
-
-    def _reply(self, client: str, reply: TxnDecision) -> None:
-        if self._batching:
-            self._reply_batcher.add(client, reply)
-        else:
-            self.send(client, reply)
-
     def certify(self, txn: TxnId, payload: Any) -> _BaselineTxn:
         shards = self.directory.shards_of(txn)
         entry = _BaselineTxn(
             txn=txn, payload=payload, shards=frozenset(shards), started_at=self.now
         )
         self.transactions[txn] = entry
-        if (
-            not self.pipeline_commits
-            and self._unpersisted
-            and txn not in self._unpersisted
-            and txn not in self._held_txns
-        ):
-            # Stop-and-wait: hold prepares until the in-flight transaction
-            # is durable on every shard.
-            self._held_txns.add(txn)
-            self._held_certifies.append((txn, payload))
-            return entry
-        self._dispatch_prepares(entry, payload)
+        if self.gate.admit(entry, payload):
+            self._dispatch_prepares(entry, payload)
         return entry
 
     def _dispatch_prepares(self, entry: _BaselineTxn, payload: Any) -> None:
         txn = entry.txn
         shards = entry.shards
-        if not self.pipeline_commits and shards:
-            self._unpersisted.add(txn)
+        if shards:
+            self.gate.enter(txn)
         # Sorted for hash-seed-independent send order (random latency
         # models draw one delay per send, so iteration order matters).
         for shard in sorted(shards):
@@ -278,46 +243,28 @@ class TwoPCCoordinator(Process):
             entry.decision = Decision.COMMIT
             entry.decided_at = entry.durable_at = self.now
             if self.directory.known(txn):
-                self._reply(self.directory.client_of(txn), TxnDecision(txn, Decision.COMMIT))
-
-    def _drain_held_certifies(self) -> None:
-        while self._held_certifies and not self._unpersisted:
-            txn, payload = self._held_certifies.popleft()
-            self._held_txns.discard(txn)
-            entry = self.transactions.get(txn)
-            if entry is None or entry.decision is not None:
-                continue
-            self._dispatch_prepares(entry, payload)
+                self._reply_batcher.add(
+                    self.directory.client_of(txn), TxnDecision(txn, Decision.COMMIT)
+                )
 
     def _send_command(self, txn: TxnId, shard: ShardId, kind: str, command: Any) -> None:
-        if self._batching:
-            self._command_batcher.add(self.shard_leaders[shard], (txn, shard, kind, command))
-            return
-        if kind == "prepare":
-            entry = self.transactions.get(txn)
-            if entry is not None:
-                entry.dispatched_at = self.now
-        self._next_request += 1
-        self._requests[self._next_request] = (txn, shard, kind)
-        self.send(self.shard_leaders[shard], RsmCommand(command=command, request_id=self._next_request))
+        leader = self.shard_leaders[shard]
+        self._unsent.setdefault(leader, []).append((txn, shard, kind))
+        self._command_batcher.add(leader, command)
 
-    def _wrap_commands(self, items: Tuple[Tuple[TxnId, ShardId, str, Any], ...]) -> RsmCommand:
-        """Flush hook: mint one replicated command for the whole batch and
-        remember the per-element descriptors for response dispatch."""
+    def _replicate(self, leader: str, value: Any) -> None:
+        """The command outbox's send: replicate what it releases for
+        ``leader`` — one command, or a ``CommandBatch`` of them — as one
+        Paxos value, remembering the descriptors for response dispatch."""
+        descriptors = self._unsent.pop(leader)
+        for txn, _shard, kind in descriptors:
+            if kind == "prepare":
+                entry = self.transactions.get(txn)
+                if entry is not None:
+                    entry.dispatched_at = self.now
         self._next_request += 1
-        self._requests[self._next_request] = [item[:3] for item in items]
-        return RsmCommand(
-            command=CommandBatch(commands=tuple(item[3] for item in items)),
-            request_id=self._next_request,
-        )
-
-    def _note_commands_flushed(self, dst: str, items: Tuple) -> None:
-        for txn, _shard, kind, _command in items:
-            if kind != "prepare":
-                continue
-            entry = self.transactions.get(txn)
-            if entry is not None:
-                entry.dispatched_at = self.now
+        self._requests[self._next_request] = descriptors
+        self.send(leader, RsmCommand(command=value, request_id=self._next_request))
 
     # ------------------------------------------------------------------
     # responses from the shard state machines
@@ -326,13 +273,10 @@ class TwoPCCoordinator(Process):
         request = self._requests.pop(msg.request_id, None)
         if request is None:
             return
-        if isinstance(request, list):
-            # A batched command: the result vector is in batch order.
-            for (txn, shard, kind), result in zip(request, msg.result):
-                self._apply_response(txn, shard, kind, result)
-            return
-        txn, shard, kind = request
-        self._apply_response(txn, shard, kind, msg.result)
+        # A CommandBatch answers with its result vector, in batch order.
+        results = msg.result if isinstance(msg.result, tuple) else (msg.result,)
+        for (txn, shard, kind), result in zip(request, results):
+            self._apply_response(txn, shard, kind, result)
 
     def _apply_response(self, txn: TxnId, shard: ShardId, kind: str, result: Any) -> None:
         entry = self.transactions.get(txn)
@@ -348,10 +292,8 @@ class TwoPCCoordinator(Process):
                 entry.durable_at = self.now
                 if self.directory.known(txn):
                     client = self.directory.client_of(txn)
-                    self._reply(client, TxnDecision(txn=txn, decision=entry.decision))
-                if not self.pipeline_commits:
-                    self._unpersisted.discard(txn)
-                    self._drain_held_certifies()
+                    self._reply_batcher.add(client, TxnDecision(txn=txn, decision=entry.decision))
+                self.gate.leave(txn, self._dispatch_prepares)
 
     def _decide(self, entry: _BaselineTxn) -> None:
         entry.vote_complete_at = self.now

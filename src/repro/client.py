@@ -32,8 +32,8 @@ layer here closes that gap the way production distributed-KV clients do:
 
 With protocol-level batching enabled (:mod:`repro.core.batching`) the
 session machinery is unchanged but rides a *batched transport*: submissions
-to the same coordinator coalesce into ``CertifyRequestBatch`` messages and
-decisions return in ``TxnDecisionBatch`` replies.  Retry semantics stay
+to the same coordinator coalesce into one ``Batch`` envelope and decisions
+return in envelopes too.  Retry semantics stay
 per-transaction — each submission arms its own timeout when it is handed to
 the transport (so client-side queueing counts against the timeout, as it
 should), and a re-submission simply joins whatever batch its possibly
@@ -51,14 +51,12 @@ from repro.core.certification import CertificationScheme
 from repro.core.directory import TransactionDirectory
 from repro.core.messages import (
     CertifyRequest,
-    CertifyRequestBatch,
     ConfigChange,
     CsGetLast,
     CsReply,
     ReadReply,
     ReadRequest,
     TxnDecision,
-    TxnDecisionBatch,
 )
 from repro.core.serializability import SnapshotRead, TransactionPayload
 from repro.core.types import Decision, ShardId, TxnId
@@ -411,20 +409,13 @@ class Client(Process):
         self.history = history
         self.config_service = config_service
         # Batched transport: with an enabled policy, CERTIFY requests to the
-        # same coordinator coalesce into CertifyRequestBatch messages.  The
-        # per-transaction session machinery (timeout timers, retry
-        # accounting, dedup on the transaction id) is untouched — a retry
-        # simply rides whatever batch its (possibly different) coordinator
-        # is currently filling.
+        # same coordinator coalesce into one envelope.  The per-transaction
+        # session machinery (timeout timers, retry accounting, dedup on the
+        # transaction id) is untouched — a retry simply rides whatever batch
+        # its (possibly different) coordinator is currently filling.
         self.batch_policy = batch or BatchPolicy()
-        self.batchers: list = []
-        if self.batch_policy.enabled:
-            self._request_batcher = MessageBatcher(
-                self,
-                self.batch_policy,
-                wrap=lambda items: CertifyRequestBatch(requests=items),
-            )
-            self.batchers = [self._request_batcher]
+        self._request_batcher = MessageBatcher(self, self.batch_policy)
+        self.batchers = [self._request_batcher]
         # True when the configuration service stores one system-wide record
         # (the RDMA protocol): a single get_last then covers every shard.
         self.global_config_service = False
@@ -470,14 +461,8 @@ class Client(Process):
         self.history.record_certify(txn, payload, self.now)
         self.submit_times[txn] = self.now
         self.coordinator_of[txn] = coordinator
-        self._send_request(coordinator, CertifyRequest(txn=txn, payload=payload))
+        self._request_batcher.add(coordinator, CertifyRequest(txn=txn, payload=payload))
         return txn
-
-    def _send_request(self, coordinator: str, request: CertifyRequest) -> None:
-        if self.batch_policy.enabled:
-            self._request_batcher.add(coordinator, request)
-        else:
-            self.send(coordinator, request)
 
     def submit_read(
         self,
@@ -546,7 +531,7 @@ class Client(Process):
         coordinator = state.pick_fallback_coordinator()
         self._read_payloads[msg.txn] = state.fallback_payload
         self.coordinator_of[msg.txn] = coordinator
-        self._send_request(
+        self._request_batcher.add(
             coordinator,
             CertifyRequest(txn=msg.txn, payload=state.fallback_payload),
         )
@@ -559,7 +544,7 @@ class Client(Process):
         exist from the first submission; only the request goes out again."""
         self.coordinator_of[txn] = coordinator
         self.resubmissions += 1
-        self._send_request(
+        self._request_batcher.add(
             coordinator,
             CertifyRequest(txn=txn, payload=payload, request_id=request_id),
         )
@@ -628,10 +613,6 @@ class Client(Process):
             # A re-answered duplicate (or a second coordinator reporting the
             # same decision); the history has already deduplicated it.
             self.duplicate_decisions += 1
-
-    def on_txn_decision_batch(self, msg: TxnDecisionBatch, sender: str) -> None:
-        for decision in msg.decisions:
-            self.on_txn_decision(decision, sender)
 
     # ------------------------------------------------------------------
     # queries

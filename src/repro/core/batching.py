@@ -3,11 +3,24 @@
 The paper's certification protocols exchange one ``PREPARE`` / ``ACCEPT`` /
 ``DECISION`` message per transaction per destination, so under heavy
 multi-client load throughput is bounded by message count rather than by
-certification work.  The batching layer amortises that fan-out: a
-coordinator accumulates the messages it would send to each destination and
-flushes them as a single batch message, which the receiver processes in one
-pass (shard leaders certify whole batches against their conflict indexes
-and answer with one aggregated vote vector).
+certification work.  The batching layer amortises that fan-out, as a
+transport *under* the protocol: every coordinator and client send goes
+through a :class:`MessageBatcher` (its outbox for one message kind), which
+accumulates the messages for each destination and flushes them as one
+:class:`~repro.runtime.process.Batch` envelope.  The receiving
+:class:`~repro.runtime.process.Process` unpacks the envelope through the
+per-message handlers and answers it with one envelope (shard leaders
+certify the items in order against their conflict indexes and the votes
+return as one vector), so no protocol handler knows whether it runs batched.
+
+With the policy off the outbox is a passthrough: ``add`` is ``send``,
+``add_all`` is ``send_all`` (one multicast — deliveries landing at the same
+instant still share a scheduler event), nothing is counted and no envelope
+is built.  That is what lets the send sites be the same line on both paths.
+
+``wrap=`` survives for one caller: the 2PC baseline replicates a batch as a
+single Paxos *value* (``CommandBatch``) that the state machine applies, not
+as a transport envelope a process unpacks.
 
 Batch *composition* must be deterministic: batches are keyed by destination
 in a plain dict (insertion order — i.e. the order the protocol produced the
@@ -36,6 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.runtime.events import FlushTimer
+from repro.runtime.process import Batch
 
 
 @dataclass(frozen=True)
@@ -95,38 +109,50 @@ class BatchPolicy:
 
 
 class MessageBatcher:
-    """Accumulates per-destination messages for one process and flushes them
-    under a :class:`BatchPolicy`.
+    """One process's outbox for one kind of message: accumulates
+    per-destination messages and flushes them under a :class:`BatchPolicy`,
+    or hands each straight to the send when the policy is off.
 
-    ``wrap(items)`` turns a tuple of accumulated messages into the batch
-    message actually sent; ``send(dst, message)`` defaults to the process's
-    network send but is pluggable (the RDMA variant writes batches with
-    one-sided RDMA, the 2PC baseline mints replicated-state-machine
-    commands at flush time).  ``on_flush(dst, items)`` runs just before the
-    send — coordinators use it to timestamp per-transaction queueing delay.
+    ``wrap(items)`` turns a tuple of accumulated messages into the message
+    actually sent — the :class:`~repro.runtime.process.Batch` envelope
+    unless the caller replicates batches as a value of its own.
+    ``send(dst, message)`` defaults to the process's network send but is
+    pluggable (the RDMA variant persists with one-sided writes, the 2PC
+    baseline mints replicated-state-machine commands); it receives the
+    wrapped batch, or the bare message on the passthrough.
+    ``on_flush(dst, items)`` runs just before the send on both paths —
+    coordinators use it to timestamp per-transaction queueing delay.
 
     Single-message batches are still wrapped: receivers only ever see the
-    batch message type on a batched deployment, which keeps the handler
-    matrix small and the batch-size distribution honest.
+    envelope on a batched deployment, which keeps the batch-size
+    distribution honest.
     """
 
     def __init__(
         self,
         process: Any,
         policy: BatchPolicy,
-        wrap: Callable[[Tuple[Any, ...]], Any],
+        wrap: Callable[[Tuple[Any, ...]], Any] = Batch,
         send: Optional[Callable[[str, Any], None]] = None,
         on_flush: Optional[Callable[[str, Tuple[Any, ...]], None]] = None,
     ) -> None:
         self.process = process
         self.policy = policy
         self.wrap = wrap
-        self._send = send if send is not None else process.send
+        # The default send is looked up on the process at each send, not
+        # captured here: an instance-level ``process.send`` (tests record
+        # through one) must see passthrough traffic too.
+        self._send = send
         self.on_flush = on_flush
+        self._passthrough = not policy.enabled
+        # A passthrough fan-out is one multicast unless a per-destination
+        # send or hook has to see every copy.
+        self._multicast = self._passthrough and send is None and on_flush is None
         self._pending: Dict[str, List[Any]] = {}
         self._timers: Dict[str, FlushTimer] = {}
         # Instrumentation: batches flushed, messages they carried, and the
-        # batch-size distribution (size -> count).
+        # batch-size distribution (size -> count).  Passthrough sends are
+        # not batches and count nowhere.
         self.batches_sent = 0
         self.messages_batched = 0
         self.size_counts: Dict[int, int] = {}
@@ -135,7 +161,13 @@ class MessageBatcher:
     # accumulation
     # ------------------------------------------------------------------
     def add(self, dst: str, message: Any) -> None:
-        """Queue ``message`` for ``dst``; flushes by policy."""
+        """Queue ``message`` for ``dst`` and flush by policy; with the
+        policy off, send it now."""
+        if self._passthrough:
+            if self.on_flush is not None:
+                self.on_flush(dst, (message,))
+            (self._send or self.process.send)(dst, message)
+            return
         queue = self._pending.get(dst)
         if queue is None:
             queue = self._pending[dst] = []
@@ -154,8 +186,11 @@ class MessageBatcher:
         )
 
     def add_all(self, dsts: Any, message: Any) -> None:
-        for dst in dsts:
-            self.add(dst, message)
+        if self._multicast:
+            self.process.send_all(dsts, message)
+        else:
+            for dst in dsts:
+                self.add(dst, message)
 
     # ------------------------------------------------------------------
     # flushing
@@ -179,7 +214,7 @@ class MessageBatcher:
         self.size_counts[len(batch)] = self.size_counts.get(len(batch), 0) + 1
         if self.on_flush is not None:
             self.on_flush(dst, batch)
-        self._send(dst, self.wrap(batch))
+        (self._send or self.process.send)(dst, self.wrap(batch))
 
     # ------------------------------------------------------------------
     # queries

@@ -13,30 +13,33 @@ decision are *persisted* and which epoch a shard is in; those are the
 overridable methods at the end of the class, whose bodies here are the
 message-passing protocol's (``ACCEPT`` / ``ACCEPT_ACK`` round, per-shard
 epochs).  :mod:`repro.rdma.replica` overrides them with one-sided writes.
+
+Two measurement toggles sit *under* the pipeline and are shared with the
+2PC baseline's coordinator (:mod:`repro.baselines.twopc`) rather than
+mirrored there.  Batching is the outboxes' business: every send below goes
+through a :class:`~repro.core.batching.MessageBatcher`, which coalesces or
+passes through, so no handler here knows which.  Stop-and-wait
+(``pipeline=False``) is :class:`AdmissionGate`: a coordinator asks it to
+admit a transaction's first dispatch, tells it when the transaction starts
+occupying the pipeline and when it has decided, and the gate holds and
+releases the rest in submission order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Hashable, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, Optional, Set, Tuple
 
 from repro.core.batching import BatchPolicy, MessageBatcher
 from repro.core.messages import (
     Accept,
     AcceptAck,
-    AcceptAckBatch,
-    AcceptBatch,
-    CertifyBatch,
     CertifyRequest,
-    CertifyRequestBatch,
-    DecisionBatch,
     Prepare,
     PrepareAck,
     SlotDecision,
     TxnDecision,
-    TxnDecisionBatch,
-    VoteBatch,
 )
 from repro.core.types import BOTTOM, Decision, Phase, ShardId, TxnId
 
@@ -57,11 +60,70 @@ class CoordinatorEntry:
     decided: bool = False
     decision: Optional[Decision] = None
     decided_at: Optional[float] = None
-    # When the last of this transaction's PREPAREs left the coordinator.
-    # Equals started_at on the unbatched path; under batching the gap
-    # started_at -> dispatched_at is the per-transaction queueing delay
-    # (reported as the queue_wait phase of the latency breakdown).
+    # When the last of this transaction's PREPAREs left the coordinator:
+    # the gap started_at -> dispatched_at is the per-transaction queueing
+    # delay (batch accumulation, the stop-and-wait gate), reported as the
+    # queue_wait phase of the latency breakdown.
     dispatched_at: Optional[float] = None
+
+
+class AdmissionGate:
+    """The stop-and-wait admission gate of one coordinator.
+
+    Vote pipelining is the protocol's normal mode: certification of the next
+    transaction overlaps vote persistence of the ones still in flight, and
+    the gate admits everything.  ``pipeline=False`` is the stop-and-wait
+    measurement baseline: a new transaction's dispatch is held until every
+    previously dispatched one is fully persisted and decided.  It models a
+    failure-free run (held dispatches are only re-driven by decisions, not
+    by fault recovery).
+    """
+
+    def __init__(self, pipeline: bool) -> None:
+        self.pipeline = pipeline
+        # Dispatched and not yet decided.
+        self._in_flight: Set[TxnId] = set()
+        # Held dispatches in submission order, and their ids.  An entry is
+        # either coordinator's book-keeping record: it has ``txn`` and
+        # ``decided_at`` (the shape ``collect_phase_samples`` reads too).
+        self._held_certifies: Deque[Tuple[Any, Any]] = deque()
+        self._held_txns: Set[TxnId] = set()
+
+    def admit(self, entry: Any, payload: Any) -> bool:
+        """True when ``entry``'s transaction may dispatch now.  Otherwise
+        another transaction is in flight and this one is held until
+        :meth:`leave` releases it.  A duplicate request for a transaction
+        already in flight or held is admitted: it re-drives, it never
+        queues twice."""
+        txn = entry.txn
+        if (
+            self.pipeline
+            or not self._in_flight
+            or txn in self._in_flight
+            or txn in self._held_txns
+        ):
+            return True
+        self._held_txns.add(txn)
+        self._held_certifies.append((entry, payload))
+        return False
+
+    def enter(self, txn: TxnId) -> None:
+        """``txn``'s dispatch is leaving the coordinator."""
+        if not self.pipeline:
+            self._in_flight.add(txn)
+
+    def leave(self, txn: TxnId, dispatch: Callable[[Any, Any], None]) -> None:
+        """``txn`` is decided: hand the held entries that are still
+        undecided to ``dispatch``, in submission order, until one of them
+        occupies the gate again."""
+        if self.pipeline:
+            return
+        self._in_flight.discard(txn)
+        while self._held_certifies and not self._in_flight:
+            entry, payload = self._held_certifies.popleft()
+            self._held_txns.discard(entry.txn)
+            if entry.decided_at is None:
+                dispatch(entry, payload)
 
 
 class CoordinatorMixin:
@@ -71,49 +133,32 @@ class CoordinatorMixin:
         self._coordinated: Dict[TxnId, CoordinatorEntry] = {}
         # Duplicate CERTIFY requests deduplicated (client-session retries).
         self.duplicate_certify_requests = 0
-        # Vote pipelining (the protocol's normal mode): PREPARE certification
-        # of the next transaction overlaps vote persistence of the ones
-        # still in flight.  pipeline_commits=False is the stop-and-wait
-        # measurement baseline: PREPAREs for a new transaction are held until
-        # every previously dispatched one is fully persisted and decided.
-        # It models a failure-free run (held dispatches are only re-driven
-        # by decisions, not by fault recovery).
-        self.pipeline_commits = pipeline
-        self._unpersisted: Set[TxnId] = set()
-        self._held_certifies: Deque[Tuple[TxnId, Any]] = deque()
-        self._held_txns: Set[TxnId] = set()
-        # Protocol-level batching (repro.core.batching): with an enabled
-        # policy the PREPARE fan-out, the vote persistence, the DECISION
-        # broadcast and the client replies each accumulate into
-        # per-destination batches.
-        self._batching = policy.enabled
-        self.batchers: list = []
-        if self._batching:
-            self._prepare_batcher = MessageBatcher(
-                self,
-                policy,
-                wrap=lambda items: CertifyBatch(prepares=items),
-                on_flush=self._note_prepares_flushed,
-            )
-            self._accept_batcher = self._make_accept_batcher(policy)
-            self._decision_batcher = self._make_decision_batcher(policy)
-            self._reply_batcher = MessageBatcher(
-                self, policy, wrap=lambda items: TxnDecisionBatch(decisions=items)
-            )
-            self.batchers = [
-                self._prepare_batcher,
-                self._accept_batcher,
-                self._decision_batcher,
-                self._reply_batcher,
-            ]
+        self.gate = AdmissionGate(pipeline)
+        # One outbox per message kind (repro.core.batching): the PREPARE
+        # fan-out, the vote persistence, the DECISION broadcast and the
+        # client replies each accumulate into per-destination batches under
+        # an enabled policy and go straight out otherwise.
+        self._prepare_batcher = MessageBatcher(
+            self, policy, on_flush=self._note_prepares_flushed
+        )
+        self._accept_batcher = self._make_accept_batcher(policy)
+        self._decision_batcher = self._make_decision_batcher(policy)
+        self._reply_batcher = MessageBatcher(self, policy)
+        self.batchers = [
+            self._prepare_batcher,
+            self._accept_batcher,
+            self._decision_batcher,
+            self._reply_batcher,
+        ]
 
     def _note_prepares_flushed(self, dst: str, prepares: tuple) -> None:
         """Stamp queueing delay: a transaction counts as dispatched once the
         last of its per-shard PREPAREs has left the coordinator."""
+        now = self.now
         for prepare in prepares:
             entry = self._coordinated.get(prepare.txn)
             if entry is not None:
-                entry.dispatched_at = self.now
+                entry.dispatched_at = now
 
     # ------------------------------------------------------------------
     # public API (Figure 1, lines 1-3 and 70-73; Figure 7, lines 74-76)
@@ -127,26 +172,16 @@ class CoordinatorMixin:
                 txn=txn, payload=payload, shards=frozenset(shards), started_at=self.now
             )
             self._coordinated[txn] = entry
-        if (
-            not self.pipeline_commits
-            and self._unpersisted
-            and txn not in self._unpersisted
-            and txn not in self._held_txns
-        ):
-            # Stop-and-wait: another transaction's vote persistence is in
-            # flight, so hold this one's PREPAREs until it decides.
-            self._held_txns.add(txn)
-            self._held_certifies.append((txn, payload))
-            return entry
-        self._dispatch_prepares(entry, payload)
+        if self.gate.admit(entry, payload):
+            self._dispatch_prepares(entry, payload)
         return entry
 
     def _dispatch_prepares(self, entry: CoordinatorEntry, payload: Any) -> None:
         """Fan PREPAREs out to the involved shard leaders."""
         txn = entry.txn
         shards = entry.shards
-        if not self.pipeline_commits and shards:
-            self._unpersisted.add(txn)
+        if shards:
+            self.gate.enter(txn)
         # Sorted: `shards` is a set, and the fan-out order must not depend
         # on the process's hash seed (random latency models draw one delay
         # per send, so iteration order shapes the schedule; under batching
@@ -155,26 +190,13 @@ class CoordinatorMixin:
             projected = (
                 BOTTOM if payload is BOTTOM else self.scheme.project(payload, shard)
             )
-            prepare = Prepare(txn=txn, payload=projected)
-            if self._batching:
-                self._prepare_batcher.add(self.leader[shard], prepare)
-            else:
-                entry.dispatched_at = self.now
-                self.send(self.leader[shard], prepare)
+            self._prepare_batcher.add(
+                self.leader[shard], Prepare(txn=txn, payload=projected)
+            )
         if not shards:
             # A transaction touching no shard (empty payload) commits
             # trivially: the meet over an empty set of votes is commit.
             self._maybe_decide(entry)
-
-    def _drain_held_certifies(self) -> None:
-        """Dispatch held transactions once the pipeline gate is clear."""
-        while self._held_certifies and not self._unpersisted:
-            txn, payload = self._held_certifies.popleft()
-            self._held_txns.discard(txn)
-            entry = self._coordinated.get(txn)
-            if entry is None or entry.decided:
-                continue
-            self._dispatch_prepares(entry, payload)
 
     def retry(self, slot: int) -> Optional[CoordinatorEntry]:
         """``retry(k)``: become a new coordinator for a prepared transaction
@@ -217,14 +239,6 @@ class CoordinatorMixin:
                 return
         self.certify(msg.txn, msg.payload)
 
-    def on_certify_request_batch(self, msg: CertifyRequestBatch, sender: str) -> None:
-        """A client's batched submissions: each element goes through the
-        full per-request path (dedup included — a retried transaction
-        arriving inside a batch is re-answered from the decision cache),
-        and the per-shard PREPARE batches accumulate across the elements."""
-        for request in msg.requests:
-            self.on_certify_request(request, sender)
-
     def on_prepare_ack(self, msg: PrepareAck, sender: str) -> None:
         """Persist the leader's vote at the shard's followers (Figure 1,
         lines 18-20; Figure 7, lines 91-93)."""
@@ -242,14 +256,6 @@ class CoordinatorMixin:
         # leader's own vote, so the decision check must run here too.
         self._maybe_decide(entry)
 
-    def on_vote_batch(self, msg: VoteBatch, sender: str) -> None:
-        """A leader's aggregated vote vector: each element is a complete
-        ``PREPARE_ACK``, processed in batch order.  The resulting vote
-        persistence re-batches per follower (adaptive policies coalesce it
-        within the instant)."""
-        for ack in msg.acks:
-            self.on_prepare_ack(ack, sender)
-
     # ------------------------------------------------------------------
     # decision
     # ------------------------------------------------------------------
@@ -265,18 +271,12 @@ class CoordinatorMixin:
         # Report to the client (line 27) ...
         if self.directory.known(entry.txn):
             client = self.directory.client_of(entry.txn)
-            reply = TxnDecision(txn=entry.txn, decision=decision)
-            if self._batching:
-                self._reply_batcher.add(client, reply)
-            else:
-                self.send(client, reply)
+            self._reply_batcher.add(client, TxnDecision(txn=entry.txn, decision=decision))
         # ... and persist the decision at every relevant shard (lines 28-29).
         # Sorted for hash-seed-independent send order (see `certify`).
         for shard in sorted(entry.shards):
             self._persist_decision(shard, entry.slots[shard], decision)
-        if not self.pipeline_commits:
-            self._unpersisted.discard(entry.txn)
-            self._drain_held_certifies()
+        self.gate.leave(entry.txn, self._dispatch_prepares)
 
     # ------------------------------------------------------------------
     # what a protocol stack supplies; the bodies are Figure 1's
@@ -297,10 +297,10 @@ class CoordinatorMixin:
             self._stash_message(msg, sender)
 
     def _make_accept_batcher(self, policy: BatchPolicy) -> MessageBatcher:
-        return MessageBatcher(self, policy, wrap=lambda items: AcceptBatch(accepts=items))
+        return MessageBatcher(self, policy)
 
     def _make_decision_batcher(self, policy: BatchPolicy) -> MessageBatcher:
-        return MessageBatcher(self, policy, wrap=lambda items: DecisionBatch(decisions=items))
+        return MessageBatcher(self, policy)
 
     def _persist_vote(self, entry: CoordinatorEntry, msg: PrepareAck) -> None:
         """Relay the vote to the shard's followers in ``ACCEPT`` messages
@@ -313,14 +313,7 @@ class CoordinatorMixin:
             payload=msg.payload,
             vote=msg.vote,
         )
-        if self._batching:
-            self._accept_batcher.add_all(followers, accept)
-        else:
-            self.send_all(followers, accept)
-
-    def on_accept_ack_batch(self, msg: AcceptAckBatch, sender: str) -> None:
-        for ack in msg.acks:
-            self.on_accept_ack(ack, sender)
+        self._accept_batcher.add_all(followers, accept)
 
     def on_accept_ack(self, msg: AcceptAck, sender: str) -> None:
         """Count follower confirmations; decide once every shard is persisted
@@ -347,7 +340,4 @@ class CoordinatorMixin:
     def _persist_decision(self, shard: ShardId, slot: int, decision: Decision) -> None:
         """Send ``DECISION`` to every member of the shard (lines 28-29)."""
         message = SlotDecision(epoch=self.epoch[shard], slot=slot, decision=decision)
-        if self._batching:
-            self._decision_batcher.add_all(self.members[shard], message)
-        else:
-            self.send_all(self.members[shard], message)
+        self._decision_batcher.add_all(self.members[shard], message)

@@ -5,6 +5,10 @@ frozen dataclass here and an ``on_*`` handler on
 :class:`repro.core.replica.ShardReplica`.  Field names follow the paper's
 notation (``e`` = epoch, ``k`` = certification-order position, ``t`` =
 transaction, ``l`` = payload, ``d`` = vote/decision).
+
+There is no batched variant of any message: a batching deployment carries
+these same messages, verbatim and in order, inside the transport's one
+envelope (:class:`repro.runtime.process.Batch`).
 """
 
 from __future__ import annotations
@@ -206,65 +210,6 @@ class SlotDecision:
     epoch: int
     slot: int
     decision: Decision
-
-
-# ----------------------------------------------------------------------
-# certification (batched path)
-#
-# The batching layer (repro.core.batching) coalesces the per-transaction
-# fan-out into per-destination batch messages.  Every element is a complete
-# message of the unbatched protocol — batches carry no state of their own,
-# so a receiver processes a batch exactly as it would the sequence of its
-# elements (modulo one aggregated reply instead of many).
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CertifyRequestBatch:
-    """A client's batched ``certify`` submissions to one coordinator."""
-
-    requests: Tuple[CertifyRequest, ...]
-
-
-@dataclass(frozen=True)
-class TxnDecisionBatch:
-    """A coordinator's batched ``DECISION`` replies to one client."""
-
-    decisions: Tuple[TxnDecision, ...]
-
-
-@dataclass(frozen=True)
-class CertifyBatch:
-    """A coordinator's batched ``PREPARE`` fan-out to one shard leader."""
-
-    prepares: Tuple["Prepare", ...]
-
-
-@dataclass(frozen=True)
-class VoteBatch:
-    """A leader's aggregated vote vector answering one :class:`CertifyBatch`
-    (one ``PREPARE_ACK`` per transaction, in batch order)."""
-
-    acks: Tuple[PrepareAck, ...]
-
-
-@dataclass(frozen=True)
-class AcceptBatch:
-    """A coordinator's batched ``ACCEPT`` relay to one follower."""
-
-    accepts: Tuple[Accept, ...]
-
-
-@dataclass(frozen=True)
-class AcceptAckBatch:
-    """A follower's aggregated confirmation of one :class:`AcceptBatch`."""
-
-    acks: Tuple[AcceptAck, ...]
-
-
-@dataclass(frozen=True)
-class DecisionBatch:
-    """A coordinator's batched ``DECISION`` broadcast to one shard member."""
-
-    decisions: Tuple[SlotDecision, ...]
 
 
 # ----------------------------------------------------------------------

@@ -34,12 +34,8 @@ from repro.core.failuredetector import DetectorPolicy, FailureDetector
 from repro.core.messages import (
     Accept,
     AcceptAck,
-    AcceptAckBatch,
-    AcceptBatch,
-    CertifyBatch,
     CsLeaseGrant,
     CsLeaseRequest,
-    DecisionBatch,
     Heartbeat,
     Prepare,
     PrepareAck,
@@ -47,7 +43,6 @@ from repro.core.messages import (
     ReadRequest,
     SlotDecision,
     SuspicionReport,
-    VoteBatch,
 )
 from repro.core.reads import ReadPolicy, ReplicaReadEngine
 from repro.core.reconfig import MembershipPolicy, ReconfigMixin, Reconfigurer, SparePool
@@ -156,7 +151,7 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
     # ------------------------------------------------------------------
     def _certify_prepare(self, msg: Prepare) -> PrepareAck:
         """Place one PREPARE in the certification order (or find it there)
-        and return the vote; shared by the single and batched paths."""
+        and return the vote."""
         existing_slot = self.slot_of.get(msg.txn)
         if existing_slot is not None:
             # The transaction is already in the certification order (line 6):
@@ -194,21 +189,14 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         )
 
     def on_prepare(self, msg: Prepare, sender: str) -> None:
+        """Vote on one PREPARE.  The votes on an envelope of PREPAREs leave
+        as one vector (``reply``), and intra-envelope conflict ordering is
+        envelope order: each transaction enters the certification order
+        before the next one is voted on, exactly as if the PREPAREs had
+        arrived back to back."""
         if self.status is not Status.LEADER:
             return
-        self.send(sender, self._certify_prepare(msg))
-
-    def on_certify_batch(self, msg: CertifyBatch, sender: str) -> None:
-        """Certify a whole batch in one pass over the conflict indexes and
-        answer with one aggregated vote vector.  Intra-batch conflict
-        ordering follows batch order: each transaction enters the
-        certification order before the next one is voted on, so later batch
-        members are certified against earlier ones exactly as if the
-        PREPAREs had arrived back to back."""
-        if self.status is not Status.LEADER:
-            return
-        acks = tuple(self._certify_prepare(prepare) for prepare in msg.prepares)
-        self.send(sender, VoteBatch(acks=acks))
+        self.reply(sender, self._certify_prepare(msg))
 
     # ------------------------------------------------------------------
     # heartbeat failure detection (repro.core.failuredetector)
@@ -391,21 +379,13 @@ class ShardReplica(ReconfigMixin, ReplicaBase):
         )
 
     def on_accept(self, msg: Accept, sender: str) -> None:
+        """Persist one ACCEPT and confirm it.  An envelope of ACCEPTs is
+        confirmed with one aggregated ack (``reply``); stashed or rejected
+        elements are simply absent from it — the unstash path re-answers
+        them individually later."""
         ack = self._apply_accept(msg, sender)
         if ack is not None:
-            self.send(sender, ack)
-
-    def on_accept_batch(self, msg: AcceptBatch, sender: str) -> None:
-        """Persist a batch of ACCEPTs and confirm them with one aggregated
-        ack (stashed/rejected elements are simply absent from the reply —
-        the unstash path re-answers them individually later)."""
-        acks = []
-        for accept in msg.accepts:
-            ack = self._apply_accept(accept, sender)
-            if ack is not None:
-                acks.append(ack)
-        if acks:
-            self.send(sender, AcceptAckBatch(acks=tuple(acks)))
+            self.reply(sender, ack)
 
     # ------------------------------------------------------------------
     # everyone: DECISION (lines 30-32)
@@ -420,7 +400,3 @@ class ShardReplica(ReconfigMixin, ReplicaBase):
         txn = self.txn_arr.get(msg.slot)
         for listener in self.decision_listeners:
             listener(msg.slot, txn, msg.decision)
-
-    def on_decision_batch(self, msg: DecisionBatch, sender: str) -> None:
-        for decision in msg.decisions:
-            self.on_slot_decision(decision, sender)

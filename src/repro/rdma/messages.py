@@ -40,21 +40,6 @@ class SlotDecision:
 
 
 @dataclass(frozen=True)
-class AcceptBatch:
-    """A batch of :class:`Accept` writes persisted with a *single* one-sided
-    RDMA write (one NIC ack covers the whole batch)."""
-
-    accepts: Tuple[Accept, ...]
-
-
-@dataclass(frozen=True)
-class DecisionBatch:
-    """A batch of :class:`SlotDecision` writes in one one-sided RDMA write."""
-
-    decisions: Tuple[SlotDecision, ...]
-
-
-@dataclass(frozen=True)
 class ConfigPrepare:
     """``CONFIG_PREPARE(e, M, leaders)`` disseminating the new global
     configuration to every member before activation (line 124)."""

@@ -51,12 +51,10 @@ from repro.core.types import (
 )
 from repro.rdma.messages import (
     Accept,
-    AcceptBatch,
     ConfigPrepare,
     ConfigPrepareAck,
     Connect,
     ConnectAck,
-    DecisionBatch,
     NewConfig,
     NewState,
     SlotDecision,
@@ -76,18 +74,13 @@ class RdmaVotePersistence:
     """
 
     def _make_accept_batcher(self, policy: BatchPolicy) -> MessageBatcher:
-        # What each pending ACCEPT's ack will count towards, per follower,
-        # recorded when the accept is enqueued (as the unbatched path binds
-        # it in the per-send closure): resolving it from the membership view
+        # The transaction and ack key of every ACCEPT handed to the outbox
+        # and not yet written, per follower, in order.  The key is recorded
+        # when the accept is enqueued: resolving it from the membership view
         # at flush time would mis-attribute acks if a reconfiguration lands
         # while a batch is pending.
-        self._accept_keys: Dict[ProcessId, List[Hashable]] = {}
-        return MessageBatcher(
-            self,
-            policy,
-            wrap=lambda items: AcceptBatch(accepts=items),
-            send=self._send_accept_batch,
-        )
+        self._accept_keys: Dict[ProcessId, List[Tuple[TxnId, Hashable]]] = {}
+        return MessageBatcher(self, policy, send=self._send_accept_batch)
 
     def _persist_vote(self, entry: CoordinatorEntry, msg: PrepareAck) -> None:
         key = self._ack_key(msg.shard, msg.epoch)
@@ -101,33 +94,21 @@ class RdmaVotePersistence:
                 # to its own memory directly (no NIC round-trip needed).
                 self.on_accept(accept, self.pid)
                 entry.acks.setdefault(key, set()).add(self.pid)
-            elif self._batching:
-                self._accept_keys.setdefault(follower, []).append(key)
-                self._accept_batcher.add(follower, accept)
             else:
-                self.rdma.send(
-                    follower,
-                    accept,
-                    on_ack=lambda _message, dst, key=key, txn=msg.txn: self._on_accept_acked(
-                        txn, key, dst
-                    ),
-                )
+                self._accept_keys.setdefault(follower, []).append((msg.txn, key))
+                self._accept_batcher.add(follower, accept)
 
-    def _send_accept_batch(self, dst: ProcessId, message: AcceptBatch) -> None:
-        """Persist a whole ACCEPT batch at ``dst`` with one one-sided write;
-        the single NIC ack confirms every transaction it carries."""
-        keys = self._accept_keys.pop(dst)
-        self.rdma.send(
-            dst,
-            message,
-            on_ack=lambda batch, follower: self._on_accept_batch_acked(batch, keys, follower),
-        )
+    def _send_accept_batch(self, dst: ProcessId, message: Any) -> None:
+        """Persist what the outbox releases for ``dst`` — one ACCEPT, or an
+        envelope of them — with one one-sided write; the single NIC ack
+        confirms every transaction it carries."""
+        written = self._accept_keys.pop(dst)
 
-    def _on_accept_batch_acked(
-        self, batch: AcceptBatch, keys: List[Hashable], follower: ProcessId
-    ) -> None:
-        for accept, key in zip(batch.accepts, keys):
-            self._on_accept_acked(accept.txn, key, follower)
+        def on_ack(_message: Any, follower: ProcessId) -> None:
+            for txn, key in written:
+                self._on_accept_acked(txn, key, follower)
+
+        self.rdma.send(dst, message, on_ack=on_ack)
 
     def _on_accept_acked(self, txn: TxnId, key: Hashable, follower: ProcessId) -> None:
         """ack-rdma received for an ACCEPT written to ``follower`` (line 96)."""
@@ -151,11 +132,6 @@ class RdmaVotePersistence:
         self._votes.invalidate()
         if self.read_engine is not None:
             self.read_engine.note_prepared(msg.slot)
-
-    def on_accept_batch(self, msg: AcceptBatch, sender: str) -> None:
-        """A batched one-sided ACCEPT write landed in our memory."""
-        for accept in msg.accepts:
-            self.on_accept(accept, sender)
 
 
 class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
@@ -228,10 +204,7 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
 
     def _make_decision_batcher(self, policy: BatchPolicy) -> MessageBatcher:
         return MessageBatcher(
-            self,
-            policy,
-            wrap=lambda items: DecisionBatch(decisions=items),
-            send=lambda dst, message: self.rdma.send(dst, message),
+            self, policy, send=lambda dst, message: self.rdma.send(dst, message)
         )
 
     def _persist_decision(self, shard: ShardId, slot: int, decision: Decision) -> None:
@@ -242,20 +215,14 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
                 # A coordinator that is itself a member persists the
                 # decision locally without a network round-trip.
                 self._apply_decision(slot, decision)
-            elif self._batching:
-                self._decision_batcher.add(member, message)
             else:
-                self.rdma.send(member, message)
+                self._decision_batcher.add(member, message)
 
     # ------------------------------------------------------------------
     # members: RDMA-delivered DECISION (lines 101-102)
     # ------------------------------------------------------------------
     def on_slot_decision(self, msg: SlotDecision, sender: str) -> None:
         self._apply_decision(msg.slot, msg.decision)
-
-    def on_decision_batch(self, msg: DecisionBatch, sender: str) -> None:
-        for decision in msg.decisions:
-            self._apply_decision(decision.slot, decision.decision)
 
     def _apply_decision(self, slot: int, decision: Decision) -> None:
         self.dec_arr[slot] = decision

@@ -575,15 +575,6 @@ class Network:
         in a loop: within one ``send_many`` call no other event can be
         scheduled between the individual sends, so deliveries sharing a
         timestamp would have fired back-to-back in send order anyway.
-        """
-        if not self._is_crashed_source(src):
-            self.send_many_from_live(src, dsts, message, weak)
-
-    def send_many_from_live(
-        self, src: str, dsts: Iterable[str], message: Any, weak: bool = False
-    ) -> None:
-        """:meth:`send_many` without the crashed-source check, for a caller
-        that has just made it (:meth:`Process.send_all`).
 
         Under the grouped engine batches split per (delivery time,
         destination group) so each fragment can be routed to its group's

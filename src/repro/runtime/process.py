@@ -5,13 +5,26 @@ coordinator/client, configuration service, Paxos acceptor, ...) is a
 :class:`Process`.  A process reacts to delivered messages by dispatching to
 ``on_<message-type>`` handler methods, mirroring the "when received ..."
 clauses of the paper's pseudocode.
+
+The paper's protocols exchange one message per transaction; coalescing them
+is a transport matter this module owns.  :class:`Batch` is the one envelope
+every batched path puts on the wire (the sender side is
+:class:`repro.core.batching.MessageBatcher`).  :meth:`Process.on_batch`
+unpacks it: each item goes to the ``on_<type>`` handler it would have
+reached alone, so a protocol handler cannot tell whether it runs batched.
+A handler that answers with :meth:`Process.reply` instead of
+:meth:`Process.send` has its answers to the envelope's sender leave as one
+envelope too (a leader's vote vector, a follower's aggregated ack).  The
+envelope lives here rather than with the protocol messages because
+``Process`` builds that reply.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.runtime.events import Event
 
@@ -42,6 +55,19 @@ def handler_name(message: Any) -> str:
     return _handler_name_of(type(message))
 
 
+@dataclass(frozen=True)
+class Batch:
+    """Transport envelope: messages for one destination sent as one.
+
+    Every item is a complete message of the unbatched protocol, in the
+    order the protocol produced it; the envelope carries no state of its
+    own.  On the wire it costs one header plus the items' payload bytes
+    (:mod:`repro.runtime.wire`).
+    """
+
+    items: Tuple[Any, ...]
+
+
 class Process:
     """Base class for simulated processes.
 
@@ -55,6 +81,10 @@ class Process:
         self.crashed = False
         self.network: Optional["Network"] = None
         self.rdma = None  # type: ignore[assignment]  # set by RdmaManager.install
+        # While an envelope is being unpacked: who sent it, and the answers
+        # ``reply`` has collected for them so far.
+        self._replying_to: Optional[str] = None
+        self._replies: List[Any] = []
 
     # ------------------------------------------------------------------
     # wiring
@@ -97,6 +127,16 @@ class Process:
         assert self.network is not None
         self.network.send_many(self.pid, dsts, message, weak)
 
+    def reply(self, dst: str, message: Any) -> None:
+        """Answer ``dst``'s message: inside an envelope from ``dst`` the
+        answer joins the one envelope sent back when unpacking ends; anywhere
+        else (an unbatched message, a re-dispatched stashed one, an answer to
+        someone other than the envelope's sender) this is :meth:`send`."""
+        if dst == self._replying_to:
+            self._replies.append(message)
+        else:
+            self.send(dst, message)
+
     def set_timer(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule a local callback; it is suppressed if the process crashed."""
 
@@ -123,11 +163,36 @@ class Process:
         """Dispatch a message to its ``on_<type>`` handler."""
         method = getattr(self, _handler_name_of(type(message)), None)
         if method is None:
-            raise NotImplementedError(
-                f"{type(self).__name__}({self.pid}) has no handler for "
-                f"{type(message).__name__}"
-            )
+            raise self._no_handler(message)
         method(message, sender)
+
+    def _no_handler(self, message: Any) -> NotImplementedError:
+        return NotImplementedError(
+            f"{type(self).__name__}({self.pid}) has no handler for "
+            f"{type(message).__name__}"
+        )
+
+    def on_batch(self, msg: Batch, sender: str) -> None:
+        """Unpack an envelope: every item, in order, through its ordinary
+        handler, then one envelope back with whatever the handlers answered
+        through :meth:`reply` (nothing when they answered nothing)."""
+        replies = self._replies = []
+        self._replying_to = sender
+        try:
+            # Envelopes are filled per message kind, so the handler is
+            # resolved once per run of same-typed items, not per item.
+            kind = method = None
+            for item in msg.items:
+                if type(item) is not kind:
+                    kind = type(item)
+                    method = getattr(self, _handler_name_of(kind), None)
+                    if method is None:
+                        raise self._no_handler(item)
+                method(item, sender)
+        finally:
+            self._replying_to = None
+        if replies:
+            self.send(sender, Batch(tuple(replies)))
 
     # ------------------------------------------------------------------
     # failures

@@ -8,11 +8,12 @@ recursive estimate of its payload fields.
 
 Two properties matter more than the absolute byte values:
 
-* **batches cost the sum of their parts plus one header** — a
-  ``CertifyBatch`` of 32 ``Prepare`` messages carries the same payload
-  bytes as 32 individual sends but saves 31 headers (and, on the link, 31
-  per-message overheads), so batch-size sweeps show a real
-  latency/throughput knee instead of batching being free;
+* **batches cost the sum of their parts plus one header** — a ``Batch``
+  envelope of 32 ``Prepare`` messages carries the same payload bytes as 32
+  individual sends but saves 31 headers (and, on the link, 31 per-message
+  overheads), so batch-size sweeps show a real latency/throughput knee
+  instead of batching being free.  One rule sizes the transport's envelope
+  whatever it carries, and the baseline's ``CommandBatch`` Paxos value;
 * **unregistered message types fail loudly** — ``wire_size`` raises
   :class:`TypeError` for a top-level message class nobody registered, so a
   newly added protocol message breaks the unit-test battery instead of
@@ -192,6 +193,7 @@ def _ensure_registered() -> None:
     from repro.rdma import messages as rdma
     from repro.baselines import paxos, twopc
     from repro.runtime import rdma as rdma_runtime
+    from repro.runtime.process import Batch
 
     # Equal payloads have equal sizes (equality is field equality and the
     # size is a function of the field values), so the memo may key on the
@@ -199,6 +201,10 @@ def _ensure_registered() -> None:
     _FIELD_SIZERS[TransactionPayload] = functools.lru_cache(_PAYLOAD_MEMO_ENTRIES)(
         _size_transaction_payload
     )
+
+    # The transport envelope of every batched path; an unregistered item
+    # inside one raises like an unregistered top-level message.
+    _register(Batch, _batch_sizer("items"))
 
     # --- core message-passing protocol ---------------------------------
     for cls in (
@@ -227,13 +233,6 @@ def _ensure_registered() -> None:
         core.CsReply,
     ):
         _register(cls)
-    _register(core.CertifyRequestBatch, _batch_sizer("requests"))
-    _register(core.TxnDecisionBatch, _batch_sizer("decisions"))
-    _register(core.CertifyBatch, _batch_sizer("prepares"))
-    _register(core.VoteBatch, _batch_sizer("acks"))
-    _register(core.AcceptBatch, _batch_sizer("accepts"))
-    _register(core.AcceptAckBatch, _batch_sizer("acks"))
-    _register(core.DecisionBatch, _batch_sizer("decisions"))
 
     # --- RDMA protocol (distinct classes from core's same-named ones) ---
     for cls in (
@@ -247,8 +246,6 @@ def _ensure_registered() -> None:
         rdma.ConnectAck,
     ):
         _register(cls)
-    _register(rdma.AcceptBatch, _batch_sizer("accepts"))
-    _register(rdma.DecisionBatch, _batch_sizer("decisions"))
 
     # NIC-level frames: an RdmaWrite carries a full protocol message as
     # its payload, so it costs a frame header plus that message's size.

@@ -7,6 +7,8 @@ module name ``conftest`` and whichever directory pytest touches first wins.
 
 from __future__ import annotations
 
+import cProfile
+import pstats
 from typing import Iterable, Optional, Tuple
 
 from repro.core.certification import RETIRED, ConflictIndex, VoteIndex
@@ -16,6 +18,8 @@ from repro.core.serializability import (
     Version,
 )
 from repro.core.types import Decision
+from repro.scenarios import BatchSpec, NetworkSpec, ScenarioSpec, WorkloadSpec
+from repro.scenarios.spec import ReadSpec
 
 
 def payload(
@@ -161,3 +165,48 @@ def reference_scheme(scheme_cls, sharding):
             return PairwiseConflictIndex(self)
 
     return _Reference(sharding)
+
+
+# ----------------------------------------------------------------------
+# work gated by counts, not by the clock (rows of the calls/txn golden)
+# ----------------------------------------------------------------------
+def calls(function, *args):
+    """All calls, Python and builtin, made inside ``function(*args)``."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    function(*args)
+    profiler.disable()
+    return pstats.Stats(profiler).total_calls
+
+
+# Four of the benchmark's shapes (bench/tcs_workloads.py) at 1000
+# transactions: the three that stress the fingerprint and the payload sizer,
+# and the 2PC-over-Paxos baseline.
+SHAPES = {
+    "mp-steady": dict(workload=WorkloadSpec(txns=1000, batch=50, num_keys=2000)),
+    "read-mostly-lease": dict(
+        workload=WorkloadSpec(txns=1000, batch=50, num_keys=2000, read_ratio=0.9),
+        read=ReadSpec(mode="snapshot"),
+    ),
+    "rdma-batched-bw": dict(
+        protocol="rdma",
+        workload=WorkloadSpec(
+            kind="zipfian", txns=1000, batch=64, num_keys=20000, theta=0.7,
+            reads_per_txn=3, writes_per_txn=2,
+        ),
+        batch=BatchSpec(size=16),
+        network=NetworkSpec(bandwidth=1000, overhead=0.1),
+    ),
+    "baseline-steady": dict(
+        protocol="2pc-paxos",
+        replicas_per_shard=3,
+        workload=WorkloadSpec(txns=1000, batch=50, num_keys=2000),
+    ),
+}  # fmt: skip
+
+
+def shape_spec(shape: str) -> ScenarioSpec:
+    """The scenario of one benchmark shape: 4 shards, seed 1."""
+    settings = dict(num_shards=4, replicas_per_shard=2, seed=1)
+    settings.update(SHAPES[shape])
+    return ScenarioSpec(name=shape, **settings)

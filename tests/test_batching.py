@@ -1,6 +1,9 @@
 """Tests for the protocol-level batching pipeline.
 
-Covers the policy/batcher building blocks, end-to-end equivalence of the
+Covers the policy/batcher building blocks, the one ``Batch`` envelope and
+its unpacking in ``Process`` (toy processes, then the two batched protocol
+paths nothing else drives), the passthrough outbox, structural guards
+against per-kind batch copies returning, end-to-end equivalence of the
 batched and unbatched protocols (all three coordinator variants, validated
 online and against the batch checker oracle), the retry/dedup interaction
 (a retried transaction arriving while batching is active must be deduped
@@ -8,20 +11,29 @@ and re-answered from the decision caches), the batching scenario pack and
 the ``sweep --batch`` driver/CLI.
 """
 
+import importlib
 import json
-from dataclasses import replace
+import pkgutil
+import re
+from dataclasses import dataclass, replace
 
 import pytest
+
+import repro
+from repro.baselines.twopc import TwoPCCoordinator
 
 from repro.baselines.cluster import BaselineCluster
 from repro.client import RetryPolicy
 from repro.cluster import Cluster
 from repro.core.batching import BatchPolicy, MessageBatcher
-from repro.core.messages import CertifyRequest
+from repro.core import messages as core_messages
+from repro.core.coordinator import AdmissionGate, CoordinatorMixin
+from repro.core.messages import Accept, AcceptAck, CertifyRequest, Prepare
 from repro.core.types import Decision
+from repro.rdma import messages as rdma_messages
 from repro.runtime.events import FlushTimer, Scheduler
 from repro.runtime.network import Network
-from repro.runtime.process import Process
+from repro.runtime.process import Batch, Process
 from repro.scenarios import (
     BATCH,
     BatchSpec,
@@ -166,6 +178,285 @@ def test_on_flush_hook_sees_the_batch_before_send():
     batcher.add("dst", 1)
     batcher.add("dst", 2)
     assert seen == [("dst", (1, 2))]
+
+
+def test_disabled_policy_passes_straight_through():
+    """Policy off: ``add`` is ``send`` (hook included), ``add_all`` is one
+    multicast, nothing is wrapped and nothing is counted."""
+    scheduler, sender, receiver = _harness()
+    seen = []
+    hooked = MessageBatcher(
+        sender, BatchPolicy(), on_flush=lambda dst, items: seen.append((dst, items))
+    )
+    plain = MessageBatcher(sender, BatchPolicy())
+    hooked.add("dst", "a")
+    assert seen == [("dst", ("a",))] and hooked.pending_messages == 0
+    fired = scheduler.events_fired
+    plain.add_all(["dst", "src"], "b")
+    scheduler.run()
+    assert receiver.received == [(1.0, "a"), (1.0, "b")]
+    assert sender.received == [(1.0, "b")]
+    # "a" alone, then both copies of "b" in one scheduler event.
+    assert scheduler.events_fired - fired == 2
+    for batcher in (hooked, plain):
+        assert (batcher.batches_sent, batcher.messages_batched, batcher.size_counts) == (0, 0, {})
+
+
+def test_passthrough_sends_through_the_process_send_of_the_moment():
+    """The recorder idiom of test_stop_and_wait: ``send`` patched on the
+    instance after the outbox was built must still see its traffic."""
+    _scheduler, sender, _receiver = _harness()
+    batcher = MessageBatcher(sender, BatchPolicy())
+    recorded = []
+    sender.send = lambda dst, message: recorded.append((dst, message))
+    batcher.add("dst", "a")
+    assert recorded == [("dst", "a")]
+
+
+# ----------------------------------------------------------------------
+# the envelope: Process.on_batch and Process.reply
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Ask:
+    n: int
+
+
+@dataclass(frozen=True)
+class Tell:
+    n: int
+    to: str
+
+
+@dataclass(frozen=True)
+class Answer:
+    n: int
+
+
+@dataclass(frozen=True)
+class Unknown:
+    pass
+
+
+class _Responder(Process):
+    """Answers ``Ask`` through ``reply``; ``Tell`` replies to a third
+    party and plainly ``send``s to the sender; odd ``Ask``s only."""
+
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.handled = []
+
+    def on_ask(self, msg, sender):
+        self.handled.append((msg.n, sender))
+        if msg.n % 2:
+            self.reply(sender, Answer(msg.n))
+
+    def on_tell(self, msg, sender):
+        self.handled.append((msg.n, sender))
+        self.reply(msg.to, Answer(msg.n))
+        self.send(sender, Answer(-msg.n))
+
+
+def _envelope_harness():
+    scheduler = Scheduler()
+    network = Network(scheduler)
+    asker, other, responder = _Recorder("asker"), _Recorder("other"), _Responder("resp")
+    for process in (asker, other, responder):
+        network.register(process)
+    return scheduler, network, asker, other, responder
+
+
+def test_envelope_items_run_in_order_and_replies_leave_as_one_envelope():
+    scheduler, network, asker, other, responder = _envelope_harness()
+    asker.send("resp", Batch((Ask(1), Ask(2), Ask(3), Tell(4, "other"), Ask(5))))
+    scheduler.run()
+    assert responder.handled == [(n, "asker") for n in (1, 2, 3, 4, 5)]
+    # To the envelope's sender: the plain send at once, then exactly one
+    # envelope with every reply (the even ask answered nothing).
+    assert asker.received == [
+        (2.0, Answer(-4)),
+        (2.0, Batch((Answer(1), Answer(3), Answer(5)))),
+    ]
+    # A reply to anyone else is an ordinary send.
+    assert other.received == [(2.0, Answer(4))]
+    assert network.stats.total_sent == 4
+
+
+def test_envelope_without_replies_sends_nothing():
+    scheduler, network, asker, _other, responder = _envelope_harness()
+    asker.send("resp", Batch((Ask(2), Ask(4))))
+    scheduler.run()
+    assert responder.handled == [(2, "asker"), (4, "asker")]
+    assert asker.received == [] and network.stats.total_sent == 1
+
+
+def test_reply_outside_an_envelope_is_send():
+    scheduler, _network, asker, _other, responder = _envelope_harness()
+    asker.send("resp", Ask(7))
+    scheduler.run()
+    assert asker.received == [(2.0, Answer(7))]
+    # ... and after an envelope has been unpacked, too.
+    asker.send("resp", Batch((Ask(9),)))
+    asker.send("resp", Ask(11))
+    scheduler.run()
+    assert [message for _, message in asker.received[1:]] == [
+        Batch((Answer(9),)),
+        Answer(11),
+    ]
+
+
+def test_envelope_item_without_a_handler_raises_naming_the_item():
+    _scheduler, _network, asker, _other, responder = _envelope_harness()
+    with pytest.raises(NotImplementedError, match="no handler for Unknown"):
+        responder.deliver(Batch((Ask(1), Unknown())), "asker")
+    # The half-unpacked envelope is abandoned: later replies are sends again.
+    responder.reply("asker", Answer(0))
+    asker.scheduler.run()
+    assert asker.received == [(1.0, Answer(0))]
+
+
+def _recorded_sends(process):
+    sent = []
+    send = process.send
+
+    def recording_send(dst, message, **kwargs):
+        sent.append((dst, message))
+        return send(dst, message, **kwargs)
+
+    process.send = recording_send
+    return sent
+
+
+def test_prepare_envelope_at_a_non_leader_is_dropped_whole():
+    cluster = Cluster(num_shards=2, replicas_per_shard=2, batch=ADAPTIVE)
+    follower = cluster.replica(cluster.followers_of("shard-0")[0])
+    coordinator = cluster.members_of("shard-1")[0]
+    sent = _recorded_sends(follower)
+    prepares = tuple(
+        Prepare(txn=f"t{i}", payload=rw_payload(shard_key(cluster.scheme, "shard-0", hint=f"k{i}")))
+        for i in range(3)
+    )
+    follower.deliver(Batch(prepares), coordinator)
+    cluster.run()
+    assert sent == [] and follower.slot_of == {} and follower.next == 0
+
+
+def test_accept_envelope_with_an_early_element():
+    """One ACCEPT of an envelope is for an epoch the follower has not
+    reached: the aggregate ack omits it, the unstash path re-answers it
+    singly, and the transaction decides."""
+    cluster = Cluster(
+        num_shards=2,
+        replicas_per_shard=2,
+        batch=BatchPolicy(size=64, linger=20.0, adaptive=False),
+    )
+    leader = cluster.replica(cluster.leader_of("shard-0"))
+    follower = cluster.replica(cluster.followers_of("shard-0")[0])
+    coordinator = cluster.replica(cluster.members_of("shard-1")[0])
+    client = cluster.clients[0]
+    epoch = follower.my_epoch
+
+    def accept_reaches_the_outbox(payload, pending):
+        """Submit and hurry the request and the PREPARE along, so that only
+        the ACCEPT outbox lingers."""
+        txn = cluster.submit(payload, coordinator=coordinator.pid)
+        client._request_batcher.flush()
+        while coordinator._prepare_batcher.pending_messages == 0:
+            assert cluster.scheduler.step()
+        coordinator._prepare_batcher.flush()
+        while coordinator._accept_batcher.pending_for(follower.pid) < pending:
+            assert cluster.scheduler.step()
+        return txn
+
+    first_payload = rw_payload(shard_key(cluster.scheme, "shard-0", hint="a"), tiebreak="a")
+    first = accept_reaches_the_outbox(first_payload, pending=1)
+    # Shard-0 moves to the next epoch (same members); the new epoch has
+    # reached its leader and the coordinator, the follower's is in flight.
+    for process in (leader, coordinator):
+        process.epoch["shard-0"] = epoch + 1
+    early = accept_reaches_the_outbox(
+        rw_payload(shard_key(cluster.scheme, "shard-0", hint="b"), tiebreak="b"), pending=2
+    )
+
+    sent = _recorded_sends(follower)
+    coordinator._accept_batcher.flush(follower.pid)
+    cluster.run(max_time=cluster.scheduler.now + 1.5)
+    [(dst, ack)] = sent
+    assert dst == coordinator.pid and type(ack) is Batch
+    assert [(type(a), a.txn, a.epoch) for a in ack.items] == [(AcceptAck, first, epoch)]
+    assert [type(m) for m, _ in follower._stash] == [Accept]
+
+    # The epoch arrives: the early element is re-answered on its own.
+    del sent[:]
+    follower.epoch["shard-0"] = epoch + 1
+    follower._unstash()
+    [(dst, ack)] = sent
+    assert dst == coordinator.pid and type(ack) is AcceptAck
+    assert (ack.txn, ack.epoch) == (early, epoch + 1)
+    cluster.run()
+    assert cluster.history.decision_of(early) is Decision.COMMIT
+    # The on-time element's vote is from the old epoch; a session retry
+    # re-drives it in the new one.
+    assert cluster.history.decision_of(first) is None
+    client.send(coordinator.pid, CertifyRequest(txn=first, payload=first_payload, request_id=2))
+    cluster.run()
+    assert cluster.history.decision_of(first) is Decision.COMMIT
+    check, violations = cluster.check()
+    assert check.ok and not violations
+
+
+# ----------------------------------------------------------------------
+# structure: one envelope, one outbox, one gate — so the copies cannot
+# come back (the idiom of test_rdma_stack_reuses_the_figure_1_pipeline)
+# ----------------------------------------------------------------------
+def _process_classes():
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, Process):
+                yield value
+
+
+def test_no_process_has_a_per_kind_batch_handler():
+    classes = set(_process_classes())
+    assert len(classes) >= 8
+    offenders = sorted(
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name in dir(cls)
+        if re.fullmatch(r"on_\w+_batch", name)
+    )
+    assert offenders == []
+
+
+def test_message_modules_define_no_batch_class():
+    for module in (core_messages, rdma_messages):
+        assert [name for name in vars(module) if name.endswith("Batch")] == []
+
+
+def test_no_coordinator_or_client_forks_on_batching():
+    clusters = [
+        Cluster(num_shards=2, replicas_per_shard=2),
+        Cluster(num_shards=2, replicas_per_shard=2, protocol="rdma", batch=ADAPTIVE),
+        BaselineCluster(num_shards=2, batch=ADAPTIVE),
+        BaselineCluster(num_shards=2),
+    ]
+    for cluster in clusters:
+        processes = [*cluster._coordinator_processes(), *cluster.clients]
+        assert processes and all(not hasattr(p, "_batching") for p in processes)
+        # Outboxes exist whatever the policy (the passthrough is theirs).
+        assert all(process.batchers for process in processes)
+
+
+def test_both_coordinator_classes_hold_the_one_gate():
+    replica = Cluster(num_shards=2, replicas_per_shard=2).replica("shard-0/r0")
+    baseline = BaselineCluster(num_shards=2).coordinators[0]
+    assert isinstance(replica, CoordinatorMixin) and isinstance(baseline, TwoPCCoordinator)
+    assert type(replica.gate) is type(baseline.gate) is AdmissionGate
+    for cls in (CoordinatorMixin, TwoPCCoordinator):
+        assert not hasattr(cls, "_drain_held_certifies")
+        assert not hasattr(cls, "pipeline_commits")
 
 
 # ----------------------------------------------------------------------

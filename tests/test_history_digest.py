@@ -13,10 +13,8 @@ file under two).  The work itself is gated by call counts under
 
 from __future__ import annotations
 
-import cProfile
 import dataclasses
 import hashlib
-import pstats
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from typing import Any, NamedTuple
@@ -28,16 +26,10 @@ from hypothesis import strategies as st
 from repro.core.serializability import SnapshotRead, TransactionPayload
 from repro.core.types import BOTTOM, Decision
 from repro.runtime import wire
-from repro.scenarios import (
-    BatchSpec,
-    NetworkSpec,
-    ScenarioRunner,
-    ScenarioSpec,
-    WorkloadSpec,
-)
-from repro.scenarios.spec import ReadSpec
+from repro.scenarios import ScenarioRunner
 from repro.spec.history import History
 
+from helpers import SHAPES, calls, shape_spec
 from test_golden_digests import _case_keys, _spec_for
 
 
@@ -324,46 +316,17 @@ def test_a_leaf_that_inherits_object_repr_is_refused_by_name(wrap):
 # ----------------------------------------------------------------------
 # the work is gated by counts (first rows of the calls/txn golden)
 # ----------------------------------------------------------------------
-def _calls(function, *args):
-    """All calls, Python and builtin, made inside ``function(*args)``."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    function(*args)
-    profiler.disable()
-    return pstats.Stats(profiler).total_calls
-
-
-# The three benchmark shapes (bench/tcs_workloads.py) that stress the
-# fingerprint and the payload sizer, at 1000 transactions.
-_SHAPES = {
-    "mp-steady": dict(workload=WorkloadSpec(txns=1000, batch=50, num_keys=2000)),
-    "read-mostly-lease": dict(
-        workload=WorkloadSpec(txns=1000, batch=50, num_keys=2000, read_ratio=0.9),
-        read=ReadSpec(mode="snapshot"),
-    ),
-    "rdma-batched-bw": dict(
-        protocol="rdma",
-        workload=WorkloadSpec(
-            kind="zipfian", txns=1000, batch=64, num_keys=20000, theta=0.7,
-            reads_per_txn=3, writes_per_txn=2,
-        ),
-        batch=BatchSpec(size=16),
-        network=NetworkSpec(bandwidth=1000, overhead=0.1),
-    ),
-}  # fmt: skip
-
 DIGEST_CALLS_PER_EVENT = 20  # the reflective walk made 81.5 / 64.4 / 111.5
 PAYLOAD_SIZING_CALLS = 30  # the field walk made 91
 
 
-@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_digest_call_count_per_event(shape):
-    spec = ScenarioSpec(name=shape, num_shards=4, replicas_per_shard=2, seed=1, **_SHAPES[shape])
-    runner = ScenarioRunner(spec)
+    runner = ScenarioRunner(shape_spec(shape))
     assert runner.run().safety_ok
     history = runner.cluster.history
     assert len(history) == 2000
-    assert _calls(history.digest) / len(history) <= DIGEST_CALLS_PER_EVENT
+    assert calls(history.digest) / len(history) <= DIGEST_CALLS_PER_EVENT
 
 
 def test_sizing_a_fresh_payload_call_count():
@@ -373,4 +336,28 @@ def test_sizing_a_fresh_payload_call_count():
         writes=[("key-1", 17), ("key-3", 4)],
         tiebreak="c1",
     )
-    assert _calls(wire._field_size, fresh) <= PAYLOAD_SIZING_CALLS
+    assert calls(wire._field_size, fresh) <= PAYLOAD_SIZING_CALLS
+
+
+# Whole-run calls per transaction: what the transports under the commit
+# pipeline (the batching outbox, the stop-and-wait gate) cost when off — the
+# three unbatched shapes — and when on.  The bounds come from the parent of
+# PR 24 (7f2083a), which read 727.6-731.0 / 347.3-347.6 / 1270.2 /
+# 1150.6-1151.3 under the default hash seed, PYTHONHASHSEED=0 and 4242: the
+# unbatched bounds are that plus 1.5%, the batched one plus 1.6%.  PR 24 read
+# 732.5-734.7 / 348.2-348.4 / 1268.7 / 1154.5-1154.8 under the same three
+# seeds; a PR that makes the path cheaper should tighten these to its own
+# readings.
+RUN_CALLS_PER_TXN = {
+    "mp-steady": 742,
+    "read-mostly-lease": 351,
+    "baseline-steady": 1282,
+    "rdma-batched-bw": 1170,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_whole_run_call_count_per_transaction(shape):
+    runner = ScenarioRunner(shape_spec(shape))
+    assert calls(runner.run) / 1000 <= RUN_CALLS_PER_TXN[shape]
+    assert len(runner.cluster.history) == 2000

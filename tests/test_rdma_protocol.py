@@ -126,19 +126,15 @@ SHARED_WITH_MESSAGE_PASSING = (
     "_init_coordinator",
     "certify",
     "_dispatch_prepares",
-    "_drain_held_certifies",
     "_note_prepares_flushed",
     "retry",
     "coordinated",
     "on_certify_request",
-    "on_certify_request_batch",
     "on_prepare_ack",
-    "on_vote_batch",
     "_maybe_decide",
     # certifying leader, detector and read glue (repro.core.replica)
     "_certify_prepare",
     "on_prepare",
-    "on_certify_batch",
     "_watch_co_members",
     "emit_heartbeats",
     "tick_detector",

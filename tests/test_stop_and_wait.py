@@ -102,7 +102,7 @@ def _held_wave(stack: str):
 def test_held_transactions_dispatch_in_submission_order(stack):
     cluster, coordinator, txns, _payloads, prepared = _held_wave(stack)
     cluster.run(max_time=1.5)
-    assert [txn for txn, _ in coordinator._held_certifies] == txns[1:]
+    assert [entry.txn for entry, _ in coordinator.gate._held_certifies] == txns[1:]
     cluster.run()
     assert [txn for _, txn in prepared] == txns
     times = [at for at, _ in prepared]
@@ -116,7 +116,7 @@ def test_duplicate_certify_for_a_held_transaction(stack):
     neither dispatched twice nor dropped."""
     cluster, coordinator, txns, payloads, prepared = _held_wave(stack)
     cluster.run(max_time=1.5)
-    assert txns[2] in coordinator._held_txns
+    assert txns[2] in coordinator.gate._held_txns
     cluster.clients[0].send(
         coordinator.pid, CertifyRequest(txn=txns[2], payload=payloads[2], request_id=99)
     )
@@ -124,7 +124,7 @@ def test_duplicate_certify_for_a_held_transaction(stack):
     assert coordinator.duplicate_certify_requests == 1
     assert sorted(txn for _, txn in prepared) == sorted(txns)
     assert all(cluster.history.decision_of(txn) is not None for txn in txns)
-    assert not coordinator._held_certifies and not coordinator._held_txns
+    assert not coordinator.gate._held_certifies and not coordinator.gate._held_txns
     assert cluster.history.contradictions == []
 
 
