@@ -42,8 +42,8 @@ class BaselineCluster(ClusterBase):
     ) -> None:
         """``harness`` is what every binding takes, declared once on
         :class:`~repro.cluster.ClusterBase`: ``scheme``, ``latency``,
-        ``seed``, ``retry``, ``batch``, ``groups``, ``read``, ``detector``,
-        ``link``, ``pipeline``, ``sticky``."""
+        ``seed``, ``retry``, ``batch``, ``read``, ``detector``, ``link``,
+        ``pipeline``, ``sticky``."""
         if failures_tolerated < 0 or num_coordinators < 1:
             raise ValueError("failures_tolerated must be >= 0 and num_coordinators >= 1")
         self.failures_tolerated = failures_tolerated
@@ -92,9 +92,6 @@ class BaselineCluster(ClusterBase):
         return CoordinatorRouter(
             ("coordinators",), {"coordinators": self._coordinator_pids}, sticky=self.sticky
         )
-
-    def _server_shards(self) -> Dict[str, ShardId]:
-        return {pid: shard for shard, group in self.groups.items() for pid in group.pids}
 
     def _detector_processes(self) -> List[PaxosReplica]:
         return [replica for group in self.groups.values() for replica in group.replicas]

@@ -1,12 +1,11 @@
 """Cluster harness: one-call construction of a complete simulated system.
 
 :class:`ClusterBase` is the harness, written once for every transaction
-certification service in the repository.  It owns the engine (serial or
-parallel-DES) and the network, the transaction directory and the history,
-the policies (retry, batch, read, detector, link), the clients with their
-sessions and shared router, the parallel engine's process partition, the
-heartbeat pump, and the driver API used by the examples, the tests, the
-scenario runner and the benchmark harness:
+certification service in the repository.  It owns the scheduler and the
+network, the transaction directory and the history, the policies (retry,
+batch, read, detector, link), the clients with their sessions and shared
+router, the heartbeat pump, and the driver API used by the examples, the
+tests, the scenario runner and the benchmark harness:
 
 * :meth:`~ClusterBase.submit` / :meth:`~ClusterBase.run` /
   :meth:`~ClusterBase.run_until_decided` / :meth:`~ClusterBase.certify` /
@@ -69,7 +68,6 @@ from repro.rdma.broken import BrokenRdmaShardReplica
 from repro.rdma.replica import RdmaShardReplica
 from repro.runtime.events import Scheduler
 from repro.runtime.network import LatencyModel, LinkSpec, Network, UnitLatency
-from repro.runtime.parallel import GroupedScheduler, partition_contiguous
 from repro.spec.checker import CheckResult, TCSChecker
 from repro.spec.history import History
 from repro.spec.invariants import InvariantViolation, check_invariants
@@ -93,8 +91,6 @@ class ClusterBase:
       setting ``config_service`` where there is one (it stays None where
       nothing reconfigures);
     * ``_build_router()`` — the :class:`CoordinatorRouter` the sessions share;
-    * ``_server_shards()`` — pid -> shard of every process that belongs to a
-      shard (the parallel engine keeps those with their shard's group);
     * ``_detector_processes()`` — the processes the heartbeat pump drives
       (``detector``, ``emit_heartbeats``, ``tick_detector``), in build order;
     * ``_coordinator_processes()`` — the processes that can coordinate
@@ -107,7 +103,7 @@ class ClusterBase:
     * ``_read_engines()`` — the leader-local snapshot-read engines, and
       ``_applied_stores()`` — ``(shard, store)`` for every applied store
       :meth:`seed_read_stores` fills through ``store.seed(mapping)``;
-    * optionally ``_post_build()`` and ``_bootstrap()``, below;
+    * optionally ``_post_build()``, below;
     * the two class constants.
     """
 
@@ -128,7 +124,6 @@ class ClusterBase:
         seed: int = 0,
         retry: Optional[RetryPolicy] = None,
         batch: Optional[BatchPolicy] = None,
-        groups: int = 0,
         read: Optional[ReadPolicy] = None,
         detector: Optional[DetectorPolicy] = None,
         link: Optional[LinkSpec] = None,
@@ -140,14 +135,7 @@ class ClusterBase:
         self.num_shards = num_shards
         self.shards: List[ShardId] = _shard_ids(num_shards)
         self.scheme = scheme or SerializabilityScheme(KeyHashSharding(self.shards))
-
-        # groups > 0 selects the conservative parallel-DES engine: shards
-        # partition into that many weakly-coupled groups, each with its own
-        # event heap, advanced window-by-window behind lookahead barriers
-        # (see repro.runtime.parallel).  Results are byte-identical to the
-        # serial engine for deterministic latency models.
-        self.exec_groups = groups
-        self.scheduler = GroupedScheduler(groups) if groups else Scheduler()
+        self.scheduler = Scheduler()
         self.network = Network(
             self.scheduler, latency=latency or UnitLatency(), seed=seed, link=link
         )
@@ -191,31 +179,11 @@ class ClusterBase:
             for client in self.clients
         ]
         self._post_build()
-        if groups:
-            self.scheduler.install(self.network, self._group_partition())
-        self._bootstrap()
         # Heartbeat pump: one cluster-level weak recurring tick, armed
-        # exactly once here — a consistent creation point in both engines —
-        # and self-re-armed only from inside the tick thereafter.
+        # exactly once here and self-re-armed only from inside the tick
+        # thereafter.
         self.pump = HeartbeatPump(self.scheduler, self._detector_processes, self.detector)
         self.pump.start()
-
-    def _group_partition(self) -> Dict[str, int]:
-        """Process-to-group assignment for the parallel-DES engine.
-
-        Shards split into contiguous blocks (intra-shard traffic is the
-        dense part of the communication graph and stays intra-group);
-        server processes follow their shard.  Everything else lives in
-        group 0: clients are the only history writers, so keeping them in
-        one group preserves the serial append order of the history, and
-        configuration service and dedicated coordinators talk to every
-        shard anyway.
-        """
-        shard_group = partition_contiguous(self.shards, self.exec_groups)
-        group_of: Dict[str, int] = dict.fromkeys(self.network.processes, 0)
-        for pid, shard in self._server_shards().items():
-            group_of[pid] = shard_group[shard]
-        return group_of
 
     # ------------------------------------------------------------------
     # transaction driving
@@ -435,12 +403,8 @@ class ClusterBase:
     # optional hooks (the required ones are listed in the class docstring)
     # ------------------------------------------------------------------
     def _post_build(self) -> None:
-        """Wiring that needs every process and session to exist; runs
-        before the parallel engine is installed."""
-
-    def _bootstrap(self) -> None:
-        """Start-up protocol traffic; runs after the parallel engine is
-        installed, so it is partitioned like every other message."""
+        """Wiring and start-up traffic that need every process and session
+        to exist."""
 
 
 PROTOCOL_MESSAGE_PASSING = "message-passing"
@@ -549,7 +513,7 @@ class Cluster(ClusterBase):
     ) -> None:
         """``harness`` is what every binding takes, declared once on
         :class:`ClusterBase`: ``latency``, ``seed``, ``retry``, ``batch``,
-        ``groups``, ``read``, ``detector``, ``link``, ``pipeline``, ``sticky``."""
+        ``read``, ``detector``, ``link``, ``pipeline``, ``sticky``."""
         spec = protocol_spec(protocol)
         if replicas_per_shard < 1:
             raise ValueError("replicas_per_shard must be >= 1")
@@ -664,12 +628,7 @@ class Cluster(ClusterBase):
             self.config_service.subscribe(self.clients[0].pid)
         if self.protocol_spec.post_build is not None:
             self.protocol_spec.post_build(self)
-
-    def _bootstrap(self) -> None:
         self.request_read_leases()
-
-    def _server_shards(self) -> Dict[str, ShardId]:
-        return {pid: replica.shard for pid, replica in self.replicas.items()}
 
     def _detector_processes(self) -> Iterable[Any]:
         return self.replicas.values()

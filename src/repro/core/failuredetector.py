@@ -22,9 +22,7 @@ slow-but-alive leader is invisible).  This module supplies the oracle:
 Determinism: heartbeat deliveries are ordinary network messages, and the
 pump tick is a *weak* scheduler event (:meth:`Scheduler.schedule_weak`), so
 a recurring heartbeat timer cannot keep run-to-quiescence alive — the
-engine stops once only weak events remain, and the stop decision depends
-only on the pending-strong count, which the grouped (parallel-shards)
-engine replays exactly.
+scheduler stops once only weak events remain.
 """
 
 from __future__ import annotations
@@ -185,16 +183,14 @@ class HeartbeatPump:
 
     A single weak self-re-arming timer (rather than one per replica) keeps
     the event count low and the per-tick replica order fixed (dict
-    insertion order — the build order, identical in every engine).  Each
-    tick asks every live replica to emit its heartbeats and then to
-    evaluate its detector; emission and evaluation happen at the same
-    virtual instant, but the heartbeats sent this tick only *arrive* a
-    network delay later, so ordering within the tick is immaterial.
+    insertion order — the build order).  Each tick asks every live replica
+    to emit its heartbeats and then to evaluate its detector; emission and
+    evaluation happen at the same virtual instant, but the heartbeats sent
+    this tick only *arrive* a network delay later, so ordering within the
+    tick is immaterial.
 
     The pump is armed exactly once, from driver context at cluster build
-    time (a consistent creation point in both engines), and re-arms itself
-    from inside the tick thereafter — never from driver context mid-run,
-    where the grouped engine's clock may sit ahead of the serial one.
+    time, and re-arms itself from inside the tick thereafter.
     """
 
     def __init__(self, scheduler, replicas: Callable[[], Iterable], policy: DetectorPolicy) -> None:

@@ -7,9 +7,8 @@ makes every simulation run fully reproducible.
 
 The scheduler is the innermost loop of every simulation, so its operations
 are kept O(log n) or better: a live-event counter makes :attr:`idle` and
-:attr:`pending` O(1) (no queue scans), cancelled events are compacted away
-lazily once they dominate the heap, and :meth:`run_until` supports periodic
-predicate evaluation for callers whose predicates are not O(1).
+:attr:`pending` O(1) (no queue scans), and cancelled events are compacted
+away lazily once they dominate the heap.
 """
 
 from __future__ import annotations
@@ -36,16 +35,11 @@ class Event:
     """
 
     time: float
-    seq: Any
+    seq: int
     fn: Callable[..., Any]
     args: tuple = ()
     cancelled: bool = False
     scheduler: Optional["Scheduler"] = field(default=None, repr=False)
-    # How much the event counts towards `events_fired`.  Always 1 in the
-    # serial engine; the grouped engine splits multicast delivery batches
-    # per destination group and zero-weights the fragments after the first,
-    # so event counts stay byte-identical to a serial run.
-    weight: int = 1
     # Weak events never keep the simulation alive: `run`/`run_until` stop
     # once only weak events remain queued.  Background periodic activity
     # (heartbeat ticks) is scheduled weak so a recurring timer cannot turn
@@ -91,12 +85,7 @@ class Scheduler:
         """Schedule ``fn(*args)`` to run at absolute virtual time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
-        # Creation order breaks ties: the serial engine's ``(time, seq)``
-        # fire order is the reference the grouped (parallel-DES) engine
-        # reproduces — there, the ``seq`` slot carries a nested *order tag*
-        # encoding the same creation order (see
-        # :mod:`repro.runtime.parallel`), and entries are built by the
-        # engine rather than from this counter.
+        # Creation order breaks ties in virtual time.
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, fn, args, False, self)
@@ -172,21 +161,10 @@ class Scheduler:
             # the live counter.
             event.scheduler = None
             self._now = event.time
-            self.events_fired += event.weight
+            self.events_fired += 1
             event.fn(*event.args)
             return True
         return False
-
-    def peek_time(self) -> Optional[float]:
-        """The virtual time of the next live event, or None when drained.
-
-        Discards cancelled heap heads as a side effect (same as stepping
-        would).  This is the barrier primitive of the grouped engine: the
-        controller computes each lookahead window from the minimum peek
-        across all group schedulers.
-        """
-        event = self._next_live()
-        return event.time if event is not None else None
 
     def _next_live(self) -> Optional[Event]:
         """The next event that will fire, discarding cancelled heap heads."""
@@ -241,41 +219,23 @@ class Scheduler:
         """
         return self.schedule(0.0, fn, *args)
 
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        max_time: Optional[float] = None,
-        max_events: int = 1_000_000,
-        check_interval: int = 1,
-    ) -> bool:
-        """Run until ``predicate()`` becomes true.
-
-        ``check_interval`` controls how often the predicate is evaluated:
-        with the default of 1 it is checked before every event (exactly the
-        historical behaviour); a larger interval amortises expensive
-        predicates over batches of events, at the cost of firing up to
-        ``check_interval - 1`` events past the satisfaction point.
+    def run_until(self, predicate: Callable[[], bool], max_events: int = 1_000_000) -> bool:
+        """Run until ``predicate()`` becomes true; it is checked before
+        every event, so the run stops exactly at the satisfying event.
 
         Returns True if the predicate was satisfied, False if the simulation
         ran out of events or budget first.
         """
-        if check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
         fired = 0
         while not predicate():
-            for _ in range(check_interval):
-                if self._live_weak and self._live == self._live_weak:
-                    # Quiescent modulo background (weak) events.
-                    return predicate()
-                if max_time is not None:
-                    head = self._next_live()
-                    if head is not None and head.time > max_time:
-                        return False
-                if fired >= max_events:
-                    return False
-                if not self.step():
-                    return predicate()
-                fired += 1
+            if self._live_weak and self._live == self._live_weak:
+                # Quiescent modulo background (weak) events.
+                return predicate()
+            if fired >= max_events:
+                return False
+            if not self.step():
+                return predicate()
+            fired += 1
         return True
 
 

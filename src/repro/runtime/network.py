@@ -27,25 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class LatencyModel:
     """Strategy object deciding the one-way delay of each message."""
 
-    #: True when ``delay`` never consults the RNG.  Only deterministic
-    #: models are eligible for the grouped (parallel-DES) engine: a shared
-    #: RNG drawn in per-group execution order would diverge from the serial
-    #: draw order and break byte-identical replay.
-    deterministic = False
-
     def delay(self, src: str, dst: str, message: Any, rng: random.Random) -> float:
         raise NotImplementedError
-
-    def min_delay(self, src: str, dst: str) -> float:
-        """A lower bound on ``delay`` for the directed link ``src -> dst``.
-
-        The grouped engine's lookahead window is the minimum ``min_delay``
-        over all cross-group links: no message sent inside a window can be
-        delivered inside it, so groups may advance independently up to the
-        barrier.  Models with unbounded-below delays return 0.0, which
-        yields a zero lookahead and disqualifies them from grouped runs.
-        """
-        return 0.0
 
 
 class UnitLatency(LatencyModel):
@@ -56,15 +39,10 @@ class UnitLatency(LatencyModel):
     critical path — the unit the paper uses for its latency claims.
     """
 
-    deterministic = True
-
     def __init__(self, unit: float = 1.0) -> None:
         self.unit = unit
 
     def delay(self, src: str, dst: str, message: Any, rng: random.Random) -> float:
-        return self.unit
-
-    def min_delay(self, src: str, dst: str) -> float:
         return self.unit
 
 
@@ -79,9 +57,6 @@ class UniformLatency(LatencyModel):
 
     def delay(self, src: str, dst: str, message: Any, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
-
-    def min_delay(self, src: str, dst: str) -> float:
-        return self.low
 
 
 class LognormalLatency(LatencyModel):
@@ -129,9 +104,6 @@ class JitteredLatency(LatencyModel):
 
     def delay(self, src: str, dst: str, message: Any, rng: random.Random) -> float:
         return self.base.delay(src, dst, message, rng) + rng.uniform(0.0, self.jitter)
-
-    def min_delay(self, src: str, dst: str) -> float:
-        return self.base.min_delay(src, dst)
 
 
 class RegionLatency(LatencyModel):
@@ -199,16 +171,7 @@ class RegionLatency(LatencyModel):
         digits = "".join(ch for ch in tail if ch.isdigit())
         return int(digits) if digits else 0
 
-    deterministic = True
-
     def delay(self, src: str, dst: str, message: Any, rng: random.Random) -> float:
-        src_region = self.region_of(src)
-        dst_region = self.region_of(dst)
-        if src_region == dst_region:
-            return self.intra
-        return self.inter[(src_region, dst_region)]
-
-    def min_delay(self, src: str, dst: str) -> float:
         src_region = self.region_of(src)
         dst_region = self.region_of(dst)
         if src_region == dst_region:
@@ -229,11 +192,6 @@ class LinkSpec:
         propagation delay  (the latency model, plus per-channel extras)
       + queue wait         (time spent behind earlier messages on the link)
       + serialization time (overhead + bytes / bandwidth)
-
-    Queueing and serialization only ever *add* delay on top of the
-    propagation term, so the grouped engine's lookahead bound
-    (:meth:`Network.min_cross_group_delay`, derived from propagation
-    minima alone) remains a valid lower bound.
 
     ``bandwidth`` is in bytes per delay unit; ``bandwidth == 0`` disables
     the model entirely (messages are never sized, the pre-link behaviour).
@@ -369,8 +327,7 @@ class Network:
         # queue waits in send order, total serialization time, and the
         # high-water per-channel queue depth.  Depth is derived from
         # *virtual* times (deliver_at values still in the future at send
-        # time), never from event-execution order, so it is identical on
-        # the serial and grouped engines.
+        # time), never from event-execution order.
         self.queue_wait_samples: list[float] = []
         self._link_serializations: list[float] = []
         self.link_max_depth: int = 0
@@ -378,45 +335,12 @@ class Network:
         self._channel_clock: Dict[Tuple[str, str], float] = {}
         self._blocked: Set[Tuple[str, str]] = set()
         self._extra_delay: Dict[Tuple[str, str], float] = {}
-        # Destination-process -> group index, installed by the grouped
-        # (parallel-DES) engine.  When set, deliveries are routed through
-        # ``scheduler.schedule_delivery`` so each lands in its destination
-        # group's heap.  None on the serial engine (the common case).
-        self._group_of: Optional[Dict[str, int]] = None
 
     @property
     def link_busy_time(self) -> float:
-        """Total serialization time charged on the link.  ``math.fsum`` is
-        correctly rounded whatever the summand order, so the value is
-        byte-identical across the serial and grouped engines even though
-        they execute sends in different wall orders."""
+        """Total serialization time charged on the link (``math.fsum``:
+        correctly rounded, whatever the order of the summands)."""
         return math.fsum(self._link_serializations)
-
-    def install_groups(self, group_of: Dict[str, int]) -> None:
-        """Route deliveries by destination group (grouped engine only)."""
-        self._group_of = dict(group_of)
-
-    def min_cross_group_delay(self, group_of: Dict[str, int]) -> float:
-        """The lookahead bound: minimum ``min_delay`` over all directed
-        process pairs whose endpoints live in different groups (including
-        per-channel extra delays, which only ever add latency).
-
-        A :class:`LinkSpec` does not tighten this bound: queue wait and
-        serialization time are *added on top of* the propagation delay in
-        :meth:`_delivery_time`, so every delivery still lands at or beyond
-        ``now + min_delay`` — the propagation minimum stays a valid
-        lookahead lower bound (the grouped scheduler raises
-        :class:`~repro.runtime.parallel.LookaheadViolation` otherwise)."""
-        bound = math.inf
-        pids = list(self.processes)
-        for src in pids:
-            for dst in pids:
-                if src == dst or group_of.get(src) == group_of.get(dst):
-                    continue
-                link = self.latency.min_delay(src, dst)
-                link += self._extra_delay.get((src, dst), 0.0)
-                bound = min(bound, link)
-        return 0.0 if math.isinf(bound) else bound
 
     # ------------------------------------------------------------------
     # membership
@@ -551,16 +475,10 @@ class Network:
         deliver_at = self._delivery_time(scheduler.now, src, dst, message, size)
         if deliver_at is None:
             return
-        if self._group_of is None:
-            if weak:
-                scheduler.schedule_weak_at(deliver_at, self._deliver, src, dst, message)
-            else:
-                scheduler.schedule_at(deliver_at, self._deliver, src, dst, message)
+        if weak:
+            scheduler.schedule_weak_at(deliver_at, self._deliver, src, dst, message)
         else:
-            scheduler.schedule_delivery(
-                deliver_at, self._group_of[dst], self._deliver, src, dst, message,
-                weak=weak,
-            )
+            scheduler.schedule_at(deliver_at, self._deliver, src, dst, message)
 
     def send_many(self, src: str, dsts: Iterable[str], message: Any, weak: bool = False) -> None:
         """Multicast ``message`` to every destination, batching deliveries.
@@ -575,49 +493,27 @@ class Network:
         in a loop: within one ``send_many`` call no other event can be
         scheduled between the individual sends, so deliveries sharing a
         timestamp would have fired back-to-back in send order anyway.
-
-        Under the grouped engine batches split per (delivery time,
-        destination group) so each fragment can be routed to its group's
-        scheduler independently.  The serial engine fires exactly one event
-        per distinct delivery time, so only the first fragment of each time
-        carries event weight; the rest are zero-weight, keeping
-        ``events_fired`` byte-identical.  Delivery order is unaffected: the
-        fragments of one delivery time receive consecutive order tags (they
-        are effects of the same creating event), so they fire back-to-back
-        in send order, and within a fragment the destination list keeps
-        send order.
         """
         if self._is_crashed_source(src):
             return
         size = wire_size(message) if self._link_enabled else None
         scheduler = self.scheduler
         now = scheduler.now
-        group_of = self._group_of
-        # Keyed by delivery time (serial) or (delivery time, group); dicts
-        # preserve insertion order and each event carries its (mutable)
+        schedule = scheduler.schedule_weak_at if weak else scheduler.schedule_at
+        # Keyed by delivery time; each event carries its (mutable)
         # destination list, so destinations found later in this call still
-        # join the event scheduled for their key.
-        batches: Dict[Any, list] = {}
+        # join the event scheduled for their time.
+        batches: Dict[float, list] = {}
         count = 0
         for dst in dsts:
             count += 1
             deliver_at = self._delivery_time(now, src, dst, message, size)
             if deliver_at is None:
                 continue
-            key = deliver_at if group_of is None else (deliver_at, group_of[dst])
-            batch = batches.get(key)
+            batch = batches.get(deliver_at)
             if batch is None:
-                if group_of is None:
-                    batch = batches[key] = []
-                    schedule = scheduler.schedule_weak_at if weak else scheduler.schedule_at
-                    schedule(deliver_at, self._deliver_batch, src, batch, message)
-                else:
-                    first_of_its_time = all(other[0] != deliver_at for other in batches)
-                    batch = batches[key] = []
-                    scheduler.schedule_delivery(
-                        deliver_at, key[1], self._deliver_batch, src, batch, message,
-                        weight=1 if first_of_its_time else 0, weak=weak,
-                    )
+                batch = batches[deliver_at] = []
+                schedule(deliver_at, self._deliver_batch, src, batch, message)
             batch.append(dst)
         if count:
             self.stats.record_send(src, message, size, count)

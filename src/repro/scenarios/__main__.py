@@ -5,7 +5,6 @@ Usage::
     python -m repro.scenarios list
     python -m repro.scenarios run steady-state [--seed 7] [--txns 40] [--json]
     python -m repro.scenarios run steady-state bank-transfers --jobs 2
-    python -m repro.scenarios run steady-state --parallel-shards 2
     python -m repro.scenarios sweep steady-state --protocols message-passing,rdma
     python -m repro.scenarios sweep steady-state --latency default --jobs 4
     python -m repro.scenarios sweep steady-state \
@@ -39,13 +38,10 @@ stats per point (``--bandwidth default`` expands to off/8000/2000/500).
 The grid flags are mutually exclusive and generated, one per axis, from
 :data:`repro.scenarios.sweep.AXES`.
 
-Two independent parallelism knobs (see ``repro.runtime.parallel``):
 ``--jobs N`` fans whole runs — the scenarios listed on ``run``, the grid
 points / protocols of a ``sweep`` — out over ``N`` worker processes
-(``0`` = one per core); ``--parallel-shards G`` runs each simulation on
-the conservative parallel-DES engine with ``G`` shard groups.  Both
-preserve output byte for byte: results always come back in spec order,
-and the grouped engine replays the exact serial event order.
+(``0`` = one per core; see ``repro.runtime.parallel``).  Output is byte for
+byte that of ``--jobs 1``: results always come back in spec order.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ from typing import List, Optional
 from repro.scenarios.executor import run_scenarios, run_sweep
 from repro.scenarios.latency import parse_latency
 from repro.scenarios.library import SCENARIOS, get_scenario, scenario_names
-from repro.scenarios.spec import CHECK_MODES, ExecSpec, ScenarioError, ScenarioSpec
+from repro.scenarios.spec import CHECK_MODES, ScenarioError, ScenarioSpec
 from repro.scenarios.sweep import AXES, parse_batch, run_axis_sweep
 
 
@@ -86,10 +82,6 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
             workload_overrides["sessions"] = 0  # batch-driven: no session driver to size
     if workload_overrides:
         overrides["workload"] = replace(spec.workload, **workload_overrides)
-    if getattr(args, "parallel_shards", None):
-        overrides["execution"] = replace(
-            spec.execution, mode="parallel-shards", groups=args.parallel_shards
-        )
     return spec.with_overrides(**overrides) if overrides else spec
 
 
@@ -181,15 +173,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="fan independent runs (scenarios, sweep grid points, protocols) "
         "out over N worker processes; 0 = one per core; results are "
         "byte-identical to --jobs 1",
-    )
-    parser.add_argument(
-        "--parallel-shards",
-        type=int,
-        default=None,
-        metavar="G",
-        help="run each simulation on the conservative parallel-DES engine "
-        "with G shard groups (needs a deterministic latency model; replays "
-        "the serial event order byte for byte)",
     )
     parser.add_argument("--json", action="store_true", help="emit the result as JSON")
 

@@ -462,9 +462,7 @@ register_scenario(
         description="A link slow enough to saturate: 120 bytes/delay means a "
         "single certify fan-out wave queues several transmissions deep "
         "behind each channel, so queue wait — not propagation — dominates "
-        "the commit path.  Unit propagation keeps the scenario eligible for "
-        "--parallel-shards, where the queueing delays only ever push "
-        "deliveries later than the lookahead bound, never earlier.",
+        "the commit path.",
         protocol="message-passing",
         num_shards=2,
         replicas_per_shard=2,

@@ -287,9 +287,6 @@ class ScenarioRunner:
             # The spec's four policy fields are the values the cluster takes.
             retry=spec.retry,
             batch=spec.batch,
-            # Tier-B engine selection: groups > 0 builds the cluster on the
-            # conservative parallel-DES scheduler (byte-identical results).
-            groups=spec.execution.groups if spec.execution.mode == "parallel-shards" else 0,
             read=spec.read,
             detector=spec.detector,
             link=spec.network.compile(),

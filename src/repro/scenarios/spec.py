@@ -390,26 +390,21 @@ class WorkloadSpec:
 
 PROTOCOL_BASELINE = "2pc-paxos"
 
-EXEC_MODES = (
-    "serial",  # the classic single-heap engine
-    "parallel-shards",  # conservative parallel-DES shard groups
-)
-
-#: Latency models whose ``delay`` never consults the RNG.  Only these are
-#: eligible for parallel-shards: random draws happen in event-execution
-#: order, which differs between the serial and the grouped engine.
-DETERMINISTIC_LATENCY_MODELS = ("unit", "fixed", "regions")
+EXEC_MODES = ("serial", "parallel-shards")
 
 
 @dataclass(frozen=True)
 class ExecSpec:
     """How a scenario executes — never *what* it computes.
 
-    ``jobs`` is the Tier-A knob: how many worker processes fan out whole
-    runs (sweep grid points, repetitions); 0 means one per core.  ``mode``
-    and ``groups`` are the Tier-B knob: ``parallel-shards`` runs one
-    simulation on the grouped conservative-DES engine, partitioning the
-    shards into ``groups`` weakly-coupled groups.  Execution settings are
+    ``jobs`` is how many worker processes fan out whole runs (sweep grid
+    points, repetitions); 0 means one per core.  The runner ignores
+    ``mode`` and ``groups``, so ``ExecSpec(mode="parallel-shards",
+    groups=G)`` is a serial run whose history digest equals the serial
+    spelling's by construction.  They remain only because the benchmark's
+    ``mp-steady-grouped`` workload spells them, and the follow-up
+    ``[benchmark]`` change that retires that workload deletes ``mode``,
+    ``groups`` and ``EXEC_MODES`` with it.  Execution settings are
     deliberately excluded from result dicts: the same spec must produce
     byte-identical results whatever the execution plan.
     """
@@ -427,11 +422,6 @@ class ExecSpec:
             raise ScenarioError("jobs must be >= 0 (0 = one worker per core)")
         if self.mode == "parallel-shards" and self.groups < 2:
             raise ScenarioError("parallel-shards needs at least two groups")
-
-    def describe(self) -> str:
-        if self.mode == "parallel-shards":
-            return f"parallel-shards(groups={self.groups},jobs={self.jobs})"
-        return f"serial(jobs={self.jobs})"
 
 
 @dataclass(frozen=True)
@@ -486,9 +476,9 @@ class ScenarioSpec:
     # Correct protocols must produce a safe history; ablation scenarios
     # document the expected violation by setting this to False.
     expect_safe: bool = True
-    # Execution plan (process fan-out / parallel-DES engine).  Excluded
-    # from result dicts: it decides how the run executes, not what it
-    # computes, and every plan must yield byte-identical results.
+    # Execution plan (process fan-out).  Excluded from result dicts: it
+    # decides how the run executes, not what it computes, and every plan
+    # must yield byte-identical results.
     execution: ExecSpec = field(default_factory=ExecSpec)
 
     def validate(self) -> None:
@@ -528,18 +518,6 @@ class ScenarioSpec:
             raise ScenarioError(str(error)) from None
         self.network.validate()
         self.execution.validate()
-        if self.execution.mode == "parallel-shards":
-            if self.latency.model not in DETERMINISTIC_LATENCY_MODELS or self.latency.jitter:
-                raise ScenarioError(
-                    "parallel-shards requires a deterministic latency model "
-                    f"({', '.join(DETERMINISTIC_LATENCY_MODELS)}; no jitter): "
-                    "random per-message draws would leave the serial RNG order"
-                )
-            if self.execution.groups > self.num_shards:
-                raise ScenarioError(
-                    f"parallel-shards with {self.execution.groups} groups needs "
-                    f"at least that many shards (got {self.num_shards})"
-                )
         for step in self.faults:
             step.validate()
         self._validate_names()

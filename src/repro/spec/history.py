@@ -321,7 +321,7 @@ class History:
         Two histories digest equal iff they recorded the same actions, on
         the same transactions with the same payloads and decisions, in the
         same order at the same virtual times — the byte-identity contract
-        the parallel execution modes are held to.  Stable across processes
+        process fan-out (``--jobs``) is held to.  Stable across processes
         and ``PYTHONHASHSEED`` values (unordered payload containers are
         canonicalized first), so digests can be compared between a serial
         parent and pool workers, or across machines.  Every call is a full

@@ -8,6 +8,7 @@ module name ``conftest`` and whichever directory pytest touches first wins.
 from __future__ import annotations
 
 import cProfile
+import gc
 import pstats
 from typing import Iterable, Optional, Tuple
 
@@ -18,7 +19,7 @@ from repro.core.serializability import (
     Version,
 )
 from repro.core.types import Decision
-from repro.scenarios import BatchSpec, NetworkSpec, ScenarioSpec, WorkloadSpec
+from repro.scenarios import BatchSpec, ExecSpec, NetworkSpec, ScenarioSpec, WorkloadSpec
 from repro.scenarios.spec import ReadSpec
 
 
@@ -171,7 +172,12 @@ def reference_scheme(scheme_cls, sharding):
 # work gated by counts, not by the clock (rows of the calls/txn golden)
 # ----------------------------------------------------------------------
 def calls(function, *args):
-    """All calls, Python and builtin, made inside ``function(*args)``."""
+    """All calls, Python and builtin, made inside ``function(*args)``.
+
+    Garbage left by earlier work is collected first, so that no finalizer
+    or weakref callback of someone else's objects runs inside the count.
+    """
+    gc.collect()
     profiler = cProfile.Profile()
     profiler.enable()
     function(*args)
@@ -179,11 +185,16 @@ def calls(function, *args):
     return pstats.Stats(profiler).total_calls
 
 
-# Four of the benchmark's shapes (bench/tcs_workloads.py) at 1000
+# Five of the benchmark's shapes (bench/tcs_workloads.py) at 1000
 # transactions: the three that stress the fingerprint and the payload sizer,
-# and the 2PC-over-Paxos baseline.
+# the 2PC-over-Paxos baseline, and mp-steady under the parallel-shards
+# spelling, which the runner ignores.
 SHAPES = {
     "mp-steady": dict(workload=WorkloadSpec(txns=1000, batch=50, num_keys=2000)),
+    "mp-steady-grouped": dict(
+        workload=WorkloadSpec(txns=1000, batch=50, num_keys=2000),
+        execution=ExecSpec(mode="parallel-shards", groups=2),
+    ),
     "read-mostly-lease": dict(
         workload=WorkloadSpec(txns=1000, batch=50, num_keys=2000, read_ratio=0.9),
         read=ReadSpec(mode="snapshot"),

@@ -31,7 +31,6 @@ BINDINGS = [Cluster, BaselineCluster]
 # ----------------------------------------------------------------------
 # What the base owns: the wiring, the driver API and every collector.
 OWNED_BY_THE_BASE = (
-    "_group_partition",
     "submit",
     "run",
     "run_until_decided",
@@ -73,7 +72,7 @@ def test_shared_constructor_parameters_are_declared_once_and_none_was_added():
     shared = set(inspect.signature(ClusterBase.__init__).parameters) - {"self"}
     assert shared == {
         "num_shards", "num_clients", "scheme", "latency", "seed", "retry", "batch",
-        "groups", "read", "detector", "link", "pipeline", "sticky",
+        "read", "detector", "link", "pipeline", "sticky",
     }  # fmt: skip
     with pytest.raises(TypeError, match="isolation"):
         BaselineCluster(isolation="serializability")

@@ -320,14 +320,16 @@ def test_flapping_detector_counts_false_positive_without_view_change():
 
 
 def test_detector_scenarios_parallel_shards_digests_identical():
+    """The parallel-shards spelling is a serial run: heartbeats, suspicions
+    and pushed failovers replay it byte for byte."""
     for name in DETECTOR_SCENARIOS:
         spec = get_scenario(name)
         serial = ScenarioRunner(replace(spec, execution=ExecSpec())).run()
-        grouped = ScenarioRunner(
+        spelled = ScenarioRunner(
             replace(spec, execution=ExecSpec(mode="parallel-shards", groups=2))
         ).run()
         assert json.dumps(serial.as_dict(), sort_keys=True) == json.dumps(
-            grouped.as_dict(), sort_keys=True
+            spelled.as_dict(), sort_keys=True
         ), name
 
 

@@ -3,16 +3,16 @@
 ``tests/golden_digests.json`` maps a case key to the ``History.digest()``,
 message count, virtual duration and the sha256 of the whole
 ``ScenarioResult.as_dict()`` (so a collector that changed is seen too) a run
-produced on the commit the file was generated from.  The engine batteries (``test_parallel.py``) compare
-engines *within* a commit; this file compares every later commit with that
-one, so a refactor or hot-path optimisation that moves a single history
-event, message or delivery time fails here by name.
+produced on the commit the file was generated from.  Every later commit is
+compared with that one, so a refactor or hot-path optimisation that moves a
+single history event, message or delivery time fails here by name.
 
 Case keys are ``scenario|protocol|engine``:
 
 * every library scenario as declared, on the serial engine;
-* every scenario of the serial-equivalence battery on ``parallel-shards``
-  with the battery's group counts;
+* the ``EQUIVALENCE_CASES`` below spelled ``ExecSpec(mode="parallel-shards",
+  groups=G)``, which the runner ignores: they pin that the spelling
+  reproduces the serial ``result_sha256``;
 * every library scenario re-run on the other protocol stacks it validates
   on (``rdma``, ``2pc-paxos`` with 2f+1 replicas) — the library itself has
   one baseline scenario, too few to guard a change to the Paxos fan-out.
@@ -35,8 +35,25 @@ import pytest
 from repro.scenarios import ExecSpec, ScenarioError, ScenarioRunner, ScenarioSpec, get_scenario
 from repro.scenarios.library import SCENARIOS
 
-# The (scenario, groups) pairs of the serial-equivalence battery.
-from test_parallel import EQUIVALENCE_CASES as GROUPED_CASES
+# The (scenario, groups) pairs recorded under the parallel-shards spelling.
+EQUIVALENCE_CASES = [
+    ("steady-state", 2),
+    ("steady-state", 4),
+    ("batch-saturation", 2),
+    ("batch-saturation", 4),
+    ("leader-crash-under-load", 2),
+    ("cascading-crashes", 2),
+    ("baseline-steady-state", 2),
+    ("rolling-reconfiguration", 2),
+    ("read-heavy-steady-state", 2),
+    ("read-heavy-steady-state", 4),
+    ("stale-lease-ablation", 2),
+    ("detector-leader-crash", 2),
+    ("gray-failure-slow-leader", 2),
+    ("saturated-link", 2),
+    ("bandwidth-knee", 2),
+    ("bandwidth-knee", 4),
+]
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 
@@ -63,7 +80,7 @@ def _spec_for(key: str) -> Optional[ScenarioSpec]:
 def _case_keys() -> Iterator[str]:
     for name in SCENARIOS:
         yield f"{name}|{get_scenario(name).protocol}|serial"
-    for name, groups in GROUPED_CASES:
+    for name, groups in EQUIVALENCE_CASES:
         yield f"{name}|{get_scenario(name).protocol}|parallel-shards:{groups}"
     for name in SCENARIOS:
         declared = get_scenario(name).protocol

@@ -1,33 +1,32 @@
-"""Tests for the multi-core execution tiers (``repro.runtime.parallel``).
+"""Tests for multi-core execution (``repro.runtime.parallel``).
 
-Tier A (process fan-out): seed derivation, deterministic result ordering,
+Process fan-out: seed derivation, deterministic result ordering,
 worker-crash surfacing, and byte-identity of sweeps across ``jobs`` counts.
-
-Tier B (conservative parallel-DES): installation eligibility rules, and the
-headline contract — the grouped engine replays the serial engine's event
-order byte for byte, locked at three levels: in-process result/history
-comparison across the scenario library, subprocess comparison across
-``PYTHONHASHSEED`` values, and the CLI path.
+One run always executes on the one serial event heap: the
+``parallel-shards`` spelling of ``ExecSpec`` must replay the serial run
+byte for byte, in-process and across interpreter hash seeds, and the last
+section guards that the windowed shard-group engine stays deleted.
 """
 
+import inspect
 import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.runtime.network import LognormalLatency, Network, UnitLatency
-from repro.runtime.process import Process
+from repro.baselines.cluster import BaselineCluster
+from repro.cluster import Cluster, ClusterBase
+from repro.runtime import network as network_module
+from repro.runtime import parallel as parallel_module
+from repro.runtime.events import Event, Scheduler
+from repro.runtime.network import LatencyModel, Network
 from repro.runtime.parallel import (
-    GroupedScheduler,
-    LookaheadViolation,
     ParallelExecutor,
     WorkerError,
     derive_seed,
-    partition_contiguous,
     resolve_jobs,
 )
 from repro.scenarios import (
@@ -40,13 +39,14 @@ from repro.scenarios import (
     ScenarioError,
     ScenarioRunner,
     ScenarioSpec,
-    WorkloadSpec,
     get_scenario,
     run_axis_sweep,
     run_repetitions,
     run_scenarios,
 )
 from repro.spec.history import History
+
+from test_golden_digests import EQUIVALENCE_CASES
 
 
 # ----------------------------------------------------------------------
@@ -58,10 +58,6 @@ def _small(name: str, txns: int = 30, **overrides) -> ScenarioSpec:
     return spec.with_overrides(
         workload=replace(spec.workload, txns=txns), **overrides
     )
-
-
-def _shards(groups: int) -> ExecSpec:
-    return ExecSpec(mode="parallel-shards", groups=groups)
 
 
 def _dumps(result) -> str:
@@ -92,7 +88,7 @@ def _explode(value: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Tier A: seeds, executor, crash surfacing
+# seeds, executor, crash surfacing
 # ----------------------------------------------------------------------
 
 def test_derive_seed_is_deterministic_and_scattered():
@@ -259,48 +255,10 @@ def test_batch_grid_sorts_by_size_then_linger():
 
 
 # ----------------------------------------------------------------------
-# Tier B: eligibility and installation rules
+# execution settings
 # ----------------------------------------------------------------------
 
-def test_grouped_scheduler_needs_two_groups():
-    with pytest.raises(ValueError):
-        GroupedScheduler(1)
-
-
-def test_partition_contiguous_is_balanced_and_contiguous():
-    items = [f"shard-{i}" for i in range(5)]
-    partition = partition_contiguous(items, 2)
-    assert [partition[i] for i in items] == [0, 0, 0, 1, 1]
-    assert partition_contiguous(items, 5) == {item: i for i, item in enumerate(items)}
-    with pytest.raises(ValueError):
-        partition_contiguous(items, 6)
-    with pytest.raises(ValueError):
-        partition_contiguous(items, 0)
-
-
-def test_install_rejects_random_latency_models():
-    scheduler = GroupedScheduler(2)
-    network = Network(scheduler, latency=LognormalLatency(mean=1.0, sigma=0.5), seed=0)
-    with pytest.raises(ValueError, match="deterministic latency"):
-        scheduler.install(network, {})
-
-
-def test_install_rejects_unknown_group_indices():
-    scheduler = GroupedScheduler(2)
-    network = Network(scheduler, latency=UnitLatency(), seed=0)
-    with pytest.raises(ValueError, match="unknown groups"):
-        scheduler.install(network, {"p0": 0, "p1": 5})
-
-
-def test_spec_validation_rejects_ineligible_parallel_shards():
-    base = get_scenario("steady-state")
-    with pytest.raises(ScenarioError, match="deterministic"):
-        base.with_overrides(
-            latency=LatencySpec(model="lognormal", mean=1.0, sigma=0.5),
-            execution=_shards(2),
-        ).validate()
-    with pytest.raises(ScenarioError):
-        base.with_overrides(num_shards=2, execution=_shards(4)).validate()
+def test_exec_spec_validation_rejects_bad_values():
     with pytest.raises(ScenarioError, match="mode"):
         ExecSpec(mode="quantum").validate()
     with pytest.raises(ScenarioError):
@@ -309,193 +267,70 @@ def test_spec_validation_rejects_ineligible_parallel_shards():
         ExecSpec(mode="parallel-shards", groups=1).validate()
 
 
-def test_wan_jitter_is_rejected_for_parallel_shards():
-    wan = get_scenario("wan-steady-state")
-    assert wan.latency.jitter > 0  # the library scenario keeps its jitter
-    with pytest.raises(ScenarioError):
-        wan.with_overrides(execution=_shards(3)).validate()
-
-
-def test_cluster_exposes_positive_lookahead_when_grouped():
-    cluster = Cluster(num_shards=4, groups=2)
-    assert isinstance(cluster.scheduler, GroupedScheduler)
-    assert cluster.scheduler.lookahead > 0.0
-
-
 # ----------------------------------------------------------------------
-# Tier B: the lookahead check is a real error, with or without -O
+# the parallel-shards spelling is a serial run
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hop:
-    ttl: int
-
-
-class _Relay(Process):
-    def __init__(self, pid, peer):
-        super().__init__(pid)
-        self.peer = peer
-
-    def on_hop(self, msg, sender):
-        if msg.ttl:
-            self.send(self.peer, Hop(msg.ttl - 1))
-
-
-def _send_inside_the_lookahead_window():
-    """Two processes in different groups on a link that became faster than
-    the bound the engine derived at install time: the relayed message lands
-    inside the window its sender is executing in."""
-    scheduler = GroupedScheduler(2)
-    network = Network(scheduler, latency=UnitLatency(1.0), seed=0)
-    network.register(_Relay("a", peer="b"))
-    network.register(_Relay("b", peer="a"))
-    scheduler.install(network, {"a": 0, "b": 1})
-    network.latency = UnitLatency(0.25)
-    network.send("b", "a", Hop(ttl=2))
-    scheduler.run()
-
-
-def test_cross_group_delivery_inside_the_window_raises():
-    with pytest.raises(LookaheadViolation, match="lands before the lookahead bound"):
-        _send_inside_the_lookahead_window()
-
-
-def test_lookahead_violation_survives_python_O():
-    """``python -O`` strips asserts; the engine's correctness invariant must
-    not go with them."""
-    import repro
-
-    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-    tests_dir = os.path.dirname(os.path.abspath(__file__))
-    script = (
-        "from repro.runtime.parallel import LookaheadViolation\n"
-        "from test_parallel import _send_inside_the_lookahead_window\n"
-        "assert False, 'asserts are stripped under -O'\n"
-        "try:\n"
-        "    _send_inside_the_lookahead_window()\n"
-        "except LookaheadViolation as error:\n"
-        "    print('raised:', error)\n"
-    )
-    env = {**os.environ}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src_dir, tests_dir, env.get("PYTHONPATH")))
-    )
-    completed = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
-    )
-    assert completed.returncode == 0, completed.stderr
-    assert "raised: cross-group delivery at t=0.5 lands before" in completed.stdout
-
-
-# ----------------------------------------------------------------------
-# Tier B: serial-equivalence battery (in-process)
-# ----------------------------------------------------------------------
-
-EQUIVALENCE_CASES = [
-    ("steady-state", 2),
-    ("steady-state", 4),
-    ("batch-saturation", 2),
-    ("batch-saturation", 4),
-    ("leader-crash-under-load", 2),
-    ("cascading-crashes", 2),
-    ("baseline-steady-state", 2),
-    ("rolling-reconfiguration", 2),
-    ("read-heavy-steady-state", 2),
-    ("read-heavy-steady-state", 4),
-    ("stale-lease-ablation", 2),
-    ("detector-leader-crash", 2),
-    ("gray-failure-slow-leader", 2),
-    ("saturated-link", 2),
-    ("bandwidth-knee", 2),
-    ("bandwidth-knee", 4),
-]
+def _shards(groups: int) -> ExecSpec:
+    return ExecSpec(mode="parallel-shards", groups=groups)
 
 
 @pytest.mark.parametrize("name,groups", EQUIVALENCE_CASES)
 def test_parallel_shards_replay_serial_run_exactly(name, groups):
     serial = ScenarioRunner(_small(name)).run()
-    grouped = ScenarioRunner(_small(name, execution=_shards(groups))).run()
-    assert grouped.history_digest == serial.history_digest
-    assert _dumps(grouped) == _dumps(serial)
+    spelled = ScenarioRunner(_small(name, execution=_shards(groups))).run()
+    assert spelled.history_digest == serial.history_digest
+    assert _dumps(spelled) == _dumps(serial)
 
 
 def test_parallel_shards_replay_wan_run_exactly():
-    wan = get_scenario("wan-steady-state")
-    flat = replace(wan.latency, jitter=0.0)  # random jitter is ineligible
-    serial = ScenarioRunner(_small("wan-steady-state", latency=flat)).run()
-    grouped = ScenarioRunner(
-        _small("wan-steady-state", latency=flat, execution=_shards(3))
-    ).run()
-    assert grouped.history_digest == serial.history_digest
-    assert _dumps(grouped) == _dumps(serial)
+    # Random jitter and more groups than shards: the spelling restricts
+    # neither, since nothing partitions the run any more.
+    wan = _small("wan-steady-state")
+    assert wan.latency.jitter > 0
+    spelled = wan.with_overrides(execution=_shards(wan.num_shards + 2))
+    spelled.validate()
+    serial = ScenarioRunner(wan).run()
+    assert _dumps(ScenarioRunner(spelled).run()) == _dumps(serial)
 
 
-def test_grouped_cluster_event_accounting_matches_serial():
-    """Not just the history: the engine-level counters (events fired, final
-    clock) must agree once the schedule drains, so metrics derived from
-    them stay comparable.  (At a mid-run ``run_until`` stop the *set* of
-    fired events can transiently differ — the grouped engine executes a
-    window group by group while the serial engine interleaves groups by
-    time — which is why the drain matters and why the scenario runner
-    always drains before collecting metrics.)"""
-    from repro.core.serializability import TransactionPayload
-
-    def drive(groups: int):
-        cluster = Cluster(num_shards=4, num_clients=2, seed=3, groups=groups)
-        payloads = [
-            TransactionPayload.make(
-                reads=[(f"k{i}", (0, "")), (f"k{i+7}", (0, ""))],
-                writes=[(f"k{i}", i)],
-                tiebreak=f"t{i}",
-            )
-            for i in range(40)
-        ]
-        cluster.certify_many(payloads)
-        cluster.run()  # drain in-flight cleanup traffic
-        return cluster
-
-    serial = drive(0)
-    grouped = drive(2)
-    assert grouped.history.digest() == serial.history.digest()
-    assert grouped.scheduler.events_fired == serial.scheduler.events_fired
-    assert grouped.scheduler.now == serial.scheduler.now
-    assert grouped.message_stats.total_sent == serial.message_stats.total_sent
+def test_parallel_shards_spelling_accepts_any_latency_and_group_count():
+    spec = _small(
+        "steady-state",
+        latency=LatencySpec(model="exponential", mean=1.0),
+        execution=_shards(9),
+    )
+    spec.validate()
+    serial = spec.with_overrides(execution=ExecSpec())
+    assert _dumps(ScenarioRunner(spec).run()) == _dumps(ScenarioRunner(serial).run())
 
 
-# ----------------------------------------------------------------------
-# Tier B + A: cross-process determinism (PYTHONHASHSEED)
-# ----------------------------------------------------------------------
-
-_SUBPROCESS_CASES = {
-    "steady-state": "",
-    "wan-steady-state": "latency=replace(s.latency, jitter=0.0),",
-    "batch-saturation": "",
-    "read-heavy-steady-state": "",
-    "detector-leader-crash": "",
-    "saturated-link": "",
-}
+_SUBPROCESS_CASES = (
+    "steady-state",
+    "wan-steady-state",
+    "batch-saturation",
+    "read-heavy-steady-state",
+    "detector-leader-crash",
+    "saturated-link",
+)
 
 
 @pytest.mark.parametrize("scenario", sorted(_SUBPROCESS_CASES))
 def test_parallel_shards_identical_across_interpreter_hash_seeds(scenario):
-    """The acceptance lock for the grouped engine: fresh interpreters with
-    different hash seeds must produce byte-identical results, and the
-    grouped result must equal the serial result — any hash-order or
-    group-order leak in the engine shows up here as a diff."""
-    override = _SUBPROCESS_CASES[scenario]
+    """Fresh interpreters with different hash seeds must produce
+    byte-identical results under both spellings, and the two spellings
+    must agree: any hash-order leak in the engine shows up as a diff."""
     script = (
         "import json;"
         "from dataclasses import replace;"
         "from repro.scenarios import ExecSpec, ScenarioRunner, get_scenario;"
         f"s = get_scenario('{scenario}');"
-        f"s = s.with_overrides({override}"
-        " workload=replace(s.workload, txns=40));"
-        "g = s.with_overrides("
-        "  execution=ExecSpec(mode='parallel-shards', groups=min(3, s.num_shards)));"
+        "s = s.with_overrides(workload=replace(s.workload, txns=40));"
+        "g = s.with_overrides(execution=ExecSpec(mode='parallel-shards', groups=3));"
         "serial = ScenarioRunner(s).run().as_dict();"
-        "grouped = ScenarioRunner(g).run().as_dict();"
-        "assert serial == grouped, 'grouped run diverged from serial';"
-        "print(json.dumps(grouped, sort_keys=True))"
+        "spelled = ScenarioRunner(g).run().as_dict();"
+        "assert serial == spelled, 'parallel-shards spelling diverged from serial';"
+        "print(json.dumps(spelled, sort_keys=True))"
     )
     import repro
 
@@ -545,19 +380,6 @@ def test_history_digest_is_payload_order_independent():
 # CLI integration
 # ----------------------------------------------------------------------
 
-def test_cli_parallel_shards_matches_serial_output(capsys):
-    from repro.scenarios.__main__ import main
-
-    assert main(["run", "steady-state", "--txns", "30", "--json"]) == 0
-    serial_out = capsys.readouterr().out
-    assert (
-        main(["run", "steady-state", "--txns", "30", "--parallel-shards", "2", "--json"])
-        == 0
-    )
-    grouped_out = capsys.readouterr().out
-    assert serial_out == grouped_out
-
-
 def test_cli_run_accepts_multiple_scenarios(capsys):
     from repro.scenarios.__main__ import main
 
@@ -565,3 +387,49 @@ def test_cli_run_accepts_multiple_scenarios(capsys):
     assert code == 0
     document = json.loads(capsys.readouterr().out)
     assert set(document) == {"steady-state", "bank-transfers"}
+
+
+# ----------------------------------------------------------------------
+# the windowed shard-group engine stays deleted
+# ----------------------------------------------------------------------
+
+_LATENCY_MODELS = [
+    cls
+    for cls in vars(network_module).values()
+    if isinstance(cls, type) and issubclass(cls, LatencyModel)
+]
+
+GONE = [
+    (parallel_module, "GroupedScheduler"),
+    (parallel_module, "LookaheadViolation"),
+    (parallel_module, "partition_contiguous"),
+    (Event, "weight"),
+    (Network, "install_groups"),
+    (Network, "min_cross_group_delay"),
+    *[(cls, "min_delay") for cls in _LATENCY_MODELS],
+    (ClusterBase, "_group_partition"),
+    (Cluster, "_server_shards"),
+    (BaselineCluster, "_server_shards"),
+    (Scheduler, "peek_time"),
+    (ExecSpec, "describe"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner,name", GONE, ids=[f"{owner.__name__}.{name}" for owner, name in GONE]
+)
+def test_the_grouped_engine_stays_deleted(owner, name):
+    assert not hasattr(owner, name)
+
+
+def test_cluster_constructor_takes_no_groups():
+    assert "groups" not in inspect.signature(ClusterBase.__init__).parameters
+    assert not hasattr(Cluster(num_shards=2), "exec_groups")
+
+
+def test_run_until_takes_no_time_limit_or_check_interval():
+    assert list(inspect.signature(Scheduler.run_until).parameters) == [
+        "self",
+        "predicate",
+        "max_events",
+    ]

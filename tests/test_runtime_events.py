@@ -3,9 +3,6 @@
 import pytest
 
 from repro.runtime.events import Scheduler
-from repro.runtime.network import Network, UnitLatency
-from repro.runtime.parallel import GroupedScheduler
-from repro.runtime.process import Process
 
 
 def test_schedule_and_run_fires_in_time_order():
@@ -173,30 +170,6 @@ def test_heap_compaction_drops_cancelled_events():
     assert keeper_fired == [True]
 
 
-def test_run_until_periodic_check_interval():
-    scheduler = Scheduler()
-    fired = []
-    for i in range(20):
-        scheduler.schedule(float(i + 1), lambda i=i: fired.append(i))
-    checks = []
-
-    def predicate():
-        checks.append(len(fired))
-        return len(fired) >= 10
-
-    assert scheduler.run_until(predicate, check_interval=4)
-    # The predicate is only evaluated every 4 events, so we overshoot to the
-    # next multiple of 4 instead of stopping at exactly 10.
-    assert len(fired) == 12
-    assert len(checks) <= 5
-
-
-def test_run_until_check_interval_validation():
-    scheduler = Scheduler()
-    with pytest.raises(ValueError):
-        scheduler.run_until(lambda: True, check_interval=0)
-
-
 def test_run_advances_now_to_max_time_when_queue_empty():
     scheduler = Scheduler()
     scheduler.run(max_time=42.0)
@@ -204,82 +177,69 @@ def test_run_advances_now_to_max_time_when_queue_empty():
 
 
 # ----------------------------------------------------------------------
-# the (time, seq, event) heap entry, on both engines
+# the (time, seq, event) heap entry
 # ----------------------------------------------------------------------
 
-def _grouped_engine():
-    engine = GroupedScheduler(2)
-    network = Network(engine, latency=UnitLatency(), seed=0)
-    network.register(Process("a"))
-    network.register(Process("b"))
-    engine.install(network, {"a": 0, "b": 1})
-    return engine
-
-
-@pytest.fixture(params=[Scheduler, _grouped_engine], ids=["serial", "grouped"])
-def engine(request):
-    return request.param()
-
-
-def _heap(engine):
-    """The heap driver-context events land in."""
-    return engine._queue if isinstance(engine, Scheduler) else engine._control._queue
-
-
-def test_heap_entries_are_ordered_by_their_keys_not_by_the_event(engine):
-    event = engine.schedule(2.0, lambda: None)
-    [(time, seq, queued)] = _heap(engine)
+def test_heap_entries_are_ordered_by_their_keys_not_by_the_event():
+    scheduler = Scheduler()
+    event = scheduler.schedule(2.0, lambda: None)
+    [(time, seq, queued)] = scheduler._queue
     assert (time, seq) == (2.0, event.seq) and queued is event
     # Events define no ordering: heapq decides on (time, seq) alone, in C.
     with pytest.raises(TypeError):
         event < event
 
 
-def test_same_time_events_fire_in_scheduling_order_on_both_engines(engine):
+def test_every_fired_event_counts_once():
+    scheduler = Scheduler()
     fired = []
     for name in ["first", "second", "third"]:
-        engine.schedule(1.0, fired.append, name)
-    engine.schedule(0.5, fired.append, "earlier")
-    engine.run()
+        scheduler.schedule(1.0, fired.append, name)
+    scheduler.schedule(0.5, fired.append, "earlier")
+    scheduler.run()
     assert fired == ["earlier", "first", "second", "third"]
-    assert engine.events_fired == 4
+    assert scheduler.events_fired == 4
 
 
-def test_cancel_and_compaction_on_both_engines(engine):
+def test_cancel_is_idempotent_under_compaction():
+    scheduler = Scheduler()
     keeper_fired = []
-    engine.schedule(1000.0, keeper_fired.append, True)
-    events = [engine.schedule(float(i + 1), lambda: None) for i in range(500)]
+    scheduler.schedule(1000.0, keeper_fired.append, True)
+    events = [scheduler.schedule(float(i + 1), lambda: None) for i in range(500)]
     for event in events:
         event.cancel()
         event.cancel()  # idempotent
-    assert len(_heap(engine)) < 100
-    assert engine.pending == 1
-    engine.run()
+    assert len(scheduler._queue) < 100
+    assert scheduler.pending == 1
+    scheduler.run()
     assert keeper_fired == [True]
-    assert engine.pending == 0 and engine.idle
+    assert scheduler.pending == 0 and scheduler.idle
 
 
-def test_peek_time_skips_cancelled_heads_on_both_engines(engine):
-    first = engine.schedule(1.0, lambda: None)
-    engine.schedule(3.0, lambda: None)
-    assert engine.peek_time() == 1.0
+def test_step_skips_cancelled_heads():
+    scheduler = Scheduler()
+    first = scheduler.schedule(1.0, lambda: None)
+    scheduler.schedule(3.0, lambda: None)
+    assert scheduler.pending == 2
     first.cancel()
-    assert engine.peek_time() == 3.0
-    assert engine.step()
-    assert engine.peek_time() is None
-    assert not engine.step()
+    assert scheduler.pending == 1
+    assert scheduler.step()
+    assert scheduler.now == 3.0
+    assert scheduler.pending == 0
+    assert not scheduler.step()
 
 
-def test_weak_events_do_not_keep_either_engine_alive(engine):
+def test_weak_events_do_not_keep_the_scheduler_alive():
+    scheduler = Scheduler()
     fired = []
 
     def tick():
-        fired.append(engine.now)
-        engine.schedule_weak(2.0, tick)
+        fired.append(scheduler.now)
+        scheduler.schedule_weak(2.0, tick)
 
-    engine.schedule_weak(2.0, tick)
-    assert engine.run() == 0  # only weak work: immediately quiescent
-    engine.schedule(5.0, lambda: None)
-    engine.run()
+    scheduler.schedule_weak(2.0, tick)
+    assert scheduler.run() == 0  # only weak work: immediately quiescent
+    scheduler.schedule(5.0, lambda: None)
+    scheduler.run()
     assert fired == [2.0, 4.0]
-    assert engine.pending == 1 and engine.strong_pending == 0
+    assert scheduler.pending == 1 and scheduler.strong_pending == 0

@@ -132,7 +132,7 @@ def test_options_that_change_nothing_are_rejected_and_unused_ones_are_not_checke
 
 
 def test_the_stricter_rules_cost_no_existing_experiment():
-    """``groups`` is still checked where it is used, and every golden case
+    """``groups`` is still checked under the parallel-shards spelling, and every golden case
     key still names a valid spec (the library itself is covered by
     test_every_library_scenario_still_validates)."""
     from test_golden_digests import GOLDEN, _spec_for
