@@ -243,8 +243,8 @@ class BatchStats:
 
 @dataclass(frozen=True)
 class LinkStats:
-    """Link-queue counters for one run under a bandwidth-aware network
-    (:class:`repro.runtime.network.LinkSpec`).
+    """Link-queue counters for one run under a bandwidth-aware link model
+    (a :class:`repro.runtime.network.NetworkSpec` with ``bandwidth > 0``).
 
     * ``bytes_sent`` — total wire bytes offered to the network (sized
       sends, including dropped ones — the offered load);
@@ -288,10 +288,9 @@ class LinkStats:
 
 def collect_link_stats(network) -> Optional[LinkStats]:
     """Summarise a :class:`~repro.runtime.network.Network`'s link-queue
-    accounting; None when no bandwidth model is installed (the pure-delay
-    network keeps no byte or queue state at all)."""
-    link = network.link
-    if link is None or not link.enabled:
+    accounting; None when its link model is off (``bandwidth == 0``: the
+    pure-delay network keeps no byte or queue state at all)."""
+    if not network.link.enabled:
         return None
     samples = network.queue_wait_samples
     return LinkStats(

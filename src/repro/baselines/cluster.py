@@ -42,8 +42,7 @@ class BaselineCluster(ClusterBase):
     ) -> None:
         """``harness`` is what every binding takes, declared once on
         :class:`~repro.cluster.ClusterBase`: ``scheme``, ``latency``,
-        ``seed``, ``retry``, ``batch``, ``read``, ``detector``, ``link``,
-        ``pipeline``, ``sticky``."""
+        ``seed``, ``retry``, ``batch``, ``read``, ``detector``, ``network``."""
         if failures_tolerated < 0 or num_coordinators < 1:
             raise ValueError("failures_tolerated must be >= 0 and num_coordinators >= 1")
         self.failures_tolerated = failures_tolerated
@@ -82,7 +81,7 @@ class BaselineCluster(ClusterBase):
                 directory=self.directory,
                 shard_leaders=shard_leaders,
                 batch=self.batch,
-                pipeline=self.pipeline,
+                pipeline=self.network.link.pipeline,
             )
             self.network.register(coordinator)
             self.coordinators.append(coordinator)
@@ -90,7 +89,9 @@ class BaselineCluster(ClusterBase):
 
     def _build_router(self) -> CoordinatorRouter:
         return CoordinatorRouter(
-            ("coordinators",), {"coordinators": self._coordinator_pids}, sticky=self.sticky
+            ("coordinators",),
+            {"coordinators": self._coordinator_pids},
+            sticky=self.network.link.sticky,
         )
 
     def _detector_processes(self) -> List[PaxosReplica]:

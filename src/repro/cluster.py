@@ -1,11 +1,12 @@
 """Cluster harness: one-call construction of a complete simulated system.
 
 :class:`ClusterBase` is the harness, written once for every transaction
-certification service in the repository.  It owns the scheduler and the
-network, the transaction directory and the history, the policies (retry,
-batch, read, detector, link), the clients with their sessions and shared
-router, the heartbeat pump, and the driver API used by the examples, the
-tests, the scenario runner and the benchmark harness:
+certification service in the repository.  It owns the scheduler, the
+network with its delay and link models, the transaction directory and the
+history, the policies (retry, batch, read, detector), the clients with
+their sessions and shared router, the heartbeat pump, and the driver API
+used by the examples, the tests, the scenario runner and the benchmark
+harness:
 
 * :meth:`~ClusterBase.submit` / :meth:`~ClusterBase.run` /
   :meth:`~ClusterBase.run_until_decided` / :meth:`~ClusterBase.certify` /
@@ -67,7 +68,7 @@ from repro.core.types import (
 from repro.rdma.broken import BrokenRdmaShardReplica
 from repro.rdma.replica import RdmaShardReplica
 from repro.runtime.events import Scheduler
-from repro.runtime.network import LatencyModel, LinkSpec, Network, UnitLatency
+from repro.runtime.network import LatencySpec, Network, NetworkSpec
 from repro.spec.checker import CheckResult, TCSChecker
 from repro.spec.history import History
 from repro.spec.invariants import InvariantViolation, check_invariants
@@ -120,15 +121,13 @@ class ClusterBase:
         num_shards: int,
         num_clients: int,
         scheme: Optional[CertificationScheme] = None,
-        latency: Optional[LatencyModel] = None,
+        latency: Optional[LatencySpec] = None,
         seed: int = 0,
         retry: Optional[RetryPolicy] = None,
         batch: Optional[BatchPolicy] = None,
         read: Optional[ReadPolicy] = None,
         detector: Optional[DetectorPolicy] = None,
-        link: Optional[LinkSpec] = None,
-        pipeline: bool = True,
-        sticky: bool = False,
+        network: Optional[NetworkSpec] = None,
     ) -> None:
         if num_shards < 1 or num_clients < 1:
             raise ValueError("num_shards and num_clients must be >= 1")
@@ -136,24 +135,19 @@ class ClusterBase:
         self.shards: List[ShardId] = _shard_ids(num_shards)
         self.scheme = scheme or SerializabilityScheme(KeyHashSharding(self.shards))
         self.scheduler = Scheduler()
-        self.network = Network(
-            self.scheduler, latency=latency or UnitLatency(), seed=seed, link=link
-        )
+        # The network validates and keeps both models; the cluster reads the
+        # link model's commit-path toggles (pipeline, sticky) from it.
+        self.network = Network(self.scheduler, latency=latency, seed=seed, link=network)
         self.directory = TransactionDirectory()
         self.history = History()
-        # Commit-path knobs (see repro.scenarios.spec.NetworkSpec): vote
-        # pipelining is the protocol's normal mode; pipeline=False is the
-        # stop-and-wait measurement baseline.  sticky pins each involved-
-        # shard set to one coordinator to deepen its batches.
-        self.pipeline = pipeline
-        self.sticky = sticky
         self.retry = retry or RetryPolicy()
         self.batch = batch or BatchPolicy()
         self.read = read or ReadPolicy()
         self.detector = detector or DetectorPolicy()
-        # The one place a policy is checked on its way into a deployment
-        # (scenario specs and the CLI call the same validate() earlier, to
-        # report the same message as a ScenarioError).
+        # Where a policy is checked on its way into a deployment, as the
+        # network checks its two models (scenario specs and the CLI call the
+        # same validate() earlier, to report the same message as a
+        # ScenarioError).
         for policy in (self.retry, self.batch, self.read, self.detector):
             policy.validate()
 
@@ -513,7 +507,7 @@ class Cluster(ClusterBase):
     ) -> None:
         """``harness`` is what every binding takes, declared once on
         :class:`ClusterBase`: ``latency``, ``seed``, ``retry``, ``batch``,
-        ``read``, ``detector``, ``link``, ``pipeline``, ``sticky``."""
+        ``read``, ``detector``, ``network``."""
         spec = protocol_spec(protocol)
         if replicas_per_shard < 1:
             raise ValueError("replicas_per_shard must be >= 1")
@@ -590,7 +584,7 @@ class Cluster(ClusterBase):
                     batch=self.batch,
                     read=self.read,
                     detector=self.detector,
-                    pipeline=self.pipeline,
+                    pipeline=self.network.link.pipeline,
                 )
                 self.network.register(replica)
                 self.replicas[pid] = replica
@@ -615,7 +609,7 @@ class Cluster(ClusterBase):
             members={s: c.members for s, c in self.initial_configs.items()},
             leaders={s: c.leader for s, c in self.initial_configs.items()},
             epochs={s: c.epoch for s, c in self.initial_configs.items()},
-            sticky=self.sticky,
+            sticky=self.network.link.sticky,
         )
 
     def _post_build(self) -> None:

@@ -6,8 +6,9 @@ extended with RDMA (Section 5).  This package provides that substrate as a
 deterministic discrete-event simulation:
 
 * :mod:`repro.runtime.events` — the virtual-time event scheduler;
-* :mod:`repro.runtime.network` — reliable FIFO point-to-point channels with
-  pluggable latency models, partitions and message accounting;
+* :mod:`repro.runtime.network` — reliable FIFO point-to-point channels
+  configured by a delay model (:class:`LatencySpec`) and a link model
+  (:class:`NetworkSpec`), with partitions and message accounting;
 * :mod:`repro.runtime.process` — the actor-style process model with
   crash-stop failures and timers;
 * :mod:`repro.runtime.rdma` — the one-sided RDMA communication primitive
@@ -15,13 +16,7 @@ deterministic discrete-event simulation:
 """
 
 from repro.runtime.events import Scheduler, Event
-from repro.runtime.network import (
-    Network,
-    LatencyModel,
-    UnitLatency,
-    UniformLatency,
-    MessageStats,
-)
+from repro.runtime.network import LatencySpec, MessageStats, Network, NetworkSpec
 from repro.runtime.process import Process
 from repro.runtime.rdma import RdmaManager, RdmaWrite, RdmaAck
 
@@ -29,9 +24,8 @@ __all__ = [
     "Scheduler",
     "Event",
     "Network",
-    "LatencyModel",
-    "UnitLatency",
-    "UniformLatency",
+    "LatencySpec",
+    "NetworkSpec",
     "MessageStats",
     "Process",
     "RdmaManager",

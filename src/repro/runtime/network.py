@@ -7,6 +7,13 @@ delivered".  :class:`Network` provides exactly that on top of the
 discrete-event scheduler, plus the instrumentation used by the benchmark
 harness (per-process and per-type message counters) and controlled fault
 injection (crashes, partitions, per-channel blocking).
+
+The network is configured by two frozen values, which are also what a
+:class:`~repro.scenarios.spec.ScenarioSpec` declares: :class:`LatencySpec`
+is the delay model (each message's propagation delay) and
+:class:`NetworkSpec` the link model (bandwidth and per-message overhead,
+plus the two commit-path toggles the cluster reads).  Each raises a plain
+``ValueError`` from ``validate()``.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterable, Mapping, Optional, Set, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Callable, Deque, Dict, Iterable, Mapping, Optional, Set, Tuple, TYPE_CHECKING,
+)
 
 from repro.runtime.events import Scheduler
 from repro.runtime.wire import wire_size
@@ -24,132 +33,131 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.process import Process
 
 
-class LatencyModel:
-    """Strategy object deciding the one-way delay of each message."""
+LATENCY_MODELS = (
+    "unit",  # every message takes exactly one delay (the paper's unit)
+    "fixed",  # every message takes exactly `value` delays
+    "uniform",  # delays drawn uniformly from [low, high]
+    "lognormal",  # heavy-tailed delays with the given mean and sigma
+    "exponential",  # memoryless delays with the given mean
+    "regions",  # WAN topology: named regions, intra/inter-region delays
+)
 
-    def delay(self, src: str, dst: str, message: Any, rng: random.Random) -> float:
-        raise NotImplementedError
 
+@dataclass(frozen=True)
+class LatencySpec:
+    """Which delay distribution the network applies, per link class.
 
-class UnitLatency(LatencyModel):
-    """Every message takes exactly one time unit.
+    The default (``model="unit"``) is the paper's unit: every message takes
+    exactly one delay, so virtual time counts message delays on the critical
+    path.  The other scalar models stress the protocol under jitter
+    (``uniform``), heavy tails (``lognormal``, parameterised by its *mean*:
+    ``mu = ln(mean) - sigma^2 / 2``, so ``sigma`` moves only the tail) and
+    memoryless queueing (``exponential``); all draws come from the
+    network's seeded RNG, so runs stay deterministic.  ``jitter`` adds
+    uniform noise in ``[0, jitter]``, drawn after the model's own draw, on
+    top of any model but ``unit``.
 
-    With this model, the virtual time elapsed between a request and the
-    corresponding response equals the number of message delays on the
-    critical path — the unit the paper uses for its latency claims.
+    ``model="regions"`` is the WAN form: processes are placed in named
+    ``regions`` (see :meth:`region_of`; explicit ``placement`` pairs
+    override), links within a region take ``intra`` delays and links
+    between regions take the per-pair delays from ``links``
+    (``(src-region, dst-region, delay)`` triples; a pair listed in one
+    direction only is symmetric).
     """
 
-    def __init__(self, unit: float = 1.0) -> None:
-        self.unit = unit
+    model: str = "unit"
+    value: float = 1.0  # fixed: the constant delay
+    low: float = 0.5  # uniform: lower bound
+    high: float = 1.5  # uniform: upper bound
+    mean: float = 1.0  # lognormal / exponential: distribution mean
+    sigma: float = 0.5  # lognormal: shape (tail weight)
+    jitter: float = 0.0  # additive uniform noise in [0, jitter]
+    regions: Tuple[str, ...] = ()  # regions: region names
+    intra: float = 1.0  # regions: intra-region delay
+    links: Tuple[Tuple[str, str, float], ...] = ()  # regions: (src, dst, delay)
+    placement: Tuple[Tuple[str, str], ...] = ()  # regions: (pid, region) pins
 
-    def delay(self, src: str, dst: str, message: Any, rng: random.Random) -> float:
-        return self.unit
+    def validate(self) -> None:
+        if self.model not in LATENCY_MODELS:
+            raise ValueError(
+                f"unknown latency model {self.model!r}; expected one of {LATENCY_MODELS}"
+            )
+        if self.jitter < 0:
+            raise ValueError("latency jitter must be non-negative")
+        if self.model == "unit" and self.jitter:
+            raise ValueError(
+                "the unit model is the paper's exact-delay unit; "
+                "use model='fixed' with jitter instead"
+            )
+        if self.model == "fixed" and self.value <= 0:
+            raise ValueError("fixed latency requires a positive value")
+        if self.model == "uniform":
+            if self.low < 0:
+                raise ValueError("uniform latency bounds must be non-negative")
+            if self.high < self.low:
+                raise ValueError("uniform latency requires low <= high")
+        if self.model in ("lognormal", "exponential") and self.mean <= 0:
+            raise ValueError(f"{self.model} latency requires a positive mean")
+        if self.model == "lognormal" and self.sigma <= 0:
+            raise ValueError("lognormal latency requires a positive sigma")
+        if self.model == "regions":
+            self._validate_regions()
 
-
-class UniformLatency(LatencyModel):
-    """Message delays drawn uniformly from ``[low, high]``."""
-
-    def __init__(self, low: float = 0.5, high: float = 1.5) -> None:
-        if low < 0 or high < low:
-            raise ValueError("require 0 <= low <= high")
-        self.low = low
-        self.high = high
-
-    def delay(self, src: str, dst: str, message: Any, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-
-class LognormalLatency(LatencyModel):
-    """Heavy-tailed delays: log-normal with the given *mean* and shape.
-
-    Parameterised by the distribution mean (in message delays) rather than
-    the underlying normal's location, so sweeping ``sigma`` at a fixed
-    ``mean`` changes only the tail weight, not the average network cost:
-    ``mu = ln(mean) - sigma^2 / 2``.
-    """
-
-    def __init__(self, mean: float = 1.0, sigma: float = 0.5) -> None:
-        if mean <= 0:
-            raise ValueError("lognormal mean must be positive")
-        if sigma <= 0:
-            raise ValueError("lognormal sigma must be positive")
-        self.mean = mean
-        self.sigma = sigma
-        self._mu = math.log(mean) - sigma * sigma / 2.0
-
-    def delay(self, src: str, dst: str, message: Any, rng: random.Random) -> float:
-        return rng.lognormvariate(self._mu, self.sigma)
-
-
-class ExponentialLatency(LatencyModel):
-    """Memoryless delays with the given mean (M/M-style network)."""
-
-    def __init__(self, mean: float = 1.0) -> None:
-        if mean <= 0:
-            raise ValueError("exponential mean must be positive")
-        self.mean = mean
-
-    def delay(self, src: str, dst: str, message: Any, rng: random.Random) -> float:
-        return rng.expovariate(1.0 / self.mean)
-
-
-class JitteredLatency(LatencyModel):
-    """Wrap a base model with additive uniform jitter in ``[0, jitter]``."""
-
-    def __init__(self, base: LatencyModel, jitter: float) -> None:
-        if jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        self.base = base
-        self.jitter = jitter
-
-    def delay(self, src: str, dst: str, message: Any, rng: random.Random) -> float:
-        return self.base.delay(src, dst, message, rng) + rng.uniform(0.0, self.jitter)
-
-
-class RegionLatency(LatencyModel):
-    """WAN topology: cheap intra-region links, per-pair inter-region delays.
-
-    Each process lives in a named region; messages within a region take
-    ``intra`` delays, messages between regions take the delay of the
-    directed region pair from ``inter``.  Processes not covered by the
-    ``placement`` mapping are assigned deterministically from their pid
-    (see :meth:`region_of`), so the same topology applies to any cluster
-    layout without enumerating every process up front.
-    """
-
-    def __init__(
-        self,
-        regions: Tuple[str, ...],
-        intra: float = 1.0,
-        inter: Optional[Mapping[Tuple[str, str], float]] = None,
-        placement: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        if not regions:
-            raise ValueError("region latency needs at least one region")
-        if len(set(regions)) != len(regions):
+    def _validate_regions(self) -> None:
+        if len(self.regions) < 2:
+            raise ValueError("region latency needs at least two regions")
+        if len(set(self.regions)) != len(self.regions):
             raise ValueError("region names must be unique")
-        if intra < 0:
+        if self.intra < 0:
             raise ValueError("intra-region delay must be non-negative")
-        self.regions = tuple(regions)
-        self.intra = intra
-        self.inter: Dict[Tuple[str, str], float] = dict(inter or {})
-        for (a, b), value in self.inter.items():
-            if a not in self.regions or b not in self.regions:
-                raise ValueError(f"inter-region link ({a!r}, {b!r}) names an unknown region")
-            if value < 0:
-                raise ValueError("inter-region delay must be non-negative")
-        for a in self.regions:
-            for b in self.regions:
-                if a != b and (a, b) not in self.inter:
-                    raise ValueError(f"missing inter-region delay for {a!r} -> {b!r}")
-        for pid, region in (placement or {}).items():
+        covered = set()
+        for src, dst, delay in self.links:
+            if src not in self.regions or dst not in self.regions:
+                raise ValueError(f"link ({src!r}, {dst!r}) names an unknown region")
+            if src == dst:
+                raise ValueError(
+                    f"link ({src!r}, {dst!r}): intra-region delay is set by 'intra'"
+                )
+            if delay < 0:
+                raise ValueError("inter-region delays must be non-negative")
+            if (src, dst) in covered:
+                raise ValueError(
+                    f"duplicate link ({src!r}, {dst!r}): each direction may "
+                    "be given at most once"
+                )
+            covered.add((src, dst))
+        for src in self.regions:
+            for dst in self.regions:
+                if src != dst and (src, dst) not in covered and (dst, src) not in covered:
+                    raise ValueError(f"missing inter-region delay for {src!r} <-> {dst!r}")
+        for pid, region in self.placement:
             if region not in self.regions:
                 raise ValueError(f"placement of {pid!r} names unknown region {region!r}")
-        # Placement cache, pre-seeded with the explicit overrides.
-        self._region_of: Dict[str, str] = dict(placement or {})
+
+    def describe(self) -> str:
+        """A compact label for sweep tables and result dicts."""
+        if self.model == "unit":
+            return "unit"
+        if self.model == "fixed":
+            params = f"value={self.value:g}"
+        elif self.model == "uniform":
+            params = f"low={self.low:g},high={self.high:g}"
+        elif self.model == "lognormal":
+            params = f"mean={self.mean:g},sigma={self.sigma:g}"
+        elif self.model == "exponential":
+            params = f"mean={self.mean:g}"
+        else:
+            links = "/".join(f"{src}-{dst}:{delay:g}" for src, dst, delay in self.links)
+            params = f"regions={'/'.join(self.regions)},intra={self.intra:g},links={links}"
+            if self.placement:
+                pins = "/".join(f"{pid}@{region}" for pid, region in self.placement)
+                params += f",pins={pins}"
+        if self.jitter:
+            params += f",jitter={self.jitter:g}"
+        return f"{self.model}({params})"
 
     def region_of(self, pid: str) -> str:
-        """The region hosting ``pid``.
+        """The region hosting ``pid`` under ``model="regions"``.
 
         Defaults, for pids not pinned by ``placement``: a shard replica
         ``shard-i/r2`` is placed by its replica index (``regions[2 % n]``),
@@ -158,54 +166,126 @@ class RegionLatency(LatencyModel):
         spread round-robin; everything else (``config-service``) lives in
         the first region.
         """
-        region = self._region_of.get(pid)
-        if region is None:
-            region = self.regions[self._default_index(pid) % len(self.regions)]
-            self._region_of[pid] = region
-        return region
-
-    @staticmethod
-    def _default_index(pid: str) -> int:
+        pinned = dict(self.placement).get(pid)
+        if pinned is not None:
+            return pinned
         _, sep, member = pid.partition("/")
         tail = member if sep else pid.rpartition("-")[2]
         digits = "".join(ch for ch in tail if ch.isdigit())
-        return int(digits) if digits else 0
+        return self.regions[(int(digits) if digits else 0) % len(self.regions)]
 
-    def delay(self, src: str, dst: str, message: Any, rng: random.Random) -> float:
-        src_region = self.region_of(src)
-        dst_region = self.region_of(dst)
-        if src_region == dst_region:
-            return self.intra
-        return self.inter[(src_region, dst_region)]
+    def delay_function(self, rng: random.Random) -> Callable[[str, str], float]:
+        """The validated per-message delay ``(src, dst) -> delay``, drawing
+        from ``rng``; :class:`Network` binds it once and calls it per send."""
+        self.validate()
+        model = self.model
+        base: Callable[[str, str], float]
+        if model in ("unit", "fixed"):
+            value = 1.0 if model == "unit" else self.value
+            base = lambda src, dst: value
+        elif model == "uniform":
+            low, high = self.low, self.high
+            base = lambda src, dst: rng.uniform(low, high)
+        elif model == "lognormal":
+            mu, sigma = math.log(self.mean) - self.sigma * self.sigma / 2.0, self.sigma
+            base = lambda src, dst: rng.lognormvariate(mu, sigma)
+        elif model == "exponential":
+            rate = 1.0 / self.mean
+            base = lambda src, dst: rng.expovariate(rate)
+        else:
+            base = self._region_delay()
+        jitter = self.jitter
+        if not jitter:
+            return base
+        return lambda src, dst: base(src, dst) + rng.uniform(0.0, jitter)
+
+    def _region_delay(self) -> Callable[[str, str], float]:
+        inter: Dict[Tuple[str, str], float] = {}
+        for src, dst, delay in self.links:
+            inter[(src, dst)] = delay
+            inter.setdefault((dst, src), delay)
+        intra = self.intra
+        placed: Dict[str, str] = {}  # pid -> region, filled on first use
+
+        def delay(src: str, dst: str) -> float:
+            src_region = placed.get(src)
+            if src_region is None:
+                src_region = placed[src] = self.region_of(src)
+            dst_region = placed.get(dst)
+            if dst_region is None:
+                dst_region = placed[dst] = self.region_of(dst)
+            if src_region == dst_region:
+                return intra
+            return inter[(src_region, dst_region)]
+
+        return delay
 
 
 @dataclass(frozen=True)
-class LinkSpec:
-    """Per-link bandwidth and serialization cost (the queueing model).
+class NetworkSpec:
+    """The link model plus the two commit-path toggles it makes measurable.
 
-    With a LinkSpec installed, every message additionally pays a
-    *serialization time* of ``overhead + wire_size(message) / bandwidth``
-    on its directed channel, and channels become FIFO *queues*: a message
-    cannot start serializing before the previous message on the same
-    channel has finished.  Delivery time becomes::
+    With ``bandwidth > 0`` every message additionally pays a *serialization
+    time* of ``overhead + wire_size(message) / bandwidth`` on its directed
+    channel, and channels become FIFO *queues*: a message cannot start
+    serializing before the previous message on the same channel has
+    finished.  Delivery time becomes::
 
         propagation delay  (the latency model, plus per-channel extras)
       + queue wait         (time spent behind earlier messages on the link)
       + serialization time (overhead + bytes / bandwidth)
 
-    ``bandwidth`` is in bytes per delay unit; ``bandwidth == 0`` disables
-    the model entirely (messages are never sized, the pre-link behaviour).
-    ``overhead`` is a fixed per-message serialization cost in delay units —
-    the knob that makes batching pay: a batch serializes its summed bytes
-    but only one overhead.
+    ``bandwidth`` is in bytes per delay unit; ``bandwidth == 0`` (the
+    default) disables the model entirely (messages are never sized, the
+    pure-delay network).  ``overhead`` is a fixed per-message serialization
+    cost in delay units — the knob that makes batching pay: a batch
+    serializes its summed bytes but only one overhead.
+
+    ``pipeline`` controls leader-side vote pipelining: coordinators overlap
+    PREPARE certification of new transactions with ACCEPT persistence of
+    earlier ones (the default, and the paper's behaviour).  Setting it to
+    False serializes the commit path stop-and-wait style — the measurement
+    baseline the pipelining speedup is quoted against; it models a
+    failure-free run.
+
+    ``sticky`` pins each client (and each distinct shard set) to one
+    coordinator instead of rotating round-robin, deepening per-coordinator
+    batches at the cost of load spread.
     """
 
-    bandwidth: float = 0.0
-    overhead: float = 0.0
+    bandwidth: float = 0.0  # bytes per delay unit; 0 disables the model
+    overhead: float = 0.0  # fixed per-message serialization cost (delays)
+    pipeline: bool = True  # overlap PREPARE of N+1 with ACCEPT of N
+    sticky: bool = False  # sticky client -> coordinator affinity
+
+    def validate(self) -> None:
+        if self.bandwidth < 0:
+            raise ValueError("network bandwidth must be >= 0 (0 = unlimited)")
+        if self.overhead < 0:
+            raise ValueError("network overhead must be >= 0")
+        if self.overhead and not self.enabled:
+            raise ValueError(
+                "network overhead is a serialization cost; it requires a "
+                "positive bandwidth"
+            )
 
     @property
     def enabled(self) -> bool:
         return self.bandwidth > 0
+
+    def describe(self) -> str:
+        if not self.enabled and self.pipeline and not self.sticky:
+            return "off"
+        parts = []
+        if self.enabled:
+            parts.append(f"bw={self.bandwidth:g}")
+            if self.overhead:
+                parts.append(f"ovh={self.overhead:g}")
+        if not self.pipeline:
+            parts.append("nopipe")
+        if self.sticky:
+            parts.append("sticky")
+        return ",".join(parts)
 
 
 class MessageStats:
@@ -225,7 +305,7 @@ class MessageStats:
         self._sent: Dict[Tuple[str, type], int] = {}
         self._received: Dict[Tuple[str, type], int] = {}
         self.dropped = 0
-        # Bytes accounting: populated only when a LinkSpec sizes messages
+        # Bytes accounting: populated only when the link model sizes messages
         # (``size`` is None on the pure-delay path, keeping it cost-free).
         # Sizes are whole numbers of bytes, so the sums are exact whatever
         # the order or grouping of the additions.
@@ -312,18 +392,21 @@ class Network:
     def __init__(
         self,
         scheduler: Scheduler,
-        latency: Optional[LatencyModel] = None,
+        latency: Optional[LatencySpec] = None,
         seed: int = 0,
-        link: Optional[LinkSpec] = None,
+        link: Optional[NetworkSpec] = None,
     ) -> None:
         self.scheduler = scheduler
-        self.latency = latency or UnitLatency()
+        self.latency = latency or LatencySpec()
+        self.link = link or NetworkSpec()
+        self.link.validate()
         self.rng = random.Random(seed)
+        # Bound once: the per-message path is one call, (src, dst) -> delay.
+        self._delay = self.latency.delay_function(self.rng)
+        self._link_enabled = self.link.enabled
         self.processes: Dict[str, "Process"] = {}
         self.stats = MessageStats()
-        self.link = link
-        self._link_enabled = link is not None and link.enabled
-        # Link-queue accounting (populated only with an enabled LinkSpec):
+        # Link-queue accounting (populated only with an enabled link model):
         # queue waits in send order, total serialization time, and the
         # high-water per-channel queue depth.  Depth is derived from
         # *virtual* times (deliver_at values still in the future at send
@@ -396,7 +479,7 @@ class Network:
     # message transport
     # ------------------------------------------------------------------
     def _delivery_time(
-        self, now: float, src: str, dst: str, message: Any, size: Optional[float]
+        self, now: float, src: str, dst: str, size: Optional[float]
     ) -> Optional[float]:
         """The delivery time of one message sent at ``now``, advancing the
         channel's FIFO clock.
@@ -409,7 +492,7 @@ class Network:
         if dst not in self.processes or (self._blocked and channel in self._blocked):
             self.stats.dropped += 1
             return None
-        delay = self.latency.delay(src, dst, message, self.rng)
+        delay = self._delay(src, dst)
         if self._extra_delay:
             delay += self._extra_delay.get(channel, 0.0)
         arrival = now + delay
@@ -465,14 +548,14 @@ class Network:
         """
         if self._is_crashed_source(src):
             return
-        # Messages are only sized under an enabled LinkSpec: the pure-delay
+        # Messages are only sized under an enabled link model: the pure-delay
         # path never consults wire_size, so foreign message types (tests,
         # ad-hoc probes) stay legal there and the default schedule is
         # byte-for-byte what it was before the bandwidth model existed.
         size = wire_size(message) if self._link_enabled else None
         self.stats.record_send(src, message, size)
         scheduler = self.scheduler
-        deliver_at = self._delivery_time(scheduler.now, src, dst, message, size)
+        deliver_at = self._delivery_time(scheduler.now, src, dst, size)
         if deliver_at is None:
             return
         if weak:
@@ -507,7 +590,7 @@ class Network:
         count = 0
         for dst in dsts:
             count += 1
-            deliver_at = self._delivery_time(now, src, dst, message, size)
+            deliver_at = self._delivery_time(now, src, dst, size)
             if deliver_at is None:
                 continue
             batch = batches.get(deliver_at)

@@ -1,10 +1,11 @@
 """Bytes-on-wire accounting for every simulated message type.
 
-The bandwidth-aware link model (:class:`repro.runtime.network.LinkSpec`)
-charges each message a serialization time proportional to its wire size.
-This module owns that size: :func:`wire_size` maps a message instance to a
-deterministic byte count built from a fixed per-message header plus a
-recursive estimate of its payload fields.
+The bandwidth-aware link model (a :class:`repro.runtime.network.NetworkSpec`
+with ``bandwidth > 0``) charges each message a serialization time
+proportional to its wire size.  This module owns that size:
+:func:`wire_size` maps a message instance to a deterministic byte count
+built from a fixed per-message header plus a recursive estimate of its
+payload fields.
 
 Two properties matter more than the absolute byte values:
 

@@ -14,7 +14,6 @@ from repro.scenarios.library import (
     register_scenario,
     scenario_names,
 )
-from repro.scenarios.latency import compile_latency_model, parse_latency
 from repro.scenarios.runner import (
     ScenarioResult,
     ScenarioRunner,
@@ -54,6 +53,7 @@ from repro.scenarios.sweep import (
     parse_bandwidth,
     parse_batch,
     parse_detector,
+    parse_latency,
     parse_read_ratio,
     run_axis_sweep,
 )
@@ -77,7 +77,6 @@ __all__ = [
     "run_repetitions",
     "run_sweep",
     "run_axis_sweep",
-    "compile_latency_model",
     "parse_latency",
     "parse_bandwidth",
     "parse_batch",

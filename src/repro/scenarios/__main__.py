@@ -53,10 +53,9 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.scenarios.executor import run_scenarios, run_sweep
-from repro.scenarios.latency import parse_latency
 from repro.scenarios.library import SCENARIOS, get_scenario, scenario_names
 from repro.scenarios.spec import CHECK_MODES, ScenarioError, ScenarioSpec
-from repro.scenarios.sweep import AXES, parse_batch, run_axis_sweep
+from repro.scenarios.sweep import AXES, parse_batch, parse_latency, run_axis_sweep
 
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:

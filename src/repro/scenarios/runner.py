@@ -51,7 +51,6 @@ from repro.baselines.cluster import BaselineCluster
 from repro.cluster import Cluster, ClusterBase
 from repro.core.serializability import TransactionPayload
 from repro.core.types import Decision, Phase
-from repro.scenarios.latency import compile_latency_model
 from repro.scenarios.spec import (
     PROTOCOL_BASELINE,
     SHARD_ROLES,
@@ -282,16 +281,14 @@ class ScenarioRunner:
         shared = dict(
             num_shards=spec.num_shards,
             num_clients=spec.num_clients,
-            latency=compile_latency_model(spec.latency),
+            latency=spec.latency,
             seed=spec.seed,
-            # The spec's four policy fields are the values the cluster takes.
+            # The spec's policy and model fields are the values the cluster takes.
             retry=spec.retry,
             batch=spec.batch,
             read=spec.read,
             detector=spec.detector,
-            link=spec.network.compile(),
-            pipeline=spec.network.pipeline,
-            sticky=spec.network.sticky,
+            network=spec.network,
         )
         if spec.protocol == PROTOCOL_BASELINE:
             self.cluster = BaselineCluster(

@@ -7,17 +7,20 @@ frozen dataclasses, so a scenario is a value — it can be registered in the
 library, tweaked with :meth:`ScenarioSpec.with_overrides`, swept across
 protocols, or constructed ad hoc by a benchmark.
 
-Four of the five optional subsystems are described by the very policy value
-the cluster receives: ``retry`` is a :class:`repro.client.RetryPolicy`,
-``batch`` a :class:`repro.core.batching.BatchPolicy`, ``read`` a
+Every optional subsystem is described by the very value the cluster
+receives: ``retry`` is a :class:`repro.client.RetryPolicy`, ``batch`` a
+:class:`repro.core.batching.BatchPolicy`, ``read`` a
 :class:`repro.core.reads.ReadPolicy` and ``detector`` a
 :class:`repro.core.failuredetector.DetectorPolicy`.  ``RetrySpec``,
 ``BatchSpec``, ``ReadSpec`` and ``DetectorSpec`` are those classes under
 their spec-side names — one class, one ``validate()``, one ``describe()``.
-A policy raises plain ``ValueError``; :meth:`ScenarioSpec.validate` is
-where that becomes a :class:`ScenarioError`.  ``NetworkSpec`` and
-``LatencySpec`` are specs proper: the first bundles the link model with the
-two commit-path toggles, the second compiles to a latency model.
+The network's two models are values of the same kind:
+``latency`` is a :class:`repro.runtime.network.LatencySpec` (the delay
+model the network binds once and calls per message) and ``network`` a
+:class:`repro.runtime.network.NetworkSpec` (the link model the network
+reads, plus the ``pipeline`` / ``sticky`` commit-path toggles the cluster
+reads).  All six raise plain ``ValueError``; :meth:`ScenarioSpec.validate`
+is where that becomes a :class:`ScenarioError`.
 
 Fault targets are *roles* resolved against the live cluster when the step
 executes (or at build time for setup steps), not hard-coded process ids:
@@ -40,6 +43,9 @@ from repro.client import RetryPolicy as RetrySpec
 from repro.core.batching import BatchPolicy as BatchSpec
 from repro.core.failuredetector import DetectorPolicy as DetectorSpec
 from repro.core.reads import ReadPolicy as ReadSpec
+
+# The delay and link models are the network's own values, under their own names.
+from repro.runtime.network import LATENCY_MODELS, LatencySpec, NetworkSpec
 
 
 class ScenarioError(ValueError):
@@ -65,15 +71,6 @@ CHECK_MODES = (
     "off",  # no history validation (contradiction detection stays on)
     "final",  # batch TCSChecker over the full history at quiescence
     "online",  # IncrementalTCSChecker subscribed to the history during the run
-)
-
-LATENCY_MODELS = (
-    "unit",  # every message takes exactly one delay (the paper's unit)
-    "fixed",  # every message takes exactly `value` delays
-    "uniform",  # delays drawn uniformly from [low, high]
-    "lognormal",  # heavy-tailed delays with the given mean and sigma
-    "exponential",  # memoryless delays with the given mean
-    "regions",  # WAN topology: named regions, intra/inter-region delays
 )
 
 WORKLOAD_KINDS = (
@@ -125,191 +122,6 @@ class FaultStep:
                     "'delay-channel' must be a setup step (at <= 0): extra latency "
                     "cannot be installed retroactively for in-flight messages"
                 )
-
-
-@dataclass(frozen=True)
-class LatencySpec:
-    """Which delay distribution the network applies, per link class.
-
-    The default (``model="unit"``) is the paper's unit: every message takes
-    exactly one delay, so virtual time counts message delays on the critical
-    path.  The other scalar models stress the protocol under jitter
-    (``uniform``), heavy tails (``lognormal``) and memoryless queueing
-    (``exponential``); all draws come from the scenario's seeded RNG, so
-    runs stay deterministic.  ``jitter`` adds uniform noise in
-    ``[0, jitter]`` on top of any model but ``unit``.
-
-    ``model="regions"`` is the declarative WAN form: processes are placed
-    in named ``regions`` (replicas by replica index, so every shard spans
-    the regions; explicit ``placement`` pairs override), links within a
-    region take ``intra`` delays and links between regions take the
-    per-pair delays from ``links`` (``(src-region, dst-region, delay)``
-    triples; a pair listed in one direction only is treated symmetric).
-    """
-
-    model: str = "unit"
-    value: float = 1.0  # fixed: the constant delay
-    low: float = 0.5  # uniform: lower bound
-    high: float = 1.5  # uniform: upper bound
-    mean: float = 1.0  # lognormal / exponential: distribution mean
-    sigma: float = 0.5  # lognormal: shape (tail weight)
-    jitter: float = 0.0  # additive uniform noise in [0, jitter]
-    regions: Tuple[str, ...] = ()  # regions: region names
-    intra: float = 1.0  # regions: intra-region delay
-    links: Tuple[Tuple[str, str, float], ...] = ()  # regions: (src, dst, delay)
-    placement: Tuple[Tuple[str, str], ...] = ()  # regions: (pid, region) pins
-
-    def validate(self) -> None:
-        if self.model not in LATENCY_MODELS:
-            raise ScenarioError(
-                f"unknown latency model {self.model!r}; expected one of {LATENCY_MODELS}"
-            )
-        if self.jitter < 0:
-            raise ScenarioError("latency jitter must be non-negative")
-        if self.model == "unit" and self.jitter:
-            raise ScenarioError(
-                "the unit model is the paper's exact-delay unit; "
-                "use model='fixed' with jitter instead"
-            )
-        if self.model == "fixed" and self.value <= 0:
-            raise ScenarioError("fixed latency requires a positive value")
-        if self.model == "uniform":
-            if self.low < 0:
-                raise ScenarioError("uniform latency bounds must be non-negative")
-            if self.high < self.low:
-                raise ScenarioError("uniform latency requires low <= high")
-        if self.model in ("lognormal", "exponential") and self.mean <= 0:
-            raise ScenarioError(f"{self.model} latency requires a positive mean")
-        if self.model == "lognormal" and self.sigma <= 0:
-            raise ScenarioError("lognormal latency requires a positive sigma")
-        if self.model == "regions":
-            if len(self.regions) < 2:
-                raise ScenarioError("region latency needs at least two regions")
-            if len(set(self.regions)) != len(self.regions):
-                raise ScenarioError("region names must be unique")
-            if self.intra < 0:
-                raise ScenarioError("intra-region delay must be non-negative")
-            covered = set()
-            for src, dst, delay in self.links:
-                if src not in self.regions or dst not in self.regions:
-                    raise ScenarioError(
-                        f"link ({src!r}, {dst!r}) names an unknown region"
-                    )
-                if src == dst:
-                    raise ScenarioError(
-                        f"link ({src!r}, {dst!r}): intra-region delay is set by 'intra'"
-                    )
-                if delay < 0:
-                    raise ScenarioError("inter-region delays must be non-negative")
-                if (src, dst) in covered:
-                    raise ScenarioError(
-                        f"duplicate link ({src!r}, {dst!r}): each direction may "
-                        "be given at most once"
-                    )
-                covered.add((src, dst))
-            for src in self.regions:
-                for dst in self.regions:
-                    if src != dst and (src, dst) not in covered and (dst, src) not in covered:
-                        raise ScenarioError(
-                            f"missing inter-region delay for {src!r} <-> {dst!r}"
-                        )
-            for pid, region in self.placement:
-                if region not in self.regions:
-                    raise ScenarioError(
-                        f"placement of {pid!r} names unknown region {region!r}"
-                    )
-
-    def describe(self) -> str:
-        """A compact label for sweep tables and result dicts."""
-        if self.model == "unit":
-            return "unit"
-        if self.model == "fixed":
-            params = f"value={self.value:g}"
-        elif self.model == "uniform":
-            params = f"low={self.low:g},high={self.high:g}"
-        elif self.model == "lognormal":
-            params = f"mean={self.mean:g},sigma={self.sigma:g}"
-        elif self.model == "exponential":
-            params = f"mean={self.mean:g}"
-        else:
-            links = "/".join(f"{src}-{dst}:{delay:g}" for src, dst, delay in self.links)
-            params = f"regions={'/'.join(self.regions)},intra={self.intra:g},links={links}"
-            if self.placement:
-                pins = "/".join(f"{pid}@{region}" for pid, region in self.placement)
-                params += f",pins={pins}"
-        if self.jitter:
-            params += f",jitter={self.jitter:g}"
-        return f"{self.model}({params})"
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Bandwidth/queueing network model plus the commit-path optimizations
-    it makes measurable (declarative form of
-    :class:`repro.runtime.network.LinkSpec` and the pipelining/affinity
-    knobs).
-
-    With ``bandwidth > 0`` every directed channel becomes a FIFO queue:
-    each message pays a serialization time of
-    ``overhead + wire_size(message) / bandwidth`` and queues behind earlier
-    messages on the same link, so delivery time is propagation + queue wait
-    + serialization.  Batches serialize the sum of their parts plus one
-    header, which is what gives batch-size sweeps a real latency/throughput
-    knee.  ``bandwidth = 0`` (the default) keeps the pure-delay network.
-
-    ``pipeline`` controls leader-side vote pipelining: coordinators overlap
-    PREPARE certification of new transactions with ACCEPT persistence of
-    earlier ones (the default, and the paper's behaviour).  Setting it to
-    False serializes the commit path stop-and-wait style — the measurement
-    baseline the pipelining speedup is quoted against.
-
-    ``sticky`` pins each client (and each distinct shard set) to one
-    coordinator instead of rotating round-robin, deepening per-coordinator
-    batches at the cost of load spread.
-    """
-
-    bandwidth: float = 0.0  # bytes per delay unit; 0 disables the model
-    overhead: float = 0.0  # fixed per-message serialization cost (delays)
-    pipeline: bool = True  # overlap PREPARE of N+1 with ACCEPT of N
-    sticky: bool = False  # sticky client -> coordinator affinity
-
-    def compile(self):
-        """The :class:`repro.runtime.network.LinkSpec` this spec describes,
-        or None when the bandwidth model is off."""
-        from repro.runtime.network import LinkSpec  # late: keep spec modules light
-
-        if not self.enabled:
-            return None
-        return LinkSpec(bandwidth=self.bandwidth, overhead=self.overhead)
-
-    def validate(self) -> None:
-        if self.bandwidth < 0:
-            raise ScenarioError("network bandwidth must be >= 0 (0 = unlimited)")
-        if self.overhead < 0:
-            raise ScenarioError("network overhead must be >= 0")
-        if self.overhead and not self.enabled:
-            raise ScenarioError(
-                "network overhead is a serialization cost; it requires a "
-                "positive bandwidth"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        return self.bandwidth > 0
-
-    def describe(self) -> str:
-        if not self.enabled and self.pipeline and not self.sticky:
-            return "off"
-        parts = []
-        if self.enabled:
-            parts.append(f"bw={self.bandwidth:g}")
-            if self.overhead:
-                parts.append(f"ovh={self.overhead:g}")
-        if not self.pipeline:
-            parts.append("nopipe")
-        if self.sticky:
-            parts.append("sticky")
-        return ",".join(parts)
 
 
 @dataclass(frozen=True)
@@ -507,19 +319,24 @@ class ScenarioSpec:
                 "check_mode='online'"
             )
         self.workload.validate()
-        self.latency.validate()
         try:
-            # The policies are runtime values and raise plain ValueErrors
-            # (ClusterBase validates them the same way); this is where a
-            # scenario turns them into its own error type.
-            for policy in (self.retry, self.batch, self.read, self.detector):
+            # The policies and network models are runtime values and raise
+            # plain ValueErrors (the cluster validates them the same way);
+            # this is where a scenario turns them into its own error type.
+            for policy in (
+                self.latency, self.retry, self.batch, self.read, self.detector, self.network
+            ):
                 policy.validate()
         except ValueError as error:
             raise ScenarioError(str(error)) from None
-        self.network.validate()
         self.execution.validate()
         for step in self.faults:
             step.validate()
+        if self.faults and not self.network.pipeline:
+            raise ScenarioError(
+                "stop-and-wait (network.pipeline=False) models a failure-free run: "
+                "held dispatches are re-driven only by decisions; drop the fault schedule"
+            )
         self._validate_names()
         if self.protocol == PROTOCOL_BASELINE:
             if self.faults:

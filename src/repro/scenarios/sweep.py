@@ -51,7 +51,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.analysis.metrics import format_table
 from repro.scenarios.executor import run_scenarios
-from repro.scenarios.latency import parse_latency
 from repro.scenarios.runner import ScenarioResult
 from repro.scenarios.spec import (
     LATENCY_MODELS,
@@ -305,9 +304,9 @@ def _parse_point(
     ``true``/``false``; ``implied`` maps a CLI key to field defaults it
     brings along unless the point sets those fields itself.
 
-    The latency grammar (:func:`repro.scenarios.latency.parse_latency`)
-    deliberately does not go through here: its head is a model name that
-    selects which keys are legal, not a value.
+    The latency grammar (:func:`parse_latency`) deliberately does not go
+    through here: its head is a model name that selects which keys are
+    legal, not a value.
     """
     text = text.strip()
     if text == "off":
@@ -343,12 +342,67 @@ def _parse_point(
             except ValueError:
                 raise ScenarioError(f"invalid {key} value {value!r}") from None
         defaults.update(implied.get(key, {}))
-    point = cls(**{**defaults, **fields})
+    return _validated(cls(**{**defaults, **fields}))
+
+
+def _validated(point: Any) -> Any:
+    """``point``, validated; a policy or model raises the plain ValueError
+    clusters see, and a CLI point reports it as a ScenarioError."""
     try:
-        point.validate()  # a policy raises the plain ValueError clusters see
+        point.validate()
     except ValueError as error:
         raise ScenarioError(str(error)) from None
     return point
+
+
+# Float-valued LatencySpec fields settable from the CLI point syntax.  Keys
+# outside the chosen model's set are rejected rather than ignored: a
+# mistyped point (``fixed:mean=2``) must fail loudly, not run the sweep with
+# a silently-defaulted parameter.  Every model but unit additionally accepts
+# "jitter".  The regions model carries tuples and is declared in Python.
+_LATENCY_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "unit": (),
+    "fixed": ("value",),
+    "uniform": ("low", "high"),
+    "lognormal": ("mean", "sigma"),
+    "exponential": ("mean",),
+}
+
+
+def parse_latency(text: str) -> LatencySpec:
+    """Parse one CLI latency point: ``model[:key=value[,key=value...]]``.
+
+    Examples: ``unit``, ``fixed:value=2``, ``uniform:low=0.5,high=1.5``,
+    ``lognormal:mean=2,sigma=0.8,jitter=0.1``.
+    """
+    model, _, params_text = text.strip().partition(":")
+    if model == "regions":
+        raise ScenarioError(
+            "the regions latency model is declared in Python, not on the command "
+            "line (see WAN_THREE_REGIONS in repro.scenarios.library)"
+        )
+    if model not in _LATENCY_FIELDS:
+        _validated(LatencySpec(model=model))  # raises, naming the known models
+    allowed = _LATENCY_FIELDS[model]
+    if model != "unit":
+        allowed = allowed + ("jitter",)
+    overrides: Dict[str, float] = {}
+    for part in filter(None, (p.strip() for p in params_text.split(","))):
+        key, sep, value_text = part.partition("=")
+        if not sep:
+            raise ScenarioError(f"bad latency parameter {part!r}; expected key=value")
+        if key not in allowed:
+            raise ScenarioError(
+                f"latency parameter {key!r} does not apply to model {model!r}; "
+                f"allowed: {allowed or '(none)'}"
+            )
+        try:
+            overrides[key] = float(value_text)
+        except ValueError:
+            raise ScenarioError(
+                f"bad latency parameter {part!r}: {value_text!r} is not a number"
+            ) from None
+    return _validated(LatencySpec(model=model, **overrides))
 
 
 def parse_batch(text: str) -> BatchSpec:

@@ -19,6 +19,7 @@ from repro.baselines.cluster import BaselineCluster
 from repro.cluster import Cluster, ClusterBase
 from repro.core.reads import ReadPolicy
 from repro.core.types import Decision
+from repro.runtime.network import LatencySpec, NetworkSpec
 from repro.scenarios import ScenarioRunner, get_scenario
 
 from helpers import rw_payload, shard_key
@@ -72,7 +73,7 @@ def test_shared_constructor_parameters_are_declared_once_and_none_was_added():
     shared = set(inspect.signature(ClusterBase.__init__).parameters) - {"self"}
     assert shared == {
         "num_shards", "num_clients", "scheme", "latency", "seed", "retry", "batch",
-        "read", "detector", "link", "pipeline", "sticky",
+        "read", "detector", "network",
     }  # fmt: skip
     with pytest.raises(TypeError, match="isolation"):
         BaselineCluster(isolation="serializability")
@@ -91,8 +92,10 @@ def test_shared_constructor_parameters_are_declared_once_and_none_was_added():
         {"num_clients": 0},
         {"read": ReadPolicy(mode="bogus")},
         {"read": ReadPolicy(mode="snapshot", lease=-1)},
+        {"latency": LatencySpec(model="fixed", value=0.0)},
+        {"network": NetworkSpec(bandwidth=-1.0)},
     ],
-    ids=["no-shards", "no-clients", "read-mode", "read-lease"],
+    ids=["no-shards", "no-clients", "read-mode", "read-lease", "latency", "network"],
 )
 def test_bindings_validate_alike(binding, bad):
     with pytest.raises(ValueError):

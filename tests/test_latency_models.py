@@ -14,20 +14,12 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.runtime.events import Scheduler
-from repro.runtime.network import (
-    ExponentialLatency,
-    JitteredLatency,
-    LognormalLatency,
-    Network,
-    RegionLatency,
-    UniformLatency,
-    UnitLatency,
-)
+from repro.runtime.network import Network
 from repro.scenarios import (
     LatencySpec,
     ScenarioError,
     ScenarioRunner,
-    compile_latency_model,
+    ScenarioSpec,
     get_scenario,
     parse_latency,
 )
@@ -40,44 +32,6 @@ from helpers import payload
 # ----------------------------------------------------------------------
 # model parameter validation
 # ----------------------------------------------------------------------
-def test_lognormal_rejects_bad_parameters():
-    with pytest.raises(ValueError, match="mean"):
-        LognormalLatency(mean=0.0)
-    with pytest.raises(ValueError, match="mean"):
-        LognormalLatency(mean=-1.0)
-    with pytest.raises(ValueError, match="sigma"):
-        LognormalLatency(mean=1.0, sigma=0.0)
-
-
-def test_exponential_rejects_bad_mean():
-    with pytest.raises(ValueError, match="mean"):
-        ExponentialLatency(mean=0.0)
-
-
-def test_jitter_rejects_negative():
-    with pytest.raises(ValueError, match="jitter"):
-        JitteredLatency(UnitLatency(), jitter=-0.1)
-
-
-def test_region_model_rejects_bad_topologies():
-    with pytest.raises(ValueError, match="at least one region"):
-        RegionLatency(regions=())
-    with pytest.raises(ValueError, match="unique"):
-        RegionLatency(regions=("eu", "eu"), inter={})
-    with pytest.raises(ValueError, match="non-negative"):
-        RegionLatency(regions=("eu",), intra=-1.0)
-    with pytest.raises(ValueError, match="unknown region"):
-        RegionLatency(regions=("eu", "us"), inter={("eu", "mars"): 1.0})
-    with pytest.raises(ValueError, match="missing inter-region delay"):
-        RegionLatency(regions=("eu", "us"), inter={("eu", "us"): 1.0})
-    with pytest.raises(ValueError, match="unknown region"):
-        RegionLatency(
-            regions=("eu", "us"),
-            inter={("eu", "us"): 1.0, ("us", "eu"): 1.0},
-            placement={"client-0": "mars"},
-        )
-
-
 @pytest.mark.parametrize(
     "kwargs,match",
     [
@@ -100,18 +54,35 @@ def test_region_model_rejects_bad_topologies():
               links=(("eu", "eu", 1.0),)), "intra"),
         (dict(model="regions", regions=("eu", "us"),
               links=(("eu", "us", -1.0),)), "non-negative"),
-        # A repeated direction would silently compile to an asymmetric
+        # A repeated direction would silently bind to an asymmetric
         # topology (last value forward, first value backward) — reject it.
         (dict(model="regions", regions=("eu", "us"),
               links=(("eu", "us", 3.0), ("eu", "us", 7.0))), "duplicate link"),
         (dict(model="regions", regions=("eu", "us"),
               links=(("eu", "us", 2.0),),
               placement=(("client-0", "mars"),)), "unknown region"),
+        # The cases the per-model classes used to reject in their constructors.
+        (dict(model="lognormal", mean=-1.0), "positive mean"),
+        (dict(model="lognormal", mean=1.0, sigma=0.0), "positive sigma"),
+        (dict(model="exponential", mean=0.0), "positive mean"),
+        (dict(model="fixed", jitter=-0.1), "jitter"),
+        (dict(model="regions", regions=()), "at least two"),
+        (dict(model="regions", regions=("eu", "us", "ap"),
+              links=(("eu", "us", 1.0), ("us", "ap", 1.0))), "missing inter-region"),
+        (dict(model="regions", regions=("eu", "us"), intra=-1.0,
+              links=(("eu", "us", 1.0),)), "intra-region delay must be non-negative"),
     ],
 )
 def test_latency_spec_validation_rejects(kwargs, match):
-    with pytest.raises(ScenarioError, match=match):
+    """The delay model raises plain ValueError (what the network raises when
+    it binds one); a scenario reports the same text as a ScenarioError."""
+    with pytest.raises(ValueError, match=match) as error:
         LatencySpec(**kwargs).validate()
+    assert not isinstance(error.value, ScenarioError)
+    with pytest.raises(ValueError, match=match):
+        Network(Scheduler(), latency=LatencySpec(**kwargs))
+    with pytest.raises(ScenarioError, match=match):
+        ScenarioSpec(name="x", latency=LatencySpec(**kwargs)).validate()
 
 
 def test_region_describe_distinguishes_topologies():
@@ -161,6 +132,8 @@ def test_parse_latency_round_trip_and_errors():
         parse_latency("fixed:value=fast")
     with pytest.raises(ScenarioError, match="does not apply"):
         parse_latency("uniform:regions=eu")  # tuple fields are not CLI-settable
+    with pytest.raises(ScenarioError, match="declared in Python.*WAN_THREE_REGIONS"):
+        parse_latency("regions:intra=0.5")  # no CLI spelling could ever validate
 
 
 def test_parse_latency_rejects_parameters_of_other_models():
@@ -177,20 +150,20 @@ def test_parse_latency_rejects_parameters_of_other_models():
 # ----------------------------------------------------------------------
 # distribution correctness: sampled moments match the configured ones
 # ----------------------------------------------------------------------
-def _samples(model, n=6000, seed=12345):
-    rng = random.Random(seed)
-    return [model.delay("a", "b", None, rng) for _ in range(n)]
+def _samples(spec, n=6000, seed=12345):
+    delay = spec.delay_function(random.Random(seed))
+    return [delay("a", "b") for _ in range(n)]
 
 
 def test_uniform_moments():
-    sample = _samples(UniformLatency(0.5, 1.5))
+    sample = _samples(LatencySpec(model="uniform", low=0.5, high=1.5))
     assert statistics.fmean(sample) == pytest.approx(1.0, rel=0.05)
     assert statistics.pvariance(sample) == pytest.approx(1.0 / 12.0, rel=0.10)
     assert all(0.5 <= value <= 1.5 for value in sample)
 
 
 def test_exponential_moments():
-    sample = _samples(ExponentialLatency(mean=2.0))
+    sample = _samples(LatencySpec(model="exponential", mean=2.0))
     assert statistics.fmean(sample) == pytest.approx(2.0, rel=0.05)
     assert statistics.pvariance(sample) == pytest.approx(4.0, rel=0.15)
     assert all(value >= 0 for value in sample)
@@ -198,7 +171,7 @@ def test_exponential_moments():
 
 def test_lognormal_moments():
     mean, sigma = 1.5, 0.8
-    sample = _samples(LognormalLatency(mean=mean, sigma=sigma))
+    sample = _samples(LatencySpec(model="lognormal", mean=mean, sigma=sigma))
     assert statistics.fmean(sample) == pytest.approx(mean, rel=0.05)
     expected_var = mean * mean * (math.exp(sigma * sigma) - 1.0)
     assert statistics.pvariance(sample) == pytest.approx(expected_var, rel=0.25)
@@ -206,15 +179,14 @@ def test_lognormal_moments():
 
 
 def test_lognormal_sigma_controls_tail_not_mean():
-    light = _samples(LognormalLatency(mean=1.5, sigma=0.3))
-    heavy = _samples(LognormalLatency(mean=1.5, sigma=1.2))
+    light = _samples(LatencySpec(model="lognormal", mean=1.5, sigma=0.3))
+    heavy = _samples(LatencySpec(model="lognormal", mean=1.5, sigma=1.2))
     assert statistics.fmean(light) == pytest.approx(statistics.fmean(heavy), rel=0.1)
     assert max(heavy) > 3 * max(light)
 
 
 def test_jitter_shifts_mean_by_half_jitter():
-    base = UnitLatency(2.0)
-    sample = _samples(JitteredLatency(base, jitter=1.0))
+    sample = _samples(LatencySpec(model="fixed", value=2.0, jitter=1.0))
     assert statistics.fmean(sample) == pytest.approx(2.5, rel=0.05)
     assert all(2.0 <= value <= 3.0 for value in sample)
 
@@ -223,14 +195,12 @@ def test_jitter_shifts_mean_by_half_jitter():
 # the region model: placement and delays
 # ----------------------------------------------------------------------
 def _wan_model(**kwargs):
-    return compile_latency_model(
-        LatencySpec(
-            model="regions",
-            regions=("eu", "us", "ap"),
-            intra=0.5,
-            links=(("eu", "us", 3.0), ("eu", "ap", 5.0), ("us", "ap", 4.0)),
-            **kwargs,
-        )
+    return LatencySpec(
+        model="regions",
+        regions=("eu", "us", "ap"),
+        intra=0.5,
+        links=(("eu", "us", 3.0), ("eu", "ap", 5.0), ("us", "ap", 4.0)),
+        **kwargs,
     )
 
 
@@ -252,36 +222,57 @@ def test_region_placement_override_wins():
 
 
 def test_region_delays_intra_vs_inter_and_symmetry():
-    model = _wan_model()
-    rng = random.Random(0)
+    delay = _wan_model().delay_function(random.Random(0))
     # r0 and client-0 are both in eu: intra delay.
-    assert model.delay("shard-0/r0", "client-0", None, rng) == 0.5
+    assert delay("shard-0/r0", "client-0") == 0.5
     # eu -> us and us -> eu take the (symmetric) link delay.
-    assert model.delay("shard-0/r0", "shard-0/r1", None, rng) == 3.0
-    assert model.delay("shard-0/r1", "shard-0/r0", None, rng) == 3.0
-    assert model.delay("shard-0/r1", "shard-0/r2", None, rng) == 4.0
+    assert delay("shard-0/r0", "shard-0/r1") == 3.0
+    assert delay("shard-0/r1", "shard-0/r0") == 3.0
+    assert delay("shard-0/r1", "shard-0/r2") == 4.0
 
 
 def test_region_asymmetric_links_when_both_directions_given():
-    model = compile_latency_model(
-        LatencySpec(
-            model="regions",
-            regions=("eu", "us"),
-            intra=0.5,
-            links=(("eu", "us", 3.0), ("us", "eu", 7.0)),
-        )
+    spec = LatencySpec(
+        model="regions",
+        regions=("eu", "us"),
+        intra=0.5,
+        links=(("eu", "us", 3.0), ("us", "eu", 7.0)),
     )
-    rng = random.Random(0)
-    assert model.delay("shard-0/r0", "shard-0/r1", None, rng) == 3.0
-    assert model.delay("shard-0/r1", "shard-0/r0", None, rng) == 7.0
+    delay = spec.delay_function(random.Random(0))
+    assert delay("shard-0/r0", "shard-0/r1") == 3.0
+    assert delay("shard-0/r1", "shard-0/r0") == 7.0
 
 
-def test_compile_applies_jitter_wrapper():
-    model = compile_latency_model(LatencySpec(model="fixed", value=2.0, jitter=0.5))
-    assert isinstance(model, JitteredLatency)
-    rng = random.Random(1)
+def test_fixed_model_with_jitter_stays_within_bounds():
+    delay = LatencySpec(model="fixed", value=2.0, jitter=0.5).delay_function(random.Random(1))
     for _ in range(50):
-        assert 2.0 <= model.delay("a", "b", None, rng) <= 2.5
+        assert 2.0 <= delay("a", "b") <= 2.5
+
+
+@pytest.mark.parametrize(
+    "spec, draw",
+    [
+        (LatencySpec(), lambda rng: 1.0),
+        (LatencySpec(model="fixed", value=2.0), lambda rng: 2.0),
+        (LatencySpec(model="uniform", low=0.5, high=1.5),
+         lambda rng: rng.uniform(0.5, 1.5)),
+        (LatencySpec(model="lognormal", mean=1.5, sigma=0.8),
+         lambda rng: rng.lognormvariate(math.log(1.5) - 0.8 * 0.8 / 2.0, 0.8)),
+        (LatencySpec(model="exponential", mean=2.0), lambda rng: rng.expovariate(1.0 / 2.0)),
+        (LatencySpec(model="lognormal", mean=1.5, sigma=0.8, jitter=0.25),
+         lambda rng: rng.lognormvariate(math.log(1.5) - 0.8 * 0.8 / 2.0, 0.8)
+         + rng.uniform(0.0, 0.25)),
+    ],
+    ids=["unit", "fixed", "uniform", "lognormal", "exponential", "lognormal-jitter"],
+)
+def test_delay_function_draws_exactly_the_documented_sequence(spec, draw):
+    """Every digest under a random model depends on these draws: one
+    ``uniform`` / ``lognormvariate`` / ``expovariate`` per message, with
+    jitter's ``uniform(0, jitter)`` drawn after the model's own draw."""
+    delay = spec.delay_function(random.Random(77))
+    expected = random.Random(77)
+    for _ in range(200):
+        assert delay("a", "b") == draw(expected)
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +294,9 @@ class _Sink:
         self.delivered.append((self.network.scheduler.now, message, sender))
 
 
-def _arrival_times(latency_factory, extra, seed=9, n=5):
+def _arrival_times(latency, extra, seed=9, n=5):
     scheduler = Scheduler()
-    network = Network(scheduler, latency=latency_factory(), seed=seed)
+    network = Network(scheduler, latency=latency, seed=seed)
     network.register(_Sink("a"))
     network.register(_Sink("b"))
     if extra:
@@ -317,23 +308,23 @@ def _arrival_times(latency_factory, extra, seed=9, n=5):
 
 
 @pytest.mark.parametrize(
-    "latency_factory",
+    "latency",
     [
-        lambda: UnitLatency(),
-        lambda: UniformLatency(0.5, 1.5),
-        lambda: LognormalLatency(mean=1.5, sigma=0.8),
-        lambda: ExponentialLatency(mean=1.0),
-        lambda: JitteredLatency(UniformLatency(0.5, 1.5), jitter=0.25),
+        LatencySpec(),
+        LatencySpec(model="uniform", low=0.5, high=1.5),
+        LatencySpec(model="lognormal", mean=1.5, sigma=0.8),
+        LatencySpec(model="exponential", mean=1.0),
+        LatencySpec(model="uniform", low=0.5, high=1.5, jitter=0.25),
     ],
     ids=["unit", "uniform", "lognormal", "exponential", "jittered"],
 )
-def test_extra_delay_composes_additively_with_any_model(latency_factory):
+def test_extra_delay_composes_additively_with_any_model(latency):
     """Regression lock: a `delay-channel` fault's per-channel extra delay
     shifts every delivery by exactly the extra, on top of whatever the
     latency model draws (same seed -> same draws -> exact offset)."""
     extra = 3.25
-    base_times = _arrival_times(latency_factory, extra=0.0)
-    shifted_times = _arrival_times(latency_factory, extra=extra)
+    base_times = _arrival_times(latency, extra=0.0)
+    shifted_times = _arrival_times(latency, extra=extra)
     assert len(base_times) == len(shifted_times) == 5
     for base, shifted in zip(base_times, shifted_times):
         assert shifted == pytest.approx(base + extra)
@@ -460,20 +451,20 @@ def test_results_identical_across_interpreter_hash_seeds(batch_override):
 # conflict-free workloads
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "latency_factory",
+    "latency",
     [
-        lambda: UniformLatency(0.1, 3.0),
-        lambda: LognormalLatency(mean=1.5, sigma=1.2),
-        lambda: ExponentialLatency(mean=1.5),
+        LatencySpec(model="uniform", low=0.1, high=3.0),
+        LatencySpec(model="lognormal", mean=1.5, sigma=1.2),
+        LatencySpec(model="exponential", mean=1.5),
     ],
     ids=["uniform", "lognormal-heavy", "exponential"],
 )
 @pytest.mark.parametrize("seed", [0, 7, 23])
-def test_conflict_free_workload_never_flags_violation(latency_factory, seed):
+def test_conflict_free_workload_never_flags_violation(latency, seed):
     """Disjoint-key transactions cannot conflict, so every interleaving the
     random delays produce must commit cleanly — online and batch checker."""
     cluster = Cluster(
-        num_shards=2, replicas_per_shard=2, latency=latency_factory(), seed=seed
+        num_shards=2, replicas_per_shard=2, latency=latency, seed=seed
     )
     checker = IncrementalTCSChecker(cluster.scheme, cluster.history)
     payloads = [
@@ -489,3 +480,21 @@ def test_conflict_free_workload_never_flags_violation(latency_factory, seed):
     batch = TCSChecker(cluster.scheme).check(cluster.history)
     assert batch.ok, batch.reason
     assert cluster.abort_rate() == 0.0
+
+
+# ----------------------------------------------------------------------
+# one description per model: the compiled twins stay deleted
+# ----------------------------------------------------------------------
+def test_the_delay_and_link_models_are_the_specs():
+    import importlib.util
+
+    import repro.runtime.network as network_module
+    from repro.scenarios import NetworkSpec
+
+    for name in ("LatencyModel", "UnitLatency", "UniformLatency", "LognormalLatency",
+                 "ExponentialLatency", "JitteredLatency", "RegionLatency", "LinkSpec"):
+        assert not hasattr(network_module, name), name
+    assert importlib.util.find_spec("repro.scenarios.latency") is None
+    assert not hasattr(NetworkSpec, "compile")
+    assert LatencySpec is network_module.LatencySpec
+    assert NetworkSpec is network_module.NetworkSpec

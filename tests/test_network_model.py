@@ -33,7 +33,7 @@ from repro.rdma import messages as rdma_messages
 from repro.runtime import process as process_runtime
 from repro.runtime import rdma as rdma_runtime
 from repro.runtime.events import Scheduler
-from repro.runtime.network import LinkSpec, Network, UnitLatency
+from repro.runtime.network import Network
 from repro.runtime.process import Batch, Process
 from repro.runtime.wire import HEADER_BYTES, SCALAR_BYTES, is_registered, wire_size
 from repro.scenarios import (
@@ -327,12 +327,12 @@ def test_send_many_sizes_the_message_once(monkeypatch):
         return wire_size(message)
 
     monkeypatch.setattr(network_module, "wire_size", counting)
-    link = LinkSpec(bandwidth=50.0, overhead=0.25)
+    link = NetworkSpec(bandwidth=50.0, overhead=0.25)
     message = core_messages.Prepare(txn="t1", payload=_TXN_PAYLOAD)
 
     def deliveries(multicast):
         scheduler = Scheduler()
-        network = Network(scheduler, latency=UnitLatency(), seed=0, link=link)
+        network = Network(scheduler, seed=0, link=link)
         sinks = [_Sink(pid) for pid in "abcd"]
         for sink in sinks:
             network.register(sink)
@@ -380,7 +380,7 @@ class _Note:
 
 def _two_node_net(link=None):
     scheduler = Scheduler()
-    network = Network(scheduler, latency=UnitLatency(), seed=0, link=link)
+    network = Network(scheduler, seed=0, link=link)
     a, b = _Sink("a"), _Sink("b")
     network.register(a)
     network.register(b)
@@ -388,7 +388,7 @@ def _two_node_net(link=None):
 
 
 def test_disabled_link_keeps_the_pure_delay_path():
-    """No LinkSpec: messages are never sized, so unregistered ad-hoc types
+    """No link model: messages are never sized, so unregistered ad-hoc types
     stay legal and the byte counters stay at zero."""
     scheduler, network, a, b = _two_node_net(link=None)
     network.send("a", "b", _Note("hello"))
@@ -396,11 +396,11 @@ def test_disabled_link_keeps_the_pure_delay_path():
     assert [t for t, _ in b.deliveries] == [1.0]
     assert network.stats.bytes_sent == 0.0
     assert network.queue_wait_samples == []
-    assert LinkSpec().enabled is False  # bandwidth=0 disables explicitly
+    assert NetworkSpec().enabled is False  # bandwidth=0 disables explicitly
 
 
 def test_enabled_link_sizes_messages_and_rejects_foreign_types():
-    scheduler, network, a, b = _two_node_net(link=LinkSpec(bandwidth=100.0))
+    scheduler, network, a, b = _two_node_net(link=NetworkSpec(bandwidth=100.0))
     with pytest.raises(TypeError, match="no wire size registered"):
         network.send("a", "b", _Note("hello"))
 
@@ -408,7 +408,7 @@ def test_enabled_link_sizes_messages_and_rejects_foreign_types():
 def test_queueing_matches_the_closed_form():
     """Two back-to-back sends on one channel: the second serializes only
     after the first finishes, and every statistic is exactly predictable."""
-    link = LinkSpec(bandwidth=100.0, overhead=0.5)
+    link = NetworkSpec(bandwidth=100.0, overhead=0.5)
     scheduler, network, a, b = _two_node_net(link=link)
     m1 = core_messages.Prepare(txn="t1", payload=("k1",))
     m2 = core_messages.Prepare(txn="t2", payload=("k2",))
@@ -432,7 +432,7 @@ def test_queueing_matches_the_closed_form():
 def test_queueing_is_per_directed_channel():
     """The reverse channel b->a is idle, so a message there sees no queue
     even while a->b is saturated."""
-    link = LinkSpec(bandwidth=10.0, overhead=0.0)
+    link = NetworkSpec(bandwidth=10.0, overhead=0.0)
     scheduler, network, a, b = _two_node_net(link=link)
     message = core_messages.Prepare(txn="t", payload=("k",))
     for _ in range(4):
@@ -449,7 +449,7 @@ def test_queueing_is_per_directed_channel():
 def test_serialization_only_adds_to_propagation():
     """With the link enabled, no delivery can land before the
     pure-propagation delivery time."""
-    scheduler, network, a, b = _two_node_net(link=LinkSpec(bandwidth=50.0, overhead=0.1))
+    scheduler, network, a, b = _two_node_net(link=NetworkSpec(bandwidth=50.0, overhead=0.1))
     message = core_messages.Prepare(txn="t", payload=("k",))
     for _ in range(6):
         network.send("a", "b", message)
@@ -463,21 +463,22 @@ def test_serialization_only_adds_to_propagation():
 # ----------------------------------------------------------------------
 
 def test_network_spec_validation():
+    """The link model raises plain ValueError, as the network and the
+    cluster see it; a scenario reports the same text as a ScenarioError."""
     NetworkSpec().validate()
     NetworkSpec(bandwidth=100.0, overhead=0.5).validate()
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError, match="bandwidth must be >= 0"):
         NetworkSpec(bandwidth=-1.0).validate()
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError, match="overhead must be >= 0"):
         NetworkSpec(overhead=-0.5, bandwidth=10.0).validate()
+    with pytest.raises(ValueError, match="requires a positive bandwidth"):
+        Network(Scheduler(), link=NetworkSpec(overhead=0.5))
     with pytest.raises(ScenarioError, match="requires a positive bandwidth"):
-        NetworkSpec(overhead=0.5).validate()
+        get_scenario("steady-state").with_overrides(network=NetworkSpec(overhead=0.5))
 
 
-def test_network_spec_compile_and_describe():
-    assert NetworkSpec().compile() is None
+def test_network_spec_describe():
     assert NetworkSpec().describe() == "off"
-    compiled = NetworkSpec(bandwidth=100.0, overhead=0.5).compile()
-    assert compiled == LinkSpec(bandwidth=100.0, overhead=0.5)
     assert NetworkSpec(bandwidth=100.0, overhead=0.5).describe() == "bw=100,ovh=0.5"
     assert "nopipe" in NetworkSpec(pipeline=False).describe()
     assert "sticky" in NetworkSpec(sticky=True).describe()
@@ -554,7 +555,7 @@ def test_sticky_router_repins_on_failover_and_config_change():
 
 
 def test_static_router_sticky_pins():
-    router = BaselineCluster(num_coordinators=3, sticky=True).router
+    router = BaselineCluster(num_coordinators=3, network=NetworkSpec(sticky=True)).router
     first = router.pick(["shard-0"])
     assert all(router.pick(["shard-0"]) == first for _ in range(5))
     other = router.pick(["shard-1"])

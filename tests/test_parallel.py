@@ -19,10 +19,9 @@ import pytest
 
 from repro.baselines.cluster import BaselineCluster
 from repro.cluster import Cluster, ClusterBase
-from repro.runtime import network as network_module
 from repro.runtime import parallel as parallel_module
 from repro.runtime.events import Event, Scheduler
-from repro.runtime.network import LatencyModel, Network
+from repro.runtime.network import LatencySpec, Network
 from repro.runtime.parallel import (
     ParallelExecutor,
     WorkerError,
@@ -393,12 +392,6 @@ def test_cli_run_accepts_multiple_scenarios(capsys):
 # the windowed shard-group engine stays deleted
 # ----------------------------------------------------------------------
 
-_LATENCY_MODELS = [
-    cls
-    for cls in vars(network_module).values()
-    if isinstance(cls, type) and issubclass(cls, LatencyModel)
-]
-
 GONE = [
     (parallel_module, "GroupedScheduler"),
     (parallel_module, "LookaheadViolation"),
@@ -406,7 +399,7 @@ GONE = [
     (Event, "weight"),
     (Network, "install_groups"),
     (Network, "min_cross_group_delay"),
-    *[(cls, "min_delay") for cls in _LATENCY_MODELS],
+    (LatencySpec, "min_delay"),
     (ClusterBase, "_group_partition"),
     (Cluster, "_server_shards"),
     (BaselineCluster, "_server_shards"),

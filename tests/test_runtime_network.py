@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.runtime.events import Scheduler
-from repro.runtime.network import Network, UniformLatency, UnitLatency
+from repro.runtime.network import LatencySpec, Network
 from repro.runtime.process import Process, handler_name
 
 
@@ -34,7 +34,7 @@ class Echo(Process):
 
 def build(latency=None, seed=0):
     scheduler = Scheduler()
-    network = Network(scheduler, latency=latency or UnitLatency(), seed=seed)
+    network = Network(scheduler, latency=latency, seed=seed)
     a, b = Echo("a"), Echo("b")
     network.register(a)
     network.register(b)
@@ -95,7 +95,8 @@ def test_message_round_trip_takes_two_delays():
 
 
 def test_fifo_order_per_channel():
-    scheduler, network, a, b = build(latency=UniformLatency(0.1, 2.0), seed=42)
+    latency = LatencySpec(model="uniform", low=0.1, high=2.0)
+    scheduler, network, a, b = build(latency=latency, seed=42)
     for i in range(20):
         a.send("b", Ping(i))
     scheduler.run()
@@ -104,7 +105,8 @@ def test_fifo_order_per_channel():
 
 
 def test_fifo_delivery_times_monotone():
-    scheduler, network, a, b = build(latency=UniformLatency(0.1, 2.0), seed=7)
+    latency = LatencySpec(model="uniform", low=0.1, high=2.0)
+    scheduler, network, a, b = build(latency=latency, seed=7)
     for i in range(10):
         a.send("b", Ping(i))
     scheduler.run()
@@ -215,7 +217,7 @@ def test_timers_suppressed_after_crash():
 
 
 def test_uniform_latency_bounds_respected():
-    latency = UniformLatency(0.5, 1.5)
+    latency = LatencySpec(model="uniform", low=0.5, high=1.5)
     scheduler, network, a, b = build(latency=latency, seed=3)
     a.send("b", Ping(1))
     scheduler.run()
@@ -223,9 +225,10 @@ def test_uniform_latency_bounds_respected():
 
 
 def test_uniform_latency_validation():
-    with pytest.raises(ValueError):
-        UniformLatency(2.0, 1.0)
-    with pytest.raises(ValueError):
-        UniformLatency(-1.0, 1.0)
+    """The network validates its delay model when it binds it."""
+    with pytest.raises(ValueError, match="low <= high"):
+        Network(Scheduler(), latency=LatencySpec(model="uniform", low=2.0, high=1.0))
+    with pytest.raises(ValueError, match="non-negative"):
+        Network(Scheduler(), latency=LatencySpec(model="uniform", low=-1.0, high=1.0))
 
 

@@ -14,6 +14,7 @@ from repro.scenarios import (
     ExecSpec,
     FaultStep,
     LatencySpec,
+    NetworkSpec,
     RetrySpec,
     ScenarioError,
     ScenarioRunner,
@@ -119,8 +120,14 @@ def test_with_overrides_revalidates():
         (dict(workload=WorkloadSpec(sessions=4)), "sessions only count .* think_time > 0"),
         # The converse defect: `groups` was checked although the mode is serial.
         (dict(execution=ExecSpec(mode="serial", groups=1)), None),
+        # Stop-and-wait holds dispatches that only decisions re-drive: a run
+        # with faults strands them (undecided and orphaned transactions).
+        (dict(network=NetworkSpec(pipeline=False),
+              faults=(FaultStep(at=5.0, action="crash-leader", shard="shard-0"),)),
+         "stop-and-wait .* models a failure-free run"),
     ],
-    ids=["check-gc-without-online", "sessions-without-think-time", "serial-ignores-groups"],
+    ids=["check-gc-without-online", "sessions-without-think-time", "serial-ignores-groups",
+         "stop-and-wait-under-faults"],
 )
 def test_options_that_change_nothing_are_rejected_and_unused_ones_are_not_checked(overrides, match):
     spec = get_scenario("steady-state")
@@ -142,10 +149,11 @@ def test_the_stricter_rules_cost_no_existing_experiment():
     assert GOLDEN and all(_spec_for(key) is not None for key in GOLDEN)
 
 
-# Every value the four subsystem policies reject, with the message text, and
-# the CLI word that reaches it where the subsystem has a sweep grammar.  The
-# policy classes are the spec fields themselves (BatchSpec is BatchPolicy,
-# ...), so one validate() per policy serves all three doors below.
+# Every value the four subsystem policies reject (and a sample of what the
+# two network models reject), with the message text, and the CLI word that
+# reaches it where the subsystem has a sweep grammar.  The policy and model
+# classes are the spec fields themselves (BatchSpec is BatchPolicy, ...), so
+# one validate() per value serves all three doors below.
 POLICY_REJECTIONS = [
     ("batch", BatchSpec(size=-1), "batch size must be >= 0", "--batch=-1"),
     ("batch", BatchSpec(size=8, linger=-1.0, adaptive=False),
@@ -174,6 +182,10 @@ POLICY_REJECTIONS = [
      "phi threshold must be positive", "--detector=1:phi=0"),
     ("detector", DetectorSpec(interval=1.0, confirmations=0),
      "confirmations must be >= 1", "--detector=1:confirmations=0"),
+    ("latency", LatencySpec(model="fixed", value=0.0),
+     "fixed latency requires a positive value", "--latency=fixed:value=0"),
+    ("network", NetworkSpec(bandwidth=-1.0),
+     "network bandwidth must be >= 0 (0 = unlimited)", "--bandwidth=-1"),
 ]
 
 

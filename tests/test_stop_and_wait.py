@@ -27,7 +27,7 @@ from repro.baselines.paxos import RsmCommand
 from repro.baselines.twopc import PrepareCommand
 from repro.cluster import Cluster
 from repro.core.messages import CertifyRequest, Prepare
-from repro.scenarios import BatchSpec, ScenarioRunner, get_scenario
+from repro.scenarios import BatchSpec, NetworkSpec, ScenarioRunner, get_scenario
 
 from helpers import rw_payload, shard_key
 
@@ -74,10 +74,15 @@ def _held_wave(stack: str):
     cluster, the coordinator, the transactions and their payloads, and the
     list the coordinator's PREPAREs are recorded in as they are sent."""
     if stack == "2pc-paxos":
-        cluster = BaselineCluster(num_shards=2, pipeline=False)
+        cluster = BaselineCluster(num_shards=2, network=NetworkSpec(pipeline=False))
         coordinator = cluster.coordinators[0]
     else:
-        cluster = Cluster(num_shards=2, replicas_per_shard=2, protocol=stack, pipeline=False)
+        cluster = Cluster(
+            num_shards=2,
+            replicas_per_shard=2,
+            protocol=stack,
+            network=NetworkSpec(pipeline=False),
+        )
         coordinator = cluster.replicas[cluster.members_of("shard-1")[0]]
     payloads = [
         rw_payload(shard_key(cluster.scheme, "shard-0", hint=f"k{i}"), tiebreak=f"t{i}")
