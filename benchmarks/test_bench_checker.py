@@ -52,11 +52,13 @@ def test_online_checker_throughput_guard(benchmark):
     assert result.passed
     assert result.check_mode == "online"
     assert result.txns_submitted == TXNS
-    # The checker actually ran: it processed every certify and decide and
-    # produced a full witness linearization.
+    # The checker actually ran: it processed every certify and decide, and
+    # every commit was either retired or is in the witness of the suffix it
+    # still holds — the in-flight tail, not the run.
     stats = runner.checker.stats
     assert stats["events_processed"] == 2 * TXNS
-    assert len(runner.checker.linearization()) == result.committed
+    assert stats["txns_pruned"] + len(runner.checker.linearization()) == result.committed
+    assert stats["nodes"] <= 1000
     txns_per_sec = TXNS / wall
     print(
         f"\nonline checker guard: {TXNS} txns validated in {wall:.2f}s -> "

@@ -303,9 +303,7 @@ class ScenarioRunner:
                 **shared,
             )
         if spec.check_mode == "online":
-            self.checker = IncrementalTCSChecker(
-                self.cluster.scheme, self.cluster.history, gc=spec.check_gc
-            )
+            self.checker = IncrementalTCSChecker(self.cluster.scheme, self.cluster.history)
             if spec.check_invariants and self.cluster.REPLICA_INVARIANTS:
                 self.monitor = InvariantMonitor(self.cluster.history)
         for step in spec.fault_schedule:

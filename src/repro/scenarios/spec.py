@@ -280,11 +280,6 @@ class ScenarioSpec:
     # history validation (contradiction detection stays on — it is O(1)).
     check_mode: str = "online"
     check_invariants: bool = True
-    # Online-checker garbage collection: prune the linearization graph and
-    # conflict indexes behind the decided frontier so memory stays bounded
-    # on streaming (unbounded) workloads.  Only meaningful with
-    # check_mode="online".
-    check_gc: bool = False
     # Correct protocols must produce a safe history; ablation scenarios
     # document the expected violation by setting this to False.
     expect_safe: bool = True
@@ -312,11 +307,6 @@ class ScenarioSpec:
         if self.check_mode not in CHECK_MODES:
             raise ScenarioError(
                 f"unknown check_mode {self.check_mode!r}; expected one of {CHECK_MODES}"
-            )
-        if self.check_gc and self.check_mode != "online":
-            raise ScenarioError(
-                "check_gc prunes the online checker's graph; it requires "
-                "check_mode='online'"
             )
         self.workload.validate()
         try:

@@ -8,7 +8,7 @@ same graph *online*, subscribing to a :class:`~repro.spec.history.History`
 and updating per event, so a violation is reported at the exact event that
 introduces it and a 100k-transaction run keeps full validation.
 
-Three ideas make the update cheap:
+Four ideas make the update cheap and the state small:
 
 * **Per-object conflict indexes** — each scheme supplies a
   :class:`~repro.core.certification.ConflictIndex` (mirroring the leaders'
@@ -20,11 +20,21 @@ Three ideas make the update cheap:
 
 * **A decided-frontier chain** — the real-time relation ``decide(a) ≺h
   certify(b)`` would contribute O(txns) edges per transaction if
-  materialized directly.  Instead every commit decision appends a *frontier
-  node* to a virtual chain; a committed transaction points at the frontier
-  created by its decision, and receives an in-edge from the frontier that
-  was current when it was certified.  Paths through the chain then encode
-  exactly the real-time reachability, at O(1) amortized edges per decision.
+  materialized directly.  Instead the commits decided between two
+  certifications share one *frontier node*: the first certify after at
+  least one new commit decision appends a frontier to a chain, with one
+  edge into it from each commit decided since the previous frontier.  A
+  committed transaction receives an in-edge from the frontier that was
+  current when it was certified, so ``decide(a)`` precedes ``certify(b)``
+  exactly when there is a path ``a -> F -> .. -> b``: one edge per
+  decision, and one frontier per wave of decisions (a closed-loop client
+  wave makes one, not one per commit).
+
+* **Retirement behind the watermark** — a commit that every in-flight and
+  future transaction follows in real time can take part in no future cycle
+  except one the conflict indexes flag on their own, so it leaves the
+  graph (:meth:`IncrementalTCSChecker.collect`): the checker holds what is
+  in flight, not the whole run.
 
 * **Incremental cycle detection** — the graph keeps a topological order
   under online edge insertion with the Pearce–Kelly algorithm: an edge that
@@ -38,12 +48,13 @@ to transaction ids) when it is not.  Like the batch checker's graph
 construction, the online graph assumes the certification function is
 distributive (requirement (1) of the paper); the batch checker remains the
 oracle and ``tests/test_incremental_checker.py`` drives both on randomized
-histories asserting identical verdicts.
+histories asserting identical verdicts, and the retiring checker against
+one that keeps everything.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from repro.core.certification import RETIRED, CertificationScheme
 from repro.core.types import Decision, TxnId
@@ -80,29 +91,36 @@ class _OnlineDag:
         self.out: Dict[Any, Set[Any]] = {}
         self.inc: Dict[Any, Set[Any]] = {}
         self.edge_count = 0
-        # Monotonic rank source: len(rank) would recycle ranks after node
-        # removal and break the total order.
-        self._next_rank = 0
+        # The nodes by rank: ``order[r - base]`` has rank ``r``.  The ranks
+        # are always exactly ``base .. base + len(order) - 1``: a new node
+        # takes the next one, a reorder permutes the slots it touches, and
+        # only rank prefixes are removed.
+        self.order: List[Any] = []
+        self.base = 0
 
     def add_node(self, node: Any) -> None:
-        self.rank[node] = self._next_rank
-        self._next_rank += 1
+        self.rank[node] = self.base + len(self.order)
+        self.order.append(node)
         self.out[node] = set()
         self.inc[node] = set()
 
-    def remove_nodes(self, nodes: List[Any]) -> None:
-        """Remove a *rank-prefix* of the DAG (every edge goes from lower to
-        higher rank, so in-edges of the removed set originate inside it and
-        need no fix-up; only out-edges into survivors are unlinked)."""
-        doomed = set(nodes)
-        for node in nodes:
-            for successor in self.out[node]:
-                if successor not in doomed:
-                    self.inc[successor].discard(node)
-            self.edge_count -= len(self.out[node])
-            del self.rank[node]
-            del self.out[node]
-            del self.inc[node]
+    def remove_prefix(self, count: int) -> List[Any]:
+        """Remove and return the ``count`` lowest-ranked nodes (every edge
+        goes from lower to higher rank, so in-edges of a rank prefix
+        originate inside it and need no fix-up; only out-edges into
+        survivors are unlinked)."""
+        doomed = self.order[:count]
+        del self.order[:count]
+        self.base += count
+        out, inc = self.out, self.inc
+        for node in doomed:
+            successors = out[node]
+            for successor in successors:
+                if successor in inc:  # not removed already
+                    inc[successor].discard(node)
+            self.edge_count -= len(successors)
+            del self.rank[node], out[node], inc[node]
+        return doomed
 
     def add_edge(self, u: Any, v: Any) -> Optional[List[Any]]:
         """Insert ``u -> v``; return a cycle path ``[v, .., u]`` or None."""
@@ -162,8 +180,10 @@ class _OnlineDag:
             forward, key=self.rank.__getitem__
         )
         slots = sorted(self.rank[node] for node in affected)
+        order, base = self.order, self.base
         for node, slot in zip(affected, slots):
             self.rank[node] = slot
+            order[slot - base] = node
 
 
 class IncrementalTCSChecker:
@@ -176,13 +196,19 @@ class IncrementalTCSChecker:
     :attr:`violation` keeps the first failure, together with the 0-based
     index (:attr:`violation_at_event`) of the observed event that introduced
     it.
+
+    Every ``gc_interval`` commit decisions it retires settled history
+    (:meth:`collect`), so its state is bounded by what is in flight; the
+    verdict, its reason and the event it is reported at do not depend on
+    retirement.  ``gc=False`` never retires, for tests that compare the
+    whole witness linearization with the batch checker.
     """
 
     def __init__(
         self,
         scheme: CertificationScheme,
         history: Optional[History] = None,
-        gc: bool = False,
+        gc: bool = True,
         gc_interval: int = 256,
     ) -> None:
         if gc_interval < 1:
@@ -192,20 +218,21 @@ class IncrementalTCSChecker:
         self._dag = _OnlineDag()
         self._birth: Dict[TxnId, Optional[_Frontier]] = {}
         self._payloads: Dict[TxnId, Any] = {}
+        # The latest frontier, and the commits decided since it was
+        # appended: the next frontier (index `_frontiers`) follows them.
         self._frontier: Optional[_Frontier] = None
         self._frontiers = 0
-        # Streaming-run garbage collection (see `collect`).
+        self._undelimited: List[TxnId] = []
+        # Per live commit, the index of the frontier that follows it and the
+        # payload ConflictIndex.retire needs (see `collect`).
+        self._decision_frontier: Dict[TxnId, int] = {}
+        self._gc_payloads: Dict[TxnId, Any] = {}
         self._gc_enabled = gc
         self._gc_interval = gc_interval
         self._since_gc = 0
-        self._decision_frontier: Dict[TxnId, int] = {}
-        # Committed payloads retained for eventual ConflictIndex.retire
-        # calls (populated only when gc is enabled, so non-GC runs do not
-        # duplicate payload storage).
-        self._gc_payloads: Dict[TxnId, Any] = {}
         self.txns_pruned = 0
         self.frontiers_pruned = 0
-        self.watermark = -1  # last collection's prune horizon (frontier index)
+        self.watermark = -1  # the prune horizon (frontier index) reached so far
         self.violation: Optional[CheckResult] = None
         self.violation_at_event: Optional[int] = None
         self.events_processed = 0
@@ -261,10 +288,13 @@ class IncrementalTCSChecker:
     # ------------------------------------------------------------------
     def observe_certify(self, txn: TxnId, payload: Any) -> None:
         """Record ``certify(txn, payload)``: remember the decided frontier
-        the transaction was certified under."""
+        the transaction was certified under (appending it first if commits
+        were decided since the latest one)."""
         if self.violation is not None:
             return
         self.events_processed += 1
+        if self._undelimited:
+            self._append_frontier()
         self._birth[txn] = self._frontier
         self._payloads[txn] = payload
 
@@ -312,26 +342,35 @@ class IncrementalTCSChecker:
             if other is RETIRED:
                 # This transaction must precede a retired one, yet every
                 # retired transaction decided before this one was certified:
-                # an immediate conflict/real-time cycle.
-                return self._fail_retired(txn)
+                # a conflict/real-time cycle through history no longer
+                # stored, so the witness is this transaction alone.
+                return self._fail_cycle([txn])
             cycle = dag.add_edge(txn, other)
             if cycle is not None:
                 return self._fail_cycle(cycle)
-        # Advance the decided frontier: transactions certified from now on
-        # are real-time successors of this one (O(1) edges per decision).
+        # Transactions certified from now on are real-time successors of
+        # this one: the next frontier follows it.
+        self._undelimited.append(txn)
+        self._decision_frontier[txn] = self._frontiers
+        self._gc_payloads[txn] = payload
+        self._since_gc += 1
+        if self._since_gc >= self._gc_interval:
+            self.collect()
+
+    def _append_frontier(self) -> None:
+        """Append the frontier that follows the commits decided since the
+        latest one (an O(1) edge each, none of which can close a cycle: the
+        new node is the highest-ranked and has no out-edges)."""
         frontier = _Frontier(self._frontiers)
         self._frontiers += 1
+        dag = self._dag
         dag.add_node(frontier)
         if self._frontier is not None:
             dag.add_edge(self._frontier, frontier)
-        dag.add_edge(txn, frontier)
+        for txn in self._undelimited:
+            dag.add_edge(txn, frontier)
+        self._undelimited.clear()
         self._frontier = frontier
-        if self._gc_enabled:
-            self._decision_frontier[txn] = frontier.index
-            self._gc_payloads[txn] = payload
-            self._since_gc += 1
-            if self._since_gc >= self._gc_interval:
-                self.collect()
 
     def observe_contradiction(self, txn: TxnId, first: Decision, second: Decision) -> None:
         """A contradictory decide: no linearization can contain both
@@ -357,24 +396,12 @@ class IncrementalTCSChecker:
             cycle=[node for node in cycle if not isinstance(node, _Frontier)],
         )
 
-    def _fail_retired(self, txn: TxnId) -> None:
-        self.violation_at_event = self.events_processed - 1
-        self.violation = CheckResult(
-            ok=False,
-            reason=(
-                "no legal linearization: conflict/real-time cycle "
-                "(certification orders the transaction before garbage-collected "
-                "history that decided before it was certified)"
-            ),
-            cycle=[txn],
-        )
-
     # ------------------------------------------------------------------
-    # streaming-run garbage collection
+    # retirement
     # ------------------------------------------------------------------
     def collect(self) -> int:
-        """Prune graph state that can no longer participate in a violation;
-        returns the number of nodes removed.
+        """Retire graph state that can no longer take part in a violation;
+        returns the number of nodes removed (always 0 with ``gc=False``).
 
         A committed transaction ``X`` is *retirable* once every transaction
         certified before ``decide(X)`` has been decided: from then on, every
@@ -387,58 +414,63 @@ class IncrementalTCSChecker:
         after retirement via a compact per-object horizon (:data:`RETIRED`).
 
         Concretely: the *watermark* is the lowest birth-frontier index of
-        any still-undecided transaction; transactions whose decision
-        frontier is at or below it, and frontier nodes below it, may go.
-        Because the Pearce–Kelly order directs every edge from lower to
-        higher rank, pruning the maximal *rank prefix* of retirable nodes
-        removes a region with no incoming edges — survivors need no rank or
-        edge fix-up, and the invariants of the incremental cycle detection
-        are untouched.
+        any still-undecided transaction, capped at the latest frontier's;
+        commits whose frontier is at or below it, and frontiers below it,
+        may go (commits decided since the latest frontier have none yet, so
+        they stay until a certify appends it).  A pass whose watermark has
+        not advanced since the last one returns at once: every commit
+        decided since then is followed by a frontier above that watermark,
+        so nothing new became retirable.  Otherwise, because the
+        Pearce–Kelly order directs every edge from lower to higher rank,
+        the maximal *rank prefix* of retirable nodes is cut — walking the
+        ranks up to the first node that stays — which removes a region with
+        no incoming edges:
+        survivors need no rank or edge fix-up, and the invariants of the
+        incremental cycle detection are untouched.
 
         Consequence of exactness: a transaction that is certified but
         *never* decided (an orphaned client submission, a request lost with
         its coordinator and never re-driven) pins the watermark at its
         certify point forever — everything committed since then must be
         retained, because the stuck transaction could still legally decide
-        against it.  Collection silently degrades to retention from that
-        point on; watch ``stats["watermark"]`` against
-        ``stats["undecided"]`` (and keep sessions configured so nothing
-        orphans) on truly unbounded runs.
+        against it.  Retirement then stops (each pass costs a scan of the
+        undecided transactions and nothing more); watch
+        ``stats["watermark"]`` against ``stats["undecided"]`` (and keep
+        sessions configured so nothing orphans) on truly unbounded runs.
         """
         self._since_gc = 0
-        if self._frontier is None or self.violation is not None:
+        if not self._gc_enabled or self.violation is not None:
             return 0
-        watermark = self._frontiers
+        watermark = self._frontiers - 1
         for frontier in self._birth.values():
-            index = -1 if frontier is None else frontier.index
-            if index < watermark:
-                watermark = index
+            if frontier is None:
+                watermark = -1
+                break
+            if frontier.index < watermark:
+                watermark = frontier.index
+        if watermark <= self.watermark:
+            return 0
         self.watermark = watermark
-        if watermark < 0:
-            return 0
         dag = self._dag
-        cut: Optional[int] = None
-        for node, rank in dag.rank.items():
-            if isinstance(node, _Frontier):
-                keep = node is self._frontier or node.index >= watermark
-            else:
-                keep = self._decision_frontier.get(node, watermark + 1) > watermark
-            if keep and (cut is None or rank < cut):
-                cut = rank
-        if cut is None:  # pragma: no cover - the current frontier is always kept
-            return 0
-        pruned = [node for node, rank in dag.rank.items() if rank < cut]
-        if not pruned:
-            return 0
-        for node in pruned:
-            if isinstance(node, _Frontier):
+        settled = self._decision_frontier
+        count = 0
+        # The latest frontier stays (its index is at least the watermark),
+        # so the walk stops inside the graph.
+        for node in dag.order:
+            if node in settled:
+                if settled[node] > watermark:
+                    break
+            elif node.index >= watermark:  # a frontier
+                break
+            count += 1
+        for node in dag.remove_prefix(count):
+            if node not in settled:
                 self.frontiers_pruned += 1
                 continue
             self.txns_pruned += 1
-            self._decision_frontier.pop(node, None)
+            del settled[node]
             self._conflicts.retire(node, self._gc_payloads.pop(node))
-        dag.remove_nodes(pruned)
-        return len(pruned)
+        return count
 
     # ------------------------------------------------------------------
     # verdicts
@@ -448,15 +480,11 @@ class IncrementalTCSChecker:
         return self.violation is None
 
     def linearization(self) -> List[TxnId]:
-        """The committed transactions in the maintained topological order
-        (a legal linearization whenever :attr:`ok` holds; with garbage
-        collection enabled, the suffix of one — pruned transactions precede
-        every survivor)."""
-        rank = self._dag.rank
-        return sorted(
-            (node for node in rank if not isinstance(node, _Frontier)),
-            key=rank.__getitem__,
-        )
+        """The committed transactions in the maintained topological order:
+        a legal linearization whenever :attr:`ok` holds — with retirement,
+        of the suffix not yet retired (retired transactions precede every
+        survivor)."""
+        return [node for node in self._dag.order if not isinstance(node, _Frontier)]
 
     def result(self) -> CheckResult:
         """The current verdict, under the batch checker's contract."""
@@ -472,7 +500,7 @@ class IncrementalTCSChecker:
             "edges": self._dag.edge_count,
             "txns_pruned": self.txns_pruned,
             "frontiers_pruned": self.frontiers_pruned,
-            # GC health: the prune horizon of the last collection and the
+            # Retirement health: the prune horizon reached so far and the
             # certified-but-undecided count.  A watermark that stops
             # advancing while undecided stays > 0 means a stuck transaction
             # is pinning memory (see `collect`).

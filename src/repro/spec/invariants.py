@@ -24,7 +24,7 @@ benchmark can assert on their presence or absence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.types import Decision, Phase, TxnId
 from repro.spec.history import History, HistorySubscription
@@ -192,22 +192,32 @@ def _check_log_agreement(shard: str, replicas: Sequence) -> List[InvariantViolat
 
 
 def _check_slot_decision_agreement(shard: str, replicas: Sequence) -> List[InvariantViolation]:
-    violations = []
-    decisions: Dict[int, Dict] = {}
+    # One flat pass records each slot's first decision; only the slots some
+    # replica disagrees on get the per-replica observations of the report.
+    first: Dict[int, Decision] = {}
+    split: Set[int] = set()
     for replica in replicas:
         for slot, decision in replica.dec_arr.items():
-            txn = replica.txn_arr.get(slot)
-            decisions.setdefault(slot, {})[replica.pid] = (txn, decision)
-    for slot, per_replica in decisions.items():
-        observed = {decision for _, decision in per_replica.values()}
-        if len(observed) > 1:
-            violations.append(
-                InvariantViolation(
-                    invariant="slot-decision-agreement (Inv. 4a)",
-                    shard=shard,
-                    detail=f"slot {slot}: replicas recorded decisions {per_replica}",
-                )
+            if first.setdefault(slot, decision) != decision:
+                split.add(slot)
+    violations: List[InvariantViolation] = []
+    if not split:
+        return violations
+    for slot in first:
+        if slot not in split:
+            continue
+        per_replica = {
+            replica.pid: (replica.txn_arr.get(slot), replica.dec_arr[slot])
+            for replica in replicas
+            if slot in replica.dec_arr
+        }
+        violations.append(
+            InvariantViolation(
+                invariant="slot-decision-agreement (Inv. 4a)",
+                shard=shard,
+                detail=f"slot {slot}: replicas recorded decisions {per_replica}",
             )
+        )
     return violations
 
 
@@ -237,29 +247,46 @@ def _check_global_decision_agreement(
     client_decisions: Optional[Dict[TxnId, Decision]],
     include_crashed: bool,
 ) -> List[InvariantViolation]:
-    violations = []
-    per_txn: Dict[str, Dict[str, Decision]] = {}
-    for shard, replicas in replicas_by_shard.items():
-        for replica in replicas:
-            if replica.crashed and not include_crashed:
-                continue
-            for slot, decision in replica.dec_arr.items():
-                txn = replica.txn_arr.get(slot)
-                if txn is None:
-                    continue
-                per_txn.setdefault(txn, {})[f"{replica.pid}"] = decision
+    # The two passes of Inv. 4a, per transaction.  A replica holding one
+    # transaction in two slots reports the decision of the later slot, so a
+    # candidate from the first pass is confirmed on its final observations.
+    replicas = [
+        replica
+        for members in replicas_by_shard.values()
+        for replica in members
+        if include_crashed or not replica.crashed
+    ]
+    first: Dict[TxnId, Decision] = {}
+    split: Set[TxnId] = set()
+    for replica in replicas:
+        txn_arr = replica.txn_arr
+        for slot, decision in replica.dec_arr.items():
+            txn = txn_arr.get(slot)
+            if txn is not None and first.setdefault(txn, decision) != decision:
+                split.add(txn)
     if client_decisions is not None:
         for txn, decision in client_decisions.items():
+            if decision is not None and first.setdefault(txn, decision) != decision:
+                split.add(txn)
+    if not split:
+        return []
+    per_txn: Dict[TxnId, Dict[str, Decision]] = {txn: {} for txn in first if txn in split}
+    for replica in replicas:
+        for slot, decision in replica.dec_arr.items():
+            observations = per_txn.get(replica.txn_arr.get(slot))
+            if observations is not None:
+                observations[f"{replica.pid}"] = decision
+    if client_decisions is not None:
+        for txn, observations in per_txn.items():
+            decision = client_decisions.get(txn)
             if decision is not None:
-                per_txn.setdefault(txn, {})["<client-history>"] = decision
-    for txn, observations in per_txn.items():
-        observed = set(observations.values())
-        if len(observed) > 1:
-            violations.append(
-                InvariantViolation(
-                    invariant="global-decision-agreement (Inv. 4b)",
-                    shard=None,
-                    detail=f"transaction {txn}: {observations}",
-                )
-            )
-    return violations
+                observations["<client-history>"] = decision
+    return [
+        InvariantViolation(
+            invariant="global-decision-agreement (Inv. 4b)",
+            shard=None,
+            detail=f"transaction {txn}: {observations}",
+        )
+        for txn, observations in per_txn.items()
+        if len(set(observations.values())) > 1
+    ]

@@ -21,6 +21,7 @@ from repro.core.serializability import (
 from repro.core.types import Decision
 from repro.scenarios import BatchSpec, ExecSpec, NetworkSpec, ScenarioSpec, WorkloadSpec
 from repro.scenarios.spec import ReadSpec
+from repro.spec.invariants import InvariantViolation
 
 
 def payload(
@@ -166,6 +167,61 @@ def reference_scheme(scheme_cls, sharding):
             return PairwiseConflictIndex(self)
 
     return _Reference(sharding)
+
+
+# ----------------------------------------------------------------------
+# reference implementations of the decision-agreement checks
+# ----------------------------------------------------------------------
+# Invariants 4a and 4b as first written: one observation dict per slot and
+# per transaction.  ``repro.spec.invariants`` builds those only for the
+# slots and transactions that disagree; its violations must equal these.
+
+def oracle_slot_decision_agreement(shard, replicas):
+    violations = []
+    decisions = {}
+    for replica in replicas:
+        for slot, decision in replica.dec_arr.items():
+            txn = replica.txn_arr.get(slot)
+            decisions.setdefault(slot, {})[replica.pid] = (txn, decision)
+    for slot, per_replica in decisions.items():
+        observed = {decision for _, decision in per_replica.values()}
+        if len(observed) > 1:
+            violations.append(
+                InvariantViolation(
+                    invariant="slot-decision-agreement (Inv. 4a)",
+                    shard=shard,
+                    detail=f"slot {slot}: replicas recorded decisions {per_replica}",
+                )
+            )
+    return violations
+
+
+def oracle_global_decision_agreement(replicas_by_shard, client_decisions, include_crashed):
+    violations = []
+    per_txn = {}
+    for replicas in replicas_by_shard.values():
+        for replica in replicas:
+            if replica.crashed and not include_crashed:
+                continue
+            for slot, decision in replica.dec_arr.items():
+                txn = replica.txn_arr.get(slot)
+                if txn is None:
+                    continue
+                per_txn.setdefault(txn, {})[f"{replica.pid}"] = decision
+    if client_decisions is not None:
+        for txn, decision in client_decisions.items():
+            if decision is not None:
+                per_txn.setdefault(txn, {})["<client-history>"] = decision
+    for txn, observations in per_txn.items():
+        if len(set(observations.values())) > 1:
+            violations.append(
+                InvariantViolation(
+                    invariant="global-decision-agreement (Inv. 4b)",
+                    shard=None,
+                    detail=f"transaction {txn}: {observations}",
+                )
+            )
+    return violations
 
 
 # ----------------------------------------------------------------------

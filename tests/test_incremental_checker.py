@@ -1,7 +1,8 @@
 """Tests for the online TCS checker: differential equivalence with the batch
-oracle on randomized histories, violation detection at the introducing event,
-the scheme conflict indexes against their pairwise reference, and the
-incremental invariant monitor."""
+oracle on randomized histories, the retiring checker against one that keeps
+everything, violation detection at the introducing event, the scheme
+conflict indexes against their pairwise reference, and the incremental
+invariant monitor."""
 
 import random
 
@@ -20,7 +21,7 @@ from repro.spec.history import History
 from repro.spec.incremental import IncrementalTCSChecker
 from repro.spec.invariants import InvariantMonitor, check_invariants
 
-from helpers import PairwiseConflictIndex, payload, reference_scheme
+from helpers import PairwiseConflictIndex, calls, payload, reference_scheme
 
 
 SHARDS = ["shard-0", "shard-1"]
@@ -101,7 +102,8 @@ def test_differential_batch_vs_incremental(scheme_factory):
     for seed in range(60):
         history = _random_history(scheme, seed)
         batch = TCSChecker(scheme).check(history)
-        online = IncrementalTCSChecker(scheme, history=history).result()
+        # gc=False: the witness below must be the whole linearization.
+        online = IncrementalTCSChecker(scheme, history=history, gc=False).result()
         assert batch.ok == online.ok, (
             f"seed {seed}: batch={batch.ok} ({batch.reason}) "
             f"online={online.ok} ({online.reason})"
@@ -140,6 +142,23 @@ def test_live_subscription_equals_replay(scheme):
 # ----------------------------------------------------------------------
 # violations are reported at the event that introduces them
 # ----------------------------------------------------------------------
+def test_a_wave_of_decisions_shares_one_frontier(scheme):
+    """Three commits decided back to back get one frontier, appended by the
+    next certify, with one edge from each of them."""
+    checker = IncrementalTCSChecker(scheme, gc=False)
+    wave = [f"t{i}" for i in range(3)]
+    for txn in wave:
+        checker.observe_certify(txn, payload(reads=[(txn, (0, ""))], tiebreak=txn))
+    for txn in wave:
+        checker.observe_decide(txn, Decision.COMMIT)
+    assert checker.stats["nodes"] == 3 and checker.stats["edges"] == 0
+    checker.observe_certify("next", payload(reads=[("next", (0, ""))], tiebreak="n"))
+    assert checker.stats["nodes"] == 3 + 1 and checker.stats["edges"] == 3
+    checker.observe_decide("next", Decision.COMMIT)  # its birth edge
+    assert checker.stats["nodes"] == 5 and checker.stats["edges"] == 4
+    assert checker.linearization()[-1] == "next"
+
+
 def test_conflict_cycle_detected_at_introducing_decide(scheme):
     """Two mutually conflicting transactions both commit: the cycle exists
     the moment the second one is decided."""
@@ -402,14 +421,14 @@ def test_invariant_monitor_reports_contradiction():
 
 
 # ----------------------------------------------------------------------
-# streaming-run garbage collection
+# retirement
 # ----------------------------------------------------------------------
 def test_gc_bounds_memory_on_streaming_run(scheme):
     """The regression test for unbounded workloads: 100k transactions in a
     closed-loop-style stream (a small in-flight window, everything decided)
-    must leave the garbage-collected checker with a bounded graph, while the
-    un-collected baseline retains every node."""
-    checker = IncrementalTCSChecker(scheme, gc=True, gc_interval=128)
+    must leave the retiring checker with a bounded graph, while one built
+    with gc=False retains every node."""
+    checker = IncrementalTCSChecker(scheme, gc_interval=128)
     txns = 100_000
     keys = 64
     window = 8
@@ -434,8 +453,9 @@ def test_gc_bounds_memory_on_streaming_run(scheme):
     assert checker.ok, checker.result().reason
     stats = checker.stats
     assert stats["events_processed"] == 2 * txns
-    # Without GC the graph holds ~2 nodes per transaction (txn + frontier);
-    # with it, only the recent window plus the GC interval's worth survives.
+    # Without retirement the graph holds every transaction plus a frontier
+    # per certify-after-decide; with it, only the recent window plus the
+    # interval's worth survives.
     assert stats["txns_pruned"] > 0.95 * txns
     assert stats["nodes"] < 2_000
     assert stats["edges"] < 10_000
@@ -444,7 +464,7 @@ def test_gc_bounds_memory_on_streaming_run(scheme):
 
 
 def test_gc_prunes_nothing_while_everything_is_concurrent(scheme):
-    checker = IncrementalTCSChecker(scheme, gc=True, gc_interval=10_000)
+    checker = IncrementalTCSChecker(scheme, gc_interval=10_000)
     p1 = payload(reads=[("a", (0, ""))], writes=[("a", 1)], tiebreak="t1")
     p2 = payload(reads=[("b", (0, ""))], writes=[("b", 1)], tiebreak="t2")
     checker.observe_certify("t1", p1)
@@ -478,14 +498,34 @@ def test_gc_flags_conflict_with_retired_history(scheme):
         checker.observe_decide("t2", Decision.COMMIT)
         return collected
 
-    plain = IncrementalTCSChecker(scheme)
-    drive(plain)
-    collected = IncrementalTCSChecker(scheme, gc=True, gc_interval=10_000)
+    plain = IncrementalTCSChecker(scheme, gc=False)
+    assert drive(plain) == 0
+    collected = IncrementalTCSChecker(scheme, gc_interval=10_000)
     pruned = drive(collected)
     assert pruned > 0 and collected.txns_pruned == 1  # t1 really was retired
     assert not plain.ok and not collected.ok
-    assert "garbage-collected" in collected.result().reason
+    # The same verdict at the same event; the witness is t2 alone, since
+    # t1's identity was retired.
+    assert collected.result().reason == plain.result().reason
+    assert collected.violation_at_event == plain.violation_at_event
     assert collected.result().cycle == ["t2"]
+
+
+def _verdict(checker):
+    result = checker.result()
+    return result.ok, result.reason, checker.violation_at_event
+
+
+def _frontier_boundaries(history):
+    """Certify events that follow at least one commit decided since the
+    previous such event: where the frontier chain gains a node."""
+    boundaries, fresh = 0, False
+    for event in history.events:
+        if event.kind == "decide":
+            fresh = fresh or event.decision is Decision.COMMIT
+        elif fresh:
+            boundaries, fresh = boundaries + 1, False
+    return boundaries
 
 
 @pytest.mark.parametrize(
@@ -499,22 +539,27 @@ def test_gc_flags_conflict_with_retired_history(scheme):
     ids=["serializability", "snapshot-isolation", "pairwise-reference", "pairwise-reference-si"],
 )
 def test_gc_differential_matches_unpruned_verdicts(scheme_factory):
-    """Aggressive collection (every commit) must never change the verdict
-    reached on the same history without collection — for the indexed schemes
-    and for the pairwise reference (which keeps retired payloads instead of
-    per-object horizons)."""
+    """Retirement — at the default interval and after every commit — must
+    never change the verdict, its reason or the event it is reported at,
+    against gc=False on the same history, for the indexed schemes and for
+    the pairwise reference (which keeps retired payloads instead of
+    per-object horizons).  The graph never holds more than one node per
+    commit and one frontier per certify-after-decide boundary; without
+    retirement, a correct history's graph holds exactly that."""
     scheme = scheme_factory()
     verdicts = {True: 0, False: 0}
     for seed in range(40):
         history = _random_history(scheme, seed)
-        plain = IncrementalTCSChecker(scheme, history=history).result()
-        collected = IncrementalTCSChecker(
-            scheme, history=history, gc=True, gc_interval=1
-        ).result()
-        assert plain.ok == collected.ok, (
-            f"seed {seed}: plain={plain.ok} ({plain.reason}) "
-            f"collected={collected.ok} ({collected.reason})"
-        )
+        plain = IncrementalTCSChecker(scheme, history=history, gc=False)
+        bound = len(history.committed()) + _frontier_boundaries(history)
+        if plain.ok:
+            assert plain.stats["nodes"] == bound, f"seed {seed}"
+        for checker in (
+            IncrementalTCSChecker(scheme, history=history),
+            IncrementalTCSChecker(scheme, history=history, gc_interval=1),
+        ):
+            assert _verdict(checker) == _verdict(plain), f"seed {seed}"
+            assert checker.stats["nodes"] <= bound, f"seed {seed}"
         verdicts[plain.ok] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
 
@@ -526,8 +571,8 @@ def test_pairwise_fallback_gc_drops_retired_entries():
     stays empty, and conflicts against retired history are still flagged
     via the RETIRED sentinel."""
     scheme = _pairwise_scheme(KeyHashSharding(SHARDS))
-    checker = IncrementalTCSChecker(scheme, gc=True, gc_interval=16)
-    uncollected = IncrementalTCSChecker(scheme)
+    checker = IncrementalTCSChecker(scheme, gc_interval=16)
+    uncollected = IncrementalTCSChecker(scheme, gc=False)
     for i in range(400):
         p = payload(
             reads=[(f"k{i}", (0, ""))], writes=[(f"k{i}", i)], tiebreak=f"t{i}"
@@ -554,7 +599,7 @@ def test_pairwise_fallback_gc_drops_retired_entries():
     checker.observe_certify("stale", stale)
     checker.observe_decide("stale", Decision.COMMIT)
     assert not checker.ok
-    assert "garbage-collected" in checker.result().reason
+    assert "cycle" in checker.result().reason
     assert checker.result().cycle == ["stale"]
 
 
@@ -572,22 +617,25 @@ def test_pairwise_fallback_retire_unknown_txn_returns_false(scheme):
 
 
 def test_gc_through_scenario_runner():
+    """The runner's checker always retires: after a run it holds the
+    in-flight tail, and the retired prefix plus that tail is every commit."""
     from repro.scenarios import ScenarioRunner, get_scenario
 
-    spec = get_scenario("steady-state").with_overrides(check_gc=True)
-    runner = ScenarioRunner(spec)
+    runner = ScenarioRunner(get_scenario("steady-state"))
     result = runner.run()
     assert result.passed
     runner.checker.collect()  # final sweep regardless of the interval
-    assert runner.checker.txns_pruned > 0
-    assert runner.checker.stats["nodes"] < 2 * result.committed
+    stats = runner.checker.stats
+    assert stats["txns_pruned"] > 0
+    assert stats["txns_pruned"] + len(runner.checker.linearization()) == result.committed
+    assert stats["nodes"] < result.committed
 
 
 def test_gc_stalls_visibly_behind_a_never_decided_transaction(scheme):
     """Exactness requires retaining everything a stuck (never-decided)
     transaction could still order against: collection must stop at its
     certify point — and the stats must make the stall observable."""
-    checker = IncrementalTCSChecker(scheme, gc=True, gc_interval=10_000)
+    checker = IncrementalTCSChecker(scheme, gc_interval=10_000)
     stuck = payload(reads=[("s", (0, ""))], tiebreak="stuck")
     checker.observe_certify("stuck", stuck)  # certified before any commit
     versions = {"k": (0, "")}
@@ -599,6 +647,9 @@ def test_gc_stalls_visibly_behind_a_never_decided_transaction(scheme):
         checker.observe_decide(f"t{i}", Decision.COMMIT)
         versions["k"] = p.commit_version
     assert checker.collect() == 0  # pinned: "stuck" predates every decision
+    # A pass whose watermark has not advanced costs a scan of the undecided
+    # transactions, not of the 100 nodes the stuck one pins.
+    assert calls(checker.collect) < 10
     stats = checker.stats
     assert stats["watermark"] == -1 and stats["undecided"] == 1
     assert stats["txns_pruned"] == 0

@@ -14,9 +14,17 @@ from repro.analysis.metrics import (
 from repro.cluster import Cluster
 from repro.core.types import Decision, Phase
 from repro.runtime.network import MessageStats
+from repro.scenarios import ScenarioRunner, get_scenario
+from repro.spec import invariants
 from repro.spec.invariants import check_invariants
 
-from helpers import rw_payload
+from helpers import (
+    oracle_global_decision_agreement,
+    oracle_slot_decision_agreement,
+    rw_payload,
+    shard_key,
+)
+from test_figure4a_safety import _drive_figure_4a
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +159,75 @@ def test_invariants_detect_commit_with_abort_vote():
     leader.vote_arr[slot] = Decision.ABORT
     violations = check_invariants({shard: [leader]}, None)
     assert any("commit-implies-commit-vote" in v.invariant for v in violations)
+
+
+def _scenario_replicas(name):
+    runner = ScenarioRunner(get_scenario(name))
+    runner.run()
+    return runner.cluster.member_replicas_by_shard(), runner.cluster.history.decided()
+
+
+def _figure_4a_replicas():
+    cluster = Cluster(
+        num_shards=3, replicas_per_shard=2, protocol="broken-rdma", spares_per_shard=2, seed=51
+    )
+    _drive_figure_4a(cluster, global_reconfig=False)
+    return cluster.member_replicas_by_shard(), cluster.history.decided()
+
+
+def _split_decision_replicas():
+    """Replicas that disagree on two slots' decisions, a leader that holds
+    one transaction in two slots with two decisions (its later slot wins,
+    so the first pass flags that transaction and the second clears it
+    where everyone else agrees with the later one), and a client history
+    contradicting the replicas."""
+    cluster = Cluster(num_shards=2, replicas_per_shard=2, seed=88)
+    keys = [shard_key(cluster.scheme, "shard-0", hint=f"k{i}") for i in range(4)]
+    cluster.certify_many([rw_payload(key, tiebreak=key) for key in keys])
+    cluster.run()
+    leader = cluster.replica(cluster.leader_of("shard-0"))
+    follower = cluster.replica(cluster.followers_of("shard-0")[0])
+    first, last = min(leader.dec_arr), max(leader.dec_arr)
+    follower.dec_arr[first] = Decision.ABORT
+    follower.dec_arr[last] = Decision.ABORT
+    twin = max(leader.txn_arr) + 1
+    leader.txn_arr[twin] = leader.txn_arr[last]
+    leader.dec_arr[twin] = Decision.ABORT
+    client = cluster.history.decided()
+    client[leader.txn_arr[last]] = Decision.ABORT
+    client[leader.txn_arr[first + 1]] = Decision.ABORT
+    return cluster.member_replicas_by_shard(), client
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _scenario_replicas("ablation-safety-demo"),
+        lambda: _scenario_replicas("stale-lease-ablation"),
+        _figure_4a_replicas,
+        _split_decision_replicas,
+    ],
+    ids=["ablation-safety-demo", "stale-lease-ablation", "figure-4a-broken-rdma", "split-decisions"],
+)
+def test_decision_agreement_checks_equal_their_oracle(case):
+    """Inv. 4a and 4b build observation dicts only for what disagrees; the
+    violations — order and detail text included — must be the oracle's."""
+    replicas_by_shard, client = case()
+    for include_crashed in (False, True):
+        got, want = [], []
+        for shard, replicas in replicas_by_shard.items():
+            live = [r for r in replicas if include_crashed or not r.crashed]
+            got += invariants._check_slot_decision_agreement(shard, live)
+            want += oracle_slot_decision_agreement(shard, live)
+        got += invariants._check_global_decision_agreement(
+            replicas_by_shard, client, include_crashed
+        )
+        want += oracle_global_decision_agreement(replicas_by_shard, client, include_crashed)
+        assert got == want
+    if case is _split_decision_replicas:
+        assert {v.invariant for v in got} == {
+            "slot-decision-agreement (Inv. 4a)", "global-decision-agreement (Inv. 4b)"
+        }
 
 
 def test_violation_string_rendering():

@@ -116,7 +116,6 @@ def test_with_overrides_revalidates():
     "overrides, match",
     [
         # Set, validated, and then changed nothing: now one-line errors.
-        (dict(check_gc=True, check_mode="final"), "check_gc .* requires check_mode='online'"),
         (dict(workload=WorkloadSpec(sessions=4)), "sessions only count .* think_time > 0"),
         # The converse defect: `groups` was checked although the mode is serial.
         (dict(execution=ExecSpec(mode="serial", groups=1)), None),
@@ -126,7 +125,7 @@ def test_with_overrides_revalidates():
               faults=(FaultStep(at=5.0, action="crash-leader", shard="shard-0"),)),
          "stop-and-wait .* models a failure-free run"),
     ],
-    ids=["check-gc-without-online", "sessions-without-think-time", "serial-ignores-groups",
+    ids=["sessions-without-think-time", "serial-ignores-groups",
          "stop-and-wait-under-faults"],
 )
 def test_options_that_change_nothing_are_rejected_and_unused_ones_are_not_checked(overrides, match):
