@@ -137,8 +137,7 @@ class CertificationStateMachine(StateMachine):
         if command.decision is Decision.COMMIT:
             self.committed_payloads.append(payload)
             self._index.add_committed(payload)
-            written = getattr(payload, "written_objects", None)
-            if written:
+            if getattr(payload, "write_set", None):
                 if self.applied_store is not None:
                     self.applied_store.install_payload(payload)
                 if payload.commit_version > self.watermark:
@@ -146,17 +145,19 @@ class CertificationStateMachine(StateMachine):
         return command.decision
 
 
-@dataclass
+@dataclass(slots=True)
 class _BaselineTxn:
+    """Book-keeping for one transaction: ``votes`` is dropped (reads
+    ``None``) once the votes are combined, ``durable_shards`` once the
+    decision is durable everywhere."""
+
     txn: TxnId
-    payload: Any
     shards: FrozenSet[ShardId]
     started_at: float
-    votes: Dict[ShardId, Decision] = field(default_factory=dict)
+    votes: Optional[Dict[ShardId, Decision]] = field(default_factory=dict)
     decision: Optional[Decision] = None
-    vote_complete_at: Optional[float] = None
     decided_at: Optional[float] = None
-    durable_shards: Set[ShardId] = field(default_factory=set)
+    durable_shards: Optional[Set[ShardId]] = field(default_factory=set)
     durable_at: Optional[float] = None
     # When the last prepare command left the coordinator; started_at ->
     # dispatched_at is the queue_wait phase of the latency breakdown.
@@ -220,9 +221,7 @@ class TwoPCCoordinator(Process):
 
     def certify(self, txn: TxnId, payload: Any) -> _BaselineTxn:
         shards = self.directory.shards_of(txn)
-        entry = _BaselineTxn(
-            txn=txn, payload=payload, shards=frozenset(shards), started_at=self.now
-        )
+        entry = _BaselineTxn(txn=txn, shards=frozenset(shards), started_at=self.now)
         self.transactions[txn] = entry
         if self.gate.admit(entry, payload):
             self._dispatch_prepares(entry, payload)
@@ -242,6 +241,7 @@ class TwoPCCoordinator(Process):
             # No shard needs to vote: commit trivially and report back.
             entry.decision = Decision.COMMIT
             entry.decided_at = entry.durable_at = self.now
+            entry.votes = entry.durable_shards = None
             if self.directory.known(txn):
                 self._reply_batcher.add(
                     self.directory.client_of(txn), TxnDecision(txn, Decision.COMMIT)
@@ -283,23 +283,25 @@ class TwoPCCoordinator(Process):
         if entry is None:
             return
         if kind == "prepare":
-            entry.votes[shard] = result
-            if entry.decision is None and set(entry.votes) == set(entry.shards):
-                self._decide(entry)
-        elif kind == "decide":
+            if entry.decision is None:
+                entry.votes[shard] = result
+                if entry.votes.keys() == entry.shards:
+                    self._decide(entry)
+        elif kind == "decide" and entry.durable_at is None:
             entry.durable_shards.add(shard)
-            if entry.durable_shards == set(entry.shards) and entry.durable_at is None:
+            if entry.durable_shards == entry.shards:
                 entry.durable_at = self.now
+                entry.durable_shards = None
                 if self.directory.known(txn):
                     client = self.directory.client_of(txn)
                     self._reply_batcher.add(client, TxnDecision(txn=txn, decision=entry.decision))
                 self.gate.leave(txn, self._dispatch_prepares)
 
     def _decide(self, entry: _BaselineTxn) -> None:
-        entry.vote_complete_at = self.now
         decision = Decision.meet_all(entry.votes[s] for s in entry.shards)
         entry.decision = decision
         entry.decided_at = self.now
+        entry.votes = None
         # Sorted for hash-seed-independent send order (see `certify`).
         for shard in sorted(entry.shards):
             self._send_command(entry.txn, shard, "decide", DecideCommand(entry.txn, decision))

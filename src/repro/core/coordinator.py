@@ -44,19 +44,27 @@ from repro.core.messages import (
 from repro.core.types import BOTTOM, Decision, Phase, ShardId, TxnId
 
 
-@dataclass
+@dataclass(slots=True)
 class CoordinatorEntry:
-    """Book-keeping for one transaction this process coordinates."""
+    """Book-keeping for one transaction this process coordinates.
+
+    ``votes`` / ``slots`` / ``vote_epochs`` / ``acks`` are the in-flight
+    state of the vote rounds.  Once the transaction is decided nothing reads
+    them, so the decision drops them (they read ``None`` from then on): a
+    decided entry keeps ``txn``, ``shards``, the ``decision`` and its
+    timestamps, which is what duplicate requests, the latency breakdown and
+    the admission gate read.  A ``PREPARE_ACK`` arriving after the decision
+    is still relayed to the followers; their confirmations are dropped.
+    """
 
     txn: TxnId
-    payload: Any
     shards: frozenset
     started_at: float
-    votes: Dict[ShardId, Decision] = field(default_factory=dict)
-    slots: Dict[ShardId, int] = field(default_factory=dict)
-    vote_epochs: Dict[ShardId, int] = field(default_factory=dict)
+    votes: Optional[Dict[ShardId, Decision]] = field(default_factory=dict)
+    slots: Optional[Dict[ShardId, int]] = field(default_factory=dict)
+    vote_epochs: Optional[Dict[ShardId, int]] = field(default_factory=dict)
     # Followers known to hold the vote, keyed by ``_ack_key(shard, epoch)``.
-    acks: Dict[Hashable, Set[str]] = field(default_factory=dict)
+    acks: Optional[Dict[Hashable, Set[str]]] = field(default_factory=dict)
     decided: bool = False
     decision: Optional[Decision] = None
     decided_at: Optional[float] = None
@@ -168,9 +176,7 @@ class CoordinatorMixin:
         shards = self.directory.shards_of(txn)
         entry = self._coordinated.get(txn)
         if entry is None:
-            entry = CoordinatorEntry(
-                txn=txn, payload=payload, shards=frozenset(shards), started_at=self.now
-            )
+            entry = CoordinatorEntry(txn=txn, shards=frozenset(shards), started_at=self.now)
             self._coordinated[txn] = entry
         if self.gate.admit(entry, payload):
             self._dispatch_prepares(entry, payload)
@@ -248,6 +254,11 @@ class CoordinatorMixin:
         if self.epoch_of(msg.shard) != msg.epoch:
             self._on_stale_prepare_ack(msg, sender)
             return
+        if entry.decided:
+            # A late or duplicate vote: still relayed, as an undecided
+            # coordinator would, but there is nothing left to record it in.
+            self._persist_vote(entry, msg)
+            return
         entry.votes[msg.shard] = msg.vote
         entry.slots[msg.shard] = msg.slot
         entry.vote_epochs[msg.shard] = msg.epoch
@@ -265,9 +276,11 @@ class CoordinatorMixin:
         if not all(self._shard_persisted(entry, shard) for shard in entry.shards):
             return
         decision = Decision.meet_all(entry.votes[s] for s in entry.shards)
+        slots = entry.slots
         entry.decided = True
         entry.decision = decision
         entry.decided_at = self.now
+        entry.votes = entry.slots = entry.vote_epochs = entry.acks = None
         # Report to the client (line 27) ...
         if self.directory.known(entry.txn):
             client = self.directory.client_of(entry.txn)
@@ -275,7 +288,7 @@ class CoordinatorMixin:
         # ... and persist the decision at every relevant shard (lines 28-29).
         # Sorted for hash-seed-independent send order (see `certify`).
         for shard in sorted(entry.shards):
-            self._persist_decision(shard, entry.slots[shard], decision)
+            self._persist_decision(shard, slots[shard], decision)
         self.gate.leave(entry.txn, self._dispatch_prepares)
 
     # ------------------------------------------------------------------
@@ -319,7 +332,7 @@ class CoordinatorMixin:
         """Count follower confirmations; decide once every shard is persisted
         (lines 26-29)."""
         entry = self._coordinated.get(msg.txn)
-        if entry is None:
+        if entry is None or entry.decided:
             return
         entry.acks.setdefault((msg.shard, msg.epoch), set()).add(sender)
         entry.votes.setdefault(msg.shard, msg.vote)

@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, Optional
 from repro.core.types import ProcessId, ShardId, TxnId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxnInfo:
     """Static per-transaction metadata."""
 
@@ -33,6 +33,9 @@ class TransactionDirectory:
 
     def __init__(self) -> None:
         self._info: Dict[TxnId, TxnInfo] = {}
+        # One frozenset per distinct shard set, shared by every transaction
+        # (and coordinator entry) with that set: a cluster has few of them.
+        self._shard_sets: Dict[FrozenSet[ShardId], FrozenSet[ShardId]] = {}
 
     def register(self, txn: TxnId, client: ProcessId, shards) -> TxnInfo:
         """Record the static metadata for ``txn``.
@@ -40,7 +43,9 @@ class TransactionDirectory:
         Re-registration with identical metadata is idempotent; conflicting
         re-registration raises, because the functions are meant to be static.
         """
-        info = TxnInfo(txn=txn, client=client, shards=frozenset(shards))
+        shards = frozenset(shards)
+        shards = self._shard_sets.setdefault(shards, shards)
+        info = TxnInfo(txn=txn, client=client, shards=shards)
         existing = self._info.get(txn)
         if existing is not None:
             if existing != info:

@@ -17,8 +17,8 @@ with the transaction domain of paper Section 2: a payload is a triple
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.certification import RETIRED, CertificationScheme, ConflictIndex, VoteIndex
@@ -41,8 +41,34 @@ def version_after(versions: Iterable[Version], tiebreak: str) -> Version:
     return (highest[0] + 1, tiebreak)
 
 
-@dataclass(frozen=True)
-class TransactionPayload:
+class _ObjectSets:
+    """The object sets ``read_objects`` / ``written_objects`` of a payload,
+    kept in slots that are not dataclass fields (so neither ``fields()``
+    nor the digest and wire texts see them).
+
+    Payloads are immutable and the sets sit on every certification hot
+    path, so each is built on first read: an unset slot raises
+    ``AttributeError``, which falls through to ``__getattr__``, which fills
+    it.  Every later read is a plain slot load, with no Python frame.
+    """
+
+    __slots__ = ("read_objects", "written_objects")
+
+    def __getattr__(self, name: str) -> Set[ObjectId]:
+        if name == "read_objects":
+            objects = {obj for obj, _ in self.read_set}
+        elif name == "written_objects":
+            objects = {obj for obj, _ in self.write_set}
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        object.__setattr__(self, name, objects)
+        return objects
+
+
+@dataclass(frozen=True, slots=True)
+class TransactionPayload(_ObjectSets):
     """The result of a transaction's optimistic execution: ``⟨R, W, Vc⟩``.
 
     * ``read_set`` — objects with the versions that were read (one version
@@ -98,17 +124,6 @@ class TransactionPayload:
                         "commit version must be greater than every version read"
                     )
 
-    # Cached: payloads are immutable and these sets sit on every
-    # certification hot path (cached_property writes the instance __dict__
-    # directly, which a frozen dataclass permits).
-    @cached_property
-    def read_objects(self) -> Set[ObjectId]:
-        return {obj for obj, _ in self.read_set}
-
-    @cached_property
-    def written_objects(self) -> Set[ObjectId]:
-        return {obj for obj, _ in self.write_set}
-
     def is_empty(self) -> bool:
         """True for the empty payload ``ε`` (no reads, no writes)."""
         return not self.read_set and not self.write_set
@@ -123,7 +138,7 @@ class TransactionPayload:
 EMPTY_PAYLOAD = TransactionPayload()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SnapshotRead:
     """The certify-time placeholder payload of a snapshot (lease-guarded)
     read-only transaction.
@@ -218,8 +233,10 @@ class _ReadWriteScheme(CertificationScheme[TransactionPayload]):
         return self.sharding.shards  # type: ignore[attr-defined]
 
     def shards_of(self, payload: TransactionPayload) -> Set[ShardId]:
-        objects = payload.read_objects | payload.written_objects
-        return {self.sharding.shard_of(obj) for obj in objects}
+        # Read off the payload's own sets: building its cached object sets
+        # here would keep two more sets alive for as long as the payload.
+        shard_of = self.sharding.shard_of
+        return {shard_of(obj) for obj, _ in chain(payload.read_set, payload.write_set)}
 
     def project(self, payload: TransactionPayload, shard: ShardId) -> TransactionPayload:
         reads = frozenset(

@@ -93,7 +93,8 @@ class RdmaVotePersistence:
                 # A coordinator that is itself a follower of the shard writes
                 # to its own memory directly (no NIC round-trip needed).
                 self.on_accept(accept, self.pid)
-                entry.acks.setdefault(key, set()).add(self.pid)
+                if not entry.decided:
+                    entry.acks.setdefault(key, set()).add(self.pid)
             else:
                 self._accept_keys.setdefault(follower, []).append((msg.txn, key))
                 self._accept_batcher.add(follower, accept)
@@ -113,7 +114,7 @@ class RdmaVotePersistence:
     def _on_accept_acked(self, txn: TxnId, key: Hashable, follower: ProcessId) -> None:
         """ack-rdma received for an ACCEPT written to ``follower`` (line 96)."""
         entry = self._coordinated.get(txn)
-        if entry is None:
+        if entry is None or entry.decided:
             return
         entry.acks.setdefault(key, set()).add(follower)
         self._maybe_decide(entry)

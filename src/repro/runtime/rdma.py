@@ -28,7 +28,7 @@ newer epoch.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.runtime.process import Process
@@ -49,7 +49,7 @@ class RdmaAck:
     write_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingDelivery:
     payload: Any
     sender: str
@@ -75,7 +75,9 @@ class RdmaManager:
         self.poll_delay = poll_delay
         # Senders currently granted access to our memory.
         self.access_granted: Set[str] = set()
-        # Per-sender circular buffers of messages acked but not yet polled.
+        # Per-sender circular buffers of messages acked but not yet polled:
+        # a poll or a flush releases delivered writes off the head, and a
+        # full buffer rejects new writes (see ``_on_write``).
         self.buffers: Dict[str, Deque[_PendingDelivery]] = {}
         # Outstanding writes issued by *this* process, keyed by write id.
         self._next_write_id = 0
@@ -184,6 +186,11 @@ class RdmaManager:
         if pending.delivered or self.process.crashed:
             return
         pending.delivered = True
+        # Release the buffer's head of polled writes, so that it holds only
+        # what has not been delivered and its capacity bounds exactly that.
+        buffer = self.buffers[pending.sender]
+        while buffer and buffer[0].delivered:
+            buffer.popleft()
         self.process.handle(pending.payload, pending.sender)
 
     def _on_remote_ack(self, ack: RdmaAck, sender: str) -> None:

@@ -129,7 +129,7 @@ def _compile_renderer(cls: type) -> Callable[[Any], str]:
     return repr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One action of a history."""
 

@@ -11,7 +11,7 @@ function yields a serializable store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.serializability import (
@@ -80,7 +80,7 @@ class TransactionContext:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionOutcome:
     """Result of running one transaction through the store."""
 
@@ -109,7 +109,10 @@ class TransactionalStore:
     ) -> None:
         self.cluster = cluster
         self.store = store or VersionedKVStore(initial=initial)
-        self.outcomes: List[TransactionOutcome] = []
+        # Decided transactions, counted: the outcomes themselves go back to
+        # the caller (``transact`` / ``run_batch`` / ``on_decided``).
+        self.committed_count = 0
+        self.aborted_count = 0
         self._txn_counter = 0
         # Asynchronously submitted transactions awaiting their decision.
         self._pending: Dict[TxnId, tuple] = {}
@@ -164,9 +167,12 @@ class TransactionalStore:
             payload=payload,
             result=getattr(context, "result", None),
         )
-        if decision is Decision.COMMIT and payload.write_set:
-            self.store.apply_payload(payload)
-        self.outcomes.append(outcome)
+        if decision is Decision.COMMIT:
+            self.committed_count += 1
+            if payload.write_set:
+                self.store.apply_payload(payload)
+        else:
+            self.aborted_count += 1
         return outcome
 
     def submit_async(
@@ -177,7 +183,7 @@ class TransactionalStore:
     ) -> TxnId:
         """Execute speculatively and submit without driving the simulation.
 
-        The transaction is finalized (writes applied, outcome recorded,
+        The transaction is finalized (writes applied, outcome counted,
         ``on_decided`` called) from the history's decide event — the hook
         closed-loop clients use to overlap think times with certification.
         The caller is responsible for running the scheduler.
@@ -250,14 +256,3 @@ class TransactionalStore:
             self._finalize(txn, self.cluster.decision_of(txn), context, payload)
             for context, payload, txn in zip(contexts, payloads, txns)
         ]
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    @property
-    def committed_count(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome.committed)
-
-    @property
-    def aborted_count(self) -> int:
-        return sum(1 for outcome in self.outcomes if not outcome.committed)

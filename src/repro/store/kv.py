@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.serializability import ObjectId, TransactionPayload, Version, VERSION_ZERO
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionedValue:
     """One version of one object."""
 
@@ -31,7 +31,6 @@ class VersionedKVStore:
         if initial:
             for obj, value in initial.items():
                 self._history[obj] = [VersionedValue(value=value, version=VERSION_ZERO)]
-        self.applied_payloads: List[TransactionPayload] = []
 
     # ------------------------------------------------------------------
     # reads
@@ -124,7 +123,6 @@ class VersionedKVStore:
                     f"{payload.commit_version} after {versions[-1].version}"
                 )
             versions.append(VersionedValue(value=value, version=payload.commit_version))
-        self.applied_payloads.append(payload)
 
     def __len__(self) -> int:
         return len(self._history)

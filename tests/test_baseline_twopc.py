@@ -95,6 +95,23 @@ def test_abort_rate_metric(cluster):
     assert cluster.abort_rate() == pytest.approx(0.5)
 
 
+def test_a_durable_transaction_keeps_only_the_decision_and_its_timestamps(cluster):
+    """Once the decision is durable everywhere, the coordinator's record
+    holds no vote or durability container, no payload and no ``__dict__``."""
+    for i in range(3):
+        cluster.certify(rw_payload(f"k{i}", tiebreak=str(i)))
+    cluster.certify(payload())  # touches no shard: commits trivially
+    cluster.run()
+    (coordinator,) = cluster.coordinators
+    entries = list(coordinator.transactions.values())
+    assert len(entries) == 4
+    for entry in entries:
+        assert entry.decision is Decision.COMMIT and entry.durable_at is not None
+        assert entry.votes is None and entry.durable_shards is None
+        assert not hasattr(entry, "payload") and not hasattr(entry, "__dict__")
+    assert cluster.colocated_latencies().count(4.0) == 3
+
+
 # ----------------------------------------------------------------------
 # indexed certification state machine vs. the scan it replaced
 # ----------------------------------------------------------------------

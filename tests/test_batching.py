@@ -657,12 +657,23 @@ def test_rdma_accept_batch_ack_keeps_enqueue_time_shard():
     coordinator.members["shard-0"] = tuple(
         pid for pid in coordinator.members["shard-0"] if pid != follower
     )
-    cluster.run()
+    # The decision drops the acks, so look at them on every decision check
+    # that still finds the transaction undecided.
     entry = coordinator.coordinated(txn)
-    assert entry is not None
-    assert None not in entry.acks
-    assert follower in entry.acks.get("shard-0", set())
-    assert cluster.history.decision_of(txn) is not None
+    seen_acks = []
+    maybe_decide = coordinator._maybe_decide
+
+    def recording_maybe_decide(checked):
+        if checked is entry and not entry.decided:
+            seen_acks.append({key: set(pids) for key, pids in entry.acks.items()})
+        maybe_decide(checked)
+
+    coordinator._maybe_decide = recording_maybe_decide
+    cluster.run()
+    assert cluster.history.decision_of(txn) is Decision.COMMIT
+    assert entry.decided and entry.acks is None
+    assert seen_acks and all(None not in acks for acks in seen_acks)
+    assert follower in seen_acks[-1].get("shard-0", set())
 
 
 def test_session_retries_with_batching_stay_exactly_once_decided():

@@ -18,6 +18,7 @@ Four layers:
 """
 
 import dataclasses
+import pickle
 from dataclasses import replace
 from enum import Enum
 from typing import NamedTuple
@@ -32,6 +33,7 @@ from repro.core.serializability import TransactionPayload
 from repro.rdma import messages as rdma_messages
 from repro.runtime import process as process_runtime
 from repro.runtime import rdma as rdma_runtime
+from repro.runtime import wire
 from repro.runtime.events import Scheduler
 from repro.runtime.network import Network
 from repro.runtime.process import Batch, Process
@@ -45,6 +47,7 @@ from repro.scenarios import (
     parse_bandwidth,
     run_axis_sweep,
 )
+from repro.spec.history import History
 
 
 # ----------------------------------------------------------------------
@@ -286,6 +289,34 @@ def test_wire_size_equals_the_recursive_definition_bit_for_bit(module):
             assert wire_size(message) == _oracle_wire_size(message), message
             # Memoised payload sizes must not drift on a second sizing.
             assert wire_size(message) == _oracle_wire_size(message), message
+
+
+def test_a_payloads_cached_object_sets_are_not_fields():
+    """``read_objects`` / ``written_objects`` are cached in slots that are
+    not dataclass fields: reading them changes neither the fields, nor the
+    wire size, nor the digest text, nor what a pickle carries."""
+    assert [f.name for f in dataclasses.fields(TransactionPayload)] == [
+        "read_set",
+        "write_set",
+        "commit_version",
+    ]
+    fresh = TransactionPayload.make(
+        reads=[("key-1", (3, "c0")), ("key-22", (0, ""))], writes=[("key-1", 5)], tiebreak="c9"
+    )
+    assert not hasattr(fresh, "__dict__")
+    history = History()
+    history.record_certify("t", fresh, 0.0)
+    digest = history.digest()
+    size = _oracle_field_size(fresh)
+    assert fresh.read_objects == {"key-1", "key-22"}
+    assert fresh.written_objects == {"key-1"}
+    assert fresh.read_objects is fresh.read_objects  # cached, not rebuilt
+    assert _oracle_field_size(fresh) == size == wire._field_size(fresh)
+    assert history.digest() == digest
+    assert pickle.loads(pickle.dumps(fresh)) == fresh
+    assert getattr(fresh, "no_such_attribute", None) is None
+    with pytest.raises(AttributeError, match="no_such_attribute"):
+        fresh.no_such_attribute
 
 
 @pytest.mark.parametrize("name", ["bandwidth-knee", "saturated-link"])

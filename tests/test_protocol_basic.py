@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
+from repro.core.messages import AcceptAck, PrepareAck
 from repro.core.types import Decision, Phase, Status
 
 from helpers import payload, read_payload, rw_payload, shard_key
@@ -184,3 +185,90 @@ def test_three_replicas_per_shard_commit():
     cluster = Cluster(num_shards=2, replicas_per_shard=3, seed=3)
     assert cluster.certify(rw_payload("x", tiebreak="a")) is Decision.COMMIT
     assert cluster.protocol_latencies() == [5.0]
+
+
+# ----------------------------------------------------------------------
+# what a decided coordinator entry keeps
+# ----------------------------------------------------------------------
+def _decide_one(cluster):
+    """Commit one single-shard transaction and let the run drain; return
+    it, its shard and its coordinator."""
+    shard = cluster.scheme.sharding.shard_of("x")
+    txn = cluster.submit(rw_payload("x", tiebreak="a"))
+    cluster.run_until_decided([txn])
+    cluster.run()
+    (coordinator,) = [r for r in cluster.replicas.values() if txn in r._coordinated]
+    return txn, shard, coordinator
+
+
+def _assert_compact(entry):
+    """Only the decision and its timestamps survive: no vote, slot, epoch or
+    ack container, no payload and no instance ``__dict__``."""
+    assert entry.decided and entry.decision is Decision.COMMIT
+    assert entry.decided_at is not None and entry.dispatched_at is not None
+    assert (entry.votes, entry.slots, entry.vote_epochs, entry.acks) == (None,) * 4
+    assert not hasattr(entry, "payload") and not hasattr(entry, "__dict__")
+
+
+def test_a_decided_entry_keeps_only_the_decision_and_its_timestamps(cluster):
+    txn, shard, coordinator = _decide_one(cluster)
+    entry = coordinator.coordinated(txn)
+    _assert_compact(entry)
+    assert entry.shards == {shard}
+    assert cluster.coordinator_entries()[txn] is entry
+    # The directory interns shard sets: the entry holds the directory's one.
+    assert entry.shards is cluster.directory.shards_of(txn)
+
+
+def test_a_prepare_ack_after_the_decision_is_relayed_and_recorded_nowhere(cluster):
+    """A duplicate PREPARE_ACK reaching a decided coordinator persists its
+    vote at the followers as an undecided one would, and its confirmations
+    land nowhere."""
+    txn, shard, coordinator = _decide_one(cluster)
+    entry = coordinator.coordinated(txn)
+    leader = cluster.replica(cluster.leader_of(shard))
+    slot = leader.slot_of[txn]
+    late = PrepareAck(
+        epoch=coordinator.epoch_of(shard),
+        shard=shard,
+        slot=slot,
+        txn=txn,
+        payload=leader.payload_arr[slot],
+        vote=leader.vote_arr[slot],
+    )
+    relay = "Accept" if cluster.protocol == "message-passing" else "RdmaWrite"
+    before = cluster.message_stats.sent_by_type[relay]
+    coordinator.deliver(late, leader.pid)
+    cluster.run()
+    assert cluster.message_stats.sent_by_type[relay] - before == len(
+        cluster.followers_of(shard)
+    )
+    _assert_compact(entry)
+    result, violations = cluster.check()
+    assert result.ok and violations == []
+
+
+def test_a_late_follower_confirmation_is_a_no_op(cluster):
+    """An ACCEPT_ACK (message passing) or NIC ack (RDMA) for a decided
+    transaction sends nothing and records nothing."""
+    txn, shard, coordinator = _decide_one(cluster)
+    entry = coordinator.coordinated(txn)
+    leader = cluster.replica(cluster.leader_of(shard))
+    slot = leader.slot_of[txn]
+    follower = cluster.followers_of(shard)[0]
+    sent = cluster.message_stats.sent_by_type
+    if cluster.protocol == "message-passing":
+        ack = AcceptAck(
+            shard=shard,
+            epoch=coordinator.epoch_of(shard),
+            slot=slot,
+            txn=txn,
+            vote=leader.vote_arr[slot],
+        )
+        coordinator.deliver(ack, follower)
+    else:
+        key = coordinator._ack_key(shard, coordinator.epoch_of(shard))
+        coordinator._on_accept_acked(txn, key, follower)
+    cluster.run()
+    assert cluster.message_stats.sent_by_type == sent
+    _assert_compact(entry)

@@ -36,6 +36,19 @@ def test_followers_persist_votes_without_accept_ack_messages(cluster):
     assert stats.sent_by_type.get("RdmaAck", 0) > 0
 
 
+def test_receive_buffers_hold_only_unpolled_writes_after_a_run(cluster):
+    """Every ACCEPT and DECISION written under load is polled, and a poll
+    releases its write: a drained run leaves every receive buffer empty."""
+    txns = [cluster.submit(rw_payload(f"k{i}", tiebreak=str(i))) for i in range(40)]
+    cluster.run_until_decided(txns)
+    cluster.run()
+    replicas = list(cluster.replicas.values())
+    assert sum(replica.rdma.writes_acked for replica in replicas) > 40
+    for replica in replicas:
+        assert all(not buffer for buffer in replica.rdma.buffers.values())
+        assert replica.rdma.writes_rejected_remotely == 0
+
+
 def test_global_reconfiguration_bumps_every_shard(cluster):
     cluster.certify(rw_payload("x", tiebreak="a"))
     crashed = cluster.crash_follower("shard-1")

@@ -134,6 +134,41 @@ def test_bounded_buffer_rejects_overflow():
     assert b.rdma.writes_rejected_remotely == 2
 
 
+def test_polled_writes_leave_the_buffer():
+    """A poll releases the write it delivers, so the buffer's capacity bounds
+    the writes not yet polled, not every write ever received: ten spaced
+    writes through a two-entry buffer are all delivered and acked."""
+    scheduler, a, b = build()
+    b.rdma.buffer_capacity = 2
+    b.rdma.poll_delay = 0.0
+    b.rdma.open("a")
+    for i in range(10):
+        a.write("b", f"m{i}")
+        scheduler.run()
+        assert not b.rdma.buffers["a"]
+    assert [t for t, _, _ in b.delivered] == [f"m{i}" for i in range(10)]
+    assert len(a.acked) == 10
+    assert b.rdma.writes_rejected_remotely == 0
+
+
+def test_a_poll_releases_only_the_delivered_head():
+    """Writes are released in order: a polled write stays buffered behind
+    an earlier one that has not been polled yet."""
+    scheduler, a, b = build()
+    b.rdma.poll_delay = 5.0
+    b.rdma.open("a")
+    a.write("b", "early")
+    scheduler.run(max_time=1.5)  # "early" landed; its poll is due at 6
+    b.rdma.poll_delay = 0.0
+    a.write("b", "late")
+    scheduler.run(max_time=3.0)  # "late" landed and was polled at once
+    assert [t for t, _, _ in b.delivered] == ["late"]
+    assert [p.payload.text for p in b.rdma.buffers["a"]] == ["early", "late"]
+    scheduler.run()
+    assert [t for t, _, _ in b.delivered] == ["late", "early"]
+    assert not b.rdma.buffers["a"]
+
+
 def test_crashed_receiver_never_acks():
     scheduler, a, b = build()
     b.rdma.open("a")
