@@ -1,10 +1,12 @@
 """Perf guard for the online TCS checker (``check_mode="online"``).
 
 Before the incremental checker, full history validation was O(txns^2)
-(all-pairs conflict edges plus the ``real_time_pairs`` sweep) — on this
-10k-transaction steady state the batch ``TCSChecker`` alone takes minutes,
-which is why large scenarios used to opt out of validation entirely.  The
-online checker maintains the same linearization graph incrementally
+(all-pairs conflict edges plus an all-pairs real-time sweep) — on this
+10k-transaction steady state the batch construction alone takes minutes,
+which is why large scenarios used to opt out of validation entirely; it now
+survives only as the test oracle in ``tests/helpers.py``, and every shipped
+verdict (``online``, ``final``, ``Cluster.check()``) comes from the online
+checker.  It maintains the same linearization graph incrementally
 (per-object conflict indexes, a decided-frontier chain for real-time edges,
 Pearce–Kelly cycle detection), so the fully *validated* run must stay within
 a modest factor of the unvalidated engine floor guarded by

@@ -48,7 +48,7 @@ from repro.scenarios import (
     run_sweep,
     scenario_names,
 )
-from repro.spec import History, TCSChecker, check_invariants
+from repro.spec import History, check_invariants
 from repro.store import TransactionalStore, VersionedKVStore
 from repro.workload import (
     BankWorkload,
@@ -88,7 +88,6 @@ __all__ = [
     "run_sweep",
     "scenario_names",
     "History",
-    "TCSChecker",
     "check_invariants",
     "TransactionalStore",
     "VersionedKVStore",

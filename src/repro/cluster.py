@@ -69,8 +69,8 @@ from repro.rdma.broken import BrokenRdmaShardReplica
 from repro.rdma.replica import RdmaShardReplica
 from repro.runtime.events import Scheduler
 from repro.runtime.network import LatencySpec, Network, NetworkSpec
-from repro.spec.checker import CheckResult, TCSChecker
 from repro.spec.history import History
+from repro.spec.incremental import CheckResult, IncrementalTCSChecker
 from repro.spec.invariants import InvariantViolation, check_invariants
 
 
@@ -265,8 +265,11 @@ class ClusterBase:
     # ------------------------------------------------------------------
     def check(self, include_invariants: bool = True) -> Tuple[CheckResult, List[InvariantViolation]]:
         """Check the recorded history and (optionally, where the binding has
-        them) the replica invariants."""
-        result = TCSChecker(self.scheme).check(self.history)
+        them) the replica invariants.  The history is replayed through the
+        online checker, which is detached again: nothing stays subscribed."""
+        checker = IncrementalTCSChecker(self.scheme, self.history)
+        result = checker.result()
+        checker.detach()
         violations: List[InvariantViolation] = []
         if include_invariants and self.REPLICA_INVARIANTS:
             violations = check_invariants(self.member_replicas_by_shard(), self.history)

@@ -29,7 +29,8 @@ PayloadT = TypeVar("PayloadT")
 
 
 class VoteIndex(Generic[PayloadT]):
-    """Incremental equivalent of :meth:`CertificationScheme.vote`.
+    """The vote of a shard leader (Figure 1, line 12), ``f_s(L1, l) ⊓
+    g_s(L2, l)``, kept incremental.
 
     A shard leader certifies every new transaction against (a) the payloads
     of transactions *committed* in its certification order and (b) the
@@ -39,9 +40,11 @@ class VoteIndex(Generic[PayloadT]):
     payload size only.
 
     Implementations must be exactly equivalent to
-    ``scheme.vote(shard, committed, prepared, payload)`` evaluated over the
-    same sets — the simulation's determinism (and the Figure 3 invariants)
-    depend on it.
+    ``shard_certify_committed(shard, committed, l).meet(
+    shard_certify_prepared(shard, prepared, l))`` evaluated over the same
+    sets — the simulation's determinism (and the Figure 3 invariants)
+    depend on it.  That scan form is the reference the indexes are tested
+    against, in ``tests/helpers.py``.
     """
 
     def add_committed(self, payload: PayloadT) -> None:
@@ -165,8 +168,8 @@ class CertificationScheme(Generic[PayloadT]):
     def make_vote_index(self, shard: ShardId) -> VoteIndex:
         """A fresh incremental :class:`VoteIndex` for ``shard``: per-object
         conflict state that lets a leader vote in O(|payload|) where a scan
-        of its certification order (:meth:`vote`, the definition the index
-        must equal) costs O(slots) per ``PREPARE``."""
+        of its certification order (the definition the index must equal)
+        costs O(slots) per ``PREPARE``."""
         raise NotImplementedError
 
     def make_conflict_index(self) -> ConflictIndex:
@@ -178,19 +181,6 @@ class CertificationScheme(Generic[PayloadT]):
     # ------------------------------------------------------------------
     # derived helpers
     # ------------------------------------------------------------------
-    def vote(
-        self,
-        shard: ShardId,
-        committed: Iterable[PayloadT],
-        prepared: Iterable[PayloadT],
-        payload: PayloadT,
-    ) -> Decision:
-        """The vote computed by a shard leader (Figure 1, line 12):
-        ``f_s(L1, l) ⊓ g_s(L2, l)``."""
-        return self.shard_certify_committed(shard, committed, payload).meet(
-            self.shard_certify_prepared(shard, prepared, payload)
-        )
-
     def project_all(self, payloads: Iterable[PayloadT], shard: ShardId) -> list[PayloadT]:
         """``L | s`` lifted to sets of payloads."""
         return [self.project(payload, shard) for payload in payloads]

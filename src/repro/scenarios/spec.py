@@ -69,7 +69,7 @@ FAULT_ACTIONS = (
 
 CHECK_MODES = (
     "off",  # no history validation (contradiction detection stays on)
-    "final",  # batch TCSChecker over the full history at quiescence
+    "final",  # IncrementalTCSChecker replaying the finished history
     "online",  # IncrementalTCSChecker subscribed to the history during the run
 )
 
@@ -275,9 +275,9 @@ class ScenarioSpec:
     max_events: int = 5_000_000
     # How the recorded history is validated: "online" (default) attaches the
     # incremental checker during the run and flags a violation at the event
-    # introducing it; "final" runs the batch TCSChecker at quiescence (its
-    # graph construction is quadratic in the transaction count); "off" skips
-    # history validation (contradiction detection stays on — it is O(1)).
+    # introducing it; "final" replays the finished history through the same
+    # checker at quiescence (Cluster.check()); "off" skips history
+    # validation (contradiction detection stays on — it is O(1)).
     check_mode: str = "online"
     check_invariants: bool = True
     # Correct protocols must produce a safe history; ablation scenarios

@@ -1,20 +1,19 @@
 """The multi-shot transaction certification specification (paper Section 2).
 
 * :mod:`repro.spec.history` — recorded ``certify``/``decide`` histories;
-* :mod:`repro.spec.checker` — decides whether a history is *correct with
-  respect to a certification function f*, i.e. whether its committed
-  projection has a legal linearization;
-* :mod:`repro.spec.incremental` — the same verdict maintained *online*:
-  an event-subscribing checker that reports a violation at the event that
-  introduces it, in amortized near-constant time per event;
+* :mod:`repro.spec.incremental` — decides whether a history is *correct
+  with respect to a certification function f*, i.e. whether its committed
+  projection has a legal linearization: an event-subscribing checker that
+  reports a violation at the event that introduces it, in amortized
+  near-constant time per event, or replays a finished history (the batch
+  O(txns^2) construction is the test oracle, in ``tests/helpers.py``);
 * :mod:`repro.spec.invariants` — checks the key protocol invariants of
   Figure 3 against a snapshot of replica states (used heavily in tests),
   with an :class:`InvariantMonitor` streaming the history-derived part.
 """
 
 from repro.spec.history import Event, History, HistorySubscription
-from repro.spec.checker import CheckResult, TCSChecker
-from repro.spec.incremental import IncrementalTCSChecker
+from repro.spec.incremental import CheckResult, IncrementalTCSChecker
 from repro.spec.invariants import InvariantMonitor, InvariantViolation, check_invariants
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "History",
     "HistorySubscription",
     "CheckResult",
-    "TCSChecker",
     "IncrementalTCSChecker",
     "InvariantMonitor",
     "InvariantViolation",

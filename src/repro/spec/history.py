@@ -297,24 +297,6 @@ class History:
     def pending(self) -> Set[TxnId]:
         return set(self._certified) - set(self._decided)
 
-    def real_time_precedes(self, first: TxnId, second: TxnId) -> bool:
-        """``first ≺rt second``: first was decided before second was certified."""
-        decide = self._decided.get(first)
-        certify = self._certified.get(second)
-        if decide is None or certify is None:
-            return False
-        return decide.seq < certify.seq
-
-    def real_time_pairs(self, txns: Optional[Iterable[TxnId]] = None) -> List[Tuple[TxnId, TxnId]]:
-        """All ``(a, b)`` with ``a ≺rt b`` among the given transactions."""
-        txns = list(txns) if txns is not None else list(self._certified)
-        pairs = []
-        for a in txns:
-            for b in txns:
-                if a != b and self.real_time_precedes(a, b):
-                    pairs.append((a, b))
-        return pairs
-
     def digest(self) -> str:
         """A SHA-256 fingerprint of the full event sequence.
 

@@ -1,12 +1,26 @@
-"""Streaming TCS correctness checking (the online counterpart of
-:class:`repro.spec.checker.TCSChecker`).
+"""TCS correctness checking (paper Section 2), online and after the fact.
 
-The batch checker rebuilds the whole linearization graph from the recorded
-history: O(txns^2) conflict-edge construction plus the O(txns^2)
-``real_time_pairs`` sweep.  :class:`IncrementalTCSChecker` maintains the
-same graph *online*, subscribing to a :class:`~repro.spec.history.History`
-and updating per event, so a violation is reported at the exact event that
-introduces it and a 100k-transaction run keeps full validation.
+A history ``h`` is *correct with respect to a certification function f* when
+its committed projection has a *legal linearization*: a total order of the
+committed transactions that (i) respects the real-time order (if ``t`` was
+decided before ``t'`` was certified then ``t`` precedes ``t'``) and (ii) in
+which every transaction's commit decision is what ``f`` computes over the
+payloads of the transactions preceding it.  Because ``f`` is distributive
+(requirement (1), which ``tests/test_properties.py`` checks for both shipped
+schemes), such an order exists iff the graph with a *conflict edge* ``b ->
+a`` whenever ``f({l_a}, l_b) = abort`` and a *real-time edge* ``a -> b``
+whenever ``decide(a) ≺h certify(b)`` is acyclic; any topological order of
+it is a legal linearization.
+
+:class:`IncrementalTCSChecker` is the one checker the package ships.  It
+subscribes to a :class:`~repro.spec.history.History` and maintains that
+graph per event, so a violation is reported at the exact event that
+introduces it and a 100k-transaction run keeps full validation; attached to
+a finished history it replays it, which is how ``Cluster.check()`` and
+``check_mode="final"`` reach their verdicts.  Building the graph from the
+recorded history instead costs O(txns^2) conflict edges plus an O(txns^2)
+real-time sweep; that batch construction survives only as the test oracle
+(``tests/helpers.py``).
 
 Four ideas make the update cheap and the state small:
 
@@ -42,24 +56,34 @@ Four ideas make the update cheap and the state small:
   between the two endpoints is re-ranked, and a forward search that reaches
   the edge's source yields the offending cycle as a concrete witness.
 
-The verdict contract is the batch checker's :class:`CheckResult`: a witness
-linearization when the history is correct, the offending cycle (restricted
-to transaction ids) when it is not.  Like the batch checker's graph
-construction, the online graph assumes the certification function is
-distributive (requirement (1) of the paper); the batch checker remains the
-oracle and ``tests/test_incremental_checker.py`` drives both on randomized
-histories asserting identical verdicts, and the retiring checker against
-one that keeps everything.
+The verdict is a :class:`CheckResult`: a witness linearization when the
+history is correct, the offending cycle (restricted to transaction ids)
+when it is not.  ``tests/test_incremental_checker.py`` drives the checker
+and the batch oracle on randomized histories asserting identical verdicts,
+and the retiring checker against one that keeps everything.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from repro.core.certification import RETIRED, CertificationScheme
 from repro.core.types import Decision, TxnId
-from repro.spec.checker import CheckResult
 from repro.spec.history import History, HistorySubscription
+
+
+@dataclass
+class CheckResult:
+    """Outcome of a correctness check."""
+
+    ok: bool
+    reason: str = ""
+    linearization: List[TxnId] = field(default_factory=list)
+    cycle: List[TxnId] = field(default_factory=list)
+
+    def __bool__(self) -> bool:  # pragma: no cover - convenience
+        return self.ok
 
 
 class _Frontier:
@@ -189,6 +213,13 @@ class _OnlineDag:
 class IncrementalTCSChecker:
     """Maintains the legal-linearization graph of a history online.
 
+    The package's only TCS checker: the runner's ``online`` mode attaches it
+    before the run, ``Cluster.check()`` (and so ``final``) attaches it to the
+    finished history and detaches it after reading :meth:`result`.  Like the
+    batch oracle in ``tests/helpers.py``, the graph assumes the scheme is
+    distributive (requirement (1)), which ``tests/test_properties.py``
+    checks for both shipped schemes.
+
     Feed it either by :meth:`attach`-ing it to a :class:`History` (it
     subscribes to certify/decide/contradiction events, replaying anything
     already recorded) or by calling :meth:`observe_certify` /
@@ -201,7 +232,7 @@ class IncrementalTCSChecker:
     (:meth:`collect`), so its state is bounded by what is in flight; the
     verdict, its reason and the event it is reported at do not depend on
     retirement.  ``gc=False`` never retires, for tests that compare the
-    whole witness linearization with the batch checker.
+    whole witness linearization with the batch oracle.
     """
 
     def __init__(
@@ -248,7 +279,7 @@ class IncrementalTCSChecker:
         """Subscribe to ``history``, replaying events recorded before now.
 
         Contradictions are replayed *first*: the history does not record
-        where they occurred, and the batch checker gives them priority, so
+        where they occurred, and the batch oracle gives them priority, so
         a replayed checker must too (a live-attached one reports whichever
         violation genuinely happens first).
         """
@@ -487,7 +518,7 @@ class IncrementalTCSChecker:
         return [node for node in self._dag.order if not isinstance(node, _Frontier)]
 
     def result(self) -> CheckResult:
-        """The current verdict, under the batch checker's contract."""
+        """The current verdict: a witness linearization or the violation."""
         if self.violation is not None:
             return self.violation
         return CheckResult(ok=True, linearization=self.linearization())

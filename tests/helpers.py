@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import cProfile
 import gc
+import heapq
+import itertools
 import pstats
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.certification import RETIRED, ConflictIndex, VoteIndex
 from repro.core.serializability import (
@@ -18,9 +20,10 @@ from repro.core.serializability import (
     TransactionPayload,
     Version,
 )
-from repro.core.types import Decision
+from repro.core.types import Decision, TxnId
 from repro.scenarios import BatchSpec, ExecSpec, NetworkSpec, ScenarioSpec, WorkloadSpec
 from repro.scenarios.spec import ReadSpec
+from repro.spec import CheckResult, History
 from repro.spec.invariants import InvariantViolation
 
 
@@ -62,10 +65,18 @@ def shard_key(scheme: SerializabilityScheme, shard: str, hint: str = "key") -> s
 # ``reference_scheme`` plugs into the real leaders, state machines and
 # checker in place of the incremental indexes.
 
+def scan_vote(scheme, shard, committed, prepared, payload) -> Decision:
+    """The vote computed by a shard leader (Figure 1, line 12):
+    ``f_s(L1, l) ⊓ g_s(L2, l)``, scanning both lists."""
+    return scheme.shard_certify_committed(shard, committed, payload).meet(
+        scheme.shard_certify_prepared(shard, prepared, payload)
+    )
+
+
 class ScanVoteIndex(VoteIndex):
     """Reference :class:`VoteIndex`: keeps the committed and the
     prepared-to-commit payloads as plain lists and votes with
-    ``scheme.vote`` over them — Figure 1, line 12, evaluated literally."""
+    :func:`scan_vote` over them — Figure 1, line 12, evaluated literally."""
 
     def __init__(self, scheme, shard) -> None:
         self.scheme, self.shard = scheme, shard
@@ -82,7 +93,7 @@ class ScanVoteIndex(VoteIndex):
         self.prepared.remove(payload)
 
     def vote(self, payload) -> Decision:
-        return self.scheme.vote(self.shard, self.committed, self.prepared, payload)
+        return scan_vote(self.scheme, self.shard, self.committed, self.prepared, payload)
 
 
 class PairwiseConflictIndex(ConflictIndex):
@@ -167,6 +178,181 @@ def reference_scheme(scheme_cls, sharding):
             return PairwiseConflictIndex(self)
 
     return _Reference(sharding)
+
+
+# ----------------------------------------------------------------------
+# the batch TCS checker (the oracle of the online checker)
+# ----------------------------------------------------------------------
+# Section 2 decided from the recorded history in one pass: all-pairs
+# conflict edges plus the all-pairs real-time relation, then Kahn's
+# algorithm.  O(txns^2), so it checks test-sized histories only; the package
+# ships ``IncrementalTCSChecker``, whose verdicts must equal this one's.
+
+def _real_time_seqs(history: History) -> Tuple[Dict[TxnId, int], Dict[TxnId, int]]:
+    """The sequence numbers of each transaction's certify and (first)
+    decide event."""
+    certified: Dict[TxnId, int] = {}
+    decided: Dict[TxnId, int] = {}
+    for event in history.events:
+        (certified if event.kind == "certify" else decided)[event.txn] = event.seq
+    return certified, decided
+
+
+def real_time_precedes(history: History, first: TxnId, second: TxnId) -> bool:
+    """``first ≺rt second``: first was decided before second was certified."""
+    certified, decided = _real_time_seqs(history)
+    return first in decided and second in certified and decided[first] < certified[second]
+
+
+def real_time_pairs(
+    history: History, txns: Optional[Iterable[TxnId]] = None
+) -> List[Tuple[TxnId, TxnId]]:
+    """All ``(a, b)`` with ``a ≺rt b`` among the given transactions (default:
+    every certified one)."""
+    certified, decided = _real_time_seqs(history)
+    txns = list(txns) if txns is not None else list(certified)
+    return [
+        (a, b)
+        for a in txns
+        for b in txns
+        if a != b and a in decided and b in certified and decided[a] < certified[b]
+    ]
+
+
+class TCSChecker:
+    """Checks histories for correctness with respect to a certification
+    scheme by building the whole linearization graph: a *conflict edge*
+    ``b -> a`` whenever ``f({l_a}, l_b) = abort`` and a *real-time edge*
+    ``a -> b`` whenever ``decide(a) ≺h certify(b)``.  By distributivity
+    (requirement (1)) a legal linearization exists iff the graph is acyclic;
+    :meth:`check_exhaustive` searches permutations instead, to validate the
+    graph construction itself."""
+
+    def __init__(self, scheme) -> None:
+        self.scheme = scheme
+
+    def check(self, history: History) -> CheckResult:
+        """Check the committed projection of ``history`` (graph-based)."""
+        if history.contradictions:
+            txn, first, second = history.contradictions[0]
+            return CheckResult(
+                ok=False,
+                reason=(
+                    f"contradictory decisions externalised for {txn}: "
+                    f"{first.value} vs {second.value}"
+                ),
+            )
+        committed = history.committed()
+        # Snapshot reads attach their resolved payload to the decide event;
+        # effective_payload_of prefers it over the certify-time marker.
+        payloads = {txn: history.effective_payload_of(txn) for txn in committed}
+        edges = self._build_edges(history, committed, payloads)
+        order, cycle = _topological_order(committed, edges)
+        if cycle:
+            return CheckResult(
+                ok=False,
+                reason="no legal linearization: conflict/real-time cycle",
+                cycle=cycle,
+            )
+        # Re-validate the witness: guards against a non-distributive scheme
+        # slipping through the graph construction.
+        witness_ok, reason = self._legal(order, payloads)
+        if not witness_ok:
+            return CheckResult(ok=False, reason=reason)
+        return CheckResult(ok=True, linearization=order)
+
+    def check_exhaustive(self, history: History, limit: int = 8) -> CheckResult:
+        """Brute-force search over permutations (only for small histories)."""
+        committed = history.committed()
+        if len(committed) > limit:
+            raise ValueError(
+                f"exhaustive check limited to {limit} committed transactions, "
+                f"got {len(committed)}"
+            )
+        payloads = {txn: history.effective_payload_of(txn) for txn in committed}
+        rt_pairs = set(real_time_pairs(history, committed))
+        for order in itertools.permutations(committed):
+            position = {txn: i for i, txn in enumerate(order)}
+            if any(position[a] > position[b] for a, b in rt_pairs):
+                continue
+            ok, _ = self._legal(list(order), payloads)
+            if ok:
+                return CheckResult(ok=True, linearization=list(order))
+        return CheckResult(ok=False, reason="no legal linearization (exhaustive)")
+
+    def check_decisions_unique(self, history: History) -> CheckResult:
+        """At most one decision per transaction (enforced while recording,
+        re-checked here)."""
+        seen: Dict[TxnId, Decision] = {}
+        for event in history.events:
+            if event.kind != "decide":
+                continue
+            if event.txn in seen and seen[event.txn] is not event.decision:
+                return CheckResult(ok=False, reason=f"two decisions for {event.txn}")
+            seen[event.txn] = event.decision
+        return CheckResult(ok=True)
+
+    def _build_edges(
+        self, history: History, committed: Sequence[TxnId], payloads: Dict[TxnId, object]
+    ) -> Dict[TxnId, Set[TxnId]]:
+        edges: Dict[TxnId, Set[TxnId]] = {txn: set() for txn in committed}
+        # Real-time edges: a must precede b.
+        for a, b in real_time_pairs(history, committed):
+            edges[a].add(b)
+        # Conflict edges: if committing a before b would abort b, then b must
+        # precede a in any legal linearization.
+        for a in committed:
+            for b in committed:
+                if a == b:
+                    continue
+                if self.scheme.global_certify([payloads[a]], payloads[b]) is Decision.ABORT:
+                    edges[b].add(a)
+        return edges
+
+    def _legal(
+        self, order: Sequence[TxnId], payloads: Dict[TxnId, object]
+    ) -> Tuple[bool, str]:
+        placed: List[object] = []
+        for txn in order:
+            decision = self.scheme.global_certify(placed, payloads[txn])
+            if decision is not Decision.COMMIT:
+                return False, f"transaction {txn} cannot commit at its position"
+            placed.append(payloads[txn])
+        return True, ""
+
+
+def oracle_check(runner) -> CheckResult:
+    """The batch oracle's verdict on the history a finished
+    :class:`~repro.scenarios.ScenarioRunner` recorded."""
+    cluster = runner.cluster
+    return TCSChecker(cluster.scheme).check(cluster.history)
+
+
+def _topological_order(
+    nodes: Sequence[TxnId], edges: Dict[TxnId, Set[TxnId]]
+) -> Tuple[List[TxnId], List[TxnId]]:
+    """Kahn's algorithm; returns (order, []) or ([], cycle_witness).  Ties
+    go to the smallest transaction id (a min-heap of the ready set), so the
+    witness linearization is deterministic."""
+    indegree: Dict[TxnId, int] = {node: 0 for node in nodes}
+    for dsts in edges.values():
+        for dst in dsts:
+            if dst in indegree:
+                indegree[dst] += 1
+    ready = [node for node, deg in indegree.items() if deg == 0]
+    heapq.heapify(ready)
+    order: List[TxnId] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for dst in edges.get(node, ()):
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                heapq.heappush(ready, dst)
+    if len(order) == len(nodes):
+        return order, []
+    ordered = set(order)
+    return [], [node for node in nodes if node not in ordered]
 
 
 # ----------------------------------------------------------------------

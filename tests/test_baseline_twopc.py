@@ -14,7 +14,7 @@ from repro.baselines.twopc import (
 from repro.core.serializability import KeyHashSharding, SerializabilityScheme
 from repro.core.types import Decision
 
-from helpers import ScanVoteIndex, payload, reference_scheme, rw_payload, shard_key
+from helpers import ScanVoteIndex, payload, reference_scheme, rw_payload, scan_vote, shard_key
 from test_properties import SER, SHARDS, SI, payloads
 
 
@@ -118,8 +118,8 @@ def test_a_durable_transaction_keeps_only_the_decision_and_its_timestamps(cluste
 
 class _ScanMachine:
     """Reference: the state machine as it was before the vote index — every
-    prepare rebuilds the prepared list and calls the scan-based
-    ``scheme.vote`` over every committed payload."""
+    prepare rebuilds the prepared list and calls :func:`scan_vote` over
+    every committed payload."""
 
     def __init__(self, shard, scheme):
         self.shard, self.scheme = shard, scheme
@@ -134,7 +134,7 @@ class _ScanMachine:
             if command.txn in self.decisions:
                 return self.decisions[command.txn]
             prepared = [p for p, vote in self.prepared.values() if vote is Decision.COMMIT]
-            vote = self.scheme.vote(self.shard, self.committed, prepared, command.payload)
+            vote = scan_vote(self.scheme, self.shard, self.committed, prepared, command.payload)
             self.prepared[command.txn] = (command.payload, vote)
             return vote
         if command.txn in self.decisions:
@@ -206,7 +206,7 @@ def test_indexed_state_machine_votes_like_the_scan(scheme, sequence):
 @settings(max_examples=60, deadline=None)
 def test_state_machine_over_the_scan_index_votes_like_the_scan(scheme, sequence):
     """The state machine tells its index about every prepare and decide:
-    handed the reference index (plain lists, ``scheme.vote`` per prepare) it
+    handed the reference index (plain lists, ``scan_vote`` per prepare) it
     must vote exactly like the pre-index state machine."""
     population, steps, _ = sequence
     machine = CertificationStateMachine(

@@ -46,9 +46,8 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.scenarios.__main__ import main as scenarios_main
-from repro.spec.checker import TCSChecker
 
-from helpers import rw_payload, shard_key
+from helpers import TCSChecker, rw_payload, shard_key
 
 
 ADAPTIVE = BatchPolicy(size=8)

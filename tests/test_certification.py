@@ -14,7 +14,7 @@ from repro.core.serializability import (
 )
 from repro.core.types import Decision
 
-from helpers import payload, rw_payload, read_payload, shard_key
+from helpers import payload, rw_payload, read_payload, scan_vote, shard_key
 
 
 # ----------------------------------------------------------------------
@@ -173,10 +173,10 @@ def test_vote_combines_committed_and_prepared_checks(scheme):
     key = shard_key(scheme, "shard-0")
     committed = [rw_payload(key, version=0, tiebreak="c")]
     fresh = payload(reads=[(key, committed[0].commit_version)], writes=[(key, 3)], tiebreak="f")
-    assert scheme.vote("shard-0", committed, [], fresh) is Decision.COMMIT
+    assert scan_vote(scheme, "shard-0", committed, [], fresh) is Decision.COMMIT
     # A prepared conflicting transaction flips the vote to abort.
     prepared = [payload(reads=[(key, committed[0].commit_version)], writes=[(key, 9)], tiebreak="p")]
-    assert scheme.vote("shard-0", committed, prepared, fresh) is Decision.ABORT
+    assert scan_vote(scheme, "shard-0", committed, prepared, fresh) is Decision.ABORT
 
 
 def test_projection_splits_payload_by_shard(scheme):
@@ -264,7 +264,7 @@ def test_si_weaker_than_serializability(scheme, si_scheme):
 )
 def test_leaders_vote_over_the_index_as_over_the_scan(protocol, scheme_cls):
     """``LeaderVoteCache`` drives whatever ``VoteIndex`` the scheme hands it.
-    Over the reference index (plain lists, ``scheme.vote`` per PREPARE — the
+    Over the reference index (plain lists, ``scan_vote`` per PREPARE — the
     Figure 1 line 12 scan) every leader must cast the votes it casts over
     the incremental index: same decisions, same history, also across the
     rebuild a reconfiguration forces."""

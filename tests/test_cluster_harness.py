@@ -22,7 +22,7 @@ from repro.core.types import Decision
 from repro.runtime.network import LatencySpec, NetworkSpec
 from repro.scenarios import ScenarioRunner, get_scenario
 
-from helpers import rw_payload, shard_key
+from helpers import TCSChecker, rw_payload, shard_key
 
 BINDINGS = [Cluster, BaselineCluster]
 
@@ -100,6 +100,47 @@ def test_shared_constructor_parameters_are_declared_once_and_none_was_added():
 def test_bindings_validate_alike(binding, bad):
     with pytest.raises(ValueError):
         binding(**bad)
+
+
+# ----------------------------------------------------------------------
+# check() replays the history and leaves nothing subscribed
+# ----------------------------------------------------------------------
+def _listener_counts(history):
+    return (
+        len(history._certify_listeners),
+        len(history._decide_listeners),
+        len(history._contradiction_listeners),
+    )
+
+
+@pytest.mark.parametrize("binding", BINDINGS)
+def test_check_mid_run_leaves_nothing_behind(binding):
+    """``check()`` attaches a checker to the history, reads its verdict and
+    detaches it: called while transactions are in flight it leaves every
+    listener list as it found it, a second call agrees with the first, and
+    the finished run checks like the batch oracle."""
+    cluster = binding(num_shards=2)
+    history = cluster.history
+    first = [cluster.submit(rw_payload(f"k{i % 4}", tiebreak=f"a{i}")) for i in range(6)]
+    cluster.run_until_decided(first)
+    for i in range(6):
+        cluster.submit(rw_payload(f"k{i % 4}", tiebreak=f"b{i}"))
+    cluster.run(max_events=20)
+    assert history.pending() and history.decided()  # genuinely mid-run
+    before = _listener_counts(history)
+    check, _ = cluster.check()
+    assert _listener_counts(history) == before
+    again, _ = cluster.check()
+    assert (again.ok, again.reason, again.linearization) == (
+        check.ok, check.reason, check.linearization
+    )
+    cluster.run()
+    assert not history.pending()
+    final, violations = cluster.check()
+    oracle = TCSChecker(cluster.scheme).check(history)
+    assert (final.ok, final.reason) == (oracle.ok, oracle.reason)
+    assert final.ok and violations == []
+    assert _listener_counts(history) == before
 
 
 # ----------------------------------------------------------------------

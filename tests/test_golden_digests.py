@@ -17,6 +17,9 @@ Case keys are ``scenario|protocol|engine``:
   on (``rdma``, ``2pc-paxos`` with 2f+1 replicas) — the library itself has
   one baseline scenario, too few to guard a change to the Paxos fan-out.
 
+Every case's online verdict is also compared with the batch oracle's
+verdict on the same history (not part of the pinned JSON).
+
 Regenerate (only for a deliberate behaviour change, and say so in
 CHANGES.md)::
 
@@ -28,12 +31,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 import pytest
 
 from repro.scenarios import ExecSpec, ScenarioError, ScenarioRunner, ScenarioSpec, get_scenario
 from repro.scenarios.library import SCENARIOS
+
+from helpers import oracle_check
 
 # The (scenario, groups) pairs recorded under the parallel-shards spelling.
 EQUIVALENCE_CASES = [
@@ -92,11 +97,13 @@ def _case_keys() -> Iterator[str]:
                 yield key
 
 
-def _observe(key: str) -> Dict[str, object]:
+def _observe(key: str) -> Tuple[ScenarioRunner, Dict[str, object]]:
+    """The finished runner and what the golden file pins of its run."""
     spec = _spec_for(key)
     assert spec is not None, f"golden case {key!r} no longer validates"
-    result = ScenarioRunner(spec).run()
-    return {
+    runner = ScenarioRunner(spec)
+    result = runner.run()
+    return runner, {
         "digest": result.history_digest,
         "messages_sent": result.messages_sent,
         "duration": result.duration,
@@ -121,11 +128,14 @@ def test_golden_file_covers_every_case():
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_history_matches_golden(key):
-    assert _observe(key) == GOLDEN[key]
+    runner, observed = _observe(key)
+    assert observed == GOLDEN[key]
+    online, oracle = runner.checker.result(), oracle_check(runner)
+    assert (online.ok, online.reason) == (oracle.ok, oracle.reason)
 
 
 if __name__ == "__main__":
-    golden = {key: _observe(key) for key in _case_keys()}
+    golden = {key: _observe(key)[1] for key in _case_keys()}
     with open(GOLDEN_PATH, "w") as handle:
         json.dump(golden, handle, indent=1, sort_keys=True)
         handle.write("\n")

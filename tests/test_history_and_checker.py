@@ -1,13 +1,20 @@
-"""Unit tests for the TCS specification: histories and the correctness checker."""
+"""Unit tests for the TCS specification: histories, and the batch checker
+that is the online checker's oracle (``helpers.TCSChecker``)."""
 
 import pytest
 
 from repro.core.serializability import KeyHashSharding, SerializabilityScheme
 from repro.core.types import Decision
-from repro.spec.checker import TCSChecker
 from repro.spec.history import History
 
-from helpers import payload, read_payload, rw_payload
+from helpers import (
+    TCSChecker,
+    payload,
+    read_payload,
+    real_time_pairs,
+    real_time_precedes,
+    rw_payload,
+)
 
 
 @pytest.fixture
@@ -78,9 +85,9 @@ def test_real_time_order():
     history.record_decide("t1", Decision.COMMIT, time=2.0)
     history.record_certify("t2", rw_payload("y"), time=3.0)
     history.record_decide("t2", Decision.COMMIT, time=4.0)
-    assert history.real_time_precedes("t1", "t2")
-    assert not history.real_time_precedes("t2", "t1")
-    assert history.real_time_pairs() == [("t1", "t2")]
+    assert real_time_precedes(history, "t1", "t2")
+    assert not real_time_precedes(history, "t2", "t1")
+    assert real_time_pairs(history) == [("t1", "t2")]
 
 
 def test_concurrent_transactions_have_no_real_time_order():
@@ -89,7 +96,7 @@ def test_concurrent_transactions_have_no_real_time_order():
     history.record_certify("t2", rw_payload("y"), time=1.0)
     history.record_decide("t1", Decision.COMMIT, time=2.0)
     history.record_decide("t2", Decision.COMMIT, time=2.0)
-    assert history.real_time_pairs() == []
+    assert real_time_pairs(history) == []
 
 
 # ----------------------------------------------------------------------

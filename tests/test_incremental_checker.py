@@ -16,12 +16,19 @@ from repro.core.serializability import (
     TransactionPayload,
 )
 from repro.core.types import Decision
-from repro.spec.checker import TCSChecker
 from repro.spec.history import History
 from repro.spec.incremental import IncrementalTCSChecker
 from repro.spec.invariants import InvariantMonitor, check_invariants
 
-from helpers import PairwiseConflictIndex, calls, payload, reference_scheme
+from helpers import (
+    PairwiseConflictIndex,
+    TCSChecker,
+    calls,
+    oracle_check,
+    payload,
+    real_time_pairs,
+    reference_scheme,
+)
 
 
 SHARDS = ["shard-0", "shard-1"]
@@ -115,7 +122,7 @@ def test_differential_batch_vs_incremental(scheme_factory):
             legal, reason = TCSChecker(scheme)._legal(online.linearization, payloads)
             assert legal, f"seed {seed}: {reason}"
             position = {t: i for i, t in enumerate(online.linearization)}
-            for a, b in history.real_time_pairs(online.linearization):
+            for a, b in real_time_pairs(history, online.linearization):
                 assert position[a] < position[b], f"seed {seed}: rt order broken"
     # The random histories genuinely exercised both verdicts.
     assert verdicts[True] > 0 and verdicts[False] > 0
@@ -137,6 +144,12 @@ def test_live_subscription_equals_replay(scheme):
         assert live.ok == replayed.ok
         assert live.result().cycle == replayed.result().cycle
         live.detach()
+        replayed.detach()
+        assert not (
+            recorded._certify_listeners
+            or recorded._decide_listeners
+            or recorded._contradiction_listeners
+        )
 
 
 # ----------------------------------------------------------------------
@@ -328,19 +341,25 @@ def test_scheme_conflict_index_equals_the_pairwise_reference(scheme_cls):
 )
 def test_online_and_final_agree_under_non_unit_latency(latency_kwargs):
     """Random delays reorder deliveries (and thus certify/decide events);
-    whatever history results, the online verdict must match the batch
-    oracle's, and safe protocols must stay safe."""
+    whatever history results, the verdict of either mode (the live checker,
+    or the same checker replaying the finished history) must match the
+    batch oracle's, and safe protocols must stay safe."""
     from dataclasses import replace
 
-    from repro.scenarios import LatencySpec, get_scenario, run_scenario
+    from repro.scenarios import LatencySpec, ScenarioRunner, get_scenario
 
     base = get_scenario("steady-state")
     spec = base.with_overrides(
         latency=LatencySpec(**latency_kwargs),
         workload=replace(base.workload, txns=40),
     )
-    online = run_scenario(spec, check_mode="online")
-    final = run_scenario(spec, check_mode="final")
+    results = {}
+    for mode in ("online", "final"):
+        runner = ScenarioRunner(spec.with_overrides(check_mode=mode))
+        results[mode] = result = runner.run()
+        oracle = oracle_check(runner)
+        assert (result.check_ok, result.check_reason) == (oracle.ok, oracle.reason), mode
+    online, final = results["online"], results["final"]
     assert online.check_ok == final.check_ok
     assert online.check_ok and online.passed and final.passed
     # The history itself is identical across check modes (same seed, same

@@ -23,10 +23,9 @@ from repro.scenarios import (
     get_scenario,
     parse_latency,
 )
-from repro.spec.checker import TCSChecker
 from repro.spec.incremental import IncrementalTCSChecker
 
-from helpers import payload
+from helpers import TCSChecker, payload
 
 
 # ----------------------------------------------------------------------

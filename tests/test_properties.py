@@ -4,8 +4,9 @@ Three families:
 
 * the certification-scheme side conditions the paper requires (1), (3), (4),
   (5) hold for arbitrary payload populations;
-* the TCS checker's graph construction agrees with the brute-force
-  linearization search on small histories;
+* the batch TCS checker's graph construction (the oracle of the shipped
+  online checker) and the online checker itself agree with the
+  brute-force linearization search on small histories;
 * end-to-end: for arbitrary small workloads (with contention) driven through
   either protocol, the recorded history is always correct and the replica
   invariants always hold.
@@ -22,8 +23,10 @@ from repro.core.serializability import (
     TransactionPayload,
 )
 from repro.core.types import Decision
-from repro.spec.checker import TCSChecker
 from repro.spec.history import History
+from repro.spec.incremental import IncrementalTCSChecker
+
+from helpers import TCSChecker
 
 
 SHARDS = ["shard-0", "shard-1"]
@@ -114,7 +117,9 @@ def test_graph_checker_agrees_with_exhaustive_search(population, data):
         decision = data.draw(st.sampled_from([Decision.COMMIT, Decision.ABORT]))
         history.record_decide(f"t{index}", decision, float(len(population) + index))
     checker = TCSChecker(SER)
-    assert checker.check(history).ok == checker.check_exhaustive(history).ok
+    exhaustive = checker.check_exhaustive(history).ok
+    assert checker.check(history).ok == exhaustive
+    assert IncrementalTCSChecker(SER, history).ok == exhaustive
 
 
 # ----------------------------------------------------------------------

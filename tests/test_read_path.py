@@ -20,10 +20,9 @@ from repro.core.serializability import VERSION_ZERO
 from repro.core.types import Decision
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.spec import ReadSpec
-from repro.spec.checker import TCSChecker
 from repro.store.kv import VersionedKVStore
 
-from helpers import payload, rw_payload, shard_key
+from helpers import TCSChecker, payload, rw_payload, shard_key
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,8 @@ from repro.scenarios.__main__ import main as scenarios_main
 from repro.scenarios.spec import DetectorSpec, ReadSpec
 from repro.spec.history import History
 
+from helpers import oracle_check
+
 
 # ----------------------------------------------------------------------
 # spec validation
@@ -325,11 +327,15 @@ def test_online_mode_flags_ablation_with_reason():
 
 
 def test_online_and_final_agree_under_faults():
+    """Both modes run the one shipped checker (live, and replayed at
+    quiescence); each must also reach the batch oracle's verdict."""
     spec = get_scenario("leader-crash-under-load")
-    online = run_scenario(spec, check_mode="online")
-    final = run_scenario(spec, check_mode="final")
-    assert online.check_ok == final.check_ok
-    assert online.passed and final.passed
+    for mode in ("online", "final"):
+        runner = ScenarioRunner(spec.with_overrides(check_mode=mode))
+        result = runner.run()
+        oracle = oracle_check(runner)
+        assert (result.check_ok, result.check_reason) == (oracle.ok, oracle.reason), mode
+        assert result.passed, mode
 
 
 # ----------------------------------------------------------------------
