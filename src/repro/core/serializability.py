@@ -17,9 +17,10 @@ with the transaction domain of paper Section 2: a payload is a triple
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.certification import RETIRED, CertificationScheme, ConflictIndex, VoteIndex
 from repro.core.types import Decision, ShardId, TxnId
@@ -46,8 +47,9 @@ class _ObjectSets:
     kept in slots that are not dataclass fields (so neither ``fields()``
     nor the digest and wire texts see them).
 
-    Payloads are immutable and the sets sit on every certification hot
-    path, so each is built on first read: an unset slot raises
+    Payloads are immutable and these membership sets sit on every
+    certification hot path (the payload's own sorted tuples answer ``in``
+    only by a scan), so each is built on first read: an unset slot raises
     ``AttributeError``, which falls through to ``__getattr__``, which fills
     it.  Every later read is a plain slot load, with no Python frame.
     """
@@ -67,6 +69,38 @@ class _ObjectSets:
         return objects
 
 
+# Marks a payload field that is a set in the paper and a canonical tuple
+# here: the history digest renders it as the set it stands for.
+_SET_FIELD = {"canonical": "set"}
+
+
+# The sort key of a set's canonical tuple.
+_OBJECT_ID = itemgetter(0)
+
+
+def _check_canonical(pairs: Any, kind: str, repeated: str) -> None:
+    """Refuse a read or write set that is not a tuple sorted by object id
+    with each object once: ``repeated`` is the error for an object that
+    appears in two different pairs."""
+    if type(pairs) is not tuple:
+        raise ValueError(
+            f"{kind} set must be a tuple sorted by object id, "
+            f"not {type(pairs).__name__}"
+        )
+    before = pairs[0] if pairs else None
+    for after in pairs[1:]:
+        if not before[0] < after[0]:
+            if before == after:
+                raise ValueError(f"{kind} set holds {before!r} twice")
+            if before[0] == after[0]:
+                raise ValueError(repeated.format(before[0]))
+            raise ValueError(
+                f"{kind} set is not sorted by object id: "
+                f"{before[0]!r} before {after[0]!r}"
+            )
+        before = after
+
+
 @dataclass(frozen=True, slots=True)
 class TransactionPayload(_ObjectSets):
     """The result of a transaction's optimistic execution: ``⟨R, W, Vc⟩``.
@@ -77,12 +111,19 @@ class TransactionPayload(_ObjectSets):
     * ``commit_version`` — the version assigned to the writes, strictly
       greater than every version read.
 
+    The two sets are stored as tuples of pairs sorted by object id, each
+    object once: a tuple of one pair is 48 bytes where a ``frozenset`` of
+    any size is at least 216, and the order makes equality, hashing and
+    iteration independent of ``PYTHONHASHSEED``.  :meth:`make` builds that
+    form from any iterable; the digest still renders each as a set.
+
     The paper requires every written object to have been read and the commit
-    version to dominate all read versions; ``validate`` enforces both.
+    version to dominate all read versions; ``validate`` enforces both, and
+    the canonical form.
     """
 
-    read_set: FrozenSet[Tuple[ObjectId, Version]] = frozenset()
-    write_set: FrozenSet[Tuple[ObjectId, Value]] = frozenset()
+    read_set: Tuple[Tuple[ObjectId, Version], ...] = field(default=(), metadata=_SET_FIELD)
+    write_set: Tuple[Tuple[ObjectId, Value], ...] = field(default=(), metadata=_SET_FIELD)
     commit_version: Version = VERSION_ZERO
 
     @staticmethod
@@ -92,8 +133,10 @@ class TransactionPayload(_ObjectSets):
         commit_version: Optional[Version] = None,
         tiebreak: str = "",
     ) -> "TransactionPayload":
-        reads = frozenset(reads)
-        writes = frozenset(writes)
+        # Without repeats, sorted by object id: a well-formed set holds each
+        # object once, so the order is total and no value is compared.
+        reads = tuple(sorted(dict.fromkeys(reads), key=_OBJECT_ID))
+        writes = tuple(sorted(dict.fromkeys(writes), key=_OBJECT_ID))
         if commit_version is None:
             commit_version = version_after((v for _, v in reads), tiebreak)
         payload = TransactionPayload(
@@ -103,26 +146,19 @@ class TransactionPayload(_ObjectSets):
         return payload
 
     def validate(self) -> None:
-        """Enforce the well-formedness conditions of Section 2."""
-        read_objects = {obj for obj, _ in self.read_set}
-        per_object_versions: Dict[ObjectId, Set[Version]] = {}
-        for obj, version in self.read_set:
-            per_object_versions.setdefault(obj, set()).add(version)
-        for obj, versions in per_object_versions.items():
-            if len(versions) > 1:
-                raise ValueError(f"object {obj!r} read at more than one version")
-        written_objects = [obj for obj, _ in self.write_set]
-        if len(set(written_objects)) != len(written_objects):
-            raise ValueError("write set contains an object more than once")
-        for obj in written_objects:
-            if obj not in read_objects:
+        """Enforce the well-formedness conditions of Section 2 and the
+        canonical form of the two sets."""
+        _check_canonical(self.read_set, "read", "object {!r} read at more than one version")
+        _check_canonical(self.write_set, "write", "write set contains object {!r} more than once")
+        read_versions = dict(self.read_set)
+        for obj, _ in self.write_set:
+            if obj not in read_versions:
                 raise ValueError(f"written object {obj!r} was not read")
-        if self.read_set:
-            for _, version in self.read_set:
-                if not self.commit_version > version:
-                    raise ValueError(
-                        "commit version must be greater than every version read"
-                    )
+        for _, version in self.read_set:
+            if not self.commit_version > version:
+                raise ValueError(
+                    "commit version must be greater than every version read"
+                )
 
     def is_empty(self) -> bool:
         """True for the empty payload ``ε`` (no reads, no writes)."""
@@ -239,16 +275,10 @@ class _ReadWriteScheme(CertificationScheme[TransactionPayload]):
         return {shard_of(obj) for obj, _ in chain(payload.read_set, payload.write_set)}
 
     def project(self, payload: TransactionPayload, shard: ShardId) -> TransactionPayload:
-        reads = frozenset(
-            (obj, version)
-            for obj, version in payload.read_set
-            if self.sharding.shard_of(obj) == shard
-        )
-        writes = frozenset(
-            (obj, value)
-            for obj, value in payload.write_set
-            if self.sharding.shard_of(obj) == shard
-        )
+        # Filtering a sorted tuple keeps it sorted: no sort, no new set.
+        shard_of = self.sharding.shard_of
+        reads = tuple(pair for pair in payload.read_set if shard_of(pair[0]) == shard)
+        writes = tuple(pair for pair in payload.write_set if shard_of(pair[0]) == shard)
         if len(reads) == len(payload.read_set) and len(writes) == len(payload.write_set):
             # Fully shard-local payload: l|s = l.  Returning the original
             # object (not an equal copy) lets downstream consumers share its

@@ -27,7 +27,10 @@ from repro.core.types import Decision, TxnId
 #   a payload means the same whether a client built it from a list or a
 #   tuple, and the digests pinned in ``tests/golden_*.json`` say so;
 # * a dataclass instance renders as ``('ClassName', (('field', text), ...))``
-#   in field order, so ``TransactionPayload``'s frozensets are reached;
+#   in field order; a field declared with ``metadata={"canonical": "set"}``
+#   holds a set in canonical form (``TransactionPayload``'s read and write
+#   sets are tuples sorted by object id) and renders by the set rule above,
+#   whatever its container, so the text is the one its frozenset had;
 # * anything else is a leaf and renders through its own ``__repr__``, which
 #   must not print an address: a type that inherits ``object.__repr__`` is
 #   refused with ``TypeError`` when :meth:`History.digest` meets one, because
@@ -88,8 +91,11 @@ def _render_dict(value: Dict[Any, Any]) -> str:
 
 def _dataclass_renderer(cls: type) -> Callable[[Any], str]:
     """The template ``('Name', (('field', %s), ...))`` with the field names
-    read once, filled with the fields' texts."""
-    names = tuple(f.name for f in dataclasses.fields(cls))
+    read once, filled with the fields' texts; a field marked as a set in
+    canonical form renders by the set rule."""
+    fields_of = dataclasses.fields(cls)
+    names = tuple(f.name for f in fields_of)
+    as_set = frozenset(f.name for f in fields_of if f.metadata.get("canonical") == "set")
     fields = ", ".join(f"({name!r}, %s)" for name in names)
     if len(names) == 1:
         fields += ","
@@ -99,7 +105,10 @@ def _dataclass_renderer(cls: type) -> Callable[[Any], str]:
         texts = []
         for name in names:
             field = getattr(value, name)
-            texts.append(_RENDERERS[type(field)](field))
+            if name in as_set:
+                texts.append(_render_set(field))
+            else:
+                texts.append(_RENDERERS[type(field)](field))
         return template % tuple(texts)
 
     return render

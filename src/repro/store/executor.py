@@ -72,8 +72,10 @@ class TransactionContext:
         return dict(self._writes)
 
     def payload(self, tiebreak: str = "") -> TransactionPayload:
-        reads = frozenset(self._reads.items())
-        writes = frozenset(self._writes.items())
+        # Dict keys are distinct, so sorting the items compares object ids
+        # only: the payload's canonical tuples.
+        reads = tuple(sorted(self._reads.items()))
+        writes = tuple(sorted(self._writes.items()))
         commit_version = version_after(self._reads.values(), tiebreak or self.name)
         return TransactionPayload(
             read_set=reads, write_set=writes, commit_version=commit_version

@@ -104,7 +104,7 @@ class VersionedKVStore:
 
     def install_payload(self, payload: TransactionPayload) -> None:
         """Install every write of a committed payload (see :meth:`install`)."""
-        for obj, value in sorted(payload.write_set):
+        for obj, value in payload.write_set:
             self.install(obj, value, payload.commit_version)
 
     def apply_payload(self, payload: TransactionPayload) -> None:
@@ -115,7 +115,7 @@ class VersionedKVStore:
         guarantees committed transactions admit a serial order consistent
         with their certification.
         """
-        for obj, value in sorted(payload.write_set):
+        for obj, value in payload.write_set:
             versions = self._history.setdefault(obj, [])
             if versions and versions[-1].version >= payload.commit_version:
                 raise ValueError(

@@ -43,9 +43,17 @@ class UniformKeyGenerator:
         self.num_keys = num_keys
         self.prefix = prefix
         self.rng = random.Random(seed)
+        # One key string per key index, made on first draw and then shared
+        # by every transaction that touches the key (and by the payloads a
+        # run keeps); a list indexed by key costs no call per draw.
+        self._names: List[Optional[str]] = [None] * num_keys
 
     def key(self) -> str:
-        return f"{self.prefix}-{self.rng.randrange(self.num_keys)}"
+        index = self.rng.randrange(self.num_keys)
+        name = self._names[index]
+        if name is None:
+            name = self._names[index] = f"{self.prefix}-{index}"
+        return name
 
     def keys(self, count: int) -> List[str]:
         """``count`` distinct keys (or as many as the key space allows)."""
@@ -75,6 +83,8 @@ class ZipfianKeyGenerator:
         self.theta = theta
         self.prefix = prefix
         self.rng = random.Random(seed)
+        # Shared key strings, as in UniformKeyGenerator.
+        self._names: List[Optional[str]] = [None] * num_keys
         weights = [1.0 / ((rank + 1) ** theta) for rank in range(num_keys)]
         total = sum(weights)
         self._cumulative: List[float] = []
@@ -92,7 +102,10 @@ class ZipfianKeyGenerator:
                 low = mid + 1
             else:
                 high = mid
-        return f"{self.prefix}-{low}"
+        name = self._names[low]
+        if name is None:
+            name = self._names[low] = f"{self.prefix}-{low}"
+        return name
 
     def keys(self, count: int) -> List[str]:
         chosen: List[str] = []
@@ -234,9 +247,10 @@ class BankWorkload:
         self.hot_fraction = hot_fraction
         self.rng = random.Random(seed)
         self._counter = 0
+        self._accounts = [f"account-{index}" for index in range(num_accounts)]
 
     def account(self, index: int) -> str:
-        return f"account-{index}"
+        return self._accounts[index]
 
     def initial_state(self) -> Dict[str, int]:
         return {self.account(i): self.initial_balance for i in range(self.num_accounts)}

@@ -38,12 +38,48 @@ def test_payload_rejects_two_versions_of_same_object():
 
 
 def test_payload_rejects_duplicate_writes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="write set contains object 'x' more than once"):
         TransactionPayload(
-            read_set=frozenset([("x", (0, ""))]),
-            write_set=frozenset([("x", 1), ("x", 2)]),
+            read_set=(("x", (0, "")),),
+            write_set=(("x", 1), ("x", 2)),
             commit_version=(1, ""),
         ).validate()
+
+
+# A frozenset dropped a repeated pair without a word; the canonical tuple
+# keeps it, so validate() must refuse it, and any tuple out of order.
+@pytest.mark.parametrize(
+    "reads, writes, message",
+    [
+        ((("x", (0, "")), ("x", (0, ""))), (), r"read set holds \('x', \(0, ''\)\) twice"),
+        ((("x", (0, "")),), (("x", 1), ("x", 1)), r"write set holds \('x', 1\) twice"),
+        ((("y", (0, "")), ("x", (0, ""))), (), "read set is not sorted by object id: 'y' before 'x'"),
+        (
+            (("x", (0, "")), ("y", (0, ""))),
+            (("y", 1), ("x", 1)),
+            "write set is not sorted by object id",
+        ),
+        (frozenset({("x", (0, ""))}), (), "read set must be a tuple sorted by object id, not frozenset"),
+        ((("x", (0, "")),), [("x", 1)], "write set must be a tuple sorted by object id, not list"),
+    ],
+    ids=["repeated-read", "repeated-write", "unsorted-reads", "unsorted-writes", "frozenset", "list"],
+)
+def test_payload_rejects_sets_not_in_canonical_form(reads, writes, message):
+    payload = TransactionPayload(read_set=reads, write_set=writes, commit_version=(1, ""))
+    with pytest.raises(ValueError, match=message):
+        payload.validate()
+
+
+def test_payload_make_stores_sorted_tuples_without_repeats():
+    p = TransactionPayload.make(
+        reads=[("y", (1, "")), ("x", (0, "")), ("y", (1, ""))],
+        writes=iter([("y", 5), ("x", 4), ("y", 5)]),
+        tiebreak="t",
+    )
+    assert p.read_set == (("x", (0, "")), ("y", (1, "")))
+    assert p.write_set == (("x", 4), ("y", 5))
+    assert TransactionPayload.make().read_set == () == EMPTY_PAYLOAD.write_set
+    p.validate()
 
 
 def test_payload_make_auto_versions():
@@ -192,6 +228,14 @@ def test_projection_splits_payload_by_shard(scheme):
     assert proj0.read_objects == {key0} and proj0.written_objects == {key0}
     assert proj1.read_objects == {key1} and proj1.written_objects == {key1}
     assert proj0.commit_version == proj1.commit_version == combined.commit_version
+    # A projection filters the parent's sorted tuples: still canonical.
+    for projection in (proj0, proj1):
+        projection.validate()
+    reads_only = payload(reads=[(key0, (0, "")), (key1, (0, ""))], writes=[(key0, 1)])
+    assert scheme.project(reads_only, "shard-1").write_set == ()
+    assert scheme.project(combined, "shard-9") == TransactionPayload(
+        commit_version=combined.commit_version
+    )
 
 
 def test_shards_of_uses_read_and_write_sets(scheme):

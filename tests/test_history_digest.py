@@ -49,10 +49,18 @@ def _oracle_stable(value):
         return (
             type(value).__name__,
             tuple(
-                (field.name, _oracle_stable(getattr(value, field.name)))
+                (field.name, _oracle_stable(_oracle_field(field, getattr(value, field.name))))
                 for field in dataclasses.fields(value)
             ),
         )
+    return value
+
+
+def _oracle_field(field, value):
+    """A field declared as a set in canonical form (a payload's read and
+    write sets, sorted tuples) stands for the frozenset of its elements."""
+    if field.metadata.get("canonical") == "set":
+        return frozenset(value)
     return value
 
 
@@ -167,11 +175,20 @@ _versions = st.one_of(
     st.tuples(st.integers(0, 9), st.sampled_from(("", "c0", "c'1"))), _hashable
 )
 
+
+def _pair_sets(values):
+    """A payload's read or write set: the tuple sorted by object id that
+    ``make`` stores, or a frozenset built directly, which must render the
+    same text."""
+    pairs = st.frozensets(st.tuples(st.text(max_size=4), values), max_size=3)
+    return pairs | pairs.map(lambda found: tuple(sorted(found, key=lambda pair: pair[0])))
+
+
 _transaction_payloads = st.builds(
     TransactionPayload,
-    read_set=st.frozensets(st.tuples(st.text(max_size=4), _versions), max_size=3),
+    read_set=_pair_sets(_versions),
     # Write values are whatever the client wrote, not only plain ones.
-    write_set=st.frozensets(st.tuples(st.text(max_size=4), _hashable), max_size=3),
+    write_set=_pair_sets(_hashable),
     commit_version=_versions,
 )
 
@@ -200,6 +217,50 @@ def test_digest_equals_the_recursive_definition_on_generated_payloads(payloads):
     assert digest == _oracle_digest(history)
     # A pure pass over the events: the same answer on every call.
     assert history.digest() == digest
+
+
+@st.composite
+def _well_formed_pairs(draw):
+    """The reads and writes of a well-formed payload: each object read once
+    at an ``(int, str)`` version, a subset of them written."""
+    objects = draw(st.lists(st.text(max_size=4), unique=True, max_size=5))
+    reads = [
+        (obj, draw(st.tuples(st.integers(0, 9), st.sampled_from(("", "c0", "c'1")))))
+        for obj in objects
+    ]
+    written = draw(st.lists(st.sampled_from(objects), unique=True)) if objects else []
+    writes = [(obj, draw(_hashable)) for obj in written]
+    return reads, writes
+
+
+@settings(max_examples=200, deadline=None)
+@given(_well_formed_pairs(), st.randoms(use_true_random=False))
+def test_make_is_canonical_whatever_the_order_or_container(pairs, rng):
+    """``make`` on a shuffled list (with repeats) and on a frozenset of the
+    same pairs stores the same sorted tuples: the payloads are equal, hash
+    equal, and render the digest text and wire size of the frozenset form
+    the payload had before its sets became tuples."""
+    reads, writes = pairs
+    shuffled_reads, shuffled_writes = reads + reads[:1], writes + writes[-1:]
+    rng.shuffle(shuffled_reads)
+    rng.shuffle(shuffled_writes)
+    from_list = TransactionPayload.make(reads=shuffled_reads, writes=shuffled_writes, tiebreak="c")
+    from_set = TransactionPayload.make(
+        reads=frozenset(reads), writes=frozenset(writes), tiebreak="c"
+    )
+    as_sets = TransactionPayload(
+        read_set=frozenset(reads),
+        write_set=frozenset(writes),
+        commit_version=from_set.commit_version,
+    )
+    assert from_list == from_set and hash(from_list) == hash(from_set)
+    assert type(from_list.read_set) is type(from_list.write_set) is tuple
+    assert [obj for obj, _ in from_list.read_set] == sorted(obj for obj, _ in reads)
+    texts = {_history_of([payload]).digest() for payload in (from_list, from_set, as_sets)}
+    assert len(texts) == 1 and texts == {_oracle_digest(_history_of([as_sets]))}
+    wire.is_registered(TransactionPayload)  # builds the registry
+    sizes = {wire._field_size(payload) for payload in (from_list, from_set, as_sets)}
+    assert len(sizes) == 1
 
 
 def test_digest_equals_the_recursive_definition_on_the_corner_cases():
@@ -354,7 +415,11 @@ def test_sizing_a_fresh_payload_call_count():
 # their object sets into slots and a payload's shards came to be read off
 # its own sets: the readings fell to 704.1-706.3 / 341.8-342.0 / 1255.9 /
 # 1132.9-1133.7 (PYTHONHASHSEED unset, 0, 4242), and the bounds are those
-# plus 1%.  A change that makes the path cheaper should tighten these to its
+# plus 1%.  Payload sets as sorted tuples cost a ``sorted`` per set a
+# transaction context builds, and the workload's keys come from a list
+# indexed by key, at no call: the readings are 704.6-706.3 / 341.7-341.8 /
+# 1256.9 / 1131.7-1132.4 (PYTHONHASHSEED unset, 0, 1, 4242), under the same
+# bounds.  A change that makes the path cheaper should tighten these to its
 # own readings.  The parallel-shards spelling of mp-steady is the serial run
 # (the runner ignores the mode): it must cost mp-steady's calls exactly.
 RUN_CALLS_PER_TXN = {
@@ -393,14 +458,15 @@ def test_whole_run_call_count_per_transaction(shape):
 # 56.401 / 86.641 before, when it kept every transaction and a frontier per
 # commit.  They are 18.513 / 29.871 / 39.136 / 59.120 since a decided
 # coordinator entry drops its vote and ack containers and payloads, events
-# and directory records lost their instance ``__dict__``; the bounds are
-# those plus 2%.
+# and directory records lost their instance ``__dict__``.  They are 13.537 /
+# 27.625 / 34.160 / 52.578 since a payload's read and write sets are sorted
+# tuples and a key is one shared string; the bounds are those plus 2%.
 RETAINED_OBJECTS_PER_TXN = {
-    "mp-steady": 18.8,
-    "mp-steady-grouped": 18.8,
-    "read-mostly-lease": 30.4,
-    "baseline-steady": 39.9,
-    "rdma-batched-bw": 60.3,
+    "mp-steady": 13.8,
+    "mp-steady-grouped": 13.8,
+    "read-mostly-lease": 28.1,
+    "baseline-steady": 34.8,
+    "rdma-batched-bw": 53.6,
 }
 
 
@@ -435,17 +501,20 @@ def test_whole_run_retained_objects_per_transaction(shape):
 # a smaller one (or an instance ``__dict__`` for slots) shows even where the
 # object count does not move.  Counted after the same warm-up, the figure
 # repeats across hash seeds (CI runs this file under two) and moves by under
-# two bytes per transaction with test order.  The readings are 4536.9 /
-# 4150.7 / 7684.8 / 9576.9 (mp-steady / read-mostly-lease / baseline-steady
-# / rdma-batched-bw; 7210.5 / 5997.7 / 10153.1 / 13846.7 while decided
-# transactions kept their vote book-keeping and payloads their ``__dict__``);
-# the bounds are those plus 2%.
+# two bytes per transaction with test order.  The readings are 3511.1 /
+# 3690.9 / 6658.7 / 8177.2 (mp-steady / read-mostly-lease / baseline-steady
+# / rdma-batched-bw) since a payload's read and write sets are sorted tuples
+# (a frozenset is at least 216 bytes, a tuple of one pair 48) and the
+# workload hands out one string per key; 4536.9 / 4150.7 / 7684.8 / 9576.9
+# before, and 7210.5 / 5997.7 / 10153.1 / 13846.7 while decided
+# transactions kept their vote book-keeping and payloads their ``__dict__``.
+# The bounds are the readings plus 2%.
 RETAINED_BYTES_PER_TXN = {
-    "mp-steady": 4627,
-    "mp-steady-grouped": 4627,
-    "read-mostly-lease": 4233,
-    "baseline-steady": 7838,
-    "rdma-batched-bw": 9768,
+    "mp-steady": 3582,
+    "mp-steady-grouped": 3582,
+    "read-mostly-lease": 3765,
+    "baseline-steady": 6792,
+    "rdma-batched-bw": 8341,
 }
 
 
@@ -461,3 +530,23 @@ def test_whole_run_retained_bytes_per_transaction(shape):
     finally:
         tracemalloc.stop()
     assert per_txn <= RETAINED_BYTES_PER_TXN[shape]
+
+
+# Cyclic-collector passes per generation over a warmed mp-steady-shape run,
+# from ``gc.get_stats()``: the collector reclaims nothing in a run
+# (``test_a_run_leaves_nothing_for_the_cyclic_collector``), so every pass is
+# spent walking live state, and the count falls as a run allocates fewer
+# tracked objects.  Counted from the ``gc.collect()`` that ends the warm-up,
+# the figures repeat exactly across test order and hash seeds.  The readings
+# are 51 / 4 / 0 (53 / 4 / 0 while payload sets were frozensets); the bounds
+# are those plus 2%.
+GC_COLLECTIONS = (52, 4, 0)
+
+
+def test_whole_run_gc_collections():
+    spec = _warmed_up("mp-steady")
+    before = [generation["collections"] for generation in gc.get_stats()]
+    ScenarioRunner(spec).run()
+    after = [generation["collections"] for generation in gc.get_stats()]
+    passes = tuple(now - then for now, then in zip(after, before))
+    assert all(count <= bound for count, bound in zip(passes, GC_COLLECTIONS)), passes

@@ -158,11 +158,20 @@ def _oracle_field_size(value):
         return SCALAR_BYTES + sum(_oracle_field_size(item) for item in value)
     if dataclasses.is_dataclass(value):
         return SCALAR_BYTES + sum(
-            _oracle_field_size(getattr(value, f.name)) for f in dataclasses.fields(value)
+            _oracle_field_size(_oracle_field(f, getattr(value, f.name)))
+            for f in dataclasses.fields(value)
         )
     if hasattr(value, "__dict__"):
         return SCALAR_BYTES + sum(_oracle_field_size(v) for v in vars(value).values())
     return SCALAR_BYTES
+
+
+def _oracle_field(field, value):
+    """A field declared as a set in canonical form (a payload's read and
+    write sets, sorted tuples) is sized as the frozenset it stands for."""
+    if field.metadata.get("canonical") == "set":
+        return frozenset(value)
+    return value
 
 
 def _oracle_wire_size(message):
@@ -211,7 +220,7 @@ _TXN_PAYLOAD = TransactionPayload.make(
 # ``(int, str)`` commit version — one way each; built directly, since
 # ``make`` would refuse some.
 _OFF_SHAPE_PAYLOADS = (
-    # object ids that are not exactly str
+    # object ids that are not exactly str (and do not sort: a frozenset)
     TransactionPayload(
         read_set=frozenset({(7, (1, "c")), (_Label.LONG, (1, "c")), (b"key", (0, ""))}),
         write_set=frozenset({(7, 1), (_Label.LONG, 2), (None, 3)}),
@@ -219,19 +228,19 @@ _OFF_SHAPE_PAYLOADS = (
     ),
     # write values that are not exactly int
     TransactionPayload(
-        read_set=frozenset({("key-1", (3, "c0"))}),
-        write_set=frozenset({
+        read_set=(("key-1", (3, "c0")),),
+        write_set=(
             ("a", "v17"), ("b", 2.5), ("c", None), ("d", True), ("e", ("t", 1)),
             ("f", frozenset({1, "x"})), ("g", _Color.RED), ("h", _TXN_PAYLOAD),
-        }),
+        ),
         commit_version=(4, "c1"),
     ),
     # versions that are not exactly (int, str)
     TransactionPayload(
-        read_set=frozenset({
+        read_set=(
             ("a", (1,)), ("b", (1, "c", 2)), ("c", (True, "c")), ("d", ("c", 1)),
             ("e", None), ("f", _Point(1, 2.0)), ("g", (1, _Label.LONG)), ("h", 5),
-        }),
+        ),
         commit_version=_Point(1, 2.0),
     ),
     # elements that are not pairs at all
@@ -243,9 +252,11 @@ _OFF_SHAPE_PAYLOADS = (
     TransactionPayload(commit_version=(1,)),
     TransactionPayload(commit_version="c1"),
     TransactionPayload(commit_version=(True, "c")),
-    # a tuple where the frozenset is declared
+    # a frozenset where the sorted tuple is declared
     TransactionPayload(
-        read_set=(("a", (1, "c")), ("b", (0, ""))), write_set=(("a", 1),), commit_version=(2, "c")
+        read_set=frozenset({("a", (1, "c")), ("b", (0, ""))}),
+        write_set=frozenset({("a", 1)}),
+        commit_version=(2, "c"),
     ),
 )  # fmt: skip
 

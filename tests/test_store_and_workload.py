@@ -73,6 +73,19 @@ def test_context_buffers_reads_and_writes():
     assert p.commit_version > VERSION_ZERO
 
 
+def test_context_payload_holds_sorted_tuples():
+    store = VersionedKVStore(initial={"b": 1, "a": 2, "c": 3})
+    ctx = TransactionContext(store, name="t")
+    for key in ("c", "a", "b"):
+        ctx.read(key)
+    ctx.write("c", 4)
+    ctx.write("a", 5)
+    p = ctx.payload()
+    assert [obj for obj, _ in p.read_set] == ["a", "b", "c"]
+    assert p.write_set == (("a", 5), ("c", 4))
+    p.validate()
+
+
 def test_context_write_auto_reads():
     store = VersionedKVStore(initial={"x": 7})
     ctx = TransactionContext(store, name="t")
@@ -144,6 +157,18 @@ def test_uniform_generator_deterministic_and_in_range():
     assert [g1.key() for _ in range(20)] == [g2.key() for _ in range(20)]
     assert all(k.startswith("key-") for k in g1.keys(5))
     assert len(set(g1.keys(5))) == 5
+
+
+@pytest.mark.parametrize("generator", [UniformKeyGenerator, ZipfianKeyGenerator])
+def test_generators_share_one_string_per_key(generator):
+    """Every draw of a key hands out the same string object, so a run keeps
+    one copy per key, not one per transaction that touched it."""
+    keys = generator(num_keys=5, seed=3)
+    drawn = [keys.key() for _ in range(200)]
+    by_text = {}
+    for key in drawn:
+        assert by_text.setdefault(key, key) is key
+    assert set(by_text) <= {f"key-{index}" for index in range(5)}
 
 
 def test_uniform_generator_validation():
