@@ -8,14 +8,16 @@ merged output is deterministic and diffable.  Worker failures surface as
 :class:`WorkerError` carrying the child's formatted traceback instead of a
 hang or an opaque ``BrokenProcessPool``.  A single run always executes on
 the one serial event heap of :mod:`repro.runtime.events`.
+
+The pool machinery (:mod:`concurrent.futures`, :mod:`multiprocessing`) is
+imported on the first parallel map, not with this module: a process that
+never fans out (``jobs == 1``, every single run) does not load it.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from typing import Any, Callable, List, Sequence, Tuple
 
 
@@ -86,6 +88,9 @@ class ParallelExecutor:
             return []
         if self.jobs == 1 or len(items) == 1:
             return [fn(item) for item in items]
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         workers = min(self.jobs, len(items))
         context = get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:

@@ -457,6 +457,13 @@ class ScenarioRunner:
         wall = _time.perf_counter() - wall_start
         return self._collect(start_time, wall)
 
+    def _waves(self) -> List[range]:
+        """The transaction indexes of each closed-loop wave, ``batch`` at a
+        time.  A wave's transactions are generated when it is submitted, so
+        a run holds one wave of bodies, never the whole run's."""
+        indexes, batch = range(self.spec.workload.txns), self.spec.workload.batch
+        return [indexes[offset : offset + batch] for offset in indexes[::batch]]
+
     def _drive_store(self) -> None:
         spec = self.spec
         workload = spec.workload
@@ -469,7 +476,7 @@ class ScenarioRunner:
             )
             self.store = TransactionalStore(self.cluster, initial=bank.initial_state())
             self.cluster.seed_read_stores(bank.initial_state())
-            bodies = bank.batch(workload.txns)
+            draw = bank.batch
         else:
             if workload.kind == "zipfian":
                 keys = ZipfianKeyGenerator(
@@ -487,37 +494,38 @@ class ScenarioRunner:
             initial = {f"key-{i}": 0 for i in range(workload.num_keys)}
             self.store = TransactionalStore(self.cluster, initial=initial)
             self.cluster.seed_read_stores(initial)
-            txn_specs = generator.batch(workload.txns)
             if workload.read_ratio > 0 and workload.think_time <= 0:
                 # Mixed waves: read-only transactions take the snapshot-read
                 # fast path (when the cluster runs one), everything else is
                 # certified.  Each wave executes against the same committed
                 # snapshot, exactly like run_batch.
-                self._drive_mixed(txn_specs)
+                self._drive_mixed(generator)
                 return
-            bodies = [spec_.body() for spec_ in txn_specs]
+            draw = generator.bodies
+        # Every workload draws from its own seeded RNG, so when a body is
+        # generated does not change what it draws.
         if workload.think_time > 0:
             ClosedLoopDriver(
                 self.store,
-                bodies,
+                (draw(1)[0] for _ in range(workload.txns)),
                 sessions=workload.sessions or workload.batch,
                 think_time=workload.think_time,
                 seed=spec.seed,
             ).run(max_events=spec.max_events)
         else:
-            for offset in range(0, len(bodies), workload.batch):
-                self.store.run_batch(bodies[offset : offset + workload.batch])
+            for wave in self._waves():
+                self.store.run_batch(draw(len(wave)))
 
-    def _drive_mixed(self, txn_specs) -> None:
+    def _drive_mixed(self, generator: ReadWriteWorkload) -> None:
         """Closed-loop waves of a read/write mix: writes go through the
         certified path, read-only specs through :meth:`submit_read_async`
         (which itself falls back to certification when the cluster has no
         fast path or the read spans shards)."""
         spec = self.spec
-        batch = spec.workload.batch
-        for offset in range(0, len(txn_specs), batch):
+        for wave in self._waves():
             txns = []
-            for txn_spec in txn_specs[offset : offset + batch]:
+            for _ in wave:
+                txn_spec = generator.next()
                 if txn_spec.writes:
                     txns.append(self.store.submit_async(txn_spec.body()))
                 else:
@@ -526,15 +534,11 @@ class ScenarioRunner:
 
     def _drive_spanning(self) -> None:
         spec = self.spec
-        workload = spec.workload
-        coordinator = self.resolve(workload.coordinator)
-        payloads = [
-            self._spanning_payload(index) for index in range(workload.txns)
-        ]
-        for offset in range(0, len(payloads), workload.batch):
+        coordinator = self.resolve(spec.workload.coordinator)
+        for wave in self._waves():
             txns = [
-                self.cluster.submit(payload, coordinator=coordinator)
-                for payload in payloads[offset : offset + workload.batch]
+                self.cluster.submit(self._spanning_payload(index), coordinator=coordinator)
+                for index in wave
             ]
             self.cluster.run_until_decided(txns, max_events=spec.max_events)
 

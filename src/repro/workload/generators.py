@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,9 @@ class ReadWriteWorkload:
         writes = tuple((key, f"v{self._counter}") for key in written)
         return TransactionSpec(reads=tuple(keys), writes=writes, label=f"rw-{self._counter}")
 
-    def batch(self, count: int) -> List[TransactionSpec]:
-        return [self.next() for _ in range(count)]
+    def bodies(self, count: int) -> List[Callable]:
+        """The executor bodies of the next ``count`` transactions."""
+        return [self.next().body() for _ in range(count)]
 
 
 class ClosedLoopDriver:
@@ -170,20 +171,23 @@ class ClosedLoopDriver:
     Models ``sessions`` interactive clients: each keeps exactly one
     transaction in flight, and after its decision *thinks* for an
     exponentially distributed virtual time (mean ``think_time`` message
-    delays) before submitting the next body from the shared queue.  All
+    delays) before submitting the next body from the shared stream.  All
     pacing runs on the simulation clock via the cluster's scheduler, so runs
     are deterministic in the seed; contrast with the default batch driver,
     which applies open pressure in fixed-size certification waves.
 
-    ``store`` is any :class:`repro.store.executor.TransactionalStore`-shaped
-    object (``submit_async`` plus a ``cluster`` exposing ``scheduler`` and
+    ``bodies`` is any iterable, a generator included: the next body is
+    pulled when a session submits it, so a run holds the bodies in flight,
+    not the whole stream.  ``store`` is any
+    :class:`repro.store.executor.TransactionalStore`-shaped object
+    (``submit_async`` plus a ``cluster`` exposing ``scheduler`` and
     ``run``).
     """
 
     def __init__(
         self,
         store,
-        bodies: Sequence[Callable],
+        bodies: Iterable[Callable],
         sessions: int = 1,
         think_time: float = 0.0,
         seed: int = 0,
@@ -193,12 +197,11 @@ class ClosedLoopDriver:
         if think_time < 0:
             raise ValueError("think_time must be >= 0")
         self.store = store
-        self.bodies = list(bodies)
+        self._bodies = iter(bodies)
         self.sessions = sessions
         self.think_time = think_time
         self.rng = random.Random(seed)
         self.completed = 0
-        self._next = 0
 
     def _think(self) -> float:
         if self.think_time <= 0:
@@ -206,10 +209,9 @@ class ClosedLoopDriver:
         return self.rng.expovariate(1.0 / self.think_time)
 
     def _submit_next(self) -> None:
-        if self._next >= len(self.bodies):
+        body = next(self._bodies, None)
+        if body is None:
             return
-        body = self.bodies[self._next]
-        self._next += 1
         self.store.submit_async(body, on_decided=self._on_decided)
 
     def _on_decided(self, outcome) -> None:
@@ -224,7 +226,7 @@ class ClosedLoopDriver:
     def run(self, max_events: int = 1_000_000) -> int:
         """Prime the sessions and run the simulation to completion; returns
         the number of transactions decided."""
-        for _ in range(min(self.sessions, len(self.bodies))):
+        for _ in range(self.sessions):
             self._submit_next()
         self.store.cluster.run(max_events=max_events)
         return self.completed

@@ -419,8 +419,12 @@ def test_sizing_a_fresh_payload_call_count():
 # transaction context builds, and the workload's keys come from a list
 # indexed by key, at no call: the readings are 704.6-706.3 / 341.7-341.8 /
 # 1256.9 / 1131.7-1132.4 (PYTHONHASHSEED unset, 0, 1, 4242), under the same
-# bounds.  A change that makes the path cheaper should tighten these to its
-# own readings.  The parallel-shards spelling of mp-steady is the serial run
+# bounds.  Generating each wave's bodies when the wave is submitted costs
+# two calls a wave (the workload's ``bodies`` and its list comprehension)
+# where the whole run's bodies were two comprehensions: the readings are
+# 704.6-705.7 / 341.7-341.8 / 1257.0 / 1131.8-1132.5 (PYTHONHASHSEED 0, 1,
+# 4242), under the same bounds.  A change that makes the path cheaper should
+# tighten these to its own readings.  The parallel-shards spelling of mp-steady is the serial run
 # (the runner ignores the mode): it must cost mp-steady's calls exactly.
 RUN_CALLS_PER_TXN = {
     "mp-steady": 714,
@@ -460,7 +464,9 @@ def test_whole_run_call_count_per_transaction(shape):
 # coordinator entry drops its vote and ack containers and payloads, events
 # and directory records lost their instance ``__dict__``.  They are 13.537 /
 # 27.625 / 34.160 / 52.578 since a payload's read and write sets are sorted
-# tuples and a key is one shared string; the bounds are those plus 2%.
+# tuples and a key is one shared string; the bounds are those plus 2%.  They
+# read the same since a run generates each wave when it submits it: the
+# workload's bodies are garbage by the end of a run either way.
 RETAINED_OBJECTS_PER_TXN = {
     "mp-steady": 13.8,
     "mp-steady-grouped": 13.8,
@@ -508,7 +514,8 @@ def test_whole_run_retained_objects_per_transaction(shape):
 # workload hands out one string per key; 4536.9 / 4150.7 / 7684.8 / 9576.9
 # before, and 7210.5 / 5997.7 / 10153.1 / 13846.7 while decided
 # transactions kept their vote book-keeping and payloads their ``__dict__``.
-# The bounds are the readings plus 2%.
+# The bounds are the readings plus 2%; generating each wave when it is
+# submitted leaves the readings as they were.
 RETAINED_BYTES_PER_TXN = {
     "mp-steady": 3582,
     "mp-steady-grouped": 3582,
@@ -532,15 +539,47 @@ def test_whole_run_retained_bytes_per_transaction(shape):
     assert per_txn <= RETAINED_BYTES_PER_TXN[shape]
 
 
+# Peak ``tracemalloc`` bytes per transaction over a whole run, after the same
+# warm-up: what the run keeps plus its largest transient, so that state a
+# run builds up front and drops at its end (every transaction's body, say)
+# shows although the retained figure above cannot see it.  The figure
+# repeats across hash seeds.  The readings are 3791.1 / 3822.9 / 6975.9 /
+# 9619.7 (mp-steady / read-mostly-lease / baseline-steady / rdma-batched-bw)
+# since a run generates each wave's transactions when it submits the wave;
+# 4235.6 / 4025.4 / 7405.5 / 10232.4 while it built every transaction's spec
+# and body before the first wave.  The bounds are the readings plus 2%.
+PEAK_BYTES_PER_TXN = {
+    "mp-steady": 3867,
+    "mp-steady-grouped": 3867,
+    "read-mostly-lease": 3899,
+    "baseline-steady": 7115,
+    "rdma-batched-bw": 9812,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_whole_run_peak_bytes_per_transaction(shape):
+    spec = _warmed_up(shape)
+    tracemalloc.start()
+    try:
+        ScenarioRunner(spec).run()
+        per_txn = tracemalloc.get_traced_memory()[1] / 1000
+    finally:
+        tracemalloc.stop()
+    assert per_txn <= PEAK_BYTES_PER_TXN[shape]
+
+
 # Cyclic-collector passes per generation over a warmed mp-steady-shape run,
 # from ``gc.get_stats()``: the collector reclaims nothing in a run
 # (``test_a_run_leaves_nothing_for_the_cyclic_collector``), so every pass is
 # spent walking live state, and the count falls as a run allocates fewer
 # tracked objects.  Counted from the ``gc.collect()`` that ends the warm-up,
 # the figures repeat exactly across test order and hash seeds.  The readings
-# are 51 / 4 / 0 (53 / 4 / 0 while payload sets were frozensets); the bounds
-# are those plus 2%.
-GC_COLLECTIONS = (52, 4, 0)
+# are 44 / 4 / 0 since a run generates each wave's transactions when it
+# submits the wave (51 / 4 / 0 while it built them all up front, and
+# 53 / 4 / 0 while payload sets were frozensets); the bounds are those plus
+# 2%, rounded.
+GC_COLLECTIONS = (45, 4, 0)
 
 
 def test_whole_run_gc_collections():

@@ -131,6 +131,28 @@ def test_worker_crash_surfaces_child_traceback(monkeypatch):
     assert "Traceback" in error.child_traceback
 
 
+def test_importing_repro_loads_no_process_pool():
+    """The pool machinery is imported on the first parallel map: a fresh
+    interpreter that imports the package, and maps inline, has not loaded
+    it (every process would otherwise carry it in its memory)."""
+    script = (
+        "import sys, repro;"
+        "from repro.runtime.parallel import ParallelExecutor;"
+        "assert ParallelExecutor(jobs=1).map(abs, [-1, -2]) == [1, 2];"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules))"
+    )
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.strip() == "[]"
+
+
 def test_run_scenarios_identical_across_jobs(monkeypatch):
     _pool_env(monkeypatch)
     specs = [_small("steady-state"), _small("bank-transfers")]

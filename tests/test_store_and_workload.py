@@ -9,6 +9,7 @@ from repro.store.executor import TransactionContext, TransactionalStore
 from repro.store.kv import VersionedKVStore
 from repro.workload.generators import (
     BankWorkload,
+    ClosedLoopDriver,
     ReadWriteWorkload,
     TransactionSpec,
     UniformKeyGenerator,
@@ -148,6 +149,29 @@ def test_bank_transfers_conserve_money(store):
     assert result.ok and violations == []
 
 
+def test_closed_loop_driver_pulls_each_body_when_a_session_submits_it(store, monkeypatch):
+    """Fed a generator, the driver decides every body, and priming the
+    sessions draws one body per session, not the stream."""
+    drawn = []
+
+    def bodies():
+        for index in range(12):
+            drawn.append(index)
+            yield lambda ctx, key=f"k{index}": ctx.increment(key)
+
+    primed = []
+    run = store.cluster.run
+    monkeypatch.setattr(
+        store.cluster, "run", lambda **kwargs: (primed.append(len(drawn)), run(**kwargs))[1]
+    )
+    driver = ClosedLoopDriver(store, bodies(), sessions=3, think_time=2.0, seed=4)
+    assert drawn == []
+    assert driver.run() == 12
+    assert primed == [3] and len(drawn) == 12
+    assert store.committed_count == 12
+    assert all(store.read(f"k{index}") == 1 for index in range(12))
+
+
 # ----------------------------------------------------------------------
 # workload generators
 # ----------------------------------------------------------------------
@@ -201,12 +225,31 @@ def test_zipfian_validation():
 
 def test_read_write_workload_specs():
     workload = ReadWriteWorkload(UniformKeyGenerator(50, seed=1), reads_per_txn=3, writes_per_txn=1, seed=1)
-    specs = workload.batch(5)
+    specs = [workload.next() for _ in range(5)]
     assert len(specs) == 5
     for spec in specs:
         assert len(spec.reads) == 3
         assert len(spec.writes) == 1
         assert spec.writes[0][0] in spec.reads
+
+
+def test_read_write_workload_bodies_draw_what_its_specs_draw():
+    """Waves of bodies draw the same transactions as specs drawn one by one
+    from the same seed, so generating each wave when it is submitted leaves
+    a run's transactions as they were."""
+    def workload():
+        return ReadWriteWorkload(UniformKeyGenerator(50, seed=2), seed=2, read_ratio=0.3)
+
+    drawn = workload()
+    specs = [drawn.next() for _ in range(20)]
+    generator = workload()
+    bodies = generator.bodies(8) + generator.bodies(12)
+    kv = VersionedKVStore(initial={f"key-{index}": 0 for index in range(50)})
+    for spec, body in zip(specs, bodies, strict=True):
+        ran = TransactionContext(kv, name="t")
+        assert body(ran) == spec.label
+        assert tuple(ran.read_set) == spec.reads
+        assert tuple(ran.write_set.items()) == spec.writes
 
 
 def test_read_write_workload_validation():
