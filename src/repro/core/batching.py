@@ -170,20 +170,19 @@ class MessageBatcher:
             return
         queue = self._pending.get(dst)
         if queue is None:
+            # A batch opens: its first message sets the deadline, the linger
+            # or the end of the opening instant (adaptive).  The timer stays
+            # pending until the batch flushes, so later messages leave it.
             queue = self._pending[dst] = []
+            timer = self._timers.get(dst)
+            if timer is None:
+                timer = self._timers[dst] = FlushTimer(self.process.scheduler)
+            timer.arm(
+                0.0 if self.policy.adaptive else self.policy.linger, self.flush, dst
+            )
         queue.append(message)
         if len(queue) >= self.policy.size:
             self.flush(dst)
-            return
-        timer = self._timers.get(dst)
-        if timer is None:
-            timer = self._timers[dst] = FlushTimer(self.process.scheduler)
-        # Idempotent while pending: the deadline of the batch's first
-        # message sticks (linger), or the end of the opening instant
-        # (adaptive).
-        timer.arm(
-            0.0 if self.policy.adaptive else self.policy.linger, self.flush, dst
-        )
 
     def add_all(self, dsts: Any, message: Any) -> None:
         if self._multicast:

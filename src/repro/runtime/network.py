@@ -4,9 +4,15 @@ The paper's system model (Section 3) assumes that "processes are connected
 by reliable FIFO channels: messages are delivered in FIFO order, and
 messages between non-faulty processes are guaranteed to be eventually
 delivered".  :class:`Network` provides exactly that on top of the
-discrete-event scheduler, plus the instrumentation used by the benchmark
-harness (per-process and per-type message counters) and controlled fault
-injection (crashes, partitions, per-channel blocking).
+discrete-event scheduler, with one :class:`Link` object per directed
+channel, made on the first send or fault on its pair.  A link holds all
+the channel's state: its destination, its FIFO clock, its faults (a block,
+an extra delay), its link queue and its message counts per class, so a
+send is one ``links[src, dst]`` lookup plus attribute work on the link,
+and a delivery event is a call of the link.  :class:`MessageStats` sums
+the links' counts into the per-process and per-type views the benchmark
+harness reads; crashes, partitions and blocked or slowed channels are the
+controlled fault injection.
 
 The network is configured by two frozen values, which are also what a
 :class:`~repro.scenarios.spec.ScenarioSpec` declares: :class:`LatencySpec`
@@ -21,9 +27,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Deque, Dict, Iterable, Mapping, Optional, Set, Tuple, TYPE_CHECKING,
+    Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional, Tuple, TYPE_CHECKING,
 )
 
 from repro.runtime.events import Scheduler
@@ -288,105 +294,144 @@ class NetworkSpec:
         return ",".join(parts)
 
 
+@dataclass(slots=True, eq=False)
+class Link:
+    """One directed channel ``src -> dst``, made on the first send or fault
+    on the pair and kept for the rest of the run.
+
+    ``process`` is the destination (None until it registers: messages sent
+    before then are dropped).  ``clock`` is the delivery time of the last
+    message put on the channel, which no later message may precede (FIFO).
+    ``blocked`` drops every message and ``extra`` delays every message by a
+    fixed amount.  ``pending`` holds the delivery times still in flight, kept
+    only under an enabled link model, which queues messages.  ``sent`` and
+    ``delivered`` count messages per class; ``dropped`` counts the ones lost.
+    """
+
+    src: str
+    process: Optional["Process"]
+    pending: Optional[Deque[float]]
+    clock: float = 0.0
+    blocked: bool = False
+    extra: float = 0.0
+    dropped: int = 0
+    sent: Dict[type, int] = field(default_factory=dict)
+    delivered: Dict[type, int] = field(default_factory=dict)
+
+    def deliver(self, message: Any) -> None:
+        """The delivery event: hand ``message`` to the destination, unless it
+        crashed or the channel was blocked while the message was in flight."""
+        process = self.process
+        if process.crashed or self.blocked:
+            self.dropped += 1
+            return
+        kind = type(message)
+        self.delivered[kind] = self.delivered.get(kind, 0) + 1
+        process.deliver(message, self.src)
+
+
+def _deliver_batch(links: List[Link], message: Any) -> None:
+    """The delivery event a multicast's destinations share."""
+    for link in links:
+        link.deliver(message)
+
+
+class _Links(dict):
+    """``(src, dst) -> Link``; looking up a pair for the first time makes
+    its link, so a hit costs a plain dict lookup."""
+
+    def __init__(self, processes: Mapping[str, "Process"], queued: bool) -> None:
+        super().__init__()
+        self.processes = processes
+        self.queued = queued
+
+    def __missing__(self, key: Tuple[str, str]) -> Link:
+        src, dst = key
+        pending = deque() if self.queued else None
+        link = self[key] = Link(src, self.processes.get(dst), pending)
+        return link
+
+
 class MessageStats:
     """Message accounting used by the leader-load and cost experiments.
 
-    The send and delivery paths each update one counter keyed by
-    ``(process, message class)``; every other view (totals, per process,
-    per type name) is derived from those two when it is read, which is
-    once per run rather than once per message.  The views are therefore
-    read-only snapshots: each read builds a fresh ``Counter`` (or number),
-    so mutating a returned ``Counter`` changes nothing here and the totals
-    cannot be assigned; only ``dropped`` and ``bytes_sent`` are plain
-    attributes.
+    A read-only view over the network's links: each link counts, per
+    message class, what it carried and what it delivered, and every view
+    here (totals, per process, per type name) sums those counts when it is
+    read, which is once per run rather than once per message.  Each read
+    builds a fresh ``Counter`` (or number), so mutating a returned
+    ``Counter`` changes nothing here.  Only the byte sums are kept here,
+    as plain attributes.  The ``*_by_process_and_type`` views stay because
+    ``benchmarks/test_bench_leader_load.py`` reads them.
     """
 
-    def __init__(self) -> None:
-        self._sent: Dict[Tuple[str, type], int] = {}
-        self._received: Dict[Tuple[str, type], int] = {}
-        self.dropped = 0
+    def __init__(self, links: Mapping[Tuple[str, str], Link]) -> None:
+        self._links = links
         # Bytes accounting: populated only when the link model sizes messages
-        # (``size`` is None on the pure-delay path, keeping it cost-free).
-        # Sizes are whole numbers of bytes, so the sums are exact whatever
-        # the order or grouping of the additions.
+        # (the pure-delay path never sizes one, keeping it cost-free).  Sizes
+        # are whole numbers of bytes, so the sums are exact whatever the
+        # order or grouping of the additions.
         self.bytes_sent = 0.0
-        self._bytes: Dict[type, float] = {}
+        self._bytes: Dict[str, float] = {}  # message class name -> bytes
 
-    def record_send(
-        self, src: str, message: Any, size: Optional[float] = None, count: int = 1
-    ) -> None:
-        """Account for ``count`` sends of ``message`` by ``src`` (a
-        multicast records all its destinations at once)."""
-        key = (src, type(message))
-        sent = self._sent
-        sent[key] = sent.get(key, 0) + count
-        if size is not None:
-            size *= count
-            self.bytes_sent += size
-            self._bytes[key[1]] = self._bytes.get(key[1], 0.0) + size
-
-    def record_delivery(self, dst: str, message: Any) -> None:
-        key = (dst, type(message))
-        received = self._received
-        received[key] = received.get(key, 0) + 1
-
-    @staticmethod
-    def _view(counts: Mapping[Any, Any], label) -> Counter:
+    def _view(self, counts: str, label: Callable[[str, str, type], Any]) -> Counter:
         view: Counter = Counter()
-        for key, count in counts.items():
-            view[label(key)] += count
+        for (src, dst), link in self._links.items():
+            for kind, count in getattr(link, counts).items():
+                view[label(src, dst, kind)] += count
         return view
 
     @property
+    def dropped(self) -> int:
+        return sum(link.dropped for link in self._links.values())
+
+    @property
     def total_sent(self) -> int:
-        return sum(self._sent.values())
+        return sum(self.sent_by_process.values())
 
     @property
     def total_delivered(self) -> int:
-        return sum(self._received.values())
+        return sum(self.received_by_process.values())
 
     @property
     def sent_by_process(self) -> Counter:
-        return self._view(self._sent, lambda key: key[0])
+        return self._view("sent", lambda src, dst, kind: src)
 
     @property
     def received_by_process(self) -> Counter:
-        return self._view(self._received, lambda key: key[0])
+        return self._view("delivered", lambda src, dst, kind: dst)
 
     @property
     def sent_by_type(self) -> Counter:
-        return self._view(self._sent, lambda key: key[1].__name__)
+        return self._view("sent", lambda src, dst, kind: kind.__name__)
 
     @property
     def sent_by_process_and_type(self) -> Counter:
-        return self._view(self._sent, lambda key: (key[0], key[1].__name__))
+        return self._view("sent", lambda src, dst, kind: (src, kind.__name__))
 
     @property
     def received_by_process_and_type(self) -> Counter:
-        return self._view(self._received, lambda key: (key[0], key[1].__name__))
+        return self._view("delivered", lambda src, dst, kind: (dst, kind.__name__))
 
     @property
     def bytes_by_type(self) -> Counter:
-        return self._view(self._bytes, lambda cls: cls.__name__)
+        return Counter(self._bytes)
 
     def handled_by(self, pid: str) -> int:
         """Total messages sent plus received by process ``pid``."""
-        return sum(
-            count
-            for counts in (self._sent, self._received)
-            for (process, _), count in counts.items()
-            if process == pid
-        )
+        return self.sent_by_process[pid] + self.received_by_process[pid]
 
 
 class Network:
-    """Simulated network of reliable FIFO channels.
+    """Simulated network of reliable FIFO channels, one :class:`Link` per
+    directed ``(source, destination)`` pair.
 
     Channels between live, non-partitioned processes deliver every message
     exactly once, in FIFO order per (source, destination) pair.  Messages to
     crashed or partitioned destinations are silently dropped, which models
     the asynchronous crash-stop setting: senders cannot distinguish a slow
-    process from a failed one.
+    process from a failed one.  A crashed process sends nothing: the check
+    is :meth:`Process.send`'s, made before the network sees the message.
     """
 
     def __init__(
@@ -405,7 +450,8 @@ class Network:
         self._delay = self.latency.delay_function(self.rng)
         self._link_enabled = self.link.enabled
         self.processes: Dict[str, "Process"] = {}
-        self.stats = MessageStats()
+        self.links: Dict[Tuple[str, str], Link] = _Links(self.processes, self._link_enabled)
+        self.stats = MessageStats(self.links)
         # Link-queue accounting (populated only with an enabled link model):
         # queue waits in send order, total serialization time, and the
         # high-water per-channel queue depth.  Depth is derived from
@@ -414,10 +460,6 @@ class Network:
         self.queue_wait_samples: list[float] = []
         self._link_serializations: list[float] = []
         self.link_max_depth: int = 0
-        self._link_pending: Dict[Tuple[str, str], Deque[float]] = {}
-        self._channel_clock: Dict[Tuple[str, str], float] = {}
-        self._blocked: Set[Tuple[str, str]] = set()
-        self._extra_delay: Dict[Tuple[str, str], float] = {}
 
     @property
     def link_busy_time(self) -> float:
@@ -429,14 +471,16 @@ class Network:
     # membership
     # ------------------------------------------------------------------
     def register(self, process: "Process") -> None:
-        """Attach a process to the network (and to the scheduler)."""
-        if process.pid in self.processes:
-            raise ValueError(f"duplicate process id {process.pid!r}")
-        self.processes[process.pid] = process
+        """Attach a process to the network (and to the scheduler), and bind
+        it into the links already made to it."""
+        pid = process.pid
+        if pid in self.processes:
+            raise ValueError(f"duplicate process id {pid!r}")
+        self.processes[pid] = process
+        for (_, dst), link in self.links.items():
+            if dst == pid:
+                link.process = process
         process.attach(self)
-
-    def process(self, pid: str) -> "Process":
-        return self.processes[pid]
 
     # ------------------------------------------------------------------
     # fault injection
@@ -447,19 +491,20 @@ class Network:
 
     def block(self, src: str, dst: str) -> None:
         """Drop all future messages on the directed channel ``src -> dst``."""
-        self._blocked.add((src, dst))
+        self.links[src, dst].blocked = True
 
     def partition(self, group_a: Iterable[str], group_b: Iterable[str]) -> None:
         """Block every channel between the two groups, in both directions."""
-        group_a, group_b = list(group_a), list(group_b)
+        links, group_b = self.links, list(group_b)
         for a in group_a:
             for b in group_b:
-                self.block(a, b)
-                self.block(b, a)
+                links[a, b].blocked = links[b, a].blocked = True
 
     def heal(self) -> None:
-        """Remove all channel blocks."""
-        self._blocked.clear()
+        """Restore every channel: lift all blocks and extra delays."""
+        for link in self.links.values():
+            link.blocked = False
+            link.extra = 0.0
 
     def add_extra_delay(self, src: str, dst: str, delay: float) -> None:
         """Add a fixed extra delay to the directed channel ``src -> dst``.
@@ -470,52 +515,49 @@ class Network:
         """
         if delay < 0:
             raise ValueError("extra delay must be non-negative")
-        self._extra_delay[(src, dst)] = delay
-
-    def clear_extra_delays(self) -> None:
-        self._extra_delay.clear()
+        self.links[src, dst].extra = delay
 
     # ------------------------------------------------------------------
     # message transport
     # ------------------------------------------------------------------
-    def _delivery_time(
-        self, now: float, src: str, dst: str, size: Optional[float]
+    def _transmit(
+        self, link: Link, now: float, src: str, dst: str, message: Any, size: Optional[float]
     ) -> Optional[float]:
-        """The delivery time of one message sent at ``now``, advancing the
-        channel's FIFO clock.
+        """Count one send of ``message`` on ``link`` at ``now`` and return its
+        delivery time, advancing the link's FIFO clock.
 
         Returns None when the message is dropped (unknown destination or
-        blocked channel); the caller accounts for the send and schedules
-        the delivery event(s).  ``size`` is None on the pure-delay path.
+        blocked channel); the caller schedules the delivery event(s).
+        ``size`` is None on the pure-delay path.
         """
-        channel = (src, dst)
-        if dst not in self.processes or (self._blocked and channel in self._blocked):
-            self.stats.dropped += 1
+        kind = type(message)
+        link.sent[kind] = link.sent.get(kind, 0) + 1
+        if size is not None:
+            stats = self.stats
+            stats.bytes_sent += size
+            stats._bytes[kind.__name__] = stats._bytes.get(kind.__name__, 0.0) + size
+        if link.process is None or link.blocked:
+            link.dropped += 1
             return None
-        delay = self._delay(src, dst)
-        if self._extra_delay:
-            delay += self._extra_delay.get(channel, 0.0)
-        arrival = now + delay
+        arrival = now + (self._delay(src, dst) + link.extra)
         # FIFO: never deliver earlier than the previous message on the same
         # channel.  Ties in delivery time are broken by scheduling order,
         # which is send order, so FIFO is preserved.
-        last = self._channel_clock.get(channel, 0.0)
-        start = arrival if arrival > last else last
-        if size is None:
-            deliver_at = start
-        else:
-            deliver_at = self._serialize(channel, now, arrival, start, size)
-        self._channel_clock[channel] = deliver_at
+        last = link.clock
+        deliver_at = arrival if arrival > last else last
+        if size is not None:
+            deliver_at = self._serialize(link, now, arrival, deliver_at, size)
+        link.clock = deliver_at
         return deliver_at
 
     def _serialize(
-        self, channel: Tuple[str, str], now: float, arrival: float, start: float, size: float
+        self, link: Link, now: float, arrival: float, start: float, size: float
     ) -> float:
         """Queueing model: serialization starts once the message has
         propagated *and* the channel has finished the previous message
         (``start``); the channel is then busy for overhead + bytes/bw."""
-        link = self.link
-        serialization = link.overhead + size / link.bandwidth
+        model = self.link
+        serialization = model.overhead + size / model.bandwidth
         deliver_at = start + serialization
         self.queue_wait_samples.append(start - arrival)
         self._link_serializations.append(serialization)
@@ -523,19 +565,13 @@ class Network:
         # (deliver_at still in the future) plus this one.  Channel
         # clocks are monotone, so the deque stays sorted and pruning
         # from the left is exact.
-        pending = self._link_pending.get(channel)
-        if pending is None:
-            pending = self._link_pending[channel] = deque()
+        pending = link.pending
         while pending and pending[0] <= now:
             pending.popleft()
         pending.append(deliver_at)
         if len(pending) > self.link_max_depth:
             self.link_max_depth = len(pending)
         return deliver_at
-
-    def _is_crashed_source(self, src: str) -> bool:
-        sender = self.processes.get(src)
-        return sender is not None and sender.crashed
 
     def send(self, src: str, dst: str, message: Any, weak: bool = False) -> None:
         """Send ``message`` from ``src`` to ``dst`` over the FIFO channel.
@@ -546,22 +582,17 @@ class Network:
         heartbeat interval would leave one delivery permanently in flight
         and run-to-quiescence would never terminate.
         """
-        if self._is_crashed_source(src):
-            return
         # Messages are only sized under an enabled link model: the pure-delay
         # path never consults wire_size, so foreign message types (tests,
         # ad-hoc probes) stay legal there and the default schedule is
         # byte-for-byte what it was before the bandwidth model existed.
         size = wire_size(message) if self._link_enabled else None
-        self.stats.record_send(src, message, size)
         scheduler = self.scheduler
-        deliver_at = self._delivery_time(scheduler.now, src, dst, size)
-        if deliver_at is None:
-            return
-        if weak:
-            scheduler.schedule_weak_at(deliver_at, self._deliver, src, dst, message)
-        else:
-            scheduler.schedule_at(deliver_at, self._deliver, src, dst, message)
+        link = self.links[src, dst]
+        deliver_at = self._transmit(link, scheduler.now, src, dst, message, size)
+        if deliver_at is not None:
+            schedule = scheduler.schedule_weak_at if weak else scheduler.schedule_at
+            schedule(deliver_at, link.deliver, message)
 
     def send_many(self, src: str, dsts: Iterable[str], message: Any, weak: bool = False) -> None:
         """Multicast ``message`` to every destination, batching deliveries.
@@ -577,42 +608,22 @@ class Network:
         scheduled between the individual sends, so deliveries sharing a
         timestamp would have fired back-to-back in send order anyway.
         """
-        if self._is_crashed_source(src):
-            return
         size = wire_size(message) if self._link_enabled else None
         scheduler = self.scheduler
         now = scheduler.now
         schedule = scheduler.schedule_weak_at if weak else scheduler.schedule_at
-        # Keyed by delivery time; each event carries its (mutable)
-        # destination list, so destinations found later in this call still
-        # join the event scheduled for their time.
-        batches: Dict[float, list] = {}
-        count = 0
+        links = self.links
+        # Keyed by delivery time; each event carries its (mutable) list of
+        # links, so destinations found later in this call still join the
+        # event scheduled for their time.
+        batches: Dict[float, List[Link]] = {}
         for dst in dsts:
-            count += 1
-            deliver_at = self._delivery_time(now, src, dst, size)
+            link = links[src, dst]
+            deliver_at = self._transmit(link, now, src, dst, message, size)
             if deliver_at is None:
                 continue
             batch = batches.get(deliver_at)
             if batch is None:
                 batch = batches[deliver_at] = []
-                schedule(deliver_at, self._deliver_batch, src, batch, message)
-            batch.append(dst)
-        if count:
-            self.stats.record_send(src, message, size, count)
-
-    def _deliver_batch(self, src: str, dsts: list, message: Any) -> None:
-        for dst in dsts:
-            self._deliver(src, dst, message)
-
-    def _deliver(self, src: str, dst: str, message: Any) -> None:
-        process = self.processes.get(dst)
-        if (
-            process is None
-            or process.crashed
-            or (self._blocked and (src, dst) in self._blocked)
-        ):
-            self.stats.dropped += 1
-            return
-        self.stats.record_delivery(dst, message)
-        process.deliver(message, src)
+                schedule(deliver_at, _deliver_batch, batch, message)
+            batch.append(link)

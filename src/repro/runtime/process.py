@@ -112,10 +112,12 @@ class Process:
         """Send a message over the reliable FIFO network.
 
         ``weak`` marks background traffic (heartbeats) whose deliveries must
-        not keep the simulation alive; see :meth:`Network.send`.
+        not keep the simulation alive; see :meth:`Network.send`.  A crashed
+        process sends nothing.
         """
         assert self.network is not None
-        self.network.send(self.pid, dst, message, weak)
+        if not self.crashed:
+            self.network.send(self.pid, dst, message, weak)
 
     def send_all(self, dsts: Iterable[str], message: Any, weak: bool = False) -> None:
         """Send the same message to every destination (excluding none).
@@ -125,7 +127,8 @@ class Process:
         send loop for fan-outs.
         """
         assert self.network is not None
-        self.network.send_many(self.pid, dsts, message, weak)
+        if not self.crashed:
+            self.network.send_many(self.pid, dsts, message, weak)
 
     def reply(self, dst: str, message: Any) -> None:
         """Answer ``dst``'s message: inside an envelope from ``dst`` the

@@ -178,7 +178,7 @@ class RdmaManager:
         pending = _PendingDelivery(payload=frame.payload, sender=sender)
         buffer.append(pending)
         # NIC acks without involving our CPU.
-        self.process.network.send(self.process.pid, sender, RdmaAck(frame.write_id))
+        self.process.send(sender, RdmaAck(frame.write_id))
         # The application is notified later, when it polls the buffer.
         self.process.scheduler.schedule(self.poll_delay, self._poll_one, pending)
 

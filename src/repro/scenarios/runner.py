@@ -390,7 +390,6 @@ class ScenarioRunner:
             self._note_fault(f"partition {pid}")
         elif step.action == "heal":
             cluster.network.heal()
-            cluster.network.clear_extra_delays()
             self._note_fault("heal all channels")
         else:  # pragma: no cover - spec.validate() rejects unknown actions
             raise ScenarioError(f"unknown fault action {step.action!r}")

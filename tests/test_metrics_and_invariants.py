@@ -1,5 +1,7 @@
 """Tests for the metrics helpers and the invariant checker."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.analysis.metrics import (
@@ -13,7 +15,9 @@ from repro.analysis.metrics import (
 )
 from repro.cluster import Cluster
 from repro.core.types import Decision, Phase
-from repro.runtime.network import MessageStats
+from repro.runtime.events import Scheduler
+from repro.runtime.network import Network
+from repro.runtime.process import Process
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.spec import invariants
 from repro.spec.invariants import check_invariants
@@ -55,15 +59,32 @@ def test_percentile_nearest_rank():
         percentile([], 0.5)
 
 
+@dataclass(frozen=True)
+class Note:
+    pass
+
+
+class _Sink(Process):
+    def on_note(self, msg, sender):
+        pass
+
+
 def test_leader_load_and_messages_per_transaction():
-    stats = MessageStats()
+    scheduler = Scheduler()
+    network = Network(scheduler)
+    leader, peer = _Sink("leader"), _Sink("peer")
+    network.register(leader)
+    network.register(peer)
     for _ in range(6):
-        stats.record_send("leader", object())
+        leader.send("peer", Note())
     for _ in range(4):
-        stats.record_delivery("leader", object())
+        peer.send("leader", Note())
+    scheduler.run()
+    stats = network.stats
+    # The leader handles its 6 sends and the 4 deliveries it receives.
     assert leader_load(stats, ["leader"], num_transactions=2) == pytest.approx(5.0)
     assert leader_load(stats, [], num_transactions=2) == 0.0
-    assert messages_per_transaction(stats, 3) == pytest.approx(2.0)
+    assert messages_per_transaction(stats, 5) == pytest.approx(2.0)
     assert messages_per_transaction(stats, 0) == 0.0
 
 

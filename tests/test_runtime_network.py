@@ -152,19 +152,44 @@ def test_blocked_channel_drops_messages_one_direction():
 def test_partition_and_heal():
     scheduler, network, a, b = build()
     network.partition(["a"], ["b"])
+    network.add_extra_delay("a", "b", 5.0)
     a.send("b", Ping(1))
     scheduler.run()
     assert b.received == []
-    network.heal()
+    network.heal()  # lifts the block and the extra delay alike
+    sent_at = scheduler.now
     a.send("b", Ping(2))
     scheduler.run()
     assert [v for v, _, _ in b.received] == [2]
+    assert b.received[0][2] == sent_at + 1.0
 
 
 def test_message_to_unknown_destination_is_counted_dropped():
     scheduler, network, a, b = build()
     a.send("nobody", Ping(1))
     scheduler.run()
+    assert network.stats.dropped == 1
+
+
+def test_channel_made_before_its_destination_registers_delivers_after():
+    """A send to a pid not yet registered makes its link and is dropped;
+    once the pid registers, the same link delivers, in FIFO order."""
+    scheduler = Scheduler()
+    network = Network(scheduler, latency=LatencySpec(model="uniform", low=0.1, high=2.0), seed=5)
+    a = Echo("a")
+    network.register(a)
+    a.send("late", Ping(0))
+    scheduler.run()
+    assert network.stats.total_sent == 1
+    assert network.stats.dropped == 1
+    late = Echo("late")
+    network.register(late)
+    for i in range(1, 11):
+        a.send("late", Ping(i))
+    scheduler.run()
+    assert [v for v, _, _ in late.received] == list(range(1, 11))
+    assert network.stats.sent_by_process_and_type[("a", "Ping")] == 11
+    assert network.stats.received_by_process["late"] == 10
     assert network.stats.dropped == 1
 
 
