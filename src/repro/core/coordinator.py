@@ -343,12 +343,15 @@ class CoordinatorMixin:
     def _shard_persisted(self, entry: CoordinatorEntry, shard: ShardId) -> bool:
         """True when every follower of ``shard`` — in the coordinator's
         current, possibly stale, view of its configuration — has confirmed
-        the vote this entry records for the shard's current epoch."""
-        epoch = self.epoch.get(shard)
-        if epoch is None or entry.vote_epochs.get(shard) != epoch or shard not in entry.votes:
+        the vote this entry records for the shard's current epoch
+        (``epoch_of``), counted under ``_ack_key``."""
+        if shard not in entry.votes:
+            return False
+        epoch = self.epoch_of(shard)
+        if epoch is None or entry.vote_epochs.get(shard) != epoch:
             return False
         followers = {p for p in self.members[shard] if p != self.leader[shard]}
-        return followers <= entry.acks.get((shard, epoch), set())
+        return followers <= entry.acks.get(self._ack_key(shard, epoch), set())
 
     def _persist_decision(self, shard: ShardId, slot: int, decision: Decision) -> None:
         """Send ``DECISION`` to every member of the shard (lines 28-29)."""

@@ -103,10 +103,12 @@ class ReplicaReadEngine:
     closed-timestamp watermark and the read lease.
 
     Installed on every shard replica when the cluster's read policy is
-    enabled.  The engine registers itself as a decision listener, so both
-    protocol variants feed it through their single decision choke point
-    (``on_slot_decision`` / ``_apply_decision``); the prepare-side hooks are
-    called explicitly from the certification handlers.
+    enabled.  Both protocol stacks feed it through the replica's one write
+    path into the certification order: ``store_slot`` calls
+    :meth:`note_stored` and ``decide_slot`` calls :meth:`note_decided`, each
+    with what the slot was before the write, so the engine needs no record
+    of which slots it has seen — it keeps equal to a :meth:`rebuild` from
+    the slot arrays.
     """
 
     def __init__(self, replica, policy: ReadPolicy) -> None:
@@ -118,7 +120,6 @@ class ReplicaReadEngine:
         # payload each counted slot contributed (needed to decrement).
         self.pending_writers: Dict[ObjectId, int] = {}
         self._counted: Dict[int, object] = {}
-        self._applied: set = set()
         # Closed-timestamp watermark: the highest commit version installed
         # into the applied store (VERSION_ZERO until the first commit).
         self.watermark: Version = VERSION_ZERO
@@ -136,7 +137,6 @@ class ReplicaReadEngine:
         self.reads_refused_pending = 0
         self.stale_serves = 0  # broken mode: serves a valid engine would refuse
         self.stale_grants = 0  # grants refused by the epoch fence
-        replica.decision_listeners.append(self._on_slot_decided)
 
     # ------------------------------------------------------------------
     # seeding
@@ -152,64 +152,68 @@ class ReplicaReadEngine:
     # ------------------------------------------------------------------
     # certification hooks
     # ------------------------------------------------------------------
-    def note_prepared(self, slot: int) -> None:
-        """A slot entered the PREPARED phase: count its writes as pending if
-        it voted commit (an abort-voted slot can never decide commit)."""
-        if slot in self._counted or slot in self._applied:
+    def note_stored(self, slot: int, phase: Phase) -> None:
+        """``slot`` was written with a transaction, payload and vote; it was
+        in ``phase`` before.  An undecided slot that voted commit counts its
+        writes as pending (an abort-voted slot can never decide commit), in
+        place of whatever it counted before.  A write into a decided slot (a
+        late one-sided write) counts nothing and installs nothing."""
+        if slot in self._counted:
+            self._release(slot)
+        replica = self.replica
+        if phase is Phase.DECIDED or replica.vote_arr[slot] is not Decision.COMMIT:
             return
-        if self.replica.vote_arr.get(slot) is not Decision.COMMIT:
-            return
-        payload = self.replica.payload_arr.get(slot)
+        payload = replica.payload_arr[slot]
         written = getattr(payload, "written_objects", None)
-        if not written:
-            return
-        self._counted[slot] = payload
-        for obj in written:
-            self.pending_writers[obj] = self.pending_writers.get(obj, 0) + 1
+        if written:
+            self._counted[slot] = payload
+            for obj in written:
+                self.pending_writers[obj] = self.pending_writers.get(obj, 0) + 1
 
-    def _on_slot_decided(self, slot: int, txn, decision: Decision) -> None:
-        payload = self._counted.pop(slot, None)
-        if payload is not None:
-            for obj in payload.written_objects:
-                remaining = self.pending_writers[obj] - 1
-                if remaining:
-                    self.pending_writers[obj] = remaining
-                else:
-                    del self.pending_writers[obj]
-        if decision is Decision.COMMIT and slot not in self._applied:
-            applied = payload if payload is not None else self.replica.payload_arr.get(slot)
-            written = getattr(applied, "written_objects", None)
-            if written:
-                self.store.install_payload(applied)
-                if applied.commit_version > self.watermark:
-                    self.watermark = applied.commit_version
-            self._applied.add(slot)
+    def note_decided(self, slot: int, previous: Optional[Decision]) -> None:
+        """``slot`` was decided; its decision was ``previous`` (None when
+        undecided) before.  Its pending writes are released, and a slot's
+        first commit installs its writes into the applied store."""
+        if slot in self._counted:
+            self._release(slot)
+        replica = self.replica
+        if replica.dec_arr[slot] is Decision.COMMIT:
+            if previous is not Decision.COMMIT:
+                payload = replica.payload_arr.get(slot)
+                if getattr(payload, "written_objects", None):
+                    self.store.install_payload(payload)
+                    if payload.commit_version > self.watermark:
+                        self.watermark = payload.commit_version
+        elif previous is Decision.COMMIT:
+            # A committed slot changed its decision: only the broken ablation
+            # variant does, and an installed write cannot be taken back.
+            self.rebuild()
+
+    def _release(self, slot: int) -> None:
+        for obj in self._counted.pop(slot).written_objects:
+            remaining = self.pending_writers[obj] - 1
+            if remaining:
+                self.pending_writers[obj] = remaining
+            else:
+                del self.pending_writers[obj]
 
     def rebuild(self) -> None:
         """Recompute applied store and pending counts from the replica's slot
-        arrays (after a NEW_STATE transfer replaced them wholesale)."""
+        arrays (after a NEW_STATE transfer replaced them wholesale): every
+        decided slot, in slot order, then every prepared one, is noted as
+        if it were written fresh."""
         self.store = VersionedKVStore()
         self.pending_writers = {}
         self._counted = {}
-        self._applied = set()
         self.watermark = VERSION_ZERO
         for obj, value in self._seeds.items():
             self.store.seed(obj, value)
         replica = self.replica
         for slot in sorted(replica.dec_arr):
-            if replica.dec_arr[slot] is not Decision.COMMIT:
-                self._applied.add(slot)
-                continue
-            payload = replica.payload_arr.get(slot)
-            written = getattr(payload, "written_objects", None)
-            if written:
-                self.store.install_payload(payload)
-                if payload.commit_version > self.watermark:
-                    self.watermark = payload.commit_version
-            self._applied.add(slot)
+            self.note_decided(slot, None)
         for slot, phase in replica.phase_arr.items():
-            if phase is Phase.PREPARED and slot not in self._applied:
-                self.note_prepared(slot)
+            if phase is Phase.PREPARED:
+                self.note_stored(slot, Phase.START)
 
     # ------------------------------------------------------------------
     # lease

@@ -24,7 +24,7 @@ messages and the per-shard *scope* of reconfiguration
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.batching import BatchPolicy
 from repro.core.certification import CertificationScheme
@@ -116,12 +116,10 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         self.phase_arr: Dict[int, Phase] = {}
         self.slot_of: Dict[TxnId, int] = {}
 
-        # Observers notified when a slot reaches the decided phase (used by
-        # the store layer and by metrics).
-        self.decision_listeners: List[Callable[[int, Optional[TxnId], Decision], None]] = []
-
         # Incremental conflict index for leader-side voting; replaces the
-        # per-PREPARE scan of the whole certification order.
+        # per-PREPARE scan of the whole certification order.  It and the
+        # read engine below are derived from the slot arrays, which only
+        # ``store_slot`` / ``decide_slot`` and a state transfer write.
         self._votes = LeaderVoteCache(self)
 
         # Snapshot-read fast path (inert under the default certified-only
@@ -147,38 +145,51 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         return [self.txn_arr[k] for k in sorted(self.txn_arr)]
 
     # ------------------------------------------------------------------
+    # the one write path into the certification order
+    # ------------------------------------------------------------------
+    def store_slot(self, slot: int, txn: TxnId, payload: Any, vote: Decision) -> None:
+        """Write ``txn``, its payload and its vote into ``slot`` (Figure 1,
+        lines 13-16 and 24; Figure 7, line 95).  The slot becomes PREPARED
+        unless it is already DECIDED: a one-sided write can land after the
+        decision, and the follower's CPU cannot refuse it."""
+        phase = self.phase_arr[slot] if slot in self.phase_arr else Phase.START
+        self.txn_arr[slot] = txn
+        self.payload_arr[slot] = payload
+        self.vote_arr[slot] = vote
+        if phase is not Phase.DECIDED:
+            self.phase_arr[slot] = Phase.PREPARED
+        self.slot_of[txn] = slot
+        self._votes.note_stored(slot, phase)
+        if self.read_engine is not None:
+            self.read_engine.note_stored(slot, phase)
+
+    def decide_slot(self, slot: int, decision: Decision) -> None:
+        """Persist ``decision`` for ``slot`` (Figure 1, line 31; Figure 7,
+        line 102)."""
+        previous = self.dec_arr.get(slot)
+        self.dec_arr[slot] = decision
+        self.phase_arr[slot] = Phase.DECIDED
+        self._votes.note_decided(slot, previous)
+        if self.read_engine is not None:
+            self.read_engine.note_decided(slot, previous)
+
+    # ------------------------------------------------------------------
     # leader: PREPARE (lines 4-17)
     # ------------------------------------------------------------------
     def _certify_prepare(self, msg: Prepare) -> PrepareAck:
         """Place one PREPARE in the certification order (or find it there)
         and return the vote."""
-        existing_slot = self.slot_of.get(msg.txn)
-        if existing_slot is not None:
-            # The transaction is already in the certification order (line 6):
-            # resend the stored vote to the (possibly new) coordinator.
-            return PrepareAck(
-                epoch=self.my_epoch,
-                shard=self.shard,
-                slot=existing_slot,
-                txn=msg.txn,
-                payload=self.payload_arr[existing_slot],
-                vote=self.vote_arr[existing_slot],
-            )
-        self.next += 1
-        slot = self.next
-        self.txn_arr[slot] = msg.txn
-        self.phase_arr[slot] = Phase.PREPARED
-        self.slot_of[msg.txn] = slot
-        if msg.payload is not BOTTOM:
-            self.vote_arr[slot] = self._votes.vote(slot, msg.payload)
-            self.payload_arr[slot] = msg.payload
-            self._votes.note_prepared(slot)
-            if self.read_engine is not None:
-                self.read_engine.note_prepared(slot)
-        else:
-            # Coordinator recovery with an unknown payload (lines 14-16).
-            self.vote_arr[slot] = Decision.ABORT
-            self.payload_arr[slot] = self.scheme.empty_payload()
+        slot = self.slot_of.get(msg.txn)
+        # A transaction already in the certification order (line 6) is
+        # answered with the stored vote, for the (possibly new) coordinator.
+        if slot is None:
+            self.next += 1
+            slot = self.next
+            if msg.payload is BOTTOM:
+                # Coordinator recovery with an unknown payload (lines 14-16).
+                self.store_slot(slot, msg.txn, self.scheme.empty_payload(), Decision.ABORT)
+            else:
+                self.store_slot(slot, msg.txn, msg.payload, self._votes.vote(msg.payload))
         return PrepareAck(
             epoch=self.my_epoch,
             shard=self.shard,
@@ -361,15 +372,8 @@ class ShardReplica(ReconfigMixin, ReplicaBase):
             return None
         if self.status is not Status.FOLLOWER or self.my_epoch != msg.epoch:
             return None
-        if self.phase_arr.get(msg.slot, Phase.START) is Phase.START:
-            self.txn_arr[msg.slot] = msg.txn
-            self.payload_arr[msg.slot] = msg.payload
-            self.vote_arr[msg.slot] = msg.vote
-            self.phase_arr[msg.slot] = Phase.PREPARED
-            self.slot_of[msg.txn] = msg.slot
-            self._votes.invalidate()
-            if self.read_engine is not None:
-                self.read_engine.note_prepared(msg.slot)
+        if msg.slot not in self.phase_arr:
+            self.store_slot(msg.slot, msg.txn, msg.payload, msg.vote)
         return AcceptAck(
             shard=self.shard,
             epoch=msg.epoch,
@@ -394,9 +398,4 @@ class ShardReplica(ReconfigMixin, ReplicaBase):
         if self.status is Status.RECONFIGURING or self.my_epoch < msg.epoch:
             self._stash_message(msg, sender)
             return
-        self.dec_arr[msg.slot] = msg.decision
-        self.phase_arr[msg.slot] = Phase.DECIDED
-        self._votes.note_decided(msg.slot)
-        txn = self.txn_arr.get(msg.slot)
-        for listener in self.decision_listeners:
-            listener(msg.slot, txn, msg.decision)
+        self.decide_slot(msg.slot, msg.decision)

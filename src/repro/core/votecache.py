@@ -7,20 +7,22 @@ which makes long simulations quadratic in the transaction count — the
 dominant cost in steady-state workloads.
 
 :class:`LeaderVoteCache` wraps a scheme-provided
-:class:`~repro.core.certification.VoteIndex` and keeps it in sync with the
-replica's slot arrays:
+:class:`~repro.core.certification.VoteIndex` and keeps it equal to a rebuild
+from the replica's slot arrays:
 
 * votes for new slots consult the index (O(|payload|));
-* slot phase transitions (prepared -> decided) update it incrementally;
-* any bulk state change (``NEW_STATE`` transfer, one-sided RDMA writes into
-  the arrays, leadership changes) simply *invalidates* the cache, which is
-  rebuilt from the arrays on the next vote — correctness never depends on
-  catching every mutation incrementally.
+* the replica's one write path (``store_slot`` / ``decide_slot``) reports
+  each write with the slot's state before it, so whether the index already
+  counts the slot follows from that state — no per-slot book-keeping;
+* a write into a slot that was already filled (the one-sided RDMA writes of
+  Figure 4a, a duplicate), a committed slot changing its decision and a
+  ``NEW_STATE`` transfer *invalidate* the cache, which is rebuilt from the
+  arrays on the next vote.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Set
+from typing import Any, Optional
 
 from repro.core.certification import VoteIndex
 from repro.core.types import Decision, Phase
@@ -34,10 +36,6 @@ class LeaderVoteCache:
         # None exactly while invalidated: the next vote rebuilds it, and
         # incremental notes are skipped until then.
         self._index: Optional[VoteIndex] = None
-        # Slots whose payload the index currently counts in each set; used
-        # to keep incremental updates idempotent.
-        self._prepared_slots: Set[int] = set()
-        self._committed_slots: Set[int] = set()
 
     # ------------------------------------------------------------------
     # cache lifecycle
@@ -45,14 +43,10 @@ class LeaderVoteCache:
     def invalidate(self) -> None:
         """Drop the index; it is rebuilt from the arrays on the next vote."""
         self._index = None
-        self._prepared_slots.clear()
-        self._committed_slots.clear()
 
     def _rebuild(self) -> None:
         replica = self._replica
         self._index = replica.scheme.make_vote_index(replica.shard)
-        self._prepared_slots.clear()
-        self._committed_slots.clear()
         for slot, payload in replica.payload_arr.items():
             phase = replica.phase_arr.get(slot)
             if (
@@ -60,19 +54,17 @@ class LeaderVoteCache:
                 and replica.dec_arr.get(slot) is Decision.COMMIT
             ):
                 self._index.add_committed(payload)
-                self._committed_slots.add(slot)
             elif (
                 phase is Phase.PREPARED
                 and replica.vote_arr.get(slot) is Decision.COMMIT
             ):
                 self._index.add_prepared(payload)
-                self._prepared_slots.add(slot)
 
     # ------------------------------------------------------------------
     # voting
     # ------------------------------------------------------------------
-    def vote(self, slot: int, payload: Any) -> Decision:
-        """The vote for ``payload`` entering the order at ``slot``.
+    def vote(self, payload: Any) -> Decision:
+        """The vote for ``payload`` entering the order.
 
         Must be called before the payload is stored in ``payload_arr`` (the
         new slot itself must not be certified against).
@@ -84,36 +76,32 @@ class LeaderVoteCache:
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
-    def note_prepared(self, slot: int) -> None:
-        """Record that ``slot`` now holds a prepared transaction (call after
-        the replica stored its payload and vote)."""
+    def note_stored(self, slot: int, phase: Phase) -> None:
+        """``slot`` was written with a transaction, payload and vote; it was
+        in ``phase`` before."""
         if self._index is None:
             return  # invalidated: the next vote rebuilds from the arrays
-        replica = self._replica
-        if (
-            slot not in self._prepared_slots
-            and replica.phase_arr.get(slot) is Phase.PREPARED
-            and replica.vote_arr.get(slot) is Decision.COMMIT
-        ):
-            self._index.add_prepared(replica.payload_arr[slot])
-            self._prepared_slots.add(slot)
+        if phase is not Phase.START:
+            self.invalidate()
+        elif self._replica.vote_arr[slot] is Decision.COMMIT:
+            self._index.add_prepared(self._replica.payload_arr[slot])
 
-    def note_decided(self, slot: int) -> None:
-        """Record that ``slot`` transitioned to the decided phase."""
+    def note_decided(self, slot: int, previous: Optional[Decision]) -> None:
+        """``slot`` was decided; its decision was ``previous`` before (None
+        while it was undecided, so PREPARED if it held a payload)."""
         if self._index is None:
             return  # invalidated: the next vote rebuilds from the arrays
         replica = self._replica
-        payload = replica.payload_arr.get(slot)
-        if slot in self._prepared_slots:
+        if slot not in replica.payload_arr:
+            return  # no payload stored: counted nowhere, before or after
+        payload = replica.payload_arr[slot]
+        if previous is None and replica.vote_arr[slot] is Decision.COMMIT:
             self._index.remove_prepared(payload)
-            self._prepared_slots.discard(slot)
-        decision = replica.dec_arr.get(slot)
-        if decision is Decision.COMMIT:
-            if slot not in self._committed_slots and payload is not None:
+        if replica.dec_arr[slot] is Decision.COMMIT:
+            if previous is not Decision.COMMIT:
                 self._index.add_committed(payload)
-                self._committed_slots.add(slot)
-        elif slot in self._committed_slots:
-            # A previously-committed slot changed its decision.  Correct
-            # protocols never do this; the broken ablation variant can, so
-            # fall back to a rebuild rather than mis-certify.
+        elif previous is Decision.COMMIT:
+            # A committed slot changed its decision.  Correct protocols never
+            # do this; the broken ablation variant can, so fall back to a
+            # rebuild rather than mis-certify.
             self.invalidate()

@@ -43,7 +43,6 @@ from repro.core.types import (
     GLOBAL_SHARD,
     Decision,
     GlobalConfiguration,
-    Phase,
     ProcessId,
     ShardId,
     Status,
@@ -123,16 +122,7 @@ class RdmaVotePersistence:
     # followers: RDMA-delivered ACCEPT (lines 94-95)
     # ------------------------------------------------------------------
     def on_accept(self, msg: Accept, sender: str) -> None:
-        self.txn_arr[msg.slot] = msg.txn
-        self.payload_arr[msg.slot] = msg.payload
-        self.vote_arr[msg.slot] = msg.vote
-        if self.phase_arr.get(msg.slot) is not Phase.DECIDED:
-            self.phase_arr[msg.slot] = Phase.PREPARED
-        self.slot_of[msg.txn] = msg.slot
-        # One-sided writes land in the arrays behind the vote index's back.
-        self._votes.invalidate()
-        if self.read_engine is not None:
-            self.read_engine.note_prepared(msg.slot)
+        self.store_slot(msg.slot, msg.txn, msg.payload, msg.vote)
 
 
 class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
@@ -193,12 +183,6 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         """NIC acks count towards the shard, whatever the epoch."""
         return shard
 
-    def _shard_persisted(self, entry: CoordinatorEntry, shard: ShardId) -> bool:
-        if entry.vote_epochs.get(shard) != self.epoch or shard not in entry.votes:
-            return False
-        followers = {p for p in self.members[shard] if p != self.leader[shard]}
-        return followers <= entry.acks.get(shard, set())
-
     def _on_stale_prepare_ack(self, msg: PrepareAck, sender: str) -> None:
         """Precondition ``e = epoch`` failed (line 92): stale or too-new
         votes are ignored; coordinator recovery handles the transaction."""
@@ -215,7 +199,7 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
             if member == self.pid:
                 # A coordinator that is itself a member persists the
                 # decision locally without a network round-trip.
-                self._apply_decision(slot, decision)
+                self.decide_slot(slot, decision)
             else:
                 self._decision_batcher.add(member, message)
 
@@ -223,15 +207,7 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
     # members: RDMA-delivered DECISION (lines 101-102)
     # ------------------------------------------------------------------
     def on_slot_decision(self, msg: SlotDecision, sender: str) -> None:
-        self._apply_decision(msg.slot, msg.decision)
-
-    def _apply_decision(self, slot: int, decision: Decision) -> None:
-        self.dec_arr[slot] = decision
-        self.phase_arr[slot] = Phase.DECIDED
-        self._votes.note_decided(slot)
-        txn = self.txn_arr.get(slot)
-        for listener in self.decision_listeners:
-            listener(slot, txn, decision)
+        self.decide_slot(msg.slot, msg.decision)
 
     # ------------------------------------------------------------------
     # reconfiguration: what Figure 8 adds to the pipeline of

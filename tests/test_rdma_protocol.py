@@ -145,7 +145,11 @@ SHARED_WITH_MESSAGE_PASSING = (
     "on_certify_request",
     "on_prepare_ack",
     "_maybe_decide",
-    # certifying leader, detector and read glue (repro.core.replica)
+    "_shard_persisted",
+    # the one write path into the certification order, the certifying
+    # leader, detector and read glue (repro.core.replica)
+    "store_slot",
+    "decide_slot",
     "_certify_prepare",
     "on_prepare",
     "_watch_co_members",

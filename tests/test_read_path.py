@@ -17,7 +17,7 @@ from repro.baselines.cluster import BaselineCluster
 from repro.cluster import Cluster
 from repro.core.reads import DEFAULT_LEASE, ReadPolicy, ReplicaReadEngine
 from repro.core.serializability import VERSION_ZERO
-from repro.core.types import Decision
+from repro.core.types import Decision, Phase
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.spec import ReadSpec
 from repro.store.kv import VersionedKVStore
@@ -69,7 +69,6 @@ class _StubReplica:
         self.payload_arr = {}
         self.dec_arr = {}
         self.phase_arr = {}
-        self.decision_listeners = []
         self.now = 0.0
         self.pid = "stub/r0"
 
@@ -81,20 +80,33 @@ def _engine(mode="snapshot", lease=DEFAULT_LEASE):
     return replica, engine
 
 
+def _store(replica, engine, slot, p):
+    """What ``ReplicaBase.store_slot`` does to a fresh slot voted commit."""
+    replica.payload_arr[slot] = p
+    replica.vote_arr[slot] = Decision.COMMIT
+    replica.phase_arr[slot] = Phase.PREPARED
+    engine.note_stored(slot, Phase.START)
+
+
+def _decide(replica, engine, slot, decision):
+    """What ``ReplicaBase.decide_slot`` does."""
+    previous = replica.dec_arr.get(slot)
+    replica.dec_arr[slot] = decision
+    replica.phase_arr[slot] = Phase.DECIDED
+    engine.note_decided(slot, previous)
+
+
 def test_engine_refuses_reads_with_pending_writer_then_serves():
     replica, engine = _engine()
     engine.seed({"x": "init"})
     p = rw_payload("x", value="new", tiebreak="w")
-    replica.vote_arr[3] = Decision.COMMIT
-    replica.payload_arr[3] = p
-    engine.note_prepared(3)
+    _store(replica, engine, 3, p)
     status, reads = engine.serve(("x",), now=1.0)
     assert (status, reads) == ("pending", None)
     assert engine.reads_refused_pending == 1
     # The decision installs the write, clears the pending count and
     # advances the closed-timestamp watermark.
-    listener = replica.decision_listeners[0]
-    listener(3, "t-w", Decision.COMMIT)
+    _decide(replica, engine, 3, Decision.COMMIT)
     assert engine.watermark == p.commit_version
     status, reads = engine.serve(("x",), now=2.0)
     assert status == "ok"
@@ -105,10 +117,8 @@ def test_engine_refuses_reads_with_pending_writer_then_serves():
 def test_engine_abort_decisions_release_pending_without_installing():
     replica, engine = _engine()
     engine.seed({"x": "init"})
-    replica.vote_arr[1] = Decision.COMMIT
-    replica.payload_arr[1] = rw_payload("x", value="doomed", tiebreak="a")
-    engine.note_prepared(1)
-    replica.decision_listeners[0](1, "t-a", Decision.ABORT)
+    _store(replica, engine, 1, rw_payload("x", value="doomed", tiebreak="a"))
+    _decide(replica, engine, 1, Decision.ABORT)
     assert engine.watermark == VERSION_ZERO
     status, reads = engine.serve(("x",), now=1.0)
     assert status == "ok"
