@@ -57,10 +57,9 @@ class BaselineCluster(ClusterBase):
     # ------------------------------------------------------------------
     def _build_servers(self) -> None:
         # When a read policy is active the state machines maintain the same
-        # applied stores and closed-timestamp watermarks as the snapshot-read
-        # replicas, and with a detector policy the Paxos replicas exchange
-        # the same heartbeats (suspicion accounting only): protocol
-        # comparisons stay apples-to-apples.
+        # applied stores as the snapshot-read replicas, and with a detector
+        # policy the Paxos replicas exchange the same heartbeats (suspicion
+        # accounting only): protocol comparisons stay apples-to-apples.
         for shard in self.shards:
             self.groups[shard] = PaxosGroup(
                 self.network,
@@ -127,10 +126,6 @@ class BaselineCluster(ClusterBase):
     # ------------------------------------------------------------------
     # baseline-only views
     # ------------------------------------------------------------------
-    def watermark_of(self, shard: ShardId) -> Any:
-        """The closed-timestamp watermark of the shard leader's state machine."""
-        return self.groups[shard].leader_replica.state_machine.watermark
-
     def durable_decision_latencies(self) -> List[float]:
         """Latency from the coordinator starting 2PC to the decision being
         durable on every shard (the baseline's 7-message-delay path)."""

@@ -28,7 +28,6 @@ from repro.core.certification import CertificationScheme
 from repro.core.coordinator import AdmissionGate
 from repro.core.directory import TransactionDirectory
 from repro.core.messages import CertifyRequest, TxnDecision
-from repro.core.serializability import VERSION_ZERO, Version
 from repro.core.types import Decision, ShardId, TxnId
 from repro.runtime.process import Process
 from repro.store.kv import VersionedKVStore
@@ -88,11 +87,10 @@ class CertificationStateMachine(StateMachine):
         # by construction.
         self._index = scheme.make_vote_index(shard)
         self.decisions: Dict[TxnId, Decision] = {}
-        # Closed-timestamp watermark, kept for parity with the snapshot-read
-        # replicas so protocol comparisons stay apples-to-apples; the applied
-        # store is populated only when the cluster runs a read policy.
+        # Kept for parity with the snapshot-read replicas so protocol
+        # comparisons stay apples-to-apples; the applied store is populated
+        # only when the cluster runs a read policy.
         self.applied_store = applied_store
-        self.watermark: Version = VERSION_ZERO
 
     def seed(self, initial: Dict[Any, Any]) -> None:
         """Install initial (version-zero) values into the applied store."""
@@ -137,11 +135,8 @@ class CertificationStateMachine(StateMachine):
         if command.decision is Decision.COMMIT:
             self.committed_payloads.append(payload)
             self._index.add_committed(payload)
-            if getattr(payload, "write_set", None):
-                if self.applied_store is not None:
-                    self.applied_store.install_payload(payload)
-                if payload.commit_version > self.watermark:
-                    self.watermark = payload.commit_version
+            if self.applied_store is not None and getattr(payload, "write_set", None):
+                self.applied_store.install_payload(payload)
         return command.decision
 
 

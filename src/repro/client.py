@@ -423,7 +423,6 @@ class Client(Process):
         self.outcomes: Dict[TxnId, Decision] = {}
         self.submit_times: Dict[TxnId, float] = {}
         self.decide_times: Dict[TxnId, float] = {}
-        self.coordinator_of: Dict[TxnId, str] = {}
         self.resubmissions = 0
         self.duplicate_decisions = 0
         # Snapshot-read fast path: in-flight reads, served values and
@@ -460,7 +459,6 @@ class Client(Process):
         self.directory.register(txn, client=self.pid, shards=shards)
         self.history.record_certify(txn, payload, self.now)
         self.submit_times[txn] = self.now
-        self.coordinator_of[txn] = coordinator
         self._request_batcher.add(coordinator, CertifyRequest(txn=txn, payload=payload))
         return txn
 
@@ -491,7 +489,6 @@ class Client(Process):
         self.directory.register(txn, client=self.pid, shards=frozenset({shard}))
         self.history.record_certify(txn, SnapshotRead(objects=objects), self.now)
         self.submit_times[txn] = self.now
-        self.coordinator_of[txn] = leader
         self._read_states[txn] = _SnapshotReadState(
             objects=objects,
             shard=shard,
@@ -530,7 +527,6 @@ class Client(Process):
         )
         coordinator = state.pick_fallback_coordinator()
         self._read_payloads[msg.txn] = state.fallback_payload
-        self.coordinator_of[msg.txn] = coordinator
         self._request_batcher.add(
             coordinator,
             CertifyRequest(txn=msg.txn, payload=state.fallback_payload),
@@ -542,7 +538,6 @@ class Client(Process):
         """Re-send an already-certified transaction to a (possibly different)
         coordinator.  The history's certify event and the directory entry
         exist from the first submission; only the request goes out again."""
-        self.coordinator_of[txn] = coordinator
         self.resubmissions += 1
         self._request_batcher.add(
             coordinator,

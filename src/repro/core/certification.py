@@ -12,14 +12,13 @@ two *shard-local* functions:
 
 :class:`CertificationScheme` bundles ``f``, ``f_s``, ``g_s``, payload
 projection ``l|s``, the empty payload ``ε`` and the ``shards(t)`` function.
-It also provides property checkers for the paper's side conditions:
-distributivity (1), matching (3) and the relations (4)-(5) between ``f_s``
-and ``g_s``.  Those checkers are exercised by the hypothesis test-suite.
+The paper's side conditions on them — distributivity (1), matching (3) and
+the relations (4)-(5) between ``f_s`` and ``g_s`` — are checked for every
+shipped scheme by the hypothesis test-suite.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Generic, Iterable, Sequence, Set, TypeVar
 
 from repro.core.types import Decision, ShardId, TxnId
@@ -177,79 +176,3 @@ class CertificationScheme(Generic[PayloadT]):
         spec checker learns linearization-graph conflict edges without the
         all-pairs ``global_certify`` sweep (the definition it must equal)."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # derived helpers
-    # ------------------------------------------------------------------
-    def project_all(self, payloads: Iterable[PayloadT], shard: ShardId) -> list[PayloadT]:
-        """``L | s`` lifted to sets of payloads."""
-        return [self.project(payload, shard) for payload in payloads]
-
-    # ------------------------------------------------------------------
-    # specification side-condition checkers (used by property tests)
-    # ------------------------------------------------------------------
-    def check_distributive_global(
-        self, payload_sets: Sequence[Sequence[PayloadT]], payload: PayloadT
-    ) -> bool:
-        """Check requirement (1): ``f(L1 ∪ L2, l) = f(L1, l) ⊓ f(L2, l)``."""
-        for left, right in itertools.combinations(range(len(payload_sets)), 2):
-            l1, l2 = list(payload_sets[left]), list(payload_sets[right])
-            combined = self.global_certify(l1 + l2, payload)
-            split = self.global_certify(l1, payload).meet(self.global_certify(l2, payload))
-            if combined is not split:
-                return False
-        return True
-
-    def check_distributive_shard(
-        self,
-        shard: ShardId,
-        payload_sets: Sequence[Sequence[PayloadT]],
-        payload: PayloadT,
-    ) -> bool:
-        """Check distributivity of ``f_s`` and ``g_s`` on the given sets."""
-        for left, right in itertools.combinations(range(len(payload_sets)), 2):
-            l1, l2 = list(payload_sets[left]), list(payload_sets[right])
-            for fn in (self.shard_certify_committed, self.shard_certify_prepared):
-                combined = fn(shard, l1 + l2, payload)
-                split = fn(shard, l1, payload).meet(fn(shard, l2, payload))
-                if combined is not split:
-                    return False
-        return True
-
-    def check_matching(self, committed: Sequence[PayloadT], payload: PayloadT) -> bool:
-        """Check requirement (3): the global decision equals the meet of the
-        shard-local ``f_s`` decisions over projected payloads."""
-        global_decision = self.global_certify(committed, payload)
-        local_decision = Decision.meet_all(
-            self.shard_certify_committed(
-                shard,
-                self.project_all(committed, shard),
-                self.project(payload, shard),
-            )
-            for shard in self.shards()
-        )
-        return global_decision is local_decision
-
-    def check_prepared_stronger(
-        self, shard: ShardId, prepared: Sequence[PayloadT], payload: PayloadT
-    ) -> bool:
-        """Check requirement (4): ``g_s(L, l) = commit ⟹ f_s(L, l) = commit``."""
-        if self.shard_certify_prepared(shard, prepared, payload) is Decision.COMMIT:
-            return self.shard_certify_committed(shard, prepared, payload) is Decision.COMMIT
-        return True
-
-    def check_prepared_commutes(
-        self, shard: ShardId, pending: PayloadT, payload: PayloadT
-    ) -> bool:
-        """Check requirement (5): if ``l'`` may commit after pending ``l``,
-        then ``l`` may commit after committed ``l'``."""
-        if self.shard_certify_prepared(shard, [pending], payload) is Decision.COMMIT:
-            return self.shard_certify_committed(shard, [payload], pending) is Decision.COMMIT
-        return True
-
-    def check_empty_payload_commits(self, shard: ShardId, committed: Sequence[PayloadT]) -> bool:
-        """``∀s, L. f_s(L, ε) = commit``."""
-        return (
-            self.shard_certify_committed(shard, committed, self.empty_payload())
-            is Decision.COMMIT
-        )

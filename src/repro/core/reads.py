@@ -2,15 +2,14 @@
 
 At read-heavy ratios, pushing every read-only transaction through the full
 certification pipeline (coordinator round trip, per-shard votes, replicated
-decision) is the dominant cost.  This module implements the classic MVCC
-fast path on top of the TCS:
+decision) is the dominant cost.  This module implements a latest-value
+read fast path on top of the TCS:
 
 * every shard leader maintains an **applied store** — a
-  :class:`~repro.store.kv.VersionedKVStore` into which the writes of
-  decided-commit slots are installed — plus a **closed-timestamp
-  watermark** (the highest commit version applied) and a reference count of
-  **pending writers** (prepared-but-undecided slots that voted commit and
-  write an object);
+  :class:`~repro.store.kv.VersionedKVStore` holding the newest installed
+  version of each object written by a decided-commit slot — plus a
+  reference count of **pending writers** (prepared-but-undecided slots that
+  voted commit and write an object);
 * a single-shard read-only transaction is served directly from the leader's
   applied store — no coordinator, no certification — **iff** the leader
   holds a valid read lease and none of the requested objects has a pending
@@ -42,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.serializability import ObjectId, Version, VERSION_ZERO
+from repro.core.serializability import ObjectId, Version
 from repro.core.types import Decision, Phase
 from repro.store.kv import VersionedKVStore, VersionedValue
 
@@ -66,9 +65,8 @@ class ReadPolicy:
       histories with pre-read-path builds);
     * ``snapshot`` — shard leaders hold configuration-service read leases
       (``lease`` message delays long) and answer single-shard read-only
-      transactions directly from their applied MVCC stores — no
-      coordinator, no certification — behind a closed-timestamp watermark;
-      reads that hit an expired lease or a prepared-but-undecided
+      transactions directly from the latest values in their applied
+      stores — no coordinator, no certification; reads that hit an expired lease or a prepared-but-undecided
       conflicting write fall back to the certified path;
     * ``broken-snapshot`` — the deliberately unsafe ablation: leaders serve
       even when the lease has expired or conflicting writes are pending,
@@ -99,8 +97,8 @@ class ReadPolicy:
 
 
 class ReplicaReadEngine:
-    """Per-replica snapshot-read state: applied store, pending writers,
-    closed-timestamp watermark and the read lease.
+    """Per-replica snapshot-read state: applied store, pending writers and
+    the read lease.
 
     Installed on every shard replica when the cluster's read policy is
     enabled.  Both protocol stacks feed it through the replica's one write
@@ -115,14 +113,10 @@ class ReplicaReadEngine:
         self.replica = replica
         self.policy = policy
         self.store = VersionedKVStore()
-        self._seeds: Dict[ObjectId, object] = {}
         # Prepared-but-undecided commit-voted writers, per object, plus the
         # payload each counted slot contributed (needed to decrement).
         self.pending_writers: Dict[ObjectId, int] = {}
         self._counted: Dict[int, object] = {}
-        # Closed-timestamp watermark: the highest commit version installed
-        # into the applied store (VERSION_ZERO until the first commit).
-        self.watermark: Version = VERSION_ZERO
         # Read lease (absolute virtual-time expiry, granted by the config
         # service); -inf until the first grant arrives.
         self.lease_expires = float("-inf")
@@ -145,9 +139,7 @@ class ReplicaReadEngine:
         """Install the same initial values the client-side store starts
         from, so served values match certified reads byte for byte."""
         for obj, value in initial.items():
-            if obj not in self._seeds:
-                self._seeds[obj] = value
-                self.store.seed(obj, value)
+            self.store.seed(obj, value)
 
     # ------------------------------------------------------------------
     # certification hooks
@@ -182,8 +174,6 @@ class ReplicaReadEngine:
                 payload = replica.payload_arr.get(slot)
                 if getattr(payload, "written_objects", None):
                     self.store.install_payload(payload)
-                    if payload.commit_version > self.watermark:
-                        self.watermark = payload.commit_version
         elif previous is Decision.COMMIT:
             # A committed slot changed its decision: only the broken ablation
             # variant does, and an installed write cannot be taken back.
@@ -199,15 +189,13 @@ class ReplicaReadEngine:
 
     def rebuild(self) -> None:
         """Recompute applied store and pending counts from the replica's slot
-        arrays (after a NEW_STATE transfer replaced them wholesale): every
-        decided slot, in slot order, then every prepared one, is noted as
-        if it were written fresh."""
-        self.store = VersionedKVStore()
+        arrays (after a NEW_STATE transfer replaced them wholesale): a fresh
+        store starts from the old one's seeds, and every decided slot, in
+        slot order, then every prepared one, is noted as if it were written
+        fresh."""
+        self.store = VersionedKVStore(self.store.seeds)
         self.pending_writers = {}
         self._counted = {}
-        self.watermark = VERSION_ZERO
-        for obj, value in self._seeds.items():
-            self.store.seed(obj, value)
         replica = self.replica
         for slot in sorted(replica.dec_arr):
             self.note_decided(slot, None)

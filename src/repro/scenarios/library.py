@@ -472,7 +472,8 @@ register_scenario(
 )
 
 # ----------------------------------------------------------------------
-# the snapshot-read pack: lease-guarded MVCC reads bypassing certification.
+# the snapshot-read pack: lease-guarded latest-value reads bypassing
+# certification.
 # ----------------------------------------------------------------------
 
 register_scenario(
@@ -480,7 +481,7 @@ register_scenario(
         name="read-heavy-steady-state",
         description="YCSB-B-style 90% read mix with the snapshot-read fast "
         "path: single-key read-only transactions go straight to the shard "
-        "leader's leased MVCC store (no coordinator, no certification); "
+        "leader's leased applied store (no coordinator, no certification); "
         "reads that race a prepared write or an unleased leader fall back "
         "to the certified path, and the online checker validates the "
         "combined history.",

@@ -259,9 +259,10 @@ class ScenarioSpec:
     # Protocol-level batching of the certification fan-out (off by default —
     # the paper's one-message-per-transaction flow).
     batch: BatchSpec = field(default_factory=BatchSpec)
-    # Snapshot-read fast path: lease-guarded MVCC reads served by shard
-    # leaders without certification (off by default — every transaction,
-    # read-only or not, goes through the certification service).
+    # Snapshot-read fast path: lease-guarded reads of the latest applied
+    # values, served by shard leaders without certification (off by
+    # default — every transaction, read-only or not, goes through the
+    # certification service).
     read: ReadSpec = field(default_factory=ReadSpec)
     # Heartbeat failure detector driving unsolicited view changes (off by
     # default — failover waits for client retry timeouts, the paper's

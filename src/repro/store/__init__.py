@@ -2,11 +2,12 @@
 
 This is the "transaction processing system with optimistic concurrency
 control" that the paper's introduction motivates: transactions are executed
-speculatively against a multi-version store, their read/write sets are
-submitted to the TCS for certification, and the writes of committed
+speculatively against the latest committed versions, their read/write sets
+are submitted to the TCS for certification, and the writes of committed
 transactions are applied back to the store.
 
-* :mod:`repro.store.kv` — the sharded multi-version key-value store;
+* :mod:`repro.store.kv` — the key-value store of each object's latest
+  committed version;
 * :mod:`repro.store.executor` — optimistic transaction execution and the
   :class:`~repro.store.executor.TransactionalStore` facade that couples the
   executor to a :class:`~repro.cluster.Cluster` (or the baseline cluster).

@@ -1,16 +1,16 @@
-"""Multi-version key-value store.
+"""Key-value store of the latest committed version of each object.
 
 Objects are associated with a totally ordered set of versions (Section 2).
-The store keeps the full version history of each object so that the
-optimistic executor can read the latest committed version and so that tests
-can inspect how committed payloads were applied.
+A payload ``⟨R, W, Vc⟩`` reads the latest committed versions and the
+snapshot-read fast path serves the latest applied value, so the store keeps
+one entry per object, as FaRM keeps one version in each object's header:
+its version-zero seed, or the newest version installed.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from repro.core.serializability import ObjectId, TransactionPayload, Version, VERSION_ZERO
 
@@ -24,40 +24,27 @@ class VersionedValue:
 
 
 class VersionedKVStore:
-    """A multi-version store of committed object values."""
+    """The latest committed value of each object.
+
+    ``seeds`` holds the version-zero values and outlives every install, so
+    a store rebuilt from them (``VersionedKVStore(store.seeds)``) starts
+    where this one did; installed versions are kept apart and a seed never
+    hides one.
+    """
 
     def __init__(self, initial: Optional[Dict[ObjectId, object]] = None) -> None:
-        self._history: Dict[ObjectId, List[VersionedValue]] = {}
-        if initial:
-            for obj, value in initial.items():
-                self._history[obj] = [VersionedValue(value=value, version=VERSION_ZERO)]
+        self.seeds: Dict[ObjectId, object] = dict(initial) if initial else {}
+        self._latest: Dict[ObjectId, VersionedValue] = {}
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
     def read(self, obj: ObjectId) -> VersionedValue:
         """Latest committed version of ``obj`` (missing objects read as None@0)."""
-        versions = self._history.get(obj)
-        if not versions:
-            return VersionedValue(value=None, version=VERSION_ZERO)
-        return versions[-1]
-
-    def read_at(self, obj: ObjectId, version: Version) -> Optional[VersionedValue]:
-        """The newest version of ``obj`` that is <= ``version``.
-
-        Version lists are kept sorted ascending, so the lookup is a single
-        bisection (O(log n)) instead of the old linear scan.  Snapshot reads
-        overwhelmingly ask at or above the object's newest version, so that
-        case short-circuits without bisecting or slicing at all.
-        """
-        versions = self._history.get(obj)
-        if not versions:
-            return None
-        newest = versions[-1]
-        if newest.version <= version:  # hot path: reading a fresh snapshot
-            return newest
-        at = bisect_right(versions, version, key=lambda entry: entry.version)
-        return versions[at - 1] if at else None
+        latest = self._latest.get(obj)
+        if latest is None:
+            return VersionedValue(self.seeds.get(obj), VERSION_ZERO)
+        return latest
 
     def version_of(self, obj: ObjectId) -> Version:
         return self.read(obj).version
@@ -66,41 +53,29 @@ class VersionedKVStore:
         value = self.read(obj).value
         return default if value is None else value
 
-    def history_of(self, obj: ObjectId) -> Tuple[VersionedValue, ...]:
-        return tuple(self._history.get(obj, ()))
-
     def objects(self) -> Iterable[ObjectId]:
-        return self._history.keys()
+        return self.seeds.keys() | self._latest.keys()
 
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
     def seed(self, obj: ObjectId, value: object) -> None:
-        """Install an initial (version-zero) value for an object."""
-        self._history.setdefault(obj, []).insert(
-            0, VersionedValue(value=value, version=VERSION_ZERO)
-        )
+        """Install an initial (version-zero) value for an object; the first
+        seed of an object wins."""
+        self.seeds.setdefault(obj, value)
 
-    def install(self, obj: ObjectId, value: object, version: Version) -> bool:
-        """Install one committed value at ``version``, tolerating out-of-order
-        arrival.
+    def install(self, obj: ObjectId, value: object, version: Version) -> None:
+        """Install one committed value at ``version`` if it is newer than the
+        object's latest.
 
         Replica-side applied stores learn of commits in slot-decision order,
         which per object is not necessarily commit-version order (decisions
-        for different slots race across coordinators).  ``install`` therefore
-        bisect-inserts into the sorted version list instead of appending, and
-        is idempotent on duplicate versions (NEW_STATE rebuilds replay the
-        whole log).  Returns True when a new version was actually added.
+        for different slots race across coordinators), and a rebuild replays
+        the whole log: an equal or older version changes nothing.
         """
-        versions = self._history.setdefault(obj, [])
-        if versions and versions[-1].version < version:  # hot path: in order
-            versions.append(VersionedValue(value=value, version=version))
-            return True
-        at = bisect_right(versions, version, key=lambda entry: entry.version)
-        if at and versions[at - 1].version == version:
-            return False
-        versions.insert(at, VersionedValue(value=value, version=version))
-        return True
+        latest = self._latest.get(obj)
+        if latest is None or latest.version < version:
+            self._latest[obj] = VersionedValue(value, version)
 
     def install_payload(self, payload: TransactionPayload) -> None:
         """Install every write of a committed payload (see :meth:`install`)."""
@@ -115,14 +90,15 @@ class VersionedKVStore:
         guarantees committed transactions admit a serial order consistent
         with their certification.
         """
+        version = payload.commit_version
         for obj, value in payload.write_set:
-            versions = self._history.setdefault(obj, [])
-            if versions and versions[-1].version >= payload.commit_version:
+            latest = self._latest.get(obj)
+            if latest is not None and latest.version >= version:
                 raise ValueError(
                     f"out-of-order application for {obj!r}: "
-                    f"{payload.commit_version} after {versions[-1].version}"
+                    f"{version} after {latest.version}"
                 )
-            versions.append(VersionedValue(value=value, version=payload.commit_version))
+            self._latest[obj] = VersionedValue(value, version)
 
     def __len__(self) -> int:
-        return len(self._history)
+        return len(self.objects())

@@ -73,6 +73,74 @@ def scan_vote(scheme, shard, committed, prepared, payload) -> Decision:
     )
 
 
+# ----------------------------------------------------------------------
+# the paper's side conditions on a certification scheme
+# ----------------------------------------------------------------------
+# Checkers for requirements (1), (3), (4) and (5) of Section 2, which the
+# hypothesis suite runs on every shipped scheme.
+
+def check_distributive_global(scheme, payload_sets, payload) -> bool:
+    """Check requirement (1): ``f(L1 ∪ L2, l) = f(L1, l) ⊓ f(L2, l)``."""
+    for left, right in itertools.combinations(range(len(payload_sets)), 2):
+        l1, l2 = list(payload_sets[left]), list(payload_sets[right])
+        combined = scheme.global_certify(l1 + l2, payload)
+        split = scheme.global_certify(l1, payload).meet(scheme.global_certify(l2, payload))
+        if combined is not split:
+            return False
+    return True
+
+
+def check_distributive_shard(scheme, shard, payload_sets, payload) -> bool:
+    """Check distributivity of ``f_s`` and ``g_s`` on the given sets."""
+    for left, right in itertools.combinations(range(len(payload_sets)), 2):
+        l1, l2 = list(payload_sets[left]), list(payload_sets[right])
+        for fn in (scheme.shard_certify_committed, scheme.shard_certify_prepared):
+            combined = fn(shard, l1 + l2, payload)
+            split = fn(shard, l1, payload).meet(fn(shard, l2, payload))
+            if combined is not split:
+                return False
+    return True
+
+
+def check_matching(scheme, committed, payload) -> bool:
+    """Check requirement (3): the global decision equals the meet of the
+    shard-local ``f_s`` decisions over projected payloads (``L | s`` lifted
+    to sets of payloads)."""
+    global_decision = scheme.global_certify(committed, payload)
+    local_decision = Decision.meet_all(
+        scheme.shard_certify_committed(
+            shard,
+            [scheme.project(each, shard) for each in committed],
+            scheme.project(payload, shard),
+        )
+        for shard in scheme.shards()
+    )
+    return global_decision is local_decision
+
+
+def check_prepared_stronger(scheme, shard, prepared, payload) -> bool:
+    """Check requirement (4): ``g_s(L, l) = commit ⟹ f_s(L, l) = commit``."""
+    if scheme.shard_certify_prepared(shard, prepared, payload) is Decision.COMMIT:
+        return scheme.shard_certify_committed(shard, prepared, payload) is Decision.COMMIT
+    return True
+
+
+def check_prepared_commutes(scheme, shard, pending, payload) -> bool:
+    """Check requirement (5): if ``l'`` may commit after pending ``l``,
+    then ``l`` may commit after committed ``l'``."""
+    if scheme.shard_certify_prepared(shard, [pending], payload) is Decision.COMMIT:
+        return scheme.shard_certify_committed(shard, [payload], pending) is Decision.COMMIT
+    return True
+
+
+def check_empty_payload_commits(scheme, shard, committed) -> bool:
+    """``∀s, L. f_s(L, ε) = commit``."""
+    return (
+        scheme.shard_certify_committed(shard, committed, scheme.empty_payload())
+        is Decision.COMMIT
+    )
+
+
 class ScanVoteIndex(VoteIndex):
     """Reference :class:`VoteIndex`: keeps the committed and the
     prepared-to-commit payloads as plain lists and votes with

@@ -14,7 +14,15 @@ from repro.core.serializability import (
 )
 from repro.core.types import Decision
 
-from helpers import payload, rw_payload, read_payload, scan_vote, shard_key
+from helpers import (
+    check_empty_payload_commits,
+    check_matching,
+    payload,
+    read_payload,
+    rw_payload,
+    scan_vote,
+    shard_key,
+)
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +174,7 @@ def test_empty_payload_always_commits(scheme):
     t1 = rw_payload("x", version=0, tiebreak="a")
     assert scheme.global_certify([t1], scheme.empty_payload()) is Decision.COMMIT
     for shard in scheme.shards():
-        assert scheme.check_empty_payload_commits(shard, [t1])
+        assert check_empty_payload_commits(scheme, shard, [t1])
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +264,7 @@ def test_matching_condition_on_examples(scheme):
         rw_payload(key1, version=0, tiebreak="x"),
         payload(reads=[(key0, committed[0].commit_version)], writes=[(key0, 5)], tiebreak="y"),
     ]:
-        assert scheme.check_matching(committed, candidate)
+        assert check_matching(scheme, committed, candidate)
 
 
 # ----------------------------------------------------------------------

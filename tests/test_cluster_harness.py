@@ -213,7 +213,23 @@ def test_driver_api_takes_the_same_calls_on_every_protocol(clusters, protocol):
     pinned = next(iter(cluster._coordinator_processes())).pid
     decision = cluster.certify(rw_payload("pinned", tiebreak="p"), coordinator=pinned)
     assert decision is Decision.COMMIT
-    assert list(cluster.clients[0].coordinator_of.values())[-1] == pinned
+    txn = list(cluster.clients[0].submit_times)[-1]
+    assert _coordinators_of(cluster, txn) == [pinned]
+
+
+def _coordinators_of(cluster, txn):
+    """The processes whose own book-keeping has an entry for ``txn``: a
+    replica's ``coordinated`` entry, or a 2PC coordinator's transaction."""
+    return [
+        process.pid
+        for process in cluster._coordinator_processes()
+        if (
+            process.coordinated(txn)
+            if hasattr(process, "coordinated")
+            else process.transactions.get(txn)
+        )
+        is not None
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,15 @@ from repro.core.types import Decision
 from repro.spec.history import History
 from repro.spec.incremental import IncrementalTCSChecker
 
-from helpers import TCSChecker
+from helpers import (
+    TCSChecker,
+    check_distributive_global,
+    check_distributive_shard,
+    check_empty_payload_commits,
+    check_matching,
+    check_prepared_commutes,
+    check_prepared_stronger,
+)
 
 
 SHARDS = ["shard-0", "shard-1"]
@@ -62,7 +70,7 @@ def payload_sets(draw):
 @settings(max_examples=60, deadline=None)
 def test_global_certification_is_distributive(left, right, candidate):
     for scheme in (SER, SI):
-        assert scheme.check_distributive_global([left, right], candidate)
+        assert check_distributive_global(scheme, [left, right], candidate)
 
 
 @given(left=payload_sets(), right=payload_sets(), candidate=payloads())
@@ -70,14 +78,14 @@ def test_global_certification_is_distributive(left, right, candidate):
 def test_shard_local_functions_are_distributive(left, right, candidate):
     for scheme in (SER, SI):
         for shard in SHARDS:
-            assert scheme.check_distributive_shard(shard, [left, right], candidate)
+            assert check_distributive_shard(scheme, shard, [left, right], candidate)
 
 
 @given(committed=payload_sets(), candidate=payloads())
 @settings(max_examples=60, deadline=None)
 def test_global_and_shard_local_functions_match(committed, candidate):
     for scheme in (SER, SI):
-        assert scheme.check_matching(committed, candidate)
+        assert check_matching(scheme, committed, candidate)
 
 
 @given(prepared=payload_sets(), candidate=payloads())
@@ -85,7 +93,7 @@ def test_global_and_shard_local_functions_match(committed, candidate):
 def test_prepared_check_is_no_weaker_than_committed_check(prepared, candidate):
     for scheme in (SER, SI):
         for shard in SHARDS:
-            assert scheme.check_prepared_stronger(shard, prepared, candidate)
+            assert check_prepared_stronger(scheme, shard, prepared, candidate)
 
 
 @given(pending=payloads(), candidate=payloads())
@@ -93,7 +101,7 @@ def test_prepared_check_is_no_weaker_than_committed_check(prepared, candidate):
 def test_prepared_check_commutativity(pending, candidate):
     for scheme in (SER, SI):
         for shard in SHARDS:
-            assert scheme.check_prepared_commutes(shard, pending, candidate)
+            assert check_prepared_commutes(scheme, shard, pending, candidate)
 
 
 @given(committed=payload_sets())
@@ -101,7 +109,7 @@ def test_prepared_check_commutativity(pending, candidate):
 def test_empty_payload_always_certifies(committed):
     for scheme in (SER, SI):
         for shard in SHARDS:
-            assert scheme.check_empty_payload_commits(shard, committed)
+            assert check_empty_payload_commits(scheme, shard, committed)
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,20 @@
 
 Three layers:
 
-* the MVCC store primitives (``read_at`` bisection, out-of-order
-  ``install``) that back every replica's applied store;
+* the store rules that back every replica's applied store, which keeps the
+  latest version of each object: the newest version wins whatever the
+  arrival order, an equal or older one changes nothing, a seed never hides
+  an installed version and the first seed wins;
 * the :class:`ReplicaReadEngine` state machine in isolation — pending-writer
-  refusal, watermark advance, lease bookkeeping, broken-mode accounting;
+  refusal, installs on commit, a rebuild starting from the seeds, lease
+  bookkeeping, broken-mode accounting;
 * the end-to-end path on a live cluster — leader serves, certified-path
   fallback, the read-heavy scenario's safety, the stale-lease ablation's
-  checker-visible cycle, and the baseline's watermark parity.
+  checker-visible cycle, and the baseline's applied-store parity.
 """
+
+import gc
+import itertools
 
 import pytest
 
@@ -20,7 +26,7 @@ from repro.core.serializability import VERSION_ZERO
 from repro.core.types import Decision, Phase
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.spec import ReadSpec
-from repro.store.kv import VersionedKVStore
+from repro.store.kv import VersionedKVStore, VersionedValue
 
 from helpers import TCSChecker, payload, rw_payload, shard_key
 
@@ -29,34 +35,38 @@ from helpers import TCSChecker, payload, rw_payload, shard_key
 # store primitives
 # ----------------------------------------------------------------------
 
-def test_read_at_returns_newest_version_at_or_below():
+VERSIONS = (("v1", (1, "a")), ("v2", (2, "b")), ("v3", (3, "c")))
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(len(VERSIONS)))))
+def test_install_keeps_the_newest_version_whatever_the_arrival_order(order):
+    store = VersionedKVStore({"x": "v0"})
+    for index in order:
+        store.install("x", *VERSIONS[index])
+    assert store.read("x") == VersionedValue("v3", (3, "c"))
+
+
+def test_installing_an_equal_or_older_version_changes_nothing():
     store = VersionedKVStore()
-    store.seed("x", "v0")
+    store.install("x", "v2", (2, "b"))
+    store.install("x", "again", (2, "b"))  # a repeated decision
+    store.install("x", "v1", (1, "a"))  # a late one
+    assert store.read("x") == VersionedValue("v2", (2, "b"))
+
+
+def test_a_seed_never_hides_an_installed_version_and_the_first_seed_wins():
+    store = VersionedKVStore()
+    store.seed("x", "first")
+    store.seed("x", "second")
+    assert store.read("x") == VersionedValue("first", VERSION_ZERO)
     store.install("x", "v1", (1, "a"))
-    store.install("x", "v3", (3, "c"))
-    assert store.read_at("x", (0, "")).value == "v0"
-    assert store.read_at("x", (1, "a")).value == "v1"
-    assert store.read_at("x", (2, "b")).value == "v1"  # between versions
-    assert store.read_at("x", (3, "c")).value == "v3"
-    assert store.read_at("x", (9, "z")).value == "v3"  # latest fast path
-
-
-def test_read_at_missing_object_and_below_first_version():
-    store = VersionedKVStore()
-    assert store.read_at("ghost", (5, "x")) is None
-    store.install("x", "v2", (2, "b"))  # no version-zero seed
-    assert store.read_at("x", (1, "a")) is None
-    assert store.read_at("x", (2, "b")).value == "v2"
-
-
-def test_install_tolerates_out_of_order_and_duplicate_versions():
-    store = VersionedKVStore()
-    assert store.install("x", "v3", (3, "c"))
-    assert store.install("x", "v1", (1, "a"))  # arrives late, sorts first
-    assert not store.install("x", "v3", (3, "c"))  # duplicate is a no-op
-    assert [v.version for v in store.history_of("x")] == [(1, "a"), (3, "c")]
-    assert store.read("x").value == "v3"
-    assert store.read_at("x", (2, "b")).value == "v1"
+    store.seed("x", "late")
+    store.install("y", "v1", (1, "a"))
+    store.seed("y", "after")
+    assert store.read("x") == VersionedValue("v1", (1, "a"))
+    assert store.read("y") == VersionedValue("v1", (1, "a"))
+    assert store.seeds == {"x": "first", "y": "after"}
+    assert store.read("ghost") == VersionedValue(None, VERSION_ZERO)
 
 
 # ----------------------------------------------------------------------
@@ -104,10 +114,9 @@ def test_engine_refuses_reads_with_pending_writer_then_serves():
     status, reads = engine.serve(("x",), now=1.0)
     assert (status, reads) == ("pending", None)
     assert engine.reads_refused_pending == 1
-    # The decision installs the write, clears the pending count and
-    # advances the closed-timestamp watermark.
+    # The decision installs the write and clears the pending count.
     _decide(replica, engine, 3, Decision.COMMIT)
-    assert engine.watermark == p.commit_version
+    assert engine.pending_writers == {}
     status, reads = engine.serve(("x",), now=2.0)
     assert status == "ok"
     assert reads == [("x", "new", p.commit_version)]
@@ -119,10 +128,47 @@ def test_engine_abort_decisions_release_pending_without_installing():
     engine.seed({"x": "init"})
     _store(replica, engine, 1, rw_payload("x", value="doomed", tiebreak="a"))
     _decide(replica, engine, 1, Decision.ABORT)
-    assert engine.watermark == VERSION_ZERO
+    assert engine.pending_writers == {}
     status, reads = engine.serve(("x",), now=1.0)
     assert status == "ok"
     assert reads == [("x", "init", VERSION_ZERO)]
+
+
+def test_engine_reads_its_seeds_again_after_a_rebuild():
+    replica, engine = _engine()
+    engine.seed({"x": "init", "y": "other"})
+    p = rw_payload("x", value="new", tiebreak="w")
+    _store(replica, engine, 1, p)
+    _decide(replica, engine, 1, Decision.COMMIT)
+    assert engine.serve(("x", "y"), now=1.0)[1] == [
+        ("x", "new", p.commit_version),
+        ("y", "other", VERSION_ZERO),
+    ]
+    # A state transfer replaces the slot arrays with a log that never
+    # decided slot 1; the rebuilt engine starts from its seeds.
+    for array in (replica.payload_arr, replica.vote_arr, replica.dec_arr, replica.phase_arr):
+        array.clear()
+    live = engine.store
+    engine.rebuild()
+    assert engine.store is not live  # a shallow copy's rebuild leaves its original alone
+    assert engine.serve(("x", "y"), now=2.0)[1] == [
+        ("x", "init", VERSION_ZERO),
+        ("y", "other", VERSION_ZERO),
+    ]
+
+
+@pytest.mark.parametrize("holder", ("store", "engine"))
+def test_seeding_adds_no_gc_tracked_object_per_key(holder):
+    initial = {f"key-{index}": index for index in range(1000)}
+    engine = _engine()[1] if holder == "engine" else None
+    gc.collect()
+    before = len(gc.get_objects())
+    if engine is None:
+        seeded = VersionedKVStore(initial)
+    else:
+        engine.seed(initial)
+    assert len(gc.get_objects()) - before < 10  # the holder's own objects
+    assert (seeded if engine is None else engine.store).read("key-7").value == 7
 
 
 def test_engine_refuses_on_expired_lease_and_wants_renewal():
@@ -227,7 +273,7 @@ def test_multi_shard_objects_are_rejected_by_submit_read(read_cluster):
         )
 
 
-def test_watermark_tracks_highest_applied_commit(read_cluster):
+def test_applied_store_keeps_the_latest_commit(read_cluster):
     cluster = read_cluster
     key = shard_key(cluster.scheme, "shard-0")
     first = rw_payload(key, value=1, tiebreak="w1")
@@ -236,22 +282,23 @@ def test_watermark_tracks_highest_applied_commit(read_cluster):
     assert cluster.certify(second) is Decision.COMMIT
     cluster.run()  # drain the slot-decision installs
     leader = cluster.replicas[cluster.leader_of("shard-0")]
-    assert leader.read_engine.watermark == second.commit_version
-    assert leader.read_engine.store.read(key).value == 2
+    assert leader.read_engine.store.read(key) == VersionedValue(2, second.commit_version)
 
 
-def test_baseline_watermark_parity():
-    """The 2PC-over-Paxos baseline keeps the same applied store and
-    closed-timestamp watermark, so read-ratio comparisons against it are
-    apples to apples."""
+def test_baseline_applied_store_parity():
+    """The 2PC-over-Paxos baseline keeps the same applied store, so
+    read-ratio comparisons against it are apples to apples."""
     cluster = BaselineCluster(
         num_shards=2, failures_tolerated=1, seed=13, read=ReadPolicy(mode="snapshot")
     )
     key = shard_key(cluster.scheme, "shard-0")
-    cluster.seed_read_stores({key: "seeded"})
+    other = shard_key(cluster.scheme, "shard-0", hint="other")
+    cluster.seed_read_stores({key: "seeded", other: "kept"})
     write = rw_payload(key, value="fresh", tiebreak="w")
     assert cluster.certify(write) is Decision.COMMIT
-    assert cluster.watermark_of("shard-0") == write.commit_version
+    store = cluster.groups["shard-0"].leader_replica.state_machine.applied_store
+    assert store.read(key) == VersionedValue("fresh", write.commit_version)
+    assert store.read(other) == VersionedValue("kept", VERSION_ZERO)
 
 
 # ----------------------------------------------------------------------

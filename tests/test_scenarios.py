@@ -93,7 +93,9 @@ def test_baseline_runs_with_a_literal_pinned_coordinator():
     runner = ScenarioRunner(spec)
     result = runner.run()
     assert result.committed == 6 and result.safety_ok
-    assert set(runner.cluster.clients[0].coordinator_of.values()) == {"coordinator-0"}
+    coordinators = {c.pid: set(c.transactions) for c in runner.cluster.coordinators}
+    assert coordinators["coordinator-0"] == set(runner.cluster.clients[0].submit_times)
+    assert not any(txns for pid, txns in coordinators.items() if pid != "coordinator-0")
 
 
 def test_spec_rejects_bad_workload():

@@ -10,8 +10,8 @@ what a fresh rebuild from the arrays gives:
 * the vote index: ``committed_version``, ``prepared_readers`` and
   ``prepared_writers`` (an invalidated cache rebuilds on its next vote, so
   it is equal by definition);
-* the read engine: ``pending_writers``, the ``watermark`` and the applied
-  store.
+* the read engine: ``pending_writers`` and the applied store (each
+  object's latest value and version, and the seeds).
 
 The oracle runs at quiescence of every library scenario on the three
 replica stacks, and after each transition the trackers handle by rule
@@ -63,8 +63,8 @@ def _engine_state(engine):
     store = engine.store
     return (
         dict(engine.pending_writers),
-        engine.watermark,
-        {obj: store.history_of(obj) for obj in store.objects()},
+        {obj: store.read(obj) for obj in store.objects()},
+        dict(store.seeds),
     )
 
 

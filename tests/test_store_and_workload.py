@@ -40,7 +40,7 @@ def test_apply_payload_installs_new_version():
     store.apply_payload(p)
     assert store.value_of("x") == 2
     assert store.version_of("x") == p.commit_version
-    assert len(store.history_of("x")) == 2
+    assert store.seeds == {"x": 1}
 
 
 def test_apply_payload_rejects_out_of_order_versions():
@@ -52,12 +52,13 @@ def test_apply_payload_rejects_out_of_order_versions():
         store.apply_payload(older)
 
 
-def test_read_at_version():
+def test_apply_payload_rejects_a_repeated_commit_version():
     store = VersionedKVStore(initial={"x": 1})
     p = rw_payload("x", version=0, value=2, tiebreak="a")
     store.apply_payload(p)
-    assert store.read_at("x", VERSION_ZERO).value == 1
-    assert store.read_at("x", p.commit_version).value == 2
+    with pytest.raises(ValueError, match="out-of-order"):
+        store.apply_payload(p)
+    assert store.value_of("x") == 2
 
 
 # ----------------------------------------------------------------------
