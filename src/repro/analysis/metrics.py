@@ -324,7 +324,7 @@ class ReadStats(_CounterMapping):
     """Snapshot-read fast-path counters for one run (all zero where the
     deployment has no fast path).
 
-    * ``reads_served`` — reads a leader answered from its applied store;
+    * ``reads_served`` — reads a leader answered from its vote index;
     * ``read_fallbacks`` / ``fallback_reasons`` — fast-path reads that fell
       back to certification, and why (``lease``, ``pending``, ...);
     * ``refused_lease`` / ``refused_pending`` — the leaders' side of those

@@ -23,7 +23,6 @@ from repro.baselines.twopc import CertificationStateMachine, TwoPCCoordinator
 from repro.client import CoordinatorRouter
 from repro.cluster import ClusterBase
 from repro.core.types import ShardId, TxnId
-from repro.store.kv import VersionedKVStore
 
 
 class BaselineCluster(ClusterBase):
@@ -56,19 +55,16 @@ class BaselineCluster(ClusterBase):
     # the binding's hooks
     # ------------------------------------------------------------------
     def _build_servers(self) -> None:
-        # When a read policy is active the state machines maintain the same
-        # applied stores as the snapshot-read replicas, and with a detector
-        # policy the Paxos replicas exchange the same heartbeats (suspicion
-        # accounting only): protocol comparisons stay apples-to-apples.
+        # With a detector policy the Paxos replicas exchange the same
+        # heartbeats as the TCS replicas (suspicion accounting only):
+        # protocol comparisons stay apples-to-apples.
         for shard in self.shards:
             self.groups[shard] = PaxosGroup(
                 self.network,
                 name=shard,
                 size=self.replicas_per_shard,
                 state_machine_factory=lambda shard=shard: CertificationStateMachine(
-                    shard,
-                    self.scheme,
-                    applied_store=VersionedKVStore() if self.read.enabled else None,
+                    shard, self.scheme
                 ),
                 detector=self.detector,
             )
@@ -118,10 +114,6 @@ class BaselineCluster(ClusterBase):
 
     def _read_engines(self) -> Tuple[()]:
         return ()
-
-    def _applied_stores(self) -> List[Tuple[ShardId, CertificationStateMachine]]:
-        machines = (replica.state_machine for replica in self._detector_processes())
-        return [(machine.shard, machine) for machine in machines]
 
     # ------------------------------------------------------------------
     # baseline-only views

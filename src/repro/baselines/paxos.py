@@ -134,10 +134,11 @@ class PaxosReplica(Process):
         self._phase2_acks: Dict[int, Set[str]] = {}
         self._phase1_acks: Dict[Ballot, Dict[str, Phase1b]] = {}
 
-        # Learner state.
+        # Learner state.  A slot's ``chosen`` entry, and its proposal at
+        # the leader, live only until the slot is applied; ``applied_upto``
+        # then answers for it.
         self.chosen: Dict[int, _SlotValue] = {}
         self.applied_upto = -1
-        self.results: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
     # helpers
@@ -242,8 +243,9 @@ class PaxosReplica(Process):
                     adopted[slot] = (ballot, value)
         for slot in sorted(adopted):
             _, value = adopted[slot]
-            self._proposals[slot] = value
-            self._phase2_acks[slot] = set()
+            if slot > self.applied_upto:
+                self._proposals[slot] = value
+                self._phase2_acks[slot] = set()
             self._broadcast(Phase2a(ballot=self.ballot, slot=slot, value=value))
             self.next_slot = max(self.next_slot, slot + 1)
 
@@ -259,11 +261,15 @@ class PaxosReplica(Process):
         self.send(sender, Phase2b(ballot=msg.ballot, slot=msg.slot))
 
     def on_phase2b(self, msg: Phase2b, sender: str) -> None:
-        if msg.ballot != self.ballot or msg.slot not in self._proposals:
+        # A slot's acks are dropped at its majority: a late ack finds none.
+        acks = self._phase2_acks.get(msg.slot)
+        if msg.ballot != self.ballot or acks is None:
             return
-        acks = self._phase2_acks.setdefault(msg.slot, set())
         acks.add(sender)
-        if len(acks) < self.majority or msg.slot in self.chosen:
+        if len(acks) < self.majority:
+            return
+        del self._phase2_acks[msg.slot]
+        if msg.slot <= self.applied_upto or msg.slot in self.chosen:
             return
         value = self._proposals[msg.slot]
         self._learn(msg.slot, value)
@@ -273,7 +279,7 @@ class PaxosReplica(Process):
         self._learn(msg.slot, msg.value)
 
     def _learn(self, slot: int, value: _SlotValue) -> None:
-        if slot in self.chosen:
+        if slot <= self.applied_upto or slot in self.chosen:
             return
         self.chosen[slot] = value
         self._apply_ready()
@@ -282,11 +288,13 @@ class PaxosReplica(Process):
         while self.applied_upto + 1 in self.chosen:
             slot = self.applied_upto + 1
             value = self.chosen[slot]
+            del self.chosen[slot]
             result = self.state_machine.apply(value.command)
-            self.results[slot] = result
             self.applied_upto = slot
-            if self.leading and slot in self._proposals:
-                self.send(value.client, RsmResponse(request_id=value.request_id, result=result))
+            if slot in self._proposals:
+                del self._proposals[slot]
+                if self.leading:
+                    self.send(value.client, RsmResponse(request_id=value.request_id, result=result))
 
 
 @dataclass(frozen=True)

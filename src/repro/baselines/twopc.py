@@ -30,7 +30,6 @@ from repro.core.directory import TransactionDirectory
 from repro.core.messages import CertifyRequest, TxnDecision
 from repro.core.types import Decision, ShardId, TxnId
 from repro.runtime.process import Process
-from repro.store.kv import VersionedKVStore
 
 
 @dataclass(frozen=True)
@@ -66,36 +65,21 @@ class CertificationStateMachine(StateMachine):
     """Shard-local certification as a replicated state machine.
 
     ``prepare`` computes the vote ``f_s(committed, l) ⊓ g_s(prepared, l)``
-    and records the transaction as prepared; ``decide`` moves a prepared
-    transaction to the committed set (or drops it on abort).
+    and records the transaction as prepared; ``decide`` adds a prepared
+    transaction to the committed summary (or drops it on abort).
     """
 
-    def __init__(
-        self,
-        shard: ShardId,
-        scheme: CertificationScheme,
-        applied_store: Optional[VersionedKVStore] = None,
-    ) -> None:
+    def __init__(self, shard: ShardId, scheme: CertificationScheme) -> None:
         self.shard = shard
         self.scheme = scheme
-        self.committed_payloads: List[Any] = []
         self.prepared: Dict[TxnId, Tuple[Any, Decision]] = {}
-        # Per-object conflict state mirroring ``committed_payloads`` and the
-        # commit-voted entries of ``prepared``, so a vote costs O(|payload|)
-        # instead of a scan over every committed payload.  Replicas apply
-        # the same command sequence, so every replica's index is identical
-        # by construction.
+        # Per-object conflict state summarising the committed payloads and
+        # the commit-voted entries of ``prepared``, so a vote costs
+        # O(|payload|) instead of a scan over every committed payload.
+        # Replicas apply the same command sequence, so every replica's index
+        # is identical by construction.
         self._index = scheme.make_vote_index(shard)
         self.decisions: Dict[TxnId, Decision] = {}
-        # Kept for parity with the snapshot-read replicas so protocol
-        # comparisons stay apples-to-apples; the applied store is populated
-        # only when the cluster runs a read policy.
-        self.applied_store = applied_store
-
-    def seed(self, initial: Dict[Any, Any]) -> None:
-        """Install initial (version-zero) values into the applied store."""
-        for obj, value in initial.items():
-            self.applied_store.seed(obj, value)
 
     def apply(self, command: Any) -> Any:
         if isinstance(command, PrepareCommand):
@@ -133,10 +117,7 @@ class CertificationStateMachine(StateMachine):
         if vote is Decision.COMMIT:
             self._index.remove_prepared(payload)
         if command.decision is Decision.COMMIT:
-            self.committed_payloads.append(payload)
             self._index.add_committed(payload)
-            if self.applied_store is not None and getattr(payload, "write_set", None):
-                self.applied_store.install_payload(payload)
         return command.decision
 
 

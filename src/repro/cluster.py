@@ -101,9 +101,8 @@ class ClusterBase:
     * ``_pick_coordinator(payload)`` — the coordinator of a submission made
       without a retry policy;
     * ``leader_of(shard)``;
-    * ``_read_engines()`` — the leader-local snapshot-read engines, and
-      ``_applied_stores()`` — ``(shard, store)`` for every applied store
-      :meth:`seed_read_stores` fills through ``store.seed(mapping)``;
+    * ``_read_engines()`` — the snapshot-read engines, which
+      :meth:`seed_read_stores` seeds and :meth:`read_stats` sums;
     * optionally ``_post_build()``, below;
     * the two class constants.
     """
@@ -248,17 +247,17 @@ class ClusterBase:
         return self.history.decision_of(txn)
 
     def seed_read_stores(self, initial: Dict[str, Any]) -> None:
-        """Seed every applied store with the initial object values (each
-        keeps only its own shard's objects); no-op when the read policy is
-        disabled."""
+        """Seed every snapshot-read engine with the initial object values
+        (each keeps only its own shard's objects); no-op when the read
+        policy is disabled."""
         if not self.read.enabled:
             return
         shard_of = self.scheme.sharding.shard_of
         by_shard: Dict[ShardId, Dict[str, Any]] = {shard: {} for shard in self.shards}
         for obj, value in initial.items():
             by_shard[shard_of(obj)][obj] = value
-        for shard, store in self._applied_stores():
-            store.seed(by_shard[shard])
+        for engine in self._read_engines():
+            engine.seed(by_shard[engine.replica.shard])
 
     # ------------------------------------------------------------------
     # validation and metrics
@@ -635,9 +634,6 @@ class Cluster(ClusterBase):
     def _read_engines(self) -> List[Any]:
         engines = (replica.read_engine for replica in self.replicas.values())
         return [engine for engine in engines if engine is not None]
-
-    def _applied_stores(self) -> List[Tuple[ShardId, Any]]:
-        return [(engine.replica.shard, engine) for engine in self._read_engines()]
 
     # ------------------------------------------------------------------
     # topology queries

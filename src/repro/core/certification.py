@@ -19,7 +19,7 @@ shipped scheme by the hypothesis test-suite.
 
 from __future__ import annotations
 
-from typing import Generic, Iterable, Sequence, Set, TypeVar
+from typing import Any, Generic, Iterable, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.core.types import Decision, ShardId, TxnId
 
@@ -44,6 +44,11 @@ class VoteIndex(Generic[PayloadT]):
     sets — the simulation's determinism (and the Figure 3 invariants)
     depend on it.  That scan form is the reference the indexes are tested
     against, in ``tests/helpers.py``.
+
+    The snapshot-read fast path (``repro.core.reads``) asks a leader's index
+    the two per-object questions its vote rests on: is a prepared
+    commit-voted payload writing ``obj`` (:meth:`write_pending`), and what
+    did the newest committed write of ``obj`` install (:meth:`latest_write`).
     """
 
     def add_committed(self, payload: PayloadT) -> None:
@@ -56,6 +61,15 @@ class VoteIndex(Generic[PayloadT]):
         raise NotImplementedError
 
     def vote(self, payload: PayloadT) -> Decision:
+        raise NotImplementedError
+
+    def write_pending(self, obj: Any) -> bool:
+        """True iff a prepared-to-commit payload writes ``obj``."""
+        raise NotImplementedError
+
+    def latest_write(self, obj: Any) -> Optional[Tuple[Any, Any]]:
+        """``(value, version)`` of the committed write of ``obj`` with the
+        highest commit version; None when no committed payload writes it."""
         raise NotImplementedError
 
 

@@ -56,10 +56,11 @@ class TxnDecision:
 class ReadRequest:
     """A client's lease-guarded snapshot read of one shard's objects.
 
-    Bypasses certification entirely: the shard leader answers from its
-    applied store when its read lease is valid and no requested object has
-    a prepared-but-undecided writer; otherwise it refuses and the client
-    falls back to the certified path.
+    Bypasses certification entirely: the shard leader answers from its vote
+    index (each object's newest committed write, else its seed) when its
+    read lease is valid and no requested object has a prepared-but-undecided
+    writer; otherwise it refuses and the client falls back to the certified
+    path.
     """
 
     txn: TxnId

@@ -5,16 +5,16 @@ certification pipeline (coordinator round trip, per-shard votes, replicated
 decision) is the dominant cost.  This module implements a latest-value
 read fast path on top of the TCS:
 
-* every shard leader maintains an **applied store** — a
-  :class:`~repro.store.kv.VersionedKVStore` holding the newest installed
-  version of each object written by a decided-commit slot — plus a
-  reference count of **pending writers** (prepared-but-undecided slots that
-  voted commit and write an object);
-* a single-shard read-only transaction is served directly from the leader's
-  applied store — no coordinator, no certification — **iff** the leader
-  holds a valid read lease and none of the requested objects has a pending
-  writer.  Otherwise the leader refuses and the client falls back to the
-  certified path;
+* a shard leader already keeps, for its vote (Figure 1, line 12), the two
+  per-object facts the fast path needs: the newest committed write of each
+  object (``f_s``) and whether a prepared-but-undecided slot that voted
+  commit writes it (``g_s``).  The read engine asks the leader's vote index
+  (``repro.core.votecache``) for both and keeps no copy of its own — only
+  the version-zero seeds, the lease and its counters;
+* a single-shard read-only transaction is served directly from that index —
+  no coordinator, no certification — **iff** the leader holds a valid read
+  lease and none of the requested objects has a pending writer.  Otherwise
+  the leader refuses and the client falls back to the certified path;
 * read leases are granted by the configuration service (the membership
   oracle) to the shard's current leader for a bounded duration and renewed
   event-driven — there are no replica-side timers, so the simulation's
@@ -26,9 +26,11 @@ every involved shard leader strictly earlier in virtual time — the
 coordinator cannot decide without that leader's vote.  So when a read
 arrives at the leader, every conflicting write that is already decided
 (and therefore potentially client-visible) is either still pending here
-(the read is refused) or already applied (the read observes it).  A served
-read consequently never misses a write that really-precedes it, which is
-exactly what strict serializability demands of the fast path.
+(the read is refused) or already committed in the leader's order (the read
+observes it).  A served read consequently never misses a write that
+really-precedes it, which is exactly what strict serializability demands of
+the fast path.  A committed write the leader votes against is, by the same
+index, a write its reads return.
 
 The ``broken-snapshot`` mode deliberately violates the rule — it serves
 reads past lease expiry and ignores pending writers, mirroring the paper's
@@ -41,9 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.serializability import ObjectId, Version
-from repro.core.types import Decision, Phase
-from repro.store.kv import VersionedKVStore, VersionedValue
+from repro.core.serializability import VERSION_ZERO, ObjectId, Version
 
 
 READ_MODES = ("certified", "snapshot", "broken-snapshot")
@@ -65,9 +65,10 @@ class ReadPolicy:
       histories with pre-read-path builds);
     * ``snapshot`` — shard leaders hold configuration-service read leases
       (``lease`` message delays long) and answer single-shard read-only
-      transactions directly from the latest values in their applied
-      stores — no coordinator, no certification; reads that hit an expired lease or a prepared-but-undecided
-      conflicting write fall back to the certified path;
+      transactions directly from the latest committed values in their
+      vote indexes — no coordinator, no certification; reads that hit an
+      expired lease or a prepared-but-undecided conflicting write fall back
+      to the certified path;
     * ``broken-snapshot`` — the deliberately unsafe ablation: leaders serve
       even when the lease has expired or conflicting writes are pending,
       which the checker must flag as a serializability violation.
@@ -97,26 +98,21 @@ class ReadPolicy:
 
 
 class ReplicaReadEngine:
-    """Per-replica snapshot-read state: applied store, pending writers and
-    the read lease.
+    """Per-replica snapshot-read state: the version-zero seeds, the read
+    lease and the fast path's counters.
 
     Installed on every shard replica when the cluster's read policy is
-    enabled.  Both protocol stacks feed it through the replica's one write
-    path into the certification order: ``store_slot`` calls
-    :meth:`note_stored` and ``decide_slot`` calls :meth:`note_decided`, each
-    with what the slot was before the write, so the engine needs no record
-    of which slots it has seen — it keeps equal to a :meth:`rebuild` from
-    the slot arrays.
+    enabled.  What a read observes is the replica's vote index
+    (:meth:`repro.core.votecache.LeaderVoteCache.index`), which the
+    replica's one write path into the certification order keeps equal to
+    a rebuild from its slot arrays; an object no committed slot wrote reads
+    as its seed at ``VERSION_ZERO``.
     """
 
     def __init__(self, replica, policy: ReadPolicy) -> None:
         self.replica = replica
         self.policy = policy
-        self.store = VersionedKVStore()
-        # Prepared-but-undecided commit-voted writers, per object, plus the
-        # payload each counted slot contributed (needed to decrement).
-        self.pending_writers: Dict[ObjectId, int] = {}
-        self._counted: Dict[int, object] = {}
+        self.seeds: Dict[ObjectId, object] = {}
         # Read lease (absolute virtual-time expiry, granted by the config
         # service); -inf until the first grant arrives.
         self.lease_expires = float("-inf")
@@ -132,76 +128,13 @@ class ReplicaReadEngine:
         self.stale_serves = 0  # broken mode: serves a valid engine would refuse
         self.stale_grants = 0  # grants refused by the epoch fence
 
-    # ------------------------------------------------------------------
-    # seeding
-    # ------------------------------------------------------------------
     def seed(self, initial: Dict[ObjectId, object]) -> None:
-        """Install the same initial values the client-side store starts
-        from, so served values match certified reads byte for byte."""
+        """Take the same initial values the client-side store starts from,
+        so served values match certified reads byte for byte; the first
+        seed of an object wins."""
+        seeds = self.seeds
         for obj, value in initial.items():
-            self.store.seed(obj, value)
-
-    # ------------------------------------------------------------------
-    # certification hooks
-    # ------------------------------------------------------------------
-    def note_stored(self, slot: int, phase: Phase) -> None:
-        """``slot`` was written with a transaction, payload and vote; it was
-        in ``phase`` before.  An undecided slot that voted commit counts its
-        writes as pending (an abort-voted slot can never decide commit), in
-        place of whatever it counted before.  A write into a decided slot (a
-        late one-sided write) counts nothing and installs nothing."""
-        if slot in self._counted:
-            self._release(slot)
-        replica = self.replica
-        if phase is Phase.DECIDED or replica.vote_arr[slot] is not Decision.COMMIT:
-            return
-        payload = replica.payload_arr[slot]
-        written = getattr(payload, "written_objects", None)
-        if written:
-            self._counted[slot] = payload
-            for obj in written:
-                self.pending_writers[obj] = self.pending_writers.get(obj, 0) + 1
-
-    def note_decided(self, slot: int, previous: Optional[Decision]) -> None:
-        """``slot`` was decided; its decision was ``previous`` (None when
-        undecided) before.  Its pending writes are released, and a slot's
-        first commit installs its writes into the applied store."""
-        if slot in self._counted:
-            self._release(slot)
-        replica = self.replica
-        if replica.dec_arr[slot] is Decision.COMMIT:
-            if previous is not Decision.COMMIT:
-                payload = replica.payload_arr.get(slot)
-                if getattr(payload, "written_objects", None):
-                    self.store.install_payload(payload)
-        elif previous is Decision.COMMIT:
-            # A committed slot changed its decision: only the broken ablation
-            # variant does, and an installed write cannot be taken back.
-            self.rebuild()
-
-    def _release(self, slot: int) -> None:
-        for obj in self._counted.pop(slot).written_objects:
-            remaining = self.pending_writers[obj] - 1
-            if remaining:
-                self.pending_writers[obj] = remaining
-            else:
-                del self.pending_writers[obj]
-
-    def rebuild(self) -> None:
-        """Recompute applied store and pending counts from the replica's slot
-        arrays (after a NEW_STATE transfer replaced them wholesale): a fresh
-        store starts from the old one's seeds, and every decided slot, in
-        slot order, then every prepared one, is noted as if it were written
-        fresh."""
-        self.store = VersionedKVStore(self.store.seeds)
-        self.pending_writers = {}
-        self._counted = {}
-        replica = self.replica
-        for slot in sorted(replica.dec_arr):
-            self.note_decided(slot, None)
-        for slot, phase in replica.phase_arr.items():
-            if phase is Phase.PREPARED:
-                self.note_stored(slot, Phase.START)
+            seeds.setdefault(obj, value)
 
     # ------------------------------------------------------------------
     # lease
@@ -249,12 +182,13 @@ class ReplicaReadEngine:
         the client should fall back to certification.  Broken mode records
         how many serves a correct engine would have refused.
         """
+        index = self.replica._votes.index()
         refusal = None
         if not self.lease_valid(now):
             refusal = "lease"
         else:
             for obj in objects:
-                if self.pending_writers.get(obj):
+                if index.write_pending(obj):
                     refusal = "pending"
                     break
         if refusal is not None and not self.policy.broken:
@@ -267,7 +201,10 @@ class ReplicaReadEngine:
             self.stale_serves += 1
         reads: List[Tuple[ObjectId, object, Version]] = []
         for obj in objects:
-            versioned: VersionedValue = self.store.read(obj)
-            reads.append((obj, versioned.value, versioned.version))
+            latest = index.latest_write(obj)
+            if latest is None:
+                reads.append((obj, self.seeds.get(obj), VERSION_ZERO))
+            else:
+                reads.append((obj, *latest))
         self.reads_served += 1
         return "ok", reads

@@ -117,13 +117,13 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         self.slot_of: Dict[TxnId, int] = {}
 
         # Incremental conflict index for leader-side voting; replaces the
-        # per-PREPARE scan of the whole certification order.  It and the
-        # read engine below are derived from the slot arrays, which only
-        # ``store_slot`` / ``decide_slot`` and a state transfer write.
+        # per-PREPARE scan of the whole certification order.  It is derived
+        # from the slot arrays, which only ``store_slot`` / ``decide_slot``
+        # and a state transfer write, and snapshot reads are served from it.
         self._votes = LeaderVoteCache(self)
 
         # Snapshot-read fast path (inert under the default certified-only
-        # policy): applied store, pending-writer counts and read lease.
+        # policy): seeds, read lease and counters.
         self.read_engine: Optional[ReplicaReadEngine] = (
             ReplicaReadEngine(self, self.read_policy) if self.read_policy.enabled else None
         )
@@ -160,8 +160,6 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
             self.phase_arr[slot] = Phase.PREPARED
         self.slot_of[txn] = slot
         self._votes.note_stored(slot, phase)
-        if self.read_engine is not None:
-            self.read_engine.note_stored(slot, phase)
 
     def decide_slot(self, slot: int, decision: Decision) -> None:
         """Persist ``decision`` for ``slot`` (Figure 1, line 31; Figure 7,
@@ -170,8 +168,6 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         self.dec_arr[slot] = decision
         self.phase_arr[slot] = Phase.DECIDED
         self._votes.note_decided(slot, previous)
-        if self.read_engine is not None:
-            self.read_engine.note_decided(slot, previous)
 
     # ------------------------------------------------------------------
     # leader: PREPARE (lines 4-17)
@@ -249,14 +245,13 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
 
     def _on_configuration_installed(self) -> None:
         """A state transfer made this process leader or replaced its slot
-        arrays wholesale: rebuild the applied store and pending-writer
-        counts from them.  The new leader still has no lease (leases are
-        granted per process), so reads refuse until the next grant — and the
-        lease epoch advances, so an in-flight grant from the previous epoch
-        is refused on arrival."""
+        arrays wholesale (and invalidated the vote index reads are served
+        from).  The new leader still has no lease (leases are granted per
+        process), so reads refuse until the next grant — and the lease
+        epoch advances, so an in-flight grant from the previous epoch is
+        refused on arrival."""
         if self.read_engine is not None:
             self.read_engine.note_epoch(self.my_epoch)
-            self.read_engine.rebuild()
         self._watch_co_members()
 
     # ------------------------------------------------------------------

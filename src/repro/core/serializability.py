@@ -170,6 +170,13 @@ class TransactionPayload(_ObjectSets):
                 return version
         return None
 
+    def written_value(self, obj: ObjectId) -> Value:
+        """The value this payload writes to ``obj`` (None if it writes none)."""
+        for written_obj, value in self.write_set:
+            if written_obj == obj:
+                return value
+        return None
+
 
 EMPTY_PAYLOAD = TransactionPayload()
 
@@ -298,9 +305,12 @@ class _ReadWriteScheme(CertificationScheme[TransactionPayload]):
 class _ReadWriteVoteIndex(VoteIndex[TransactionPayload]):
     """Per-object conflict state shared by both concrete schemes.
 
-    * ``committed_version[obj]`` — the highest commit version installed on
-      ``obj`` by a committed transaction ("exists a committed writer with
-      version > v" collapses to one max-version comparison);
+    * ``committed_writer[obj]`` — the committed payload with the highest
+      commit version among those writing ``obj`` ("exists a committed
+      writer with version > v" collapses to one max-version comparison).
+      The payload, which the slot arrays hold anyway, also answers the
+      snapshot-read path: its write set holds ``obj``'s latest committed
+      value;
     * ``prepared_readers`` / ``prepared_writers`` — reference counts of
       prepared-to-commit transactions reading / writing each object.
 
@@ -312,16 +322,25 @@ class _ReadWriteVoteIndex(VoteIndex[TransactionPayload]):
     def __init__(self, sharding: ShardingFunction, shard: ShardId) -> None:
         self.sharding = sharding
         self.shard = shard
-        self.committed_version: Dict[ObjectId, Version] = {}
+        self.committed_writer: Dict[ObjectId, TransactionPayload] = {}
         self.prepared_readers: Dict[ObjectId, int] = {}
         self.prepared_writers: Dict[ObjectId, int] = {}
 
     def add_committed(self, payload: TransactionPayload) -> None:
         version = payload.commit_version
         for obj, _ in payload.write_set:
-            current = self.committed_version.get(obj)
-            if current is None or version > current:
-                self.committed_version[obj] = version
+            current = self.committed_writer.get(obj)
+            if current is None or version > current.commit_version:
+                self.committed_writer[obj] = payload
+
+    def write_pending(self, obj: ObjectId) -> bool:
+        return obj in self.prepared_writers
+
+    def latest_write(self, obj: ObjectId) -> Optional[Tuple[Value, Version]]:
+        writer = self.committed_writer.get(obj)
+        if writer is None:
+            return None
+        return writer.written_value(obj), writer.commit_version
 
     def add_prepared(self, payload: TransactionPayload) -> None:
         for obj, _ in payload.read_set:
@@ -352,8 +371,8 @@ class _SerializabilityVoteIndex(_ReadWriteVoteIndex):
         for obj, version in payload.read_set:
             if shard_of(obj) != self.shard:
                 continue
-            committed = self.committed_version.get(obj)
-            if committed is not None and committed > version:
+            committed = self.committed_writer.get(obj)
+            if committed is not None and committed.commit_version > version:
                 return Decision.ABORT
             if obj in self.prepared_writers:
                 return Decision.ABORT
@@ -379,8 +398,8 @@ class _SnapshotIsolationVoteIndex(_ReadWriteVoteIndex):
             version = payload.read_version(obj)
             if version is None:
                 continue
-            committed = self.committed_version.get(obj)
-            if committed is not None and committed > version:
+            committed = self.committed_writer.get(obj)
+            if committed is not None and committed.commit_version > version:
                 return Decision.ABORT
         return Decision.COMMIT
 

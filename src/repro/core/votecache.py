@@ -17,7 +17,11 @@ from the replica's slot arrays:
 * a write into a slot that was already filled (the one-sided RDMA writes of
   Figure 4a, a duplicate), a committed slot changing its decision and a
   ``NEW_STATE`` transfer *invalidate* the cache, which is rebuilt from the
-  arrays on the next vote.
+  arrays on the next vote or the next snapshot read.
+
+The index is the replica's one summary of its certification order: the
+snapshot-read engine (``repro.core.reads``) serves from it and keeps no
+copy of committed writes or pending writers of its own.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class LeaderVoteCache:
                 self._index.add_prepared(payload)
 
     # ------------------------------------------------------------------
-    # voting
+    # voting and reading
     # ------------------------------------------------------------------
     def vote(self, payload: Any) -> Decision:
         """The vote for ``payload`` entering the order.
@@ -72,6 +76,13 @@ class LeaderVoteCache:
         if self._index is None:
             self._rebuild()
         return self._index.vote(payload)
+
+    def index(self) -> VoteIndex:
+        """The index, equal to a rebuild from the slot arrays (rebuilt here
+        if invalidated): what the snapshot-read engine serves from."""
+        if self._index is None:
+            self._rebuild()
+        return self._index
 
     # ------------------------------------------------------------------
     # incremental maintenance

@@ -481,7 +481,8 @@ register_scenario(
         name="read-heavy-steady-state",
         description="YCSB-B-style 90% read mix with the snapshot-read fast "
         "path: single-key read-only transactions go straight to the shard "
-        "leader's leased applied store (no coordinator, no certification); "
+        "leader, which serves them from its vote index under a read lease "
+        "(no coordinator, no certification); "
         "reads that race a prepared write or an unleased leader fall back "
         "to the certified path, and the online checker validates the "
         "combined history.",

@@ -259,7 +259,7 @@ class ScenarioSpec:
     # Protocol-level batching of the certification fan-out (off by default —
     # the paper's one-message-per-transaction flow).
     batch: BatchSpec = field(default_factory=BatchSpec)
-    # Snapshot-read fast path: lease-guarded reads of the latest applied
+    # Snapshot-read fast path: lease-guarded reads of the latest committed
     # values, served by shard leaders without certification (off by
     # default — every transaction, read-only or not, goes through the
     # certification service).

@@ -6,8 +6,9 @@ speculatively against the latest committed versions, their read/write sets
 are submitted to the TCS for certification, and the writes of committed
 transactions are applied back to the store.
 
-* :mod:`repro.store.kv` — the key-value store of each object's latest
-  committed version;
+* :mod:`repro.store.kv` — the client-side key-value store of each object's
+  latest committed version, which transactions execute against (a shard
+  leader serves snapshot reads from its vote index, not from a store);
 * :mod:`repro.store.executor` — optimistic transaction execution and the
   :class:`~repro.store.executor.TransactionalStore` facade that couples the
   executor to a :class:`~repro.cluster.Cluster` (or the baseline cluster).

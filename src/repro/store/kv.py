@@ -1,10 +1,12 @@
 """Key-value store of the latest committed version of each object.
 
 Objects are associated with a totally ordered set of versions (Section 2).
-A payload ``⟨R, W, Vc⟩`` reads the latest committed versions and the
-snapshot-read fast path serves the latest applied value, so the store keeps
-one entry per object, as FaRM keeps one version in each object's header:
-its version-zero seed, or the newest version installed.
+A payload ``⟨R, W, Vc⟩`` reads the latest committed versions, so the store
+keeps one entry per object, as FaRM keeps one version in each object's
+header: its version-zero seed, or the newest version applied.  This is the
+client-side store transactions execute against; a shard leader's snapshot
+reads are served from its vote index (``repro.core.reads``), not from a
+store.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ class VersionedValue:
 class VersionedKVStore:
     """The latest committed value of each object.
 
-    ``seeds`` holds the version-zero values and outlives every install, so
-    a store rebuilt from them (``VersionedKVStore(store.seeds)``) starts
-    where this one did; installed versions are kept apart and a seed never
-    hides one.
+    ``seeds`` holds the version-zero values; applied versions are kept
+    apart, and a seed never hides one.
     """
 
     def __init__(self, initial: Optional[Dict[ObjectId, object]] = None) -> None:
@@ -59,29 +59,6 @@ class VersionedKVStore:
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def seed(self, obj: ObjectId, value: object) -> None:
-        """Install an initial (version-zero) value for an object; the first
-        seed of an object wins."""
-        self.seeds.setdefault(obj, value)
-
-    def install(self, obj: ObjectId, value: object, version: Version) -> None:
-        """Install one committed value at ``version`` if it is newer than the
-        object's latest.
-
-        Replica-side applied stores learn of commits in slot-decision order,
-        which per object is not necessarily commit-version order (decisions
-        for different slots race across coordinators), and a rebuild replays
-        the whole log: an equal or older version changes nothing.
-        """
-        latest = self._latest.get(obj)
-        if latest is None or latest.version < version:
-            self._latest[obj] = VersionedValue(value, version)
-
-    def install_payload(self, payload: TransactionPayload) -> None:
-        """Install every write of a committed payload (see :meth:`install`)."""
-        for obj, value in payload.write_set:
-            self.install(obj, value, payload.commit_version)
-
     def apply_payload(self, payload: TransactionPayload) -> None:
         """Install the writes of a committed transaction at its commit version.
 

@@ -144,7 +144,8 @@ def check_empty_payload_commits(scheme, shard, committed) -> bool:
 class ScanVoteIndex(VoteIndex):
     """Reference :class:`VoteIndex`: keeps the committed and the
     prepared-to-commit payloads as plain lists and votes with
-    :func:`scan_vote` over them — Figure 1, line 12, evaluated literally."""
+    :func:`scan_vote` over them — Figure 1, line 12, evaluated literally.
+    The snapshot-read questions are answered by scanning the same lists."""
 
     def __init__(self, scheme, shard) -> None:
         self.scheme, self.shard = scheme, shard
@@ -162,6 +163,17 @@ class ScanVoteIndex(VoteIndex):
 
     def vote(self, payload) -> Decision:
         return scan_vote(self.scheme, self.shard, self.committed, self.prepared, payload)
+
+    def write_pending(self, obj) -> bool:
+        return any(obj in other.written_objects for other in self.prepared)
+
+    def latest_write(self, obj):
+        writers = [other for other in self.committed if obj in other.written_objects]
+        if not writers:
+            return None
+        # The first of the highest-versioned writers, as the index keeps.
+        newest = max(writers, key=lambda other: other.commit_version)
+        return newest.written_value(obj), newest.commit_version
 
 
 class PairwiseConflictIndex(ConflictIndex):

@@ -196,7 +196,6 @@ def test_indexed_state_machine_votes_like_the_scan(scheme, sequence):
             sequence.append(CommandBatch(commands=tuple(commands[batch_from:])))
         for command in sequence:
             assert indexed.apply(command) == reference.apply(command)
-        assert indexed.committed_payloads == reference.committed
         assert indexed.prepared == reference.prepared
         assert indexed.decisions == reference.decisions
 

@@ -134,3 +134,26 @@ def test_ballots_are_totally_ordered_by_round_then_pid():
     first = group.replica(group.pids[1]).become_leader()
     second = group.replica(group.pids[2]).become_leader()
     assert second > first or second[0] > first[0]
+
+
+def test_applied_slots_leave_only_the_accepted_values():
+    """A slot's chosen value, proposal and phase-2 acks are dropped once it
+    is applied (late acks find nothing to count); the acceptors keep
+    ``accepted``, which phase 1 reports to a new leader."""
+    scheduler, network, group, client = build(size=3)
+    for i in range(5):
+        client.request(group.leader, f"cmd-{i}")
+    scheduler.run()
+    assert len(client.responses) == 5
+    for replica in group.replicas:
+        assert replica.applied_upto == 4
+        assert replica.chosen == {} and replica._proposals == {} and replica._phase2_acks == {}
+        assert sorted(replica.accepted) == list(range(5))
+    # A new leader re-proposes the applied slots without keeping them.
+    network.crash(group.leader)
+    new_leader = group.replica(group.pids[1])
+    new_leader.become_leader()
+    scheduler.run()
+    assert new_leader.leading
+    assert new_leader._proposals == {} and new_leader._phase2_acks == {}
+    assert new_leader.state_machine.log == [f"cmd-{i}" for i in range(5)]

@@ -2,16 +2,17 @@
 
 Three layers:
 
-* the store rules that back every replica's applied store, which keeps the
-  latest version of each object: the newest version wins whatever the
-  arrival order, an equal or older one changes nothing, a seed never hides
-  an installed version and the first seed wins;
-* the :class:`ReplicaReadEngine` state machine in isolation — pending-writer
-  refusal, installs on commit, a rebuild starting from the seeds, lease
+* what a leader serves: its vote index's latest committed write of each
+  object — the newest commit wins whatever the decision order, a repeated
+  or older decision changes nothing — or the object's seed at version zero
+  (the first seed wins, and a seed never hides a committed write);
+* the :class:`ReplicaReadEngine` on a replica driven through its one write
+  path (``store_slot`` / ``decide_slot``) — pending-writer refusal, commits
+  served, the seeds served again after a state transfer, lease
   bookkeeping, broken-mode accounting;
 * the end-to-end path on a live cluster — leader serves, certified-path
   fallback, the read-heavy scenario's safety, the stale-lease ablation's
-  checker-visible cycle, and the baseline's applied-store parity.
+  checker-visible cycle, and the reference vote index's served reads.
 """
 
 import gc
@@ -19,142 +20,130 @@ import itertools
 
 import pytest
 
-from repro.baselines.cluster import BaselineCluster
 from repro.cluster import Cluster
-from repro.core.reads import DEFAULT_LEASE, ReadPolicy, ReplicaReadEngine
-from repro.core.serializability import VERSION_ZERO
-from repro.core.types import Decision, Phase
+from repro.core.directory import TransactionDirectory
+from repro.core.messages import NewState
+from repro.core.reads import DEFAULT_LEASE, ReadPolicy
+from repro.core.replica import ShardReplica
+from repro.core.serializability import VERSION_ZERO, KeyHashSharding, SerializabilityScheme
+from repro.core.types import Decision
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.spec import ReadSpec
-from repro.store.kv import VersionedKVStore, VersionedValue
+from repro.store.kv import VersionedKVStore
 
-from helpers import TCSChecker, payload, rw_payload, shard_key
-
-
-# ----------------------------------------------------------------------
-# store primitives
-# ----------------------------------------------------------------------
-
-VERSIONS = (("v1", (1, "a")), ("v2", (2, "b")), ("v3", (3, "c")))
-
-
-@pytest.mark.parametrize("order", list(itertools.permutations(range(len(VERSIONS)))))
-def test_install_keeps_the_newest_version_whatever_the_arrival_order(order):
-    store = VersionedKVStore({"x": "v0"})
-    for index in order:
-        store.install("x", *VERSIONS[index])
-    assert store.read("x") == VersionedValue("v3", (3, "c"))
-
-
-def test_installing_an_equal_or_older_version_changes_nothing():
-    store = VersionedKVStore()
-    store.install("x", "v2", (2, "b"))
-    store.install("x", "again", (2, "b"))  # a repeated decision
-    store.install("x", "v1", (1, "a"))  # a late one
-    assert store.read("x") == VersionedValue("v2", (2, "b"))
-
-
-def test_a_seed_never_hides_an_installed_version_and_the_first_seed_wins():
-    store = VersionedKVStore()
-    store.seed("x", "first")
-    store.seed("x", "second")
-    assert store.read("x") == VersionedValue("first", VERSION_ZERO)
-    store.install("x", "v1", (1, "a"))
-    store.seed("x", "late")
-    store.install("y", "v1", (1, "a"))
-    store.seed("y", "after")
-    assert store.read("x") == VersionedValue("v1", (1, "a"))
-    assert store.read("y") == VersionedValue("v1", (1, "a"))
-    assert store.seeds == {"x": "first", "y": "after"}
-    assert store.read("ghost") == VersionedValue(None, VERSION_ZERO)
+from helpers import TCSChecker, payload, reference_scheme, rw_payload, shard_key
 
 
 # ----------------------------------------------------------------------
-# ReplicaReadEngine in isolation
+# ReplicaReadEngine on a replica's write path
 # ----------------------------------------------------------------------
-
-class _StubReplica:
-    def __init__(self):
-        self.vote_arr = {}
-        self.payload_arr = {}
-        self.dec_arr = {}
-        self.phase_arr = {}
-        self.now = 0.0
-        self.pid = "stub/r0"
-
 
 def _engine(mode="snapshot", lease=DEFAULT_LEASE):
-    replica = _StubReplica()
-    engine = ReplicaReadEngine(replica, ReadPolicy(mode=mode, lease=lease))
+    """A lone shard replica (every object is its shard's) and its engine,
+    holding a lease."""
+    scheme = SerializabilityScheme(KeyHashSharding(["shard-0"]))
+    replica = ShardReplica(
+        "shard-0/r0", "shard-0", scheme, TransactionDirectory(), "config",
+        read=ReadPolicy(mode=mode, lease=lease),
+    )
+    engine = replica.read_engine
     engine.note_lease(expires_at=1_000.0, granted=True)
     return replica, engine
 
 
-def _store(replica, engine, slot, p):
-    """What ``ReplicaBase.store_slot`` does to a fresh slot voted commit."""
-    replica.payload_arr[slot] = p
-    replica.vote_arr[slot] = Decision.COMMIT
-    replica.phase_arr[slot] = Phase.PREPARED
-    engine.note_stored(slot, Phase.START)
+def _commit(replica, slot, p):
+    """Store ``p`` in ``slot`` voted commit, then decide it commit."""
+    replica.store_slot(slot, f"t{slot}", p, Decision.COMMIT)
+    replica.decide_slot(slot, Decision.COMMIT)
 
 
-def _decide(replica, engine, slot, decision):
-    """What ``ReplicaBase.decide_slot`` does."""
-    previous = replica.dec_arr.get(slot)
-    replica.dec_arr[slot] = decision
-    replica.phase_arr[slot] = Phase.DECIDED
-    engine.note_decided(slot, previous)
+def _served(engine, *objects):
+    status, reads = engine.serve(objects, now=1.0)
+    assert status == "ok", status
+    return [(value, version) for _, value, version in reads]
+
+
+VERSIONS = (("v1", (1, "a")), ("v2", (2, "b")), ("v3", (3, "c")))
+
+
+def _write(obj, value, version):
+    return payload(reads=[(obj, VERSION_ZERO)], writes=[(obj, value)], commit_version=version)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(len(VERSIONS)))))
+def test_the_newest_commit_is_served_whatever_the_decision_order(order):
+    replica, engine = _engine()
+    engine.seed({"x": "v0"})
+    for slot, (value, version) in enumerate(VERSIONS, start=1):
+        replica.store_slot(slot, f"t{slot}", _write("x", value, version), Decision.COMMIT)
+    for index in order:
+        replica.decide_slot(index + 1, Decision.COMMIT)
+    assert _served(engine, "x") == [("v3", (3, "c"))]
+
+
+def test_a_repeated_or_older_decision_changes_nothing():
+    replica, engine = _engine()
+    _commit(replica, 2, _write("x", "v2", (2, "b")))
+    replica.decide_slot(2, Decision.COMMIT)  # a repeated decision
+    _commit(replica, 1, _write("x", "v1", (1, "a")))  # a late one
+    assert _served(engine, "x") == [("v2", (2, "b"))]
+
+
+def test_the_first_seed_wins_and_a_seed_never_hides_a_committed_write():
+    replica, engine = _engine()
+    engine.seed({"x": "first"})
+    engine.seed({"x": "second"})
+    assert _served(engine, "x") == [("first", VERSION_ZERO)]
+    _commit(replica, 1, _write("x", "v1", (1, "a")))
+    engine.seed({"x": "late"})
+    _commit(replica, 2, _write("y", "v1", (1, "a")))
+    engine.seed({"y": "after"})
+    assert _served(engine, "x", "y", "ghost") == [
+        ("v1", (1, "a")), ("v1", (1, "a")), (None, VERSION_ZERO),
+    ]
+    assert engine.seeds == {"x": "first", "y": "after"}
 
 
 def test_engine_refuses_reads_with_pending_writer_then_serves():
     replica, engine = _engine()
     engine.seed({"x": "init"})
     p = rw_payload("x", value="new", tiebreak="w")
-    _store(replica, engine, 3, p)
+    replica.store_slot(3, "t3", p, Decision.COMMIT)
     status, reads = engine.serve(("x",), now=1.0)
     assert (status, reads) == ("pending", None)
     assert engine.reads_refused_pending == 1
-    # The decision installs the write and clears the pending count.
-    _decide(replica, engine, 3, Decision.COMMIT)
-    assert engine.pending_writers == {}
+    # The decision commits the write and clears the pending count.
+    replica.decide_slot(3, Decision.COMMIT)
+    assert replica._votes.index().prepared_writers == {}
     status, reads = engine.serve(("x",), now=2.0)
     assert status == "ok"
     assert reads == [("x", "new", p.commit_version)]
     assert engine.reads_served == 1
 
 
-def test_engine_abort_decisions_release_pending_without_installing():
+def test_engine_abort_decisions_release_pending_without_committing():
     replica, engine = _engine()
     engine.seed({"x": "init"})
-    _store(replica, engine, 1, rw_payload("x", value="doomed", tiebreak="a"))
-    _decide(replica, engine, 1, Decision.ABORT)
-    assert engine.pending_writers == {}
+    replica.store_slot(1, "t1", rw_payload("x", value="doomed", tiebreak="a"), Decision.COMMIT)
+    replica.decide_slot(1, Decision.ABORT)
+    assert replica._votes.index().prepared_writers == {}
     status, reads = engine.serve(("x",), now=1.0)
     assert status == "ok"
     assert reads == [("x", "init", VERSION_ZERO)]
 
 
-def test_engine_reads_its_seeds_again_after_a_rebuild():
+def test_engine_reads_its_seeds_again_after_a_state_transfer():
     replica, engine = _engine()
     engine.seed({"x": "init", "y": "other"})
     p = rw_payload("x", value="new", tiebreak="w")
-    _store(replica, engine, 1, p)
-    _decide(replica, engine, 1, Decision.COMMIT)
-    assert engine.serve(("x", "y"), now=1.0)[1] == [
-        ("x", "new", p.commit_version),
-        ("y", "other", VERSION_ZERO),
-    ]
+    _commit(replica, 1, p)
+    assert _served(engine, "x", "y") == [("new", p.commit_version), ("other", VERSION_ZERO)]
     # A state transfer replaces the slot arrays with a log that never
-    # decided slot 1; the rebuilt engine starts from its seeds.
-    for array in (replica.payload_arr, replica.vote_arr, replica.dec_arr, replica.phase_arr):
-        array.clear()
-    live = engine.store
-    engine.rebuild()
-    assert engine.store is not live  # a shallow copy's rebuild leaves its original alone
-    assert engine.serve(("x", "y"), now=2.0)[1] == [
-        ("x", "init", VERSION_ZERO),
-        ("y", "other", VERSION_ZERO),
-    ]
+    # decided slot 1; the engine serves its seeds again.
+    replica._adopt_state(
+        NewState(epoch=2, members=(replica.pid,), txn={}, payload={}, vote={}, dec={}, phase={})
+    )
+    assert _served(engine, "x", "y") == [("init", VERSION_ZERO), ("other", VERSION_ZERO)]
 
 
 @pytest.mark.parametrize("holder", ("store", "engine"))
@@ -168,7 +157,10 @@ def test_seeding_adds_no_gc_tracked_object_per_key(holder):
     else:
         engine.seed(initial)
     assert len(gc.get_objects()) - before < 10  # the holder's own objects
-    assert (seeded if engine is None else engine.store).read("key-7").value == 7
+    if engine is None:
+        assert seeded.read("key-7").value == 7
+    else:
+        assert _served(engine, "key-7") == [(7, VERSION_ZERO)]
 
 
 def test_engine_refuses_on_expired_lease_and_wants_renewal():
@@ -273,32 +265,63 @@ def test_multi_shard_objects_are_rejected_by_submit_read(read_cluster):
         )
 
 
-def test_applied_store_keeps_the_latest_commit(read_cluster):
+def test_the_leader_serves_the_latest_commit(read_cluster):
     cluster = read_cluster
     key = shard_key(cluster.scheme, "shard-0")
     first = rw_payload(key, value=1, tiebreak="w1")
     assert cluster.certify(first) is Decision.COMMIT
     second = payload(reads=[(key, first.commit_version)], writes=[(key, 2)], tiebreak="w2")
     assert cluster.certify(second) is Decision.COMMIT
-    cluster.run()  # drain the slot-decision installs
+    cluster.run()  # drain the slot decisions
     leader = cluster.replicas[cluster.leader_of("shard-0")]
-    assert leader.read_engine.store.read(key) == VersionedValue(2, second.commit_version)
-
-
-def test_baseline_applied_store_parity():
-    """The 2PC-over-Paxos baseline keeps the same applied store, so
-    read-ratio comparisons against it are apples to apples."""
-    cluster = BaselineCluster(
-        num_shards=2, failures_tolerated=1, seed=13, read=ReadPolicy(mode="snapshot")
+    assert leader.read_engine.serve((key,), leader.now) == (
+        "ok", [(key, 2, second.commit_version)]
     )
-    key = shard_key(cluster.scheme, "shard-0")
-    other = shard_key(cluster.scheme, "shard-0", hint="other")
-    cluster.seed_read_stores({key: "seeded", other: "kept"})
-    write = rw_payload(key, value="fresh", tiebreak="w")
-    assert cluster.certify(write) is Decision.COMMIT
-    store = cluster.groups["shard-0"].leader_replica.state_machine.applied_store
-    assert store.read(key) == VersionedValue("fresh", write.commit_version)
-    assert store.read(other) == VersionedValue("kept", VERSION_ZERO)
+
+
+@pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
+def test_reads_over_the_reference_index_equal_reads_over_the_incremental_one(protocol):
+    """Served reads come from the leader's vote index.  Over the reference
+    index (plain lists, every read question a scan) a mixed read/write run
+    — with a reconfiguration that rebuilds the index — must record the
+    history and read counters it records over the incremental index."""
+
+    def drive(scheme):
+        cluster = Cluster(
+            num_shards=2, replicas_per_shard=2, num_clients=2, protocol=protocol,
+            scheme=scheme, seed=5, read=ReadPolicy(mode="snapshot"),
+        )
+        cluster.run()  # deliver the bootstrap lease grants
+        keys = [shard_key(scheme, shard, hint=f"hot{i}") for shard in cluster.shards for i in range(2)]
+        cluster.seed_read_stores({key: f"seed-{key}" for key in keys})
+        txns = []
+        for wave in range(6):
+            if wave == 3:
+                cluster.crash_follower("shard-0")
+                cluster.reconfigure("shard-0")  # new epoch: the index is rebuilt
+            for i in range(4):
+                txns.append(cluster.submit(rw_payload(
+                    keys[(wave + i) % len(keys)], version=wave // 2 if i % 2 else 0,
+                    value=wave, tiebreak=f"w{wave}.{i}",
+                )))
+            # The reads arrive while the writes are prepared at the leaders.
+            cluster.run(max_time=cluster.scheduler.now + 2.5)
+            for key in keys:
+                txns.append(cluster.submit_read(
+                    (key,), fallback_payload=payload(reads=[(key, VERSION_ZERO)]), client_index=1,
+                ))
+            assert cluster.run_until_decided(txns)
+        assert cluster.check()[0].ok
+        served = [read for reads in cluster.clients[1].read_results.values() for read in reads]
+        return cluster.history.digest(), cluster.read_stats(), served
+
+    sharding = KeyHashSharding(["shard-0", "shard-1"])
+    indexed = drive(SerializabilityScheme(sharding))
+    scanned = drive(reference_scheme(SerializabilityScheme, sharding))
+    assert indexed == scanned
+    _, stats, served = indexed
+    assert stats.reads_served and stats.refused_pending
+    assert any(version != VERSION_ZERO for _, _, version in served)  # a committed write
 
 
 # ----------------------------------------------------------------------
