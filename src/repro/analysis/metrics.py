@@ -242,22 +242,32 @@ class BatchStats:
 
 
 @dataclass(frozen=True)
+class QueueWaitSummary:
+    """Count, mean and maximum of a run's per-message link queue waits."""
+
+    count: int
+    mean: float
+    maximum: float
+
+
+@dataclass(frozen=True)
 class LinkStats:
     """Link-queue counters for one run under a bandwidth-aware link model
     (a :class:`repro.runtime.network.NetworkSpec` with ``bandwidth > 0``).
 
     * ``bytes_sent`` — total wire bytes offered to the network (sized
       sends, including dropped ones — the offered load);
-    * ``queue_wait`` — summary of per-message queue waits (time spent
-      behind earlier messages on the same directed channel), in send
-      order: the congestion signal a bandwidth sweep plots;
+    * ``queue_wait`` — count, mean and maximum of the per-message queue
+      waits (time spent behind earlier messages on the same directed
+      channel): the congestion signal a bandwidth sweep plots; None when
+      no message was sized;
     * ``busy_time`` — total serialization time accumulated across all
       links (overhead + bytes/bandwidth per message);
     * ``max_depth`` — the deepest any single link queue ever got.
     """
 
     bytes_sent: float = 0.0
-    queue_wait: Optional[LatencySummary] = None
+    queue_wait: Optional[QueueWaitSummary] = None
     busy_time: float = 0.0
     max_depth: int = 0
 
@@ -289,13 +299,17 @@ class LinkStats:
 def collect_link_stats(network) -> Optional[LinkStats]:
     """Summarise a :class:`~repro.runtime.network.Network`'s link-queue
     accounting; None when its link model is off (``bandwidth == 0``: the
-    pure-delay network keeps no byte or queue state at all)."""
+    pure-delay network keeps no byte or queue state at all).  The mean is
+    the correctly rounded sum over the count, as ``statistics.fmean``
+    computes it."""
     if not network.link.enabled:
         return None
-    samples = network.queue_wait_samples
+    count = network.queue_wait_count
     return LinkStats(
         bytes_sent=network.stats.bytes_sent,
-        queue_wait=summarize(samples) if samples else None,
+        queue_wait=QueueWaitSummary(
+            count, network.queue_wait_total / count, network.queue_wait_max
+        ) if count else None,
         busy_time=network.link_busy_time,
         max_depth=network.link_max_depth,
     )

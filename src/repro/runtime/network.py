@@ -330,6 +330,30 @@ class Link:
         process.deliver(message, self.src)
 
 
+# How many link-queue samples (queue waits, serialization times) the
+# network buffers before it folds them into its running sums.
+_FOLD = 1024
+
+
+def _fold(expansion: List[float], values: List[float]) -> None:
+    """Add ``values`` to the running sum ``expansion`` and empty ``values``.
+
+    ``expansion`` is a nonoverlapping expansion: a few floats whose exact,
+    unrounded total is the exact total of every value folded into it.
+    Each pass peels the correctly rounded remainder off the values until
+    nothing is left, so ``math.fsum(expansion + rest)`` equals
+    ``math.fsum`` over every value ever folded plus ``rest``, bit for bit.
+    """
+    values += expansion
+    expansion.clear()
+    total = math.fsum(values)
+    while total:
+        expansion.append(total)
+        values.append(-total)
+        total = math.fsum(values)
+    values.clear()
+
+
 def _deliver_batch(links: List[Link], message: Any) -> None:
     """The delivery event a multicast's destinations share."""
     for link in links:
@@ -360,8 +384,8 @@ class MessageStats:
     here (totals, per process, per type name) sums those counts when it is
     read, which is once per run rather than once per message.  Each read
     builds a fresh ``Counter`` (or number), so mutating a returned
-    ``Counter`` changes nothing here.  Only the byte sums are kept here,
-    as plain attributes.  The ``*_by_process_and_type`` views stay because
+    ``Counter`` changes nothing here.  Only the byte total is kept here,
+    as a plain attribute.  The ``*_by_process_and_type`` views stay because
     ``benchmarks/test_bench_leader_load.py`` reads them.
     """
 
@@ -369,10 +393,9 @@ class MessageStats:
         self._links = links
         # Bytes accounting: populated only when the link model sizes messages
         # (the pure-delay path never sizes one, keeping it cost-free).  Sizes
-        # are whole numbers of bytes, so the sums are exact whatever the
-        # order or grouping of the additions.
+        # are whole numbers of bytes, so the sum is exact whatever the order
+        # of the additions.
         self.bytes_sent = 0.0
-        self._bytes: Dict[str, float] = {}  # message class name -> bytes
 
     def _view(self, counts: str, label: Callable[[str, str, type], Any]) -> Counter:
         view: Counter = Counter()
@@ -413,10 +436,6 @@ class MessageStats:
     def received_by_process_and_type(self) -> Counter:
         return self._view("delivered", lambda src, dst, kind: (dst, kind.__name__))
 
-    @property
-    def bytes_by_type(self) -> Counter:
-        return Counter(self._bytes)
-
     def handled_by(self, pid: str) -> int:
         """Total messages sent plus received by process ``pid``."""
         return self.sent_by_process[pid] + self.received_by_process[pid]
@@ -452,20 +471,44 @@ class Network:
         self.processes: Dict[str, "Process"] = {}
         self.links: Dict[Tuple[str, str], Link] = _Links(self.processes, self._link_enabled)
         self.stats = MessageStats(self.links)
-        # Link-queue accounting (populated only with an enabled link model):
-        # queue waits in send order, total serialization time, and the
+        # Link-queue accounting (kept only with an enabled link model): each
+        # sized message's queue wait and serialization time go to a buffer,
+        # and every _FOLD messages the buffers fold into exact running sums
+        # (see _fold), so a run keeps a few floats however many messages it
+        # sends.  Beside them: the count of sized messages put on a link
+        # (one queue wait each), the longest wait folded so far and the
         # high-water per-channel queue depth.  Depth is derived from
         # *virtual* times (deliver_at values still in the future at send
         # time), never from event-execution order.
-        self.queue_wait_samples: list[float] = []
-        self._link_serializations: list[float] = []
+        self._waits: List[float] = []
+        self._serializations: List[float] = []
+        self._wait_sum: List[float] = []
+        self._busy_sum: List[float] = []
+        self._wait_max = 0.0
+        self.queue_wait_count = 0
         self.link_max_depth: int = 0
+
+    def _fold_link_samples(self) -> None:
+        self._wait_max = max(self._wait_max, max(self._waits))
+        _fold(self._wait_sum, self._waits)
+        _fold(self._busy_sum, self._serializations)
+
+    @property
+    def queue_wait_total(self) -> float:
+        """Sum of every queue wait, correctly rounded (``math.fsum`` over
+        all of them, whatever the order)."""
+        return math.fsum(self._wait_sum + self._waits)
+
+    @property
+    def queue_wait_max(self) -> float:
+        """The longest queue wait; 0.0 before any sized message."""
+        return max(self._wait_max, max(self._waits, default=0.0))
 
     @property
     def link_busy_time(self) -> float:
-        """Total serialization time charged on the link (``math.fsum``:
-        correctly rounded, whatever the order of the summands)."""
-        return math.fsum(self._link_serializations)
+        """Total serialization time charged on the links, correctly rounded
+        (``math.fsum`` over every message's, whatever the order)."""
+        return math.fsum(self._busy_sum + self._serializations)
 
     # ------------------------------------------------------------------
     # membership
@@ -533,9 +576,7 @@ class Network:
         kind = type(message)
         link.sent[kind] = link.sent.get(kind, 0) + 1
         if size is not None:
-            stats = self.stats
-            stats.bytes_sent += size
-            stats._bytes[kind.__name__] = stats._bytes.get(kind.__name__, 0.0) + size
+            self.stats.bytes_sent += size
         if link.process is None or link.blocked:
             link.dropped += 1
             return None
@@ -559,8 +600,11 @@ class Network:
         model = self.link
         serialization = model.overhead + size / model.bandwidth
         deliver_at = start + serialization
-        self.queue_wait_samples.append(start - arrival)
-        self._link_serializations.append(serialization)
+        self._waits.append(start - arrival)
+        self._serializations.append(serialization)
+        self.queue_wait_count += 1
+        if not self.queue_wait_count % _FOLD:
+            self._fold_link_samples()
         # Queue depth at this send: in-flight messages on the channel
         # (deliver_at still in the future) plus this one.  Channel
         # clocks are monotone, so the deque stays sorted and pruning

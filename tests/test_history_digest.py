@@ -447,6 +447,10 @@ def test_sizing_a_fresh_payload_call_count():
 # read-mostly-lease and baseline-steady read 303.9-304.1 and 1056.5
 # (314.9-315.1 and 1075.5 before) under PYTHONHASHSEED 0 and 4242; their
 # bounds are those plus 1%, rounded up, and the other shapes read as before.
+# Since the network folds its link-queue samples into running sums and keeps
+# no byte sum per message class, rdma-batched-bw reads 1076.8-1078.5
+# (1080.8-1082.5 before) in a fresh process under PYTHONHASHSEED 0, 1, 2, 3,
+# 7, 99 and 4242; its bound is the highest plus 1%, rounded up.
 # A change that makes the path cheaper should tighten these to its own
 # readings.  The parallel-shards spelling of mp-steady is the serial run
 # (the runner ignores the mode): it must cost mp-steady's calls exactly.
@@ -455,7 +459,7 @@ RUN_CALLS_PER_TXN = {
     "mp-steady-grouped": 648,
     "read-mostly-lease": 308,
     "baseline-steady": 1068,
-    "rdma-batched-bw": 1092,
+    "rdma-batched-bw": 1090,
 }
 
 
@@ -564,12 +568,15 @@ def test_whole_run_retained_objects_per_transaction(shape):
 # only the per-slot state it reads, read-mostly-lease and baseline-steady
 # read 2063.2 / 4185.4 (2135.7 / 6390.9 before) under PYTHONHASHSEED=0 and
 # 4242, and their bounds are those plus 2%; the others read as before.
+# Since the network folds its link-queue samples into running sums, where it
+# kept two floats per sized message, rdma-batched-bw reads 5549.9 (5745.6
+# before) under PYTHONHASHSEED=0 and 4242, and its bound is that plus 2%.
 RETAINED_BYTES_PER_TXN = {
     "mp-steady": 3178,
     "mp-steady-grouped": 3178,
     "read-mostly-lease": 2105,
     "baseline-steady": 4270,
-    "rdma-batched-bw": 5861,
+    "rdma-batched-bw": 5661,
 }
 
 
@@ -602,13 +609,15 @@ def test_whole_run_retained_bytes_per_transaction(shape):
 # those plus 2%.  Since snapshot reads are served from the vote index and
 # the 2PC baseline keeps only the per-slot state it reads, read-mostly-lease
 # and baseline-steady read 2192.4 / 4492.2 (2264.9 / 6697.7 before) under
-# PYTHONHASHSEED=0 and 4242, and their bounds are those plus 2%.
+# PYTHONHASHSEED=0 and 4242, and their bounds are those plus 2%.  Since the
+# network folds its link-queue samples into running sums, rdma-batched-bw
+# reads 6989.7 (7185.4 before), and its bound is that plus 2%.
 PEAK_BYTES_PER_TXN = {
     "mp-steady": 3458,
     "mp-steady-grouped": 3458,
     "read-mostly-lease": 2237,
     "baseline-steady": 4583,
-    "rdma-batched-bw": 7329,
+    "rdma-batched-bw": 7130,
 }
 
 

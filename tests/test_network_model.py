@@ -18,13 +18,19 @@ Four layers:
 """
 
 import dataclasses
+import math
 import pickle
+import statistics
+import tracemalloc
 from dataclasses import replace
 from enum import Enum
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.metrics import collect_link_stats
 from repro.baselines import paxos, twopc
 from repro.baselines.cluster import BaselineCluster
 from repro.client import CoordinatorRouter
@@ -35,7 +41,8 @@ from repro.runtime import process as process_runtime
 from repro.runtime import rdma as rdma_runtime
 from repro.runtime import wire
 from repro.runtime.events import Scheduler
-from repro.runtime.network import Network
+from repro.runtime import network as network_module
+from repro.runtime.network import _FOLD, Network
 from repro.runtime.process import Batch, Process
 from repro.runtime.wire import HEADER_BYTES, SCALAR_BYTES, is_registered, wire_size
 from repro.scenarios import (
@@ -360,8 +367,6 @@ def test_every_message_sized_in_a_run_matches_the_recursive_definition(
 
 
 def test_send_many_sizes_the_message_once(monkeypatch):
-    import repro.runtime.network as network_module
-
     calls = []
 
     def counting(message):
@@ -387,8 +392,9 @@ def test_send_many_sizes_the_message_once(monkeypatch):
         stats = network.stats
         return (
             [sink.deliveries for sink in sinks],
-            (stats.total_sent, stats.dropped, stats.bytes_sent, dict(stats.bytes_by_type)),
-            network.queue_wait_samples,
+            (stats.total_sent, stats.dropped, stats.bytes_sent, dict(stats.sent_by_type)),
+            (network.queue_wait_count, network.queue_wait_total, network.queue_wait_max,
+             network.link_busy_time),
         )
 
     multicast = deliveries(multicast=True)
@@ -437,7 +443,9 @@ def test_disabled_link_keeps_the_pure_delay_path():
     scheduler.run()
     assert [t for t, _ in b.deliveries] == [1.0]
     assert network.stats.bytes_sent == 0.0
-    assert network.queue_wait_samples == []
+    assert network.queue_wait_count == 0
+    assert network.link_busy_time == 0.0
+    assert collect_link_stats(network) is None
     assert NetworkSpec().enabled is False  # bandwidth=0 disables explicitly
 
 
@@ -464,11 +472,14 @@ def test_queueing_matches_the_closed_form():
     # FIFO: delivery order is send order.
     assert [m.txn for _, m in b.deliveries] == ["t1", "t2"]
     # m1 finds an idle channel (wait 0); m2 queues behind m1's serialization.
-    assert network.queue_wait_samples == pytest.approx([0.0, ser1])
+    wait = collect_link_stats(network).queue_wait
+    assert wait.count == 2
+    assert wait.mean == pytest.approx(ser1 / 2)
+    assert wait.maximum == pytest.approx(ser1)
     assert network.link_busy_time == pytest.approx(ser1 + ser2)
     assert network.link_max_depth == 2
     assert network.stats.bytes_sent == pytest.approx(wire_size(m1) + wire_size(m2))
-    assert network.stats.bytes_by_type["Prepare"] == network.stats.bytes_sent
+    assert network.stats.sent_by_type == {"Prepare": 2}
 
 
 def test_queueing_is_per_directed_channel():
@@ -481,11 +492,15 @@ def test_queueing_is_per_directed_channel():
         network.send("a", "b", message)
     network.send("b", "a", message)
     scheduler.run()
-    # The lone reverse-channel message never waited.
-    assert network.queue_wait_samples[-1] == pytest.approx(0.0)
-    assert [t for t, _ in a.deliveries] == pytest.approx(
-        [1.0 + wire_size(message) / link.bandwidth]
-    )
+    # a->b's four waits are 0, 1, 2 and 3 serializations; the lone
+    # reverse-channel message never waited (queued behind a->b, it would
+    # have waited 4 and moved the mean).
+    ser = wire_size(message) / link.bandwidth
+    wait = collect_link_stats(network).queue_wait
+    assert wait.count == 5
+    assert wait.mean == pytest.approx(6 * ser / 5)
+    assert wait.maximum == pytest.approx(3 * ser)
+    assert [t for t, _ in a.deliveries] == pytest.approx([1.0 + ser])
 
 
 def test_serialization_only_adds_to_propagation():
@@ -493,11 +508,131 @@ def test_serialization_only_adds_to_propagation():
     pure-propagation delivery time."""
     scheduler, network, a, b = _two_node_net(link=NetworkSpec(bandwidth=50.0, overhead=0.1))
     message = core_messages.Prepare(txn="t", payload=("k",))
-    for _ in range(6):
-        network.send("a", "b", message)
-    scheduler.run()
+    waits = _send_bursts(network, scheduler, b, [[message] * 6])
     assert all(t >= 1.0 for t, _ in b.deliveries)
-    assert all(wait >= 0.0 for wait in network.queue_wait_samples)
+    assert all(wait >= 0.0 for wait in waits)
+    assert network.queue_wait_count == len(waits)
+    assert network.queue_wait_max == max(waits)
+    assert network.queue_wait_total == math.fsum(waits)
+
+
+def _send_bursts(network, scheduler, sink, bursts):
+    """Send each burst ``a -> sink`` at one virtual instant, run the
+    scheduler dry after each, and return every message's queue wait,
+    recomputed from the delivery times: a message waits from its arrival
+    (send time plus the unit delay) until the channel's previous delivery."""
+    waits, clock = [], 0.0
+    for burst in bursts:
+        arrival = scheduler.now + 1.0
+        first = len(sink.deliveries)
+        for message in burst:
+            network.send("a", sink.pid, message)
+        scheduler.run()
+        for delivered_at, _ in sink.deliveries[first:]:
+            waits.append(max(arrival, clock) - arrival)
+            clock = delivered_at
+    return waits
+
+
+def _assert_link_sums(network, waits, serializations):
+    """The network's link-queue aggregates equal the exact statistics of
+    the per-message samples, bit for bit."""
+    wait = collect_link_stats(network).queue_wait
+    assert (wait.count, wait.maximum) == (len(waits), max(waits))
+    assert wait.mean == statistics.fmean(waits)
+    assert network.queue_wait_total == math.fsum(waits)
+    assert network.link_busy_time == math.fsum(serializations)
+
+
+# Mixed magnitudes: zeros, subnormals, tiny, unit-scale and huge values,
+# all finite and non-negative (bounded so a run's sums stay finite).
+_SIZES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e-300),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1e6),
+    st.floats(min_value=0.0, max_value=1e250),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bursts=st.lists(st.lists(_SIZES, min_size=1, max_size=9), min_size=1, max_size=12),
+    fold=st.integers(min_value=1, max_value=6),
+)
+def test_link_sums_fold_exactly_on_generated_samples(bursts, fold):
+    """Whatever the samples and however often the buffers fold, the count,
+    maximum, mean and sum equal ``len``, ``max``, ``statistics.fmean`` and
+    ``math.fsum`` over every sample.  A message here is its own size, and a
+    link of bandwidth 1 without overhead serializes it in exactly that
+    time, so the serialization samples are the sizes themselves."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network_module, "_FOLD", fold)
+        patch.setattr(network_module, "wire_size", lambda size: size)
+        scheduler, network, a, b = _two_node_net(link=NetworkSpec(bandwidth=1.0))
+        waits = _send_bursts(network, scheduler, b, bursts)
+    sizes = [size for burst in bursts for size in burst]
+    _assert_link_sums(network, waits, sizes)
+
+
+def test_link_sums_fold_exactly_over_several_buffers():
+    """More than three buffer lengths of real sized sends on one network,
+    in bursts that queue, so the fold runs at its shipped size."""
+    link = NetworkSpec(bandwidth=50.0, overhead=0.1)
+    scheduler, network, a, b = _two_node_net(link=link)
+    messages = [
+        core_messages.Prepare(txn=f"t{i}", payload=tuple(f"k{j}" for j in range(i % 5)))
+        for i in range(7)
+    ]
+    bursts = [messages[: 1 + i % 7] for i in range(3 * _FOLD // 4 + 50)]
+    waits = _send_bursts(network, scheduler, b, bursts)
+    assert len(waits) > 3 * _FOLD
+    serializations = [
+        link.overhead + wire_size(message) / link.bandwidth
+        for burst in bursts for message in burst
+    ]
+    _assert_link_sums(network, waits, serializations)
+
+
+class _CountingSink(Process):
+    """Counts deliveries and keeps nothing of them."""
+
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.count = 0
+
+    def deliver(self, message, src):
+        self.count += 1
+
+
+def test_network_retained_bytes_do_not_grow_with_sized_sends():
+    """The slope gate: the bytes ``runtime/network.py`` keeps allocated,
+    by ``tracemalloc``, after 10N sized sends on a two-node link network
+    minus those after N, per added send, is at most one byte.  N is two
+    buffer lengths, and each send is delivered before the next."""
+    scheduler = Scheduler()
+    network = Network(scheduler, seed=0, link=NetworkSpec(bandwidth=100.0, overhead=0.5))
+    network.register(_CountingSink("a"))
+    network.register(_CountingSink("b"))
+    message = core_messages.Prepare(txn="t", payload=("k",))
+    n = 2 * _FOLD
+    only_network = [tracemalloc.Filter(True, "*/repro/runtime/network.py")]
+
+    def retained_after(sends):
+        for _ in range(sends):
+            network.send("a", "b", message)
+            scheduler.run()
+        snapshot = tracemalloc.take_snapshot().filter_traces(only_network)
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    tracemalloc.start()
+    try:
+        at_n = retained_after(n)
+        at_10n = retained_after(9 * n)
+    finally:
+        tracemalloc.stop()
+    assert network.queue_wait_count == 10 * n
+    assert (at_10n - at_n) / (9 * n) <= 1.0, (at_n, at_10n)
 
 
 # ----------------------------------------------------------------------
