@@ -338,7 +338,3 @@ class PaxosGroup:
             if replica.pid == pid:
                 return replica
         raise KeyError(pid)
-
-    @property
-    def leader_replica(self) -> PaxosReplica:
-        return self.replica(self.leader)

@@ -440,7 +440,7 @@ class Client(Process):
         self._cs_pending: Dict[int, ShardId] = {}
         # Completion callbacks, fired once per transaction when its decision
         # first reaches this client.  (History-wide waiting uses
-        # History.add_decide_listener; these per-client hooks are for
+        # History.subscribe; these per-client hooks are for
         # closed-loop drivers and sessions that react to their own
         # completions.)
         self._decision_callbacks: list = []
@@ -588,9 +588,6 @@ class Client(Process):
         """Call ``fn(txn, decision)`` when a transaction of this client is
         first decided."""
         self._decision_callbacks.append(fn)
-
-    def remove_decision_callback(self, fn) -> None:
-        self._decision_callbacks.remove(fn)
 
     def on_txn_decision(self, msg: TxnDecision, sender: str) -> None:
         self.history.record_decide(

@@ -49,7 +49,7 @@ from repro.core.certification import CertificationScheme
 from repro.core.directory import TransactionDirectory
 from repro.core.failuredetector import DetectorPolicy, HeartbeatPump
 from repro.core.reads import ReadPolicy
-from repro.core.reconfig import MembershipPolicy, SparePool
+from repro.core.reconfig import SparePool
 from repro.core.replica import ShardReplica
 from repro.core.serializability import (
     KeyHashSharding,
@@ -217,7 +217,7 @@ class ClusterBase:
         history rescan.
         """
         with self.history.watch(txns) as watcher:
-            if watcher.done:
+            if watcher.is_done():
                 return True
             return self.scheduler.run_until(watcher.is_done, max_events=max_events)
 
@@ -412,8 +412,8 @@ PROTOCOL_BROKEN_RDMA = "broken-rdma"
 class ProtocolSpec:
     """How to assemble one protocol variant of the certification service.
 
-    New variants register themselves with :func:`register_protocol` instead
-    of growing branches inside ``Cluster.__init__``:
+    The variants are the entries of ``_PROTOCOL_REGISTRY``, so a new one is
+    an entry there instead of a branch inside ``Cluster.__init__``:
 
     * ``replica_cls`` — the shard-replica process class;
     * ``global_config`` — True when the variant keeps a single system-wide
@@ -432,15 +432,36 @@ class ProtocolSpec:
     description: str = ""
 
 
-_PROTOCOL_REGISTRY: Dict[str, ProtocolSpec] = {}
+def _open_rdma_everywhere(cluster: "Cluster") -> None:
+    # The broken RDMA ablation keeps RDMA access open between every pair
+    # of processes forever (that omission is exactly what makes it unsafe).
+    all_pids = list(cluster.replicas)
+    for replica in cluster.replicas.values():
+        replica.open_to_all(all_pids)
 
 
-def register_protocol(spec: ProtocolSpec) -> ProtocolSpec:
-    """Add a protocol variant to the registry used by :class:`Cluster`."""
-    if spec.name in _PROTOCOL_REGISTRY:
-        raise ValueError(f"protocol {spec.name!r} is already registered")
-    _PROTOCOL_REGISTRY[spec.name] = spec
-    return spec
+_PROTOCOL_REGISTRY: Dict[str, ProtocolSpec] = {
+    spec.name: spec
+    for spec in (
+        ProtocolSpec(
+            name=PROTOCOL_MESSAGE_PASSING,
+            replica_cls=ShardReplica,
+            description="Figure 1: asynchronous message passing, per-shard reconfiguration",
+        ),
+        ProtocolSpec(
+            name=PROTOCOL_RDMA,
+            replica_cls=RdmaShardReplica,
+            global_config=True,
+            description="Figures 7-8: RDMA data path, global reconfiguration",
+        ),
+        ProtocolSpec(
+            name=PROTOCOL_BROKEN_RDMA,
+            replica_cls=BrokenRdmaShardReplica,
+            post_build=_open_rdma_everywhere,
+            description="Figure 4a ablation: RDMA data path + per-shard reconfiguration (unsafe)",
+        ),
+    )
+}
 
 
 def protocol_names() -> Tuple[str, ...]:
@@ -454,39 +475,6 @@ def protocol_spec(name: str) -> ProtocolSpec:
         raise ValueError(
             f"unknown protocol {name!r}; expected one of {protocol_names()}"
         ) from None
-
-
-def _open_rdma_everywhere(cluster: "Cluster") -> None:
-    # The broken RDMA ablation keeps RDMA access open between every pair
-    # of processes forever (that omission is exactly what makes it unsafe).
-    all_pids = list(cluster.replicas)
-    for replica in cluster.replicas.values():
-        replica.open_to_all(all_pids)
-
-
-register_protocol(
-    ProtocolSpec(
-        name=PROTOCOL_MESSAGE_PASSING,
-        replica_cls=ShardReplica,
-        description="Figure 1: asynchronous message passing, per-shard reconfiguration",
-    )
-)
-register_protocol(
-    ProtocolSpec(
-        name=PROTOCOL_RDMA,
-        replica_cls=RdmaShardReplica,
-        global_config=True,
-        description="Figures 7-8: RDMA data path, global reconfiguration",
-    )
-)
-register_protocol(
-    ProtocolSpec(
-        name=PROTOCOL_BROKEN_RDMA,
-        replica_cls=BrokenRdmaShardReplica,
-        post_build=_open_rdma_everywhere,
-        description="Figure 4a ablation: RDMA data path + per-shard reconfiguration (unsafe)",
-    )
-)
 
 
 class Cluster(ClusterBase):
@@ -504,7 +492,6 @@ class Cluster(ClusterBase):
         isolation: str = "serializability",
         scheme: Optional[CertificationScheme] = None,
         spares_per_shard: int = 2,
-        membership_policy: Optional[MembershipPolicy] = None,
         **harness: Any,
     ) -> None:
         """``harness`` is what every binding takes, declared once on
@@ -521,9 +508,6 @@ class Cluster(ClusterBase):
         self.protocol_spec = spec
         self.replicas_per_shard = replicas_per_shard
         self.spares_per_shard = spares_per_shard
-        self.membership_policy = membership_policy or MembershipPolicy(
-            target_size=replicas_per_shard
-        )
         self.replicas: Dict[str, Any] = {}
         self.replicas_by_shard: Dict[ShardId, List[Any]] = {}
         self.spare_pools: Dict[ShardId, SparePool] = {}
@@ -581,8 +565,7 @@ class Cluster(ClusterBase):
                     scheme=self.scheme,
                     directory=self.directory,
                     config_service=self.config_service.pid,
-                    spares=pool,
-                    membership_policy=self.membership_policy,
+                    target_size=self.replicas_per_shard,
                     batch=self.batch,
                     read=self.read,
                     detector=self.detector,
@@ -784,6 +767,6 @@ class Cluster(ClusterBase):
         entries: Dict[TxnId, Any] = {}
         for replica in self.replicas.values():
             for txn, entry in replica._coordinated.items():
-                if entry.decided and txn not in entries:
+                if entry.decision is not None and txn not in entries:
                     entries[txn] = entry
         return entries

@@ -51,9 +51,9 @@ class CoordinatorEntry:
     ``votes`` / ``slots`` / ``vote_epochs`` / ``acks`` are the in-flight
     state of the vote rounds.  Once the transaction is decided nothing reads
     them, so the decision drops them (they read ``None`` from then on): a
-    decided entry keeps ``txn``, ``shards``, the ``decision`` and its
-    timestamps, which is what duplicate requests, the latency breakdown and
-    the admission gate read.  A ``PREPARE_ACK`` arriving after the decision
+    decided entry — one whose ``decision`` is set — keeps ``txn``,
+    ``shards``, the ``decision`` and its timestamps, which is what
+    duplicate requests, the latency breakdown and the admission gate read.  A ``PREPARE_ACK`` arriving after the decision
     is still relayed to the followers; their confirmations are dropped.
     """
 
@@ -65,7 +65,6 @@ class CoordinatorEntry:
     vote_epochs: Optional[Dict[ShardId, int]] = field(default_factory=dict)
     # Followers known to hold the vote, keyed by ``_ack_key(shard, epoch)``.
     acks: Optional[Dict[Hashable, Set[str]]] = field(default_factory=dict)
-    decided: bool = False
     decision: Optional[Decision] = None
     decided_at: Optional[float] = None
     # When the last of this transaction's PREPAREs left the coordinator:
@@ -207,7 +206,7 @@ class CoordinatorMixin:
     def retry(self, slot: int) -> Optional[CoordinatorEntry]:
         """``retry(k)``: become a new coordinator for a prepared transaction
         whose original coordinator is suspected to have failed (line 70)."""
-        if self.phase_arr.get(slot) is not Phase.PREPARED:
+        if self.phase(slot) is not Phase.PREPARED:
             return None
         txn = self.txn_arr[slot]
         return self.certify(txn, BOTTOM)
@@ -232,7 +231,7 @@ class CoordinatorMixin:
         entry = self._coordinated.get(msg.txn)
         if entry is not None:
             self.duplicate_certify_requests += 1
-            if entry.decided:
+            if entry.decision is not None:
                 self.send(sender, TxnDecision(txn=msg.txn, decision=entry.decision))
                 return
         else:
@@ -254,7 +253,7 @@ class CoordinatorMixin:
         if self.epoch_of(msg.shard) != msg.epoch:
             self._on_stale_prepare_ack(msg, sender)
             return
-        if entry.decided:
+        if entry.decision is not None:
             # A late or duplicate vote: still relayed, as an undecided
             # coordinator would, but there is nothing left to record it in.
             self._persist_vote(entry, msg)
@@ -271,13 +270,12 @@ class CoordinatorMixin:
     # decision
     # ------------------------------------------------------------------
     def _maybe_decide(self, entry: CoordinatorEntry) -> None:
-        if entry.decided:
+        if entry.decision is not None:
             return
         if not all(self._shard_persisted(entry, shard) for shard in entry.shards):
             return
         decision = Decision.meet_all(entry.votes[s] for s in entry.shards)
         slots = entry.slots
-        entry.decided = True
         entry.decision = decision
         entry.decided_at = self.now
         entry.votes = entry.slots = entry.vote_epochs = entry.acks = None
@@ -332,7 +330,7 @@ class CoordinatorMixin:
         """Count follower confirmations; decide once every shard is persisted
         (lines 26-29)."""
         entry = self._coordinated.get(msg.txn)
-        if entry is None or entry.decided:
+        if entry is None or entry.decision is not None:
             return
         entry.acks.setdefault((msg.shard, msg.epoch), set()).add(sender)
         entry.votes.setdefault(msg.shard, msg.vote)

@@ -1,4 +1,4 @@
-"""Reconfiguration (Figure 1 lines 33-69, Figure 8) and membership policy.
+"""Reconfiguration (Figure 1 lines 33-69, Figure 8) and its membership rule.
 
 When a failure is suspected, any process can reconfigure:
 
@@ -79,35 +79,30 @@ class SparePool:
         return len(self._available)
 
 
-class MembershipPolicy:
-    """Strategy for ``compute_membership`` (line 48).
+def compute_membership(
+    target_size: Optional[int],
+    new_leader: ProcessId,
+    responders: Set[ProcessId],
+    suspected: Set[ProcessId],
+    spares: Optional[SparePool],
+    previous_size: int,
+) -> Tuple[ProcessId, ...]:
+    """``compute_membership`` (line 48).
 
     The paper only requires that the new membership contains the new leader
-    and otherwise consists of probe responders or fresh processes.  The
-    default policy keeps the responders (minus processes the reconfigurer
-    believes crashed) and tops up to ``target_size`` from the spare pool.
+    and otherwise consists of probe responders or fresh processes.  This
+    keeps the responders (minus processes the reconfigurer believes crashed)
+    and tops up to ``target_size`` (None: ``previous_size``) from
+    ``spares``, if there is a pool.
     """
-
-    def __init__(self, target_size: Optional[int] = None) -> None:
-        self.target_size = target_size
-
-    def compute(
-        self,
-        shard: ShardId,
-        new_leader: ProcessId,
-        responders: Set[ProcessId],
-        suspected: Set[ProcessId],
-        spares: SparePool,
-        previous_size: int,
-    ) -> Tuple[ProcessId, ...]:
-        target = self.target_size or previous_size
-        members: List[ProcessId] = [new_leader]
-        for pid in sorted(responders):
-            if pid != new_leader and pid not in suspected and len(members) < target:
-                members.append(pid)
-        if len(members) < target:
-            members.extend(spares.take(target - len(members)))
-        return tuple(members)
+    target = target_size or previous_size
+    members: List[ProcessId] = [new_leader]
+    for pid in sorted(responders):
+        if pid != new_leader and pid not in suspected and len(members) < target:
+            members.append(pid)
+    if spares is not None and len(members) < target:
+        members.extend(spares.take(target - len(members)))
+    return tuple(members)
 
 
 class RecStatus:
@@ -147,8 +142,7 @@ class Reconfigurer:
         self.suspected: Set[ProcessId] = set()
         # Replacements come from the pool of the shard being recomputed,
         # whichever shard the reconfigurer belongs to; the cluster harness
-        # fills this map in.  Shards without an entry fall back to the
-        # replica's own pool.
+        # fills this map in.  A shard without a pool gets no replacements.
         self.spare_pools: Dict[ShardId, SparePool] = {}
         self._cs_request_id = 0
         self._cs_callbacks: Dict[int, Callable[[CsReply], None]] = {}
@@ -267,12 +261,12 @@ class Reconfigurer:
             )
 
     def _compute_membership(self, round_: _ProbeRound) -> Tuple[ProcessId, ...]:
-        return self.membership_policy.compute(
-            shard=round_.shard,
+        return compute_membership(
+            self.target_size,
             new_leader=round_.new_leader,
             responders=round_.responders,
             suspected=self.suspected,
-            spares=self.spare_pools.get(round_.shard, self.spares),
+            spares=self.spare_pools.get(round_.shard),
             previous_size=len(round_.probed_members),
         )
 
@@ -326,22 +320,24 @@ class Reconfigurer:
     # ------------------------------------------------------------------
     def _lead_own_slots(self) -> Dict[str, Dict[int, Any]]:
         """Become leader over the slots this process holds and snapshot
-        them (the slot-array fields of a ``NEW_STATE``)."""
+        them: the four slot arrays, and the ``phase`` array a ``NEW_STATE``
+        carries, derived from them (DECIDED on the decided slots, PREPARED
+        on the others that hold a transaction)."""
         self.status = Status.LEADER
-        # Slots may have been filled by ACCEPTs while we were a follower;
-        # rebuild the vote index before voting in the new epoch.
-        self._votes.invalidate()
-        self.next = max((k for k, ph in self.phase_arr.items() if ph is not Phase.START), default=0)
+        self._resume_order()
+        phase = dict.fromkeys(self.txn_arr, Phase.PREPARED)
+        phase.update(dict.fromkeys(self.dec_arr, Phase.DECIDED))
         return {
             "txn": dict(self.txn_arr),
             "payload": dict(self.payload_arr),
             "vote": dict(self.vote_arr),
             "dec": dict(self.dec_arr),
-            "phase": dict(self.phase_arr),
+            "phase": phase,
         }
 
     def _adopt_state(self, msg: Any) -> None:
-        """Become an initialized follower holding the leader's slots."""
+        """Become an initialized follower holding the leader's slots (its
+        ``phase`` field follows from ``txn`` and ``dec``, so is not kept)."""
         self.initialized = True
         self.status = Status.FOLLOWER
         self.new_epoch = msg.epoch
@@ -349,10 +345,15 @@ class Reconfigurer:
         self.payload_arr = dict(msg.payload)
         self.vote_arr = dict(msg.vote)
         self.dec_arr = dict(msg.dec)
-        self.phase_arr = dict(msg.phase)
         self.slot_of = {txn: slot for slot, txn in self.txn_arr.items()}
+        self._resume_order()
+
+    def _resume_order(self) -> None:
+        """The slot arrays were filled outside the one write path (ACCEPTs
+        while a follower, or a transfer): rebuild the vote index before the
+        next vote, and continue the order after the highest slot held."""
         self._votes.invalidate()
-        self.next = max((k for k, ph in self.phase_arr.items() if ph is not Phase.START), default=0)
+        self.next = max(max(self.txn_arr, default=0), max(self.dec_arr, default=0))
 
 
 class ReconfigMixin(Reconfigurer):

@@ -45,7 +45,7 @@ from repro.core.messages import (
     SuspicionReport,
 )
 from repro.core.reads import ReadPolicy, ReplicaReadEngine
-from repro.core.reconfig import MembershipPolicy, ReconfigMixin, Reconfigurer, SparePool
+from repro.core.reconfig import ReconfigMixin, Reconfigurer
 from repro.core.votecache import LeaderVoteCache
 from repro.core.types import (
     BOTTOM,
@@ -74,8 +74,7 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         scheme: CertificationScheme,
         directory: TransactionDirectory,
         config_service: ProcessId,
-        spares: Optional[SparePool] = None,
-        membership_policy: Optional[MembershipPolicy] = None,
+        target_size: Optional[int] = None,
         batch: Optional[BatchPolicy] = None,
         read: Optional[ReadPolicy] = None,
         detector: Optional[DetectorPolicy] = None,
@@ -86,8 +85,9 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         self.scheme = scheme
         self.directory = directory
         self.config_service = config_service
-        self.spares = spares if spares is not None else SparePool()
-        self.membership_policy = membership_policy or MembershipPolicy()
+        # The membership size a reconfiguration restores (None: the size of
+        # the configuration it replaces).
+        self.target_size = target_size
         self.batch_policy = batch or BatchPolicy()
         self.read_policy = read or ReadPolicy()
         self.detector_policy = detector or DetectorPolicy()
@@ -107,13 +107,14 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         self.new_epoch = 0
         self.initialized = False
 
-        # The shard-local certification order and per-slot state.
+        # The shard-local certification order and per-slot state.  Figure 1's
+        # fifth array, ``phase``, is not kept: it follows from these
+        # (:meth:`phase`).
         self.next = 0
         self.txn_arr: Dict[int, TxnId] = {}
         self.payload_arr: Dict[int, Any] = {}
         self.vote_arr: Dict[int, Decision] = {}
         self.dec_arr: Dict[int, Decision] = {}
-        self.phase_arr: Dict[int, Phase] = {}
         self.slot_of: Dict[TxnId, int] = {}
 
         # Incremental conflict index for leader-side voting; replaces the
@@ -144,29 +145,35 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         omitted), in slot order."""
         return [self.txn_arr[k] for k in sorted(self.txn_arr)]
 
+    def phase(self, slot: int) -> Phase:
+        """``phase[slot]`` of Figure 1, derived from the arrays: DECIDED once
+        the slot holds a decision, PREPARED while it holds only a
+        transaction, START while it holds neither."""
+        if slot in self.dec_arr:
+            return Phase.DECIDED
+        return Phase.PREPARED if slot in self.txn_arr else Phase.START
+
     # ------------------------------------------------------------------
     # the one write path into the certification order
     # ------------------------------------------------------------------
     def store_slot(self, slot: int, txn: TxnId, payload: Any, vote: Decision) -> None:
         """Write ``txn``, its payload and its vote into ``slot`` (Figure 1,
         lines 13-16 and 24; Figure 7, line 95).  The slot becomes PREPARED
-        unless it is already DECIDED: a one-sided write can land after the
-        decision, and the follower's CPU cannot refuse it."""
-        phase = self.phase_arr[slot] if slot in self.phase_arr else Phase.START
+        unless it is already DECIDED, which it stays: a one-sided write can
+        land after the decision, the follower's CPU cannot refuse it, and
+        the decision stays in ``dec_arr``."""
+        fresh = slot not in self.txn_arr and slot not in self.dec_arr
         self.txn_arr[slot] = txn
         self.payload_arr[slot] = payload
         self.vote_arr[slot] = vote
-        if phase is not Phase.DECIDED:
-            self.phase_arr[slot] = Phase.PREPARED
         self.slot_of[txn] = slot
-        self._votes.note_stored(slot, phase)
+        self._votes.note_stored(slot, fresh)
 
     def decide_slot(self, slot: int, decision: Decision) -> None:
         """Persist ``decision`` for ``slot`` (Figure 1, line 31; Figure 7,
         line 102)."""
         previous = self.dec_arr.get(slot)
         self.dec_arr[slot] = decision
-        self.phase_arr[slot] = Phase.DECIDED
         self._votes.note_decided(slot, previous)
 
     # ------------------------------------------------------------------
@@ -367,7 +374,7 @@ class ShardReplica(ReconfigMixin, ReplicaBase):
             return None
         if self.status is not Status.FOLLOWER or self.my_epoch != msg.epoch:
             return None
-        if msg.slot not in self.phase_arr:
+        if msg.slot not in self.txn_arr and msg.slot not in self.dec_arr:
             self.store_slot(msg.slot, msg.txn, msg.payload, msg.vote)
         return AcceptAck(
             shard=self.shard,

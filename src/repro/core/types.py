@@ -70,10 +70,6 @@ class Decision(enum.Enum):
             result = result.meet(decision)
         return result
 
-    def leq(self, other: "Decision") -> bool:
-        """The ``⊑`` order of the TCS-LL specification: abort ⊑ commit."""
-        return self is other or (self is Decision.ABORT and other is Decision.COMMIT)
-
 
 class Phase(enum.Enum):
     """Per-slot transaction status at a replica (Figure 1)."""

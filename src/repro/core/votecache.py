@@ -12,8 +12,9 @@ from the replica's slot arrays:
 
 * votes for new slots consult the index (O(|payload|));
 * the replica's one write path (``store_slot`` / ``decide_slot``) reports
-  each write with the slot's state before it, so whether the index already
-  counts the slot follows from that state — no per-slot book-keeping;
+  each write with the slot's state before it (whether it was fresh, its
+  previous decision), so whether the index already counts the slot follows
+  from that state — no per-slot book-keeping;
 * a write into a slot that was already filled (the one-sided RDMA writes of
   Figure 4a, a duplicate), a committed slot changing its decision and a
   ``NEW_STATE`` transfer *invalidate* the cache, which is rebuilt from the
@@ -29,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.certification import VoteIndex
-from repro.core.types import Decision, Phase
+from repro.core.types import Decision
 
 
 class LeaderVoteCache:
@@ -51,17 +52,14 @@ class LeaderVoteCache:
     def _rebuild(self) -> None:
         replica = self._replica
         self._index = replica.scheme.make_vote_index(replica.shard)
+        dec_arr = replica.dec_arr
+        vote_arr = replica.vote_arr
         for slot, payload in replica.payload_arr.items():
-            phase = replica.phase_arr.get(slot)
-            if (
-                phase is Phase.DECIDED
-                and replica.dec_arr.get(slot) is Decision.COMMIT
-            ):
-                self._index.add_committed(payload)
-            elif (
-                phase is Phase.PREPARED
-                and replica.vote_arr.get(slot) is Decision.COMMIT
-            ):
+            # A decided slot counts by its decision, a prepared one by its vote.
+            if slot in dec_arr:
+                if dec_arr[slot] is Decision.COMMIT:
+                    self._index.add_committed(payload)
+            elif vote_arr[slot] is Decision.COMMIT:
                 self._index.add_prepared(payload)
 
     # ------------------------------------------------------------------
@@ -87,12 +85,12 @@ class LeaderVoteCache:
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
-    def note_stored(self, slot: int, phase: Phase) -> None:
-        """``slot`` was written with a transaction, payload and vote; it was
-        in ``phase`` before."""
+    def note_stored(self, slot: int, fresh: bool) -> None:
+        """``slot`` was written with a transaction, payload and vote; it held
+        neither a transaction nor a decision before iff ``fresh``."""
         if self._index is None:
             return  # invalidated: the next vote rebuilds from the arrays
-        if phase is not Phase.START:
+        if not fresh:
             self.invalidate()
         elif self._replica.vote_arr[slot] is Decision.COMMIT:
             self._index.add_prepared(self._replica.payload_arr[slot])

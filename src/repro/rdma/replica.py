@@ -92,7 +92,7 @@ class RdmaVotePersistence:
                 # A coordinator that is itself a follower of the shard writes
                 # to its own memory directly (no NIC round-trip needed).
                 self.on_accept(accept, self.pid)
-                if not entry.decided:
+                if entry.decision is None:
                     entry.acks.setdefault(key, set()).add(self.pid)
             else:
                 self._accept_keys.setdefault(follower, []).append((msg.txn, key))
@@ -113,7 +113,7 @@ class RdmaVotePersistence:
     def _on_accept_acked(self, txn: TxnId, key: Hashable, follower: ProcessId) -> None:
         """ack-rdma received for an ACCEPT written to ``follower`` (line 96)."""
         entry = self._coordinated.get(txn)
-        if entry is None or entry.decided:
+        if entry is None or entry.decision is not None:
             return
         entry.acks.setdefault(key, set()).add(follower)
         self._maybe_decide(entry)

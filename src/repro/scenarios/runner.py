@@ -50,7 +50,7 @@ from repro.analysis.metrics import (
 from repro.baselines.cluster import BaselineCluster
 from repro.cluster import Cluster, ClusterBase
 from repro.core.serializability import TransactionPayload
-from repro.core.types import Decision, Phase
+from repro.core.types import Decision
 from repro.scenarios.spec import (
     PROTOCOL_BASELINE,
     SHARD_ROLES,
@@ -431,10 +431,10 @@ class ScenarioRunner:
             ]
         retried = 0
         for replica in replicas:
-            for slot, phase in sorted(replica.phase_arr.items()):
-                if phase is Phase.PREPARED:
-                    if replica.retry(slot) is not None:
-                        retried += 1
+            prepared = [s for s in sorted(replica.txn_arr) if s not in replica.dec_arr]
+            for slot in prepared:
+                if replica.retry(slot) is not None:
+                    retried += 1
         return retried
 
     # ------------------------------------------------------------------

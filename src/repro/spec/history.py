@@ -174,44 +174,24 @@ class History:
     # ------------------------------------------------------------------
     # listeners
     # ------------------------------------------------------------------
-    def add_certify_listener(self, fn: Callable[[TxnId], None]) -> None:
-        """Call ``fn(txn)`` whenever a new transaction is certified."""
-        self._certify_listeners.append(fn)
-
-    def remove_certify_listener(self, fn: Callable[[TxnId], None]) -> None:
-        self._certify_listeners.remove(fn)
-
-    def add_decide_listener(self, fn: Callable[[TxnId, Decision], None]) -> None:
-        """Call ``fn(txn, decision)`` on each transaction's *first* decide."""
-        self._decide_listeners.append(fn)
-
-    def remove_decide_listener(self, fn: Callable[[TxnId, Decision], None]) -> None:
-        self._decide_listeners.remove(fn)
-
-    def add_contradiction_listener(
-        self, fn: Callable[[TxnId, Decision, Decision], None]
-    ) -> None:
-        """Call ``fn(txn, first, second)`` when a *contradictory* decide is
-        recorded for an already-decided transaction (Invariant 4b violations;
-        only the broken ablation protocol produces these)."""
-        self._contradiction_listeners.append(fn)
-
-    def remove_contradiction_listener(
-        self, fn: Callable[[TxnId, Decision, Decision], None]
-    ) -> None:
-        self._contradiction_listeners.remove(fn)
-
     def subscribe(
         self,
         on_certify: Optional[Callable[[TxnId], None]] = None,
         on_decide: Optional[Callable[[TxnId, Decision], None]] = None,
         on_contradiction: Optional[Callable[[TxnId, Decision, Decision], None]] = None,
     ) -> "HistorySubscription":
-        """Register the given callbacks and return one closeable handle.
+        """Register the given callbacks and return one closeable handle:
+        ``on_certify(txn)`` whenever a new transaction is certified,
+        ``on_decide(txn, decision)`` on each transaction's *first* decide,
+        and ``on_contradiction(txn, first, second)`` when a *contradictory*
+        decide is recorded for an already-decided transaction (Invariant 4b
+        violations; only the broken ablation protocol produces these).
+        Each kind's callbacks run in registration order.
 
-        The online checker and the invariant monitor consume histories
-        through this API instead of rescanning ``events``; the handle is a
-        context manager so subscriptions do not leak on long-lived histories.
+        This is the one way in: the online checker, the invariant monitor,
+        decision watchers and the store's executor consume histories through
+        it instead of rescanning ``events``; the handle is a context manager
+        so subscriptions do not leak on long-lived histories.
         """
         return HistorySubscription(self, on_certify, on_decide, on_contradiction)
 
@@ -299,10 +279,6 @@ class History:
             if event.kind == "decide" and event.decision is Decision.COMMIT
         ]
 
-    def is_complete(self) -> bool:
-        """True when every certify has a matching decide."""
-        return set(self._certified) == set(self._decided)
-
     def pending(self) -> Set[TxnId]:
         return set(self._certified) - set(self._decided)
 
@@ -340,7 +316,11 @@ class History:
 
 
 class HistorySubscription:
-    """A closeable bundle of history listeners (see :meth:`History.subscribe`)."""
+    """A closeable bundle of history listeners (see :meth:`History.subscribe`).
+
+    It appends its callbacks to the history's listener lists and removes
+    them on :meth:`close`; each kind's listeners run in registration order.
+    """
 
     def __init__(
         self,
@@ -350,27 +330,25 @@ class HistorySubscription:
         on_contradiction: Optional[Callable[[TxnId, Decision, Decision], None]] = None,
     ) -> None:
         self._history = history
-        self._on_certify = on_certify
-        self._on_decide = on_decide
-        self._on_contradiction = on_contradiction
-        self._closed = False
+        self._certify_fn = on_certify
+        self._decide_fn = on_decide
+        self._contradiction_fn = on_contradiction
         if on_certify is not None:
-            history.add_certify_listener(on_certify)
+            history._certify_listeners.append(on_certify)
         if on_decide is not None:
-            history.add_decide_listener(on_decide)
+            history._decide_listeners.append(on_decide)
         if on_contradiction is not None:
-            history.add_contradiction_listener(on_contradiction)
+            history._contradiction_listeners.append(on_contradiction)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._on_certify is not None:
-            self._history.remove_certify_listener(self._on_certify)
-        if self._on_decide is not None:
-            self._history.remove_decide_listener(self._on_decide)
-        if self._on_contradiction is not None:
-            self._history.remove_contradiction_listener(self._on_contradiction)
+        history = self._history
+        if self._certify_fn is not None:
+            history._certify_listeners.remove(self._certify_fn)
+        if self._decide_fn is not None:
+            history._decide_listeners.remove(self._decide_fn)
+        if self._contradiction_fn is not None:
+            history._contradiction_listeners.remove(self._contradiction_fn)
+        self._certify_fn = self._decide_fn = self._contradiction_fn = None
 
     def __enter__(self) -> "HistorySubscription":
         return self
@@ -379,7 +357,7 @@ class HistorySubscription:
         self.close()
 
 
-class DecisionWatcher:
+class DecisionWatcher(HistorySubscription):
     """O(1)-per-event completion tracking for a set of transactions.
 
     Instead of rescanning the whole history after every fired event (the
@@ -392,23 +370,23 @@ class DecisionWatcher:
     subscribes to certify events), which matches the semantics of waiting
     for the full history to become complete.
 
-    Watchers are context managers; always close them (or use ``with``) so
-    the listener subscriptions do not accumulate on long-lived histories.
+    A watcher is a :class:`HistorySubscription`: always close it (or use
+    ``with``) so the listeners do not accumulate on long-lived histories.
     """
 
     def __init__(self, history: History, txns: Optional[Sequence[TxnId]] = None) -> None:
-        self._history = history
-        self._track_all = txns is None
         self._waiting: Set[TxnId] = set()
-        self._closed = False
-        if self._track_all:
+        if txns is None:
             self._waiting.update(history.pending())
-            history.add_certify_listener(self._on_certify)
         else:
             for txn in txns:
                 if history.decision_of(txn) is None:
                     self._waiting.add(txn)
-        history.add_decide_listener(self._on_decide)
+        super().__init__(
+            history,
+            on_certify=self._on_certify if txns is None else None,
+            on_decide=self._on_decide,
+        )
 
     def _on_certify(self, txn: TxnId) -> None:
         self._waiting.add(txn)
@@ -423,21 +401,3 @@ class DecisionWatcher:
 
     def is_done(self) -> bool:
         return not self._waiting
-
-    @property
-    def done(self) -> bool:
-        return not self._waiting
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._track_all:
-            self._history.remove_certify_listener(self._on_certify)
-        self._history.remove_decide_listener(self._on_decide)
-
-    def __enter__(self) -> "DecisionWatcher":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

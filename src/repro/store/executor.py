@@ -21,6 +21,7 @@ from repro.core.serializability import (
     version_after,
 )
 from repro.core.types import Decision, TxnId
+from repro.spec.history import HistorySubscription
 from repro.store.kv import VersionedKVStore
 
 
@@ -118,7 +119,8 @@ class TransactionalStore:
         self._txn_counter = 0
         # Asynchronously submitted transactions awaiting their decision.
         self._pending: Dict[TxnId, tuple] = {}
-        self._decide_listener_installed = False
+        # The history subscription that finalizes them, made on first use.
+        self._subscription: Optional[HistorySubscription] = None
 
     # ------------------------------------------------------------------
     # reads
@@ -194,9 +196,10 @@ class TransactionalStore:
         payload = context.payload()
         txn = self.cluster.submit(payload, client_index=client_index)
         self._pending[txn] = (context, payload, on_decided)
-        if not self._decide_listener_installed:
-            self._decide_listener_installed = True
-            self.cluster.history.add_decide_listener(self._on_history_decide)
+        if self._subscription is None:
+            self._subscription = self.cluster.history.subscribe(
+                on_decide=self._on_history_decide
+            )
         return txn
 
     def _on_history_decide(self, txn: TxnId, decision: Decision) -> None:
@@ -238,9 +241,10 @@ class TransactionalStore:
         else:
             txn = cluster.submit(payload, client_index=client_index)
         self._pending[txn] = (context, payload, on_decided)
-        if not self._decide_listener_installed:
-            self._decide_listener_installed = True
-            self.cluster.history.add_decide_listener(self._on_history_decide)
+        if self._subscription is None:
+            self._subscription = self.cluster.history.subscribe(
+                on_decide=self._on_history_decide
+            )
         return txn
 
     def run_batch(

@@ -663,14 +663,14 @@ def test_rdma_accept_batch_ack_keeps_enqueue_time_shard():
     maybe_decide = coordinator._maybe_decide
 
     def recording_maybe_decide(checked):
-        if checked is entry and not entry.decided:
+        if checked is entry and entry.decision is None:
             seen_acks.append({key: set(pids) for key, pids in entry.acks.items()})
         maybe_decide(checked)
 
     coordinator._maybe_decide = recording_maybe_decide
     cluster.run()
     assert cluster.history.decision_of(txn) is Decision.COMMIT
-    assert entry.decided and entry.acks is None
+    assert entry.decision is not None and entry.acks is None
     assert seen_acks and all(None not in acks for acks in seen_acks)
     assert follower in seen_acks[-1].get("shard-0", set())
 

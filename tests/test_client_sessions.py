@@ -192,7 +192,7 @@ def test_duplicate_requests_are_deduplicated_not_recertified():
     assert cluster.run_until_decided([txn])
     coordinator = cluster.replicas[coordinator_pid]
     entry = coordinator.coordinated(txn)
-    assert entry is not None and entry.decided
+    assert entry is not None and entry.decision is not None
     slots_before = dict(cluster.replicas[cluster.leader_of("shard-0")].slot_of)
 
     # A duplicate arrives after the decision: the coordinator must re-answer

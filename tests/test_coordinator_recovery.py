@@ -44,7 +44,7 @@ def test_retry_by_follower_completes_orphaned_transaction(cluster):
     cluster.crash(coordinator)
     follower = cluster.replica(cluster.followers_of(shard)[0])
     slot = follower.slot_of[txn]
-    assert follower.phase_arr[slot] is Phase.PREPARED
+    assert follower.phase(slot) is Phase.PREPARED
     assert follower.retry(slot) is not None
     cluster.run()
     assert cluster.history.decision_of(txn) is Decision.COMMIT
@@ -59,7 +59,7 @@ def test_retry_on_decided_transaction_is_a_noop(cluster):
     shard = cluster.scheme.sharding.shard_of("x")
     replica = cluster.replica(cluster.leader_of(shard))
     slot = replica.slot_of[txn]
-    assert replica.phase_arr[slot] is Phase.DECIDED
+    assert replica.phase(slot) is Phase.DECIDED
     assert replica.retry(slot) is None
 
 
@@ -85,7 +85,7 @@ def test_multiple_concurrent_coordinators_reach_same_decision(cluster):
         entry.decision
         for replica in cluster.replicas.values()
         for t, entry in getattr(replica, "_coordinated", {}).items()
-        if t == txn and entry.decided
+        if t == txn and entry.decision is not None
     }
     assert decisions == {Decision.COMMIT}
     result, violations = cluster.check()

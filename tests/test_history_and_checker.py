@@ -35,7 +35,7 @@ def test_history_records_events_in_order():
     history.record_decide("t1", Decision.COMMIT, time=5.0)
     assert [e.kind for e in history.events] == ["certify", "decide"]
     assert history.decision_of("t1") is Decision.COMMIT
-    assert history.is_complete()
+    assert not history.pending()
     assert history.committed() == ["t1"]
 
 
@@ -58,7 +58,6 @@ def test_history_pending_and_completeness():
     history.record_certify("t2", rw_payload("y"), time=1.0)
     history.record_decide("t1", Decision.ABORT, time=2.0)
     assert history.pending() == {"t2"}
-    assert not history.is_complete()
     assert history.committed() == []
 
 

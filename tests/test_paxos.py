@@ -70,7 +70,7 @@ def test_non_leader_forwards_to_leader():
     follower = group.pids[1]
     client.request(follower, "via-follower")
     scheduler.run()
-    assert group.leader_replica.state_machine.log == ["via-follower"]
+    assert group.replica(group.leader).state_machine.log == ["via-follower"]
 
 
 def test_group_size_one_works():
@@ -121,7 +121,7 @@ def test_leader_change_preserves_chosen_commands():
 
 def test_deposed_leader_stops_leading():
     scheduler, network, group, client = build(size=3)
-    old_leader = group.leader_replica
+    old_leader = group.replica(group.leader)
     new_leader = group.replica(group.pids[1])
     new_leader.become_leader()
     scheduler.run()

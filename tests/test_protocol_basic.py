@@ -93,7 +93,7 @@ def test_leader_and_followers_record_the_transaction(cluster):
     for replica in members:
         assert txn in replica.certification_order()
         slot = replica.slot_of[txn]
-        assert replica.phase_arr[slot] is Phase.DECIDED
+        assert replica.phase(slot) is Phase.DECIDED
         assert replica.dec_arr[slot] is Decision.COMMIT
         assert replica.vote_arr[slot] is Decision.COMMIT
 
@@ -147,7 +147,7 @@ def test_coordinator_is_not_member_of_involved_shard_by_default(cluster):
     txn = cluster.submit(p)
     cluster.run_until_decided([txn])
     entry = cluster.coordinator_entries()[txn]
-    assert entry.decided and entry.decision is Decision.COMMIT
+    assert entry.decision is Decision.COMMIT
     coordinator_pids = [
         pid
         for pid, replica in cluster.replicas.items()
@@ -204,7 +204,7 @@ def _decide_one(cluster):
 def _assert_compact(entry):
     """Only the decision and its timestamps survive: no vote, slot, epoch or
     ack container, no payload and no instance ``__dict__``."""
-    assert entry.decided and entry.decision is Decision.COMMIT
+    assert entry.decision is Decision.COMMIT
     assert entry.decided_at is not None and entry.dispatched_at is not None
     assert (entry.votes, entry.slots, entry.vote_epochs, entry.acks) == (None,) * 4
     assert not hasattr(entry, "payload") and not hasattr(entry, "__dict__")

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster import Cluster, ProtocolSpec, protocol_names, protocol_spec, register_protocol
+from repro.cluster import Cluster, protocol_names, protocol_spec
 from repro.core.serializability import TransactionPayload
 from repro.core.types import Decision
 from repro.scenarios import (
@@ -668,24 +668,24 @@ def test_watcher_tracks_explicit_transactions():
     history.record_certify("t1", None, 0.0)
     history.record_certify("t2", None, 0.0)
     with history.watch(["t1", "t2"]) as watcher:
-        assert not watcher.done
+        assert not watcher.is_done()
         history.record_decide("t1", Decision.COMMIT, 1.0)
         assert watcher.outstanding == 1
         history.record_decide("t2", Decision.ABORT, 2.0)
-        assert watcher.done
+        assert watcher.is_done()
 
 
 def test_watcher_tracks_future_certifies_in_all_mode():
     history = History()
     with history.watch() as watcher:
-        assert watcher.done  # nothing pending yet
+        assert watcher.is_done()  # nothing pending yet
         history.record_certify("t1", None, 0.0)
-        assert not watcher.done
+        assert not watcher.is_done()
         history.record_decide("t1", Decision.COMMIT, 1.0)
-        assert watcher.done
+        assert watcher.is_done()
     # Closed: listeners removed, later events do not reach the watcher.
     history.record_certify("t2", None, 2.0)
-    assert watcher.done
+    assert watcher.is_done()
 
 
 def test_client_decision_callbacks_fire_once_per_transaction():
@@ -704,12 +704,6 @@ def test_client_decision_callbacks_fire_once_per_transaction():
     assert cluster.run_until_decided([txn])
     cluster.run()  # drain duplicate decision deliveries
     assert seen == [(txn, Decision.COMMIT)]
-    client.remove_decision_callback(record)
-    second = cluster.submit(
-        TransactionPayload.make(reads=[("j", (0, ""))], writes=[("j", 1)], tiebreak="u")
-    )
-    assert cluster.run_until_decided([second])
-    assert len(seen) == 1  # removed callback no longer fires
 
 
 def test_run_until_decided_does_not_rescan_history(monkeypatch):
@@ -758,9 +752,7 @@ def test_protocol_registry_knows_all_variants():
     assert not protocol_spec("message-passing").global_config
 
 
-def test_protocol_registry_rejects_duplicates_and_unknowns():
-    with pytest.raises(ValueError, match="already registered"):
-        register_protocol(ProtocolSpec(name="rdma", replica_cls=object))
+def test_protocol_registry_rejects_unknowns():
     with pytest.raises(ValueError, match="unknown protocol"):
         protocol_spec("smoke-signals")
     with pytest.raises(ValueError, match="unknown protocol"):

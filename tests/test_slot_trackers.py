@@ -1,8 +1,10 @@
 """The one tracker derived from a replica's certification order.
 
-A replica's slot arrays (``txn`` / ``payload`` / ``vote`` / ``dec`` /
-``phase``) are written by ``store_slot`` / ``decide_slot`` and replaced
-wholesale by a state transfer; the leader vote cache
+A replica's four slot arrays (``txn`` / ``payload`` / ``vote`` / ``dec``)
+are written by ``store_slot`` / ``decide_slot`` and replaced wholesale by a
+state transfer.  Figure 1's fifth array, ``phase``, is not kept: it follows
+from ``txn`` and ``dec`` (``ReplicaBase.phase``), and a ``NEW_STATE`` carries
+it derived the same way.  The leader vote cache
 (``repro.core.votecache``) follows those writes incrementally, and its vote
 index — ``committed_writer``, ``prepared_readers`` and ``prepared_writers``
 — must equal what a fresh rebuild from the arrays gives (an invalidated
@@ -15,7 +17,8 @@ The oracle runs at quiescence of every library scenario on the three
 replica stacks, and after each transition the tracker handles by rule
 rather than by the common path: a write over a prepared slot, a repeated
 decision, a decision that flips and a decision that lands before its
-write.
+write.  The derived phase is checked on every state transfer of the golden
+cases that reconfigure, and on a decision that lands before its write.
 """
 
 import pytest
@@ -25,13 +28,15 @@ from repro.core import messages as mp_messages
 from repro.core.messages import Prepare
 from repro.core.reads import ReadPolicy
 from repro.core.serializability import VERSION_ZERO
-from repro.core.types import Decision
+from repro.core.reconfig import Reconfigurer
+from repro.core.types import Decision, Phase
 from repro.core.votecache import LeaderVoteCache
 from repro.rdma import messages as rdma_messages
 from repro.scenarios import ScenarioError, ScenarioRunner, get_scenario
 from repro.scenarios.library import SCENARIOS
 
 from helpers import rw_payload, shard_key
+from test_golden_digests import _spec_for
 
 
 STACKS = ("message-passing", "rdma", "broken-rdma")
@@ -188,3 +193,81 @@ def test_a_slot_decision_before_its_write_at_an_rdma_leader():
     assert leader._votes.vote(rw_payload(key, tiebreak="r")) is Decision.ABORT
     assert _served(leader, key) == ("late", write.commit_version)
     assert votes_match_rebuild(leader)
+
+
+# ----------------------------------------------------------------------
+# the derived phase
+# ----------------------------------------------------------------------
+
+# The library scenarios whose golden runs transfer state (NEW_STATE).
+RECONFIGURING = (
+    "cascading-crashes",
+    "coordinator-crash-storm",
+    "detector-leader-crash",
+    "failover-under-wan-tail",
+    "follower-partition",
+    "gray-failure-slow-leader",
+    "leader-crash-under-load",
+    "rolling-reconfiguration",
+    "timeout-failover-leader-crash",
+    "wan-leader-crash",
+)
+
+
+def _assert_phase_field(replica, state):
+    """``state``'s ``phase`` covers exactly the slots holding a transaction
+    or a decision, DECIDED exactly on the decided ones, and ``replica``
+    derives the same phase for every slot."""
+    assert set(state["phase"]) == set(state["txn"]) | set(state["dec"]), replica.pid
+    decided = {slot for slot, phase in state["phase"].items() if phase is Phase.DECIDED}
+    assert decided == set(state["dec"]), replica.pid
+    assert set(state["phase"].values()) <= {Phase.PREPARED, Phase.DECIDED}
+    for slot, phase in state["phase"].items():
+        assert replica.phase(slot) is phase, (replica.pid, slot)
+    assert replica.phase(max(state["phase"], default=0) + 1) is Phase.START
+    assert replica.next == max(state["phase"], default=0)
+
+
+@pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
+@pytest.mark.parametrize("name", RECONFIGURING)
+def test_every_new_state_carries_the_derived_phase(name, protocol, monkeypatch):
+    led, adopted = [], []
+    lead_own_slots = Reconfigurer._lead_own_slots
+    adopt_state = Reconfigurer._adopt_state
+
+    def leading(replica):
+        state = lead_own_slots(replica)
+        _assert_phase_field(replica, state)
+        led.append(replica.pid)
+        return state
+
+    def adopting(replica, msg):
+        adopt_state(replica, msg)
+        _assert_phase_field(replica, vars(msg))
+        adopted.append(replica.pid)
+
+    monkeypatch.setattr(Reconfigurer, "_lead_own_slots", leading)
+    monkeypatch.setattr(Reconfigurer, "_adopt_state", adopting)
+    ScenarioRunner(_spec_for(f"{name}|{protocol}|serial")).run()
+    assert led and adopted
+
+
+def test_a_decision_before_its_one_sided_accept_stays_decided():
+    """The RDMA case ``store_slot`` names: the DECISION write for a slot
+    reaches a follower before the ACCEPT write that carries its
+    transaction.  The slot stays DECIDED, with the decision it had, and
+    coordinator recovery leaves it alone."""
+    cluster = _cluster("rdma")
+    follower = cluster.replica(cluster.followers_of("shard-0")[0])
+    slot = follower.next + 1
+    assert follower.phase(slot) is Phase.START
+    follower.on_slot_decision(rdma_messages.SlotDecision(slot=slot, decision=Decision.ABORT), "c")
+    assert follower.phase(slot) is Phase.DECIDED
+    write = rw_payload(shard_key(cluster.scheme, "shard-0"), tiebreak="w")
+    follower.on_accept(
+        rdma_messages.Accept(slot=slot, txn="t-late", payload=write, vote=Decision.COMMIT), "c"
+    )
+    assert follower.phase(slot) is Phase.DECIDED
+    assert follower.dec_arr[slot] is Decision.ABORT
+    assert follower.txn_arr[slot] == "t-late" and follower.slot_of["t-late"] == slot
+    assert follower.retry(slot) is None

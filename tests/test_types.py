@@ -33,13 +33,6 @@ def test_meet_all_aborts_if_any_abort():
     assert Decision.meet_all([Decision.COMMIT] * 5) is Decision.COMMIT
 
 
-def test_decision_leq_order():
-    assert Decision.ABORT.leq(Decision.COMMIT)
-    assert Decision.ABORT.leq(Decision.ABORT)
-    assert Decision.COMMIT.leq(Decision.COMMIT)
-    assert not Decision.COMMIT.leq(Decision.ABORT)
-
-
 def test_bottom_is_a_singleton_with_repr():
     from repro.core.types import _Bottom
 
