@@ -11,15 +11,17 @@ Three layers, all emitted into ``BENCH_reads.json``:
   back, independent of the replication factor.  Exact (seeded), so any
   regression fails regardless of machine speed.
 
-* **Wall-clock**: on the same workload, the snapshot-read configuration
+* **Wall-clock** (marked ``wallclock``, so left out of the default run;
+  ``python -m pytest -m wallclock benchmarks/`` runs it): on the same
+  workload, the snapshot-read configuration
   must sustain >= 2.4x the txns/s of the all-certified configuration
   (best paired round measures 2.7-3.0x on the development container; it
   was 3.2x, guarded at 3x, before the per-message path, which the
   all-certified side is bound by, got 1.5x cheaper —
   ``SNAPSHOT_READ_SPEEDUP_FLOOR``).
-  Each configuration is first validated once with the online checker
-  attached — the timed rounds then run unchecked so the guard measures
-  the protocol, not the checker.
+  Each configuration is validated once with the online checker attached,
+  in the default run — the timed rounds run unchecked so the guard
+  measures the protocol, not the checker.
 
 * **Crossover**: the read-ratio curve certified-vs-snapshot on the stock
   ``read-heavy-steady-state`` topology — per point: virtual throughput,
@@ -34,6 +36,8 @@ noise-sensitive than absolute txns/s).
 import gc
 import random
 import time
+
+import pytest
 
 from repro.cluster import Cluster
 from repro.core.reads import ReadPolicy
@@ -143,10 +147,20 @@ def test_read_path_message_and_event_reduction_is_deterministic(benchmark):
 
 
 def test_read_path_throughput_guard(benchmark):
-    def run_rounds():
-        # One checked validation run per configuration, outside the timing.
+    """The timed workload's checked validation runs: both configurations
+    decide every transaction with the online checker attached, and the
+    snapshot configuration serves its reads on the fast path."""
+
+    def validate():
         _drive(snapshot=False, check=True)
         _drive(snapshot=True, check=True)
+
+    benchmark.pedantic(validate, rounds=1, iterations=1)
+
+
+@pytest.mark.wallclock
+def test_read_path_throughput_wallclock_guard(benchmark):
+    def run_rounds():
         # Paired rounds: each round runs certified then snapshot back to
         # back and the guard takes the best per-round ratio, so a noisy
         # machine epoch hits both sides of a pair instead of inflating one.

@@ -420,7 +420,8 @@ class Client(Process):
         # (the RDMA protocol): a single get_last then covers every shard.
         self.global_config_service = False
         self.router: Optional[CoordinatorRouter] = None
-        self.outcomes: Dict[TxnId, Decision] = {}
+        # A transaction's decision is kept once, by the history; its key in
+        # ``decide_times`` says that the decision reached this client.
         self.submit_times: Dict[TxnId, float] = {}
         self.decide_times: Dict[TxnId, float] = {}
         self.resubmissions = 0
@@ -512,8 +513,7 @@ class Client(Process):
             self.history.record_decide(
                 msg.txn, Decision.COMMIT, self.now, payload=payload
             )
-            if msg.txn not in self.outcomes:
-                self.outcomes[msg.txn] = Decision.COMMIT
+            if msg.txn not in self.decide_times:
                 self.decide_times[msg.txn] = self.now
                 for callback in self._decision_callbacks:
                     callback(msg.txn, Decision.COMMIT)
@@ -596,8 +596,7 @@ class Client(Process):
             self.now,
             payload=self._read_payloads.pop(msg.txn, None),
         )
-        if msg.txn not in self.outcomes:
-            self.outcomes[msg.txn] = msg.decision
+        if msg.txn not in self.decide_times:
             self.decide_times[msg.txn] = self.now
             for callback in self._decision_callbacks:
                 callback(msg.txn, msg.decision)
@@ -610,7 +609,9 @@ class Client(Process):
     # queries
     # ------------------------------------------------------------------
     def decision_of(self, txn: TxnId) -> Optional[Decision]:
-        return self.outcomes.get(txn)
+        if txn not in self.decide_times:
+            return None
+        return self.history.decision_of(txn)
 
     def latency_of(self, txn: TxnId) -> Optional[float]:
         """Client-observed latency: submission to decision receipt."""
@@ -620,4 +621,4 @@ class Client(Process):
 
     @property
     def pending(self) -> set:
-        return set(self.submit_times) - set(self.outcomes)
+        return set(self.submit_times) - set(self.decide_times)

@@ -277,7 +277,7 @@ class ClusterBase:
     def client_latencies(self) -> List[float]:
         values: List[float] = []
         for client in self.clients:
-            for txn in client.outcomes:
+            for txn in client.decide_times:
                 latency = client.latency_of(txn)
                 if latency is not None:
                     values.append(latency)

@@ -236,7 +236,7 @@ class CoordinatorMixin:
                 return
         else:
             slot = self.slot_of.get(msg.txn)
-            if slot is not None and slot in self.dec_arr:
+            if slot is not None and self.phase(slot) is Phase.DECIDED:
                 # Not coordinated here, but this replica's shard has already
                 # persisted the decision: answer from the local decision cache.
                 self.duplicate_certify_requests += 1

@@ -32,6 +32,7 @@ through :class:`repro.core.replica.ReplicaBase`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.messages import (
@@ -320,40 +321,52 @@ class Reconfigurer:
     # ------------------------------------------------------------------
     def _lead_own_slots(self) -> Dict[str, Dict[int, Any]]:
         """Become leader over the slots this process holds and snapshot
-        them: the four slot arrays, and the ``phase`` array a ``NEW_STATE``
-        carries, derived from them (DECIDED on the decided slots, PREPARED
-        on the others that hold a transaction)."""
+        them as a ``NEW_STATE`` carries them: a dict per array of its filled
+        entries, and the ``phase`` array derived from them (DECIDED on the
+        decided slots, PREPARED on the others that hold a transaction)."""
         self.status = Status.LEADER
         self._resume_order()
-        phase = dict.fromkeys(self.txn_arr, Phase.PREPARED)
-        phase.update(dict.fromkeys(self.dec_arr, Phase.DECIDED))
-        return {
-            "txn": dict(self.txn_arr),
-            "payload": dict(self.payload_arr),
-            "vote": dict(self.vote_arr),
-            "dec": dict(self.dec_arr),
-            "phase": phase,
+        state: Dict[str, Dict[int, Any]] = {
+            "txn": {}, "payload": {}, "vote": {}, "dec": {}, "phase": {}
         }
+        for slot, txn, payload, vote, dec in self.filled_slots():
+            if txn is not None:
+                state["txn"][slot] = txn
+                state["payload"][slot] = payload
+                state["vote"][slot] = vote
+            if dec is not None:
+                state["dec"][slot] = dec
+            state["phase"][slot] = Phase.PREPARED if dec is None else Phase.DECIDED
+        return state
 
     def _adopt_state(self, msg: Any) -> None:
-        """Become an initialized follower holding the leader's slots (its
-        ``phase`` field follows from ``txn`` and ``dec``, so is not kept)."""
+        """Become an initialized follower holding the leader's slots, in
+        lists as long as its highest filled slot needs (the ``phase`` field
+        follows from ``txn`` and ``dec``, so is not kept)."""
         self.initialized = True
         self.status = Status.FOLLOWER
         self.new_epoch = msg.epoch
-        self.txn_arr = dict(msg.txn)
-        self.payload_arr = dict(msg.payload)
-        self.vote_arr = dict(msg.vote)
-        self.dec_arr = dict(msg.dec)
-        self.slot_of = {txn: slot for slot, txn in self.txn_arr.items()}
+        size = max(chain(msg.txn, msg.dec), default=0) + 1
+        arrays = []
+        for entries in (msg.txn, msg.payload, msg.vote, msg.dec):
+            array: List[Any] = [None] * size
+            for slot, value in entries.items():
+                array[slot] = value
+            arrays.append(array)
+        self.txn_arr, self.payload_arr, self.vote_arr, self.dec_arr = arrays
+        self.slot_of = {txn: slot for slot, txn in msg.txn.items()}
         self._resume_order()
 
     def _resume_order(self) -> None:
         """The slot arrays were filled outside the one write path (ACCEPTs
         while a follower, or a transfer): rebuild the vote index before the
-        next vote, and continue the order after the highest slot held."""
+        next vote, and continue the order after the highest filled slot
+        (the lists may run past it)."""
         self._votes.invalidate()
-        self.next = max(max(self.txn_arr, default=0), max(self.dec_arr, default=0))
+        slot = len(self.txn_arr) - 1
+        while slot > 0 and self.txn_arr[slot] is None and self.dec_arr[slot] is None:
+            slot -= 1
+        self.next = max(slot, 0)
 
 
 class ReconfigMixin(Reconfigurer):

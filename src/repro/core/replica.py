@@ -24,7 +24,9 @@ messages and the per-shard *scope* of reconfiguration
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import compress, count, repeat
+from operator import is_not, or_
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.batching import BatchPolicy
 from repro.core.certification import CertificationScheme
@@ -65,6 +67,12 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
     detector, snapshot reads and the reconfiguration steps every scope
     shares.  Subclasses add ``epoch`` and ``my_epoch``, the follower side of
     vote and decision persistence, and the scope of reconfiguration.
+
+    Its certification order is Figure 1's slot arrays kept as lists indexed
+    by slot (``txn_arr``, ``payload_arr``, ``vote_arr``, ``dec_arr``; None
+    where a slot holds nothing) and ``slot_of``.  Only ``store_slot`` /
+    ``decide_slot`` and a state transfer write them; other code reads them
+    through :meth:`phase` and :meth:`filled_slots`, or by index.
     """
 
     def __init__(
@@ -107,14 +115,17 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         self.new_epoch = 0
         self.initialized = False
 
-        # The shard-local certification order and per-slot state.  Figure 1's
-        # fifth array, ``phase``, is not kept: it follows from these
-        # (:meth:`phase`).
+        # The shard-local certification order: Figure 1's arrays ``txn``,
+        # ``payload``, ``vote`` and ``dec`` as lists indexed by slot (slots
+        # start at 1), None where a slot holds nothing.  The four always have
+        # the same length: a write past it lengthens all four (``_grow``).
+        # Figure 1's fifth array, ``phase``, is not kept: it follows from
+        # ``txn`` and ``dec`` (:meth:`phase`).
         self.next = 0
-        self.txn_arr: Dict[int, TxnId] = {}
-        self.payload_arr: Dict[int, Any] = {}
-        self.vote_arr: Dict[int, Decision] = {}
-        self.dec_arr: Dict[int, Decision] = {}
+        self.txn_arr: List[Optional[TxnId]] = []
+        self.payload_arr: List[Any] = []
+        self.vote_arr: List[Optional[Decision]] = []
+        self.dec_arr: List[Optional[Decision]] = []
         self.slot_of: Dict[TxnId, int] = {}
 
         # Incremental conflict index for leader-side voting; replaces the
@@ -140,18 +151,27 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
     def is_leader(self) -> bool:
         return self.status is Status.LEADER
 
-    def certification_order(self) -> List[TxnId]:
-        """The transactions in this replica's certification order (with holes
-        omitted), in slot order."""
-        return [self.txn_arr[k] for k in sorted(self.txn_arr)]
-
     def phase(self, slot: int) -> Phase:
         """``phase[slot]`` of Figure 1, derived from the arrays: DECIDED once
         the slot holds a decision, PREPARED while it holds only a
         transaction, START while it holds neither."""
-        if slot in self.dec_arr:
-            return Phase.DECIDED
-        return Phase.PREPARED if slot in self.txn_arr else Phase.START
+        if 0 <= slot < len(self.dec_arr):
+            if self.dec_arr[slot] is not None:
+                return Phase.DECIDED
+            if self.txn_arr[slot] is not None:
+                return Phase.PREPARED
+        return Phase.START
+
+    def filled_slots(
+        self,
+    ) -> Iterator[Tuple[int, Optional[TxnId], Any, Optional[Decision], Optional[Decision]]]:
+        """``(slot, txn, payload, vote, dec)`` of every slot that holds a
+        transaction or a decision, in slot order; ``txn``, ``payload`` and
+        ``vote`` are None in a slot decided before its write landed (RDMA).
+        Built of C iterators, so a pass costs one call, not one per slot."""
+        txns, decs = self.txn_arr, self.dec_arr
+        filled = map(or_, map(is_not, txns, repeat(None)), map(is_not, decs, repeat(None)))
+        return compress(zip(count(), txns, self.payload_arr, self.vote_arr, decs), filled)
 
     # ------------------------------------------------------------------
     # the one write path into the certification order
@@ -162,7 +182,11 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         unless it is already DECIDED, which it stays: a one-sided write can
         land after the decision, the follower's CPU cannot refuse it, and
         the decision stays in ``dec_arr``."""
-        fresh = slot not in self.txn_arr and slot not in self.dec_arr
+        try:
+            fresh = self.txn_arr[slot] is None and self.dec_arr[slot] is None
+        except IndexError:
+            self._grow(slot)
+            fresh = True
         self.txn_arr[slot] = txn
         self.payload_arr[slot] = payload
         self.vote_arr[slot] = vote
@@ -172,9 +196,22 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
     def decide_slot(self, slot: int, decision: Decision) -> None:
         """Persist ``decision`` for ``slot`` (Figure 1, line 31; Figure 7,
         line 102)."""
-        previous = self.dec_arr.get(slot)
+        try:
+            previous = self.dec_arr[slot]
+        except IndexError:
+            self._grow(slot)
+            previous = None
         self.dec_arr[slot] = decision
         self._votes.note_decided(slot, previous)
+
+    def _grow(self, slot: int) -> None:
+        """Lengthen the four slot lists together past ``slot``, by a quarter
+        more, so that writes in slot order lengthen them geometrically."""
+        pad = [None] * (slot + 1 + (slot >> 2) - len(self.txn_arr))
+        self.txn_arr += pad
+        self.payload_arr += pad
+        self.vote_arr += pad
+        self.dec_arr += pad
 
     # ------------------------------------------------------------------
     # leader: PREPARE (lines 4-17)
@@ -374,7 +411,12 @@ class ShardReplica(ReconfigMixin, ReplicaBase):
             return None
         if self.status is not Status.FOLLOWER or self.my_epoch != msg.epoch:
             return None
-        if msg.slot not in self.txn_arr and msg.slot not in self.dec_arr:
+        # A slot already filled keeps what it holds (inline: a hot path).
+        try:
+            fresh = self.txn_arr[msg.slot] is None and self.dec_arr[msg.slot] is None
+        except IndexError:
+            fresh = True
+        if fresh:
             self.store_slot(msg.slot, msg.txn, msg.payload, msg.vote)
         return AcceptAck(
             shard=self.shard,

@@ -52,14 +52,15 @@ class LeaderVoteCache:
     def _rebuild(self) -> None:
         replica = self._replica
         self._index = replica.scheme.make_vote_index(replica.shard)
-        dec_arr = replica.dec_arr
-        vote_arr = replica.vote_arr
-        for slot, payload in replica.payload_arr.items():
-            # A decided slot counts by its decision, a prepared one by its vote.
-            if slot in dec_arr:
-                if dec_arr[slot] is Decision.COMMIT:
+        for _slot, txn, payload, vote, dec in replica.filled_slots():
+            # A decided slot counts by its decision, a prepared one by its
+            # vote, a slot decided before its write landed nowhere.
+            if txn is None:
+                continue
+            if dec is not None:
+                if dec is Decision.COMMIT:
                     self._index.add_committed(payload)
-            elif vote_arr[slot] is Decision.COMMIT:
+            elif vote is Decision.COMMIT:
                 self._index.add_prepared(payload)
 
     # ------------------------------------------------------------------
@@ -101,7 +102,7 @@ class LeaderVoteCache:
         if self._index is None:
             return  # invalidated: the next vote rebuilds from the arrays
         replica = self._replica
-        if slot not in replica.payload_arr:
+        if replica.txn_arr[slot] is None:
             return  # no payload stored: counted nowhere, before or after
         payload = replica.payload_arr[slot]
         if previous is None and replica.vote_arr[slot] is Decision.COMMIT:

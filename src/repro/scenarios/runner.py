@@ -431,7 +431,11 @@ class ScenarioRunner:
             ]
         retried = 0
         for replica in replicas:
-            prepared = [s for s in sorted(replica.txn_arr) if s not in replica.dec_arr]
+            prepared = [
+                slot
+                for slot, txn, _payload, _vote, dec in replica.filled_slots()
+                if txn is not None and dec is None
+            ]
             for slot in prepared:
                 if replica.retry(slot) is not None:
                     retried += 1

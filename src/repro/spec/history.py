@@ -12,7 +12,22 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import count, repeat
+from operator import getitem
+from types import MappingProxyType
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.types import Decision, TxnId
 
@@ -140,7 +155,7 @@ def _compile_renderer(cls: type) -> Callable[[Any], str]:
 
 @dataclass(frozen=True, slots=True)
 class Event:
-    """One action of a history."""
+    """One action of a history, as :attr:`History.events` builds it."""
 
     kind: str  # "certify" | "decide"
     txn: TxnId
@@ -150,13 +165,34 @@ class Event:
     decision: Optional[Decision] = None
 
 
+# Which of the two maps an event comes from: one byte per event.
+_CERTIFY, _DECIDE = 0, 1
+
+
 class History:
-    """An append-only TCS history with the derived relations the spec uses."""
+    """An append-only TCS history with the derived relations the spec uses.
+
+    The record keeps each fact once, flat, and no per-event object:
+
+    * ``_certified`` maps each transaction to its payload, in certify order;
+    * ``_decided`` maps each decided transaction to its (first) decision, in
+      decide order;
+    * ``_decide_payloads`` holds the payloads attached to decide events
+      (snapshot reads resolve their observed versions only at decide time);
+    * ``_kinds`` holds one byte per event saying which map the next event
+      comes from, and ``_times`` its virtual time.
+
+    The event sequence is the merge of the two maps in ``_kinds`` order;
+    :meth:`digest` walks it, and :attr:`events` builds it as :class:`Event`
+    values on demand (replay into a checker attached late, and tests).
+    """
 
     def __init__(self) -> None:
-        self.events: List[Event] = []
-        self._certified: Dict[TxnId, Event] = {}
-        self._decided: Dict[TxnId, Event] = {}
+        self._certified: Dict[TxnId, Any] = {}
+        self._decided: Dict[TxnId, Decision] = {}
+        self._decide_payloads: Dict[TxnId, Any] = {}
+        self._kinds = bytearray()
+        self._times: List[float] = []
         # Contradictory decide events observed for the same transaction.
         # A correct protocol never produces these (Invariant 4b); the broken
         # RDMA variant used for the Figure 4a ablation does, and the checker
@@ -203,45 +239,40 @@ class History:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def record_certify(self, txn: TxnId, payload: Any, time: float) -> Event:
-        if txn in self._certified:
+    def record_certify(self, txn: TxnId, payload: Any, time: float) -> None:
+        certified = self._certified
+        if txn in certified:
             raise ValueError(f"transaction {txn!r} certified twice")
-        event = Event(kind="certify", txn=txn, time=time, seq=len(self.events), payload=payload)
-        self.events.append(event)
-        self._certified[txn] = event
+        certified[txn] = payload
+        self._kinds.append(_CERTIFY)
+        self._times.append(time)
         for listener in self._certify_listeners:
             listener(txn)
-        return event
 
     def record_decide(
         self, txn: TxnId, decision: Decision, time: float, payload: Any = None
-    ) -> Event:
+    ) -> None:
         """Record a decision.  ``payload`` is normally None (the payload rides
         the certify event); snapshot reads certify a placeholder marker and
         attach their versioned read-only payload here, once the serving
         replica has determined which versions were observed."""
         if txn not in self._certified:
             raise ValueError(f"decide for unknown transaction {txn!r}")
-        if txn in self._decided:
-            previous = self._decided[txn].decision
+        decided = self._decided
+        if txn in decided:
+            previous = decided[txn]
             if previous is not decision:
                 self.contradictions.append((txn, previous, decision))
                 for listener in self._contradiction_listeners:
                     listener(txn, previous, decision)
-            return self._decided[txn]
-        event = Event(
-            kind="decide",
-            txn=txn,
-            time=time,
-            seq=len(self.events),
-            payload=payload,
-            decision=decision,
-        )
-        self.events.append(event)
-        self._decided[txn] = event
+            return
+        decided[txn] = decision
+        if payload is not None:
+            self._decide_payloads[txn] = payload
+        self._kinds.append(_DECIDE)
+        self._times.append(time)
         for listener in self._decide_listeners:
             listener(txn, decision)
-        return event
 
     # ------------------------------------------------------------------
     # queries
@@ -250,37 +281,43 @@ class History:
         return list(self._certified)
 
     def payload_of(self, txn: TxnId) -> Any:
-        return self._certified[txn].payload
+        return self._certified[txn]
 
     def decided_payload_of(self, txn: TxnId) -> Any:
         """The payload attached to the decide event, if any (snapshot reads)."""
-        event = self._decided.get(txn)
-        return event.payload if event else None
-
-    def effective_payload_of(self, txn: TxnId) -> Any:
-        """The payload the checkers should certify against: the decide-time
-        payload when one was attached (snapshot reads resolve their observed
-        versions only at decide time), the certify-time payload otherwise."""
-        decided = self.decided_payload_of(txn)
-        return decided if decided is not None else self._certified[txn].payload
+        return self._decide_payloads.get(txn)
 
     def decision_of(self, txn: TxnId) -> Optional[Decision]:
-        event = self._decided.get(txn)
-        return event.decision if event else None
+        return self._decided.get(txn)
 
-    def decided(self) -> Dict[TxnId, Decision]:
-        return {txn: event.decision for txn, event in self._decided.items()}
-
-    def committed(self) -> List[TxnId]:
-        """Transactions that committed, in decide order."""
-        return [
-            event.txn
-            for event in self.events
-            if event.kind == "decide" and event.decision is Decision.COMMIT
-        ]
+    def decided(self) -> Mapping[TxnId, Decision]:
+        """Each decided transaction's decision, in decide order: a read-only
+        view of the record, not a copy."""
+        return MappingProxyType(self._decided)
 
     def pending(self) -> Set[TxnId]:
-        return set(self._certified) - set(self._decided)
+        return self._certified.keys() - self._decided.keys()
+
+    def _rows(self) -> Iterator[Tuple[int, float, int, Tuple[TxnId, Any]]]:
+        """``(kind, time, seq, (txn, payload or decision))`` of each event in
+        record order: the merge of the two maps that ``_kinds`` spells.
+        Built of C iterators, so a pass costs one call, not one per event."""
+        # Indexed by an event's kind byte: _CERTIFY is 0, _DECIDE is 1.
+        maps = (iter(self._certified.items()), iter(self._decided.items()))
+        entries = map(next, map(getitem, repeat(maps), self._kinds))
+        return zip(self._kinds, self._times, count(), entries)
+
+    @property
+    def events(self) -> List[Event]:
+        """The events in record order, built on each access (O(events)):
+        for replay and for tests, never on a run's hot path."""
+        payloads = self._decide_payloads
+        return [
+            Event("certify", txn, time, seq, value)
+            if kind == _CERTIFY
+            else Event("decide", txn, time, seq, payloads.get(txn), value)
+            for kind, time, seq, (txn, value) in self._rows()
+        ]
 
     def digest(self) -> str:
         """A SHA-256 fingerprint of the full event sequence.
@@ -292,27 +329,33 @@ class History:
         and ``PYTHONHASHSEED`` values (unordered payload containers are
         canonicalized first), so digests can be compared between a serial
         parent and pool workers, or across machines.  Every call is a full
-        pass over ``events``: nothing is cached or folded in at record time,
-        so the time of a call measures the fingerprint (the benchmark times
-        one).
+        pass over the record: nothing is cached or folded in at record
+        time, so the time of a call measures the fingerprint (the benchmark
+        times one).  It builds no per-run container: a run's memory peaks
+        here.  An event's text is ``repr`` of ``(kind, txn, time, seq,
+        payload, decision name)``, its payload in canonical form.
         """
         fingerprint = hashlib.sha256()
         update = fingerprint.update
+        payloads = self._decide_payloads
         # One ``update`` per event: the text of a whole run is never held.
-        for event in self.events:
-            payload = event.payload
-            decision = event.decision
-            update(
-                (
-                    f"({event.kind!r}, {event.txn!r}, {event.time!r}, {event.seq!r}, "
-                    f"{_RENDERERS[type(payload)](payload)}, "
-                    f"{None if decision is None else decision.name!r})"
-                ).encode()
-            )
+        for kind, time, seq, (txn, value) in self._rows():
+            if kind == _CERTIFY:
+                text = (
+                    f"('certify', {txn!r}, {time!r}, {seq!r}, "
+                    f"{_RENDERERS[type(value)](value)}, None)"
+                )
+            else:
+                payload = payloads[txn] if txn in payloads else None
+                text = (
+                    f"('decide', {txn!r}, {time!r}, {seq!r}, "
+                    f"{_RENDERERS[type(payload)](payload)}, {value.name!r})"
+                )
+            update(text.encode())
         return fingerprint.hexdigest()
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._kinds)
 
 
 class HistorySubscription:

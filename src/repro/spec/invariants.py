@@ -24,7 +24,7 @@ benchmark can assert on their presence or absence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro.core.types import Decision, Phase, TxnId
 from repro.spec.history import History, HistorySubscription
@@ -58,15 +58,16 @@ def _own_epoch(replica) -> int:
 class InvariantMonitor:
     """Incremental feed for the history-derived part of the invariant checks.
 
-    Subscribes to a :class:`History` and maintains the client-observed
-    decision map (the ``<client-history>`` contribution to Invariant 4b)
-    online, recording a violation the moment a contradictory decide is
-    externalised — the same event feed the online TCS checker runs on, so
-    quiescence-time invariant checking no longer rescans the history.
+    Subscribes to a :class:`History`'s contradictory decides and records a
+    violation the moment one is externalised — the same event feed the
+    online TCS checker runs on, so quiescence-time invariant checking no
+    longer rescans the history.  The client-observed decisions (the
+    ``<client-history>`` contribution to Invariant 4b) are read from the
+    history itself (``history.decided()``), which keeps each once.
     """
 
     def __init__(self, history: Optional[History] = None) -> None:
-        self.decisions: Dict[TxnId, Decision] = {}
+        self.history: Optional[History] = None
         self.violations: List[InvariantViolation] = []
         self._subscription: Optional[HistorySubscription] = None
         if history is not None:
@@ -75,21 +76,16 @@ class InvariantMonitor:
     def attach(self, history: History) -> "InvariantMonitor":
         if self._subscription is not None:
             raise RuntimeError("monitor is already attached to a history")
-        self.decisions.update(history.decided())
+        self.history = history
         for txn, first, second in history.contradictions:
             self._on_contradiction(txn, first, second)
-        self._subscription = history.subscribe(
-            on_decide=self._on_decide, on_contradiction=self._on_contradiction
-        )
+        self._subscription = history.subscribe(on_contradiction=self._on_contradiction)
         return self
 
     def detach(self) -> None:
         if self._subscription is not None:
             self._subscription.close()
             self._subscription = None
-
-    def _on_decide(self, txn: TxnId, decision: Decision) -> None:
-        self.decisions[txn] = decision
 
     def _on_contradiction(self, txn: TxnId, first: Decision, second: Decision) -> None:
         self.violations.append(
@@ -112,9 +108,9 @@ def check_invariants(
 ) -> List[InvariantViolation]:
     """Check all state-level invariants; return the list of violations.
 
-    The client-observed decisions for Invariant 4b come from ``monitor``
-    (maintained incrementally) when one is given, falling back to a one-off
-    scan of ``history`` otherwise.
+    The client-observed decisions for Invariant 4b come from the history
+    ``monitor`` is attached to when one is given, from ``history``
+    otherwise.
     """
     violations: List[InvariantViolation] = []
     for shard, replicas in replicas_by_shard.items():
@@ -124,11 +120,8 @@ def check_invariants(
         violations.extend(_check_slot_decision_agreement(shard, live))
         violations.extend(_check_commit_vote(shard, live))
     if monitor is not None:
-        client_decisions: Optional[Dict[TxnId, Decision]] = monitor.decisions
-    elif history is not None:
-        client_decisions = history.decided()
-    else:
-        client_decisions = None
+        history = monitor.history
+    client_decisions = history.decided() if history is not None else None
     violations.extend(
         _check_global_decision_agreement(replicas_by_shard, client_decisions, include_crashed)
     )
@@ -144,7 +137,9 @@ def _check_unique_slots(shard: str, replicas: Iterable) -> List[InvariantViolati
     violations = []
     for replica in replicas:
         seen: Dict[str, int] = {}
-        for slot, txn in replica.txn_arr.items():
+        for slot, txn, _payload, _vote, _dec in replica.filled_slots():
+            if txn is None:
+                continue
             if txn in seen:
                 violations.append(
                     InvariantViolation(
@@ -164,27 +159,30 @@ def _check_log_agreement(shard: str, replicas: Sequence) -> List[InvariantViolat
         for b in replicas[i + 1 :]:
             if _own_epoch(a) != _own_epoch(b):
                 continue
-            for slot in set(a.txn_arr) & set(b.txn_arr):
-                if a.txn_arr[slot] != b.txn_arr[slot]:
+            # Slot by slot over the shorter pair of lists: the slots where
+            # both hold a transaction.
+            for slot, (txn_a, vote_a, txn_b, vote_b) in enumerate(
+                zip(a.txn_arr, a.vote_arr, b.txn_arr, b.vote_arr)
+            ):
+                if txn_a is None or txn_b is None:
+                    continue
+                if txn_a != txn_b:
                     violations.append(
                         InvariantViolation(
                             invariant="log-agreement (Inv. 1/2/6)",
                             shard=shard,
-                            detail=(
-                                f"slot {slot}: {a.pid} has {a.txn_arr[slot]} but "
-                                f"{b.pid} has {b.txn_arr[slot]}"
-                            ),
+                            detail=f"slot {slot}: {a.pid} has {txn_a} but {b.pid} has {txn_b}",
                         )
                     )
                     continue
-                if a.vote_arr.get(slot) != b.vote_arr.get(slot) and slot in a.vote_arr and slot in b.vote_arr:
+                if vote_a is not None and vote_b is not None and vote_a != vote_b:
                     violations.append(
                         InvariantViolation(
                             invariant="vote-agreement (Inv. 1/2/6)",
                             shard=shard,
                             detail=(
-                                f"slot {slot} ({a.txn_arr[slot]}): {a.pid} voted "
-                                f"{a.vote_arr.get(slot)} but {b.pid} voted {b.vote_arr.get(slot)}"
+                                f"slot {slot} ({txn_a}): {a.pid} voted "
+                                f"{vote_a} but {b.pid} voted {vote_b}"
                             ),
                         )
                     )
@@ -197,8 +195,8 @@ def _check_slot_decision_agreement(shard: str, replicas: Sequence) -> List[Invar
     first: Dict[int, Decision] = {}
     split: Set[int] = set()
     for replica in replicas:
-        for slot, decision in replica.dec_arr.items():
-            if first.setdefault(slot, decision) != decision:
+        for slot, _txn, _payload, _vote, decision in replica.filled_slots():
+            if decision is not None and first.setdefault(slot, decision) != decision:
                 split.add(slot)
     violations: List[InvariantViolation] = []
     if not split:
@@ -207,9 +205,9 @@ def _check_slot_decision_agreement(shard: str, replicas: Sequence) -> List[Invar
         if slot not in split:
             continue
         per_replica = {
-            replica.pid: (replica.txn_arr.get(slot), replica.dec_arr[slot])
+            replica.pid: (replica.txn_arr[slot], replica.dec_arr[slot])
             for replica in replicas
-            if slot in replica.dec_arr
+            if replica.phase(slot) is Phase.DECIDED
         }
         violations.append(
             InvariantViolation(
@@ -224,10 +222,9 @@ def _check_slot_decision_agreement(shard: str, replicas: Sequence) -> List[Invar
 def _check_commit_vote(shard: str, replicas: Sequence) -> List[InvariantViolation]:
     violations = []
     for replica in replicas:
-        for slot, decision in replica.dec_arr.items():
+        for slot, _txn, _payload, vote, decision in replica.filled_slots():
             if decision is not Decision.COMMIT:
                 continue
-            vote = replica.vote_arr.get(slot)
             if vote is not None and vote is not Decision.COMMIT:
                 violations.append(
                     InvariantViolation(
@@ -244,7 +241,7 @@ def _check_commit_vote(shard: str, replicas: Sequence) -> List[InvariantViolatio
 # ----------------------------------------------------------------------
 def _check_global_decision_agreement(
     replicas_by_shard: Dict[str, Sequence],
-    client_decisions: Optional[Dict[TxnId, Decision]],
+    client_decisions: Optional[Mapping[TxnId, Decision]],
     include_crashed: bool,
 ) -> List[InvariantViolation]:
     # The two passes of Inv. 4a, per transaction.  A replica holding one
@@ -259,10 +256,12 @@ def _check_global_decision_agreement(
     first: Dict[TxnId, Decision] = {}
     split: Set[TxnId] = set()
     for replica in replicas:
-        txn_arr = replica.txn_arr
-        for slot, decision in replica.dec_arr.items():
-            txn = txn_arr.get(slot)
-            if txn is not None and first.setdefault(txn, decision) != decision:
+        for _slot, txn, _payload, _vote, decision in replica.filled_slots():
+            if (
+                txn is not None
+                and decision is not None
+                and first.setdefault(txn, decision) != decision
+            ):
                 split.add(txn)
     if client_decisions is not None:
         for txn, decision in client_decisions.items():
@@ -272,9 +271,9 @@ def _check_global_decision_agreement(
         return []
     per_txn: Dict[TxnId, Dict[str, Decision]] = {txn: {} for txn in first if txn in split}
     for replica in replicas:
-        for slot, decision in replica.dec_arr.items():
-            observations = per_txn.get(replica.txn_arr.get(slot))
-            if observations is not None:
+        for _slot, txn, _payload, _vote, decision in replica.filled_slots():
+            observations = per_txn.get(txn)
+            if observations is not None and decision is not None:
                 observations[f"{replica.pid}"] = decision
     if client_decisions is not None:
         for txn, observations in per_txn.items():

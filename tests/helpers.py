@@ -261,6 +261,29 @@ def reference_scheme(scheme_cls, sharding):
 
 
 # ----------------------------------------------------------------------
+# readings of the public record that only tests take
+# ----------------------------------------------------------------------
+
+def certification_order(replica) -> List[TxnId]:
+    """The transactions in ``replica``'s certification order (with holes
+    omitted), in slot order."""
+    return [txn for _slot, txn, *_rest in replica.filled_slots() if txn is not None]
+
+
+def committed_of(history: History) -> List[TxnId]:
+    """The transactions of ``history`` that committed, in decide order."""
+    return [txn for txn, decision in history.decided().items() if decision is Decision.COMMIT]
+
+
+def effective_payload_of(history: History, txn: TxnId):
+    """The payload the checkers certify ``txn`` against: the decide-time
+    payload when one was attached (snapshot reads resolve their observed
+    versions only at decide time), the certify-time payload otherwise."""
+    decided = history.decided_payload_of(txn)
+    return decided if decided is not None else history.payload_of(txn)
+
+
+# ----------------------------------------------------------------------
 # the batch TCS checker (the oracle of the online checker)
 # ----------------------------------------------------------------------
 # Section 2 decided from the recorded history in one pass: all-pairs
@@ -322,10 +345,10 @@ class TCSChecker:
                     f"{first.value} vs {second.value}"
                 ),
             )
-        committed = history.committed()
+        committed = committed_of(history)
         # Snapshot reads attach their resolved payload to the decide event;
         # effective_payload_of prefers it over the certify-time marker.
-        payloads = {txn: history.effective_payload_of(txn) for txn in committed}
+        payloads = {txn: effective_payload_of(history, txn) for txn in committed}
         edges = self._build_edges(history, committed, payloads)
         order, cycle = _topological_order(committed, edges)
         if cycle:
@@ -343,13 +366,13 @@ class TCSChecker:
 
     def check_exhaustive(self, history: History, limit: int = 8) -> CheckResult:
         """Brute-force search over permutations (only for small histories)."""
-        committed = history.committed()
+        committed = committed_of(history)
         if len(committed) > limit:
             raise ValueError(
                 f"exhaustive check limited to {limit} committed transactions, "
                 f"got {len(committed)}"
             )
-        payloads = {txn: history.effective_payload_of(txn) for txn in committed}
+        payloads = {txn: effective_payload_of(history, txn) for txn in committed}
         rt_pairs = set(real_time_pairs(history, committed))
         for order in itertools.permutations(committed):
             position = {txn: i for i, txn in enumerate(order)}
@@ -446,9 +469,9 @@ def oracle_slot_decision_agreement(shard, replicas):
     violations = []
     decisions = {}
     for replica in replicas:
-        for slot, decision in replica.dec_arr.items():
-            txn = replica.txn_arr.get(slot)
-            decisions.setdefault(slot, {})[replica.pid] = (txn, decision)
+        for slot, txn, _payload, _vote, decision in replica.filled_slots():
+            if decision is not None:
+                decisions.setdefault(slot, {})[replica.pid] = (txn, decision)
     for slot, per_replica in decisions.items():
         observed = {decision for _, decision in per_replica.values()}
         if len(observed) > 1:
@@ -469,9 +492,8 @@ def oracle_global_decision_agreement(replicas_by_shard, client_decisions, includ
         for replica in replicas:
             if replica.crashed and not include_crashed:
                 continue
-            for slot, decision in replica.dec_arr.items():
-                txn = replica.txn_arr.get(slot)
-                if txn is None:
+            for _slot, txn, _payload, _vote, decision in replica.filled_slots():
+                if txn is None or decision is None:
                     continue
                 per_txn.setdefault(txn, {})[f"{replica.pid}"] = decision
     if client_decisions is not None:

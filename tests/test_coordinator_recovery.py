@@ -9,7 +9,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.core.types import BOTTOM, Decision, Phase
 
-from helpers import payload, rw_payload, shard_key
+from helpers import certification_order, payload, rw_payload, shard_key
 
 
 @pytest.fixture(params=["message-passing", "rdma"])
@@ -100,13 +100,13 @@ def test_leader_resends_stored_vote_to_new_coordinator(cluster):
     coordinator = cluster.members_of(other_shard)[0]
     txn, shard = _prepare_without_deciding(cluster, "hot", coordinator)
     leader = cluster.replica(cluster.leader_of(shard))
-    assert len(leader.certification_order()) == 1
+    assert len(certification_order(leader)) == 1
 
     new_coordinator = cluster.replica(cluster.members_of(other_shard)[1])
     new_coordinator.certify(txn, BOTTOM)
     cluster.run()
     # Still exactly one slot for the transaction: no duplicate preparation.
-    assert len(leader.certification_order()) == 1
+    assert len(certification_order(leader)) == 1
     assert cluster.history.decision_of(txn) is Decision.COMMIT
 
 

@@ -9,6 +9,7 @@ from repro.spec.history import History
 
 from helpers import (
     TCSChecker,
+    committed_of,
     payload,
     read_payload,
     real_time_pairs,
@@ -36,7 +37,7 @@ def test_history_records_events_in_order():
     assert [e.kind for e in history.events] == ["certify", "decide"]
     assert history.decision_of("t1") is Decision.COMMIT
     assert not history.pending()
-    assert history.committed() == ["t1"]
+    assert committed_of(history) == ["t1"]
 
 
 def test_history_rejects_double_certify():
@@ -58,7 +59,7 @@ def test_history_pending_and_completeness():
     history.record_certify("t2", rw_payload("y"), time=1.0)
     history.record_decide("t1", Decision.ABORT, time=2.0)
     assert history.pending() == {"t2"}
-    assert history.committed() == []
+    assert committed_of(history) == []
 
 
 def test_history_duplicate_decide_is_idempotent():

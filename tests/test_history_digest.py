@@ -29,10 +29,10 @@ from repro.core.serializability import SnapshotRead, TransactionPayload
 from repro.core.types import BOTTOM, Decision
 from repro.runtime import wire
 from repro.scenarios import ScenarioRunner
-from repro.spec.history import History
+from repro.spec.history import Event, History
 
 from helpers import SHAPES, calls, shape_spec
-from test_golden_digests import _case_keys, _spec_for
+from test_golden_digests import GOLDEN, _case_keys, _spec_for
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +351,50 @@ def test_snapshot_read_histories_carry_both_payload_kinds(protocol):
 
 
 # ----------------------------------------------------------------------
+# (c) the flat record against what was recorded into it
+# ----------------------------------------------------------------------
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every event a history accepted, as its ``record_*`` call saw it:
+    the caller's kind, transaction, time, payload and decision, with the
+    count of accepted events before it as ``seq``.  A repeated decide
+    records no event."""
+    seen = []
+    decided = set()
+    record_certify, record_decide = History.record_certify, History.record_decide
+
+    def certifying(history, txn, payload, time):
+        record_certify(history, txn, payload, time)
+        seen.append(Event("certify", txn, time, len(seen), payload))
+
+    def deciding(history, txn, decision, time, payload=None):
+        record_decide(history, txn, decision, time, payload)
+        if txn not in decided:
+            decided.add(txn)
+            seen.append(Event("decide", txn, time, len(seen), payload, decision))
+
+    monkeypatch.setattr(History, "record_certify", certifying)
+    monkeypatch.setattr(History, "record_decide", deciding)
+    return seen
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_events_are_what_was_recorded_and_replay_gives_the_verdict(key, recorded):
+    """``History.events`` rebuilds each event from the flat record: it must
+    equal the events as recorded, field by field, on every golden case.
+    ``Cluster.check()`` replays those events into a fresh checker: it must
+    reach the verdict the run reached online."""
+    runner = ScenarioRunner(_spec_for(key))
+    result = runner.run()
+    history = runner.cluster.history
+    assert history.events == recorded and len(history) == len(recorded) > 0
+    if key.startswith("read-heavy-steady-state|") and "|2pc-paxos|" not in key:
+        assert any(e.kind == "decide" and e.payload is not None for e in recorded)
+    replayed, _violations = runner.cluster.check(include_invariants=False)
+    assert (replayed.ok, replayed.reason) == (result.check_ok, result.check_reason)
+
+
+# ----------------------------------------------------------------------
 # leaves that print an address are refused
 # ----------------------------------------------------------------------
 class _NoRepr:
@@ -451,15 +495,23 @@ def test_sizing_a_fresh_payload_call_count():
 # no byte sum per message class, rdma-batched-bw reads 1076.8-1078.5
 # (1080.8-1082.5 before) in a fresh process under PYTHONHASHSEED 0, 1, 2, 3,
 # 7, 99 and 4242; its bound is the highest plus 1%, rounded up.
+# Since the slot arrays are lists read by C iterators, the history keeps no
+# ``Event`` objects and walks its record through C iterators, and the
+# invariant monitor no longer copies each decision, mp-steady /
+# read-mostly-lease / baseline-steady / rdma-batched-bw read 620.5-628.2 /
+# 301.1-301.7 / 1054.5 / 1057.9-1060.6 (635.0 / 303.6-303.8 / 1054.5 /
+# 1076.6-1076.7 before, under 0 and 4242) under PYTHONHASHSEED unset, 0, 1,
+# 2, 3, 7, 99 and 4242; the bounds are the highest readings plus 1%,
+# rounded up.
 # A change that makes the path cheaper should tighten these to its own
 # readings.  The parallel-shards spelling of mp-steady is the serial run
 # (the runner ignores the mode): it must cost mp-steady's calls exactly.
 RUN_CALLS_PER_TXN = {
-    "mp-steady": 648,
-    "mp-steady-grouped": 648,
-    "read-mostly-lease": 308,
-    "baseline-steady": 1068,
-    "rdma-batched-bw": 1090,
+    "mp-steady": 635,
+    "mp-steady-grouped": 635,
+    "read-mostly-lease": 305,
+    "baseline-steady": 1066,
+    "rdma-batched-bw": 1072,
 }
 
 
@@ -506,13 +558,16 @@ def test_whole_run_call_count_per_transaction(shape):
 # Paxos state, they are 9.419 / 7.196 / 26.488 / 12.414 (a vote index now
 # holds payloads, so its committed-writer dict is tracked: one object per
 # leader); the read-mostly-lease and baseline-steady bounds are those plus
-# 2%, rounded, and the others stay.
+# 2%, rounded, and the others stay.  Since the history keeps no ``Event``
+# objects (two per transaction) they are 7.448 / 5.210 / 24.488 / 10.443
+# (9.412 / 7.190 / 26.490 / 12.407 before) under PYTHONHASHSEED=0 and 4242;
+# the bounds are those plus 2%, rounded.
 RETAINED_OBJECTS_PER_TXN = {
-    "mp-steady": 9.6,
-    "mp-steady-grouped": 9.6,
-    "read-mostly-lease": 7.3,
-    "baseline-steady": 27.0,
-    "rdma-batched-bw": 12.7,
+    "mp-steady": 7.6,
+    "mp-steady-grouped": 7.6,
+    "read-mostly-lease": 5.31,
+    "baseline-steady": 25.0,
+    "rdma-batched-bw": 10.65,
 }
 
 
@@ -576,12 +631,18 @@ def test_whole_run_retained_objects_per_transaction(shape):
 # read-mostly-lease / rdma-batched-bw read 2960.3 / 2043.9 / 5393.7
 # (3117.2 / 2063.8 / 5550.6 before) under PYTHONHASHSEED=0 and 4242, and
 # their bounds are those plus 2%; baseline-steady reads 4190.7 as before.
+# Since the slot arrays are lists indexed by slot, the history keeps a
+# payload and a decision per transaction and a byte and a time per event,
+# and neither the client nor the invariant monitor copies the decisions,
+# mp-steady / read-mostly-lease / baseline-steady / rdma-batched-bw read
+# 2223.7 / 1757.3 / 3954.3 / 4716.5 (2957.8 / 2043.3 / 4188.2 / 5392.5
+# before) under PYTHONHASHSEED=0 and 4242; the bounds are those plus 2%.
 RETAINED_BYTES_PER_TXN = {
-    "mp-steady": 3020,
-    "mp-steady-grouped": 3020,
-    "read-mostly-lease": 2085,
-    "baseline-steady": 4270,
-    "rdma-batched-bw": 5502,
+    "mp-steady": 2268,
+    "mp-steady-grouped": 2268,
+    "read-mostly-lease": 1792,
+    "baseline-steady": 4033,
+    "rdma-batched-bw": 4811,
 }
 
 
@@ -620,13 +681,16 @@ def test_whole_run_retained_bytes_per_transaction(shape):
 # replica derives each slot's phase, mp-steady / read-mostly-lease /
 # rdma-batched-bw read 3234.5 / 2173.2 / 6833.4 (3391.6 / 2193.4 / 6990.2
 # before) under PYTHONHASHSEED=0 and 4242, and their bounds are those plus
-# 2%; baseline-steady reads 4497.6 as before.
+# 2%; baseline-steady reads 4497.6 as before.  Since slot arrays are lists
+# and the history record is flat, they read 2472.5 / 1877.8 / 4236.2 /
+# 6156.1 (3232.2 / 2172.5 / 4495.9 / 6832.1 before) under PYTHONHASHSEED=0
+# and 4242, and the bounds are those plus 2%.
 PEAK_BYTES_PER_TXN = {
-    "mp-steady": 3300,
-    "mp-steady-grouped": 3300,
-    "read-mostly-lease": 2217,
-    "baseline-steady": 4583,
-    "rdma-batched-bw": 6971,
+    "mp-steady": 2522,
+    "mp-steady-grouped": 2522,
+    "read-mostly-lease": 1915,
+    "baseline-steady": 4321,
+    "rdma-batched-bw": 6280,
 }
 
 
@@ -642,6 +706,66 @@ def test_whole_run_peak_bytes_per_transaction(shape):
     assert per_txn <= PEAK_BYTES_PER_TXN[shape]
 
 
+# The slope gates (run memory follows in-flight work, not run length): what
+# one file keeps allocated, by ``tracemalloc`` filtered to it, after a warmed
+# 4N-transaction mp-steady-shape run minus after an N-transaction one, per
+# added unit of what the file keeps per transaction.  N is 500.  A replica
+# keeps Figure 1's four slot arrays as lists indexed by slot and ``slot_of``
+# as one dict: 79.3 B per added replica-slot (a slot holding a transaction
+# or a decision at one replica) under PYTHONHASHSEED=0, where four int-keyed
+# dicts kept 213.1.  The history keeps a payload and a decision per
+# transaction in two dicts, a byte and a time per event: 35.0 B per added
+# event, where two ``Event`` objects per transaction, their list and two
+# txn -> ``Event`` dicts kept 141.9.  The lists grow by a quarter at a time,
+# so where the 4N run's capacity lands moves the replica reading by up to
+# about ten bytes; the bounds leave room for that and fail the old record.
+REPLICA_BYTES_PER_SLOT = 100
+HISTORY_BYTES_PER_EVENT = 45
+
+
+def _retained_slope(filename):
+    """Bytes ``filename`` keeps after a 4N- minus an N-transaction warmed
+    mp-steady-shape run, and the replica-slots and history events the two
+    runs' clusters hold, both as 4N minus N."""
+    spec = _warmed_up("mp-steady")
+    only = [tracemalloc.Filter(True, f"*/repro/{filename}")]
+    readings = []
+    for txns in (500, 2000):
+        tracemalloc.start()
+        try:
+            runner = ScenarioRunner(replace(spec, workload=replace(spec.workload, txns=txns)))
+            runner.run()
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces(only)
+        finally:
+            tracemalloc.stop()
+        cluster = runner.cluster
+        readings.append(
+            (
+                sum(stat.size for stat in snapshot.statistics("filename")),
+                sum(
+                    sum(1 for _ in replica.filled_slots())
+                    for replica in cluster.replicas.values()
+                ),
+                len(cluster.history),
+            )
+        )
+    (bytes_n, slots_n, events_n), (bytes_4n, slots_4n, events_4n) = readings
+    return bytes_4n - bytes_n, slots_4n - slots_n, events_4n - events_n
+
+
+def test_replica_retained_bytes_per_added_slot():
+    added_bytes, added_slots, _events = _retained_slope("core/replica.py")
+    assert added_slots > 5000
+    assert added_bytes / added_slots <= REPLICA_BYTES_PER_SLOT, (added_bytes, added_slots)
+
+
+def test_history_retained_bytes_per_added_event():
+    added_bytes, _slots, added_events = _retained_slope("spec/history.py")
+    assert added_events == 3000
+    assert added_bytes / added_events <= HISTORY_BYTES_PER_EVENT, (added_bytes, added_events)
+
+
 # Cyclic-collector passes per generation over a warmed mp-steady-shape run,
 # from ``gc.get_stats()``: the collector reclaims nothing in a run
 # (``test_a_run_leaves_nothing_for_the_cyclic_collector``), so every pass is
@@ -653,7 +777,7 @@ def test_whole_run_peak_bytes_per_transaction(shape):
 # 53 / 4 / 0 while payload sets were frozensets).  Since an applied store
 # keeps one entry per object, and seeding it makes no object per key, they
 # are 39 / 3 / 0 under PYTHONHASHSEED=0 and 4242; the bounds are those plus
-# 2%, rounded.
+# 2%, rounded.  A history without ``Event`` objects reads 39 / 3 / 0 too.
 GC_COLLECTIONS = (40, 3, 0)
 
 

@@ -122,13 +122,18 @@ def _tamper(cluster):
     return shard, members
 
 
+def _filled(array):
+    """The slots at which one of a replica's slot lists holds an entry."""
+    return [slot for slot, value in enumerate(array) if value is not None]
+
+
 def test_invariants_detect_vote_divergence():
     cluster = Cluster(num_shards=2, replicas_per_shard=2, seed=82)
     cluster.certify(rw_payload("x", tiebreak="a"))
     cluster.run()
     shard = cluster.scheme.sharding.shard_of("x")
     follower = cluster.replica(cluster.followers_of(shard)[0])
-    slot = next(iter(follower.vote_arr))
+    slot = _filled(follower.vote_arr)[0]
     follower.vote_arr[slot] = Decision.ABORT
     violations = check_invariants(cluster.member_replicas_by_shard(), cluster.history)
     assert any("vote-agreement" in v.invariant for v in violations)
@@ -140,7 +145,7 @@ def test_invariants_detect_decision_divergence():
     cluster.run()
     shard = cluster.scheme.sharding.shard_of("x")
     follower = cluster.replica(cluster.followers_of(shard)[0])
-    slot = next(iter(follower.dec_arr))
+    slot = _filled(follower.dec_arr)[0]
     follower.dec_arr[slot] = Decision.ABORT
     violations = check_invariants(cluster.member_replicas_by_shard(), cluster.history)
     assert any("decision-agreement" in v.invariant for v in violations)
@@ -152,8 +157,10 @@ def test_invariants_detect_duplicate_transaction_slots():
     cluster.run()
     shard = cluster.scheme.sharding.shard_of("x")
     leader = cluster.replica(cluster.leader_of(shard))
-    slot = max(leader.txn_arr)
-    leader.txn_arr[slot + 1] = leader.txn_arr[slot]
+    slot = _filled(leader.txn_arr)[-1]
+    leader.store_slot(
+        slot + 1, leader.txn_arr[slot], leader.payload_arr[slot], leader.vote_arr[slot]
+    )
     violations = check_invariants(cluster.member_replicas_by_shard(), cluster.history)
     assert any("unique-slots" in v.invariant for v in violations)
 
@@ -164,7 +171,7 @@ def test_invariants_detect_log_divergence():
     cluster.run()
     shard = cluster.scheme.sharding.shard_of("x")
     follower = cluster.replica(cluster.followers_of(shard)[0])
-    slot = next(iter(follower.txn_arr))
+    slot = _filled(follower.txn_arr)[0]
     follower.txn_arr[slot] = "phantom-transaction"
     violations = check_invariants(cluster.member_replicas_by_shard(), cluster.history)
     assert any("log-agreement" in v.invariant for v in violations)
@@ -176,7 +183,7 @@ def test_invariants_detect_commit_with_abort_vote():
     cluster.run()
     shard = cluster.scheme.sharding.shard_of("x")
     leader = cluster.replica(cluster.leader_of(shard))
-    slot = next(iter(leader.dec_arr))
+    slot = _filled(leader.dec_arr)[0]
     leader.vote_arr[slot] = Decision.ABORT
     violations = check_invariants({shard: [leader]}, None)
     assert any("commit-implies-commit-vote" in v.invariant for v in violations)
@@ -208,13 +215,16 @@ def _split_decision_replicas():
     cluster.run()
     leader = cluster.replica(cluster.leader_of("shard-0"))
     follower = cluster.replica(cluster.followers_of("shard-0")[0])
-    first, last = min(leader.dec_arr), max(leader.dec_arr)
+    decided = _filled(leader.dec_arr)
+    first, last = decided[0], decided[-1]
     follower.dec_arr[first] = Decision.ABORT
     follower.dec_arr[last] = Decision.ABORT
-    twin = max(leader.txn_arr) + 1
-    leader.txn_arr[twin] = leader.txn_arr[last]
-    leader.dec_arr[twin] = Decision.ABORT
-    client = cluster.history.decided()
+    twin = _filled(leader.txn_arr)[-1] + 1
+    leader.store_slot(
+        twin, leader.txn_arr[last], leader.payload_arr[last], leader.vote_arr[last]
+    )
+    leader.decide_slot(twin, Decision.ABORT)
+    client = dict(cluster.history.decided())
     client[leader.txn_arr[last]] = Decision.ABORT
     client[leader.txn_arr[first + 1]] = Decision.ABORT
     return cluster.member_replicas_by_shard(), client
@@ -257,7 +267,7 @@ def test_violation_string_rendering():
     cluster.run()
     shard = cluster.scheme.sharding.shard_of("x")
     leader = cluster.replica(cluster.leader_of(shard))
-    slot = next(iter(leader.dec_arr))
+    slot = _filled(leader.dec_arr)[0]
     leader.vote_arr[slot] = Decision.ABORT
     violations = check_invariants({shard: [leader]}, None)
     assert all(str(v) for v in violations)

@@ -6,7 +6,7 @@ from repro.cluster import Cluster
 from repro.core.messages import AcceptAck, PrepareAck
 from repro.core.types import Decision, Phase, Status
 
-from helpers import payload, read_payload, rw_payload, shard_key
+from helpers import certification_order, payload, read_payload, rw_payload, shard_key
 
 
 PROTOCOLS = ["message-passing", "rdma"]
@@ -91,7 +91,7 @@ def test_leader_and_followers_record_the_transaction(cluster):
     cluster.run()
     members = [cluster.replica(pid) for pid in cluster.members_of(shard)]
     for replica in members:
-        assert txn in replica.certification_order()
+        assert txn in certification_order(replica)
         slot = replica.slot_of[txn]
         assert replica.phase(slot) is Phase.DECIDED
         assert replica.dec_arr[slot] is Decision.COMMIT
@@ -104,7 +104,7 @@ def test_uninvolved_shard_does_not_see_the_transaction(cluster):
     cluster.run_until_decided([txn])
     cluster.run()
     for pid in cluster.members_of("shard-1"):
-        assert txn not in cluster.replica(pid).certification_order()
+        assert txn not in certification_order(cluster.replica(pid))
 
 
 def test_empty_payload_commits_immediately(cluster):
@@ -136,9 +136,10 @@ def test_followers_match_leader_logs_after_load(cluster):
         leader = cluster.replica(cluster.leader_of(shard))
         for pid in cluster.followers_of(shard):
             follower = cluster.replica(pid)
-            for slot, txn in follower.txn_arr.items():
-                assert leader.txn_arr.get(slot) == txn
-                assert leader.vote_arr.get(slot) == follower.vote_arr.get(slot)
+            for slot, txn, _payload, vote, _dec in follower.filled_slots():
+                if txn is not None:
+                    assert leader.txn_arr[slot] == txn
+                    assert leader.vote_arr[slot] == vote
 
 
 def test_coordinator_is_not_member_of_involved_shard_by_default(cluster):

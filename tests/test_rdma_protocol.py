@@ -9,7 +9,7 @@ from repro.core.types import Decision, Status
 from repro.rdma.broken import BrokenRdmaShardReplica
 from repro.rdma.replica import RdmaShardReplica
 
-from helpers import payload, rw_payload, shard_key
+from helpers import certification_order, payload, rw_payload, shard_key
 
 
 @pytest.fixture
@@ -117,7 +117,7 @@ def test_new_leader_flushes_before_state_transfer(cluster):
     config = cluster.config_service.last_configuration()
     for pid in config.members["shard-0"]:
         replica = cluster.replica(pid)
-        assert txn in replica.certification_order()
+        assert txn in certification_order(replica)
 
 
 def test_rdma_history_correct_under_concurrent_conflicts(cluster):
@@ -160,7 +160,9 @@ SHARED_WITH_MESSAGE_PASSING = (
     "on_cs_lease_grant",
     "on_read_request",
     "is_leader",
-    "certification_order",
+    "phase",
+    "filled_slots",
+    "_grow",
     "_on_configuration_installed",
     # the reconfiguration steps both scopes run (repro.core.reconfig)
     "_cs_call",

@@ -31,7 +31,14 @@ from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.spec import ReadSpec
 from repro.store.kv import VersionedKVStore
 
-from helpers import TCSChecker, payload, reference_scheme, rw_payload, shard_key
+from helpers import (
+    TCSChecker,
+    effective_payload_of,
+    payload,
+    reference_scheme,
+    rw_payload,
+    shard_key,
+)
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +241,7 @@ def test_fast_path_serves_committed_write(read_cluster):
     (obj, value, version) = client.read_results[txn][0]
     assert (obj, value, version) == (key, "fresh", write.commit_version)
     # The decide event carries the versioned read, so the checker sees it.
-    decided = cluster.history.effective_payload_of(txn)
+    decided = effective_payload_of(cluster.history, txn)
     assert dict(decided.read_set)[key] == write.commit_version
     assert cluster.check()[0].ok
 

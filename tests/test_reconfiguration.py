@@ -7,7 +7,7 @@ from repro.cluster import Cluster
 from repro.core.messages import CsViewChange
 from repro.core.types import Decision, Status
 
-from helpers import payload, rw_payload, shard_key
+from helpers import certification_order, committed_of, payload, rw_payload, shard_key
 
 
 NARROW = dict(num_shards=2, replicas_per_shard=2, spares_per_shard=2, seed=21)
@@ -82,10 +82,10 @@ def test_committed_transactions_survive_reconfiguration(cluster):
     old_leader = cluster.crash_leader("shard-0")
     cluster.reconfigure("shard-0", suspects=[old_leader])
     new_config = cluster.current_configuration("shard-0")
-    decided_txns = set(cluster.history.committed())
+    decided_txns = set(committed_of(cluster.history))
     for pid in new_config.members:
         replica = cluster.replica(pid)
-        recorded = set(replica.txn_arr.values())
+        recorded = set(certification_order(replica))
         for txn in decided_txns:
             if "shard-0" in cluster.directory.shards_of(txn):
                 assert txn in recorded

@@ -19,6 +19,13 @@ rather than by the common path: a write over a prepared slot, a repeated
 decision, a decision that flips and a decision that lands before its
 write.  The derived phase is checked on every state transfer of the golden
 cases that reconfigure, and on a decision that lands before its write.
+
+The four arrays are lists indexed by slot, None where a slot holds nothing.
+Their filled entries and the phase they give must equal a rebuild as
+int-keyed dicts from every write the replica made (the record they
+replaced): at quiescence of every golden case on the two replica stacks,
+and across a hole — a decision no write ever joined, or one that landed
+before its write — carried through a state transfer.
 """
 
 import pytest
@@ -29,6 +36,7 @@ from repro.core.messages import Prepare
 from repro.core.reads import ReadPolicy
 from repro.core.serializability import VERSION_ZERO
 from repro.core.reconfig import Reconfigurer
+from repro.core.replica import ReplicaBase
 from repro.core.types import Decision, Phase
 from repro.core.votecache import LeaderVoteCache
 from repro.rdma import messages as rdma_messages
@@ -36,7 +44,7 @@ from repro.scenarios import ScenarioError, ScenarioRunner, get_scenario
 from repro.scenarios.library import SCENARIOS
 
 from helpers import rw_payload, shard_key
-from test_golden_digests import _spec_for
+from test_golden_digests import GOLDEN, _spec_for
 
 
 STACKS = ("message-passing", "rdma", "broken-rdma")
@@ -271,3 +279,127 @@ def test_a_decision_before_its_one_sided_accept_stays_decided():
     assert follower.dec_arr[slot] is Decision.ABORT
     assert follower.txn_arr[slot] == "t-late" and follower.slot_of["t-late"] == slot
     assert follower.retry(slot) is None
+
+
+# ----------------------------------------------------------------------
+# the slot lists against a dict rebuild
+# ----------------------------------------------------------------------
+
+class _DictRebuild:
+    """A replica's four arrays and ``slot_of`` as int-keyed dicts, written
+    by every ``store_slot``, ``decide_slot`` and ``_adopt_state`` the
+    replica ran."""
+
+    def __init__(self):
+        self.txn, self.payload, self.vote, self.dec, self.slot_of = {}, {}, {}, {}, {}
+
+    def phase(self, slot):
+        if slot in self.dec:
+            return Phase.DECIDED
+        return Phase.PREPARED if slot in self.txn else Phase.START
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Replica pid -> its :class:`_DictRebuild`, kept from here on."""
+    by_pid = {}
+    store_slot, decide_slot = ReplicaBase.store_slot, ReplicaBase.decide_slot
+    adopt_state = Reconfigurer._adopt_state
+
+    def storing(replica, slot, txn, payload, vote):
+        rebuild = by_pid.setdefault(replica.pid, _DictRebuild())
+        rebuild.txn[slot], rebuild.payload[slot], rebuild.vote[slot] = txn, payload, vote
+        rebuild.slot_of[txn] = slot
+        store_slot(replica, slot, txn, payload, vote)
+
+    def deciding(replica, slot, decision):
+        by_pid.setdefault(replica.pid, _DictRebuild()).dec[slot] = decision
+        decide_slot(replica, slot, decision)
+
+    def adopting(replica, msg):
+        rebuild = by_pid[replica.pid] = _DictRebuild()
+        rebuild.txn, rebuild.payload = dict(msg.txn), dict(msg.payload)
+        rebuild.vote, rebuild.dec = dict(msg.vote), dict(msg.dec)
+        rebuild.slot_of = {txn: slot for slot, txn in msg.txn.items()}
+        adopt_state(replica, msg)
+
+    monkeypatch.setattr(ReplicaBase, "store_slot", storing)
+    monkeypatch.setattr(ReplicaBase, "decide_slot", deciding)
+    monkeypatch.setattr(Reconfigurer, "_adopt_state", adopting)
+    return by_pid
+
+
+def assert_lists_equal_their_rebuild(replica, rebuild):
+    """The filled entries of ``replica``'s lists, its ``slot_of`` and the
+    phase of every slot up to past the lists' end are the rebuild's."""
+    arrays = (replica.txn_arr, replica.payload_arr, replica.vote_arr, replica.dec_arr)
+    assert len({len(array) for array in arrays}) == 1, replica.pid
+    filled = {slot: entry for slot, *entry in replica.filled_slots()}
+    assert filled == {
+        slot: [
+            rebuild.txn.get(slot),
+            rebuild.payload.get(slot),
+            rebuild.vote.get(slot),
+            rebuild.dec.get(slot),
+        ]
+        for slot in rebuild.txn.keys() | rebuild.dec.keys()
+    }, replica.pid
+    assert replica.slot_of == rebuild.slot_of, replica.pid
+    for slot in range(-1, len(replica.txn_arr) + 2):
+        assert replica.phase(slot) is rebuild.phase(slot), (replica.pid, slot)
+
+
+# The golden cases whose replicas run the Figure 1 / Figure 7 slot arrays
+# (the 2PC-over-Paxos baseline keeps its own per-slot state).
+SLOT_ARRAY_CASES = sorted(key for key in GOLDEN if "|2pc-paxos|" not in key)
+
+
+@pytest.mark.parametrize("key", SLOT_ARRAY_CASES)
+def test_the_slot_lists_equal_a_dict_rebuild_at_quiescence(key, rebuilds):
+    runner = ScenarioRunner(_spec_for(key))
+    runner.run()
+    for replica in runner.cluster.replicas.values():
+        assert_lists_equal_their_rebuild(replica, rebuilds.get(replica.pid, _DictRebuild()))
+    assert rebuilds
+
+
+@pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
+def test_holes_equal_a_dict_rebuild_through_a_state_transfer(protocol, rebuilds):
+    """Past the last slot the leader filled, every member holds a decision
+    no write joins (a hole); under RDMA a follower also takes a decision
+    before the one-sided write that carries its transaction.  The leader
+    is crashed: the next one transfers both in ``NEW_STATE``, and every
+    member of the new configuration continues the order after the hole,
+    the highest filled slot, whatever its lists' length."""
+    cluster = _cluster(protocol)
+    leader, slot, _a, _b = _leader_with_history(cluster)
+    hole = slot + 3
+    members = cluster.members_of("shard-0")
+    for pid in members:
+        cluster.replica(pid).decide_slot(hole, Decision.ABORT)
+    if protocol == "rdma":
+        late = slot + 1
+        follower = cluster.replica(cluster.followers_of("shard-0")[0])
+        follower.on_slot_decision(_slot_decision(follower, late, Decision.COMMIT), "c")
+        follower.on_accept(
+            rdma_messages.Accept(
+                slot=late,
+                txn="t-late",
+                payload=rw_payload(shard_key(cluster.scheme, "shard-0", "l"), tiebreak="l"),
+                vote=Decision.COMMIT,
+            ),
+            "c",
+        )
+        assert follower.phase(late) is Phase.DECIDED
+        assert_lists_equal_their_rebuild(follower, rebuilds[follower.pid])
+    for pid in members:
+        assert_lists_equal_their_rebuild(cluster.replica(pid), rebuilds[pid])
+    crashed = cluster.crash_leader("shard-0")
+    cluster.reconfigure("shard-0", suspects=[crashed])
+    config = cluster.current_configuration("shard-0")
+    assert config.epoch == 2 and set(config.members) - set(members)
+    for pid in config.members:
+        replica = cluster.replica(pid)
+        assert_lists_equal_their_rebuild(replica, rebuilds[pid])
+        assert replica.phase(hole) is Phase.DECIDED and replica.txn_arr[hole] is None
+        assert replica.next == hole
