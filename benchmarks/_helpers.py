@@ -69,10 +69,16 @@ BASELINE_CHECKED_TXNS_PER_SEC = 2_600.0  # online checker on (worst model)
 # state machine measures 790 on the quiet container and misses the floor.
 BASELINE_BASELINE_STACK_TXNS_PER_SEC = 1_900.0
 
-ENGINE_TXNS_FLOOR = BASELINE_ENGINE_TXNS_PER_SEC / 2
-ENGINE_EVENTS_FLOOR = BASELINE_ENGINE_EVENTS_PER_SEC / 2
+# These four absolute floors are asserted only under the ``wallclock``
+# marker (the default run keeps each workload's correctness checks).  The
+# margin beside each is the reading over the floor on a 2-core container,
+# 2026-10, in two runs of ``python -m pytest -m wallclock`` on these files.
+ENGINE_TXNS_FLOOR = BASELINE_ENGINE_TXNS_PER_SEC / 2  # 5,247-5,687 txns/s: 3.5-3.8x
+ENGINE_EVENTS_FLOOR = BASELINE_ENGINE_EVENTS_PER_SEC / 2  # 56.7k-61.4k events/s: 3.5-3.8x
+# Checker 5,014-5,315 txns/s (3.9-4.1x); lognormal 4,044-4,335 (3.1-3.3x);
+# WAN pack 3,405-3,452 (2.6-2.7x).
 CHECKED_TXNS_FLOOR = BASELINE_CHECKED_TXNS_PER_SEC / 2
-BASELINE_STACK_TXNS_FLOOR = BASELINE_BASELINE_STACK_TXNS_PER_SEC / 2
+BASELINE_STACK_TXNS_FLOOR = BASELINE_BASELINE_STACK_TXNS_PER_SEC / 2  # 2,775-3,259 txns/s: 2.9-3.4x
 
 # Speedup-ratio guards compare a feature's wall-clock throughput with the
 # same workload run without it (interleaved rounds, one process).  A ratio

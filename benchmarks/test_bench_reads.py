@@ -19,9 +19,9 @@ Three layers, all emitted into ``BENCH_reads.json``:
   was 3.2x, guarded at 3x, before the per-message path, which the
   all-certified side is bound by, got 1.5x cheaper —
   ``SNAPSHOT_READ_SPEEDUP_FLOOR``).
-  Each configuration is validated once with the online checker attached,
-  in the default run — the timed rounds run unchecked so the guard
-  measures the protocol, not the checker.
+  The timed rounds run unchecked so the guard measures the protocol, not
+  the checker; the deterministic layer's two runs are the same workload
+  validated with the online checker attached.
 
 * **Crossover**: the read-ratio curve certified-vs-snapshot on the stock
   ``read-heavy-steady-state`` topology — per point: virtual throughput,
@@ -117,6 +117,10 @@ def _drive(snapshot: bool, check: bool):
 
 
 def test_read_path_message_and_event_reduction_is_deterministic(benchmark):
+    """Also the timed workload's checked validation: both configurations
+    decide every transaction with the online checker attached, and the
+    snapshot configuration serves its reads on the fast path."""
+
     def run_pair():
         certified = _drive(snapshot=False, check=True)
         fast = _drive(snapshot=True, check=True)
@@ -144,18 +148,6 @@ def test_read_path_message_and_event_reduction_is_deterministic(benchmark):
         "event_ratio": event_ratio,
     }
     write_bench_artifact("reads", _artifact)
-
-
-def test_read_path_throughput_guard(benchmark):
-    """The timed workload's checked validation runs: both configurations
-    decide every transaction with the online checker attached, and the
-    snapshot configuration serves its reads on the fast path."""
-
-    def validate():
-        _drive(snapshot=False, check=True)
-        _drive(snapshot=True, check=True)
-
-    benchmark.pedantic(validate, rounds=1, iterations=1)
 
 
 @pytest.mark.wallclock

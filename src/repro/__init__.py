@@ -19,82 +19,84 @@ Quickstart::
     assert outcome.committed
 """
 
-from repro.cluster import Cluster
-from repro.baselines.cluster import BaselineCluster
-from repro.client import Client
-from repro.core import (
-    BOTTOM,
-    CertificationScheme,
-    Configuration,
-    Decision,
-    KeyHashSharding,
-    Phase,
-    SerializabilityScheme,
-    ShardReplica,
-    SnapshotIsolationScheme,
-    Status,
-    TransactionDirectory,
-    TransactionPayload,
-)
-from repro.rdma import BrokenRdmaShardReplica, RdmaShardReplica
-from repro.scenarios import (
-    FaultStep,
-    ScenarioResult,
-    ScenarioRunner,
-    ScenarioSpec,
-    WorkloadSpec,
-    get_scenario,
-    run_scenario,
-    run_sweep,
-    scenario_names,
-)
-from repro.spec import History, check_invariants
-from repro.store import TransactionalStore, VersionedKVStore
-from repro.workload import (
-    BankWorkload,
-    ReadWriteWorkload,
-    TransactionSpec,
-    UniformKeyGenerator,
-    ZipfianKeyGenerator,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cluster",
-    "BaselineCluster",
-    "Client",
-    "BOTTOM",
-    "CertificationScheme",
-    "Configuration",
-    "Decision",
-    "KeyHashSharding",
-    "Phase",
-    "SerializabilityScheme",
-    "ShardReplica",
-    "SnapshotIsolationScheme",
-    "Status",
-    "TransactionDirectory",
-    "TransactionPayload",
-    "RdmaShardReplica",
-    "BrokenRdmaShardReplica",
-    "FaultStep",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "ScenarioSpec",
-    "WorkloadSpec",
-    "get_scenario",
-    "run_scenario",
-    "run_sweep",
-    "scenario_names",
-    "History",
-    "check_invariants",
-    "TransactionalStore",
-    "VersionedKVStore",
-    "BankWorkload",
-    "ReadWriteWorkload",
-    "TransactionSpec",
-    "UniformKeyGenerator",
-    "ZipfianKeyGenerator",
-    "__version__",
-]
+# Every public name and the module it is defined in.  A name is imported on
+# first access (PEP 562), so a process loads only the stack it runs: a
+# message-passing run never imports the RDMA replicas or the 2PC baseline.
+_EXPORTS = {
+    "Cluster": "repro.cluster",
+    "BaselineCluster": "repro.baselines.cluster",
+    "Client": "repro.client",
+    **dict.fromkeys(
+        (
+            "BOTTOM",
+            "CertificationScheme",
+            "Configuration",
+            "Decision",
+            "KeyHashSharding",
+            "Phase",
+            "SerializabilityScheme",
+            "ShardReplica",
+            "SnapshotIsolationScheme",
+            "Status",
+            "TransactionDirectory",
+            "TransactionPayload",
+        ),
+        "repro.core",
+    ),
+    "RdmaShardReplica": "repro.rdma",
+    "BrokenRdmaShardReplica": "repro.rdma",
+    **dict.fromkeys(
+        (
+            "FaultStep",
+            "ScenarioResult",
+            "ScenarioRunner",
+            "ScenarioSpec",
+            "WorkloadSpec",
+            "get_scenario",
+            "run_scenario",
+            "run_sweep",
+            "scenario_names",
+        ),
+        "repro.scenarios",
+    ),
+    "History": "repro.spec",
+    "check_invariants": "repro.spec",
+    "TransactionalStore": "repro.store",
+    "VersionedKVStore": "repro.store",
+    **dict.fromkeys(
+        (
+            "BankWorkload",
+            "ReadWriteWorkload",
+            "TransactionSpec",
+            "UniformKeyGenerator",
+            "ZipfianKeyGenerator",
+        ),
+        "repro.workload",
+    ),
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def _lazy_exports(namespace, exports):
+    """A package's PEP 562 ``__getattr__`` and ``__dir__``: each name of
+    ``exports`` (name -> module) is imported on first access and kept in
+    ``namespace``, the package's globals."""
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(exports[name]), name)
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

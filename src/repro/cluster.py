@@ -33,6 +33,7 @@ in :class:`ClusterBase`).  There are two:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import (
@@ -50,7 +51,6 @@ from repro.core.directory import TransactionDirectory
 from repro.core.failuredetector import DetectorPolicy, HeartbeatPump
 from repro.core.reads import ReadPolicy
 from repro.core.reconfig import SparePool
-from repro.core.replica import ShardReplica
 from repro.core.serializability import (
     KeyHashSharding,
     SerializabilityScheme,
@@ -65,8 +65,6 @@ from repro.core.types import (
     ShardId,
     TxnId,
 )
-from repro.rdma.broken import BrokenRdmaShardReplica
-from repro.rdma.replica import RdmaShardReplica
 from repro.runtime.events import Scheduler
 from repro.runtime.network import LatencySpec, Network, NetworkSpec
 from repro.spec.history import History
@@ -415,7 +413,9 @@ class ProtocolSpec:
     The variants are the entries of ``_PROTOCOL_REGISTRY``, so a new one is
     an entry there instead of a branch inside ``Cluster.__init__``:
 
-    * ``replica_cls`` — the shard-replica process class;
+    * ``replica`` — the shard-replica process class as ``"module:name"``,
+      imported (``replica_cls``) when a cluster of the variant is built, so
+      a run imports no other variant's stack;
     * ``global_config`` — True when the variant keeps a single system-wide
       configuration and epoch (the RDMA protocol of Section 5), stored in
       the configuration service under ``"*"``, rather than one configuration
@@ -426,10 +426,15 @@ class ProtocolSpec:
     """
 
     name: str
-    replica_cls: type
+    replica: str
     global_config: bool = False
     post_build: Optional[Callable[["Cluster"], None]] = None
     description: str = ""
+
+    @property
+    def replica_cls(self) -> type:
+        module, _, name = self.replica.partition(":")
+        return getattr(import_module(module), name)
 
 
 def _open_rdma_everywhere(cluster: "Cluster") -> None:
@@ -445,18 +450,18 @@ _PROTOCOL_REGISTRY: Dict[str, ProtocolSpec] = {
     for spec in (
         ProtocolSpec(
             name=PROTOCOL_MESSAGE_PASSING,
-            replica_cls=ShardReplica,
+            replica="repro.core.replica:ShardReplica",
             description="Figure 1: asynchronous message passing, per-shard reconfiguration",
         ),
         ProtocolSpec(
             name=PROTOCOL_RDMA,
-            replica_cls=RdmaShardReplica,
+            replica="repro.rdma.replica:RdmaShardReplica",
             global_config=True,
             description="Figures 7-8: RDMA data path, global reconfiguration",
         ),
         ProtocolSpec(
             name=PROTOCOL_BROKEN_RDMA,
-            replica_cls=BrokenRdmaShardReplica,
+            replica="repro.rdma.broken:BrokenRdmaShardReplica",
             post_build=_open_rdma_everywhere,
             description="Figure 4a ablation: RDMA data path + per-shard reconfiguration (unsafe)",
         ),
@@ -551,6 +556,7 @@ class Cluster(ClusterBase):
                 self.config_service.install_initial(shard, config)
 
         # Create replicas and spares.
+        replica_cls = spec.replica_cls
         for shard in self.shards:
             pool = SparePool()
             self.spare_pools[shard] = pool
@@ -559,7 +565,7 @@ class Cluster(ClusterBase):
                 f"{shard}/spare{i}" for i in range(self.spares_per_shard)
             ]
             for pid in pids:
-                replica = spec.replica_cls(
+                replica = replica_cls(
                     pid=pid,
                     shard=shard,
                     scheme=self.scheme,

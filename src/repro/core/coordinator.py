@@ -272,8 +272,13 @@ class CoordinatorMixin:
     def _maybe_decide(self, entry: CoordinatorEntry) -> None:
         if entry.decision is not None:
             return
-        if not all(self._shard_persisted(entry, shard) for shard in entry.shards):
+        # A shard without a vote cannot be persisted: skip the per-shard
+        # checks until every shard has voted.
+        if len(entry.votes) < len(entry.shards):
             return
+        for shard in entry.shards:
+            if not self._shard_persisted(entry, shard):
+                return
         decision = Decision.meet_all(entry.votes[s] for s in entry.shards)
         slots = entry.slots
         entry.decision = decision
@@ -348,8 +353,13 @@ class CoordinatorMixin:
         epoch = self.epoch_of(shard)
         if epoch is None or entry.vote_epochs.get(shard) != epoch:
             return False
-        followers = {p for p in self.members[shard] if p != self.leader[shard]}
-        return followers <= entry.acks.get(self._ack_key(shard, epoch), set())
+        acked = entry.acks.get(self._ack_key(shard, epoch), ())
+        leader = self.leader[shard]
+        # With no followers (f = 0) the leader's vote alone persists it.
+        for pid in self.members[shard]:
+            if pid != leader and pid not in acked:
+                return False
+        return True
 
     def _persist_decision(self, shard: ShardId, slot: int, decision: Decision) -> None:
         """Send ``DECISION`` to every member of the shard (lines 28-29)."""

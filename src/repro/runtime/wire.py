@@ -20,10 +20,12 @@ Two properties matter more than the absolute byte values:
   newly added protocol message breaks the unit-test battery instead of
   silently costing 0 bytes on the wire.
 
-The registry is built lazily on first use: this module imports only the
-standard library at import time so ``runtime.network`` can depend on it
+The registry is built lazily, one stack at a time: this module imports only
+the standard library at import time so ``runtime.network`` can depend on it
 without creating a cycle with the protocol modules (which themselves
-import the runtime).
+import the runtime).  The core protocol's messages are registered on the
+first sizing; the RDMA and the 2PC-over-Paxos messages when a message of
+that stack is first sized, so a run imports no stack it does not send.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from enum import Enum
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Set
 
 # Fixed per-message envelope: type tag, source/destination addressing and
 # framing.  Charged once per top-level message and once per nested
@@ -53,7 +55,8 @@ _SIZERS: Dict[type, Callable[[Any], float]] = {}
 # (see :func:`_compile_field_sizer`): one dict lookup per field instead of
 # an ``isinstance`` ladder.
 _FIELD_SIZERS: Dict[type, Callable[[Any], float]] = {}
-_REGISTERED = False
+# The stack registrations already run (see ``_register_stack_of``).
+_REGISTERED: Set[Callable[[], None]] = set()
 
 
 def _field_size(value: Any) -> float:
@@ -182,18 +185,11 @@ def _register(cls: type, sizer: Optional[Callable[[Any], float]] = None) -> None
     _SIZERS[cls] = sizer or _dataclass_fields_sizer(cls, HEADER_BYTES)
 
 
-def _ensure_registered() -> None:
-    """Build the registry on first use (imports the protocol modules)."""
-    global _REGISTERED
-    if _REGISTERED:
-        return
-    _REGISTERED = True
-
+def _register_core() -> None:
+    """The message-passing protocol, the transport envelope and the
+    payload memo every stack uses."""
     from repro.core import messages as core
     from repro.core.serializability import TransactionPayload
-    from repro.rdma import messages as rdma
-    from repro.baselines import paxos, twopc
-    from repro.runtime import rdma as rdma_runtime
     from repro.runtime.process import Batch
 
     # Equal payloads have equal sizes (equality is field equality and the
@@ -207,7 +203,6 @@ def _ensure_registered() -> None:
     # inside one raises like an unregistered top-level message.
     _register(Batch, _batch_sizer("items"))
 
-    # --- core message-passing protocol ---------------------------------
     for cls in (
         core.CertifyRequest,
         core.TxnDecision,
@@ -235,7 +230,13 @@ def _ensure_registered() -> None:
     ):
         _register(cls)
 
-    # --- RDMA protocol (distinct classes from core's same-named ones) ---
+
+def _register_rdma() -> None:
+    """The RDMA protocol (distinct classes from core's same-named ones)
+    and the NIC-level frames."""
+    from repro.rdma import messages as rdma
+    from repro.runtime import rdma as rdma_runtime
+
     for cls in (
         rdma.Accept,
         rdma.SlotDecision,
@@ -248,15 +249,19 @@ def _ensure_registered() -> None:
     ):
         _register(cls)
 
-    # NIC-level frames: an RdmaWrite carries a full protocol message as
-    # its payload, so it costs a frame header plus that message's size.
+    # An RdmaWrite carries a full protocol message as its payload, so it
+    # costs a frame header plus that message's size.
     def _rdma_write_sizer(frame: Any) -> float:
         return HEADER_BYTES + SCALAR_BYTES + wire_size(frame.payload)
 
     _register(rdma_runtime.RdmaWrite, _rdma_write_sizer)
     _register(rdma_runtime.RdmaAck)
 
-    # --- 2PC-over-Paxos baseline ---------------------------------------
+
+def _register_baseline() -> None:
+    """The 2PC-over-Paxos baseline."""
+    from repro.baselines import paxos, twopc
+
     for cls in (
         paxos.RsmCommand,
         paxos.RsmResponse,
@@ -273,10 +278,29 @@ def _ensure_registered() -> None:
     _register(twopc.CommandBatch, _batch_sizer("commands"))
 
 
+# The modules whose message classes the RDMA or the baseline stack
+# registers; every other class is the core stack's, registered first.
+_STACK_OF_MODULE: Dict[str, Callable[[], None]] = {
+    "repro.rdma.messages": _register_rdma,
+    "repro.runtime.rdma": _register_rdma,
+    "repro.baselines.paxos": _register_baseline,
+    "repro.baselines.twopc": _register_baseline,
+}
+
+
+def _register_stack_of(cls: type) -> None:
+    """Register the core stack, and the stack ``cls`` belongs to, unless
+    already done (this imports that stack's message modules)."""
+    for register in (_register_core, _STACK_OF_MODULE.get(cls.__module__, _register_core)):
+        if register not in _REGISTERED:
+            _REGISTERED.add(register)
+            register()
+
+
 def is_registered(cls: type) -> bool:
     """True when ``cls`` has an explicit wire-size entry (exact type, not
     via inheritance — every new message class must be registered itself)."""
-    _ensure_registered()
+    _register_stack_of(cls)
     return cls in _SIZERS
 
 
@@ -287,8 +311,10 @@ def wire_size(message: Any) -> float:
     the unit-test battery enumerates every message module, so forgetting to
     register a new type is a test failure, not a free message.
     """
-    _ensure_registered()
     sizer = _SIZERS.get(type(message))
+    if sizer is None:
+        _register_stack_of(type(message))
+        sizer = _SIZERS.get(type(message))
     if sizer is None:
         raise TypeError(
             f"no wire size registered for message type "

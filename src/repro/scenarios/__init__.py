@@ -6,96 +6,69 @@ experiment, :class:`ScenarioRunner` executes it deterministically, and a
 :class:`ScenarioResult` carries throughput, latency, abort-rate, message
 and safety metrics.  The examples, the benchmark harness, the tests and
 the ``python -m repro.scenarios`` CLI all run on this engine.
+
+Every name below is imported on first access (PEP 562): a run built from
+:class:`ScenarioSpec` and :class:`ScenarioRunner` loads neither the
+scenario library, the sweep axes nor the process-pool executor.
 """
 
-from repro.scenarios.library import (
-    SCENARIOS,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-)
-from repro.scenarios.runner import (
-    ScenarioResult,
-    ScenarioRunner,
-    run_scenario,
-)
-from repro.scenarios.executor import (
-    run_repetitions,
-    run_scenarios,
-    run_sweep,
-)
-from repro.scenarios.spec import (
-    CHECK_MODES,
-    EXEC_MODES,
-    FAULT_ACTIONS,
-    LATENCY_MODELS,
-    PROTOCOL_BASELINE,
-    WORKLOAD_KINDS,
-    BatchSpec,
-    ExecSpec,
-    FaultStep,
-    LatencySpec,
-    NetworkSpec,
-    RetrySpec,
-    ScenarioError,
-    ScenarioSpec,
-    WorkloadSpec,
-)
-from repro.scenarios.sweep import (
-    AXES,
-    BANDWIDTH,
-    BATCH,
-    DETECTOR,
-    LATENCY,
-    READ_RATIO,
-    SweepAxis,
-    SweepResult,
-    parse_bandwidth,
-    parse_batch,
-    parse_detector,
-    parse_latency,
-    parse_read_ratio,
-    run_axis_sweep,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AXES",
-    "BANDWIDTH",
-    "BATCH",
-    "CHECK_MODES",
-    "DETECTOR",
-    "LATENCY",
-    "READ_RATIO",
-    "SCENARIOS",
-    "get_scenario",
-    "register_scenario",
-    "scenario_names",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "run_scenario",
-    "run_scenarios",
-    "run_repetitions",
-    "run_sweep",
-    "run_axis_sweep",
-    "parse_latency",
-    "parse_bandwidth",
-    "parse_batch",
-    "parse_detector",
-    "parse_read_ratio",
-    "EXEC_MODES",
-    "FAULT_ACTIONS",
-    "LATENCY_MODELS",
-    "PROTOCOL_BASELINE",
-    "WORKLOAD_KINDS",
-    "BatchSpec",
-    "ExecSpec",
-    "FaultStep",
-    "LatencySpec",
-    "NetworkSpec",
-    "RetrySpec",
-    "ScenarioError",
-    "ScenarioSpec",
-    "SweepAxis",
-    "SweepResult",
-    "WorkloadSpec",
-]
+# Every public name and the module it is defined in.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("SCENARIOS", "get_scenario", "register_scenario", "scenario_names"),
+        "repro.scenarios.library",
+    ),
+    **dict.fromkeys(
+        ("ScenarioResult", "ScenarioRunner", "run_scenario"),
+        "repro.scenarios.runner",
+    ),
+    **dict.fromkeys(
+        ("run_repetitions", "run_scenarios", "run_sweep"),
+        "repro.scenarios.executor",
+    ),
+    **dict.fromkeys(
+        (
+            "CHECK_MODES",
+            "EXEC_MODES",
+            "FAULT_ACTIONS",
+            "LATENCY_MODELS",
+            "PROTOCOL_BASELINE",
+            "WORKLOAD_KINDS",
+            "BatchSpec",
+            "ExecSpec",
+            "FaultStep",
+            "LatencySpec",
+            "NetworkSpec",
+            "RetrySpec",
+            "ScenarioError",
+            "ScenarioSpec",
+            "WorkloadSpec",
+        ),
+        "repro.scenarios.spec",
+    ),
+    **dict.fromkeys(
+        (
+            "AXES",
+            "BANDWIDTH",
+            "BATCH",
+            "DETECTOR",
+            "LATENCY",
+            "READ_RATIO",
+            "SweepAxis",
+            "SweepResult",
+            "parse_bandwidth",
+            "parse_batch",
+            "parse_detector",
+            "parse_latency",
+            "parse_read_ratio",
+            "run_axis_sweep",
+        ),
+        "repro.scenarios.sweep",
+    ),
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

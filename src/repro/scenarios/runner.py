@@ -47,7 +47,6 @@ from repro.analysis.metrics import (
     phase_breakdown,
     summarize,
 )
-from repro.baselines.cluster import BaselineCluster
 from repro.cluster import Cluster, ClusterBase
 from repro.core.serializability import TransactionPayload
 from repro.core.types import Decision
@@ -291,6 +290,10 @@ class ScenarioRunner:
             network=spec.network,
         )
         if spec.protocol == PROTOCOL_BASELINE:
+            # Imported here: a run of the paper's protocols never loads the
+            # baseline's stack.
+            from repro.baselines.cluster import BaselineCluster
+
             self.cluster = BaselineCluster(
                 failures_tolerated=(spec.replicas_per_shard - 1) // 2, **shared
             )

@@ -10,7 +10,6 @@ checker and the metrics layer consume.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 from itertools import count, repeat
 from operator import getitem
@@ -28,6 +27,14 @@ from typing import (
     Set,
     Tuple,
 )
+
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11
+    except ImportError:  # an interpreter built without the module
+        from hashlib import sha256
 
 from repro.core.types import Decision, TxnId
 
@@ -334,8 +341,14 @@ class History:
         times one).  It builds no per-run container: a run's memory peaks
         here.  An event's text is ``repr`` of ``(kind, txn, time, seq,
         payload, decision name)``, its payload in canonical form.
+
+        The hash is the interpreter's built-in SHA-256 (``_sha2`` on 3.12+,
+        ``_sha256`` on 3.11), as ``random.py`` uses ``_sha512``: ``hashlib``
+        loads OpenSSL's libcrypto, about 3.5 MB of every process's peak RSS,
+        for this one call.  The bytes hashed and the digest are the same;
+        ``hashlib`` stands in only where the interpreter lacks the module.
         """
-        fingerprint = hashlib.sha256()
+        fingerprint = sha256()
         update = fingerprint.update
         payloads = self._decide_payloads
         # One ``update`` per event: the text of a whole run is never held.
