@@ -22,7 +22,7 @@ from repro.baselines.paxos import PaxosGroup, PaxosReplica
 from repro.baselines.twopc import CertificationStateMachine, TwoPCCoordinator
 from repro.client import CoordinatorRouter
 from repro.cluster import ClusterBase
-from repro.core.types import ShardId, TxnId
+from repro.core.types import Configuration, ShardId, TxnId
 
 
 class BaselineCluster(ClusterBase):
@@ -83,9 +83,9 @@ class BaselineCluster(ClusterBase):
         self._coordinator_pids = tuple(c.pid for c in self.coordinators)
 
     def _build_router(self) -> CoordinatorRouter:
+        pids = self._coordinator_pids
         return CoordinatorRouter(
-            ("coordinators",),
-            {"coordinators": self._coordinator_pids},
+            {"coordinators": Configuration(epoch=0, members=pids, leader=pids[0])},
             sticky=self.network.link.sticky,
         )
 

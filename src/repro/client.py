@@ -59,7 +59,7 @@ from repro.core.messages import (
     TxnDecision,
 )
 from repro.core.serializability import SnapshotRead, TransactionPayload
-from repro.core.types import Decision, ShardId, TxnId
+from repro.core.types import Configuration, Decision, ShardId, TxnId
 from repro.runtime.process import Process
 from repro.spec.history import History
 
@@ -124,20 +124,11 @@ class CoordinatorRouter:
     it — and never peeks at live process state.
     """
 
-    def __init__(
-        self,
-        shards: Sequence[ShardId],
-        members: Mapping[ShardId, Tuple[str, ...]],
-        leaders: Optional[Mapping[ShardId, str]] = None,
-        epochs: Optional[Mapping[ShardId, int]] = None,
-        sticky: bool = False,
-    ) -> None:
-        self.shards: List[ShardId] = list(shards)
-        self.members: Dict[ShardId, Tuple[str, ...]] = {
-            shard: tuple(pids) for shard, pids in members.items()
-        }
-        self.leaders: Dict[ShardId, str] = dict(leaders or {})
-        self.epochs: Dict[ShardId, int] = dict(epochs or {})
+    def __init__(self, view: Mapping[ShardId, Configuration], sticky: bool = False) -> None:
+        # The configuration of every shard, written only by
+        # ``note_config_change``.
+        self.view: Dict[ShardId, Configuration] = dict(view)
+        self.shards: List[ShardId] = list(view)
         # Sticky affinity: pin each involved-shard set to one coordinator so
         # its batches fill deeper; re-pins on failover (exclusion) and drops
         # pins to members removed by a configuration change.
@@ -155,23 +146,20 @@ class CoordinatorRouter:
         configuration of ``shard`` is installed."""
         self._listeners.append(fn)
 
-    def note_config_change(
-        self, shard: ShardId, epoch: int, members: Sequence[str], leader: str
-    ) -> None:
+    def note_config_change(self, shard: ShardId, config: Configuration) -> None:
         """Install a (possibly newer) configuration of ``shard``."""
-        if epoch < self.epochs.get(shard, 0):
+        known = self.view[shard]
+        if config.epoch < known.epoch:
             return
-        removed = frozenset(self.members.get(shard, ())) - frozenset(members)
-        self.epochs[shard] = epoch
-        self.members[shard] = tuple(members)
-        self.leaders[shard] = leader
+        removed = frozenset(known.members) - frozenset(config.members)
+        self.view[shard] = config
         if removed and self._pins:
             self._pins = {
                 key: pid for key, pid in self._pins.items() if pid not in removed
             }
         self.config_updates += 1
         for listener in self._listeners:
-            listener(shard, removed, leader)
+            listener(shard, removed, config.leader)
 
     def candidates(self, involved: Sequence[ShardId]) -> List[str]:
         """Coordinator candidates for a transaction over ``involved`` shards,
@@ -180,7 +168,7 @@ class CoordinatorRouter:
         uninvolved = [shard for shard in self.shards if shard not in involved]
         out: List[str] = []
         for shard in uninvolved or involved:
-            out.extend(self.members.get(shard, ()))
+            out.extend(self.view[shard].members)
         return out
 
     def pick(self, involved: Sequence[ShardId], exclude: Sequence[str] = ()) -> str:
@@ -571,15 +559,15 @@ class Client(Process):
             return
         # One shard's record, or a system-wide one covering every shard.
         for shard, config in sorted(msg.config.by_shard(asked).items()):
-            self.router.note_config_change(
-                shard, config.epoch, config.members, config.leader
-            )
+            self.router.note_config_change(shard, config)
 
     def on_config_change(self, msg: ConfigChange, sender: str) -> None:
         """``CONFIG_CHANGE`` pushed by the configuration service (clients
         subscribe when sessions are enabled)."""
         if self.router is not None:
-            self.router.note_config_change(msg.shard, msg.epoch, msg.members, msg.leader)
+            self.router.note_config_change(
+                msg.shard, Configuration(msg.epoch, tuple(msg.members), msg.leader)
+            )
 
     # ------------------------------------------------------------------
     # decisions

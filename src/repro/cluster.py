@@ -583,8 +583,11 @@ class Cluster(ClusterBase):
                 if pid not in members_by_shard[shard]:
                     pool.add(pid)
 
-        # Bootstrap configuration knowledge.
-        bootstrap_view = global_config if spec.global_config else initial_configs
+        # Bootstrap configuration knowledge: every shard's initial record, or
+        # its slice of the initial global one.
+        bootstrap_view = (
+            global_config.by_shard(GLOBAL_SHARD) if spec.global_config else initial_configs
+        )
         for replica in self.replicas.values():
             replica.spare_pools = self.spare_pools
             replica.bootstrap(bootstrap_view)
@@ -595,13 +598,7 @@ class Cluster(ClusterBase):
         """Seeded from the bootstrap configurations; with retry enabled it
         tracks reconfigurations through the subscription in ``_post_build``,
         the way a real TCS client library would."""
-        return CoordinatorRouter(
-            self.shards,
-            members={s: c.members for s, c in self.initial_configs.items()},
-            leaders={s: c.leader for s, c in self.initial_configs.items()},
-            epochs={s: c.epoch for s, c in self.initial_configs.items()},
-            sticky=self.network.link.sticky,
-        )
+        return CoordinatorRouter(self.initial_configs, sticky=self.network.link.sticky)
 
     def _post_build(self) -> None:
         for client in self.clients:

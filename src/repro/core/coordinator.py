@@ -196,7 +196,7 @@ class CoordinatorMixin:
                 BOTTOM if payload is BOTTOM else self.scheme.project(payload, shard)
             )
             self._prepare_batcher.add(
-                self.leader[shard], Prepare(txn=txn, payload=projected)
+                self.view[shard].leader, Prepare(txn=txn, payload=projected)
             )
         if not shards:
             # A transaction touching no shard (empty payload) commits
@@ -297,9 +297,9 @@ class CoordinatorMixin:
     # ------------------------------------------------------------------
     # what a protocol stack supplies; the bodies are Figure 1's
     # ------------------------------------------------------------------
-    def epoch_of(self, shard: ShardId) -> Optional[int]:
+    def epoch_of(self, shard: ShardId) -> int:
         """The epoch this process believes ``shard`` is in (``epoch[s]``)."""
-        return self.epoch.get(shard)
+        return self.view[shard].epoch
 
     def _ack_key(self, shard: ShardId, epoch: int) -> Hashable:
         """What a follower's confirmation counts towards in ``entry.acks``:
@@ -309,7 +309,7 @@ class CoordinatorMixin:
     def _on_stale_prepare_ack(self, msg: PrepareAck, sender: str) -> None:
         """Precondition ``epoch[s] = e`` failed (line 19).  A newer epoch may
         simply not have reached us yet; stash and retry once it does."""
-        if msg.epoch > self.epoch.get(msg.shard, 0):
+        if msg.epoch > self.view[msg.shard].epoch:
             self._stash_message(msg, sender)
 
     def _make_accept_batcher(self, policy: BatchPolicy) -> MessageBatcher:
@@ -321,7 +321,6 @@ class CoordinatorMixin:
     def _persist_vote(self, entry: CoordinatorEntry, msg: PrepareAck) -> None:
         """Relay the vote to the shard's followers in ``ACCEPT`` messages
         (lines 18-20); they confirm with ``ACCEPT_ACK``."""
-        followers = [p for p in self.members[msg.shard] if p != self.leader[msg.shard]]
         accept = Accept(
             epoch=msg.epoch,
             slot=msg.slot,
@@ -329,7 +328,7 @@ class CoordinatorMixin:
             payload=msg.payload,
             vote=msg.vote,
         )
-        self._accept_batcher.add_all(followers, accept)
+        self._accept_batcher.add_all(self.view[msg.shard].followers, accept)
 
     def on_accept_ack(self, msg: AcceptAck, sender: str) -> None:
         """Count follower confirmations; decide once every shard is persisted
@@ -351,17 +350,17 @@ class CoordinatorMixin:
         if shard not in entry.votes:
             return False
         epoch = self.epoch_of(shard)
-        if epoch is None or entry.vote_epochs.get(shard) != epoch:
+        if entry.vote_epochs.get(shard) != epoch:
             return False
         acked = entry.acks.get(self._ack_key(shard, epoch), ())
-        leader = self.leader[shard]
         # With no followers (f = 0) the leader's vote alone persists it.
-        for pid in self.members[shard]:
-            if pid != leader and pid not in acked:
+        for pid in self.view[shard].followers:
+            if pid not in acked:
                 return False
         return True
 
     def _persist_decision(self, shard: ShardId, slot: int, decision: Decision) -> None:
         """Send ``DECISION`` to every member of the shard (lines 28-29)."""
-        message = SlotDecision(epoch=self.epoch[shard], slot=slot, decision=decision)
-        self._decision_batcher.add_all(self.members[shard], message)
+        config = self.view[shard]
+        message = SlotDecision(epoch=config.epoch, slot=slot, decision=decision)
+        self._decision_batcher.add_all(config.members, message)

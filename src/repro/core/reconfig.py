@@ -216,7 +216,7 @@ class Reconfigurer:
         deduplicates concurrent attempts on this process, and the service's
         compare-and-swap lets exactly one attempt per epoch win.
         """
-        if msg.epoch < (self.epoch_of(msg.shard) or 0):
+        if msg.epoch < self.epoch_of(msg.shard):
             return  # stale: a newer configuration is already installed
         for pid in msg.suspects:
             self.suspect(pid)
@@ -399,9 +399,7 @@ class ReconfigMixin(Reconfigurer):
             # A newer probe has superseded this configuration; refusing to
             # lead it preserves Invariant 3.
             return
-        self.epoch[self.shard] = msg.epoch
-        self.members[self.shard] = tuple(msg.members)
-        self.leader[self.shard] = self.pid
+        self._install(self.shard, Configuration(msg.epoch, tuple(msg.members), self.pid))
         state = NewState(epoch=msg.epoch, members=tuple(msg.members), **self._lead_own_slots())
         for member in msg.members:
             if member != self.pid:
@@ -413,18 +411,14 @@ class ReconfigMixin(Reconfigurer):
         if msg.epoch < self.new_epoch:
             return
         self._adopt_state(msg)
-        self.epoch[self.shard] = msg.epoch
-        self.members[self.shard] = tuple(msg.members)
-        self.leader[self.shard] = sender
+        self._install(self.shard, Configuration(msg.epoch, tuple(msg.members), sender))
         self._on_configuration_installed()
         self._unstash()
 
     def on_config_change(self, msg: ConfigChange, sender: str) -> None:
         if msg.shard == self.shard:
             return
-        if self.epoch.get(msg.shard, 0) >= msg.epoch:
+        if self.view[msg.shard].epoch >= msg.epoch:
             return
-        self.epoch[msg.shard] = msg.epoch
-        self.members[msg.shard] = tuple(msg.members)
-        self.leader[msg.shard] = msg.leader
+        self._install(msg.shard, Configuration(msg.epoch, tuple(msg.members), msg.leader))
         self._unstash()

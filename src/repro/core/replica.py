@@ -16,10 +16,11 @@ unchanged — the coordinator, the leader's certification, failure detection,
 the snapshot-read path and the reconfiguration pipeline
 (:class:`repro.core.reconfig.Reconfigurer`) — and
 :class:`repro.rdma.replica.RdmaShardReplica` extends it too.  What is
-Figure 1 only stays in :class:`ShardReplica`: the per-shard epochs, the
-epoch-checked ``ACCEPT`` / ``DECISION`` handlers, the stash of early
-messages and the per-shard *scope* of reconfiguration
-(:class:`repro.core.reconfig.ReconfigMixin`).
+Figure 1 only stays in :class:`ShardReplica`: the epoch-checked ``ACCEPT`` /
+``DECISION`` handlers, the stash of early messages and the per-shard *scope*
+of reconfiguration (:class:`repro.core.reconfig.ReconfigMixin`).  Both stacks
+keep every shard's configuration ``⟨e, M, pl⟩`` as one record per shard in
+``view``, which only :meth:`ReplicaBase._install` writes.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ from repro.runtime.process import Process
 class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
     """A replica of one shard: coordinator, certifying leader, failure
     detector, snapshot reads and the reconfiguration steps every scope
-    shares.  Subclasses add ``epoch`` and ``my_epoch``, the follower side of
-    vote and decision persistence, and the scope of reconfiguration.
+    shares.  Subclasses add ``my_epoch``, the follower side of vote and
+    decision persistence, and the scope of reconfiguration.
 
     Its certification order is Figure 1's slot arrays kept as lists indexed
     by slot (``txn_arr``, ``payload_arr``, ``vote_arr``, ``dec_arr``; None
@@ -107,9 +108,10 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
             else None
         )
 
-        # Members and leader of every shard, as far as this process knows.
-        self.members: Dict[ShardId, Tuple[ProcessId, ...]] = {}
-        self.leader: Dict[ShardId, ProcessId] = {}
+        # The configuration of every shard, as far as this process knows
+        # (Figure 1's ``epoch[s]`` and the members and leader of ``s``);
+        # only ``_install`` writes it.
+        self.view: Dict[ShardId, Configuration] = {}
 
         self.status: Status = Status.FOLLOWER
         self.new_epoch = 0
@@ -143,6 +145,40 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
 
         self._init_coordinator(self.batch_policy, pipeline)
         self._init_reconfig()
+
+    # ------------------------------------------------------------------
+    # configuration knowledge
+    # ------------------------------------------------------------------
+    def bootstrap(self, configurations: Dict[ShardId, Configuration]) -> None:
+        """Install the initial configuration of every shard.
+
+        Members of the initial configuration of their shard start
+        initialized (the initial configuration is active by assumption);
+        spare processes start uninitialized and outside any configuration.
+        """
+        for shard, config in configurations.items():
+            self._install(shard, config)
+        own = self.view[self.shard]
+        if self.pid in own.members:
+            self.initialized = True
+            self.new_epoch = own.epoch
+            self.status = Status.LEADER if own.leader == self.pid else Status.FOLLOWER
+            if self.read_engine is not None:
+                self.read_engine.note_epoch(own.epoch)
+            self._watch_co_members()
+        else:
+            # A fresh spare: it knows the current configurations (and can
+            # therefore act as a transaction coordinator), but it is not a
+            # member of any of them, holds no shard state and counts as
+            # uninitialised until it receives a NEW_STATE transfer.
+            self.initialized = False
+            self.new_epoch = 0
+            self.status = Status.FOLLOWER
+
+    def _install(self, shard: ShardId, config: Configuration) -> None:
+        """Adopt ``config`` as what this process knows of ``shard``: the one
+        write into ``view``."""
+        self.view[shard] = config
 
     # ------------------------------------------------------------------
     # convenience accessors
@@ -256,11 +292,8 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         """(Re)set the detector's monitored set to our current co-members."""
         if self.detector is None:
             return
-        peers = (
-            self.members.get(self.shard, ())
-            if self.pid in self.members.get(self.shard, ())
-            else ()
-        )
+        members = self.view[self.shard].members
+        peers = members if self.pid in members else ()
         now = self.now if self.network is not None else 0.0
         self.detector.watch(peers, now)
 
@@ -268,7 +301,7 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         """Send one heartbeat to every co-member (called each pump tick)."""
         if self.detector is None or not self.initialized:
             return
-        peers = [p for p in self.members.get(self.shard, ()) if p != self.pid]
+        peers = [p for p in self.view[self.shard].members if p != self.pid]
         if peers:
             self.send_all(peers, Heartbeat(shard=self.shard, epoch=self.my_epoch), weak=True)
 
@@ -341,51 +374,15 @@ class ShardReplica(ReconfigMixin, ReplicaBase):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        # Epoch of every shard (Figure 1 preliminaries); the entry for our
-        # own shard is the configuration we currently participate in.
-        self.epoch: Dict[ShardId, int] = {}
         # Messages whose precondition mentions an epoch we have not reached
         # yet; re-dispatched whenever configuration knowledge advances.
         self._stash: List[Tuple[Any, str]] = []
 
-    # ------------------------------------------------------------------
-    # bootstrap
-    # ------------------------------------------------------------------
-    def bootstrap(
-        self,
-        configurations: Dict[ShardId, Configuration],
-        initialized: bool = True,
-    ) -> None:
-        """Install the initial configuration knowledge.
-
-        Members of the initial configuration of their shard start
-        ``initialized`` (the initial configuration is active by assumption);
-        spare processes start uninitialized and outside any configuration.
-        """
-        for shard, config in configurations.items():
-            self.epoch[shard] = config.epoch
-            self.members[shard] = config.members
-            self.leader[shard] = config.leader
-        own = configurations.get(self.shard)
-        if own is not None and self.pid in own.members:
-            self.initialized = initialized
-            self.new_epoch = own.epoch
-            self.status = Status.LEADER if own.leader == self.pid else Status.FOLLOWER
-            if self.read_engine is not None:
-                self.read_engine.note_epoch(own.epoch)
-            self._watch_co_members()
-        else:
-            # A fresh spare: it knows the current configurations (and can
-            # therefore act as a transaction coordinator), but it is not a
-            # member of any of them, holds no shard state and counts as
-            # uninitialised until it receives a NEW_STATE transfer.
-            self.initialized = False
-            self.new_epoch = 0
-            self.status = Status.FOLLOWER
-
     @property
     def my_epoch(self) -> int:
-        return self.epoch[self.shard]
+        """``epoch[s0]``: the epoch of the configuration of our own shard
+        that we know (a spare's is its shard's, as bootstrapped)."""
+        return self.view[self.shard].epoch
 
     # ------------------------------------------------------------------
     # stashing of early messages

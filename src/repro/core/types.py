@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 
@@ -103,8 +104,9 @@ class Configuration:
         if len(set(self.members)) != len(self.members):
             raise ValueError(f"duplicate members in configuration: {self.members!r}")
 
-    @property
+    @cached_property
     def followers(self) -> Tuple[ProcessId, ...]:
+        # Cached in the instance, not a field: the wire sizer counts fields.
         return tuple(p for p in self.members if p != self.leader)
 
     def by_shard(self, key: ShardId) -> Dict[ShardId, "Configuration"]:
@@ -146,13 +148,3 @@ class GlobalConfiguration:
                 if pid not in seen:
                     seen.append(pid)
         return tuple(seen)
-
-    def shard_of(self, pid: ProcessId) -> Optional[ShardId]:
-        for shard, members in self.members.items():
-            if pid in members:
-                return shard
-        return None
-
-    def followers(self, shard: ShardId) -> Tuple[ProcessId, ...]:
-        leader = self.leaders[shard]
-        return tuple(p for p in self.members[shard] if p != leader)

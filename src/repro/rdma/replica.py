@@ -12,7 +12,9 @@ differences from Figure 1:
   (``ack-rdma``) rather than on explicit ``ACCEPT_ACK`` messages, and the
   receivers cannot reject the writes (there is no epoch precondition on the
   follower side);
-* processes keep a single system-wide ``epoch`` instead of one per shard;
+* processes keep a single system-wide ``epoch`` (the epoch of Figure 8 this
+  process has installed) apart from the per-shard ``view``, which
+  ``CONFIG_PREPARE`` already advances to the epoch being installed;
 * reconfiguration is *global*: the probing loop runs one round per shard
   under the configuration-service key ``"*"``, each probed process closes
   its RDMA connections, the new configuration is disseminated to all
@@ -41,6 +43,7 @@ from repro.core.reconfig import RecStatus
 from repro.core.replica import ReplicaBase
 from repro.core.types import (
     GLOBAL_SHARD,
+    Configuration,
     Decision,
     GlobalConfiguration,
     ProcessId,
@@ -84,10 +87,7 @@ class RdmaVotePersistence:
     def _persist_vote(self, entry: CoordinatorEntry, msg: PrepareAck) -> None:
         key = self._ack_key(msg.shard, msg.epoch)
         accept = Accept(slot=msg.slot, txn=msg.txn, payload=msg.payload, vote=msg.vote)
-        leader = self.leader[msg.shard]
-        for follower in self.members[msg.shard]:
-            if follower == leader:
-                continue
+        for follower in self.view[msg.shard].followers:
             if follower == self.pid:
                 # A coordinator that is itself a follower of the shard writes
                 # to its own memory directly (no NIC round-trip needed).
@@ -141,29 +141,19 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
     # ------------------------------------------------------------------
     # bootstrap
     # ------------------------------------------------------------------
-    def bootstrap(self, config: GlobalConfiguration) -> None:
-        """Install the initial global configuration."""
-        self.members = {s: tuple(m) for s, m in config.members.items()}
-        self.leader = dict(config.leaders)
-        own_members = self.members.get(self.shard, ())
-        if self.pid in own_members:
-            self.epoch = config.epoch
-            self.new_epoch = config.epoch
-            self.initialized = True
-            self.status = (
-                Status.LEADER if self.leader[self.shard] == self.pid else Status.FOLLOWER
-            )
-            for pid in config.all_processes():
+    def bootstrap(self, configurations: Dict[ShardId, Configuration]) -> None:
+        """Install the initial global configuration's slices; a member also
+        enters its epoch and opens its RDMA connections."""
+        super().bootstrap(configurations)
+        if self.initialized:
+            self.epoch = self.new_epoch
+            for pid in self._all_members():
                 if pid != self.pid:
                     self.rdma.open(pid)
-            if self.read_engine is not None:
-                self.read_engine.note_epoch(self.epoch)
-        else:
-            self.epoch = 0
-            self.new_epoch = 0
-            self.initialized = False
-            self.status = Status.FOLLOWER
-        self._watch_co_members()
+
+    def _all_members(self) -> Dict[ProcessId, None]:
+        """Every member of every shard, once each, in shard order."""
+        return dict.fromkeys(p for config in self.view.values() for p in config.members)
 
     # ------------------------------------------------------------------
     # helpers
@@ -195,7 +185,7 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
     def _persist_decision(self, shard: ShardId, slot: int, decision: Decision) -> None:
         """Write ``DECISION`` into every member's memory (lines 101-102)."""
         message = SlotDecision(slot=slot, decision=decision)
-        for member in self.members[shard]:
+        for member in self.view[shard].members:
             if member == self.pid:
                 # A coordinator that is itself a member persists the
                 # decision locally without a network round-trip.
@@ -244,8 +234,9 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
     def on_config_prepare(self, msg: ConfigPrepare, sender: str) -> None:
         if msg.epoch < self.new_epoch:
             return
-        self.members = {s: tuple(m) for s, m in msg.members.items()}
-        self.leader = dict(msg.leaders)
+        config = GlobalConfiguration(msg.epoch, msg.members, msg.leaders)
+        for shard, slice_ in config.by_shard(GLOBAL_SHARD).items():
+            self._install(shard, slice_)
         self.new_epoch = msg.epoch
         self.send(sender, ConfigPrepareAck(epoch=msg.epoch))
 
@@ -268,7 +259,7 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         self.epoch = msg.epoch
         state = NewState(epoch=self.epoch, **self._lead_own_slots())
         self._on_configuration_installed()
-        for member in self.members.get(self.shard, ()):
+        for member in self.view[self.shard].members:
             if member != self.pid:
                 self.send(member, state)
         self._connect_to_all_members()
@@ -283,7 +274,7 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
 
     def _connect_to_all_members(self) -> None:
         """Lines 147 / 153 (see the module docstring for the deviation)."""
-        for pid in dict.fromkeys(p for members in self.members.values() for p in members):
+        for pid in self._all_members():
             if pid != self.pid:
                 self.send(pid, Connect(epoch=self.epoch))
 

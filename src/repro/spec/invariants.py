@@ -43,18 +43,6 @@ class InvariantViolation:
         return f"{self.invariant}{where}: {self.detail}"
 
 
-def _own_epoch(replica) -> int:
-    """The replica's epoch for its own shard.
-
-    Message-passing replicas keep a per-shard epoch vector; RDMA replicas
-    keep a single system-wide epoch (Section 5).
-    """
-    epoch = replica.epoch
-    if isinstance(epoch, dict):
-        return epoch.get(replica.shard, 0)
-    return epoch
-
-
 class InvariantMonitor:
     """Incremental feed for the history-derived part of the invariant checks.
 
@@ -157,7 +145,7 @@ def _check_log_agreement(shard: str, replicas: Sequence) -> List[InvariantViolat
     replicas = list(replicas)
     for i, a in enumerate(replicas):
         for b in replicas[i + 1 :]:
-            if _own_epoch(a) != _own_epoch(b):
+            if a.my_epoch != b.my_epoch:
                 continue
             # Slot by slot over the shorter pair of lists: the slots where
             # both hold a transaction.

@@ -11,7 +11,6 @@ import cProfile
 import gc
 import heapq
 import itertools
-import pstats
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.certification import RETIRED, ConflictIndex, VoteIndex
@@ -520,13 +519,17 @@ def calls(function, *args):
 
     Garbage left by earlier work is collected first, so that no finalizer
     or weakref callback of someone else's objects runs inside the count.
+    The profiler's own entries are summed, one per code object:
+    ``pstats`` keys them by (file, line, name), which merges the
+    ``__init__`` of every dataclass (all ``"<string>", line 2``) into one
+    entry and drops all but one of their counts.
     """
     gc.collect()
     profiler = cProfile.Profile()
     profiler.enable()
     function(*args)
     profiler.disable()
-    return pstats.Stats(profiler).total_calls
+    return sum(entry.callcount for entry in profiler.getstats())
 
 
 # Five of the benchmark's shapes (bench/tcs_workloads.py) at 1000

@@ -371,7 +371,7 @@ def test_accept_envelope_with_an_early_element():
     # Shard-0 moves to the next epoch (same members); the new epoch has
     # reached its leader and the coordinator, the follower's is in flight.
     for process in (leader, coordinator):
-        process.epoch["shard-0"] = epoch + 1
+        process._install("shard-0", replace(process.view["shard-0"], epoch=epoch + 1))
     early = accept_reaches_the_outbox(
         rw_payload(shard_key(cluster.scheme, "shard-0", hint="b"), tiebreak="b"), pending=2
     )
@@ -386,7 +386,7 @@ def test_accept_envelope_with_an_early_element():
 
     # The epoch arrives: the early element is re-answered on its own.
     del sent[:]
-    follower.epoch["shard-0"] = epoch + 1
+    follower._install("shard-0", replace(follower.view["shard-0"], epoch=epoch + 1))
     follower._unstash()
     [(dst, ack)] = sent
     assert dst == coordinator.pid and type(ack) is AcceptAck
@@ -653,8 +653,9 @@ def test_rdma_accept_batch_ack_keeps_enqueue_time_shard():
     # A membership change lands while the batch is still pending: the
     # coordinator's view no longer lists the follower the batch targets.
     follower = cluster.followers_of("shard-0")[0]
-    coordinator.members["shard-0"] = tuple(
-        pid for pid in coordinator.members["shard-0"] if pid != follower
+    config = coordinator.view["shard-0"]
+    coordinator._install(
+        "shard-0", replace(config, members=tuple(p for p in config.members if p != follower))
     )
     # The decision drops the acks, so look at them on every decision check
     # that still finds the transaction undecided.

@@ -8,7 +8,7 @@ from repro.baselines.cluster import BaselineCluster
 from repro.client import ClientSession, CoordinatorRouter, RetryPolicy
 from repro.cluster import Cluster
 from repro.core.messages import CertifyRequest, TxnDecision
-from repro.core.types import Decision
+from repro.core.types import Configuration, Decision
 
 from helpers import rw_payload, shard_key
 
@@ -37,10 +37,10 @@ def test_retry_policy_backoff_schedule():
 # ----------------------------------------------------------------------
 def _router():
     return CoordinatorRouter(
-        shards=["shard-0", "shard-1"],
-        members={"shard-0": ("a0", "a1"), "shard-1": ("b0", "b1")},
-        leaders={"shard-0": "a0", "shard-1": "b0"},
-        epochs={"shard-0": 1, "shard-1": 1},
+        view={
+            "shard-0": Configuration(epoch=1, members=("a0", "a1"), leader="a0"),
+            "shard-1": Configuration(epoch=1, members=("b0", "b1"), leader="b0"),
+        },
     )
 
 
@@ -63,13 +63,13 @@ def test_router_failover_excludes_tried_coordinators():
 
 def test_router_applies_config_changes_monotonically():
     router = _router()
-    router.note_config_change("shard-1", 2, ("b1", "spare"), "b1")
-    assert router.members["shard-1"] == ("b1", "spare")
-    assert router.leaders["shard-1"] == "b1"
+    router.note_config_change("shard-1", Configuration(2, ("b1", "spare"), "b1"))
+    assert router.view["shard-1"].members == ("b1", "spare")
+    assert router.view["shard-1"].leader == "b1"
     # A stale (lower-epoch) update must not regress the view.
-    router.note_config_change("shard-1", 1, ("b0", "b1"), "b0")
-    assert router.members["shard-1"] == ("b1", "spare")
-    assert router.epochs["shard-1"] == 2
+    router.note_config_change("shard-1", Configuration(1, ("b0", "b1"), "b0"))
+    assert router.view["shard-1"].members == ("b1", "spare")
+    assert router.view["shard-1"].epoch == 2
 
 
 def test_static_router_round_robins():
@@ -257,13 +257,13 @@ def test_sessions_learn_about_reconfigurations():
         seed=21,
         retry=RetryPolicy(timeout=50.0),
     )
-    assert cluster.router.epochs["shard-0"] == 1
+    assert cluster.router.view["shard-0"].epoch == 1
     crashed = cluster.crash_follower("shard-0")
     cluster.reconfigure("shard-0", suspects=[crashed])
     # The configuration service pushed CONFIG_CHANGE to the subscribed
     # clients; the shared router follows the new epoch and membership.
-    assert cluster.router.epochs["shard-0"] == 2
-    assert crashed not in cluster.router.members["shard-0"]
+    assert cluster.router.view["shard-0"].epoch == 2
+    assert crashed not in cluster.router.view["shard-0"].members
     assert cluster.router.config_updates >= 1
 
 

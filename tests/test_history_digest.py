@@ -511,15 +511,29 @@ def test_sizing_a_fresh_payload_call_count():
 # rounded up.  baseline-steady reads 1054.5, or 1059.3 when the run itself
 # imports the baseline's stack (nothing else imports it first since the
 # stacks load on first use), and keeps its bound.
+# Since ``calls`` sums the profiler's own entries (one per code object)
+# instead of ``pstats``' (one per file, line and name, which kept one of
+# the dataclass ``__init__`` entries and dropped the rest), the same code
+# reads mp-steady / read-mostly-lease / baseline-steady / rdma-batched-bw
+# 640.5-642.1 / 314.5-314.6 / 1123.7-1128.8 / 1059.8-1064.1, where the
+# old count read 610.9-611.0 / 300.0-300.1 / 1085.7 / 1026.2 in a fresh
+# process (PYTHONHASHSEED unset, 0, 1 and 4242, the file alone and the whole
+# suite; baseline-steady's higher reading is the file alone, whose run
+# imports the baseline's stack).  The bounds re-based on those readings
+# plus 1%, rounded up, were 649 / 318 / 1141 / 1075: the measure was
+# corrected, the gate not loosened.  Since each process keeps one
+# configuration record per shard, whose followers are computed once,
+# mp-steady and read-mostly-lease read 633.3-634.5 and 313.6-313.7 and
+# their bounds are those plus 1%, rounded up; the other two read as before.
 # A change that makes the path cheaper should tighten these to its own
 # readings.  The parallel-shards spelling of mp-steady is the serial run
 # (the runner ignores the mode): it must cost mp-steady's calls exactly.
 RUN_CALLS_PER_TXN = {
-    "mp-steady": 620,
-    "mp-steady-grouped": 620,
-    "read-mostly-lease": 304,
-    "baseline-steady": 1066,
-    "rdma-batched-bw": 1038,
+    "mp-steady": 641,
+    "mp-steady-grouped": 641,
+    "read-mostly-lease": 317,
+    "baseline-steady": 1141,
+    "rdma-batched-bw": 1075,
 }
 
 

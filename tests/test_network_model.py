@@ -36,6 +36,7 @@ from repro.baselines.cluster import BaselineCluster
 from repro.client import CoordinatorRouter
 from repro.core import messages as core_messages
 from repro.core.serializability import TransactionPayload
+from repro.core.types import Configuration
 from repro.rdma import messages as rdma_messages
 from repro.runtime import process as process_runtime
 from repro.runtime import rdma as rdma_runtime
@@ -696,11 +697,11 @@ def test_default_bandwidth_grid_is_canonical():
 # ----------------------------------------------------------------------
 
 def _router(sticky):
-    members = {
-        "shard-0": ("member:shard-0:0", "member:shard-0:1"),
-        "shard-1": ("member:shard-1:0", "member:shard-1:1"),
+    view = {
+        shard: Configuration(1, (f"member:{shard}:0", f"member:{shard}:1"), f"member:{shard}:0")
+        for shard in ("shard-0", "shard-1")
     }
-    return CoordinatorRouter(["shard-0", "shard-1"], members, sticky=sticky)
+    return CoordinatorRouter(view, sticky=sticky)
 
 
 def test_round_robin_router_rotates_by_default():
@@ -726,8 +727,10 @@ def test_sticky_router_repins_on_failover_and_config_change():
     assert router.pick(["shard-0"]) == failover  # the new pin sticks
     # A config change removing the pinned member drops the pin.
     shard = "shard-0" if "shard-0" in failover else "shard-1"
-    remaining = tuple(p for p in router.members[shard] if p != failover)
-    router.note_config_change(shard, 2, remaining + ("member:new:0",), remaining[0])
+    remaining = tuple(p for p in router.view[shard].members if p != failover)
+    router.note_config_change(
+        shard, Configuration(2, remaining + ("member:new:0",), remaining[0])
+    )
     assert failover not in router._pins.values()
 
 

@@ -5,9 +5,11 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core.messages import CsViewChange
-from repro.core.types import Decision, Status
+from repro.core.types import GLOBAL_SHARD, Decision, Status
+from repro.scenarios import ScenarioRunner
 
 from helpers import certification_order, committed_of, payload, rw_payload, shard_key
+from test_golden_digests import GOLDEN, _spec_for
 
 
 NARROW = dict(num_shards=2, replicas_per_shard=2, spares_per_shard=2, seed=21)
@@ -391,3 +393,43 @@ def test_reconfigurer_from_another_shard_draws_spares_from_the_reconfigured_shar
     assert cluster.certify(rw_payload(key, tiebreak="after")) is Decision.COMMIT
     result, violations = cluster.check()
     assert result.ok and violations == []
+
+
+# ----------------------------------------------------------------------
+# one configuration record per shard per process
+# ----------------------------------------------------------------------
+def view_mismatches(cluster):
+    """``(owner, shard)`` of every entry of a replica's ``view`` or of the
+    router's that is not the record the configuration service stored for
+    its epoch (under the shard's key, or its slice of the ``"*"`` record);
+    every view must hold every shard."""
+    stored = cluster.config_service._configs
+    global_key = GLOBAL_SHARD if cluster.protocol_spec.global_config else None
+    views = [(replica.pid, replica.view) for replica in cluster.replicas.values()]
+    views.append(("router", cluster.router.view))
+    mismatches = []
+    for owner, view in views:
+        assert sorted(view) == sorted(cluster.shards), owner
+        for shard, config in view.items():
+            key = global_key or shard
+            record = stored[key].get(config.epoch)
+            if record is None or record.by_shard(key)[shard] != config:
+                mismatches.append((owner, shard))
+    return mismatches
+
+
+# The golden cases whose processes keep a view (the 2PC-over-Paxos
+# baseline has no configuration service).
+VIEW_CASES = sorted(key for key in GOLDEN if "|2pc-paxos|" not in key)
+
+
+@pytest.mark.parametrize("key", VIEW_CASES)
+def test_every_view_entry_is_the_record_stored_for_its_epoch(key):
+    """Each process holds a shard's ``⟨e, M, pl⟩`` as one record, written
+    by bootstrap, ``NEW_CONFIG``, ``NEW_STATE``, ``CONFIG_CHANGE`` or
+    ``CONFIG_PREPARE``: at quiescence every such record, on every replica
+    (crashed ones and spares too) and in the client router, is the one the
+    configuration service stored for that epoch."""
+    runner = ScenarioRunner(_spec_for(key))
+    runner.run()
+    assert view_mismatches(runner.cluster) == []

@@ -1,15 +1,20 @@
 """Unit tests for core protocol types."""
 
+from dataclasses import fields
+
 import pytest
 
+from repro.core.messages import CsReply
 from repro.core.types import (
     BOTTOM,
+    GLOBAL_SHARD,
     Configuration,
     Decision,
     GlobalConfiguration,
     Phase,
     Status,
 )
+from repro.runtime.wire import wire_size
 
 
 def test_decision_meet_operator():
@@ -67,9 +72,25 @@ def test_global_configuration_queries():
         leaders={"s0": "a", "s1": "c"},
     )
     assert set(config.all_processes()) == {"a", "b", "c", "d"}
-    assert config.shard_of("d") == "s1"
-    assert config.shard_of("zz") is None
-    assert config.followers("s0") == ("b",)
+    slices = config.by_shard(GLOBAL_SHARD)
+    assert [shard for shard, each in slices.items() if "d" in each.members] == ["s1"]
+    assert not any("zz" in each.members for each in slices.values())
+    assert slices["s0"].followers == ("b",)
+    assert slices["s1"] == Configuration(epoch=2, members=("c", "d"), leader="c")
+
+
+def test_configuration_followers_are_cached_but_not_a_field():
+    """``followers`` is computed once per record, and is no dataclass field:
+    the wire sizer counts fields, and a ``CsReply`` carries a record."""
+    def record():
+        return Configuration(epoch=1, members=("a", "b", "c"), leader="b")
+
+    cached = record()
+    assert cached.followers == ("a", "c") and cached.followers is cached.followers
+    assert "followers" not in {each.name for each in fields(Configuration)}
+    assert cached == record()
+    sizes = {wire_size(CsReply(1, ok=True, config=each)) for each in (record(), cached)}
+    assert len(sizes) == 1
 
 
 def test_enums_have_expected_values():
