@@ -147,9 +147,11 @@ class CoordinatorRouter:
         self._listeners.append(fn)
 
     def note_config_change(self, shard: ShardId, config: Configuration) -> None:
-        """Install a (possibly newer) configuration of ``shard``."""
+        """Install a newer configuration of ``shard``; one of an epoch the
+        router already holds (a ``get_last`` re-read, a repeated push)
+        changes nothing, and is not counted in ``config_updates``."""
         known = self.view[shard]
-        if config.epoch < known.epoch:
+        if config.epoch <= known.epoch:
             return
         removed = frozenset(known.members) - frozenset(config.members)
         self.view[shard] = config
@@ -207,7 +209,6 @@ class CoordinatorRouter:
 class _SnapshotReadState:
     """Client-side state of one in-flight snapshot read."""
 
-    objects: Tuple[str, ...]
     shard: ShardId
     # Certified-path insurance: the read-only payload to certify if the
     # leader refuses the fast path, and a thunk picking the coordinator to
@@ -414,13 +415,16 @@ class Client(Process):
         self.decide_times: Dict[TxnId, float] = {}
         self.resubmissions = 0
         self.duplicate_decisions = 0
-        # Snapshot-read fast path: in-flight reads, served values and
-        # fast-path/fallback accounting.
+        # Snapshot-read fast path: in-flight reads and fast-path/fallback
+        # accounting.  A served read's values go to the history only, as
+        # its decide payload's versions.
         self._read_states: Dict[TxnId, _SnapshotReadState] = {}
+        # One certify-time marker per objects tuple, shared by every read of
+        # those objects (a client reads few distinct tuples).
+        self._read_markers: Dict[Tuple[str, ...], SnapshotRead] = {}
         # Fallback read-only payloads awaiting their certified decision;
         # attached to the decide event when the TxnDecision arrives.
         self._read_payloads: Dict[TxnId, TransactionPayload] = {}
-        self.read_results: Dict[TxnId, Tuple] = {}
         self.reads_served = 0
         self.read_fallbacks = 0
         self.read_fallback_reasons: Dict[str, int] = {}
@@ -471,20 +475,22 @@ class Client(Process):
         at the client's current committed versions) and
         ``pick_fallback_coordinator`` are the certified-path insurance used
         when the leader refuses (lease lapse, pending writer, deposed
-        leader); the coordinator pick only happens on refusal.
+        leader); the coordinator pick, and the directory entry the certified
+        path reads, only happen on refusal.
         """
         txn = txn or self.next_txn_id()
         objects = tuple(sorted(objects))
-        self.directory.register(txn, client=self.pid, shards=frozenset({shard}))
-        self.history.record_certify(txn, SnapshotRead(objects=objects), self.now)
+        marker = self._read_markers.get(objects)
+        if marker is None:
+            marker = self._read_markers[objects] = SnapshotRead(objects=objects)
+        self.history.record_certify(txn, marker, self.now)
         self.submit_times[txn] = self.now
         self._read_states[txn] = _SnapshotReadState(
-            objects=objects,
             shard=shard,
             fallback_payload=fallback_payload,
             pick_fallback_coordinator=pick_fallback_coordinator,
         )
-        self.send(leader, ReadRequest(txn=txn, objects=objects))
+        self.send(leader, ReadRequest(txn=txn, objects=marker.objects))
         return txn
 
     def on_read_reply(self, msg: ReadReply, sender: str) -> None:
@@ -493,7 +499,6 @@ class Client(Process):
             return
         if msg.ok:
             self.reads_served += 1
-            self.read_results[msg.txn] = msg.reads
             payload = TransactionPayload.make(
                 reads=((obj, version) for obj, _value, version in msg.reads),
                 tiebreak=msg.txn,
@@ -507,13 +512,15 @@ class Client(Process):
                     callback(msg.txn, Decision.COMMIT)
             return
         # Refused fast path: certify the read-only payload instead.  The
-        # certify event exists from submit_read, so only the request goes
-        # out; the decide event will carry the fallback payload.
+        # certify event exists from submit_read, so the directory entry the
+        # coordinator reads and the request go out; the decide event will
+        # carry the fallback payload.
         self.read_fallbacks += 1
         self.read_fallback_reasons[msg.reason] = (
             self.read_fallback_reasons.get(msg.reason, 0) + 1
         )
         coordinator = state.pick_fallback_coordinator()
+        self.directory.register(msg.txn, client=self.pid, shards=(state.shard,))
         self._read_payloads[msg.txn] = state.fallback_payload
         self._request_batcher.add(
             coordinator,

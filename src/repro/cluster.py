@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import (
     BatchStats,
@@ -244,18 +244,15 @@ class ClusterBase:
     def decision_of(self, txn: TxnId) -> Optional[Decision]:
         return self.history.decision_of(txn)
 
-    def seed_read_stores(self, initial: Dict[str, Any]) -> None:
-        """Seed every snapshot-read engine with the initial object values
-        (each keeps only its own shard's objects); no-op when the read
-        policy is disabled."""
+    def seed_read_stores(self, initial: Mapping[str, Any]) -> None:
+        """Seed every snapshot-read engine with the initial object values;
+        no-op when the read policy is disabled.  Every engine shares
+        ``initial`` by reference: it is asked only for its own shard's
+        objects."""
         if not self.read.enabled:
             return
-        shard_of = self.scheme.sharding.shard_of
-        by_shard: Dict[ShardId, Dict[str, Any]] = {shard: {} for shard in self.shards}
-        for obj, value in initial.items():
-            by_shard[shard_of(obj)][obj] = value
         for engine in self._read_engines():
-            engine.seed(by_shard[engine.replica.shard])
+            engine.seed(initial)
 
     # ------------------------------------------------------------------
     # validation and metrics

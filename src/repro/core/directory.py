@@ -8,7 +8,9 @@ it); we model them as a :class:`TransactionDirectory` shared *by reference*
 between all processes of a cluster.  The directory is append-only and
 written exactly once per transaction, by its issuing client, before the
 transaction enters the protocol — so sharing it does not constitute a
-communication channel between processes.
+communication channel between processes.  A snapshot read the shard leader
+serves never enters certification, so it gets no entry; one the leader
+refuses is registered when its client certifies it instead.
 """
 
 from __future__ import annotations

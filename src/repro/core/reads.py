@@ -10,7 +10,8 @@ read fast path on top of the TCS:
   object (``f_s``) and whether a prepared-but-undecided slot that voted
   commit writes it (``g_s``).  The read engine asks the leader's vote index
   (``repro.core.votecache``) for both and keeps no copy of its own — only
-  the version-zero seeds, the lease and its counters;
+  the version-zero seed mappings it is given (by reference), the lease and
+  its counters;
 * a single-shard read-only transaction is served directly from that index —
   no coordinator, no certification — **iff** the leader holds a valid read
   lease and none of the requested objects has a pending writer.  Otherwise
@@ -40,8 +41,9 @@ demonstrate that the lease/pending discipline is load-bearing.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.core.serializability import VERSION_ZERO, ObjectId, Version
 
@@ -112,7 +114,9 @@ class ReplicaReadEngine:
     def __init__(self, replica, policy: ReadPolicy) -> None:
         self.replica = replica
         self.policy = policy
-        self.seeds: Dict[ObjectId, object] = {}
+        # The version-zero seeds: the one mapping seeded, or a ChainMap of
+        # several in seeding order.
+        self.seeds: Mapping[ObjectId, object] = {}
         # Read lease (absolute virtual-time expiry, granted by the config
         # service); -inf until the first grant arrives.
         self.lease_expires = float("-inf")
@@ -128,13 +132,12 @@ class ReplicaReadEngine:
         self.stale_serves = 0  # broken mode: serves a valid engine would refuse
         self.stale_grants = 0  # grants refused by the epoch fence
 
-    def seed(self, initial: Dict[ObjectId, object]) -> None:
+    def seed(self, initial: Mapping[ObjectId, object]) -> None:
         """Take the same initial values the client-side store starts from,
-        so served values match certified reads byte for byte; the first
-        seed of an object wins."""
-        seeds = self.seeds
-        for obj, value in initial.items():
-            seeds.setdefault(obj, value)
+        so served values match certified reads byte for byte.  The mapping
+        is kept by reference, not copied; the first seed of an object
+        wins."""
+        self.seeds = ChainMap(self.seeds, initial) if self.seeds else initial
 
     # ------------------------------------------------------------------
     # lease

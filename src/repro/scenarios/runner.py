@@ -63,6 +63,7 @@ from repro.store.executor import TransactionalStore
 from repro.workload.generators import (
     BankWorkload,
     ClosedLoopDriver,
+    KeySpaceSeeds,
     ReadWriteWorkload,
     UniformKeyGenerator,
     ZipfianKeyGenerator,
@@ -480,8 +481,9 @@ class ScenarioRunner:
                 seed=spec.seed,
                 hot_fraction=workload.hot_fraction,
             )
-            self.store = TransactionalStore(self.cluster, initial=bank.initial_state())
-            self.cluster.seed_read_stores(bank.initial_state())
+            initial = bank.initial_state()
+            self.store = TransactionalStore(self.cluster, initial=initial)
+            self.cluster.seed_read_stores(initial)
             draw = bank.batch
         else:
             if workload.kind == "zipfian":
@@ -497,7 +499,9 @@ class ScenarioRunner:
                 seed=spec.seed,
                 read_ratio=workload.read_ratio,
             )
-            initial = {f"key-{i}": 0 for i in range(workload.num_keys)}
+            # One seed mapping for the whole key space, shared by the store
+            # and every read engine, and built key by key by none of them.
+            initial = KeySpaceSeeds(workload.num_keys)
             self.store = TransactionalStore(self.cluster, initial=initial)
             self.cluster.seed_read_stores(initial)
             if workload.read_ratio > 0 and workload.think_time <= 0:

@@ -12,7 +12,7 @@ store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.core.serializability import ObjectId, TransactionPayload, Version, VERSION_ZERO
 
@@ -28,12 +28,13 @@ class VersionedValue:
 class VersionedKVStore:
     """The latest committed value of each object.
 
-    ``seeds`` holds the version-zero values; applied versions are kept
+    ``seeds`` is the version-zero mapping it was given, kept by reference
+    (a run's store and read engines share one); applied versions are kept
     apart, and a seed never hides one.
     """
 
-    def __init__(self, initial: Optional[Dict[ObjectId, object]] = None) -> None:
-        self.seeds: Dict[ObjectId, object] = dict(initial) if initial else {}
+    def __init__(self, initial: Optional[Mapping[ObjectId, object]] = None) -> None:
+        self.seeds: Mapping[ObjectId, object] = {} if initial is None else initial
         self._latest: Dict[ObjectId, VersionedValue] = {}
 
     # ------------------------------------------------------------------
@@ -52,9 +53,6 @@ class VersionedKVStore:
     def value_of(self, obj: ObjectId, default: object = None) -> object:
         value = self.read(obj).value
         return default if value is None else value
-
-    def objects(self) -> Iterable[ObjectId]:
-        return self.seeds.keys() | self._latest.keys()
 
     # ------------------------------------------------------------------
     # writes
@@ -76,6 +74,3 @@ class VersionedKVStore:
                     f"{version} after {latest.version}"
                 )
             self._latest[obj] = VersionedValue(value, version)
-
-    def __len__(self) -> int:
-        return len(self.objects())

@@ -6,7 +6,8 @@ the protocols with synthetic workloads that exercise the same code paths
 with tunable contention and shard spans:
 
 * :class:`UniformKeyGenerator` / :class:`ZipfianKeyGenerator` — key-access
-  skew;
+  skew, over the key space whose version-zero seeds :class:`KeySpaceSeeds`
+  answers without building them;
 * :class:`ReadWriteWorkload` — YCSB-style read/write transactions with a
   configurable multi-shard span;
 * :class:`BankWorkload` — the classic balance-transfer workload used by the
@@ -14,6 +15,7 @@ with tunable contention and shard spans:
 """
 
 from repro.workload.generators import (
+    KeySpaceSeeds,
     UniformKeyGenerator,
     ZipfianKeyGenerator,
     TransactionSpec,
@@ -22,6 +24,7 @@ from repro.workload.generators import (
 )
 
 __all__ = [
+    "KeySpaceSeeds",
     "UniformKeyGenerator",
     "ZipfianKeyGenerator",
     "TransactionSpec",

@@ -9,8 +9,12 @@ into certification payloads against the current committed state.
 from __future__ import annotations
 
 import random
+import re
+from array import array
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,50 @@ class TransactionSpec:
             return self.label
 
         return run
+
+
+_ABSENT = object()
+
+
+class KeySpaceSeeds(Mapping):
+    """The version-zero seeds of the key space ``key-0 .. key-(n-1)``, all
+    0, answered by parsing the name: it equals
+    ``{f"key-{i}": 0 for i in range(num_keys)}`` but builds no key string,
+    so a run's store and read engines share it by reference and pay nothing
+    per key.  A name is in it only in that dict's spelling of its index:
+    ASCII digits, no sign, padding, underscore or leading zero.
+    """
+
+    __slots__ = ("num_keys",)
+
+    _match = re.compile("key-(0|[1-9][0-9]*)").fullmatch
+
+    def __init__(self, num_keys: int) -> None:
+        self.num_keys = num_keys
+
+    def get(self, key: object, default: object = None) -> object:
+        try:
+            match = self._match(key)
+            if match is not None and int(match[1]) < self.num_keys:
+                return 0
+        except (TypeError, ValueError):  # not a string; more digits than int() takes
+            pass
+        return default
+
+    def __getitem__(self, key: object) -> object:
+        value = self.get(key, _ABSENT)
+        if value is _ABSENT:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key: object) -> bool:
+        return self.get(key, _ABSENT) is not _ABSENT
+
+    def __iter__(self) -> Iterator[str]:
+        return (f"key-{index}" for index in range(self.num_keys))
+
+    def __len__(self) -> int:
+        return self.num_keys
 
 
 class UniformKeyGenerator:
@@ -85,26 +133,24 @@ class ZipfianKeyGenerator:
         self.rng = random.Random(seed)
         # Shared key strings, as in UniformKeyGenerator.
         self._names: List[Optional[str]] = [None] * num_keys
-        weights = [1.0 / ((rank + 1) ** theta) for rank in range(num_keys)]
-        total = sum(weights)
-        self._cumulative: List[float] = []
+        # The cumulative distribution, one double per key: the array holds
+        # each rank's weight until the running sum overwrites it.
+        cumulative = self._cumulative = array("d", [0.0]) * num_keys
+        for rank in range(num_keys):
+            cumulative[rank] = 1.0 / ((rank + 1) ** theta)
+        total = sum(cumulative)
         acc = 0.0
-        for weight in weights:
-            acc += weight / total
-            self._cumulative.append(acc)
+        for rank in range(num_keys):
+            acc += cumulative[rank] / total
+            cumulative[rank] = acc
 
     def key(self) -> str:
-        target = self.rng.random()
-        low, high = 0, self.num_keys - 1
-        while low < high:
-            mid = (low + high) // 2
-            if self._cumulative[mid] < target:
-                low = mid + 1
-            else:
-                high = mid
-        name = self._names[low]
+        # The first rank whose cumulative weight reaches the draw (the last
+        # rank if rounding leaves the table short of it).
+        rank = bisect_left(self._cumulative, self.rng.random(), 0, self.num_keys - 1)
+        name = self._names[rank]
         if name is None:
-            name = self._names[low] = f"{self.prefix}-{low}"
+            name = self._names[rank] = f"{self.prefix}-{rank}"
         return name
 
     def keys(self, count: int) -> List[str]:

@@ -282,6 +282,22 @@ def effective_payload_of(history: History, txn: TxnId):
     return decided if decided is not None else history.payload_of(txn)
 
 
+def record_served_reads(client) -> Dict[TxnId, tuple]:
+    """Record the served snapshot reads ``client`` receives from now on:
+    txn -> the ``ReadReply``'s ``(object, value, version)`` triples.  The
+    client keeps no such record (its history keeps the versions only)."""
+    served: Dict[TxnId, tuple] = {}
+    handle = client.on_read_reply
+
+    def on_read_reply(msg, sender):
+        if msg.ok:
+            served[msg.txn] = msg.reads
+        handle(msg, sender)
+
+    client.on_read_reply = on_read_reply
+    return served
+
+
 # ----------------------------------------------------------------------
 # the batch TCS checker (the oracle of the online checker)
 # ----------------------------------------------------------------------

@@ -72,6 +72,22 @@ def test_router_applies_config_changes_monotonically():
     assert router.view["shard-1"].epoch == 2
 
 
+def test_router_ignores_a_configuration_it_already_holds():
+    router = _router()
+    heard = []
+    router.add_listener(lambda *change: heard.append(change))
+    newer = Configuration(2, ("b1", "spare"), "b1")
+    router.note_config_change("shard-1", newer)
+    assert router.config_updates == 1
+    assert heard == [("shard-1", frozenset({"b0"}), "b1")]
+    # The same record again (a re-read, a repeated push), or an equal copy.
+    router.note_config_change("shard-1", newer)
+    router.note_config_change("shard-1", Configuration(2, ("b1", "spare"), "b1"))
+    router.note_config_change("shard-0", router.view["shard-0"])
+    assert router.config_updates == 1 and len(heard) == 1
+    assert router.view["shard-1"] is newer
+
+
 def test_static_router_round_robins():
     """The baseline's dedicated coordinators are one pseudo-shard of the
     same router class (there is no separate static router any more)."""

@@ -11,8 +11,11 @@ Three layers:
   served, the seeds served again after a state transfer, lease
   bookkeeping, broken-mode accounting;
 * the end-to-end path on a live cluster — leader serves, certified-path
-  fallback, the read-heavy scenario's safety, the stale-lease ablation's
-  checker-visible cycle, and the reference vote index's served reads.
+  fallback (the only path that registers a read in the directory), one
+  shared certify-time marker per objects tuple, the read-heavy scenario's
+  safety, the stale-lease ablation's checker-visible cycle, and the
+  reference vote index's served reads;
+* the key space's seed mapping, which answers as the dict it replaces.
 """
 
 import gc
@@ -25,16 +28,23 @@ from repro.core.directory import TransactionDirectory
 from repro.core.messages import NewState
 from repro.core.reads import DEFAULT_LEASE, ReadPolicy
 from repro.core.replica import ShardReplica
-from repro.core.serializability import VERSION_ZERO, KeyHashSharding, SerializabilityScheme
+from repro.core.serializability import (
+    VERSION_ZERO,
+    KeyHashSharding,
+    SerializabilityScheme,
+    SnapshotRead,
+)
 from repro.core.types import Decision
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.spec import ReadSpec
 from repro.store.kv import VersionedKVStore
+from repro.workload.generators import KeySpaceSeeds
 
 from helpers import (
     TCSChecker,
     effective_payload_of,
     payload,
+    record_served_reads,
     reference_scheme,
     rw_payload,
     shard_key,
@@ -170,6 +180,50 @@ def test_seeding_adds_no_gc_tracked_object_per_key(holder):
         assert _served(engine, "key-7") == [(7, VERSION_ZERO)]
 
 
+# ----------------------------------------------------------------------
+# the key space's seed mapping
+# ----------------------------------------------------------------------
+
+# Names ``int()`` reads after the prefix that no ``f"key-{i}"`` spells.
+_MISSPELT = ("key-07", "key-+7", "key- 7", "key-1_0", "key-\u0667")
+
+
+@pytest.mark.parametrize("num_keys", [1, 8, 50])
+def test_the_key_space_mapping_answers_as_the_dict_it_replaces(num_keys):
+    seeds = KeySpaceSeeds(num_keys)
+    built = {f"key-{index}": 0 for index in range(num_keys)}
+    for name in _MISSPELT:
+        int(name[len("key-"):])
+    names = [
+        *built,
+        *(f"key-{index}" for index in (num_keys, num_keys + 1, 10 * num_keys, -1)),
+        *_MISSPELT,
+        "key-", "key-00", "key-7 ", "key-7\n", "key-" + "7" * 5000,
+        "Key-7", "key7", "key_7", "kez-1", "xkey-1", "account-1", "",
+    ]
+    for name in names:
+        assert (name in seeds) == (name in built), name
+        assert seeds.get(name) == built.get(name), name
+        assert seeds.get(name, "absent") == built.get(name, "absent"), name
+    assert 7 not in seeds and seeds.get(None) is None
+    with pytest.raises(KeyError):
+        seeds["key-07"]
+    assert seeds["key-0"] == 0
+    assert len(seeds) == num_keys and seeds == built
+
+
+@pytest.mark.parametrize("holder", ("store", "engine"))
+def test_seeds_are_kept_by_reference(holder):
+    seeds = KeySpaceSeeds(1_000_000)
+    if holder == "store":
+        assert VersionedKVStore(seeds).seeds is seeds
+        return
+    replica, engine = _engine()
+    engine.seed(seeds)
+    assert engine.seeds is seeds
+    assert _served(engine, "key-999999", "key-1000000") == [(0, VERSION_ZERO), (None, VERSION_ZERO)]
+
+
 def test_engine_refuses_on_expired_lease_and_wants_renewal():
     replica, engine = _engine(lease=10.0)
     engine.lease_expires = 5.0
@@ -233,12 +287,13 @@ def test_fast_path_serves_committed_write(read_cluster):
     cluster.seed_read_stores({key: "seeded"})
     write = rw_payload(key, value="fresh", tiebreak="w")
     assert cluster.certify(write) is Decision.COMMIT
+    client = cluster.clients[0]
+    served = record_served_reads(client)
     txn = cluster.submit_read((key,), fallback_payload=payload(reads=[(key, write.commit_version)]))
     cluster.run_until_decided([txn])
     assert cluster.decision_of(txn) is Decision.COMMIT
-    client = cluster.clients[0]
     assert client.reads_served == 1 and client.read_fallbacks == 0
-    (obj, value, version) = client.read_results[txn][0]
+    (obj, value, version) = served[txn][0]
     assert (obj, value, version) == (key, "fresh", write.commit_version)
     # The decide event carries the versioned read, so the checker sees it.
     decided = effective_payload_of(cluster.history, txn)
@@ -259,6 +314,67 @@ def test_read_before_lease_grant_falls_back_to_certification():
     assert client.read_fallbacks == 1
     assert client.read_fallback_reasons == {"lease": 1}
     assert cluster.check()[0].ok
+
+
+def test_a_served_read_adds_no_directory_entry(read_cluster):
+    cluster = read_cluster
+    key = shard_key(cluster.scheme, "shard-0")
+    txn = cluster.submit_read((key,), fallback_payload=payload(reads=[(key, VERSION_ZERO)]))
+    cluster.run_until_decided([txn])
+    assert cluster.clients[0].reads_served == 1
+    assert not cluster.directory.known(txn) and len(cluster.directory) == 0
+
+
+def _log_registrations_and_requests(cluster):
+    """Log, in order, every directory registration and every request the
+    first client hands its transport."""
+    log = []
+    directory, transport = cluster.directory, cluster.clients[0]._request_batcher
+    register, add = directory.register, transport.add
+
+    def logged_register(txn, **info):
+        log.append(("register", txn))
+        return register(txn, **info)
+
+    def logged_add(dst, message):
+        log.append(("request", message.txn))
+        add(dst, message)
+
+    directory.register, transport.add = logged_register, logged_add
+    return log
+
+
+@pytest.mark.parametrize("reason", ["lease", "pending"])
+def test_a_refused_read_registers_once_before_its_certify_request(reason):
+    cluster = Cluster(num_shards=2, num_clients=1, seed=12, read=ReadPolicy(mode="snapshot"))
+    key = shard_key(cluster.scheme, "shard-0")
+    if reason == "pending":
+        cluster.run()  # deliver the bootstrap lease grants
+        writer = cluster.submit(rw_payload(key, value="new", tiebreak="w"))
+        cluster.run(max_time=cluster.scheduler.now + 2.5)  # prepared, undecided
+        assert cluster.decision_of(writer) is None
+    # else: no cluster.run(), so the lease grants are still in flight.
+    log = _log_registrations_and_requests(cluster)
+    txn = cluster.submit_read((key,), fallback_payload=payload(reads=[(key, VERSION_ZERO)]))
+    assert log == []
+    cluster.run_until_decided([txn])
+    assert cluster.clients[0].read_fallback_reasons == {reason: 1}
+    assert [entry for entry in log if entry[1] == txn] == [("register", txn), ("request", txn)]
+    assert cluster.directory.shards_of(txn) == frozenset({"shard-0"})
+    assert cluster.check()[0].ok
+
+
+def test_reads_of_one_objects_tuple_record_one_marker(read_cluster):
+    cluster = read_cluster
+    key, other = (shard_key(cluster.scheme, "shard-0", hint=hint) for hint in ("a", "b"))
+    txns = [
+        cluster.submit_read(objects, fallback_payload=payload(reads=[(obj, VERSION_ZERO) for obj in objects]))
+        for objects in ((key,), [key], (other,))
+    ]
+    assert cluster.run_until_decided(txns)
+    first, second, third = (cluster.history.payload_of(txn) for txn in txns)
+    assert first is second and first == SnapshotRead(objects=(key,))
+    assert third == SnapshotRead(objects=(other,))
 
 
 def test_multi_shard_objects_are_rejected_by_submit_read(read_cluster):
@@ -299,6 +415,7 @@ def test_reads_over_the_reference_index_equal_reads_over_the_incremental_one(pro
             scheme=scheme, seed=5, read=ReadPolicy(mode="snapshot"),
         )
         cluster.run()  # deliver the bootstrap lease grants
+        served = record_served_reads(cluster.clients[1])
         keys = [shard_key(scheme, shard, hint=f"hot{i}") for shard in cluster.shards for i in range(2)]
         cluster.seed_read_stores({key: f"seed-{key}" for key in keys})
         txns = []
@@ -319,8 +436,11 @@ def test_reads_over_the_reference_index_equal_reads_over_the_incremental_one(pro
                 ))
             assert cluster.run_until_decided(txns)
         assert cluster.check()[0].ok
-        served = [read for reads in cluster.clients[1].read_results.values() for read in reads]
-        return cluster.history.digest(), cluster.read_stats(), served
+        return (
+            cluster.history.digest(),
+            cluster.read_stats(),
+            [read for reads in served.values() for read in reads],
+        )
 
     sharding = KeyHashSharding(["shard-0", "shard-1"])
     indexed = drive(SerializabilityScheme(sharding))
