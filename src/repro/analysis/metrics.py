@@ -6,7 +6,7 @@ the raw simulation output (virtual-time latencies and per-process message
 counters) into those units and format the comparison tables that
 EXPERIMENTS.md records.
 
-It is also where each optional subsystem (client sessions, batching,
+It is also where each optional subsystem (client retries, batching,
 snapshot reads, link model, failure detector) declares what it reports, in
 one frozen stats type: :class:`RetryStats`, :class:`BatchStats`,
 :class:`ReadStats`, :class:`LinkStats`, :class:`DetectorStats`.  Its fields
@@ -123,10 +123,10 @@ def phase_breakdown(samples: Mapping[str, Sequence[float]]) -> PhaseBreakdown:
     )
 
 
-def collect_phase_samples(clients, entries: Mapping) -> Dict[str, List[float]]:
+def collect_phase_samples(client, entries: Mapping) -> Dict[str, List[float]]:
     """Split client-observed latencies into the :data:`PHASES`.
 
-    ``clients`` expose ``submit_times`` / ``decide_times`` per transaction;
+    ``client`` exposes ``submit_times`` / ``decide_times`` per transaction;
     ``entries`` maps transactions to coordinator entries with ``started_at``
     / ``decided_at`` — the shape both the reconfigurable cluster and the
     2PC-over-Paxos baseline provide, so the phase definitions live in one
@@ -137,21 +137,18 @@ def collect_phase_samples(clients, entries: Mapping) -> Dict[str, List[float]]:
     the protocol-cost phase.
     """
     samples: Dict[str, List[float]] = {name: [] for name in PHASES}
-    for client in clients:
-        for txn, decide_time in client.decide_times.items():
-            entry = entries.get(txn)
-            if entry is None or entry.decided_at is None:
-                continue
-            samples["submit_to_certify"].append(
-                entry.started_at - client.submit_times[txn]
-            )
-            dispatched = entry.dispatched_at
-            certify_start = entry.started_at
-            if dispatched is not None:
-                samples["queue_wait"].append(dispatched - entry.started_at)
-                certify_start = dispatched
-            samples["certify_to_decide"].append(entry.decided_at - certify_start)
-            samples["decide_to_client"].append(decide_time - entry.decided_at)
+    for txn, decide_time in client.decide_times.items():
+        entry = entries.get(txn)
+        if entry is None or entry.decided_at is None:
+            continue
+        samples["submit_to_certify"].append(entry.started_at - client.submit_times[txn])
+        dispatched = entry.dispatched_at
+        certify_start = entry.started_at
+        if dispatched is not None:
+            samples["queue_wait"].append(dispatched - entry.started_at)
+            certify_start = dispatched
+        samples["certify_to_decide"].append(entry.decided_at - certify_start)
+        samples["decide_to_client"].append(decide_time - entry.decided_at)
     return samples
 
 
@@ -161,13 +158,13 @@ def collect_phase_samples(clients, entries: Mapping) -> Dict[str, List[float]]:
 
 @dataclass(frozen=True)
 class RetryStats:
-    """Client-session resilience counters for one run.
+    """Client retry counters for one run.
 
     * ``retries`` — timeout-driven re-submissions (any coordinator);
     * ``failovers`` — re-submissions that switched to a different
       coordinator (``retries - failovers`` re-tried the same one);
     * ``pushed_failovers`` — failovers triggered by a pushed
-      ``CONFIG_CHANGE`` (the session learned its coordinator was removed
+      ``CONFIG_CHANGE`` (the client learned its coordinator was removed
       before the retry timer fired);
     * ``orphaned`` — transactions abandoned after ``max_attempts`` without a
       decision (a resilient deployment should keep this at 0);
@@ -388,7 +385,7 @@ class DetectorStats(_CounterMapping):
       (not reported in the JSON);
     * ``view_changes`` — ``CS_VIEW_CHANGE`` requests the service issued;
     * ``unsolicited_reconfigurations`` — reconfigurations those started;
-    * ``pushed_failovers`` — session failovers driven by the resulting
+    * ``pushed_failovers`` — client failovers driven by the resulting
       ``CONFIG_CHANGE`` pushes rather than by a retry timeout.
     """
 

@@ -4,7 +4,7 @@
 paper's comparison point: each shard is a Multi-Paxos group of ``2f + 1``
 replicas running :class:`repro.baselines.twopc.CertificationStateMachine`,
 and dedicated coordinator processes drive two-phase commit across the
-groups.  Engine, clients, sessions, driver API, ``check`` and every
+groups.  Engine, client, router, driver API, ``check`` and every
 collector are the base's, so both systems are driven and measured by the
 same code; this module only says how the baseline differs.  It has no
 configuration service (nothing reconfigures), no Figure 3 replica
@@ -16,7 +16,7 @@ involves — Figure 2's "a replica of a shard not involved", read literally.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.baselines.paxos import PaxosGroup, PaxosReplica
 from repro.baselines.twopc import CertificationStateMachine, TwoPCCoordinator
@@ -35,7 +35,6 @@ class BaselineCluster(ClusterBase):
         self,
         num_shards: int = 2,
         failures_tolerated: int = 1,
-        num_clients: int = 1,
         num_coordinators: int = 1,
         **harness: Any,
     ) -> None:
@@ -49,7 +48,7 @@ class BaselineCluster(ClusterBase):
         self.num_coordinators = num_coordinators
         self.groups: Dict[ShardId, PaxosGroup] = {}
         self.coordinators: List[TwoPCCoordinator] = []
-        super().__init__(num_shards, num_clients, **harness)
+        super().__init__(num_shards, **harness)
 
     # ------------------------------------------------------------------
     # the binding's hooks
@@ -102,11 +101,11 @@ class BaselineCluster(ClusterBase):
             for txn, entry in coordinator.transactions.items()
         }
 
-    def _pick_coordinator(self, payload: Any) -> str:
+    def _pick_coordinator(self, involved: Iterable[ShardId]) -> str:
         # The involved shards matter only as the sticky key: every
         # transaction has the same candidates.
         router = self.router
-        key = tuple(sorted(self.scheme.shards_of(payload))) if router.sticky else ()
+        key = tuple(sorted(involved)) if router.sticky else ()
         return router.choose(key, self._coordinator_pids)
 
     def leader_of(self, shard: ShardId) -> str:

@@ -181,8 +181,8 @@ class TwoPCCoordinator(Process):
     # client entry point
     # ------------------------------------------------------------------
     def on_certify_request(self, msg: CertifyRequest, sender: str) -> None:
-        # Baseline parity with the reconfigurable protocols: client-session
-        # retries are deduplicated on the transaction id.  A decided (and
+        # Baseline parity with the reconfigurable protocols: client retries
+        # are deduplicated on the transaction id.  A decided (and
         # durable) transaction is re-answered from the decision cache; an
         # in-flight duplicate is ignored — the pending Paxos commands will
         # complete it, and the certification state machine itself dedups

@@ -3,8 +3,8 @@
 :class:`ClusterBase` is the harness, written once for every transaction
 certification service in the repository.  It owns the scheduler, the
 network with its delay and link models, the transaction directory and the
-history, the policies (retry, batch, read, detector), the clients with
-their sessions and shared router, the heartbeat pump, and the driver API
+history, the policies (retry, batch, read, detector), the one client and
+its router, the heartbeat pump, and the driver API
 used by the examples, the tests, the scenario runner and the benchmark
 harness:
 
@@ -43,7 +43,7 @@ from repro.analysis.metrics import (
     RetryStats,
     collect_phase_samples,
 )
-from repro.client import Client, ClientSession, CoordinatorRouter, RetryPolicy
+from repro.client import Client, CoordinatorRouter, RetryPolicy
 from repro.configservice.service import ConfigurationService
 from repro.core.batching import BatchPolicy
 from repro.core.certification import CertificationScheme
@@ -89,15 +89,15 @@ class ClusterBase:
     * ``_build_servers()`` — create and register every non-client process,
       setting ``config_service`` where there is one (it stays None where
       nothing reconfigures);
-    * ``_build_router()`` — the :class:`CoordinatorRouter` the sessions share;
+    * ``_build_router()`` — the client's :class:`CoordinatorRouter`;
     * ``_detector_processes()`` — the processes the heartbeat pump drives
       (``detector``, ``emit_heartbeats``, ``tick_detector``), in build order;
     * ``_coordinator_processes()`` — the processes that can coordinate
       (``duplicate_certify_requests``, ``batchers``);
     * ``coordinator_entries()`` — txn -> the coordinator's book-keeping entry
       (``started_at`` / ``dispatched_at`` / ``decided_at``);
-    * ``_pick_coordinator(payload)`` — the coordinator of a submission made
-      without a retry policy;
+    * ``_pick_coordinator(involved)`` — the live coordinator of a submission
+      over the ``involved`` shards, made without a retry policy;
     * ``leader_of(shard)``;
     * ``_read_engines()`` — the snapshot-read engines, which
       :meth:`seed_read_stores` seeds and :meth:`read_stats` sums;
@@ -116,7 +116,6 @@ class ClusterBase:
     def __init__(
         self,
         num_shards: int,
-        num_clients: int,
         scheme: Optional[CertificationScheme] = None,
         latency: Optional[LatencySpec] = None,
         seed: int = 0,
@@ -126,8 +125,8 @@ class ClusterBase:
         detector: Optional[DetectorPolicy] = None,
         network: Optional[NetworkSpec] = None,
     ) -> None:
-        if num_shards < 1 or num_clients < 1:
-            raise ValueError("num_shards and num_clients must be >= 1")
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards
         self.shards: List[ShardId] = _shard_ids(num_shards)
         self.scheme = scheme or SerializabilityScheme(KeyHashSharding(self.shards))
@@ -150,25 +149,24 @@ class ClusterBase:
 
         self._build_servers()
         service = self.config_service
-        self.clients: List[Client] = []
-        for i in range(num_clients):
-            client = Client(
-                pid=f"client-{i}",
-                scheme=self.scheme,
-                directory=self.directory,
-                history=self.history,
-                config_service=service.pid if service is not None else None,
-                batch=self.batch,
-            )
-            self.network.register(client)
-            self.clients.append(client)
-        # One ClientSession per client, sharing the binding's router (one
-        # rotation, one set of sticky pins per cluster).
+        # One client per cluster, which owns the router (one rotation, one
+        # set of sticky pins) and routes through one picker chosen here.
         self.router = self._build_router()
-        self.sessions: List[ClientSession] = [
-            ClientSession(client, self.router, self.scheme, self.retry)
-            for client in self.clients
-        ]
+        self.client = Client(
+            pid="client-0",
+            scheme=self.scheme,
+            directory=self.directory,
+            history=self.history,
+            router=self.router,
+            pick=self.router.pick if self.retry.enabled else self._pick_coordinator,
+            retry=self.retry,
+            config_service=service.pid if service is not None else None,
+            batch=self.batch,
+        )
+        self.network.register(self.client)
+        # Kept as a one-element sequence for readers that iterate clients
+        # (the benchmark reads ``clients[*].submit_times`` / ``decide_times``).
+        self.clients: Tuple[Client, ...] = (self.client,)
         self._post_build()
         # Heartbeat pump: one cluster-level weak recurring tick, armed
         # exactly once here and self-re-armed only from inside the tick
@@ -182,24 +180,17 @@ class ClusterBase:
     def submit(
         self,
         payload: Any,
-        client_index: int = 0,
         coordinator: Optional[str] = None,
         txn: Optional[TxnId] = None,
     ) -> TxnId:
         """Submit a transaction for certification; returns its identifier.
 
-        With a retry policy, submissions route through the client's session:
-        the session picks the coordinator from the client-side router (no
-        omniscient liveness peeking) and arms the timeout-driven
-        re-submission machinery.  Without one, the direct path asks the
-        binding for a coordinator and fires-and-forgets.
+        With a retry policy the client picks the coordinator from its
+        router (no omniscient liveness peeking) and arms the timeout-driven
+        re-submission machinery.  Without one, it asks the binding for a
+        live coordinator and fires-and-forgets.
         """
-        if self.retry.enabled:
-            return self.sessions[client_index].submit(
-                payload, coordinator=coordinator, txn=txn
-            )
-        coordinator = coordinator or self._pick_coordinator(payload)
-        return self.clients[client_index].submit(payload, coordinator=coordinator, txn=txn)
+        return self.client.submit(payload, coordinator=coordinator, txn=txn)
 
     def run(self, max_time: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run the simulation until idle (or until the given budget)."""
@@ -219,20 +210,15 @@ class ClusterBase:
                 return True
             return self.scheduler.run_until(watcher.is_done, max_events=max_events)
 
-    def certify(
-        self,
-        payload: Any,
-        client_index: int = 0,
-        coordinator: Optional[str] = None,
-    ) -> Decision:
+    def certify(self, payload: Any, coordinator: Optional[str] = None) -> Decision:
         """Submit a transaction and run the simulation until it is decided."""
-        txn = self.submit(payload, client_index=client_index, coordinator=coordinator)
+        txn = self.submit(payload, coordinator=coordinator)
         self._run_to_decisions([txn])
         return self.history.decision_of(txn)
 
-    def certify_many(self, payloads: Sequence[Any], client_index: int = 0) -> Dict[TxnId, Decision]:
+    def certify_many(self, payloads: Sequence[Any]) -> Dict[TxnId, Decision]:
         """Submit the transactions together and run until all are decided."""
-        txns = [self.submit(p, client_index=client_index) for p in payloads]
+        txns = [self.submit(p) for p in payloads]
         self._run_to_decisions(txns)
         return {t: self.history.decision_of(t) for t in txns}
 
@@ -270,13 +256,9 @@ class ClusterBase:
         return result, violations
 
     def client_latencies(self) -> List[float]:
-        values: List[float] = []
-        for client in self.clients:
-            for txn in client.decide_times:
-                latency = client.latency_of(txn)
-                if latency is not None:
-                    values.append(latency)
-        return values
+        """Client-observed latency: submission to decision receipt."""
+        submitted = self.client.submit_times
+        return [at - submitted[txn] for txn, at in self.client.decide_times.items()]
 
     def abort_rate(self) -> float:
         decided = self.history.decided()
@@ -294,7 +276,7 @@ class ClusterBase:
         critical path) and decide -> client (decision delivery).  Keys match
         :data:`repro.analysis.metrics.PHASES`.
         """
-        return collect_phase_samples(self.clients, self.coordinator_entries())
+        return collect_phase_samples(self.client, self.coordinator_entries())
 
     def colocated_latencies(self) -> List[float]:
         """Latency from the coordinator starting ``certify`` to it knowing
@@ -309,24 +291,22 @@ class ClusterBase:
     def protocol_latencies(self) -> List[float]:
         """Latency from the coordinator starting ``certify`` to the client
         receiving the decision (the paper's 5-message-delay path)."""
-        values = []
         entries = self.coordinator_entries()
-        for client in self.clients:
-            for txn, decide_time in client.decide_times.items():
-                entry = entries.get(txn)
-                if entry is not None:
-                    values.append(decide_time - entry.started_at)
-        return values
+        return [
+            decide_time - entries[txn].started_at
+            for txn, decide_time in self.client.decide_times.items()
+            if txn in entries
+        ]
 
     def retry_stats(self) -> RetryStats:
-        """Aggregate session retry/failover/orphan counters plus the
-        duplicate requests deduplicated by the coordinating processes."""
-        sessions = self.sessions
+        """The client's retry/failover/orphan counters plus the duplicate
+        requests deduplicated by the coordinating processes."""
+        client = self.client
         return RetryStats(
-            retries=sum(session.retries for session in sessions),
-            failovers=sum(session.failovers for session in sessions),
-            pushed_failovers=sum(session.pushed_failovers for session in sessions),
-            orphaned=sum(len(session.orphaned) for session in sessions),
+            retries=client.retries,
+            failovers=client.failovers,
+            pushed_failovers=client.pushed_failovers,
+            orphaned=len(client.orphaned),
             duplicate_requests=sum(
                 process.duplicate_certify_requests
                 for process in self._coordinator_processes()
@@ -335,11 +315,11 @@ class ClusterBase:
 
     def batch_stats(self) -> BatchStats:
         """Aggregate batch counts and the batch-size distribution over every
-        batching process — coordinators and clients alike (empty when
+        batching process — the coordinators and the client (empty when
         batching is disabled)."""
         batches = messages = 0
         sizes: Dict[int, int] = {}
-        for process in [*self._coordinator_processes(), *self.clients]:
+        for process in [*self._coordinator_processes(), self.client]:
             for batcher in process.batchers:
                 batches += batcher.batches_sent
                 messages += batcher.messages_batched
@@ -348,17 +328,14 @@ class ClusterBase:
         return BatchStats(batches=batches, messages=messages, sizes=sizes)
 
     def read_stats(self) -> ReadStats:
-        """Aggregate fast-path counters over clients and read engines (all
-        zero where the binding has no fast path)."""
-        reasons: Dict[str, int] = {}
-        for client in self.clients:
-            for reason, count in client.read_fallback_reasons.items():
-                reasons[reason] = reasons.get(reason, 0) + count
+        """The client's fast-path counters and the read engines' (all zero
+        where the binding has no fast path)."""
+        client = self.client
         engines = list(self._read_engines())
         return ReadStats(
-            reads_served=sum(client.reads_served for client in self.clients),
-            read_fallbacks=sum(client.read_fallbacks for client in self.clients),
-            fallback_reasons=reasons,
+            reads_served=client.reads_served,
+            read_fallbacks=client.read_fallbacks,
+            fallback_reasons=dict(client.read_fallback_reasons),
             refused_lease=sum(engine.reads_refused_lease for engine in engines),
             refused_pending=sum(engine.reads_refused_pending for engine in engines),
             stale_serves=sum(engine.stale_serves for engine in engines),
@@ -366,7 +343,7 @@ class ClusterBase:
 
     def detector_stats(self) -> DetectorStats:
         """Aggregate failure-detector counters over the detector-carrying
-        processes, the sessions and the configuration service (all zero
+        processes, the client and the configuration service (all zero
         when the detector is off; the reconfiguration counters stay zero
         where there is no configuration service to drive)."""
         service = self.config_service
@@ -383,7 +360,7 @@ class ClusterBase:
                 if service is not None
                 else 0
             ),
-            pushed_failovers=sum(s.pushed_failovers for s in self.sessions),
+            pushed_failovers=self.client.pushed_failovers,
         )
 
     @property
@@ -394,8 +371,8 @@ class ClusterBase:
     # optional hooks (the required ones are listed in the class docstring)
     # ------------------------------------------------------------------
     def _post_build(self) -> None:
-        """Wiring and start-up traffic that need every process and session
-        to exist."""
+        """Wiring and start-up traffic that need every process, the client
+        included, to exist."""
 
 
 PROTOCOL_MESSAGE_PASSING = "message-passing"
@@ -489,7 +466,6 @@ class Cluster(ClusterBase):
         self,
         num_shards: int = 2,
         replicas_per_shard: int = 2,
-        num_clients: int = 1,
         protocol: str = PROTOCOL_MESSAGE_PASSING,
         isolation: str = "serializability",
         scheme: Optional[CertificationScheme] = None,
@@ -519,7 +495,7 @@ class Cluster(ClusterBase):
         # more than the whole routing decision).
         self._candidate_cache: Dict[Tuple[ShardId, ...], List[str]] = {}
         self._candidate_cache_version = -1
-        super().__init__(num_shards, num_clients, scheme=scheme, **harness)
+        super().__init__(num_shards, scheme=scheme, **harness)
 
     # ------------------------------------------------------------------
     # construction (the binding's hooks)
@@ -598,13 +574,9 @@ class Cluster(ClusterBase):
         return CoordinatorRouter(self.initial_configs, sticky=self.network.link.sticky)
 
     def _post_build(self) -> None:
-        for client in self.clients:
-            client.global_config_service = self.protocol_spec.global_config
+        self.client.global_config_service = self.protocol_spec.global_config
         if self.retry.enabled:
-            # One subscription feeds the shared router; subscribing every
-            # client would deliver each CONFIG_CHANGE num_clients times for
-            # the same note_config_change.
-            self.config_service.subscribe(self.clients[0].pid)
+            self.config_service.subscribe(self.client.pid)
         if self.protocol_spec.post_build is not None:
             self.protocol_spec.post_build(self)
         self.request_read_leases()
@@ -639,8 +611,8 @@ class Cluster(ClusterBase):
     # ------------------------------------------------------------------
     # transaction driving
     # ------------------------------------------------------------------
-    def _pick_coordinator(self, payload: Any) -> str:
-        """Pick a replica to coordinate the transaction.
+    def _pick_coordinator(self, involved: Iterable[ShardId]) -> str:
+        """Pick a replica to coordinate a transaction over ``involved``.
 
         Mirrors Figure 2, where the coordinator is a replica of a shard not
         involved in the transaction: we prefer members of uninvolved shards
@@ -650,7 +622,7 @@ class Cluster(ClusterBase):
         this path is omniscient: it reads the configuration service's
         current members and skips crashed ones.
         """
-        involved = tuple(sorted(self.scheme.shards_of(payload))) or (self.shards[0],)
+        involved = tuple(sorted(involved)) or (self.shards[0],)
         if self._candidate_cache_version != self.config_service.version:
             self._candidate_cache.clear()
             self._candidate_cache_version = self.config_service.version
@@ -677,34 +649,40 @@ class Cluster(ClusterBase):
                 leader.request_read_lease()
 
     def submit_read(
-        self,
-        objects: Sequence[str],
-        fallback_payload: TransactionPayload,
-        client_index: int = 0,
+        self, objects: Sequence[str], fallback_payload: TransactionPayload
     ) -> TxnId:
         """Submit a single-shard read-only transaction on the snapshot-read
         fast path (leader-local, no coordinator, no certification).
 
         ``fallback_payload`` is the read-only payload — the objects at the
         client's current committed versions — certified through the normal
-        path if the leader refuses.  Multi-shard reads and disabled read
-        policies must use :meth:`submit` instead (the store layer's
-        ``submit_read_async`` makes that call).
+        path if the leader refuses or, under a retry policy, times out.
+        Multi-shard reads and disabled read policies must use
+        :meth:`submit` instead.
         """
         if not self.read.enabled:
             raise RuntimeError("submit_read requires an enabled read policy")
-        sharding = self.scheme.sharding
-        shards = {sharding.shard_of(obj) for obj in objects}
+        txn = self._try_submit_read(objects, fallback_payload)
+        if txn is None:
+            shards = sorted({self.scheme.sharding.shard_of(obj) for obj in objects})
+            raise ValueError(f"snapshot reads are single-shard (got {shards})")
+        return txn
+
+    def _try_submit_read(
+        self, objects: Sequence[str], fallback_payload: TransactionPayload
+    ) -> Optional[TxnId]:
+        """Send the snapshot read if ``objects`` live on one shard, resolving
+        that shard once; None, with nothing sent, if they span several."""
+        shard_of = self.scheme.sharding.shard_of
+        shards = {shard_of(obj) for obj in objects}
         if len(shards) != 1:
-            raise ValueError(f"snapshot reads are single-shard (got {sorted(shards)})")
+            return None
         (shard,) = shards
-        client = self.clients[client_index]
-        return client.submit_read(
+        return self.client.submit_read(
             objects=objects,
             shard=shard,
             leader=self.leader_of(shard),
             fallback_payload=fallback_payload,
-            pick_fallback_coordinator=lambda: self._pick_coordinator(fallback_payload),
         )
 
     # ------------------------------------------------------------------

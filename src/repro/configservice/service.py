@@ -92,7 +92,7 @@ class ConfigurationService(Process):
         # (e.g. the cluster driver's coordinator routing) cache derived
         # views and invalidate them in O(1).
         self.version = 0
-        # Non-member processes (client sessions) that asked to be told about
+        # Non-member processes (the client) that asked to be told about
         # every new configuration, on top of the Figure 1 line 67 push to the
         # members of the other shards.
         self._subscribers: List[str] = []

@@ -138,7 +138,7 @@ class CoordinatorMixin:
 
     def _init_coordinator(self, policy: BatchPolicy, pipeline: bool) -> None:
         self._coordinated: Dict[TxnId, CoordinatorEntry] = {}
-        # Duplicate CERTIFY requests deduplicated (client-session retries).
+        # Duplicate CERTIFY requests deduplicated (client retries).
         self.duplicate_certify_requests = 0
         self.gate = AdmissionGate(pipeline)
         # One outbox per message kind (repro.core.batching): the PREPARE
@@ -220,7 +220,7 @@ class CoordinatorMixin:
     def on_certify_request(self, msg: CertifyRequest, sender: str) -> None:
         """A client picked this replica as the transaction's coordinator.
 
-        Client sessions re-submit on timeout, so the request may be a
+        The client re-submits on timeout, so the request may be a
         duplicate: a decided transaction is re-answered from the decision
         cache (the coordinator entry, or the replica's own certification
         order) rather than re-certified — duplicates must never produce a

@@ -55,8 +55,8 @@ class DetectorPolicy:
     Suspicions go to the configuration service, which aggregates them per
     (shard, epoch, suspect) and — once ``confirmations`` distinct observers
     agree — asks a surviving member to reconfigure through the ordinary CAS
-    path, then pushes ``CONFIG_CHANGE`` to subscribed clients so sessions
-    fail over before their retry timers fire.
+    path, then pushes ``CONFIG_CHANGE`` to the subscribed client so it
+    fails over before its retry timers fire.
 
     ``interval = 0`` (the default) disables the detector entirely — no
     heartbeats, no pump, no detector state — preserving the paper's

@@ -27,7 +27,7 @@ class CertifyRequest:
     """Client request: ``certify(t, l)`` submitted to a replica that will act
     as the transaction's coordinator (Figure 1, line 1).
 
-    ``request_id`` is the client session's attempt number for this
+    ``request_id`` is the client's attempt number for this
     transaction (1 for the first submission, 2+ for timeout-driven
     re-submissions).  The transaction id alone is the deduplication key —
     a coordinator that already knows the transaction re-answers from its

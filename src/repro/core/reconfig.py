@@ -72,10 +72,6 @@ class SparePool:
         self.taken.extend(taken)
         return taken
 
-    @property
-    def available(self) -> Tuple[ProcessId, ...]:
-        return tuple(self._available)
-
     def __len__(self) -> int:
         return len(self._available)
 
@@ -147,7 +143,6 @@ class Reconfigurer:
         self.spare_pools: Dict[ShardId, SparePool] = {}
         self._cs_request_id = 0
         self._cs_callbacks: Dict[int, Callable[[CsReply], None]] = {}
-        self.reconfigurations_initiated = 0
         self.reconfigurations_introduced = 0
         self.unsolicited_reconfigurations = 0
 
@@ -182,7 +177,6 @@ class Reconfigurer:
         if self.rec_status is not RecStatus.READY:
             return False
         self.rec_status = RecStatus.PROBING
-        self.reconfigurations_initiated += 1
         key = self._reconfiguration_key(shard)
 
         def on_last(reply: CsReply) -> None:

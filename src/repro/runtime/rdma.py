@@ -82,7 +82,6 @@ class RdmaManager:
         # Outstanding writes issued by *this* process, keyed by write id.
         self._next_write_id = 0
         self._on_ack: Dict[int, Tuple[str, Any, Callable[[Any, str], None]]] = {}
-        self.writes_sent = 0
         self.writes_acked = 0
         self.writes_rejected_remotely = 0
 
@@ -112,7 +111,6 @@ class RdmaManager:
         """
         write_id = self._next_write_id
         self._next_write_id += 1
-        self.writes_sent += 1
         if on_ack is not None:
             self._on_ack[write_id] = (dst, message, on_ack)
         self.process.send(dst, RdmaWrite(write_id=write_id, payload=message))

@@ -122,7 +122,7 @@ class ScenarioResult:
     invariant_violations: int
     contradictions: int
     expect_safe: bool
-    retry: Section  # client sessions: re-submission and failover
+    retry: Section  # client retries: re-submission and failover
     batch: Section  # protocol-level batching
     read: Section  # snapshot-read fast path
     network: Section  # bandwidth/queueing link model
@@ -280,7 +280,6 @@ class ScenarioRunner:
         # What every cluster takes, whatever the protocol.
         shared = dict(
             num_shards=spec.num_shards,
-            num_clients=spec.num_clients,
             latency=spec.latency,
             seed=spec.seed,
             # The spec's policy and model fields are the values the cluster takes.

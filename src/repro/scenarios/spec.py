@@ -245,7 +245,6 @@ class ScenarioSpec:
     protocol: str = "message-passing"
     num_shards: int = 2
     replicas_per_shard: int = 2
-    num_clients: int = 1
     spares_per_shard: int = 2
     isolation: str = "serializability"
     seed: int = 0
@@ -253,7 +252,7 @@ class ScenarioSpec:
     # Which delay distribution the network applies; the default is the
     # paper's unit model (the unit its latency claims are stated in).
     latency: LatencySpec = field(default_factory=LatencySpec)
-    # Client-session resilience: timeout-driven re-submission with
+    # Client resilience: timeout-driven re-submission with
     # coordinator failover (off by default — the paper's client model).
     retry: RetrySpec = field(default_factory=RetrySpec)
     # Protocol-level batching of the certification fan-out (off by default —
@@ -297,10 +296,8 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"unknown protocol {self.protocol!r}; expected one of {known}"
             )
-        if self.num_shards < 1 or self.replicas_per_shard < 1 or self.num_clients < 1:
-            raise ScenarioError(
-                "num_shards, replicas_per_shard and num_clients must be >= 1"
-            )
+        if self.num_shards < 1 or self.replicas_per_shard < 1:
+            raise ScenarioError("num_shards and replicas_per_shard must be >= 1")
         if self.spares_per_shard < 0:
             raise ScenarioError("spares_per_shard must be >= 0")
         if self.max_events < 1:

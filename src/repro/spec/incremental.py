@@ -467,7 +467,7 @@ class IncrementalTCSChecker:
         against it.  Retirement then stops (each pass costs a scan of the
         undecided transactions and nothing more); watch
         ``stats["watermark"]`` against ``stats["undecided"]`` (and keep
-        sessions configured so nothing orphans) on truly unbounded runs.
+        retries configured so nothing orphans) on truly unbounded runs.
         """
         self._since_gc = 0
         if not self._gc_enabled or self.violation is not None:

@@ -128,9 +128,6 @@ class TransactionalStore:
     def read(self, obj: ObjectId) -> Any:
         return self.store.value_of(obj)
 
-    def version_of(self, obj: ObjectId) -> Version:
-        return self.store.version_of(obj)
-
     # ------------------------------------------------------------------
     # transactions
     # ------------------------------------------------------------------
@@ -144,15 +141,11 @@ class TransactionalStore:
         context.result = body(context)  # type: ignore[attr-defined]
         return context
 
-    def transact(
-        self,
-        body: Callable[[TransactionContext], Any],
-        client_index: int = 0,
-    ) -> TransactionOutcome:
+    def transact(self, body: Callable[[TransactionContext], Any]) -> TransactionOutcome:
         """Execute, certify and (on commit) apply one transaction."""
         context = self.execute(body)
         payload = context.payload()
-        txn = self.cluster.submit(payload, client_index=client_index)
+        txn = self.cluster.submit(payload)
         if not self.cluster.run_until_decided([txn]):
             raise RuntimeError(f"transaction {txn} was not decided")
         return self._finalize(txn, self.cluster.decision_of(txn), context, payload)
@@ -182,7 +175,6 @@ class TransactionalStore:
     def submit_async(
         self,
         body: Callable[[TransactionContext], Any],
-        client_index: int = 0,
         on_decided: Optional[Callable[[TransactionOutcome], None]] = None,
     ) -> TxnId:
         """Execute speculatively and submit without driving the simulation.
@@ -194,7 +186,7 @@ class TransactionalStore:
         """
         context = self.execute(body)
         payload = context.payload()
-        txn = self.cluster.submit(payload, client_index=client_index)
+        txn = self.cluster.submit(payload)
         self._pending[txn] = (context, payload, on_decided)
         if self._subscription is None:
             self._subscription = self.cluster.history.subscribe(
@@ -214,7 +206,6 @@ class TransactionalStore:
     def submit_read_async(
         self,
         objects: Sequence[ObjectId],
-        client_index: int = 0,
         on_decided: Optional[Callable[[TransactionOutcome], None]] = None,
     ) -> TxnId:
         """Submit a read-only transaction, taking the snapshot-read fast
@@ -229,17 +220,11 @@ class TransactionalStore:
             context.read(obj)
         payload = context.payload()
         cluster = self.cluster
-        eligible = (
-            cluster.SNAPSHOT_READS
-            and cluster.read.enabled
-            and len({cluster.scheme.sharding.shard_of(obj) for obj in objects}) == 1
-        )
-        if eligible:
-            txn = cluster.submit_read(
-                objects, fallback_payload=payload, client_index=client_index
-            )
-        else:
-            txn = cluster.submit(payload, client_index=client_index)
+        txn = None
+        if cluster.SNAPSHOT_READS and cluster.read.enabled:
+            txn = cluster._try_submit_read(objects, payload)
+        if txn is None:
+            txn = cluster.submit(payload)
         self._pending[txn] = (context, payload, on_decided)
         if self._subscription is None:
             self._subscription = self.cluster.history.subscribe(
@@ -250,13 +235,12 @@ class TransactionalStore:
     def run_batch(
         self,
         bodies: Sequence[Callable[[TransactionContext], Any]],
-        client_index: int = 0,
     ) -> List[TransactionOutcome]:
         """Execute a batch of transactions against the same snapshot and
         certify them concurrently (this is where conflicts arise)."""
         contexts = [self.execute(body) for body in bodies]
         payloads = [context.payload() for context in contexts]
-        txns = [self.cluster.submit(payload, client_index=client_index) for payload in payloads]
+        txns = [self.cluster.submit(payload) for payload in payloads]
         self.cluster.run_until_decided(txns)
         return [
             self._finalize(txn, self.cluster.decision_of(txn), context, payload)

@@ -13,7 +13,7 @@ import re
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
@@ -82,8 +82,16 @@ class KeySpaceSeeds(Mapping):
         return self.num_keys
 
 
-class UniformKeyGenerator:
-    """Keys drawn uniformly from ``key-0 .. key-(n-1)``."""
+class _KeyGenerator:
+    """What the key generators share: the key space ``prefix-0 ..
+    prefix-(n-1)``, the seeded stream, and one key string per key index,
+    made on its first draw and then shared by every transaction that
+    touches the key (and by the payloads a run keeps).  A subclass's
+    ``key()`` draws an index and reads its name from ``_names``, asking
+    ``_first_draw`` only when the slot is still empty."""
+
+    #: Draws ``keys(count)`` may make beyond ``50 * count``.
+    EXTRA_ATTEMPTS = 0
 
     def __init__(self, num_keys: int, seed: int = 0, prefix: str = "key") -> None:
         if num_keys < 1:
@@ -91,24 +99,22 @@ class UniformKeyGenerator:
         self.num_keys = num_keys
         self.prefix = prefix
         self.rng = random.Random(seed)
-        # One key string per key index, made on first draw and then shared
-        # by every transaction that touches the key (and by the payloads a
-        # run keeps); a list indexed by key costs no call per draw.
+        # A list slot per key (8 B) costs less than a dict of the drawn
+        # names (about 58 B each) once a run draws a seventh of its keys.
         self._names: List[Optional[str]] = [None] * num_keys
 
-    def key(self) -> str:
-        index = self.rng.randrange(self.num_keys)
-        name = self._names[index]
-        if name is None:
-            name = self._names[index] = f"{self.prefix}-{index}"
+    def _first_draw(self, index: int) -> str:
+        name = self._names[index] = f"{self.prefix}-{index}"
         return name
 
     def keys(self, count: int) -> List[str]:
         """``count`` distinct keys (or as many as the key space allows)."""
         chosen: List[str] = []
         seen = set()
+        wanted = min(count, self.num_keys)
+        cap = 50 * count + self.EXTRA_ATTEMPTS
         attempts = 0
-        while len(chosen) < min(count, self.num_keys) and attempts < 50 * count:
+        while len(chosen) < wanted and attempts < cap:
             key = self.key()
             attempts += 1
             if key not in seen:
@@ -117,22 +123,26 @@ class UniformKeyGenerator:
         return chosen
 
 
-class ZipfianKeyGenerator:
+class UniformKeyGenerator(_KeyGenerator):
+    """Keys drawn uniformly from ``key-0 .. key-(n-1)``."""
+
+    def key(self) -> str:
+        index = self.rng.randrange(self.num_keys)
+        return self._names[index] or self._first_draw(index)
+
+
+class ZipfianKeyGenerator(_KeyGenerator):
     """Zipfian-skewed key access (higher ``theta`` = more contention)."""
+
+    EXTRA_ATTEMPTS = 100
 
     def __init__(
         self, num_keys: int, theta: float = 0.9, seed: int = 0, prefix: str = "key"
     ) -> None:
-        if num_keys < 1:
-            raise ValueError("num_keys must be >= 1")
+        super().__init__(num_keys, seed, prefix)
         if theta < 0:
             raise ValueError("theta must be >= 0")
-        self.num_keys = num_keys
         self.theta = theta
-        self.prefix = prefix
-        self.rng = random.Random(seed)
-        # Shared key strings, as in UniformKeyGenerator.
-        self._names: List[Optional[str]] = [None] * num_keys
         # The cumulative distribution, one double per key: the array holds
         # each rank's weight until the running sum overwrites it.
         cumulative = self._cumulative = array("d", [0.0]) * num_keys
@@ -148,22 +158,7 @@ class ZipfianKeyGenerator:
         # The first rank whose cumulative weight reaches the draw (the last
         # rank if rounding leaves the table short of it).
         rank = bisect_left(self._cumulative, self.rng.random(), 0, self.num_keys - 1)
-        name = self._names[rank]
-        if name is None:
-            name = self._names[rank] = f"{self.prefix}-{rank}"
-        return name
-
-    def keys(self, count: int) -> List[str]:
-        chosen: List[str] = []
-        seen = set()
-        attempts = 0
-        while len(chosen) < min(count, self.num_keys) and attempts < 50 * count + 100:
-            key = self.key()
-            attempts += 1
-            if key not in seen:
-                seen.add(key)
-                chosen.append(key)
-        return chosen
+        return self._names[rank] or self._first_draw(rank)
 
 
 class ReadWriteWorkload:

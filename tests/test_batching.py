@@ -351,7 +351,7 @@ def test_accept_envelope_with_an_early_element():
     leader = cluster.replica(cluster.leader_of("shard-0"))
     follower = cluster.replica(cluster.followers_of("shard-0")[0])
     coordinator = cluster.replica(cluster.members_of("shard-1")[0])
-    client = cluster.clients[0]
+    client = cluster.client
     epoch = follower.my_epoch
 
     def accept_reaches_the_outbox(payload, pending):
@@ -442,7 +442,7 @@ def test_no_coordinator_or_client_forks_on_batching():
         BaselineCluster(num_shards=2),
     ]
     for cluster in clusters:
-        processes = [*cluster._coordinator_processes(), *cluster.clients]
+        processes = [*cluster._coordinator_processes(), cluster.client]
         assert processes and all(not hasattr(p, "_batching") for p in processes)
         # Outboxes exist whatever the policy (the passthrough is theirs).
         assert all(process.batchers for process in processes)
@@ -562,7 +562,7 @@ def _decided_duplicate_case(cluster, coordinator_pid, key):
     txn = cluster.submit(payload, coordinator=coordinator_pid)
     assert cluster.run_until_decided([txn])
     cluster.run()
-    client = cluster.clients[0]
+    client = cluster.client
     client.send(coordinator_pid, CertifyRequest(txn=txn, payload=payload, request_id=2))
     cluster.run()
     return txn, client
@@ -594,12 +594,12 @@ def test_batched_duplicate_reanswered_by_baseline_coordinator():
     txn = cluster.submit(payload)
     assert cluster.run_until_decided([txn])
     cluster.run()
-    cluster.clients[0].send(
+    cluster.client.send(
         coordinator.pid, CertifyRequest(txn=txn, payload=payload, request_id=2)
     )
     cluster.run()
     assert coordinator.duplicate_certify_requests == 1
-    assert cluster.clients[0].duplicate_decisions >= 1
+    assert cluster.client.duplicate_decisions >= 1
     assert cluster.history.contradictions == []
 
 
@@ -622,7 +622,7 @@ def test_duplicate_landing_inside_a_pending_batch_is_safe():
     # PREPARE is still queued in its batcher.
     cluster.run(max_time=51.5)
     assert coordinator._prepare_batcher.pending_messages > 0
-    cluster.clients[0].send(
+    cluster.client.send(
         coordinator_pid, CertifyRequest(txn=txn, payload=payload, request_id=2)
     )
     cluster.run()

@@ -1,16 +1,19 @@
-"""Unit and integration tests for the resilient client-session layer:
-coordinator routing, timeout-driven re-submission with failover,
-duplicate-safe certification, and configuration-change awareness."""
+"""Unit and integration tests for the cluster's one client: coordinator
+routing, timeout-driven re-submission with failover, duplicate-safe
+certification, configuration-change awareness, the snapshot-read fallback
+under a retry policy, and one shard resolution per submission."""
 
 import pytest
 
 from repro.baselines.cluster import BaselineCluster
-from repro.client import ClientSession, CoordinatorRouter, RetryPolicy
+from repro.client import CoordinatorRouter, RetryPolicy
 from repro.cluster import Cluster
 from repro.core.messages import CertifyRequest, TxnDecision
+from repro.core.reads import ReadPolicy
 from repro.core.types import Configuration, Decision
+from repro.store.executor import TransactionalStore
 
-from helpers import rw_payload, shard_key
+from helpers import payload, read_payload, rw_payload, shard_key
 
 
 # ----------------------------------------------------------------------
@@ -111,18 +114,18 @@ def test_session_resubmits_after_coordinator_crash():
         seed=7,
         retry=RetryPolicy(timeout=15.0, backoff=2.0, max_attempts=4),
     )
-    session = cluster.sessions[0]
+    client = cluster.client
     key = shard_key(cluster.scheme, "shard-0")
     coordinator = cluster.members_of("shard-1")[0]
     cluster.crash(coordinator)  # dies before the request arrives
     txn = cluster.submit(rw_payload(key, tiebreak="t"), coordinator=coordinator)
     assert cluster.run_until_decided([txn])
     assert cluster.history.decision_of(txn) is Decision.COMMIT
-    assert session.retries >= 1
-    assert session.failovers >= 1
-    assert session.inflight == 0  # timer cancelled on decision
+    assert client.retries >= 1
+    assert client.failovers >= 1
+    assert client.inflight == 0  # timer cancelled on decision
     stats = cluster.retry_stats()
-    assert stats.retries == session.retries
+    assert stats.retries == client.retries
     assert stats.orphaned == 0
 
 
@@ -138,11 +141,11 @@ def test_session_orphans_after_max_attempts():
         cluster.crash(replica.pid)
     txn = cluster.submit(rw_payload("k", tiebreak="t"))
     cluster.run()
-    session = cluster.sessions[0]
+    client = cluster.client
     assert cluster.history.decision_of(txn) is None
-    assert session.orphaned == [txn]
+    assert client.orphaned == [txn]
     assert cluster.retry_stats().orphaned == 1
-    assert session.retries == 1  # one re-submission, then gave up
+    assert client.retries == 1  # one re-submission, then gave up
 
 
 def test_timeout_config_refresh_throttles_by_backed_off_window():
@@ -156,29 +159,29 @@ def test_timeout_config_refresh_throttles_by_backed_off_window():
         seed=7,
         retry=RetryPolicy(timeout=10.0, backoff=3.0, max_attempts=9),
     )
-    session = cluster.sessions[0]
+    client = cluster.client
     key = shard_key(cluster.scheme, "shard-0")
     for pid in list(cluster.members_of("shard-0")):
         cluster.crash(pid)  # nobody can decide: the submission stays in flight
     txn = cluster.submit(rw_payload(key, tiebreak="t"))
-    state = session._inflight[txn]
+    state = client._inflight[txn]
     state.timer.cancel()  # drive _on_timeout by hand below
     state.attempts = 3  # current backoff window: delay(3) = 90 delays
-    session._last_refresh_at = cluster.scheduler.now
+    client._last_refresh_at = cluster.scheduler.now
     cluster.scheduler.schedule(20.0, lambda: None)
     cluster.run()  # 20 delays since the last refresh: > base timeout, < window
-    session._on_timeout(txn)
-    assert session.config_refreshes == 0  # throttled: the window is 90 long
+    client._on_timeout(txn)
+    assert client.config_refreshes == 0  # throttled: the window is 90 long
     state.timer.cancel()
     state.attempts = 3  # _on_timeout advanced it; restore the same window
     cluster.scheduler.schedule(95.0, lambda: None)
     cluster.run()
-    session._on_timeout(txn)
-    assert session.config_refreshes == 1  # a full window elapsed: allowed
+    client._on_timeout(txn)
+    assert client.config_refreshes == 1  # a full window elapsed: allowed
 
 
 def test_late_decision_resurrects_orphan():
-    """A decision that straggles in after the session gave the transaction
+    """A decision that straggles in after the client gave the transaction
     up means nothing was lost: the orphan count must be corrected."""
     cluster = Cluster(
         num_shards=2,
@@ -190,12 +193,12 @@ def test_late_decision_resurrects_orphan():
         cluster.crash(replica.pid)
     txn = cluster.submit(rw_payload("k", tiebreak="t"))
     cluster.run()
-    session = cluster.sessions[0]
-    assert session.orphaned == [txn]
-    cluster.clients[0].on_txn_decision(
+    client = cluster.client
+    assert client.orphaned == [txn]
+    client.on_txn_decision(
         TxnDecision(txn=txn, decision=Decision.COMMIT), "late-coordinator"
     )
-    assert session.orphaned == []
+    assert client.orphaned == []
     assert cluster.retry_stats().orphaned == 0
     assert cluster.history.decision_of(txn) is Decision.COMMIT
 
@@ -213,7 +216,7 @@ def test_duplicate_requests_are_deduplicated_not_recertified():
 
     # A duplicate arrives after the decision: the coordinator must re-answer
     # from the decision cache without re-driving certification.
-    client = cluster.clients[0]
+    client = cluster.client
     client.send(coordinator_pid, CertifyRequest(txn=txn, payload=payload, request_id=2))
     cluster.run()
     assert coordinator.duplicate_certify_requests == 1
@@ -235,7 +238,7 @@ def test_duplicate_to_unrelated_member_answers_from_slot_cache():
     cluster.run()
     member = cluster.replicas[cluster.leader_of("shard-0")]
     assert member.coordinated(txn) is None
-    cluster.clients[0].send(member.pid, CertifyRequest(txn=txn, payload=payload, request_id=2))
+    cluster.client.send(member.pid, CertifyRequest(txn=txn, payload=payload, request_id=2))
     cluster.run()
     assert member.duplicate_certify_requests == 1
     assert cluster.history.contradictions == []
@@ -273,14 +276,15 @@ def test_sessions_learn_about_reconfigurations():
         seed=21,
         retry=RetryPolicy(timeout=50.0),
     )
-    assert cluster.router.view["shard-0"].epoch == 1
+    router = cluster.client.router
+    assert router.view["shard-0"].epoch == 1
     crashed = cluster.crash_follower("shard-0")
     cluster.reconfigure("shard-0", suspects=[crashed])
     # The configuration service pushed CONFIG_CHANGE to the subscribed
-    # clients; the shared router follows the new epoch and membership.
-    assert cluster.router.view["shard-0"].epoch == 2
-    assert crashed not in cluster.router.view["shard-0"].members
-    assert cluster.router.config_updates >= 1
+    # client; its router follows the new epoch and membership.
+    assert router.view["shard-0"].epoch == 2
+    assert crashed not in router.view["shard-0"].members
+    assert router.config_updates >= 1
 
 
 def test_timeout_refreshes_configuration_view():
@@ -290,18 +294,18 @@ def test_timeout_refreshes_configuration_view():
         seed=5,
         retry=RetryPolicy(timeout=12.0, backoff=2.0, max_attempts=4),
     )
-    session = cluster.sessions[0]
+    client = cluster.client
     key = shard_key(cluster.scheme, "shard-0")
     coordinator = cluster.members_of("shard-1")[0]
     cluster.crash(coordinator)
     txn = cluster.submit(rw_payload(key, tiebreak="t"), coordinator=coordinator)
     assert cluster.run_until_decided([txn])
-    assert session.config_refreshes >= 1
+    assert client.config_refreshes >= 1
 
 
 def test_without_retry_behaviour_is_unchanged():
-    """Sessions are inert with a disabled policy: no timers, no metric
-    drift, and the legacy coordinator picking stays in place."""
+    """The retry machinery is inert with a disabled policy: no timers, no
+    metric drift, and the live coordinator pick stays in place."""
     with_sessions = Cluster(num_shards=2, replicas_per_shard=2, seed=9)
     payloads = [rw_payload(f"k{i}", tiebreak=f"k{i}") for i in range(10)]
     decisions = with_sessions.certify_many(payloads)
@@ -362,7 +366,116 @@ def test_baseline_duplicate_answered_from_decision_cache():
     assert cluster.run_until_decided([txn])
     cluster.run()
     coordinator = cluster.coordinators[0]
-    cluster.clients[0].send(coordinator.pid, CertifyRequest(txn=txn, payload=payload, request_id=2))
+    cluster.client.send(coordinator.pid, CertifyRequest(txn=txn, payload=payload, request_id=2))
     cluster.run()
     assert coordinator.duplicate_certify_requests == 1
     assert cluster.history.contradictions == []
+
+
+# ----------------------------------------------------------------------
+# snapshot reads under a retry policy
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
+def test_snapshot_read_to_a_crashed_leader_falls_back_on_timeout(protocol):
+    """The leader a read was sent to crashed: under a retry policy the read
+    times out and is certified instead, and decides once the shard is
+    reconfigured, like a write submitted after it."""
+    cluster = Cluster(
+        num_shards=2,
+        replicas_per_shard=2,
+        protocol=protocol,
+        seed=3,
+        retry=RetryPolicy(timeout=10.0),
+        read=ReadPolicy(mode="snapshot"),
+    )
+    cluster.run()  # deliver the bootstrap lease grants
+    key = shard_key(cluster.scheme, "shard-0")
+    cluster.crash_leader("shard-0")
+    read = cluster.submit_read((key,), fallback_payload=read_payload(key))
+    cluster.reconfigure("shard-0")
+    write = cluster.submit(rw_payload(key, tiebreak="w"))
+    cluster.run()
+    assert cluster.history.decision_of(read) is Decision.COMMIT
+    assert cluster.history.decision_of(write) is Decision.COMMIT
+    stats = cluster.read_stats()
+    assert stats.read_fallbacks == 1 and stats.fallback_reasons == {"timeout": 1}
+    assert cluster.retry_stats().orphaned == 0
+    assert cluster.check()[0].ok
+
+
+@pytest.mark.parametrize("reason", ["lease", "timeout"])
+def test_a_read_fallback_is_retried_and_orphaned_like_any_certify(reason):
+    """Nobody can certify the fallback: it is re-submitted up to the
+    policy's attempts and then counted as orphaned."""
+    cluster = Cluster(
+        num_shards=2,
+        replicas_per_shard=2,
+        seed=7,
+        retry=RetryPolicy(timeout=10.0, backoff=1.0, max_attempts=3),
+        read=ReadPolicy(mode="snapshot"),
+    )
+    key = shard_key(cluster.scheme, "shard-0")
+    # Every coordinator candidate of a shard-0 read is a shard-1 member.
+    # The shard-0 leader refuses for its lease (no grant is delivered
+    # before the read), or is down too and never answers.
+    crashed = cluster.members_of("shard-1")
+    if reason == "timeout":
+        crashed += cluster.members_of("shard-0")
+    for pid in crashed:
+        cluster.crash(pid)
+    read = cluster.submit_read((key,), fallback_payload=read_payload(key))
+    cluster.run()
+    assert cluster.history.decision_of(read) is None
+    assert cluster.read_stats().fallback_reasons == {reason: 1}
+    stats = cluster.retry_stats()
+    assert stats.retries == 2 and stats.orphaned == 1
+    assert cluster.client.orphaned == [read]
+
+
+# ----------------------------------------------------------------------
+# one shard resolution per submission
+# ----------------------------------------------------------------------
+def _count_calls(monkeypatch, owner, name):
+    counted = {"calls": 0}
+    original = getattr(owner, name)
+
+    def counting(*args):
+        counted["calls"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return counted
+
+
+@pytest.mark.parametrize("retry", [RetryPolicy(), RetryPolicy(timeout=50.0)], ids=["off", "on"])
+@pytest.mark.parametrize("binding", [Cluster, BaselineCluster])
+def test_a_certified_submission_resolves_its_shards_once(monkeypatch, binding, retry):
+    cluster = binding(num_shards=4, seed=5, retry=retry)
+    counted = _count_calls(monkeypatch, cluster.scheme, "shards_of")
+    keys = [shard_key(cluster.scheme, shard) for shard in cluster.shards]
+    payloads = [
+        payload(
+            reads=[(keys[i % 4], (0, "")), (keys[(i + 1) % 4], (0, ""))],
+            writes=[(keys[i % 4], i)],
+            tiebreak=f"t{i}",
+        )
+        for i in range(40)
+    ]
+    decisions = cluster.certify_many(payloads)
+    assert all(decision is not None for decision in decisions.values())
+    assert counted["calls"] == len(payloads)
+
+
+def test_a_snapshot_read_resolves_its_shard_once(monkeypatch):
+    cluster = Cluster(num_shards=2, seed=11, read=ReadPolicy(mode="snapshot"))
+    store = TransactionalStore(cluster)
+    keys = [shard_key(cluster.scheme, "shard-0", hint=hint) for hint in ("a", "b")]
+    shard_of = _count_calls(monkeypatch, cluster.scheme.sharding, "shard_of")
+    shards_of = _count_calls(monkeypatch, cluster.scheme, "shards_of")
+    # No run before the reads: the leader refuses them for its lease, so
+    # they take the certified fallback too.
+    txns = [store.submit_read_async(keys), store.submit_read_async(keys[:1])]
+    assert shard_of["calls"] == 3  # one per object, at submission
+    assert cluster.run_until_decided(txns)
+    assert cluster.read_stats().fallback_reasons == {"lease": 2}
+    assert shards_of["calls"] == 0  # the fallback reuses the read's shard

@@ -72,8 +72,8 @@ def test_shared_constructor_parameters_are_declared_once_and_none_was_added():
     exactly what the two constructors used to spell out separately."""
     shared = set(inspect.signature(ClusterBase.__init__).parameters) - {"self"}
     assert shared == {
-        "num_shards", "num_clients", "scheme", "latency", "seed", "retry", "batch",
-        "read", "detector", "network",
+        "num_shards", "scheme", "latency", "seed", "retry", "batch", "read",
+        "detector", "network",
     }  # fmt: skip
     with pytest.raises(TypeError, match="isolation"):
         BaselineCluster(isolation="serializability")
@@ -89,13 +89,12 @@ def test_shared_constructor_parameters_are_declared_once_and_none_was_added():
     "bad",
     [
         {"num_shards": 0},
-        {"num_clients": 0},
         {"read": ReadPolicy(mode="bogus")},
         {"read": ReadPolicy(mode="snapshot", lease=-1)},
         {"latency": LatencySpec(model="fixed", value=0.0)},
         {"network": NetworkSpec(bandwidth=-1.0)},
     ],
-    ids=["no-shards", "no-clients", "read-mode", "read-lease", "latency", "network"],
+    ids=["no-shards", "read-mode", "read-lease", "latency", "network"],
 )
 def test_bindings_validate_alike(binding, bad):
     with pytest.raises(ValueError):
@@ -213,7 +212,7 @@ def test_driver_api_takes_the_same_calls_on_every_protocol(clusters, protocol):
     pinned = next(iter(cluster._coordinator_processes())).pid
     decision = cluster.certify(rw_payload("pinned", tiebreak="p"), coordinator=pinned)
     assert decision is Decision.COMMIT
-    txn = list(cluster.clients[0].submit_times)[-1]
+    txn = list(cluster.client.submit_times)[-1]
     assert _coordinators_of(cluster, txn) == [pinned]
 
 

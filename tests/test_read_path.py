@@ -276,7 +276,7 @@ def test_read_policy_validation():
 
 @pytest.fixture
 def read_cluster():
-    cluster = Cluster(num_shards=2, num_clients=1, seed=11, read=ReadPolicy(mode="snapshot"))
+    cluster = Cluster(num_shards=2, seed=11, read=ReadPolicy(mode="snapshot"))
     cluster.run()  # deliver the bootstrap lease grants
     return cluster
 
@@ -287,7 +287,7 @@ def test_fast_path_serves_committed_write(read_cluster):
     cluster.seed_read_stores({key: "seeded"})
     write = rw_payload(key, value="fresh", tiebreak="w")
     assert cluster.certify(write) is Decision.COMMIT
-    client = cluster.clients[0]
+    client = cluster.client
     served = record_served_reads(client)
     txn = cluster.submit_read((key,), fallback_payload=payload(reads=[(key, write.commit_version)]))
     cluster.run_until_decided([txn])
@@ -302,13 +302,13 @@ def test_fast_path_serves_committed_write(read_cluster):
 
 
 def test_read_before_lease_grant_falls_back_to_certification():
-    cluster = Cluster(num_shards=2, num_clients=1, seed=12, read=ReadPolicy(mode="snapshot"))
+    cluster = Cluster(num_shards=2, seed=12, read=ReadPolicy(mode="snapshot"))
     key = shard_key(cluster.scheme, "shard-0")
     # No cluster.run(): the lease grants are still in flight when the read
     # arrives, so the leader must refuse and the client must certify.
     txn = cluster.submit_read((key,), fallback_payload=payload(reads=[(key, VERSION_ZERO)]))
     cluster.run_until_decided([txn])
-    client = cluster.clients[0]
+    client = cluster.client
     assert cluster.decision_of(txn) is Decision.COMMIT
     assert client.reads_served == 0
     assert client.read_fallbacks == 1
@@ -321,15 +321,15 @@ def test_a_served_read_adds_no_directory_entry(read_cluster):
     key = shard_key(cluster.scheme, "shard-0")
     txn = cluster.submit_read((key,), fallback_payload=payload(reads=[(key, VERSION_ZERO)]))
     cluster.run_until_decided([txn])
-    assert cluster.clients[0].reads_served == 1
+    assert cluster.client.reads_served == 1
     assert not cluster.directory.known(txn) and len(cluster.directory) == 0
 
 
 def _log_registrations_and_requests(cluster):
     """Log, in order, every directory registration and every request the
-    first client hands its transport."""
+    client hands its transport."""
     log = []
-    directory, transport = cluster.directory, cluster.clients[0]._request_batcher
+    directory, transport = cluster.directory, cluster.client._request_batcher
     register, add = directory.register, transport.add
 
     def logged_register(txn, **info):
@@ -346,7 +346,7 @@ def _log_registrations_and_requests(cluster):
 
 @pytest.mark.parametrize("reason", ["lease", "pending"])
 def test_a_refused_read_registers_once_before_its_certify_request(reason):
-    cluster = Cluster(num_shards=2, num_clients=1, seed=12, read=ReadPolicy(mode="snapshot"))
+    cluster = Cluster(num_shards=2, seed=12, read=ReadPolicy(mode="snapshot"))
     key = shard_key(cluster.scheme, "shard-0")
     if reason == "pending":
         cluster.run()  # deliver the bootstrap lease grants
@@ -358,7 +358,7 @@ def test_a_refused_read_registers_once_before_its_certify_request(reason):
     txn = cluster.submit_read((key,), fallback_payload=payload(reads=[(key, VERSION_ZERO)]))
     assert log == []
     cluster.run_until_decided([txn])
-    assert cluster.clients[0].read_fallback_reasons == {reason: 1}
+    assert cluster.client.read_fallback_reasons == {reason: 1}
     assert [entry for entry in log if entry[1] == txn] == [("register", txn), ("request", txn)]
     assert cluster.directory.shards_of(txn) == frozenset({"shard-0"})
     assert cluster.check()[0].ok
@@ -411,11 +411,11 @@ def test_reads_over_the_reference_index_equal_reads_over_the_incremental_one(pro
 
     def drive(scheme):
         cluster = Cluster(
-            num_shards=2, replicas_per_shard=2, num_clients=2, protocol=protocol,
+            num_shards=2, replicas_per_shard=2, protocol=protocol,
             scheme=scheme, seed=5, read=ReadPolicy(mode="snapshot"),
         )
         cluster.run()  # deliver the bootstrap lease grants
-        served = record_served_reads(cluster.clients[1])
+        served = record_served_reads(cluster.client)
         keys = [shard_key(scheme, shard, hint=f"hot{i}") for shard in cluster.shards for i in range(2)]
         cluster.seed_read_stores({key: f"seed-{key}" for key in keys})
         txns = []
@@ -432,7 +432,7 @@ def test_reads_over_the_reference_index_equal_reads_over_the_incremental_one(pro
             cluster.run(max_time=cluster.scheduler.now + 2.5)
             for key in keys:
                 txns.append(cluster.submit_read(
-                    (key,), fallback_payload=payload(reads=[(key, VERSION_ZERO)]), client_index=1,
+                    (key,), fallback_payload=payload(reads=[(key, VERSION_ZERO)]),
                 ))
             assert cluster.run_until_decided(txns)
         assert cluster.check()[0].ok

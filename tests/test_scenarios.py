@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster import Cluster, protocol_names, protocol_spec
+from repro.core.messages import CertifyRequest
 from repro.core.serializability import TransactionPayload
 from repro.core.types import Decision
 from repro.scenarios import (
@@ -94,7 +95,7 @@ def test_baseline_runs_with_a_literal_pinned_coordinator():
     result = runner.run()
     assert result.committed == 6 and result.safety_ok
     coordinators = {c.pid: set(c.transactions) for c in runner.cluster.coordinators}
-    assert coordinators["coordinator-0"] == set(runner.cluster.clients[0].submit_times)
+    assert coordinators["coordinator-0"] == set(runner.cluster.client.submit_times)
     assert not any(txns for pid, txns in coordinators.items() if pid != "coordinator-0")
 
 
@@ -688,22 +689,27 @@ def test_watcher_tracks_future_certifies_in_all_mode():
     assert watcher.is_done()
 
 
-def test_client_decision_callbacks_fire_once_per_transaction():
+def test_client_records_a_decision_once_per_transaction():
+    """The first decision of a transaction to reach the client is recorded;
+    a re-answered duplicate counts in ``duplicate_decisions`` and changes
+    nothing else."""
     cluster = Cluster(num_shards=2, replicas_per_shard=2, seed=1)
-    client = cluster.clients[0]
-    seen = []
-
-    def record(txn, decision):
-        seen.append((txn, decision))
-
-    client.add_decision_callback(record)
+    client = cluster.client
     payload = TransactionPayload.make(
         reads=[("k", (0, ""))], writes=[("k", 1)], tiebreak="t"
     )
-    txn = cluster.submit(payload)
+    coordinator = cluster.members_of("shard-1")[0]
+    txn = cluster.submit(payload, coordinator=coordinator)
     assert cluster.run_until_decided([txn])
-    cluster.run()  # drain duplicate decision deliveries
-    assert seen == [(txn, Decision.COMMIT)]
+    cluster.run()
+    decided = dict(client.decide_times)
+    assert decided.keys() == {txn} and client.duplicate_decisions == 0
+    client.send(coordinator, CertifyRequest(txn=txn, payload=payload, request_id=2))
+    cluster.run()  # the coordinator re-answers from its decision cache
+    assert client.duplicate_decisions == 1
+    assert client.decide_times == decided
+    assert cluster.history.decided() == {txn: Decision.COMMIT}
+    assert cluster.history.contradictions == []
 
 
 def test_run_until_decided_does_not_rescan_history(monkeypatch):

@@ -122,7 +122,7 @@ def test_duplicate_certify_for_a_held_transaction(stack):
     cluster, coordinator, txns, payloads, prepared = _held_wave(stack)
     cluster.run(max_time=1.5)
     assert txns[2] in coordinator.gate._held_txns
-    cluster.clients[0].send(
+    cluster.client.send(
         coordinator.pid, CertifyRequest(txn=txns[2], payload=payloads[2], request_id=99)
     )
     cluster.run()
