@@ -555,11 +555,3 @@ class Client(Process):
             # already given the transaction up (a heavy-tail straggler):
             # nothing was lost, so it must not count as orphaned.
             self.orphaned.remove(txn)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    @property
-    def inflight(self) -> int:
-        """Tracked submissions still undecided."""
-        return len(self._inflight)

@@ -246,26 +246,6 @@ class KeyHashSharding(ShardingFunction):
         return shard
 
 
-class ExplicitSharding(ShardingFunction):
-    """Sharding by explicit object -> shard mapping, with an optional default."""
-
-    def __init__(self, mapping: Dict[ObjectId, ShardId], default: Optional[ShardId] = None):
-        self.mapping = dict(mapping)
-        self.default = default
-        self._shards = tuple(dict.fromkeys(list(mapping.values()) + ([default] if default else [])))
-
-    @property
-    def shards(self) -> Tuple[ShardId, ...]:
-        return self._shards
-
-    def shard_of(self, obj: ObjectId) -> ShardId:
-        if obj in self.mapping:
-            return self.mapping[obj]
-        if self.default is not None:
-            return self.default
-        raise KeyError(f"object {obj!r} is not mapped to a shard")
-
-
 class _ReadWriteScheme(CertificationScheme[TransactionPayload]):
     """Shared plumbing for schemes over ``⟨R, W, Vc⟩`` payloads."""
 

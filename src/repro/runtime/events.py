@@ -137,11 +137,6 @@ class Scheduler:
         return self._live
 
     @property
-    def strong_pending(self) -> int:
-        """Live queued events that count towards quiescence (non-weak)."""
-        return self._live - self._live_weak
-
-    @property
     def idle(self) -> bool:
         """True when no live events remain."""
         return self._live == 0

@@ -627,9 +627,10 @@ class Network:
         and run-to-quiescence would never terminate.
         """
         # Messages are only sized under an enabled link model: the pure-delay
-        # path never consults wire_size, so foreign message types (tests,
-        # ad-hoc probes) stay legal there and the default schedule is
-        # byte-for-byte what it was before the bandwidth model existed.
+        # path never consults wire_size, so message types that are not
+        # dataclasses (tests, ad-hoc probes) stay legal there and the default
+        # schedule is byte-for-byte what it was before the bandwidth model
+        # existed.
         size = wire_size(message) if self._link_enabled else None
         scheduler = self.scheduler
         link = self.links[src, dst]

@@ -37,22 +37,14 @@ _CAMEL_RE = re.compile(r"(?<!^)(?=[A-Z])")
 
 @functools.cache
 def _handler_name_of(message_type: type) -> str:
-    """``on_<snake_case>`` for a message class, derived once per class.
+    """``on_<snake_case>`` for a CamelCase message class (``PrepareAck`` ->
+    ``on_prepare_ack``), derived once per class.
 
     Only the *name* is memoised; :meth:`Process.handle` still looks the
     method up on the receiving instance at every dispatch, so a handler
     overridden in a subclass or patched onto one instance is honoured.
     """
     return "on_" + _CAMEL_RE.sub("_", message_type.__name__).lower()
-
-
-def handler_name(message: Any) -> str:
-    """Map a message class name to its handler method name.
-
-    ``PrepareAck`` -> ``on_prepare_ack``; ``PROBE`` style names are not used,
-    message classes are CamelCase dataclasses.
-    """
-    return _handler_name_of(type(message))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,11 @@ proportional to its wire size.  This module owns that size:
 built from a fixed per-message header plus a recursive estimate of its
 payload fields.
 
-Two properties matter more than the absolute byte values:
+A message's size follows from its class.  Every message is a dataclass and
+costs one header plus the recursive size of its fields, by a sizer compiled
+on first sight of its exact class, so a new message class is sized without
+being listed anywhere.  Three classes carry a rule of their own
+(``_MESSAGE_RULES``):
 
 * **batches cost the sum of their parts plus one header** — a ``Batch``
   envelope of 32 ``Prepare`` messages carries the same payload bytes as 32
@@ -15,17 +19,17 @@ Two properties matter more than the absolute byte values:
   overheads), so batch-size sweeps show a real latency/throughput knee
   instead of batching being free.  One rule sizes the transport's envelope
   whatever it carries, and the baseline's ``CommandBatch`` Paxos value;
-* **unregistered message types fail loudly** — ``wire_size`` raises
-  :class:`TypeError` for a top-level message class nobody registered, so a
-  newly added protocol message breaks the unit-test battery instead of
-  silently costing 0 bytes on the wire.
+* **an RDMA write costs its frame plus the message it carries** — the
+  NIC-level ``RdmaWrite`` is a frame header and a write id around a full
+  protocol message.
 
-The registry is built lazily, one stack at a time: this module imports only
-the standard library at import time so ``runtime.network`` can depend on it
-without creating a cycle with the protocol modules (which themselves
-import the runtime).  The core protocol's messages are registered on the
-first sizing; the RDMA and the 2PC-over-Paxos messages when a message of
-that stack is first sized, so a run imports no stack it does not send.
+Those classes, and the ``TransactionPayload`` whose sizes are memoised, are
+named by qualified name, not imported: this module imports only the
+standard library, so ``runtime.network`` can depend on it without a cycle
+with the protocol modules (which themselves import the runtime), and sizing
+loads no stack a run does not send.  A top-level message that is not a
+dataclass raises :class:`TypeError` naming its class, alone or inside a
+batch.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from enum import Enum
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict
 
 # Fixed per-message envelope: type tag, source/destination addressing and
 # framing.  Charged once per top-level message and once per nested
@@ -49,14 +53,27 @@ SCALAR_BYTES = 8.0
 # a few delays), so their sizes are memoised — in a bounded LRU, because a
 # run creates payloads without end while only the in-flight ones recur.
 _PAYLOAD_MEMO_ENTRIES = 1024
+_PAYLOAD = "repro.core.serializability.TransactionPayload"
 
-_SIZERS: Dict[type, Callable[[Any], float]] = {}
-# Field sizers by *exact* value type, compiled on first sight of the type
-# (see :func:`_compile_field_sizer`): one dict lookup per field instead of
-# an ``isinstance`` ladder.
-_FIELD_SIZERS: Dict[type, Callable[[Any], float]] = {}
-# The stack registrations already run (see ``_register_stack_of``).
-_REGISTERED: Set[Callable[[], None]] = set()
+_Sizer = Callable[[Any], float]
+
+
+class _Sizers(Dict[type, _Sizer]):
+    """Sizers by *exact* type, each compiled by ``compile_sizer`` on first
+    sight of its type: one dict lookup per value instead of an
+    ``isinstance`` ladder."""
+
+    def __init__(self, compile_sizer: Callable[[type], _Sizer]) -> None:
+        super().__init__()
+        self.compile_sizer = compile_sizer
+
+    def __missing__(self, cls: type) -> _Sizer:
+        sizer = self[cls] = self.compile_sizer(cls)
+        return sizer
+
+
+def _qualified_name(cls: type) -> str:
+    return f"{cls.__module__}.{cls.__qualname__}"
 
 
 def _field_size(value: Any) -> float:
@@ -64,10 +81,7 @@ def _field_size(value: Any) -> float:
     cls = type(value)
     if cls is str:  # the commonest field by far (ids, keys): skip the dispatch
         return float(len(value))
-    sizer = _FIELD_SIZERS.get(cls)
-    if sizer is None:
-        sizer = _FIELD_SIZERS[cls] = _compile_field_sizer(cls)
-    return sizer(value)
+    return _FIELD_SIZERS[cls](value)
 
 
 def _size_nothing(value: Any) -> float:
@@ -99,7 +113,7 @@ def _size_object(value: Any) -> float:
     return SCALAR_BYTES
 
 
-def _dataclass_fields_sizer(cls: type, base: float) -> Callable[[Any], float]:
+def _dataclass_fields_sizer(cls: type, base: float) -> _Sizer:
     """``base`` plus the recursive size of every dataclass field of
     ``cls``, with the field names read once."""
     names = tuple(f.name for f in dataclasses.fields(cls))
@@ -110,10 +124,11 @@ def _dataclass_fields_sizer(cls: type, base: float) -> Callable[[Any], float]:
     return sizer
 
 
-def _compile_field_sizer(cls: type) -> Callable[[Any], float]:
+def _compile_field_sizer(cls: type) -> _Sizer:
     """The sizer for field values of exactly type ``cls``: the first
     matching rule, in this order (an ``Enum`` with a ``str`` or ``int``
-    mixin is a scalar, a named tuple is a sequence)."""
+    mixin is a scalar, a named tuple is a sequence, a
+    ``TransactionPayload`` is sized by arithmetic behind the memo)."""
     if cls is type(None):
         return _size_nothing
     if issubclass(cls, (Enum, bool, int, float)):
@@ -125,6 +140,11 @@ def _compile_field_sizer(cls: type) -> Callable[[Any], float]:
     if issubclass(cls, (tuple, list, set, frozenset)):
         return _size_sequence
     if dataclasses.is_dataclass(cls):
+        if _qualified_name(cls) == _PAYLOAD:
+            # Equal payloads have equal sizes (equality is field equality
+            # and the size is a function of the field values), so the memo
+            # may key on the payload itself.
+            return functools.lru_cache(_PAYLOAD_MEMO_ENTRIES)(_size_transaction_payload)
         return _dataclass_fields_sizer(cls, SCALAR_BYTES)
     return _size_object
 
@@ -165,7 +185,7 @@ def _size_transaction_payload(payload: Any) -> float:
     return size + _field_size(version)
 
 
-def _batch_sizer(attr: str) -> Callable[[Any], float]:
+def _batch_sizer(attr: str) -> _Sizer:
     """Batch wrappers cost one header plus the *payload* bytes of every
     element — coalescing saves the per-element headers (and, on the link,
     the per-message serialization overhead), never payload bytes."""
@@ -179,146 +199,40 @@ def _batch_sizer(attr: str) -> Callable[[Any], float]:
     return sizer
 
 
-def _register(cls: type, sizer: Optional[Callable[[Any], float]] = None) -> None:
-    """Register a message class; by default it costs a header plus the
-    recursive size of every dataclass field."""
-    _SIZERS[cls] = sizer or _dataclass_fields_sizer(cls, HEADER_BYTES)
+def _size_rdma_write(frame: Any) -> float:
+    """A frame header and the write id, plus the full size of the protocol
+    message the write carries."""
+    return HEADER_BYTES + SCALAR_BYTES + wire_size(frame.payload)
 
 
-def _register_core() -> None:
-    """The message-passing protocol, the transport envelope and the
-    payload memo every stack uses."""
-    from repro.core import messages as core
-    from repro.core.serializability import TransactionPayload
-    from repro.runtime.process import Batch
-
-    # Equal payloads have equal sizes (equality is field equality and the
-    # size is a function of the field values), so the memo may key on the
-    # payload itself.
-    _FIELD_SIZERS[TransactionPayload] = functools.lru_cache(_PAYLOAD_MEMO_ENTRIES)(
-        _size_transaction_payload
-    )
-
-    # The transport envelope of every batched path; an unregistered item
-    # inside one raises like an unregistered top-level message.
-    _register(Batch, _batch_sizer("items"))
-
-    for cls in (
-        core.CertifyRequest,
-        core.TxnDecision,
-        core.ReadRequest,
-        core.ReadReply,
-        core.CsLeaseRequest,
-        core.CsLeaseGrant,
-        core.Heartbeat,
-        core.SuspicionReport,
-        core.CsViewChange,
-        core.Prepare,
-        core.PrepareAck,
-        core.Accept,
-        core.AcceptAck,
-        core.SlotDecision,
-        core.Probe,
-        core.ProbeAck,
-        core.NewConfig,
-        core.NewState,
-        core.ConfigChange,
-        core.CsGetLast,
-        core.CsGet,
-        core.CsCompareAndSwap,
-        core.CsReply,
-    ):
-        _register(cls)
-
-
-def _register_rdma() -> None:
-    """The RDMA protocol (distinct classes from core's same-named ones)
-    and the NIC-level frames."""
-    from repro.rdma import messages as rdma
-    from repro.runtime import rdma as rdma_runtime
-
-    for cls in (
-        rdma.Accept,
-        rdma.SlotDecision,
-        rdma.ConfigPrepare,
-        rdma.ConfigPrepareAck,
-        rdma.NewConfig,
-        rdma.NewState,
-        rdma.Connect,
-        rdma.ConnectAck,
-    ):
-        _register(cls)
-
-    # An RdmaWrite carries a full protocol message as its payload, so it
-    # costs a frame header plus that message's size.
-    def _rdma_write_sizer(frame: Any) -> float:
-        return HEADER_BYTES + SCALAR_BYTES + wire_size(frame.payload)
-
-    _register(rdma_runtime.RdmaWrite, _rdma_write_sizer)
-    _register(rdma_runtime.RdmaAck)
-
-
-def _register_baseline() -> None:
-    """The 2PC-over-Paxos baseline."""
-    from repro.baselines import paxos, twopc
-
-    for cls in (
-        paxos.RsmCommand,
-        paxos.RsmResponse,
-        paxos.Phase1a,
-        paxos.Phase1b,
-        paxos.Phase2a,
-        paxos.Phase2b,
-        paxos.Chosen,
-        paxos.ForwardedCommand,
-        twopc.PrepareCommand,
-        twopc.DecideCommand,
-    ):
-        _register(cls)
-    _register(twopc.CommandBatch, _batch_sizer("commands"))
-
-
-# The modules whose message classes the RDMA or the baseline stack
-# registers; every other class is the core stack's, registered first.
-_STACK_OF_MODULE: Dict[str, Callable[[], None]] = {
-    "repro.rdma.messages": _register_rdma,
-    "repro.runtime.rdma": _register_rdma,
-    "repro.baselines.paxos": _register_baseline,
-    "repro.baselines.twopc": _register_baseline,
+# The message classes with a rule of their own, by qualified name; every
+# other message costs a header plus its dataclass fields.
+_MESSAGE_RULES: Dict[str, _Sizer] = {
+    "repro.runtime.process.Batch": _batch_sizer("items"),
+    "repro.baselines.twopc.CommandBatch": _batch_sizer("commands"),
+    "repro.runtime.rdma.RdmaWrite": _size_rdma_write,
 }
 
 
-def _register_stack_of(cls: type) -> None:
-    """Register the core stack, and the stack ``cls`` belongs to, unless
-    already done (this imports that stack's message modules)."""
-    for register in (_register_core, _STACK_OF_MODULE.get(cls.__module__, _register_core)):
-        if register not in _REGISTERED:
-            _REGISTERED.add(register)
-            register()
+def _compile_message_sizer(cls: type) -> _Sizer:
+    """The sizer for top-level messages of exactly type ``cls``."""
+    name = _qualified_name(cls)
+    rule = _MESSAGE_RULES.get(name)
+    if rule is not None:
+        return rule
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"message type {name} has no wire size: a message is a dataclass")
+    return _dataclass_fields_sizer(cls, HEADER_BYTES)
 
 
-def is_registered(cls: type) -> bool:
-    """True when ``cls`` has an explicit wire-size entry (exact type, not
-    via inheritance — every new message class must be registered itself)."""
-    _register_stack_of(cls)
-    return cls in _SIZERS
+_SIZERS = _Sizers(_compile_message_sizer)
+_FIELD_SIZERS = _Sizers(_compile_field_sizer)
 
 
 def wire_size(message: Any) -> float:
     """Deterministic byte size of ``message`` on the wire.
 
-    Raises :class:`TypeError` for an unregistered top-level message type:
-    the unit-test battery enumerates every message module, so forgetting to
-    register a new type is a test failure, not a free message.
+    Raises :class:`TypeError` when ``message`` is not a dataclass, or is a
+    batch with an item that is not one.
     """
-    sizer = _SIZERS.get(type(message))
-    if sizer is None:
-        _register_stack_of(type(message))
-        sizer = _SIZERS.get(type(message))
-    if sizer is None:
-        raise TypeError(
-            f"no wire size registered for message type "
-            f"{type(message).__module__}.{type(message).__qualname__}; "
-            "register it in repro.runtime.wire"
-        )
-    return sizer(message)
+    return _SIZERS[type(message)](message)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.serializability import (
     EMPTY_PAYLOAD,
-    ExplicitSharding,
     KeyHashSharding,
     SerializabilityScheme,
     SnapshotIsolationScheme,
@@ -123,15 +122,6 @@ def test_key_hash_sharding_is_deterministic_and_total():
 def test_key_hash_sharding_requires_shards():
     with pytest.raises(ValueError):
         KeyHashSharding([])
-
-
-def test_explicit_sharding():
-    sharding = ExplicitSharding({"x": "s0", "y": "s1"}, default="s1")
-    assert sharding.shard_of("x") == "s0"
-    assert sharding.shard_of("unknown") == "s1"
-    strict = ExplicitSharding({"x": "s0"})
-    with pytest.raises(KeyError):
-        strict.shard_of("unknown")
 
 
 # ----------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_session_resubmits_after_coordinator_crash():
     assert cluster.history.decision_of(txn) is Decision.COMMIT
     assert client.retries >= 1
     assert client.failovers >= 1
-    assert client.inflight == 0  # timer cancelled on decision
+    assert not client._inflight  # timer cancelled on decision
     stats = cluster.retry_stats()
     assert stats.retries == client.retries
     assert stats.orphaned == 0

@@ -133,7 +133,8 @@ def test_weak_recurring_timer_does_not_keep_run_alive():
     scheduler.run()
     assert fired == [2.0, 4.0]
     assert scheduler.pending == 1  # the re-armed weak tick stays queued
-    assert scheduler.strong_pending == 0
+    assert scheduler.run() == 0  # ... and is no strong work
+    assert fired == [2.0, 4.0]
 
 
 def test_weak_delivery_does_not_keep_run_alive():

@@ -20,7 +20,8 @@ import repro
 
 SRC_DIR = os.path.dirname(os.path.dirname(repro.__file__))
 
-# The run is on a sized link, so the wire-size registry is built too.
+# The run is on a sized link, so every message it sends is sized too, and
+# sizing must load no other stack.
 RUN_SCRIPT = """
 import json, sys
 from repro.scenarios import NetworkSpec, ScenarioRunner, ScenarioSpec, WorkloadSpec

@@ -258,7 +258,6 @@ def test_make_is_canonical_whatever_the_order_or_container(pairs, rng):
     assert [obj for obj, _ in from_list.read_set] == sorted(obj for obj, _ in reads)
     texts = {_history_of([payload]).digest() for payload in (from_list, from_set, as_sets)}
     assert len(texts) == 1 and texts == {_oracle_digest(_history_of([as_sets]))}
-    wire.is_registered(TransactionPayload)  # builds the registry
     sizes = {wire._field_size(payload) for payload in (from_list, from_set, as_sets)}
     assert len(sizes) == 1
 
@@ -437,7 +436,7 @@ def test_digest_call_count_per_event(shape):
 
 
 def test_sizing_a_fresh_payload_call_count():
-    wire.is_registered(TransactionPayload)  # builds the registry, off the count
+    wire._field_size(TransactionPayload())  # compiles the memo, off the count
     fresh = TransactionPayload.make(
         reads=[("key-1", (3, "c0")), ("key-22", (0, "")), ("key-3", (1, "c2"))],
         writes=[("key-1", 17), ("key-3", 4)],
@@ -619,7 +618,6 @@ def _warmed_up(shape):
     the measured run leaves in it does not depend on what ran before."""
     spec = shape_spec(shape)
     ScenarioRunner(replace(spec, workload=replace(spec.workload, txns=50))).run()
-    wire.is_registered(TransactionPayload)  # builds the registry and the memo
     wire._FIELD_SIZERS[TransactionPayload].cache_clear()
     gc.collect()
     return spec

@@ -2,10 +2,10 @@
 
 Four layers:
 
-* ``repro.runtime.wire`` — every message class in every protocol module
-  has a registered wire size, batches cost the sum of their parts plus one
-  header, and unregistered types fail loudly (only when the link model is
-  actually on);
+* ``repro.runtime.wire`` — every message class in every protocol module,
+  and one it has never seen, is sized by its class; batches cost the sum
+  of their parts plus one header, and a message that is not a dataclass
+  fails loudly (only when the link model is actually on);
 * ``repro.runtime.network`` — FIFO queueing semantics: serialization and
   queue wait are added on top of propagation, per-channel order is
   preserved, and the byte/queue statistics come out exactly as the closed
@@ -18,6 +18,7 @@ Four layers:
 """
 
 import dataclasses
+import importlib
 import math
 import pickle
 import statistics
@@ -45,7 +46,7 @@ from repro.runtime.events import Scheduler
 from repro.runtime import network as network_module
 from repro.runtime.network import _FOLD, Network
 from repro.runtime.process import Batch, Process
-from repro.runtime.wire import HEADER_BYTES, SCALAR_BYTES, is_registered, wire_size
+from repro.runtime.wire import HEADER_BYTES, SCALAR_BYTES, wire_size
 from repro.scenarios import (
     BANDWIDTH,
     NetworkSpec,
@@ -59,7 +60,7 @@ from repro.spec.history import History
 
 
 # ----------------------------------------------------------------------
-# wire-size registry: every message class, everywhere
+# wire sizes: every message class, everywhere
 # ----------------------------------------------------------------------
 
 MESSAGE_MODULES = (core_messages, rdma_messages, paxos, twopc, rdma_runtime, process_runtime)
@@ -84,15 +85,11 @@ def _message_classes(module):
 
 @pytest.mark.parametrize("module", MESSAGE_MODULES, ids=lambda m: m.__name__)
 def test_every_message_class_has_a_wire_size(module):
-    """The loud-failure contract: adding a message class to any protocol
-    module without registering it in ``repro.runtime.wire`` fails here."""
+    """Every message class of every protocol module compiles a sizer."""
     classes = _message_classes(module)
     assert classes, f"no message classes found in {module.__name__}"
-    unregistered = [cls.__qualname__ for cls in classes if not is_registered(cls)]
-    assert not unregistered, (
-        f"{module.__name__} defines message types with no wire size: "
-        f"{unregistered}; register them in repro.runtime.wire"
-    )
+    for cls in classes:
+        assert callable(wire._SIZERS[cls]), cls
 
 
 def test_wire_size_is_positive_and_deterministic():
@@ -119,22 +116,49 @@ def test_rdma_write_charges_frame_plus_payload():
     assert wire_size(frame) > wire_size(inner)
 
 
-def test_wire_size_rejects_unregistered_types():
-    class NotAMessage:
-        pass
+def test_a_message_class_never_seen_is_sized_by_its_fields():
+    """No list names the message classes: a dataclass defined here, and a
+    subclass of a protocol message, cost a header plus their fields, alone
+    and inside the transport envelope."""
 
-    with pytest.raises(TypeError, match="no wire size registered"):
-        wire_size(NotAMessage())
-    # ... and no cover inside the transport envelope either.
-    registered = core_messages.Prepare(txn="t1", payload=("k1",))
-    with pytest.raises(TypeError, match="no wire size registered.*NotAMessage"):
-        wire_size(Batch((registered, NotAMessage())))
+    @dataclasses.dataclass(frozen=True)
+    class UnseenRequest:
+        txn: str
+        keys: tuple
+        payload: TransactionPayload
 
-    # Exact-type lookup: subclassing a registered type is not enough.
     class SneakyPrepare(core_messages.Prepare):
         pass
 
-    assert not is_registered(SneakyPrepare)
+    for message in (
+        UnseenRequest(txn="t9", keys=("k1", 2), payload=_TXN_PAYLOAD),
+        SneakyPrepare(txn="t1", payload=("k1",)),
+    ):
+        assert wire_size(message) == _oracle_wire_size(message) > HEADER_BYTES
+        batch = Batch((core_messages.Prepare(txn="t1", payload=("k1",)), message))
+        assert wire_size(batch) == _oracle_wire_size(batch)
+
+
+def test_wire_size_rejects_a_message_that_is_not_a_dataclass():
+    class NotAMessage:
+        pass
+
+    with pytest.raises(TypeError, match=r"NotAMessage has no wire size"):
+        wire_size(NotAMessage())
+    # ... and no cover inside the transport envelope either.
+    sized = core_messages.Prepare(txn="t1", payload=("k1",))
+    with pytest.raises(TypeError, match=r"NotAMessage has no wire size"):
+        wire_size(Batch((sized, NotAMessage())))
+
+
+@pytest.mark.parametrize("name", [*wire._MESSAGE_RULES, wire._PAYLOAD])
+def test_every_class_named_by_the_wire_module_exists(name):
+    """The special rules and the payload memo find their classes by
+    qualified name: a rename must fail here, not fall back to the field
+    rule without a word."""
+    module, _, qualname = name.rpartition(".")
+    cls = getattr(importlib.import_module(module), qualname)
+    assert dataclasses.is_dataclass(cls) and wire._qualified_name(cls) == name
 
 
 # ----------------------------------------------------------------------
@@ -421,7 +445,7 @@ class _Sink(Process):
 
 
 class _Note:
-    """A foreign, unregistered message type (a bare payload string)."""
+    """A foreign message type that is not a dataclass (a bare payload string)."""
 
     def __init__(self, text):
         self.text = text
@@ -437,8 +461,8 @@ def _two_node_net(link=None):
 
 
 def test_disabled_link_keeps_the_pure_delay_path():
-    """No link model: messages are never sized, so unregistered ad-hoc types
-    stay legal and the byte counters stay at zero."""
+    """No link model: messages are never sized, so ad-hoc types that are not
+    dataclasses stay legal and the byte counters stay at zero."""
     scheduler, network, a, b = _two_node_net(link=None)
     network.send("a", "b", _Note("hello"))
     scheduler.run()
@@ -452,7 +476,7 @@ def test_disabled_link_keeps_the_pure_delay_path():
 
 def test_enabled_link_sizes_messages_and_rejects_foreign_types():
     scheduler, network, a, b = _two_node_net(link=NetworkSpec(bandwidth=100.0))
-    with pytest.raises(TypeError, match="no wire size registered"):
+    with pytest.raises(TypeError, match="_Note has no wire size"):
         network.send("a", "b", _Note("hello"))
 
 

@@ -242,4 +242,5 @@ def test_weak_events_do_not_keep_the_scheduler_alive():
     scheduler.schedule(5.0, lambda: None)
     scheduler.run()
     assert fired == [2.0, 4.0]
-    assert scheduler.pending == 1 and scheduler.strong_pending == 0
+    # The re-armed weak tick stays queued but is no strong work.
+    assert scheduler.pending == 1 and scheduler.run() == 0 and fired == [2.0, 4.0]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.runtime.events import Scheduler
 from repro.runtime.network import LatencySpec, Network
-from repro.runtime.process import Process, handler_name
+from repro.runtime.process import Process
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,18 @@ def build(latency=None, seed=0):
     return scheduler, network, a, b
 
 
-def test_handler_name_derivation():
-    assert handler_name(Ping(1)) == "on_ping"
-    assert handler_name(Pong(1)) == "on_pong"
+def test_a_camel_case_message_dispatches_to_its_snake_case_handler():
+    @dataclass(frozen=True)
+    class PingAck:
+        value: int
+
+    class Acker(Process):
+        def on_ping_ack(self, msg, sender):
+            self.acked = (msg.value, sender)
+
+    acker = Acker("c")
+    acker.handle(PingAck(7), "a")
+    assert acker.acked == (7, "a")
 
 
 def test_unknown_message_raises_even_after_earlier_dispatches():
