@@ -12,6 +12,7 @@ import os
 import platform
 import sys
 import time
+from collections import Counter
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,18 @@ SNAPSHOT_READ_SPEEDUP_FLOOR = 2.4
 # noise-sensitive even taking the best of three) -> ceiling at 2x the
 # worst observed noise band.
 SESSION_OVERHEAD_CEILING = 0.25
+
+
+def by_process_and_type(network, counts: str) -> Counter:
+    """``(process, message class name) -> messages``, summed over the
+    network's links: ``counts="sent"`` keys by sender, ``"delivered"`` by
+    receiver."""
+    view: Counter = Counter()
+    for (src, dst), link in network.links.items():
+        process = src if counts == "sent" else dst
+        for kind, count in getattr(link, counts).items():
+            view[process, kind.__name__] += count
+    return view
 
 
 def key_on_shard(cluster, shard: str, hint: str = "key") -> str:

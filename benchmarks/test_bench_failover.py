@@ -135,16 +135,16 @@ def test_time_to_first_decision_after_coordinator_crash(benchmark):
 
     # Every transaction interrupted by the crash is re-decided within one
     # session timeout plus the 5-delay commit path (plus the submit hop).
-    history = runner.cluster.history
-    certified = {event.txn: event.time for event in history.events if event.kind == "certify"}
+    # The client's submission and first-decision times are the certify and
+    # decide events' times.
+    client = runner.cluster.client
     worst_gap = 0.0
-    for event in history.events:
-        if event.kind != "decide" or event.time <= crash_at:
+    for txn, decided_at in client.decide_times.items():
+        if decided_at <= crash_at:
             continue
-        submitted = certified[event.txn]
-        if submitted > crash_at:
+        if client.submit_times[txn] > crash_at:
             continue  # submitted after the crash: not an interrupted request
-        worst_gap = max(worst_gap, event.time - crash_at)
+        worst_gap = max(worst_gap, decided_at - crash_at)
     print(
         f"\nfailover guard: worst decision gap after crash {worst_gap:.1f} delays "
         f"(session timeout {timeout:g})"

@@ -14,6 +14,8 @@ import pytest
 from repro.analysis.metrics import ExperimentReport, leader_load
 from repro.scenarios import ScenarioRunner, ScenarioSpec, WorkloadSpec
 
+from _helpers import by_process_and_type
+
 
 TXNS = 20
 
@@ -47,17 +49,14 @@ def _reconfigurable_leader_load(runner) -> float:
     Every transaction is single-key, so it involves exactly one leader.
     """
     cluster = runner.cluster
-    stats = cluster.message_stats
+    received = by_process_and_type(cluster.network, "delivered")
+    sent = by_process_and_type(cluster.network, "sent")
     leader_role_types_in = ("Prepare", "SlotDecision", "RdmaWrite")
     leader_role_types_out = ("PrepareAck", "RdmaAck")
     total = 0
     for leader in (cluster.leader_of(shard) for shard in cluster.shards):
-        total += sum(
-            stats.received_by_process_and_type[(leader, t)] for t in leader_role_types_in
-        )
-        total += sum(
-            stats.sent_by_process_and_type[(leader, t)] for t in leader_role_types_out
-        )
+        total += sum(received[(leader, t)] for t in leader_role_types_in)
+        total += sum(sent[(leader, t)] for t in leader_role_types_out)
     return total / TXNS
 
 

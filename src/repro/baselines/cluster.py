@@ -113,16 +113,3 @@ class BaselineCluster(ClusterBase):
 
     def _read_engines(self) -> Tuple[()]:
         return ()
-
-    # ------------------------------------------------------------------
-    # baseline-only views
-    # ------------------------------------------------------------------
-    def durable_decision_latencies(self) -> List[float]:
-        """Latency from the coordinator starting 2PC to the decision being
-        durable on every shard (the baseline's 7-message-delay path)."""
-        return [
-            entry.durable_at - entry.started_at
-            for coordinator in self.coordinators
-            for entry in coordinator.transactions.values()
-            if entry.durable_at is not None
-        ]

@@ -11,8 +11,9 @@ harness:
 * :meth:`~ClusterBase.submit` / :meth:`~ClusterBase.run` /
   :meth:`~ClusterBase.run_until_decided` / :meth:`~ClusterBase.certify` /
   :meth:`~ClusterBase.certify_many` — drive transactions through the TCS;
-* :meth:`~ClusterBase.check` — validate the recorded history against the
-  TCS specification and the replica states against the Figure 3 invariants;
+* :meth:`~ClusterBase.check` — the verdict of the online checker attached
+  to the history at build time against the TCS specification, and the
+  replica states against the Figure 3 invariants;
 * the collectors (``client_latencies``, ``phase_samples``, ``retry_stats``,
   ``batch_stats``, ``read_stats``, ``detector_stats``, ...), so every
   protocol reports the same shapes.
@@ -69,7 +70,7 @@ from repro.runtime.events import Scheduler
 from repro.runtime.network import LatencySpec, Network, NetworkSpec
 from repro.spec.history import History
 from repro.spec.incremental import CheckResult, IncrementalTCSChecker
-from repro.spec.invariants import InvariantViolation, check_invariants
+from repro.spec.invariants import InvariantMonitor, InvariantViolation, check_invariants
 
 
 _ISOLATION_SCHEMES = {
@@ -136,6 +137,15 @@ class ClusterBase:
         self.network = Network(self.scheduler, latency=latency, seed=seed, link=network)
         self.directory = TransactionDirectory()
         self.history = History()
+        # The one online checker (and, where replicas have Figure 3's
+        # invariants, the one invariant monitor), attached before the first
+        # event: the history keeps no events to replay to a later one.
+        self.checker: Optional[IncrementalTCSChecker] = IncrementalTCSChecker(
+            self.scheme, self.history
+        )
+        self.monitor: Optional[InvariantMonitor] = (
+            InvariantMonitor(self.history) if self.REPLICA_INVARIANTS else None
+        )
         self.retry = retry or RetryPolicy()
         self.batch = batch or BatchPolicy()
         self.read = read or ReadPolicy()
@@ -243,13 +253,20 @@ class ClusterBase:
     # ------------------------------------------------------------------
     # validation and metrics
     # ------------------------------------------------------------------
+    def stop_checking(self) -> None:
+        """Detach the online checker and the invariant monitor, for a run
+        that validates nothing; :meth:`check` refuses from then on."""
+        for consumer in (self.checker, self.monitor):
+            if consumer is not None:
+                consumer.detach()
+        self.checker = self.monitor = None
+
     def check(self, include_invariants: bool = True) -> Tuple[CheckResult, List[InvariantViolation]]:
-        """Check the recorded history and (optionally, where the binding has
-        them) the replica invariants.  The history is replayed through the
-        online checker, which is detached again: nothing stays subscribed."""
-        checker = IncrementalTCSChecker(self.scheme, self.history)
-        result = checker.result()
-        checker.detach()
+        """The online checker's verdict on the history so far and
+        (optionally, where the binding has them) the replica invariants."""
+        if self.checker is None:
+            raise RuntimeError("this cluster's checking was stopped (stop_checking)")
+        result = self.checker.result()
         violations: List[InvariantViolation] = []
         if include_invariants and self.REPLICA_INVARIANTS:
             violations = check_invariants(self.member_replicas_by_shard(), self.history)

@@ -148,7 +148,8 @@ class MessageBatcher:
         # A passthrough fan-out is one multicast unless a per-destination
         # send or hook has to see every copy.
         self._multicast = self._passthrough and send is None and on_flush is None
-        self._pending: Dict[str, List[Any]] = {}
+        # Per destination, the messages waiting for its next flush.
+        self.queues: Dict[str, List[Any]] = {}
         self._timers: Dict[str, FlushTimer] = {}
         # Instrumentation: batches flushed, messages they carried, and the
         # batch-size distribution (size -> count).  Passthrough sends are
@@ -168,12 +169,12 @@ class MessageBatcher:
                 self.on_flush(dst, (message,))
             (self._send or self.process.send)(dst, message)
             return
-        queue = self._pending.get(dst)
+        queue = self.queues.get(dst)
         if queue is None:
             # A batch opens: its first message sets the deadline, the linger
             # or the end of the opening instant (adaptive).  The timer stays
             # pending until the batch flushes, so later messages leave it.
-            queue = self._pending[dst] = []
+            queue = self.queues[dst] = []
             timer = self._timers.get(dst)
             if timer is None:
                 timer = self._timers[dst] = FlushTimer(self.process.scheduler)
@@ -198,10 +199,10 @@ class MessageBatcher:
         """Flush one destination's batch, or (``dst=None``) every pending
         batch in sorted destination order."""
         if dst is None:
-            for each in sorted(self._pending):
+            for each in sorted(self.queues):
                 self.flush(each)
             return
-        items = self._pending.pop(dst, None)
+        items = self.queues.pop(dst, None)
         timer = self._timers.get(dst)
         if timer is not None:
             timer.cancel()
@@ -214,13 +215,3 @@ class MessageBatcher:
         if self.on_flush is not None:
             self.on_flush(dst, batch)
         (self._send or self.process.send)(dst, self.wrap(batch))
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    @property
-    def pending_messages(self) -> int:
-        return sum(len(queue) for queue in self._pending.values())
-
-    def pending_for(self, dst: str) -> int:
-        return len(self._pending.get(dst, ()))

@@ -385,8 +385,7 @@ class MessageStats:
     read, which is once per run rather than once per message.  Each read
     builds a fresh ``Counter`` (or number), so mutating a returned
     ``Counter`` changes nothing here.  Only the byte total is kept here,
-    as a plain attribute.  The ``*_by_process_and_type`` views stay because
-    ``benchmarks/test_bench_leader_load.py`` reads them.
+    as a plain attribute.
     """
 
     def __init__(self, links: Mapping[Tuple[str, str], Link]) -> None:
@@ -427,14 +426,6 @@ class MessageStats:
     @property
     def sent_by_type(self) -> Counter:
         return self._view("sent", lambda src, dst, kind: kind.__name__)
-
-    @property
-    def sent_by_process_and_type(self) -> Counter:
-        return self._view("sent", lambda src, dst, kind: (src, kind.__name__))
-
-    @property
-    def received_by_process_and_type(self) -> Counter:
-        return self._view("delivered", lambda src, dst, kind: (dst, kind.__name__))
 
     def handled_by(self, pid: str) -> int:
         """Total messages sent plus received by process ``pid``."""

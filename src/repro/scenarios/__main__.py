@@ -156,7 +156,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--check-mode",
         choices=CHECK_MODES,
         default=None,
-        help="override how the history is validated (off / final / online)",
+        help="override how the history is validated (off / online)",
     )
     parser.add_argument(
         "--think-time",

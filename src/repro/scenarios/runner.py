@@ -265,7 +265,8 @@ class ScenarioRunner:
         # against the configuration service's install log to compute
         # time-to-recovery (crash -> next configuration install).
         self._crash_times: List[Tuple[float, Optional[str]]] = []
-        # Online validation: attached to the history while the run executes.
+        # The cluster's online checker and invariant monitor (None when the
+        # spec's check_mode is "off", the monitor also without invariants).
         self.checker: Optional[IncrementalTCSChecker] = None
         self.monitor: Optional[InvariantMonitor] = None
 
@@ -305,10 +306,12 @@ class ScenarioRunner:
                 spares_per_shard=spec.spares_per_shard,
                 **shared,
             )
-        if spec.check_mode == "online":
-            self.checker = IncrementalTCSChecker(self.cluster.scheme, self.cluster.history)
-            if spec.check_invariants and self.cluster.REPLICA_INVARIANTS:
-                self.monitor = InvariantMonitor(self.cluster.history)
+        if spec.check_mode == "off":
+            self.cluster.stop_checking()
+        else:
+            self.checker = self.cluster.checker
+            if spec.check_invariants:
+                self.monitor = self.cluster.monitor
         for step in spec.fault_schedule:
             if step.at <= 0:
                 self._execute_fault(step)
@@ -621,19 +624,15 @@ class ScenarioRunner:
 
     def _verdict(self) -> Tuple[bool, str, List[Any]]:
         """The safety verdict under the spec's ``check_mode``."""
-        spec = self.spec
         cluster = self.cluster
-        if spec.check_mode == "off":
+        if self.checker is None:  # check_mode "off"
             return True, "", []
-        if spec.check_mode == "online":
-            check = self.checker.result()
-            violations: List[Any] = []
-            if self.monitor is not None:
-                violations = check_invariants(
-                    cluster.member_replicas_by_shard(), monitor=self.monitor
-                )
-            return check.ok, check.reason, violations
-        check, violations = cluster.check(include_invariants=spec.check_invariants)
+        check = self.checker.result()
+        violations: List[Any] = []
+        if self.monitor is not None:
+            violations = check_invariants(
+                cluster.member_replicas_by_shard(), monitor=self.monitor
+            )
         return check.ok, check.reason, violations
 
 

@@ -69,7 +69,6 @@ FAULT_ACTIONS = (
 
 CHECK_MODES = (
     "off",  # no history validation (contradiction detection stays on)
-    "final",  # IncrementalTCSChecker replaying the finished history
     "online",  # IncrementalTCSChecker subscribed to the history during the run
 )
 
@@ -273,11 +272,12 @@ class ScenarioSpec:
     network: NetworkSpec = field(default_factory=NetworkSpec)
     faults: Tuple[FaultStep, ...] = ()
     max_events: int = 5_000_000
-    # How the recorded history is validated: "online" (default) attaches the
-    # incremental checker during the run and flags a violation at the event
-    # introducing it; "final" replays the finished history through the same
-    # checker at quiescence (Cluster.check()); "off" skips history
-    # validation (contradiction detection stays on — it is O(1)).
+    # How the recorded history is validated: "online" (default) reads the
+    # verdict of the incremental checker the cluster attaches before the
+    # first event, which flags a violation at the event introducing it (its
+    # verdict at quiescence is the whole history's: there is no separate
+    # final pass); "off" detaches it and skips history validation
+    # (contradiction detection stays on — it is O(1)).
     check_mode: str = "online"
     check_invariants: bool = True
     # Correct protocols must produce a safe history; ablation scenarios

@@ -209,12 +209,6 @@ class SweepResult:
     def passed(self) -> bool:
         return all(result.passed for _, result in self.points)
 
-    def result_for(self, label: str) -> ScenarioResult:
-        for point_label, result in self.points:
-            if point_label == label:
-                return result
-        raise KeyError(f"no sweep point labelled {label!r}")
-
     def curve(self) -> List[Dict[str, Any]]:
         """The axis-vs-metrics curve: one row per grid point."""
         rows = []

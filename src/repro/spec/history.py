@@ -3,30 +3,17 @@
 A history is a sequence of ``certify(t, l)`` and ``decide(t, d)`` actions
 such that every transaction is certified at most once and every decide
 responds to exactly one preceding certify (Section 2).  Clients record their
-interactions with the service into a shared :class:`History`, which the
-checker and the metrics layer consume.
+interactions with the service into a shared :class:`History`, which hands
+each action to its listeners (the online checker, the invariant monitor,
+decision watchers) as it is recorded and folds it into a running
+fingerprint; the metrics layer reads the decisions it keeps.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from itertools import count, repeat
-from operator import getitem
 from types import MappingProxyType
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 try:  # the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto
     from _sha2 import sha256  # Python 3.12+
@@ -36,7 +23,14 @@ except ImportError:
     except ImportError:  # an interpreter built without the module
         from hashlib import sha256
 
+from repro.core.serializability import SnapshotRead, TransactionPayload
 from repro.core.types import Decision, TxnId
+
+
+# The listeners' signatures (see History.subscribe).
+CertifyListener = Callable[[TxnId, Any, float], None]
+DecideListener = Callable[[TxnId, Decision, Any, float], None]
+ContradictionListener = Callable[[TxnId, Decision, Decision], None]
 
 
 # The fingerprint's text is ``repr`` of a canonical form of each payload:
@@ -55,8 +49,9 @@ from repro.core.types import Decision, TxnId
 #   whatever its container, so the text is the one its frozenset had;
 # * anything else is a leaf and renders through its own ``__repr__``, which
 #   must not print an address: a type that inherits ``object.__repr__`` is
-#   refused with ``TypeError`` when :meth:`History.digest` meets one, because
-#   two processes would otherwise disagree on the digest without a word.
+#   refused with ``TypeError`` when a payload holding one is recorded,
+#   because two processes would otherwise disagree on the digest without a
+#   word.
 #
 # ``tests/test_history_digest.py`` keeps the recursive definition of this
 # form (build the canonical tuples, ``repr`` them) as a bit-for-bit oracle.
@@ -79,10 +74,22 @@ _PLAIN_LEAVES = frozenset({str, int, float, bool, type(None)})
 
 def _is_plain(values: Iterable[Any]) -> bool:
     """True when ``values`` holds only plain leaves and tuples of them, to
-    any depth: ``repr`` of such a tree *is* its canonical text."""
+    any depth: ``repr`` of such a tree *is* its canonical text.  Two levels
+    of tuples are walked in place (a read set's pairs and their versions),
+    deeper ones by recursion."""
     for value in values:
         cls = type(value)
-        if cls not in _PLAIN_LEAVES and not (cls is tuple and _is_plain(value)):
+        if cls is tuple:
+            for inner in value:
+                cls = type(inner)
+                if cls is tuple:
+                    for leaf in inner:
+                        cls = type(leaf)
+                        if cls not in _PLAIN_LEAVES and not (cls is tuple and _is_plain(leaf)):
+                            return False
+                elif cls not in _PLAIN_LEAVES:
+                    return False
+        elif cls not in _PLAIN_LEAVES:
             return False
     return True
 
@@ -111,17 +118,22 @@ def _render_dict(value: Dict[Any, Any]) -> str:
     return f"('dict', {pairs!r})"
 
 
+def _dataclass_template(cls: type) -> str:
+    """The text ``('Name', (('field', %s), ...))`` of a dataclass instance,
+    a ``%`` template of its fields' texts in field order."""
+    fields = [f"({field.name!r}, %s)" for field in dataclasses.fields(cls)]
+    body = ", ".join(fields) + ("," if len(fields) == 1 else "")
+    return f"({repr(cls.__name__).replace('%', '%%')}, ({body}))"
+
+
 def _dataclass_renderer(cls: type) -> Callable[[Any], str]:
-    """The template ``('Name', (('field', %s), ...))`` with the field names
-    read once, filled with the fields' texts; a field marked as a set in
-    canonical form renders by the set rule."""
+    """The template with the field names read once, filled with the
+    fields' texts; a field marked as a set in canonical form renders by the
+    set rule."""
     fields_of = dataclasses.fields(cls)
     names = tuple(f.name for f in fields_of)
     as_set = frozenset(f.name for f in fields_of if f.metadata.get("canonical") == "set")
-    fields = ", ".join(f"({name!r}, %s)" for name in names)
-    if len(names) == 1:
-        fields += ","
-    template = f"({repr(cls.__name__).replace('%', '%%')}, ({fields}))"
+    template = _dataclass_template(cls)
 
     def render(value: Any) -> str:
         texts = []
@@ -160,46 +172,62 @@ def _compile_renderer(cls: type) -> Callable[[Any], str]:
     return repr
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One action of a history, as :attr:`History.events` builds it."""
-
-    kind: str  # "certify" | "decide"
-    txn: TxnId
-    time: float
-    seq: int
-    payload: Any = None
-    decision: Optional[Decision] = None
+# The two payload types of every run, whose fields are known, render
+# without the field walk: a payload's two sets are sets in canonical form,
+# and the marker holds a tuple of object ids.  The walk gives the same text
+# (``tests/test_history_digest.py`` holds both to the recursive definition).
+_PAYLOAD_TEXT = _dataclass_template(TransactionPayload)
+_MARKER_TEXT = _dataclass_template(SnapshotRead)
 
 
-# Which of the two maps an event comes from: one byte per event.
-_CERTIFY, _DECIDE = 0, 1
+def _render_transaction_payload(value: TransactionPayload) -> str:
+    version = value.commit_version
+    return _PAYLOAD_TEXT % (
+        _render_set(value.read_set),
+        _render_set(value.write_set),
+        _RENDERERS[type(version)](version),
+    )
+
+
+def _render_snapshot_read(value: SnapshotRead) -> str:
+    objects = value.objects
+    return _MARKER_TEXT % (_RENDERERS[type(objects)](objects),)
+
+
+_RENDERERS[TransactionPayload] = _render_transaction_payload
+_RENDERERS[SnapshotRead] = _render_snapshot_read
+
+# The text of a decision in an event: ``repr`` of its name, read once
+# (``Enum.name`` is a property, a Python call per read).
+_DECISION_TEXT = {decision: repr(decision.name) for decision in Decision}
 
 
 class History:
-    """An append-only TCS history with the derived relations the spec uses.
+    """An append-only TCS history, consumed as a stream.
 
-    The record keeps each fact once, flat, and no per-event object:
+    Every event goes to the history's listeners as it is recorded, and its
+    canonical text is folded into a running SHA-256 (:meth:`digest`).  The
+    record keeps only what the spec's queries read back:
 
-    * ``_certified`` maps each transaction to its payload, in certify order;
-    * ``_decided`` maps each decided transaction to its (first) decision, in
-      decide order;
-    * ``_decide_payloads`` holds the payloads attached to decide events
-      (snapshot reads resolve their observed versions only at decide time);
-    * ``_kinds`` holds one byte per event saying which map the next event
-      comes from, and ``_times`` its virtual time.
+    * ``_certified`` — each certified transaction, in certify order (the
+      value is None: a payload goes to the listeners, not into the record);
+    * ``_decided`` — each decided transaction's (first) decision, in decide
+      order;
+    * ``contradictions`` — the contradictory decides;
+    * ``_events`` — the number of events, which is also the next event's
+      sequence number.
 
-    The event sequence is the merge of the two maps in ``_kinds`` order;
-    :meth:`digest` walks it, and :attr:`events` builds it as :class:`Event`
-    values on demand (replay into a checker attached late, and tests).
+    No event, payload or time is kept, so nothing can be replayed: a
+    consumer that needs every event (the online checker, the invariant
+    monitor, a test's recorder) subscribes before the first one, and
+    :meth:`subscribe` refuses it afterwards.
     """
 
     def __init__(self) -> None:
-        self._certified: Dict[TxnId, Any] = {}
+        self._certified: Dict[TxnId, None] = {}
         self._decided: Dict[TxnId, Decision] = {}
-        self._decide_payloads: Dict[TxnId, Any] = {}
-        self._kinds = bytearray()
-        self._times: List[float] = []
+        self._events = 0
+        self._fingerprint = sha256()
         # Contradictory decide events observed for the same transaction.
         # A correct protocol never produces these (Invariant 4b); the broken
         # RDMA variant used for the Figure 4a ablation does, and the checker
@@ -208,34 +236,43 @@ class History:
         # Completion callbacks; the cluster drivers' decision watchers hook
         # in here so that waiting for decisions is O(1) per event instead of
         # a full-history rescan.
-        self._certify_listeners: List[Callable[[TxnId], None]] = []
-        self._decide_listeners: List[Callable[[TxnId, Decision], None]] = []
-        self._contradiction_listeners: List[
-            Callable[[TxnId, Decision, Decision], None]
-        ] = []
+        self._certify_listeners: List[CertifyListener] = []
+        self._decide_listeners: List[DecideListener] = []
+        self._contradiction_listeners: List[ContradictionListener] = []
 
     # ------------------------------------------------------------------
     # listeners
     # ------------------------------------------------------------------
     def subscribe(
         self,
-        on_certify: Optional[Callable[[TxnId], None]] = None,
-        on_decide: Optional[Callable[[TxnId, Decision], None]] = None,
-        on_contradiction: Optional[Callable[[TxnId, Decision, Decision], None]] = None,
+        on_certify: Optional[CertifyListener] = None,
+        on_decide: Optional[DecideListener] = None,
+        on_contradiction: Optional[ContradictionListener] = None,
+        every_event: bool = False,
     ) -> "HistorySubscription":
         """Register the given callbacks and return one closeable handle:
-        ``on_certify(txn)`` whenever a new transaction is certified,
-        ``on_decide(txn, decision)`` on each transaction's *first* decide,
-        and ``on_contradiction(txn, first, second)`` when a *contradictory*
+        ``on_certify(txn, payload, time)`` whenever a new transaction is
+        certified, ``on_decide(txn, decision, payload, time)`` on each
+        transaction's *first* decide (``payload`` is the decide-time
+        payload, None unless a snapshot read attached one), and
+        ``on_contradiction(txn, first, second)`` when a *contradictory*
         decide is recorded for an already-decided transaction (Invariant 4b
         violations; only the broken ablation protocol produces these).
         Each kind's callbacks run in registration order.
 
         This is the one way in: the online checker, the invariant monitor,
         decision watchers and the store's executor consume histories through
-        it instead of rescanning ``events``; the handle is a context manager
-        so subscriptions do not leak on long-lived histories.
+        it; the handle is a context manager so subscriptions do not leak on
+        long-lived histories.  A consumer that must see ``every_event``
+        raises ``RuntimeError`` once the history holds one: the history
+        keeps no events to replay.
         """
+        if every_event and self._events:
+            raise RuntimeError(
+                f"the history already holds {self._events} event(s) and keeps "
+                "none to replay: a consumer of every event must subscribe "
+                "before the first is recorded"
+            )
         return HistorySubscription(self, on_certify, on_decide, on_contradiction)
 
     def watch(self, txns: Optional[Sequence[TxnId]] = None) -> "DecisionWatcher":
@@ -246,15 +283,21 @@ class History:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
+    # An event's text is ``repr`` of ``(kind, txn, time, seq, payload,
+    # decision name)``, its payload in canonical form, rendered once, here.
     def record_certify(self, txn: TxnId, payload: Any, time: float) -> None:
         certified = self._certified
         if txn in certified:
             raise ValueError(f"transaction {txn!r} certified twice")
-        certified[txn] = payload
-        self._kinds.append(_CERTIFY)
-        self._times.append(time)
+        seq = self._events
+        self._fingerprint.update(
+            f"('certify', {txn!r}, {time!r}, {seq!r}, "
+            f"{_RENDERERS[type(payload)](payload)}, None)".encode()
+        )
+        certified[txn] = None
+        self._events = seq + 1
         for listener in self._certify_listeners:
-            listener(txn)
+            listener(txn, payload, time)
 
     def record_decide(
         self, txn: TxnId, decision: Decision, time: float, payload: Any = None
@@ -273,26 +316,21 @@ class History:
                 for listener in self._contradiction_listeners:
                     listener(txn, previous, decision)
             return
+        seq = self._events
+        self._fingerprint.update(
+            f"('decide', {txn!r}, {time!r}, {seq!r}, "
+            f"{_RENDERERS[type(payload)](payload)}, {_DECISION_TEXT[decision]})".encode()
+        )
         decided[txn] = decision
-        if payload is not None:
-            self._decide_payloads[txn] = payload
-        self._kinds.append(_DECIDE)
-        self._times.append(time)
+        self._events = seq + 1
         for listener in self._decide_listeners:
-            listener(txn, decision)
+            listener(txn, decision, payload, time)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def certified(self) -> List[TxnId]:
         return list(self._certified)
-
-    def payload_of(self, txn: TxnId) -> Any:
-        return self._certified[txn]
-
-    def decided_payload_of(self, txn: TxnId) -> Any:
-        """The payload attached to the decide event, if any (snapshot reads)."""
-        return self._decide_payloads.get(txn)
 
     def decision_of(self, txn: TxnId) -> Optional[Decision]:
         return self._decided.get(txn)
@@ -305,29 +343,8 @@ class History:
     def pending(self) -> Set[TxnId]:
         return self._certified.keys() - self._decided.keys()
 
-    def _rows(self) -> Iterator[Tuple[int, float, int, Tuple[TxnId, Any]]]:
-        """``(kind, time, seq, (txn, payload or decision))`` of each event in
-        record order: the merge of the two maps that ``_kinds`` spells.
-        Built of C iterators, so a pass costs one call, not one per event."""
-        # Indexed by an event's kind byte: _CERTIFY is 0, _DECIDE is 1.
-        maps = (iter(self._certified.items()), iter(self._decided.items()))
-        entries = map(next, map(getitem, repeat(maps), self._kinds))
-        return zip(self._kinds, self._times, count(), entries)
-
-    @property
-    def events(self) -> List[Event]:
-        """The events in record order, built on each access (O(events)):
-        for replay and for tests, never on a run's hot path."""
-        payloads = self._decide_payloads
-        return [
-            Event("certify", txn, time, seq, value)
-            if kind == _CERTIFY
-            else Event("decide", txn, time, seq, payloads.get(txn), value)
-            for kind, time, seq, (txn, value) in self._rows()
-        ]
-
     def digest(self) -> str:
-        """A SHA-256 fingerprint of the full event sequence.
+        """A SHA-256 fingerprint of the event sequence recorded so far.
 
         Two histories digest equal iff they recorded the same actions, on
         the same transactions with the same payloads and decisions, in the
@@ -335,40 +352,20 @@ class History:
         process fan-out (``--jobs``) is held to.  Stable across processes
         and ``PYTHONHASHSEED`` values (unordered payload containers are
         canonicalized first), so digests can be compared between a serial
-        parent and pool workers, or across machines.  Every call is a full
-        pass over the record: nothing is cached or folded in at record
-        time, so the time of a call measures the fingerprint (the benchmark
-        times one).  It builds no per-run container: a run's memory peaks
-        here.  An event's text is ``repr`` of ``(kind, txn, time, seq,
-        payload, decision name)``, its payload in canonical form.
+        parent and pool workers, or across machines.  Each event was folded
+        in as it was recorded, so a call copies the running hash: O(1), and
+        the history keeps reading events after it.
 
         The hash is the interpreter's built-in SHA-256 (``_sha2`` on 3.12+,
         ``_sha256`` on 3.11), as ``random.py`` uses ``_sha512``: ``hashlib``
-        loads OpenSSL's libcrypto, about 3.5 MB of every process's peak RSS,
-        for this one call.  The bytes hashed and the digest are the same;
-        ``hashlib`` stands in only where the interpreter lacks the module.
+        loads OpenSSL's libcrypto, about 3.5 MB of every process's peak RSS.
+        The bytes hashed and the digest are the same; ``hashlib`` stands in
+        only where the interpreter lacks the module.
         """
-        fingerprint = sha256()
-        update = fingerprint.update
-        payloads = self._decide_payloads
-        # One ``update`` per event: the text of a whole run is never held.
-        for kind, time, seq, (txn, value) in self._rows():
-            if kind == _CERTIFY:
-                text = (
-                    f"('certify', {txn!r}, {time!r}, {seq!r}, "
-                    f"{_RENDERERS[type(value)](value)}, None)"
-                )
-            else:
-                payload = payloads[txn] if txn in payloads else None
-                text = (
-                    f"('decide', {txn!r}, {time!r}, {seq!r}, "
-                    f"{_RENDERERS[type(payload)](payload)}, {value.name!r})"
-                )
-            update(text.encode())
-        return fingerprint.hexdigest()
+        return self._fingerprint.copy().hexdigest()
 
     def __len__(self) -> int:
-        return len(self._kinds)
+        return self._events
 
 
 class HistorySubscription:
@@ -381,9 +378,9 @@ class HistorySubscription:
     def __init__(
         self,
         history: History,
-        on_certify: Optional[Callable[[TxnId], None]] = None,
-        on_decide: Optional[Callable[[TxnId, Decision], None]] = None,
-        on_contradiction: Optional[Callable[[TxnId, Decision, Decision], None]] = None,
+        on_certify: Optional[CertifyListener] = None,
+        on_decide: Optional[DecideListener] = None,
+        on_contradiction: Optional[ContradictionListener] = None,
     ) -> None:
         self._history = history
         self._certify_fn = on_certify
@@ -444,10 +441,10 @@ class DecisionWatcher(HistorySubscription):
             on_decide=self._on_decide,
         )
 
-    def _on_certify(self, txn: TxnId) -> None:
+    def _on_certify(self, txn: TxnId, payload: Any, time: float) -> None:
         self._waiting.add(txn)
 
-    def _on_decide(self, txn: TxnId, decision: Decision) -> None:
+    def _on_decide(self, txn: TxnId, decision: Decision, payload: Any, time: float) -> None:
         self._waiting.discard(txn)
 
     @property

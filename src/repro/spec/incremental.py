@@ -15,12 +15,12 @@ it is a legal linearization.
 :class:`IncrementalTCSChecker` is the one checker the package ships.  It
 subscribes to a :class:`~repro.spec.history.History` and maintains that
 graph per event, so a violation is reported at the exact event that
-introduces it and a 100k-transaction run keeps full validation; attached to
-a finished history it replays it, which is how ``Cluster.check()`` and
-``check_mode="final"`` reach their verdicts.  Building the graph from the
-recorded history instead costs O(txns^2) conflict edges plus an O(txns^2)
-real-time sweep; that batch construction survives only as the test oracle
-(``tests/helpers.py``).
+introduces it and a 100k-transaction run keeps full validation.  Every
+cluster attaches one before its first event, and ``Cluster.check()`` and the
+scenario runner read its verdict; a history keeps no events, so there is
+nothing to replay.  Building the graph from the recorded history instead
+costs O(txns^2) conflict edges plus an O(txns^2) real-time sweep; that batch
+construction survives only as the test oracle (``tests/helpers.py``).
 
 Four ideas make the update cheap and the state small:
 
@@ -213,17 +213,17 @@ class _OnlineDag:
 class IncrementalTCSChecker:
     """Maintains the legal-linearization graph of a history online.
 
-    The package's only TCS checker: the runner's ``online`` mode attaches it
-    before the run, ``Cluster.check()`` (and so ``final``) attaches it to the
-    finished history and detaches it after reading :meth:`result`.  Like the
-    batch oracle in ``tests/helpers.py``, the graph assumes the scheme is
-    distributive (requirement (1)), which ``tests/test_properties.py``
-    checks for both shipped schemes.
+    The package's only TCS checker: every cluster attaches one to its
+    history when it is built, and ``Cluster.check()`` and the scenario
+    runner read its :meth:`result`.  Like the batch oracle in
+    ``tests/helpers.py``, the graph assumes the scheme is distributive
+    (requirement (1)), which ``tests/test_properties.py`` checks for both
+    shipped schemes.
 
-    Feed it either by :meth:`attach`-ing it to a :class:`History` (it
-    subscribes to certify/decide/contradiction events, replaying anything
-    already recorded) or by calling :meth:`observe_certify` /
-    :meth:`observe_decide` directly.  After a violation the checker freezes:
+    Feed it either by :meth:`attach`-ing it to a :class:`History` before
+    its first event (it subscribes to certify/decide/contradiction events)
+    or by calling :meth:`observe_certify` / :meth:`observe_decide`
+    directly.  After a violation the checker freezes:
     :attr:`violation` keeps the first failure, together with the 0-based
     index (:attr:`violation_at_event`) of the observed event that introduced
     it.
@@ -267,7 +267,6 @@ class IncrementalTCSChecker:
         self.violation: Optional[CheckResult] = None
         self.violation_at_event: Optional[int] = None
         self.events_processed = 0
-        self._history: Optional[History] = None
         self._subscription: Optional[HistorySubscription] = None
         if history is not None:
             self.attach(history)
@@ -276,27 +275,15 @@ class IncrementalTCSChecker:
     # history subscription
     # ------------------------------------------------------------------
     def attach(self, history: History) -> "IncrementalTCSChecker":
-        """Subscribe to ``history``, replaying events recorded before now.
-
-        Contradictions are replayed *first*: the history does not record
-        where they occurred, and the batch oracle gives them priority, so
-        a replayed checker must too (a live-attached one reports whichever
-        violation genuinely happens first).
-        """
-        if self._history is not None:
+        """Subscribe to ``history``, which must not hold an event yet (it
+        keeps none to replay: ``RuntimeError`` names the count)."""
+        if self._subscription is not None:
             raise RuntimeError("checker is already attached to a history")
-        self._history = history
-        for txn, first, second in history.contradictions:
-            self.observe_contradiction(txn, first, second)
-        for event in history.events:
-            if event.kind == "certify":
-                self.observe_certify(event.txn, event.payload)
-            else:
-                self.observe_decide(event.txn, event.decision, payload=event.payload)
         self._subscription = history.subscribe(
-            on_certify=self._on_certify,
-            on_decide=self._on_decide,
+            on_certify=self.observe_certify,
+            on_decide=self.observe_decide,
             on_contradiction=self.observe_contradiction,
+            every_event=True,
         )
         return self
 
@@ -304,23 +291,16 @@ class IncrementalTCSChecker:
         if self._subscription is not None:
             self._subscription.close()
             self._subscription = None
-        self._history = None
-
-    def _on_certify(self, txn: TxnId) -> None:
-        self.observe_certify(txn, self._history.payload_of(txn))
-
-    def _on_decide(self, txn: TxnId, decision: Decision) -> None:
-        self.observe_decide(
-            txn, decision, payload=self._history.decided_payload_of(txn)
-        )
 
     # ------------------------------------------------------------------
     # event feed
     # ------------------------------------------------------------------
-    def observe_certify(self, txn: TxnId, payload: Any) -> None:
+    def observe_certify(self, txn: TxnId, payload: Any, time: Optional[float] = None) -> None:
         """Record ``certify(txn, payload)``: remember the decided frontier
         the transaction was certified under (appending it first if commits
-        were decided since the latest one)."""
+        were decided since the latest one).  ``time`` is the history
+        listener's argument and goes unread: real time is the order events
+        arrive in."""
         if self.violation is not None:
             return
         self.events_processed += 1
@@ -330,7 +310,11 @@ class IncrementalTCSChecker:
         self._payloads[txn] = payload
 
     def observe_decide(
-        self, txn: TxnId, decision: Decision, payload: Any = None
+        self,
+        txn: TxnId,
+        decision: Decision,
+        payload: Any = None,
+        time: Optional[float] = None,
     ) -> None:
         """Record the (first) ``decide(txn, decision)``.
 
@@ -343,7 +327,8 @@ class IncrementalTCSChecker:
         one: snapshot reads certify a placeholder marker and resolve their
         versioned read-only payload only when the serving replica answers,
         so the decide event — not the certify event — carries the payload
-        the conflict analysis must use.
+        the conflict analysis must use.  ``time`` goes unread, as in
+        :meth:`observe_certify`.
         """
         if self.violation is not None:
             return

@@ -62,12 +62,14 @@ class InvariantMonitor:
             self.attach(history)
 
     def attach(self, history: History) -> "InvariantMonitor":
+        """Subscribe to ``history``, which must not hold an event yet (it
+        keeps none to replay: ``RuntimeError`` names the count)."""
         if self._subscription is not None:
             raise RuntimeError("monitor is already attached to a history")
+        self._subscription = history.subscribe(
+            on_contradiction=self._on_contradiction, every_event=True
+        )
         self.history = history
-        for txn, first, second in history.contradictions:
-            self._on_contradiction(txn, first, second)
-        self._subscription = history.subscribe(on_contradiction=self._on_contradiction)
         return self
 
     def detach(self) -> None:

@@ -194,7 +194,9 @@ class TransactionalStore:
             )
         return txn
 
-    def _on_history_decide(self, txn: TxnId, decision: Decision) -> None:
+    def _on_history_decide(
+        self, txn: TxnId, decision: Decision, _payload: Any, _time: float
+    ) -> None:
         entry = self._pending.pop(txn, None)
         if entry is None:
             return

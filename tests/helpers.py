@@ -11,6 +11,8 @@ import cProfile
 import gc
 import heapq
 import itertools
+import weakref
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.certification import RETIRED, ConflictIndex, VoteIndex
@@ -274,12 +276,150 @@ def committed_of(history: History) -> List[TxnId]:
     return [txn for txn, decision in history.decided().items() if decision is Decision.COMMIT]
 
 
+# ----------------------------------------------------------------------
+# the event sequence of a history, as its listeners saw it
+# ----------------------------------------------------------------------
+# A History keeps no events: it hands each one to its listeners and folds
+# its text into the running digest.  The batch oracle and the digest tests
+# need the sequence itself, so a recorder subscribes before the first event
+# and rebuilds it from the listener calls.
+
+@dataclass(frozen=True, slots=True)
+class Event:
+    """One action of a history, as a :class:`HistoryRecorder` rebuilds it:
+    ``seq`` counts the history's events before it."""
+
+    kind: str  # "certify" | "decide"
+    txn: TxnId
+    time: float
+    seq: int
+    payload: object = None
+    decision: Optional[Decision] = None
+
+
+class HistoryRecorder:
+    """Every event of one history, in record order, with each transaction's
+    certify-time and decide-time payload, and each contradictory decide
+    with the count of events before it.  It holds no reference to the
+    history, so a recorded history is freed with its cluster."""
+
+    def __init__(self, history: History) -> None:
+        self.events: List[Event] = []
+        self.certify_payloads: Dict[TxnId, object] = {}
+        self.decide_payloads: Dict[TxnId, object] = {}
+        self.contradictions: List[Tuple[int, TxnId, Decision, Decision]] = []
+        history.subscribe(
+            on_certify=self._on_certify,
+            on_decide=self._on_decide,
+            on_contradiction=self._on_contradiction,
+            every_event=True,
+        )
+        _RECORDERS[history] = self
+
+    def _on_contradiction(self, txn: TxnId, first: Decision, second: Decision) -> None:
+        self.contradictions.append((len(self.events), txn, first, second))
+
+    def _on_certify(self, txn: TxnId, payload, time: float) -> None:
+        self.certify_payloads[txn] = payload
+        self.events.append(Event("certify", txn, time, len(self.events), payload))
+
+    def _on_decide(self, txn: TxnId, decision: Decision, payload, time: float) -> None:
+        if payload is not None:
+            self.decide_payloads[txn] = payload
+        self.events.append(Event("decide", txn, time, len(self.events), payload, decision))
+
+
+_RECORDERS: "weakref.WeakKeyDictionary[History, HistoryRecorder]" = weakref.WeakKeyDictionary()
+
+
+def record(history: History) -> HistoryRecorder:
+    """Attach a recorder to ``history``, which must hold no event yet."""
+    return HistoryRecorder(history)
+
+
+def recorded_history() -> History:
+    """A fresh history with a recorder attached."""
+    history = History()
+    record(history)
+    return history
+
+
+def events_of(history: History) -> List[Event]:
+    """The events of ``history``, which :func:`record` must have been
+    attached to before its first event."""
+    return _recorder_of(history).events
+
+
+def _recorder_of(history: History) -> HistoryRecorder:
+    try:
+        return _RECORDERS[history]
+    except KeyError:
+        raise AssertionError(
+            "no recorder on this history: attach helpers.record() before its first event"
+        ) from None
+
+
+def run_recorded(spec):
+    """Build ``spec``'s runner, record its cluster's history, run it:
+    ``(runner, result)``."""
+    from repro.scenarios import ScenarioRunner
+
+    runner = ScenarioRunner(spec)
+    record(runner.build().history)
+    return runner, runner.run()
+
+
+def replay(history: History, checker):
+    """Feed what ``history`` recorded to ``checker`` in record order, each
+    contradiction after the events before it, as a checker attached before
+    the first event saw it; returns the checker."""
+    recorder = _recorder_of(history)
+    contradictions = iter(recorder.contradictions)
+    pending = next(contradictions, None)
+    for event in recorder.events + [None]:
+        while pending is not None and (event is None or pending[0] <= event.seq):
+            checker.observe_contradiction(*pending[1:])
+            pending = next(contradictions, None)
+        if event is None:
+            break
+        if event.kind == "certify":
+            checker.observe_certify(event.txn, event.payload)
+        else:
+            checker.observe_decide(event.txn, event.decision, event.payload)
+    return checker
+
+
 def effective_payload_of(history: History, txn: TxnId):
     """The payload the checkers certify ``txn`` against: the decide-time
     payload when one was attached (snapshot reads resolve their observed
     versions only at decide time), the certify-time payload otherwise."""
-    decided = history.decided_payload_of(txn)
-    return decided if decided is not None else history.payload_of(txn)
+    recorder = _recorder_of(history)
+    decided = recorder.decide_payloads.get(txn)
+    return decided if decided is not None else recorder.certify_payloads[txn]
+
+
+def pending_messages(batcher, dst: Optional[str] = None) -> int:
+    """The messages ``batcher`` holds for its next flush to ``dst``, or to
+    every destination."""
+    if dst is not None:
+        return len(batcher.queues.get(dst, ()))
+    return sum(len(queue) for queue in batcher.queues.values())
+
+
+def sweep_point(sweep, label: str):
+    """The result of the sweep point labelled ``label`` (KeyError if none)."""
+    return dict(sweep.points)[label]
+
+
+def durable_decision_latencies(cluster) -> List[float]:
+    """On the 2PC baseline, latency from the coordinator starting 2PC to
+    the decision being durable on every shard (its 7-message-delay path)."""
+    return [
+        entry.durable_at - entry.started_at
+        for coordinator in cluster.coordinators
+        for entry in coordinator.transactions.values()
+        if entry.durable_at is not None
+    ]
 
 
 def record_served_reads(client) -> Dict[TxnId, tuple]:
@@ -311,7 +451,7 @@ def _real_time_seqs(history: History) -> Tuple[Dict[TxnId, int], Dict[TxnId, int
     decide event."""
     certified: Dict[TxnId, int] = {}
     decided: Dict[TxnId, int] = {}
-    for event in history.events:
+    for event in events_of(history):
         (certified if event.kind == "certify" else decided)[event.txn] = event.seq
     return certified, decided
 
@@ -402,7 +542,7 @@ class TCSChecker:
         """At most one decision per transaction (enforced while recording,
         re-checked here)."""
         seen: Dict[TxnId, Decision] = {}
-        for event in history.events:
+        for event in events_of(history):
             if event.kind != "decide":
                 continue
             if event.txn in seen and seen[event.txn] is not event.decision:
@@ -441,7 +581,8 @@ class TCSChecker:
 
 def oracle_check(runner) -> CheckResult:
     """The batch oracle's verdict on the history a finished
-    :class:`~repro.scenarios.ScenarioRunner` recorded."""
+    :class:`~repro.scenarios.ScenarioRunner` recorded (run it through
+    :func:`run_recorded`)."""
     cluster = runner.cluster
     return TCSChecker(cluster.scheme).check(cluster.history)
 

@@ -47,7 +47,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.__main__ import main as scenarios_main
 
-from helpers import TCSChecker, rw_payload, shard_key
+from helpers import TCSChecker, pending_messages, run_recorded, rw_payload, shard_key, sweep_point
 
 
 ADAPTIVE = BatchPolicy(size=8)
@@ -119,7 +119,7 @@ def test_size_cap_flushes_immediately():
     batcher = MessageBatcher(sender, BatchPolicy(size=3), wrap=tuple)
     for i in range(3):
         batcher.add("dst", i)
-    assert batcher.pending_messages == 0  # size cap flushed synchronously
+    assert pending_messages(batcher) == 0  # size cap flushed synchronously
     scheduler.run()
     assert receiver.received == [(1.0, (0, 1, 2))]
     assert batcher.batches_sent == 1 and batcher.messages_batched == 3
@@ -131,7 +131,7 @@ def test_adaptive_flush_coalesces_the_instant():
     batcher = MessageBatcher(sender, BatchPolicy(size=100), wrap=tuple)
     batcher.add("dst", "a")
     batcher.add("dst", "b")
-    assert batcher.pending_for("dst") == 2  # below cap: waits for the flush
+    assert pending_messages(batcher, "dst") == 2  # below cap: waits for the flush
     scheduler.run()
     # One batch, flushed at the end of instant 0, delivered one delay later.
     assert receiver.received == [(1.0, ("a", "b"))]
@@ -189,7 +189,7 @@ def test_disabled_policy_passes_straight_through():
     )
     plain = MessageBatcher(sender, BatchPolicy())
     hooked.add("dst", "a")
-    assert seen == [("dst", ("a",))] and hooked.pending_messages == 0
+    assert seen == [("dst", ("a",))] and pending_messages(hooked) == 0
     fired = scheduler.events_fired
     plain.add_all(["dst", "src"], "b")
     scheduler.run()
@@ -359,10 +359,10 @@ def test_accept_envelope_with_an_early_element():
         the ACCEPT outbox lingers."""
         txn = cluster.submit(payload, coordinator=coordinator.pid)
         client._request_batcher.flush()
-        while coordinator._prepare_batcher.pending_messages == 0:
+        while pending_messages(coordinator._prepare_batcher) == 0:
             assert cluster.scheduler.step()
         coordinator._prepare_batcher.flush()
-        while coordinator._accept_batcher.pending_for(follower.pid) < pending:
+        while pending_messages(coordinator._accept_batcher, follower.pid) < pending:
             assert cluster.scheduler.step()
         return txn
 
@@ -509,8 +509,7 @@ def test_differential_batched_vs_unbatched_scenario_histories(batch):
     base = base.with_overrides(workload=replace(base.workload, txns=80))
     results = {}
     for label, spec in (("off", base), ("on", base.with_overrides(batch=batch))):
-        runner = ScenarioRunner(spec)
-        result = runner.run()
+        runner, result = run_recorded(spec)
         assert result.passed and result.undecided == 0, label
         oracle = TCSChecker(runner.cluster.scheme).check(runner.cluster.history)
         assert oracle.ok, (label, oracle.reason)
@@ -621,7 +620,7 @@ def test_duplicate_landing_inside_a_pending_batch_is_safe():
     # t=51) but stop before the coordinator's own linger expires: the
     # PREPARE is still queued in its batcher.
     cluster.run(max_time=51.5)
-    assert coordinator._prepare_batcher.pending_messages > 0
+    assert pending_messages(coordinator._prepare_batcher) > 0
     cluster.client.send(
         coordinator_pid, CertifyRequest(txn=txn, payload=payload, request_id=2)
     )
@@ -648,7 +647,7 @@ def test_rdma_accept_batch_ack_keeps_enqueue_time_shard():
     key = shard_key(cluster.scheme, "shard-0")
     txn = cluster.submit(rw_payload(key, tiebreak="t"), coordinator=coordinator_pid)
     coordinator = cluster.replicas[coordinator_pid]
-    while coordinator._accept_batcher.pending_messages == 0:
+    while pending_messages(coordinator._accept_batcher) == 0:
         assert cluster.scheduler.step(), "accept never reached the batcher"
     # A membership change lands while the batch is still pending: the
     # coordinator's view no longer lists the follower the batch targets.
@@ -779,9 +778,7 @@ def test_batch_sweep_driver_and_determinism():
     ]
     curve = sweep.curve()
     assert curve[0]["messages_sent"] > curve[1]["messages_sent"]
-    assert sweep.result_for("size=8,adaptive").batches > 0
-    with pytest.raises(KeyError):
-        sweep.result_for("warp")
+    assert sweep_point(sweep, "size=8,adaptive").batches > 0
     again = run_axis_sweep(spec, BATCH, grid)
     assert json.dumps(sweep.as_dict(), sort_keys=True) == json.dumps(
         again.as_dict(), sort_keys=True

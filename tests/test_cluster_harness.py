@@ -22,7 +22,7 @@ from repro.core.types import Decision
 from repro.runtime.network import LatencySpec, NetworkSpec
 from repro.scenarios import ScenarioRunner, get_scenario
 
-from helpers import TCSChecker, rw_payload, shard_key
+from helpers import TCSChecker, record, rw_payload, shard_key
 
 BINDINGS = [Cluster, BaselineCluster]
 
@@ -102,7 +102,7 @@ def test_bindings_validate_alike(binding, bad):
 
 
 # ----------------------------------------------------------------------
-# check() replays the history and leaves nothing subscribed
+# check() reads the checker attached at build and subscribes nothing
 # ----------------------------------------------------------------------
 def _listener_counts(history):
     return (
@@ -114,12 +114,13 @@ def _listener_counts(history):
 
 @pytest.mark.parametrize("binding", BINDINGS)
 def test_check_mid_run_leaves_nothing_behind(binding):
-    """``check()`` attaches a checker to the history, reads its verdict and
-    detaches it: called while transactions are in flight it leaves every
-    listener list as it found it, a second call agrees with the first, and
-    the finished run checks like the batch oracle."""
+    """``check()`` reads the verdict of the checker the cluster attached at
+    build: called while transactions are in flight it leaves every listener
+    list as it found it, a second call agrees with the first, and the
+    finished run checks like the batch oracle."""
     cluster = binding(num_shards=2)
     history = cluster.history
+    record(history)
     first = [cluster.submit(rw_payload(f"k{i % 4}", tiebreak=f"a{i}")) for i in range(6)]
     cluster.run_until_decided(first)
     for i in range(6):

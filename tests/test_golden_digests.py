@@ -38,7 +38,7 @@ import pytest
 from repro.scenarios import ExecSpec, ScenarioError, ScenarioRunner, ScenarioSpec, get_scenario
 from repro.scenarios.library import SCENARIOS
 
-from helpers import oracle_check
+from helpers import oracle_check, run_recorded
 
 # The (scenario, groups) pairs recorded under the parallel-shards spelling.
 EQUIVALENCE_CASES = [
@@ -101,8 +101,7 @@ def _observe(key: str) -> Tuple[ScenarioRunner, Dict[str, object]]:
     """The finished runner and what the golden file pins of its run."""
     spec = _spec_for(key)
     assert spec is not None, f"golden case {key!r} no longer validates"
-    runner = ScenarioRunner(spec)
-    result = runner.run()
+    runner, result = run_recorded(spec)
     return runner, {
         "digest": result.history_digest,
         "messages_sent": result.messages_sent,

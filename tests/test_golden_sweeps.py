@@ -25,6 +25,8 @@ import pytest
 
 from repro.scenarios import AXES, ScenarioSpec, SweepAxis, run_axis_sweep
 
+from helpers import sweep_point
+
 # scenario|protocol|engine -> spec (2pc-paxos gets its 2f+1 replicas).
 from test_golden_digests import _spec_for as _stack_spec
 
@@ -89,7 +91,7 @@ def test_a_sixth_axis_is_a_value_not_a_code_change():
     assert sweep.passed
     assert [row["think_time"] for row in sweep.curve()] == [0.0, 2.0, 8.0]
     assert sweep.curve()[0]["throughput"] > sweep.curve()[2]["throughput"]
-    assert sweep.result_for("2").txns_submitted == TXNS
+    assert sweep_point(sweep, "2").txns_submitted == TXNS
     header = sweep.render().splitlines()
     assert header[0].startswith("=== think-time sweep: closed-loop-think (message-passing, seed")
     assert header[1].split(" | ")[0].strip() == "think time"

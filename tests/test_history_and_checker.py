@@ -5,15 +5,15 @@ import pytest
 
 from repro.core.serializability import KeyHashSharding, SerializabilityScheme
 from repro.core.types import Decision
-from repro.spec.history import History
-
 from helpers import (
     TCSChecker,
     committed_of,
+    events_of,
     payload,
     read_payload,
     real_time_pairs,
     real_time_precedes,
+    recorded_history,
     rw_payload,
 )
 
@@ -31,30 +31,30 @@ def checker(scheme):
 # history recording
 # ----------------------------------------------------------------------
 def test_history_records_events_in_order():
-    history = History()
+    history = recorded_history()
     history.record_certify("t1", rw_payload("x"), time=1.0)
     history.record_decide("t1", Decision.COMMIT, time=5.0)
-    assert [e.kind for e in history.events] == ["certify", "decide"]
+    assert [e.kind for e in events_of(history)] == ["certify", "decide"]
     assert history.decision_of("t1") is Decision.COMMIT
     assert not history.pending()
     assert committed_of(history) == ["t1"]
 
 
 def test_history_rejects_double_certify():
-    history = History()
+    history = recorded_history()
     history.record_certify("t1", rw_payload("x"), time=1.0)
     with pytest.raises(ValueError):
         history.record_certify("t1", rw_payload("x"), time=2.0)
 
 
 def test_history_rejects_decide_without_certify():
-    history = History()
+    history = recorded_history()
     with pytest.raises(ValueError):
         history.record_decide("t1", Decision.COMMIT, time=1.0)
 
 
 def test_history_pending_and_completeness():
-    history = History()
+    history = recorded_history()
     history.record_certify("t1", rw_payload("x"), time=1.0)
     history.record_certify("t2", rw_payload("y"), time=1.0)
     history.record_decide("t1", Decision.ABORT, time=2.0)
@@ -63,16 +63,16 @@ def test_history_pending_and_completeness():
 
 
 def test_history_duplicate_decide_is_idempotent():
-    history = History()
+    history = recorded_history()
     history.record_certify("t1", rw_payload("x"), time=1.0)
     history.record_decide("t1", Decision.COMMIT, time=2.0)
     history.record_decide("t1", Decision.COMMIT, time=3.0)
-    assert len([e for e in history.events if e.kind == "decide"]) == 1
+    assert len([e for e in events_of(history) if e.kind == "decide"]) == 1
     assert history.contradictions == []
 
 
 def test_history_records_contradictions():
-    history = History()
+    history = recorded_history()
     history.record_certify("t1", rw_payload("x"), time=1.0)
     history.record_decide("t1", Decision.COMMIT, time=2.0)
     history.record_decide("t1", Decision.ABORT, time=3.0)
@@ -80,7 +80,7 @@ def test_history_records_contradictions():
 
 
 def test_real_time_order():
-    history = History()
+    history = recorded_history()
     history.record_certify("t1", rw_payload("x"), time=1.0)
     history.record_decide("t1", Decision.COMMIT, time=2.0)
     history.record_certify("t2", rw_payload("y"), time=3.0)
@@ -91,7 +91,7 @@ def test_real_time_order():
 
 
 def test_concurrent_transactions_have_no_real_time_order():
-    history = History()
+    history = recorded_history()
     history.record_certify("t1", rw_payload("x"), time=1.0)
     history.record_certify("t2", rw_payload("y"), time=1.0)
     history.record_decide("t1", Decision.COMMIT, time=2.0)
@@ -104,7 +104,7 @@ def test_concurrent_transactions_have_no_real_time_order():
 # ----------------------------------------------------------------------
 def _sequential(scheme, entries):
     """Build a sequential history certify/decide one at a time."""
-    history = History()
+    history = recorded_history()
     time = 0.0
     for txn, p, decision in entries:
         history.record_certify(txn, p, time)
@@ -140,7 +140,7 @@ def test_checker_rejects_two_committed_stale_writers(scheme):
     """Two transactions that both read x@0 and both write x cannot both commit."""
     t1 = rw_payload("x", version=0, tiebreak="a")
     t2 = rw_payload("x", version=0, tiebreak="b")
-    history = History()
+    history = recorded_history()
     history.record_certify("t1", t1, 0.0)
     history.record_certify("t2", t2, 0.0)
     history.record_decide("t1", Decision.COMMIT, 1.0)
@@ -157,7 +157,7 @@ def test_checker_respects_real_time_order(scheme):
     stale_reader = read_payload("x", version=0)
     # Concurrent: reader certified before the writer's decision -> legal
     # linearization puts the reader first.
-    history = History()
+    history = recorded_history()
     history.record_certify("w", writer, 0.0)
     history.record_certify("r", stale_reader, 0.0)
     history.record_decide("w", Decision.COMMIT, 1.0)
@@ -165,7 +165,7 @@ def test_checker_respects_real_time_order(scheme):
     assert checker(scheme).check(history).ok
     # Real-time ordered: reader certified after the writer decided -> cannot
     # be legally linearized before it -> violation.
-    late = History()
+    late = recorded_history()
     late.record_certify("w", writer, 0.0)
     late.record_decide("w", Decision.COMMIT, 1.0)
     late.record_certify("r", stale_reader, 2.0)
@@ -184,7 +184,7 @@ def test_checker_ignores_aborted_transactions(scheme):
 
 
 def test_checker_flags_contradictory_decisions(scheme):
-    history = History()
+    history = recorded_history()
     history.record_certify("t1", rw_payload("x"), 0.0)
     history.record_decide("t1", Decision.COMMIT, 1.0)
     history.record_decide("t1", Decision.ABORT, 2.0)
@@ -194,14 +194,14 @@ def test_checker_flags_contradictory_decisions(scheme):
 
 
 def test_checker_empty_history_ok(scheme):
-    assert checker(scheme).check(History()).ok
+    assert checker(scheme).check(recorded_history()).ok
 
 
 def test_exhaustive_checker_agrees_with_graph_checker(scheme):
     t1 = rw_payload("x", version=0, tiebreak="a")
     t2 = rw_payload("y", version=0, tiebreak="b")
     t3 = read_payload("x", version=0)
-    history = History()
+    history = recorded_history()
     for name, p in [("t1", t1), ("t2", t2), ("t3", t3)]:
         history.record_certify(name, p, 0.0)
     for name in ["t1", "t2", "t3"]:
@@ -214,7 +214,7 @@ def test_exhaustive_checker_agrees_with_graph_checker(scheme):
 def test_exhaustive_checker_rejects_impossible_history(scheme):
     t1 = rw_payload("x", version=0, tiebreak="a")
     t2 = rw_payload("x", version=0, tiebreak="b")
-    history = History()
+    history = recorded_history()
     history.record_certify("t1", t1, 0.0)
     history.record_certify("t2", t2, 0.0)
     history.record_decide("t1", Decision.COMMIT, 1.0)
@@ -223,7 +223,7 @@ def test_exhaustive_checker_rejects_impossible_history(scheme):
 
 
 def test_exhaustive_checker_size_limit(scheme):
-    history = History()
+    history = recorded_history()
     for i in range(9):
         history.record_certify(f"t{i}", rw_payload(f"k{i}", tiebreak=str(i)), 0.0)
         history.record_decide(f"t{i}", Decision.COMMIT, 1.0)
@@ -232,7 +232,7 @@ def test_exhaustive_checker_size_limit(scheme):
 
 
 def test_check_decisions_unique(scheme):
-    history = History()
+    history = recorded_history()
     history.record_certify("t1", rw_payload("x"), 0.0)
     history.record_decide("t1", Decision.COMMIT, 1.0)
     assert checker(scheme).check_decisions_unique(history).ok

@@ -25,10 +25,15 @@ from helpers import (
     TCSChecker,
     calls,
     committed_of,
+    effective_payload_of,
+    events_of,
     oracle_check,
     payload,
     real_time_pairs,
+    recorded_history,
     reference_scheme,
+    replay,
+    run_recorded,
 )
 
 
@@ -58,7 +63,7 @@ def _random_history(scheme, seed: int, n: int = 20, keys: int = 4) -> History:
     decide order is a legal linearization), but are randomly flipped with
     small probability, so both safe and unsafe histories arise."""
     rng = random.Random(seed)
-    history = History()
+    history = recorded_history()
     versions = {f"k{i}": (0, "") for i in range(keys)}
     committed_payloads = []
     pending = []
@@ -78,14 +83,14 @@ def _random_history(scheme, seed: int, n: int = 20, keys: int = 4) -> History:
             except ValueError:
                 made -= 1
                 continue
-            history.record_certify(txn, p, time=float(len(history.events)))
+            history.record_certify(txn, p, time=float(len(history)))
             pending.append((txn, p))
         else:
             txn, p = pending.pop(rng.randrange(len(pending)))
             decision = scheme.global_certify(committed_payloads, p)
             if rng.random() < 0.08:  # inject occasional wrong decisions
                 decision = Decision.COMMIT if decision is Decision.ABORT else Decision.ABORT
-            history.record_decide(txn, decision, time=float(len(history.events)))
+            history.record_decide(txn, decision, time=float(len(history)))
             if decision is Decision.COMMIT:
                 committed_payloads.append(p)
                 for key, _ in p.write_set:
@@ -111,7 +116,7 @@ def test_differential_batch_vs_incremental(scheme_factory):
         history = _random_history(scheme, seed)
         batch = TCSChecker(scheme).check(history)
         # gc=False: the witness below must be the whole linearization.
-        online = IncrementalTCSChecker(scheme, history=history, gc=False).result()
+        online = replay(history, IncrementalTCSChecker(scheme, gc=False)).result()
         assert batch.ok == online.ok, (
             f"seed {seed}: batch={batch.ok} ({batch.reason}) "
             f"online={online.ok} ({online.reason})"
@@ -119,7 +124,7 @@ def test_differential_batch_vs_incremental(scheme_factory):
         verdicts[batch.ok] += 1
         if online.ok:
             # The online witness must itself be a legal linearization.
-            payloads = {t: history.payload_of(t) for t in online.linearization}
+            payloads = {t: effective_payload_of(history, t) for t in online.linearization}
             legal, reason = TCSChecker(scheme)._legal(online.linearization, payloads)
             assert legal, f"seed {seed}: {reason}"
             position = {t: i for i, t in enumerate(online.linearization)}
@@ -130,26 +135,26 @@ def test_differential_batch_vs_incremental(scheme_factory):
 
 
 def test_live_subscription_equals_replay(scheme):
-    """Attaching before events are recorded (the runner's mode) must reach
-    the same verdict as replaying a finished history."""
+    """A checker attached before the first event (every cluster's) reaches
+    the verdict, witness and event index of one fed the recorded events
+    afterwards, and detaching leaves no listener behind."""
     for seed in (3, 7, 11):
         recorded = _random_history(scheme, seed)
         live_history = History()
         live = IncrementalTCSChecker(scheme, history=live_history)
-        for event in recorded.events:
+        for event in events_of(recorded):
             if event.kind == "certify":
                 live_history.record_certify(event.txn, event.payload, event.time)
             else:
                 live_history.record_decide(event.txn, event.decision, event.time)
-        replayed = IncrementalTCSChecker(scheme, history=recorded)
-        assert live.ok == replayed.ok
+        replayed = replay(recorded, IncrementalTCSChecker(scheme))
+        assert _verdict(live) == _verdict(replayed)
         assert live.result().cycle == replayed.result().cycle
         live.detach()
-        replayed.detach()
         assert not (
-            recorded._certify_listeners
-            or recorded._decide_listeners
-            or recorded._contradiction_listeners
+            live_history._certify_listeners
+            or live_history._decide_listeners
+            or live_history._contradiction_listeners
         )
 
 
@@ -205,7 +210,7 @@ def test_real_time_cycle_detected_online(scheme):
     assert not checker.ok
     assert "ts" in checker.result().cycle and "tw" in checker.result().cycle
     # Batch oracle agrees on the same history.
-    history = History()
+    history = recorded_history()
     history.record_certify("tw", writer, 0.0)
     history.record_decide("tw", Decision.COMMIT, 1.0)
     history.record_certify("ts", stale, 2.0)
@@ -248,6 +253,9 @@ def test_attach_twice_rejected(scheme):
     checker2 = IncrementalTCSChecker(scheme)
     checker2.attach(history)
     checker2.detach()
+    history.record_certify("t1", payload(reads=[("x", (0, ""))], tiebreak="t"), 0.0)
+    with pytest.raises(RuntimeError, match=r"already holds 1 event\(s\)"):
+        IncrementalTCSChecker(scheme).attach(history)
 
 
 def test_pairwise_fallback_index_matches_scheme(scheme):
@@ -340,34 +348,24 @@ def test_scheme_conflict_index_equals_the_pairwise_reference(scheme_cls):
     ],
     ids=["uniform", "lognormal", "exponential", "regions"],
 )
-def test_online_and_final_agree_under_non_unit_latency(latency_kwargs):
+def test_online_verdict_equals_the_oracle_under_non_unit_latency(latency_kwargs):
     """Random delays reorder deliveries (and thus certify/decide events);
-    whatever history results, the verdict of either mode (the live checker,
-    or the same checker replaying the finished history) must match the
-    batch oracle's, and safe protocols must stay safe."""
+    whatever history results, the online checker's verdict at quiescence
+    must match the batch oracle's on the whole recorded history, and safe
+    protocols must stay safe."""
     from dataclasses import replace
 
-    from repro.scenarios import LatencySpec, ScenarioRunner, get_scenario
+    from repro.scenarios import LatencySpec, get_scenario
 
     base = get_scenario("steady-state")
     spec = base.with_overrides(
         latency=LatencySpec(**latency_kwargs),
         workload=replace(base.workload, txns=40),
     )
-    results = {}
-    for mode in ("online", "final"):
-        runner = ScenarioRunner(spec.with_overrides(check_mode=mode))
-        results[mode] = result = runner.run()
-        oracle = oracle_check(runner)
-        assert (result.check_ok, result.check_reason) == (oracle.ok, oracle.reason), mode
-    online, final = results["online"], results["final"]
-    assert online.check_ok == final.check_ok
-    assert online.check_ok and online.passed and final.passed
-    # The history itself is identical across check modes (same seed, same
-    # delay draws), so the verdicts were computed over the same events.
-    assert online.txns_submitted == final.txns_submitted
-    assert online.committed == final.committed
-    assert online.duration == final.duration
+    runner, result = run_recorded(spec)
+    oracle = oracle_check(runner)
+    assert (result.check_ok, result.check_reason) == (oracle.ok, oracle.reason)
+    assert result.check_ok and result.passed
 
 
 def test_online_flags_violation_under_non_unit_latency():
@@ -411,7 +409,7 @@ def test_invariant_monitor_matches_history_scan():
     from helpers import shard_key
 
     cluster = Cluster(num_shards=2, replicas_per_shard=2, seed=5)
-    monitor = InvariantMonitor(cluster.history)
+    monitor = cluster.monitor
     payloads = [
         payload(
             reads=[(shard_key(cluster.scheme, "shard-0", hint=f"m{i}"), (0, ""))],
@@ -425,7 +423,8 @@ def test_invariant_monitor_matches_history_scan():
     streamed = check_invariants(cluster.member_replicas_by_shard(), monitor=monitor)
     assert scanned == streamed == []
     assert monitor.history is cluster.history
-    monitor.detach()
+    with pytest.raises(RuntimeError, match=r"already holds \d+ event\(s\)"):
+        InvariantMonitor(cluster.history)
 
 
 def test_invariant_monitor_reports_contradiction():
@@ -540,7 +539,7 @@ def _frontier_boundaries(history):
     """Certify events that follow at least one commit decided since the
     previous such event: where the frontier chain gains a node."""
     boundaries, fresh = 0, False
-    for event in history.events:
+    for event in events_of(history):
         if event.kind == "decide":
             fresh = fresh or event.decision is Decision.COMMIT
         elif fresh:
@@ -570,13 +569,13 @@ def test_gc_differential_matches_unpruned_verdicts(scheme_factory):
     verdicts = {True: 0, False: 0}
     for seed in range(40):
         history = _random_history(scheme, seed)
-        plain = IncrementalTCSChecker(scheme, history=history, gc=False)
+        plain = replay(history, IncrementalTCSChecker(scheme, gc=False))
         bound = len(committed_of(history)) + _frontier_boundaries(history)
         if plain.ok:
             assert plain.stats["nodes"] == bound, f"seed {seed}"
         for checker in (
-            IncrementalTCSChecker(scheme, history=history),
-            IncrementalTCSChecker(scheme, history=history, gc_interval=1),
+            replay(history, IncrementalTCSChecker(scheme)),
+            replay(history, IncrementalTCSChecker(scheme, gc_interval=1)),
         ):
             assert _verdict(checker) == _verdict(plain), f"seed {seed}"
             assert checker.stats["nodes"] <= bound, f"seed {seed}"

@@ -23,9 +23,8 @@ from repro.scenarios import (
     get_scenario,
     parse_latency,
 )
-from repro.spec.incremental import IncrementalTCSChecker
 
-from helpers import TCSChecker, payload
+from helpers import TCSChecker, payload, record
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +464,8 @@ def test_conflict_free_workload_never_flags_violation(latency, seed):
     cluster = Cluster(
         num_shards=2, replicas_per_shard=2, latency=latency, seed=seed
     )
-    checker = IncrementalTCSChecker(cluster.scheme, cluster.history)
+    checker = cluster.checker
+    record(cluster.history)
     payloads = [
         payload(reads=[(f"k{i}", (0, ""))], writes=[(f"k{i}", i)], tiebreak=f"t{i}")
         for i in range(30)

@@ -355,7 +355,9 @@ def test_a_payloads_cached_object_sets_are_not_fields():
     assert fresh.written_objects == {"key-1"}
     assert fresh.read_objects is fresh.read_objects  # cached, not rebuilt
     assert _oracle_field_size(fresh) == size == wire._field_size(fresh)
-    assert history.digest() == digest
+    again = History()
+    again.record_certify("t", fresh, 0.0)
+    assert again.digest() == digest
     assert pickle.loads(pickle.dumps(fresh)) == fresh
     assert getattr(fresh, "no_such_attribute", None) is None
     with pytest.raises(AttributeError, match="no_such_attribute"):

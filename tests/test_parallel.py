@@ -235,15 +235,6 @@ def test_default_word_expands_to_the_stock_grid(axis):
 
 
 @every_axis
-def test_result_for_unknown_label_raises_key_error(axis):
-    point = axis.stock[0]
-    sweep = run_axis_sweep(_axis_spec(axis), axis, (point,))
-    assert sweep.result_for(axis.label(point)) is sweep.points[0][1]
-    with pytest.raises(KeyError):
-        sweep.result_for("no-such-point")
-
-
-@every_axis
 def test_bad_point_raises_scenario_error(axis):
     with pytest.raises(ScenarioError):
         axis.parse([AXIS_CASES[axis.name][1]])

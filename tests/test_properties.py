@@ -23,7 +23,6 @@ from repro.core.serializability import (
     TransactionPayload,
 )
 from repro.core.types import Decision
-from repro.spec.history import History
 from repro.spec.incremental import IncrementalTCSChecker
 
 from helpers import (
@@ -34,6 +33,8 @@ from helpers import (
     check_matching,
     check_prepared_commutes,
     check_prepared_stronger,
+    recorded_history,
+    replay,
 )
 
 
@@ -118,7 +119,7 @@ def test_empty_payload_always_certifies(committed):
 @given(population=st.lists(payloads(max_version=1), min_size=1, max_size=5), data=st.data())
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_graph_checker_agrees_with_exhaustive_search(population, data):
-    history = History()
+    history = recorded_history()
     for index, payload in enumerate(population):
         history.record_certify(f"t{index}", payload, float(index))
     for index in range(len(population)):
@@ -127,7 +128,7 @@ def test_graph_checker_agrees_with_exhaustive_search(population, data):
     checker = TCSChecker(SER)
     exhaustive = checker.check_exhaustive(history).ok
     assert checker.check(history).ok == exhaustive
-    assert IncrementalTCSChecker(SER, history).ok == exhaustive
+    assert replay(history, IncrementalTCSChecker(SER)).ok == exhaustive
 
 
 # ----------------------------------------------------------------------
@@ -152,15 +153,14 @@ def workloads(draw):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_message_passing_protocol_always_correct(batch, seed):
     cluster = Cluster(num_shards=2, replicas_per_shard=2, seed=seed)
-    cluster.certify_many(batch)
+    decisions = cluster.certify_many(batch)
     cluster.run()
     result, violations = cluster.check()
     assert result.ok, result.reason
     assert violations == []
     # Conflicting transactions on the same key: exactly one commits per key.
     by_key = {}
-    for txn in cluster.history.certified():
-        payload = cluster.history.payload_of(txn)
+    for txn, payload in zip(decisions, batch):
         key = next(iter(payload.written_objects))
         if cluster.history.decision_of(txn) is Decision.COMMIT:
             by_key.setdefault(key, []).append(txn)

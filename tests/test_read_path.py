@@ -43,9 +43,12 @@ from repro.workload.generators import KeySpaceSeeds
 from helpers import (
     TCSChecker,
     effective_payload_of,
+    events_of,
     payload,
+    record,
     record_served_reads,
     reference_scheme,
+    run_recorded,
     rw_payload,
     shard_key,
 )
@@ -277,6 +280,7 @@ def test_read_policy_validation():
 @pytest.fixture
 def read_cluster():
     cluster = Cluster(num_shards=2, seed=11, read=ReadPolicy(mode="snapshot"))
+    record(cluster.history)
     cluster.run()  # deliver the bootstrap lease grants
     return cluster
 
@@ -372,7 +376,8 @@ def test_reads_of_one_objects_tuple_record_one_marker(read_cluster):
         for objects in ((key,), [key], (other,))
     ]
     assert cluster.run_until_decided(txns)
-    first, second, third = (cluster.history.payload_of(txn) for txn in txns)
+    markers = {e.txn: e.payload for e in events_of(cluster.history) if e.kind == "certify"}
+    first, second, third = (markers[txn] for txn in txns)
     assert first is second and first == SnapshotRead(objects=(key,))
     assert third == SnapshotRead(objects=(other,))
 
@@ -464,8 +469,7 @@ def test_read_heavy_scenario_is_safe_and_mostly_fast_path():
 
 
 def test_stale_lease_ablation_is_flagged_with_a_cycle_witness():
-    runner = ScenarioRunner(get_scenario("stale-lease-ablation"))
-    result = runner.run()
+    runner, result = run_recorded(get_scenario("stale-lease-ablation"))
     assert result.passed  # expect_safe=False and the checker fired
     assert not result.safety_ok
     assert "cycle" in result.check_reason

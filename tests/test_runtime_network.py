@@ -197,7 +197,7 @@ def test_channel_made_before_its_destination_registers_delivers_after():
         a.send("late", Ping(i))
     scheduler.run()
     assert [v for v, _, _ in late.received] == list(range(1, 11))
-    assert network.stats.sent_by_process_and_type[("a", "Ping")] == 11
+    assert network.links["a", "late"].sent[Ping] == 11
     assert network.stats.received_by_process["late"] == 10
     assert network.stats.dropped == 1
 

@@ -30,7 +30,7 @@ from repro.scenarios.__main__ import main as scenarios_main
 from repro.scenarios.spec import DetectorSpec, ReadSpec
 from repro.spec.history import History
 
-from helpers import oracle_check
+from helpers import oracle_check, run_recorded, sweep_point
 
 
 # ----------------------------------------------------------------------
@@ -299,15 +299,27 @@ def test_spec_rejects_unknown_check_mode():
         ScenarioSpec(name="x", check_mode="psychic").validate()
 
 
+def test_final_check_mode_is_refused_naming_the_modes():
+    """``final`` replayed the finished history through the online checker:
+    its verdict was the online one, and a history keeps no events to
+    replay, so the mode is gone and a spec asking for it says which exist."""
+    with pytest.raises(ScenarioError, match=r"unknown check_mode 'final'.*'off', 'online'"):
+        ScenarioSpec(name="x", check_mode="final").validate()
+
+
 def test_check_mode_round_trip():
-    """off / final / online agree on a safe run; the mode is carried through
-    to the result and its dict form."""
+    """off / online agree on a safe run; the mode is carried through to the
+    result and its dict form, and "off" leaves no checker subscribed."""
     spec = get_scenario("steady-state").with_overrides(
         workload=replace(get_scenario("steady-state").workload, txns=40)
     )
-    results = {
-        mode: run_scenario(spec, check_mode=mode) for mode in ("off", "final", "online")
-    }
+    results = {mode: run_scenario(spec, check_mode=mode) for mode in ("off", "online")}
+    off = ScenarioRunner(spec.with_overrides(check_mode="off"))
+    history = off.build().history
+    assert off.checker is off.monitor is off.cluster.checker is None
+    assert not (history._certify_listeners or history._contradiction_listeners)
+    with pytest.raises(RuntimeError, match="stopped"):
+        off.cluster.check()
     for mode, result in results.items():
         assert result.check_mode == mode
         assert result.as_dict()["check_mode"] == mode
@@ -316,10 +328,9 @@ def test_check_mode_round_trip():
     # The verdict-independent metrics are identical across modes.
     base = {k: v for k, v in results["off"].as_dict().items()
             if k not in ("check_mode", "check_reason")}
-    for mode in ("final", "online"):
-        other = {k: v for k, v in results[mode].as_dict().items()
-                 if k not in ("check_mode", "check_reason")}
-        assert other == base
+    other = {k: v for k, v in results["online"].as_dict().items()
+             if k not in ("check_mode", "check_reason")}
+    assert other == base
 
 
 def test_online_mode_flags_ablation_with_reason():
@@ -329,16 +340,18 @@ def test_online_mode_flags_ablation_with_reason():
     assert "contradictory" in result.check_reason
 
 
-def test_online_and_final_agree_under_faults():
-    """Both modes run the one shipped checker (live, and replayed at
-    quiescence); each must also reach the batch oracle's verdict."""
-    spec = get_scenario("leader-crash-under-load")
-    for mode in ("online", "final"):
-        runner = ScenarioRunner(spec.with_overrides(check_mode=mode))
-        result = runner.run()
-        oracle = oracle_check(runner)
-        assert (result.check_ok, result.check_reason) == (oracle.ok, oracle.reason), mode
-        assert result.passed, mode
+def test_online_verdict_equals_the_oracle_under_faults():
+    """The one shipped checker, attached before the first event, reaches
+    the batch oracle's verdict on the whole history at quiescence: what
+    the removed "final" mode computed by replaying it.  Cluster.check()
+    reads the same checker."""
+    runner, result = run_recorded(get_scenario("leader-crash-under-load"))
+    oracle = oracle_check(runner)
+    assert (result.check_ok, result.check_reason) == (oracle.ok, oracle.reason)
+    assert result.passed
+    assert runner.checker is runner.cluster.checker
+    checked, _violations = runner.cluster.check()
+    assert (checked.ok, checked.reason) == (oracle.ok, oracle.reason)
 
 
 # ----------------------------------------------------------------------
@@ -486,9 +499,7 @@ def test_latency_sweep_runs_grid_in_order():
     for _, result in sweep.points:
         assert result.txns_submitted == 30
         assert result.phases is not None
-    assert sweep.result_for("unit").latency.mean == pytest.approx(6.0)
-    with pytest.raises(KeyError):
-        sweep.result_for("warp")
+    assert sweep_point(sweep, "unit").latency.mean == pytest.approx(6.0)
 
 
 def test_latency_sweep_is_deterministic():
@@ -792,14 +803,18 @@ def test_cli_run_shorthand_and_overrides(capsys):
 
 def test_cli_check_mode_and_think_time_overrides(capsys):
     assert scenarios_main(
-        ["steady-state", "--txns", "20", "--check-mode", "final",
+        ["steady-state", "--txns", "20", "--check-mode", "off",
          "--think-time", "2.0", "--json"]
     ) == 0
     import json
 
     data = json.loads(capsys.readouterr().out)
-    assert data["check_mode"] == "final"
+    assert data["check_mode"] == "off"
     assert data["passed"] is True
+    with pytest.raises(SystemExit) as refused:
+        scenarios_main(["steady-state", "--check-mode", "final"])
+    assert refused.value.code == 2
+    assert "invalid choice: 'final'" in capsys.readouterr().err
 
 
 def test_cli_sweep(capsys):
