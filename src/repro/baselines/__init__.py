@@ -8,7 +8,7 @@ message delays instead of 7), leader load and replica count (``f + 1``
 instead of ``2f + 1``).
 
 * :mod:`repro.baselines.paxos` — a leader-based Multi-Paxos replicated
-  state machine (also reused by the replicated configuration service);
+  state machine that compacts its log as it applies it;
 * :mod:`repro.baselines.twopc` — 2PC over Paxos-replicated shards, exposing
   the same client interface as the paper protocols so that the benchmark
   harness can compare them directly.

@@ -1,8 +1,8 @@
 """Leader-based Multi-Paxos replicated state machine.
 
-This is the replication substrate assumed by the vanilla 2PC-over-Paxos
-baseline (every 2PC action is first made durable on a majority of ``2f + 1``
-replicas) and by the optional Paxos-replicated configuration service.
+This is the replication substrate of the vanilla 2PC-over-Paxos baseline:
+every 2PC action is first made durable on a majority of ``2f + 1``
+replicas.
 
 The implementation is a classical Multi-Paxos:
 
@@ -15,11 +15,33 @@ The implementation is a classical Multi-Paxos:
   adopts the highest-ballot accepted values it learns about;
 * commands are applied to the state machine strictly in slot order, and the
   proposing leader answers the client once the command's slot is applied.
+
+Log compaction.  A replica keeps a slot's Paxos state only until it
+applies the slot: applying drops the slot's ``accepted`` entry (and its
+``chosen`` value and proposal), and an acceptor acks, without storing, a
+``Phase2a`` for a slot it has already applied.  ``applied_upto`` and the
+state machine then stand for every applied slot, so a run keeps Paxos
+state for its in-flight slots only.  Phase 1 transfers that state instead
+of the trimmed slots: ``Phase1a`` carries the candidate's ``applied_upto``
+and ``Phase1b`` the responder's, plus a :meth:`StateMachine.snapshot` when
+the responder has applied more.  The new leader installs the most advanced
+snapshot of its quorum, re-proposes the adopted values of the slots above
+it (a no-op fills a slot that no member of the quorum accepted below one
+that some member did) and sends an ``InstallSnapshot`` to every peer that
+reported less or did not answer.  This is safe: let ``A`` be the highest
+``applied_upto`` of the quorum (the candidate's own included).
+
+* A slot at or below ``A`` is in the installed snapshot, which holds the
+  chosen values of slots ``0..A`` applied in order.
+* A slot above ``A`` that was chosen was accepted by a majority.  That
+  majority meets the quorum, and no member of the quorum has applied, and
+  so trimmed, anything above ``A``: the quorum reports the slot, and the
+  highest-ballot rule adopts its chosen value as in classical Paxos.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.failuredetector import DetectorPolicy, FailureDetector
@@ -35,6 +57,17 @@ class StateMachine:
     """Deterministic state machine replicated by the Paxos group."""
 
     def apply(self, command: Any) -> Any:
+        raise NotImplementedError
+
+    def snapshot(self) -> Any:
+        """The state as a value that :meth:`restore` installs at a replica
+        that fell behind.  The snapshot shares no mutable state with this
+        machine, and ``restore`` copies out of it, so one snapshot can be
+        sent to several replicas."""
+        raise NotImplementedError
+
+    def restore(self, snapshot: Any) -> None:
+        """Replace the state with a copy of ``snapshot``'s."""
         raise NotImplementedError
 
 
@@ -57,12 +90,19 @@ class RsmResponse:
 @dataclass(frozen=True)
 class Phase1a:
     ballot: Ballot
+    applied_upto: int
 
 
 @dataclass(frozen=True)
 class Phase1b:
+    """A promise: the responder's accepted slots (all above its
+    ``applied_upto``), and its state machine's snapshot when it has applied
+    more than the candidate."""
+
     ballot: Ballot
     accepted: Tuple[Tuple[int, Ballot, Any], ...]
+    applied_upto: int
+    snapshot: Any
 
 
 @dataclass(frozen=True)
@@ -84,6 +124,15 @@ class Chosen:
     value: Any
 
 
+@dataclass(frozen=True)
+class InstallSnapshot:
+    """A new leader's state machine after applying slots ``0..applied_upto``,
+    sent to a peer that reported less in phase 1 or did not answer."""
+
+    applied_upto: int
+    snapshot: Any
+
+
 @dataclass
 class _SlotValue:
     """A value proposed for a slot: the command plus reply routing."""
@@ -91,6 +140,11 @@ class _SlotValue:
     command: Any
     request_id: int
     client: str
+
+
+# What a new leader proposes for a slot that no member of its quorum
+# accepted below one that some member did, so the slots above it can apply.
+_NOOP = _SlotValue(command=None, request_id=0, client="")
 
 
 class PaxosReplica(Process):
@@ -122,7 +176,8 @@ class PaxosReplica(Process):
             self.detector = FailureDetector(self.detector_policy, pid)
             self.detector.watch(self.group, 0.0)
 
-        # Acceptor state.
+        # Acceptor state: ``accepted`` holds only slots above
+        # ``applied_upto`` (see the module docstring).
         self.promised: Ballot = (1, initial_leader)
         self.accepted: Dict[int, Tuple[Ballot, _SlotValue]] = {}
 
@@ -132,7 +187,8 @@ class PaxosReplica(Process):
         self.next_slot = 0
         self._proposals: Dict[int, _SlotValue] = {}
         self._phase2_acks: Dict[int, Set[str]] = {}
-        self._phase1_acks: Dict[Ballot, Dict[str, Phase1b]] = {}
+        # The promises for the current ballot, until it wins phase 1.
+        self._phase1_acks: Dict[str, Phase1b] = {}
 
         # Learner state.  A slot's ``chosen`` entry, and its proposal at
         # the leader, live only until the slot is applied; ``applied_upto``
@@ -208,57 +264,104 @@ class PaxosReplica(Process):
         """Run phase 1 with a higher ballot to take over leadership."""
         round_ = max(self.ballot[0], self.promised[0]) + 1
         self.ballot = (round_, self.pid)
-        self._phase1_acks[self.ballot] = {}
-        self._broadcast(Phase1a(ballot=self.ballot))
+        # A leader re-running phase 1 leads again once it wins it, with
+        # its in-flight slots adopted under the new ballot.
+        self.leading = False
+        self._phase1_acks = {}
+        self._broadcast(Phase1a(ballot=self.ballot, applied_upto=self.applied_upto))
         return self.ballot
+
+    def _promise(self, ballot: Ballot) -> None:
+        self.promised = ballot
+        self.leader_hint = ballot[1]
+        if self.leading and ballot[1] != self.pid:
+            self.leading = False
 
     def on_phase1a(self, msg: Phase1a, sender: str) -> None:
         if msg.ballot < self.promised:
             return
-        self.promised = msg.ballot
-        self.leader_hint = msg.ballot[1]
-        if self.leading and msg.ballot[1] != self.pid:
-            self.leading = False
+        self._promise(msg.ballot)
         accepted = tuple(
             (slot, ballot, value) for slot, (ballot, value) in sorted(self.accepted.items())
         )
-        self.send(sender, Phase1b(ballot=msg.ballot, accepted=accepted))
+        ahead = self.applied_upto > msg.applied_upto
+        self.send(
+            sender,
+            Phase1b(
+                ballot=msg.ballot,
+                accepted=accepted,
+                applied_upto=self.applied_upto,
+                snapshot=self.state_machine.snapshot() if ahead else None,
+            ),
+        )
 
     def on_phase1b(self, msg: Phase1b, sender: str) -> None:
-        if msg.ballot != self.ballot:
+        if msg.ballot != self.ballot or self.leading:
             return
-        acks = self._phase1_acks.setdefault(msg.ballot, {})
+        acks = self._phase1_acks
         acks[sender] = msg
-        if len(acks) < self.majority or self.leading:
+        if len(acks) < self.majority:
             return
-        # Adopt the highest-ballot accepted value for every slot reported by
-        # the quorum, then resume normal operation.
+        self._phase1_acks = {}
         self.leading = True
         self.leader_hint = self.pid
+        # Install the most advanced snapshot of the quorum, then adopt the
+        # highest-ballot accepted value of every slot above it.
+        newest = max(acks.values(), key=lambda reply: reply.applied_upto)
+        if newest.applied_upto > self.applied_upto:
+            self._install(newest.applied_upto, newest.snapshot)
+        base = self.applied_upto
         adopted: Dict[int, Tuple[Ballot, _SlotValue]] = {}
         for reply in acks.values():
             for slot, ballot, value in reply.accepted:
                 current = adopted.get(slot)
-                if current is None or ballot > current[0]:
+                if slot > base and (current is None or ballot > current[0]):
                     adopted[slot] = (ballot, value)
-        for slot in sorted(adopted):
-            _, value = adopted[slot]
-            if slot > self.applied_upto:
-                self._proposals[slot] = value
-                self._phase2_acks[slot] = set()
+        lagging = [
+            peer for peer in self._peers if peer not in acks or acks[peer].applied_upto < base
+        ]
+        if lagging and base >= 0:
+            self.send_all(lagging, InstallSnapshot(base, self.state_machine.snapshot()))
+        # Every slot above the base is proposed afresh: a chosen one is
+        # adopted with its value and learned again, and only that second
+        # learning sends its ``Chosen`` to the peers that missed it.
+        self.chosen = {}
+        self._proposals = {}
+        self._phase2_acks = {}
+        self.next_slot = max(adopted, default=base) + 1
+        for slot in range(base + 1, self.next_slot):
+            value = adopted[slot][1] if slot in adopted else _NOOP
+            self._proposals[slot] = value
+            self._phase2_acks[slot] = set()
             self._broadcast(Phase2a(ballot=self.ballot, slot=slot, value=value))
-            self.next_slot = max(self.next_slot, slot + 1)
+
+    def on_install_snapshot(self, msg: InstallSnapshot, sender: str) -> None:
+        if msg.applied_upto > self.applied_upto:
+            self._install(msg.applied_upto, msg.snapshot)
+
+    def _install(self, applied_upto: int, snapshot: Any) -> None:
+        """Jump to ``snapshot``, the state after slots ``0..applied_upto``:
+        their Paxos state goes, as if they had been applied here."""
+        self.state_machine.restore(snapshot)
+        self.applied_upto = applied_upto
+        self.accepted = {s: e for s, e in self.accepted.items() if s > applied_upto}
+        self.chosen = {s: v for s, v in self.chosen.items() if s > applied_upto}
+        self._proposals = {s: v for s, v in self._proposals.items() if s > applied_upto}
+        self._phase2_acks = {s: a for s, a in self._phase2_acks.items() if s > applied_upto}
+        self._apply_ready()
 
     # ------------------------------------------------------------------
     # phase 2 and learning
     # ------------------------------------------------------------------
     def on_phase2a(self, msg: Phase2a, sender: str) -> None:
-        if msg.ballot < self.promised:
-            return
-        self.promised = msg.ballot
-        self.leader_hint = msg.ballot[1]
-        self.accepted[msg.slot] = (msg.ballot, msg.value)
-        self.send(sender, Phase2b(ballot=msg.ballot, slot=msg.slot))
+        ballot = msg.ballot
+        if ballot != self.promised:
+            if ballot < self.promised:
+                return
+            self._promise(ballot)
+        if msg.slot > self.applied_upto:
+            self.accepted[msg.slot] = (ballot, msg.value)
+        self.send(sender, Phase2b(ballot=ballot, slot=msg.slot))
 
     def on_phase2b(self, msg: Phase2b, sender: str) -> None:
         # A slot's acks are dropped at its majority: a late ack finds none.
@@ -285,12 +388,18 @@ class PaxosReplica(Process):
         self._apply_ready()
 
     def _apply_ready(self) -> None:
-        while self.applied_upto + 1 in self.chosen:
+        chosen, accepted = self.chosen, self.accepted
+        while self.applied_upto + 1 in chosen:
             slot = self.applied_upto + 1
-            value = self.chosen[slot]
-            del self.chosen[slot]
-            result = self.state_machine.apply(value.command)
+            value = chosen[slot]
+            del chosen[slot]
+            if slot in accepted:
+                del accepted[slot]
             self.applied_upto = slot
+            if value is _NOOP:
+                self._proposals.pop(slot, None)
+                continue
+            result = self.state_machine.apply(value.command)
             if slot in self._proposals:
                 del self._proposals[slot]
                 if self.leading:

@@ -24,7 +24,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.baselines.paxos import RsmCommand, RsmResponse, StateMachine
 from repro.core.batching import BatchPolicy, MessageBatcher
-from repro.core.certification import CertificationScheme
+from repro.core.certification import CertificationScheme, VoteIndex
 from repro.core.coordinator import AdmissionGate
 from repro.core.directory import TransactionDirectory
 from repro.core.messages import CertifyRequest, TxnDecision
@@ -61,6 +61,16 @@ class CommandBatch:
     commands: Tuple[Any, ...]
 
 
+@dataclass(frozen=True)
+class CertificationSnapshot:
+    """A :class:`CertificationStateMachine`'s state, copied: its prepared
+    transactions, decisions and vote index (the scheme is shared)."""
+
+    prepared: Dict[TxnId, Tuple[Any, Decision]]
+    decisions: Dict[TxnId, Decision]
+    index: VoteIndex
+
+
 class CertificationStateMachine(StateMachine):
     """Shard-local certification as a replicated state machine.
 
@@ -80,6 +90,14 @@ class CertificationStateMachine(StateMachine):
         # is identical by construction.
         self._index = scheme.make_vote_index(shard)
         self.decisions: Dict[TxnId, Decision] = {}
+
+    def snapshot(self) -> CertificationSnapshot:
+        return CertificationSnapshot(dict(self.prepared), dict(self.decisions), self._index.copy())
+
+    def restore(self, snapshot: CertificationSnapshot) -> None:
+        self.prepared = dict(snapshot.prepared)
+        self.decisions = dict(snapshot.decisions)
+        self._index = snapshot.index.copy()
 
     def apply(self, command: Any) -> Any:
         if isinstance(command, PrepareCommand):

@@ -63,6 +63,11 @@ class VoteIndex(Generic[PayloadT]):
     def vote(self, payload: PayloadT) -> Decision:
         raise NotImplementedError
 
+    def copy(self) -> "VoteIndex[PayloadT]":
+        """An index with the same state that shares nothing mutable with
+        this one (a Paxos replica's state machine snapshot carries one)."""
+        raise NotImplementedError
+
     def write_pending(self, obj: Any) -> bool:
         """True iff a prepared-to-commit payload writes ``obj``."""
         raise NotImplementedError

@@ -313,6 +313,14 @@ class _ReadWriteVoteIndex(VoteIndex[TransactionPayload]):
             if current is None or version > current.commit_version:
                 self.committed_writer[obj] = payload
 
+    def copy(self) -> "_ReadWriteVoteIndex":
+        # The dicts' values are immutable payloads and counts.
+        twin = type(self)(self.sharding, self.shard)
+        twin.committed_writer = dict(self.committed_writer)
+        twin.prepared_readers = dict(self.prepared_readers)
+        twin.prepared_writers = dict(self.prepared_writers)
+        return twin
+
     def write_pending(self, obj: ObjectId) -> bool:
         return obj in self.prepared_writers
 

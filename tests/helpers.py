@@ -165,6 +165,11 @@ class ScanVoteIndex(VoteIndex):
     def vote(self, payload) -> Decision:
         return scan_vote(self.scheme, self.shard, self.committed, self.prepared, payload)
 
+    def copy(self) -> "ScanVoteIndex":
+        twin = ScanVoteIndex(self.scheme, self.shard)
+        twin.committed, twin.prepared = list(self.committed), list(self.prepared)
+        return twin
+
     def write_pending(self, obj) -> bool:
         return any(obj in other.written_objects for other in self.prepared)
 

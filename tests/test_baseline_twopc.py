@@ -226,6 +226,38 @@ def test_state_machine_over_the_scan_index_votes_like_the_scan(scheme, sequence)
     assert machine._index.committed == reference.committed
 
 
+@pytest.mark.parametrize("scheme", [SER, SI], ids=["serializability", "snapshot-isolation"])
+@given(sequence=command_sequences(), split=st.integers(0, 24))
+@settings(max_examples=60, deadline=None)
+def test_a_restored_state_machine_votes_like_its_source_and_shares_nothing(
+    scheme, sequence, split
+):
+    """A replica that fell behind installs a snapshot of another's state
+    machine (``repro.baselines.paxos``): it must vote like the source from
+    there on, and a copy restored from the same snapshot after both ran on
+    must vote like a replay of the prefix, so neither ``snapshot`` nor
+    ``restore`` shares a container."""
+    population, steps, _ = sequence
+    for shard in SHARDS:
+        commands = list(_commands(scheme, shard, population, steps))
+        source, replay = (CertificationStateMachine(shard, scheme) for _ in range(2))
+        for command in commands[:split]:
+            source.apply(command)
+            replay.apply(command)
+        snapshot = source.snapshot()
+        restored = CertificationStateMachine(shard, scheme)
+        restored.restore(snapshot)
+        for command in commands[split:]:
+            assert restored.apply(command) == source.apply(command)
+        assert restored.prepared == source.prepared
+        assert restored.decisions == source.decisions
+        late = CertificationStateMachine(shard, scheme)
+        late.restore(snapshot)
+        for command in commands[split:]:
+            assert late.apply(command) == replay.apply(command)
+        assert late.prepared == replay.prepared and late.decisions == replay.decisions
+
+
 def test_a_scheme_must_supply_both_indexes():
     """No production path falls back to a scan: a scheme without a vote or
     conflict index is rejected where it is first asked for one."""
