@@ -416,53 +416,6 @@ class DetectorStats(_CounterMapping):
         )
 
 
-@dataclass(frozen=True)
-class SpeedupReport:
-    """Wall-clock comparison of the same task set run serially and fanned
-    out over a worker pool (the merge-path summary behind
-    ``BENCH_parallel.json``).
-
-    Both runs must have executed the identical task list — the parallel
-    executor guarantees byte-identical results, so the only thing allowed
-    to differ is the wall clock.
-    """
-
-    tasks: int
-    jobs: int
-    serial_wall_seconds: float
-    parallel_wall_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        """Serial wall time over parallel wall time (1.0 = no gain)."""
-        if self.parallel_wall_seconds <= 0.0:
-            return float("inf")
-        return self.serial_wall_seconds / self.parallel_wall_seconds
-
-    @property
-    def efficiency(self) -> float:
-        """Speedup per worker (1.0 = perfect linear scaling)."""
-        return self.speedup / self.jobs if self.jobs else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "tasks": self.tasks,
-            "jobs": self.jobs,
-            "serial_wall_seconds": self.serial_wall_seconds,
-            "parallel_wall_seconds": self.parallel_wall_seconds,
-            "speedup": self.speedup,
-            "efficiency": self.efficiency,
-        }
-
-    def render(self) -> str:
-        return (
-            f"{self.tasks} tasks: serial {self.serial_wall_seconds:.2f}s, "
-            f"jobs={self.jobs} {self.parallel_wall_seconds:.2f}s "
-            f"-> speedup {self.speedup:.2f}x "
-            f"(efficiency {self.efficiency:.0%})"
-        )
-
-
 def leader_load(stats, leaders: Sequence[str], num_transactions: int) -> float:
     """Average messages handled (sent + received) per transaction per leader."""
     if num_transactions <= 0 or not leaders:

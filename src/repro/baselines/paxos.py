@@ -13,6 +13,11 @@ The implementation is a classical Multi-Paxos:
   optimisation); a replica that wants to take over calls
   :meth:`PaxosReplica.become_leader`, which runs phase 1 for all slots and
   adopts the highest-ballot accepted values it learns about;
+* an acceptor answers a ``Phase1a`` or ``Phase2a`` whose ballot is below
+  its promise with a :class:`Nack` carrying that promise; the proposer
+  promises it too, which deposes a stale leader and abandons a phase-1
+  round that can no longer win, so its next ``become_leader`` picks a
+  round above every promise it has been told of;
 * commands are applied to the state machine strictly in slot order, and the
   proposing leader answers the client once the command's slot is applied.
 
@@ -119,6 +124,13 @@ class Phase2b:
 
 
 @dataclass(frozen=True)
+class Nack:
+    """An acceptor's refusal of a ballot below its promise."""
+
+    promised: Ballot
+
+
+@dataclass(frozen=True)
 class Chosen:
     slot: int
     value: Any
@@ -187,8 +199,9 @@ class PaxosReplica(Process):
         self.next_slot = 0
         self._proposals: Dict[int, _SlotValue] = {}
         self._phase2_acks: Dict[int, Set[str]] = {}
-        # The promises for the current ballot, until it wins phase 1.
-        self._phase1_acks: Dict[str, Phase1b] = {}
+        # The promises for the current ballot while its phase 1 is
+        # pending; None once it won or was abandoned.
+        self._phase1_acks: Optional[Dict[str, Phase1b]] = None
 
         # Learner state.  A slot's ``chosen`` entry, and its proposal at
         # the leader, live only until the slot is applied; ``applied_upto``
@@ -276,9 +289,17 @@ class PaxosReplica(Process):
         self.leader_hint = ballot[1]
         if self.leading and ballot[1] != self.pid:
             self.leading = False
+        if ballot > self.ballot:
+            # This proposer's phase-1 round can no longer win.
+            self._phase1_acks = None
+
+    def on_nack(self, msg: Nack, sender: str) -> None:
+        if msg.promised > self.promised:
+            self._promise(msg.promised)
 
     def on_phase1a(self, msg: Phase1a, sender: str) -> None:
         if msg.ballot < self.promised:
+            self.send(sender, Nack(promised=self.promised))
             return
         self._promise(msg.ballot)
         accepted = tuple(
@@ -296,13 +317,13 @@ class PaxosReplica(Process):
         )
 
     def on_phase1b(self, msg: Phase1b, sender: str) -> None:
-        if msg.ballot != self.ballot or self.leading:
-            return
         acks = self._phase1_acks
+        if msg.ballot != self.ballot or acks is None:
+            return
         acks[sender] = msg
         if len(acks) < self.majority:
             return
-        self._phase1_acks = {}
+        self._phase1_acks = None
         self.leading = True
         self.leader_hint = self.pid
         # Install the most advanced snapshot of the quorum, then adopt the
@@ -357,6 +378,7 @@ class PaxosReplica(Process):
         ballot = msg.ballot
         if ballot != self.promised:
             if ballot < self.promised:
+                self.send(sender, Nack(promised=self.promised))
                 return
             self._promise(ballot)
         if msg.slot > self.applied_upto:

@@ -9,7 +9,7 @@ the ``python -m repro.scenarios`` CLI all run on this engine.
 
 Every name below is imported on first access (PEP 562): a run built from
 :class:`ScenarioSpec` and :class:`ScenarioRunner` loads neither the
-scenario library, the sweep axes nor the process-pool executor.
+scenario library nor the sweep axes.
 """
 
 from repro import _lazy_exports
@@ -23,10 +23,6 @@ _EXPORTS = {
     **dict.fromkeys(
         ("ScenarioResult", "ScenarioRunner", "run_scenario"),
         "repro.scenarios.runner",
-    ),
-    **dict.fromkeys(
-        ("run_repetitions", "run_scenarios", "run_sweep"),
-        "repro.scenarios.executor",
     ),
     **dict.fromkeys(
         (
@@ -64,6 +60,7 @@ _EXPORTS = {
             "parse_latency",
             "parse_read_ratio",
             "run_axis_sweep",
+            "run_sweep",
         ),
         "repro.scenarios.sweep",
     ),

@@ -4,9 +4,9 @@ Usage::
 
     python -m repro.scenarios list
     python -m repro.scenarios run steady-state [--seed 7] [--txns 40] [--json]
-    python -m repro.scenarios run steady-state bank-transfers --jobs 2
+    python -m repro.scenarios run steady-state bank-transfers
     python -m repro.scenarios sweep steady-state --protocols message-passing,rdma
-    python -m repro.scenarios sweep steady-state --latency default --jobs 4
+    python -m repro.scenarios sweep steady-state --latency default
     python -m repro.scenarios sweep steady-state \
         --latency unit --latency lognormal:mean=2,sigma=0.8
     python -m repro.scenarios sweep steady-state --batch default
@@ -38,10 +38,10 @@ stats per point (``--bandwidth default`` expands to off/8000/2000/500).
 The grid flags are mutually exclusive and generated, one per axis, from
 :data:`repro.scenarios.sweep.AXES`.
 
-``--jobs N`` fans whole runs — the scenarios listed on ``run``, the grid
-points / protocols of a ``sweep`` — out over ``N`` worker processes
-(``0`` = one per core; see ``repro.runtime.parallel``).  Output is byte for
-byte that of ``--jobs 1``: results always come back in spec order.
+Every run executes serially, in one process, in the order given: the
+scenarios listed on ``run``, then the protocols and grid points of a
+``sweep``.  To spread independent runs over cores, start one process per
+run from the shell (README, "One run, one heap").
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.scenarios.executor import run_scenarios, run_sweep
 from repro.scenarios.library import SCENARIOS, get_scenario, scenario_names
+from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import CHECK_MODES, ScenarioError, ScenarioSpec
-from repro.scenarios.sweep import AXES, parse_batch, parse_latency, run_axis_sweep
+from repro.scenarios.sweep import AXES, parse_batch, parse_latency, run_axis_sweep, run_sweep
 
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
@@ -94,7 +94,7 @@ def _cmd_list() -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     specs = [_apply_overrides(get_scenario(name), args) for name in args.names]
-    results = run_scenarios(specs, jobs=args.jobs)
+    results = [ScenarioRunner(spec).run() for spec in specs]
     if args.json:
         if len(results) == 1:
             print(json.dumps(results[0].as_dict(), indent=2))
@@ -132,11 +132,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         axis, points = requested[0]
         grid = axis.parse(points)
         outcomes = {
-            protocol: run_axis_sweep(spec, axis, grid, jobs=args.jobs, protocol=protocol)
+            protocol: run_axis_sweep(spec, axis, grid, protocol=protocol)
             for protocol in protocols
         }
     else:
-        outcomes = run_sweep(spec, protocols, jobs=args.jobs)
+        outcomes = run_sweep(spec, protocols)
     # A SweepResult per protocol, or (no grid flag) a ScenarioResult per
     # protocol: both offer as_dict / render / passed.
     if args.json:
@@ -163,15 +163,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help="closed-loop client think time in delays (0 = batch-driven)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent runs (scenarios, sweep grid points, protocols) "
-        "out over N worker processes; 0 = one per core; results are "
-        "byte-identical to --jobs 1",
     )
     parser.add_argument("--json", action="store_true", help="emit the result as JSON")
 

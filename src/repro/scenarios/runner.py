@@ -139,8 +139,8 @@ class ScenarioResult:
     def _subsystems(self) -> Dict[str, Any]:
         """Every section as its flat JSON keys: the label, then the counters.
         Reads ``__dict__``, never ``self.<field>``: ``__getattr__`` lands
-        here for the blank instance that pickle (every ``--jobs`` result)
-        and copy probe for ``__setstate__`` before any field exists."""
+        here for the blank instance that ``copy`` and pickle probe for
+        ``__setstate__`` before any field exists."""
         flat: Dict[str, Any] = {}
         for name, _title, _collect in SECTIONS:
             section = self.__dict__.get(name)

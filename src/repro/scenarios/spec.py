@@ -208,11 +208,10 @@ EXEC_MODES = ("serial", "parallel-shards")
 class ExecSpec:
     """How a scenario executes — never *what* it computes.
 
-    ``jobs`` is how many worker processes fan out whole runs (sweep grid
-    points, repetitions); 0 means one per core.  The runner ignores
-    ``mode`` and ``groups``, so ``ExecSpec(mode="parallel-shards",
-    groups=G)`` is a serial run whose history digest equals the serial
-    spelling's by construction.  They remain only because the benchmark's
+    Every run executes on the one serial event heap, so the runner ignores
+    ``mode`` and ``groups``: ``ExecSpec(mode="parallel-shards", groups=G)``
+    is a serial run whose history digest equals the serial spelling's by
+    construction.  They remain only because the benchmark's
     ``mp-steady-grouped`` workload spells them, and the follow-up
     ``[benchmark]`` change that retires that workload deletes ``mode``,
     ``groups`` and ``EXEC_MODES`` with it.  Execution settings are
@@ -220,7 +219,6 @@ class ExecSpec:
     byte-identical results whatever the execution plan.
     """
 
-    jobs: int = 1
     mode: str = "serial"
     groups: int = 2
 
@@ -229,8 +227,6 @@ class ExecSpec:
             raise ScenarioError(
                 f"unknown exec mode {self.mode!r}; expected one of {EXEC_MODES}"
             )
-        if self.jobs < 0:
-            raise ScenarioError("jobs must be >= 0 (0 = one worker per core)")
         if self.mode == "parallel-shards" and self.groups < 2:
             raise ScenarioError("parallel-shards needs at least two groups")
 
@@ -283,8 +279,8 @@ class ScenarioSpec:
     # Correct protocols must produce a safe history; ablation scenarios
     # document the expected violation by setting this to False.
     expect_safe: bool = True
-    # Execution plan (process fan-out).  Excluded from result dicts: it
-    # decides how the run executes, not what it computes, and every plan
+    # Execution spelling (see ExecSpec).  Excluded from result dicts: it
+    # names how the run executes, not what it computes, and every spelling
     # must yield byte-identical results.
     execution: ExecSpec = field(default_factory=ExecSpec)
 

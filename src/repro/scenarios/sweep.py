@@ -5,7 +5,8 @@ workload, faults and seed) once per grid point and collects the results
 into a curve.  What varies is described by a :class:`SweepAxis` — a value,
 not a subclass: how a point is parsed, ordered, labelled and applied to
 the spec, and which curve fields and table columns the result shows.  One
-:func:`run_axis_sweep` and one :class:`SweepResult` serve every axis.
+:func:`run_axis_sweep` and one :class:`SweepResult` serve every axis;
+:func:`run_sweep` is the grid-less comparison of protocols.
 
 The stock axes, in :data:`AXES` order:
 
@@ -50,8 +51,7 @@ from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import format_table
-from repro.scenarios.executor import run_scenarios
-from repro.scenarios.runner import ScenarioResult
+from repro.scenarios.runner import ScenarioResult, ScenarioRunner
 from repro.scenarios.spec import (
     LATENCY_MODELS,
     BatchSpec,
@@ -254,30 +254,37 @@ def run_axis_sweep(
     spec: ScenarioSpec,
     axis: SweepAxis,
     grid: Optional[Sequence[Any]] = None,
-    jobs: int = 1,
     **overrides: Any,
 ) -> SweepResult:
     """Run ``spec`` once per point of ``grid`` (the axis's stock grid when
     omitted), optionally overriding spec fields first.  Every point reuses
     the spec's seed, workload, faults and every model the axis does not
-    rewrite, so the curve isolates the effect of the axis.
-
-    The grid is sorted canonically (:meth:`SweepAxis.sort`), and with
-    ``jobs > 1`` the points fan out over a process pool — the sweep result
-    is byte-identical for any ``jobs`` value.
+    rewrite, so the curve isolates the effect of the axis.  The grid is
+    sorted canonically (:meth:`SweepAxis.sort`) and its points run in that
+    order.
     """
     if overrides:
         spec = spec.with_overrides(**overrides)
     points = axis.sort(axis.stock if grid is None else grid)
-    results = run_scenarios([axis.apply(spec, point) for point in points], jobs=jobs)
     return SweepResult(
         axis=axis,
         scenario=spec.name,
         protocol=spec.protocol,
         seed=spec.seed,
         context=axis.context(spec) if axis.context else None,
-        points=[(axis.label(point), result) for point, result in zip(points, results)],
+        points=[
+            (axis.label(point), ScenarioRunner(axis.apply(spec, point)).run())
+            for point in points
+        ],
     )
+
+
+def run_sweep(spec: ScenarioSpec, protocols: Sequence[str]) -> Dict[str, ScenarioResult]:
+    """Run the same scenario under several protocols (same seed/workload)."""
+    return {
+        protocol: ScenarioRunner(spec.with_overrides(protocol=protocol)).run()
+        for protocol in protocols
+    }
 
 
 # ----------------------------------------------------------------------

@@ -348,11 +348,10 @@ class History:
 
         Two histories digest equal iff they recorded the same actions, on
         the same transactions with the same payloads and decisions, in the
-        same order at the same virtual times — the byte-identity contract
-        process fan-out (``--jobs``) is held to.  Stable across processes
+        same order at the same virtual times.  Stable across processes
         and ``PYTHONHASHSEED`` values (unordered payload containers are
-        canonicalized first), so digests can be compared between a serial
-        parent and pool workers, or across machines.  Each event was folded
+        canonicalized first), so digests can be compared between
+        interpreters, commits or machines.  Each event was folded
         in as it was recorded, so a call copies the running hash: O(1), and
         the history keeps reading events after it.
 

@@ -1,9 +1,10 @@
 """What a process imports: only the stack it runs.
 
 A fresh interpreter that runs a small steady state on one protocol stack
-must not load another stack, the scenario library, the sweep axes or the
+must not load another stack, the scenario library, the sweep axes or a
 process pool, and must fingerprint its history without ``hashlib`` (which
 loads OpenSSL's libcrypto, about 3.5 MB of every process's peak RSS).
+A CLI run of several scenarios runs them in turn and loads no pool either.
 The lazy package exports must still all resolve.  Each case runs in its
 own interpreter: in this one, other tests have imported everything.
 """
@@ -39,13 +40,18 @@ assert result.passed and result.history_digest, result.check_reason
 print(json.dumps(sorted(sys.modules)))
 """
 
+# Every run executes in the process that asked for it.
+CLI_SCRIPT = """
+import json, sys
+from repro.scenarios.__main__ import main
+
+assert main(["run", "steady-state", "bank-transfers", "--txns", "20"]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
 STACKS = ("repro.rdma", "repro.baselines")
-NEVER_ON_A_RUN = (
-    "repro.scenarios.library",
-    "repro.scenarios.sweep",
-    "repro.scenarios.executor",
-    "repro.runtime.parallel",
-)
+POOL = ("multiprocessing", "concurrent.futures")
+NEVER_ON_A_RUN = ("repro.scenarios.library", "repro.scenarios.sweep") + POOL
 # hashlib stands in for the interpreter's own SHA-256 only where it lacks one.
 HASHLIB = (
     ("hashlib", "_hashlib")
@@ -64,9 +70,8 @@ def _fresh(script: str) -> str:
     return completed.stdout
 
 
-def _loaded(protocol: str, replicas: int) -> set:
-    output = _fresh(RUN_SCRIPT.format(protocol=protocol, replicas=replicas))
-    return set(json.loads(output.splitlines()[-1]))
+def _modules_after(script: str) -> set:
+    return set(json.loads(_fresh(script).splitlines()[-1]))
 
 
 def _under(modules: set, package: str) -> list:
@@ -78,12 +83,17 @@ def _under(modules: set, package: str) -> list:
     [("message-passing", 2, None), ("rdma", 2, "repro.rdma"), ("2pc-paxos", 3, "repro.baselines")],
 )
 def test_a_run_loads_only_its_own_stack(protocol, replicas, stack):
-    modules = _loaded(protocol, replicas)
+    modules = _modules_after(RUN_SCRIPT.format(protocol=protocol, replicas=replicas))
     for package in STACKS + NEVER_ON_A_RUN + HASHLIB:
         if package == stack:
             assert _under(modules, package), f"a {protocol} run did not load {package}"
         else:
             assert not _under(modules, package), (protocol, _under(modules, package))
+
+
+def test_a_cli_run_of_two_scenarios_loads_no_process_pool():
+    modules = _modules_after(CLI_SCRIPT)
+    assert not [m for package in POOL for m in _under(modules, package)]
 
 
 def test_every_lazy_export_resolves():

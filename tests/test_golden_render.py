@@ -12,8 +12,8 @@ pinned to their output byte for byte (``golden_digests.json`` pins the
 also checks through the real CLI).
 
 The structural tests below pin what the sections table promises: one owner
-per JSON key, a result that stays small, and a result that survives the
-pickle round-trip ``--jobs`` puts it through.
+per JSON key, a result that stays small, and a result that survives a
+pickle round-trip (pickle and ``copy`` probe a blank instance first).
 
 Regenerate (only for a deliberate change of the rendered report or the JSON
 vocabulary, and say so in CHANGES.md)::

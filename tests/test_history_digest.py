@@ -355,6 +355,25 @@ def test_digest_does_not_depend_on_the_hash_seed():
     assert history.digest() == "c77090461e6f5b8af40478a2cdcf08a9c93107f75fa370003bf07608eb9162a5"
 
 
+def test_history_digest_is_payload_order_independent():
+    from repro.core.serializability import TransactionPayload
+
+    def build(reads):
+        history = History()
+        payload = TransactionPayload.make(
+            reads=reads, writes=[(k, 1) for k, _ in reads], tiebreak="t"
+        )
+        history.record_certify("t1", payload, 1.0)
+        return history
+
+    reads = [(f"key-{i}", (0, "")) for i in range(6)]
+    assert build(reads).digest() == build(list(reversed(reads))).digest()
+
+    other = History()
+    other.record_certify("t2", None, 1.0)
+    assert other.digest() != build(reads).digest()
+
+
 # ----------------------------------------------------------------------
 # (b) the histories real runs record, on all three stacks
 # ----------------------------------------------------------------------

@@ -134,6 +134,55 @@ def test_deposed_leader_stops_leading():
     assert not old_leader.leading
 
 
+def _deposed_by_three_elections():
+    """The initial leader was partitioned away while replica 1 won three
+    elections, and is reachable again: a majority promised round 4, and the
+    old leader still believes it leads at round 1."""
+    scheduler, network, group, client = build(size=3)
+    old, new_leader, _ = (group.replica(pid) for pid in group.pids)
+    network.partition([old.pid], [new_leader.pid, group.pids[2]])
+    for _ in range(3):
+        new_leader.become_leader()
+        scheduler.run()
+    assert new_leader.leading and new_leader.ballot == (4, new_leader.pid)
+    network.heal()
+    assert old.leading and old.promised == (1, old.pid)
+    return scheduler, network, group, client, old, new_leader
+
+
+def test_a_stale_leader_is_nacked_into_following_the_new_one():
+    """The majority answers the stale leader's ``Phase2a`` with its promise:
+    the old leader stops leading and forwards the next command there."""
+    scheduler, network, group, client, old, new_leader = _deposed_by_three_elections()
+    client.request(old.pid, "stale")
+    scheduler.run()
+    assert not old.leading and old.leader_hint == new_leader.pid
+    assert old.promised == new_leader.ballot
+    rid = client.request(old.pid, "forwarded")
+    scheduler.run()
+    assert client.responses[rid] == 1
+    for replica in group.replicas:
+        assert replica.state_machine.log == ["forwarded"]
+
+
+def test_a_candidate_two_rounds_under_a_promise_wins_its_second_election():
+    """A candidate at round 2 under a majority's round-4 promise it never
+    saw is nacked: it abandons that round, and its next ``become_leader``
+    picks round 5 and wins."""
+    scheduler, network, group, client, old, new_leader = _deposed_by_three_elections()
+    assert old.become_leader() == (2, old.pid)
+    scheduler.run()
+    assert not old.leading and old.promised == new_leader.ballot
+    assert old.become_leader() == (5, old.pid)
+    scheduler.run()
+    assert old.leading and not new_leader.leading
+    rid = client.request(old.pid, "cmd-0")
+    scheduler.run()
+    assert client.responses[rid] == 1
+    for replica in group.replicas:
+        assert replica.state_machine.log == ["cmd-0"]
+
+
 def test_ballots_are_totally_ordered_by_round_then_pid():
     scheduler, network, group, client = build(size=3)
     first = group.replica(group.pids[1]).become_leader()
@@ -331,13 +380,14 @@ def test_logs_agree_under_partitions_crashes_and_leader_changes(size, steps, fin
     _check_logs(group, commands, client)
 
     # Heal, elect one final leader and serve one more command: every live
-    # replica then holds the same log.  Acceptors send no nack, so the
-    # candidate retries until its round passes every promise (each earlier
-    # election raised the highest round by at most one).
+    # replica then holds the same log.  A live acceptor nacks a round below
+    # its promise with that promise, so a first election that loses leaves
+    # the candidate promised to the highest round it is under, and the
+    # second picks a round above every live promise.
     network.heal()
     live = [replica for replica in group.replicas if replica.pid not in crashed]
     leader = live[final % len(live)]
-    for _ in range(len(steps) + 1):
+    for _ in range(2):
         leader.become_leader()
         scheduler.run()
         if leader.leading:

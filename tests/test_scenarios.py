@@ -801,6 +801,17 @@ def test_cli_run_shorthand_and_overrides(capsys):
     assert data["passed"] is True
 
 
+def test_cli_run_accepts_multiple_scenarios(capsys):
+    import json
+
+    from repro.scenarios.__main__ import main
+
+    code = main(["run", "steady-state", "bank-transfers", "--txns", "20", "--json"])
+    assert code == 0
+    document = json.loads(capsys.readouterr().out)
+    assert set(document) == {"steady-state", "bank-transfers"}
+
+
 def test_cli_check_mode_and_think_time_overrides(capsys):
     assert scenarios_main(
         ["steady-state", "--txns", "20", "--check-mode", "off",
