@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.paxos import PaxosGroup, RsmCommand, StateMachine
+from repro.baselines.paxos import Nack, PaxosGroup, RsmCommand, StateMachine
 from repro.runtime.events import Scheduler
 from repro.runtime.network import Network
 from repro.runtime.process import Process
@@ -177,6 +177,26 @@ def test_a_candidate_two_rounds_under_a_promise_wins_its_second_election():
     scheduler.run()
     assert old.leading and not new_leader.leading
     rid = client.request(old.pid, "cmd-0")
+    scheduler.run()
+    assert client.responses[rid] == 1
+    for replica in group.replicas:
+        assert replica.state_machine.log == ["cmd-0"]
+
+
+def test_a_late_nack_below_the_promise_changes_nothing():
+    """A ``Nack`` that arrives after its promise was overtaken (here one for
+    the bootstrap round, reaching the round-2 leader) neither lowers the
+    promise nor deposes the leader."""
+    scheduler, network, group, client = build(size=3)
+    old = group.replica(group.leader)
+    new_leader = group.replica(group.pids[1])
+    new_leader.become_leader()
+    scheduler.run()
+    assert new_leader.leading and new_leader.promised == (2, new_leader.pid)
+    new_leader.on_nack(Nack(promised=(1, old.pid)), group.pids[2])
+    assert new_leader.leading and new_leader.leader_hint == new_leader.pid
+    assert new_leader.promised == (2, new_leader.pid)
+    rid = client.request(new_leader.pid, "cmd-0")
     scheduler.run()
     assert client.responses[rid] == 1
     for replica in group.replicas:

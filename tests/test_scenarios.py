@@ -24,6 +24,7 @@ from repro.scenarios import (
     get_scenario,
     run_axis_sweep,
     run_scenario,
+    run_sweep,
     scenario_names,
 )
 from repro.scenarios.__main__ import main as scenarios_main
@@ -810,6 +811,33 @@ def test_cli_run_accepts_multiple_scenarios(capsys):
     assert code == 0
     document = json.loads(capsys.readouterr().out)
     assert set(document) == {"steady-state", "bank-transfers"}
+
+
+def test_cli_run_of_several_scenarios_equals_each_run_alone(capsys):
+    """What lets ``xargs -P`` fan runs out from the shell: each entry of a
+    multi-scenario ``run --json`` is what ``run NAME --json`` prints for
+    that scenario alone, whichever ran first."""
+    import json
+
+    from repro.scenarios.__main__ import main
+
+    names = ["steady-state", "bank-transfers", "leader-crash-under-load"]
+    assert main(["run", *names, "--txns", "20", "--json"]) == 0
+    together = json.loads(capsys.readouterr().out)
+    for name in reversed(names):
+        assert main(["run", name, "--txns", "20", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == together[name]
+
+
+def test_run_sweep_equals_each_protocol_run_alone():
+    spec = get_scenario("steady-state")
+    spec = spec.with_overrides(workload=replace(spec.workload, txns=30))
+    protocols = ("message-passing", "rdma")
+    outcomes = run_sweep(spec, protocols)
+    assert list(outcomes) == list(protocols)
+    for protocol in reversed(protocols):
+        alone = run_scenario(spec.with_overrides(protocol=protocol))
+        assert alone.as_dict() == outcomes[protocol].as_dict()
 
 
 def test_cli_check_mode_and_think_time_overrides(capsys):

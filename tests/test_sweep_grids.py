@@ -3,7 +3,8 @@
 A grid is sorted and de-duplicated before it runs, so a sweep's output
 depends only on the *set* of points requested; the stock grid each axis
 expands ``default`` to is already in that order, and a point its parser
-cannot read is a :class:`ScenarioError`.
+cannot read is a :class:`ScenarioError`.  The points run one after another
+in one process, and each one's result is what its spec gives run alone.
 """
 
 import json
@@ -18,6 +19,7 @@ from repro.scenarios import (
     BatchSpec,
     LatencySpec,
     ScenarioError,
+    ScenarioRunner,
     ScenarioSpec,
     get_scenario,
     run_axis_sweep,
@@ -69,6 +71,23 @@ def test_sweep_output_independent_of_grid_input_order(axis):
     assert json.dumps(run_axis_sweep(spec, axis, shuffled).as_dict()) == json.dumps(
         run_axis_sweep(spec, axis, axis.stock).as_dict()
     )
+
+
+@every_axis
+def test_each_sweep_point_equals_its_spec_run_alone(axis):
+    """A point's result does not depend on the points run before it in the
+    same process: rerunning each point's spec alone, last point first,
+    gives the sweep's result byte for byte."""
+    spec = _axis_spec(axis)
+    sweep = run_axis_sweep(spec, axis)
+    assert sweep.passed
+    results = dict(sweep.points)
+    assert len(results) == len(axis.stock)
+    for point in reversed(axis.stock):
+        alone = ScenarioRunner(axis.apply(spec, point)).run()
+        assert json.dumps(alone.as_dict(), sort_keys=True) == json.dumps(
+            results[axis.label(point)].as_dict(), sort_keys=True
+        )
 
 
 @every_axis
