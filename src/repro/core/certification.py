@@ -68,6 +68,17 @@ class VoteIndex(Generic[PayloadT]):
         this one (a Paxos replica's state machine snapshot carries one)."""
         raise NotImplementedError
 
+    def settled(self) -> Any:
+        """The committed state alone, as a plain value that shares nothing
+        mutable with this index: the settled summary a ``NEW_STATE``
+        carries, sized on the wire by what it holds."""
+        raise NotImplementedError
+
+    def load_settled(self, settled: Any) -> None:
+        """Replace the committed state with a copy of ``settled`` (a value
+        :meth:`settled` returned)."""
+        raise NotImplementedError
+
     def write_pending(self, obj: Any) -> bool:
         """True iff a prepared-to-commit payload writes ``obj``."""
         raise NotImplementedError

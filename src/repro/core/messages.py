@@ -244,7 +244,11 @@ class NewConfig:
 @dataclass(frozen=True)
 class NewState:
     """``NEW_STATE(e, M, txn, payload, vote, dec, phase)``: the new leader's
-    full state transferred to its followers (line 60)."""
+    state transferred to its followers (line 60; Figure 8, line 146, whose
+    epoch is the global one).  ``payload`` holds the undecided slots'
+    payloads only: what the decided slots committed travels as
+    ``summary``, the leader's settled summary
+    (:meth:`repro.core.votecache.LeaderVoteCache.settled`)."""
 
     epoch: int
     members: Tuple[str, ...]
@@ -253,6 +257,7 @@ class NewState:
     vote: Dict[int, Decision]
     dec: Dict[int, Decision]
     phase: Dict[int, Phase]
+    summary: Any
 
 
 @dataclass(frozen=True)

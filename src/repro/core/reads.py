@@ -105,10 +105,11 @@ class ReplicaReadEngine:
 
     Installed on every shard replica when the cluster's read policy is
     enabled.  What a read observes is the replica's vote index
-    (:meth:`repro.core.votecache.LeaderVoteCache.index`), which the
-    replica's one write path into the certification order keeps equal to
-    a rebuild from its slot arrays; an object no committed slot wrote reads
-    as its seed at ``VERSION_ZERO``.
+    (:meth:`repro.core.votecache.LeaderVoteCache.index`): the settled
+    summary of its decided slots plus its undecided slots' commit votes,
+    which the replica's one write path into the certification order keeps
+    current; an object no committed slot wrote reads as its seed at
+    ``VERSION_ZERO``.
     """
 
     def __init__(self, replica, policy: ReadPolicy) -> None:

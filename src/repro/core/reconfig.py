@@ -313,30 +313,34 @@ class Reconfigurer:
     # ------------------------------------------------------------------
     # state transfer: the two halves of NEW_CONFIG / NEW_STATE
     # ------------------------------------------------------------------
-    def _lead_own_slots(self) -> Dict[str, Dict[int, Any]]:
+    def _lead_own_slots(self) -> Dict[str, Any]:
         """Become leader over the slots this process holds and snapshot
         them as a ``NEW_STATE`` carries them: a dict per array of its filled
-        entries, and the ``phase`` array derived from them (DECIDED on the
-        decided slots, PREPARED on the others that hold a transaction)."""
+        entries (payloads only for the undecided slots, the decided ones
+        having been folded), the ``phase`` array derived from them (DECIDED
+        on the decided slots, PREPARED on the others that hold a
+        transaction) and the settled summary of the decided slots."""
         self.status = Status.LEADER
         self._resume_order()
-        state: Dict[str, Dict[int, Any]] = {
-            "txn": {}, "payload": {}, "vote": {}, "dec": {}, "phase": {}
-        }
+        state: Dict[str, Any] = {"txn": {}, "payload": {}, "vote": {}, "dec": {}, "phase": {}}
         for slot, txn, payload, vote, dec in self.filled_slots():
             if txn is not None:
                 state["txn"][slot] = txn
-                state["payload"][slot] = payload
                 state["vote"][slot] = vote
-            if dec is not None:
+            if dec is None:
+                state["payload"][slot] = payload
+                state["phase"][slot] = Phase.PREPARED
+            else:
                 state["dec"][slot] = dec
-            state["phase"][slot] = Phase.PREPARED if dec is None else Phase.DECIDED
+                state["phase"][slot] = Phase.DECIDED
+        state["summary"] = self._votes.settled()
         return state
 
-    def _adopt_state(self, msg: Any) -> None:
+    def _adopt_state(self, msg: NewState) -> None:
         """Become an initialized follower holding the leader's slots, in
         lists as long as its highest filled slot needs (the ``phase`` field
-        follows from ``txn`` and ``dec``, so is not kept)."""
+        follows from ``txn`` and ``dec``, so is not kept), and the leader's
+        settled summary."""
         self.initialized = True
         self.status = Status.FOLLOWER
         self.new_epoch = msg.epoch
@@ -349,13 +353,15 @@ class Reconfigurer:
             arrays.append(array)
         self.txn_arr, self.payload_arr, self.vote_arr, self.dec_arr = arrays
         self.slot_of = {txn: slot for slot, txn in msg.txn.items()}
+        self._votes.adopt(msg.summary)
         self._resume_order()
 
     def _resume_order(self) -> None:
-        """The slot arrays were filled outside the one write path (ACCEPTs
-        while a follower, or a transfer): rebuild the vote index before the
-        next vote, and continue the order after the highest filled slot
-        (the lists may run past it)."""
+        """The slot arrays were filled while no vote index followed them
+        (ACCEPTs while a follower, or a transfer): rebuild the index from
+        the settled summary and the undecided slots before the next vote,
+        and continue the order after the highest filled slot (the lists
+        may run past it)."""
         self._votes.invalidate()
         slot = len(self.txn_arr) - 1
         while slot > 0 and self.txn_arr[slot] is None and self.dec_arr[slot] is None:

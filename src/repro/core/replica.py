@@ -73,7 +73,10 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
     by slot (``txn_arr``, ``payload_arr``, ``vote_arr``, ``dec_arr``; None
     where a slot holds nothing) and ``slot_of``.  Only ``store_slot`` /
     ``decide_slot`` and a state transfer write them; other code reads them
-    through :meth:`phase` and :meth:`filled_slots`, or by index.
+    through :meth:`phase` and :meth:`filled_slots`, or by index.  Only an
+    undecided slot holds a payload: a decided one is folded into the
+    settled summary of :class:`repro.core.votecache.LeaderVoteCache`, which
+    keeps what the decided payloads committed, and its payload dropped.
     """
 
     def __init__(
@@ -119,8 +122,9 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
 
         # The shard-local certification order: Figure 1's arrays ``txn``,
         # ``payload``, ``vote`` and ``dec`` as lists indexed by slot (slots
-        # start at 1), None where a slot holds nothing.  The four always have
-        # the same length: a write past it lengthens all four (``_grow``).
+        # start at 1), None where a slot holds nothing (and ``payload`` None
+        # on a decided slot).  The four always have the same length: a
+        # write past it lengthens all four (``_grow``).
         # Figure 1's fifth array, ``phase``, is not kept: it follows from
         # ``txn`` and ``dec`` (:meth:`phase`).
         self.next = 0
@@ -129,11 +133,15 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         self.vote_arr: List[Optional[Decision]] = []
         self.dec_arr: List[Optional[Decision]] = []
         self.slot_of: Dict[TxnId, int] = {}
+        # Payload-less writes that landed on an undecided slot (dropped).
+        self.payloadless_writes = 0
 
-        # Incremental conflict index for leader-side voting; replaces the
-        # per-PREPARE scan of the whole certification order.  It is derived
-        # from the slot arrays, which only ``store_slot`` / ``decide_slot``
-        # and a state transfer write, and snapshot reads are served from it.
+        # The settled summary of the decided slots and the leader's
+        # incremental conflict index over it, which replaces the
+        # per-PREPARE scan of the whole certification order.  Both follow
+        # ``store_slot`` / ``decide_slot`` and a state transfer, the only
+        # writers of the slot arrays, and snapshot reads are served from
+        # the index.
         self._votes = LeaderVoteCache(self)
 
         # Snapshot-read fast path (inert under the default certified-only
@@ -202,8 +210,9 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         self,
     ) -> Iterator[Tuple[int, Optional[TxnId], Any, Optional[Decision], Optional[Decision]]]:
         """``(slot, txn, payload, vote, dec)`` of every slot that holds a
-        transaction or a decision, in slot order; ``txn``, ``payload`` and
-        ``vote`` are None in a slot decided before its write landed (RDMA).
+        transaction or a decision, in slot order; ``payload`` is None in a
+        decided slot, and ``txn`` and ``vote`` too in one decided before
+        its write landed (RDMA).
         Built of C iterators, so a pass costs one call, not one per slot."""
         txns, decs = self.txn_arr, self.dec_arr
         filled = map(or_, map(is_not, txns, repeat(None)), map(is_not, decs, repeat(None)))
@@ -217,28 +226,49 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         lines 13-16 and 24; Figure 7, line 95).  The slot becomes PREPARED
         unless it is already DECIDED, which it stays: a one-sided write can
         land after the decision, the follower's CPU cannot refuse it, and
-        the decision stays in ``dec_arr``."""
+        the decision stays in ``dec_arr``.  A decided slot keeps no payload
+        (the settled summary counts it instead).
+
+        A payload of None is an ``ACCEPT`` relayed from the answer to a
+        duplicate ``PREPARE`` of a slot its leader has already folded.  A
+        slot is decided only once every member of its epoch stored it
+        (Figure 1 lines 26-29, Figure 7 line 96), so over a decided slot
+        the write is a no-op; over an undecided one it is dropped and
+        counted in ``payloadless_writes`` (only the broken RDMA ablation
+        makes one)."""
         try:
-            fresh = self.txn_arr[slot] is None and self.dec_arr[slot] is None
+            held = self.txn_arr[slot]
+            decision = self.dec_arr[slot]
         except IndexError:
             self._grow(slot)
-            fresh = True
+            held = decision = None
+        if payload is None:
+            if decision is None:
+                self.payloadless_writes += 1
+            return
         self.txn_arr[slot] = txn
-        self.payload_arr[slot] = payload
+        if decision is None:
+            self.payload_arr[slot] = payload
         self.vote_arr[slot] = vote
         self.slot_of[txn] = slot
-        self._votes.note_stored(slot, fresh)
+        self._votes.note_stored(payload, vote, held, decision)
 
     def decide_slot(self, slot: int, decision: Decision) -> None:
         """Persist ``decision`` for ``slot`` (Figure 1, line 31; Figure 7,
-        line 102)."""
+        line 102).  A first decision on a slot that holds a payload folds
+        the slot into the settled summary and drops the payload; a later
+        one changes ``dec_arr`` only (``repro.core.votecache``)."""
         try:
             previous = self.dec_arr[slot]
         except IndexError:
             self._grow(slot)
             previous = None
         self.dec_arr[slot] = decision
-        self._votes.note_decided(slot, previous)
+        if previous is None:
+            payload = self.payload_arr[slot]
+            if payload is not None:
+                self.payload_arr[slot] = None
+                self._votes.note_decided(payload, self.vote_arr[slot], decision)
 
     def _grow(self, slot: int) -> None:
         """Lengthen the four slot lists together past ``slot``, by a quarter
@@ -257,7 +287,8 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         and return the vote."""
         slot = self.slot_of.get(msg.txn)
         # A transaction already in the certification order (line 6) is
-        # answered with the stored vote, for the (possibly new) coordinator.
+        # answered with the stored vote, for the (possibly new) coordinator,
+        # and with no payload once its slot is decided (and folded).
         if slot is None:
             self.next += 1
             slot = self.next

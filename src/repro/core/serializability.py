@@ -170,13 +170,6 @@ class TransactionPayload(_ObjectSets):
                 return version
         return None
 
-    def written_value(self, obj: ObjectId) -> Value:
-        """The value this payload writes to ``obj`` (None if it writes none)."""
-        for written_obj, value in self.write_set:
-            if written_obj == obj:
-                return value
-        return None
-
 
 EMPTY_PAYLOAD = TransactionPayload()
 
@@ -285,12 +278,12 @@ class _ReadWriteScheme(CertificationScheme[TransactionPayload]):
 class _ReadWriteVoteIndex(VoteIndex[TransactionPayload]):
     """Per-object conflict state shared by both concrete schemes.
 
-    * ``committed_writer[obj]`` — the committed payload with the highest
-      commit version among those writing ``obj`` ("exists a committed
-      writer with version > v" collapses to one max-version comparison).
-      The payload, which the slot arrays hold anyway, also answers the
-      snapshot-read path: its write set holds ``obj``'s latest committed
-      value;
+    * ``committed_writer[obj]`` — ``(commit_version, value)`` of the
+      committed write of ``obj`` with the highest commit version ("exists a
+      committed writer with version > v" collapses to one max-version
+      comparison, and the snapshot-read path returns the value).  An
+      aborted payload writes nothing, and the writer's payload is not kept:
+      a replica drops a slot's payload once the slot is decided;
     * ``prepared_readers`` / ``prepared_writers`` — reference counts of
       prepared-to-commit transactions reading / writing each object.
 
@@ -302,24 +295,31 @@ class _ReadWriteVoteIndex(VoteIndex[TransactionPayload]):
     def __init__(self, sharding: ShardingFunction, shard: ShardId) -> None:
         self.sharding = sharding
         self.shard = shard
-        self.committed_writer: Dict[ObjectId, TransactionPayload] = {}
+        self.committed_writer: Dict[ObjectId, Tuple[Version, Value]] = {}
         self.prepared_readers: Dict[ObjectId, int] = {}
         self.prepared_writers: Dict[ObjectId, int] = {}
 
     def add_committed(self, payload: TransactionPayload) -> None:
         version = payload.commit_version
-        for obj, _ in payload.write_set:
-            current = self.committed_writer.get(obj)
-            if current is None or version > current.commit_version:
-                self.committed_writer[obj] = payload
+        committed_writer = self.committed_writer
+        for obj, value in payload.write_set:
+            current = committed_writer.get(obj)
+            if current is None or version > current[0]:
+                committed_writer[obj] = (version, value)
 
     def copy(self) -> "_ReadWriteVoteIndex":
-        # The dicts' values are immutable payloads and counts.
+        # The dicts' values are immutable pairs and counts.
         twin = type(self)(self.sharding, self.shard)
         twin.committed_writer = dict(self.committed_writer)
         twin.prepared_readers = dict(self.prepared_readers)
         twin.prepared_writers = dict(self.prepared_writers)
         return twin
+
+    def settled(self) -> Dict[ObjectId, Tuple[Version, Value]]:
+        return dict(self.committed_writer)
+
+    def load_settled(self, settled: Dict[ObjectId, Tuple[Version, Value]]) -> None:
+        self.committed_writer = dict(settled)
 
     def write_pending(self, obj: ObjectId) -> bool:
         return obj in self.prepared_writers
@@ -328,7 +328,8 @@ class _ReadWriteVoteIndex(VoteIndex[TransactionPayload]):
         writer = self.committed_writer.get(obj)
         if writer is None:
             return None
-        return writer.written_value(obj), writer.commit_version
+        version, value = writer
+        return value, version
 
     def add_prepared(self, payload: TransactionPayload) -> None:
         for obj, _ in payload.read_set:
@@ -360,7 +361,7 @@ class _SerializabilityVoteIndex(_ReadWriteVoteIndex):
             if shard_of(obj) != self.shard:
                 continue
             committed = self.committed_writer.get(obj)
-            if committed is not None and committed.commit_version > version:
+            if committed is not None and committed[0] > version:
                 return Decision.ABORT
             if obj in self.prepared_writers:
                 return Decision.ABORT
@@ -387,7 +388,7 @@ class _SnapshotIsolationVoteIndex(_ReadWriteVoteIndex):
             if version is None:
                 continue
             committed = self.committed_writer.get(obj)
-            if committed is not None and committed.commit_version > version:
+            if committed is not None and committed[0] > version:
                 return Decision.ABORT
         return Decision.COMMIT
 

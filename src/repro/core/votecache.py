@@ -6,27 +6,43 @@ certification order.  Scanning the order per ``PREPARE`` costs O(slots),
 which makes long simulations quadratic in the transaction count — the
 dominant cost in steady-state workloads.
 
-:class:`LeaderVoteCache` wraps a scheme-provided
-:class:`~repro.core.certification.VoteIndex` and keeps it equal to a rebuild
-from the replica's slot arrays:
+:class:`LeaderVoteCache` keeps one scheme-provided
+:class:`~repro.core.certification.VoteIndex` in two parts:
 
-* votes for new slots consult the index (O(|payload|));
-* the replica's one write path (``store_slot`` / ``decide_slot``) reports
-  each write with the slot's state before it (whether it was fresh, its
-  previous decision), so whether the index already counts the slot follows
-  from that state — no per-slot book-keeping;
-* a write into a slot that was already filled (the one-sided RDMA writes of
-  Figure 4a, a duplicate), a committed slot changing its decision and a
-  ``NEW_STATE`` transfer *invalidate* the cache, which is rebuilt from the
-  arrays on the next vote or the next snapshot read.
+* its committed state is the *settled summary*, kept at every replica: the
+  committed writes of the decided slots.  A slot is *folded* into it the
+  first time it holds both a transaction and a decision — when
+  ``decide_slot`` decides a slot that holds a payload, or when an RDMA
+  ``store_slot`` lands on a slot already decided — and the replica then
+  drops the slot's payload, so a replica holds payloads only for its
+  undecided slots (FaRM truncates a transaction's log records the same way
+  once it is decided).  A commit adds the payload's writes; an abort adds
+  nothing;
+* its prepared state counts the commit-voted payloads of the undecided
+  slots, at a leader.  Votes for new slots consult the whole index
+  (O(|payload|)), and the snapshot-read engine (``repro.core.reads``)
+  serves from it, keeping no copy of committed writes or pending writers
+  of its own.
 
-The index is the replica's one summary of its certification order: the
-snapshot-read engine (``repro.core.reads``) serves from it and keeps no
-copy of committed writes or pending writers of its own.
+The replica's one write path (``store_slot`` / ``decide_slot``) reports
+each write with the slot's state before it, so what the index and the
+summary count follows from that state — no per-slot book-keeping.  A write
+over a prepared slot (the one-sided RDMA writes of Figure 4a, a duplicate)
+and a ``NEW_STATE`` transfer *invalidate* the prepared state, which is
+rebuilt on the next vote or read from a copy of the summary and the slots
+that still hold a payload.
+
+A folded slot is counted once, by the transaction and the decision it held
+when it was folded: the payload is gone, so it cannot be unfolded.  A later
+decision that differs (correct protocols never change a decision; the
+broken RDMA ablation can) and a later write over the decided slot update
+the slot arrays, which the invariants read, and leave the summary as it is.
 """
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import is_not
 from typing import Any, Optional
 
 from repro.core.certification import VoteIndex
@@ -34,34 +50,52 @@ from repro.core.types import Decision
 
 
 class LeaderVoteCache:
-    """Keeps a :class:`VoteIndex` consistent with a replica's slot arrays."""
+    """A replica's settled summary, and the leader's vote index over it.
+
+    Both are one :class:`VoteIndex`: its committed state is the summary,
+    kept at every replica, and its prepared state counts the undecided
+    slots' commit votes while ``_current`` (a leader's, from its first vote
+    on).  Invalidation marks the prepared state stale; the rebuild starts
+    from a copy of the summary and replays only the slots that still hold
+    a payload."""
 
     def __init__(self, replica: Any) -> None:
         self._replica = replica
-        # None exactly while invalidated: the next vote rebuilds it, and
-        # incremental notes are skipped until then.
-        self._index: Optional[VoteIndex] = None
+        self._index: VoteIndex = replica.scheme.make_vote_index(replica.shard)
+        # False exactly while the prepared state is stale: the next vote or
+        # read rebuilds it, and incremental notes skip it until then.
+        self._current = False
 
     # ------------------------------------------------------------------
     # cache lifecycle
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop the index; it is rebuilt from the arrays on the next vote."""
-        self._index = None
+        """Mark the prepared state stale; the index is rebuilt from the
+        summary on the next vote or read."""
+        self._current = False
 
     def _rebuild(self) -> None:
         replica = self._replica
-        self._index = replica.scheme.make_vote_index(replica.shard)
-        for _slot, txn, payload, vote, dec in replica.filled_slots():
-            # A decided slot counts by its decision, a prepared one by its
-            # vote, a slot decided before its write landed nowhere.
-            if txn is None:
-                continue
-            if dec is not None:
-                if dec is Decision.COMMIT:
-                    self._index.add_committed(payload)
-            elif vote is Decision.COMMIT:
-                self._index.add_prepared(payload)
+        index = replica.scheme.make_vote_index(replica.shard)
+        index.load_settled(self._index.settled())
+        # Only an undecided slot holds a payload; it counts by its vote.
+        payloads = replica.payload_arr
+        held = map(is_not, payloads, repeat(None))
+        for payload, vote in compress(zip(payloads, replica.vote_arr), held):
+            if vote is Decision.COMMIT:
+                index.add_prepared(payload)
+        self._index = index
+        self._current = True
+
+    def settled(self) -> Any:
+        """The settled summary as a ``NEW_STATE`` carries it."""
+        return self._index.settled()
+
+    def adopt(self, settled: Any) -> None:
+        """Replace the summary with a transferred one (``NEW_STATE``); the
+        prepared state is rebuilt on the next vote."""
+        self._index.load_settled(settled)
+        self._current = False
 
     # ------------------------------------------------------------------
     # voting and reading
@@ -72,46 +106,48 @@ class LeaderVoteCache:
         Must be called before the payload is stored in ``payload_arr`` (the
         new slot itself must not be certified against).
         """
-        if self._index is None:
+        if not self._current:
             self._rebuild()
         return self._index.vote(payload)
 
     def index(self) -> VoteIndex:
-        """The index, equal to a rebuild from the slot arrays (rebuilt here
-        if invalidated): what the snapshot-read engine serves from."""
-        if self._index is None:
+        """The index, equal to the summary plus the undecided slots'
+        commit votes (rebuilt here if stale): what the snapshot-read engine
+        serves from."""
+        if not self._current:
             self._rebuild()
         return self._index
 
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
-    def note_stored(self, slot: int, fresh: bool) -> None:
-        """``slot`` was written with a transaction, payload and vote; it held
-        neither a transaction nor a decision before iff ``fresh``."""
-        if self._index is None:
-            return  # invalidated: the next vote rebuilds from the arrays
-        if not fresh:
-            self.invalidate()
-        elif self._replica.vote_arr[slot] is Decision.COMMIT:
-            self._index.add_prepared(self._replica.payload_arr[slot])
-
-    def note_decided(self, slot: int, previous: Optional[Decision]) -> None:
-        """``slot`` was decided; its decision was ``previous`` before (None
-        while it was undecided, so PREPARED if it held a payload)."""
-        if self._index is None:
-            return  # invalidated: the next vote rebuilds from the arrays
-        replica = self._replica
-        if replica.txn_arr[slot] is None:
-            return  # no payload stored: counted nowhere, before or after
-        payload = replica.payload_arr[slot]
-        if previous is None and replica.vote_arr[slot] is Decision.COMMIT:
-            self._index.remove_prepared(payload)
-        if replica.dec_arr[slot] is Decision.COMMIT:
-            if previous is not Decision.COMMIT:
+    def note_stored(
+        self,
+        payload: Any,
+        vote: Decision,
+        held: Any,
+        decision: Optional[Decision],
+    ) -> None:
+        """A slot was written with ``payload`` and ``vote``; before the
+        write it held the transaction ``held`` and the decision
+        ``decision`` (None for none)."""
+        if decision is not None:
+            # The slot is decided: the write folds it if it held no
+            # transaction (the decision landed first), else it was folded
+            # already.  Either way the replica keeps no payload.
+            if held is None and decision is Decision.COMMIT:
                 self._index.add_committed(payload)
-        elif previous is Decision.COMMIT:
-            # A committed slot changed its decision.  Correct protocols never
-            # do this; the broken ablation variant can, so fall back to a
-            # rebuild rather than mis-certify.
-            self.invalidate()
+        elif not self._current:
+            return  # stale: the next vote rebuilds
+        elif held is not None:
+            self._current = False  # a prepared slot overwritten
+        elif vote is Decision.COMMIT:
+            self._index.add_prepared(payload)
+
+    def note_decided(self, payload: Any, vote: Decision, decision: Decision) -> None:
+        """A slot holding ``payload`` and ``vote`` took its first decision,
+        ``decision``: fold it into the summary."""
+        if vote is Decision.COMMIT and self._current:
+            self._index.remove_prepared(payload)
+        if decision is Decision.COMMIT:
+            self._index.add_committed(payload)

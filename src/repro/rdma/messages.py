@@ -1,16 +1,16 @@
 """Messages of the RDMA-based protocol (Figures 7-8).
 
-``PREPARE``, ``PREPARE_ACK``, ``PROBE``, ``PROBE_ACK`` and the client-facing
-``DECISION`` are reused from :mod:`repro.core.messages`.  The messages below
-differ from their message-passing counterparts:
+``PREPARE``, ``PREPARE_ACK``, ``PROBE``, ``PROBE_ACK``, ``NEW_STATE`` and
+the client-facing ``DECISION`` are reused from :mod:`repro.core.messages`.
+The messages below differ from their message-passing counterparts:
 
 * ``Accept`` and ``SlotDecision`` carry no epoch — they are written with
   one-sided RDMA and the receiver cannot check a precondition (the paper
   compensates with Invariant 13);
-* reconfiguration is global: ``NewConfig``/``NewState`` carry a single
-  system-wide epoch, and ``ConfigPrepare``/``ConfigPrepareAck``/``Connect``/
-  ``ConnectAck`` implement the dissemination and RDMA connection
-  re-establishment steps of Figure 8.
+* reconfiguration is global: ``NewConfig`` carries a single system-wide
+  epoch (as the shared ``NewState`` does here), and ``ConfigPrepare`` /
+  ``ConfigPrepareAck`` / ``Connect`` / ``ConnectAck`` implement the
+  dissemination and RDMA connection re-establishment steps of Figure 8.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-from repro.core.types import Decision, Phase, ShardId, TxnId
+from repro.core.types import Decision, ShardId, TxnId
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,6 @@ class NewConfig:
     """``NEW_CONFIG(e)`` sent to the leaders of the new configuration (line 139)."""
 
     epoch: int
-
-
-@dataclass(frozen=True)
-class NewState:
-    """``NEW_STATE(e, txn, payload, vote, dec, phase)`` (line 146)."""
-
-    epoch: int
-    txn: Dict[int, TxnId]
-    payload: Dict[int, Any]
-    vote: Dict[int, Decision]
-    dec: Dict[int, Decision]
-    phase: Dict[int, Phase]
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.batching import BatchPolicy, MessageBatcher
 from repro.core.coordinator import CoordinatorEntry
-from repro.core.messages import PrepareAck
+from repro.core.messages import NewState, PrepareAck
 from repro.core.reconfig import RecStatus
 from repro.core.replica import ReplicaBase
 from repro.core.types import (
@@ -58,7 +58,6 @@ from repro.rdma.messages import (
     Connect,
     ConnectAck,
     NewConfig,
-    NewState,
     SlotDecision,
 )
 from repro.runtime.rdma import RdmaManager
@@ -257,9 +256,10 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         # we snapshot our state for the followers (line 142).
         self.rdma.flush()
         self.epoch = msg.epoch
-        state = NewState(epoch=self.epoch, **self._lead_own_slots())
+        members = self.view[self.shard].members
+        state = NewState(epoch=self.epoch, members=members, **self._lead_own_slots())
         self._on_configuration_installed()
-        for member in self.view[self.shard].members:
+        for member in members:
             if member != self.pid:
                 self.send(member, state)
         self._connect_to_all_members()

@@ -170,6 +170,12 @@ class ScanVoteIndex(VoteIndex):
         twin.committed, twin.prepared = list(self.committed), list(self.prepared)
         return twin
 
+    def settled(self):
+        return tuple(self.committed)
+
+    def load_settled(self, settled) -> None:
+        self.committed = list(settled)
+
     def write_pending(self, obj) -> bool:
         return any(obj in other.written_objects for other in self.prepared)
 
@@ -179,7 +185,7 @@ class ScanVoteIndex(VoteIndex):
             return None
         # The first of the highest-versioned writers, as the index keeps.
         newest = max(writers, key=lambda other: other.commit_version)
-        return newest.written_value(obj), newest.commit_version
+        return dict(newest.write_set)[obj], newest.commit_version
 
 
 class PairwiseConflictIndex(ConflictIndex):
@@ -269,6 +275,56 @@ def reference_scheme(scheme_cls, sharding):
 # ----------------------------------------------------------------------
 # readings of the public record that only tests take
 # ----------------------------------------------------------------------
+
+def capture_payloads(history):
+    """txn -> payload, for every transaction ``history`` certifies from here
+    on, as its listeners hand them over (a snapshot read's decide-time
+    payload replaces its certify-time marker)."""
+    payloads = {}
+
+    def certified(txn, payload, _time):
+        payloads[txn] = payload
+
+    def decided(txn, _decision, payload, _time):
+        if payload is not None:
+            payloads[txn] = payload
+
+    history.subscribe(on_certify=certified, on_decide=decided)
+    return payloads
+
+
+def reference_index(replica, payloads, folded_with=None):
+    """The vote index of ``replica``'s certification order, built from its
+    ``txn`` / ``vote`` / ``dec`` arrays and ``payloads`` projected to its
+    shard: a decided slot counts by its decision (or, if it is in
+    ``folded_with``, by the decision it was folded with), a prepared one by
+    its vote, a slot decided before its write landed nowhere."""
+    scheme, shard = replica.scheme, replica.shard
+    folded_with = folded_with or {}
+    index = scheme.make_vote_index(shard)
+    for slot, txn, _payload, vote, dec in replica.filled_slots():
+        if txn is None:
+            continue
+        dec = folded_with.get((replica.pid, slot), dec)
+        if dec is Decision.COMMIT:
+            index.add_committed(scheme.project(payloads[txn], shard))
+        elif dec is None and vote is Decision.COMMIT:
+            index.add_prepared(scheme.project(payloads[txn], shard))
+    return index
+
+
+def assert_settled_matches(replica, payloads) -> None:
+    """``replica``'s settled summary holds what its :func:`reference_index`
+    committed (as a multiset: the reference index keeps its committed
+    payloads in slot order, the summary in the order they were folded)."""
+    from collections import Counter
+
+    settled = replica._votes.settled()
+    expected = reference_index(replica, payloads).settled()
+    if isinstance(settled, tuple):
+        settled, expected = Counter(settled), Counter(expected)
+    assert settled == expected, replica.pid
+
 
 def certification_order(replica) -> List[TxnId]:
     """The transactions in ``replica``'s certification order (with holes

@@ -309,30 +309,37 @@ def test_leaders_vote_over_the_index_as_over_the_scan(protocol, scheme_cls):
     Over the reference index (plain lists, ``scan_vote`` per PREPARE — the
     Figure 1 line 12 scan) every leader must cast the votes it casts over
     the incremental index: same decisions, same history, also across the
-    rebuild a reconfiguration forces."""
+    rebuild a reconfiguration forces.  Over either index every replica's
+    settled summary must hold what its decided slots committed, by the
+    payloads the history's certify listener handed over."""
     from repro.cluster import Cluster
 
-    from helpers import reference_scheme
+    from helpers import assert_settled_matches, capture_payloads, reference_scheme
 
     def drive(scheme):
         cluster = Cluster(
             num_shards=2, replicas_per_shard=2, protocol=protocol, scheme=scheme, seed=5
         )
+        payloads = capture_payloads(cluster.history)
         keys = [shard_key(scheme, shard, hint=f"hot{i}") for shard in cluster.shards for i in range(2)]
         decisions = []
         for wave in range(6):
             if wave == 3:
                 cluster.crash_follower("shard-0")
                 cluster.reconfigure("shard-0")  # new epoch: the cache is rebuilt
-            payloads = [
+            wave_payloads = [
                 # Half the wave reads a stale version of a hot key: conflicts
                 # with committed writers and with each other's prepares.
                 rw_payload(keys[(wave + i) % len(keys)], version=wave // 2 if i % 2 else 0,
                            value=wave, tiebreak=f"w{wave}.{i}")
                 for i in range(6)
             ]
-            decisions.extend(cluster.certify_many(payloads).values())
+            decisions.extend(cluster.certify_many(wave_payloads).values())
         assert cluster.check()[0].ok
+        # Every replica's summary holds what its decided slots committed,
+        # over the payloads the history handed over.
+        for replica in cluster.replicas.values():
+            assert_settled_matches(replica, payloads)
         return decisions, cluster.history.digest()
 
     sharding = KeyHashSharding(["shard-0", "shard-1"])

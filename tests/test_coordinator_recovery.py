@@ -135,14 +135,18 @@ def test_unknown_payload_prepared_as_aborted(cluster):
 
     # A replica of shard-0 holds the prepared transaction and retries it.
     leader0 = cluster.replica(cluster.leader_of("shard-0"))
+    leader1 = cluster.replica(cluster.leader_of("shard-1"))
+    settled = leader1._votes.settled()
     leader0.retry(leader0.slot_of[txn])
     cluster.run()
     assert cluster.history.decision_of(txn) is Decision.ABORT
-    # Shard-1 prepared it with the empty payload and an abort vote.
-    leader1 = cluster.replica(cluster.leader_of("shard-1"))
+    # Shard-1 prepared it with an abort vote, and the empty payload it
+    # folded with the abort decision wrote nothing: its summary is as it was.
     slot = leader1.slot_of[txn]
     assert leader1.vote_arr[slot] is Decision.ABORT
-    assert cluster.scheme.is_empty(leader1.payload_arr[slot])
+    assert leader1.dec_arr[slot] is Decision.ABORT
+    assert leader1.payload_arr[slot] is None
+    assert leader1._votes.settled() == settled
     result, violations = cluster.check()
     assert result.ok and violations == []
 

@@ -1,12 +1,14 @@
 """Code that was deleted stays deleted.
 
-Two designs left the tree, and nothing may grow back by accident:
+Three designs left the tree, and nothing may grow back by accident:
 
 * the windowed shard-group engine (a run partitioned into groups of
   shards on their own heaps): a run executes on the one serial event heap;
 * the process pool that fanned whole runs out over worker processes, with
   its ``--jobs`` flag and ``ExecSpec.jobs``: every run executes serially,
-  in the process that asked for it.
+  in the process that asked for it;
+* the RDMA stack's own ``NewState`` message: both stacks send the one in
+  ``repro.core.messages``.
 """
 
 import importlib.util
@@ -18,6 +20,7 @@ import repro.scenarios as scenarios
 from repro.analysis import metrics as metrics_module
 from repro.baselines.cluster import BaselineCluster
 from repro.cluster import Cluster, ClusterBase
+from repro.rdma import messages as rdma_messages
 from repro.runtime.events import Event, Scheduler
 from repro.runtime.network import LatencySpec, Network
 from repro.scenarios import ExecSpec
@@ -39,6 +42,7 @@ GONE = [
     (metrics_module, "SpeedupReport"),
     (scenarios, "run_scenarios"),
     (scenarios, "run_repetitions"),
+    (rdma_messages, "NewState"),
 ]
 
 

@@ -153,14 +153,13 @@ def test_invariants_detect_decision_divergence():
 
 def test_invariants_detect_duplicate_transaction_slots():
     cluster = Cluster(num_shards=2, replicas_per_shard=2, seed=84)
-    cluster.certify(rw_payload("x", tiebreak="a"))
+    written = rw_payload("x", tiebreak="a")
+    cluster.certify(written)
     cluster.run()
     shard = cluster.scheme.sharding.shard_of("x")
     leader = cluster.replica(cluster.leader_of(shard))
     slot = _filled(leader.txn_arr)[-1]
-    leader.store_slot(
-        slot + 1, leader.txn_arr[slot], leader.payload_arr[slot], leader.vote_arr[slot]
-    )
+    leader.store_slot(slot + 1, leader.txn_arr[slot], written, leader.vote_arr[slot])
     violations = check_invariants(cluster.member_replicas_by_shard(), cluster.history)
     assert any("unique-slots" in v.invariant for v in violations)
 
@@ -211,7 +210,8 @@ def _split_decision_replicas():
     contradicting the replicas."""
     cluster = Cluster(num_shards=2, replicas_per_shard=2, seed=88)
     keys = [shard_key(cluster.scheme, "shard-0", hint=f"k{i}") for i in range(4)]
-    cluster.certify_many([rw_payload(key, tiebreak=key) for key in keys])
+    written = [rw_payload(key, tiebreak=key) for key in keys]
+    payload_of = dict(zip(cluster.certify_many(written), written))
     cluster.run()
     leader = cluster.replica(cluster.leader_of("shard-0"))
     follower = cluster.replica(cluster.followers_of("shard-0")[0])
@@ -220,9 +220,9 @@ def _split_decision_replicas():
     follower.dec_arr[first] = Decision.ABORT
     follower.dec_arr[last] = Decision.ABORT
     twin = _filled(leader.txn_arr)[-1] + 1
-    leader.store_slot(
-        twin, leader.txn_arr[last], leader.payload_arr[last], leader.vote_arr[last]
-    )
+    # The decided slot's payload is folded: store the one it was written with.
+    txn = leader.txn_arr[last]
+    leader.store_slot(twin, txn, payload_of[txn], leader.vote_arr[last])
     leader.decide_slot(twin, Decision.ABORT)
     client = dict(cluster.history.decided())
     client[leader.txn_arr[last]] = Decision.ABORT

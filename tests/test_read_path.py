@@ -42,6 +42,8 @@ from repro.workload.generators import KeySpaceSeeds
 
 from helpers import (
     TCSChecker,
+    assert_settled_matches,
+    capture_payloads,
     effective_payload_of,
     events_of,
     payload,
@@ -161,7 +163,10 @@ def test_engine_reads_its_seeds_again_after_a_state_transfer():
     # A state transfer replaces the slot arrays with a log that never
     # decided slot 1; the engine serves its seeds again.
     replica._adopt_state(
-        NewState(epoch=2, members=(replica.pid,), txn={}, payload={}, vote={}, dec={}, phase={})
+        NewState(
+            epoch=2, members=(replica.pid,), txn={}, payload={}, vote={}, dec={}, phase={},
+            summary={},
+        )
     )
     assert _served(engine, "x", "y") == [("init", VERSION_ZERO), ("other", VERSION_ZERO)]
 
@@ -412,13 +417,16 @@ def test_reads_over_the_reference_index_equal_reads_over_the_incremental_one(pro
     """Served reads come from the leader's vote index.  Over the reference
     index (plain lists, every read question a scan) a mixed read/write run
     — with a reconfiguration that rebuilds the index — must record the
-    history and read counters it records over the incremental index."""
+    history and read counters it records over the incremental index, and
+    every replica's settled summary must hold what its decided slots
+    committed, by the payloads the history handed over."""
 
     def drive(scheme):
         cluster = Cluster(
             num_shards=2, replicas_per_shard=2, protocol=protocol,
             scheme=scheme, seed=5, read=ReadPolicy(mode="snapshot"),
         )
+        payloads = capture_payloads(cluster.history)
         cluster.run()  # deliver the bootstrap lease grants
         served = record_served_reads(cluster.client)
         keys = [shard_key(scheme, shard, hint=f"hot{i}") for shard in cluster.shards for i in range(2)]
@@ -441,6 +449,8 @@ def test_reads_over_the_reference_index_equal_reads_over_the_incremental_one(pro
                 ))
             assert cluster.run_until_decided(txns)
         assert cluster.check()[0].ok
+        for replica in cluster.replicas.values():
+            assert_settled_matches(replica, payloads)
         return (
             cluster.history.digest(),
             cluster.read_stats(),

@@ -4,28 +4,34 @@ A replica's four slot arrays (``txn`` / ``payload`` / ``vote`` / ``dec``)
 are written by ``store_slot`` / ``decide_slot`` and replaced wholesale by a
 state transfer.  Figure 1's fifth array, ``phase``, is not kept: it follows
 from ``txn`` and ``dec`` (``ReplicaBase.phase``), and a ``NEW_STATE`` carries
-it derived the same way.  The leader vote cache
-(``repro.core.votecache``) follows those writes incrementally, and its vote
-index — ``committed_writer``, ``prepared_readers`` and ``prepared_writers``
-— must equal what a fresh rebuild from the arrays gives (an invalidated
-cache rebuilds on its next vote or read, so it is equal by definition).
-The snapshot-read engine (``repro.core.reads``) keeps no second copy: it
-serves from that index, so what a leader votes against is what its reads
-return.
+it derived the same way.  A decided slot keeps no payload: it is folded into
+the replica's settled summary (``repro.core.votecache``), which keeps what
+the decided slots committed.  The leader's vote index is that summary plus
+the prepared slots' commit votes — ``committed_writer``,
+``prepared_readers`` and ``prepared_writers`` — and must equal the index a
+reference builds from the ``txn`` / ``vote`` / ``dec`` arrays and the
+payloads the history's certify listener handed over, projected to the
+replica's shard; at every replica the summary must equal that reference's
+committed part.  The reference never reads the summary under test, nor a
+payload from the arrays.  The snapshot-read engine (``repro.core.reads``)
+keeps no second copy: it serves from that index, so what a leader votes
+against is what its reads return.
 
 The oracle runs at quiescence of every library scenario on the three
 replica stacks, and after each transition the tracker handles by rule
 rather than by the common path: a write over a prepared slot, a repeated
-decision, a decision that flips and a decision that lands before its
-write.  The derived phase is checked on every state transfer of the golden
-cases that reconfigure, and on a decision that lands before its write.
+decision, a decision that flips (the summary keeps the decision the slot
+was folded with) and a decision that lands before its write.  The derived
+phase is checked on every state transfer of the golden cases that
+reconfigure, and on a decision that lands before its write.
 
 The four arrays are lists indexed by slot, None where a slot holds nothing.
 Their filled entries and the phase they give must equal a rebuild as
 int-keyed dicts from every write the replica made (the record they
-replaced): at quiescence of every golden case on the two replica stacks,
-and across a hole — a decision no write ever joined, or one that landed
-before its write — carried through a state transfer.
+replaced), with a payload only on the undecided slots: at quiescence of
+every golden case on the two replica stacks, and across a hole — a
+decision no write ever joined, or one that landed before its write —
+carried through a state transfer.
 """
 
 import pytest
@@ -38,12 +44,11 @@ from repro.core.serializability import VERSION_ZERO
 from repro.core.reconfig import Reconfigurer
 from repro.core.replica import ReplicaBase
 from repro.core.types import Decision, Phase
-from repro.core.votecache import LeaderVoteCache
 from repro.rdma import messages as rdma_messages
 from repro.scenarios import ScenarioError, ScenarioRunner, get_scenario
 from repro.scenarios.library import SCENARIOS
 
-from helpers import rw_payload, shard_key
+from helpers import capture_payloads, reference_index, rw_payload, shard_key
 from test_golden_digests import GOLDEN, _spec_for
 
 
@@ -58,15 +63,16 @@ def _index_state(index):
     )
 
 
-def votes_match_rebuild(replica) -> bool:
-    """Assert the live vote index equals a rebuild from the arrays; False
-    when the cache is invalidated (nothing to compare)."""
-    live = replica._votes._index
-    if live is None:
+def votes_match_rebuild(replica, payloads, folded_with=None) -> bool:
+    """Assert the replica's settled summary equals the reference's committed
+    part and, where its index is current (a leader that voted since its
+    last invalidation), the whole index equals the reference; False when
+    only the summary was compared."""
+    reference = reference_index(replica, payloads, folded_with)
+    assert replica._votes.settled() == reference.settled(), replica.pid
+    if not replica._votes._current:
         return False
-    fresh = LeaderVoteCache(replica)
-    fresh._rebuild()
-    assert _index_state(live) == _index_state(fresh._index), replica.pid
+    assert _index_state(replica._votes.index()) == _index_state(reference), replica.pid
     return True
 
 
@@ -80,15 +86,39 @@ def _library_specs():
             yield pytest.param(spec, id=f"{name}|{protocol}")
 
 
+@pytest.fixture
+def folded_with(monkeypatch):
+    """(replica pid, slot) -> the decision the slot was folded with, for
+    every slot that held a transaction when its decision changed: a
+    decision that flips leaves the summary as it was folded."""
+    kept = {}
+    decide_slot = ReplicaBase.decide_slot
+
+    def deciding(replica, slot, decision):
+        if slot < len(replica.dec_arr) and replica.txn_arr[slot] is not None:
+            previous = replica.dec_arr[slot]
+            if previous not in (None, decision):
+                kept.setdefault((replica.pid, slot), previous)
+        decide_slot(replica, slot, decision)
+
+    monkeypatch.setattr(ReplicaBase, "decide_slot", deciding)
+    return kept
+
+
 @pytest.mark.parametrize("spec", _library_specs())
-def test_the_vote_index_equals_a_rebuild_at_quiescence(spec):
+def test_the_vote_index_equals_a_rebuild_at_quiescence(spec, folded_with):
     runner = ScenarioRunner(spec)
+    payloads = capture_payloads(runner.build().history)
     runner.run()
     compared = 0
     for replica in runner.cluster.replicas.values():
-        compared += votes_match_rebuild(replica)
+        compared += votes_match_rebuild(replica, payloads, folded_with)
+        # No ACCEPT without a payload reached an undecided slot.
+        assert replica.payloadless_writes == 0, replica.pid
     # Some leader voted since its last invalidation: the check is not empty.
     assert compared
+    # Only the broken ablation changes a decision.
+    assert not folded_with or spec.name == "ablation-safety-demo", folded_with
 
 
 # ----------------------------------------------------------------------
@@ -100,19 +130,22 @@ def _cluster(protocol):
         num_shards=1, replicas_per_shard=3, protocol=protocol, seed=11,
         read=ReadPolicy(mode="snapshot"),
     )
+    cluster.payloads = capture_payloads(cluster.history)
     cluster.run()  # deliver the bootstrap lease grants
     return cluster
 
 
 def _leader_with_history(cluster):
     """The shard leader, after one committed write to ``a`` and one
-    prepared write to ``b`` that it voted commit on."""
+    prepared write to ``b`` that it voted commit on (whose payload is
+    recorded in ``cluster.payloads``)."""
     scheme = cluster.scheme
     a, b = (shard_key(scheme, "shard-0", hint) for hint in ("a", "b"))
     assert cluster.certify(rw_payload(a, tiebreak="c")) is Decision.COMMIT
     cluster.run()  # the decision reaches every member
     leader = cluster.replica(cluster.leader_of("shard-0"))
-    ack = leader._certify_prepare(Prepare(txn="t-prepared", payload=rw_payload(b, tiebreak="p")))
+    prepared = cluster.payloads["t-prepared"] = rw_payload(b, tiebreak="p")
+    ack = leader._certify_prepare(Prepare(txn="t-prepared", payload=prepared))
     assert ack.vote is Decision.COMMIT
     assert leader._votes.index().prepared_writers == {b: 1}
     return leader, ack.slot, a, b
@@ -138,17 +171,18 @@ def test_an_rdma_accept_over_a_prepared_slot_at_a_leader():
     cluster = _cluster("rdma")
     leader, slot, a, b = _leader_with_history(cluster)
     c = shard_key(cluster.scheme, "shard-0", "c")
+    stale = cluster.payloads["t-stale"] = rw_payload(c, tiebreak="s")
     leader.on_accept(
-        rdma_messages.Accept(slot=slot, txn="t-stale", payload=rw_payload(c, tiebreak="s"), vote=Decision.COMMIT),
+        rdma_messages.Accept(slot=slot, txn="t-stale", payload=stale, vote=Decision.COMMIT),
         "stale-coordinator",
     )
-    votes_match_rebuild(leader)
+    votes_match_rebuild(leader, cluster.payloads)
     assert leader._votes.index().prepared_writers == {c: 1}
     # The leader now certifies against the write that landed, not the one
     # it overwrote.
     assert leader._votes.vote(rw_payload(b, tiebreak="x")) is Decision.COMMIT
     assert leader._votes.vote(rw_payload(c, tiebreak="x")) is Decision.ABORT
-    votes_match_rebuild(leader)
+    assert votes_match_rebuild(leader, cluster.payloads)
 
 
 @pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
@@ -157,11 +191,12 @@ def test_a_repeated_slot_decision(protocol):
     leader, slot, a, b = _leader_with_history(cluster)
     for _ in range(2):
         leader.on_slot_decision(_slot_decision(leader, slot, Decision.COMMIT), "coordinator")
-        votes_match_rebuild(leader)
+        assert leader.payload_arr[slot] is None  # folded
+        votes_match_rebuild(leader, cluster.payloads)
     # Counted once, and incrementally: the cache was never invalidated.
-    assert votes_match_rebuild(leader)
+    assert votes_match_rebuild(leader, cluster.payloads)
     assert leader._votes.index().prepared_writers == {}
-    assert _served(leader, b) == (1, leader.payload_arr[slot].commit_version)
+    assert _served(leader, b) == (1, cluster.payloads["t-prepared"].commit_version)
 
 
 @pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
@@ -170,37 +205,73 @@ def test_a_repeated_slot_decision(protocol):
 )
 def test_a_decision_that_flips(protocol, first, then):
     """Correct protocols never change a slot's decision; the broken ablation
-    can, and the trackers must still match the arrays."""
+    can.  The first decision folds the slot and drops its payload, so a
+    later one cannot unfold it: ``dec_arr`` takes the new decision (the
+    invariants read it) and the summary, the index and the reads keep the
+    decision the slot was folded with."""
     cluster = _cluster(protocol)
     leader, slot, a, b = _leader_with_history(cluster)
-    for decision in (first, then):
-        leader.on_slot_decision(_slot_decision(leader, slot, decision), "coordinator")
-        votes_match_rebuild(leader)
-    committed = _served(leader, b)[1] == leader.payload_arr[slot].commit_version
-    assert committed is (then is Decision.COMMIT)
+    leader.on_slot_decision(_slot_decision(leader, slot, first), "coordinator")
+    assert votes_match_rebuild(leader, cluster.payloads)
+    folded = leader._votes.settled(), _index_state(leader._votes.index()), _served(leader, b)
+    leader.on_slot_decision(_slot_decision(leader, slot, then), "coordinator")
+    assert leader.dec_arr[slot] is then and leader.payload_arr[slot] is None
+    assert leader._votes._current  # not invalidated: there is nothing to rebuild from
+    assert (
+        leader._votes.settled(), _index_state(leader._votes.index()), _served(leader, b)
+    ) == folded
+    committed = folded[2][1] == cluster.payloads["t-prepared"].commit_version
+    assert committed is (first is Decision.COMMIT)
 
 
 def test_a_slot_decision_before_its_write_at_an_rdma_leader():
     """Two coordinators' one-sided writes race: the COMMIT decision for a
     slot lands at the leader before the ACCEPT that carries the slot's
-    write.  The leader then votes as if the write committed, and a snapshot
-    read must return that write, not the seed."""
+    write.  The write folds the slot at once (the leader keeps no payload
+    for it), the leader then votes as if the write committed, and a
+    snapshot read must return that write, not the seed."""
     cluster = _cluster("rdma")
     key = shard_key(cluster.scheme, "shard-0")
     cluster.seed_read_stores({key: "seeded"})
     leader = cluster.replica(cluster.leader_of("shard-0"))
     assert _served(leader, key) == ("seeded", VERSION_ZERO)
     slot = leader.next + 1
-    write = rw_payload(key, value="late", tiebreak="w")
+    write = cluster.payloads["t-late"] = rw_payload(key, value="late", tiebreak="w")
     leader.on_slot_decision(_slot_decision(leader, slot, Decision.COMMIT), "coordinator-a")
     leader.on_accept(
         rdma_messages.Accept(slot=slot, txn="t-late", payload=write, vote=Decision.COMMIT),
         "coordinator-b",
     )
+    assert leader.txn_arr[slot] == "t-late" and leader.payload_arr[slot] is None
     # A reader of the seed's version conflicts with the committed write.
     assert leader._votes.vote(rw_payload(key, tiebreak="r")) is Decision.ABORT
     assert _served(leader, key) == ("late", write.commit_version)
-    assert votes_match_rebuild(leader)
+    assert votes_match_rebuild(leader, cluster.payloads)
+
+
+@pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
+def test_an_accept_without_a_payload(protocol):
+    """The answer to a duplicate PREPARE of a folded slot carries no
+    payload, and so do the ACCEPTs relayed from it.  Over a decided slot
+    such a write is a no-op; over an undecided one it is dropped and
+    counted."""
+    cluster = _cluster(protocol)
+    leader, slot, a, b = _leader_with_history(cluster)
+    done = leader.slot_of[next(t for t in cluster.payloads if t != "t-prepared")]
+    assert leader._certify_prepare(Prepare(txn=leader.txn_arr[done], payload=None)).payload is None
+    follower = cluster.replica(cluster.followers_of("shard-0")[0])
+    before = follower.txn_arr[done], follower.vote_arr[done], follower._votes.settled()
+    for target, expected in ((done, 0), (slot + 1, 1)):
+        if protocol == "rdma":
+            accept = rdma_messages.Accept(slot=target, txn="t-dup", payload=None, vote=Decision.COMMIT)
+        else:
+            accept = mp_messages.Accept(
+                epoch=follower.my_epoch, slot=target, txn="t-dup", payload=None, vote=Decision.COMMIT
+            )
+        follower.on_accept(accept, "coordinator")
+        assert follower.payloadless_writes == expected
+    assert (follower.txn_arr[done], follower.vote_arr[done], follower._votes.settled()) == before
+    assert follower.phase(slot + 1) is Phase.START and "t-dup" not in follower.slot_of
 
 
 # ----------------------------------------------------------------------
@@ -307,9 +378,10 @@ def rebuilds(monkeypatch):
     adopt_state = Reconfigurer._adopt_state
 
     def storing(replica, slot, txn, payload, vote):
-        rebuild = by_pid.setdefault(replica.pid, _DictRebuild())
-        rebuild.txn[slot], rebuild.payload[slot], rebuild.vote[slot] = txn, payload, vote
-        rebuild.slot_of[txn] = slot
+        if payload is not None:  # a write without a payload stores nothing
+            rebuild = by_pid.setdefault(replica.pid, _DictRebuild())
+            rebuild.txn[slot], rebuild.payload[slot], rebuild.vote[slot] = txn, payload, vote
+            rebuild.slot_of[txn] = slot
         store_slot(replica, slot, txn, payload, vote)
 
     def deciding(replica, slot, decision):
@@ -331,14 +403,15 @@ def rebuilds(monkeypatch):
 
 def assert_lists_equal_their_rebuild(replica, rebuild):
     """The filled entries of ``replica``'s lists, its ``slot_of`` and the
-    phase of every slot up to past the lists' end are the rebuild's."""
+    phase of every slot up to past the lists' end are the rebuild's; a
+    decided slot holds no payload (it is folded)."""
     arrays = (replica.txn_arr, replica.payload_arr, replica.vote_arr, replica.dec_arr)
     assert len({len(array) for array in arrays}) == 1, replica.pid
     filled = {slot: entry for slot, *entry in replica.filled_slots()}
     assert filled == {
         slot: [
             rebuild.txn.get(slot),
-            rebuild.payload.get(slot),
+            None if slot in rebuild.dec else rebuild.payload.get(slot),
             rebuild.vote.get(slot),
             rebuild.dec.get(slot),
         ]
