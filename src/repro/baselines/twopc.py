@@ -20,16 +20,16 @@ carry the full replication fan-out for every transaction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.baselines.paxos import RsmCommand, RsmResponse, StateMachine
 from repro.core.batching import BatchPolicy, MessageBatcher
-from repro.core.certification import CertificationScheme, VoteIndex
+from repro.core.certification import CertificationScheme
 from repro.core.coordinator import AdmissionGate
 from repro.core.directory import TransactionDirectory
 from repro.core.messages import CertifyRequest, TxnDecision
 from repro.core.types import Decision, ShardId, TxnId
-from repro.runtime.process import Process
+from repro.runtime.process import Batch, Process
 
 
 @dataclass(frozen=True)
@@ -49,26 +49,17 @@ class DecideCommand:
 
 
 @dataclass(frozen=True)
-class CommandBatch:
-    """A batch of commands replicated as *one* Paxos value.
-
-    Protocol-level batching for the baseline: the whole batch costs a single
-    Paxos instance (one Phase2a/Phase2b round instead of one per command),
-    the state machine applies the elements in order, and the response
-    carries the per-command results as a tuple in the same order.
-    """
-
-    commands: Tuple[Any, ...]
-
-
-@dataclass(frozen=True)
 class CertificationSnapshot:
     """A :class:`CertificationStateMachine`'s state, copied: its prepared
-    transactions, decisions and vote index (the scheme is shared)."""
+    transactions, decisions and the vote index's settled summary
+    (:meth:`~repro.core.certification.VoteIndex.settled`).  The index's
+    prepared state is not carried: it is the commit-voted payloads of
+    ``prepared``, and :meth:`CertificationStateMachine.restore` re-adds
+    them."""
 
     prepared: Dict[TxnId, Tuple[Any, Decision]]
     decisions: Dict[TxnId, Decision]
-    index: VoteIndex
+    settled: Any
 
 
 class CertificationStateMachine(StateMachine):
@@ -92,24 +83,33 @@ class CertificationStateMachine(StateMachine):
         self.decisions: Dict[TxnId, Decision] = {}
 
     def snapshot(self) -> CertificationSnapshot:
-        return CertificationSnapshot(dict(self.prepared), dict(self.decisions), self._index.copy())
+        return CertificationSnapshot(
+            dict(self.prepared), dict(self.decisions), self._index.settled()
+        )
 
     def restore(self, snapshot: CertificationSnapshot) -> None:
         self.prepared = dict(snapshot.prepared)
         self.decisions = dict(snapshot.decisions)
-        self._index = snapshot.index.copy()
+        index = self.scheme.make_vote_index(self.shard)
+        index.load_settled(snapshot.settled)
+        for payload, vote in self.prepared.values():
+            if vote is Decision.COMMIT:
+                index.add_prepared(payload)
+        self._index = index
 
     def apply(self, command: Any) -> Any:
         if isinstance(command, PrepareCommand):
             return self._apply_prepare(command)
         if isinstance(command, DecideCommand):
             return self._apply_decide(command)
-        if isinstance(command, CommandBatch):
+        if isinstance(command, Batch):
+            # A batch of commands replicated as *one* Paxos value.
             # Intra-batch ordering is the batch order: each prepare is
             # certified against the transactions the earlier elements
             # prepared or decided, exactly as if the commands had been
-            # replicated back to back.
-            return tuple(self.apply(each) for each in command.commands)
+            # replicated back to back.  The response carries the results
+            # as a tuple in the same order.
+            return tuple(self.apply(each) for each in command.items)
         raise TypeError(f"unknown command {command!r}")
 
     def _apply_prepare(self, command: PrepareCommand) -> Decision:
@@ -174,24 +174,23 @@ class TwoPCCoordinator(Process):
         self.scheme = scheme
         self.directory = directory
         self.shard_leaders = dict(shard_leaders)
+        # Paxos leaders map one-to-one to shards: a command's shard is the
+        # shard of the leader it was replicated through.
+        self._shard_of_leader = {leader: shard for shard, leader in self.shard_leaders.items()}
         self.transactions: Dict[TxnId, _BaselineTxn] = {}
         self._next_request = 0
-        # The (txn, shard, kind) descriptors of the commands a request
-        # replicated, in command order; and those of the commands handed to
-        # the outbox and not yet replicated, per Paxos leader.
-        self._requests: Dict[int, List[Tuple[TxnId, ShardId, str]]] = {}
-        self._unsent: Dict[str, List[Tuple[TxnId, ShardId, str]]] = {}
+        # Per request, the shard it was replicated at and its commands, in
+        # command order.
+        self._requests: Dict[int, Tuple[ShardId, Tuple[Any, ...]]] = {}
         self.duplicate_certify_requests = 0
         # The commit path's two toggles (repro.core.coordinator), shared:
         # stop-and-wait holds prepares for a new transaction until the
         # in-flight one is durable everywhere, and under an enabled batch
         # policy commands to the same Paxos leader accumulate and replicate
-        # as one CommandBatch value.
+        # as one value, a Batch of commands.
         self.gate = AdmissionGate(pipeline)
         self.batch_policy = batch or BatchPolicy()
-        self._command_batcher = MessageBatcher(
-            self, self.batch_policy, wrap=CommandBatch, send=self._replicate
-        )
+        self._command_batcher = MessageBatcher(self, self.batch_policy, send=self._replicate)
         self._reply_batcher = MessageBatcher(self, self.batch_policy)
         self.batchers = [self._command_batcher, self._reply_batcher]
 
@@ -230,7 +229,7 @@ class TwoPCCoordinator(Process):
         # models draw one delay per send, so iteration order matters).
         for shard in sorted(shards):
             command = PrepareCommand(txn=txn, payload=self.scheme.project(payload, shard))
-            self._send_command(txn, shard, "prepare", command)
+            self._command_batcher.add(self.shard_leaders[shard], command)
         if not shards:
             # No shard needs to vote: commit trivially and report back.
             entry.decision = Decision.COMMIT
@@ -241,23 +240,18 @@ class TwoPCCoordinator(Process):
                     self.directory.client_of(txn), TxnDecision(txn, Decision.COMMIT)
                 )
 
-    def _send_command(self, txn: TxnId, shard: ShardId, kind: str, command: Any) -> None:
-        leader = self.shard_leaders[shard]
-        self._unsent.setdefault(leader, []).append((txn, shard, kind))
-        self._command_batcher.add(leader, command)
-
     def _replicate(self, leader: str, value: Any) -> None:
         """The command outbox's send: replicate what it releases for
-        ``leader`` — one command, or a ``CommandBatch`` of them — as one
-        Paxos value, remembering the descriptors for response dispatch."""
-        descriptors = self._unsent.pop(leader)
-        for txn, _shard, kind in descriptors:
-            if kind == "prepare":
-                entry = self.transactions.get(txn)
+        ``leader`` — one command, or a ``Batch`` of them — as one Paxos
+        value, remembering its shard and commands for response dispatch."""
+        commands = value.items if isinstance(value, Batch) else (value,)
+        for command in commands:
+            if isinstance(command, PrepareCommand):
+                entry = self.transactions.get(command.txn)
                 if entry is not None:
                     entry.dispatched_at = self.now
         self._next_request += 1
-        self._requests[self._next_request] = descriptors
+        self._requests[self._next_request] = (self._shard_of_leader[leader], commands)
         self.send(leader, RsmCommand(command=value, request_id=self._next_request))
 
     # ------------------------------------------------------------------
@@ -267,21 +261,23 @@ class TwoPCCoordinator(Process):
         request = self._requests.pop(msg.request_id, None)
         if request is None:
             return
-        # A CommandBatch answers with its result vector, in batch order.
+        shard, commands = request
+        # A Batch answers with its result vector, in batch order.
         results = msg.result if isinstance(msg.result, tuple) else (msg.result,)
-        for (txn, shard, kind), result in zip(request, results):
-            self._apply_response(txn, shard, kind, result)
+        for command, result in zip(commands, results):
+            self._apply_response(command, shard, result)
 
-    def _apply_response(self, txn: TxnId, shard: ShardId, kind: str, result: Any) -> None:
+    def _apply_response(self, command: Any, shard: ShardId, result: Any) -> None:
+        txn = command.txn
         entry = self.transactions.get(txn)
         if entry is None:
             return
-        if kind == "prepare":
+        if isinstance(command, PrepareCommand):
             if entry.decision is None:
                 entry.votes[shard] = result
                 if entry.votes.keys() == entry.shards:
                     self._decide(entry)
-        elif kind == "decide" and entry.durable_at is None:
+        elif entry.durable_at is None:
             entry.durable_shards.add(shard)
             if entry.durable_shards == entry.shards:
                 entry.durable_at = self.now
@@ -297,5 +293,6 @@ class TwoPCCoordinator(Process):
         entry.decided_at = self.now
         entry.votes = None
         # Sorted for hash-seed-independent send order (see `certify`).
+        command = DecideCommand(entry.txn, decision)
         for shard in sorted(entry.shards):
-            self._send_command(entry.txn, shard, "decide", DecideCommand(entry.txn, decision))
+            self._command_batcher.add(self.shard_leaders[shard], command)

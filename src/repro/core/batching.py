@@ -18,9 +18,9 @@ With the policy off the outbox is a passthrough: ``add`` is ``send``,
 instant still share a scheduler event), nothing is counted and no envelope
 is built.  That is what lets the send sites be the same line on both paths.
 
-``wrap=`` survives for one caller: the 2PC baseline replicates a batch as a
-single Paxos *value* (``CommandBatch``) that the state machine applies, not
-as a transport envelope a process unpacks.
+The 2PC baseline's command outbox sends its envelopes through a send of
+its own: it replicates each as one Paxos *value*, which the shard's state
+machine applies item by item (:mod:`repro.baselines.twopc`).
 
 Batch *composition* must be deterministic: batches are keyed by destination
 in a plain dict (insertion order — i.e. the order the protocol produced the
@@ -37,10 +37,10 @@ Three flush triggers, combined by :class:`BatchPolicy`:
   bounded extra latency for larger batches (the knob WAN deployments sweep);
 * **adaptive flush-on-idle** (``adaptive=True``, the default) — a batch
   flushes at the end of the current virtual instant, once every delivery
-  already queued for it has drained (see
-  :meth:`~repro.runtime.events.Scheduler.call_at_instant_end`).  Messages
-  produced at the same instant coalesce; batching adds *zero* virtual
-  latency.
+  already queued for it has drained: its flush is a zero-delay event, which
+  fires behind every event already queued for the instant
+  (:mod:`repro.runtime.events`).  Messages produced at the same instant
+  coalesce; batching adds *zero* virtual latency.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.runtime.events import FlushTimer
+from repro.runtime.events import Event
 from repro.runtime.process import Batch
 
 
@@ -113,13 +113,11 @@ class MessageBatcher:
     per-destination messages and flushes them under a :class:`BatchPolicy`,
     or hands each straight to the send when the policy is off.
 
-    ``wrap(items)`` turns a tuple of accumulated messages into the message
-    actually sent — the :class:`~repro.runtime.process.Batch` envelope
-    unless the caller replicates batches as a value of its own.
     ``send(dst, message)`` defaults to the process's network send but is
     pluggable (the RDMA variant persists with one-sided writes, the 2PC
     baseline mints replicated-state-machine commands); it receives the
-    wrapped batch, or the bare message on the passthrough.
+    :class:`~repro.runtime.process.Batch` envelope, or the bare message on
+    the passthrough.
     ``on_flush(dst, items)`` runs just before the send on both paths —
     coordinators use it to timestamp per-transaction queueing delay.
 
@@ -132,13 +130,11 @@ class MessageBatcher:
         self,
         process: Any,
         policy: BatchPolicy,
-        wrap: Callable[[Tuple[Any, ...]], Any] = Batch,
         send: Optional[Callable[[str, Any], None]] = None,
         on_flush: Optional[Callable[[str, Tuple[Any, ...]], None]] = None,
     ) -> None:
         self.process = process
         self.policy = policy
-        self.wrap = wrap
         # The default send is looked up on the process at each send, not
         # captured here: an instance-level ``process.send`` (tests record
         # through one) must see passthrough traffic too.
@@ -150,7 +146,8 @@ class MessageBatcher:
         self._multicast = self._passthrough and send is None and on_flush is None
         # Per destination, the messages waiting for its next flush.
         self.queues: Dict[str, List[Any]] = {}
-        self._timers: Dict[str, FlushTimer] = {}
+        # Per destination with a batch open, its pending flush event.
+        self._deadlines: Dict[str, Event] = {}
         # Instrumentation: batches flushed, messages they carried, and the
         # batch-size distribution (size -> count).  Passthrough sends are
         # not batches and count nowhere.
@@ -172,13 +169,10 @@ class MessageBatcher:
         queue = self.queues.get(dst)
         if queue is None:
             # A batch opens: its first message sets the deadline, the linger
-            # or the end of the opening instant (adaptive).  The timer stays
+            # or the end of the opening instant (adaptive).  The event stays
             # pending until the batch flushes, so later messages leave it.
             queue = self.queues[dst] = []
-            timer = self._timers.get(dst)
-            if timer is None:
-                timer = self._timers[dst] = FlushTimer(self.process.scheduler)
-            timer.arm(
+            self._deadlines[dst] = self.process.scheduler.schedule(
                 0.0 if self.policy.adaptive else self.policy.linger, self.flush, dst
             )
         queue.append(message)
@@ -203,9 +197,10 @@ class MessageBatcher:
                 self.flush(each)
             return
         items = self.queues.pop(dst, None)
-        timer = self._timers.get(dst)
-        if timer is not None:
-            timer.cancel()
+        deadline = self._deadlines.pop(dst, None)
+        if deadline is not None:
+            # A no-op when the deadline is what fired this flush.
+            deadline.cancel()
         if not items:
             return
         batch = tuple(items)
@@ -214,4 +209,4 @@ class MessageBatcher:
         self.size_counts[len(batch)] = self.size_counts.get(len(batch), 0) + 1
         if self.on_flush is not None:
             self.on_flush(dst, batch)
-        (self._send or self.process.send)(dst, self.wrap(batch))
+        (self._send or self.process.send)(dst, Batch(batch))

@@ -63,15 +63,11 @@ class VoteIndex(Generic[PayloadT]):
     def vote(self, payload: PayloadT) -> Decision:
         raise NotImplementedError
 
-    def copy(self) -> "VoteIndex[PayloadT]":
-        """An index with the same state that shares nothing mutable with
-        this one (a Paxos replica's state machine snapshot carries one)."""
-        raise NotImplementedError
-
     def settled(self) -> Any:
         """The committed state alone, as a plain value that shares nothing
-        mutable with this index: the settled summary a ``NEW_STATE``
-        carries, sized on the wire by what it holds."""
+        mutable with this index: the settled summary a ``NEW_STATE`` and
+        the 2PC baseline's Paxos snapshot carry, sized on the wire by what
+        it holds."""
         raise NotImplementedError
 
     def load_settled(self, settled: Any) -> None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Hashable, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, Optional, Set, Tuple, Union
 
 from repro.core.batching import BatchPolicy, MessageBatcher
 from repro.core.messages import (
@@ -48,21 +48,23 @@ from repro.core.types import BOTTOM, Decision, Phase, ShardId, TxnId
 class CoordinatorEntry:
     """Book-keeping for one transaction this process coordinates.
 
-    ``votes`` / ``slots`` / ``vote_epochs`` / ``acks`` are the in-flight
-    state of the vote rounds.  Once the transaction is decided nothing reads
-    them, so the decision drops them (they read ``None`` from then on): a
-    decided entry — one whose ``decision`` is set — keeps ``txn``,
-    ``shards``, the ``decision`` and its timestamps, which is what
-    duplicate requests, the latency breakdown and the admission gate read.  A ``PREPARE_ACK`` arriving after the decision
-    is still relayed to the followers; their confirmations are dropped.
+    ``votes`` / ``acks`` are the in-flight state of the vote rounds.  Once
+    the transaction is decided nothing reads them, so the decision drops
+    them (they read ``None`` from then on): a decided entry — one whose
+    ``decision`` is set — keeps ``txn``, ``shards``, the ``decision`` and
+    its timestamps, which is what duplicate requests, the latency breakdown
+    and the admission gate read.  A ``PREPARE_ACK`` arriving after the
+    decision is still relayed to the followers; their confirmations are
+    dropped.
     """
 
     txn: TxnId
     shards: frozenset
     started_at: float
-    votes: Optional[Dict[ShardId, Decision]] = field(default_factory=dict)
-    slots: Optional[Dict[ShardId, int]] = field(default_factory=dict)
-    vote_epochs: Optional[Dict[ShardId, int]] = field(default_factory=dict)
+    # Per shard, the message that brought its vote (a ``PREPARE_ACK``, or
+    # an ``ACCEPT_ACK`` that arrived first): its ``vote``, ``slot`` and
+    # ``epoch``.
+    votes: Optional[Dict[ShardId, Union[PrepareAck, AcceptAck]]] = field(default_factory=dict)
     # Followers known to hold the vote, keyed by ``_ack_key(shard, epoch)``.
     acks: Optional[Dict[Hashable, Set[str]]] = field(default_factory=dict)
     decision: Optional[Decision] = None
@@ -258,9 +260,7 @@ class CoordinatorMixin:
             # coordinator would, but there is nothing left to record it in.
             self._persist_vote(entry, msg)
             return
-        entry.votes[msg.shard] = msg.vote
-        entry.slots[msg.shard] = msg.slot
-        entry.vote_epochs[msg.shard] = msg.epoch
+        entry.votes[msg.shard] = msg
         self._persist_vote(entry, msg)
         # A shard with no followers (f = 0) is fully persisted by the
         # leader's own vote, so the decision check must run here too.
@@ -279,11 +279,11 @@ class CoordinatorMixin:
         for shard in entry.shards:
             if not self._shard_persisted(entry, shard):
                 return
-        decision = Decision.meet_all(entry.votes[s] for s in entry.shards)
-        slots = entry.slots
+        votes = entry.votes
+        decision = Decision.meet_all(votes[s].vote for s in entry.shards)
         entry.decision = decision
         entry.decided_at = self.now
-        entry.votes = entry.slots = entry.vote_epochs = entry.acks = None
+        entry.votes = entry.acks = None
         # Report to the client (line 27) ...
         if self.directory.known(entry.txn):
             client = self.directory.client_of(entry.txn)
@@ -291,7 +291,7 @@ class CoordinatorMixin:
         # ... and persist the decision at every relevant shard (lines 28-29).
         # Sorted for hash-seed-independent send order (see `certify`).
         for shard in sorted(entry.shards):
-            self._persist_decision(shard, slots[shard], decision)
+            self._persist_decision(shard, votes[shard].slot, decision)
         self.gate.leave(entry.txn, self._dispatch_prepares)
 
     # ------------------------------------------------------------------
@@ -337,9 +337,7 @@ class CoordinatorMixin:
         if entry is None or entry.decision is not None:
             return
         entry.acks.setdefault((msg.shard, msg.epoch), set()).add(sender)
-        entry.votes.setdefault(msg.shard, msg.vote)
-        entry.slots.setdefault(msg.shard, msg.slot)
-        entry.vote_epochs.setdefault(msg.shard, msg.epoch)
+        entry.votes.setdefault(msg.shard, msg)
         self._maybe_decide(entry)
 
     def _shard_persisted(self, entry: CoordinatorEntry, shard: ShardId) -> bool:
@@ -347,10 +345,9 @@ class CoordinatorMixin:
         current, possibly stale, view of its configuration — has confirmed
         the vote this entry records for the shard's current epoch
         (``epoch_of``), counted under ``_ack_key``."""
-        if shard not in entry.votes:
-            return False
+        record = entry.votes.get(shard)
         epoch = self.epoch_of(shard)
-        if entry.vote_epochs.get(shard) != epoch:
+        if record is None or record.epoch != epoch:
             return False
         acked = entry.acks.get(self._ack_key(shard, epoch), ())
         # With no followers (f = 0) the leader's vote alone persists it.

@@ -16,7 +16,7 @@ refuses is registered when its client certifies it instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet
 
 from repro.core.types import ProcessId, ShardId, TxnId
 
@@ -66,9 +66,6 @@ class TransactionDirectory:
     def shards_of(self, txn: TxnId) -> FrozenSet[ShardId]:
         """``shards(t)``."""
         return self._info[txn].shards
-
-    def get(self, txn: TxnId) -> Optional[TxnInfo]:
-        return self._info.get(txn)
 
     def __len__(self) -> int:
         return len(self._info)

@@ -307,14 +307,6 @@ class _ReadWriteVoteIndex(VoteIndex[TransactionPayload]):
             if current is None or version > current[0]:
                 committed_writer[obj] = (version, value)
 
-    def copy(self) -> "_ReadWriteVoteIndex":
-        # The dicts' values are immutable pairs and counts.
-        twin = type(self)(self.sharding, self.shard)
-        twin.committed_writer = dict(self.committed_writer)
-        twin.prepared_readers = dict(self.prepared_readers)
-        twin.prepared_writers = dict(self.prepared_writers)
-        return twin
-
     def settled(self) -> Dict[ObjectId, Tuple[Version, Value]]:
         return dict(self.committed_writer)
 

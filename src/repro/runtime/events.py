@@ -3,7 +3,9 @@
 All protocol code runs on virtual time managed by :class:`Scheduler`.
 Events scheduled for the same virtual time fire in the order they were
 scheduled, which, combined with seeded randomness in the latency models,
-makes every simulation run fully reproducible.
+makes every simulation run fully reproducible.  So a zero-delay event fires
+behind every event already queued for the current instant: the batching
+layer's adaptive flush (:mod:`repro.core.batching`) is one.
 
 The scheduler is the innermost loop of every simulation, so its operations
 are kept O(log n) or better: a live-event counter makes :attr:`idle` and
@@ -202,18 +204,6 @@ class Scheduler:
             self._now = max_time
         return fired
 
-    def call_at_instant_end(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at the *current* virtual time, behind every
-        event already queued for it.
-
-        Events are ordered by ``(time, seq)`` and ``seq`` grows
-        monotonically, so a zero-delay event scheduled now fires only after
-        all deliveries that were already queued for this instant have
-        drained — the primitive behind the batching layer's adaptive
-        flush-on-idle policy.
-        """
-        return self.schedule(0.0, fn, *args)
-
     def run_until(self, predicate: Callable[[], bool], max_events: int = 1_000_000) -> bool:
         """Run until ``predicate()`` becomes true; it is checked before
         every event, so the run stops exactly at the satisfying event.
@@ -232,48 +222,3 @@ class Scheduler:
                 return predicate()
             fired += 1
         return True
-
-
-class FlushTimer:
-    """A re-armable one-shot deadline, built for batching flush schedules.
-
-    A batcher arms the timer when the first message of a batch is queued and
-    cancels it when the batch flushes early (size cap reached).  ``arm`` is
-    idempotent while the timer is pending, so callers can arm on every
-    enqueue without tracking whether a deadline is already outstanding; the
-    deadline that sticks is the one set by the batch's *first* message,
-    which is exactly the linger semantics.
-    """
-
-    __slots__ = ("_scheduler", "_event")
-
-    def __init__(self, scheduler: Scheduler) -> None:
-        self._scheduler = scheduler
-        self._event: Optional[Event] = None
-
-    @property
-    def armed(self) -> bool:
-        return self._event is not None
-
-    def arm(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` ``delay`` from now unless already pending.
-
-        A zero delay lands the callback at the end of the current instant
-        (see :meth:`Scheduler.call_at_instant_end`).
-        """
-        if self._event is not None:
-            return
-
-        def fire() -> None:
-            self._event = None
-            fn(*args)
-
-        if delay == 0.0:
-            self._event = self._scheduler.call_at_instant_end(fire)
-        else:
-            self._event = self._scheduler.schedule(delay, fire)
-
-    def cancel(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None

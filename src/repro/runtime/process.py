@@ -83,10 +83,6 @@ class Process:
     # ------------------------------------------------------------------
     def attach(self, network: "Network") -> None:
         self.network = network
-        self.on_attach()
-
-    def on_attach(self) -> None:
-        """Hook called once the process is registered with a network."""
 
     @property
     def scheduler(self):

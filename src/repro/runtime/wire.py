@@ -10,15 +10,16 @@ payload fields.
 A message's size follows from its class.  Every message is a dataclass and
 costs one header plus the recursive size of its fields, by a sizer compiled
 on first sight of its exact class, so a new message class is sized without
-being listed anywhere.  Three classes carry a rule of their own
+being listed anywhere.  Two classes carry a rule of their own
 (``_MESSAGE_RULES``):
 
-* **batches cost the sum of their parts plus one header** — a ``Batch``
+* **a batch costs the sum of its parts plus one header** — a ``Batch``
   envelope of 32 ``Prepare`` messages carries the same payload bytes as 32
   individual sends but saves 31 headers (and, on the link, 31 per-message
   overheads), so batch-size sweeps show a real latency/throughput knee
-  instead of batching being free.  One rule sizes the transport's envelope
-  whatever it carries, and the baseline's ``CommandBatch`` Paxos value;
+  instead of batching being free.  One rule sizes the envelope whatever it
+  carries; a ``Batch`` nested in a message (the 2PC baseline replicates
+  one as a Paxos value) is a field, sized by the field rule;
 * **an RDMA write costs its frame plus the message it carries** — the
   NIC-level ``RdmaWrite`` is a frame header and a write id around a full
   protocol message.
@@ -185,18 +186,11 @@ def _size_transaction_payload(payload: Any) -> float:
     return size + _field_size(version)
 
 
-def _batch_sizer(attr: str) -> _Sizer:
-    """Batch wrappers cost one header plus the *payload* bytes of every
-    element — coalescing saves the per-element headers (and, on the link,
-    the per-message serialization overhead), never payload bytes."""
-
-    def sizer(message: Any) -> float:
-        payloads = sum(
-            [wire_size(part) - HEADER_BYTES for part in getattr(message, attr)]
-        )
-        return HEADER_BYTES + payloads
-
-    return sizer
+def _size_batch(batch: Any) -> float:
+    """One header plus the *payload* bytes of every item — coalescing saves
+    the per-item headers (and, on the link, the per-message serialization
+    overhead), never payload bytes."""
+    return HEADER_BYTES + sum([wire_size(item) - HEADER_BYTES for item in batch.items])
 
 
 def _size_rdma_write(frame: Any) -> float:
@@ -208,8 +202,7 @@ def _size_rdma_write(frame: Any) -> float:
 # The message classes with a rule of their own, by qualified name; every
 # other message costs a header plus its dataclass fields.
 _MESSAGE_RULES: Dict[str, _Sizer] = {
-    "repro.runtime.process.Batch": _batch_sizer("items"),
-    "repro.baselines.twopc.CommandBatch": _batch_sizer("commands"),
+    "repro.runtime.process.Batch": _size_batch,
     "repro.runtime.rdma.RdmaWrite": _size_rdma_write,
 }
 

@@ -165,11 +165,6 @@ class ScanVoteIndex(VoteIndex):
     def vote(self, payload) -> Decision:
         return scan_vote(self.scheme, self.shard, self.committed, self.prepared, payload)
 
-    def copy(self) -> "ScanVoteIndex":
-        twin = ScanVoteIndex(self.scheme, self.shard)
-        twin.committed, twin.prepared = list(self.committed), list(self.prepared)
-        return twin
-
     def settled(self):
         return tuple(self.committed)
 

@@ -5,14 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.cluster import BaselineCluster
+from repro.baselines.paxos import PaxosGroup, RsmCommand
 from repro.baselines.twopc import (
     CertificationStateMachine,
-    CommandBatch,
     DecideCommand,
     PrepareCommand,
 )
 from repro.core.serializability import KeyHashSharding, SerializabilityScheme
 from repro.core.types import Decision
+from repro.runtime import wire
+from repro.runtime.events import Scheduler
+from repro.runtime.network import Network
+from repro.runtime.process import Batch, Process
 
 from helpers import (
     ScanVoteIndex,
@@ -134,8 +138,8 @@ class _ScanMachine:
         self.committed, self.prepared, self.decisions = [], {}, {}
 
     def apply(self, command):
-        if isinstance(command, CommandBatch):
-            return tuple(self.apply(each) for each in command.commands)
+        if isinstance(command, Batch):
+            return tuple(self.apply(each) for each in command.items)
         if isinstance(command, PrepareCommand):
             if command.txn in self.prepared:
                 return self.prepared[command.txn][1]
@@ -163,7 +167,7 @@ class _ScanForbiddenScheme(SerializabilityScheme):
 def command_sequences(draw):
     """Prepare/decide commands over a few transactions, in any order, with
     duplicates, aborts, decides that precede (or lack) their prepare, and
-    some of the sequence wrapped into a CommandBatch."""
+    some of the sequence wrapped into a Batch."""
     population = draw(st.lists(payloads(), min_size=1, max_size=6))
     steps = draw(
         st.lists(
@@ -201,7 +205,7 @@ def test_indexed_state_machine_votes_like_the_scan(scheme, sequence):
         commands = list(_commands(scheme, shard, population, steps))
         sequence = commands[:batch_from]
         if commands[batch_from:]:
-            sequence.append(CommandBatch(commands=tuple(commands[batch_from:])))
+            sequence.append(Batch(tuple(commands[batch_from:])))
         for command in sequence:
             assert indexed.apply(command) == reference.apply(command)
         assert indexed.prepared == reference.prepared
@@ -256,6 +260,86 @@ def test_a_restored_state_machine_votes_like_its_source_and_shares_nothing(
         for command in commands[split:]:
             assert late.apply(command) == replay.apply(command)
         assert late.prepared == replay.prepared and late.decisions == replay.decisions
+
+
+def test_a_snapshot_costs_the_same_whatever_the_sharding_memo_holds():
+    """A snapshot carries the state machine's state, not its scheme: the
+    sharding function's memo of the keys it has seen stays off the wire."""
+    sharding = KeyHashSharding(SHARDS)
+    machine = CertificationStateMachine("shard-0", SerializabilityScheme(sharding))
+    fresh = wire._field_size(machine.snapshot())
+    for i in range(1000):
+        sharding.shard_of(f"key-{i}")
+    assert wire._field_size(machine.snapshot()) == fresh
+
+
+class _Submitter(Process):
+    """Replicates commands through a Paxos leader and keeps the results."""
+
+    def __init__(self):
+        super().__init__("submitter")
+        self.results = {}
+
+    def submit(self, leader, command):
+        request_id = len(self.results) + 1
+        self.results[request_id] = None
+        self.send(leader, RsmCommand(command=command, request_id=request_id))
+
+    def on_rsm_response(self, msg, sender):
+        self.results[msg.request_id] = msg.result
+
+
+@pytest.mark.parametrize("scheme", [SER, SI], ids=["serializability", "snapshot-isolation"])
+@given(sequence=command_sequences(), split=st.integers(1, 24))
+@settings(max_examples=40, deadline=None)
+def test_a_phase_1_leader_installs_the_summary_and_votes_as_if_it_kept_its_state(
+    scheme, sequence, split
+):
+    """A replica partitioned away while a prefix of the commands was chosen
+    wins phase 1: it installs its quorum's snapshot — the settled summary,
+    the prepared tail and the decisions — and from there answers every
+    command as a state machine that applied the prefix itself."""
+    population, steps, _ = sequence
+    shard = "shard-0"
+    commands = list(_commands(scheme, shard, population, steps))
+    scheduler = Scheduler()
+    network = Network(scheduler)
+    group = PaxosGroup(network, "g", 3, lambda: CertificationStateMachine(shard, scheme))
+    submitter = _Submitter()
+    network.register(submitter)
+    lagging = group.replicas[-1]
+    network.partition([lagging.pid], list(group.pids[:-1]))
+    for command in commands[:split]:
+        submitter.submit(group.leader, command)
+    scheduler.run()
+    network.heal()
+    kept = CertificationStateMachine(shard, scheme)
+    for command in commands[:split]:
+        kept.apply(command)
+    installed = []
+    restore = lagging.state_machine.restore
+
+    def recording_restore(snapshot):
+        installed.append(snapshot)
+        restore(snapshot)
+
+    lagging.state_machine.restore = recording_restore
+    lagging.become_leader()
+    assert scheduler.run_until(lambda: lagging.leading)
+    (snapshot,) = installed
+    assert snapshot.settled == kept._index.settled()
+    assert lagging.state_machine.prepared == kept.prepared
+    assert lagging.state_machine.decisions == kept.decisions
+    answered = len(submitter.results)
+    for command in commands[split:]:
+        submitter.submit(lagging.pid, command)
+    scheduler.run()
+    assert list(submitter.results.values())[answered:] == [
+        kept.apply(command) for command in commands[split:]
+    ]
+    for replica in group.replicas:
+        assert replica.state_machine.prepared == kept.prepared
+        assert replica.state_machine.decisions == kept.decisions
 
 
 def test_a_scheme_must_supply_both_indexes():

@@ -31,7 +31,7 @@ from repro.core.coordinator import AdmissionGate, CoordinatorMixin
 from repro.core.messages import Accept, AcceptAck, CertifyRequest, Prepare
 from repro.core.types import Decision
 from repro.rdma import messages as rdma_messages
-from repro.runtime.events import FlushTimer, Scheduler
+from repro.runtime.events import Scheduler
 from repro.runtime.network import Network
 from repro.runtime.process import Batch, Process
 from repro.scenarios import (
@@ -116,53 +116,56 @@ def _harness():
 
 def test_size_cap_flushes_immediately():
     scheduler, sender, receiver = _harness()
-    batcher = MessageBatcher(sender, BatchPolicy(size=3), wrap=tuple)
+    batcher = MessageBatcher(sender, BatchPolicy(size=3))
     for i in range(3):
         batcher.add("dst", i)
     assert pending_messages(batcher) == 0  # size cap flushed synchronously
     scheduler.run()
-    assert receiver.received == [(1.0, (0, 1, 2))]
+    assert receiver.received == [(1.0, Batch((0, 1, 2)))]
     assert batcher.batches_sent == 1 and batcher.messages_batched == 3
     assert batcher.size_counts == {3: 1}
 
 
 def test_adaptive_flush_coalesces_the_instant():
     scheduler, sender, receiver = _harness()
-    batcher = MessageBatcher(sender, BatchPolicy(size=100), wrap=tuple)
+    batcher = MessageBatcher(sender, BatchPolicy(size=100))
     batcher.add("dst", "a")
     batcher.add("dst", "b")
     assert pending_messages(batcher, "dst") == 2  # below cap: waits for the flush
     scheduler.run()
     # One batch, flushed at the end of instant 0, delivered one delay later.
-    assert receiver.received == [(1.0, ("a", "b"))]
+    assert receiver.received == [(1.0, Batch(("a", "b")))]
 
 
 def test_linger_delays_the_flush():
     scheduler, sender, receiver = _harness()
-    batcher = MessageBatcher(
-        sender, BatchPolicy(size=100, linger=2.0, adaptive=False), wrap=tuple
-    )
+    batcher = MessageBatcher(sender, BatchPolicy(size=100, linger=2.0, adaptive=False))
     batcher.add("dst", "a")
     batcher.add("dst", "b")
     scheduler.run()
     # Armed at t=0 by the first add, flushed at t=2, delivered at t=3.
-    assert receiver.received == [(3.0, ("a", "b"))]
+    assert receiver.received == [(3.0, Batch(("a", "b")))]
 
 
-def test_flush_timer_is_idempotent_and_cancellable():
-    scheduler = Scheduler()
-    timer = FlushTimer(scheduler)
-    fired = []
-    timer.arm(5.0, fired.append, "first")
-    timer.arm(1.0, fired.append, "second")  # ignored: already armed
-    assert timer.armed
-    timer.cancel()
-    assert not timer.armed
+def test_first_message_sets_the_deadline_and_a_size_cap_flush_cancels_it():
+    """A batch's first message schedules its flush and later messages leave
+    that deadline alone; a size-cap flush cancels it, so no stray flush
+    cuts the next batch short."""
+    scheduler, sender, receiver = _harness()
+    batcher = MessageBatcher(sender, BatchPolicy(size=3, linger=5.0, adaptive=False))
+    batcher.add("dst", "a")
+    assert scheduler.pending == 1  # the deadline, t=5
+    scheduler.schedule(2.0, batcher.add, "dst", "b")  # leaves it at t=5
+    for item in "cde":  # the third fills the batch at t=6: t=11 is cancelled
+        scheduler.schedule(6.0, batcher.add, "dst", item)
+    scheduler.schedule(7.0, batcher.add, "dst", "f")  # a new deadline, t=12
     scheduler.run()
-    assert fired == []
-    timer.arm(1.0, fired.append, "third")
-    scheduler.run()
-    assert fired == ["third"]
+    assert receiver.received == [
+        (6.0, Batch(("a", "b"))),
+        (7.0, Batch(("c", "d", "e"))),
+        (13.0, Batch(("f",))),
+    ]
+    assert scheduler.pending == 0
 
 
 def test_on_flush_hook_sees_the_batch_before_send():
@@ -171,7 +174,6 @@ def test_on_flush_hook_sees_the_batch_before_send():
     batcher = MessageBatcher(
         sender,
         BatchPolicy(size=2),
-        wrap=tuple,
         on_flush=lambda dst, items: seen.append((dst, items)),
     )
     batcher.add("dst", 1)

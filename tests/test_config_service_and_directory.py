@@ -273,7 +273,7 @@ def test_directory_register_and_query():
     assert directory.client_of("t1") == "client-0"
     assert directory.shards_of("t1") == frozenset({"s0", "s1"})
     assert len(directory) == 1
-    assert directory.get("missing") is None
+    assert not directory.known("missing")
 
 
 def test_directory_idempotent_registration():

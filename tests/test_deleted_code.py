@@ -1,6 +1,6 @@
 """Code that was deleted stays deleted.
 
-Three designs left the tree, and nothing may grow back by accident:
+These designs left the tree, and nothing may grow back by accident:
 
 * the windowed shard-group engine (a run partitioned into groups of
   shards on their own heaps): a run executes on the one serial event heap;
@@ -8,7 +8,18 @@ Three designs left the tree, and nothing may grow back by accident:
   its ``--jobs`` flag and ``ExecSpec.jobs``: every run executes serially,
   in the process that asked for it;
 * the RDMA stack's own ``NewState`` message: both stacks send the one in
-  ``repro.core.messages``.
+  ``repro.core.messages``;
+* second copies of four mechanisms: the batcher's ``FlushTimer`` wrapper
+  (and ``Scheduler.call_at_instant_end``, its one caller's primitive) — a
+  batch schedules and cancels its own flush event; the baseline's
+  ``CommandBatch`` and the batcher's ``wrap`` parameter — the baseline
+  replicates a transport ``Batch``; ``VoteIndex.copy`` — a Paxos snapshot
+  carries the settled summary; and the coordinators' parallel vote maps
+  (``CoordinatorEntry.slots`` / ``vote_epochs``, ``TwoPCCoordinator``'s
+  ``_unsent`` queues) — one record of each vote, and a command's shard and
+  kind read off its leader and type;
+* two entry points nothing called: ``Process.on_attach`` and
+  ``TransactionDirectory.get``.
 """
 
 import importlib.util
@@ -18,11 +29,19 @@ import pytest
 
 import repro.scenarios as scenarios
 from repro.analysis import metrics as metrics_module
+from repro.baselines import twopc
 from repro.baselines.cluster import BaselineCluster
 from repro.cluster import Cluster, ClusterBase
+from repro.core.batching import MessageBatcher
+from repro.core.certification import VoteIndex
+from repro.core.coordinator import CoordinatorEntry
+from repro.core.directory import TransactionDirectory
+from repro.core.serializability import KeyHashSharding, SerializabilityScheme
 from repro.rdma import messages as rdma_messages
+from repro.runtime import events
 from repro.runtime.events import Event, Scheduler
 from repro.runtime.network import LatencySpec, Network
+from repro.runtime.process import Process
 from repro.scenarios import ExecSpec
 from repro.scenarios.__main__ import main as scenarios_main
 
@@ -43,6 +62,16 @@ GONE = [
     (scenarios, "run_scenarios"),
     (scenarios, "run_repetitions"),
     (rdma_messages, "NewState"),
+    (events, "FlushTimer"),
+    (Scheduler, "call_at_instant_end"),
+    (twopc, "CommandBatch"),
+    (VoteIndex, "copy"),
+    (type(SerializabilityScheme(KeyHashSharding(["s"])).make_vote_index("s")), "copy"),
+    (CoordinatorEntry, "slots"),
+    (CoordinatorEntry, "vote_epochs"),
+    (twopc.TwoPCCoordinator, "_send_command"),
+    (Process, "on_attach"),
+    (TransactionDirectory, "get"),
 ]
 
 
@@ -56,6 +85,15 @@ def test_the_module_stays_deleted(module):
 )
 def test_the_name_stays_deleted(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_the_batcher_takes_no_wrap():
+    assert "wrap" not in inspect.signature(MessageBatcher.__init__).parameters
+
+
+def test_the_baseline_coordinator_keeps_no_unsent_queues():
+    (coordinator,) = BaselineCluster(num_shards=2).coordinators
+    assert not hasattr(coordinator, "_unsent")
 
 
 def test_cluster_constructor_takes_no_groups():

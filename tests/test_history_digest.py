@@ -692,6 +692,15 @@ def test_sizing_a_fresh_payload_call_count():
 # read-mostly-lease / rdma-batched-bw / baseline-steady read 264.0-264.1 /
 # 962.1-962.7 / 1108.0 under 0, 1, 7, 99 and 4242 (263.6 / 958.8 / 1108.0
 # on the parent under 0); the bounds stay.
+# Since the batcher schedules its own flush event (no ``FlushTimer``), a
+# coordinator keeps the ack that brought each shard's vote (no parallel
+# slot and epoch maps) and the 2PC coordinator reads a command's shard and
+# kind off its leader and type, mp-steady / mp-steady-grouped /
+# read-mostly-lease / baseline-steady / rdma-batched-bw read 603.4 / 603.3 /
+# 263.5-263.6 / 1103.5 / 952.6-952.7 in a fresh process under PYTHONHASHSEED
+# 0 and 4242 (606.9 / 606.8 / 264.0-264.1 / 1108.0 / 962.1-962.2 on the
+# parent); each plus 2%, rounded up (616 / 616 / 269 / 1126 / 972), is
+# above its bound, so the bounds stay.
 # A change that makes the path cheaper should tighten these to its own
 # readings.  The parallel-shards spelling of mp-steady is the serial run
 # (the runner ignores the mode): it must cost mp-steady's calls exactly.

@@ -37,7 +37,7 @@ from repro.baselines.cluster import BaselineCluster
 from repro.client import CoordinatorRouter
 from repro.core import messages as core_messages
 from repro.core.serializability import TransactionPayload
-from repro.core.types import Configuration
+from repro.core.types import Configuration, Decision
 from repro.rdma import messages as rdma_messages
 from repro.runtime import process as process_runtime
 from repro.runtime import rdma as rdma_runtime
@@ -110,6 +110,20 @@ def test_batch_wire_size_is_sum_of_parts_plus_one_header():
     assert wire_size(batch) < sum(wire_size(p) for p in parts)
 
 
+def test_a_batch_nested_in_a_message_is_sized_as_a_field():
+    """Only a top-level ``Batch`` is an envelope.  Nested — the 2PC baseline
+    replicates one as a Paxos value — it is a field like any dataclass: one
+    scalar plus its items' tuple, no header anywhere."""
+    commands = (
+        twopc.PrepareCommand(txn="t1", payload=("key-1",)),
+        twopc.DecideCommand(txn="t1", decision=Decision.COMMIT),
+    )
+    batch = Batch(commands)
+    assert wire._field_size(batch) == 2 * SCALAR_BYTES + sum(map(wire._field_size, commands))
+    value = paxos.RsmCommand(command=batch, request_id=7)
+    assert wire_size(value) == HEADER_BYTES + wire._field_size(batch) + SCALAR_BYTES
+
+
 def test_rdma_write_charges_frame_plus_payload():
     inner = rdma_messages.Accept(slot=3, txn="t1", payload=None, vote=None)
     frame = rdma_runtime.RdmaWrite(write_id=1, payload=inner)
@@ -167,7 +181,6 @@ def test_every_class_named_by_the_wire_module_exists(name):
 
 _BATCH_PARTS = {
     Batch: "items",
-    twopc.CommandBatch: "commands",
 }
 
 

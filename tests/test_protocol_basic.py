@@ -203,11 +203,11 @@ def _decide_one(cluster):
 
 
 def _assert_compact(entry):
-    """Only the decision and its timestamps survive: no vote, slot, epoch or
-    ack container, no payload and no instance ``__dict__``."""
+    """Only the decision and its timestamps survive: no vote or ack
+    container, no payload and no instance ``__dict__``."""
     assert entry.decision is Decision.COMMIT
     assert entry.decided_at is not None and entry.dispatched_at is not None
-    assert (entry.votes, entry.slots, entry.vote_epochs, entry.acks) == (None,) * 4
+    assert (entry.votes, entry.acks) == (None, None)
     assert not hasattr(entry, "payload") and not hasattr(entry, "__dict__")
 
 
