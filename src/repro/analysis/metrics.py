@@ -21,8 +21,9 @@ its row of the plain-text report.  A new counter is a field plus a key in
 from __future__ import annotations
 
 import statistics
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -123,32 +124,54 @@ def phase_breakdown(samples: Mapping[str, Sequence[float]]) -> PhaseBreakdown:
     )
 
 
-def collect_phase_samples(client, entries: Mapping) -> Dict[str, List[float]]:
+def collect_phase_samples(
+    client, coordinators: Iterable[Tuple[Container, Sequence[float]]]
+) -> Dict[str, array]:
     """Split client-observed latencies into the :data:`PHASES`.
 
-    ``client`` exposes ``submit_times`` / ``decide_times`` per transaction;
-    ``entries`` maps transactions to coordinator entries with ``started_at``
-    / ``decided_at`` — the shape both the reconfigurable cluster and the
-    2PC-over-Paxos baseline provide, so the phase definitions live in one
-    place and cannot drift between them.  Entries carrying a
-    ``dispatched_at`` stamp (set when the batching layer flushed the
-    transaction's last PREPARE) additionally yield a ``queue_wait`` sample;
-    their certify phase starts at the flush, keeping queueing delay out of
-    the protocol-cost phase.
+    ``client`` exposes ``submit_times`` / ``decide_times`` per transaction.
+    ``coordinators`` gives, per coordinator in the order that picks among
+    them, ``(txns, times)``: the transactions it keeps, in order, and their
+    ``started_at`` / ``dispatched_at`` / ``decided_at`` stamps as
+    consecutive triples of one flat float sequence, NaN for a stamp not
+    set.  Both the reconfigurable cluster and the 2PC-over-Paxos baseline
+    give that shape, so the phase definitions live in one place and cannot
+    drift between them.  A transaction whose decision reached its client is
+    sampled from the first coordinator that keeps it, if it is decided
+    there.  A ``dispatched_at`` stamp (set when the batching layer flushed
+    the transaction's last PREPARE) additionally yields a ``queue_wait``
+    sample, and the certify phase starts at the flush, keeping queueing
+    delay out of the protocol-cost phase.
+
+    The samples come in coordinator order, not the client's: every reader
+    sorts them or sums them exactly (``summarize``, ``statistics.fmean``).
     """
-    samples: Dict[str, List[float]] = {name: [] for name in PHASES}
-    for txn, decide_time in client.decide_times.items():
-        entry = entries.get(txn)
-        if entry is None or entry.decided_at is None:
-            continue
-        samples["submit_to_certify"].append(entry.started_at - client.submit_times[txn])
-        dispatched = entry.dispatched_at
-        certify_start = entry.started_at
-        if dispatched is not None:
-            samples["queue_wait"].append(dispatched - entry.started_at)
-            certify_start = dispatched
-        samples["certify_to_decide"].append(entry.decided_at - certify_start)
-        samples["decide_to_client"].append(decide_time - entry.decided_at)
+    samples = {name: array("d") for name in PHASES}
+    to_certify = samples["submit_to_certify"].append
+    queue_wait = samples["queue_wait"].append
+    to_decide = samples["certify_to_decide"].append
+    to_client = samples["decide_to_client"].append
+    submit_times = client.submit_times
+    decide_times = client.decide_times
+    earlier: List[Container] = []
+    for txns, times in coordinators:
+        stamps = iter(times)
+        for txn, started, dispatched, decided in zip(txns, stamps, stamps, stamps):
+            # NaN is the one float unequal to itself: an undecided record.
+            if txn not in decide_times or decided != decided:
+                continue
+            for kept in earlier:
+                if txn in kept:
+                    break
+            else:
+                to_certify(started - submit_times[txn])
+                certify_start = started
+                if dispatched == dispatched:
+                    queue_wait(dispatched - started)
+                    certify_start = dispatched
+                to_decide(decided - certify_start)
+                to_client(decide_times[txn] - decided)
+        earlier.append(txns)
     return samples
 
 

@@ -16,12 +16,13 @@ involves — Figure 2's "a replica of a shard not involved", read literally.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.baselines.paxos import PaxosGroup, PaxosReplica
 from repro.baselines.twopc import CertificationStateMachine, TwoPCCoordinator
 from repro.client import CoordinatorRouter
 from repro.cluster import ClusterBase
+from repro.core.coordinator import UNSTAMPED
 from repro.core.types import Configuration, ShardId, TxnId
 
 
@@ -100,6 +101,26 @@ class BaselineCluster(ClusterBase):
             for coordinator in self.coordinators
             for txn, entry in coordinator.transactions.items()
         }
+
+    def _decided_columns(self) -> List[Tuple[Dict[TxnId, Any], Sequence[float]]]:
+        """Every coordinator's transactions and their stamps, the last
+        coordinator first: the entry sampled is the one
+        :meth:`coordinator_entries` keeps, and none when it is undecided."""
+        return [
+            (
+                coordinator.transactions,
+                [
+                    stamp
+                    for entry in coordinator.transactions.values()
+                    for stamp in (
+                        entry.started_at,
+                        UNSTAMPED if entry.dispatched_at is None else entry.dispatched_at,
+                        UNSTAMPED if entry.decided_at is None else entry.decided_at,
+                    )
+                ],
+            )
+            for coordinator in reversed(self.coordinators)
+        ]
 
     def _pick_coordinator(self, involved: Iterable[ShardId]) -> str:
         # The involved shards matter only as the sticky key: every

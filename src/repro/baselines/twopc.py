@@ -247,8 +247,10 @@ class TwoPCCoordinator(Process):
         commands = value.items if isinstance(value, Batch) else (value,)
         for command in commands:
             if isinstance(command, PrepareCommand):
+                # Stamped while undecided only: a decided entry's stamps
+                # are written once.
                 entry = self.transactions.get(command.txn)
-                if entry is not None:
+                if entry is not None and entry.decision is None:
                     entry.dispatched_at = self.now
         self._next_request += 1
         self._requests[self._next_request] = (self._shard_of_leader[leader], commands)

@@ -95,8 +95,10 @@ class ClusterBase:
       (``detector``, ``emit_heartbeats``, ``tick_detector``), in build order;
     * ``_coordinator_processes()`` — the processes that can coordinate
       (``duplicate_certify_requests``, ``batchers``);
-    * ``coordinator_entries()`` — txn -> the coordinator's book-keeping entry
-      (``started_at`` / ``dispatched_at`` / ``decided_at``);
+    * ``coordinator_entries()`` — txn -> the coordinator's book-keeping
+      record (``started_at`` / ``dispatched_at`` / ``decided_at``);
+    * ``_decided_columns()`` — per coordinator, what
+      :func:`~repro.analysis.metrics.collect_phase_samples` reads;
     * ``_pick_coordinator(involved)`` — the live coordinator of a submission
       over the ``involved`` shards, made without a retry policy;
     * ``leader_of(shard)``;
@@ -284,7 +286,7 @@ class ClusterBase:
         aborts = sum(1 for d in decided.values() if d is Decision.ABORT)
         return aborts / len(decided)
 
-    def phase_samples(self) -> Dict[str, List[float]]:
+    def phase_samples(self) -> Dict[str, Sequence[float]]:
         """Per-phase latency samples along the commit path.
 
         For every transaction whose decision reached its client, splits the
@@ -293,7 +295,7 @@ class ClusterBase:
         critical path) and decide -> client (decision delivery).  Keys match
         :data:`repro.analysis.metrics.PHASES`.
         """
-        return collect_phase_samples(self.client, self.coordinator_entries())
+        return collect_phase_samples(self.client, self._decided_columns())
 
     def colocated_latencies(self) -> List[float]:
         """Latency from the coordinator starting ``certify`` to it knowing
@@ -759,9 +761,15 @@ class Cluster(ClusterBase):
         return result
 
     def coordinator_entries(self) -> Dict[TxnId, Any]:
+        """Each decided transaction's first record in replica order."""
         entries: Dict[TxnId, Any] = {}
         for replica in self.replicas.values():
-            for txn, entry in replica._coordinated.items():
-                if entry.decision is not None and txn not in entries:
-                    entries[txn] = entry
+            for record in replica.decided_records():
+                entries.setdefault(record.txn, record)
         return entries
+
+    def _decided_columns(self) -> List[Tuple[Mapping[TxnId, Decision], Sequence[float]]]:
+        """Every replica's decided columns, in replica order: a
+        transaction's first decided record in that order is the one
+        sampled, as in :meth:`coordinator_entries`."""
+        return [replica.decided_columns() for replica in self.replicas.values()]

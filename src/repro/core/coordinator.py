@@ -23,13 +23,34 @@ passes through, so no handler here knows which.  Stop-and-wait
 admit a transaction's first dispatch, tells it when the transaction starts
 occupying the pipeline and when it has decided, and the gate holds and
 releases the rest in submission order.
+
+A transaction's :class:`CoordinatorEntry` lives only until its decision.
+Then the coordinator keeps two columns: the decision, by transaction, and
+the ``started_at`` / ``dispatched_at`` / ``decided_at`` stamps in one flat
+``array('d')``, three per transaction in decision order.  They answer a
+duplicate request and feed the latency breakdown
+(:func:`repro.analysis.metrics.collect_phase_samples`).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Hashable, Optional, Set, Tuple, Union
+from math import isnan
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Hashable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.batching import BatchPolicy, MessageBatcher
 from repro.core.messages import (
@@ -44,18 +65,22 @@ from repro.core.messages import (
 from repro.core.types import BOTTOM, Decision, Phase, ShardId, TxnId
 
 
+# The ``dispatched_at`` column's value for a transaction whose PREPAREs
+# never left (it touches no shard).
+UNSTAMPED = float("nan")
+
+
 @dataclass(slots=True)
 class CoordinatorEntry:
-    """Book-keeping for one transaction this process coordinates.
+    """Book-keeping for one transaction this process coordinates, from its
+    first ``certify`` until its decision.
 
-    ``votes`` / ``acks`` are the in-flight state of the vote rounds.  Once
-    the transaction is decided nothing reads them, so the decision drops
-    them (they read ``None`` from then on): a decided entry — one whose
-    ``decision`` is set — keeps ``txn``, ``shards``, the ``decision`` and
-    its timestamps, which is what duplicate requests, the latency breakdown
-    and the admission gate read.  A ``PREPARE_ACK`` arriving after the
-    decision is still relayed to the followers; their confirmations are
-    dropped.
+    ``votes`` / ``acks`` are the in-flight state of the vote rounds.  The
+    decision sets ``decision``, moves it and the three timestamps into the
+    coordinator's columns and drops the entry; only the stop-and-wait gate,
+    which may still hold it, reads it afterwards.  A ``PREPARE_ACK``
+    arriving after the decision is still relayed to the followers; their
+    confirmations are dropped.
     """
 
     txn: TxnId
@@ -64,16 +89,27 @@ class CoordinatorEntry:
     # Per shard, the message that brought its vote (a ``PREPARE_ACK``, or
     # an ``ACCEPT_ACK`` that arrived first): its ``vote``, ``slot`` and
     # ``epoch``.
-    votes: Optional[Dict[ShardId, Union[PrepareAck, AcceptAck]]] = field(default_factory=dict)
+    votes: Dict[ShardId, Union[PrepareAck, AcceptAck]] = field(default_factory=dict)
     # Followers known to hold the vote, keyed by ``_ack_key(shard, epoch)``.
-    acks: Optional[Dict[Hashable, Set[str]]] = field(default_factory=dict)
+    acks: Dict[Hashable, Set[str]] = field(default_factory=dict)
     decision: Optional[Decision] = None
-    decided_at: Optional[float] = None
     # When the last of this transaction's PREPAREs left the coordinator:
     # the gap started_at -> dispatched_at is the per-transaction queueing
     # delay (batch accumulation, the stop-and-wait gate), reported as the
     # queue_wait phase of the latency breakdown.
     dispatched_at: Optional[float] = None
+
+
+class DecidedTxn(NamedTuple):
+    """A decided transaction as its coordinator's columns hold it, built
+    on request (:meth:`CoordinatorMixin.coordinated`,
+    :meth:`CoordinatorMixin.decided_records`)."""
+
+    txn: TxnId
+    decision: Decision
+    started_at: float
+    dispatched_at: Optional[float]
+    decided_at: float
 
 
 class AdmissionGate:
@@ -94,7 +130,7 @@ class AdmissionGate:
         self._in_flight: Set[TxnId] = set()
         # Held dispatches in submission order, and their ids.  An entry is
         # either coordinator's book-keeping record: it has ``txn`` and
-        # ``decided_at`` (the shape ``collect_phase_samples`` reads too).
+        # ``decision``.
         self._held_certifies: Deque[Tuple[Any, Any]] = deque()
         self._held_txns: Set[TxnId] = set()
 
@@ -131,7 +167,7 @@ class AdmissionGate:
         while self._held_certifies and not self._in_flight:
             entry, payload = self._held_certifies.popleft()
             self._held_txns.discard(entry.txn)
-            if entry.decided_at is None:
+            if entry.decision is None:
                 dispatch(entry, payload)
 
 
@@ -139,7 +175,12 @@ class CoordinatorMixin:
     """The commit pipeline of a coordinator-capable replica."""
 
     def _init_coordinator(self, policy: BatchPolicy, pipeline: bool) -> None:
+        # The undecided transactions' entries, and the decided ones'
+        # columns (see the module docstring): each decision by transaction,
+        # in decision order, and three stamps per decision.
         self._coordinated: Dict[TxnId, CoordinatorEntry] = {}
+        self._decisions: Dict[TxnId, Decision] = {}
+        self._decided_times = array("d")
         # Duplicate CERTIFY requests deduplicated (client retries).
         self.duplicate_certify_requests = 0
         self.gate = AdmissionGate(pipeline)
@@ -162,7 +203,9 @@ class CoordinatorMixin:
 
     def _note_prepares_flushed(self, dst: str, prepares: tuple) -> None:
         """Stamp queueing delay: a transaction counts as dispatched once the
-        last of its per-shard PREPAREs has left the coordinator."""
+        last of its per-shard PREPAREs has left the coordinator.  Only an
+        undecided transaction is stamped: a decided one's stamps are
+        written once, so a re-dispatch (``retry``) leaves them alone."""
         now = self.now
         for prepare in prepares:
             entry = self._coordinated.get(prepare.txn)
@@ -173,12 +216,21 @@ class CoordinatorMixin:
     # public API (Figure 1, lines 1-3 and 70-73; Figure 7, lines 74-76)
     # ------------------------------------------------------------------
     def certify(self, txn: TxnId, payload: Any) -> CoordinatorEntry:
-        """``certify(t, l)``: act as coordinator for transaction ``txn``."""
+        """``certify(t, l)``: act as coordinator for transaction ``txn``.
+
+        For a transaction this process has already decided (a ``retry``)
+        the PREPAREs go out again, under an entry that holds the decision
+        and is not kept: the leaders re-answer their stored votes, which
+        are relayed, and the decided transaction's columns stay as they
+        were."""
         shards = self.directory.shards_of(txn)
         entry = self._coordinated.get(txn)
         if entry is None:
             entry = CoordinatorEntry(txn=txn, shards=frozenset(shards), started_at=self.now)
-            self._coordinated[txn] = entry
+            if txn in self._decisions:
+                entry.decision = self._decisions[txn]
+            else:
+                self._coordinated[txn] = entry
         if self.gate.admit(entry, payload):
             self._dispatch_prepares(entry, payload)
         return entry
@@ -213,8 +265,33 @@ class CoordinatorMixin:
         txn = self.txn_arr[slot]
         return self.certify(txn, BOTTOM)
 
-    def coordinated(self, txn: TxnId) -> Optional[CoordinatorEntry]:
-        return self._coordinated.get(txn)
+    def coordinated(self, txn: TxnId) -> Union[CoordinatorEntry, DecidedTxn, None]:
+        """``txn``'s live entry while it is undecided here, its columns'
+        record once it is decided here (a scan of the decisions), else
+        None."""
+        entry = self._coordinated.get(txn)
+        if entry is not None or txn not in self._decisions:
+            return entry
+        index = list(self._decisions).index(txn)
+        return self._decided_record(txn, index)
+
+    def decided_records(self) -> Iterator[DecidedTxn]:
+        """Every transaction decided here, in decision order."""
+        for index, txn in enumerate(self._decisions):
+            yield self._decided_record(txn, index)
+
+    def decided_columns(self) -> Tuple[Dict[TxnId, Decision], array]:
+        """The decided transactions' columns: each decision by transaction
+        and, in the same order, ``started_at`` / ``dispatched_at`` /
+        ``decided_at`` as consecutive floats (``dispatched_at`` NaN when the
+        PREPAREs never left)."""
+        return self._decisions, self._decided_times
+
+    def _decided_record(self, txn: TxnId, index: int) -> DecidedTxn:
+        started, dispatched, decided = self._decided_times[3 * index : 3 * index + 3]
+        return DecidedTxn(
+            txn, self._decisions[txn], started, None if isnan(dispatched) else dispatched, decided
+        )
 
     # ------------------------------------------------------------------
     # message handlers
@@ -224,41 +301,43 @@ class CoordinatorMixin:
 
         The client re-submits on timeout, so the request may be a
         duplicate: a decided transaction is re-answered from the decision
-        cache (the coordinator entry, or the replica's own certification
-        order) rather than re-certified — duplicates must never produce a
-        second, possibly different, decision.  An in-flight duplicate is
-        counted but re-driven, which is idempotent at the leaders (they
-        re-answer the stored vote for a known transaction).
+        cache (the coordinator's decisions, or the replica's own
+        certification order) rather than re-certified — duplicates must
+        never produce a second, possibly different, decision.  An in-flight
+        duplicate is counted but re-driven, which is idempotent at the
+        leaders (they re-answer the stored vote for a known transaction).
         """
-        entry = self._coordinated.get(msg.txn)
-        if entry is not None:
+        txn = msg.txn
+        if txn in self._coordinated:
             self.duplicate_certify_requests += 1
-            if entry.decision is not None:
-                self.send(sender, TxnDecision(txn=msg.txn, decision=entry.decision))
-                return
+        elif txn in self._decisions:
+            self.duplicate_certify_requests += 1
+            self.send(sender, TxnDecision(txn=txn, decision=self._decisions[txn]))
+            return
         else:
-            slot = self.slot_of.get(msg.txn)
+            slot = self.slot_of.get(txn)
             if slot is not None and self.phase(slot) is Phase.DECIDED:
                 # Not coordinated here, but this replica's shard has already
                 # persisted the decision: answer from the local decision cache.
                 self.duplicate_certify_requests += 1
-                self.send(sender, TxnDecision(txn=msg.txn, decision=self.dec_arr[slot]))
+                self.send(sender, TxnDecision(txn=txn, decision=self.dec_arr[slot]))
                 return
-        self.certify(msg.txn, msg.payload)
+        self.certify(txn, msg.payload)
 
     def on_prepare_ack(self, msg: PrepareAck, sender: str) -> None:
         """Persist the leader's vote at the shard's followers (Figure 1,
         lines 18-20; Figure 7, lines 91-93)."""
         entry = self._coordinated.get(msg.txn)
-        if entry is None:
+        if entry is None and msg.txn not in self._decisions:
             return
         if self.epoch_of(msg.shard) != msg.epoch:
             self._on_stale_prepare_ack(msg, sender)
             return
-        if entry.decision is not None:
-            # A late or duplicate vote: still relayed, as an undecided
-            # coordinator would, but there is nothing left to record it in.
-            self._persist_vote(entry, msg)
+        if entry is None:
+            # A late or duplicate vote of a decided transaction: still
+            # relayed, as an undecided coordinator would, but there is
+            # nothing left to record it in.
+            self._persist_vote(None, msg)
             return
         entry.votes[msg.shard] = msg
         self._persist_vote(entry, msg)
@@ -279,20 +358,27 @@ class CoordinatorMixin:
         for shard in entry.shards:
             if not self._shard_persisted(entry, shard):
                 return
+        txn = entry.txn
         votes = entry.votes
         decision = Decision.meet_all(votes[s].vote for s in entry.shards)
         entry.decision = decision
-        entry.decided_at = self.now
-        entry.votes = entry.acks = None
+        # The entry leaves; the columns keep what duplicates and the
+        # latency breakdown read.
+        del self._coordinated[txn]
+        self._decisions[txn] = decision
+        dispatched = entry.dispatched_at
+        self._decided_times.extend(
+            (entry.started_at, UNSTAMPED if dispatched is None else dispatched, self.now)
+        )
         # Report to the client (line 27) ...
-        if self.directory.known(entry.txn):
-            client = self.directory.client_of(entry.txn)
-            self._reply_batcher.add(client, TxnDecision(txn=entry.txn, decision=decision))
+        if self.directory.known(txn):
+            client = self.directory.client_of(txn)
+            self._reply_batcher.add(client, TxnDecision(txn=txn, decision=decision))
         # ... and persist the decision at every relevant shard (lines 28-29).
         # Sorted for hash-seed-independent send order (see `certify`).
         for shard in sorted(entry.shards):
             self._persist_decision(shard, votes[shard].slot, decision)
-        self.gate.leave(entry.txn, self._dispatch_prepares)
+        self.gate.leave(txn, self._dispatch_prepares)
 
     # ------------------------------------------------------------------
     # what a protocol stack supplies; the bodies are Figure 1's
@@ -318,9 +404,10 @@ class CoordinatorMixin:
     def _make_decision_batcher(self, policy: BatchPolicy) -> MessageBatcher:
         return MessageBatcher(self, policy)
 
-    def _persist_vote(self, entry: CoordinatorEntry, msg: PrepareAck) -> None:
+    def _persist_vote(self, entry: Optional[CoordinatorEntry], msg: PrepareAck) -> None:
         """Relay the vote to the shard's followers in ``ACCEPT`` messages
-        (lines 18-20); they confirm with ``ACCEPT_ACK``."""
+        (lines 18-20); they confirm with ``ACCEPT_ACK``.  ``entry`` is the
+        transaction's entry, None once it is decided."""
         accept = Accept(
             epoch=msg.epoch,
             slot=msg.slot,
@@ -334,7 +421,7 @@ class CoordinatorMixin:
         """Count follower confirmations; decide once every shard is persisted
         (lines 26-29)."""
         entry = self._coordinated.get(msg.txn)
-        if entry is None or entry.decision is not None:
+        if entry is None:
             return
         entry.acks.setdefault((msg.shard, msg.epoch), set()).add(sender)
         entry.votes.setdefault(msg.shard, msg)

@@ -16,16 +16,17 @@ refuses is registered when its client certifies it instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet
+from typing import Dict, FrozenSet, Tuple
 
 from repro.core.types import ProcessId, ShardId, TxnId
 
 
 @dataclass(frozen=True, slots=True)
 class TxnInfo:
-    """Static per-transaction metadata."""
+    """Static per-transaction metadata.  One record stands for every
+    transaction of the same client and shard set (the directory's key is
+    the transaction)."""
 
-    txn: TxnId
     client: ProcessId
     shards: FrozenSet[ShardId]
 
@@ -35,9 +36,11 @@ class TransactionDirectory:
 
     def __init__(self) -> None:
         self._info: Dict[TxnId, TxnInfo] = {}
-        # One frozenset per distinct shard set, shared by every transaction
-        # (and coordinator entry) with that set: a cluster has few of them.
+        # One frozenset per distinct shard set and one record per distinct
+        # (client, shard set), shared by every transaction (and coordinator
+        # entry) with it: a cluster has few of either.
         self._shard_sets: Dict[FrozenSet[ShardId], FrozenSet[ShardId]] = {}
+        self._records: Dict[Tuple[ProcessId, FrozenSet[ShardId]], TxnInfo] = {}
 
     def register(self, txn: TxnId, client: ProcessId, shards) -> TxnInfo:
         """Record the static metadata for ``txn``.
@@ -46,11 +49,13 @@ class TransactionDirectory:
         re-registration raises, because the functions are meant to be static.
         """
         shards = frozenset(shards)
-        shards = self._shard_sets.setdefault(shards, shards)
-        info = TxnInfo(txn=txn, client=client, shards=shards)
+        info = self._records.get((client, shards))
+        if info is None:
+            shards = self._shard_sets.setdefault(shards, shards)
+            info = self._records[client, shards] = TxnInfo(client=client, shards=shards)
         existing = self._info.get(txn)
         if existing is not None:
-            if existing != info:
+            if existing is not info:
                 raise ValueError(f"conflicting registration for transaction {txn!r}")
             return existing
         self._info[txn] = info

@@ -339,19 +339,20 @@ class Reconfigurer:
     def _adopt_state(self, msg: NewState) -> None:
         """Become an initialized follower holding the leader's slots, in
         lists as long as its highest filled slot needs (the ``phase`` field
-        follows from ``txn`` and ``dec``, so is not kept), and the leader's
-        settled summary."""
+        follows from ``txn`` and ``dec``, so is not kept), a copy of its
+        undecided slots' payloads, and the leader's settled summary."""
         self.initialized = True
         self.status = Status.FOLLOWER
         self.new_epoch = msg.epoch
         size = max(chain(msg.txn, msg.dec), default=0) + 1
         arrays = []
-        for entries in (msg.txn, msg.payload, msg.vote, msg.dec):
+        for entries in (msg.txn, msg.vote, msg.dec):
             array: List[Any] = [None] * size
             for slot, value in entries.items():
                 array[slot] = value
             arrays.append(array)
-        self.txn_arr, self.payload_arr, self.vote_arr, self.dec_arr = arrays
+        self.txn_arr, self.vote_arr, self.dec_arr = arrays
+        self.payload_arr = dict(msg.payload)
         self.slot_of = {txn: slot for slot, txn in msg.txn.items()}
         self._votes.adopt(msg.summary)
         self._resume_order()

@@ -69,14 +69,15 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
     shares.  Subclasses add ``my_epoch``, the follower side of vote and
     decision persistence, and the scope of reconfiguration.
 
-    Its certification order is Figure 1's slot arrays kept as lists indexed
-    by slot (``txn_arr``, ``payload_arr``, ``vote_arr``, ``dec_arr``; None
-    where a slot holds nothing) and ``slot_of``.  Only ``store_slot`` /
-    ``decide_slot`` and a state transfer write them; other code reads them
-    through :meth:`phase` and :meth:`filled_slots`, or by index.  Only an
-    undecided slot holds a payload: a decided one is folded into the
-    settled summary of :class:`repro.core.votecache.LeaderVoteCache`, which
-    keeps what the decided payloads committed, and its payload dropped.
+    Its certification order is Figure 1's slot arrays: ``txn_arr``,
+    ``vote_arr`` and ``dec_arr`` kept as lists indexed by slot (None where
+    a slot holds nothing), ``payload_arr`` as a dict from slot to payload,
+    and ``slot_of``.  Only ``store_slot`` / ``decide_slot`` and a state
+    transfer write them; other code reads them through :meth:`phase` and
+    :meth:`filled_slots`, or by index.  Only an undecided slot holds a
+    payload: a decided one is folded into the settled summary of
+    :class:`repro.core.votecache.LeaderVoteCache`, which keeps what the
+    decided payloads committed, and its payload entry popped.
     """
 
     def __init__(
@@ -121,15 +122,16 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         self.initialized = False
 
         # The shard-local certification order: Figure 1's arrays ``txn``,
-        # ``payload``, ``vote`` and ``dec`` as lists indexed by slot (slots
-        # start at 1), None where a slot holds nothing (and ``payload`` None
-        # on a decided slot).  The four always have the same length: a
-        # write past it lengthens all four (``_grow``).
+        # ``vote`` and ``dec`` as lists indexed by slot (slots start at 1),
+        # None where a slot holds nothing.  The three always have the same
+        # length: a write past it lengthens all three (``_grow``).  The
+        # ``payload`` array is a dict holding only the undecided slots'
+        # payloads, so a decided slot costs no entry there.
         # Figure 1's fifth array, ``phase``, is not kept: it follows from
         # ``txn`` and ``dec`` (:meth:`phase`).
         self.next = 0
         self.txn_arr: List[Optional[TxnId]] = []
-        self.payload_arr: List[Any] = []
+        self.payload_arr: Dict[int, Any] = {}
         self.vote_arr: List[Optional[Decision]] = []
         self.dec_arr: List[Optional[Decision]] = []
         self.slot_of: Dict[TxnId, int] = {}
@@ -216,7 +218,8 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         Built of C iterators, so a pass costs one call, not one per slot."""
         txns, decs = self.txn_arr, self.dec_arr
         filled = map(or_, map(is_not, txns, repeat(None)), map(is_not, decs, repeat(None)))
-        return compress(zip(count(), txns, self.payload_arr, self.vote_arr, decs), filled)
+        payloads = map(self.payload_arr.get, range(len(txns)))
+        return compress(zip(count(), txns, payloads, self.vote_arr, decs), filled)
 
     # ------------------------------------------------------------------
     # the one write path into the certification order
@@ -256,7 +259,7 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
     def decide_slot(self, slot: int, decision: Decision) -> None:
         """Persist ``decision`` for ``slot`` (Figure 1, line 31; Figure 7,
         line 102).  A first decision on a slot that holds a payload folds
-        the slot into the settled summary and drops the payload; a later
+        the slot into the settled summary and pops the payload; a later
         one changes ``dec_arr`` only (``repro.core.votecache``)."""
         try:
             previous = self.dec_arr[slot]
@@ -265,17 +268,18 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
             previous = None
         self.dec_arr[slot] = decision
         if previous is None:
-            payload = self.payload_arr[slot]
-            if payload is not None:
-                self.payload_arr[slot] = None
+            payloads = self.payload_arr
+            if slot in payloads:
+                payload = payloads[slot]
+                del payloads[slot]
                 self._votes.note_decided(payload, self.vote_arr[slot], decision)
 
     def _grow(self, slot: int) -> None:
-        """Lengthen the four slot lists together past ``slot``, by a quarter
-        more, so that writes in slot order lengthen them geometrically."""
+        """Lengthen the three slot lists together past ``slot``, by a
+        quarter more, so that writes in slot order lengthen them
+        geometrically."""
         pad = [None] * (slot + 1 + (slot >> 2) - len(self.txn_arr))
         self.txn_arr += pad
-        self.payload_arr += pad
         self.vote_arr += pad
         self.dec_arr += pad
 
@@ -297,12 +301,13 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
                 self.store_slot(slot, msg.txn, self.scheme.empty_payload(), Decision.ABORT)
             else:
                 self.store_slot(slot, msg.txn, msg.payload, self._votes.vote(msg.payload))
+        payloads = self.payload_arr
         return PrepareAck(
             epoch=self.my_epoch,
             shard=self.shard,
             slot=slot,
             txn=msg.txn,
-            payload=self.payload_arr[slot],
+            payload=payloads[slot] if slot in payloads else None,
             vote=self.vote_arr[slot],
         )
 

@@ -41,8 +41,6 @@ the slot arrays, which the invariants read, and leave the summary as it is.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import is_not
 from typing import Any, Optional
 
 from repro.core.certification import VoteIndex
@@ -79,10 +77,9 @@ class LeaderVoteCache:
         index = replica.scheme.make_vote_index(replica.shard)
         index.load_settled(self._index.settled())
         # Only an undecided slot holds a payload; it counts by its vote.
-        payloads = replica.payload_arr
-        held = map(is_not, payloads, repeat(None))
-        for payload, vote in compress(zip(payloads, replica.vote_arr), held):
-            if vote is Decision.COMMIT:
+        votes = replica.vote_arr
+        for slot, payload in replica.payload_arr.items():
+            if votes[slot] is Decision.COMMIT:
                 index.add_prepared(payload)
         self._index = index
         self._current = True

@@ -83,7 +83,7 @@ class RdmaVotePersistence:
         self._accept_keys: Dict[ProcessId, List[Tuple[TxnId, Hashable]]] = {}
         return MessageBatcher(self, policy, send=self._send_accept_batch)
 
-    def _persist_vote(self, entry: CoordinatorEntry, msg: PrepareAck) -> None:
+    def _persist_vote(self, entry: Optional[CoordinatorEntry], msg: PrepareAck) -> None:
         key = self._ack_key(msg.shard, msg.epoch)
         accept = Accept(slot=msg.slot, txn=msg.txn, payload=msg.payload, vote=msg.vote)
         for follower in self.view[msg.shard].followers:
@@ -91,7 +91,7 @@ class RdmaVotePersistence:
                 # A coordinator that is itself a follower of the shard writes
                 # to its own memory directly (no NIC round-trip needed).
                 self.on_accept(accept, self.pid)
-                if entry.decision is None:
+                if entry is not None:
                     entry.acks.setdefault(key, set()).add(self.pid)
             else:
                 self._accept_keys.setdefault(follower, []).append((msg.txn, key))
@@ -112,7 +112,7 @@ class RdmaVotePersistence:
     def _on_accept_acked(self, txn: TxnId, key: Hashable, follower: ProcessId) -> None:
         """ack-rdma received for an ACCEPT written to ``follower`` (line 96)."""
         entry = self._coordinated.get(txn)
-        if entry is None or entry.decision is not None:
+        if entry is None:
             return
         entry.acks.setdefault(key, set()).add(follower)
         self._maybe_decide(entry)

@@ -209,8 +209,9 @@ class History:
     canonical text is folded into a running SHA-256 (:meth:`digest`).  The
     record keeps only what the spec's queries read back:
 
-    * ``_certified`` — each certified transaction, in certify order (the
-      value is None: a payload goes to the listeners, not into the record);
+    * ``_pending`` — each certified transaction not yet decided, in
+      certify order (the value is None: a payload goes to the listeners,
+      not into the record); its first decide moves it to ``_decided``;
     * ``_decided`` — each decided transaction's (first) decision, in decide
       order;
     * ``contradictions`` — the contradictory decides;
@@ -224,7 +225,7 @@ class History:
     """
 
     def __init__(self) -> None:
-        self._certified: Dict[TxnId, None] = {}
+        self._pending: Dict[TxnId, None] = {}
         self._decided: Dict[TxnId, Decision] = {}
         self._events = 0
         self._fingerprint = sha256()
@@ -286,15 +287,15 @@ class History:
     # An event's text is ``repr`` of ``(kind, txn, time, seq, payload,
     # decision name)``, its payload in canonical form, rendered once, here.
     def record_certify(self, txn: TxnId, payload: Any, time: float) -> None:
-        certified = self._certified
-        if txn in certified:
+        pending = self._pending
+        if txn in pending or txn in self._decided:
             raise ValueError(f"transaction {txn!r} certified twice")
         seq = self._events
         self._fingerprint.update(
             f"('certify', {txn!r}, {time!r}, {seq!r}, "
             f"{_RENDERERS[type(payload)](payload)}, None)".encode()
         )
-        certified[txn] = None
+        pending[txn] = None
         self._events = seq + 1
         for listener in self._certify_listeners:
             listener(txn, payload, time)
@@ -306,8 +307,6 @@ class History:
         the certify event); snapshot reads certify a placeholder marker and
         attach their versioned read-only payload here, once the serving
         replica has determined which versions were observed."""
-        if txn not in self._certified:
-            raise ValueError(f"decide for unknown transaction {txn!r}")
         decided = self._decided
         if txn in decided:
             previous = decided[txn]
@@ -316,11 +315,15 @@ class History:
                 for listener in self._contradiction_listeners:
                     listener(txn, previous, decision)
             return
+        pending = self._pending
+        if txn not in pending:
+            raise ValueError(f"decide for unknown transaction {txn!r}")
         seq = self._events
         self._fingerprint.update(
             f"('decide', {txn!r}, {time!r}, {seq!r}, "
             f"{_RENDERERS[type(payload)](payload)}, {_DECISION_TEXT[decision]})".encode()
         )
+        del pending[txn]
         decided[txn] = decision
         self._events = seq + 1
         for listener in self._decide_listeners:
@@ -330,7 +333,9 @@ class History:
     # queries
     # ------------------------------------------------------------------
     def certified(self) -> List[TxnId]:
-        return list(self._certified)
+        """Every certified transaction: the decided ones in decide order,
+        then the pending ones in certify order."""
+        return [*self._decided, *self._pending]
 
     def decision_of(self, txn: TxnId) -> Optional[Decision]:
         return self._decided.get(txn)
@@ -341,7 +346,7 @@ class History:
         return MappingProxyType(self._decided)
 
     def pending(self) -> Set[TxnId]:
-        return self._certified.keys() - self._decided.keys()
+        return set(self._pending)
 
     def digest(self) -> str:
         """A SHA-256 fingerprint of the event sequence recorded so far.

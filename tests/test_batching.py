@@ -658,8 +658,8 @@ def test_rdma_accept_batch_ack_keeps_enqueue_time_shard():
     coordinator._install(
         "shard-0", replace(config, members=tuple(p for p in config.members if p != follower))
     )
-    # The decision drops the acks, so look at them on every decision check
-    # that still finds the transaction undecided.
+    # The decision drops the entry and its acks, so look at them on every
+    # decision check that still finds the transaction undecided.
     entry = coordinator.coordinated(txn)
     seen_acks = []
     maybe_decide = coordinator._maybe_decide
@@ -672,7 +672,7 @@ def test_rdma_accept_batch_ack_keeps_enqueue_time_shard():
     coordinator._maybe_decide = recording_maybe_decide
     cluster.run()
     assert cluster.history.decision_of(txn) is Decision.COMMIT
-    assert entry.decision is not None and entry.acks is None
+    assert entry.decision is not None and coordinator.coordinated(txn) is not entry
     assert seen_acks and all(None not in acks for acks in seen_acks)
     assert follower in seen_acks[-1].get("shard-0", set())
 

@@ -288,3 +288,17 @@ def test_directory_rejects_conflicting_registration():
     directory.register("t1", client="c", shards=["s0"])
     with pytest.raises(ValueError):
         directory.register("t1", client="other", shards=["s0"])
+
+
+def test_directory_shares_one_record_per_client_and_shard_set():
+    """Transactions of one client over one shard set share a record (and
+    its shard set); the transaction itself is only the key."""
+    directory = TransactionDirectory()
+    first = directory.register("t1", client="c", shards=["s0", "s1"])
+    assert directory.register("t2", client="c", shards=("s1", "s0")) is first
+    other = directory.register("t3", client="d", shards={"s0", "s1"})
+    assert other is not first and other.shards is first.shards
+    assert directory.register("t4", client="c", shards=["s0"]) is not first
+    assert not hasattr(first, "txn")
+    with pytest.raises(ValueError):
+        directory.register("t2", client="c", shards=["s0"])

@@ -82,10 +82,10 @@ def test_multiple_concurrent_coordinators_reach_same_decision(cluster):
     assert cluster.history.decision_of(txn) is Decision.COMMIT
     assert cluster.history.contradictions == []
     decisions = {
-        entry.decision
+        record.decision
         for replica in cluster.replicas.values()
-        for t, entry in getattr(replica, "_coordinated", {}).items()
-        if t == txn and entry.decision is not None
+        for record in replica.decided_records()
+        if record.txn == txn
     }
     assert decisions == {Decision.COMMIT}
     result, violations = cluster.check()
@@ -145,7 +145,7 @@ def test_unknown_payload_prepared_as_aborted(cluster):
     slot = leader1.slot_of[txn]
     assert leader1.vote_arr[slot] is Decision.ABORT
     assert leader1.dec_arr[slot] is Decision.ABORT
-    assert leader1.payload_arr[slot] is None
+    assert slot not in leader1.payload_arr
     assert leader1._votes.settled() == settled
     result, violations = cluster.check()
     assert result.ok and violations == []

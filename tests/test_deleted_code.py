@@ -19,7 +19,12 @@ These designs left the tree, and nothing may grow back by accident:
   ``_unsent`` queues) — one record of each vote, and a command's shard and
   kind read off its leader and type;
 * two entry points nothing called: ``Process.on_attach`` and
-  ``TransactionDirectory.get``.
+  ``TransactionDirectory.get``;
+* per-transaction copies of what a decided transaction no longer needs:
+  ``CoordinatorEntry.decided_at`` — the entry lives only until the
+  decision, whose stamps go into the coordinator's columns — and
+  ``TxnInfo.txn`` — the directory's key is the transaction, and a record
+  is shared by every transaction of the same client and shard set.
 """
 
 import importlib.util
@@ -35,7 +40,7 @@ from repro.cluster import Cluster, ClusterBase
 from repro.core.batching import MessageBatcher
 from repro.core.certification import VoteIndex
 from repro.core.coordinator import CoordinatorEntry
-from repro.core.directory import TransactionDirectory
+from repro.core.directory import TransactionDirectory, TxnInfo
 from repro.core.serializability import KeyHashSharding, SerializabilityScheme
 from repro.rdma import messages as rdma_messages
 from repro.runtime import events
@@ -72,6 +77,8 @@ GONE = [
     (twopc.TwoPCCoordinator, "_send_command"),
     (Process, "on_attach"),
     (TransactionDirectory, "get"),
+    (CoordinatorEntry, "decided_at"),
+    (TxnInfo, "txn"),
 ]
 
 

@@ -40,9 +40,13 @@ def test_history_records_events_in_order():
     assert committed_of(history) == ["t1"]
 
 
-def test_history_rejects_double_certify():
+@pytest.mark.parametrize("decided", [False, True])
+def test_history_rejects_double_certify(decided):
+    """Pending or decided, a transaction is certified once."""
     history = recorded_history()
     history.record_certify("t1", rw_payload("x"), time=1.0)
+    if decided:
+        history.record_decide("t1", Decision.COMMIT, time=1.5)
     with pytest.raises(ValueError):
         history.record_certify("t1", rw_payload("x"), time=2.0)
 
@@ -59,6 +63,7 @@ def test_history_pending_and_completeness():
     history.record_certify("t2", rw_payload("y"), time=1.0)
     history.record_decide("t1", Decision.ABORT, time=2.0)
     assert history.pending() == {"t2"}
+    assert sorted(history.certified()) == ["t1", "t2"]
     assert committed_of(history) == []
 
 

@@ -700,7 +700,11 @@ def test_sizing_a_fresh_payload_call_count():
 # 263.5-263.6 / 1103.5 / 952.6-952.7 in a fresh process under PYTHONHASHSEED
 # 0 and 4242 (606.9 / 606.8 / 264.0-264.1 / 1108.0 / 962.1-962.2 on the
 # parent); each plus 2%, rounded up (616 / 616 / 269 / 1126 / 972), is
-# above its bound, so the bounds stay.
+# above its bound, so the bounds stay.  Since a decided transaction leaves
+# its coordinator entry for columns and the latency breakdown walks those
+# columns, the readings are 601.5 / 601.4 / 262.5 / 1101.6 / 950.7-950.8
+# under PYTHONHASHSEED 0 and 4242; each plus 2%, rounded up, is still above
+# its bound, so the bounds stay.
 # A change that makes the path cheaper should tighten these to its own
 # readings.  The parallel-shards spelling of mp-steady is the serial run
 # (the runner ignores the mode): it must cost mp-steady's calls exactly.
@@ -733,56 +737,18 @@ def test_whole_run_call_count_per_transaction(shape):
 # its history, the online checker and the invariant monitor still hold, which
 # every cyclic-collector pass walks.  Counted after a 50-transaction warm-up
 # of the same shape has filled the per-type caches (``_warmed_up``), the
-# figure repeats exactly across test order and hash seeds.  With the checker
-# retiring settled history the readings were 27.248 / 35.482 / 48.971 /
-# 77.567 (mp-steady / read-mostly-lease / baseline-steady / rdma-batched-bw,
-# the last with the payload-size memo emptied first), and 34.678 / 41.274 /
-# 56.401 / 86.641 before, when it kept every transaction and a frontier per
-# commit.  They are 18.513 / 29.871 / 39.136 / 59.120 since a decided
-# coordinator entry drops its vote and ack containers and payloads, events
-# and directory records lost their instance ``__dict__``.  They are 13.537 /
-# 27.625 / 34.160 / 52.578 since a payload's read and write sets are sorted
-# tuples and a key is one shared string; the bounds are those plus 2%.  They
-# read the same since a run generates each wave when it submits it: the
-# workload's bodies are garbage by the end of a run either way.  A link per
-# directed channel took them to 13.646 / 27.736 / 34.191 / 52.717; since the
-# vote cache and the read engine keep no per-slot sets they are 13.598 /
-# 27.656 / 34.191 / 52.669; each plus 2% is above its bound, so the bounds
-# stay.  Since an applied store keeps one entry per object (a seed is a dict
-# entry, not a list and a ``VersionedValue``) they are 9.415 / 7.645 /
-# 30.008 / 12.410 under PYTHONHASHSEED=0 and 4242; the bounds are those plus
-# 2%, rounded.  Since snapshot reads are served from the vote index and the
-# 2PC baseline keeps no applied store, committed list or applied slot's
-# Paxos state, they are 9.419 / 7.196 / 26.488 / 12.414 (a vote index now
-# holds payloads, so its committed-writer dict is tracked: one object per
-# leader); the read-mostly-lease and baseline-steady bounds are those plus
-# 2%, rounded, and the others stay.  Since the history keeps no ``Event``
-# objects (two per transaction) they are 7.448 / 5.210 / 24.488 / 10.443
-# (9.412 / 7.190 / 26.490 / 12.407 before) under PYTHONHASHSEED=0 and 4242;
-# the bounds are those plus 2%, rounded.  Since a served snapshot read
-# leaves no directory entry and no marker of its own, read-mostly-lease
-# reads 4.190 (5.227 before) under PYTHONHASHSEED unset, 0 and 4242, and
-# its bound is that plus 2%, rounded; the others read as before.  Since
-# the history keeps no payload (a snapshot read's versioned payload, or a
-# payload the checker has retired, is garbage once its events are
-# recorded), they read 6.868 / 3.499 / 23.893 / 9.806 (7.464 / 4.187 /
-# 24.489 / 10.463 before) under PYTHONHASHSEED unset, 0 and 4242; the
-# bounds are those plus 2%, rounded up.  Since a Paxos replica keeps no
-# state for a slot it has applied (its acceptor drops the slot's accepted
-# value, and with it the command and its projected payload),
-# baseline-steady reads 5.476 (23.893 before) under PYTHONHASHSEED=0 and
-# 4242, and its bound is that plus 2%, rounded up.  Since a replica keeps a
-# payload only for an undecided slot (a decided one is folded into its
-# settled summary) and a vote index keeps a version and a value per
-# committed object, not the writer's payload, they read 5.178 / 3.289 /
-# 4.731 / 8.223 (6.868 / 3.499 / 5.476 / 9.806 before) in a fresh process
-# under PYTHONHASHSEED=0 and 4242; the bounds are those plus 2%, rounded up.
+# figure repeats exactly across test order and hash seeds.  Since a decided
+# transaction leaves its coordinator entry for the coordinator's columns and
+# the directory shares one record per client and shard set, mp-steady /
+# read-mostly-lease / baseline-steady / rdma-batched-bw read 3.199 / 3.014 /
+# 3.752 / 6.107 under PYTHONHASHSEED=0 and 4242 (5.178 / 3.289 / 4.731 /
+# 8.078 before); the bounds are those plus 2%, rounded up.
 RETAINED_OBJECTS_PER_TXN = {
-    "mp-steady": 5.29,
-    "mp-steady-grouped": 5.29,
-    "read-mostly-lease": 3.36,
-    "baseline-steady": 4.83,
-    "rdma-batched-bw": 8.39,
+    "mp-steady": 3.27,
+    "mp-steady-grouped": 3.27,
+    "read-mostly-lease": 3.08,
+    "baseline-steady": 3.83,
+    "rdma-batched-bw": 6.23,
 }
 
 
@@ -816,64 +782,19 @@ def test_whole_run_retained_objects_per_transaction(shape):
 # a smaller one (or an instance ``__dict__`` for slots) shows even where the
 # object count does not move.  Counted after the same warm-up, the figure
 # repeats across hash seeds (CI runs this file under two) and moves by under
-# two bytes per transaction with test order.  The readings are 3511.1 /
-# 3690.9 / 6658.7 / 8177.2 (mp-steady / read-mostly-lease / baseline-steady
-# / rdma-batched-bw) since a payload's read and write sets are sorted tuples
-# (a frozenset is at least 216 bytes, a tuple of one pair 48) and the
-# workload hands out one string per key; 4536.9 / 4150.7 / 7684.8 / 9576.9
-# before, and 7210.5 / 5997.7 / 10153.1 / 13846.7 while decided
-# transactions kept their vote book-keeping and payloads their ``__dict__``.
-# The bounds were the readings plus 2%; generating each wave when it is
-# submitted leaves the readings as they were, and a link per directed channel
-# took them to 3536.7 / 3719.8 / 6669.7 / 8204.5.  Since the leader vote
-# cache keeps no set of committed and prepared slots and the read engine no
-# set of applied ones, they are 3390.4 / 3678.9 / 6669.7 / 8055.1; the
-# bounds are those plus 2%, except baseline-steady's (the 2PC baseline runs
-# no shard replica), which stays.  Since an applied store keeps the latest
-# version of each object, and its seeds in one dict, they are 3115.4 /
-# 2135.7 / 6394.1 / 5745.4 under PYTHONHASHSEED=0 and 4242 (3391.8 /
-# 3678.9 / 6670.5 / 8055.0 before); the bounds are those plus 2%.  Since
-# snapshot reads are served from the vote index and the 2PC baseline keeps
-# only the per-slot state it reads, read-mostly-lease and baseline-steady
-# read 2063.2 / 4185.4 (2135.7 / 6390.9 before) under PYTHONHASHSEED=0 and
-# 4242, and their bounds are those plus 2%; the others read as before.
-# Since the network folds its link-queue samples into running sums, where it
-# kept two floats per sized message, rdma-batched-bw reads 5549.9 (5745.6
-# before) under PYTHONHASHSEED=0 and 4242, and its bound is that plus 2%.
-# Since a replica derives each slot's phase from its transaction and
-# decision arrays, where it kept a fifth per-slot dict, mp-steady /
-# read-mostly-lease / rdma-batched-bw read 2960.3 / 2043.9 / 5393.7
-# (3117.2 / 2063.8 / 5550.6 before) under PYTHONHASHSEED=0 and 4242, and
-# their bounds are those plus 2%; baseline-steady reads 4190.7 as before.
-# Since the slot arrays are lists indexed by slot, the history keeps a
-# payload and a decision per transaction and a byte and a time per event,
-# and neither the client nor the invariant monitor copies the decisions,
+# two bytes per transaction with test order.  Since a decided transaction
+# keeps a decision and three stamps in its coordinator's columns, the
+# directory shares its records, replicas keep payloads in a dict of the
+# undecided slots and the history keeps only undecided certified ids,
 # mp-steady / read-mostly-lease / baseline-steady / rdma-batched-bw read
-# 2223.7 / 1757.3 / 3954.3 / 4716.5 (2957.8 / 2043.3 / 4188.2 / 5392.5
-# before) under PYTHONHASHSEED=0 and 4242; the bounds are those plus 2%.
-# Since the store shares the key space's seed mapping, where it copied a
-# dict of every key, and a served snapshot read leaves no client record,
-# directory entry or marker of its own, they read 2058.5 / 1192.5 / 3793.1
-# / 3158.3 (2223.2 / 1759.6 / 3957.8 / 4722.2 before) under PYTHONHASHSEED
-# unset, 0 and 4242, and the bounds are those plus 2%, rounded up.  Since
-# the history keeps no payload, time or per-event byte (it folds each event
-# into its digest as it is recorded), they read 1932.8 / 984.6 / 3670.7 /
-# 3007.3 (2055.7 / 1185.1 / 3793.7 / 3151.3 before) under PYTHONHASHSEED=0
-# and 4242, and the bounds are those plus 2%, rounded up.  Since a Paxos
-# replica keeps no state for a slot it has applied, baseline-steady reads
-# 1622.1 (3667.8 before) under PYTHONHASHSEED=0 and 4242, and its bound is
-# that plus 2%, rounded up.  Since a replica keeps a payload only for an
-# undecided slot and a vote index a version and a value per committed
-# object, mp-steady / read-mostly-lease / baseline-steady / rdma-batched-bw
-# read 1635.7 / 954.4 / 1544.4 / 2755.0 (1934.0 / 986.8 / 1623.4 / 3009.5
-# before) under PYTHONHASHSEED=0 and 4242, and the bounds are those plus
-# 2%, rounded up.
+# 1440.5 / 906.0 / 1466.1 / 2537.7 under PYTHONHASHSEED=0 and 4242 (1619.1 /
+# 951.5 / 1545.2 / 2733.8 before); the bounds are those plus 2%, rounded up.
 RETAINED_BYTES_PER_TXN = {
-    "mp-steady": 1669,
-    "mp-steady-grouped": 1669,
-    "read-mostly-lease": 974,
-    "baseline-steady": 1576,
-    "rdma-batched-bw": 2811,
+    "mp-steady": 1470,
+    "mp-steady-grouped": 1470,
+    "read-mostly-lease": 925,
+    "baseline-steady": 1496,
+    "rdma-batched-bw": 2589,
 }
 
 
@@ -895,48 +816,19 @@ def test_whole_run_retained_bytes_per_transaction(shape):
 # warm-up: what the run keeps plus its largest transient, so that state a
 # run builds up front and drops at its end (every transaction's body, say)
 # shows although the retained figure above cannot see it.  The figure
-# repeats across hash seeds.  The readings are 3791.1 / 3822.9 / 6975.9 /
-# 9619.7 (mp-steady / read-mostly-lease / baseline-steady / rdma-batched-bw)
-# since a run generates each wave's transactions when it submits the wave;
-# 4235.6 / 4025.4 / 7405.5 / 10232.4 while it built every transaction's spec
-# and body before the first wave.  The bounds are the readings plus 2%.
-# Since an applied store keeps the latest version of each object the
-# readings are 3390.0 / 2265.0 / 6701.7 / 7184.9 under PYTHONHASHSEED=0 and
-# 4242 (3666.4 / 3808.3 / 6978.2 / 9494.4 before), and the bounds are
-# those plus 2%.  Since snapshot reads are served from the vote index and
-# the 2PC baseline keeps only the per-slot state it reads, read-mostly-lease
-# and baseline-steady read 2192.4 / 4492.2 (2264.9 / 6697.7 before) under
-# PYTHONHASHSEED=0 and 4242, and their bounds are those plus 2%.  Since the
-# network folds its link-queue samples into running sums, rdma-batched-bw
-# reads 6989.7 (7185.4 before), and its bound is that plus 2%.  Since a
-# replica derives each slot's phase, mp-steady / read-mostly-lease /
-# rdma-batched-bw read 3234.5 / 2173.2 / 6833.4 (3391.6 / 2193.4 / 6990.2
-# before) under PYTHONHASHSEED=0 and 4242, and their bounds are those plus
-# 2%; baseline-steady reads 4497.6 as before.  Since slot arrays are lists
-# and the history record is flat, they read 2472.5 / 1877.8 / 4236.2 /
-# 6156.1 (3232.2 / 2172.5 / 4495.9 / 6832.1 before) under PYTHONHASHSEED=0
-# and 4242, and the bounds are those plus 2%.  Since the key space's seeds
-# are one shared mapping that builds no key and the zipfian table one
-# double per key, and a served snapshot read leaves no trail, they read
-# 2308.9 / 1300.5 / 4076.2 / 3689.3 (2473.6 / 1879.8 / 4240.9 / 6161.3
-# before) under PYTHONHASHSEED unset, 0 and 4242, and the bounds are those
-# plus 2%, rounded up.  Since the history is a stream (no payload, time or
-# per-event byte kept), they read 2210.1 / 1091.4 / 3979.7 / 3544.8
-# (2304.4 / 1291.9 / 4074.3 / 3682.9 before) under PYTHONHASHSEED=0 and
-# 4242, and the bounds are those plus 2%, rounded up.  Since a Paxos
-# replica keeps no state for a slot it has applied, baseline-steady reads
-# 1989.6 (3978.3 before) under PYTHONHASHSEED=0 and 4242, and its bound is
-# that plus 2%, rounded up.  Since a replica keeps a payload only for an
-# undecided slot and a vote index a version and a value per committed
-# object, they read 1978.7 / 1062.8 / 1935.4 / 3384.1 (2213.5 / 1093.7 /
-# 1992.9 / 3547.5 before) under PYTHONHASHSEED=0 and 4242, and the bounds
-# are those plus 2%, rounded up.
+# repeats across hash seeds.  Since the retained state above shrank and the
+# latency breakdown walks the coordinators' columns into ``array('d')``
+# samples instead of building a dict of every decided entry and four lists
+# of floats, mp-steady / read-mostly-lease / baseline-steady /
+# rdma-batched-bw read 1761.8 / 1014.3 / 1852.8 / 3187.2 under
+# PYTHONHASHSEED=0 and 4242 (1962.1 / 1059.9 / 1923.5 / 3357.0 before); the
+# bounds are those plus 2%, rounded up.
 PEAK_BYTES_PER_TXN = {
-    "mp-steady": 2019,
-    "mp-steady-grouped": 2019,
-    "read-mostly-lease": 1085,
-    "baseline-steady": 1975,
-    "rdma-batched-bw": 3452,
+    "mp-steady": 1798,
+    "mp-steady-grouped": 1798,
+    "read-mostly-lease": 1035,
+    "baseline-steady": 1890,
+    "rdma-batched-bw": 3251,
 }
 
 
@@ -988,33 +880,42 @@ def test_key_space_peak_bytes_per_added_key(shape):
 # one file keeps allocated, by ``tracemalloc`` filtered to it, after a warmed
 # 4N-transaction run minus after an N-transaction one, per added unit of
 # what the file keeps per transaction.  N is 500, and the shape is
-# mp-steady's, or baseline-steady's for the Paxos replicas.  A replica
-# keeps Figure 1's four slot arrays as lists indexed by slot and ``slot_of``
-# as one dict: 79.3 B per added replica-slot (a slot holding a transaction
-# or a decision at one replica) under PYTHONHASHSEED=0, where four int-keyed
-# dicts kept 213.1.  The history keeps a certified marker and a decision per
-# transaction in two dicts and folds each event into its running digest:
-# 25.9 B per added event under PYTHONHASHSEED=0 and 4242, where a payload
-# per transaction, a byte and a time per event kept 35.0, and two ``Event``
-# objects per transaction, their list and two txn -> ``Event`` dicts 141.9.
-# The replica's lists grow by a quarter at a time, so where the 4N run's
-# capacity lands moves its reading by up to about ten bytes; its bound
-# leaves room for that and fails the old record.  The history's bound is
-# its reading plus 2%.  A Paxos replica keeps a slot's accepted value,
-# chosen value, proposal and acks only until it applies the slot: 1.2 B
-# per added transaction under PYTHONHASHSEED=0 and 4242, where acceptors
-# that kept every accepted slot (and through it every command and
-# projected payload) kept 1478.5; the bound leaves room for a few dicts
-# resized at other capacities and fails the old record by two orders of
-# magnitude.  The executor builds every transaction's payload; a replica
-# keeps one only while its slot is undecided (a decided slot is folded into
-# the settled summary, which keeps a version and a value per written
-# object): 14.8 B per added transaction under PYTHONHASHSEED=0 and 4242,
-# where replicas that kept every certified payload in their slot arrays
-# kept 258.9; the bound leaves room for the summary's dict resizes and
-# fails the old record by an order of magnitude.
-REPLICA_BYTES_PER_SLOT = 100
-HISTORY_BYTES_PER_EVENT = 26.4
+# mp-steady's (and rdma-batched-bw's for the coordinator), or
+# baseline-steady's for the Paxos replicas.  Every reading below is the
+# same under PYTHONHASHSEED=0 and 4242.
+#
+# * A replica keeps Figure 1's ``txn`` / ``vote`` / ``dec`` arrays as lists
+#   indexed by slot, the undecided slots' payloads in a dict and
+#   ``slot_of`` as one dict: 71.2 B per added replica-slot (a slot holding
+#   a transaction or a decision at one replica), where a fourth list for
+#   the payloads kept 79.4 and four int-keyed dicts 213.1.  The lists grow
+#   by a quarter at a time, so where the 4N run's capacity lands can move
+#   the reading; the bound is the reading plus 2%, rounded up.
+# * The history keeps each undecided certified id and each decision, and
+#   folds each event into its running digest: 12.9 B per added event,
+#   where a certified marker per transaction kept 25.9, and two ``Event``
+#   objects per transaction 141.9; the bound is the reading plus 2%.
+# * A coordinator keeps a decided transaction's decision in a dict and its
+#   three stamps in one ``array('d')``: 51.4 / 51.8 B per added transaction
+#   (mp-steady / rdma-batched-bw), where a ``CoordinatorEntry`` per decided
+#   transaction kept 122.6; the bound is the higher reading plus 2%,
+#   rounded up.
+# * The directory maps each transaction to a record shared by every
+#   transaction of the same client and shard set: 25.9 B per added
+#   transaction, where a record per transaction kept 81.9; the bound is the
+#   reading plus 2%, rounded up.
+# * A Paxos replica keeps a slot's accepted value, chosen value, proposal
+#   and acks only until it applies the slot: 1.2 B per added transaction,
+#   where acceptors that kept every accepted slot kept 1478.5; the bound
+#   leaves room for a few dicts resized at other capacities.
+# * The executor builds every transaction's payload; a replica keeps one
+#   only while its slot is undecided: 14.8 B per added transaction, where
+#   replicas that kept every certified payload kept 258.9; the bound
+#   leaves room for the settled summary's dict resizes.
+REPLICA_BYTES_PER_SLOT = 73
+HISTORY_BYTES_PER_EVENT = 13.2
+COORDINATOR_BYTES_PER_TXN = 53
+DIRECTORY_BYTES_PER_TXN = 27
 PAXOS_BYTES_PER_TXN = 8
 EXECUTOR_BYTES_PER_TXN = 30
 
@@ -1058,6 +959,23 @@ def test_history_retained_bytes_per_added_event():
     )
     assert added_events == 3000
     assert added_bytes / added_events <= HISTORY_BYTES_PER_EVENT, (added_bytes, added_events)
+
+
+@pytest.mark.parametrize("shape", ["mp-steady", "rdma-batched-bw"])
+def test_coordinator_retained_bytes_per_added_transaction(shape):
+    added_bytes, added_txns = _retained_slope(
+        "core/coordinator.py", shape, lambda cluster: len(cluster.history.certified())
+    )
+    assert added_txns == 1500
+    assert added_bytes / added_txns <= COORDINATOR_BYTES_PER_TXN, (added_bytes, added_txns)
+
+
+def test_directory_retained_bytes_per_added_transaction():
+    added_bytes, added_txns = _retained_slope(
+        "core/directory.py", "mp-steady", lambda cluster: len(cluster.history.certified())
+    )
+    assert added_txns == 1500
+    assert added_bytes / added_txns <= DIRECTORY_BYTES_PER_TXN, (added_bytes, added_txns)
 
 
 def test_executor_retained_bytes_per_added_transaction():

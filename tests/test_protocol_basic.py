@@ -3,8 +3,9 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.core.messages import AcceptAck, PrepareAck
-from repro.core.types import Decision, Phase, Status
+from repro.core.coordinator import DecidedTxn
+from repro.core.messages import AcceptAck, CertifyRequest, PrepareAck
+from repro.core.types import BOTTOM, Decision, Phase, Status
 
 from helpers import certification_order, payload, read_payload, rw_payload, shard_key
 
@@ -150,9 +151,7 @@ def test_coordinator_is_not_member_of_involved_shard_by_default(cluster):
     entry = cluster.coordinator_entries()[txn]
     assert entry.decision is Decision.COMMIT
     coordinator_pids = [
-        pid
-        for pid, replica in cluster.replicas.items()
-        if txn in getattr(replica, "_coordinated", {})
+        pid for pid, replica in cluster.replicas.items() if replica.coordinated(txn) is not None
     ]
     assert coordinator_pids
     assert all(pid not in cluster.members_of(shard) for pid in coordinator_pids)
@@ -172,7 +171,7 @@ def test_explicit_coordinator_choice_is_respected(cluster):
     coordinator = cluster.members_of("shard-1")[0]
     txn = cluster.submit(rw_payload("x", tiebreak="a"), coordinator=coordinator)
     cluster.run_until_decided([txn])
-    assert txn in cluster.replica(coordinator)._coordinated
+    assert cluster.replica(coordinator).coordinated(txn) is not None
 
 
 def test_f_zero_single_replica_shards_still_commit():
@@ -189,7 +188,7 @@ def test_three_replicas_per_shard_commit():
 
 
 # ----------------------------------------------------------------------
-# what a decided coordinator entry keeps
+# what a coordinator keeps of a decided transaction
 # ----------------------------------------------------------------------
 def _decide_one(cluster):
     """Commit one single-shard transaction and let the run drain; return
@@ -198,27 +197,48 @@ def _decide_one(cluster):
     txn = cluster.submit(rw_payload("x", tiebreak="a"))
     cluster.run_until_decided([txn])
     cluster.run()
-    (coordinator,) = [r for r in cluster.replicas.values() if txn in r._coordinated]
+    (coordinator,) = [r for r in cluster.replicas.values() if r.coordinated(txn) is not None]
     return txn, shard, coordinator
 
 
-def _assert_compact(entry):
-    """Only the decision and its timestamps survive: no vote or ack
-    container, no payload and no instance ``__dict__``."""
-    assert entry.decision is Decision.COMMIT
-    assert entry.decided_at is not None and entry.dispatched_at is not None
-    assert (entry.votes, entry.acks) == (None, None)
-    assert not hasattr(entry, "payload") and not hasattr(entry, "__dict__")
+def _columns(coordinator):
+    """A copy of the coordinator's decided columns."""
+    decisions, times = coordinator.decided_columns()
+    return dict(decisions), list(times)
 
 
-def test_a_decided_entry_keeps_only_the_decision_and_its_timestamps(cluster):
+def _assert_decided_once(coordinator, txn, columns):
+    """The transaction has no entry, and the columns read ``columns``."""
+    assert txn not in coordinator._coordinated
+    assert _columns(coordinator) == columns
+
+
+def test_a_decided_transaction_keeps_only_its_decision_and_timestamps(cluster):
     txn, shard, coordinator = _decide_one(cluster)
-    entry = coordinator.coordinated(txn)
-    _assert_compact(entry)
-    assert entry.shards == {shard}
-    assert cluster.coordinator_entries()[txn] is entry
-    # The directory interns shard sets: the entry holds the directory's one.
-    assert entry.shards is cluster.directory.shards_of(txn)
+    assert not coordinator._coordinated
+    decisions, times = _columns(coordinator)
+    assert decisions == {txn: Decision.COMMIT}
+    record = coordinator.coordinated(txn)
+    assert record == DecidedTxn(txn, Decision.COMMIT, *times)
+    assert record.started_at <= record.dispatched_at <= record.decided_at
+    assert cluster.coordinator_entries() == {txn: record}
+    assert list(coordinator.decided_records()) == [record]
+
+
+def test_a_duplicate_certify_after_the_decision_is_answered_from_the_columns(cluster):
+    txn, shard, coordinator = _decide_one(cluster)
+    columns = _columns(coordinator)
+    replies = cluster.message_stats.sent_by_type["TxnDecision"]
+    prepares = cluster.message_stats.sent_by_type["Prepare"]
+    cluster.client.send(
+        coordinator.pid, CertifyRequest(txn=txn, payload=BOTTOM, request_id=2)
+    )
+    cluster.run()
+    assert coordinator.duplicate_certify_requests == 1
+    assert cluster.message_stats.sent_by_type["TxnDecision"] == replies + 1
+    assert cluster.message_stats.sent_by_type["Prepare"] == prepares
+    _assert_decided_once(coordinator, txn, columns)
+    assert cluster.history.contradictions == []
 
 
 def test_a_prepare_ack_after_the_decision_is_relayed_and_recorded_nowhere(cluster):
@@ -226,7 +246,7 @@ def test_a_prepare_ack_after_the_decision_is_relayed_and_recorded_nowhere(cluste
     vote at the followers as an undecided one would, and its confirmations
     land nowhere."""
     txn, shard, coordinator = _decide_one(cluster)
-    entry = coordinator.coordinated(txn)
+    columns = _columns(coordinator)
     leader = cluster.replica(cluster.leader_of(shard))
     slot = leader.slot_of[txn]
     late = PrepareAck(
@@ -234,7 +254,7 @@ def test_a_prepare_ack_after_the_decision_is_relayed_and_recorded_nowhere(cluste
         shard=shard,
         slot=slot,
         txn=txn,
-        payload=leader.payload_arr[slot],
+        payload=None,  # the leader folded the decided slot's payload
         vote=leader.vote_arr[slot],
     )
     relay = "Accept" if cluster.protocol == "message-passing" else "RdmaWrite"
@@ -244,7 +264,7 @@ def test_a_prepare_ack_after_the_decision_is_relayed_and_recorded_nowhere(cluste
     assert cluster.message_stats.sent_by_type[relay] - before == len(
         cluster.followers_of(shard)
     )
-    _assert_compact(entry)
+    _assert_decided_once(coordinator, txn, columns)
     result, violations = cluster.check()
     assert result.ok and violations == []
 
@@ -253,11 +273,11 @@ def test_a_late_follower_confirmation_is_a_no_op(cluster):
     """An ACCEPT_ACK (message passing) or NIC ack (RDMA) for a decided
     transaction sends nothing and records nothing."""
     txn, shard, coordinator = _decide_one(cluster)
-    entry = coordinator.coordinated(txn)
+    columns = _columns(coordinator)
     leader = cluster.replica(cluster.leader_of(shard))
     slot = leader.slot_of[txn]
     follower = cluster.followers_of(shard)[0]
-    sent = cluster.message_stats.sent_by_type
+    sent = dict(cluster.message_stats.sent_by_type)
     if cluster.protocol == "message-passing":
         ack = AcceptAck(
             shard=shard,
@@ -272,4 +292,22 @@ def test_a_late_follower_confirmation_is_a_no_op(cluster):
         coordinator._on_accept_acked(txn, key, follower)
     cluster.run()
     assert cluster.message_stats.sent_by_type == sent
-    _assert_compact(entry)
+    _assert_decided_once(coordinator, txn, columns)
+
+
+def test_a_retry_of_a_decided_transaction_re_dispatches_and_restamps_nothing(cluster):
+    """``retry`` is ``certify(t, BOTTOM)``: at the transaction's own,
+    decided coordinator it sends the PREPAREs again, and the leader's
+    re-answer is relayed, but the decision's stamps are written once, so
+    the latency breakdown does not move."""
+    txn, shard, coordinator = _decide_one(cluster)
+    columns = _columns(coordinator)
+    samples = {name: list(values) for name, values in cluster.phase_samples().items()}
+    prepares = cluster.message_stats.sent_by_type["Prepare"]
+    entry = coordinator.certify(txn, BOTTOM)
+    assert entry.decision is Decision.COMMIT
+    cluster.run()
+    assert cluster.message_stats.sent_by_type["Prepare"] == prepares + 1
+    _assert_decided_once(coordinator, txn, columns)
+    assert {name: list(values) for name, values in cluster.phase_samples().items()} == samples
+    assert cluster.history.contradictions == []

@@ -191,7 +191,7 @@ def test_a_repeated_slot_decision(protocol):
     leader, slot, a, b = _leader_with_history(cluster)
     for _ in range(2):
         leader.on_slot_decision(_slot_decision(leader, slot, Decision.COMMIT), "coordinator")
-        assert leader.payload_arr[slot] is None  # folded
+        assert slot not in leader.payload_arr  # folded
         votes_match_rebuild(leader, cluster.payloads)
     # Counted once, and incrementally: the cache was never invalidated.
     assert votes_match_rebuild(leader, cluster.payloads)
@@ -215,7 +215,7 @@ def test_a_decision_that_flips(protocol, first, then):
     assert votes_match_rebuild(leader, cluster.payloads)
     folded = leader._votes.settled(), _index_state(leader._votes.index()), _served(leader, b)
     leader.on_slot_decision(_slot_decision(leader, slot, then), "coordinator")
-    assert leader.dec_arr[slot] is then and leader.payload_arr[slot] is None
+    assert leader.dec_arr[slot] is then and slot not in leader.payload_arr
     assert leader._votes._current  # not invalidated: there is nothing to rebuild from
     assert (
         leader._votes.settled(), _index_state(leader._votes.index()), _served(leader, b)
@@ -242,7 +242,7 @@ def test_a_slot_decision_before_its_write_at_an_rdma_leader():
         rdma_messages.Accept(slot=slot, txn="t-late", payload=write, vote=Decision.COMMIT),
         "coordinator-b",
     )
-    assert leader.txn_arr[slot] == "t-late" and leader.payload_arr[slot] is None
+    assert leader.txn_arr[slot] == "t-late" and slot not in leader.payload_arr
     # A reader of the seed's version conflicts with the committed write.
     assert leader._votes.vote(rw_payload(key, tiebreak="r")) is Decision.ABORT
     assert _served(leader, key) == ("late", write.commit_version)
@@ -404,9 +404,15 @@ def rebuilds(monkeypatch):
 def assert_lists_equal_their_rebuild(replica, rebuild):
     """The filled entries of ``replica``'s lists, its ``slot_of`` and the
     phase of every slot up to past the lists' end are the rebuild's; a
-    decided slot holds no payload (it is folded)."""
-    arrays = (replica.txn_arr, replica.payload_arr, replica.vote_arr, replica.dec_arr)
+    decided slot holds no payload (it is folded), and the payload dict
+    holds the undecided slots' payloads only."""
+    arrays = (replica.txn_arr, replica.vote_arr, replica.dec_arr)
     assert len({len(array) for array in arrays}) == 1, replica.pid
+    assert replica.payload_arr == {
+        slot: payload
+        for slot, payload in rebuild.payload.items()
+        if slot not in rebuild.dec
+    }, replica.pid
     filled = {slot: entry for slot, *entry in replica.filled_slots()}
     assert filled == {
         slot: [
