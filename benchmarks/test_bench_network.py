@@ -15,7 +15,7 @@ path fails these assertions regardless of machine speed.
 * **Pipelining**: at the knee, the pipelined commit path (PREPARE of batch
   N+1 overlapped with ACCEPT persistence of batch N — the default) must
   sustain >= 1.3x the virtual-time committed-txns throughput of the
-  stop-and-wait baseline (``network.pipeline=False``).  Measured ~4.7x on
+  stop-and-wait baseline (``network.pipeline=False``).  Measured ~4.8x on
   the library scenario, so the floor has wide headroom.
 
 The measurements are emitted as ``BENCH_network.json`` for the CI artifact

@@ -62,7 +62,7 @@ from repro.core.messages import (
     SlotDecision,
     TxnDecision,
 )
-from repro.core.types import BOTTOM, Decision, Phase, ShardId, TxnId
+from repro.core.types import AS_SENT, BOTTOM, Decision, Phase, ShardId, TxnId
 
 
 # The ``dispatched_at`` column's value for a transaction whose PREPAREs
@@ -75,11 +75,21 @@ class CoordinatorEntry:
     """Book-keeping for one transaction this process coordinates, from its
     first ``certify`` until its decision.
 
-    ``votes`` / ``acks`` are the in-flight state of the vote rounds.  The
-    decision sets ``decision``, moves it and the three timestamps into the
-    coordinator's columns and drops the entry; only the stop-and-wait gate,
-    which may still hold it, reads it afterwards.  A ``PREPARE_ACK``
-    arriving after the decision is still relayed to the followers; their
+    ``votes`` / ``acks`` are the in-flight state of the vote rounds.
+    ``projections`` holds the payload projection ``l | s`` each shard's
+    ``PREPARE`` carried (lines 2-3); a ``⊥`` re-dispatch (``retry``, lines
+    70-73) adds none and overwrites none.  A leader that places the
+    ``PREPARE`` in a fresh slot answers ``PREPARE_ACK`` (lines 7 and 17)
+    with the marker ``AS_SENT`` instead of echoing ``l``, and the
+    coordinator relays ``projections[s]`` in its ``ACCEPT``.
+
+    The decision sets ``decision``, moves it and the three timestamps into
+    the coordinator's columns and drops the entry, projections included;
+    only the stop-and-wait gate, which may still hold it, reads it
+    afterwards.  A ``PREPARE_ACK`` that carries a payload and arrives
+    after the decision is still relayed to the followers; a marker one is
+    dropped and counted (``dropped_marker_acks``), since the decision
+    already persisted that vote at every follower.  The followers'
     confirmations are dropped.
     """
 
@@ -92,6 +102,8 @@ class CoordinatorEntry:
     votes: Dict[ShardId, Union[PrepareAck, AcceptAck]] = field(default_factory=dict)
     # Followers known to hold the vote, keyed by ``_ack_key(shard, epoch)``.
     acks: Dict[Hashable, Set[str]] = field(default_factory=dict)
+    # Per shard, the projection its PREPARE carried (none for ``⊥``).
+    projections: Dict[ShardId, Any] = field(default_factory=dict)
     decision: Optional[Decision] = None
     # When the last of this transaction's PREPAREs left the coordinator:
     # the gap started_at -> dispatched_at is the per-transaction queueing
@@ -183,6 +195,8 @@ class CoordinatorMixin:
         self._decided_times = array("d")
         # Duplicate CERTIFY requests deduplicated (client retries).
         self.duplicate_certify_requests = 0
+        # AS_SENT PREPARE_ACKs that found no live entry to relay from.
+        self.dropped_marker_acks = 0
         self.gate = AdmissionGate(pipeline)
         # One outbox per message kind (repro.core.batching): the PREPARE
         # fan-out, the vote persistence, the DECISION broadcast and the
@@ -219,36 +233,42 @@ class CoordinatorMixin:
         """``certify(t, l)``: act as coordinator for transaction ``txn``.
 
         For a transaction this process has already decided (a ``retry``)
-        the PREPAREs go out again, under an entry that holds the decision
-        and is not kept: the leaders re-answer their stored votes, which
-        are relayed, and the decided transaction's columns stay as they
-        were."""
+        the PREPAREs go out again at once, under an entry that holds the
+        decision and is not kept: the leaders re-answer their stored votes,
+        which are relayed, the decided transaction's columns stay as they
+        were, and the stop-and-wait gate, which only a decision releases,
+        is not entered."""
         shards = self.directory.shards_of(txn)
         entry = self._coordinated.get(txn)
         if entry is None:
             entry = CoordinatorEntry(txn=txn, shards=frozenset(shards), started_at=self.now)
-            if txn in self._decisions:
-                entry.decision = self._decisions[txn]
-            else:
-                self._coordinated[txn] = entry
+            decision = self._decisions.get(txn)
+            if decision is not None:
+                entry.decision = decision
+                self._dispatch_prepares(entry, payload)
+                return entry
+            self._coordinated[txn] = entry
         if self.gate.admit(entry, payload):
             self._dispatch_prepares(entry, payload)
         return entry
 
     def _dispatch_prepares(self, entry: CoordinatorEntry, payload: Any) -> None:
-        """Fan PREPAREs out to the involved shard leaders."""
+        """Fan PREPAREs out to the involved shard leaders, keeping each
+        projection on the entry for the relay of a marker ack."""
         txn = entry.txn
         shards = entry.shards
-        if shards:
+        if shards and entry.decision is None:
             self.gate.enter(txn)
+        projections = entry.projections
         # Sorted: `shards` is a set, and the fan-out order must not depend
         # on the process's hash seed (random latency models draw one delay
         # per send, so iteration order shapes the schedule; under batching
         # it also fixes batch composition).
         for shard in sorted(shards):
-            projected = (
-                BOTTOM if payload is BOTTOM else self.scheme.project(payload, shard)
-            )
+            if payload is BOTTOM:
+                projected = BOTTOM
+            else:
+                projected = projections[shard] = self.scheme.project(payload, shard)
             self._prepare_batcher.add(
                 self.view[shard].leader, Prepare(txn=txn, payload=projected)
             )
@@ -326,21 +346,29 @@ class CoordinatorMixin:
 
     def on_prepare_ack(self, msg: PrepareAck, sender: str) -> None:
         """Persist the leader's vote at the shard's followers (Figure 1,
-        lines 18-20; Figure 7, lines 91-93)."""
+        lines 18-20; Figure 7, lines 91-93), with the payload the ack
+        carries or, for ``AS_SENT``, the projection the entry keeps."""
         entry = self._coordinated.get(msg.txn)
         if entry is None and msg.txn not in self._decisions:
             return
         if self.epoch_of(msg.shard) != msg.epoch:
             self._on_stale_prepare_ack(msg, sender)
             return
+        payload = msg.payload
         if entry is None:
+            if payload is AS_SENT:
+                # Decided: every follower already holds this vote.
+                self.dropped_marker_acks += 1
+                return
             # A late or duplicate vote of a decided transaction: still
             # relayed, as an undecided coordinator would, but there is
             # nothing left to record it in.
-            self._persist_vote(None, msg)
+            self._persist_vote(None, msg, payload)
             return
+        if payload is AS_SENT:
+            payload = entry.projections[msg.shard]
         entry.votes[msg.shard] = msg
-        self._persist_vote(entry, msg)
+        self._persist_vote(entry, msg, payload)
         # A shard with no followers (f = 0) is fully persisted by the
         # leader's own vote, so the decision check must run here too.
         self._maybe_decide(entry)
@@ -404,15 +432,18 @@ class CoordinatorMixin:
     def _make_decision_batcher(self, policy: BatchPolicy) -> MessageBatcher:
         return MessageBatcher(self, policy)
 
-    def _persist_vote(self, entry: Optional[CoordinatorEntry], msg: PrepareAck) -> None:
+    def _persist_vote(
+        self, entry: Optional[CoordinatorEntry], msg: PrepareAck, payload: Any
+    ) -> None:
         """Relay the vote to the shard's followers in ``ACCEPT`` messages
         (lines 18-20); they confirm with ``ACCEPT_ACK``.  ``entry`` is the
-        transaction's entry, None once it is decided."""
+        transaction's entry, None once it is decided; ``payload`` is what
+        the followers store, never ``AS_SENT``."""
         accept = Accept(
             epoch=msg.epoch,
             slot=msg.slot,
             txn=msg.txn,
-            payload=msg.payload,
+            payload=payload,
             vote=msg.vote,
         )
         self._accept_batcher.add_all(self.view[msg.shard].followers, accept)

@@ -169,7 +169,18 @@ class Prepare:
 @dataclass(frozen=True)
 class PrepareAck:
     """``PREPARE_ACK(e, s, k, t, l, d)`` from a leader to the coordinator
-    (lines 7 and 17)."""
+    (lines 7 and 17).
+
+    Figure 1 echoes ``l`` so that a coordinator holding only ``⊥`` (a
+    ``retry``, lines 70-73) can relay the payload the leader stored.  A
+    first-time ``PREPARE(t, l)`` came from a coordinator that already
+    holds ``l``, so the leader that places it in a fresh slot answers with
+    ``payload = AS_SENT`` (:data:`repro.core.types.AS_SENT`) and the
+    coordinator relays its own copy.  Every other answer is Figure 1's: a
+    ``⊥`` recovery carries the empty payload it stored, a duplicate of an
+    undecided slot the stored payload, and a duplicate of a decided
+    (folded) slot None.
+    """
 
     epoch: int
     shard: ShardId

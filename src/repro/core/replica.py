@@ -51,6 +51,7 @@ from repro.core.reads import ReadPolicy, ReplicaReadEngine
 from repro.core.reconfig import ReconfigMixin, Reconfigurer
 from repro.core.votecache import LeaderVoteCache
 from repro.core.types import (
+    AS_SENT,
     BOTTOM,
     Configuration,
     Decision,
@@ -293,6 +294,7 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         # A transaction already in the certification order (line 6) is
         # answered with the stored vote, for the (possibly new) coordinator,
         # and with no payload once its slot is decided (and folded).
+        echo = True
         if slot is None:
             self.next += 1
             slot = self.next
@@ -301,13 +303,14 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
                 self.store_slot(slot, msg.txn, self.scheme.empty_payload(), Decision.ABORT)
             else:
                 self.store_slot(slot, msg.txn, msg.payload, self._votes.vote(msg.payload))
-        payloads = self.payload_arr
+                # Its sender holds the payload it sent (PrepareAck).
+                echo = False
         return PrepareAck(
             epoch=self.my_epoch,
             shard=self.shard,
             slot=slot,
             txn=msg.txn,
-            payload=payloads[slot] if slot in payloads else None,
+            payload=self.payload_arr.get(slot) if echo else AS_SENT,
             vote=self.vote_arr[slot],
         )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 TxnId = str
@@ -25,7 +25,17 @@ ProcessId = str
 GLOBAL_SHARD = "*"
 
 
-class _Bottom:
+class _Singleton:
+    """A value with exactly one instance per class, which pickling and
+    copying preserve (both make a blank instance through ``__new__``)."""
+
+    def __new__(cls) -> "_Singleton":
+        if "_instance" not in cls.__dict__:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+
+class _Bottom(_Singleton):
     """The undefined payload value ``⊥`` used by coordinator recovery.
 
     A new coordinator that does not know a transaction's payload retries it
@@ -34,18 +44,26 @@ class _Bottom:
     payload ``ε``.
     """
 
-    _instance: Optional["_Bottom"] = None
-
-    def __new__(cls) -> "_Bottom":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "⊥"
 
 
 BOTTOM = _Bottom()
+
+
+class _AsSent(_Singleton):
+    """The payload of a ``PREPARE_ACK`` that answers a first-time
+    ``PREPARE(t, l)``: "the ``l`` you sent".  The coordinator that sent
+    ``l`` keeps it until the decision and relays its own copy, so the
+    leader does not echo it back (:class:`repro.core.messages.PrepareAck`).
+    It costs one scalar on the wire, and no replica ever stores it.
+    """
+
+    def __repr__(self) -> str:
+        return "AS_SENT"
+
+
+AS_SENT = _AsSent()
 
 
 class Decision(enum.Enum):

@@ -83,9 +83,11 @@ class RdmaVotePersistence:
         self._accept_keys: Dict[ProcessId, List[Tuple[TxnId, Hashable]]] = {}
         return MessageBatcher(self, policy, send=self._send_accept_batch)
 
-    def _persist_vote(self, entry: Optional[CoordinatorEntry], msg: PrepareAck) -> None:
+    def _persist_vote(
+        self, entry: Optional[CoordinatorEntry], msg: PrepareAck, payload: Any
+    ) -> None:
         key = self._ack_key(msg.shard, msg.epoch)
-        accept = Accept(slot=msg.slot, txn=msg.txn, payload=msg.payload, vote=msg.vote)
+        accept = Accept(slot=msg.slot, txn=msg.txn, payload=payload, vote=msg.vote)
         for follower in self.view[msg.shard].followers:
             if follower == self.pid:
                 # A coordinator that is itself a follower of the shard writes

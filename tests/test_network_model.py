@@ -37,7 +37,7 @@ from repro.baselines.cluster import BaselineCluster
 from repro.client import CoordinatorRouter
 from repro.core import messages as core_messages
 from repro.core.serializability import TransactionPayload
-from repro.core.types import Configuration, Decision
+from repro.core.types import AS_SENT, Configuration, Decision
 from repro.rdma import messages as rdma_messages
 from repro.runtime import process as process_runtime
 from repro.runtime import rdma as rdma_runtime
@@ -128,6 +128,22 @@ def test_rdma_write_charges_frame_plus_payload():
     inner = rdma_messages.Accept(slot=3, txn="t1", payload=None, vote=None)
     frame = rdma_runtime.RdmaWrite(write_id=1, payload=inner)
     assert wire_size(frame) > wire_size(inner)
+
+
+def test_a_marker_prepare_ack_costs_its_fixed_fields_and_no_payload():
+    """``PREPARE_ACK(e, s, k, t, AS_SENT, d)``: a header, the epoch, the
+    shard and transaction ids, the slot, the vote and one scalar for the
+    marker, whatever the payload its coordinator sent."""
+    sent = TransactionPayload.make(
+        reads=[("key-1", (0, ""))], writes=[("key-1", 1)], tiebreak="t"
+    )
+    echo = core_messages.PrepareAck(
+        epoch=1, shard="shard-0", slot=7, txn="t1", payload=sent, vote=Decision.COMMIT
+    )
+    marker = replace(echo, payload=AS_SENT)
+    fixed = 4 * SCALAR_BYTES + len("shard-0") + len("t1")
+    assert wire_size(marker) == HEADER_BYTES + fixed
+    assert wire_size(echo) - wire_size(marker) == wire._field_size(sent) - SCALAR_BYTES > 0
 
 
 def test_a_message_class_never_seen_is_sized_by_its_fields():

@@ -1,11 +1,13 @@
 """Integration tests for the failure-free path of both TCS protocols."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import Cluster
 from repro.core.coordinator import DecidedTxn
-from repro.core.messages import AcceptAck, CertifyRequest, PrepareAck
-from repro.core.types import BOTTOM, Decision, Phase, Status
+from repro.core.messages import Accept, AcceptAck, CertifyRequest, Prepare, PrepareAck
+from repro.core.types import AS_SENT, BOTTOM, Decision, Phase, Status
 
 from helpers import certification_order, payload, read_payload, rw_payload, shard_key
 
@@ -311,3 +313,195 @@ def test_a_retry_of_a_decided_transaction_re_dispatches_and_restamps_nothing(clu
     _assert_decided_once(coordinator, txn, columns)
     assert {name: list(values) for name, values in cluster.phase_samples().items()} == samples
     assert cluster.history.contradictions == []
+
+
+# ----------------------------------------------------------------------
+# PREPARE_ACK echoes no payload its coordinator sent (Figure 1, lines 7,
+# 17 and 70-73)
+# ----------------------------------------------------------------------
+def _two_shard_payload(cluster):
+    """A transaction over both shards: each shard's projection differs
+    from the whole payload."""
+    key0 = shard_key(cluster.scheme, "shard-0")
+    key1 = shard_key(cluster.scheme, "shard-1")
+    return payload(
+        reads=[(key0, (0, "")), (key1, (0, ""))], writes=[(key0, 1), (key1, 2)], tiebreak="m"
+    )
+
+
+def _record(replica, name):
+    """The argument tuples of every later call of ``replica.<name>``,
+    which still runs."""
+    calls = []
+    method = getattr(replica, name)
+
+    def recording(*args):
+        calls.append(args)
+        return method(*args)
+
+    setattr(replica, name, recording)
+    return calls
+
+
+def _followers_store(cluster, multi):
+    """Per follower of either shard, the ``(txn, payload)`` of each slot
+    write from now on, and each shard's projection of ``multi``."""
+    stored = {}
+    projections = {}
+    for shard in ("shard-0", "shard-1"):
+        projections[shard] = cluster.scheme.project(multi, shard)
+        assert projections[shard] != multi
+        for pid in cluster.followers_of(shard):
+            stored[pid] = _record(cluster.replica(pid), "store_slot")
+    return stored, projections
+
+
+def _assert_followers_stored(cluster, stored, projections, txn):
+    for shard, projection in projections.items():
+        for pid in cluster.followers_of(shard):
+            assert {(t, p) for _, t, p, _ in stored[pid]} == {(txn, projection)}, pid
+
+
+def test_a_fresh_prepare_is_answered_with_the_marker_and_relayed_from_the_entry(cluster):
+    multi = _two_shard_payload(cluster)
+    coordinator = cluster.replica(cluster.members_of("shard-1")[0])
+    acks = _record(coordinator, "on_prepare_ack")
+    stored, projections = _followers_store(cluster, multi)
+    txn = cluster.submit(multi, coordinator=coordinator.pid)
+    cluster.run_until_decided([txn])
+    assert sorted(msg.shard for msg, _ in acks) == ["shard-0", "shard-1"]
+    assert all(msg.payload is AS_SENT for msg, _ in acks)
+    _assert_followers_stored(cluster, stored, projections, txn)
+    assert cluster.history.decision_of(txn) is Decision.COMMIT
+    assert coordinator.dropped_marker_acks == 0
+
+
+def test_recovery_and_duplicates_are_answered_as_figure_1_has_it(cluster):
+    """Only a non-``⊥`` PREPARE placed in a fresh slot gets the marker: a
+    ``⊥`` recovery answers the empty payload it stored, a duplicate of an
+    undecided slot the stored payload, and one of a folded slot None."""
+    leader = cluster.replica(cluster.leader_of("shard-0"))
+    sent = rw_payload(shard_key(cluster.scheme, "shard-0"), tiebreak="a")
+    fresh = leader._certify_prepare(Prepare(txn="t-a", payload=sent))
+    assert fresh.payload is AS_SENT and fresh.vote is Decision.COMMIT
+    assert leader.payload_arr[fresh.slot] == sent
+    for again in (sent, BOTTOM):
+        assert leader._certify_prepare(Prepare(txn="t-a", payload=again)) == replace(
+            fresh, payload=sent
+        )
+    recovered = leader._certify_prepare(Prepare(txn="t-b", payload=BOTTOM))
+    assert recovered.slot == fresh.slot + 1
+    assert (recovered.payload, recovered.vote) == (cluster.scheme.empty_payload(), Decision.ABORT)
+    leader.decide_slot(fresh.slot, Decision.COMMIT)
+    for again in (sent, BOTTOM):
+        assert leader._certify_prepare(Prepare(txn="t-a", payload=again)) == replace(
+            fresh, payload=None
+        )
+
+
+def test_a_marker_ack_after_the_decision_is_dropped_and_counted(cluster):
+    """The decision persisted the vote at every follower, and the entry
+    that kept the projection is gone: nothing is relayed."""
+    txn, shard, coordinator = _decide_one(cluster)
+    columns = _columns(coordinator)
+    leader = cluster.replica(cluster.leader_of(shard))
+    slot = leader.slot_of[txn]
+    late = PrepareAck(
+        epoch=coordinator.epoch_of(shard),
+        shard=shard,
+        slot=slot,
+        txn=txn,
+        payload=AS_SENT,
+        vote=leader.vote_arr[slot],
+    )
+    sent = dict(cluster.message_stats.sent_by_type)
+    coordinator.deliver(late, leader.pid)
+    cluster.run()
+    assert cluster.message_stats.sent_by_type == sent
+    assert coordinator.dropped_marker_acks == 1
+    _assert_decided_once(coordinator, txn, columns)
+
+
+def test_a_bottom_re_dispatch_keeps_the_projections(cluster):
+    """``retry`` at the transaction's own, undecided coordinator sends
+    ``PREPARE(t, ⊥)``; the leader's marker answer to the first PREPARE is
+    still relayed with the projection, not with ``⊥``."""
+    multi = _two_shard_payload(cluster)
+    coordinator = cluster.replica(cluster.members_of("shard-1")[0])
+    stored, projections = _followers_store(cluster, multi)
+    txn = cluster.submit(multi, coordinator=coordinator.pid)
+    cluster.run(max_time=1.5)  # the PREPAREs are out, no vote is back
+    entry = coordinator.certify(txn, BOTTOM)
+    assert entry is coordinator._coordinated[txn] and entry.projections == projections
+    cluster.run_until_decided([txn])
+    cluster.run()
+    _assert_followers_stored(cluster, stored, projections, txn)
+    assert cluster.history.decision_of(txn) is Decision.COMMIT
+
+
+def _held_vote(cluster, multi):
+    """A two-shard transaction whose shard-0 vote is held back from its
+    coordinator (a shard-1 member): returns the coordinator, the
+    transaction and the held ``(PrepareAck, sender)``."""
+    coordinator = cluster.replica(cluster.members_of("shard-1")[0])
+    held = []
+    on_prepare_ack = coordinator.on_prepare_ack
+
+    def holding(msg, sender):
+        if msg.shard == "shard-0":
+            held.append((msg, sender))
+        else:
+            on_prepare_ack(msg, sender)
+
+    coordinator.on_prepare_ack = holding
+    txn = cluster.submit(multi, coordinator=coordinator.pid)
+    cluster.run()
+    del coordinator.on_prepare_ack
+    assert txn in coordinator._coordinated and len(held) == 1
+    return coordinator, txn, held[0]
+
+
+def _enter_next_epoch(coordinator, shard):
+    """The coordinator learns ``shard``'s next epoch (same members) and
+    re-handles what it stashed."""
+    config = coordinator.view[shard]
+    coordinator._install(shard, replace(config, epoch=config.epoch + 1))
+    coordinator._unstash()
+
+
+def test_a_stashed_marker_ack_relays_the_projection_after_the_epoch_change():
+    """Message passing stashes a vote of an epoch its coordinator has not
+    reached (line 19) and replays it once it has: a marker vote is then
+    relayed with the entry's projection.  (RDMA ignores it, line 92.)"""
+    cluster = Cluster(num_shards=2, replicas_per_shard=2, seed=11)
+    multi = _two_shard_payload(cluster)
+    coordinator, txn, (ack, leader) = _held_vote(cluster, multi)
+    assert ack.payload is AS_SENT
+    newer = replace(ack, epoch=ack.epoch + 1)
+    sent = dict(cluster.message_stats.sent_by_type)
+    coordinator.deliver(newer, leader)
+    assert coordinator._stash == [(newer, leader)]
+    assert cluster.message_stats.sent_by_type == sent
+    _enter_next_epoch(coordinator, "shard-0")
+    cluster.run()
+    projection = cluster.scheme.project(multi, "shard-0")
+    for pid in cluster.followers_of("shard-0"):
+        # The follower is still in the old epoch, so it stashes the ACCEPT.
+        (accept, sender), = cluster.replica(pid)._stash
+        assert isinstance(accept, Accept) and sender == coordinator.pid
+        assert (accept.epoch, accept.txn, accept.payload) == (newer.epoch, txn, projection)
+    assert coordinator.dropped_marker_acks == 0
+
+
+def test_a_stashed_marker_ack_replayed_after_the_decision_is_dropped_and_counted():
+    cluster = Cluster(num_shards=2, replicas_per_shard=2, seed=11)
+    coordinator, txn, (ack, leader) = _held_vote(cluster, _two_shard_payload(cluster))
+    coordinator.deliver(replace(ack, epoch=ack.epoch + 1), leader)
+    coordinator.deliver(ack, leader)
+    cluster.run()
+    assert cluster.history.decision_of(txn) is Decision.COMMIT
+    sent = dict(cluster.message_stats.sent_by_type)
+    _enter_next_epoch(coordinator, "shard-0")
+    cluster.run()
+    assert cluster.message_stats.sent_by_type == sent
+    assert coordinator.dropped_marker_acks == 1 and not coordinator._stash

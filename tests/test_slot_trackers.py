@@ -23,7 +23,9 @@ rather than by the common path: a write over a prepared slot, a repeated
 decision, a decision that flips (the summary keeps the decision the slot
 was folded with) and a decision that lands before its write.  The derived
 phase is checked on every state transfer of the golden cases that
-reconfigure, and on a decision that lands before its write.
+reconfigure, and on a decision that lands before its write.  No slot write
+at any replica of any library scenario carries the ``AS_SENT`` marker of a
+``PREPARE_ACK``: the coordinator relays its own copy of the payload.
 
 The four arrays are lists indexed by slot, None where a slot holds nothing.
 Their filled entries and the phase they give must equal a rebuild as
@@ -43,7 +45,7 @@ from repro.core.reads import ReadPolicy
 from repro.core.serializability import VERSION_ZERO
 from repro.core.reconfig import Reconfigurer
 from repro.core.replica import ReplicaBase
-from repro.core.types import Decision, Phase
+from repro.core.types import AS_SENT, Decision, Phase
 from repro.rdma import messages as rdma_messages
 from repro.scenarios import ScenarioError, ScenarioRunner, get_scenario
 from repro.scenarios.library import SCENARIOS
@@ -105,8 +107,24 @@ def folded_with(monkeypatch):
     return kept
 
 
+@pytest.fixture
+def marker_writes(monkeypatch):
+    """(replica pid, slot) of every slot write whose payload is the
+    ``AS_SENT`` marker a coordinator must resolve before relaying."""
+    writes = []
+    store_slot = ReplicaBase.store_slot
+
+    def storing(replica, slot, txn, payload, vote):
+        if payload is AS_SENT:
+            writes.append((replica.pid, slot))
+        store_slot(replica, slot, txn, payload, vote)
+
+    monkeypatch.setattr(ReplicaBase, "store_slot", storing)
+    return writes
+
+
 @pytest.mark.parametrize("spec", _library_specs())
-def test_the_vote_index_equals_a_rebuild_at_quiescence(spec, folded_with):
+def test_the_vote_index_equals_a_rebuild_at_quiescence(spec, folded_with, marker_writes):
     runner = ScenarioRunner(spec)
     payloads = capture_payloads(runner.build().history)
     runner.run()
@@ -115,6 +133,8 @@ def test_the_vote_index_equals_a_rebuild_at_quiescence(spec, folded_with):
         compared += votes_match_rebuild(replica, payloads, folded_with)
         # No ACCEPT without a payload reached an undecided slot.
         assert replica.payloadless_writes == 0, replica.pid
+    # No replica ever stored the marker in place of a payload.
+    assert marker_writes == []
     # Some leader voted since its last invalidation: the check is not empty.
     assert compared
     # Only the broken ablation changes a decision.

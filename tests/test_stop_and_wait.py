@@ -27,6 +27,7 @@ from repro.baselines.paxos import RsmCommand
 from repro.baselines.twopc import PrepareCommand
 from repro.cluster import Cluster
 from repro.core.messages import CertifyRequest, Prepare
+from repro.core.types import BOTTOM
 from repro.scenarios import BatchSpec, NetworkSpec, ScenarioRunner, get_scenario
 
 from helpers import rw_payload, shard_key
@@ -131,6 +132,44 @@ def test_duplicate_certify_for_a_held_transaction(stack):
     assert all(cluster.history.decision_of(txn) is not None for txn in txns)
     assert not coordinator.gate._held_certifies and not coordinator.gate._held_txns
     assert cluster.history.contradictions == []
+
+
+@pytest.mark.parametrize("stack", ["message-passing", "rdma"])
+def test_a_re_dispatch_of_a_decided_transaction_leaves_the_gate_open(stack):
+    """``retry`` is ``certify(t, BOTTOM)``; at the coordinator that decided
+    ``t`` it re-drives the leaders' answers at once and outside the gate,
+    which only a decision releases: the next transaction still dispatches,
+    and a transaction in flight does not hold the re-dispatch."""
+    cluster = Cluster(
+        num_shards=2,
+        replicas_per_shard=2,
+        protocol=stack,
+        seed=3,
+        network=NetworkSpec(pipeline=False),
+    )
+    coordinator = cluster.replicas[cluster.members_of("shard-1")[0]]
+    first, second, third = (
+        rw_payload(shard_key(cluster.scheme, "shard-0", hint=f"k{i}"), tiebreak=f"t{i}")
+        for i in range(3)
+    )
+    decided = cluster.submit(first, coordinator=coordinator.pid)
+    cluster.run_until_decided([decided])
+    cluster.run()
+    coordinator.certify(decided, BOTTOM)
+    txn = cluster.submit(second, coordinator=coordinator.pid)
+    cluster.run()
+    assert cluster.history.decision_of(txn) is not None
+    assert not coordinator.gate._in_flight and not coordinator.gate._held_certifies
+
+    txn = cluster.submit(third, coordinator=coordinator.pid)
+    cluster.run(max_time=cluster.scheduler.now + 2.5)
+    assert coordinator.gate._in_flight == {txn}
+    prepares = cluster.message_stats.sent_by_type["Prepare"]
+    coordinator.certify(decided, BOTTOM)
+    assert cluster.message_stats.sent_by_type["Prepare"] == prepares + 1
+    cluster.run()
+    assert cluster.history.decision_of(txn) is not None
+    assert not coordinator.gate._in_flight and not coordinator.gate._held_certifies
 
 
 if __name__ == "__main__":
