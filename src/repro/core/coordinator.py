@@ -24,6 +24,13 @@ admit a transaction's first dispatch, tells it when the transaction starts
 occupying the pipeline and when it has decided, and the gate holds and
 releases the rest in submission order.
 
+A reconfiguration does not strand the transactions in flight: wherever a
+shard's epoch advances at the coordinator (``epoch_of``), the coordinator
+re-sends ``PREPARE`` to the shard's new leader for every undecided
+transaction that holds no vote of that epoch there
+(:meth:`CoordinatorMixin._redrive_prepares`), and a vote of an epoch the
+coordinator has not reached waits in the replica's stash until it has.
+
 A transaction's :class:`CoordinatorEntry` lives only until its decision.
 Then the coordinator keeps two columns: the decision, by transaction, and
 the ``started_at`` / ``dispatched_at`` / ``decided_at`` stamps in one flat
@@ -44,6 +51,7 @@ from typing import (
     Deque,
     Dict,
     Hashable,
+    Iterable,
     Iterator,
     NamedTuple,
     Optional,
@@ -164,6 +172,10 @@ class AdmissionGate:
         self._held_certifies.append((entry, payload))
         return False
 
+    def holds(self, txn: TxnId) -> bool:
+        """True while ``txn``'s first dispatch waits in the gate."""
+        return txn in self._held_txns
+
     def enter(self, txn: TxnId) -> None:
         """``txn``'s dispatch is leaving the coordinator."""
         if not self.pipeline:
@@ -197,6 +209,9 @@ class CoordinatorMixin:
         self.duplicate_certify_requests = 0
         # AS_SENT PREPARE_ACKs that found no live entry to relay from.
         self.dropped_marker_acks = 0
+        # Re-driven PREPAREs still in the outbox, by identity: their flush
+        # stamps nothing (``_redrive_prepares``).
+        self._redriven: Dict[int, Prepare] = {}
         self.gate = AdmissionGate(pipeline)
         # One outbox per message kind (repro.core.batching): the PREPARE
         # fan-out, the vote persistence, the DECISION broadcast and the
@@ -219,9 +234,13 @@ class CoordinatorMixin:
         """Stamp queueing delay: a transaction counts as dispatched once the
         last of its per-shard PREPAREs has left the coordinator.  Only an
         undecided transaction is stamped: a decided one's stamps are
-        written once, so a re-dispatch (``retry``) leaves them alone."""
+        written once, so a re-dispatch (``retry``) leaves them alone.  A
+        re-driven PREPARE stamps nothing."""
         now = self.now
+        redriven = self._redriven
         for prepare in prepares:
+            if redriven and redriven.pop(id(prepare), None) is prepare:
+                continue
             entry = self._coordinated.get(prepare.txn)
             if entry is not None:
                 entry.dispatched_at = now
@@ -276,6 +295,30 @@ class CoordinatorMixin:
             # A transaction touching no shard (empty payload) commits
             # trivially: the meet over an empty set of votes is commit.
             self._maybe_decide(entry)
+
+    def _redrive_prepares(self, shards: Iterable[ShardId]) -> None:
+        """``epoch_of`` has just advanced on ``shards``: re-send ``PREPARE``
+        to each of those shards' new leader for every undecided transaction
+        that holds no vote of the shard's current epoch there, since
+        ``_shard_persisted`` counts only such a vote.  The re-send carries
+        the projection the entry keeps, or ``⊥`` where it keeps none (a
+        ``retry``).  It is idempotent (lines 1-3 and 6): a leader answers
+        a transaction it already holds with its stored vote.  A dispatch
+        the stop-and-wait gate still holds is not re-driven, and a
+        re-driven PREPARE stamps no ``dispatched_at``."""
+        shards = frozenset(shards)
+        gate = self.gate
+        for entry in self._coordinated.values():
+            if gate.holds(entry.txn):
+                continue
+            # Sorted for hash-seed-independent send order (see `certify`).
+            for shard in sorted(entry.shards & shards):
+                vote = entry.votes.get(shard)
+                if vote is not None and vote.epoch >= self.epoch_of(shard):
+                    continue
+                prepare = Prepare(txn=entry.txn, payload=entry.projections.get(shard, BOTTOM))
+                self._redriven[id(prepare)] = prepare
+                self._prepare_batcher.add(self.view[shard].leader, prepare)
 
     def retry(self, slot: int) -> Optional[CoordinatorEntry]:
         """``retry(k)``: become a new coordinator for a prepared transaction
@@ -421,9 +464,11 @@ class CoordinatorMixin:
         return (shard, epoch)
 
     def _on_stale_prepare_ack(self, msg: PrepareAck, sender: str) -> None:
-        """Precondition ``epoch[s] = e`` failed (line 19).  A newer epoch may
-        simply not have reached us yet; stash and retry once it does."""
-        if msg.epoch > self.view[msg.shard].epoch:
+        """Precondition ``epoch[s] = e`` failed (Figure 1 line 19, Figure 7
+        line 92).  A newer epoch may simply not have reached us yet: stash
+        the vote and handle it once it has.  An older one is dropped: the
+        epoch's advance re-drove the transaction (``_redrive_prepares``)."""
+        if msg.epoch > self.epoch_of(msg.shard):
             self._stash_message(msg, sender)
 
     def _make_accept_batcher(self, policy: BatchPolicy) -> MessageBatcher:

@@ -17,17 +17,22 @@ the snapshot-read path and the reconfiguration pipeline
 (:class:`repro.core.reconfig.Reconfigurer`) — and
 :class:`repro.rdma.replica.RdmaShardReplica` extends it too.  What is
 Figure 1 only stays in :class:`ShardReplica`: the epoch-checked ``ACCEPT`` /
-``DECISION`` handlers, the stash of early messages and the per-shard *scope*
-of reconfiguration (:class:`repro.core.reconfig.ReconfigMixin`).  Both stacks
-keep every shard's configuration ``⟨e, M, pl⟩`` as one record per shard in
-``view``, which only :meth:`ReplicaBase._install` writes.
+``DECISION`` handlers and the per-shard *scope* of reconfiguration
+(:class:`repro.core.reconfig.ReconfigMixin`).  Both stacks keep every
+shard's configuration ``⟨e, M, pl⟩`` as one record per shard in ``view``,
+which only :meth:`ReplicaBase._install` writes, and one stash of messages
+whose ``pre:`` clause (a wait, in Figure 1) does not hold yet: a
+``PREPARE`` at a replica still RECONFIGURING, a vote of an epoch the
+coordinator has not reached, and, on Figure 1's stack, an early ``ACCEPT``
+or ``DECISION``.  The stash is replayed whenever configuration knowledge
+advances.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count, repeat
 from operator import is_not, or_
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.batching import BatchPolicy
 from repro.core.certification import CertificationScheme
@@ -79,6 +84,10 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
     payload: a decided one is folded into the settled summary of
     :class:`repro.core.votecache.LeaderVoteCache`, which keeps what the
     decided payloads committed, and its payload entry popped.
+
+    ``_stash`` holds the messages that wait for a newer configuration
+    (``_stash_message``); the handlers that advance configuration
+    knowledge replay it (``_unstash``).
     """
 
     def __init__(
@@ -138,6 +147,13 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         self.slot_of: Dict[TxnId, int] = {}
         # Payload-less writes that landed on an undecided slot (dropped).
         self.payloadless_writes = 0
+        # PREPAREs refused by this replica as a follower: neither the
+        # leader nor, RECONFIGURING, a possible leader-elect (``on_prepare``).
+        self.dropped_prepares = 0
+        # Messages whose precondition mentions a configuration we have not
+        # reached yet; re-dispatched whenever configuration knowledge
+        # advances.
+        self._stash: List[Tuple[Any, str]] = []
 
         # The settled summary of the decided slots and the leader's
         # incremental conflict index over it, which replaces the
@@ -188,8 +204,21 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
 
     def _install(self, shard: ShardId, config: Configuration) -> None:
         """Adopt ``config`` as what this process knows of ``shard``: the one
-        write into ``view``."""
+        write into ``view``.  Where that advances the coordinator's
+        ``epoch_of(shard)`` (Figure 1's per-shard epochs; the RDMA stack's
+        one epoch advances with its ``NEW_CONFIG`` / ``NEW_STATE``
+        instead), :meth:`_enter_epochs` runs."""
+        before = self.epoch_of(shard) if shard in self.view else None
         self.view[shard] = config
+        if before is not None and self.epoch_of(shard) > before:
+            self._enter_epochs((shard,))
+
+    def _enter_epochs(self, shards: Iterable[ShardId]) -> None:
+        """``epoch_of`` advanced on ``shards``: replay what waited for the
+        new epoch (a vote of it, above all), then re-drive the transactions
+        that still hold no vote of it there."""
+        self._unstash()
+        self._redrive_prepares(shards)
 
     # ------------------------------------------------------------------
     # convenience accessors
@@ -319,10 +348,35 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         as one vector (``reply``), and intra-envelope conflict ordering is
         envelope order: each transaction enters the certification order
         before the next one is voted on, exactly as if the PREPAREs had
-        arrived back to back."""
-        if self.status is not Status.LEADER:
+        arrived back to back.
+
+        ``pre: status = leader`` (line 4) is a wait.  A replica still
+        RECONFIGURING may be the leader-elect its sender already knows of
+        (a Figure 1 leader-elect learns so only from ``NEW_CONFIG``), so it
+        holds the PREPARE: it answers it once it leads the new
+        configuration and refuses it once it follows.  A follower refuses
+        it at once; a refusal is counted in ``dropped_prepares``."""
+        status = self.status
+        if status is not Status.LEADER:
+            if status is Status.RECONFIGURING:
+                self._stash_message(msg, sender)
+            else:
+                self.dropped_prepares += 1
             return
         self.reply(sender, self._certify_prepare(msg))
+
+    # ------------------------------------------------------------------
+    # messages that wait for a newer configuration
+    # ------------------------------------------------------------------
+    def _stash_message(self, message: Any, sender: str) -> None:
+        self._stash.append((message, sender))
+
+    def _unstash(self) -> None:
+        if not self._stash:
+            return
+        stashed, self._stash = self._stash, []
+        for message, sender in stashed:
+            self.handle(message, sender)
 
     # ------------------------------------------------------------------
     # heartbeat failure detection (repro.core.failuredetector)
@@ -409,32 +463,16 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
 
 
 class ShardReplica(ReconfigMixin, ReplicaBase):
-    """A replica process of one shard, implementing the Figure 1 protocol."""
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        # Messages whose precondition mentions an epoch we have not reached
-        # yet; re-dispatched whenever configuration knowledge advances.
-        self._stash: List[Tuple[Any, str]] = []
+    """A replica process of one shard, implementing the Figure 1 protocol:
+    its followers check the epoch of an ``ACCEPT`` or ``DECISION`` and
+    stash one from an epoch they have not reached (``ReplicaBase``'s
+    stash)."""
 
     @property
     def my_epoch(self) -> int:
         """``epoch[s0]``: the epoch of the configuration of our own shard
         that we know (a spare's is its shard's, as bootstrapped)."""
         return self.view[self.shard].epoch
-
-    # ------------------------------------------------------------------
-    # stashing of early messages
-    # ------------------------------------------------------------------
-    def _stash_message(self, message: Any, sender: str) -> None:
-        self._stash.append((message, sender))
-
-    def _unstash(self) -> None:
-        if not self._stash:
-            return
-        stashed, self._stash = self._stash, []
-        for message, sender in stashed:
-            self.handle(message, sender)
 
     # ------------------------------------------------------------------
     # follower: ACCEPT (lines 21-25)

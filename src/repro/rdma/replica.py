@@ -23,6 +23,16 @@ differences from Figure 1:
   sending ``NEW_STATE``, and connections are re-established with
   ``CONNECT`` / ``CONNECT_ACK``.
 
+What crosses an install is the message-passing protocol's too, at this
+stack's one epoch: ``ReplicaBase``'s stash holds a ``PREPARE`` that reaches
+a replica still RECONFIGURING (a leader-elect, once ``CONFIG_PREPARE`` named
+it) and a vote of an epoch the coordinator has not entered
+(line 92), and both are replayed once ``NEW_CONFIG`` or ``NEW_STATE``
+advances the epoch; the coordinator then re-drives every transaction that
+holds no vote of the new epoch (``ReplicaBase._enter_epochs``).
+``CONFIG_PREPARE`` advances the per-shard ``view`` but not the epoch, so
+it re-drives nothing: the leaders it names are not active yet.
+
 One deliberate, documented deviation from the pseudocode: on line 153 the
 paper has a follower send ``CONNECT`` only to the processes of *other*
 shards (the leader's ``CONNECT`` covers leader-follower pairs).  Because in
@@ -174,10 +184,6 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         """NIC acks count towards the shard, whatever the epoch."""
         return shard
 
-    def _on_stale_prepare_ack(self, msg: PrepareAck, sender: str) -> None:
-        """Precondition ``e = epoch`` failed (line 92): stale or too-new
-        votes are ignored; coordinator recovery handles the transaction."""
-
     def _make_decision_batcher(self, policy: BatchPolicy) -> MessageBatcher:
         return MessageBatcher(
             self, policy, send=lambda dst, message: self.rdma.send(dst, message)
@@ -265,6 +271,7 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
             if member != self.pid:
                 self.send(member, state)
         self._connect_to_all_members()
+        self._enter_epochs(self.view)
 
     def on_new_state(self, msg: NewState, sender: str) -> None:
         if msg.epoch < self.new_epoch:
@@ -273,6 +280,7 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         self._adopt_state(msg)
         self._on_configuration_installed()
         self._connect_to_all_members()
+        self._enter_epochs(self.view)
 
     def _connect_to_all_members(self) -> None:
         """Lines 147 / 153 (see the module docstring for the deviation)."""

@@ -342,9 +342,10 @@ def test_prepare_envelope_at_a_non_leader_is_dropped_whole():
 
 
 def test_accept_envelope_with_an_early_element():
-    """One ACCEPT of an envelope is for an epoch the follower has not
-    reached: the aggregate ack omits it, the unstash path re-answers it
-    singly, and the transaction decides."""
+    """ACCEPTs of an envelope are for an epoch the follower has not
+    reached: the aggregate ack omits them, the unstash path re-answers each
+    singly, and the transactions decide.  One of them is the re-drive of a
+    transaction whose vote the epoch change left behind."""
     cluster = Cluster(
         num_shards=2,
         replicas_per_shard=2,
@@ -356,12 +357,12 @@ def test_accept_envelope_with_an_early_element():
     client = cluster.client
     epoch = follower.my_epoch
 
-    def accept_reaches_the_outbox(payload, pending):
-        """Submit and hurry the request and the PREPARE along, so that only
+    def accept_reaches_the_outbox(payload, prepares, pending):
+        """Submit and hurry the request and the PREPAREs along, so that only
         the ACCEPT outbox lingers."""
         txn = cluster.submit(payload, coordinator=coordinator.pid)
         client._request_batcher.flush()
-        while pending_messages(coordinator._prepare_batcher) == 0:
+        while pending_messages(coordinator._prepare_batcher) < prepares:
             assert cluster.scheduler.step()
         coordinator._prepare_batcher.flush()
         while pending_messages(coordinator._accept_batcher, follower.pid) < pending:
@@ -369,13 +370,18 @@ def test_accept_envelope_with_an_early_element():
         return txn
 
     first_payload = rw_payload(shard_key(cluster.scheme, "shard-0", hint="a"), tiebreak="a")
-    first = accept_reaches_the_outbox(first_payload, pending=1)
+    first = accept_reaches_the_outbox(first_payload, prepares=1, pending=1)
     # Shard-0 moves to the next epoch (same members); the new epoch has
     # reached its leader and the coordinator, the follower's is in flight.
+    # The coordinator re-drives the first transaction, whose vote is of the
+    # old epoch.
     for process in (leader, coordinator):
         process._install("shard-0", replace(process.view["shard-0"], epoch=epoch + 1))
+    assert pending_messages(coordinator._prepare_batcher) == 1
     early = accept_reaches_the_outbox(
-        rw_payload(shard_key(cluster.scheme, "shard-0", hint="b"), tiebreak="b"), pending=2
+        rw_payload(shard_key(cluster.scheme, "shard-0", hint="b"), tiebreak="b"),
+        prepares=2,
+        pending=3,
     )
 
     sent = _recorded_sends(follower)
@@ -384,20 +390,22 @@ def test_accept_envelope_with_an_early_element():
     [(dst, ack)] = sent
     assert dst == coordinator.pid and type(ack) is Batch
     assert [(type(a), a.txn, a.epoch) for a in ack.items] == [(AcceptAck, first, epoch)]
-    assert [type(m) for m, _ in follower._stash] == [Accept]
+    assert [(type(m), m.txn) for m, _ in follower._stash] == [(Accept, first), (Accept, early)]
 
-    # The epoch arrives: the early element is re-answered on its own.
+    # The epoch arrives, and its install replays the stash: each early
+    # element is re-answered on its own.
     del sent[:]
     follower._install("shard-0", replace(follower.view["shard-0"], epoch=epoch + 1))
-    follower._unstash()
-    [(dst, ack)] = sent
-    assert dst == coordinator.pid and type(ack) is AcceptAck
-    assert (ack.txn, ack.epoch) == (early, epoch + 1)
+    assert [(dst, type(ack), ack.txn, ack.epoch) for dst, ack in sent] == [
+        (coordinator.pid, AcceptAck, first, epoch + 1),
+        (coordinator.pid, AcceptAck, early, epoch + 1),
+    ]
     cluster.run()
     assert cluster.history.decision_of(early) is Decision.COMMIT
-    # The on-time element's vote is from the old epoch; a session retry
-    # re-drives it in the new one.
-    assert cluster.history.decision_of(first) is None
+    # The on-time element's vote is from the old epoch; its re-drive in the
+    # new one decides it, with no session retry.
+    assert cluster.history.decision_of(first) is Decision.COMMIT
+    assert cluster.retry_stats().retries == 0
     client.send(coordinator.pid, CertifyRequest(txn=first, payload=first_payload, request_id=2))
     cluster.run()
     assert cluster.history.decision_of(first) is Decision.COMMIT

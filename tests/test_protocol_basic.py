@@ -472,7 +472,8 @@ def _enter_next_epoch(coordinator, shard):
 def test_a_stashed_marker_ack_relays_the_projection_after_the_epoch_change():
     """Message passing stashes a vote of an epoch its coordinator has not
     reached (line 19) and replays it once it has: a marker vote is then
-    relayed with the entry's projection.  (RDMA ignores it, line 92.)"""
+    relayed with the entry's projection.  (RDMA stashes it too, line 92:
+    ``tests/test_redrive.py``.)"""
     cluster = Cluster(num_shards=2, replicas_per_shard=2, seed=11)
     multi = _two_shard_payload(cluster)
     coordinator, txn, (ack, leader) = _held_vote(cluster, multi)
