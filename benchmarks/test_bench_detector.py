@@ -9,8 +9,10 @@ schedule, so the guard is exact and deterministic — no noise headroom is
 needed, unlike the wall-clock guards in ``_helpers.py``.
 
 The guard pins the ratio: detector-driven recovery must stay at least
-``DETECTOR_TTR_SPEEDUP_FLOOR`` (2x) faster than the timeout-driven control.
-Measured at the stock policies: 14.5 vs 35.0 delays, a 2.4x speedup.
+``DETECTOR_TTR_SPEEDUP_FLOOR`` (2.6x) faster than the timeout-driven control.
+Measured at the stock policies: 12.5 vs 35.0 delays, a 2.8x speedup (the
+view-change order carries the configuration to probe from, so the detector
+path skips the ``get_last`` round trip).
 """
 
 from repro.scenarios import ScenarioRunner, get_scenario
@@ -18,7 +20,7 @@ from repro.scenarios import ScenarioRunner, get_scenario
 from _helpers import write_bench_artifact
 
 
-DETECTOR_TTR_SPEEDUP_FLOOR = 2.0
+DETECTOR_TTR_SPEEDUP_FLOOR = 2.6
 
 
 def test_detector_failover_recovers_2x_faster_than_timeout(benchmark):

@@ -208,9 +208,12 @@ class _SnapshotReadState:
     """Client-side state of one in-flight snapshot read."""
 
     shard: ShardId
+    # The leader the read was sent to: a pushed configuration of ``shard``
+    # that removes it fails the read over at once.
+    leader: str
     # Certified-path insurance: the read-only payload to certify if the
     # leader refuses the fast path or, under a retry policy, does not
-    # answer in time.
+    # answer in time or is removed.
     fallback_payload: TransactionPayload
     timer: Any = None
 
@@ -401,7 +404,9 @@ class Client(Process):
     def _on_config_push(self, shard: ShardId, removed: frozenset, leader: str) -> None:
         """The router accepted a newer configuration of ``shard``: fail over
         any in-flight transaction whose current coordinator was removed,
-        without waiting for its (possibly heavily backed-off) retry timer.
+        without waiting for its (possibly heavily backed-off) retry timer,
+        and certify any unanswered snapshot read of ``shard`` whose leader
+        was removed (reason ``pushed``).
 
         The deposed process may merely have been partitioned, so the
         transaction id-based dedup still protects against double answers;
@@ -421,6 +426,11 @@ class Client(Process):
             self.failovers += 1
             self.pushed_failovers += 1
             self._resubmit(state, coordinator)
+        for txn, read in list(self._read_states.items()):
+            if read.shard == shard and read.leader in removed:
+                del self._read_states[txn]
+                read.timer.cancel()
+                self._fall_back(txn, read, "pushed")
 
     # ------------------------------------------------------------------
     # snapshot-read fast path
@@ -455,7 +465,7 @@ class Client(Process):
         self.history.record_certify(txn, marker, self.now)
         self.submit_times[txn] = self.now
         state = self._read_states[txn] = _SnapshotReadState(
-            shard=shard, fallback_payload=fallback_payload
+            shard=shard, leader=leader, fallback_payload=fallback_payload
         )
         self.send(leader, ReadRequest(txn=txn, objects=marker.objects))
         if self.retry.enabled:

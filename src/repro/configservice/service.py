@@ -4,7 +4,8 @@ Stores sequences of configurations by key and serves the three operations of
 the paper on them:
 
 * ``compare_and_swap(s, e, ⟨e', M, pl⟩)`` — succeeds iff the epoch of the
-  last stored configuration of ``s`` is ``e`` and ``e' > e``;
+  last stored configuration of ``s`` is ``e`` and ``e' > e`` (the reply is
+  ``ok`` alone: the caller holds the configuration it proposed);
 * ``get_last(s)`` — the last stored configuration of ``s``;
 * ``get(s, e)`` — the configuration of ``s`` at epoch ``e``.
 
@@ -166,7 +167,7 @@ class ConfigurationService(Process):
             return
         self.cas_successes += 1
         slices = self._store(msg.shard, msg.config)
-        self.send(sender, CsReply(msg.request_id, ok=True, config=msg.config))
+        self.send(sender, CsReply(msg.request_id, ok=True))
         for shard in sorted(slices):
             config = slices[shard]
             change = ConfigChange(
@@ -209,7 +210,8 @@ class ConfigurationService(Process):
         reported by ``detector_confirmations`` distinct current members, ask
         the first surviving member of that shard (configuration order) to
         propose a view change through the ordinary CAS path — a global one
-        where reconfiguration is global."""
+        where reconfiguration is global.  The order carries the record the
+        service acted on, the one a ``get_last`` would return."""
         config = self._by_shard.get(msg.shard)
         if config is None or config.epoch != msg.epoch:
             return  # stale view: the suspect's epoch is already history
@@ -229,5 +231,10 @@ class ConfigurationService(Process):
         self.view_changes += 1
         self.send(
             survivors[0],
-            CsViewChange(shard=msg.shard, epoch=msg.epoch, suspects=tuple(confirmed)),
+            CsViewChange(
+                shard=msg.shard,
+                epoch=msg.epoch,
+                config=self.last_configuration(msg.shard) or self.last_configuration(),
+                suspects=tuple(confirmed),
+            ),
         )

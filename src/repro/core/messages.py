@@ -144,10 +144,19 @@ class SuspicionReport:
 @dataclass(frozen=True)
 class CsViewChange:
     """The configuration service asks a surviving member to reconfigure
-    ``shard`` past the confirmed-suspected ``suspects`` of ``epoch``."""
+    ``shard`` past the confirmed-suspected ``suspects`` of ``epoch``.
+
+    ``config`` is the record the service acted on: the last one stored
+    under the shard's key, or the global record where reconfiguration is
+    global.  It is what the ``get_last`` of Figure 1 lines 33-39 (Figure 8
+    lines 103-110) would answer, so the receiver probes its members without
+    that round trip; if a newer record lands meanwhile, the compare-and-swap
+    of lines 48-50 (120-124) rejects the attempt.
+    """
 
     shard: ShardId
     epoch: int
+    config: Any
     suspects: Tuple[ProcessId, ...] = ()
 
 
@@ -315,7 +324,12 @@ class CsCompareAndSwap:
 
 @dataclass(frozen=True)
 class CsReply:
-    """Response to any configuration-service request."""
+    """Response to any configuration-service request.
+
+    ``config`` answers ``get_last`` and ``get``; a compare-and-swap is
+    answered by ``ok`` alone (lines 49-50 go on only if it succeeded, with
+    the configuration the reconfigurer proposed and already holds).
+    """
 
     request_id: int
     ok: bool

@@ -171,50 +171,67 @@ class Reconfigurer:
         """Record a failure suspicion (used by compute_membership)."""
         self.suspected.add(pid)
 
-    def reconfigure(self, shard: Optional[ShardId] = None) -> bool:
+    def reconfigure(self, shard: Optional[ShardId] = None, last: Any = None) -> bool:
         """Initiate a reconfiguration of ``shard`` (default: own shard) or,
-        where the scope is global, of every shard."""
+        where the scope is global, of every shard (Figure 1 lines 33-39,
+        Figure 8 lines 103-110).
+
+        ``last`` is the configuration to probe from when the caller already
+        holds the one ``get_last`` would return (a view-change order carries
+        it); otherwise the attempt asks the configuration service first.  A
+        start that is stale by the time the proposal is made loses the
+        compare-and-swap (lines 48-50)."""
         if self.rec_status is not RecStatus.READY:
             return False
         self.rec_status = RecStatus.PROBING
         key = self._reconfiguration_key(shard)
-
-        def on_last(reply: CsReply) -> None:
-            if not reply.ok or reply.config is None:
-                self.rec_status = RecStatus.READY
-                return
-            recon_epoch = reply.config.epoch + 1
-            self._led_rounds = []
-            self._probe_rounds = {
-                each: _ProbeRound(
-                    shard=each,
-                    recon_epoch=recon_epoch,
-                    probed_epoch=config.epoch,
-                    probed_members=config.members,
-                )
-                for each, config in reply.config.by_shard(key).items()
-            }
-            rounds = self._probe_rounds.values()
-            targets = dict.fromkeys(p for r in rounds for p in r.probed_members)
-            self.send_all(targets, Probe(epoch=recon_epoch))
-
-        self._cs_call(lambda rid: CsGetLast(shard=key, request_id=rid), on_last)
+        if last is not None:
+            self._probe_from(key, last)
+        else:
+            self._cs_call(
+                lambda rid: CsGetLast(shard=key, request_id=rid),
+                lambda reply: self._probe_from(key, reply.config if reply.ok else None),
+            )
         return True
+
+    def _probe_from(self, key: ShardId, last: Any) -> None:
+        """Probe every member the record ``last`` names, one round per shard
+        it configures, at the epoch after it."""
+        if last is None:
+            self.rec_status = RecStatus.READY
+            return
+        recon_epoch = last.epoch + 1
+        self._led_rounds = []
+        self._probe_rounds = {
+            each: _ProbeRound(
+                shard=each,
+                recon_epoch=recon_epoch,
+                probed_epoch=config.epoch,
+                probed_members=config.members,
+            )
+            for each, config in last.by_shard(key).items()
+        }
+        rounds = self._probe_rounds.values()
+        targets = dict.fromkeys(p for r in rounds for p in r.probed_members)
+        self.send_all(targets, Probe(epoch=recon_epoch))
 
     def on_cs_view_change(self, msg: CsViewChange, sender: str) -> None:
         """The configuration service confirmed failure suspicions and asks
         this process to drive the view change (unsolicited failover).
 
-        Runs through the ordinary probe/CAS path above, so it races safely
-        with timeout-driven ``reconfigure`` calls: the ``rec_status`` guard
+        The order carries the record the service acted on, so probing starts
+        from it (lines 33-39 without their ``get_last``) and goes on through
+        the ordinary probe/CAS path above.  That races safely with
+        timeout-driven ``reconfigure`` calls: the ``rec_status`` guard
         deduplicates concurrent attempts on this process, and the service's
-        compare-and-swap lets exactly one attempt per epoch win.
+        compare-and-swap (lines 48-50) lets exactly one attempt per epoch
+        win, so a record superseded in flight installs nothing.
         """
         if msg.epoch < self.epoch_of(msg.shard):
             return  # stale: a newer configuration is already installed
         for pid in msg.suspects:
             self.suspect(pid)
-        if self.reconfigure(msg.shard):
+        if self.reconfigure(msg.shard, last=msg.config):
             self.unsolicited_reconfigurations += 1
 
     # ------------------------------------------------------------------
@@ -386,10 +403,20 @@ class ReconfigMixin(Reconfigurer):
         """Lines 48-50: install the new configuration, then tell its leader."""
         ((shard, new_members),) = members.items()
         new_leader = leaders[shard]
+        new_config = NewConfig(epoch=epoch, members=new_members)
+
+        def on_installed() -> None:
+            if new_leader == self.pid:
+                # Its own new leader takes NEW_CONFIG at this instant, as an
+                # event of its own rather than over a link.
+                self.set_timer(0.0, self.on_new_config, new_config, self.pid)
+            else:
+                self.send(new_leader, new_config)
+
         self._compare_and_swap(
             shard,
             Configuration(epoch=epoch, members=new_members, leader=new_leader),
-            lambda: self.send(new_leader, NewConfig(epoch=epoch, members=new_members)),
+            on_installed,
         )
 
     # ------------------------------------------------------------------

@@ -267,8 +267,10 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         slot is decided only once every member of its epoch stored it
         (Figure 1 lines 26-29, Figure 7 line 96), so over a decided slot
         the write is a no-op; over an undecided one it is dropped and
-        counted in ``payloadless_writes`` (only the broken RDMA ablation
-        makes one)."""
+        counted in ``payloadless_writes``.  Only the broken RDMA ablation
+        makes one: there a coordinator with a stale view decides on a vote
+        it wrote onto the new epoch's leader-elect, so that leader folds a
+        slot its ``NEW_STATE`` sent undecided."""
         try:
             held = self.txn_arr[slot]
             decision = self.dec_arr[slot]

@@ -375,17 +375,19 @@ def test_baseline_duplicate_answered_from_decision_cache():
 # ----------------------------------------------------------------------
 # snapshot reads under a retry policy
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("timeout", [10.0, 40.0])
 @pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
-def test_snapshot_read_to_a_crashed_leader_falls_back_on_timeout(protocol):
-    """The leader a read was sent to crashed: under a retry policy the read
-    times out and is certified instead, and decides once the shard is
-    reconfigured, like a write submitted after it."""
+def test_snapshot_read_to_a_removed_leader_falls_back_on_the_push(protocol, timeout):
+    """The leader a read was sent to crashed: under a retry policy the
+    pushed configuration that removes it certifies the read at once, and
+    it decides once the shard is reconfigured, like a write submitted
+    after it, whatever the retry timeout."""
     cluster = Cluster(
         num_shards=2,
         replicas_per_shard=2,
         protocol=protocol,
         seed=3,
-        retry=RetryPolicy(timeout=10.0),
+        retry=RetryPolicy(timeout=timeout),
         read=ReadPolicy(mode="snapshot"),
     )
     cluster.run()  # deliver the bootstrap lease grants
@@ -397,8 +399,11 @@ def test_snapshot_read_to_a_crashed_leader_falls_back_on_timeout(protocol):
     cluster.run()
     assert cluster.history.decision_of(read) is Decision.COMMIT
     assert cluster.history.decision_of(write) is Decision.COMMIT
+    client = cluster.client
+    latency = client.decide_times[read] - client.submit_times[read]
+    assert latency == {"message-passing": 12.0, "rdma": 13.0}[protocol]
     stats = cluster.read_stats()
-    assert stats.read_fallbacks == 1 and stats.fallback_reasons == {"timeout": 1}
+    assert stats.read_fallbacks == 1 and stats.fallback_reasons == {"pushed": 1}
     assert cluster.retry_stats().orphaned == 0
     assert cluster.check()[0].ok
 

@@ -212,7 +212,7 @@ def test_lease_refused_for_a_leader_deposed_by_a_newer_global_record():
 
 
 def test_suspicion_against_a_global_record_goes_to_that_shards_first_survivor():
-    scheduler, cs, _initial, procs = build_global_cs()
+    scheduler, cs, initial, procs = build_global_cs()
     # A non-member's report, and a report about a non-member, are ignored.
     procs["outsider"].send(cs.pid, SuspicionReport(shard="shard-0", epoch=1, suspect="a"))
     procs["x"].send(cs.pid, SuspicionReport(shard="shard-0", epoch=1, suspect="a"))
@@ -227,7 +227,9 @@ def test_suspicion_against_a_global_record_goes_to_that_shards_first_survivor():
     scheduler.run()
     assert cs.suspicion_reports == 1 and cs.view_changes == 1
     (change,) = received(procs["b"], CsViewChange)
-    assert change == CsViewChange(shard="shard-0", epoch=1, suspects=("a",))
+    # The order carries the record acted on: the global one, which a
+    # get_last of the reconfiguration key would return.
+    assert change == CsViewChange(shard="shard-0", epoch=1, config=initial, suspects=("a",))
     assert not any(received(procs[p], CsViewChange) for p in ("a", "c", "x", "y"))
 
 

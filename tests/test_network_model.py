@@ -867,3 +867,32 @@ def test_sticky_affinity_is_safe_and_decides_everything():
     assert result.safety_ok
     assert result.committed + result.aborted == 40
     assert result.committed > 0
+
+
+def test_a_cas_success_reply_is_sized_without_a_configuration():
+    """The reconfigurer holds the configuration it proposed, so the service
+    answers a winning compare-and-swap with ``ok`` alone: a request id and a
+    flag, not the configuration echoed back."""
+    from repro.cluster import Cluster
+
+    cluster = Cluster(num_shards=2, replicas_per_shard=2, seed=3)
+    service = cluster.config_service
+    replies = []
+    send = service.send
+
+    def recording(dst, message, weak=False):
+        if type(message) is core_messages.CsReply:
+            replies.append(message)
+        send(dst, message, weak)
+
+    service.send = recording
+    cluster.crash_follower("shard-0")
+    assert cluster.reconfigure("shard-0")
+    cluster.run()
+    assert service.cas_successes == 1
+    (cas_reply,) = [r for r in replies if r.ok and r.request_id == 2]
+    assert cas_reply == core_messages.CsReply(request_id=2, ok=True)
+    # A header, the request id and the flag (an absent field costs nothing).
+    assert wire_size(cas_reply) == HEADER_BYTES + 2 * SCALAR_BYTES == 36.0
+    echoed = replace(cas_reply, config=service.last_configuration("shard-0"))
+    assert wire_size(echoed) == 94.0

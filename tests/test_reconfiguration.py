@@ -6,7 +6,8 @@ import pytest
 from repro.cluster import Cluster
 from repro.core.messages import CsViewChange
 from repro.core.types import GLOBAL_SHARD, Decision, Status
-from repro.scenarios import ScenarioRunner
+from repro.runtime.process import Process
+from repro.scenarios import ScenarioRunner, get_scenario
 
 from helpers import certification_order, committed_of, payload, rw_payload, shard_key
 from test_golden_digests import GOLDEN, _spec_for
@@ -317,7 +318,13 @@ def test_suspicion_push_races_timeout_reconfigure_to_one_winner(cluster):
     timed_out.suspect(crashed)
     assert timed_out.reconfigure("shard-0")  # the retry-timeout path
     service.send(  # the detector path: confirmed suspicion, pushed back out
-        pushed.pid, CsViewChange(shard="shard-0", epoch=1, suspects=(crashed,))
+        pushed.pid,
+        CsViewChange(
+            shard="shard-0",
+            epoch=1,
+            config=service.last_configuration("shard-0"),
+            suspects=(crashed,),
+        ),
     )
     cluster.run()
     assert service.cas_attempts >= cas_before + 2  # the race really happened
@@ -433,3 +440,72 @@ def test_every_view_entry_is_the_record_stored_for_its_epoch(key):
     runner = ScenarioRunner(_spec_for(key))
     runner.run()
     assert view_mismatches(runner.cluster) == []
+
+
+# ----------------------------------------------------------------------
+# the detector-driven failover path
+# ----------------------------------------------------------------------
+def _record_sends(monkeypatch):
+    """(sender, destination, message type name) of every point-to-point send."""
+    sent = []
+    send = Process.send
+
+    def recording(process, dst, message, weak=False):
+        sent.append((process.pid, dst, type(message).__name__))
+        send(process, dst, message, weak)
+
+    monkeypatch.setattr(Process, "send", recording)
+    return sent
+
+
+@pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
+def test_a_detector_ordered_view_change_probes_without_get_last(monkeypatch, protocol):
+    """The view-change order carries the record to probe from, so its
+    reconfigurer asks the configuration service for nothing before the
+    compare-and-swap; on message passing a reconfigurer that is its own new
+    leader takes NEW_CONFIG without a link."""
+    sent = _record_sends(monkeypatch)
+    result = ScenarioRunner(
+        get_scenario("detector-leader-crash").with_overrides(protocol=protocol)
+    ).run()
+    assert result.passed and result.view_changes >= 1
+    ordered = {dst for _src, dst, kind in sent if kind == "CsViewChange"}
+    assert ordered
+    assert not [s for s in sent if s[0] in ordered and s[2] == "CsGetLast"]
+    assert [s for s in sent if s[0] in ordered and s[2] == "CsCompareAndSwap"]
+    assert result.recovery_times == [12.5]
+    if protocol == "message-passing":
+        assert not [s for s in sent if s[0] == s[1] and s[2] == "NewConfig"]
+
+
+def test_a_view_change_superseded_in_flight_installs_nothing(cluster):
+    """An order whose record a newer one has replaced loses the CAS: it
+    installs nothing, its reconfigurer is READY again, and the run stays
+    SAFE.  (With ``get_last`` it would have probed from the newer record
+    and installed a third epoch.)"""
+    commit_some(cluster)
+    service = cluster.config_service
+    first = service.last_configuration("shard-0")
+    leader = cluster.replica(cluster.leader_of("shard-0"))
+    deposed = cluster.replica(cluster.followers_of("shard-0")[0])
+    # The leader replaces its live follower: the follower is probed into
+    # epoch 2 but learns of no configuration after epoch 1.
+    leader.suspect(deposed.pid)
+    assert leader.reconfigure("shard-0")
+    cluster.run()
+    assert service.last_configuration("shard-0").epoch == 2
+    assert deposed.pid not in cluster.members_of("shard-0")
+    assert deposed.epoch_of("shard-0") == 1
+    cas_before, log_before = service.cas_attempts, list(service.install_log)
+    deposed.on_cs_view_change(
+        CsViewChange(shard="shard-0", epoch=1, config=first, suspects=()), service.pid
+    )
+    cluster.run()
+    assert service.cas_attempts == cas_before + 1
+    assert service.install_log == log_before
+    assert deposed.reconfigurations_introduced == 0
+    assert deposed.unsolicited_reconfigurations == 1
+    assert not deposed.probing and deposed.rec_status == "ready"
+    assert service.last_configuration("shard-0").epoch == 2
+    result, violations = cluster.check()
+    assert result.ok and violations == []
