@@ -141,6 +141,12 @@ class ConfigurationService(Process):
             return None
         return self._configs[key][epoch]
 
+    def _record_for(self, shard: ShardId) -> Optional[Any]:
+        """The last record that configures ``shard``: its own, or the global
+        one where reconfiguration is global.  ``get_last`` answers with it
+        and a view-change order carries it."""
+        return self.last_configuration(shard) or self.last_configuration()
+
     def shard_configuration(self, shard: ShardId) -> Optional[Configuration]:
         """The current configuration of one shard, whichever kind of record
         holds it."""
@@ -152,7 +158,7 @@ class ConfigurationService(Process):
     def on_cs_get_last(self, msg: CsGetLast, sender: str) -> None:
         # A client refreshing one shard of a globally configured system is
         # answered with the global record, which covers it.
-        config = self.last_configuration(msg.shard) or self.last_configuration()
+        config = self._record_for(msg.shard)
         self.send(sender, CsReply(msg.request_id, ok=config is not None, config=config))
 
     def on_cs_get(self, msg: CsGet, sender: str) -> None:
@@ -234,7 +240,7 @@ class ConfigurationService(Process):
             CsViewChange(
                 shard=msg.shard,
                 epoch=msg.epoch,
-                config=self.last_configuration(msg.shard) or self.last_configuration(),
+                config=self._record_for(msg.shard),
                 suspects=tuple(confirmed),
             ),
         )

@@ -240,10 +240,26 @@ class Reconfigurer:
     def on_probe(self, msg: Probe, sender: str) -> None:
         if msg.epoch < self.new_epoch:
             return
+        if self._active_in(msg.epoch):
+            # The epoch is installed, so the service holds it and the
+            # prober's compare-and-swap from the epoch before must lose
+            # (lines 48-50): answer (so that attempt ends) but stay active.
+            # Line 41 would leave the epoch's members RECONFIGURING with
+            # nothing left to activate them.
+            self.send(sender, ProbeAck(initialized=True, epoch=msg.epoch, shard=self.shard))
+            return
         self.status = Status.RECONFIGURING
         self._on_probed()
         self.new_epoch = msg.epoch
         self.send(sender, ProbeAck(initialized=self.initialized, epoch=msg.epoch, shard=self.shard))
+
+    def _active_in(self, epoch: int) -> bool:
+        """Whether this process is an active member of its shard in ``epoch``."""
+        return (
+            self.initialized
+            and self.status is not Status.RECONFIGURING
+            and self.epoch_of(self.shard) == epoch
+        )
 
     def _on_probed(self) -> None:
         """Hook: the RDMA scope closes its connections here."""

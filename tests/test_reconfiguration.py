@@ -478,14 +478,17 @@ def test_a_detector_ordered_view_change_probes_without_get_last(monkeypatch, pro
         assert not [s for s in sent if s[0] == s[1] and s[2] == "NewConfig"]
 
 
-def test_a_view_change_superseded_in_flight_installs_nothing(cluster):
+@pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
+def test_a_view_change_superseded_in_flight_installs_nothing(protocol):
     """An order whose record a newer one has replaced loses the CAS: it
-    installs nothing, its reconfigurer is READY again, and the run stays
-    SAFE.  (With ``get_last`` it would have probed from the newer record
-    and installed a third epoch.)"""
+    installs nothing, its reconfigurer is READY again, the members of the
+    installed epoch stay active (its probe of that epoch changes nothing
+    there), and the shard goes on committing.  (With ``get_last`` it would
+    have probed from the newer record and installed a third epoch.)"""
+    cluster = Cluster(protocol=protocol, **NARROW)
     commit_some(cluster)
     service = cluster.config_service
-    first = service.last_configuration("shard-0")
+    first = service._record_for("shard-0")
     leader = cluster.replica(cluster.leader_of("shard-0"))
     deposed = cluster.replica(cluster.followers_of("shard-0")[0])
     # The leader replaces its live follower: the follower is probed into
@@ -493,7 +496,7 @@ def test_a_view_change_superseded_in_flight_installs_nothing(cluster):
     leader.suspect(deposed.pid)
     assert leader.reconfigure("shard-0")
     cluster.run()
-    assert service.last_configuration("shard-0").epoch == 2
+    assert service._record_for("shard-0").epoch == 2
     assert deposed.pid not in cluster.members_of("shard-0")
     assert deposed.epoch_of("shard-0") == 1
     cas_before, log_before = service.cas_attempts, list(service.install_log)
@@ -506,6 +509,9 @@ def test_a_view_change_superseded_in_flight_installs_nothing(cluster):
     assert deposed.reconfigurations_introduced == 0
     assert deposed.unsolicited_reconfigurations == 1
     assert not deposed.probing and deposed.rec_status == "ready"
-    assert service.last_configuration("shard-0").epoch == 2
+    assert service._record_for("shard-0").epoch == 2
+    members = [cluster.replica(pid) for pid in cluster.members_of("shard-0")]
+    assert all(m.status is not Status.RECONFIGURING for m in members)
+    assert cluster.certify(rw_payload("after-stale", tiebreak="as")) is Decision.COMMIT
     result, violations = cluster.check()
     assert result.ok and violations == []
