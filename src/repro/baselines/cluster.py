@@ -132,5 +132,11 @@ class BaselineCluster(ClusterBase):
     def leader_of(self, shard: ShardId) -> str:
         return self.groups[shard].leader
 
+    def members_of(self, shard: ShardId) -> Tuple[str, ...]:
+        return tuple(replica.pid for replica in self.groups[shard].replicas)
+
+    def under_target_proposals(self) -> int:
+        return 0  # a Paxos group never reconfigures
+
     def _read_engines(self) -> Tuple[()]:
         return ()

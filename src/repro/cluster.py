@@ -101,7 +101,8 @@ class ClusterBase:
       :func:`~repro.analysis.metrics.collect_phase_samples` reads;
     * ``_pick_coordinator(involved)`` — the live coordinator of a submission
       over the ``involved`` shards, made without a retry policy;
-    * ``leader_of(shard)``;
+    * ``leader_of(shard)``, ``members_of(shard)`` and
+      ``under_target_proposals()`` (what the run's ``membership`` reports);
     * ``_read_engines()`` — the snapshot-read engines, which
       :meth:`seed_read_stores` seeds and :meth:`read_stats` sums;
     * optionally ``_post_build()``, below;
@@ -568,6 +569,7 @@ class Cluster(ClusterBase):
                     read=self.read,
                     detector=self.detector,
                     pipeline=self.network.link.pipeline,
+                    retry=self.retry,
                 )
                 self.network.register(replica)
                 self.replicas[pid] = replica
@@ -626,6 +628,11 @@ class Cluster(ClusterBase):
 
     def members_of(self, shard: ShardId) -> Tuple[str, ...]:
         return self.current_configuration(shard).members
+
+    def under_target_proposals(self) -> int:
+        """Shard proposals, by any reconfigurer, whose membership fell short
+        of ``replicas_per_shard``."""
+        return sum(replica.under_target_proposals for replica in self.replicas.values())
 
     # ------------------------------------------------------------------
     # transaction driving

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.types import Configuration, Decision, Phase, ProcessId, ShardId, TxnId
+from repro.core.types import Configuration, Decision, ProcessId, ShardId, TxnId
 
 
 # ----------------------------------------------------------------------
@@ -246,29 +246,45 @@ class Probe:
 
 @dataclass(frozen=True)
 class ProbeAck:
-    """``PROBE_ACK(initialized, e, s)`` (line 44)."""
+    """``PROBE_ACK(initialized, e, s)`` (line 44), plus the responder's
+    decided prefix: the ``p`` for which the slots it holds decided are
+    exactly ``1..p``, each with its transaction (None when they are not,
+    or when it is not initialized).  The new leader reads it to send the
+    responder only what it lacks (:class:`NewState`)."""
 
     initialized: bool
     epoch: int
     shard: ShardId
+    prefix: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class NewConfig:
-    """``NEW_CONFIG(e, M)`` notifying the new leader of a shard (line 50)."""
+    """``NEW_CONFIG(e, M)`` notifying the new leader of a shard (line 50),
+    with each member's decided prefix as its ``PROBE_ACK`` reported it
+    (absent or None: the member gets the full state)."""
 
     epoch: int
     members: Tuple[str, ...]
+    prefixes: Dict[str, Optional[int]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class NewState:
-    """``NEW_STATE(e, M, txn, payload, vote, dec, phase)``: the new leader's
-    state transferred to its followers (line 60; Figure 8, line 146, whose
-    epoch is the global one).  ``payload`` holds the undecided slots'
-    payloads only: what the decided slots committed travels as
-    ``summary``, the leader's settled summary
-    (:meth:`repro.core.votecache.LeaderVoteCache.settled`)."""
+    """``NEW_STATE(e, M, txn, payload, vote, dec)``: the new leader's state
+    transferred to a follower (line 60; Figure 8, line 146, whose epoch is
+    the global one).  Figure 1's ``phase`` array is not sent: it follows
+    from ``txn`` and ``dec``.
+
+    A *full* transfer (``base`` None) carries every slot the leader holds:
+    ``payload`` for the undecided slots only, and what the decided slots
+    committed as ``summary``, the leader's settled summary
+    (:meth:`repro.core.votecache.LeaderVoteCache.settled`).  A *delta*
+    (``base`` = p) goes to a member whose decided slots were exactly
+    ``1..p`` when it was probed, from a leader that has decided nothing
+    above ``p``: it carries only the leader's slots above ``p``, all
+    undecided, and no summary; the member keeps its own slots ``1..p``
+    and its summary (``Reconfigurer._adopt_state``)."""
 
     epoch: int
     members: Tuple[str, ...]
@@ -276,8 +292,8 @@ class NewState:
     payload: Dict[int, Any]
     vote: Dict[int, Decision]
     dec: Dict[int, Decision]
-    phase: Dict[int, Phase]
     summary: Any
+    base: Optional[int] = None
 
 
 @dataclass(frozen=True)

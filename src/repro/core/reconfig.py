@@ -9,10 +9,12 @@ When a failure is suspected, any process can reconfigure:
    operational, until an *initialized* process is found — it becomes the new
    leader and is guaranteed to know every transaction accepted at the shard
    (Invariant 2);
-3. compute the new membership (probe responders plus fresh spare
-   processes), publish it with a compare-and-swap on the configuration
-   service, and activate the new leader, which transfers its state to the
-   new followers with ``NEW_STATE``.
+3. once every probed member it does not suspect has answered (or a bounded
+   wait has passed), compute the new membership (the live responders, and
+   fresh spare processes only where the leader would otherwise be alone),
+   publish it with a compare-and-swap on the configuration service, and
+   activate the new leader, which transfers its state to the new followers
+   with ``NEW_STATE``: to a live follower only what it lacks.
 
 The paper runs this pipeline at two scopes, and so does this module.
 :class:`Reconfigurer` holds the steps once, written for a *set* of shards
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.messages import (
     ConfigChange,
@@ -47,7 +49,7 @@ from repro.core.messages import (
     Probe,
     ProbeAck,
 )
-from repro.core.types import Configuration, Phase, ProcessId, ShardId, Status
+from repro.core.types import Configuration, ProcessId, ShardId, Status
 
 
 class SparePool:
@@ -79,27 +81,44 @@ class SparePool:
 def compute_membership(
     target_size: Optional[int],
     new_leader: ProcessId,
-    responders: Set[ProcessId],
+    live: Iterable[ProcessId],
+    fresh: Iterable[ProcessId],
     suspected: Set[ProcessId],
     spares: Optional[SparePool],
     previous_size: int,
 ) -> Tuple[ProcessId, ...]:
     """``compute_membership`` (line 48).
 
-    The paper only requires that the new membership contains the new leader
+    Line 48 only requires that the new membership contains the new leader
     and otherwise consists of probe responders or fresh processes.  This
-    keeps the responders (minus processes the reconfigurer believes crashed)
-    and tops up to ``target_size`` (None: ``previous_size``) from
-    ``spares``, if there is a pool.
+    rule keeps every initialized responder the reconfigurer does not
+    suspect (``live``), up to ``target_size`` (None: ``previous_size``).
+    Only where that would leave the leader alone does it top up to the
+    target: first from ``fresh`` (responders never initialized), then from
+    ``spares``, if there is a pool.  Such a joiner holds no state, so the
+    shard commits nothing until the leader's whole state has reached it (a
+    full ``NEW_STATE``); a one-member configuration tolerates no crash, so
+    that stall is worth it there, and not while a live follower remains.
     """
     target = target_size or previous_size
     members: List[ProcessId] = [new_leader]
-    for pid in sorted(responders):
-        if pid != new_leader and pid not in suspected and len(members) < target:
-            members.append(pid)
-    if spares is not None and len(members) < target:
-        members.extend(spares.take(target - len(members)))
+
+    def keep(responders: Iterable[ProcessId]) -> None:
+        for pid in sorted(responders):
+            if pid != new_leader and pid not in suspected and len(members) < target:
+                members.append(pid)
+
+    keep(live)
+    if len(members) == 1:
+        keep(fresh)
+        if spares is not None and len(members) < target:
+            members.extend(spares.take(target - len(members)))
     return tuple(members)
+
+
+def _above(entries: Dict[int, Any], base: int) -> Dict[int, Any]:
+    """The entries of ``entries`` (keyed by slot) above slot ``base``."""
+    return {slot: value for slot, value in entries.items() if slot > base}
 
 
 class RecStatus:
@@ -119,9 +138,30 @@ class _ProbeRound:
     recon_epoch: int
     probed_epoch: int
     probed_members: Tuple[ProcessId, ...]
-    responders: Set[ProcessId] = field(default_factory=set)
+    probed_leader: ProcessId
+    # The initialized responders, each with the decided prefix it reported.
+    prefixes: Dict[ProcessId, Optional[int]] = field(default_factory=dict)
+    # The responders that were never initialized.
+    fresh: Set[ProcessId] = field(default_factory=set)
+    # The first initialized responder, until the proposal picks the leader.
     new_leader: Optional[ProcessId] = None
     stepping_down: bool = False
+
+    def leader(self, suspected: Set[ProcessId]) -> ProcessId:
+        """The new leader: any initialized responder knows every accepted
+        transaction (line 45), so prefer the probed epoch's leader, then
+        the first unsuspected responder, then the first one."""
+        unsuspected = [pid for pid in self.prefixes if pid not in suspected]
+        if self.probed_leader in unsuspected:
+            return self.probed_leader
+        return unsuspected[0] if unsuspected else self.new_leader
+
+    def answered(self, suspected: Set[ProcessId]) -> bool:
+        """Whether every probed member not in ``suspected`` has answered."""
+        return all(
+            pid in self.prefixes or pid in self.fresh or pid in suspected
+            for pid in self.probed_members
+        )
 
 
 class Reconfigurer:
@@ -143,8 +183,14 @@ class Reconfigurer:
         self.spare_pools: Dict[ShardId, SparePool] = {}
         self._cs_request_id = 0
         self._cs_callbacks: Dict[int, Callable[[CsReply], None]] = {}
+        # When the last PROBE went out, and the timer that ends the wait
+        # for silent members (``_await_members``).
+        self._probed_at = 0.0
+        self._probe_deadline: Any = None
         self.reconfigurations_introduced = 0
         self.unsolicited_reconfigurations = 0
+        # Shard proposals whose membership fell short of the target.
+        self.under_target_proposals = 0
 
     @property
     def probing(self) -> bool:
@@ -208,12 +254,17 @@ class Reconfigurer:
                 recon_epoch=recon_epoch,
                 probed_epoch=config.epoch,
                 probed_members=config.members,
+                probed_leader=config.leader,
             )
             for each, config in last.by_shard(key).items()
         }
         rounds = self._probe_rounds.values()
         targets = dict.fromkeys(p for r in rounds for p in r.probed_members)
-        self.send_all(targets, Probe(epoch=recon_epoch))
+        self._send_probes(targets, recon_epoch)
+
+    def _send_probes(self, targets: Iterable[ProcessId], epoch: int) -> None:
+        self._probed_at = self.now
+        self.send_all(targets, Probe(epoch=epoch))
 
     def on_cs_view_change(self, msg: CsViewChange, sender: str) -> None:
         """The configuration service confirmed failure suspicions and asks
@@ -251,7 +302,29 @@ class Reconfigurer:
         self.status = Status.RECONFIGURING
         self._on_probed()
         self.new_epoch = msg.epoch
-        self.send(sender, ProbeAck(initialized=self.initialized, epoch=msg.epoch, shard=self.shard))
+        self.send(
+            sender,
+            ProbeAck(
+                initialized=self.initialized,
+                epoch=msg.epoch,
+                shard=self.shard,
+                prefix=self._decided_prefix(),
+            ),
+        )
+
+    def _decided_prefix(self) -> Optional[int]:
+        """The ``p`` for which the slots this process holds decided are
+        exactly ``1..p``, each holding its transaction; None when they are
+        not, or when it is not initialized.  A RECONFIGURING process writes
+        no slot of its own accord (a Figure 1 follower stashes ``DECISION``
+        and drops ``ACCEPT``), so this holds until the ``NEW_STATE``."""
+        if not self.initialized:
+            return None
+        decs = self.dec_arr
+        prefix = len(decs) - decs.count(None)  # slot 0 is never used
+        if None in decs[1 : prefix + 1] or None in self.txn_arr[1 : prefix + 1]:
+            return None
+        return prefix
 
     def _active_in(self, epoch: int) -> bool:
         """Whether this process is an active member of its shard in ``epoch``."""
@@ -272,27 +345,81 @@ class Reconfigurer:
             or msg.epoch != round_.recon_epoch
         ):
             return
-        round_.responders.add(sender)
         if not msg.initialized:
+            round_.fresh.add(sender)
             self._step_down_probing(round_, sender)
-            return
-        if round_.new_leader is None:
-            round_.new_leader = sender
-            self._led_rounds.append(round_)
+        else:
+            round_.prefixes[sender] = msg.prefix
+            if round_.new_leader is None:
+                round_.new_leader = sender
+                self._led_rounds.append(round_)
         if len(self._led_rounds) == len(self._probe_rounds):
             # Lines 45 / 117: an initialized process was found for every round.
-            self.rec_status = RecStatus.READY
-            self._propose(
-                round_.recon_epoch,
-                {r.shard: self._compute_membership(r) for r in self._led_rounds},
-                {r.shard: r.new_leader for r in self._led_rounds},
+            self._await_members()
+
+    def _await_members(self) -> None:
+        """Propose once every probed member not suspected has answered.
+
+        Line 48 keeps only responders, so proposing on the first
+        initialized ack would drop a live member whose ack lands at the
+        same instant or a moment later.  A member that stays silent may
+        have crashed unsuspected, so the wait is bounded by the silence the
+        deployment already treats as a failure: with the failure detector
+        on, its window (``interval × threshold``), after which a crashed
+        member is suspected; with it off, the client retry timeout, after
+        which a silent coordinator is given up on (a scripted failover
+        names its crashed members as suspects, so this wait covers only
+        slow live ones, such as cross-region acks on a WAN).  With neither
+        policy on, the wait is as long again as this probe round has taken
+        so far: the one delay a live member has been measured to need."""
+        if all(r.answered(self.suspected) for r in self._probe_rounds.values()):
+            self._propose_rounds()
+        elif self._probe_deadline is None:
+            detector, retry = self.detector_policy, self.retry_policy
+            if detector.enabled:
+                wait = detector.interval * detector.threshold
+            elif retry is not None and retry.enabled:
+                wait = retry.timeout
+            else:
+                wait = self.now - self._probed_at
+            self._probe_deadline = self.set_timer(
+                wait, self._on_probe_deadline, self._probe_rounds
             )
+
+    def _on_probe_deadline(self, rounds: Dict[ShardId, _ProbeRound]) -> None:
+        self._probe_deadline = None
+        if self.probing and rounds is self._probe_rounds:
+            self._propose_rounds()
+
+    def _cancel_probe_deadline(self) -> None:
+        if self._probe_deadline is not None:
+            self._probe_deadline.cancel()
+            self._probe_deadline = None
+
+    def _propose_rounds(self) -> None:
+        self._cancel_probe_deadline()
+        self.rec_status = RecStatus.READY
+        members = {}
+        prefixes: Dict[ProcessId, Optional[int]] = {}
+        for r in self._led_rounds:
+            r.new_leader = r.leader(self.suspected)
+            members[r.shard] = self._compute_membership(r)
+            if len(members[r.shard]) < (self.target_size or len(r.probed_members)):
+                self.under_target_proposals += 1
+            prefixes.update((pid, r.prefixes.get(pid)) for pid in members[r.shard])
+        self._propose(
+            self._led_rounds[0].recon_epoch,
+            members,
+            {r.shard: r.new_leader for r in self._led_rounds},
+            prefixes,
+        )
 
     def _compute_membership(self, round_: _ProbeRound) -> Tuple[ProcessId, ...]:
         return compute_membership(
             self.target_size,
             new_leader=round_.new_leader,
-            responders=round_.responders,
+            live=round_.prefixes,
+            fresh=round_.fresh,
             suspected=self.suspected,
             spares=self.spare_pools.get(round_.shard),
             previous_size=len(round_.probed_members),
@@ -318,10 +445,14 @@ class Reconfigurer:
         def on_get(reply: CsReply) -> None:
             if not reply.ok or reply.config is None or not self.probing:
                 return
+            if round_.new_leader is not None:
+                return  # an initialized member of the probed epoch answered meanwhile
+            previous = reply.config.by_shard(key)[round_.shard]
             round_.probed_epoch = previous_epoch
-            round_.probed_members = reply.config.by_shard(key)[round_.shard].members
+            round_.probed_members = previous.members
+            round_.probed_leader = previous.leader
             round_.stepping_down = False
-            self.send_all(round_.probed_members, Probe(epoch=round_.recon_epoch))
+            self._send_probes(round_.probed_members, round_.recon_epoch)
 
         self._cs_call(lambda rid: CsGet(shard=key, epoch=previous_epoch, request_id=rid), on_get)
 
@@ -348,46 +479,110 @@ class Reconfigurer:
     # ------------------------------------------------------------------
     def _lead_own_slots(self) -> Dict[str, Any]:
         """Become leader over the slots this process holds and snapshot
-        them as a ``NEW_STATE`` carries them: a dict per array of its filled
-        entries (payloads only for the undecided slots, the decided ones
-        having been folded), the ``phase`` array derived from them (DECIDED
-        on the decided slots, PREPARED on the others that hold a
-        transaction) and the settled summary of the decided slots."""
+        them as a full ``NEW_STATE`` carries them: a dict per array of its
+        filled entries (payloads only for the undecided slots, the decided
+        ones having been folded) and the settled summary of the decided
+        slots.
+
+        A ``DECISION`` stashed while this process was RECONFIGURING is
+        applied first (line 30's wait holds once it leads, and decisions
+        are final), so the snapshot holds it and the followers hold what
+        the leader holds; the stashed ``PREPARE`` messages are replayed
+        after the snapshot, as slots of the new epoch."""
         self.status = Status.LEADER
+        self._apply_stashed_decisions()
         self._resume_order()
-        state: Dict[str, Any] = {"txn": {}, "payload": {}, "vote": {}, "dec": {}, "phase": {}}
+        state: Dict[str, Any] = {"txn": {}, "payload": {}, "vote": {}, "dec": {}}
         for slot, txn, payload, vote, dec in self.filled_slots():
             if txn is not None:
                 state["txn"][slot] = txn
                 state["vote"][slot] = vote
             if dec is None:
                 state["payload"][slot] = payload
-                state["phase"][slot] = Phase.PREPARED
             else:
                 state["dec"][slot] = dec
-                state["phase"][slot] = Phase.DECIDED
         state["summary"] = self._votes.settled()
         return state
 
+    def _transfer_state(
+        self,
+        epoch: int,
+        members: Tuple[ProcessId, ...],
+        prefixes: Dict[ProcessId, Optional[int]],
+    ) -> None:
+        """Lead ``members`` in ``epoch`` and send every other member its
+        ``NEW_STATE`` (line 60; Figure 8, line 146).
+
+        The delta rule: a member whose decided slots were exactly ``1..p``
+        when probed (``prefixes``, from its ``PROBE_ACK``), where this
+        leader has decided nothing above ``p``, gets only this leader's
+        slots above ``p`` (all undecided) and no summary.  Any other member
+        (a fresh one, one with a decided slot above a gap, one behind a
+        decision this leader holds) gets the full state.
+
+        Why Invariant 2 still holds: this leader knows every transaction
+        accepted at the shard, at its slot.  A slot the member holds decided
+        was accepted by every member of its epoch, so this leader holds the
+        same transaction there, and the decision is final; the member's
+        slots ``1..p`` and the summary folded from them are therefore what
+        a full transfer would have given it, plus decisions this leader may
+        still lack.  Above ``p`` the member takes exactly this leader's
+        slots, as in a full transfer."""
+        full = self._lead_own_slots()
+        top = max(full["dec"], default=0)
+        whole: Optional[NewState] = None
+        for member in members:
+            if member == self.pid:
+                continue
+            base = prefixes.get(member)
+            if base is None or base < top:
+                if whole is None:
+                    whole = NewState(epoch=epoch, members=members, **full)
+                state = whole
+            else:
+                above = {k: _above(full[k], base) for k in ("txn", "payload", "vote")}
+                state = NewState(
+                    epoch=epoch, members=members, dec={}, summary=None, base=base, **above
+                )
+            self.send(member, state)
+
     def _adopt_state(self, msg: NewState) -> None:
-        """Become an initialized follower holding the leader's slots, in
-        lists as long as its highest filled slot needs (the ``phase`` field
-        follows from ``txn`` and ``dec``, so is not kept), a copy of its
-        undecided slots' payloads, and the leader's settled summary."""
+        """Become an initialized follower holding the leader's slots.
+
+        From a full transfer: lists as long as its highest filled slot
+        needs, a copy of its undecided slots' payloads, and the leader's
+        settled summary.  From a delta (``msg.base`` = p): keep its own
+        slots ``1..p`` and its summary, drop what it holds undecided above
+        ``p`` and store the leader's slots above ``p`` through the write
+        path; a decision it already holds above ``p`` (a one-sided write
+        that landed after the probe) stays, since decisions are final."""
         self.initialized = True
         self.status = Status.FOLLOWER
         self.new_epoch = msg.epoch
-        size = max(chain(msg.txn, msg.dec), default=0) + 1
-        arrays = []
-        for entries in (msg.txn, msg.vote, msg.dec):
-            array: List[Any] = [None] * size
-            for slot, value in entries.items():
-                array[slot] = value
-            arrays.append(array)
-        self.txn_arr, self.vote_arr, self.dec_arr = arrays
-        self.payload_arr = dict(msg.payload)
-        self.slot_of = {txn: slot for slot, txn in msg.txn.items()}
-        self._votes.adopt(msg.summary)
+        if msg.base is None:
+            size = max(chain(msg.txn, msg.dec), default=0) + 1
+            arrays = []
+            for entries in (msg.txn, msg.vote, msg.dec):
+                array: List[Any] = [None] * size
+                for slot, value in entries.items():
+                    array[slot] = value
+                arrays.append(array)
+            self.txn_arr, self.vote_arr, self.dec_arr = arrays
+            self.payload_arr = dict(msg.payload)
+            self.slot_of = {txn: slot for slot, txn in msg.txn.items()}
+            self._votes.adopt(msg.summary)
+        else:
+            self._votes.invalidate()
+            txns, decs = self.txn_arr, self.dec_arr
+            for slot in range(msg.base + 1, len(txns)):
+                txn = txns[slot]
+                if txn is not None and decs[slot] is None:
+                    if self.slot_of.get(txn) == slot:
+                        del self.slot_of[txn]
+                    self.payload_arr.pop(slot, None)
+                    txns[slot] = self.vote_arr[slot] = None
+            for slot, txn in msg.txn.items():
+                self.store_slot(slot, txn, msg.payload[slot], msg.vote[slot])
         self._resume_order()
 
     def _resume_order(self) -> None:
@@ -415,11 +610,13 @@ class ReconfigMixin(Reconfigurer):
         epoch: int,
         members: Dict[ShardId, Tuple[ProcessId, ...]],
         leaders: Dict[ShardId, ProcessId],
+        prefixes: Dict[ProcessId, Optional[int]],
     ) -> None:
-        """Lines 48-50: install the new configuration, then tell its leader."""
+        """Lines 48-50: install the new configuration, then tell its leader
+        (and, for the delta rule, each member's decided prefix)."""
         ((shard, new_members),) = members.items()
         new_leader = leaders[shard]
-        new_config = NewConfig(epoch=epoch, members=new_members)
+        new_config = NewConfig(epoch=epoch, members=new_members, prefixes=prefixes)
 
         def on_installed() -> None:
             if new_leader == self.pid:
@@ -443,11 +640,9 @@ class ReconfigMixin(Reconfigurer):
             # A newer probe has superseded this configuration; refusing to
             # lead it preserves Invariant 3.
             return
-        self._install(self.shard, Configuration(msg.epoch, tuple(msg.members), self.pid))
-        state = NewState(epoch=msg.epoch, members=tuple(msg.members), **self._lead_own_slots())
-        for member in msg.members:
-            if member != self.pid:
-                self.send(member, state)
+        members = tuple(msg.members)
+        self._install(self.shard, Configuration(msg.epoch, members, self.pid))
+        self._transfer_state(msg.epoch, members, msg.prefixes)
         self._on_configuration_installed()
         self._unstash()
 

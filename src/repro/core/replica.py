@@ -102,6 +102,7 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         read: Optional[ReadPolicy] = None,
         detector: Optional[DetectorPolicy] = None,
         pipeline: bool = True,
+        retry: Any = None,
     ) -> None:
         super().__init__(pid)
         self.shard = shard
@@ -114,6 +115,10 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
         self.batch_policy = batch or BatchPolicy()
         self.read_policy = read or ReadPolicy()
         self.detector_policy = detector or DetectorPolicy()
+        # The deployment's client retry policy (``repro.client.RetryPolicy``,
+        # None: off): with the detector off, its timeout bounds how long a
+        # reconfigurer waits for a silent member (``_await_members``).
+        self.retry_policy = retry
         # Heartbeat failure detection (inert unless the policy enables it):
         # this replica's view of its co-members' liveness.
         self.detector: Optional[FailureDetector] = (
@@ -372,6 +377,18 @@ class ReplicaBase(CoordinatorMixin, Reconfigurer, Process):
     # ------------------------------------------------------------------
     def _stash_message(self, message: Any, sender: str) -> None:
         self._stash.append((message, sender))
+
+    def _apply_stashed_decisions(self) -> None:
+        """Apply every stashed ``DECISION`` of an epoch this process has
+        reached, keeping the rest of the stash in order (a new leader does
+        so before it snapshots its state: ``Reconfigurer._lead_own_slots``)."""
+        kept = []
+        for message, sender in self._stash:
+            if type(message) is SlotDecision and message.epoch <= self.my_epoch:
+                self.decide_slot(message.slot, message.decision)
+            else:
+                kept.append((message, sender))
+        self._stash = kept
 
     def _unstash(self) -> None:
         if not self._stash:

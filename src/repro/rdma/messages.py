@@ -15,8 +15,8 @@ The messages below differ from their message-passing counterparts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.types import Decision, ShardId, TxnId
 
@@ -58,9 +58,12 @@ class ConfigPrepareAck:
 
 @dataclass(frozen=True)
 class NewConfig:
-    """``NEW_CONFIG(e)`` sent to the leaders of the new configuration (line 139)."""
+    """``NEW_CONFIG(e)`` sent to the leaders of the new configuration (line
+    139), with the decided prefix each member of the leader's shard
+    reported when probed (as the shared ``NewConfig`` carries them)."""
 
     epoch: int
+    prefixes: Dict[str, Optional[int]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,9 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         # The configuration this process won the CAS for and is disseminating
         # (``rec_status`` is ``installing``), and who acknowledged it so far.
         self._installing: Optional[GlobalConfiguration] = None
+        # The decided prefix each member reported when probed, for the
+        # NEW_CONFIG of its shard's leader.
+        self._installing_prefixes: Dict[ProcessId, Optional[int]] = {}
         self._config_prepare_acks: Set[ProcessId] = set()
 
     # ------------------------------------------------------------------
@@ -222,6 +225,7 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         epoch: int,
         members: Dict[ShardId, Tuple[ProcessId, ...]],
         leaders: Dict[ShardId, ProcessId],
+        prefixes: Dict[ProcessId, Optional[int]],
     ) -> None:
         """Lines 120-124: install the new global configuration, then
         disseminate it to every member before any leader is activated."""
@@ -230,6 +234,7 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         def on_installed() -> None:
             self.rec_status = RecStatus.INSTALLING
             self._installing = config
+            self._installing_prefixes = prefixes
             self._config_prepare_acks = set()
             self.send_all(
                 config.all_processes(),
@@ -254,8 +259,13 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         self._config_prepare_acks.add(sender)
         if set(config.all_processes()) <= self._config_prepare_acks:
             self.rec_status = RecStatus.READY
-            for leader in config.leaders.values():
-                self.send(leader, NewConfig(epoch=config.epoch))
+            prefixes = self._installing_prefixes
+            for shard, leader in config.leaders.items():
+                members = config.members[shard]
+                self.send(
+                    leader,
+                    NewConfig(epoch=config.epoch, prefixes={p: prefixes.get(p) for p in members}),
+                )
 
     def on_new_config(self, msg: NewConfig, sender: str) -> None:
         if msg.epoch != self.new_epoch:
@@ -264,12 +274,8 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
         # we snapshot our state for the followers (line 142).
         self.rdma.flush()
         self.epoch = msg.epoch
-        members = self.view[self.shard].members
-        state = NewState(epoch=self.epoch, members=members, **self._lead_own_slots())
+        self._transfer_state(self.epoch, self.view[self.shard].members, msg.prefixes)
         self._on_configuration_installed()
-        for member in members:
-            if member != self.pid:
-                self.send(member, state)
         self._connect_to_all_members()
         self._enter_epochs(self.view)
 

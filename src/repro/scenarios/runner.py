@@ -93,6 +93,37 @@ SECTIONS: Tuple[Tuple[str, str, Callable[[ClusterBase], Any]], ...] = (
 )
 
 
+@dataclass(frozen=True)
+class Membership:
+    """Each shard's final member count, the count a reconfiguration
+    restores (``replicas_per_shard``), and the shard proposals that fell
+    short of it: a shard left under its target is reported, not silent."""
+
+    shard_members: Dict[str, int]
+    target_members: int
+    under_target_proposals: int
+
+    @property
+    def short(self) -> bool:
+        """Whether a shard ended, or a proposal was made, under the target."""
+        return self.under_target_proposals > 0 or any(
+            count < self.target_members for count in self.shard_members.values()
+        )
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {
+            "shard_members": dict(self.shard_members),
+            "target_members": self.target_members,
+            "under_target_proposals": self.under_target_proposals,
+        }
+
+    def describe(self) -> str:
+        sizes = ", ".join(
+            f"{shard} {count}/{self.target_members}" for shard, count in self.shard_members.items()
+        )
+        return f"{sizes}; {self.under_target_proposals} proposal(s) under target"
+
+
 @dataclass
 class ScenarioResult:
     """Structured outcome of one scenario run: the run-level measurements
@@ -131,6 +162,7 @@ class ScenarioResult:
     check_reason: str = ""  # why the checker failed ("" when it passed)
     latency_model: str = "unit"  # LatencySpec.describe() of the network model
     recovery_times: List[float] = field(default_factory=list)  # crash -> next install
+    membership: Optional[Membership] = None  # final shard sizes against the target
     phases: Optional[PhaseBreakdown] = None  # submit/certify/decide split
     faults_executed: List[str] = field(default_factory=list)
     wall_seconds: float = 0.0
@@ -188,6 +220,7 @@ class ScenarioResult:
             "latency_model": self.latency_model,
             **self._subsystems(),
             "recovery_times": list(self.recovery_times),
+            "membership": self.membership.as_dict() if self.membership else None,
             "phases": self.phases.as_dict() if self.phases else None,
             "check_ok": self.check_ok,
             "check_mode": self.check_mode,
@@ -222,6 +255,8 @@ class ScenarioResult:
         if self.recovery_times:
             ttr = ", ".join(f"{t:.1f}" for t in self.recovery_times)
             rows.append(("time to recovery", f"{ttr} delays (crash -> install)"))
+        if self.membership is not None and self.membership.short:
+            rows.append(("shard members", self.membership.describe()))
         if self.latency is not None:
             rows.append(
                 ("client latency", f"mean {self.latency.mean:.2f} / p99 {self.latency.p99:.2f} delays")
@@ -609,6 +644,11 @@ class ScenarioRunner:
             latency=summarize(latencies) if latencies else None,
             latency_model=spec.latency.describe(),
             recovery_times=self._recovery_times(),
+            membership=Membership(
+                {shard: len(cluster.members_of(shard)) for shard in cluster.shards},
+                cluster.replicas_per_shard,
+                cluster.under_target_proposals(),
+            ),
             phases=phase_breakdown(cluster.phase_samples()),
             check_ok=check_ok,
             invariant_violations=len(violations),

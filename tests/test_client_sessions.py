@@ -381,7 +381,10 @@ def test_snapshot_read_to_a_removed_leader_falls_back_on_the_push(protocol, time
     """The leader a read was sent to crashed: under a retry policy the
     pushed configuration that removes it certifies the read at once, and
     it decides once the shard is reconfigured, like a write submitted
-    after it, whatever the retry timeout."""
+    after it, whatever the retry timeout.  The failover names the crashed
+    leader as its suspect, as a scripted reconfigure step does: an
+    unsuspected silent member would be waited for up to the retry timeout
+    (``Reconfigurer._await_members``)."""
     cluster = Cluster(
         num_shards=2,
         replicas_per_shard=2,
@@ -392,9 +395,9 @@ def test_snapshot_read_to_a_removed_leader_falls_back_on_the_push(protocol, time
     )
     cluster.run()  # deliver the bootstrap lease grants
     key = shard_key(cluster.scheme, "shard-0")
-    cluster.crash_leader("shard-0")
+    crashed = cluster.crash_leader("shard-0")
     read = cluster.submit_read((key,), fallback_payload=read_payload(key))
-    cluster.reconfigure("shard-0")
+    cluster.reconfigure("shard-0", suspects=[crashed])
     write = cluster.submit(rw_payload(key, tiebreak="w"))
     cluster.run()
     assert cluster.history.decision_of(read) is Decision.COMMIT

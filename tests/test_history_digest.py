@@ -989,9 +989,10 @@ def test_executor_retained_bytes_per_added_transaction():
 @pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
 def test_new_state_carries_payloads_only_for_undecided_slots(protocol, monkeypatch):
     """Every ``NEW_STATE`` of a failure-free ``rolling-reconfiguration``
-    ships the sender's settled summary and a payload for each slot the
-    sender holds undecided, and for no other: a decided slot's payload is
-    folded, not transferred."""
+    ships a payload for each slot the sender holds undecided, and for no
+    other (above its base, for a delta): a decided slot's payload is
+    folded, not transferred.  A full transfer also ships the sender's
+    settled summary; a delta ships none (its receiver keeps its own)."""
     sent = []
     send = Process.send
 
@@ -1000,7 +1001,7 @@ def test_new_state_carries_payloads_only_for_undecided_slots(protocol, monkeypat
             undecided = {
                 slot
                 for slot, txn, _payload, _vote, dec in process.filled_slots()
-                if txn is not None and dec is None
+                if txn is not None and dec is None and slot > (message.base or 0)
             }
             sent.append((message, undecided, process._votes.settled()))
         send(process, dst, message, weak)
@@ -1011,10 +1012,11 @@ def test_new_state_carries_payloads_only_for_undecided_slots(protocol, monkeypat
     for message, undecided, settled in sent:
         assert set(message.payload) == undecided
         assert None not in message.payload.values()
-        assert message.summary == settled
-    # The transfers are not empty: they carry decided slots, and these
+        assert message.summary == (settled if message.base is None else None)
+    # The full transfers are not empty: they carry decided slots, and these
     # travel without their payloads.
-    assert any(set(message.dec) & set(message.txn) for message, _, _ in sent)
+    full = [message for message, _, _ in sent if message.base is None]
+    assert any(set(message.dec) & set(message.txn) for message in full)
 
 
 def test_paxos_retained_bytes_per_added_transaction():

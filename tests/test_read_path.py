@@ -164,8 +164,7 @@ def test_engine_reads_its_seeds_again_after_a_state_transfer():
     # decided slot 1; the engine serves its seeds again.
     replica._adopt_state(
         NewState(
-            epoch=2, members=(replica.pid,), txn={}, payload={}, vote={}, dec={}, phase={},
-            summary={},
+            epoch=2, members=(replica.pid,), txn={}, payload={}, vote={}, dec={}, summary={},
         )
     )
     assert _served(engine, "x", "y") == [("init", VERSION_ZERO), ("other", VERSION_ZERO)]

@@ -1,10 +1,11 @@
 """The one tracker derived from a replica's certification order.
 
 A replica's four slot arrays (``txn`` / ``payload`` / ``vote`` / ``dec``)
-are written by ``store_slot`` / ``decide_slot`` and replaced wholesale by a
-state transfer.  Figure 1's fifth array, ``phase``, is not kept: it follows
-from ``txn`` and ``dec`` (``ReplicaBase.phase``), and a ``NEW_STATE`` carries
-it derived the same way.  A decided slot keeps no payload: it is folded into
+are written by ``store_slot`` / ``decide_slot`` and by a state transfer,
+which replaces them wholesale (a full ``NEW_STATE``) or above a decided
+prefix the follower keeps (a delta).  Figure 1's fifth array, ``phase``, is
+not kept or sent: it follows from ``txn`` and ``dec``
+(``ReplicaBase.phase``).  A decided slot keeps no payload: it is folded into
 the replica's settled summary (``repro.core.votecache``), which keeps what
 the decided slots committed.  The leader's vote index is that summary plus
 the prepared slots' commit votes — ``committed_writer``,
@@ -21,9 +22,11 @@ The oracle runs at quiescence of every library scenario on the three
 replica stacks, and after each transition the tracker handles by rule
 rather than by the common path: a write over a prepared slot, a repeated
 decision, a decision that flips (the summary keeps the decision the slot
-was folded with) and a decision that lands before its write.  The derived
-phase is checked on every state transfer of the golden cases that
-reconfigure, and on a decision that lands before its write.  No slot write
+was folded with) and a decision that lands before its write.  After every
+state transfer of the golden cases that reconfigure, the follower derives
+the leader's phase on every slot the leader held (DECIDED on a prefix a
+delta left it); the derived phase is also checked on a decision that
+lands before its write.  No slot write
 at any replica of any library scenario carries the ``AS_SENT`` marker of a
 ``PREPARE_ACK``: the coordinator relays its own copy of the payload.
 
@@ -367,37 +370,52 @@ RECONFIGURING = (
 )
 
 
-def _assert_phase_field(replica, state):
-    """``state``'s ``phase`` covers exactly the slots holding a transaction
-    or a decision, DECIDED exactly on the decided ones, and ``replica``
-    derives the same phase for every slot."""
-    assert set(state["phase"]) == set(state["txn"]) | set(state["dec"]), replica.pid
-    decided = {slot for slot, phase in state["phase"].items() if phase is Phase.DECIDED}
-    assert decided == set(state["dec"]), replica.pid
-    assert set(state["phase"].values()) <= {Phase.PREPARED, Phase.DECIDED}
-    for slot, phase in state["phase"].items():
-        assert replica.phase(slot) is phase, (replica.pid, slot)
-    assert replica.phase(max(state["phase"], default=0) + 1) is Phase.START
-    assert replica.next == max(state["phase"], default=0)
+def _leader_phases(replica, state):
+    """The phase ``replica`` derives for every slot its snapshot ``state``
+    holds; the snapshot covers exactly those slots, with a payload on the
+    undecided ones."""
+    slots = set(state["txn"]) | set(state["dec"])
+    assert set(state["payload"]) == slots - set(state["dec"]), replica.pid
+    phases = {slot: replica.phase(slot) for slot in slots}
+    assert set(phases.values()) <= {Phase.PREPARED, Phase.DECIDED}
+    assert replica.next == max(slots, default=0)
+    return phases
+
+
+def _assert_follows_leader(replica, msg, phases):
+    """After ``msg``, ``replica`` derives the leader's phase on every slot
+    the leader held, and DECIDED on the prefix a delta left it."""
+    base = msg.base or 0
+    if msg.base is not None:
+        assert msg.dec == {} and msg.summary is None
+        assert set(msg.txn) == {slot for slot in phases if slot > base}
+        assert all(phases[slot] is Phase.PREPARED for slot in msg.txn)
+    for slot in range(1, base + 1):
+        assert replica.phase(slot) is Phase.DECIDED, (replica.pid, slot)
+    for slot, phase in phases.items():
+        if slot > base:
+            assert replica.phase(slot) is phase, (replica.pid, slot)
+    assert replica.next == max([base, *phases])
 
 
 @pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
 @pytest.mark.parametrize("name", RECONFIGURING)
-def test_every_new_state_carries_the_derived_phase(name, protocol, monkeypatch):
-    led, adopted = [], []
+def test_every_new_state_leaves_the_follower_with_the_leaders_phase(
+    name, protocol, monkeypatch
+):
+    led, adopted = {}, []
     lead_own_slots = Reconfigurer._lead_own_slots
     adopt_state = Reconfigurer._adopt_state
 
     def leading(replica):
         state = lead_own_slots(replica)
-        _assert_phase_field(replica, state)
-        led.append(replica.pid)
+        led[replica.shard, replica.new_epoch] = _leader_phases(replica, state)
         return state
 
     def adopting(replica, msg):
         adopt_state(replica, msg)
-        _assert_phase_field(replica, vars(msg))
-        adopted.append(replica.pid)
+        _assert_follows_leader(replica, msg, led[replica.shard, msg.epoch])
+        adopted.append(msg.base)
 
     monkeypatch.setattr(Reconfigurer, "_lead_own_slots", leading)
     monkeypatch.setattr(Reconfigurer, "_adopt_state", adopting)
@@ -433,7 +451,8 @@ def test_a_decision_before_its_one_sided_accept_stays_decided():
 class _DictRebuild:
     """A replica's four arrays and ``slot_of`` as int-keyed dicts, written
     by every ``store_slot``, ``decide_slot`` and ``_adopt_state`` the
-    replica ran."""
+    replica ran (a delta ``NEW_STATE`` drops the undecided slots above its
+    base, then stores the leader's)."""
 
     def __init__(self):
         self.txn, self.payload, self.vote, self.dec, self.slot_of = {}, {}, {}, {}, {}
@@ -463,10 +482,21 @@ def rebuilds(monkeypatch):
         decide_slot(replica, slot, decision)
 
     def adopting(replica, msg):
-        rebuild = by_pid[replica.pid] = _DictRebuild()
-        rebuild.txn, rebuild.payload = dict(msg.txn), dict(msg.payload)
-        rebuild.vote, rebuild.dec = dict(msg.vote), dict(msg.dec)
-        rebuild.slot_of = {txn: slot for slot, txn in msg.txn.items()}
+        if msg.base is None:
+            rebuild = by_pid[replica.pid] = _DictRebuild()
+            rebuild.txn, rebuild.payload = dict(msg.txn), dict(msg.payload)
+            rebuild.vote, rebuild.dec = dict(msg.vote), dict(msg.dec)
+            rebuild.slot_of = {txn: slot for slot, txn in msg.txn.items()}
+        else:
+            # A delta: the undecided slots above the kept prefix go, and the
+            # leader's slots above it come through ``store_slot`` (above).
+            rebuild = by_pid.setdefault(replica.pid, _DictRebuild())
+            for slot in [s for s in rebuild.txn if s > msg.base and s not in rebuild.dec]:
+                txn = rebuild.txn.pop(slot)
+                rebuild.payload.pop(slot, None)
+                rebuild.vote.pop(slot, None)
+                if rebuild.slot_of.get(txn) == slot:
+                    del rebuild.slot_of[txn]
         adopt_state(replica, msg)
 
     monkeypatch.setattr(ReplicaBase, "store_slot", storing)
@@ -521,9 +551,11 @@ def test_holes_equal_a_dict_rebuild_through_a_state_transfer(protocol, rebuilds)
     """Past the last slot the leader filled, every member holds a decision
     no write joins (a hole); under RDMA a follower also takes a decision
     before the one-sided write that carries its transaction.  The leader
-    is crashed: the next one transfers both in ``NEW_STATE``, and every
-    member of the new configuration continues the order after the hole,
-    the highest filled slot, whatever its lists' length."""
+    is crashed: the next one keeps the live follower and transfers both in
+    a full ``NEW_STATE`` (the hole is a decided slot above a gap, so no
+    delta applies), and every member of the new configuration continues
+    the order after the hole, the highest filled slot, whatever its
+    lists' length."""
     cluster = _cluster(protocol)
     leader, slot, _a, _b = _leader_with_history(cluster)
     hole = slot + 3
@@ -550,7 +582,7 @@ def test_holes_equal_a_dict_rebuild_through_a_state_transfer(protocol, rebuilds)
     crashed = cluster.crash_leader("shard-0")
     cluster.reconfigure("shard-0", suspects=[crashed])
     config = cluster.current_configuration("shard-0")
-    assert config.epoch == 2 and set(config.members) - set(members)
+    assert config.epoch == 2 and set(config.members) == set(members) - {crashed}
     for pid in config.members:
         replica = cluster.replica(pid)
         assert_lists_equal_their_rebuild(replica, rebuilds[pid])
