@@ -295,7 +295,16 @@ class RdmaShardReplica(RdmaVotePersistence, ReplicaBase):
                 self.send(pid, Connect(epoch=self.epoch))
 
     def on_connect(self, msg: Connect, sender: str) -> None:
-        if self.status is Status.RECONFIGURING or sender in self.rdma.connections:
+        if self.status is Status.RECONFIGURING:
+            # Figure 8's ``pre: status ≠ reconfiguring`` is a wait: a CONNECT
+            # of the epoch this process is entering is answered once its
+            # NEW_CONFIG / NEW_STATE lands (``ReplicaBase``'s stash).  Dropped,
+            # the sender's one-sided writes would bounce until this
+            # process's own CONNECT came back acknowledged.
+            if msg.epoch >= self.new_epoch:
+                self._stash_message(msg, sender)
+            return
+        if sender in self.rdma.connections:
             return
         self.rdma.open(sender)
         self.send(sender, ConnectAck(epoch=msg.epoch))

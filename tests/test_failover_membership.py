@@ -284,3 +284,31 @@ def test_followers_hold_the_decisions_the_new_leader_applies(monkeypatch):
     assert cluster.leader_of("shard-0") == r1.pid
     assert adopted == {r2.pid: Phase.DECIDED}
     assert r1.phase(5) is Phase.DECIDED
+
+
+# ----------------------------------------------------------------------
+# RDMA: a CONNECT that beats the NEW_STATE
+# ----------------------------------------------------------------------
+def test_a_connect_that_beats_the_new_state_waits_for_it(monkeypatch):
+    """Shard-1's new leader's ``CONNECT`` reaches shard-0's kept follower
+    before the follower's own (delayed) ``NEW_STATE``.  The follower holds
+    it and answers it as it installs, so it accepts that leader's one-sided
+    writes from then on, rather than bouncing them until its own
+    ``CONNECT`` round trip returns."""
+    from repro.rdma.replica import RdmaShardReplica
+
+    cluster = Cluster(num_shards=2, replicas_per_shard=2, seed=1, protocol="rdma")
+    leader0, follower0 = cluster.members_of("shard-0")
+    leader1 = cluster.leader_of("shard-1")
+    cluster.network.add_extra_delay(leader0, follower0, 6.0)
+    granted = {}
+    on_new_state = RdmaShardReplica.on_new_state
+
+    def installing(replica, msg, sender):
+        on_new_state(replica, msg, sender)
+        granted[replica.pid] = leader1 in replica.rdma.connections
+
+    monkeypatch.setattr(RdmaShardReplica, "on_new_state", installing)
+    assert cluster.reconfigure("shard-0", initiator=leader1)
+    assert cluster.members_of("shard-0") == (leader0, follower0)
+    assert granted[follower0]

@@ -989,10 +989,12 @@ def test_executor_retained_bytes_per_added_transaction():
 @pytest.mark.parametrize("protocol", ["message-passing", "rdma"])
 def test_new_state_carries_payloads_only_for_undecided_slots(protocol, monkeypatch):
     """Every ``NEW_STATE`` of a failure-free ``rolling-reconfiguration``
-    ships a payload for each slot the sender holds undecided, and for no
-    other (above its base, for a delta): a decided slot's payload is
-    folded, not transferred.  A full transfer also ships the sender's
-    settled summary; a delta ships none (its receiver keeps its own)."""
+    (kept members: deltas) and of ``cascading-crashes`` (joiners: full
+    transfers) ships a payload for each slot the sender holds undecided,
+    and for no other (above its base, for a delta): a decided slot's
+    payload is folded, not transferred.  A full transfer also ships the
+    sender's settled summary; a delta ships none (its receiver keeps its
+    own)."""
     sent = []
     send = Process.send
 
@@ -1007,15 +1009,16 @@ def test_new_state_carries_payloads_only_for_undecided_slots(protocol, monkeypat
         send(process, dst, message, weak)
 
     monkeypatch.setattr(Process, "send", sending)
-    ScenarioRunner(get_scenario("rolling-reconfiguration").with_overrides(protocol=protocol)).run()
-    assert sent
+    for name in ("rolling-reconfiguration", "cascading-crashes"):
+        ScenarioRunner(get_scenario(name).with_overrides(protocol=protocol)).run()
     for message, undecided, settled in sent:
         assert set(message.payload) == undecided
         assert None not in message.payload.values()
         assert message.summary == (settled if message.base is None else None)
-    # The full transfers are not empty: they carry decided slots, and these
-    # travel without their payloads.
+    # Both kinds occur, and the full transfers are not empty: they carry
+    # decided slots, and these travel without their payloads.
     full = [message for message, _, _ in sent if message.base is None]
+    assert len(full) < len(sent)
     assert any(set(message.dec) & set(message.txn) for message in full)
 
 

@@ -33,14 +33,13 @@ STACKS = ("message-passing", "rdma")
 # Undecided transactions at quiescence, message-passing / RDMA, where not 0.
 # What is left: joiners that never learn another shard's configuration
 # (ROADMAP item 7(b); see the cascading-crashes case below), crashed
-# coordinators whose prepared slots nothing retries (item 8), a
-# configuration service cut off past the run's end and, on RDMA, an
-# ACCEPT written before its follower re-opened the writer's connection.
-# A reconfiguration keeps its live members, so failure-free
-# rolling-reconfiguration has no joiner left on message-passing.  A change
-# that lowers a count updates this table.
+# coordinators whose prepared slots nothing retries (item 8) and a
+# configuration service cut off past the run's end.  A reconfiguration
+# keeps its live members, so failure-free rolling-reconfiguration has no
+# joiner left, and an RDMA member holds a CONNECT that reaches it while
+# it is RECONFIGURING, so no ACCEPT bounces off it after its install.  A
+# change that lowers a count updates this table.
 UNDECIDED = {
-    "rolling-reconfiguration": (0, 2),
     "cascading-crashes": (27, 0),
     "config-service-outage": (40, 40),
     "follower-partition": (2, 2),
